@@ -211,12 +211,10 @@ def trace_from_record(record) -> Trace:
 def traces_from_report(report) -> List[Trace]:
     """Rebuild coarse span trees for every request in a report.
 
-    Takes the vectorized path when the report still holds its
-    ``RecordColumns`` (columnar engine), the per-record path otherwise.
-    Both produce identical traces for the same run.
+    Takes the vectorized path when the report holds ``RecordColumns``
+    (columnar engine), the per-record path otherwise.  Both produce
+    identical traces for the same run.
     """
-    records = report.records
-    columns = getattr(records, "_columns", None)
-    if columns is not None:
-        return _from_columns(columns)
-    return [_from_record(record) for record in records]
+    if report.columns is not None:
+        return _from_columns(report.columns)
+    return [_from_record(record) for record in report.records]

@@ -243,25 +243,26 @@ def run_shard(task: ShardTask) -> ShardResult:
     }
     n_incoming = sum(1 for s in task.submissions if s.origin != task.region.name)
 
-    user_latencies: List[float] = []
-    last_finished = 0.0
+    # The tally reads the report's arrays, so a columnar shard builds no
+    # RequestRecord; only a region with SLOs replays the record stream.
+    numeric = report.numeric
+    shed = numeric.shed
+    failed = numeric.failed & ~shed
+    answered = ~(numeric.failed | shed)
+    last_finished = max(0.0, float(numeric.finished_s.max()))
+    # Added one by one, left to right: the merged summary's cost is
+    # compared exactly, and ndarray.sum (pairwise) rounds differently.
     total_cost = 0.0
-    n_completed = n_failed = n_shed = 0
+    for cost in numeric.invocation_cost[answered].tolist():
+        total_cost += cost
+    round_trip = np.array(
+        [extra.get(request_id, 0.0) for request_id in numeric.request_ids]
+    )
+    user_latencies = (numeric.response_time_s + round_trip)[answered]
     slo_log = _RegionSLOReplay(task.region)
-    for record in report.records:
-        last_finished = max(last_finished, record.finished_s)
-        slo_log.publish(record)
-        if record.shed:
-            n_shed += 1
-            continue
-        if record.failed:
-            n_failed += 1
-            continue
-        n_completed += 1
-        total_cost += record.invocation_cost
-        user_latencies.append(
-            record.response_time_s + extra.get(record.request_id, 0.0)
-        )
+    if task.region.slos:
+        for record in report.records:
+            slo_log.publish(record)
     slo_log.finish(last_finished)
 
     return ShardResult(
@@ -278,10 +279,10 @@ def run_shard(task: ShardTask) -> ShardResult:
         n_assigned=task.n_assigned,
         n_outgoing=task.n_outgoing,
         n_denied=task.n_denied,
-        n_completed=n_completed,
-        n_failed=n_failed,
-        n_shed=n_shed,
-        user_latencies_ok=np.asarray(user_latencies, dtype=float),
+        n_completed=int(np.count_nonzero(answered)),
+        n_failed=int(np.count_nonzero(failed)),
+        n_shed=int(np.count_nonzero(shed)),
+        user_latencies_ok=user_latencies,
         last_finished_s=last_finished,
         total_cost=total_cost,
         fault_log=list(report.fault_log),

@@ -19,12 +19,39 @@ routing decisions, completion order, retries, costs — into one SHA-256
 hex string.  Because the engine is bit-deterministic for a fixed seed and
 scenario, the digest is the regression currency of the golden-trace test
 harness: two runs of the same scenario must digest identically.
+
+The bulk path is **column-native**.  The columnar engine ends a run
+holding :class:`RecordColumns` (one array per record field), and the
+report reads them as they are: every aggregate is an array expression
+over :attr:`LoadTestReport.numeric`, and :meth:`~LoadTestReport.digest`
+formats its per-request rows straight from the columns.  No
+:class:`RequestRecord` is built on ``run → digest() → summary()``;
+``report.records`` stays a lazy, cached sequence for callers that index
+it.  A list-backed (legacy-engine) report builds the same numeric
+columns from its records once, on first use, so each aggregate has one
+implementation whichever engine ran.
+
+Digest row contract (one line per request, completion order)::
+
+    {request_id}|{payload}|{tier}|{arrival_s}|{finished_s}|{v1,v2}|
+    {escalated:0/1}|{failed:0/1}|{retries}|{invocation_cost}|
+    {v=node_seconds,... sorted by version}[|shed][|degraded][|retry-denied]\n
+
+Every float is a **Python** ``float`` rendered with ``.12e``.  The
+column renderer therefore converts each array with ``.tolist()`` before
+formatting rather than formatting NumPy scalars or using
+``np.char``/``np.array2string``: CPython's float formatting is fixed by
+the language, NumPy's has changed between releases, and the golden
+digests must hold across the CI Python/NumPy matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +62,7 @@ from repro.service.simulation.faults import FaultLogEntry
 __all__ = [
     "Divergence",
     "LoadTestReport",
+    "NumericColumns",
     "RecordColumns",
     "RequestRecord",
     "first_divergence",
@@ -110,8 +138,13 @@ class RequestRecord:
 class LoadTestReport:
     """Aggregate view of one simulated load test.
 
+    Built from ``records`` (the legacy engine's list) **or** ``columns``
+    (the columnar engine's arrays), never both.
+
     Attributes:
-        records: Per-request records, in completion order.
+        records: Per-request records, in completion order.  On a
+            column-built report this is a lazy sequence that
+            materializes a :class:`RequestRecord` only when indexed.
         scaling_events: Actions the autoscaler took (empty without one).
         final_pool_sizes: Node count per version when the test drained.
         offered_rate: Mean offered arrival rate, when known.
@@ -124,9 +157,13 @@ class LoadTestReport:
             legacy loop (``None`` when no fallback happened).  Like
             ``engine_used`` this describes *how* the run executed, not
             *what* it produced, so neither field enters the digest.
+        columns: The engine's :class:`RecordColumns` on a columnar run,
+            ``None`` on a list-backed report.  Consumers that can work
+            from arrays (span reconstruction) read this instead of
+            materializing ``records``.
     """
 
-    records: List[RequestRecord]
+    records: Sequence[RequestRecord] = ()
     scaling_events: List[ScalingEvent] = field(default_factory=list)
     final_pool_sizes: Dict[str, int] = field(default_factory=dict)
     offered_rate: Optional[float] = None
@@ -134,18 +171,66 @@ class LoadTestReport:
     control_log: List[object] = field(default_factory=list)
     engine_used: Optional[str] = None
     fallback_reason: Optional[str] = None
+    columns: Optional["RecordColumns"] = None
 
     def __post_init__(self) -> None:
-        if not self.records:
+        if self.columns is not None:
+            view = self.records
+            # ``dataclasses.replace`` hands back the lazy view it found.
+            if not (
+                isinstance(view, _ColumnarRecords)
+                and view._columns is self.columns
+            ):
+                if len(view):
+                    raise ValueError(
+                        "build a report from records or from columns, "
+                        "not both"
+                    )
+                self.records = _ColumnarRecords(self.columns)
+        if not len(self.records):
             raise ValueError("a load test report needs at least one record")
-        self._latencies = np.asarray(
-            [
-                r.response_time_s
-                for r in self.records
-                if not r.failed and not r.shed
-            ],
-            dtype=float,
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: "RecordColumns",
+        *,
+        scaling_events: Optional[List[ScalingEvent]] = None,
+        final_pool_sizes: Optional[Dict[str, int]] = None,
+        offered_rate: Optional[float] = None,
+        fault_log: Optional[List[FaultLogEntry]] = None,
+        control_log: Optional[List[object]] = None,
+    ) -> "LoadTestReport":
+        """Build a report directly from dense per-request columns."""
+        return cls(
+            columns=columns,
+            scaling_events=list(scaling_events or ()),
+            final_pool_sizes=dict(final_pool_sizes or ()),
+            offered_rate=offered_rate,
+            fault_log=list(fault_log or ()),
+            control_log=list(control_log or ()),
         )
+
+    @cached_property
+    def numeric(self) -> "NumericColumns":
+        """The records' numeric fields as arrays, in completion order.
+
+        The engine's own columns on a columnar run; built from
+        ``records`` once, on first use, otherwise.  Every
+        aggregate below reads these arrays and nothing else.
+        """
+        if self.columns is not None:
+            return self.columns
+        return NumericColumns(self.records)
+
+    @cached_property
+    def _answered(self) -> np.ndarray:
+        """Mask of requests that got an answer (neither failed nor shed)."""
+        return ~(self.numeric.failed | self.numeric.shed)
+
+    @cached_property
+    def _latencies(self) -> np.ndarray:
+        return self.numeric.response_time_s[self._answered]
 
     # ------------------------------------------------------------------
     # latency (over successful requests)
@@ -185,12 +270,8 @@ class LoadTestReport:
     @property
     def mean_queue_wait_s(self) -> float:
         """Mean time a request's first job sat queued before starting."""
-        waits = [
-            r.queue_wait_s
-            for r in self.records
-            if not r.failed and not r.shed
-        ]
-        if not waits:
+        waits = self.numeric.queue_wait_s[self._answered]
+        if waits.size == 0:
             return float("nan")
         return float(np.mean(waits))
 
@@ -205,17 +286,18 @@ class LoadTestReport:
     @property
     def n_failed(self) -> int:
         """Number of requests that failed terminally."""
-        return sum(1 for r in self.records if r.failed)
+        return int(np.count_nonzero(self.numeric.failed))
 
     @property
     def n_shed(self) -> int:
         """Number of requests shed by admission control."""
-        return sum(1 for r in self.records if r.shed)
+        return int(np.count_nonzero(self.numeric.shed))
 
     @property
     def n_degraded(self) -> int:
         """Number of answered requests force-degraded to the fast tier."""
-        return sum(1 for r in self.records if r.degraded and not r.failed)
+        numeric = self.numeric
+        return int(np.count_nonzero(numeric.degraded & ~numeric.failed))
 
     @property
     def availability(self) -> float:
@@ -230,12 +312,12 @@ class LoadTestReport:
     @property
     def n_retry_denied(self) -> int:
         """Number of requests that had a retry denied by a budget."""
-        return sum(1 for r in self.records if r.retry_denied)
+        return int(np.count_nonzero(self.numeric.retry_denied))
 
     @property
     def total_retries(self) -> int:
         """Job attempts re-driven across all requests."""
-        return sum(r.retries for r in self.records)
+        return int(self.numeric.retries.sum())
 
     @property
     def retry_amplification(self) -> float:
@@ -250,9 +332,8 @@ class LoadTestReport:
     @property
     def makespan_s(self) -> float:
         """Virtual time from first arrival to last response."""
-        first = min(r.arrival_s for r in self.records)
-        last = max(r.finished_s for r in self.records)
-        return last - first
+        numeric = self.numeric
+        return float(numeric.finished_s.max()) - float(numeric.arrival_s.min())
 
     @property
     def throughput_rps(self) -> float:
@@ -270,7 +351,10 @@ class LoadTestReport:
     @property
     def total_invocation_cost(self) -> float:
         """Sum billed to consumers across all requests."""
-        return float(sum(r.invocation_cost for r in self.records))
+        # The builtin left-to-right sum over Python floats, not
+        # ``ndarray.sum`` (pairwise): the cost per request is compared
+        # exactly across commits.
+        return float(sum(self.numeric.invocation_cost.tolist()))
 
     @property
     def mean_invocation_cost(self) -> float:
@@ -280,22 +364,25 @@ class LoadTestReport:
     @property
     def total_node_seconds(self) -> Dict[str, float]:
         """Node-seconds billed per version across all requests."""
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            for version, seconds in record.node_seconds.items():
-                totals[version] = totals.get(version, 0.0) + seconds
-        return totals
+        # cumsum adds strictly left to right, as the per-record
+        # accumulation it replaces did.
+        return {
+            version: float(np.cumsum(seconds)[-1])
+            for version, seconds in self.numeric.node_seconds.items()
+        }
 
     @property
     def escalation_rate(self) -> float:
         """Fraction of requests the ensemble escalated."""
-        return float(np.mean([r.escalated for r in self.records]))
+        return float(np.mean(self.numeric.escalated))
 
     def summary(self) -> Dict[str, float]:
         """The headline numbers as a flat dict (for tables/JSON)."""
         return {
             "n_requests": self.n_requests,
-            "offered_rate_rps": self.offered_rate or float("nan"),
+            "offered_rate_rps": (
+                float("nan") if self.offered_rate is None else self.offered_rate
+            ),
             "throughput_rps": self.throughput_rps,
             "goodput_rps": self.goodput_rps,
             "availability": self.availability,
@@ -318,52 +405,6 @@ class LoadTestReport:
         }
 
     # ------------------------------------------------------------------
-    # columnar construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_columns(
-        cls,
-        columns: "RecordColumns",
-        *,
-        scaling_events: Optional[List[ScalingEvent]] = None,
-        final_pool_sizes: Optional[Dict[str, int]] = None,
-        offered_rate: Optional[float] = None,
-        fault_log: Optional[List[FaultLogEntry]] = None,
-        control_log: Optional[List[object]] = None,
-    ) -> "LoadTestReport":
-        """Build a report directly from dense per-request columns.
-
-        The columnar engine finishes a run holding arrays, not
-        :class:`RequestRecord` objects; materializing ~10^5 frozen
-        dataclasses just to aggregate them again would throw away most of
-        the speedup.  This constructor wires the arrays straight into the
-        aggregate machinery (``_latencies`` comes from a masked array
-        view) and exposes ``records`` as a lazy sequence that
-        materializes a :class:`RequestRecord` only when someone actually
-        indexes or iterates it — ``digest()``, ``summary()`` and every
-        existing consumer see the exact per-record values the legacy
-        engine would have produced.
-        """
-        if len(columns) == 0:
-            raise ValueError("a load test report needs at least one record")
-        report = cls.__new__(cls)
-        report.records = _ColumnarRecords(columns)
-        report.scaling_events = list(scaling_events) if scaling_events else []
-        report.final_pool_sizes = (
-            dict(final_pool_sizes) if final_pool_sizes else {}
-        )
-        report.offered_rate = offered_rate
-        report.fault_log = list(fault_log) if fault_log else []
-        report.control_log = list(control_log) if control_log else []
-        report.engine_used = None
-        report.fallback_reason = None
-        ok = ~(columns.failed | columns.shed)
-        report._latencies = np.asarray(
-            columns.response_time_s[ok], dtype=float
-        )
-        return report
-
-    # ------------------------------------------------------------------
     # determinism
     # ------------------------------------------------------------------
     def digest(self) -> str:
@@ -377,30 +418,17 @@ class LoadTestReport:
         rendered
         at 12 significant digits, which is far below the engine's
         bit-determinism and far above any legitimate behavioural change.
+        The module docstring gives the row format; both renderers below
+        emit it byte for byte.
         """
         h = hashlib.sha256()
-        for r in self.records:
-            seconds = ",".join(
-                f"{version}={r.node_seconds[version]:.12e}"
-                for version in sorted(r.node_seconds)
-            )
-            # Shed/degraded/retry-denied markers append only when set, so
-            # an open-loop, budget-free run's digest is byte-identical to
-            # the pre-control-plane format (the golden traces stand).
-            flags = (
-                ("|shed" if r.shed else "")
-                + ("|degraded" if r.degraded else "")
-                + ("|retry-denied" if r.retry_denied else "")
-            )
-            h.update(
-                (
-                    f"{r.request_id}|{r.payload}|{r.tier:.12e}|"
-                    f"{r.arrival_s:.12e}|{r.finished_s:.12e}|"
-                    f"{','.join(r.versions_used)}|{int(r.escalated)}|"
-                    f"{int(r.failed)}|{r.retries}|"
-                    f"{r.invocation_cost:.12e}|{seconds}{flags}\n"
-                ).encode()
-            )
+        rows = (
+            _record_digest_rows(self.records)
+            if self.columns is None
+            else _column_digest_rows(self.columns)
+        )
+        for chunk in rows:
+            h.update(chunk.encode())
         for version in sorted(self.final_pool_sizes):
             h.update(f"pool:{version}={self.final_pool_sizes[version]}\n".encode())
         for entry in self.fault_log:
@@ -423,6 +451,167 @@ class LoadTestReport:
         return h.hexdigest()
 
 
+def _digest_flags(shed: bool, degraded: bool, retry_denied: bool) -> str:
+    """A digest row's suffix.  Markers append only when set, so an
+    open-loop, budget-free run's digest is byte-identical to the
+    pre-control-plane format (the golden traces stand)."""
+    return (
+        ("|shed" if shed else "")
+        + ("|degraded" if degraded else "")
+        + ("|retry-denied" if retry_denied else "")
+    )
+
+
+def _record_digest_rows(records: Sequence[RequestRecord]) -> Iterator[str]:
+    """Digest rows of a list-backed report, one record at a time."""
+    for r in records:
+        seconds = ",".join(
+            f"{version}={r.node_seconds[version]:.12e}"
+            for version in sorted(r.node_seconds)
+        )
+        flags = _digest_flags(r.shed, r.degraded, r.retry_denied)
+        yield (
+            f"{r.request_id}|{r.payload}|{r.tier:.12e}|"
+            f"{r.arrival_s:.12e}|{r.finished_s:.12e}|"
+            f"{','.join(r.versions_used)}|{int(r.escalated)}|"
+            f"{int(r.failed)}|{r.retries}|"
+            f"{r.invocation_cost:.12e}|{seconds}{flags}\n"
+        )
+
+
+#: Rows formatted and hashed per step of the column renderer: bounds the
+#: transient Python floats and row text to well under a MiB however long
+#: the run was.
+_DIGEST_CHUNK_ROWS = 1024
+
+
+def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
+    """Digest rows straight from columns, a chunk of rows per string.
+
+    Emits exactly what :func:`_record_digest_rows` would emit for
+    ``[columns.record(i) for i in range(n)]`` without building a record:
+    each column goes through ``.tolist()`` (Python floats, so ``%.12e``
+    means CPython's formatting — see the module docstring) and every row
+    is one ``%`` application of a template precomputed from the two
+    version names.
+    """
+    fast = columns.fast_version.replace("%", "%%")
+    fast_seconds = f"{fast}=%.12e"
+    versions = fast
+    two_seconds = one_seconds = fast_seconds
+    seconds_columns = [columns.node_seconds_fast]
+    billed_accurate = np.zeros(len(columns), dtype=bool)
+    if columns.accurate_version is not None:
+        accurate = columns.accurate_version.replace("%", "%%")
+        versions = f"{fast},{accurate}"
+        # Both templates take the same arguments: a one-leg row swallows
+        # its accurate-seconds argument with ``%.0s`` (the value cut to
+        # zero characters).  Seconds go in sorted(node_seconds) order.
+        if columns.accurate_version < columns.fast_version:
+            two_seconds = f"{accurate}=%.12e,{fast_seconds}"
+            one_seconds = f"%.0s{fast_seconds}"
+            seconds_columns.insert(0, columns.node_seconds_accurate)
+        else:
+            two_seconds = f"{fast_seconds},{accurate}=%.12e"
+            one_seconds = f"{fast_seconds}%.0s"
+            seconds_columns.append(columns.node_seconds_accurate)
+        # RecordColumns.record's test for a billed accurate leg: the
+        # -1.0 sentinel (and nan) fail it.
+        billed_accurate = columns.node_seconds_accurate >= 0.0
+    head = "%s|%s|%.12e|%.12e|%.12e|"
+    body = "|%d|%d|%s|%.12e|"
+    two_leg = f"{head}{versions}{body}{two_seconds}%s\n"
+    one_leg = f"{head}{fast}{body}{one_seconds}%s\n"
+    flagged = bool(
+        (columns.shed | columns.degraded | columns.retry_denied).any()
+    )
+    for start in range(0, len(columns), _DIGEST_CHUNK_ROWS):
+        rows = slice(start, start + _DIGEST_CHUNK_ROWS)
+        flags = (
+            map(
+                _digest_flags,
+                columns.shed[rows].tolist(),
+                columns.degraded[rows].tolist(),
+                columns.retry_denied[rows].tolist(),
+            )
+            if flagged
+            else itertools.repeat("")
+        )
+        yield "".join(
+            [
+                (two_leg if both else one_leg) % row
+                for both, row in zip(
+                    billed_accurate[rows].tolist(),
+                    zip(
+                        columns.request_ids[rows],
+                        # what an f-string's ``{payload}`` renders
+                        map(format, columns.payloads[rows]),
+                        columns.tier[rows].tolist(),
+                        columns.arrival_s[rows].tolist(),
+                        columns.finished_s[rows].tolist(),
+                        columns.escalated[rows].tolist(),
+                        columns.failed[rows].tolist(),
+                        columns.retries[rows].tolist(),
+                        columns.invocation_cost[rows].tolist(),
+                        *(column[rows].tolist() for column in seconds_columns),
+                        flags,
+                    ),
+                )
+            ]
+        )
+
+
+#: Record fields the aggregates read, with their column dtype.
+_NUMERIC_FIELDS = {
+    "arrival_s": float,
+    "finished_s": float,
+    "response_time_s": float,
+    "queue_wait_s": float,
+    "escalated": bool,
+    "invocation_cost": float,
+    "failed": bool,
+    "retries": np.int64,
+    "shed": bool,
+    "degraded": bool,
+    "retry_denied": bool,
+}
+
+
+class NumericColumns:
+    """The record fields every aggregate reads, one array each.
+
+    A list-backed report's records, transposed once.  Completion order;
+    ``request_ids`` is a list, the rest are the arrays of
+    ``_NUMERIC_FIELDS``.  :class:`RecordColumns` carries all of these
+    under the same names, ``node_seconds`` included, which is what lets
+    :attr:`LoadTestReport.numeric` return either.
+    """
+
+    __slots__ = ("_records", "request_ids", *_NUMERIC_FIELDS)
+
+    def __init__(self, records: Sequence[RequestRecord]) -> None:
+        self._records = records
+        self.request_ids = [r.request_id for r in records]
+        # One field at a time: a row-tuple transposition would hold
+        # every field of every record a second time at its peak.
+        for name, dtype in _NUMERIC_FIELDS.items():
+            values = map(operator.attrgetter(name), records)
+            setattr(self, name, np.fromiter(values, dtype, len(records)))
+
+    @property
+    def node_seconds(self) -> Dict[str, np.ndarray]:
+        """Billed seconds per version, dense (``0.0`` where a request
+        billed none of it).  Only ``total_node_seconds`` reads it, so it
+        is not part of the transposition every summary pays for."""
+        billed: Dict[str, np.ndarray] = {}
+        for i, r in enumerate(self._records):
+            for version, seconds in r.node_seconds.items():
+                if version not in billed:
+                    billed[version] = np.zeros(len(self._records))
+                billed[version][i] = seconds
+        return billed
+
+
 class RecordColumns:
     """Dense per-request state, one array per :class:`RequestRecord` field.
 
@@ -433,6 +622,11 @@ class RecordColumns:
     columns — ``node_seconds_accurate`` holds ``-1.0`` where the accurate
     leg consumed no billed time (node-seconds are never negative, so the
     sentinel is unambiguous).
+
+    Consumers reach a report's columns through the public
+    :attr:`LoadTestReport.columns`.  The lazy ``records`` view keeps its
+    own reference private (``_columns``) and nothing outside this module
+    reads it.
     """
 
     __slots__ = (
@@ -515,6 +709,20 @@ class RecordColumns:
     def __len__(self) -> int:
         return len(self.request_ids)
 
+    @property
+    def node_seconds(self) -> Dict[str, np.ndarray]:
+        """Billed seconds per version, dense (``0.0`` where none billed);
+        a version no request billed is absent, as it would be from every
+        record's ``node_seconds``."""
+        billed = {self.fast_version: self.node_seconds_fast}
+        if self.accurate_version is not None:
+            used = self.node_seconds_accurate >= 0.0
+            if used.any():
+                billed[self.accurate_version] = np.where(
+                    used, self.node_seconds_accurate, 0.0
+                )
+        return billed
+
     def record(self, index: int) -> RequestRecord:
         """Materialize one row as the :class:`RequestRecord` the legacy
         engine would have emitted (all floats converted back to Python
@@ -559,10 +767,10 @@ class RecordColumns:
 class _ColumnarRecords(Sequence):
     """Lazy ``records`` sequence over :class:`RecordColumns`.
 
-    Aggregates that only need arrays never pay for record objects; code
-    that iterates ``report.records`` (the digest, the invariant checker,
-    tests) gets real :class:`RequestRecord` instances, built on first
-    access and cached.
+    The aggregates and the digest read the columns and never pay for
+    record objects; code that iterates ``report.records`` (the invariant
+    checker, the gateway's ticket resolution, tests) gets real
+    :class:`RequestRecord` instances, built on first access and cached.
     """
 
     __slots__ = ("_columns", "_cache")

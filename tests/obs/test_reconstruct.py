@@ -4,14 +4,16 @@ import pytest
 
 from repro.obs import TraceCollector, trace_from_record, traces_from_report
 from repro.obs.reconstruct import _from_record
-from repro.service.simulation import canonical_scenarios, run_scenario
+from repro.service.simulation import (
+    LoadTestReport,
+    canonical_scenarios,
+    run_scenario,
+)
 
 
-class _RecordsOnly:
-    """A report whose records lost their columns (forces the scalar path)."""
-
-    def __init__(self, report):
-        self.records = list(report.records)
+def _records_only(report):
+    """The same report without its columns (forces the scalar path)."""
+    return LoadTestReport(records=list(report.records))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,7 @@ def _digest_of(traces):
 class TestPathEquivalence:
     def test_vectorized_and_scalar_paths_agree(self, columnar_report):
         vectorized = traces_from_report(columnar_report)
-        scalar = traces_from_report(_RecordsOnly(columnar_report))
+        scalar = traces_from_report(_records_only(columnar_report))
         assert _digest_of(vectorized) == _digest_of(scalar)
         assert len(vectorized) == len(scalar)
 

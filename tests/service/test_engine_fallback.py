@@ -56,7 +56,7 @@ def test_from_columns_defaults_engine_fields(toy):
     spec = canonical_scenarios()["baseline"]
     report = run_scenario(spec, toy, engine="columnar")
     rebuilt = LoadTestReport.from_columns(
-        report.records._columns,
+        report.columns,
         final_pool_sizes=dict(report.final_pool_sizes),
     )
     assert rebuilt.engine_used is None
