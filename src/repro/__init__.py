@@ -30,7 +30,6 @@ from repro.core import (
     RoutingRuleGenerator,
     TierRouter,
     ToleranceTier,
-    ToleranceTiersService,
     audit_guarantees,
     enumerate_configurations,
     evaluate_policy,
@@ -55,7 +54,6 @@ __all__ = [
     "ServiceResponse",
     "TierRouter",
     "ToleranceTier",
-    "ToleranceTiersService",
     "__version__",
     "audit_guarantees",
     "default_tolerance_grid",

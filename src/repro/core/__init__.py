@@ -28,8 +28,7 @@ The package follows the paper's architecture (Section IV):
   pure decision functions the simulation engine shares).
 * :mod:`repro.core.errors` -- the structured :class:`TierError` hierarchy
   of the serving surface.
-* :mod:`repro.core.api` -- the deprecated ``ToleranceTiersService`` shim;
-  the serving surface is now
+* the serving surface itself is
   :class:`~repro.service.gateway.gateway.TierGateway` (re-exported here
   lazily, together with the execution backends).
 * :mod:`repro.core.learned_router` -- the learned-escalation baseline the
@@ -41,7 +40,6 @@ same tiers under offered load (queueing, batching, autoscaling) lives in
 serves the public API straight through it.
 """
 
-from repro.core.api import ToleranceTiersService
 from repro.core.errors import (
     BackendCapabilityError,
     GatewayClosedError,
@@ -134,7 +132,6 @@ __all__ = [
     "TierTicket",
     "ToleranceAuditRow",
     "ToleranceTier",
-    "ToleranceTiersService",
     "UnknownObjectiveError",
     "UnroutableToleranceError",
     "WorstCaseEstimate",

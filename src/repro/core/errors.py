@@ -6,8 +6,8 @@ TierError`` or discriminate precisely.  Each subclass also inherits the
 built-in exception the pre-gateway code raised for the same condition
 (``ValueError`` for validation failures, ``KeyError``-adjacent lookups are
 normalised to ``ValueError``, ``RuntimeError`` for lifecycle misuse), so
-code written against :class:`~repro.core.api.ToleranceTiersService`' error
-contract keeps working unchanged.
+code written against the pre-gateway error contract keeps working
+unchanged.
 
 This module is import-cycle-free on purpose: it imports nothing from the
 rest of the package, so the request layer, the executor, the gateway and

@@ -4,8 +4,8 @@ Three serving paths used to each re-implement the paper's single/seq/conc/et
 escalation rules: the vectorized replay policies
 (:mod:`repro.core.policies`), the discrete-event engine
 (:mod:`repro.service.simulation.engine`) and a hand-rolled synchronous copy
-in the old :class:`~repro.core.api.ToleranceTiersService`.  This module is
-now the single source of truth:
+in the pre-gateway service endpoint.  This module is now the single source
+of truth:
 
 * the pure decision functions — :func:`should_escalate`,
   :func:`compose_response_time`, :func:`billed_node_seconds`,

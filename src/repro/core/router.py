@@ -8,7 +8,7 @@ emits, and :class:`TierRouter` bundles the tables for all objectives.
 
 Two online consumers share this router:
 
-* :class:`~repro.core.api.ToleranceTiersService` executes the chosen
+* :class:`~repro.service.gateway.gateway.TierGateway` executes the chosen
   configuration synchronously against a live cluster (one request at a
   time, no contention), and
 * :class:`~repro.service.simulation.engine.ServingSimulator` executes it

@@ -27,20 +27,16 @@ import numpy as np
 
 from repro.obs.trace import Span, Trace
 
-__all__ = ["trace_from_record", "traces_from_report"]
+__all__ = [
+    "failover_hop",
+    "record_skeleton",
+    "trace_from_record",
+    "traces_from_report",
+]
 
 
-def _status(shed: bool, failed: bool) -> str:
-    if shed:
-        return "shed"
-    if failed:
-        return "failed"
-    return "ok"
-
-
-def _build_trace(
+def _skeleton(
     *,
-    request_id: str,
     payload: object,
     tier: float,
     arrival: float,
@@ -53,17 +49,14 @@ def _build_trace(
     degraded: bool,
     retry_denied: bool,
     confidence: Optional[float],
-    fast_version: Optional[str],
-    fast_seconds: Optional[float],
-    fast_end: float,
-    accurate_version: Optional[str],
-    accurate_seconds: Optional[float],
-) -> Trace:
+) -> List[Span]:
+    """The spans every derivation shares: the root, then ``queue-wait``
+    unless the request was shed (it never queued)."""
     root = Span(
         name="request",
         start_s=arrival,
         end_s=finished,
-        status=_status(shed, failed),
+        status="shed" if shed else "failed" if failed else "ok",
         attrs={
             "tier": float(tier),
             "payload": str(payload),
@@ -77,20 +70,72 @@ def _build_trace(
         root.attrs["retry_denied"] = True
     if confidence is not None:
         root.attrs["confidence"] = float(confidence)
-    spans: List[Span] = [root]
     if shed:
-        return Trace(request_id=request_id, spans=spans)
-    spans.append(
-        Span(
-            name="queue-wait",
-            start_s=arrival,
-            end_s=arrival + queue_wait,
-        )
+        return [root]
+    return [
+        root,
+        Span(name="queue-wait", start_s=arrival, end_s=arrival + queue_wait),
+    ]
+
+
+def record_skeleton(record) -> List[Span]:
+    """:func:`_skeleton` of one finished :class:`RequestRecord` — the
+    base the live recorder hangs its attempt-level spans on."""
+    return _skeleton(
+        payload=record.payload,
+        tier=record.tier,
+        arrival=record.arrival_s,
+        finished=record.finished_s,
+        queue_wait=record.queue_wait_s,
+        escalated=record.escalated,
+        retries=record.retries,
+        shed=record.shed,
+        failed=record.failed,
+        degraded=record.degraded,
+        retry_denied=record.retry_denied,
+        confidence=record.confidence,
     )
+
+
+def failover_hop(
+    root: Span, home: str, served: str, extra_latency_s: float
+) -> Span:
+    """Stamp failover traffic's regions on ``root`` and return the
+    zero-width ``failover-hop`` span linking them."""
+    root.attrs["home_region"] = home
+    root.attrs["served_region"] = served
+    return Span(
+        name="failover-hop",
+        start_s=root.start_s,
+        end_s=root.start_s,
+        attrs={
+            "home": home,
+            "target": served,
+            "extra_latency_s": extra_latency_s,
+        },
+    )
+
+
+def _coarse_trace(
+    request_id: str,
+    spans: List[Span],
+    *,
+    escalated: bool,
+    failed: bool,
+    fast_version: Optional[str],
+    fast_seconds: Optional[float],
+    fast_end: float,
+    accurate_version: Optional[str],
+    accurate_seconds: Optional[float],
+) -> Trace:
+    """Hang the legs the columns can place on a request's skeleton."""
+    if len(spans) == 1:  # shed: nothing ran
+        return Trace(request_id=request_id, spans=spans)
+    root, queue_wait = spans
     if fast_version is not None:
         leg = Span(
             name="leg",
-            start_s=arrival + queue_wait,
+            start_s=queue_wait.end_s,
             end_s=fast_end,
             status="failed" if failed and not escalated else "ok",
             attrs={"version": fast_version, "leg": "fast"},
@@ -102,7 +147,7 @@ def _build_trace(
         escalate = Span(
             name="escalate",
             start_s=fast_end,
-            end_s=finished,
+            end_s=root.end_s,
             status="failed" if failed else "ok",
             attrs={"version": accurate_version, "leg": "accurate"},
         )
@@ -138,21 +183,27 @@ def _from_columns(columns) -> List[Trace]:
             if bool(has_accurate[i]) and columns.accurate_version is not None
             else None
         )
+        escalated = bool(columns.escalated[i])
+        failed = bool(columns.failed[i])
         traces.append(
-            _build_trace(
-                request_id=columns.request_ids[i],
-                payload=columns.payloads[i],
-                tier=float(columns.tier[i]),
-                arrival=float(arrival[i]),
-                finished=float(finished[i]),
-                queue_wait=float(columns.queue_wait_s[i]),
-                escalated=bool(columns.escalated[i]),
-                retries=int(columns.retries[i]),
-                shed=bool(columns.shed[i]),
-                failed=bool(columns.failed[i]),
-                degraded=bool(columns.degraded[i]),
-                retry_denied=bool(columns.retry_denied[i]),
-                confidence=float(columns.confidence[i]),
+            _coarse_trace(
+                columns.request_ids[i],
+                _skeleton(
+                    payload=columns.payloads[i],
+                    tier=float(columns.tier[i]),
+                    arrival=float(arrival[i]),
+                    finished=float(finished[i]),
+                    queue_wait=float(columns.queue_wait_s[i]),
+                    escalated=escalated,
+                    retries=int(columns.retries[i]),
+                    shed=bool(columns.shed[i]),
+                    failed=failed,
+                    degraded=bool(columns.degraded[i]),
+                    retry_denied=bool(columns.retry_denied[i]),
+                    confidence=float(columns.confidence[i]),
+                ),
+                escalated=escalated,
+                failed=failed,
                 fast_version=columns.fast_version,
                 fast_seconds=float(columns.node_seconds_fast[i]),
                 fast_end=float(fast_end[i]),
@@ -179,20 +230,11 @@ def _from_record(record) -> Trace:
         fast_end = min(qw_end + fast_seconds, record.finished_s)
     else:
         fast_end = record.finished_s
-    return _build_trace(
-        request_id=record.request_id,
-        payload=record.payload,
-        tier=record.tier,
-        arrival=record.arrival_s,
-        finished=record.finished_s,
-        queue_wait=record.queue_wait_s,
+    return _coarse_trace(
+        record.request_id,
+        record_skeleton(record),
         escalated=record.escalated,
-        retries=record.retries,
-        shed=record.shed,
         failed=record.failed,
-        degraded=record.degraded,
-        retry_denied=record.retry_denied,
-        confidence=record.confidence,
         fast_version=fast_version,
         fast_seconds=fast_seconds,
         fast_end=fast_end,

@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.reconstruct import traces_from_report
+from repro.obs.reconstruct import (
+    failover_hop,
+    record_skeleton,
+    traces_from_report,
+)
 from repro.obs.trace import Span, SpanEvent, Trace, TraceCollector
 
 __all__ = ["SimTraceRecorder"]
@@ -254,59 +258,12 @@ class SimTraceRecorder:
         self.collector.add_trace(trace)
 
     def _build(self, record, staging: Optional[_Staging]) -> Trace:
-        if record.shed:
-            status = "shed"
-        elif record.failed:
-            status = "failed"
-        else:
-            status = "ok"
-        arrival = record.arrival_s
-        root = Span(
-            name="request",
-            start_s=arrival,
-            end_s=record.finished_s,
-            status=status,
-            attrs={
-                "tier": float(record.tier),
-                "payload": str(record.payload),
-                "escalated": bool(record.escalated),
-                "retries": int(record.retries),
-            },
-        )
-        if record.degraded:
-            root.attrs["degraded"] = True
-        if record.retry_denied:
-            root.attrs["retry_denied"] = True
-        if record.confidence is not None:
-            root.attrs["confidence"] = float(record.confidence)
+        root, *spans = record_skeleton(record)
         if staging is not None and staging.epoch:
             root.attrs["epoch"] = staging.epoch
-        spans: List[Span] = []
-        if not record.shed:
-            spans.append(
-                Span(
-                    name="queue-wait",
-                    start_s=arrival,
-                    end_s=arrival + record.queue_wait_s,
-                )
-            )
         failover = self._failover.get(record.request_id)
         if failover is not None:
-            home, served, extra = failover
-            root.attrs["home_region"] = home
-            root.attrs["served_region"] = served
-            spans.append(
-                Span(
-                    name="failover-hop",
-                    start_s=arrival,
-                    end_s=arrival,
-                    attrs={
-                        "home": home,
-                        "target": served,
-                        "extra_latency_s": extra,
-                    },
-                )
-            )
+            spans.append(failover_hop(root, *failover))
         if staging is not None:
             root.events.extend(staging.events)
             end = record.finished_s
@@ -375,22 +332,9 @@ class SimTraceRecorder:
     def on_columnar_report(self, report) -> None:
         """Post-hoc reconstruction for a columnar-drained run."""
         for trace in traces_from_report(report):
-            if trace.request_id in self._failover:
-                home, served, extra = self._failover[trace.request_id]
-                trace.root.attrs["home_region"] = home
-                trace.root.attrs["served_region"] = served
-                trace.spans.append(
-                    Span(
-                        name="failover-hop",
-                        start_s=trace.root.start_s,
-                        end_s=trace.root.start_s,
-                        attrs={
-                            "home": home,
-                            "target": served,
-                            "extra_latency_s": extra,
-                        },
-                    )
-                )
+            failover = self._failover.get(trace.request_id)
+            if failover is not None:
+                trace.spans.append(failover_hop(trace.root, *failover))
             self.collector.add_trace(trace)
 
     def on_run_complete(self, fault_log, control_log) -> None:

@@ -143,7 +143,8 @@ class ClusterDeployment:
 
         Billing note: the invocation cost is computed from the *wall*
         node-seconds the request consumed (compute divided by the node's
-        speed factor), matching the live endpoint in :mod:`repro.core.api`.
+        speed factor), matching the live gateway path
+        (:class:`~repro.service.gateway.backends.DirectBackend`).
         Earlier revisions billed baseline compute-seconds, which overstated
         cost on faster-than-baseline instances.
 

@@ -15,9 +15,7 @@ backends:
   API experiences queueing, batching, autoscaling and scenario faults.
 
 All of them execute through the canonical
-:class:`~repro.core.executor.PolicyExecutor` semantics; the deprecated
-:class:`~repro.core.api.ToleranceTiersService` is a thin shim over
-``TierGateway`` + ``DirectBackend``.
+:class:`~repro.core.executor.PolicyExecutor` semantics.
 """
 
 from repro.core.errors import (

@@ -6,8 +6,7 @@ synchronous substrates live here:
 
 * :class:`DirectBackend` — the live path: each invocation dispatches
   through a :class:`~repro.service.cluster.ClusterDeployment`'s load
-  balancer onto a real node, contention-free (the pre-gateway
-  ``ToleranceTiersService`` path).
+  balancer onto a real node, contention-free.
 * :class:`ReplayBackend` — the measurement-replay path: each invocation
   reads the measured ``(request, version)`` cell of a
   :class:`~repro.service.measurement.MeasurementSet`.  Driving the

@@ -40,7 +40,9 @@ from repro.core.errors import (
 )
 from repro.core.executor import PolicyExecutor
 from repro.obs.log import get_rate_limited
+from repro.obs.reconstruct import trace_from_record
 from repro.service.request import ServiceRequest, ServiceResponse
+from repro.service.simulation.report import RequestRecord
 
 __all__ = ["TierGateway", "TierTicket"]
 
@@ -226,11 +228,12 @@ class TierGateway:
         self._tickets: List[TierTicket] = []
         self._unclaimed: List[ServiceResponse] = []
         self._closed = False
-        #: Synchronous control clock: one unit per submission (there is
-        #: no wall/virtual clock on a synchronous session, and a
-        #: constant "now" would freeze window eviction, re-fit
-        #: intervals and rollback judgements).
-        self._control_clock = 0.0
+        #: Requests routed so far — the synchronous session clock, one
+        #: unit per submission (there is no wall/virtual clock on a
+        #: synchronous session, and a constant "now" would freeze window
+        #: eviction, re-fit intervals and rollback judgements).  Never
+        #: reset: handle() and drain() claim tickets, not time.
+        self._submitted = 0
         self._validate_versions()
         bind = getattr(backend, "bind", None)
         if bind is not None:
@@ -323,17 +326,16 @@ class TierGateway:
             deadline_s=_request_deadline(request, deadline_s),
         )
         self._tickets.append(ticket)
+        self._submitted += 1
+        clock = float(self._submitted)
         degraded = False
         if self.control is not None:
-            self._control_clock += 1.0
             decision = self.control.admit(
-                request, self._control_clock, planned=configuration
+                request, clock, planned=configuration
             )
             action = decision.action.value
             if action == "shed":
-                self._resolve_shed(
-                    ticket, self._control_clock, reason=decision.reason
-                )
+                self._resolve_shed(ticket, clock, reason=decision.reason)
                 return ticket
             if action == "degrade" and decision.configuration is not None:
                 configuration = decision.configuration
@@ -352,12 +354,19 @@ class TierGateway:
             ticket._resolve(response)
             self._unclaimed.append(response)
             if self.trace is not None:
-                self._record_sync_trace(
-                    request, outcome, degraded=degraded
+                # A coarse tree on the session clock (no virtual clock
+                # here): one unit per submission, the first at 0.0 — the
+                # control clock less one — lasting the response time.
+                self.trace.add_trace(
+                    trace_from_record(
+                        RequestRecord.for_outcome(
+                            request, outcome, clock - 1.0, degraded=degraded
+                        )
+                    )
                 )
             if self.control is not None:
                 self._publish_outcome(
-                    request, outcome, self._control_clock, degraded=degraded
+                    request, outcome, clock, degraded=degraded
                 )
         else:
             self.backend.submit(request, at_time=at_time)
@@ -370,25 +379,8 @@ class TierGateway:
         self, ticket: TierTicket, at_time: float, *, reason: str
     ) -> None:
         """Fail a ticket the admission controller shed, and record it."""
-        from repro.service.simulation.report import RequestRecord
-
         request = ticket.request
-        record = RequestRecord(
-            request_id=request.request_id,
-            payload=request.payload,
-            tier=request.tolerance,
-            arrival_s=at_time,
-            finished_s=at_time,
-            response_time_s=0.0,
-            queue_wait_s=0.0,
-            versions_used=(),
-            escalated=False,
-            invocation_cost=0.0,
-            node_seconds={},
-            failed=False,
-            retries=0,
-            shed=True,
-        )
+        record = RequestRecord.for_shed(request, at_time)
         ticket._fail(
             RequestShedError(
                 f"request {request.request_id!r} was shed by admission "
@@ -400,8 +392,6 @@ class TierGateway:
             "shed request %s at admission: %s", request.request_id, reason
         )
         if self.trace is not None:
-            from repro.obs.reconstruct import trace_from_record
-
             self.trace.add_trace(trace_from_record(record))
         self.control.observe(record, at_time)
         self._pump_control(at_time)
@@ -410,62 +400,11 @@ class TierGateway:
         self, request: ServiceRequest, outcome, at_time: float, *, degraded: bool
     ) -> None:
         """Feed one synchronous completion into the control plane."""
-        from repro.service.simulation.report import RequestRecord
-
-        record = RequestRecord(
-            request_id=outcome.request_id,
-            payload=request.payload,
-            tier=request.tolerance,
-            arrival_s=at_time,
-            finished_s=at_time + outcome.response_time_s,
-            response_time_s=outcome.response_time_s,
-            queue_wait_s=0.0,
-            versions_used=outcome.versions_used,
-            escalated=outcome.escalated,
-            invocation_cost=outcome.invocation_cost,
-            node_seconds=dict(outcome.node_seconds),
-            failed=False,
-            retries=0,
-            result=outcome.result,
-            confidence=outcome.confidence,
-            degraded=degraded,
+        record = RequestRecord.for_outcome(
+            request, outcome, at_time, degraded=degraded
         )
         self.control.observe(record, at_time)
         self._pump_control(at_time)
-
-    def _record_sync_trace(
-        self, request: ServiceRequest, outcome, *, degraded: bool
-    ) -> None:
-        """Record a coarse trace for a synchronously served request.
-
-        Synchronous sessions have no virtual clock, so the trace
-        timeline uses the session's submission counter as the arrival
-        time (one unit per submission, matching the control clock) and
-        the measured response time as the duration.
-        """
-        from repro.obs.reconstruct import trace_from_record
-        from repro.service.simulation.report import RequestRecord
-
-        arrival = float(len(self._tickets) - 1)
-        record = RequestRecord(
-            request_id=outcome.request_id,
-            payload=request.payload,
-            tier=request.tolerance,
-            arrival_s=arrival,
-            finished_s=arrival + outcome.response_time_s,
-            response_time_s=outcome.response_time_s,
-            queue_wait_s=0.0,
-            versions_used=outcome.versions_used,
-            escalated=outcome.escalated,
-            invocation_cost=outcome.invocation_cost,
-            node_seconds=dict(outcome.node_seconds),
-            failed=False,
-            retries=0,
-            result=outcome.result,
-            confidence=outcome.confidence,
-            degraded=degraded,
-        )
-        self.trace.add_trace(trace_from_record(record))
 
     def trace_for(self, ticket: TierTicket):
         """The span tree recorded for a ticket's request, or ``None``.

@@ -21,17 +21,19 @@ now the thing a scenario load-tests and fault-injects.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 from repro.core.errors import BackendCapabilityError, GatewayClosedError
 from repro.service.cluster import ClusterDeployment
 from repro.service.request import ServiceRequest
-from repro.service.simulation.autoscaler import Autoscaler, AutoscalerConfig
+from repro.service.simulation.autoscaler import AutoscalerConfig
 from repro.service.simulation.batching import BatchingConfig
 from repro.service.simulation.engine import ServingSimulator
 from repro.service.simulation.faults import FaultEvent, RetryPolicy
 from repro.service.simulation.replay import build_replay_cluster
 from repro.service.simulation.report import LoadTestReport
+from repro.service.simulation.scenarios import build_simulator
 
 __all__ = ["SimulatedBackend"]
 
@@ -53,9 +55,10 @@ class SimulatedBackend:
             :class:`~repro.service.control.plane.ControlPlane`, or a
             declarative :class:`~repro.service.control.plane.ControlSpec`
             paired with ``control_measurements`` (the plane is then
-            built at :meth:`bind` time, anchored on the gateway's
-            routing decision).  Requests the plane sheds resolve their
-            gateway tickets with a
+            inflated at :meth:`bind` time by
+            :func:`~repro.service.simulation.scenarios.build_simulator`,
+            anchored on the gateway's routing decision).  Requests the
+            plane sheds resolve their gateway tickets with a
             :class:`~repro.core.errors.RequestShedError`.
         control_measurements: Measurement table a spec-built plane's
             adaptor re-fits on.
@@ -85,16 +88,21 @@ class SimulatedBackend:
         trace=None,
     ) -> None:
         self.cluster = cluster
-        self._engine_choice = engine
-        self._trace = trace
-        self._batching = batching
-        self._autoscaler_config = autoscaler_config
-        self._faults = tuple(faults)
-        self._retry = retry
-        self._check_invariants = check_invariants
-        self._control = control
-        self._control_measurements = control_measurements
-        self._seed = seed
+        #: The inflator, awaiting only the gateway's routing decision.
+        self._build = partial(
+            build_simulator,
+            cluster,
+            batching=batching,
+            autoscaler_config=autoscaler_config,
+            faults=faults,
+            retry=retry,
+            check_invariants=check_invariants,
+            control=control,
+            measurements=control_measurements,
+            seed=seed,
+            engine=engine,
+            trace=trace,
+        )
         self._simulator: Optional[ServingSimulator] = None
         self.last_report: Optional[LoadTestReport] = None
         #: The live control plane, once :meth:`bind` inflated it.
@@ -136,16 +144,11 @@ class SimulatedBackend:
         )
         return cls(
             cluster,
-            batching=spec.batching,
-            autoscaler_config=spec.autoscaler_config,
-            faults=spec.faults,
-            retry=spec.retry,
             check_invariants=check_invariants,
-            control=spec.control,
             control_measurements=measurements,
-            seed=spec.seed,
             engine=engine,
             trace=trace,
+            **spec.engine_fields(),
         )
 
     @classmethod
@@ -158,6 +161,7 @@ class SimulatedBackend:
         check_invariants: bool = False,
         selection_policy=None,
         engine: Optional[str] = None,
+        trace=None,
     ) -> "SimulatedBackend":
         """Build a backend for one region of a multi-region spec.
 
@@ -180,6 +184,7 @@ class SimulatedBackend:
             check_invariants: Verify conservation laws at drain time.
             selection_policy: Within-pool node selection override.
             engine: Execution engine override.
+            trace: Optional trace sink, as for :meth:`from_scenario`.
         """
         if isinstance(region, str):
             names = list(multi_spec.region_names)
@@ -195,6 +200,7 @@ class SimulatedBackend:
             check_invariants=check_invariants,
             selection_policy=selection_policy,
             engine=engine,
+            trace=trace,
         )
 
     # ------------------------------------------------------------------
@@ -217,7 +223,7 @@ class SimulatedBackend:
                 "this SimulatedBackend is already bound; attach the trace "
                 "sink before building the gateway"
             )
-        self._trace = trace
+        self._build = partial(self._build, trace=trace)
 
     def bind(self, *, router=None, configuration=None) -> None:
         """Attach the gateway's routing decision and build the engine.
@@ -231,44 +237,10 @@ class SimulatedBackend:
                 "this SimulatedBackend is already bound to a gateway; the "
                 "engine is single-use — build a fresh backend per session"
             )
-        control = self._control
-        if control is not None and not hasattr(control, "on_tick"):
-            # A declarative ControlSpec: inflate it now, anchored on the
-            # routing decision the gateway just bound.
-            from repro.service.control.plane import ControlPlane
-
-            control = ControlPlane.from_spec(
-                control,
-                measurements=self._control_measurements,
-                configuration=configuration,
-                router=router,
-                seed=self._seed,
-                deployed_versions=self.cluster.versions,
-            )
-        self.control = control
-        trace = self._trace
-        if trace is not None and not hasattr(trace, "on_finalized"):
-            from repro.obs.record import SimTraceRecorder
-
-            trace = SimTraceRecorder(trace)
-        self._simulator = ServingSimulator(
-            self.cluster,
-            router=router,
-            configuration=configuration,
-            batching=self._batching,
-            autoscaler=(
-                Autoscaler(self._autoscaler_config)
-                if self._autoscaler_config is not None
-                else None
-            ),
-            faults=self._faults,
-            retry=self._retry,
-            check_invariants=self._check_invariants,
-            control=control,
-            trace=trace,
-            seed=self._seed,
-            engine=self._engine_choice,
+        self._simulator = self._build(
+            router=router, configuration=configuration
         )
+        self.control = self._simulator.control
 
     def _engine(self) -> ServingSimulator:
         if self._simulator is None:

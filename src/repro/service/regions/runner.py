@@ -25,7 +25,6 @@ any two consumers would share a key.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
@@ -35,6 +34,7 @@ from repro.service.regions.report import MultiRegionReport, merge_shards
 from repro.service.regions.router import RegionRouter, RouterPlan, ShardPlan
 from repro.service.regions.shard import ShardResult, ShardTask, run_shard
 from repro.service.regions.spec import MultiRegionSpec
+from repro.service.simulation.engine import resolve_engine
 from repro.service.simulation.seeds import (
     audit_seed_streams,
     streams_for_spec,
@@ -45,8 +45,6 @@ __all__ = [
     "multi_region_streams",
     "run_multi_region",
 ]
-
-_ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 
 def multi_region_streams(spec: MultiRegionSpec) -> Dict[str, Tuple[int, ...]]:
@@ -77,11 +75,11 @@ def build_shard_tasks(
 ) -> List[ShardTask]:
     """Self-contained worker tasks for every shard of a plan.
 
-    The engine is resolved here — explicit argument, else the
-    ``REPRO_SIM_ENGINE`` environment of the *parent*, else the
-    simulator default — and pinned into each task.
+    The engine is resolved here, in the *parent*
+    (:func:`~repro.service.simulation.engine.resolve_engine`), and
+    pinned into each task.
     """
-    resolved = engine if engine is not None else os.environ.get(_ENGINE_ENV)
+    resolved = resolve_engine(engine)
     tasks: List[ShardTask] = []
     for shard in plan.shards:
         tasks.append(

@@ -5,11 +5,12 @@ same function executes serially in-process and on
 ``ProcessPoolExecutor`` workers, which is what makes the parallel run
 digest-identical to the serial one: there is exactly one code path.
 
-A shard builds its region's replay cluster, autoscaler and (optional)
-control plane exactly as :func:`run_scenario` would, submits the
-planned workload explicitly (kept local arrivals in draw order, then
-incoming failover traffic), drains, and then does every per-region
-analysis *inside the worker* so it parallelises with the simulation:
+A shard builds its region's simulator through the same
+:func:`~repro.service.simulation.scenarios.build_simulator` as
+:func:`run_scenario`, submits the planned workload explicitly (kept
+local arrivals in draw order, then incoming failover traffic), drains,
+and then does every per-region analysis *inside the worker* so it
+parallelises with the simulation:
 the shard report digest, the summary, the user-perceived latency array
 (failover traffic pays its round trip), and the region SLO replay —
 debounced :class:`SLOMonitor` evaluation over the region's own
@@ -32,18 +33,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.service.control.plane import ControlLogEntry, ControlPlane
+from repro.service.control.plane import ControlLogEntry
 from repro.service.control.slo import SLOMonitor, SLOState
 from repro.service.control.telemetry import TelemetryHub
 from repro.service.measurement import MeasurementSet
 from repro.service.regions.router import PlannedSubmission
 from repro.service.regions.spec import RegionSpec
 from repro.service.request import ServiceRequest
-from repro.service.simulation.autoscaler import Autoscaler
-from repro.service.simulation.engine import ServingSimulator
 from repro.service.simulation.replay import build_replay_cluster
 from repro.service.simulation.report import LoadTestReport
-from repro.service.simulation.scenarios import ScenarioSpec
+from repro.service.simulation.scenarios import ScenarioSpec, build_simulator
 
 __all__ = ["ShardResult", "ShardTask", "run_shard"]
 
@@ -175,27 +174,11 @@ def run_shard(task: ShardTask) -> ShardResult:
     if not task.submissions:
         return _empty_result(task)
     scenario = task.scenario
-    cluster = build_replay_cluster(task.measurements, dict(scenario.pools))
-    autoscaler = (
-        Autoscaler(scenario.autoscaler_config)
-        if scenario.autoscaler_config is not None
-        else None
-    )
-    control = (
-        ControlPlane.from_spec(
-            scenario.control,
-            measurements=task.measurements,
-            configuration=scenario.configuration,
-            router=scenario.router,
-            seed=scenario.seed,
-            deployed_versions=tuple(scenario.pools),
-        )
-        if scenario.control is not None
-        else None
-    )
     recorder = None
     collector = None
     if task.trace:
+        # The shard wraps its own collector (the simulator would do the
+        # same) because failover annotations live on the recorder.
         from repro.obs.record import SimTraceRecorder
         from repro.obs.trace import TraceCollector
 
@@ -209,19 +192,15 @@ def run_shard(task: ShardTask) -> ShardResult:
                     served=task.region.name,
                     extra_latency_s=submission.extra_latency_s,
                 )
-    simulator = ServingSimulator(
-        cluster,
+    simulator = build_simulator(
+        build_replay_cluster(task.measurements, dict(scenario.pools)),
         router=scenario.router,
         configuration=scenario.configuration,
-        batching=scenario.batching,
-        autoscaler=autoscaler,
-        faults=scenario.faults,
-        retry=scenario.retry,
+        measurements=task.measurements,
         check_invariants=task.check_invariants,
-        control=control,
-        trace=recorder,
-        seed=scenario.seed,
         engine=task.engine,
+        trace=recorder,
+        **scenario.engine_fields(),
     )
     for submission in task.submissions:
         simulator.submit(

@@ -147,7 +147,7 @@ def columnar_ineligibility(sim) -> Optional[str]:
         return f"fault schedule present ({', '.join(kinds)})"
     if sim._autoscaler is not None:
         return "autoscaler attached"
-    if sim._control is not None:
+    if sim.control is not None:
         return "control plane attached"
     if not sim._submissions and sim._bulk is None:
         return "no requests submitted"

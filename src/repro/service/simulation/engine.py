@@ -115,7 +115,7 @@ from repro.obs.log import get_rate_limited
 from repro.service.simulation.invariants import InvariantChecker
 from repro.service.simulation.report import LoadTestReport, RequestRecord
 
-__all__ = ["ServingSimulator"]
+__all__ = ["ServingSimulator", "resolve_engine"]
 
 #: Silent by default (see :mod:`repro.obs.log`); rate-limited so a
 #: per-run fallback note can never flood a batch of simulations.
@@ -131,6 +131,23 @@ _MAX_EVENTS = 10_000_000
 _ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 _ENGINES = ("columnar", "legacy")
+
+
+def resolve_engine(engine: Optional[str] = None) -> str:
+    """The execution engine a simulator built with ``engine`` requests.
+
+    An explicit name wins; ``None`` reads ``REPRO_SIM_ENGINE`` and
+    defaults to ``"columnar"``.  The only reader of that variable — the
+    region runner resolves through here before fan-out, so a worker's
+    environment cannot change engine selection.
+    """
+    if engine is None:
+        engine = os.environ.get(_ENGINE_ENV) or "columnar"
+    if engine not in _ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose one of {_ENGINES}"
+        )
+    return engine
 
 #: Generated request ids are deterministic ("load_%06d" over the
 #: submission counter), so a process-wide cache amortizes string
@@ -313,16 +330,16 @@ class ServingSimulator:
         seed: Seed for arrival sampling and payload choice (transient
             fault draws use a generator derived from it, so healthy and
             faulty runs see identical arrivals).
-        engine: Execution engine: ``"columnar"`` (default) defers
-            submissions and drains them through the vectorized hot path
-            in :mod:`repro.service.simulation.columnar` whenever the run
+        engine: Execution engine.  Submissions are always deferred and
+            :meth:`drain` picks the loop: ``"columnar"`` (default) takes
+            the vectorized hot path in
+            :mod:`repro.service.simulation.columnar` whenever the run
             is fault-free, open-loop and fixed-configuration over a
             replay cluster — falling back to the legacy event loop
             (bit-identically, see ``fallback_reason``) otherwise;
             ``"legacy"`` pins the original scalar event loop, the
-            correctness oracle of the differential test harness.  When
-            ``None``, the ``REPRO_SIM_ENGINE`` environment variable
-            decides, defaulting to ``"columnar"``.
+            correctness oracle of the differential test harness.
+            ``None`` resolves through :func:`resolve_engine`.
     """
 
     def __init__(
@@ -342,25 +359,19 @@ class ServingSimulator:
         seed: int = 0,
         engine: Optional[str] = None,
     ) -> None:
-        if engine is None:
-            engine = os.environ.get(_ENGINE_ENV) or "columnar"
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose one of {_ENGINES}"
-            )
         #: The requested engine ("columnar" may still fall back per run).
-        self.engine = engine
+        self.engine = resolve_engine(engine)
         #: Engine that actually drained the run ("columnar"/"legacy"),
         #: set by :meth:`drain`.
         self.engine_used: Optional[str] = None
         #: Why a columnar-requested run fell back to the legacy path.
         self.fallback_reason: Optional[str] = None
-        #: Deferred (request, at_time) submissions in columnar mode.
+        #: Deferred (request, at_time) submissions, consumed by drain().
         self._submissions: List[Tuple[ServiceRequest, float]] = []
-        #: Bulk workload from :meth:`run` in columnar mode:
+        #: Bulk workload from :meth:`run`:
         #: ``(request_ids, payloads, tolerance, objective, at_times)``.
         #: Kept as columns — ServiceRequest objects are only materialized
-        #: if the run falls back to the legacy engine.
+        #: if the run drains through the event loop.
         self._bulk: Optional[
             Tuple[List[str], List[Any], float, Objective, List[float]]
         ] = None
@@ -409,7 +420,8 @@ class ServingSimulator:
         self._faults = tuple(faults)
         self._fault_log: List[FaultLogEntry] = []
         self._check = InvariantChecker() if check_invariants else None
-        self._control = control
+        #: The live control plane driving this run (``None`` open-loop).
+        self.control = control
         hooks = tuple(record_hooks)
         if control is not None:
             hooks = hooks + (control.observe,)
@@ -489,6 +501,13 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
+    def _require_undrained(self) -> None:
+        if self._drained:
+            raise ValueError(
+                "this ServingSimulator has already been drained; a simulator "
+                "is single-use — build a new one for another load test"
+            )
+
     def submit(self, request: ServiceRequest, *, at_time: float = 0.0) -> None:
         """Schedule one request's arrival at a virtual timestamp.
 
@@ -497,28 +516,20 @@ class ServingSimulator:
                 simulator is single-use (its clock, records and pool state
                 belong to one load test); build a fresh one per test.
         """
-        if self._drained:
-            raise ValueError(
-                "this ServingSimulator has already been drained; a simulator "
-                "is single-use — build a new one for another load test"
-            )
+        self._require_undrained()
         self._remaining += 1
-        if self.engine == "columnar":
-            # Defer: the columnar drain consumes submissions directly; a
-            # fallback replays them into the event loop at drain time, in
-            # this same order, so they take exactly the sequence numbers
-            # the legacy engine would have assigned.  The validation the
-            # loop would have done at schedule time happens here.
-            if at_time < self._loop.now:
-                raise ValueError(
-                    f"cannot schedule at t={at_time:.6f} "
-                    f"before now={self._loop.now:.6f}"
-                )
-            self._submissions.append((request, at_time))
-            return
-        self._loop.schedule_at(
-            at_time, lambda r=request: self._on_arrival(r), kind="arrival"
-        )
+        # Every submission is deferred: drain() picks the loop, and a
+        # replay into the event loop schedules arrivals in this same
+        # order, after the fault schedule __init__ armed, so they take the
+        # sequence numbers (hence the tie-breaks) of an immediate
+        # schedule.  The validation the loop would have done at schedule
+        # time happens here.
+        if at_time < self._loop.now:
+            raise ValueError(
+                f"cannot schedule at t={at_time:.6f} "
+                f"before now={self._loop.now:.6f}"
+            )
+        self._submissions.append((request, at_time))
 
     def run(
         self,
@@ -539,7 +550,12 @@ class ServingSimulator:
             payload_ids: Pool of payloads (measured request ids, for replay
                 clusters) sampled uniformly per arrival; defaults to each
                 request's own id.
+
+        Raises:
+            ValueError: If the simulator has already been drained (see
+                :meth:`submit`).
         """
+        self._require_undrained()
         times = arrivals.times(n_requests, self._rng)
         if self._herd_faults:
             # Thundering herds transform the generated workload *after*
@@ -572,51 +588,26 @@ class ServingSimulator:
             if isinstance(times, np.ndarray)
             else [float(t) for t in times]
         )
-        if self.engine == "columnar" and not self._drained and at_times:
-            # Bulk columnar path: the workload stays as columns (ids,
-            # payloads, times) and never materializes a ServiceRequest —
-            # object construction dominated the submit phase.  Ids are
-            # formatted exactly as the per-request path would, and a
-            # legacy fallback rebuilds field-identical requests at drain.
-            base = self._counter
-            count = len(at_times)
-            request_ids = _load_ids(base, count)
-            self._counter = base + count
-            if payload_ids is not None:
-                payloads: List[Any] = [
-                    ids[p] for p in picks[:count].tolist()
-                ]
-            else:
-                payloads = request_ids
-            if min(at_times) < self._loop.now:
-                # Mirror submit(): fail on the first offending time, with
-                # the earlier submissions already counted.
-                for index, at_time in enumerate(at_times):
-                    if at_time < self._loop.now:
-                        self._counter = base + index + 1
-                        self._remaining += index + 1
-                        raise ValueError(
-                            f"cannot schedule at t={at_time:.6f} "
-                            f"before now={self._loop.now:.6f}"
-                        )
-            self._remaining += count
-            self._bulk = (request_ids, payloads, tolerance, objective, at_times)
+        # The workload stays as columns (ids, payloads, times) and never
+        # materializes a ServiceRequest — object construction dominated
+        # the submit phase.  Ids are formatted exactly as per-request
+        # submission would, and an event-loop drain builds
+        # field-identical requests from the rows.
+        if min(at_times) < self._loop.now:
+            raise ValueError(
+                f"cannot schedule at t={min(at_times):.6f} "
+                f"before now={self._loop.now:.6f}"
+            )
+        base = self._counter
+        count = len(at_times)
+        request_ids = _load_ids(base, count)
+        self._counter = base + count
+        if payload_ids is not None:
+            payloads: List[Any] = [ids[p] for p in picks[:count].tolist()]
         else:
-            for i, at_time in enumerate(at_times):
-                request_id = f"load_{self._counter:06d}"
-                self._counter += 1
-                payload = (
-                    ids[picks[i]] if payload_ids is not None else request_id
-                )
-                self.submit(
-                    ServiceRequest(
-                        request_id=request_id,
-                        payload=payload,
-                        tolerance=tolerance,
-                        objective=objective,
-                    ),
-                    at_time=float(at_time),
-                )
+            payloads = request_ids
+        self._remaining += count
+        self._bulk = (request_ids, payloads, tolerance, objective, at_times)
         report = self.drain()
         span = float(times[-1] - times[0])
         report.offered_rate = n_requests / span if span > 0.0 else None
@@ -680,42 +671,32 @@ class ServingSimulator:
                             report.fault_log, report.control_log
                         )
                     return report
-            # Fall back to the legacy loop: replay the deferred
-            # submissions in submission order, so their events hold the
-            # same sequence numbers (hence the same tie-breaks) as if
-            # they had been scheduled at submit time.  Bulk workload rows
-            # materialize the ServiceRequest objects run() skipped.
             self.fallback_reason = reason
-            self.engine_used = "legacy"
             _log.info("columnar drain fell back to legacy loop: %s", reason)
-            for request, at_time in self._submissions:
-                self._loop.schedule_at(
-                    at_time,
-                    lambda r=request: self._on_arrival(r),
-                    kind="arrival",
-                )
-            self._submissions = []
-            if self._bulk is not None:
-                bulk_ids, bulk_payloads, tolerance, objective, bulk_times = (
-                    self._bulk
-                )
-                for request_id, payload, at_time in zip(
-                    bulk_ids, bulk_payloads, bulk_times
-                ):
-                    request = ServiceRequest(
+        # The event loop: replay the deferred submissions in submission
+        # order (see submit()).  Bulk workload rows materialize the
+        # ServiceRequest objects run() skipped.
+        self.engine_used = "legacy"
+        if self._bulk is not None:
+            ids, payloads, tolerance, objective, times = self._bulk
+            self._bulk = None
+            self._submissions += [
+                (
+                    ServiceRequest(
                         request_id=request_id,
                         payload=payload,
                         tolerance=tolerance,
                         objective=objective,
-                    )
-                    self._loop.schedule_at(
-                        at_time,
-                        lambda r=request: self._on_arrival(r),
-                        kind="arrival",
-                    )
-                self._bulk = None
-        else:
-            self.engine_used = "legacy"
+                    ),
+                    at_time,
+                )
+                for request_id, payload, at_time in zip(ids, payloads, times)
+            ]
+        for request, at_time in self._submissions:
+            self._loop.schedule_at(
+                at_time, lambda r=request: self._on_arrival(r), kind="arrival"
+            )
+        self._submissions = []
         if self._autoscaler is not None and not self._tick_scheduled:
             self._tick_scheduled = True
             self._loop.schedule(
@@ -723,10 +704,10 @@ class ServingSimulator:
                 self._on_autoscale_tick,
                 kind="autoscale",
             )
-        if self._control is not None and not self._control_tick_scheduled:
+        if self.control is not None and not self._control_tick_scheduled:
             self._control_tick_scheduled = True
             self._loop.schedule(
-                self._control.tick_interval_s,
+                self.control.tick_interval_s,
                 self._on_control_tick,
                 kind="control",
             )
@@ -767,8 +748,8 @@ class ServingSimulator:
             else [],
             final_pool_sizes=self.cluster.pool_sizes(),
             fault_log=list(self._fault_log),
-            control_log=list(self._control.log)
-            if self._control is not None
+            control_log=list(self.control.log)
+            if self.control is not None
             else [],
         )
         report.engine_used = self.engine_used
@@ -797,8 +778,8 @@ class ServingSimulator:
             self._trace.on_arrival(request.request_id, self._loop.now)
         configuration = self._plan(request)
         degraded = False
-        if self._control is not None:
-            decision = self._control.admit(
+        if self.control is not None:
+            decision = self.control.admit(
                 request, self._loop.now, planned=configuration
             )
             action = decision.action.value
@@ -847,22 +828,7 @@ class ServingSimulator:
         if self._check is not None:
             self._check.on_arrival(request.request_id, now)
             self._check.on_shed(request.request_id, now)
-        record = RequestRecord(
-            request_id=request.request_id,
-            payload=request.payload,
-            tier=request.tolerance,
-            arrival_s=now,
-            finished_s=now,
-            response_time_s=0.0,
-            queue_wait_s=0.0,
-            versions_used=(),
-            escalated=False,
-            invocation_cost=0.0,
-            node_seconds={},
-            failed=False,
-            retries=0,
-            shed=True,
-        )
+        record = RequestRecord.for_shed(request, now)
         self._records.append(record)
         self._remaining -= 1
         self._emit_record(record)
@@ -1940,14 +1906,14 @@ class ServingSimulator:
     # control plane
     # ------------------------------------------------------------------
     def _on_control_tick(self) -> None:
-        swap = self._control.on_tick(self._loop.now)
+        swap = self.control.on_tick(self._loop.now)
         if swap is not None:
             self._apply_configuration(swap)
             if self._trace is not None:
                 self._trace.on_epoch(self._loop.now, swap.config_id)
         if self._remaining > 0:
             self._loop.schedule(
-                self._control.tick_interval_s,
+                self.control.tick_interval_s,
                 self._on_control_tick,
                 kind="control",
             )

@@ -133,6 +133,47 @@ class RequestRecord:
     degraded: bool = False
     retry_denied: bool = False
 
+    @classmethod
+    def for_shed(cls, request, at_s: float) -> "RequestRecord":
+        """The record of an arrival admission control dropped at ``at_s``."""
+        return cls(
+            request_id=request.request_id,
+            payload=request.payload,
+            tier=request.tolerance,
+            arrival_s=at_s,
+            finished_s=at_s,
+            response_time_s=0.0,
+            queue_wait_s=0.0,
+            versions_used=(),
+            escalated=False,
+            invocation_cost=0.0,
+            shed=True,
+        )
+
+    @classmethod
+    def for_outcome(
+        cls, request, outcome, arrival_s: float, *, degraded: bool = False
+    ) -> "RequestRecord":
+        """The record of a synchronously executed request: no queue, so
+        the :class:`~repro.core.executor.ExecutionOutcome` is the whole
+        story and only the session clock's ``arrival_s`` is the caller's."""
+        return cls(
+            request_id=outcome.request_id,
+            payload=request.payload,
+            tier=request.tolerance,
+            arrival_s=arrival_s,
+            finished_s=arrival_s + outcome.response_time_s,
+            response_time_s=outcome.response_time_s,
+            queue_wait_s=0.0,
+            versions_used=outcome.versions_used,
+            escalated=outcome.escalated,
+            invocation_cost=outcome.invocation_cost,
+            node_seconds=dict(outcome.node_seconds),
+            result=outcome.result,
+            confidence=outcome.confidence,
+            degraded=degraded,
+        )
+
 
 @dataclass
 class LoadTestReport:

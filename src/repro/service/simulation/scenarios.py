@@ -22,13 +22,14 @@ seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SequentialPolicy, SingleVersionPolicy
 from repro.core.router import TierRouter
+from repro.service.cluster import ClusterDeployment
 from repro.service.control.plane import ControlPlane, ControlSpec
 from repro.service.measurement import MeasurementSet
 from repro.service.request import Objective
@@ -58,6 +59,7 @@ from repro.service.simulation.report import LoadTestReport
 
 __all__ = [
     "ScenarioSpec",
+    "build_simulator",
     "canonical_scenarios",
     "chaos_scenarios",
     "osfa_configuration",
@@ -128,6 +130,74 @@ class ScenarioSpec:
                     f"pool {version!r} needs at least one node"
                 )
 
+    def engine_fields(self) -> Dict[str, object]:
+        """The engine-facing half of the spec — everything but arrivals,
+        capacity and routing — as :func:`build_simulator` keywords."""
+        return {
+            "batching": self.batching,
+            "autoscaler_config": self.autoscaler_config,
+            "faults": self.faults,
+            "retry": self.retry,
+            "control": self.control,
+            "seed": self.seed,
+        }
+
+
+def build_simulator(
+    cluster: ClusterDeployment,
+    *,
+    router: Optional[TierRouter] = None,
+    configuration: Optional[EnsembleConfiguration] = None,
+    batching: Optional[BatchingConfig] = None,
+    autoscaler_config: Optional[AutoscalerConfig] = None,
+    faults: Sequence[FaultEvent] = (),
+    retry: Optional[RetryPolicy] = None,
+    control=None,
+    measurements: Optional[MeasurementSet] = None,
+    seed: int = 0,
+    check_invariants: bool = False,
+    engine: Optional[str] = None,
+    trace=None,
+) -> ServingSimulator:
+    """Inflate engine-facing scenario fields into a ready simulator.
+
+    The one assembly line behind :func:`run_scenario`, a region shard
+    and a gateway session: a fresh autoscaler from its config, a live
+    control plane from a declarative
+    :class:`~repro.service.control.plane.ControlSpec` (anchored on the
+    routing decision, re-fitting on ``measurements``, restricted to the
+    versions ``cluster`` deploys; a live plane passes through), and the
+    :class:`~repro.service.simulation.engine.ServingSimulator` itself.
+    ``trace`` may be a bare collector — the simulator wraps it.
+    """
+    if control is not None and not hasattr(control, "on_tick"):
+        control = ControlPlane.from_spec(
+            control,
+            measurements=measurements,
+            configuration=configuration,
+            router=router,
+            seed=seed,
+            deployed_versions=cluster.versions,
+        )
+    return ServingSimulator(
+        cluster,
+        router=router,
+        configuration=configuration,
+        batching=batching,
+        autoscaler=(
+            Autoscaler(autoscaler_config)
+            if autoscaler_config is not None
+            else None
+        ),
+        faults=faults,
+        retry=retry,
+        check_invariants=check_invariants,
+        control=control,
+        trace=trace,
+        seed=seed,
+        engine=engine,
+    )
+
 
 def run_scenario(
     spec: ScenarioSpec,
@@ -140,10 +210,9 @@ def run_scenario(
 ) -> LoadTestReport:
     """Inflate a scenario against a measurement table and run it.
 
-    Builds a fresh measurement-replay cluster sized to ``spec.pools``, a
-    fresh autoscaler when the spec configures one, and a fresh
-    :class:`~repro.service.simulation.engine.ServingSimulator` seeded from
-    the spec — so repeated calls are independent and bit-identical.
+    Builds a fresh measurement-replay cluster sized to ``spec.pools`` and
+    hands it to :func:`build_simulator` with the spec's own routing — so
+    repeated calls are independent and bit-identical.
 
     Args:
         spec: The scenario to run.
@@ -158,49 +227,22 @@ def run_scenario(
             :class:`~repro.service.simulation.engine.ServingSimulator`
             (``None`` keeps the simulator's own default resolution).
         trace: Optional trace sink: a
-            :class:`~repro.obs.trace.TraceCollector` (wrapped in a
-            :class:`~repro.obs.record.SimTraceRecorder` automatically)
+            :class:`~repro.obs.trace.TraceCollector` (the simulator wraps
+            it in a :class:`~repro.obs.record.SimTraceRecorder`)
             or an already-built recorder.  Strictly opt-in — the report
             and its digest are bit-identical with or without one.
     """
-    cluster = build_replay_cluster(
-        measurements, dict(spec.pools), selection_policy=selection_policy
-    )
-    autoscaler = (
-        Autoscaler(spec.autoscaler_config)
-        if spec.autoscaler_config is not None
-        else None
-    )
-    control = (
-        ControlPlane.from_spec(
-            spec.control,
-            measurements=measurements,
-            configuration=spec.configuration,
-            router=spec.router,
-            seed=spec.seed,
-            deployed_versions=tuple(spec.pools),
-        )
-        if spec.control is not None
-        else None
-    )
-    recorder = trace
-    if trace is not None and not hasattr(trace, "on_finalized"):
-        from repro.obs.record import SimTraceRecorder
-
-        recorder = SimTraceRecorder(trace)
-    simulator = ServingSimulator(
-        cluster,
+    simulator = build_simulator(
+        build_replay_cluster(
+            measurements, dict(spec.pools), selection_policy=selection_policy
+        ),
         router=spec.router,
         configuration=spec.configuration,
-        batching=spec.batching,
-        autoscaler=autoscaler,
-        faults=spec.faults,
-        retry=spec.retry,
+        measurements=measurements,
         check_invariants=check_invariants,
-        control=control,
-        trace=recorder,
-        seed=spec.seed,
         engine=engine,
+        trace=trace,
+        **spec.engine_fields(),
     )
     return simulator.run(
         spec.arrivals,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.api import ToleranceTiersService
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.guarantees import audit_guarantees
 from repro.core.learned_router import LogisticEscalationPolicy
@@ -11,6 +10,7 @@ from repro.core.metrics import evaluate_policy
 from repro.core.policies import SequentialPolicy, SingleVersionPolicy
 from repro.core.router import RoutingRuleTable, TierRouter
 from repro.service.cluster import ClusterDeployment, NodePool
+from repro.service.gateway import DirectBackend, TierGateway
 from repro.service.instances import get_instance_type
 from repro.service.node import CallableVersion, VersionResult
 from repro.service.request import Objective, ServiceRequest
@@ -109,7 +109,7 @@ def _version(name, compute_seconds, confidence):
 
 
 class TestToleranceTiersService:
-    def _service(self, fast_confidence: float) -> ToleranceTiersService:
+    def _service(self, fast_confidence: float) -> TierGateway:
         instance = get_instance_type("cpu.medium")
         cluster = ClusterDeployment(
             {
@@ -124,7 +124,10 @@ class TestToleranceTiersService:
             baseline=baseline,
             rules={0.05: seq},
         )
-        return ToleranceTiersService(cluster, TierRouter({Objective.RESPONSE_TIME: table}))
+        return TierGateway(
+            DirectBackend(cluster),
+            router=TierRouter({Objective.RESPONSE_TIME: table}),
+        )
 
     def test_zero_tolerance_served_by_baseline(self):
         service = self._service(fast_confidence=0.9)
@@ -156,6 +159,7 @@ class TestToleranceTiersService:
             "r4", "payload", {"Tolerance": "0.05", "Objective": "response-time"}
         )
         assert response.tier == pytest.approx(0.05)
+        assert response.versions_used == ("fast",)
 
     def test_missing_version_rejected(self):
         instance = get_instance_type("cpu.medium")
@@ -168,4 +172,7 @@ class TestToleranceTiersService:
             objective=Objective.RESPONSE_TIME, baseline=baseline, rules={0.05: seq}
         )
         with pytest.raises(ValueError):
-            ToleranceTiersService(cluster, TierRouter({Objective.RESPONSE_TIME: table}))
+            TierGateway(
+                DirectBackend(cluster),
+                router=TierRouter({Objective.RESPONSE_TIME: table}),
+            )

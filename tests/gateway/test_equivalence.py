@@ -1,22 +1,16 @@
 """TierGateway(DirectBackend) is bit-identical to the pre-refactor service.
 
 ``_ReferenceToleranceTiersService`` below is a faithful copy of the
-escalation logic the old ``repro.core.api.ToleranceTiersService`` carried
-before it became a shim (same dispatch order, same latency composition,
-same billing).  Every test drives the reference and the gateway over
-independently built but identical deployments and requires the responses
-to match field-for-field — across all four configuration kinds, confident
-and escalating traffic, and both the object and HTTP entry points.
-
-The shim itself is covered too: it must warn ``DeprecationWarning`` once
-at construction and answer through the gateway unchanged.
+escalation logic the original ``ToleranceTiersService`` endpoint carried
+(same dispatch order, same latency composition, same billing).  Every
+test drives the reference and the gateway over independently built but
+identical deployments and requires the responses to match
+field-for-field — across all four configuration kinds, confident and
+escalating traffic, and both the object and HTTP entry points.
 """
-
-import warnings
 
 import pytest
 
-from repro.core.api import ToleranceTiersService
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -184,39 +178,9 @@ def test_gateway_bit_identical_to_reference(fast_confidence):
         expected = reference.handle(request)
         actual = gateway.handle(request)
         assert actual == expected  # frozen dataclass: field-for-field
-
-
-@pytest.mark.parametrize("fast_confidence", [0.9, 0.2])
-def test_shim_bit_identical_and_deprecated(fast_confidence):
-    with pytest.warns(DeprecationWarning, match="TierGateway"):
-        shim = ToleranceTiersService(_cluster(fast_confidence), _router())
-    reference = _ReferenceToleranceTiersService(
-        _cluster(fast_confidence), _router()
-    )
-    for i, tolerance in enumerate(TOLERANCES):
-        request = ServiceRequest(
-            request_id=f"r{i}", payload=f"p{i}", tolerance=tolerance
+        headers = {"Tolerance": str(tolerance), "Objective": "response-time"}
+        assert gateway.handle_http(f"h{i}", f"p{i}", headers) == (
+            reference.handle(
+                ServiceRequest.from_headers(f"h{i}", f"p{i}", headers)
+            )
         )
-        assert shim.handle(request) == reference.handle(request)
-
-
-def test_shim_handle_http_matches_reference():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        shim = ToleranceTiersService(_cluster(0.2), _router())
-    reference = _ReferenceToleranceTiersService(_cluster(0.2), _router())
-    headers = {"Tolerance": "0.01", "Objective": "response-time"}
-    expected = reference.handle(
-        ServiceRequest.from_headers("h1", "payload", headers)
-    )
-    assert shim.handle_http("h1", "payload", headers) == expected
-
-
-def test_shim_warns_exactly_once_per_construction():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ToleranceTiersService(_cluster(0.9), _router())
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1

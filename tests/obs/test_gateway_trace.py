@@ -80,6 +80,30 @@ class TestSynchronousGateway:
             )
         assert collector.arrival_times() == [0.0, 1.0, 2.0]
 
+    def test_pseudo_clock_survives_handle_and_drain(self):
+        """handle() and drain() claim tickets, not time: the trace
+        timeline keeps counting submissions (one clock with the control
+        plane's), so a TraceArrivals replay sees distinct arrivals."""
+        collector = TraceCollector()
+        gateway = TierGateway(
+            DirectBackend(_cluster()), router=_router(), trace=collector
+        )
+        for i in range(3):
+            gateway.handle(
+                ServiceRequest(
+                    request_id=f"h{i}", payload="p", tolerance=0.05
+                )
+            )
+        assert collector.arrival_times() == [0.0, 1.0, 2.0]
+        gateway.submit(
+            ServiceRequest(request_id="s3", payload="p", tolerance=0.05)
+        )
+        gateway.drain()
+        gateway.submit(
+            ServiceRequest(request_id="s4", payload="p", tolerance=0.05)
+        )
+        assert collector.arrival_times() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
     def test_no_collector_records_nothing(self):
         gateway = TierGateway(DirectBackend(_cluster()), router=_router())
         ticket = gateway.submit(

@@ -127,30 +127,39 @@ class TestEmptyShard:
         assert report.digest() == run_multi_region(spec, toy).digest()
 
 
+def _region_session_digest(spec, region, toy, **kwargs):
+    """Digest of one gateway load test against ``from_region``'s backend."""
+    scenario = (
+        spec.region(region) if isinstance(region, str) else spec.regions[region]
+    ).scenario
+    gateway = TierGateway(
+        SimulatedBackend.from_region(spec, region, toy, **kwargs),
+        configuration=scenario.configuration,
+    )
+    return gateway.run_load(
+        scenario.arrivals,
+        scenario.n_requests,
+        tolerance=scenario.tolerance,
+        objective=scenario.objective,
+        payload_ids=toy.request_ids,
+    ).digest()
+
+
 class TestGatewayFromRegion:
     def test_gateway_session_matches_region_shard(self, toy):
         spec = region_scenarios()["tri-steady"]
         report = run_multi_region(spec, toy)
-        region = spec.region("eu-west")
-        backend = SimulatedBackend.from_region(
+        digest = _region_session_digest(
             spec, "eu-west", toy, check_invariants=True
         )
-        gateway = TierGateway(
-            backend, configuration=region.scenario.configuration
-        )
-        gateway_report = gateway.run_load(
-            region.scenario.arrivals,
-            region.scenario.n_requests,
-            tolerance=region.scenario.tolerance,
-            objective=region.scenario.objective,
-            payload_ids=toy.request_ids,
-        )
-        assert gateway_report.digest() == report.shard("eu-west").digest
+        assert digest == report.shard("eu-west").digest
 
     def test_region_resolves_by_name_or_index(self, toy):
+        # Name and index select the same spawned shard seed: the two
+        # sessions digest alike, and unlike a neighbouring region's.
         spec = region_scenarios()["tri-steady"]
-        by_name = SimulatedBackend.from_region(spec, "ap-south", toy)
-        by_index = SimulatedBackend.from_region(spec, 2, toy)
-        assert by_name._seed == by_index._seed == spec.shard_seed(2)
+        by_name = _region_session_digest(spec, "ap-south", toy)
+        assert by_name == _region_session_digest(spec, 2, toy)
+        assert by_name != _region_session_digest(spec, 1, toy)
         with pytest.raises(KeyError, match="unknown region"):
             SimulatedBackend.from_region(spec, "mars", toy)
