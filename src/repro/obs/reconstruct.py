@@ -175,12 +175,16 @@ def _from_columns(columns) -> List[Trace]:
         np.minimum(qw_end + columns.node_seconds_fast, finished),
         finished,
     )
-    has_accurate = columns.node_seconds_accurate >= 0.0
+    billed_accurate = columns.billed_accurate
+    # Each row's legs are named by its own pair (routed runs mix pairs).
+    pairs = columns.pairs
+    pair_of = columns.pair_code.tolist()
     traces: List[Trace] = []
     for i in range(len(columns)):
+        fast_version, accurate_version = pairs[pair_of[i]]
         accurate = (
             float(columns.node_seconds_accurate[i])
-            if bool(has_accurate[i]) and columns.accurate_version is not None
+            if bool(billed_accurate[i])
             else None
         )
         escalated = bool(columns.escalated[i])
@@ -204,10 +208,10 @@ def _from_columns(columns) -> List[Trace]:
                 ),
                 escalated=escalated,
                 failed=failed,
-                fast_version=columns.fast_version,
+                fast_version=fast_version,
                 fast_seconds=float(columns.node_seconds_fast[i]),
                 fast_end=float(fast_end[i]),
-                accurate_version=columns.accurate_version,
+                accurate_version=accurate_version,
                 accurate_seconds=accurate,
             )
         )

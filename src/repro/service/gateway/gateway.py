@@ -487,29 +487,18 @@ class TierGateway:
             raise GatewayClosedError("this gateway session is already drained")
         report = self.backend.drain()
         self._closed = True
-        by_id = {record.request_id: record for record in report.records}
+        # One walk over the report: records come in completion order, so
+        # the responses collect in the order they are returned.
+        ticket_of = {t.request.request_id: t for t in self._tickets}
         responses: List[ServiceResponse] = []
-        for ticket in self._tickets:
-            record = by_id.get(ticket.request.request_id)
-            if record is None:
-                _log.error(
-                    "no record for submitted request %s at drain",
-                    ticket.request.request_id,
-                )
-                ticket._fail(
-                    RequestFailedError(
-                        f"request {ticket.request.request_id!r} was submitted "
-                        "but the backend produced no record for it"
-                    )
-                )
-            elif record.shed:
+        for record in report.records:
+            ticket = ticket_of.get(record.request_id)
+            if ticket is None:
+                continue
+            if record.shed:
                 # Admission control dropped the request inside the
                 # engine; the ticket resolves with the structured shed
                 # error — it must never hang past a drain.
-                _log.info(
-                    "request %s was shed by engine admission control",
-                    record.request_id,
-                )
                 ticket._fail(
                     RequestShedError(
                         f"request {record.request_id!r} was shed by "
@@ -518,11 +507,6 @@ class TierGateway:
                     )
                 )
             elif record.failed:
-                _log.info(
-                    "request %s failed terminally after %d retries",
-                    record.request_id,
-                    record.retries,
-                )
                 ticket._fail(
                     RequestFailedError(
                         f"request {record.request_id!r} failed terminally "
@@ -532,29 +516,52 @@ class TierGateway:
                     )
                 )
             else:
-                ticket._resolve(
-                    ServiceResponse(
-                        request_id=record.request_id,
-                        result=record.result,
-                        versions_used=record.versions_used,
-                        response_time_s=record.response_time_s,
-                        invocation_cost=record.invocation_cost,
-                        tier=ticket.request.tolerance,
-                        confidence=(
-                            record.confidence
-                            if record.confidence is not None
-                            else 1.0
-                        ),
-                    )
+                response = ServiceResponse(
+                    request_id=record.request_id,
+                    result=record.result,
+                    versions_used=record.versions_used,
+                    response_time_s=record.response_time_s,
+                    invocation_cost=record.invocation_cost,
+                    tier=ticket.request.tolerance,
+                    confidence=(
+                        record.confidence
+                        if record.confidence is not None
+                        else 1.0
+                    ),
                 )
-        completion_order = {
-            record.request_id: i for i, record in enumerate(report.records)
-        }
-        resolved = [t for t in self._tickets if t.ok]
-        resolved.sort(
-            key=lambda t: completion_order[t.request.request_id]
-        )
-        return [t.result() for t in resolved]
+                ticket._resolve(response)
+                responses.append(response)
+        # Tickets the report never mentioned fail here, and every error
+        # is logged in submission order, as a ticket-by-ticket sweep
+        # would have (the log is count-limited per template, so the
+        # order decides which lines pass).
+        for ticket in self._tickets:
+            error = ticket._error
+            if error is None:
+                if ticket._response is None:
+                    _log.error(
+                        "no record for submitted request %s at drain",
+                        ticket.request.request_id,
+                    )
+                    ticket._fail(
+                        RequestFailedError(
+                            f"request {ticket.request.request_id!r} was "
+                            "submitted but the backend produced no record "
+                            "for it"
+                        )
+                    )
+            elif isinstance(error, RequestShedError):
+                _log.info(
+                    "request %s was shed by engine admission control",
+                    ticket.request.request_id,
+                )
+            else:
+                _log.info(
+                    "request %s failed terminally after %d retries",
+                    ticket.request.request_id,
+                    error.record.retries,
+                )
+        return responses
 
     @property
     def tickets(self) -> Tuple[TierTicket, ...]:

@@ -6,8 +6,9 @@ heap-allocated ``_InFlight`` object, every event a closure over an
 and every finalized request a ``RequestRecord`` priced through the full
 ``PricingModel`` call chain.  That generality is exactly right for the
 fault/retry/control state space — and needless for the overwhelmingly
-common case that dominates wall time: a fault-free, fixed-configuration,
-open-loop load test over a measurement-replay cluster.
+common case that dominates wall time: a fault-free, open-loop load test
+over a measurement-replay cluster, whether one fixed configuration
+serves it or a tier router picks one per request.
 
 ``run_columnar`` re-executes that common case with the *same* event
 semantics but none of the object machinery:
@@ -15,6 +16,14 @@ semantics but none of the object machinery:
 * request state lives in parallel lists indexed by submission order
   (``ServingSimulator.run`` feeds them as bulk columns without ever
   constructing a ``ServiceRequest``),
+* the routing decision is request state too: the drain's pre-pass
+  routes each distinct ``(tolerance, objective)`` once and groups the
+  submissions by the configuration they got; the per-leg compute /
+  confidence / escalates columns are composed one group at a time, and
+  the event flow reads a per-request kind code and per-request leg
+  pools.  A fixed-configuration run is the one-group case of the same
+  loop (its inlined ``seq`` / ``single`` deliveries stay selected
+  whenever every request shares one kind),
 * the event heap holds plain tuples (three event kinds — flush,
   single-job completion, batch completion — cover the whole fault-free
   state space; arrivals are a pre-sorted stream merged in without ever
@@ -40,14 +49,15 @@ digest-for-digest equality over the canonical scenarios and a fuzzed
 scenario space.
 
 ``columnar_ineligibility`` is the gate: anything the fast path does not
-model — tier routers, faults, autoscaling, a control plane, non-replay
-versions, custom selection policies — returns a human-readable reason
-and the engine falls back to the legacy path, which remains the scalar
-correctness oracle (the same playbook as ``core/outcome_matrix.py`` for
-the rule generator).  Data-dependent conditions (duplicate ids, payloads
-outside the measurement table) surface as :class:`ColumnarFallback`
-during precomputation, before any real state is touched, and fall back
-the same way.
+model — faults, autoscaling, a control plane, non-replay versions,
+custom selection policies, a routed configuration that is itself
+unservable — returns a human-readable reason and the engine falls back
+to the legacy path, which remains the scalar correctness oracle (the
+same playbook as ``core/outcome_matrix.py`` for the rule generator).
+Data-dependent conditions (duplicate ids, payloads outside the
+measurement table) surface as :class:`ColumnarFallback` during
+precomputation, before any real state is touched, and fall back the
+same way.
 """
 
 from __future__ import annotations
@@ -82,6 +92,11 @@ __all__ = ["ColumnarFallback", "columnar_ineligibility", "run_columnar"]
 _FLUSH = 0
 _ONE_DONE = 1
 _BATCH_DONE = 2
+
+#: Per-request kind codes of the event flow; the two kinds that enqueue
+#: both legs at arrival sort last (``kind >= _CONC``).
+_SINGLE, _SEQ, _CONC, _ET = range(4)
+_KIND_CODES = {"single": _SINGLE, "seq": _SEQ, "conc": _CONC, "et": _ET}
 
 _SUPPORTED_POLICIES = (
     RoundRobinPolicy,
@@ -130,41 +145,28 @@ class _ShadowNode:
         self.flush_seq = -1
 
 
-def columnar_ineligibility(sim) -> Optional[str]:
-    """Why this simulator cannot take the columnar path (``None`` = it can).
-
-    The reasons are deliberately conservative: everything outside the
-    modelled state space falls back to the legacy engine, which *is* the
-    semantics.  The returned string is surfaced as
-    ``ServingSimulator.fallback_reason`` for tests and debugging.
-    """
-    if sim._router is not None:
-        return "router-driven routing"
-    if sim._faults:
-        # Name the fault classes so a chaos scenario's fallback is
-        # attributable: "fault schedule present (GrayFailure, RetryStorm)".
-        kinds = sorted({type(fault).__name__ for fault in sim._faults})
-        return f"fault schedule present ({', '.join(kinds)})"
-    if sim._autoscaler is not None:
-        return "autoscaler attached"
-    if sim.control is not None:
-        return "control plane attached"
-    if not sim._submissions and sim._bulk is None:
-        return "no requests submitted"
-    configuration = sim._configuration
+def _configuration_legs(configuration):
+    """``(fast_version, accurate_version)`` of one configuration
+    (``accurate_version`` is ``None`` for a single-version policy)."""
     policy = configuration.policy
     if configuration.kind == "single":
-        legs = (policy.versions[0],)
-    else:
+        return policy.versions[0], None
+    return policy.fast_version, policy.accurate_version
+
+
+def _configuration_ineligibility(configuration, balancer) -> Optional[str]:
+    """Why one configuration cannot be served from columnar state."""
+    fast_version, accurate_version = _configuration_legs(configuration)
+    legs = [fast_version]
+    if accurate_version is not None:
         try:
-            require_confidence_threshold(policy)
+            require_confidence_threshold(configuration.policy)
         except PolicyConfigurationError:
             return "invalid confidence threshold"
-        if policy.fast_version == policy.accurate_version:
+        if fast_version == accurate_version:
             return "degenerate policy (fast == accurate version)"
-        legs = (policy.fast_version, policy.accurate_version)
-    balancer = sim.cluster.load_balancer
-    deployed = set(balancer.versions)
+        legs.append(accurate_version)
+    deployed = balancer.versions
     for version in legs:
         if version not in deployed:
             return f"policy version {version!r} not deployed"
@@ -176,6 +178,41 @@ def columnar_ineligibility(sim) -> Optional[str]:
                 return "dead node in pool"
             if not isinstance(node.version, MeasurementReplayVersion):
                 return "non-replay service version"
+    return None
+
+
+def columnar_ineligibility(sim) -> Optional[str]:
+    """Why this simulator cannot take the columnar path (``None`` = it can).
+
+    The reasons are deliberately conservative: everything outside the
+    modelled state space falls back to the legacy engine, which *is* the
+    semantics.  The returned string is surfaced as
+    ``ServingSimulator.fallback_reason`` for tests and debugging.
+
+    A tier router is not a reason: the drain's routing pre-pass
+    (``ServingSimulator._route_submissions``) turns the router into the
+    handful of configurations this run's requests actually get, and the
+    per-configuration checks below (threshold, fast != accurate,
+    deployed, live replay pool) apply to each of them — the first
+    offending one names the reason.  A request the router cannot route
+    at all raises from the pre-pass, as its arrival would have.
+    """
+    if sim._faults:
+        # Name the fault classes so a chaos scenario's fallback is
+        # attributable: "fault schedule present (GrayFailure, RetryStorm)".
+        kinds = sorted({type(fault).__name__ for fault in sim._faults})
+        return f"fault schedule present ({', '.join(kinds)})"
+    if sim._autoscaler is not None:
+        return "autoscaler attached"
+    if sim.control is not None:
+        return "control plane attached"
+    if not sim._submissions and sim._bulk is None:
+        return "no requests submitted"
+    balancer = sim.cluster.load_balancer
+    for configuration in sim._route_submissions()[0]:
+        reason = _configuration_ineligibility(configuration, balancer)
+        if reason is not None:
+            return reason
     if type(balancer._policy) not in _SUPPORTED_POLICIES:
         return (
             "unsupported selection policy "
@@ -197,31 +234,28 @@ def run_columnar(sim, columns) -> LoadTestReport:
     legacy engine would (telemetry and the checker see an identical
     stream); without them all record materialization is deferred to the
     columnar report.
+
+    Which configuration serves a request is request state like its
+    payload: the routing pre-pass groups the submissions by the
+    configuration they got, the per-leg columns below are composed one
+    group at a time, and the event flow reads each request's kind code
+    and leg pools from them.  A fixed-configuration run is the one-group
+    case of the same loop.
     """
     cluster = sim.cluster
     balancer = cluster.load_balancer
-    configuration = sim._configuration
-    policy = configuration.policy
-    kind = configuration.kind
     checker = sim._check
     hooks = sim._record_hooks
     slow = bool(hooks) or checker is not None
-
-    if kind == "single":
-        fast_version, accurate_version = policy.versions[0], None
-        threshold = 0.0
-    else:
-        fast_version = policy.fast_version
-        accurate_version = policy.accurate_version
-        threshold = require_confidence_threshold(policy)
 
     request_ids, payloads, tolerances, times = columns
     n = len(request_ids)
     if len(set(request_ids)) != n:
         raise ColumnarFallback("duplicate request ids")
+    configurations, codes = sim._route_submissions()
 
     # ------------------------------------------------------------------
-    # per-leg replay precomputation
+    # per-leg replay precomputation, one routed group at a time
     # ------------------------------------------------------------------
     # MeasurementReplayVersion.handle does, per job:
     #     compute_seconds = float(latency_s[row, col]) * baseline_scale
@@ -229,50 +263,96 @@ def run_columnar(sim, columns) -> LoadTestReport:
     # element-wise multiply is bit-identical to the scalar product, so the
     # whole column is composed up front; the per-node division happens at
     # batch execution (node speed factors may differ within a pool).
-    def _leg_columns(version: str):
+    def _leg_columns(version: str, members):
         replay = balancer.nodes_of(version)[0].version
         ms = replay._measurements
         col = replay._column
         rows_of = replay._rows
+        picked = (
+            payloads
+            if codes is None
+            else [payloads[i] for i in members.tolist()]
+        )
         try:
             rows = np.fromiter(
-                (rows_of[p] for p in payloads), dtype=np.int64, count=n
+                (rows_of[p] for p in picked), dtype=np.int64, count=len(picked)
             )
         except (KeyError, TypeError):
             raise ColumnarFallback(
                 "payload outside the measurement table"
             ) from None
-        compute_s = ms.latency_s[rows, col] * replay._baseline_scale
-        confidence = ms.confidence[rows, col]
-        return compute_s.tolist(), confidence
-
-    compute_fast, conf_fast_np = _leg_columns(fast_version)
-    if accurate_version is not None:
-        compute_acc, conf_acc_np = _leg_columns(accurate_version)
-        # should_escalate is a strict `confidence < threshold`.
-        escalates: List[bool] = (conf_fast_np < threshold).tolist()
-    else:
-        compute_acc = escalates = None  # type: ignore[assignment]
-    if slow:
-        conf_fast: List[float] = conf_fast_np.tolist()
-        conf_acc: List[float] = (
-            conf_acc_np.tolist() if accurate_version is not None else None
+        return (
+            ms.latency_s[rows, col] * replay._baseline_scale,
+            ms.confidence[rows, col],
         )
 
-    # ------------------------------------------------------------------
-    # shadow cluster
-    # ------------------------------------------------------------------
-    pool_fast = [_ShadowNode(node) for node in balancer.nodes_of(fast_version)]
-    shadows = list(pool_fast)
-    if accurate_version is not None:
-        pool_acc = [
-            _ShadowNode(node) for node in balancer.nodes_of(accurate_version)
-        ]
-        shadows += pool_acc
+    if codes is None:
+        groups = [slice(None)]
     else:
-        pool_acc = []
+        group_of = np.fromiter(codes, dtype=np.intp, count=n)
+        groups = [
+            np.flatnonzero(group_of == g) for g in range(len(configurations))
+        ]
+    #: Distinct (fast_version, accurate_version) pairs, and per request
+    #: the index of its own — what the report needs of the routing.
+    pairs: List[tuple] = []
+    pair_np = np.zeros(n, dtype=np.min_scalar_type(len(configurations)))
+    kind_np = np.zeros(n, dtype=np.intp)
+    compute_fast_np = np.empty(n)
+    conf_fast_np = np.empty(n)
+    # A single-version request has no accurate leg: its accurate columns
+    # stay zero / never-escalates and are never read.
+    compute_acc_np = np.zeros(n)
+    conf_acc_np = np.zeros(n)
+    escalates_np = np.zeros(n, dtype=bool)
+    for configuration, members in zip(configurations, groups):
+        pair = _configuration_legs(configuration)
+        if pair not in pairs:
+            pairs.append(pair)
+        pair_np[members] = pairs.index(pair)
+        kind_np[members] = _KIND_CODES[configuration.kind]
+        compute_fast_np[members], confidence = _leg_columns(pair[0], members)
+        conf_fast_np[members] = confidence
+        if pair[1] is not None:
+            compute_acc_np[members], conf_acc_np[members] = _leg_columns(
+                pair[1], members
+            )
+            # should_escalate is a strict `confidence < threshold`.
+            escalates_np[members] = confidence < require_confidence_threshold(
+                configuration.policy
+            )
+    compute_fast: List[float] = compute_fast_np.tolist()
+    compute_acc: List[float] = compute_acc_np.tolist()
+    escalates: List[bool] = escalates_np.tolist()
+    kind_of: List[int] = kind_np.tolist()
+    kinds = {_KIND_CODES[configuration.kind] for configuration in configurations}
 
-    # Node selection compiles to one zero-argument closure per leg, with
+    pair_of: List[int] = pair_np.tolist()
+
+    def per_request(of_pair: list) -> list:
+        # One value per pair -> one per request.
+        if len(of_pair) == 1:
+            return of_pair * n
+        return [of_pair[code] for code in pair_of]
+
+    if slow:
+        conf_fast: List[float] = conf_fast_np.tolist()
+        conf_acc: List[float] = conf_acc_np.tolist()
+        fast_name = per_request([pair[0] for pair in pairs])
+        acc_name = per_request([pair[1] for pair in pairs])
+
+    # ------------------------------------------------------------------
+    # shadow cluster: one pool per version any pair names
+    # ------------------------------------------------------------------
+    pools = {
+        version: [_ShadowNode(node) for node in balancer.nodes_of(version)]
+        for version in dict.fromkeys(
+            version for pair in pairs for version in pair if version is not None
+        )
+    }
+    shadows = [node for pool in pools.values() for node in pool]
+
+    # Node selection compiles to one zero-argument closure per pool, with
     # the pool (and, for the dominant two-node pools, the nodes
     # themselves) bound at build time.  Each closure reproduces the
     # corresponding legacy policy's scan exactly: first-best wins, later
@@ -349,24 +429,33 @@ def run_columnar(sim, columns) -> LoadTestReport:
 
         return sel_lb
 
-    select_fast = _compile_select(pool_fast, fast_version)
-    select_accurate = (
-        _compile_select(pool_acc, accurate_version)
-        if accurate_version is not None
-        else None
-    )
+    selects = {
+        version: _compile_select(pool, version)
+        for version, pool in pools.items()
+    }
+    # Per request, the closure choosing its leg's node (``None`` where a
+    # single-version request has no accurate leg).
+    fast_select = per_request([selects[pair[0]] for pair in pairs])
+    acc_select = per_request([selects.get(pair[1]) for pair in pairs])
 
     # The dominant shape — two-node pools under join-shortest-queue —
     # additionally gets its scan inlined at the two hottest call sites in
     # the event loop (arrival fast-leg, sequential escalation), saving a
-    # closure call per selection.  Pool membership is static here:
-    # eligibility already excluded autoscalers and fault schedules.
+    # closure call per selection.  That needs every request to share the
+    # leg's pool; pool membership is static here: eligibility already
+    # excluded autoscalers and fault schedules.
     _jsq = isinstance(selection, JoinShortestQueuePolicy)
     fast_a = fast_b = acc_a = acc_b = None
-    if _jsq and len(pool_fast) == 2:
-        fast_a, fast_b = pool_fast
-    if _jsq and len(pool_acc) == 2:
-        acc_a, acc_b = pool_acc
+    fast_versions = {pair[0] for pair in pairs}
+    acc_versions = {pair[1] for pair in pairs} - {None}
+    if _jsq and len(fast_versions) == 1:
+        pool_fast = pools[fast_versions.pop()]
+        if len(pool_fast) == 2:
+            fast_a, fast_b = pool_fast
+    if _jsq and len(acc_versions) == 1:
+        pool_acc = pools[acc_versions.pop()]
+        if len(pool_acc) == 2:
+            acc_a, acc_b = pool_acc
 
     # ------------------------------------------------------------------
     # loop state
@@ -477,10 +566,8 @@ def run_columnar(sim, columns) -> LoadTestReport:
         # _enqueue_attempt for the accurate leg, on a live pool
         # (parking is unreachable fault-free).
         if checker is not None:
-            checker.on_attempt_started(
-                request_ids[sub], accurate_version, 1, now
-            )
-        node = select_accurate()
+            checker.on_attempt_started(request_ids[sub], acc_name[sub], 1, now)
+        node = acc_select[sub]()
         node.queue.append((sub, 1, now))
         acc_node[sub] = node
         if node.busy_until <= now:
@@ -506,9 +593,9 @@ def run_columnar(sim, columns) -> LoadTestReport:
         # invariant checker and the record hooks, built with the same
         # pricing call chain the legacy engine uses.
         if acc_s >= 0.0:
-            node_seconds = {fast_version: fast_s, accurate_version: acc_s}
+            node_seconds = {fast_name[sub]: fast_s, acc_name[sub]: acc_s}
         else:
-            node_seconds = {fast_version: fast_s}
+            node_seconds = {fast_name[sub]: fast_s}
         cost = cluster.cost_of(node_seconds)
         arrival = times[sub]
         record = RequestRecord(
@@ -539,18 +626,19 @@ def run_columnar(sim, columns) -> LoadTestReport:
         if checker is not None:
             checker.on_attempt_finished(
                 request_ids[sub],
-                fast_version if leg == 0 else accurate_version,
+                fast_name[sub] if leg == 0 else acc_name[sub],
                 1,
                 finish,
                 "ok",
                 seconds=amortized,
             )
-        if kind == "single":
+        kind = kind_of[sub]
+        if kind == _SINGLE:
             out.append((sub, finish, False, amortized, -1.0, start))
             if slow:
                 emit(sub, finish, False, amortized, -1.0, start, now)
             return
-        if kind == "seq":
+        if kind == _SEQ:
             if leg == 0:
                 if escalates[sub]:
                     fast_done[sub] = (start, finish, amortized, solo)
@@ -577,13 +665,13 @@ def run_columnar(sim, columns) -> LoadTestReport:
                     if slow:
                         emit(sub, end, True, amortized, accurate[2], start, now)
                 return
-            if kind == "et" and accurate is None and not acc_cancelled[sub]:
+            if kind == _ET and accurate is None and not acc_cancelled[sub]:
                 if cancel_queued(acc_node[sub], sub, now):
                     acc_cancelled[sub] = True
                     if checker is not None:
                         checker.on_attempt_finished(
                             request_ids[sub],
-                            accurate_version,
+                            acc_name[sub],
                             1,
                             now,
                             "cancelled",
@@ -596,7 +684,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
             if accurate is None:
                 return
             acc_seconds = accurate[2]
-            if kind == "et" and solo < acc_seconds:
+            if kind == _ET and solo < acc_seconds:
                 # early_termination_cap: min(accurate, fast solo time)
                 acc_seconds = solo
             out.append((sub, finish, False, amortized, acc_seconds, start))
@@ -616,7 +704,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
                 emit(sub, end, True, fast[2], amortized, fast[0], now)
         else:
             acc_seconds = amortized
-            if kind == "et" and fast[3] < acc_seconds:
+            if kind == _ET and fast[3] < acc_seconds:
                 acc_seconds = fast[3]
             out.append((sub, fast_finish, False, fast[2], acc_seconds, fast[0]))
             if slow:
@@ -624,13 +712,13 @@ def run_columnar(sim, columns) -> LoadTestReport:
                     sub, fast_finish, False, fast[2], acc_seconds, fast[0], now
                 )
 
-    both_legs_at_arrival = kind in ("conc", "et")
+    both_legs_at_arrival = max(kinds) >= _CONC
     # Specialized single-job delivery for the two sequential-flow kinds
-    # in fast mode (no checker, no hooks): the same transitions as
-    # deliver(), with the call and its branch ladder inlined into the
-    # event loop below.
-    inline_seq = kind == "seq" and not slow
-    inline_single = kind == "single" and not slow
+    # in fast mode (no checker, no hooks), when every request shares the
+    # kind: the same transitions as deliver(), with the call and its
+    # branch ladder inlined into the event loop below.
+    inline_seq = kinds == {_SEQ} and not slow
+    inline_single = kinds == {_SINGLE} and not slow
     out_append = out.append
 
     # ------------------------------------------------------------------
@@ -644,7 +732,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
             pointer += 1
             if checker is not None:
                 checker.on_arrival(request_ids[sub], now)
-                checker.on_attempt_started(request_ids[sub], fast_version, 1, now)
+                checker.on_attempt_started(request_ids[sub], fast_name[sub], 1, now)
             if fast_a is not None:
                 depth_a = len(fast_a.queue)
                 depth_b = len(fast_b.queue)
@@ -656,11 +744,11 @@ def run_columnar(sim, columns) -> LoadTestReport:
                 else:
                     node = fast_a
             else:
-                node = select_fast()
+                node = fast_select[sub]()
             node.queue.append((sub, 0, now))
             if node.busy_until <= now:
                 maybe_start(node, now)
-            if both_legs_at_arrival:
+            if both_legs_at_arrival and kind_of[sub] >= _CONC:
                 enqueue_accurate(sub, now)
             continue
         event = heappop(heap)
@@ -686,7 +774,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
                             else:
                                 acc = acc_a
                         else:
-                            acc = select_accurate()
+                            acc = acc_select[sub]()
                         acc.queue.append((sub, 1, now))
                         if acc.busy_until <= now:
                             maybe_start(acc, now)
@@ -778,27 +866,22 @@ def run_columnar(sim, columns) -> LoadTestReport:
         fast_starts = np.fromiter(o_fstart, dtype=np.float64, count=n_out)
         arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
         tiers = np.asarray(tolerances, dtype=np.float64)[sub_idx]
+        pair_codes = pair_np[sub_idx]
         # PricingModel.request_cost, vectorized with the same operation
-        # order: cost_v = seconds_v * price_v; iaas = fast + accurate
-        # (the legacy left fold starts at integer 0, and 0 + x == x,
-        # x + 0.0 == x exactly for the non-negative costs here);
-        # invocation = fee + markup * iaas.
+        # order, each row priced by its own pair: cost_v = seconds_v *
+        # price_v; iaas = fast + accurate (the legacy left fold starts
+        # at integer 0, and 0 + x == x, x + 0.0 == x exactly for the
+        # non-negative costs here); invocation = fee + markup * iaas.
         pricing = cluster.pricing
-        iaas = fast_seconds * pricing.instance_for(
-            fast_version
-        ).price_per_second
-        if accurate_version is not None:
-            price_acc = pricing.instance_for(accurate_version).price_per_second
-            iaas = iaas + np.where(
-                acc_seconds >= 0.0, acc_seconds * price_acc, 0.0
-            )
-            confidence = np.where(
-                escalated,
-                conf_acc_np[sub_idx],
-                conf_fast_np[sub_idx],
-            )
-        else:
-            confidence = conf_fast_np[sub_idx]
+        price_of = {
+            version: pricing.instance_for(version).price_per_second
+            for version in pools
+        }
+        price_fast = np.array([price_of[pair[0]] for pair in pairs])
+        price_acc = np.array([price_of.get(pair[1], 0.0) for pair in pairs])
+        iaas = fast_seconds * price_fast[pair_codes] + np.where(
+            acc_seconds >= 0.0, acc_seconds * price_acc[pair_codes], 0.0
+        )
         invocation = pricing.per_request_fee + pricing.markup * iaas
         report_columns = RecordColumns(
             request_ids=[request_ids[i] for i in o_sub],
@@ -810,11 +893,14 @@ def run_columnar(sim, columns) -> LoadTestReport:
             queue_wait_s=fast_starts - arrivals,
             escalated=escalated,
             invocation_cost=invocation,
-            fast_version=fast_version,
-            accurate_version=accurate_version,
+            pairs=pairs,
+            pair_code=pair_codes,
             node_seconds_fast=fast_seconds,
             node_seconds_accurate=acc_seconds,
-            confidence=confidence,
+            # conf_acc_np is only ever read where the request escalated.
+            confidence=np.where(
+                escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx]
+            ),
         )
         report = LoadTestReport.from_columns(
             report_columns, final_pool_sizes=cluster.pool_sizes()

@@ -334,9 +334,10 @@ class ServingSimulator:
             :meth:`drain` picks the loop: ``"columnar"`` (default) takes
             the vectorized hot path in
             :mod:`repro.service.simulation.columnar` whenever the run
-            is fault-free, open-loop and fixed-configuration over a
-            replay cluster — falling back to the legacy event loop
-            (bit-identically, see ``fallback_reason``) otherwise;
+            is fault-free and open-loop over a replay cluster (router
+            or fixed configuration alike) — falling back to the legacy
+            event loop (bit-identically, see ``fallback_reason``)
+            otherwise;
             ``"legacy"`` pins the original scalar event loop, the
             correctness oracle of the differential test harness.
             ``None`` resolves through :func:`resolve_engine`.
@@ -374,6 +375,10 @@ class ServingSimulator:
         #: if the run drains through the event loop.
         self._bulk: Optional[
             Tuple[List[str], List[Any], float, Objective, List[float]]
+        ] = None
+        #: What :meth:`_route_submissions` found, kept for the drain.
+        self._routed: Optional[
+            Tuple[List[EnsembleConfiguration], Optional[List[int]]]
         ] = None
         if (router is None) == (configuration is None):
             raise ValueError("supply exactly one of router / configuration")
@@ -637,6 +642,66 @@ class ServingSimulator:
                 ids, payloads, times = bulk_ids, bulk_payloads, bulk_times
                 tolerances = [tolerance] * len(bulk_ids)
         return ids, payloads, tolerances, times
+
+    def _route_submissions(
+        self,
+    ) -> Tuple[List[EnsembleConfiguration], Optional[List[int]]]:
+        """The routing pre-pass of a columnar drain.
+
+        Returns ``(configurations, codes)``: the distinct configurations
+        serving the deferred submissions and, per submission (in
+        :meth:`_submission_columns` order), the index of its own —
+        ``codes`` is ``None`` when one configuration serves them all.
+        Each distinct ``(tolerance, objective)`` annotation is routed
+        once, in order of its earliest arrival, so a request the router
+        cannot serve raises what the event loop's first failing arrival
+        would raise — here, before any node or cursor state is written.
+        """
+        if self._routed is not None:
+            return self._routed
+        if self._configuration is not None:
+            self._routed = [self._configuration], None
+            return self._routed
+        # annotation -> [earliest arrival, its submission index, seen-order]
+        seen: Dict[Tuple[float, Any], List[Any]] = {}
+
+        def note(annotation, at_time: float, index: int) -> int:
+            entry = seen.setdefault(annotation, [at_time, index, len(seen)])
+            if at_time < entry[0]:
+                entry[:2] = at_time, index
+            return entry[2]
+
+        annotation_of = [
+            note((request.tolerance, request.objective), at_time, index)
+            for index, (request, at_time) in enumerate(self._submissions)
+        ]
+        if self._bulk is not None:
+            # One annotation for the whole workload.
+            _ids, _payloads, tolerance, objective, times = self._bulk
+            first = min(range(len(times)), key=times.__getitem__)
+            annotation_of += [
+                note(
+                    (tolerance, objective),
+                    times[first],
+                    len(annotation_of) + first,
+                )
+            ] * len(times)
+        configurations: List[EnsembleConfiguration] = []
+        group_of = [0] * len(seen)
+        for (tolerance, objective), entry in sorted(
+            seen.items(), key=lambda item: item[1]
+        ):
+            configuration = self._router.route(tolerance, objective)
+            if configuration not in configurations:
+                configurations.append(configuration)
+            group_of[entry[2]] = configurations.index(configuration)
+        codes = (
+            None
+            if len(configurations) == 1
+            else [group_of[annotation] for annotation in annotation_of]
+        )
+        self._routed = configurations, codes
+        return self._routed
 
     # ------------------------------------------------------------------
     # draining

@@ -37,6 +37,11 @@ Digest row contract (one line per request, completion order)::
     {escalated:0/1}|{failed:0/1}|{retries}|{invocation_cost}|
     {v=node_seconds,... sorted by version}[|shed][|degraded][|retry-denied]\n
 
+On a column-built report ``v1,v2`` and the names beside the node-seconds
+come from the row's entry in :attr:`RecordColumns.pairs`, picked by its
+:attr:`RecordColumns.pair_code`: the pair table and the code column are
+part of this byte contract.
+
 Every float is a **Python** ``float`` rendered with ``.12e``.  The
 column renderer therefore converts each array with ``.tolist()`` before
 formatting rather than formatting NumPy scalars or using
@@ -180,7 +185,8 @@ class LoadTestReport:
     """Aggregate view of one simulated load test.
 
     Built from ``records`` (the legacy engine's list) **or** ``columns``
-    (the columnar engine's arrays), never both.
+    (the columnar engine's arrays); given both, the explicit records
+    win and the report is list-backed (``columns`` becomes ``None``).
 
     Attributes:
         records: Per-request records, in completion order.  On a
@@ -223,11 +229,13 @@ class LoadTestReport:
                 and view._columns is self.columns
             ):
                 if len(view):
-                    raise ValueError(
-                        "build a report from records or from columns, "
-                        "not both"
-                    )
-                self.records = _ColumnarRecords(self.columns)
+                    # Explicit records win: on a column-built report
+                    # ``dataclasses.replace(report, records=...)`` means
+                    # "these records instead", and the columns it copied
+                    # along no longer describe them.
+                    self.columns = None
+                else:
+                    self.records = _ColumnarRecords(self.columns)
         if not len(self.records):
             raise ValueError("a load test report needs at least one record")
 
@@ -533,36 +541,45 @@ def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
     ``[columns.record(i) for i in range(n)]`` without building a record:
     each column goes through ``.tolist()`` (Python floats, so ``%.12e``
     means CPython's formatting — see the module docstring) and every row
-    is one ``%`` application of a template precomputed from the two
-    version names.
+    is one ``%`` application of a template precomputed from its pair of
+    version names.  The pair table and the code column are part of the
+    byte contract: a row's code picks its two templates (one leg billed
+    / both), nothing else about the row does.
     """
-    fast = columns.fast_version.replace("%", "%%")
-    fast_seconds = f"{fast}=%.12e"
-    versions = fast
-    two_seconds = one_seconds = fast_seconds
-    seconds_columns = [columns.node_seconds_fast]
-    billed_accurate = np.zeros(len(columns), dtype=bool)
-    if columns.accurate_version is not None:
-        accurate = columns.accurate_version.replace("%", "%%")
-        versions = f"{fast},{accurate}"
-        # Both templates take the same arguments: a one-leg row swallows
-        # its accurate-seconds argument with ``%.0s`` (the value cut to
-        # zero characters).  Seconds go in sorted(node_seconds) order.
-        if columns.accurate_version < columns.fast_version:
-            two_seconds = f"{accurate}=%.12e,{fast_seconds}"
-            one_seconds = f"%.0s{fast_seconds}"
-            seconds_columns.insert(0, columns.node_seconds_accurate)
-        else:
-            two_seconds = f"{fast_seconds},{accurate}=%.12e"
-            one_seconds = f"{fast_seconds}%.0s"
-            seconds_columns.append(columns.node_seconds_accurate)
-        # RecordColumns.record's test for a billed accurate leg: the
-        # -1.0 sentinel (and nan) fail it.
-        billed_accurate = columns.node_seconds_accurate >= 0.0
     head = "%s|%s|%.12e|%.12e|%.12e|"
     body = "|%d|%d|%s|%.12e|"
-    two_leg = f"{head}{versions}{body}{two_seconds}%s\n"
-    one_leg = f"{head}{fast}{body}{one_seconds}%s\n"
+    # templates[2 * code + both]: every template takes the same
+    # arguments, the two seconds in sorted(node_seconds) order; a
+    # one-leg row swallows the seconds it does not print with ``%.0s``
+    # (the value cut to zero characters).
+    templates: List[str] = []
+    accurate_first: List[bool] = []
+    for fast_version, accurate_version in columns.pairs:
+        fast = fast_version.replace("%", "%%")
+        fast_seconds = f"{fast}=%.12e"
+        if accurate_version is None:
+            one_leg = two_leg = f"{head}{fast}{body}{fast_seconds}%.0s%s\n"
+            accurate_first.append(False)
+        else:
+            accurate = accurate_version.replace("%", "%%")
+            accurate_first.append(accurate_version < fast_version)
+            if accurate_first[-1]:
+                one_seconds = f"%.0s{fast_seconds}"
+                two_seconds = f"{accurate}=%.12e,{fast_seconds}"
+            else:
+                one_seconds = f"{fast_seconds}%.0s"
+                two_seconds = f"{fast_seconds},{accurate}=%.12e"
+            one_leg = f"{head}{fast}{body}{one_seconds}%s\n"
+            two_leg = f"{head}{fast},{accurate}{body}{two_seconds}%s\n"
+        templates += [one_leg, two_leg]
+    template_of = 2 * columns.pair_code.astype(np.intp) + columns.billed_accurate
+    first, second = columns.node_seconds_fast, columns.node_seconds_accurate
+    if any(accurate_first):
+        swapped = np.array(accurate_first)[columns.pair_code]
+        first, second = (
+            np.where(swapped, second, first),
+            np.where(swapped, first, second),
+        )
     flagged = bool(
         (columns.shed | columns.degraded | columns.retry_denied).any()
     )
@@ -580,9 +597,9 @@ def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
         )
         yield "".join(
             [
-                (two_leg if both else one_leg) % row
-                for both, row in zip(
-                    billed_accurate[rows].tolist(),
+                templates[template] % row
+                for template, row in zip(
+                    template_of[rows].tolist(),
                     zip(
                         columns.request_ids[rows],
                         # what an f-string's ``{payload}`` renders
@@ -594,7 +611,8 @@ def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
                         columns.failed[rows].tolist(),
                         columns.retries[rows].tolist(),
                         columns.invocation_cost[rows].tolist(),
-                        *(column[rows].tolist() for column in seconds_columns),
+                        first[rows].tolist(),
+                        second[rows].tolist(),
                         flags,
                     ),
                 )
@@ -662,7 +680,13 @@ class RecordColumns:
     bills at most two versions per request, so node-seconds are two dense
     columns — ``node_seconds_accurate`` holds ``-1.0`` where the accurate
     leg consumed no billed time (node-seconds are never negative, so the
-    sentinel is unambiguous).
+    sentinel is unambiguous).  *Which* two versions is per-request state
+    too (a tier router serves each request by its own configuration):
+    ``pairs`` is the run's small table of distinct ``(fast_version,
+    accurate_version)`` pairs (``accurate_version`` is ``None`` for a
+    single-version configuration) and ``pair_code`` holds each row's
+    index into it.  A fixed-configuration run is the one-pair table with
+    an all-zero code column.
 
     Consumers reach a report's columns through the public
     :attr:`LoadTestReport.columns`.  The lazy ``records`` view keeps its
@@ -680,8 +704,8 @@ class RecordColumns:
         "queue_wait_s",
         "escalated",
         "invocation_cost",
-        "fast_version",
-        "accurate_version",
+        "pairs",
+        "pair_code",
         "node_seconds_fast",
         "node_seconds_accurate",
         "confidence",
@@ -704,8 +728,8 @@ class RecordColumns:
         queue_wait_s: np.ndarray,
         escalated: np.ndarray,
         invocation_cost: np.ndarray,
-        fast_version: str,
-        accurate_version: Optional[str],
+        pairs: Sequence[Tuple[str, Optional[str]]],
+        pair_code: np.ndarray,
         node_seconds_fast: np.ndarray,
         node_seconds_accurate: np.ndarray,
         confidence: np.ndarray,
@@ -725,8 +749,8 @@ class RecordColumns:
         self.queue_wait_s = queue_wait_s
         self.escalated = escalated
         self.invocation_cost = invocation_cost
-        self.fast_version = fast_version
-        self.accurate_version = accurate_version
+        self.pairs = tuple(pairs)
+        self.pair_code = pair_code
         self.node_seconds_fast = node_seconds_fast
         self.node_seconds_accurate = node_seconds_accurate
         self.confidence = confidence
@@ -751,38 +775,52 @@ class RecordColumns:
         return len(self.request_ids)
 
     @property
+    def billed_accurate(self) -> np.ndarray:
+        """Mask of rows that billed an accurate leg: the row's pair has
+        one and its seconds are not the ``-1.0`` sentinel (``nan`` fails
+        the comparison too)."""
+        has_accurate = np.array([pair[1] is not None for pair in self.pairs])
+        return has_accurate[self.pair_code] & (self.node_seconds_accurate >= 0.0)
+
+    @property
     def node_seconds(self) -> Dict[str, np.ndarray]:
         """Billed seconds per version, dense (``0.0`` where none billed);
         a version no request billed is absent, as it would be from every
-        record's ``node_seconds``."""
-        billed = {self.fast_version: self.node_seconds_fast}
-        if self.accurate_version is not None:
-            used = self.node_seconds_accurate >= 0.0
-            if used.any():
-                billed[self.accurate_version] = np.where(
-                    used, self.node_seconds_accurate, 0.0
-                )
+        record's ``node_seconds``.  One version can be the fast leg of
+        one pair and the accurate leg of another."""
+        billed: Dict[str, np.ndarray] = {}
+        billed_accurate = self.billed_accurate
+        for code, (fast_version, accurate_version) in enumerate(self.pairs):
+            rows = self.pair_code == code
+            for version, mask, seconds in (
+                (fast_version, rows, self.node_seconds_fast),
+                (
+                    accurate_version,
+                    rows & billed_accurate,
+                    self.node_seconds_accurate,
+                ),
+            ):
+                if version is not None and mask.any():
+                    if version not in billed:
+                        billed[version] = np.zeros(len(self))
+                    billed[version][mask] = seconds[mask]
         return billed
 
     def record(self, index: int) -> RequestRecord:
         """Materialize one row as the :class:`RequestRecord` the legacy
         engine would have emitted (all floats converted back to Python
         floats, so formatting and hashing behave identically)."""
+        fast_version, accurate_version = self.pairs[self.pair_code[index]]
         accurate = float(self.node_seconds_accurate[index])
-        if self.accurate_version is not None and accurate >= 0.0:
-            versions_used: Tuple[str, ...] = (
-                self.fast_version,
-                self.accurate_version,
-            )
+        if accurate_version is not None and accurate >= 0.0:
+            versions_used: Tuple[str, ...] = (fast_version, accurate_version)
             node_seconds = {
-                self.fast_version: float(self.node_seconds_fast[index]),
-                self.accurate_version: accurate,
+                fast_version: float(self.node_seconds_fast[index]),
+                accurate_version: accurate,
             }
         else:
-            versions_used = (self.fast_version,)
-            node_seconds = {
-                self.fast_version: float(self.node_seconds_fast[index])
-            }
+            versions_used = (fast_version,)
+            node_seconds = {fast_version: float(self.node_seconds_fast[index])}
         return RequestRecord(
             request_id=self.request_ids[index],
             payload=self.payloads[index],

@@ -15,6 +15,8 @@ Two contracts are pinned here:
   single-use.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,19 @@ from repro.core.errors import (
     BackendCapabilityError,
     GatewayClosedError,
     RequestFailedError,
+    RequestShedError,
     ResultPendingError,
 )
 from repro.core.policies import SequentialPolicy
 from repro.service.gateway import SimulatedBackend, TierGateway
+from repro.service.gateway import gateway as gateway_module
 from repro.service.request import ServiceRequest
-from repro.service.simulation import NodeCrash, build_replay_cluster
+from repro.service.simulation import (
+    LoadTestReport,
+    NodeCrash,
+    RequestRecord,
+    build_replay_cluster,
+)
 from repro.service.simulation.scenarios import (
     canonical_scenarios,
     run_scenario,
@@ -188,3 +197,113 @@ class TestSubmitDrainSession:
         gateway, _tickets = _session(measurements, payloads=[confident])
         with pytest.raises(BackendCapabilityError, match="synchronous"):
             gateway.handle(ServiceRequest(request_id="x", payload=confident))
+
+
+class _CannedBackend:
+    """A deferred backend whose drain hands back a prepared report —
+    every ticket outcome in one session, whatever the engine would do."""
+
+    synchronous = False
+    versions = None
+
+    def __init__(self, records):
+        self._records = records
+        self.submitted = []
+
+    def submit(self, request, *, at_time=0.0):
+        self.submitted.append(request.request_id)
+
+    def drain(self):
+        return LoadTestReport(records=self._records)
+
+
+class _CountedRecords(list):
+    """A record list that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _canned_record(request_id, finished_s, **outcome):
+    fields = dict(
+        request_id=request_id,
+        payload=request_id,
+        tier=0.0,
+        arrival_s=0.0,
+        finished_s=finished_s,
+        response_time_s=finished_s,
+        queue_wait_s=0.0,
+        versions_used=("fast",),
+        escalated=False,
+        invocation_cost=1e-6,
+        result=f"answer-{request_id}",
+        confidence=0.9,
+    )
+    fields.update(outcome)
+    return RequestRecord(**fields)
+
+
+class TestDrainWalksTheReportOnce:
+    def test_failed_shed_and_record_less_tickets_in_one_session(
+        self, caplog, monkeypatch
+    ):
+        """Submission order a..f; the report completes e, c, b, a, f (a
+        failed after 1 retry, c shed, f failed after 3) and never
+        mentions d."""
+        records = _CountedRecords(
+            [
+                _canned_record("e", 0.1),
+                _canned_record("c", 0.2, shed=True, versions_used=()),
+                _canned_record("b", 0.3, confidence=None),
+                _canned_record("a", 0.4, failed=True, retries=1),
+                _canned_record("f", 0.5, failed=True, retries=3),
+                _canned_record("stranger", 0.6),
+            ]
+        )
+        backend = _CannedBackend(records)
+        gateway = TierGateway(
+            backend,
+            configuration=EnsembleConfiguration(
+                "cfg_seq", SequentialPolicy("fast", "slow", 0.6)
+            ),
+        )
+        tickets = {
+            name: gateway.submit(ServiceRequest(name, name, tolerance=0.02))
+            for name in "abcdef"
+        }
+        # The gateway's log is count-limited per template; start clean.
+        monkeypatch.setattr(gateway_module._log, "_counts", {})
+        with caplog.at_level(logging.INFO, logger="repro.service.gateway"):
+            responses = gateway.drain()
+
+        assert records.walks == 1
+        # Responses: the answered requests, in completion order.
+        assert [r.request_id for r in responses] == ["e", "b"]
+        assert responses[0] is tickets["e"].result()
+        assert tickets["b"].result().result == "answer-b"
+        assert tickets["b"].result().confidence == 1.0
+        assert tickets["e"].result().tier == 0.02
+        assert all(t.done for t in tickets.values())
+        assert [n for n, t in tickets.items() if t.ok] == ["b", "e"]
+        # Failures are structured and carry their record.
+        for name, retries in (("a", 1), ("f", 3)):
+            error = tickets[name].exception()
+            assert type(error) is RequestFailedError
+            assert error.record.retries == retries
+        assert "after 1 retry" in str(tickets["a"].exception())
+        assert "after 3 retries" in str(tickets["f"].exception())
+        shed = tickets["c"].exception()
+        assert isinstance(shed, RequestShedError) and shed.record.shed
+        missing = tickets["d"].exception()
+        assert type(missing) is RequestFailedError and missing.record is None
+        assert "produced no record" in str(missing)
+        # One log line per unanswered ticket, in submission order.
+        assert [r.getMessage() for r in caplog.records] == [
+            "request a failed terminally after 1 retries",
+            "request c was shed by engine admission control",
+            "no record for submitted request d at drain",
+            "request f failed terminally after 3 retries",
+        ]

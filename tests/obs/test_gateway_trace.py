@@ -3,15 +3,24 @@
 import pytest
 
 from repro.core.configuration import EnsembleConfiguration
-from repro.core.policies import SequentialPolicy, SingleVersionPolicy
+from repro.core.policies import (
+    ConcurrentPolicy,
+    SequentialPolicy,
+    SingleVersionPolicy,
+)
 from repro.core.router import RoutingRuleTable, TierRouter
-from repro.obs import TraceCollector
+from repro.obs import TraceCollector, traces_from_report
 from repro.service.cluster import ClusterDeployment, NodePool
 from repro.service.gateway import DirectBackend, SimulatedBackend, TierGateway
 from repro.service.instances import get_instance_type
 from repro.service.node import CallableVersion, VersionResult
 from repro.service.request import Objective, ServiceRequest
-from repro.service.simulation import canonical_scenarios
+from repro.service.simulation import (
+    BatchingConfig,
+    LoadTestReport,
+    build_replay_cluster,
+    canonical_scenarios,
+)
 
 
 def _version(name, compute_seconds, confidence):
@@ -162,3 +171,80 @@ class TestSimulatedGateway:
         off = _run(None)
         on = _run(TraceCollector())
         assert on.digest() == off.digest()
+
+    def test_routed_session_reconstructs_each_request_with_its_own_legs(
+        self, toy
+    ):
+        """A router-driven session drains on the columnar engine, so its
+        traces are rebuilt post hoc — every request's legs named by the
+        pair *its* configuration used, not a run-wide one."""
+        tiers = {
+            0.01: SequentialPolicy("fast", "slow", 0.7),
+            0.05: ConcurrentPolicy("fast", "slow", 0.5),
+            0.10: SingleVersionPolicy("fast"),
+        }
+        table = RoutingRuleTable(
+            objective=Objective.RESPONSE_TIME,
+            baseline=EnsembleConfiguration(
+                "base", SingleVersionPolicy("slow")
+            ),
+            rules={
+                tolerance: EnsembleConfiguration(f"tier_{i}", policy)
+                for i, (tolerance, policy) in enumerate(tiers.items())
+            },
+        )
+
+        def _run(trace):
+            backend = SimulatedBackend(
+                build_replay_cluster(toy, {"fast": 2, "slow": 2}),
+                batching=BatchingConfig(max_batch_size=4, max_wait_s=0.02),
+                engine="columnar",
+            )
+            gateway = TierGateway(
+                backend,
+                router=TierRouter({Objective.RESPONSE_TIME: table}),
+                trace=trace,
+            )
+            tickets = [
+                gateway.submit(
+                    ServiceRequest(
+                        request_id=f"t{i:03d}",
+                        payload=toy.request_ids[(7 * i) % len(toy.request_ids)],
+                        tolerance=(0.0, 0.01, 0.05, 0.10)[i % 4],
+                    ),
+                    at_time=0.03 * i,
+                )
+                for i in range(80)
+            ]
+            gateway.drain()
+            return gateway, tickets, backend.last_report
+
+        collector = TraceCollector()
+        gateway, tickets, report = _run(collector)
+        assert report.engine_used == "columnar"
+        assert report.fallback_reason is None
+        assert len(collector) == len(tickets) == report.n_requests
+        records = {record.request_id: record for record in report.records}
+        seen = set()
+        for ticket in tickets:
+            trace = gateway.trace_for(ticket)
+            versions = [
+                span.attrs["version"]
+                for span in trace.spans
+                if span.name in ("leg", "escalate")
+            ]
+            if "accurate_version" in trace.root.attrs:  # billed, not placed
+                versions.append(trace.root.attrs["accurate_version"])
+            record = records[ticket.request.request_id]
+            assert tuple(versions) == record.versions_used
+            seen.add(record.versions_used)
+        assert seen == {("fast",), ("slow",), ("fast", "slow")}
+        # The per-record derivation of the same report agrees.
+        scalar = TraceCollector()
+        for trace in traces_from_report(
+            LoadTestReport(records=list(report.records))
+        ):
+            scalar.add_trace(trace)
+        assert scalar.digest() == collector.digest()
+        _, _, untraced = _run(None)
+        assert report.digest() == untraced.digest()

@@ -17,7 +17,13 @@ two.  This file is that argument, run continuously:
 4. **Eligibility** — the specs the columnar fast path claims to handle
    really run columnar (``engine_used`` says so), and the ones it must
    not handle fall back to legacy with a stated reason.
-5. **Edge cases** — zero-request drains and single-request runs behave
+5. **Routed traffic** — :data:`N_ROUTED` seeded sessions in which a
+   ``TierRouter`` serves every request by its own annotation (a random
+   mix of all five configuration shapes, one-by-one submissions) run
+   columnar and digest-identical to the oracle; one ineligible routed
+   configuration falls back naming its reason; a pre-pass that swaps
+   two groups' thresholds is caught.
+6. **Edge cases** — zero-request drains and single-request runs behave
    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
@@ -44,6 +50,8 @@ from repro.core.policies import (
     SequentialPolicy,
     SingleVersionPolicy,
 )
+from repro.core.router import RoutingRuleTable, TierRouter
+from repro.service.request import Objective, ServiceRequest
 from repro.service.control import AdmissionSpec, ControlSpec, SLOSpec
 from repro.service.load_balancer import (
     JoinShortestQueuePolicy,
@@ -73,6 +81,11 @@ from repro.service.simulation import (
 
 N_SPECS = 50
 FAST_SPECS = 20
+
+#: The routed family (router-driven sessions); seeds below
+#: :data:`FAST_ROUTED` run in the fast tier.
+N_ROUTED = 24
+FAST_ROUTED = 10
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -475,6 +488,381 @@ def test_fuzzed_space_exercises_the_columnar_path(toy):
     assert columnar_runs >= N_SPECS // 4, (
         f"only {columnar_runs}/{N_SPECS} fuzzed specs ran columnar — "
         "the differential sweep is mostly testing the fallback"
+    )
+
+
+# ----------------------------------------------------------------------
+# routed traffic: the router is request state, not a fallback reason
+# ----------------------------------------------------------------------
+_ROUTED_TOLERANCES = (0.01, 0.05, 0.10)
+
+
+def _random_router(rng):
+    """Three tiers x two objectives (plus a baseline each), every cell a
+    random draw over the five configuration shapes and four thresholds."""
+    tables = {}
+    for objective in Objective:
+        cells = [
+            EnsembleConfiguration(
+                f"{objective.value}@{label}", _random_policy(rng)
+            )
+            for label in ("base", *_ROUTED_TOLERANCES)
+        ]
+        tables[objective] = RoutingRuleTable(
+            objective=objective,
+            baseline=cells[0],
+            rules=dict(zip(_ROUTED_TOLERANCES, cells[1:])),
+        )
+    return TierRouter(tables)
+
+
+def _routed_rng(seed):
+    return np.random.default_rng([seed, 20260929])
+
+
+def _routed_session(seed, toy, engine, *, router=None, tolerances=None):
+    """One router-driven session: requests submitted one by one with
+    random annotations, payloads and arrival times.  The seed cycles the
+    four selection policies and batching on/off, so any eight
+    consecutive seeds cover every combination."""
+    rng = _routed_rng(seed)
+    if router is None:
+        router = _random_router(rng)
+    selection = _SELECTION[seed % len(_SELECTION)]
+    sim = ServingSimulator(
+        build_replay_cluster(
+            toy,
+            {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))},
+            selection_policy=selection() if selection else None,
+        ),
+        router=router,
+        batching=BatchingConfig(
+            max_batch_size=int(rng.integers(2, 6)),
+            max_wait_s=float(rng.uniform(0.0, 0.1)),
+        )
+        if (seed // len(_SELECTION)) % 2
+        else None,
+        check_invariants=True,
+        seed=seed,
+        engine=engine,
+    )
+    n = int(rng.integers(40, 90))
+    times = np.cumsum(rng.exponential(1.0 / rng.uniform(2.0, 8.0), n))
+    rng.shuffle(times)  # submission order is not arrival order
+    # 0.0 and 0.03 fall between the rules: baseline and the 1 % tier.
+    tolerances = tolerances or (0.0, 0.03, *_ROUTED_TOLERANCES)
+    objectives = tuple(Objective)
+    for i in range(n):
+        sim.submit(
+            ServiceRequest(
+                request_id=f"routed_{i:04d}",
+                payload=str(rng.choice(toy.request_ids)),
+                tolerance=float(rng.choice(tolerances)),
+                objective=objectives[int(rng.integers(0, len(objectives)))],
+            ),
+            at_time=float(times[i]),
+        )
+    return sim, n
+
+
+def _routed_seeds():
+    return [
+        pytest.param(seed, marks=pytest.mark.slow) if seed >= FAST_ROUTED else seed
+        for seed in range(N_ROUTED)
+    ]
+
+
+@pytest.mark.parametrize("seed", _routed_seeds())
+def test_routed_sessions_digest_identical(seed, toy):
+    legacy_sim, n = _routed_session(seed, toy, "legacy")
+    legacy = legacy_sim.drain()
+    sim, _ = _routed_session(seed, toy, "columnar")
+    columnar = sim.drain()
+    assert sim.engine_used == "columnar"
+    assert sim.fallback_reason is None
+    assert columnar.engine_used == "columnar"
+    assert_reports_identical(legacy, columnar)
+    assert legacy.n_requests == columnar.n_requests == n
+    assert legacy.total_node_seconds == columnar.total_node_seconds
+
+
+def test_routed_family_mixes_shapes_within_a_session():
+    """The family is not five fixed-configuration suites in disguise:
+    its fast tier routes to every shape, and most sessions mix pairs
+    (a ``single(slow)`` next to a ``fast -> slow`` ensemble)."""
+    kinds, mixed = set(), 0
+    for seed in range(FAST_ROUTED):
+        router = _random_router(_routed_rng(seed))
+        cells = [
+            cell
+            for objective in router.objectives
+            for cell in (
+                router.table_for(objective).baseline,
+                *router.table_for(objective).rules.values(),
+            )
+        ]
+        kinds |= {(cell.kind, cell.versions) for cell in cells}
+        mixed += len({cell.versions for cell in cells}) >= 3
+    assert {kind for kind, _ in kinds} == {"single", "seq", "conc", "et"}
+    assert {("single", ("fast",)), ("single", ("slow",))} <= kinds
+    assert mixed >= FAST_ROUTED // 2
+
+
+def _swap_two_thresholds(configurations):
+    """The first two two-version groups with different thresholds, each
+    rebuilt with the other's threshold."""
+    two = [
+        (i, c) for i, c in enumerate(configurations) if c.kind != "single"
+    ]
+    for a, (i, left) in enumerate(two):
+        for j, right in two[a + 1:]:
+            t_left = left.policy.confidence_threshold
+            t_right = right.policy.confidence_threshold
+            if t_left != t_right:
+                swapped = list(configurations)
+                for index, cell, threshold in (
+                    (i, left, t_right),
+                    (j, right, t_left),
+                ):
+                    policy = cell.policy
+                    swapped[index] = EnsembleConfiguration(
+                        cell.config_id,
+                        type(policy)(
+                            policy.fast_version,
+                            policy.accurate_version,
+                            threshold,
+                        ),
+                    )
+                return swapped
+    return configurations
+
+
+def test_routed_family_catches_a_wrong_pre_pass(monkeypatch, toy):
+    """The family has teeth: a pre-pass that hands two groups each
+    other's threshold (every conservation law still holds) is caught by
+    the digests of most fast-tier sessions."""
+    real = ServingSimulator._route_submissions
+
+    def swapped(self):
+        configurations, codes = real(self)
+        return _swap_two_thresholds(configurations), codes
+
+    legacy = [
+        _routed_session(seed, toy, "legacy")[0].drain().digest()
+        for seed in range(FAST_ROUTED)
+    ]
+    monkeypatch.setattr(ServingSimulator, "_route_submissions", swapped)
+    caught = 0
+    for seed in range(FAST_ROUTED):
+        sim, _ = _routed_session(seed, toy, "columnar")
+        report = sim.drain()
+        assert sim.engine_used == "columnar"
+        caught += report.digest() != legacy[seed]
+    assert caught >= FAST_ROUTED // 2, (
+        f"swapped thresholds changed only {caught}/{FAST_ROUTED} digests"
+    )
+
+
+def _broken_router(broken):
+    """Healthy tiers plus one cell (the 10 % response-time tier) that
+    the columnar loop cannot serve."""
+    if broken == "degenerate":
+        policy = SequentialPolicy("fast", "slow", 0.6)
+        policy.accurate_version = "fast"  # past the constructor's guard
+    else:
+        policy = SequentialPolicy("fast", "ghost", 0.6)
+    healthy = EnsembleConfiguration("ok", SequentialPolicy("fast", "slow", 0.6))
+    return TierRouter(
+        {
+            objective: RoutingRuleTable(
+                objective=objective,
+                baseline=EnsembleConfiguration(
+                    "base", SingleVersionPolicy("slow")
+                ),
+                rules={
+                    0.01: healthy,
+                    0.10: EnsembleConfiguration("broken", policy)
+                    if objective is Objective.RESPONSE_TIME
+                    else healthy,
+                },
+            )
+            for objective in Objective
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "broken, reason",
+    [
+        ("degenerate", "degenerate policy (fast == accurate version)"),
+        ("undeployed", "policy version 'ghost' not deployed"),
+    ],
+)
+def test_one_ineligible_routed_configuration_falls_back(broken, reason, toy):
+    """Eligibility is per routed group: a session that reaches the one
+    broken cell falls back naming that cell's reason (the oracle cannot
+    serve it either, and says so its own way); the same router with
+    traffic that never reaches the cell runs columnar."""
+    sim, _ = _routed_session(3, toy, "columnar", router=_broken_router(broken))
+    with pytest.raises((KeyError, RuntimeError)):
+        sim.drain()
+    assert sim.engine_used == "legacy"
+    assert sim.fallback_reason == reason
+
+    sim, _ = _routed_session(
+        3, toy, "columnar", router=_broken_router(broken),
+        tolerances=(0.0, 0.01, 0.05),
+    )
+    report = sim.drain()
+    assert sim.engine_used == "columnar" and sim.fallback_reason is None
+    legacy_sim, _ = _routed_session(
+        3, toy, "legacy", router=_broken_router(broken),
+        tolerances=(0.0, 0.01, 0.05),
+    )
+    assert_reports_identical(legacy_sim.drain(), report)
+
+
+def test_routed_bulk_workload_digest_identical(toy):
+    """``run()`` under a router is one annotation for the whole
+    workload; explicit submissions beside it keep their own."""
+    reports = {}
+    for engine in ("legacy", "columnar"):
+        router = _random_router(np.random.default_rng(11))
+        sim = ServingSimulator(
+            build_replay_cluster(toy, {"fast": 2, "slow": 2}),
+            router=router,
+            batching=BatchingConfig(max_batch_size=3, max_wait_s=0.02),
+            check_invariants=True,
+            seed=4,
+            engine=engine,
+        )
+        for i, tolerance in enumerate((0.0, 0.01, 0.10, 0.05)):
+            sim.submit(
+                ServiceRequest(
+                    f"early_{i}", toy.request_ids[i], tolerance=tolerance
+                ),
+                at_time=0.3 * i,
+            )
+        reports[engine] = sim.run(
+            PoissonArrivals(5.0),
+            60,
+            tolerance=0.05,
+            objective=Objective.COST,
+            payload_ids=toy.request_ids,
+        )
+        assert sim.engine_used == engine
+    assert_reports_identical(reports["legacy"], reports["columnar"])
+    assert reports["columnar"].n_requests == 64
+
+
+class _CountingRouter(TierRouter):
+    """A router that counts its routing decisions."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.routed = 0
+
+    def route(self, tolerance, objective):
+        self.routed += 1
+        return super().route(tolerance, objective)
+
+
+def test_pre_pass_routes_each_annotation_once(toy):
+    """The legacy loop routes per arrival; the columnar drain routes
+    each distinct (tolerance, objective) once."""
+    counts = {}
+    for engine in ("legacy", "columnar"):
+        base = _random_router(np.random.default_rng(7))
+        router = _CountingRouter(
+            {o: base.table_for(o) for o in base.objectives}
+        )
+        sim, n = _routed_session(7, toy, engine, router=router)
+        annotations = {
+            (request.tolerance, request.objective)
+            for request, _ in sim._submissions
+        }
+        sim.drain()
+        counts[engine] = router.routed
+        assert sim.engine_used == engine
+    assert counts["legacy"] == n
+    assert counts["columnar"] == len(annotations) < n
+
+
+def _response_time_only_router():
+    return TierRouter(
+        {
+            Objective.RESPONSE_TIME: RoutingRuleTable(
+                objective=Objective.RESPONSE_TIME,
+                baseline=EnsembleConfiguration(
+                    "base", SingleVersionPolicy("slow")
+                ),
+                rules={
+                    0.05: EnsembleConfiguration(
+                        "seq", SequentialPolicy("fast", "slow", 0.6)
+                    )
+                },
+            )
+        }
+    )
+
+
+def _unroutable(kind, request_id, payload):
+    if kind == "objective":  # no table for it: KeyError
+        return ServiceRequest(request_id, payload, objective=Objective.COST)
+    request = ServiceRequest(request_id, payload)
+    if kind == "header":  # not an objective at all: ValueError
+        object.__setattr__(request, "objective", "cheapest")
+    else:  # past ServiceRequest's own guard: ValueError
+        object.__setattr__(request, "tolerance", -0.25)
+    return request
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("objective",), ("header",), ("tolerance",), ("objective", "tolerance")],
+    ids="+".join,
+)
+def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
+    """A request the router cannot serve raises, from drain(), what the
+    legacy loop's first failing arrival raises — under the columnar
+    engine before any node, cursor or simulator state is written."""
+    raised = {}
+    for engine in ("legacy", "columnar"):
+        cluster = build_replay_cluster(
+            toy, {"fast": 2, "slow": 2}, selection_policy=RoundRobinPolicy()
+        )
+        sim = ServingSimulator(
+            cluster, router=_response_time_only_router(), engine=engine
+        )
+        payloads = toy.request_ids
+        for i in range(6):
+            sim.submit(
+                ServiceRequest(f"ok_{i}", payloads[i], tolerance=0.05),
+                at_time=0.1 * i,
+            )
+        # Submitted in this order, arriving in the reverse one: the
+        # *arrival* order decides which failure the oracle meets first.
+        for k, kind in enumerate(bad):
+            sim.submit(
+                _unroutable(kind, f"bad_{k}", payloads[10 + k]),
+                at_time=0.35 - 0.1 * k,
+            )
+        with pytest.raises((KeyError, ValueError)) as excinfo:
+            sim.drain()
+        raised[engine] = type(excinfo.value)
+        if engine == "columnar":
+            assert sim.engine_used is None and not sim._drained
+            assert sim._remaining == 6 + len(bad)
+            assert cluster.load_balancer._policy._cursor == {}
+            for version in cluster.versions:
+                for node in cluster.load_balancer.nodes_of(version):
+                    assert node.busy_seconds == 0.0
+                    assert node.requests_served == 0
+                    assert node.busy_until == 0.0
+                    assert node.queue_depth == 0
+    assert raised["columnar"] is raised["legacy"]
+    assert raised["legacy"] is (
+        KeyError if bad == ("objective",) else ValueError
     )
 
 

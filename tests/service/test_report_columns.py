@@ -9,6 +9,7 @@ explicitly, so it shadows the suite-wide ``sim_engine`` matrix fixture.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ _NAMES = st.text(
 )
 #: (fast, accurate): no accurate leg, accurate sorting after / before
 #: the fast name, names carrying template metacharacters, random pairs.
-_VERSIONS = st.one_of(
+_PAIRS = st.one_of(
     st.sampled_from(
         [
             ("fast", None),
@@ -72,7 +73,25 @@ _VERSIONS = st.one_of(
             ("{9:.12e}", "%s"),
         ]
     ),
-    st.tuples(_NAMES, _NAMES).filter(lambda pair: pair[0] != pair[1]),
+    st.tuples(_NAMES, st.one_of(st.none(), _NAMES)).filter(
+        lambda pair: pair[0] != pair[1]
+    ),
+)
+#: What a tier router leaves behind: an ensemble, a single-version row
+#: whose only version is that ensemble's accurate one, a pair whose
+#: accurate name sorts first, ``%`` in names.
+_ROUTED_TABLE = [
+    ("fast", "slow"),
+    ("slow", None),
+    ("zeta", "alpha"),
+    ("50%", "slow"),
+]
+#: The run's pair table: the engine's fixed-configuration shape (one
+#: pair), the routed table, or anything in between.
+_TABLES = st.one_of(
+    st.lists(_PAIRS, min_size=1, max_size=1),
+    st.just(_ROUTED_TABLE),
+    st.lists(_PAIRS, min_size=3, max_size=6),
 )
 _ROW = st.tuples(
     st.text(max_size=8),  # request_id
@@ -92,17 +111,18 @@ _ROW = st.tuples(
     st.booleans(),  # shed
     st.booleans(),  # degraded
     st.booleans(),  # retry_denied
+    st.integers(min_value=0, max_value=59),  # pair (folded onto the table)
 )
 
 
 @st.composite
 def record_columns(draw):
-    fast, accurate = draw(_VERSIONS)
+    pairs = draw(_TABLES)
     rows = draw(st.lists(_ROW, min_size=1, max_size=12))
     (
         ids, payloads, tier, arrival, finished, response, wait, escalated,
         cost, fast_s, accurate_s, confidence, failed, retries, shed,
-        degraded, denied,
+        degraded, denied, pair,
     ) = zip(*rows)
     # Flags set on no row at all is the columnar engine's own shape.
     flagged = draw(st.booleans())
@@ -120,8 +140,8 @@ def record_columns(draw):
         queue_wait_s=np.array(wait, dtype=float),
         escalated=np.array(escalated, dtype=bool),
         invocation_cost=np.array(cost, dtype=float),
-        fast_version=fast,
-        accurate_version=accurate,
+        pairs=pairs,
+        pair_code=np.array(pair, dtype=np.intp) % len(pairs),
         node_seconds_fast=np.array(fast_s, dtype=float),
         node_seconds_accurate=np.array(accurate_s, dtype=float),
         confidence=np.array(confidence, dtype=float),
@@ -147,11 +167,14 @@ def _assert_column_report_matches_record_report(columns: RecordColumns):
         final_pool_sizes=pools,
     )
     assert record_report.columns is None
-    assert column_report.digest() == record_report.digest()
+    with mock.patch.object(RecordColumns, "record") as record_built:
+        assert column_report.digest() == record_report.digest()
+        with np.errstate(all="ignore"):
+            column_summary = column_report.summary()
+            column_seconds = column_report.total_node_seconds
+        assert record_built.call_count == 0
     with np.errstate(all="ignore"):
-        column_summary = column_report.summary()
         record_summary = record_report.summary()
-        column_seconds = column_report.total_node_seconds
         record_seconds = record_report.total_node_seconds
     assert list(column_summary) == list(record_summary)
     for key, value in column_summary.items():
@@ -183,8 +206,8 @@ def test_renderer_spans_chunk_boundaries(monkeypatch):
         queue_wait_s=np.zeros(n),
         escalated=ramp % 2 == 0,
         invocation_cost=ramp * 1e-6,
-        fast_version="fast",
-        accurate_version="slow",
+        pairs=_ROUTED_TABLE,
+        pair_code=np.arange(n) % len(_ROUTED_TABLE),
         node_seconds_fast=np.full(n, 0.1),
         node_seconds_accurate=np.where(ramp % 2 == 0, 0.4, -1.0),
         confidence=np.full(n, 0.9),
@@ -314,13 +337,21 @@ def test_both_constructions_share_every_field_default(toy):
     np.testing.assert_array_equal(rebuilt._latencies, listed._latencies)
 
 
-def test_records_and_columns_together_are_rejected(toy):
+def test_explicit_records_replace_the_columns(toy):
+    """``dataclasses.replace(report, records=...)`` on a column-built
+    report means "these records instead": the columns it copied along no
+    longer describe them, so the result is list-backed."""
     report = _columnar_run_load(toy, n=20)
-    with pytest.raises(ValueError, match="not both"):
-        LoadTestReport(records=list(report.records), columns=report.columns)
+    kept = list(report.records)[1:]
+    trimmed = dataclasses.replace(report, records=kept)
+    assert trimmed.columns is None
+    assert trimmed.n_requests == 19
+    assert trimmed.digest() == LoadTestReport(
+        records=kept, final_pool_sizes=report.final_pool_sizes
+    ).digest()
     with pytest.raises(ValueError, match="at least one record"):
         LoadTestReport(records=[])
-    # dataclasses.replace passes the lazy view back alongside its columns.
+    # Untouched, replace passes the lazy view back alongside its columns.
     copy = dataclasses.replace(report, offered_rate=2.0)
     assert copy.columns is report.columns
     assert copy.digest() == report.digest()
