@@ -3,7 +3,7 @@
 Everything else in :mod:`repro.service` serves requests; this package
 watches the serving and steers it.  Four cooperating parts:
 
-* :mod:`repro.service.control.telemetry` — a streaming, ring-buffered
+* :mod:`repro.service.control.telemetry` — a streaming, incremental
   sliding window over per-request records (windowed p50/p95/p99 with a
   small-N confidence guard, goodput, availability, node-seconds burn,
   per-tier breakdowns), fed through a plain event-hook interface by

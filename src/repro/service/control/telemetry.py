@@ -4,21 +4,29 @@ Everything the control plane decides — SLO states, admission pressure,
 when the policy adaptor may re-fit — is decided from a *trailing window*
 of per-request records, not from whole-run aggregates: a breach that
 started five virtual seconds ago must dominate a healthy first hour.
-:class:`TelemetryHub` is that window.
+:class:`TelemetryHub` is that window, and it is incremental: a control
+tick costs what it decides, not a walk over every windowed record.
 
-Producers publish :class:`~repro.service.simulation.report.RequestRecord`
-values through a plain event-hook interface — the hub's :meth:`publish`
-is just a ``callable(record, now)``, so the discrete-event engine (via
-its ``record_hooks``) and the synchronous gateway backends both feed it
-without importing anything from this package.  Internally the hub keeps a
-ring buffer (a bounded deque ordered by publish time) plus a parallel
-dense ``float64`` latency window (:class:`_FloatWindow`): answered
-responses land in a growing array whose live region advances in lockstep
-with ring eviction, so :meth:`snapshot` ranks windowed percentiles over a
-zero-copy array slice instead of rebuilding a Python list per snapshot.
-:meth:`snapshot` evicts entries older than the window and folds the
-survivors into a :class:`WindowSnapshot` — windowed p50/p95/p99, goodput,
-availability, node-seconds burn, and per-tier breakdowns.
+Producers publish through a plain event-hook interface —
+:meth:`TelemetryHub.publish` is just a ``callable(record, now)``, so the
+engine's ``record_hooks`` and the synchronous gateway backends feed it
+without importing this package; :meth:`TelemetryHub.publish_columns` is
+the many-row form over a columnar report's arrays.  Either way every
+field is read **once, at publish**, into parallel columns (time, tier,
+outcome code, latency and cost in a dense :class:`_FloatWindow`; payload
+and billed ``node_seconds`` items beside it) and the record is not kept.
+
+:meth:`TelemetryHub.snapshot` then *counts* or *recomputes*.  Counts are
+exact integers: a per-tier tally that publish adds to and both eviction
+sites (window horizon, ``max_records`` valve) subtract from — O(tiers).
+Float aggregates (cost means, per-version node-seconds, percentiles)
+reach SLO pressures and control-log text, so they are recomputed per
+snapshot from the live columns, summed strictly left to right: running
+float subtraction, ``ndarray.sum`` (pairwise) and builtin ``sum``
+(compensated from Python 3.12) all round differently from the per-record
+``+=`` walk this replaced, which ``tests/oracle/telemetry_reference.py``
+keeps as the oracle.  Percentiles sort each live latency slice once
+(:func:`repro.stats.descriptive.percentiles`).
 
 Windowed percentiles carry a small-N guard: a p95 ranked over a handful
 of samples is an artefact of quantile math, not a tail (with 4 samples
@@ -33,12 +41,16 @@ not treat a flagged value as breach evidence.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.stats.descriptive import percentiles
 
 __all__ = [
     "MIN_PERCENTILE_SAMPLES",
@@ -79,6 +91,18 @@ class PercentileEstimate:
         return not self.low_confidence
 
 
+def _estimates(
+    values: np.ndarray, qs: Sequence[float], min_samples: int
+) -> List[PercentileEstimate]:
+    """Guarded estimates of several percentiles of one sample, sorted once."""
+    n = len(values)
+    low_confidence = n < max(min_samples, 1)
+    return [
+        PercentileEstimate(q, value, n, low_confidence)
+        for q, value in zip(qs, percentiles(values, qs))
+    ]
+
+
 def guarded_percentile(
     values: Sequence[float],
     q: float,
@@ -95,18 +119,7 @@ def guarded_percentile(
     Raises:
         ValueError: If ``q`` is outside ``[0, 100]``.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    arr = np.asarray(values, dtype=float)
-    n = int(arr.size)
-    if n == 0:
-        return PercentileEstimate(q=q, value=float("nan"), n=0, low_confidence=True)
-    return PercentileEstimate(
-        q=q,
-        value=float(np.percentile(arr, q)),
-        n=n,
-        low_confidence=n < min_samples,
-    )
+    return _estimates(np.asarray(values, dtype=float), (q,), min_samples)[0]
 
 
 @dataclass(frozen=True)
@@ -206,61 +219,73 @@ class WindowSnapshot:
 
 
 class _FloatWindow:
-    """A dense sliding window of ``float64`` samples.
+    """A dense sliding window of parallel ``float64`` columns.
 
     Append-only at the tail, evict-only at the head — exactly the access
-    pattern of a trailing telemetry window.  Samples live in one numpy
-    buffer; :meth:`view` exposes the live region as a zero-copy slice, so
-    percentile ranking never materializes a Python list.  The buffer
-    grows geometrically; when it fills and more than half is dead space
-    (evicted head), the live region is compacted in place instead.
+    pattern of a trailing telemetry window.  The columns are the rows of
+    one numpy buffer, so each stays contiguous, and :meth:`view` exposes
+    their shared live region as a zero-copy slice.  When the buffer fills
+    and more than half is dead space (evicted head) the live region is
+    compacted in place; otherwise it moves to a buffer twice what it needs.
     """
 
     __slots__ = ("_buf", "_start", "_end")
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self._buf = np.empty(capacity, dtype=np.float64)
-        self._start = 0
-        self._end = 0
+    def __init__(self, fields: int = 1, capacity: int = 1024) -> None:
+        self._buf = np.empty((fields, capacity))
+        self._start = self._end = 0
 
     def __len__(self) -> int:
         return self._end - self._start
 
-    def append(self, value: float) -> None:
-        """Push one sample at the tail."""
+    def append(self, values) -> None:
+        """Push rows at the tail: ``values`` holds one sequence per column."""
         buf = self._buf
-        if self._end == buf.shape[0]:
-            live = self._end - self._start
-            if self._start > live:
-                # More than half the buffer is evicted head: reclaim it.
-                buf[:live] = buf[self._start : self._end]
-            else:
-                grown = np.empty(max(2 * buf.shape[0], 16), dtype=np.float64)
-                grown[:live] = buf[self._start : self._end]
-                self._buf = buf = grown
-            self._start, self._end = 0, live
-        buf[self._end] = value
-        self._end += 1
+        values = np.asarray(values, dtype=float).reshape(len(buf), -1)
+        start, end, m = self._start, self._end, values.shape[1]
+        if end + m > buf.shape[1]:
+            live = end - start
+            if not (start > live and live + m <= buf.shape[1]):
+                self._buf = np.empty((len(buf), max(2 * (live + m), 16)))
+            self._buf[:, :live] = buf[:, start:end]
+            self._start, end, buf = 0, live, self._buf
+        buf[:, end : end + m] = values
+        self._end = end + m
 
-    def pop_oldest(self) -> None:
-        """Evict the head sample (O(1): the live region just advances)."""
-        self._start += 1
+    def pop_oldest(self, k: int = 1) -> None:
+        """Evict the ``k`` head rows (O(1): the live region just advances)."""
+        self._start += k
 
     def view(self) -> np.ndarray:
-        """The live window as a zero-copy ``float64`` slice."""
-        return self._buf[self._start : self._end]
+        """The live rows, one array row per column, as a zero-copy slice."""
+        return self._buf[:, self._start : self._end]
+
+
+#: Row outcome codes; a per-tier tally is indexed by them.
+_ANSWERED, _DEGRADED, _FAILED, _SHED = range(4)
+#: What publish reads per row, beside time, payload and ``node_seconds``.
+_ROW_FIELDS = operator.attrgetter(
+    "tier", "shed", "failed", "degraded", "response_time_s", "invocation_cost"
+)
+
+
+def _ordered_mean(values: np.ndarray) -> float:
+    """Mean whose sum is taken strictly left to right, rounding as a
+    ``+=`` loop does (``nan`` over no values)."""
+    n = len(values)
+    return float(values.cumsum()[-1]) / n if n else float("nan")
 
 
 class TelemetryHub:
-    """Ring-buffer sliding window over the per-request record stream.
+    """Incremental sliding window over the per-request record stream.
 
     Args:
         window_s: Trailing window length on the publisher's clock.
         min_percentile_samples: Small-N guard threshold for windowed
             percentiles.
-        max_records: Hard bound on buffered records (the ring); the
-            oldest entries are dropped first.  Sized so any sane window
-            fits; this is a memory valve, not a semantic knob.
+        max_records: Hard bound on buffered rows; the oldest are dropped
+            first.  Sized so any sane window fits; this is a memory
+            valve, not a semantic knob.
     """
 
     def __init__(
@@ -276,13 +301,16 @@ class TelemetryHub:
             raise ValueError("min_percentile_samples must be at least 1")
         self.window_s = float(window_s)
         self.min_percentile_samples = int(min_percentile_samples)
-        #: Ring entries are ``(publish_time, record, answered)``; the
-        #: third field marks records that contributed a sample to the
-        #: parallel latency window, so eviction keeps the two in step.
-        self._ring: Deque[Tuple[float, object, bool]] = deque(
-            maxlen=max_records
-        )
-        self._latencies = _FloatWindow()
+        self._max_records = max_records
+        #: Per live row: publish time, tier, outcome code, latency, cost —
+        self._rows = _FloatWindow(5)
+        #: — its payload, and its billed ``node_seconds`` items (in the
+        #: record's own key order; none unless the row was answered).
+        self._payloads: Deque[object] = deque()
+        self._billed: Deque[Tuple[Tuple[str, float], ...]] = deque()
+        #: tier -> live rows ``[answered, degraded, failed, shed]``; a
+        #: tier leaves with its last row.
+        self._counts: Dict[float, List[int]] = {}
         self._hooks: List[Callable[[object, float], None]] = []
         self._published = 0
         self._last_time = 0.0
@@ -308,25 +336,60 @@ class TelemetryHub:
             now: Publish time; defaults to the record's ``finished_s``.
         """
         t = float(record.finished_s if now is None else now)
-        if t < self._last_time - 1e-12:
-            raise ValueError(
-                f"telemetry published out of order: {t:.6f} after "
-                f"{self._last_time:.6f}"
-            )
-        self._last_time = max(self._last_time, t)
-        answered = not getattr(record, "shed", False) and not record.failed
-        ring = self._ring
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
-            # The memory valve drops the oldest entry; do it explicitly
-            # so the latency window advances with it.
-            if ring.popleft()[2]:
-                self._latencies.pop_oldest()
-        ring.append((t, record, answered))
-        if answered:
-            self._latencies.append(record.response_time_s)
-        self._published += 1
+        self._append([(t, *_ROW_FIELDS(record), record.payload, record.node_seconds)])
         for hook in self._hooks:
             hook(record, t)
+
+    def publish_columns(self, columns, rows: slice, times: np.ndarray) -> None:
+        """Fold a slice of report columns into the window: the many-row
+        :meth:`publish`, with no record built unless a hook subscribed.
+
+        Args:
+            columns: A :class:`~repro.service.simulation.report.RecordColumns`
+                (it names its arrays as a record names its fields).
+            rows: The rows to publish, in completion order.
+            times: Their publish times (non-decreasing).
+        """
+        times = times.tolist()
+        self._append(
+            zip(
+                times,
+                *(column[rows].tolist() for column in _ROW_FIELDS(columns)),
+                columns.payloads[rows],
+                columns.row_node_seconds(rows),
+            )
+        )
+        for hook in self._hooks:
+            for index, t in zip(range(*rows.indices(len(columns))), times):
+                hook(columns.record(index), t)
+
+    def _append(self, rows) -> None:
+        """The one append: the rows' columns and the tallies (an
+        out-of-order row rejects the whole call before any of them)."""
+        fields, payloads, legs, last = [], [], [], self._last_time
+        for t, tier, shed, failed, degraded, latency, cost, payload, billed in rows:
+            if t < last - 1e-12:
+                raise ValueError(
+                    f"telemetry published out of order: {t:.6f} after {last:.6f}"
+                )
+            last = max(last, t)
+            code = (
+                _SHED if shed else _FAILED if failed
+                else _DEGRADED if degraded else _ANSWERED
+            )
+            fields.append((t, float(tier), code, latency, cost))
+            payloads.append(payload)
+            legs.append(tuple(billed.items()) if code <= _DEGRADED else ())
+        self._last_time = last
+        for _, tier, code, _, _ in fields:
+            self._counts.setdefault(tier, [0, 0, 0, 0])[code] += 1
+        self._rows.append(list(zip(*fields)))
+        self._payloads.extend(payloads)
+        self._billed.extend(legs)
+        self._published += len(fields)
+        if self._max_records is not None:
+            # The memory valve drops the oldest rows.
+            self._drop(len(self._rows) - self._max_records)
 
     @property
     def total_published(self) -> int:
@@ -334,115 +397,85 @@ class TelemetryHub:
         return self._published
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._rows)
 
     # ------------------------------------------------------------------
     # windowed aggregation
     # ------------------------------------------------------------------
-    def _evict(self, now: float) -> None:
-        horizon = now - self.window_s
-        ring = self._ring
-        latencies = self._latencies
-        while ring and ring[0][0] < horizon:
-            if ring.popleft()[2]:
-                latencies.pop_oldest()
+    def _drop(self, k: int) -> None:
+        """Evict the ``k`` oldest rows and take them out of the tallies."""
+        if k <= 0:
+            return
+        counts = self._counts
+        _, tiers, codes, _, _ = self._rows.view()[:, :k].tolist()
+        for tier, code in zip(tiers, codes):
+            counts[tier][int(code)] -= 1
+            if not any(counts[tier]):
+                del counts[tier]
+            self._payloads.popleft()
+            self._billed.popleft()
+        self._rows.pop_oldest(k)
 
     def snapshot(self, now: float) -> WindowSnapshot:
         """Aggregate the trailing window as of ``now``.
 
-        Eviction is destructive (records older than one window are
-        gone), so snapshots must be taken with non-decreasing ``now`` —
-        which both producers guarantee.
+        Eviction is destructive (rows older than one window are gone),
+        so snapshots must be taken with non-decreasing ``now`` — which
+        both producers guarantee.
         """
-        self._evict(now)
-        records = [entry[1] for entry in self._ring]
-        # Whole-stream percentiles rank over the parallel latency window:
-        # a zero-copy float64 slice, kept in lockstep with the ring, in
-        # the same publish order the old per-snapshot list had.
-        latencies = self._latencies.view()
+        times, horizon, k = self._rows.view()[0], now - self.window_s, 0
+        while k < len(times) and times[k] < horizon:
+            k += 1  # head rows only: stop at the first one still inside
+        self._drop(k)
+        _, tier_of, code, latency, cost = self._rows.view()
         span = self.window_s if now >= self.window_s else max(now, 1e-9)
+        counts, min_samples = self._counts, self.min_percentile_samples
+        totals = [sum(column) for column in zip(*counts.values())] or [0, 0, 0, 0]
+        n, n_answered = sum(totals), totals[_ANSWERED] + totals[_DEGRADED]
+        answered = code <= _DEGRADED
+        tier_ok, latency_ok = tier_of[answered], latency[answered]
+        cost_ok = cost[answered]
 
-        node_seconds: Dict[str, float] = {}
-        n_failed = n_shed = n_degraded = 0
-        cost_sum = 0.0
-        by_tier: Dict[float, List[object]] = {}
-        for r in records:
-            by_tier.setdefault(float(r.tier), []).append(r)
-            if getattr(r, "shed", False):
-                n_shed += 1
-                continue
-            if r.failed:
-                n_failed += 1
-                continue
-            if getattr(r, "degraded", False):
-                n_degraded += 1
-            cost_sum += r.invocation_cost
-            for version, seconds in r.node_seconds.items():
-                node_seconds[version] = node_seconds.get(version, 0.0) + seconds
-
-        n = len(records)
-        n_answered = n - n_failed - n_shed
-        min_samples = self.min_percentile_samples
+        # Keys appear in the order a walk over the live rows would first
+        # meet them: tiers by their first live row, versions by first leg.
         tiers: Dict[float, TierWindow] = {}
-        for tier, tier_records in by_tier.items():
-            t_shed = sum(1 for r in tier_records if getattr(r, "shed", False))
-            t_failed = sum(
-                1
-                for r in tier_records
-                if r.failed and not getattr(r, "shed", False)
-            )
-            t_degraded = sum(
-                1
-                for r in tier_records
-                if getattr(r, "degraded", False)
-                and not r.failed
-                and not getattr(r, "shed", False)
-            )
-            answered = [
-                r
-                for r in tier_records
-                if not r.failed and not getattr(r, "shed", False)
-            ]
+        for tier in sorted(counts, key=lambda tier: (tier_of == tier).argmax()):
+            tally, served = counts[tier], tier_ok == tier
             tiers[tier] = TierWindow(
                 tier=tier,
-                n=len(tier_records),
-                n_failed=t_failed,
-                n_shed=t_shed,
-                n_degraded=t_degraded,
-                p95_latency=guarded_percentile(
-                    [r.response_time_s for r in answered],
-                    95.0,
-                    min_samples=min_samples,
-                ),
-                mean_cost=(
-                    sum(r.invocation_cost for r in answered) / len(answered)
-                    if answered
-                    else float("nan")
-                ),
+                n=sum(tally),
+                n_failed=tally[_FAILED],
+                n_shed=tally[_SHED],
+                n_degraded=tally[_DEGRADED],
+                p95_latency=_estimates(latency_ok[served], (95.0,), min_samples)[0],
+                mean_cost=_ordered_mean(cost_ok[served]),
             )
+        node_seconds: Dict[str, float] = {}
+        for version, seconds in chain.from_iterable(self._billed):
+            node_seconds[version] = node_seconds.get(version, 0.0) + seconds
+        burn = 0.0
+        for seconds in node_seconds.values():
+            burn += seconds
+        p50, p95, p99 = _estimates(latency_ok, (50.0, 95.0, 99.0), min_samples)
 
         return WindowSnapshot(
             now=now,
             window_s=self.window_s,
             span_s=span,
             n=n,
-            n_failed=n_failed,
-            n_shed=n_shed,
-            n_degraded=n_degraded,
-            p50_latency=guarded_percentile(latencies, 50.0, min_samples=min_samples),
-            p95_latency=guarded_percentile(latencies, 95.0, min_samples=min_samples),
-            p99_latency=guarded_percentile(latencies, 99.0, min_samples=min_samples),
+            n_failed=totals[_FAILED],
+            n_shed=totals[_SHED],
+            n_degraded=totals[_DEGRADED],
+            p50_latency=p50,
+            p95_latency=p95,
+            p99_latency=p99,
             goodput_rps=n_answered / span,
             availability=(n_answered / n) if n else float("nan"),
             node_seconds=node_seconds,
-            node_seconds_per_s=sum(node_seconds.values()) / span,
-            mean_cost=(cost_sum / n_answered) if n_answered else float("nan"),
+            node_seconds_per_s=burn / span,
+            mean_cost=_ordered_mean(cost_ok),
             tiers=tiers,
-            payloads=tuple(
-                r.payload
-                for r in records
-                if not r.failed and not getattr(r, "shed", False)
-            ),
+            payloads=tuple(compress(self._payloads, answered.tolist())),
         )
 
 

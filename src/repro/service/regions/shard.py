@@ -222,8 +222,8 @@ def run_shard(task: ShardTask) -> ShardResult:
     }
     n_incoming = sum(1 for s in task.submissions if s.origin != task.region.name)
 
-    # The tally reads the report's arrays, so a columnar shard builds no
-    # RequestRecord; only a region with SLOs replays the record stream.
+    # The tally and the SLO replay read the report's arrays, so a
+    # columnar shard builds no RequestRecord.
     numeric = report.numeric
     shed = numeric.shed
     failed = numeric.failed & ~shed
@@ -239,10 +239,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     )
     user_latencies = (numeric.response_time_s + round_trip)[answered]
     slo_log = _RegionSLOReplay(task.region)
-    if task.region.slos:
-        for record in report.records:
-            slo_log.publish(record)
-    slo_log.finish(last_finished)
+    slo_log.replay(report)
 
     return ShardResult(
         region=task.region.name,
@@ -298,25 +295,35 @@ class _RegionSLOReplay:
         self._hub = TelemetryHub(region.slo_window_s)
         self._monitors = [SLOMonitor(slo) for slo in region.slos]
         self._next_tick = region.slo_tick_s
-        self._clock = 0.0
         self.entries: List[ControlLogEntry] = []
 
-    def publish(self, record) -> None:
+    def replay(self, report: LoadTestReport) -> None:
+        """Publish the report in completion order, evaluating every tick
+        that falls due before a row lands and once more after the last."""
         if not self._monitors:
             return
         # finalization can stamp a finish fractionally before the event
         # that delivered it; the hub needs a non-decreasing clock.
-        self._clock = max(self._clock, record.finished_s)
-        while self._next_tick <= self._clock:
-            self._evaluate(self._next_tick)
-            self._next_tick += self._tick_s
-        self._hub.publish(record, now=self._clock)
-
-    def finish(self, last_finished_s: float) -> None:
-        """One final evaluation after the last record lands."""
-        if not self._monitors or self._hub.total_published == 0:
-            return
-        self._evaluate(max(self._next_tick, last_finished_s))
+        clocks = np.maximum.accumulate(
+            np.maximum(report.numeric.finished_s, 0.0)
+        )
+        columns = report.columns
+        cursor = 0
+        while cursor < len(clocks):
+            while self._next_tick <= clocks[cursor]:
+                self._evaluate(self._next_tick)
+                self._next_tick += self._tick_s
+            # Everything that lands before the next tick goes in together.
+            stop = int(np.searchsorted(clocks, self._next_tick))
+            if columns is not None:
+                self._hub.publish_columns(
+                    columns, slice(cursor, stop), clocks[cursor:stop]
+                )
+            else:  # a list-backed (scalar-loop) report has only records
+                for i in range(cursor, stop):
+                    self._hub.publish(report.records[i], now=clocks[i])
+            cursor = stop
+        self._evaluate(max(self._next_tick, float(clocks[-1])))
 
     def _evaluate(self, now: float) -> None:
         snapshot = self._hub.snapshot(now)

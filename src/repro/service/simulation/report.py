@@ -806,21 +806,33 @@ class RecordColumns:
                     billed[version][mask] = seconds[mask]
         return billed
 
+    def _row_node_seconds(self, code, fast_s, accurate_s) -> Dict[str, float]:
+        """One row's ``node_seconds``: the fast leg, then the accurate
+        leg when the row's pair has one and it billed (its seconds are
+        not the ``-1.0`` sentinel)."""
+        fast_version, accurate_version = self.pairs[code]
+        if accurate_version is not None and accurate_s >= 0.0:
+            return {fast_version: fast_s, accurate_version: accurate_s}
+        return {fast_version: fast_s}
+
+    def row_node_seconds(self, rows: slice) -> List[Dict[str, float]]:
+        """Each row's ``node_seconds`` as :meth:`record` gives it, without
+        building the records."""
+        columns = (self.pair_code, self.node_seconds_fast, self.node_seconds_accurate)
+        return [
+            self._row_node_seconds(*row)
+            for row in zip(*(column[rows].tolist() for column in columns))
+        ]
+
     def record(self, index: int) -> RequestRecord:
         """Materialize one row as the :class:`RequestRecord` the legacy
         engine would have emitted (all floats converted back to Python
         floats, so formatting and hashing behave identically)."""
-        fast_version, accurate_version = self.pairs[self.pair_code[index]]
-        accurate = float(self.node_seconds_accurate[index])
-        if accurate_version is not None and accurate >= 0.0:
-            versions_used: Tuple[str, ...] = (fast_version, accurate_version)
-            node_seconds = {
-                fast_version: float(self.node_seconds_fast[index]),
-                accurate_version: accurate,
-            }
-        else:
-            versions_used = (fast_version,)
-            node_seconds = {fast_version: float(self.node_seconds_fast[index])}
+        node_seconds = self._row_node_seconds(
+            self.pair_code[index],
+            float(self.node_seconds_fast[index]),
+            float(self.node_seconds_accurate[index]),
+        )
         return RequestRecord(
             request_id=self.request_ids[index],
             payload=self.payloads[index],
@@ -829,7 +841,7 @@ class RecordColumns:
             finished_s=float(self.finished_s[index]),
             response_time_s=float(self.response_time_s[index]),
             queue_wait_s=float(self.queue_wait_s[index]),
-            versions_used=versions_used,
+            versions_used=tuple(node_seconds),
             escalated=bool(self.escalated[index]),
             invocation_cost=float(self.invocation_cost[index]),
             node_seconds=node_seconds,

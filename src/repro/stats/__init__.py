@@ -27,6 +27,7 @@ from repro.stats.descriptive import (
     Summary,
     geometric_mean,
     percentile,
+    percentiles,
     summarize,
 )
 from repro.stats.resampling import (
@@ -48,6 +49,7 @@ __all__ = [
     "kfold_indices",
     "normal_quantile",
     "percentile",
+    "percentiles",
     "shift_zscore",
     "spread_is_confident",
     "subsample_indices",

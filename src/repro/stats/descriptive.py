@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "Summary",
     "geometric_mean",
     "percentile",
+    "percentiles",
     "summarize",
 ]
 
@@ -75,16 +76,58 @@ def summarize(values: Iterable[float]) -> Summary:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarise an empty sample")
+    p50, p90, p99 = percentiles(arr, (50.0, 90.0, 99.0))
     return Summary(
         count=int(arr.size),
         mean=float(arr.mean()),
         std=float(arr.std()),
         minimum=float(arr.min()),
-        p50=float(np.percentile(arr, 50)),
-        p90=float(np.percentile(arr, 90)),
-        p99=float(np.percentile(arr, 99)),
+        p50=p50,
+        p90=p90,
+        p99=p99,
         maximum=float(arr.max()),
     )
+
+
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """Rank several percentiles of one sample with a single sort.
+
+    NumPy's default ``linear`` rule (Hyndman & Fan type 7) spelled out in
+    Python floats — same virtual index, same two-sided interpolation, so
+    the bits equal ``np.percentile(values, q)`` without depending on how
+    NumPy implements it.  An empty sample, or one holding a ``nan``,
+    ranks to ``nan``.
+
+    Args:
+        values: The sample (any order, may be empty).
+        qs: Percentiles, each in ``[0, 100]``.
+
+    Raises:
+        ValueError: If any ``q`` is out of range.
+    """
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
+    ranked = np.array(values, dtype=float)
+    ranked.sort()
+    ranked = ranked.tolist()
+    n = len(ranked)
+    if n == 0 or ranked[-1] != ranked[-1]:  # a nan sorts last
+        return [float("nan")] * len(qs)
+    results = []
+    for q in qs:
+        virtual = (n - 1) * (q / 100.0)
+        # At the top of the sample both neighbours are the last element
+        # (index -1, which also enters the weight), as in NumPy.
+        lower = -1 if virtual >= n - 1 else int(virtual)
+        a = ranked[lower]
+        b = ranked[lower + 1] if lower >= 0 else a
+        gamma = virtual - lower
+        spread = b - a
+        results.append(
+            b - spread * (1.0 - gamma) if gamma >= 0.5 else a + spread * gamma
+        )
+    return results
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -97,12 +140,10 @@ def percentile(values: Sequence[float], q: float) -> float:
     Raises:
         ValueError: If ``values`` is empty or ``q`` is out of range.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    (value,) = percentiles(values, (q,))
+    if len(values) == 0:
         raise ValueError("cannot take a percentile of an empty sample")
-    return float(np.percentile(arr, q))
+    return value
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -1,13 +1,12 @@
-"""Zero-copy telemetry windows: the dense latency buffer and its edges.
+"""Zero-copy telemetry windows: the dense column buffer and its edges.
 
-PR 6 moved windowed percentile ranking from per-snapshot Python lists
-(rebuilt by scanning the record deque) onto a dense ``float64`` sliding
-window (``telemetry._FloatWindow``) that advances in lockstep with ring
-eviction and is ranked as a zero-copy array slice.  These tests pin the
-buffer mechanics (growth, in-place compaction, eviction) and the
-boundary windows the refactor must not change: empty windows, one-element
-windows, and all-shed windows where every percentile ranks over an empty
-slice.
+The hub keeps its numeric window in ``telemetry._FloatWindow``: parallel
+``float64`` columns (the rows of one buffer) sharing a live region that
+advances on eviction, each read as a zero-copy array slice.  These tests
+pin the buffer mechanics (growth, in-place compaction, eviction, many-row
+appends) and the boundary windows that must not change: empty windows,
+one-element windows, and all-shed windows where every percentile ranks
+over an empty slice.
 """
 
 import math
@@ -28,9 +27,9 @@ class TestFloatWindow:
         window = _FloatWindow(capacity=4)
         for value in (1.0, 2.0, 3.0):
             window.append(value)
-        assert list(window.view()) == [1.0, 2.0, 3.0]
+        assert list(window.view()[0]) == [1.0, 2.0, 3.0]
         window.pop_oldest()
-        assert list(window.view()) == [2.0, 3.0]
+        assert list(window.view()[0]) == [2.0, 3.0]
         assert len(window) == 2
 
     def test_view_is_zero_copy(self):
@@ -45,7 +44,7 @@ class TestFloatWindow:
         for value in range(100):
             window.append(float(value))
         assert len(window) == 100
-        assert list(window.view()) == [float(v) for v in range(100)]
+        assert list(window.view()[0]) == [float(v) for v in range(100)]
 
     def test_compaction_reclaims_evicted_head(self):
         window = _FloatWindow(capacity=8)
@@ -54,22 +53,33 @@ class TestFloatWindow:
         for _ in range(6):  # leave 2 live, 6 dead
             window.pop_oldest()
         window.append(8.0)  # full buffer, >half dead: compacts in place
-        assert window._buf.shape[0] == 8  # no growth happened
-        assert list(window.view()) == [6.0, 7.0, 8.0]
+        assert window._buf.shape == (1, 8)  # no growth happened
+        assert list(window.view()[0]) == [6.0, 7.0, 8.0]
+
+    def test_many_row_append_fills_parallel_columns(self):
+        window = _FloatWindow(2, capacity=2)
+        window.append([[-1.0], [-2.0]])
+        window.pop_oldest()
+        window.append([np.arange(50.0), 2 * np.arange(50.0)])  # past double
+        assert window._buf.shape == (2, 100)
+        assert window.view().tolist() == [
+            [float(v) for v in range(50)],
+            [2.0 * v for v in range(50)],
+        ]
 
     def test_empty_and_single_element_views_rank_correctly(self):
         window = _FloatWindow()
-        empty = guarded_percentile(window.view(), 95.0)
+        empty = guarded_percentile(window.view()[0], 95.0)
         assert math.isnan(empty.value) and empty.n == 0
         assert empty.low_confidence
         window.append(0.25)
-        single = guarded_percentile(window.view(), 95.0)
+        single = guarded_percentile(window.view()[0], 95.0)
         assert single.value == 0.25 and single.n == 1
         assert single.low_confidence
 
 
 class TestHubWindowParity:
-    """The dense window stays in lockstep with the record ring."""
+    """Windowed percentiles rank exactly the surviving answered rows."""
 
     def test_snapshot_matches_list_based_ranking(self):
         hub = TelemetryHub(window_s=5.0)
@@ -108,7 +118,7 @@ class TestHubWindowParity:
         assert snap.n == 8
         assert snap.p95_latency.n == 8
         # the window holds exactly the 8 newest samples
-        assert list(hub._latencies.view()) == [float(i) for i in range(12, 20)]
+        assert list(hub._rows.view()[3]) == [float(i) for i in range(12, 20)]
 
 
 class TestAllShedWindows:

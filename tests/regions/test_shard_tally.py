@@ -1,17 +1,21 @@
-"""run_shard's array tally against the per-record walk it replaced."""
+"""run_shard's array tally and column-slice SLO replay against the
+per-record walks they replaced."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.service.control import TelemetryHub
 from repro.service.regions import (
     RegionRouter,
     build_shard_tasks,
     region_scenarios,
+    run_multi_region,
     run_shard,
 )
 from repro.service.simulation import NodeCrash
+from repro.service.simulation.report import RecordColumns
 
 
 def _specs():
@@ -85,3 +89,44 @@ def test_shard_tally_equals_the_record_walk(name, toy):
             outcomes.add("failover")
     if name == "outage-without-retries":
         assert outcomes == {"failed", "failover"}, "the scenario lost its teeth"
+
+
+def _publish_rows_as_records(hub, columns, rows, times):
+    """The replay the column publish replaced: one record per row."""
+    for i, t in zip(range(*rows.indices(len(columns))), times.tolist()):
+        hub.publish(columns.record(i), now=t)
+
+
+def test_columnar_slo_replay_builds_no_record(toy, monkeypatch):
+    """A columnar shard with region SLOs publishes column slices: no
+    ``RecordColumns.record`` call in ``run_shard``, and the same SLO log
+    and digests as publishing one materialised record per row."""
+    spec = region_scenarios()["partitioned-brownout"]
+
+    def ap_south():
+        tasks = build_shard_tasks(
+            RegionRouter(spec, toy).plan(), toy, engine="columnar"
+        )
+        (task,) = [t for t in tasks if t.region.name == "ap-south"]
+        assert task.region.slos, "the scenario lost its region SLOs"
+        return run_shard(task)
+
+    built = []
+    materialize = RecordColumns.record
+    monkeypatch.setattr(
+        RecordColumns,
+        "record",
+        lambda self, index: built.append(index) or materialize(self, index),
+    )
+    by_slice = ap_south()
+    assert by_slice.engine_used == "columnar" and built == []
+    kinds = {entry.kind for entry in by_slice.slo_log}
+    assert kinds == {"region-slo", "region-decision"}, "the replay lost its teeth"
+    merged = run_multi_region(spec, toy, engine="columnar").digest()
+
+    monkeypatch.setattr(TelemetryHub, "publish_columns", _publish_rows_as_records)
+    by_record = ap_south()
+    assert len(built) == by_record.n_submitted
+    assert by_record.slo_log == by_slice.slo_log
+    assert by_record.digest == by_slice.digest
+    assert run_multi_region(spec, toy, engine="columnar").digest() == merged
