@@ -26,6 +26,7 @@ __all__ = [
     "RequestValidationError",
     "ResultPendingError",
     "TierError",
+    "TraceFileError",
     "UnknownObjectiveError",
     "UnroutableToleranceError",
 ]
@@ -87,6 +88,21 @@ class RequestShedError(RequestFailedError):
     the request was never attempted, so an immediate client-side retry
     against a healthier replica is safe).
     """
+
+
+class TraceFileError(TierError, ValueError):
+    """A trace JSONL file is truncated, corrupted or not a trace export.
+
+    Raised by :meth:`~repro.obs.trace.TraceCollector.load_jsonl`; carries
+    the file as :attr:`path`, the 1-based :attr:`line` the problem was
+    found on and the bare :attr:`reason`.
+    """
+
+    def __init__(self, path, line: int, reason: str) -> None:
+        super().__init__(f"{path}, line {line}: {reason}")
+        self.path = str(path)
+        self.line = line
+        self.reason = reason
 
 
 class ResultPendingError(TierError, RuntimeError):

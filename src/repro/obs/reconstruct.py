@@ -1,33 +1,58 @@
 """Post-hoc span reconstruction from finished reports.
 
 The columnar engine never pays per-event hooks — that is what keeps its
-hot path >10x over the legacy loop.  Instead, when a collector is
-attached and the run drained columnar, the engine hands the finished
-:class:`~repro.service.simulation.report.LoadTestReport` here and the
-span trees are rebuilt *after the fact* from ``RecordColumns``: the
-derived stage boundaries (queue-wait end, fast-leg end) are computed
-vectorized over the whole run, then one coarse trace per request is
-materialized.
+hot path >10x over the legacy loop.  A traced columnar run reaches the
+collector as one :class:`ColumnSegment` — the report's ``RecordColumns``
+— and stays columns until someone asks for a tree:
+
+- ``digest()`` / ``export_jsonl()`` render a segment at column rate, one
+  ``%`` application per request (:meth:`ColumnSegment.render`);
+- ``.traces`` / ``trace_for`` / ``add_trace`` / ``metrics()`` materialize
+  it through :func:`_from_columns` + ``seal``, after which the trees are
+  the only storage (the segment is dropped, nothing is memoized);
+- so does rendering what columns cannot promise byte for byte: failover
+  annotations (per-request strings; shards read ``.traces`` anyway) and
+  non-finite floats (``json`` writes ``NaN`` where ``repr`` writes
+  ``nan``).
+
+The templates are *learned*, not written: a one-row probe of each tree
+shape present, on sentinel values, goes through the object renderers and
+every sentinel found in the text becomes a slot.  The digest-line and
+JSON layouts therefore keep their single definition in
+:mod:`repro.obs.trace`; a second probe checks each template and a
+mismatch (a sentinel inside a version name, say) falls back to trees.
 
 Reconstruction is **coarse** by design: the columns record when a
 request arrived, how long it queued, when it finished, whether it
 escalated and what each leg billed — not per-batch start/finish times.
 The rebuilt tree is therefore ``request → queue-wait → leg(fast) →
 escalate`` with leg ends *estimated* from billed node-seconds (clamped
-to the finish time).  The per-record fallback path produces the exact
-same trees from materialized :class:`RequestRecord` objects, so the
-two paths are interchangeable and testable against each other.
+to the finish time).  The per-record path produces the exact same trees
+from :class:`RequestRecord` objects, so the two are testable against
+each other.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import inspect
+import json
+import re
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.obs.trace import Span, Trace
+from repro.obs.trace import (
+    Span,
+    Trace,
+    _fmt,
+    _spec,
+    span_id_for,
+    trace_id_for,
+    trace_text,
+)
 
 __all__ = [
+    "ColumnSegment",
     "failover_hop",
     "record_skeleton",
     "trace_from_record",
@@ -39,9 +64,9 @@ def _skeleton(
     *,
     payload: object,
     tier: float,
-    arrival: float,
-    finished: float,
-    queue_wait: float,
+    arrival_s: float,
+    finished_s: float,
+    queue_wait_s: float,
     escalated: bool,
     retries: int,
     shed: bool,
@@ -54,8 +79,8 @@ def _skeleton(
     unless the request was shed (it never queued)."""
     root = Span(
         name="request",
-        start_s=arrival,
-        end_s=finished,
+        start_s=arrival_s,
+        end_s=finished_s,
         status="shed" if shed else "failed" if failed else "ok",
         attrs={
             "tier": float(tier),
@@ -74,27 +99,19 @@ def _skeleton(
         return [root]
     return [
         root,
-        Span(name="queue-wait", start_s=arrival, end_s=arrival + queue_wait),
+        Span(name="queue-wait", start_s=arrival_s, end_s=arrival_s + queue_wait_s),
     ]
+
+
+#: The per-request fields :func:`_skeleton` reads, named as on
+#: ``RequestRecord`` (``RecordColumns`` only pluralises ``payloads``).
+_SKELETON_FIELDS = tuple(inspect.signature(_skeleton).parameters)
 
 
 def record_skeleton(record) -> List[Span]:
     """:func:`_skeleton` of one finished :class:`RequestRecord` — the
     base the live recorder hangs its attempt-level spans on."""
-    return _skeleton(
-        payload=record.payload,
-        tier=record.tier,
-        arrival=record.arrival_s,
-        finished=record.finished_s,
-        queue_wait=record.queue_wait_s,
-        escalated=record.escalated,
-        retries=record.retries,
-        shed=record.shed,
-        failed=record.failed,
-        degraded=record.degraded,
-        retry_denied=record.retry_denied,
-        confidence=record.confidence,
-    )
+    return _skeleton(**{name: getattr(record, name) for name in _SKELETON_FIELDS})
 
 
 def failover_hop(
@@ -163,59 +180,199 @@ def _coarse_trace(
     return Trace(request_id=request_id, spans=spans)
 
 
-def _from_columns(columns) -> List[Trace]:
-    arrival = columns.arrival_s
-    finished = columns.finished_s
-    qw_end = arrival + columns.queue_wait_s
-    # Escalated requests: the fast leg ends (at the latest) when its
-    # billed seconds elapse after the queue releases it; never past the
-    # finish time.  Non-escalated requests end with the response.
+def _stage_ends(columns):
+    """Queue-wait end and fast-leg end of every row, vectorized.
+
+    Escalated requests: the fast leg ends (at the latest) when its
+    billed seconds elapse after the queue releases it; never past the
+    finish time.  Non-escalated requests end with the response.
+    """
+    qw_end = columns.arrival_s + columns.queue_wait_s
     fast_end = np.where(
         columns.escalated,
-        np.minimum(qw_end + columns.node_seconds_fast, finished),
-        finished,
+        np.minimum(qw_end + columns.node_seconds_fast, columns.finished_s),
+        columns.finished_s,
     )
-    billed_accurate = columns.billed_accurate
-    # Each row's legs are named by its own pair (routed runs mix pairs).
-    pairs = columns.pairs
-    pair_of = columns.pair_code.tolist()
+    return qw_end, fast_end
+
+
+def _from_columns(columns) -> List[Trace]:
+    # One ``.tolist()`` per column, then rows of Python scalars: reading
+    # ``column[i]`` fourteen times a row costs more than the engine run.
+    legs = (
+        columns.pair_code, columns.node_seconds_fast,
+        columns.node_seconds_accurate, columns.billed_accurate,
+        _stage_ends(columns)[1],
+    )
+    skeleton = (getattr(columns, name) for name in _SKELETON_FIELDS[1:])
     traces: List[Trace] = []
-    for i in range(len(columns)):
-        fast_version, accurate_version = pairs[pair_of[i]]
-        accurate = (
-            float(columns.node_seconds_accurate[i])
-            if bool(billed_accurate[i])
-            else None
-        )
-        escalated = bool(columns.escalated[i])
-        failed = bool(columns.failed[i])
+    for request_id, payload, code, fast_s, accurate_s, billed, fast_end, *row in zip(
+        columns.request_ids,
+        columns.payloads,
+        *(column.tolist() for column in (*legs, *skeleton)),
+    ):
+        fields = dict(zip(_SKELETON_FIELDS, (payload, *row)))
+        # Each row's legs are named by its own pair (routed runs mix pairs).
+        fast_version, accurate_version = columns.pairs[code]
         traces.append(
             _coarse_trace(
-                columns.request_ids[i],
-                _skeleton(
-                    payload=columns.payloads[i],
-                    tier=float(columns.tier[i]),
-                    arrival=float(arrival[i]),
-                    finished=float(finished[i]),
-                    queue_wait=float(columns.queue_wait_s[i]),
-                    escalated=escalated,
-                    retries=int(columns.retries[i]),
-                    shed=bool(columns.shed[i]),
-                    failed=failed,
-                    degraded=bool(columns.degraded[i]),
-                    retry_denied=bool(columns.retry_denied[i]),
-                    confidence=float(columns.confidence[i]),
-                ),
-                escalated=escalated,
-                failed=failed,
+                request_id,
+                _skeleton(**fields),
+                escalated=fields["escalated"],
+                failed=fields["failed"],
                 fast_version=fast_version,
-                fast_seconds=float(columns.node_seconds_fast[i]),
-                fast_end=float(fast_end[i]),
+                fast_seconds=fast_s,
+                fast_end=fast_end,
                 accurate_version=accurate_version,
-                accurate_seconds=accurate,
+                accurate_seconds=accurate_s if billed else None,
             )
         )
     return traces
+
+
+#: Requests rendered per step of :meth:`ColumnSegment.render`: bounds the
+#: transient text and Python scalars however long the run was.
+_RENDER_CHUNK_ROWS = 1024
+
+#: The probe row's float columns: odd multiples of 2**-8, so every value
+#: and both derived stage ends (kept below ``finished_s``) are exact,
+#: distinct, and long enough not to occur in a version name.
+_PROBE_FLOATS = {
+    "tier": 0.01171875,
+    "arrival_s": 2.12890625,
+    "finished_s": 7.83984375,
+    "queue_wait_s": 0.3828125,
+    "node_seconds_fast": 0.19140625,
+    "confidence": 0.91015625,
+}
+
+
+class ColumnSegment:
+    """One columnar run's traces, kept as ``RecordColumns`` plus the
+    recorder's ``request id -> (home, served, extra_latency_s)`` failover
+    annotations (life-cycle in the module docstring)."""
+
+    def __init__(self, columns, failover) -> None:
+        self.columns = columns
+        self.failover = failover
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def traces(self) -> List[Trace]:
+        """The sealed span trees, in completion order."""
+        traces = _from_columns(self.columns)
+        for trace in traces:
+            hop = self.failover.get(trace.request_id)
+            if hop is not None:
+                trace.spans.append(failover_hop(trace.root, *hop))
+            trace.seal()
+        return traces
+
+    def render(self, as_json: bool) -> Optional[Iterator[str]]:
+        """:func:`~repro.obs.trace.trace_text` of every tree, in chunks,
+        without the trees — or ``None`` when the columns cannot promise
+        those bytes and the caller must materialize."""
+        columns = self.columns
+        numeric = _numeric_slots(columns)
+        if self.failover or not all(np.isfinite(x).all() for x in numeric):
+            return None
+        # A tree's layout depends on nothing but its pair and these flags.
+        shape = columns.pair_code.astype(np.int64)
+        for flag in (
+            columns.shed, columns.failed, columns.escalated,
+            columns.billed_accurate, columns.degraded, columns.retry_denied,
+        ):
+            shape = 2 * shape + flag
+        _, first, shape = np.unique(shape, return_index=True, return_inverse=True)
+        templates = [self._learn(row, as_json) for row in first.tolist()]
+        if None in templates:
+            return None
+        return self._chunks(shape, templates, numeric, as_json)
+
+    def _chunks(self, shape, templates, numeric, as_json) -> Iterator[str]:
+        for start in range(0, len(self), _RENDER_CHUNK_ROWS):
+            codes = shape[start : start + _RENDER_CHUNK_ROWS]
+            texts = [""] * len(codes)
+            for code in np.unique(codes):
+                rows = np.flatnonzero(codes == code)
+                template, order, n_spans = templates[code]
+                slots = _slots(self.columns, numeric, rows + start, n_spans, as_json)
+                for at, args in zip(rows.tolist(), zip(*map(slots.__getitem__, order))):
+                    texts[at] = template % args
+            yield "".join(texts)
+
+    def _learn(self, row: int, as_json: bool):
+        """``(template, slot order, spans per tree)`` for the shape of
+        row ``row``, or ``None`` if the template fails its self-check."""
+        columns = self.columns
+        learned = None
+        for scale in (1, 3):
+            # The row itself (pair, flags, billed or not) on sentinels.
+            probe = type(columns)(
+                **{
+                    name: getattr(columns, name)
+                    if name == "pairs"
+                    else getattr(columns, name)[row : row + 1]
+                    for name in columns.__slots__
+                }
+            )
+            probe.request_ids = [f"\x00request{scale}"]
+            probe.payloads = [f"\x00payload{scale}"]
+            probe.retries = np.array([7770001 * scale])
+            probe.node_seconds_accurate = np.where(
+                probe.billed_accurate, 0.66796875 * scale, -1.0
+            )
+            for name, value in _PROBE_FLOATS.items():
+                setattr(probe, name, np.array([value * scale]))
+            (trace,) = ColumnSegment(probe, {}).traces()
+            text = trace_text(trace, as_json)
+            values = [
+                slot[0]
+                for slot in _slots(
+                    probe, _numeric_slots(probe), np.arange(1), len(trace.spans), as_json
+                )
+            ]
+            if learned is None:
+                slot_of = {_fmt(v): i for i, v in enumerate(values)}
+                sentinel = re.compile("|".join(map(re.escape, slot_of)))
+                order = [slot_of[hit] for hit in sentinel.findall(text)]
+                template = sentinel.sub(
+                    lambda hit: _spec(values[slot_of[hit[0]]]),
+                    text.replace("%", "%%"),
+                )
+                learned = template, order, len(trace.spans)
+            elif template % tuple(values[i] for i in order) != text:
+                return None
+        return learned
+
+
+def _numeric_slots(columns) -> tuple:
+    """The numeric columns a template can draw on: the report's own and
+    the two derived stage ends."""
+    return (
+        columns.tier, columns.arrival_s, columns.finished_s,
+        *_stage_ends(columns), columns.node_seconds_fast,
+        columns.node_seconds_accurate, columns.confidence, columns.retries,
+    )
+
+
+def _slots(columns, numeric, rows, n_spans: int, as_json: bool) -> List[list]:
+    """Every value a template can ask for, one list per slot, each
+    column through a single ``.tolist()``.  For JSON everything arrives
+    as ``json.dumps`` would write it (``repr`` of a finite number, an
+    escaped string) and the ``sha256``-derived ids ride along."""
+    ids = [columns.request_ids[i] for i in rows.tolist()]
+    payloads = [str(columns.payloads[i]) for i in rows.tolist()]
+    values = [column[rows].tolist() for column in numeric]
+    if as_json:
+        values = [list(map(repr, column)) for column in values]
+        values.append([trace_id_for(rid) for rid in ids])
+        for index in range(n_spans):
+            values.append([span_id_for(rid, index) for rid in ids])
+        ids = [json.dumps(rid)[1:-1] for rid in ids]
+        payloads = [json.dumps(payload)[1:-1] for payload in payloads]
+    return [ids, payloads, *values]
 
 
 def _from_record(record) -> Trace:

@@ -12,9 +12,9 @@ finalizes.
 The recorder draws **nothing** from any RNG and never mutates engine
 state — attaching one cannot change a report digest.  When the
 columnar engine drains a run, the engine instead hands the finished
-report to :meth:`on_columnar_report`, which delegates to the
-vectorized post-hoc reconstruction in :mod:`repro.obs.reconstruct`
-(the hot path stays hook-free).
+report to :meth:`on_columnar_report`, which passes its columns on as a
+:class:`~repro.obs.reconstruct.ColumnSegment`: the hot path stays
+hook-free and no tree is built until someone asks for one.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.reconstruct import (
+    ColumnSegment,
     failover_hop,
     record_skeleton,
-    traces_from_report,
 )
 from repro.obs.trace import Span, SpanEvent, Trace, TraceCollector
 
@@ -85,8 +85,6 @@ class SimTraceRecorder:
     Args:
         collector: The :class:`~repro.obs.trace.TraceCollector` finished
             traces are appended to, in completion order.
-        fast_version_of: Unused hook point kept deliberately absent —
-            the recorder learns leg roles from the engine's calls.
     """
 
     def __init__(self, collector: TraceCollector) -> None:
@@ -330,12 +328,11 @@ class SimTraceRecorder:
     # run-level wiring
     # ------------------------------------------------------------------
     def on_columnar_report(self, report) -> None:
-        """Post-hoc reconstruction for a columnar-drained run."""
-        for trace in traces_from_report(report):
-            failover = self._failover.get(trace.request_id)
-            if failover is not None:
-                trace.spans.append(failover_hop(trace.root, *failover))
-            self.collector.add_trace(trace)
+        """A columnar-drained run reaches the collector as one segment:
+        its columns, reconstructed into trees only if someone asks."""
+        self.collector.add_segment(
+            ColumnSegment(report.columns, self._failover)
+        )
 
     def on_run_complete(self, fault_log, control_log) -> None:
         """Fold the run's fault and control logs into run-level events.

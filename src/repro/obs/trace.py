@@ -18,6 +18,13 @@ The one piece of state that is *not* digest-stable across processes is
 node identity (``ServiceNode`` ids come from a process-global counter),
 so span attributes named ``node`` are excluded from the digest — the
 same exclusion the report digest applies to the fault log.
+
+Storage
+-------
+A collector holds trees, then — behind them — the columnar runs nobody
+has asked a tree of yet (:class:`~repro.obs.reconstruct.ColumnSegment`;
+its docstring has the life-cycle).  Never both for one run, and no
+cache: every ``digest()`` re-renders, so editing a span changes it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.core.errors import TraceFileError
 
 __all__ = [
     "Span",
@@ -131,13 +141,18 @@ class Span:
         )
 
 
-def _fmt(value: object) -> str:
-    """Digest-stable rendering: floats at 12 significant digits."""
+def _spec(value: object) -> str:
+    """The ``%`` spec of a value's digest-stable rendering: floats at 12
+    significant digits, booleans as ``0`` / ``1``, anything else ``str``."""
     if isinstance(value, bool):
-        return "1" if value else "0"
+        return "%d"
     if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
+        return "%.12e"
+    return "%s"
+
+
+def _fmt(value: object) -> str:
+    return _spec(value) % (value,)
 
 
 @dataclass
@@ -185,21 +200,40 @@ class Trace:
         self.spans[0].parent_id = None
         return self
 
-    def digest_lines(self) -> Iterable[str]:
-        """The digest-participating rendering of this trace."""
+    def digest_lines(
+        self, templates: Optional[Dict[tuple, tuple]] = None
+    ) -> Iterable[str]:
+        """The digest-participating rendering of this trace: a line is
+        one ``%`` application of a template laid out once per span
+        *shape* (attribute keys, value and timestamp types) — per
+        ``templates`` dict, which a caller rendering many traces shares."""
+        if templates is None:
+            templates = {}
         for span in self.spans:
-            attrs = ";".join(
-                f"{key}={_fmt(value)}"
-                for key, value in sorted(span.attrs.items())
-                if key not in _DIGEST_EXCLUDED_ATTRS
-            )
-            events = ";".join(
+            attrs = span.attrs
+            events = span.events and ";".join(
                 f"{_fmt(e.time_s)}:{e.name}:{e.detail}" for e in span.events
             )
-            yield (
-                f"{self.request_id}|{span.name}|{_fmt(span.start_s)}|"
-                f"{_fmt(span.end_s)}|{span.status}|{attrs}|{events}\n"
+            values = (
+                self.request_id, span.name, span.start_s, span.end_s,
+                span.status, events or "", *attrs.values(),
             )
+            shape = (*attrs, *map(type, values))
+            if shape not in templates:
+                # Laid out in sorted key order, fed in insertion order.
+                keys = sorted(attrs.keys() - _DIGEST_EXCLUDED_ATTRS)
+                layout = ";".join(
+                    key.replace("%", "%%") + "=" + _spec(attrs[key])
+                    for key in keys
+                )
+                at = list(attrs).index
+                templates[shape] = (
+                    f"%s|%s|{_spec(span.start_s)}|{_spec(span.end_s)}|%s|"
+                    f"{layout}|%s\n",
+                    itemgetter(0, 1, 2, 3, 4, *(6 + at(key) for key in keys), 5),
+                )
+            template, pick = templates[shape]
+            yield template % pick(values)
 
     def to_dict(self) -> dict:
         return {
@@ -215,6 +249,14 @@ class Trace:
             trace_id=payload.get("trace_id", ""),
             spans=[Span.from_dict(s) for s in payload["spans"]],
         )
+
+
+def trace_text(trace: Trace, as_json: bool, templates=None) -> str:
+    """One trace as the collector hashes it (its digest lines) or writes
+    it (its JSONL line)."""
+    if as_json:
+        return json.dumps(trace.to_dict(), sort_keys=True) + "\n"
+    return "".join(trace.digest_lines(templates))
 
 
 class TraceCollector:
@@ -234,7 +276,10 @@ class TraceCollector:
     """
 
     def __init__(self) -> None:
-        self.traces: List[Trace] = []
+        self._traces: List[Trace] = []
+        #: Columnar runs not yet asked for a tree, in arrival order; they
+        #: always follow ``_traces`` (see :attr:`traces`).
+        self._pending: list = []
         #: Run-level markers: ``(time_s, kind, detail, region)`` tuples
         #: covering the fault log and control log of the recorded run.
         self.run_events: List[Tuple[float, str, str, Optional[str]]] = []
@@ -246,10 +291,26 @@ class TraceCollector:
     # ------------------------------------------------------------------
     # sink protocol
     # ------------------------------------------------------------------
+    def _materialise(self) -> List[Trace]:
+        """Every trace, in completion order, as objects: each pending
+        segment becomes its trees and is dropped."""
+        while self._pending:
+            for trace in self._pending.pop(0).traces():
+                self._traces.append(trace)
+                self._by_id[trace.request_id] = trace
+        return self._traces
+
+    traces = property(_materialise)
+
     def add_trace(self, trace: Trace) -> None:
         trace.seal()
-        self.traces.append(trace)
+        self._materialise().append(trace)
         self._by_id[trace.request_id] = trace
+
+    def add_segment(self, segment) -> None:
+        """Append a columnar run's traces as columns (a
+        :class:`~repro.obs.reconstruct.ColumnSegment`)."""
+        self._pending.append(segment)
 
     def add_run_event(
         self,
@@ -264,10 +325,11 @@ class TraceCollector:
     # lookup
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.traces)
+        return len(self._traces) + sum(map(len, self._pending))
 
     def trace_for(self, request_id: str) -> Optional[Trace]:
         """The trace recorded for ``request_id``, or ``None``."""
+        self._materialise()
         return self._by_id.get(request_id)
 
     # ------------------------------------------------------------------
@@ -282,15 +344,28 @@ class TraceCollector:
         ``LoadTestReport.digest``.
         """
         h = hashlib.sha256()
-        for trace in self.traces:
-            for line in trace.digest_lines():
-                h.update(line.encode())
+        for text in self._texts(as_json=False):
+            h.update(text.encode())
         for time_s, kind, detail, region in self.run_events:
             region_part = region or ""
             h.update(
                 f"event:{_fmt(time_s)}|{kind}|{detail}|{region_part}\n".encode()
             )
         return h.hexdigest()
+
+    def _texts(self, as_json: bool) -> Iterable[str]:
+        """:func:`trace_text` of every trace, in completion order: trees
+        one at a time, pending segments a chunk of requests at a time —
+        unless one declines to render, and all become trees first."""
+        rendered = [segment.render(as_json) for segment in self._pending]
+        if None in rendered:
+            rendered = []
+            self._materialise()
+        templates: Dict[tuple, tuple] = {}
+        for trace in self._traces:
+            yield trace_text(trace, as_json, templates)
+        for chunks in rendered:
+            yield from chunks
 
     # ------------------------------------------------------------------
     # counters (metrics-exporter source)
@@ -319,7 +394,7 @@ class TraceCollector:
         with open(path, "w", encoding="utf-8") as handle:
             meta = {
                 "kind": "trace-run",
-                "n_traces": len(self.traces),
+                "n_traces": len(self),
                 "digest": self.digest(),
                 "run_events": [
                     {
@@ -332,37 +407,62 @@ class TraceCollector:
                 ],
             }
             handle.write(json.dumps(meta, sort_keys=True) + "\n")
-            for trace in self.traces:
-                handle.write(json.dumps(trace.to_dict(), sort_keys=True) + "\n")
+            handle.writelines(self._texts(as_json=True))
 
     @classmethod
     def load_jsonl(cls, path) -> "TraceCollector":
         """Load a collector back from :meth:`export_jsonl` output.
 
-        The embedded digest is re-verified so a truncated or edited
-        file cannot silently masquerade as the recorded run.
+        The header's trace count and digest are both re-verified, so a
+        truncated or edited file cannot masquerade as the recorded run;
+        whatever is wrong raises one
+        :class:`~repro.core.errors.TraceFileError` naming the file and
+        the 1-based line.  No line is skipped.
         """
         collector = cls()
+        header = None
+        number = 0
         with open(path, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-            if header.get("kind") != "trace-run":
-                raise ValueError("not a trace-run JSONL file (bad header)")
-            for event in header.get("run_events", ()):
-                collector.add_run_event(
-                    event["time_s"],
-                    event["kind"],
-                    event.get("detail", ""),
-                    event.get("region"),
-                )
-            for line in handle:
-                if not line.strip():
-                    continue
-                collector.add_trace(Trace.from_dict(json.loads(line)))
+            for number, line in enumerate(handle, start=1):
+                try:
+                    payload = json.loads(line.rstrip("\n"))
+                    if header is not None:
+                        collector.add_trace(Trace.from_dict(payload))
+                    elif payload.get("kind") == "trace-run":
+                        header = payload
+                        for event in header.get("run_events", ()):
+                            collector.add_run_event(
+                                event["time_s"],
+                                event["kind"],
+                                event.get("detail", ""),
+                                event.get("region"),
+                            )
+                    else:
+                        break
+                except json.JSONDecodeError as exc:  # its text says "line 1"
+                    reason = f"invalid JSON at column {exc.colno}: {exc.msg}"
+                    raise TraceFileError(path, number, reason) from exc
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    reason = f"{type(exc).__name__}: {exc}"
+                    raise TraceFileError(path, number, reason) from exc
+        if header is None:
+            raise TraceFileError(
+                path, 1, "not a trace-run JSONL file (bad header)"
+            )
         expected = header.get("digest")
         if expected is not None and collector.digest() != expected:
-            raise ValueError(
+            raise TraceFileError(
+                path,
+                1,
                 "trace file digest mismatch: the file was truncated or "
-                "edited after export"
+                "edited after export",
+            )
+        if header.get("n_traces") != len(collector):
+            raise TraceFileError(
+                path,
+                number,
+                f"file ends after {len(collector)} traces, the header "
+                f"promises {header.get('n_traces')}: truncated or edited",
             )
         return collector
 

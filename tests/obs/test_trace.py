@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.errors import TierError, TraceFileError
 from repro.obs import Span, SpanEvent, Trace, TraceCollector
 from repro.obs.trace import span_id_for, trace_id_for
 
@@ -106,6 +107,75 @@ class TestJsonlRoundTrip:
         path.write_text(json.dumps({"kind": "something-else"}) + "\n")
         with pytest.raises(ValueError, match="bad header"):
             TraceCollector.load_jsonl(path)
+
+
+class TestCorruptFiles:
+    """Every way a file can be wrong raises one structured error that
+    names the file and the 1-based line; nothing is skipped."""
+
+    @staticmethod
+    def _exported(tmp_path, n=3):
+        collector = TraceCollector()
+        for i in range(n):
+            collector.add_trace(_trace(f"r{i}"))
+        path = tmp_path / "run.jsonl"
+        collector.export_jsonl(path)
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def _load_error(path):
+        with pytest.raises(TraceFileError) as caught:
+            TraceCollector.load_jsonl(path)
+        error = caught.value
+        assert isinstance(error, TierError) and isinstance(error, ValueError)
+        assert error.path == str(path) and str(path) in str(error)
+        assert f"line {error.line}" in str(error)
+        return error
+
+    def test_truncation_is_caught_without_a_digest(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        header = json.loads(lines[0])
+        del header["digest"]
+        path.write_text("\n".join([json.dumps(header), lines[1]]) + "\n")
+        error = self._load_error(path)
+        assert error.line == 2, "the last line the file still has"
+        assert "1 traces" in error.reason and "promises 3" in error.reason
+
+    def test_a_line_cut_mid_object_names_its_own_line(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        lines[2] = lines[2][:40]
+        path.write_text("\n".join(lines) + "\n")
+        error = self._load_error(path)
+        assert error.line == 3
+        assert "invalid JSON at column 41" in error.reason
+        assert "line 1" not in error.reason
+
+    def test_a_span_missing_a_field_names_the_field(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        trace = json.loads(lines[3])
+        del trace["spans"][1]["start_s"]
+        lines[3] = json.dumps(trace)
+        path.write_text("\n".join(lines) + "\n")
+        error = self._load_error(path)
+        assert error.line == 4 and "start_s" in error.reason
+
+    def test_an_empty_file_has_a_bad_header(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("")
+        error = self._load_error(path)
+        assert error.line == 1 and "bad header" in error.reason
+
+    def test_a_blank_line_is_not_skipped(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        path.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n")
+        assert self._load_error(path).line == 3
+
+    def test_an_edited_count_is_caught_even_when_the_digest_holds(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        header = json.loads(lines[0])
+        header["n_traces"] = 4
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert "promises 4" in self._load_error(path).reason
 
 
 class TestMetricsAndReplay:
