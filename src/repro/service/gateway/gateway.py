@@ -24,7 +24,7 @@ node-seconds billing — whichever substrate runs it.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import (
     BackendCapabilityError,
@@ -133,18 +133,39 @@ def _request_deadline(
     request: ServiceRequest, explicit: Optional[float]
 ) -> Optional[float]:
     """Resolve a ticket's deadline: explicit argument, else metadata."""
-    if explicit is not None:
-        return float(explicit)
-    raw = request.metadata.get("deadline_s") if request.metadata else None
+    raw = explicit
+    if raw is None and request.metadata:
+        raw = request.metadata.get("deadline_s")
     if raw is None:
         return None
     try:
-        return float(raw)
+        deadline = float(raw)
     except (TypeError, ValueError):
+        deadline = math.nan
+    if not 0.0 <= deadline < math.inf:
         raise RequestValidationError(
-            f"malformed deadline_s metadata on request "
-            f"{request.request_id!r}: {raw!r} is not a number"
-        ) from None
+            f"malformed deadline_s on request {request.request_id!r}: "
+            f"{raw!r} is not a finite, non-negative number"
+        )
+    return deadline
+
+
+def _record_error(record: RequestRecord) -> RequestFailedError:
+    """The terminal error of a shed or failed record — the one text both
+    of :meth:`TierGateway.drain`'s resolve paths fail a ticket with."""
+    if record.shed:
+        # Dropped by admission control inside the engine: a structured
+        # error, because the ticket must never hang past a drain.
+        return RequestShedError(
+            f"request {record.request_id!r} was shed by admission control "
+            "under SLO breach",
+            record=record,
+        )
+    return RequestFailedError(
+        f"request {record.request_id!r} failed terminally after "
+        f"{record.retries} retr{'y' if record.retries == 1 else 'ies'}",
+        record=record,
+    )
 
 
 class TierGateway:
@@ -226,6 +247,8 @@ class TierGateway:
                 attach(trace)
         self._executor = PolicyExecutor(backend)
         self._tickets: List[TierTicket] = []
+        #: Deferred sessions resolve through it; ids are unique in it.
+        self._ticket_of: Dict[str, TierTicket] = {}
         self._unclaimed: List[ServiceResponse] = []
         self._closed = False
         #: Requests routed so far — the synchronous session clock, one
@@ -314,11 +337,8 @@ class TierGateway:
                 metadata.  Deadlines are SLO bookkeeping — a late response
                 still resolves, with :attr:`TierTicket.deadline_met` False.
         """
-        if self._closed:
-            raise GatewayClosedError(
-                "this gateway session is closed (its backend was drained); "
-                "build a new gateway for another session"
-            )
+        if not self.backend.synchronous:
+            return self._submit_deferred([request], [at_time], deadline_s)[0]
         configuration = self._route(request)
         ticket = TierTicket(
             request,
@@ -340,37 +360,72 @@ class TierGateway:
             if action == "degrade" and decision.configuration is not None:
                 configuration = decision.configuration
                 degraded = True
-        if self.backend.synchronous:
-            outcome = self._executor.execute(configuration, request)
-            response = ServiceResponse(
-                request_id=outcome.request_id,
-                result=outcome.result,
-                versions_used=outcome.versions_used,
-                response_time_s=outcome.response_time_s,
-                invocation_cost=outcome.invocation_cost,
-                tier=request.tolerance,
-                confidence=outcome.confidence,
-            )
-            ticket._resolve(response)
-            self._unclaimed.append(response)
-            if self.trace is not None:
-                # A coarse tree on the session clock (no virtual clock
-                # here): one unit per submission, the first at 0.0 — the
-                # control clock less one — lasting the response time.
-                self.trace.add_trace(
-                    trace_from_record(
-                        RequestRecord.for_outcome(
-                            request, outcome, clock - 1.0, degraded=degraded
-                        )
+        outcome = self._executor.execute(configuration, request)
+        response = ServiceResponse(
+            request_id=outcome.request_id,
+            result=outcome.result,
+            versions_used=outcome.versions_used,
+            response_time_s=outcome.response_time_s,
+            invocation_cost=outcome.invocation_cost,
+            tier=request.tolerance,
+            confidence=outcome.confidence,
+        )
+        ticket._resolve(response)
+        self._unclaimed.append(response)
+        if self.trace is not None:
+            # A coarse tree on the session clock (no virtual clock
+            # here): one unit per submission, the first at 0.0 — the
+            # control clock less one — lasting the response time.
+            self.trace.add_trace(
+                trace_from_record(
+                    RequestRecord.for_outcome(
+                        request, outcome, clock - 1.0, degraded=degraded
                     )
                 )
-            if self.control is not None:
-                self._publish_outcome(
-                    request, outcome, clock, degraded=degraded
-                )
-        else:
-            self.backend.submit(request, at_time=at_time)
+            )
+        if self.control is not None:
+            self._publish_outcome(request, outcome, clock, degraded=degraded)
         return ticket
+
+    def _submit_deferred(
+        self, requests: Sequence[ServiceRequest], at_times: Sequence[float], deadline_s
+    ) -> List[TierTicket]:
+        """Ticket and schedule a whole batch on a deferred backend, or
+        none of it: routing (once per distinct annotation), ids, times and
+        deadlines are all checked before the first ticket is issued."""
+        if self._closed:
+            raise GatewayClosedError(
+                "this gateway session is closed (its backend was drained); "
+                "build a new gateway for another session"
+            )
+        routed = set()
+        fresh: Dict[str, TierTicket] = {}
+        for request, at_time in zip(requests, at_times):
+            # type() too: Decimal(0) == 0.0, and _route serves only the float.
+            annotation = type(request.tolerance), request.tolerance, request.objective
+            if annotation not in routed:
+                self._route(request)
+                routed.add(annotation)
+            request_id = request.request_id
+            if request_id in self._ticket_of or request_id in fresh:
+                raise RequestValidationError(
+                    f"request id {request_id!r} was already submitted; a "
+                    "deferred session resolves its tickets by request id"
+                )
+            if not math.isfinite(at_time):
+                raise RequestValidationError(
+                    f"request {request_id!r} arrives at a non-finite time {at_time!r}"
+                )
+            fresh[request_id] = TierTicket(
+                request,
+                at_time=at_time,
+                deadline_s=_request_deadline(request, deadline_s),
+            )
+        self.backend.submit_batch(requests, at_times)
+        tickets = list(fresh.values())
+        self._ticket_of.update(fresh)
+        self._tickets += tickets
+        return tickets
 
     # ------------------------------------------------------------------
     # control-plane integration (synchronous backends)
@@ -446,6 +501,12 @@ class TierGateway:
     ) -> List[TierTicket]:
         """Submit many requests; returns their tickets in order.
 
+        On a deferred backend the batch is all-or-nothing: it is
+        validated and routed — once per distinct annotation — before any
+        ticket is issued or arrival scheduled, so a batch that raises
+        leaves the session as it found it.  A synchronous backend serves
+        request by request: those before a failing one stay served.
+
         Args:
             requests: The annotated requests.
             at_times: Per-request virtual arrival times (simulated
@@ -460,8 +521,11 @@ class TierGateway:
                 f"got {len(requests)} requests but {len(at_times)} arrival "
                 "times"
             )
+        at_times = [float(at) for at in at_times]
+        if not self.backend.synchronous:
+            return self._submit_deferred(requests, at_times, deadline_s)
         return [
-            self.submit(request, at_time=float(at), deadline_s=deadline_s)
+            self.submit(request, at_time=at, deadline_s=deadline_s)
             for request, at in zip(requests, at_times)
         ]
 
@@ -485,49 +549,53 @@ class TierGateway:
             return responses
         if self._closed:
             raise GatewayClosedError("this gateway session is already drained")
+        if not self._tickets:
+            return []  # nothing was scheduled: there is no report to resolve
         report = self.backend.drain()
         self._closed = True
-        # One walk over the report: records come in completion order, so
-        # the responses collect in the order they are returned.
-        ticket_of = {t.request.request_id: t for t in self._tickets}
+        # One walk over the report, in completion order (the order the
+        # responses are returned in), as rows of (id, shed or failed,
+        # (result, versions_used, response_time_s, cost), confidence): a
+        # columnar run's from one tolist() per column, so a RequestRecord
+        # is only ever built for a row whose error carries it.
+        records = report.records
+        columns = report.columns
+        if columns is not None:
+            used = [((fast,), (fast, accurate)) for fast, accurate in columns.pairs]
+            billed = zip(
+                columns.pair_code.tolist(), columns.billed_accurate.tolist()
+            )
+            rows = zip(
+                columns.request_ids,
+                (columns.shed | columns.failed).tolist(),
+                zip(
+                    columns.payloads,
+                    [used[code][accurate] for code, accurate in billed],
+                    columns.response_time_s.tolist(),
+                    columns.invocation_cost.tolist(),
+                ),
+                columns.confidence.tolist(),
+            )
+        else:
+            rows = (
+                (
+                    r.request_id,
+                    r.shed or r.failed,
+                    (r.result, r.versions_used, r.response_time_s, r.invocation_cost),
+                    1.0 if r.confidence is None else r.confidence,
+                )
+                for r in records
+            )
         responses: List[ServiceResponse] = []
-        for record in report.records:
-            ticket = ticket_of.get(record.request_id)
+        for index, (request_id, unanswered, answer, confidence) in enumerate(rows):
+            ticket = self._ticket_of.get(request_id)
             if ticket is None:
                 continue
-            if record.shed:
-                # Admission control dropped the request inside the
-                # engine; the ticket resolves with the structured shed
-                # error — it must never hang past a drain.
-                ticket._fail(
-                    RequestShedError(
-                        f"request {record.request_id!r} was shed by "
-                        "admission control under SLO breach",
-                        record=record,
-                    )
-                )
-            elif record.failed:
-                ticket._fail(
-                    RequestFailedError(
-                        f"request {record.request_id!r} failed terminally "
-                        f"after {record.retries} retr"
-                        f"{'y' if record.retries == 1 else 'ies'}",
-                        record=record,
-                    )
-                )
+            if unanswered:
+                ticket._fail(_record_error(records[index]))
             else:
                 response = ServiceResponse(
-                    request_id=record.request_id,
-                    result=record.result,
-                    versions_used=record.versions_used,
-                    response_time_s=record.response_time_s,
-                    invocation_cost=record.invocation_cost,
-                    tier=ticket.request.tolerance,
-                    confidence=(
-                        record.confidence
-                        if record.confidence is not None
-                        else 1.0
-                    ),
+                    request_id, *answer, ticket.request.tolerance, confidence
                 )
                 ticket._resolve(response)
                 responses.append(response)

@@ -249,9 +249,12 @@ class SimulatedBackend:
             )
         return self._simulator
 
-    def submit(self, request: ServiceRequest, *, at_time: float = 0.0) -> None:
-        """Schedule one request's arrival on the virtual clock."""
-        self._engine().submit(request, at_time=at_time)
+    def submit_batch(
+        self, requests: Sequence[ServiceRequest], at_times: Sequence[float]
+    ) -> None:
+        """Schedule the requests' arrivals on the virtual clock: all of
+        them, or none when the engine refuses one of the times."""
+        self._engine().submit_batch(requests, at_times)
 
     def drain(self) -> LoadTestReport:
         """Run the event loop until every submitted request resolved."""

@@ -202,16 +202,13 @@ def run_shard(task: ShardTask) -> ShardResult:
         trace=recorder,
         **scenario.engine_fields(),
     )
-    for submission in task.submissions:
-        simulator.submit(
-            ServiceRequest(
-                request_id=submission.request_id,
-                payload=submission.payload,
-                tolerance=submission.tolerance,
-                objective=submission.objective,
-            ),
-            at_time=submission.at_time,
-        )
+    simulator.submit_batch(
+        [
+            ServiceRequest(s.request_id, s.payload, s.tolerance, s.objective)
+            for s in task.submissions
+        ],
+        [s.at_time for s in task.submissions],
+    )
     report = simulator.drain()
     report.offered_rate = task.offered_rate
 

@@ -69,6 +69,7 @@ reconcile it at drain time.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -514,27 +515,37 @@ class ServingSimulator:
             )
 
     def submit(self, request: ServiceRequest, *, at_time: float = 0.0) -> None:
-        """Schedule one request's arrival at a virtual timestamp.
+        """Schedule one request's arrival: a one-element :meth:`submit_batch`."""
+        self.submit_batch([request], [at_time])
+
+    def submit_batch(
+        self, requests: Sequence[ServiceRequest], at_times: Sequence[float]
+    ) -> None:
+        """Schedule each request's arrival at its virtual timestamp.
 
         Raises:
             ValueError: If the simulator has already been drained — a
                 simulator is single-use (its clock, records and pool state
-                belong to one load test); build a fresh one per test.
+                belong to one load test); build a fresh one per test — or
+                a time is past or not finite (nothing is scheduled then).
         """
         self._require_undrained()
-        self._remaining += 1
         # Every submission is deferred: drain() picks the loop, and a
         # replay into the event loop schedules arrivals in this same
         # order, after the fault schedule __init__ armed, so they take the
         # sequence numbers (hence the tie-breaks) of an immediate
         # schedule.  The validation the loop would have done at schedule
         # time happens here.
-        if at_time < self._loop.now:
-            raise ValueError(
-                f"cannot schedule at t={at_time:.6f} "
-                f"before now={self._loop.now:.6f}"
-            )
-        self._submissions.append((request, at_time))
+        now = self._loop.now
+        for at_time in at_times:
+            if not now <= at_time < math.inf:
+                raise ValueError(
+                    f"cannot schedule at t={at_time:.6f} before now={now:.6f}"
+                    if at_time < now
+                    else f"cannot schedule at t={at_time}: not a finite time"
+                )
+        self._remaining += len(requests)
+        self._submissions.extend(zip(requests, at_times))
 
     def run(
         self,

@@ -762,9 +762,7 @@ class RecordColumns:
         self.degraded = (
             degraded if degraded is not None else np.zeros(n, dtype=bool)
         )
-        # Retry budgets only matter on faulty runs, which always fall
-        # back to the legacy engine — the columnar path never denies a
-        # retry, so the default column is all-False.
+        # The columnar loop never denies a retry: all-False by default.
         self.retry_denied = (
             retry_denied
             if retry_denied is not None

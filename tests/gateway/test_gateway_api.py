@@ -172,6 +172,22 @@ class TestSessionSurface:
                 )
             )
 
+    @pytest.mark.parametrize("deadline", ["soon", float("nan"), -0.2])
+    def test_unmeetable_explicit_deadline(self, deadline):
+        gateway = _gateway()
+        with pytest.raises(RequestValidationError, match="'r1'.*deadline|deadline.*'r1'"):
+            gateway.submit(
+                ServiceRequest(request_id="r1", payload="x"), deadline_s=deadline
+            )
+        assert gateway.tickets == ()
+
+    def test_synchronous_sessions_may_reuse_request_ids(self):
+        # Only a deferred session resolves its tickets by request id.
+        gateway = _gateway()
+        request = ServiceRequest(request_id="dup", payload="x")
+        tickets = [gateway.submit(request), *gateway.submit_batch([request] * 2)]
+        assert all(t.ok for t in tickets) and len(gateway.drain()) == 3
+
     def test_handle_http_preserves_metadata_headers(self):
         gateway = _gateway()
         response = gateway.handle_http(

@@ -918,3 +918,24 @@ def test_negative_arrival_time_raises_identically(toy):
             sim.run(BadArrivals(), 3, payload_ids=toy.request_ids)
         errors[engine] = (str(excinfo.value), sim._counter, sim._remaining)
     assert errors["legacy"] == errors["columnar"]
+
+
+@pytest.mark.parametrize("engine", ["legacy", "columnar"])
+@pytest.mark.parametrize("at_time", [float("nan"), float("inf")])
+def test_non_finite_arrival_time_is_refused_at_submit(engine, at_time, toy):
+    """NaN passes ``at_time < now`` and used to end the drain in a bare
+    "requests unresolved"; a refused batch schedules none of itself."""
+    sim = ServingSimulator(
+        build_replay_cluster(toy, {"fast": 1}),
+        configuration=EnsembleConfiguration("f", SingleVersionPolicy("fast")),
+        engine=engine,
+    )
+    requests = [ServiceRequest(f"r{i}", toy.request_ids[i]) for i in range(3)]
+    sim.submit(requests[0], at_time=0.1)
+    with pytest.raises(ValueError, match="cannot schedule at t="):
+        sim.submit(requests[1], at_time=at_time)
+    with pytest.raises(ValueError, match="cannot schedule at t="):
+        sim.submit_batch(requests[1:], [0.2, at_time])
+    report = sim.drain()
+    assert sim.engine_used == engine
+    assert [r.request_id for r in report.records] == ["r0"]
