@@ -3,7 +3,8 @@
 The columnar engine never pays per-event hooks — that is what keeps its
 hot path >10x over the legacy loop.  A traced columnar run reaches the
 collector as one :class:`ColumnSegment` — the report's ``RecordColumns``
-— and stays columns until someone asks for a tree:
+(every report has them, whichever engine ran) — and stays columns until
+someone asks for a tree:
 
 - ``digest()`` / ``export_jsonl()`` render a segment at column rate, one
   ``%`` application per request (:meth:`ColumnSegment.render`);
@@ -27,9 +28,9 @@ request arrived, how long it queued, when it finished, whether it
 escalated and what each leg billed — not per-batch start/finish times.
 The rebuilt tree is therefore ``request → queue-wait → leg(fast) →
 escalate`` with leg ends *estimated* from billed node-seconds (clamped
-to the finish time).  The per-record path produces the exact same trees
-from :class:`RequestRecord` objects, so the two are testable against
-each other.
+to the finish time).  :func:`trace_from_record` builds the exact same
+tree from one live :class:`RequestRecord` (the synchronous gateway has
+no report), so the two are testable against each other.
 """
 
 from __future__ import annotations
@@ -202,18 +203,26 @@ def _from_columns(columns) -> List[Trace]:
     legs = (
         columns.pair_code, columns.node_seconds_fast,
         columns.node_seconds_accurate, columns.billed_accurate,
-        _stage_ends(columns)[1],
+        _stage_ends(columns)[1], columns.nothing_billed, columns.no_confidence,
     )
     skeleton = (getattr(columns, name) for name in _SKELETON_FIELDS[1:])
     traces: List[Trace] = []
-    for request_id, payload, code, fast_s, accurate_s, billed, fast_end, *row in zip(
+    for (
+        request_id, payload, code, fast_s, accurate_s, billed, fast_end,
+        nothing_billed, no_confidence, *row,
+    ) in zip(
         columns.request_ids,
         columns.payloads,
         *(column.tolist() for column in (*legs, *skeleton)),
     ):
         fields = dict(zip(_SKELETON_FIELDS, (payload, *row)))
-        # Each row's legs are named by its own pair (routed runs mix pairs).
-        fast_version, accurate_version = columns.pairs[code]
+        if no_confidence:
+            fields["confidence"] = None
+        # Each row's legs are named by its own pair (routed runs mix
+        # pairs); a row that billed nothing ran no leg to name.
+        fast_version, accurate_version = (
+            (None, None) if nothing_billed else columns.pairs[code]
+        )
         traces.append(
             _coarse_trace(
                 request_id,
@@ -277,11 +286,12 @@ class ColumnSegment:
         numeric = _numeric_slots(columns)
         if self.failover or not all(np.isfinite(x).all() for x in numeric):
             return None
-        # A tree's layout depends on nothing but its pair and these flags.
-        shape = columns.pair_code.astype(np.int64)
+        # A tree's layout depends on nothing but what it billed (its
+        # pair's legs, or nothing) and these flags.
+        shape = columns.billed_shape
         for flag in (
             columns.shed, columns.failed, columns.escalated,
-            columns.billed_accurate, columns.degraded, columns.retry_denied,
+            columns.degraded, columns.retry_denied, columns.no_confidence,
         ):
             shape = 2 * shape + flag
         _, first, shape = np.unique(shape, return_index=True, return_inverse=True)
@@ -306,25 +316,29 @@ class ColumnSegment:
         """``(template, slot order, spans per tree)`` for the shape of
         row ``row``, or ``None`` if the template fails its self-check."""
         columns = self.columns
+        slots = {name: getattr(columns, name) for name in columns.__slots__}
         learned = None
         for scale in (1, 3):
             # The row itself (pair, flags, billed or not) on sentinels.
+            # (``results`` is ``None`` on most runs; spans never read it.)
             probe = type(columns)(
                 **{
-                    name: getattr(columns, name)
-                    if name == "pairs"
-                    else getattr(columns, name)[row : row + 1]
-                    for name in columns.__slots__
+                    name: column
+                    if name == "pairs" or column is None
+                    else column[row : row + 1]
+                    for name, column in slots.items()
                 }
             )
             probe.request_ids = [f"\x00request{scale}"]
             probe.payloads = [f"\x00payload{scale}"]
             probe.retries = np.array([7770001 * scale])
+            nothing_billed = probe.nothing_billed
             probe.node_seconds_accurate = np.where(
                 probe.billed_accurate, 0.66796875 * scale, -1.0
             )
             for name, value in _PROBE_FLOATS.items():
                 setattr(probe, name, np.array([value * scale]))
+            probe.node_seconds_fast[nothing_billed] = -1.0
             (trace,) = ColumnSegment(probe, {}).traces()
             text = trace_text(trace, as_json)
             values = [
@@ -375,7 +389,9 @@ def _slots(columns, numeric, rows, n_spans: int, as_json: bool) -> List[list]:
     return [ids, payloads, *values]
 
 
-def _from_record(record) -> Trace:
+def trace_from_record(record) -> Trace:
+    """Coarse span tree for one finished :class:`RequestRecord` (the
+    synchronous gateway's sessions have no report to rebuild from)."""
     fast_version = record.versions_used[0] if record.versions_used else None
     accurate_version = (
         record.versions_used[1] if len(record.versions_used) > 1 else None
@@ -404,20 +420,8 @@ def _from_record(record) -> Trace:
     )
 
 
-#: Public single-record entry point: the synchronous gateway path uses
-#: it to give sessions without a virtual clock the same coarse trees.
-def trace_from_record(record) -> Trace:
-    """Coarse span tree for one finished :class:`RequestRecord`."""
-    return _from_record(record)
-
-
 def traces_from_report(report) -> List[Trace]:
-    """Rebuild coarse span trees for every request in a report.
-
-    Takes the vectorized path when the report holds ``RecordColumns``
-    (columnar engine), the per-record path otherwise.  Both produce
-    identical traces for the same run.
-    """
-    if report.columns is not None:
-        return _from_columns(report.columns)
-    return [_from_record(record) for record in report.records]
+    """Rebuild coarse span trees for every request in a report, from
+    its ``RecordColumns``: the trees :func:`trace_from_record` builds
+    for ``report.records``, whichever engine ran."""
+    return _from_columns(report.columns)

@@ -555,37 +555,24 @@ class TierGateway:
         self._closed = True
         # One walk over the report, in completion order (the order the
         # responses are returned in), as rows of (id, shed or failed,
-        # (result, versions_used, response_time_s, cost), confidence): a
-        # columnar run's from one tolist() per column, so a RequestRecord
-        # is only ever built for a row whose error carries it.
+        # (result, versions_used, response_time_s, cost), confidence),
+        # from one tolist() per column: a RequestRecord is only ever
+        # touched for a row whose error carries it.
         records = report.records
         columns = report.columns
-        if columns is not None:
-            used = [((fast,), (fast, accurate)) for fast, accurate in columns.pairs]
-            billed = zip(
-                columns.pair_code.tolist(), columns.billed_accurate.tolist()
-            )
-            rows = zip(
-                columns.request_ids,
-                (columns.shed | columns.failed).tolist(),
-                zip(
-                    columns.payloads,
-                    [used[code][accurate] for code, accurate in billed],
-                    columns.response_time_s.tolist(),
-                    columns.invocation_cost.tolist(),
-                ),
-                columns.confidence.tolist(),
-            )
-        else:
-            rows = (
-                (
-                    r.request_id,
-                    r.shed or r.failed,
-                    (r.result, r.versions_used, r.response_time_s, r.invocation_cost),
-                    1.0 if r.confidence is None else r.confidence,
-                )
-                for r in records
-            )
+        confidences = columns.confidence.copy()
+        confidences[columns.no_confidence] = 1.0  # answered outright
+        rows = zip(
+            columns.request_ids,
+            (columns.shed | columns.failed).tolist(),
+            zip(
+                columns.results or columns.payloads,
+                columns.versions_used(),
+                columns.response_time_s.tolist(),
+                columns.invocation_cost.tolist(),
+            ),
+            confidences.tolist(),
+        )
         responses: List[ServiceResponse] = []
         for index, (request_id, unanswered, answer, confidence) in enumerate(rows):
             ticket = self._ticket_of.get(request_id)

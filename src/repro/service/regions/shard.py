@@ -220,21 +220,21 @@ def run_shard(task: ShardTask) -> ShardResult:
     n_incoming = sum(1 for s in task.submissions if s.origin != task.region.name)
 
     # The tally and the SLO replay read the report's arrays, so a
-    # columnar shard builds no RequestRecord.
-    numeric = report.numeric
-    shed = numeric.shed
-    failed = numeric.failed & ~shed
-    answered = ~(numeric.failed | shed)
-    last_finished = max(0.0, float(numeric.finished_s.max()))
+    # shard builds no RequestRecord.
+    columns = report.columns
+    shed = columns.shed
+    failed = columns.failed & ~shed
+    answered = ~(columns.failed | shed)
+    last_finished = max(0.0, float(columns.finished_s.max()))
     # Added one by one, left to right: the merged summary's cost is
     # compared exactly, and ndarray.sum (pairwise) rounds differently.
     total_cost = 0.0
-    for cost in numeric.invocation_cost[answered].tolist():
+    for cost in columns.invocation_cost[answered].tolist():
         total_cost += cost
     round_trip = np.array(
-        [extra.get(request_id, 0.0) for request_id in numeric.request_ids]
+        [extra.get(request_id, 0.0) for request_id in columns.request_ids]
     )
-    user_latencies = (numeric.response_time_s + round_trip)[answered]
+    user_latencies = (columns.response_time_s + round_trip)[answered]
     slo_log = _RegionSLOReplay(task.region)
     slo_log.replay(report)
 
@@ -301,10 +301,8 @@ class _RegionSLOReplay:
             return
         # finalization can stamp a finish fractionally before the event
         # that delivered it; the hub needs a non-decreasing clock.
-        clocks = np.maximum.accumulate(
-            np.maximum(report.numeric.finished_s, 0.0)
-        )
         columns = report.columns
+        clocks = np.maximum.accumulate(np.maximum(columns.finished_s, 0.0))
         cursor = 0
         while cursor < len(clocks):
             while self._next_tick <= clocks[cursor]:
@@ -312,13 +310,9 @@ class _RegionSLOReplay:
                 self._next_tick += self._tick_s
             # Everything that lands before the next tick goes in together.
             stop = int(np.searchsorted(clocks, self._next_tick))
-            if columns is not None:
-                self._hub.publish_columns(
-                    columns, slice(cursor, stop), clocks[cursor:stop]
-                )
-            else:  # a list-backed (scalar-loop) report has only records
-                for i in range(cursor, stop):
-                    self._hub.publish(report.records[i], now=clocks[i])
+            self._hub.publish_columns(
+                columns, slice(cursor, stop), clocks[cursor:stop]
+            )
             cursor = stop
         self._evaluate(max(self._next_tick, float(clocks[-1])))
 

@@ -232,8 +232,8 @@ def run_columnar(sim, columns) -> LoadTestReport:
     touched.  With invariant checking or record hooks attached the loop
     emits real :class:`RequestRecord` objects at the exact points the
     legacy engine would (telemetry and the checker see an identical
-    stream); without them all record materialization is deferred to the
-    columnar report.
+    stream); either way the report is built from the loop's columns and
+    materializes records only when asked.
 
     Which configuration serves a request is request state like its
     payload: the routing pre-pass groups the submissions by the
@@ -486,7 +486,6 @@ def run_columnar(sim, columns) -> LoadTestReport:
     #: (sub, end, escalated, fast_seconds, accurate_seconds, fast_start);
     #: accurate_seconds is -1.0 for "leg not billed" (never negative).
     out: List[tuple] = []
-    records: List[RequestRecord] = []
 
     # ------------------------------------------------------------------
     # event flow (each helper mirrors one legacy engine method)
@@ -615,7 +614,6 @@ def run_columnar(sim, columns) -> LoadTestReport:
             result=payloads[sub],
             confidence=conf_acc[sub] if escalated else conf_fast[sub],
         )
-        records.append(record)
         if checker is not None:
             checker.on_finalized(request_ids[sub], now, failed=False)
         for hook in hooks:
@@ -850,61 +848,55 @@ def run_columnar(sim, columns) -> LoadTestReport:
     # ------------------------------------------------------------------
     # report
     # ------------------------------------------------------------------
-    if slow:
-        report = LoadTestReport(
-            records=records,
-            final_pool_sizes=cluster.pool_sizes(),
-        )
-    else:
-        n_out = len(out)
-        o_sub, o_end, o_esc, o_fast, o_acc, o_fstart = zip(*out)
-        sub_idx = np.fromiter(o_sub, dtype=np.int64, count=n_out)
-        finished = np.fromiter(o_end, dtype=np.float64, count=n_out)
-        escalated = np.fromiter(o_esc, dtype=bool, count=n_out)
-        fast_seconds = np.fromiter(o_fast, dtype=np.float64, count=n_out)
-        acc_seconds = np.fromiter(o_acc, dtype=np.float64, count=n_out)
-        fast_starts = np.fromiter(o_fstart, dtype=np.float64, count=n_out)
-        arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
-        tiers = np.asarray(tolerances, dtype=np.float64)[sub_idx]
-        pair_codes = pair_np[sub_idx]
-        # PricingModel.request_cost, vectorized with the same operation
-        # order, each row priced by its own pair: cost_v = seconds_v *
-        # price_v; iaas = fast + accurate (the legacy left fold starts
-        # at integer 0, and 0 + x == x, x + 0.0 == x exactly for the
-        # non-negative costs here); invocation = fee + markup * iaas.
-        pricing = cluster.pricing
-        price_of = {
-            version: pricing.instance_for(version).price_per_second
-            for version in pools
-        }
-        price_fast = np.array([price_of[pair[0]] for pair in pairs])
-        price_acc = np.array([price_of.get(pair[1], 0.0) for pair in pairs])
-        iaas = fast_seconds * price_fast[pair_codes] + np.where(
-            acc_seconds >= 0.0, acc_seconds * price_acc[pair_codes], 0.0
-        )
-        invocation = pricing.per_request_fee + pricing.markup * iaas
-        report_columns = RecordColumns(
-            request_ids=[request_ids[i] for i in o_sub],
-            payloads=[payloads[i] for i in o_sub],
-            tier=tiers,
-            arrival_s=arrivals,
-            finished_s=finished,
-            response_time_s=finished - arrivals,
-            queue_wait_s=fast_starts - arrivals,
-            escalated=escalated,
-            invocation_cost=invocation,
-            pairs=pairs,
-            pair_code=pair_codes,
-            node_seconds_fast=fast_seconds,
-            node_seconds_accurate=acc_seconds,
-            # conf_acc_np is only ever read where the request escalated.
-            confidence=np.where(
-                escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx]
-            ),
-        )
-        report = LoadTestReport.from_columns(
-            report_columns, final_pool_sizes=cluster.pool_sizes()
-        )
+    n_out = len(out)
+    o_sub, o_end, o_esc, o_fast, o_acc, o_fstart = zip(*out)
+    sub_idx = np.fromiter(o_sub, dtype=np.int64, count=n_out)
+    finished = np.fromiter(o_end, dtype=np.float64, count=n_out)
+    escalated = np.fromiter(o_esc, dtype=bool, count=n_out)
+    fast_seconds = np.fromiter(o_fast, dtype=np.float64, count=n_out)
+    acc_seconds = np.fromiter(o_acc, dtype=np.float64, count=n_out)
+    fast_starts = np.fromiter(o_fstart, dtype=np.float64, count=n_out)
+    arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
+    tiers = np.asarray(tolerances, dtype=np.float64)[sub_idx]
+    pair_codes = pair_np[sub_idx]
+    # PricingModel.request_cost, vectorized with the same operation
+    # order, each row priced by its own pair: cost_v = seconds_v *
+    # price_v; iaas = fast + accurate (the legacy left fold starts
+    # at integer 0, and 0 + x == x, x + 0.0 == x exactly for the
+    # non-negative costs here); invocation = fee + markup * iaas.
+    pricing = cluster.pricing
+    price_of = {
+        version: pricing.instance_for(version).price_per_second
+        for version in pools
+    }
+    price_fast = np.array([price_of[pair[0]] for pair in pairs])
+    price_acc = np.array([price_of.get(pair[1], 0.0) for pair in pairs])
+    iaas = fast_seconds * price_fast[pair_codes] + np.where(
+        acc_seconds >= 0.0, acc_seconds * price_acc[pair_codes], 0.0
+    )
+    invocation = pricing.per_request_fee + pricing.markup * iaas
+    report_columns = RecordColumns(
+        request_ids=[request_ids[i] for i in o_sub],
+        payloads=[payloads[i] for i in o_sub],
+        tier=tiers,
+        arrival_s=arrivals,
+        finished_s=finished,
+        response_time_s=finished - arrivals,
+        queue_wait_s=fast_starts - arrivals,
+        escalated=escalated,
+        invocation_cost=invocation,
+        pairs=pairs,
+        pair_code=pair_codes,
+        node_seconds_fast=fast_seconds,
+        node_seconds_accurate=acc_seconds,
+        # conf_acc_np is only ever read where the request escalated.
+        confidence=np.where(
+            escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx]
+        ),
+    )
+    report = LoadTestReport.from_columns(
+        report_columns, final_pool_sizes=cluster.pool_sizes()
+    )
 
     if checker is not None:
         checker.verify(report, cluster, sim._retry)

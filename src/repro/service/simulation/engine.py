@@ -818,7 +818,7 @@ class ServingSimulator:
                 f"event loop drained with {self._remaining} requests unresolved"
             )
         report = LoadTestReport(
-            records=list(self._records),
+            records=self._records,
             scaling_events=list(self._autoscaler.events)
             if self._autoscaler is not None
             else [],

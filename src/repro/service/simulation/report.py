@@ -20,16 +20,15 @@ hex string.  Because the engine is bit-deterministic for a fixed seed and
 scenario, the digest is the regression currency of the golden-trace test
 harness: two runs of the same scenario must digest identically.
 
-The bulk path is **column-native**.  The columnar engine ends a run
-holding :class:`RecordColumns` (one array per record field), and the
-report reads them as they are: every aggregate is an array expression
-over :attr:`LoadTestReport.numeric`, and :meth:`~LoadTestReport.digest`
-formats its per-request rows straight from the columns.  No
-:class:`RequestRecord` is built on ``run → digest() → summary()``;
-``report.records`` stays a lazy, cached sequence for callers that index
-it.  A list-backed (legacy-engine) report builds the same numeric
-columns from its records once, on first use, so each aggregate has one
-implementation whichever engine ran.
+A report has **one backing store**: :class:`RecordColumns`, one array
+per record field.  The columnar engine ends a run holding them; a record
+list (the scalar loop's, a test's, ``dataclasses.replace(report,
+records=...)``) is transposed once, at the constructor, by
+:meth:`RecordColumns.from_records`.  Every aggregate is an array
+expression over :attr:`LoadTestReport.columns` and
+:meth:`~LoadTestReport.digest` formats its rows straight from them: no
+:class:`RequestRecord` is built on ``run → digest() → summary()``, and
+``report.records`` is a lazy, cached sequence for callers that index it.
 
 Digest row contract (one line per request, completion order)::
 
@@ -37,10 +36,12 @@ Digest row contract (one line per request, completion order)::
     {escalated:0/1}|{failed:0/1}|{retries}|{invocation_cost}|
     {v=node_seconds,... sorted by version}[|shed][|degraded][|retry-denied]\n
 
-On a column-built report ``v1,v2`` and the names beside the node-seconds
-come from the row's entry in :attr:`RecordColumns.pairs`, picked by its
+``v1,v2`` and the names beside the node-seconds come from the row's entry
+in :attr:`RecordColumns.pairs`, picked by its
 :attr:`RecordColumns.pair_code`: the pair table and the code column are
-part of this byte contract.
+part of this byte contract.  A row that billed nothing (a failed or shed
+request: ``node_seconds_fast`` is the ``-1.0`` sentinel) names no
+version whatever its pair: both fields render empty.
 
 Every float is a **Python** ``float`` rendered with ``.12e``.  The
 column renderer therefore converts each array with ``.tolist()`` before
@@ -67,7 +68,6 @@ from repro.service.simulation.faults import FaultLogEntry
 __all__ = [
     "Divergence",
     "LoadTestReport",
-    "NumericColumns",
     "RecordColumns",
     "RequestRecord",
     "first_divergence",
@@ -184,14 +184,16 @@ class RequestRecord:
 class LoadTestReport:
     """Aggregate view of one simulated load test.
 
-    Built from ``records`` (the legacy engine's list) **or** ``columns``
-    (the columnar engine's arrays); given both, the explicit records
-    win and the report is list-backed (``columns`` becomes ``None``).
+    Built from ``columns`` or from a ``records`` list, transposed into
+    columns on the spot (so ``columns`` is never ``None``); given both,
+    the explicit records win: ``dataclasses.replace(report,
+    records=...)`` means "these records instead".
 
     Attributes:
-        records: Per-request records, in completion order.  On a
-            column-built report this is a lazy sequence that
-            materializes a :class:`RequestRecord` only when indexed.
+        records: Per-request records, in completion order: a lazy
+            sequence that materializes a :class:`RequestRecord` only
+            when indexed (a report built from a list serves that list's
+            own objects).
         scaling_events: Actions the autoscaler took (empty without one).
         final_pool_sizes: Node count per version when the test drained.
         offered_rate: Mean offered arrival rate, when known.
@@ -204,10 +206,9 @@ class LoadTestReport:
             legacy loop (``None`` when no fallback happened).  Like
             ``engine_used`` this describes *how* the run executed, not
             *what* it produced, so neither field enters the digest.
-        columns: The engine's :class:`RecordColumns` on a columnar run,
-            ``None`` on a list-backed report.  Consumers that can work
-            from arrays (span reconstruction) read this instead of
-            materializing ``records``.
+        columns: The report's :class:`RecordColumns`: what every
+            aggregate, ticket resolution, SLO replay and span
+            reconstruction read instead of materializing ``records``.
     """
 
     records: Sequence[RequestRecord] = ()
@@ -221,23 +222,15 @@ class LoadTestReport:
     columns: Optional["RecordColumns"] = None
 
     def __post_init__(self) -> None:
-        if self.columns is not None:
-            view = self.records
-            # ``dataclasses.replace`` hands back the lazy view it found.
-            if not (
-                isinstance(view, _ColumnarRecords)
-                and view._columns is self.columns
-            ):
-                if len(view):
-                    # Explicit records win: on a column-built report
-                    # ``dataclasses.replace(report, records=...)`` means
-                    # "these records instead", and the columns it copied
-                    # along no longer describe them.
-                    self.columns = None
-                else:
-                    self.records = _ColumnarRecords(self.columns)
-        if not len(self.records):
+        records = self.records
+        # ``dataclasses.replace`` hands back the lazy view it found.
+        if isinstance(records, _ColumnarRecords) and records._columns is self.columns:
+            return
+        if len(records):
+            self.columns = RecordColumns.from_records(records)
+        if not self.columns:  # none given, or no rows
             raise ValueError("a load test report needs at least one record")
+        self.records = _ColumnarRecords(self.columns, records)
 
     @classmethod
     def from_columns(
@@ -261,25 +254,13 @@ class LoadTestReport:
         )
 
     @cached_property
-    def numeric(self) -> "NumericColumns":
-        """The records' numeric fields as arrays, in completion order.
-
-        The engine's own columns on a columnar run; built from
-        ``records`` once, on first use, otherwise.  Every
-        aggregate below reads these arrays and nothing else.
-        """
-        if self.columns is not None:
-            return self.columns
-        return NumericColumns(self.records)
-
-    @cached_property
     def _answered(self) -> np.ndarray:
         """Mask of requests that got an answer (neither failed nor shed)."""
-        return ~(self.numeric.failed | self.numeric.shed)
+        return ~(self.columns.failed | self.columns.shed)
 
     @cached_property
     def _latencies(self) -> np.ndarray:
-        return self.numeric.response_time_s[self._answered]
+        return self.columns.response_time_s[self._answered]
 
     # ------------------------------------------------------------------
     # latency (over successful requests)
@@ -319,7 +300,7 @@ class LoadTestReport:
     @property
     def mean_queue_wait_s(self) -> float:
         """Mean time a request's first job sat queued before starting."""
-        waits = self.numeric.queue_wait_s[self._answered]
+        waits = self.columns.queue_wait_s[self._answered]
         if waits.size == 0:
             return float("nan")
         return float(np.mean(waits))
@@ -335,18 +316,18 @@ class LoadTestReport:
     @property
     def n_failed(self) -> int:
         """Number of requests that failed terminally."""
-        return int(np.count_nonzero(self.numeric.failed))
+        return int(np.count_nonzero(self.columns.failed))
 
     @property
     def n_shed(self) -> int:
         """Number of requests shed by admission control."""
-        return int(np.count_nonzero(self.numeric.shed))
+        return int(np.count_nonzero(self.columns.shed))
 
     @property
     def n_degraded(self) -> int:
         """Number of answered requests force-degraded to the fast tier."""
-        numeric = self.numeric
-        return int(np.count_nonzero(numeric.degraded & ~numeric.failed))
+        columns = self.columns
+        return int(np.count_nonzero(columns.degraded & ~columns.failed))
 
     @property
     def availability(self) -> float:
@@ -361,12 +342,12 @@ class LoadTestReport:
     @property
     def n_retry_denied(self) -> int:
         """Number of requests that had a retry denied by a budget."""
-        return int(np.count_nonzero(self.numeric.retry_denied))
+        return int(np.count_nonzero(self.columns.retry_denied))
 
     @property
     def total_retries(self) -> int:
         """Job attempts re-driven across all requests."""
-        return int(self.numeric.retries.sum())
+        return int(self.columns.retries.sum())
 
     @property
     def retry_amplification(self) -> float:
@@ -381,8 +362,8 @@ class LoadTestReport:
     @property
     def makespan_s(self) -> float:
         """Virtual time from first arrival to last response."""
-        numeric = self.numeric
-        return float(numeric.finished_s.max()) - float(numeric.arrival_s.min())
+        columns = self.columns
+        return float(columns.finished_s.max()) - float(columns.arrival_s.min())
 
     @property
     def throughput_rps(self) -> float:
@@ -403,7 +384,7 @@ class LoadTestReport:
         # The builtin left-to-right sum over Python floats, not
         # ``ndarray.sum`` (pairwise): the cost per request is compared
         # exactly across commits.
-        return float(sum(self.numeric.invocation_cost.tolist()))
+        return float(sum(self.columns.invocation_cost.tolist()))
 
     @property
     def mean_invocation_cost(self) -> float:
@@ -417,13 +398,13 @@ class LoadTestReport:
         # accumulation it replaces did.
         return {
             version: float(np.cumsum(seconds)[-1])
-            for version, seconds in self.numeric.node_seconds.items()
+            for version, seconds in self.columns.node_seconds.items()
         }
 
     @property
     def escalation_rate(self) -> float:
         """Fraction of requests the ensemble escalated."""
-        return float(np.mean(self.numeric.escalated))
+        return float(np.mean(self.columns.escalated))
 
     def summary(self) -> Dict[str, float]:
         """The headline numbers as a flat dict (for tables/JSON)."""
@@ -464,40 +445,32 @@ class LoadTestReport:
         failure, retry count, billed cost and per-version node-seconds
         (with shed/degraded markers on closed-loop records) — plus the
         final pool sizes, the fault log and the control log.  Floats are
-        rendered
-        at 12 significant digits, which is far below the engine's
+        rendered at 12 significant digits, which is far below the engine's
         bit-determinism and far above any legitimate behavioural change.
-        The module docstring gives the row format; both renderers below
-        emit it byte for byte.
+        The module docstring gives the row format.
         """
         h = hashlib.sha256()
-        rows = (
-            _record_digest_rows(self.records)
-            if self.columns is None
-            else _column_digest_rows(self.columns)
-        )
-        for chunk in rows:
+        for chunk in _column_digest_rows(self.columns):
             h.update(chunk.encode())
         for version in sorted(self.final_pool_sizes):
             h.update(f"pool:{version}={self.final_pool_sizes[version]}\n".encode())
         for entry in self.fault_log:
-            # node_id is deliberately excluded: node ids come from a
-            # process-global counter, so they differ between two runs in
-            # the same process even when behaviour is identical.
-            h.update(
-                (
-                    f"fault:{entry.time_s:.12e}|{entry.kind}|{entry.version}|"
-                    f"{entry.detail}\n"
-                ).encode()
-            )
+            h.update(_fault_line(entry).encode())
         for entry in self.control_log:
-            h.update(
-                (
-                    f"control:{entry.time_s:.12e}|{entry.kind}|"
-                    f"{entry.detail}\n"
-                ).encode()
-            )
+            h.update(_control_line(entry).encode())
         return h.hexdigest()
+
+
+def _fault_line(entry: FaultLogEntry) -> str:
+    """A fault-log entry's digest line.  ``node_id`` is deliberately
+    excluded: node ids come from a process-global counter, so they differ
+    between two runs in the same process even when behaviour is identical."""
+    return f"fault:{entry.time_s:.12e}|{entry.kind}|{entry.version}|{entry.detail}\n"
+
+
+def _control_line(entry) -> str:
+    """A control-log entry's digest line."""
+    return f"control:{entry.time_s:.12e}|{entry.kind}|{entry.detail}\n"
 
 
 def _digest_flags(shed: bool, degraded: bool, retry_denied: bool) -> str:
@@ -511,23 +484,6 @@ def _digest_flags(shed: bool, degraded: bool, retry_denied: bool) -> str:
     )
 
 
-def _record_digest_rows(records: Sequence[RequestRecord]) -> Iterator[str]:
-    """Digest rows of a list-backed report, one record at a time."""
-    for r in records:
-        seconds = ",".join(
-            f"{version}={r.node_seconds[version]:.12e}"
-            for version in sorted(r.node_seconds)
-        )
-        flags = _digest_flags(r.shed, r.degraded, r.retry_denied)
-        yield (
-            f"{r.request_id}|{r.payload}|{r.tier:.12e}|"
-            f"{r.arrival_s:.12e}|{r.finished_s:.12e}|"
-            f"{','.join(r.versions_used)}|{int(r.escalated)}|"
-            f"{int(r.failed)}|{r.retries}|"
-            f"{r.invocation_cost:.12e}|{seconds}{flags}\n"
-        )
-
-
 #: Rows formatted and hashed per step of the column renderer: bounds the
 #: transient Python floats and row text to well under a MiB however long
 #: the run was.
@@ -537,21 +493,21 @@ _DIGEST_CHUNK_ROWS = 1024
 def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
     """Digest rows straight from columns, a chunk of rows per string.
 
-    Emits exactly what :func:`_record_digest_rows` would emit for
-    ``[columns.record(i) for i in range(n)]`` without building a record:
-    each column goes through ``.tolist()`` (Python floats, so ``%.12e``
-    means CPython's formatting — see the module docstring) and every row
-    is one ``%`` application of a template precomputed from its pair of
-    version names.  The pair table and the code column are part of the
-    byte contract: a row's code picks its two templates (one leg billed
-    / both), nothing else about the row does.
+    Emits the module docstring's row for every request without building
+    a record (``tests/oracle/report_reference.py`` renders the same rows
+    from ``columns.record(i)``): each column goes through ``.tolist()``
+    (Python floats, so ``%.12e`` means CPython's formatting) and every
+    row is one ``%`` application of a template precomputed from its pair
+    of version names.  The pair table and the code column are part of
+    the byte contract: a row's :attr:`RecordColumns.billed_shape` picks
+    its template, nothing else about the row does.
     """
     head = "%s|%s|%.12e|%.12e|%.12e|"
     body = "|%d|%d|%s|%.12e|"
-    # templates[2 * code + both]: every template takes the same
-    # arguments, the two seconds in sorted(node_seconds) order; a
-    # one-leg row swallows the seconds it does not print with ``%.0s``
-    # (the value cut to zero characters).
+    # templates[billed_shape]: every template takes the same arguments,
+    # the two seconds in sorted(node_seconds) order; a row swallows the
+    # seconds it does not print with ``%.0s`` (the value cut to zero
+    # characters).
     templates: List[str] = []
     accurate_first: List[bool] = []
     for fast_version, accurate_version in columns.pairs:
@@ -572,7 +528,8 @@ def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
             one_leg = f"{head}{fast}{body}{one_seconds}%s\n"
             two_leg = f"{head}{fast},{accurate}{body}{two_seconds}%s\n"
         templates += [one_leg, two_leg]
-    template_of = 2 * columns.pair_code.astype(np.intp) + columns.billed_accurate
+    templates.append(f"{head}{body}%.0s%.0s%s\n")  # nothing billed
+    template_of = columns.billed_shape
     first, second = columns.node_seconds_fast, columns.node_seconds_accurate
     if any(accurate_first):
         swapped = np.array(accurate_first)[columns.pair_code]
@@ -620,8 +577,9 @@ def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
         )
 
 
-#: Record fields the aggregates read, with their column dtype.
+#: Record fields that are one numeric column each, with its dtype.
 _NUMERIC_FIELDS = {
+    "tier": float,
     "arrival_s": float,
     "finished_s": float,
     "response_time_s": float,
@@ -636,149 +594,173 @@ _NUMERIC_FIELDS = {
 }
 
 
-class NumericColumns:
-    """The record fields every aggregate reads, one array each.
-
-    A list-backed report's records, transposed once.  Completion order;
-    ``request_ids`` is a list, the rest are the arrays of
-    ``_NUMERIC_FIELDS``.  :class:`RecordColumns` carries all of these
-    under the same names, ``node_seconds`` included, which is what lets
-    :attr:`LoadTestReport.numeric` return either.
-    """
-
-    __slots__ = ("_records", "request_ids", *_NUMERIC_FIELDS)
-
-    def __init__(self, records: Sequence[RequestRecord]) -> None:
-        self._records = records
-        self.request_ids = [r.request_id for r in records]
-        # One field at a time: a row-tuple transposition would hold
-        # every field of every record a second time at its peak.
-        for name, dtype in _NUMERIC_FIELDS.items():
-            values = map(operator.attrgetter(name), records)
-            setattr(self, name, np.fromiter(values, dtype, len(records)))
-
-    @property
-    def node_seconds(self) -> Dict[str, np.ndarray]:
-        """Billed seconds per version, dense (``0.0`` where a request
-        billed none of it).  Only ``total_node_seconds`` reads it, so it
-        is not part of the transposition every summary pays for."""
-        billed: Dict[str, np.ndarray] = {}
-        for i, r in enumerate(self._records):
-            for version, seconds in r.node_seconds.items():
-                if version not in billed:
-                    billed[version] = np.zeros(len(self._records))
-                billed[version][i] = seconds
-        return billed
-
-
+@dataclass(eq=False, repr=False, slots=True, kw_only=True)
 class RecordColumns:
     """Dense per-request state, one array per :class:`RequestRecord` field.
 
-    The columnar engine's end-of-run product: request identity and payload
-    stay Python lists (they are arbitrary objects), every numeric field is
-    a float64/bool/int64 array in completion order.  A two-leg ensemble
+    Every report's backing store: request identity and payload stay
+    Python lists (they are arbitrary objects), every numeric field is a
+    float64/bool/int64 array in completion order.  A two-leg ensemble
     bills at most two versions per request, so node-seconds are two dense
-    columns — ``node_seconds_accurate`` holds ``-1.0`` where the accurate
-    leg consumed no billed time (node-seconds are never negative, so the
-    sentinel is unambiguous).  *Which* two versions is per-request state
-    too (a tier router serves each request by its own configuration):
-    ``pairs`` is the run's small table of distinct ``(fast_version,
+    columns.  *Which* two versions is per-request state too (a tier
+    router serves each request by its own configuration): ``pairs`` is
+    the run's small table of distinct ``(fast_version,
     accurate_version)`` pairs (``accurate_version`` is ``None`` for a
     single-version configuration) and ``pair_code`` holds each row's
-    index into it.  A fixed-configuration run is the one-pair table with
-    an all-zero code column.
+    index into it.  Three encodings carry what a faulted record has:
 
-    Consumers reach a report's columns through the public
-    :attr:`LoadTestReport.columns`.  The lazy ``records`` view keeps its
-    own reference private (``_columns``) and nothing outside this module
-    reads it.
+    - **nothing billed** — ``-1.0`` in a node-seconds column (they are
+      never negative) means the leg billed no time: on
+      ``node_seconds_accurate`` only the fast leg billed; on
+      ``node_seconds_fast`` the request billed nothing (failed or shed:
+      ``versions_used == ()``, ``node_seconds == {}``), whatever its
+      pair and accurate column say.
+    - **no confidence** — ``no_confidence`` masks the rows whose record
+      has ``confidence is None``; a measured ``nan`` stays a ``nan``.
+    - **a result that is not the payload** — ``results`` is ``None``
+      while every row's result is its payload (a replay run), the
+      per-row list otherwise.
+
+    Raises:
+        ValueError: A column's length is not ``len(request_ids)``, or a
+            ``pair_code`` falls outside ``pairs``.
     """
 
-    __slots__ = (
-        "request_ids",
-        "payloads",
-        "tier",
-        "arrival_s",
-        "finished_s",
-        "response_time_s",
-        "queue_wait_s",
-        "escalated",
-        "invocation_cost",
-        "pairs",
-        "pair_code",
-        "node_seconds_fast",
-        "node_seconds_accurate",
-        "confidence",
-        "failed",
-        "retries",
-        "shed",
-        "degraded",
-        "retry_denied",
-    )
+    request_ids: List[str]
+    payloads: List[object]
+    tier: np.ndarray
+    arrival_s: np.ndarray
+    finished_s: np.ndarray
+    response_time_s: np.ndarray
+    queue_wait_s: np.ndarray
+    escalated: np.ndarray
+    invocation_cost: np.ndarray
+    pairs: Sequence[Tuple[str, Optional[str]]]
+    pair_code: np.ndarray
+    node_seconds_fast: np.ndarray
+    node_seconds_accurate: np.ndarray
+    confidence: np.ndarray
+    failed: Optional[np.ndarray] = None
+    retries: Optional[np.ndarray] = None
+    shed: Optional[np.ndarray] = None
+    degraded: Optional[np.ndarray] = None
+    retry_denied: Optional[np.ndarray] = None
+    no_confidence: Optional[np.ndarray] = None
+    results: Optional[List[object]] = None
 
-    def __init__(
-        self,
-        *,
-        request_ids: List[str],
-        payloads: List[object],
-        tier: np.ndarray,
-        arrival_s: np.ndarray,
-        finished_s: np.ndarray,
-        response_time_s: np.ndarray,
-        queue_wait_s: np.ndarray,
-        escalated: np.ndarray,
-        invocation_cost: np.ndarray,
-        pairs: Sequence[Tuple[str, Optional[str]]],
-        pair_code: np.ndarray,
-        node_seconds_fast: np.ndarray,
-        node_seconds_accurate: np.ndarray,
-        confidence: np.ndarray,
-        failed: Optional[np.ndarray] = None,
-        retries: Optional[np.ndarray] = None,
-        shed: Optional[np.ndarray] = None,
-        degraded: Optional[np.ndarray] = None,
-        retry_denied: Optional[np.ndarray] = None,
-    ) -> None:
-        n = len(request_ids)
-        self.request_ids = request_ids
-        self.payloads = payloads
-        self.tier = tier
-        self.arrival_s = arrival_s
-        self.finished_s = finished_s
-        self.response_time_s = response_time_s
-        self.queue_wait_s = queue_wait_s
-        self.escalated = escalated
-        self.invocation_cost = invocation_cost
-        self.pairs = tuple(pairs)
-        self.pair_code = pair_code
-        self.node_seconds_fast = node_seconds_fast
-        self.node_seconds_accurate = node_seconds_accurate
-        self.confidence = confidence
-        self.failed = failed if failed is not None else np.zeros(n, dtype=bool)
-        self.retries = (
-            retries if retries is not None else np.zeros(n, dtype=np.int64)
-        )
-        self.shed = shed if shed is not None else np.zeros(n, dtype=bool)
-        self.degraded = (
-            degraded if degraded is not None else np.zeros(n, dtype=bool)
-        )
-        # The columnar loop never denies a retry: all-False by default.
-        self.retry_denied = (
-            retry_denied
-            if retry_denied is not None
-            else np.zeros(n, dtype=bool)
+    def __post_init__(self) -> None:
+        n = len(self.request_ids)
+        self.pairs = tuple(self.pairs)
+        for name, dtype in {**_NUMERIC_FIELDS, "no_confidence": bool}.items():
+            if getattr(self, name) is None:  # optional: set on no row
+                setattr(self, name, np.zeros(n, dtype))
+        # A ragged column would be truncated by the renderers' zips and
+        # mis-divide the aggregates; a stray code would index another
+        # request's versions.
+        for name in self.__slots__:
+            column = getattr(self, name)
+            if name != "pairs" and column is not None and len(column) != n:
+                raise ValueError(
+                    f"column {name!r} has {len(column)} rows, "
+                    f"'request_ids' has {n}"
+                )
+        codes = self.pair_code
+        if n and not 0 <= codes.min() <= codes.max() < len(self.pairs):
+            raise ValueError(
+                f"column 'pair_code' spans {int(codes.min())}.."
+                f"{int(codes.max())}, 'pairs' has {len(self.pairs)} rows"
+            )
+
+    @classmethod
+    def from_records(cls, records: Sequence[RequestRecord]) -> "RecordColumns":
+        """Transpose a record list: ``from_records(rs).record(i) == rs[i]``
+        field for field.  A record's ``node_seconds`` is its row of the
+        pair table: two keys are a ``(fast, accurate)`` pair, one key is
+        the fast leg of ``(version, None)`` (the scalar loop's
+        accurate-only fallback included), none is the sentinel.
+
+        Raises:
+            ValueError: A record's ``versions_used`` is not its
+                ``node_seconds`` keys in order, or it bills more than two
+                versions or negative seconds: shapes no engine produces
+                and the columns cannot express.
+        """
+        n = len(records)
+        codes: Dict[Tuple[str, Optional[str]], int] = {}
+        pair_code, seconds = [], []
+        for r in records:
+            billed = r.node_seconds
+            if (
+                r.versions_used != tuple(billed)
+                or len(billed) > 2
+                or min(billed.values(), default=0.0) < 0.0
+            ):
+                raise ValueError(
+                    f"request {r.request_id!r}: versions_used "
+                    f"{r.versions_used!r} must be the keys of node_seconds "
+                    f"{billed!r}, in order: two at most, none billing "
+                    "negative seconds"
+                )
+            # Code 0 for a row that billed nothing: any pair will do.
+            pair = (*billed, None)[:2]
+            pair_code.append(codes.setdefault(pair, len(codes)) if billed else 0)
+            seconds.append((*billed.values(), -1.0, -1.0)[:2])
+        fast_seconds, accurate_seconds = np.array(seconds, float).reshape(n, 2).T.copy()
+        payloads = [r.payload for r in records]
+        results = [r.result for r in records]
+        return cls(
+            request_ids=[r.request_id for r in records],
+            payloads=payloads,
+            # A table nobody billed keeps one row for code 0 to index.
+            pairs=tuple(codes) or (("", None),),
+            pair_code=np.array(pair_code, dtype=np.intp),
+            node_seconds_fast=fast_seconds,
+            node_seconds_accurate=accurate_seconds,
+            confidence=np.array(
+                [0.0 if r.confidence is None else r.confidence for r in records],
+                dtype=float,
+            ),
+            no_confidence=np.fromiter((r.confidence is None for r in records), bool, n),
+            results=None if all(map(operator.is_, results, payloads)) else results,
+            # One field at a time: a row-tuple transposition would hold
+            # every field of every record a second time at its peak.
+            **{
+                name: np.fromiter(map(operator.attrgetter(name), records), dtype, n)
+                for name, dtype in _NUMERIC_FIELDS.items()
+            },
         )
 
     def __len__(self) -> int:
         return len(self.request_ids)
 
     @property
+    def nothing_billed(self) -> np.ndarray:
+        """Mask of rows that billed no version (``-1.0`` on the fast leg)."""
+        return self.node_seconds_fast < 0.0
+
+    @property
     def billed_accurate(self) -> np.ndarray:
-        """Mask of rows that billed an accurate leg: the row's pair has
-        one and its seconds are not the ``-1.0`` sentinel (``nan`` fails
-        the comparison too)."""
+        """Mask of rows that billed an accurate leg: the row billed, its
+        pair has one and its seconds are not ``-1.0`` (nor ``nan``)."""
         has_accurate = np.array([pair[1] is not None for pair in self.pairs])
-        return has_accurate[self.pair_code] & (self.node_seconds_accurate >= 0.0)
+        billed = has_accurate[self.pair_code] & (self.node_seconds_accurate >= 0.0)
+        return billed & ~self.nothing_billed
+
+    @property
+    def billed_shape(self) -> np.ndarray:
+        """Which legs each row billed, as one code: ``2 * pair_code`` for
+        the fast leg alone, ``+ 1`` with the accurate leg, and
+        ``2 * len(pairs)`` for a row that billed nothing."""
+        shape = 2 * self.pair_code.astype(np.intp) + self.billed_accurate
+        shape[self.nothing_billed] = 2 * len(self.pairs)
+        return shape
+
+    def versions_used(self) -> List[Tuple[str, ...]]:
+        """Each row's ``versions_used`` as :meth:`record` gives it."""
+        # Indexed by billed_shape: per pair one leg, then both; last, none.
+        used = [v for fast, slow in self.pairs for v in ((fast,), (fast, slow))]
+        used.append(())
+        return [used[shape] for shape in self.billed_shape.tolist()]
 
     @property
     def node_seconds(self) -> Dict[str, np.ndarray]:
@@ -787,27 +769,26 @@ class RecordColumns:
         record's ``node_seconds``.  One version can be the fast leg of
         one pair and the accurate leg of another."""
         billed: Dict[str, np.ndarray] = {}
-        billed_accurate = self.billed_accurate
-        for code, (fast_version, accurate_version) in enumerate(self.pairs):
+        legs = (
+            (~self.nothing_billed, self.node_seconds_fast),
+            (self.billed_accurate, self.node_seconds_accurate),
+        )
+        for code, pair in enumerate(self.pairs):
             rows = self.pair_code == code
-            for version, mask, seconds in (
-                (fast_version, rows, self.node_seconds_fast),
-                (
-                    accurate_version,
-                    rows & billed_accurate,
-                    self.node_seconds_accurate,
-                ),
-            ):
-                if version is not None and mask.any():
+            for version, (did_bill, seconds) in zip(pair, legs):
+                mask = rows & did_bill
+                if mask.any():
                     if version not in billed:
                         billed[version] = np.zeros(len(self))
                     billed[version][mask] = seconds[mask]
         return billed
 
     def _row_node_seconds(self, code, fast_s, accurate_s) -> Dict[str, float]:
-        """One row's ``node_seconds``: the fast leg, then the accurate
-        leg when the row's pair has one and it billed (its seconds are
-        not the ``-1.0`` sentinel)."""
+        """One row's ``node_seconds``: nothing on the fast-leg sentinel,
+        else the fast leg, then the accurate leg if the pair has one and
+        it billed."""
+        if fast_s < 0.0:
+            return {}
         fast_version, accurate_version = self.pairs[code]
         if accurate_version is not None and accurate_s >= 0.0:
             return {fast_version: fast_s, accurate_version: accurate_s}
@@ -823,9 +804,9 @@ class RecordColumns:
         ]
 
     def record(self, index: int) -> RequestRecord:
-        """Materialize one row as the :class:`RequestRecord` the legacy
-        engine would have emitted (all floats converted back to Python
-        floats, so formatting and hashing behave identically)."""
+        """Materialize one row as a :class:`RequestRecord` (every value a
+        Python scalar, so formatting and hashing behave as they would on
+        a record an engine emitted)."""
         node_seconds = self._row_node_seconds(
             self.pair_code[index],
             float(self.node_seconds_fast[index]),
@@ -845,8 +826,10 @@ class RecordColumns:
             node_seconds=node_seconds,
             failed=bool(self.failed[index]),
             retries=int(self.retries[index]),
-            result=self.payloads[index],
-            confidence=float(self.confidence[index]),
+            result=(self.results or self.payloads)[index],
+            confidence=(
+                None if self.no_confidence[index] else float(self.confidence[index])
+            ),
             shed=bool(self.shed[index]),
             degraded=bool(self.degraded[index]),
             retry_denied=bool(self.retry_denied[index]),
@@ -856,17 +839,19 @@ class RecordColumns:
 class _ColumnarRecords(Sequence):
     """Lazy ``records`` sequence over :class:`RecordColumns`.
 
-    The aggregates and the digest read the columns and never pay for
-    record objects; code that iterates ``report.records`` (the invariant
-    checker, the gateway's ticket resolution, tests) gets real
-    :class:`RequestRecord` instances, built on first access and cached.
+    Code that iterates ``report.records`` (the invariant checker,
+    tests) gets real :class:`RequestRecord` instances, built on first
+    access and cached; the records a report was transposed from are
+    served as they are, so errors carry the caller's own.
     """
 
     __slots__ = ("_columns", "_cache")
 
-    def __init__(self, columns: RecordColumns) -> None:
+    def __init__(
+        self, columns: RecordColumns, given: Sequence[RequestRecord] = ()
+    ) -> None:
         self._columns = columns
-        self._cache: List[Optional[RequestRecord]] = [None] * len(columns)
+        self._cache = list(given) or [None] * len(columns)
 
     def __len__(self) -> int:
         return len(self._columns)
@@ -874,19 +859,10 @@ class _ColumnarRecords(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        record = self._cache[index]
+        record = self._cache[index]  # negative and out-of-range as a list
         if record is None:
-            record = self._columns.record(index)
-            self._cache[index] = record
+            record = self._cache[index] = self._columns.record(index)
         return record
-
-    def __iter__(self) -> Iterator[RequestRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)
@@ -915,39 +891,27 @@ class Divergence:
         )
 
 
-#: Record fields the digest covers, compared in digest order.
-_DIGEST_RECORD_FIELDS = (
-    "request_id",
-    "payload",
-    "tier",
-    "arrival_s",
-    "finished_s",
-    "versions_used",
-    "escalated",
-    "failed",
-    "retries",
-    "invocation_cost",
-    "node_seconds",
-    "shed",
-    "degraded",
-    "retry_denied",
-)
+def _digest_fields(columns: RecordColumns) -> Iterator[Tuple[str, list]]:
+    """``(record field, each row's value as the digest renders it)`` per
+    digest field, in digest order — so ``first_divergence`` flags
+    precisely what :meth:`LoadTestReport.digest` flags."""
 
-_FLOAT_RECORD_FIELDS = frozenset({"tier", "arrival_s", "finished_s", "invocation_cost"})
+    def rendered(*names: str, spec: Optional[str] = None):
+        for name in names:
+            values = getattr(columns, name).tolist()
+            yield name, values if spec is None else [spec % v for v in values]
 
-
-def _render_field(name: str, value: object) -> str:
-    """Render a record field exactly as :meth:`LoadTestReport.digest` does,
-    so ``first_divergence`` flags precisely what the digest flags."""
-    if name in _FLOAT_RECORD_FIELDS:
-        return f"{value:.12e}"
-    if name == "node_seconds":
-        return ",".join(f"{v}={value[v]:.12e}" for v in sorted(value))
-    if name == "versions_used":
-        return ",".join(value)
-    if name in ("escalated", "failed", "shed", "degraded", "retry_denied"):
-        return str(int(value))
-    return str(value)
+    yield "request_id", columns.request_ids
+    yield "payload", list(map(format, columns.payloads))
+    yield from rendered("tier", "arrival_s", "finished_s", spec="%.12e")
+    yield "versions_used", list(map(",".join, columns.versions_used()))
+    yield from rendered("escalated", "failed", "retries")
+    yield from rendered("invocation_cost", spec="%.12e")
+    yield "node_seconds", [
+        ",".join(f"{v}={row[v]:.12e}" for v in sorted(row))
+        for row in columns.row_node_seconds(slice(None))
+    ]
+    yield from rendered("shed", "degraded", "retry_denied")
 
 
 def first_divergence(
@@ -955,19 +919,24 @@ def first_divergence(
 ) -> Optional[Divergence]:
     """Locate the first digest-visible difference between two reports.
 
-    Walks the record stream field by field (in digest rendering, so a
-    sub-last-significant-digit float wiggle that the digest would not see
-    is not reported), then the pool sizes, the fault log and the control
+    Diffs the two reports' columns field by field (in digest rendering,
+    so a sub-last-significant-digit float wiggle that the digest would
+    not see is not reported) and names the first differing row's first
+    differing field, then the pool sizes, the fault log and the control
     log.  Returns ``None`` when the two reports digest identically.
     """
-    n = min(len(left.records), len(right.records))
-    for i in range(n):
-        record_l, record_r = left.records[i], right.records[i]
-        for name in _DIGEST_RECORD_FIELDS:
-            value_l = getattr(record_l, name)
-            value_r = getattr(record_r, name)
-            if _render_field(name, value_l) != _render_field(name, value_r):
-                return Divergence("record", i, name, value_l, value_r)
+    first = None
+    for (name, mine), (_, theirs) in zip(
+        _digest_fields(left.columns), _digest_fields(right.columns)
+    ):
+        differing = (i for i, (l, r) in enumerate(zip(mine, theirs)) if l != r)
+        row = next(differing, None)
+        if row is not None and (first is None or row < first[0]):
+            first = row, name
+    if first is not None:
+        row, name = first
+        values = (getattr(report.records[row], name) for report in (left, right))
+        return Divergence("record", row, name, *values)
     if len(left.records) != len(right.records):
         return Divergence(
             "length", None, "n_records", len(left.records), len(right.records)
@@ -976,30 +945,13 @@ def first_divergence(
         return Divergence(
             "pool", None, None, left.final_pool_sizes, right.final_pool_sizes
         )
-    for i, (entry_l, entry_r) in enumerate(
-        zip(left.fault_log, right.fault_log)
+    for where, count, line, log_l, log_r in (
+        ("fault", "n_faults", _fault_line, left.fault_log, right.fault_log),
+        ("control", "n_control", _control_line, left.control_log, right.control_log),
     ):
-        key_l = (f"{entry_l.time_s:.12e}", entry_l.kind, entry_l.version, entry_l.detail)
-        key_r = (f"{entry_r.time_s:.12e}", entry_r.kind, entry_r.version, entry_r.detail)
-        if key_l != key_r:
-            return Divergence("fault", i, None, entry_l, entry_r)
-    if len(left.fault_log) != len(right.fault_log):
-        return Divergence(
-            "length", None, "n_faults", len(left.fault_log), len(right.fault_log)
-        )
-    for i, (entry_l, entry_r) in enumerate(
-        zip(left.control_log, right.control_log)
-    ):
-        key_l = (f"{entry_l.time_s:.12e}", entry_l.kind, entry_l.detail)
-        key_r = (f"{entry_r.time_s:.12e}", entry_r.kind, entry_r.detail)
-        if key_l != key_r:
-            return Divergence("control", i, None, entry_l, entry_r)
-    if len(left.control_log) != len(right.control_log):
-        return Divergence(
-            "length",
-            None,
-            "n_control",
-            len(left.control_log),
-            len(right.control_log),
-        )
+        for i, (entry_l, entry_r) in enumerate(zip(log_l, log_r)):
+            if line(entry_l) != line(entry_r):
+                return Divergence(where, i, None, entry_l, entry_r)
+        if len(log_l) != len(log_r):
+            return Divergence("length", None, count, len(log_l), len(log_r))
     return None

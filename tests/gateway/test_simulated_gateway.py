@@ -228,16 +228,6 @@ class _CannedBackend:
         return LoadTestReport(records=self._records, columns=self._columns)
 
 
-class _CountedRecords(list):
-    """A record list that counts how often it is walked."""
-
-    walks = 0
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
-
-
 def _canned_record(request_id, finished_s, **outcome):
     fields = dict(
         request_id=request_id,
@@ -250,10 +240,14 @@ def _canned_record(request_id, finished_s, **outcome):
         versions_used=("fast",),
         escalated=False,
         invocation_cost=1e-6,
+        node_seconds={"fast": 0.25},
         result=f"answer-{request_id}",
         confidence=0.9,
     )
     fields.update(outcome)
+    if fields.get("failed") or fields.get("shed"):
+        # What every producer emits for an unanswered request.
+        fields.update(versions_used=(), node_seconds={})
     return RequestRecord(**fields)
 
 
@@ -320,7 +314,7 @@ def _mixed_records(**b_outcome):
     and never mentions d."""
     return [
         _canned_record("e", 0.1),
-        _canned_record("c", 0.2, shed=True, versions_used=()),
+        _canned_record("c", 0.2, shed=True),
         _canned_record("b", 0.3, **b_outcome),
         _canned_record("a", 0.4, failed=True, retries=1),
         _canned_record("f", 0.5, failed=True, retries=3),
@@ -332,25 +326,36 @@ class TestDrainWalksTheReportOnce:
     def test_failed_shed_and_record_less_tickets_in_one_session(
         self, caplog, monkeypatch
     ):
-        records = _CountedRecords(_mixed_records(confidence=None))
+        records = _mixed_records(confidence=None)
+        records[0] = _canned_record(
+            "e",
+            0.1,
+            escalated=True,
+            versions_used=("fast", "slow"),
+            node_seconds={"fast": 0.25, "slow": 0.5},
+        )
         tickets, responses, log = _mixed_session(
             _CannedBackend(records), caplog, monkeypatch
         )
 
-        assert records.walks == 1
         # Responses: the answered requests, in completion order.
         assert [r.request_id for r in responses] == ["e", "b"]
         assert responses[0] is tickets["e"].result()
         assert tickets["b"].result().result == "answer-b"
+        assert tickets["b"].result().versions_used == ("fast",)
         assert tickets["b"].result().confidence == 1.0
+        assert tickets["e"].result().versions_used == ("fast", "slow")
+        assert tickets["e"].result().confidence == 0.9
         assert tickets["e"].result().tier == 0.02
         assert all(t.done for t in tickets.values())
         assert [n for n, t in tickets.items() if t.ok] == ["b", "e"]
-        # Failures are structured and carry their record.
-        for name, retries in (("a", 1), ("f", 3)):
+        # Failures are structured and carry their record (the very one
+        # the backend reported).
+        for name, retries, index in (("a", 1, 3), ("f", 3, 4)):
             error = tickets[name].exception()
             assert type(error) is RequestFailedError
             assert error.record.retries == retries
+            assert error.record is records[index]
         assert "after 1 retry" in str(tickets["a"].exception())
         assert "after 3 retries" in str(tickets["f"].exception())
         shed = tickets["c"].exception()

@@ -52,7 +52,9 @@ _ROW = st.tuples(
     st.one_of(st.just(-1.0), _SECONDS),  # node_seconds_accurate
     _CONFIDENCE,
     st.integers(min_value=0, max_value=3),  # retries
-    st.tuples(*[st.booleans()] * 6),  # escalated, failed, shed, degraded, denied, annotated
+    # escalated, failed, shed, degraded, denied, annotated, nothing
+    # billed, no confidence
+    st.tuples(*[st.booleans()] * 8),
     st.integers(min_value=0, max_value=7),  # pair (folded onto the table)
 )
 _NAMES = st.text(alphabet=st.sampled_from('fs%"\\|é1.'), min_size=1, max_size=4)
@@ -73,7 +75,9 @@ def segments(draw, tag):
         confidence, retries, flags, pair,
     ) = zip(*rows)
     ids = [f"{tag}.{i}.{rid}" for i, rid in enumerate(ids)]
-    escalated, failed, shed, degraded, denied, annotated = zip(*flags)
+    escalated, failed, shed, degraded, denied, annotated, unbilled, unsure = zip(
+        *flags
+    )
     finite = draw(st.booleans())
     confidence = [
         0.5 if finite and not math.isfinite(c) else c for c in confidence
@@ -91,7 +95,7 @@ def segments(draw, tag):
         invocation_cost=np.zeros(len(ids)),
         pairs=pairs,
         pair_code=np.array(pair, dtype=np.intp) % len(pairs),
-        node_seconds_fast=np.array(fast_s),
+        node_seconds_fast=np.where(unbilled, -1.0, fast_s),
         node_seconds_accurate=np.array(accurate_s),
         confidence=np.array(confidence),
         failed=np.array(failed),
@@ -99,6 +103,9 @@ def segments(draw, tag):
         shed=np.array(shed),
         degraded=np.array(degraded),
         retry_denied=np.array(denied),
+        no_confidence=np.array(unsure),
+        # Spans never read a result; a run that holds some must render.
+        results=draw(st.sampled_from([None, list(ids)])),
     )
     failover = {}
     if draw(st.booleans()):

@@ -1,19 +1,63 @@
-"""Columnar post-hoc reconstruction: vectorized == per-record, coarse shape."""
+"""Post-hoc reconstruction: report columns == record by record, coarse shape."""
+
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from oracle.report_reference import confuses_none_with_nan, drops_the_sentinel
 from repro.obs import TraceCollector, trace_from_record, traces_from_report
-from repro.obs.reconstruct import _from_record
+from repro.service.control import AdmissionSpec, ControlSpec, SLOSpec
 from repro.service.simulation import (
-    LoadTestReport,
+    RecordColumns,
+    SpikeArrivals,
     canonical_scenarios,
+    chaos_scenarios,
     run_scenario,
 )
 
+REPORT_GOLDENS = Path(__file__).resolve().parents[1] / "service" / "golden"
 
-def _records_only(report):
-    """The same report without its columns (forces the scalar path)."""
-    return LoadTestReport(records=list(report.records))
+
+def _specs():
+    return {**canonical_scenarios(), **chaos_scenarios()}
+
+
+def _closed_loop(policy):
+    """A spike that breaches a tight latency SLO: the admission policy
+    then sheds (``probabilistic``) or degrades (``degrade``) arrivals."""
+    return replace(
+        canonical_scenarios()["spike"],
+        arrivals=SpikeArrivals(
+            2.0, spike_start_s=10.0, spike_duration_s=15.0, spike_multiplier=8.0
+        ),
+        n_requests=300,
+        control=ControlSpec(
+            window_s=5.0,
+            tick_interval_s=0.25,
+            slos=(
+                SLOSpec(
+                    name="latency",
+                    max_p95_latency_s=1.5,
+                    breach_after=1,
+                    clear_after=8,
+                ),
+            ),
+            admission=AdmissionSpec(policy=policy, shed_probability=0.85),
+        ),
+    )
+
+
+def _assert_report_traces_are_its_records_traces(report):
+    """``traces_from_report`` against the single-record builder the
+    synchronous gateway uses, span for span."""
+    rebuilt = traces_from_report(report)
+    assert len(rebuilt) == len(report.records)
+    for trace, record in zip(rebuilt, report.records):
+        expected = trace_from_record(record)
+        assert trace.request_id == expected.request_id == record.request_id
+        assert trace.spans == expected.spans, record.request_id
 
 
 @pytest.fixture(scope="module")
@@ -32,18 +76,62 @@ def _digest_of(traces):
 
 
 class TestPathEquivalence:
-    def test_vectorized_and_scalar_paths_agree(self, columnar_report):
-        vectorized = traces_from_report(columnar_report)
-        scalar = traces_from_report(_records_only(columnar_report))
-        assert _digest_of(vectorized) == _digest_of(scalar)
-        assert len(vectorized) == len(scalar)
+    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    @pytest.mark.parametrize("name", sorted(_specs()))
+    def test_report_traces_are_its_records_traces(self, name, engine, toy):
+        """On a scalar-loop report the records are the engine's own, so
+        this is the column renderer against an independent walk: failed
+        rows (``flaky``, ``cascade``, ``retry-storm``) billed nothing
+        and must not grow a ``leg`` span."""
+        report = run_scenario(_specs()[name], toy, engine=engine)
+        _assert_report_traces_are_its_records_traces(report)
+        digests = [
+            _digest_of(traces)
+            for traces in (
+                traces_from_report(report),
+                map(trace_from_record, report.records),
+            )
+        ]
+        assert digests[0] == digests[1]
 
-    def test_single_record_entry_point_matches(self, columnar_report):
-        record = columnar_report.records[0]
-        assert (
-            _digest_of([trace_from_record(record)])
-            == _digest_of([_from_record(record)])
+    @pytest.mark.parametrize(
+        "policy, outcome", [("probabilistic", "shed"), ("degrade", "degraded")]
+    )
+    def test_closed_loop_traces_are_its_records_traces(self, policy, outcome, toy):
+        report = run_scenario(_closed_loop(policy), toy)
+        assert report.control_log and report.summary()[f"n_{outcome}"] > 0
+        _assert_report_traces_are_its_records_traces(report)
+
+    def test_a_transposition_that_drops_the_sentinel_is_caught(
+        self, toy, monkeypatch
+    ):
+        """Teeth: every failed row grows a phantom ``leg`` span, and the
+        report no longer digests as its golden file."""
+        monkeypatch.setattr(
+            RecordColumns,
+            "from_records",
+            drops_the_sentinel(RecordColumns.from_records),
         )
+        report = run_scenario(_specs()["retry-storm"], toy, engine="legacy")
+        assert report.n_failed > 0
+        with pytest.raises(AssertionError):
+            _assert_report_traces_are_its_records_traces(report)
+        golden = json.loads((REPORT_GOLDENS / "retry-storm.json").read_text())
+        assert report.digest() != golden["digest"]
+
+    def test_a_transposition_that_writes_none_as_nan_is_caught(
+        self, toy, monkeypatch
+    ):
+        """Teeth: a failed request's root span grows a ``confidence``."""
+        monkeypatch.setattr(
+            RecordColumns,
+            "from_records",
+            confuses_none_with_nan(RecordColumns.from_records),
+        )
+        report = run_scenario(_specs()["flaky"], toy, engine="legacy")
+        assert report.n_failed > 0
+        with pytest.raises(AssertionError):
+            _assert_report_traces_are_its_records_traces(report)
 
 
 class TestCoarseShape:

@@ -27,15 +27,17 @@ two.  This file is that argument, run continuously:
    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
-helper walks both reports with
-:func:`~repro.service.simulation.first_divergence` and names the first
-diverging field, record index and both values.
+helper asks :func:`~repro.service.simulation.first_divergence`, which
+diffs the two reports' ``RecordColumns`` column by column and names the
+first diverging row, field and both values (then lengths, pool sizes,
+the fault and control streams).
 
 Seeds below :data:`FAST_SPECS` run in the fast tier; the rest carry the
 ``slow`` marker.  This module drives both engines explicitly, so it
 shadows the suite-wide ``sim_engine`` matrix fixture to run once.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -106,7 +108,7 @@ def toy():
 # ----------------------------------------------------------------------
 def assert_reports_identical(legacy, columnar):
     """Digest equality, explained: on mismatch, name the first diverging
-    field and both values instead of printing two opaque hashes."""
+    row, field and both values instead of printing two opaque hashes."""
     if legacy.digest() == columnar.digest():
         return
     divergence = first_divergence(legacy, columnar)
@@ -939,3 +941,53 @@ def test_non_finite_arrival_time_is_refused_at_submit(engine, at_time, toy):
     report = sim.drain()
     assert sim.engine_used == engine
     assert [r.request_id for r in report.records] == ["r0"]
+
+
+# ----------------------------------------------------------------------
+# the assertion helper itself
+# ----------------------------------------------------------------------
+def test_a_digest_mismatch_names_its_column_and_row(toy):
+    """Engines differ in how they spell a run (the scalar loop's pair
+    table has a row per billing shape); the array diff reads through
+    that and points at the one value that moved."""
+    legacy, columnar = run_both(canonical_scenarios()["baseline"], toy)
+    assert columnar.engine_used == "columnar"
+    assert legacy.columns.pairs != columnar.columns.pairs
+    assert first_divergence(legacy, columnar) is None
+
+    records = list(columnar.records)
+    late = dataclasses.replace(records[7], finished_s=records[7].finished_s + 1e-6)
+    unbilled = dataclasses.replace(records[4], versions_used=(), node_seconds={})
+    for row, record, field in ((7, late, "finished_s"), (4, unbilled, "versions_used")):
+        records[row] = record
+        tampered = dataclasses.replace(columnar, records=list(records))
+        with pytest.raises(pytest.fail.Exception) as failure:
+            assert_reports_identical(legacy, tampered)
+        assert f"first divergence at record[{row}].{field}:" in str(failure.value)
+        assert repr(getattr(record, field)) in str(failure.value)
+    # Then what is not a column.
+    resized = dataclasses.replace(columnar, final_pool_sizes={"fast": 9})
+    with pytest.raises(pytest.fail.Exception, match="first divergence at pool"):
+        assert_reports_identical(legacy, resized)
+
+
+def test_a_log_mismatch_names_its_stream_and_entry(toy):
+    """The fault and control streams are compared as the digest renders
+    them: line by line, then by length."""
+    spec = dataclasses.replace(canonical_scenarios()["node-crash"], control=None)
+    report = run_scenario(spec, toy, engine="legacy")
+    assert len(report.fault_log) >= 2 and first_divergence(report, report) is None
+    moved = dataclasses.replace(report.fault_log[1], detail="tampered")
+    for log, where in (
+        ([report.fault_log[0], moved, *report.fault_log[2:]], "fault[1]"),
+        (report.fault_log[:-1], "length.n_faults"),
+    ):
+        tampered = dataclasses.replace(report, fault_log=log)
+        assert tampered.digest() != report.digest()
+        with pytest.raises(pytest.fail.Exception) as failure:
+            assert_reports_identical(report, tampered)
+        assert f"first divergence at {where}:" in str(failure.value)
+    # node ids are process-local: neither the digest nor the diff sees one.
+    renumbered = dataclasses.replace(report.fault_log[0], node_id="elsewhere")
+    same = dataclasses.replace(report, fault_log=[renumbered, *report.fault_log[1:]])
+    assert same.digest() == report.digest() and first_divergence(report, same) is None

@@ -10,10 +10,19 @@ plain engine run (no fault subsystem arguments at all) produces.
 
 Seeds 0–19 run in the fast tier; the rest carry the ``slow`` marker and
 run in CI's full tier (see pytest.ini / docs/SCENARIOS.md).
+
+A hypothesis property over the same specs — with a control plane that
+swaps and rolls back the configuration mid-run on half of them — pins the
+record shape every report's columns rely on: a record names exactly the
+versions it billed, two at most.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
@@ -21,6 +30,12 @@ from repro.core.policies import (
     EarlyTerminationPolicy,
     SequentialPolicy,
     SingleVersionPolicy,
+)
+from repro.service.control import (
+    AdaptorConfig,
+    AdmissionSpec,
+    ControlSpec,
+    SLOSpec,
 )
 from repro.service.simulation import (
     AutoscalerConfig,
@@ -221,3 +236,74 @@ def test_fault_free_specs_match_plain_engine_bit_for_bit(seed, toy):
     assert via_scenario.digest() == direct.digest()
     assert via_scenario.total_retries == 0
     assert via_scenario.n_failed == 0
+
+
+# ----------------------------------------------------------------------
+# record shape: what RecordColumns.from_records relies on
+# ----------------------------------------------------------------------
+def _reconfiguring(spec):
+    """``spec`` under a control plane that degrades arrivals and lets
+    the online adaptor swap (and roll back) the configuration mid-run.
+    Crashes recover: a closed loop keeps ticking while requests wait on
+    capacity that never comes back."""
+    return replace(
+        spec,
+        faults=tuple(
+            replace(fault, recover_at_s=fault.at_s + 2.0)
+            if isinstance(fault, NodeCrash) and fault.recover_at_s is None
+            else fault
+            for fault in spec.faults
+        ),
+        control=ControlSpec(
+            window_s=8.0,
+            tick_interval_s=0.25,
+            slos=(
+                SLOSpec(
+                    name="latency",
+                    max_p95_latency_s=0.4,
+                    breach_after=1,
+                    clear_after=8,
+                ),
+            ),
+            admission=AdmissionSpec(policy="degrade"),
+            adaptor=AdaptorConfig(
+                refit_interval_s=1.0,
+                min_window_samples=15,
+                degradation_mode="absolute",
+                tolerance_step=0.06,
+                max_tolerance=0.30,
+                thresholds=(0.3, 0.4, 0.5, 0.6, 0.7),
+            ),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=11, closed_loop=True)  # three swaps, two rollbacks
+@given(seed=st.integers(min_value=0, max_value=2**20), closed_loop=st.booleans())
+def test_every_scalar_loop_record_names_exactly_what_it_billed(
+    seed, closed_loop, toy
+):
+    """``versions_used == tuple(node_seconds)``, two versions at most,
+    no negative seconds — retries onto a replacement pool and mid-run
+    reconfiguration included — so a record is one row of a ``(fast,
+    accurate)`` pair table and needs no n-tuple."""
+    spec = _random_spec(seed, with_faults=True)
+    if closed_loop:
+        spec = _reconfiguring(spec)
+    report = run_scenario(spec, toy, engine="legacy")
+    assert report.engine_used == "legacy"
+    for record in report.records:  # the engine's own objects
+        assert record.versions_used == tuple(record.node_seconds), record
+        assert len(record.node_seconds) <= 2, record
+        assert all(s >= 0.0 for s in record.node_seconds.values()), record
+        if record.failed or record.shed:
+            assert record.node_seconds == {}, record
+
+
+def test_the_reconfiguring_control_plane_does_reconfigure(toy):
+    spec = _reconfiguring(_random_spec(11, with_faults=True))
+    report = run_scenario(spec, toy, engine="legacy")
+    kinds = {entry.kind for entry in report.control_log}
+    assert {"swap", "rollback"} <= kinds
+    assert len({record.versions_used for record in report.records}) >= 3
