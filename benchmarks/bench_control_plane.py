@@ -30,14 +30,12 @@ Pinned claims (the PR's acceptance bar):
 * on the healthy diurnal wave the control plane does no harm.
 
 Headline metrics land in ``BENCH_PERF.json`` (section ``control_plane``)
-and ride the existing ``compare_perf.py`` ±5 % advisory gate — the
-numbers are deterministic simulation outputs, so any drift is a
-behaviour change, not timer noise.
+for ``compare_perf.py`` — the numbers are deterministic simulation
+outputs, so any drift is a behaviour change, not timer noise.
 
 Smoke mode (for the fast CI tier): set ``REPRO_BENCH_SMOKE=1``; the
 deterministic workload is cheap enough to run unshrunk, so smoke mode
-only routes the artefact to ``results/`` instead of the committed
-baseline (exactly like ``bench_perf.py``).
+only prints and asserts — nothing is written (``history.write_section``).
 
 Run with::
 
@@ -47,8 +45,7 @@ Run with::
 import os
 from dataclasses import replace
 
-from bench_perf import _merge_output
-from conftest import save_artifact
+from history import write_section
 
 from repro.analysis import format_table
 from repro.service.control import AdaptorConfig, AdmissionSpec, ControlSpec, SLOSpec
@@ -225,25 +222,24 @@ def test_control_plane_sweep():
         >= reports[("diurnal", "static")].goodput_rps * 0.95
     )
 
-    save_artifact("bench_control_plane", {"smoke": SMOKE, "results": artifact})
-    _merge_output(
+    write_section(
+        "control_plane",
         {
-            "control_plane": {
-                "goodput_rps": {
-                    f"{name}-{controller}": round(r.goodput_rps, 3)
-                    for (name, controller), r in reports.items()
-                },
-                "p95_latency_s": {
-                    f"{name}-{controller}": round(r.p95_latency_s, 4)
-                    for (name, controller), r in reports.items()
-                },
-                "node_seconds": {
-                    f"{name}-{controller}": round(
-                        sum(r.total_node_seconds.values()), 3
-                    )
-                    for (name, controller), r in reports.items()
-                },
-                "smoke": SMOKE,
-            }
-        }
+            "goodput_rps": {
+                f"{name}-{controller}": round(r.goodput_rps, 3)
+                for (name, controller), r in reports.items()
+            },
+            "p95_latency_s": {
+                f"{name}-{controller}": round(r.p95_latency_s, 4)
+                for (name, controller), r in reports.items()
+            },
+            "node_seconds": {
+                f"{name}-{controller}": round(
+                    sum(r.total_node_seconds.values()), 3
+                )
+                for (name, controller), r in reports.items()
+            },
+        },
+        smoke=SMOKE,
+        artifact={"results": artifact},
     )

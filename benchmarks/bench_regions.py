@@ -29,12 +29,11 @@ wall-clock measurement:
    interpretable.
 
 Headline metrics land in ``BENCH_PERF.json`` (section ``regions``) and
-the longitudinal history via ``_merge_output``.
+the longitudinal history via ``history.write_section``.
 
 Smoke mode (fast CI tier): ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``)
 shrinks the speedup trace to 600 requests per region, skips the floor,
-and routes artefacts to ``results/`` only.  The full trace carries the
-``slow`` marker.
+and writes nothing.  The full trace carries the ``slow`` marker.
 
 Run with::
 
@@ -48,8 +47,7 @@ from dataclasses import replace
 
 import pytest
 
-from bench_perf import _merge_output
-from conftest import save_artifact
+from history import write_section
 
 from repro.analysis import format_table
 from repro.service.regions import (
@@ -204,7 +202,6 @@ def _emit(goodput, reports, speedup):
         f"{speedup['cpu_count']} cores)"
     )
     artifact = {
-        "smoke": SMOKE,
         "goodput": {
             name: {
                 key: (round(value, 6) if isinstance(value, float) else value)
@@ -214,27 +211,26 @@ def _emit(goodput, reports, speedup):
         },
         "parallel": speedup,
     }
-    save_artifact("bench_regions", artifact)
-    _merge_output(
+    write_section(
+        "regions",
         {
-            "regions": {
-                "goodput_rps": {
-                    name: round(row["goodput_rps"], 4)
-                    for name, row in goodput.items()
-                },
-                "availability": {
-                    name: round(row["availability"], 4)
-                    for name, row in goodput.items()
-                },
-                "failover_p95_containment": round(
-                    goodput["outage-severed"]["p95_user_latency_s"]
-                    / goodput["outage-failover"]["p95_user_latency_s"],
-                    4,
-                ),
-                "parallel": speedup,
-                "smoke": SMOKE,
-            }
-        }
+            "goodput_rps": {
+                name: round(row["goodput_rps"], 4)
+                for name, row in goodput.items()
+            },
+            "availability": {
+                name: round(row["availability"], 4)
+                for name, row in goodput.items()
+            },
+            "failover_p95_containment": round(
+                goodput["outage-severed"]["p95_user_latency_s"]
+                / goodput["outage-failover"]["p95_user_latency_s"],
+                4,
+            ),
+            "parallel": speedup,
+        },
+        smoke=SMOKE,
+        artifact=artifact,
     )
 
 
@@ -292,10 +288,8 @@ if __name__ == "__main__":
     import sys
 
     if "--smoke" in sys.argv:
+        # pytest imports this file afresh, so its SMOKE sees the flag.
         os.environ["REPRO_BENCH_SMOKE"] = "1"
-        # bench_perf was imported before the flag was set and froze
-        # SMOKE=False; purge it so pytest's fresh import sees smoke mode.
-        sys.modules.pop("bench_perf", None)
     raise SystemExit(
         pytest.main(
             [__file__, "-q", "-s"]

@@ -42,7 +42,7 @@ outputs, so any delta is a behaviour change, not timer noise.
 Smoke mode (for the fast CI tier): ``REPRO_BENCH_SMOKE=1`` (or running
 this file directly with ``--smoke``) runs the static-vs-adaptive slice
 of the matrix — unshrunk, the workload is cheap and deterministic — and
-routes the artefact to ``results/`` instead of the committed baseline.
+writes nothing (``history.write_section``).
 The full matrix (all three controllers plus the acceptance assertions)
 carries the ``slow`` marker and runs in the full tier.
 
@@ -57,8 +57,7 @@ from dataclasses import replace
 
 import pytest
 
-from bench_perf import _merge_output
-from conftest import save_artifact
+from history import write_section
 
 from repro.analysis import format_table
 from repro.service.control import (
@@ -160,8 +159,7 @@ def _bench_scenarios():
     """
     base = chaos_scenarios()
     # The matrix is deterministic and cheap (~3 s), so smoke mode runs
-    # it unshrunk: identical workloads mean the advisory comparison sees
-    # behaviour drift, not size mismatch.
+    # it unshrunk.
     n = 300
     gray = base["gray-failure"]
     gray = replace(
@@ -286,7 +284,7 @@ def _run_matrix(scenarios, controller_names):
     return scores, reports
 
 
-def _emit(scores, reports, *, artifact_name):
+def _emit(scores, reports):
     rows = [
         [
             name,
@@ -327,23 +325,22 @@ def _emit(scores, reports, *, artifact_name):
         }
         for (name, controller), card in scores.items()
     }
-    save_artifact(artifact_name, {"smoke": SMOKE, "results": artifact})
-    _merge_output(
+    write_section(
+        "resilience",
         {
-            "resilience": {
-                metric: {
-                    f"{name}-{controller}": round(card[metric], 4)
-                    for (name, controller), card in scores.items()
-                }
-                for metric in (
-                    "goodput_retention",
-                    "p95_inflation",
-                    "time_to_recover_s",
-                    "retry_amplification",
-                )
+            metric: {
+                f"{name}-{controller}": round(card[metric], 4)
+                for (name, controller), card in scores.items()
             }
-            | {"smoke": SMOKE}
-        }
+            for metric in (
+                "goodput_retention",
+                "p95_inflation",
+                "time_to_recover_s",
+                "retry_amplification",
+            )
+        },
+        smoke=SMOKE,
+        artifact={"results": artifact},
     )
 
 
@@ -354,7 +351,7 @@ def test_resilience_smoke():
     """Fast-tier slice: every fault type, static vs adaptive, full loads."""
     scenarios = _bench_scenarios()
     scores, reports = _run_matrix(scenarios, ("static", "adaptive"))
-    _emit(scores, reports, artifact_name="bench_resilience")
+    _emit(scores, reports)
     # The smoke slice still pins the load-bearing wiring: chaos runs are
     # deterministic, and every scenario's chaos actually changes behaviour.
     for name, spec in scenarios.items():
@@ -367,7 +364,7 @@ def test_resilience_matrix():
     measurements = scenario_measurements()
     scenarios = _bench_scenarios()
     scores, reports = _run_matrix(scenarios, ("static", "shed", "adaptive"))
-    _emit(scores, reports, artifact_name="bench_resilience")
+    _emit(scores, reports)
 
     # Determinism: each chaos cell reproduces its own digest.
     for name, spec in scenarios.items():
@@ -415,11 +412,8 @@ if __name__ == "__main__":
     import sys
 
     if "--smoke" in sys.argv:
+        # pytest imports this file afresh, so its SMOKE sees the flag.
         os.environ["REPRO_BENCH_SMOKE"] = "1"
-        # This module (and bench_perf) were imported before the flag was
-        # set and froze SMOKE=False; purge them so pytest's fresh import
-        # sees smoke mode and routes artefacts to results/ only.
-        sys.modules.pop("bench_perf", None)
     raise SystemExit(
         pytest.main(
             [__file__, "-q", "-s"]

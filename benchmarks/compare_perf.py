@@ -1,50 +1,42 @@
 """Perf-regression comparison for BENCH_PERF.json — point and longitudinal.
 
-Three modes share one metric registry and one reporting format:
+Nothing here times the serving stack: that is ``benchmarks/e2e/`` and its
+own ``compare.py``.  Two modes share one metric registry and one
+reporting format:
 
-**Two-artefact mode** (the original gate)::
+**Two-artefact mode**::
 
-    python benchmarks/compare_perf.py BENCH_PERF.json results/bench_perf.json
+    git show HEAD:BENCH_PERF.json > /tmp/base.json
+    python benchmarks/compare_perf.py /tmp/base.json BENCH_PERF.json
 
-compares a fresh artefact against the committed baseline and prints
-relative deltas; timings beyond the threshold (default ±5 %, the
-advisory noise band the delta-rs benchmarking ADR recommends for shared
-runners) are flagged ``ADVISORY``.  Three historical bugs are fixed and
-pinned by ``tests/benchmarks/test_compare_perf.py``:
+compares the working-tree file (after a full bench run) against the
+committed one and prints relative deltas; values beyond the threshold
+(default ±5 %, the advisory noise band the delta-rs benchmarking ADR
+recommends for shared runners) are flagged ``ADVISORY``.  Two historical
+bugs are fixed and pinned by ``tests/benchmarks/test_compare_perf.py``:
 
 * a metric that is a dict in one artefact and a scalar in the other
-  (a section gaining per-engine breakdowns) is reported as an explicit
+  (a section gaining per-key breakdowns) is reported as an explicit
   ``schema changed`` row instead of crashing on ``set(old) & set(new)``;
 * zero baselines are compared, not skipped — a metric like
   ``resilience.time_to_recover_s`` regressing from ``0.0`` is exactly
   the transition that must be loudest, and is reported as an explicit
-  ``zero baseline`` row (only the division is guarded);
-* a smoke-run artefact (single-repetition CI timings) is no longer
-  flagged line-by-line against the full-repetition committed baseline —
-  per-metric flags are suppressed for sections whose smoke tags differ,
-  so fast-tier logs stop accumulating false ADVISORY regressions.
+  ``zero baseline`` row (only the division is guarded).
 
 **History mode**::
 
-    python benchmarks/compare_perf.py --against-history results/bench_perf.json
+    PYTHONPATH=src python benchmarks/compare_perf.py --against-history FRESH
 
-scores the fresh artefact against the longitudinal history
+scores ``FRESH`` — a ``BENCH_PERF.json`` or an end-to-end
+``results.json`` — against the longitudinal history
 (``results/bench_history.jsonl``, see ``benchmarks/history.py``): each
-metric's fresh value is z-scored against the noise of *like-for-like*
-history entries (smoke runs against smoke-tagged entries only), and the
-whole series is scanned for step changes with the
-``ConfidenceTest``-conditioned changepoint detector — the measured
+metric's fresh value is z-scored against the noise of the full-run
+history entries, and the whole series is scanned for step changes with
+the ``ConfidenceTest``-conditioned changepoint detector — the measured
 noise history sets the bar, not a fixed band.
 
-**Branch mode**::
-
-    python benchmarks/compare_perf.py --branch-vs-main
-
-compares the current branch's history entries against main's on the
-same detector.
-
-All modes are advisory by default (exit 0); ``--strict`` exits non-zero
-when a non-suppressed regression is flagged.
+Both modes are advisory by default (exit 0); ``--strict`` exits non-zero
+when a regression is flagged.
 """
 
 from __future__ import annotations
@@ -54,20 +46,22 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional
 
+_ROOT = Path(__file__).resolve().parent.parent
+
 #: (section, metric, direction) triples compared, with direction: +1 means
 #: larger is better (throughput), -1 means smaller is better (wall time).
-#: The ``control_plane`` and ``resilience`` metrics are deterministic
-#: simulation outputs, not timings: any delta at all is a behaviour change
-#: in the closed loop, so the same advisory gate doubles as a behavioural
-#: drift detector.
+#: The sections are ``history.SECTION_SOURCES``' (a registry test holds
+#: the two, and ``BENCH_PERF.json``, to one set).  The ``control_plane``,
+#: ``resilience`` and ``regions`` metrics are deterministic simulation
+#: outputs, not timings: any delta at all is a behaviour change, so the
+#: same advisory gate doubles as a behavioural drift detector.
 METRICS = (
     ("rule_generator", "trials_per_s", +1),
     ("policy_evaluation", "rows_per_s", +1),
-    ("serving_simulator", "requests_per_s", +1),
-    ("serving_simulator", "speedup_vs_legacy", +1),
     ("control_plane", "goodput_rps", +1),
     ("control_plane", "p95_latency_s", -1),
     ("control_plane", "node_seconds", -1),
@@ -75,6 +69,8 @@ METRICS = (
     ("resilience", "p95_inflation", -1),
     ("resilience", "time_to_recover_s", -1),
     ("resilience", "retry_amplification", -1),
+    ("regions", "goodput_rps", +1),
+    ("regions", "availability", +1),
 )
 
 #: Minimum like-for-like history entries before a trend verdict is
@@ -94,7 +90,7 @@ class Row:
             and zero baselines).
         flagged: True when the row is an advisory regression.
         note: Human-readable qualifier (schema change, zero baseline,
-            smoke suppression, trend statistics).
+            trend statistics).
     """
 
     label: str
@@ -105,8 +101,20 @@ class Row:
     note: str = ""
 
 
+@lru_cache(maxsize=None)
+def _e2e_directions() -> dict:
+    """``BENCHMARK.json``'s own ``better`` per end-to-end / layer metric."""
+    manifest = json.loads((_ROOT / "BENCHMARK.json").read_text())
+    return {
+        m["name"]: +1 if m["better"] == "higher" else -1
+        for m in manifest["end_to_end"] + manifest["per_layer"]
+    }
+
+
 def _metric_direction(label: str) -> Optional[int]:
     """Direction for a flat ``section.metric[.key]`` label, if gated."""
+    if label.startswith("e2e."):  # e2e.<workload>.<metric>
+        return _e2e_directions().get(label.split(".", 2)[2])
     for section, metric, direction in METRICS:
         prefix = f"{section}.{metric}"
         if label == prefix or label.startswith(prefix + "."):
@@ -120,8 +128,6 @@ def _compare_scalar(
     new: object,
     direction: int,
     threshold: float,
-    *,
-    suppress: bool,
 ) -> Iterator[Row]:
     """Compare one scalar pair, guarding only the division by zero."""
     if not isinstance(old, (int, float)) or not isinstance(new, (int, float)):
@@ -146,32 +152,20 @@ def _compare_scalar(
         # skipped: flag it when it moves in the regression direction.
         adverse = direction * (new - old) < 0.0
         note = "zero baseline — relative delta undefined"
-        if suppress and adverse:
-            note += "; smoke vs full baseline, flag suppressed"
-        yield Row(label, old, new, None, adverse and not suppress, note=note)
+        yield Row(label, old, new, None, adverse, note=note)
         return
     delta = (new - old) / old
-    would_flag = direction * delta < -threshold
-    note = ""
-    if suppress and would_flag:
-        note = "smoke vs full baseline — flag suppressed"
-    yield Row(label, old, new, delta, would_flag and not suppress, note=note)
+    yield Row(label, old, new, delta, direction * delta < -threshold)
 
 
 def compare(baseline: dict, fresh: dict, threshold: float) -> Iterator[Row]:
     """Yield comparison :class:`Row`\\ s for every gated metric."""
     for section, metric, direction in METRICS:
-        old_section = baseline.get(section, {})
-        new_section = fresh.get(section, {})
-        old = old_section.get(metric)
-        new = new_section.get(metric)
+        old = baseline.get(section, {}).get(metric)
+        new = fresh.get(section, {}).get(metric)
         if old is None or new is None:
             continue
         label = f"{section}.{metric}"
-        # A smoke artefact's single-repetition timings and a
-        # full-repetition baseline are different measurement regimes:
-        # report the deltas, suppress the flags.
-        suppress = bool(old_section.get("smoke")) != bool(new_section.get("smoke"))
         old_is_dict = isinstance(old, dict)
         new_is_dict = isinstance(new, dict)
         if old_is_dict != new_is_dict:
@@ -192,12 +186,7 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> Iterator[Row]:
         if old_is_dict:
             for key in sorted(set(old) & set(new)):
                 yield from _compare_scalar(
-                    f"{label}.{key}",
-                    old[key],
-                    new[key],
-                    direction,
-                    threshold,
-                    suppress=suppress,
+                    f"{label}.{key}", old[key], new[key], direction, threshold
                 )
             for key in sorted(set(old) - set(new)):
                 yield Row(
@@ -218,9 +207,7 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> Iterator[Row]:
                     note="schema changed: key new in fresh artefact",
                 )
             continue
-        yield from _compare_scalar(
-            label, old, new, direction, threshold, suppress=suppress
-        )
+        yield from _compare_scalar(label, old, new, direction, threshold)
 
 
 def _format_value(value: Optional[float]) -> str:
@@ -249,8 +236,8 @@ def _load_json(path: Path) -> Optional[dict]:
 
 
 # ----------------------------------------------------------------------
-# history-backed modes (imported lazily so the classic two-artefact mode
-# keeps working without PYTHONPATH=src)
+# history mode (imported lazily so the classic two-artefact mode keeps
+# working without PYTHONPATH=src)
 # ----------------------------------------------------------------------
 def _history_modules():
     try:
@@ -259,7 +246,7 @@ def _history_modules():
         from repro.stats.confidence import ConfidenceTest, normal_quantile
     except ImportError as exc:  # pragma: no cover - environment guard
         raise SystemExit(
-            f"compare_perf: history modes need PYTHONPATH=src ({exc})"
+            f"compare_perf: history mode needs PYTHONPATH=src ({exc})"
         )
     return history, detect_step, shift_zscore, ConfidenceTest, normal_quantile
 
@@ -274,23 +261,22 @@ def _against_history(args) -> int:
         return 0
     test = ConfidenceTest(confidence=args.confidence)
     quantile = normal_quantile(test.confidence)
-    flat_fresh = history.flatten_metrics(fresh)
+    flat_fresh = (
+        history.e2e_metrics(fresh)
+        if "workloads" in fresh
+        else history.flatten_metrics(fresh)
+    )
+    # Full runs only: the smoke-tagged rows older benches appended are a
+    # different measurement regime.
+    entries = history.load_history(args.history, smoke=False)
 
     rows = []
     changepoints = {}
     any_series = False
-    entries_by_smoke = {}
     for label, value in sorted(flat_fresh.items()):
         direction = _metric_direction(label)
         if direction is None:
             continue
-        section = label.split(".", 1)[0]
-        smoke = bool(fresh.get(section, {}).get("smoke"))
-        if smoke not in entries_by_smoke:
-            entries_by_smoke[smoke] = history.load_history(
-                args.history, smoke=smoke
-            )
-        entries = entries_by_smoke[smoke]
         series = history.metric_series(entries, label)
         if len(series) < MIN_HISTORY:
             rows.append(
@@ -300,8 +286,8 @@ def _against_history(args) -> int:
                     value,
                     None,
                     False,
-                    note=f"insufficient {'smoke' if smoke else 'full'} history "
-                    f"(n={len(series)} < {MIN_HISTORY}) — recording, not judging",
+                    note=f"insufficient history (n={len(series)} < "
+                    f"{MIN_HISTORY}) — recording, not judging",
                 )
             )
             continue
@@ -361,113 +347,12 @@ def _against_history(args) -> int:
     return 0
 
 
-def _branch_vs_main(args) -> int:
-    """Compare the current branch's history entries against main's."""
-    history, detect_step, shift_zscore, ConfidenceTest, normal_quantile = (
-        _history_modules()
-    )
-    test = ConfidenceTest(confidence=args.confidence)
-    quantile = normal_quantile(test.confidence)
-    branch = args.branch or history.git_metadata().get("branch", "unknown")
-    if branch == args.main_branch:
-        print(
-            f"compare_perf: current branch IS {args.main_branch!r}; "
-            "nothing to compare (use --branch to name one)"
-        )
-        return 0
-    main_entries = history.load_history(
-        args.history, branch=args.main_branch, smoke=args.smoke
-    )
-    branch_entries = history.load_history(
-        args.history, branch=branch, smoke=args.smoke
-    )
-    if not branch_entries:
-        print(
-            f"compare_perf: no history entries for branch {branch!r} "
-            f"(smoke={args.smoke}); run the benches on this branch first"
-        )
-        return 0
-
-    rows = []
-    labels = sorted(
-        set(history.metric_labels(main_entries))
-        & set(history.metric_labels(branch_entries))
-    )
-    for label in labels:
-        direction = _metric_direction(label)
-        if direction is None:
-            continue
-        main_series = history.metric_series(main_entries, label)
-        branch_series = history.metric_series(branch_entries, label)
-        branch_mean = sum(branch_series) / len(branch_series)
-        if len(main_series) < MIN_HISTORY:
-            rows.append(
-                Row(
-                    label,
-                    None,
-                    branch_mean,
-                    None,
-                    False,
-                    note=f"insufficient {args.main_branch} history "
-                    f"(n={len(main_series)} < {MIN_HISTORY})",
-                )
-            )
-            continue
-        z = shift_zscore(main_series, branch_mean)
-        main_mean = sum(main_series) / len(main_series)
-        delta = (branch_mean - main_mean) / main_mean if main_mean else None
-        flagged = direction * z < -quantile
-        note = (
-            f"z={z:+.2f}, {len(branch_series)} branch run(s) vs "
-            f"{len(main_series)} on {args.main_branch}"
-        )
-        rows.append(Row(label, main_mean, branch_mean, delta, flagged, note=note))
-
-    if not rows:
-        print(
-            "compare_perf: no overlapping gated metrics between "
-            f"{branch!r} and {args.main_branch!r} history entries"
-        )
-        return 0
-    print(
-        f"compare_perf: branch {branch!r} vs {args.main_branch!r} "
-        f"(confidence {test.confidence:g}, smoke={args.smoke})"
-    )
-    _print_rows(rows)
-    for warning in history.machine_mismatch_warnings(
-        main_entries + branch_entries
-    ):
-        print(f"\nWARN: {warning}")
-    if any(row.flagged for row in rows):
-        print(
-            f"\ncompare_perf: branch regresses past the {test.confidence:g} "
-            f"confidence bar of {args.main_branch}'s noise"
-            + (" — strict mode fails" if args.strict else " — advisory only")
-        )
-        if args.strict:
-            return 1
-    return 0
-
-
 def _two_artifacts(args) -> int:
     """The classic committed-baseline vs fresh-artefact comparison."""
     baseline = _load_json(args.baseline)
     fresh = _load_json(args.fresh) if baseline is not None else None
     if baseline is None or fresh is None:
         return 0
-    fresh_smoke_sections = [
-        s for s, _, _ in METRICS if fresh.get(s, {}).get("smoke")
-    ]
-    if fresh_smoke_sections:
-        print(
-            "compare_perf: fresh artefact contains smoke-run sections "
-            f"({', '.join(sorted(set(fresh_smoke_sections)))}) — their "
-            "deltas against a full-repetition baseline are noise "
-            "estimates, not trajectory numbers; per-metric flags are "
-            "suppressed for mismatched sections (use --against-history "
-            "to judge smoke runs against smoke-tagged history)"
-        )
-
     rows = list(compare(baseline, fresh, args.threshold))
     if not rows:
         print("compare_perf: no comparable metrics found")
@@ -490,7 +375,7 @@ def main(argv=None) -> int:
         "baseline",
         type=Path,
         nargs="?",
-        help="committed BENCH_PERF.json (two-artefact mode)",
+        help="baseline BENCH_PERF.json (two-artefact mode)",
     )
     parser.add_argument(
         "fresh",
@@ -503,35 +388,14 @@ def main(argv=None) -> int:
         type=Path,
         dest="fresh_artifact",
         metavar="FRESH",
-        help="score FRESH against the longitudinal history instead of a "
-        "single baseline artefact",
-    )
-    parser.add_argument(
-        "--branch-vs-main",
-        action="store_true",
-        help="compare the current branch's history entries against main's",
+        help="score FRESH (a BENCH_PERF.json or an e2e results.json) "
+        "against the longitudinal history instead of a baseline artefact",
     )
     parser.add_argument(
         "--history",
         type=Path,
         default=None,
         help="history JSONL (default: results/bench_history.jsonl)",
-    )
-    parser.add_argument(
-        "--branch",
-        default=None,
-        help="branch name for --branch-vs-main (default: git HEAD's branch)",
-    )
-    parser.add_argument(
-        "--main-branch",
-        default="main",
-        help="reference branch for --branch-vs-main (default: main)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="for --branch-vs-main: compare smoke-tagged entries instead "
-        "of full runs",
     )
     parser.add_argument(
         "--confidence",
@@ -554,25 +418,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.fresh_artifact is not None and args.branch_vs_main:
-        parser.error("--against-history and --branch-vs-main are exclusive")
-    if args.fresh_artifact is not None or args.branch_vs_main:
+    if args.fresh_artifact is not None:
         if args.baseline is not None or args.fresh is not None:
-            parser.error("history modes take no positional artefacts")
+            parser.error("history mode takes no positional artefacts")
         if args.history is None:
-            args.history = (
-                Path(__file__).resolve().parent.parent
-                / "results"
-                / "bench_history.jsonl"
-            )
-        if args.fresh_artifact is not None:
-            return _against_history(args)
-        return _branch_vs_main(args)
-
+            args.history = _ROOT / "results" / "bench_history.jsonl"
+        return _against_history(args)
     if args.baseline is None or args.fresh is None:
         parser.error(
-            "two-artefact mode needs BASELINE and FRESH "
-            "(or use --against-history / --branch-vs-main)"
+            "two-artefact mode needs BASELINE and FRESH (or use --against-history)"
         )
     return _two_artifacts(args)
 

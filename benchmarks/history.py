@@ -1,45 +1,47 @@
-"""Append-only longitudinal history of benchmark runs.
+"""Append-only longitudinal history of benchmark runs — and their one writer.
 
-``BENCH_PERF.json`` is a single point: the last full run on a quiet
-machine.  ``results/bench_history.jsonl`` is the trajectory: every
-``bench_perf`` / ``bench_resilience`` / ``bench_control_plane`` run — and
-any live gateway session exporting through the control plane's
-:class:`~repro.service.control.MetricsExporter` — appends one JSON line
-with its flattened metrics plus the metadata needed to interpret them
-later (commit, branch, machine fingerprint, simulator engine, smoke
-tag).  The file is append-only by design: entries are facts about runs
-that happened, never rewritten, so trend analysis can condition on the
-noise that was actually observed instead of a fixed tolerance band.
+``BENCH_PERF.json`` is a single point: the last full run of each
+non-serving bench.  ``results/bench_history.jsonl`` is the trajectory: one
+JSON line per run, with its flattened metrics plus the metadata needed to
+interpret them later (commit, branch, machine fingerprint, simulator
+engine).  Entries are facts about runs that happened, never rewritten,
+so trend analysis can condition on the noise that was actually observed
+instead of a fixed tolerance band.  Three producers:
 
-Downstream consumers:
+* :func:`write_section` — the only writer of ``BENCH_PERF.json``, the
+  ``results/bench_*.json`` detail artefacts and the benches' history
+  rows.  A smoke run (``REPRO_BENCH_SMOKE=1``) prints and asserts but
+  writes nothing, so CI leaves the tree clean.
+* ``python benchmarks/history.py append <out>/results.json`` — one
+  ``benchmarks/e2e/run.py`` result as a ``source="e2e"`` row labelled
+  ``e2e.<workload>.<metric>`` (one per merged PR is what lets the trend
+  checks ever reach ``compare_perf.MIN_HISTORY``).
+* live gateway sessions, through the control plane's
+  :class:`~repro.service.control.MetricsExporter` and
+  :func:`entry_from_metrics`.
 
-* :func:`detect_changepoints` — per-metric step detection over the
-  history via :func:`repro.stats.changepoint.detect_step` (the
-  ``ConfidenceTest``-conditioned scan, not a ±5 % band);
-* ``compare_perf.py --against-history`` — scores a fresh artefact
-  against the history's noise (smoke runs only against smoke-tagged
-  entries, full runs only against full entries);
-* ``compare_perf.py --branch-vs-main`` — compares the current branch's
-  entries against main's on the same machinery.
+Consumers: :func:`detect_changepoints` (per-metric step detection via
+:func:`repro.stats.changepoint.detect_step`) and ``compare_perf.py
+--against-history`` (a fresh ``BENCH_PERF.json`` or e2e ``results.json``
+against the history's noise).
 
 Schema (one JSON object per line)::
 
     {
       "schema": 1,
       "timestamp": 1754650000.0,        # unix seconds
-      "source": "bench_perf",           # producing harness (or "gateway")
+      "source": "bench_perf",           # producing harness, "e2e" or "gateway"
       "commit": "de7073d...",           # git HEAD, "unknown" outside git
       "branch": "main",
       "machine": {"hostname": ..., "platform": ..., "python": ...,
-                  "cpu_count": ...},
+                  "numpy": ..., "cpu_count": ...},
       "engine": "columnar",             # simulator engine in effect
-      "smoke": false,                   # single-rep CI run vs full run
-      "metrics": {"serving_simulator.requests_per_s": 268000.0, ...}
+      "smoke": false,                   # true only on rows older than PR 23
+      "metrics": {"e2e.steady_fixed.wall_s": 0.074, ...}
     }
 
-Loading is tolerant: malformed or truncated lines (a crashed run, a
-merge artefact) are skipped with a warning rather than poisoning the
-whole trajectory.
+Loading is strict: a malformed or truncated line raises
+:class:`~repro.core.errors.HistoryFileError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -55,15 +57,23 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
+from repro.core.errors import HistoryFileError
 from repro.stats.changepoint import Changepoint, detect_step
 from repro.stats.confidence import ConfidenceTest
 
 __all__ = [
+    "BENCH_PERF_PATH",
     "HISTORY_PATH",
+    "RESULTS_DIR",
     "SCHEMA_VERSION",
+    "SECTION_SOURCES",
     "HistoryEntry",
+    "append_e2e",
     "append_entry",
     "detect_changepoints",
+    "e2e_metrics",
     "entry_from_metrics",
     "flatten_metrics",
     "git_metadata",
@@ -73,12 +83,28 @@ __all__ = [
     "metric_labels",
     "metric_series",
     "record_run",
+    "write_section",
 ]
 
 SCHEMA_VERSION = 1
 
+_ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = _ROOT / "results"
+#: The committed single point: one section per non-serving bench.
+BENCH_PERF_PATH = _ROOT / "BENCH_PERF.json"
 #: The trajectory of record, next to the other committed artefacts.
-HISTORY_PATH = Path(__file__).resolve().parent.parent / "results" / "bench_history.jsonl"
+HISTORY_PATH = RESULTS_DIR / "bench_history.jsonl"
+
+#: Every ``BENCH_PERF.json`` section and the harness that writes it (the
+#: ``source`` of its history rows, and the name of its ``results/``
+#: detail artefact).  ``compare_perf.METRICS`` gates exactly these.
+SECTION_SOURCES = {
+    "rule_generator": "bench_perf",
+    "policy_evaluation": "bench_perf",
+    "control_plane": "bench_control_plane",
+    "resilience": "bench_resilience",
+    "regions": "bench_regions",
+}
 
 #: Keys that carry run *metadata* inside benchmark payload sections and
 #: must not be flattened into metric values.
@@ -121,6 +147,7 @@ def machine_fingerprint() -> Dict[str, object]:
         "hostname": socket.gethostname(),
         "platform": platform.platform(),
         "python": platform.python_version(),
+        "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
     }
 
@@ -131,7 +158,7 @@ def git_metadata(cwd: Optional[Path] = None) -> Dict[str, str]:
     Args:
         cwd: Repository directory (defaults to this file's repo).
     """
-    root = Path(cwd) if cwd is not None else HISTORY_PATH.parent.parent
+    root = Path(cwd) if cwd is not None else _ROOT
     meta = {"commit": "unknown", "branch": "unknown"}
     for key, args in (
         ("commit", ("rev-parse", "HEAD")),
@@ -241,8 +268,8 @@ def record_run(
     """Flatten one benchmark payload and append it to the history.
 
     Args:
-        payload: The section payload (e.g. what ``_merge_output`` just
-            merged) or a whole artefact.
+        payload: The section payload (``{name: body}``) or a whole
+            artefact.
         source: Producing harness name.
         smoke: Smoke-run tag.
         path: History file (the default is the committed trajectory).
@@ -250,6 +277,89 @@ def record_run(
     """
     entry = entry_from_metrics(
         flatten_metrics(payload), source=source, smoke=smoke, **metadata
+    )
+    append_entry(entry, path)
+    return entry
+
+
+def write_section(
+    name: str,
+    body: dict,
+    *,
+    smoke: bool,
+    artifact: Optional[dict] = None,
+    bench_perf: Path = BENCH_PERF_PATH,
+    results_dir: Path = RESULTS_DIR,
+    history_path: Path = HISTORY_PATH,
+) -> None:
+    """Write one bench's results: artefact, ``BENCH_PERF.json``, history row.
+
+    A smoke run writes nothing — its single-repetition numbers are not
+    trajectory points, and CI must leave the committed files as it found
+    them.  A full run writes ``results/<source>.json`` (when the bench
+    has detail rows beyond its headline), replaces its section of
+    ``BENCH_PERF.json`` and appends one history row.
+
+    Args:
+        name: Section name, a key of :data:`SECTION_SOURCES`.
+        body: The section's headline metrics.
+        smoke: Whether this was a ``REPRO_BENCH_SMOKE`` run.
+        artifact: Detail rows for ``results/<source>.json``, if any.
+        bench_perf: The single-point file (tests point it elsewhere).
+        results_dir: Directory of the detail artefact.
+        history_path: The history file.
+    """
+    if smoke:
+        return
+    source = SECTION_SOURCES[name]
+    if artifact is not None:
+        results_dir.mkdir(parents=True, exist_ok=True)
+        (results_dir / f"{source}.json").write_text(
+            json.dumps(artifact, indent=2, default=float)
+        )
+    payload = json.loads(bench_perf.read_text()) if bench_perf.exists() else {}
+    payload[name] = body
+    bench_perf.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    record_run({name: body}, source=source, smoke=False, path=history_path)
+
+
+def e2e_metrics(results: dict) -> Dict[str, float]:
+    """Flatten ``benchmarks/e2e/run.py``'s ``results.json`` into metric rows.
+
+    Each workload's ``end_to_end`` and ``per_layer`` values become
+    ``e2e.<workload>.<metric>`` (layer names keep their own dots).
+
+    Raises:
+        ValueError: For a ``--scale`` run, whose sizes are not the
+            manifest's and whose numbers are therefore not comparable.
+    """
+    if results.get("scaled"):
+        raise ValueError("a scaled run is not a point on the trajectory")
+    return {
+        f"e2e.{workload}.{metric}": float(entry["value"])
+        for workload, result in results["workloads"].items()
+        for group in ("end_to_end", "per_layer")
+        for metric, entry in result[group].items()
+    }
+
+
+def append_e2e(results_path: Path, path: Path = HISTORY_PATH) -> HistoryEntry:
+    """Append one ``results.json`` as a ``source="e2e"`` history row.
+
+    The row's machine is the one the file says it ran on (NumPy version
+    included), under this host's name.
+    """
+    results = json.loads(Path(results_path).read_text(encoding="utf-8"))
+    ran_on = results["machine"]
+    machine = machine_fingerprint()
+    machine.update(
+        platform=ran_on["platform"],
+        python=ran_on["python"],
+        numpy=ran_on["numpy"],
+        cpu_count=ran_on["nproc"],
+    )
+    entry = entry_from_metrics(
+        e2e_metrics(results), source="e2e", smoke=False, machine=machine
     )
     append_entry(entry, path)
     return entry
@@ -264,17 +374,19 @@ def load_history(
 ) -> List[HistoryEntry]:
     """Read the history, oldest first, with optional filters.
 
-    Missing files and empty files load as an empty history; malformed
-    lines are skipped with a warning on stderr (append-only files
-    survive crashes mid-line).
+    Missing files and empty files load as an empty history and blank
+    lines are ignored; anything else that is not a history entry raises.
 
     Args:
         path: History file.
         smoke: Keep only entries with this smoke tag (``None`` keeps
-            all) — the fix for smoke runs being judged against
-            full-repetition baselines.
+            all); benches stopped appending smoke rows in PR 23, the
+            older ones are a different measurement regime.
         source: Keep only entries from this harness.
         branch: Keep only entries recorded on this branch.
+
+    Raises:
+        HistoryFileError: On a malformed or truncated line.
     """
     if not path.exists():
         return []
@@ -300,11 +412,9 @@ def load_history(
                 schema=int(raw.get("schema", SCHEMA_VERSION)),
             )
         except (ValueError, TypeError, KeyError) as exc:
-            print(
-                f"history: skipping malformed line {lineno} of {path}: {exc}",
-                file=sys.stderr,
-            )
-            continue
+            raise HistoryFileError(
+                path, lineno, f"not a history entry ({type(exc).__name__}: {exc})"
+            ) from None
         if smoke is not None and entry.smoke != smoke:
             continue
         if source is not None and entry.source != source:
@@ -409,3 +519,22 @@ def detect_changepoints(
         if changepoint is not None:
             found[label] = changepoint
     return found
+
+
+def main(argv: Optional[Sequence[str]] = None, *, path: Path = HISTORY_PATH) -> int:
+    """``history.py append <results.json>``: one e2e run joins the history."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    if len(args) != 2 or args[0] != "append":
+        print("usage: history.py append <results.json>", file=sys.stderr)
+        return 2
+    try:
+        entry = append_e2e(Path(args[1]), path)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"history: {args[1]}: {exc!r}", file=sys.stderr)
+        return 2
+    print(f"history: appended {len(entry.metrics)} e2e metrics to {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,20 +7,23 @@ random subsamples of the training requests until the spread of the observed
 trial values satisfies the confidence test, then recording the worst value
 seen for each metric.
 
-Two implementations share that contract:
+One contract, two loops, picked per configuration:
 
-* the **legacy scalar loop** — one :func:`~repro.core.simulator.simulate`
-  call per trial, kept as the correctness oracle; and
-* the **blocked vectorized loop** — used when an
-  :class:`~repro.core.outcome_matrix.OutcomeMatrix` is supplied.  Trial
-  index sets are drawn in the exact rng order of the scalar loop, but
-  evaluated as ``(block, sample_size)`` gathers against the matrix's
-  precomputed outcome columns, and the sequential confidence test is fed in
-  blocks via :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.
+* the **blocked vectorized loop**, whenever an
+  :class:`~repro.core.outcome_matrix.OutcomeMatrix` that expanded the
+  configuration is supplied (the rule generator always supplies one).
+  Trial index sets are drawn in the exact rng order of the scalar loop,
+  but evaluated as ``(block, sample_size)`` gathers against the matrix's
+  precomputed outcome columns, and the sequential confidence test is fed
+  in blocks via :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.
   Because the blocked loop may draw a few trials past the stopping point,
   it rewinds the generator and replays exactly the consumed draws, so the
   rng state after each configuration — and therefore every downstream
   configuration's trials — matches the scalar loop bit for bit.
+* the **scalar loop** — one :func:`~repro.core.simulator.simulate` call
+  per trial — for policies the matrix cannot expand (a custom
+  ``evaluate``, :mod:`repro.core.learned_router`) or when none is given;
+  ``tests/oracle/rulegen_reference.py`` holds the first loop equal to it.
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ def _bootstrap_scalar(
     baseline_version: str,
     degradation_mode: str,
 ) -> WorstCaseEstimate:
-    """The legacy per-trial loop (the seed implementation; the oracle)."""
+    """The per-trial loop, for configurations the matrix cannot expand."""
     baseline_policy = SingleVersionPolicy(baseline_version)
     trials: List[TierSimulation] = []
 

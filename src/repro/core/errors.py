@@ -19,6 +19,7 @@ from __future__ import annotations
 __all__ = [
     "BackendCapabilityError",
     "GatewayClosedError",
+    "HistoryFileError",
     "MissingVersionError",
     "PolicyConfigurationError",
     "RequestFailedError",
@@ -90,7 +91,17 @@ class RequestShedError(RequestFailedError):
     """
 
 
-class TraceFileError(TierError, ValueError):
+class _FileLineError(TierError, ValueError):
+    """A problem found on one line of a file: path, 1-based line, reason."""
+
+    def __init__(self, path, line: int, reason: str) -> None:
+        super().__init__(f"{path}, line {line}: {reason}")
+        self.path = str(path)
+        self.line = line
+        self.reason = reason
+
+
+class TraceFileError(_FileLineError):
     """A trace JSONL file is truncated, corrupted or not a trace export.
 
     Raised by :meth:`~repro.obs.trace.TraceCollector.load_jsonl`; carries
@@ -98,11 +109,13 @@ class TraceFileError(TierError, ValueError):
     found on and the bare :attr:`reason`.
     """
 
-    def __init__(self, path, line: int, reason: str) -> None:
-        super().__init__(f"{path}, line {line}: {reason}")
-        self.path = str(path)
-        self.line = line
-        self.reason = reason
+
+class HistoryFileError(_FileLineError):
+    """A benchmark-history JSONL file has a malformed or truncated line.
+
+    Raised by ``benchmarks/history.py``'s ``load_history``, with the same
+    :attr:`path` / :attr:`line` / :attr:`reason` as :class:`TraceFileError`.
+    """
 
 
 class ResultPendingError(TierError, RuntimeError):

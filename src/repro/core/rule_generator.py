@@ -46,14 +46,10 @@ class RoutingRuleGenerator:
         degradation_mode: ``"relative"`` (paper default) or ``"absolute"``.
         min_trials: Minimum bootstrap trials per configuration.
         max_trials: Safety cap on bootstrap trials per configuration.
-        engine: ``"vectorized"`` (default) bootstraps against a shared
-            :class:`~repro.core.outcome_matrix.OutcomeMatrix` — one pricing
-            model and one cached baseline evaluation across all
-            configurations and trials; ``"legacy"`` keeps the scalar
-            per-trial loop of the seed implementation (the correctness
-            oracle, and the baseline `benchmarks/bench_perf.py` measures
-            speedups against).  Both produce identical results for the
-            same seed.
+
+    Every configuration is bootstrapped against one shared
+    :class:`~repro.core.outcome_matrix.OutcomeMatrix`: one pricing model
+    and one cached baseline evaluation for all configurations and trials.
     """
 
     def __init__(
@@ -67,12 +63,7 @@ class RoutingRuleGenerator:
         degradation_mode: str = "relative",
         min_trials: int = 10,
         max_trials: int = 120,
-        engine: str = "vectorized",
     ) -> None:
-        if engine not in ("vectorized", "legacy"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'legacy', got {engine!r}"
-            )
         self.measurements = train_measurements
         self.configurations: List[EnsembleConfiguration] = list(
             configurations
@@ -84,7 +75,6 @@ class RoutingRuleGenerator:
         self.confidence = confidence
         self.degradation_mode = degradation_mode
         self.sample_fraction = sample_fraction
-        self.engine = engine
         self._confidence_test = ConfidenceTest(
             confidence=confidence, min_trials=min_trials, max_trials=max_trials
         )
@@ -92,19 +82,16 @@ class RoutingRuleGenerator:
         self._pricing = build_pricing(train_measurements)
         self.baseline_version = train_measurements.most_accurate_version()
 
-        #: Shared precomputed outcome columns (``None`` on the legacy
-        #: engine).  Configurations whose policies the matrix cannot expand
-        #: (custom ``evaluate`` overrides) transparently use the scalar
-        #: loop.
-        self.outcome_matrix: Optional[OutcomeMatrix] = None
-        if engine == "vectorized":
-            self.outcome_matrix = OutcomeMatrix.build(
-                train_measurements,
-                self.configurations,
-                pricing=self._pricing,
-                baseline_version=self.baseline_version,
-                degradation_mode=degradation_mode,
-            )
+        #: Shared precomputed outcome columns.  Configurations whose
+        #: policies the matrix cannot expand (custom ``evaluate``
+        #: overrides) transparently use the scalar loop.
+        self.outcome_matrix = OutcomeMatrix.build(
+            train_measurements,
+            self.configurations,
+            pricing=self._pricing,
+            baseline_version=self.baseline_version,
+            degradation_mode=degradation_mode,
+        )
 
         #: Worst-case estimate per configuration, aligned with
         #: :attr:`configurations` (mirrors ``self.results`` in Fig. 7).

@@ -334,7 +334,6 @@ class PolicyAdaptor:
             degradation_mode=self.config.degradation_mode,
             min_trials=self.config.min_trials,
             max_trials=self.config.max_trials,
-            engine="vectorized",
         )
         table = generator.generate([tolerance], self.config.objective)
         chosen = table.rules[float(tolerance)]

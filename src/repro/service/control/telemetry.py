@@ -9,8 +9,8 @@ tick costs what it decides, not a walk over every windowed record.
 
 Producers publish through a plain event-hook interface —
 :meth:`TelemetryHub.publish` is just a ``callable(record, now)``, so the
-engine's ``record_hooks`` and the synchronous gateway backends feed it
-without importing this package; :meth:`TelemetryHub.publish_columns` is
+engine (through the duck-typed plane's ``observe``) and the synchronous
+gateway backends feed it without importing this package; :meth:`TelemetryHub.publish_columns` is
 the many-row form over a columnar report's arrays.  Either way every
 field is read **once, at publish**, into parallel columns (time, tier,
 outcome code, latency and cost in a dense :class:`_FloatWindow`; payload
@@ -325,9 +325,9 @@ class TelemetryHub:
     def publish(self, record, now: Optional[float] = None) -> None:
         """Fold one request record into the window.
 
-        This is the hub's producer hook: the engine's ``record_hooks``
-        and the gateway's synchronous completion path both call exactly
-        this signature.  Publish times must be non-decreasing (both
+        This is the hub's producer hook: the engine (via the plane's
+        ``observe``) and the gateway's synchronous completion path both
+        call exactly this signature.  Publish times must be non-decreasing (both
         producers emit in clock order).
 
         Args:

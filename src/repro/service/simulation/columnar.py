@@ -76,11 +76,7 @@ from repro.service.load_balancer import (
     RoundRobinPolicy,
 )
 from repro.service.simulation.replay import MeasurementReplayVersion
-from repro.service.simulation.report import (
-    LoadTestReport,
-    RecordColumns,
-    RequestRecord,
-)
+from repro.service.simulation.report import LoadTestReport, RecordColumns
 
 __all__ = ["ColumnarFallback", "columnar_ineligibility", "run_columnar"]
 
@@ -229,11 +225,10 @@ def run_columnar(sim, columns) -> LoadTestReport:
     :func:`columnar_ineligibility` returned ``None``; data-level
     ineligibility (duplicate ids, unmeasured payloads) raises
     :class:`ColumnarFallback` before any simulator or cluster state is
-    touched.  With invariant checking or record hooks attached the loop
-    emits real :class:`RequestRecord` objects at the exact points the
-    legacy engine would (telemetry and the checker see an identical
-    stream); either way the report is built from the loop's columns and
-    materializes records only when asked.
+    touched.  With invariant checking attached the loop calls the
+    checker at the exact points the legacy engine would (it sees an
+    identical stream); either way the report is built from the loop's
+    columns and materializes records only when asked.
 
     Which configuration serves a request is request state like its
     payload: the routing pre-pass groups the submissions by the
@@ -245,8 +240,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
     cluster = sim.cluster
     balancer = cluster.load_balancer
     checker = sim._check
-    hooks = sim._record_hooks
-    slow = bool(hooks) or checker is not None
+    slow = checker is not None
 
     request_ids, payloads, tolerances, times = columns
     n = len(request_ids)
@@ -336,8 +330,6 @@ def run_columnar(sim, columns) -> LoadTestReport:
         return [of_pair[code] for code in pair_of]
 
     if slow:
-        conf_fast: List[float] = conf_fast_np.tolist()
-        conf_acc: List[float] = conf_acc_np.tolist()
         fast_name = per_request([pair[0] for pair in pairs])
         acc_name = per_request([pair[1] for pair in pairs])
 
@@ -587,37 +579,9 @@ def run_columnar(sim, columns) -> LoadTestReport:
             maybe_start(node, now)
         return True
 
-    def emit(sub, end, escalated, fast_s, acc_s, fast_start, now):
-        # The slow half of _finalize: a real RequestRecord for the
-        # invariant checker and the record hooks, built with the same
-        # pricing call chain the legacy engine uses.
-        if acc_s >= 0.0:
-            node_seconds = {fast_name[sub]: fast_s, acc_name[sub]: acc_s}
-        else:
-            node_seconds = {fast_name[sub]: fast_s}
-        cost = cluster.cost_of(node_seconds)
-        arrival = times[sub]
-        record = RequestRecord(
-            request_id=request_ids[sub],
-            payload=payloads[sub],
-            tier=tolerances[sub],
-            arrival_s=arrival,
-            finished_s=end,
-            response_time_s=end - arrival,
-            queue_wait_s=fast_start - arrival,
-            versions_used=tuple(node_seconds.keys()),
-            escalated=escalated,
-            invocation_cost=cost.invocation_cost,
-            node_seconds=node_seconds,
-            failed=False,
-            retries=0,
-            result=payloads[sub],
-            confidence=conf_acc[sub] if escalated else conf_fast[sub],
-        )
-        if checker is not None:
-            checker.on_finalized(request_ids[sub], now, failed=False)
-        for hook in hooks:
-            hook(record, now)
+    def emit(sub, now):
+        # The slow half of _finalize: the invariant checker's ledger.
+        checker.on_finalized(request_ids[sub], now, failed=False)
 
     def deliver(sub, leg, start, finish, amortized, solo, now):
         # _on_job_done + _advance for the fault-free state machine.
@@ -634,7 +598,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
         if kind == _SINGLE:
             out.append((sub, finish, False, amortized, -1.0, start))
             if slow:
-                emit(sub, finish, False, amortized, -1.0, start, now)
+                emit(sub, now)
             return
         if kind == _SEQ:
             if leg == 0:
@@ -644,12 +608,12 @@ def run_columnar(sim, columns) -> LoadTestReport:
                 else:
                     out.append((sub, finish, False, amortized, -1.0, start))
                     if slow:
-                        emit(sub, finish, False, amortized, -1.0, start, now)
+                        emit(sub, now)
             else:
                 fast = fast_done[sub]
                 out.append((sub, finish, True, fast[2], amortized, fast[0]))
                 if slow:
-                    emit(sub, finish, True, fast[2], amortized, fast[0], now)
+                    emit(sub, now)
             return
         # conc / et
         if leg == 0:
@@ -661,7 +625,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
                     end = finish if finish >= acc_finish else acc_finish
                     out.append((sub, end, True, amortized, accurate[2], start))
                     if slow:
-                        emit(sub, end, True, amortized, accurate[2], start, now)
+                        emit(sub, now)
                 return
             if kind == _ET and accurate is None and not acc_cancelled[sub]:
                 if cancel_queued(acc_node[sub], sub, now):
@@ -676,7 +640,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
                         )
                     out.append((sub, finish, False, amortized, -1.0, start))
                     if slow:
-                        emit(sub, finish, False, amortized, -1.0, start, now)
+                        emit(sub, now)
                     return
                 # Already running: let it finish, bill the capped share.
             if accurate is None:
@@ -687,7 +651,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
                 acc_seconds = solo
             out.append((sub, finish, False, amortized, acc_seconds, start))
             if slow:
-                emit(sub, finish, False, amortized, acc_seconds, start, now)
+                emit(sub, now)
             return
         # accurate leg of conc/et
         acc_done[sub] = (start, finish, amortized, solo)
@@ -699,22 +663,20 @@ def run_columnar(sim, columns) -> LoadTestReport:
             end = fast_finish if fast_finish >= finish else finish
             out.append((sub, end, True, fast[2], amortized, fast[0]))
             if slow:
-                emit(sub, end, True, fast[2], amortized, fast[0], now)
+                emit(sub, now)
         else:
             acc_seconds = amortized
             if kind == _ET and fast[3] < acc_seconds:
                 acc_seconds = fast[3]
             out.append((sub, fast_finish, False, fast[2], acc_seconds, fast[0]))
             if slow:
-                emit(
-                    sub, fast_finish, False, fast[2], acc_seconds, fast[0], now
-                )
+                emit(sub, now)
 
     both_legs_at_arrival = max(kinds) >= _CONC
     # Specialized single-job delivery for the two sequential-flow kinds
-    # in fast mode (no checker, no hooks), when every request shares the
-    # kind: the same transitions as deliver(), with the call and its
-    # branch ladder inlined into the event loop below.
+    # in fast mode (no checker), when every request shares the kind: the
+    # same transitions as deliver(), with the call and its branch ladder
+    # inlined into the event loop below.
     inline_seq = kinds == {_SEQ} and not slow
     inline_single = kinds == {_SINGLE} and not slow
     out_append = out.append

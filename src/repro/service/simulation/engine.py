@@ -50,11 +50,11 @@ fails is not billed.
 Closed-loop runs attach a **control plane** (duck-typed; see
 :class:`repro.service.control.plane.ControlPlane` — this module
 deliberately imports nothing from that package): every finalized record
-is published to the plane (and to any plain ``record_hooks``
-callables), every arrival consults admission (requests may be *shed* —
-resolved unserved, first-class in the report — or *force-degraded* to
-the fast tier), and a periodic control tick evaluates SLOs and may
-hot-swap the active configuration the adaptor re-fit.
+is published to the plane, every arrival consults admission (requests
+may be *shed* — resolved unserved, first-class in the report — or
+*force-degraded* to the fast tier), and a periodic control tick
+evaluates SLOs and may hot-swap the active configuration the adaptor
+re-fit.
 
 The event loop is single-threaded and deterministic: same seed, same
 arrival process, same fault schedule, same report — fault-free runs
@@ -318,10 +318,6 @@ class ServingSimulator:
             (``observe``), and ticked every ``tick_interval_s`` on the
             virtual clock (``on_tick`` — a returned configuration is
             hot-swapped in as the active fixed configuration).
-        record_hooks: Plain ``callable(record, now)`` hooks invoked for
-            every record the engine emits (telemetry publishing without
-            any engine⇄control coupling).  The control plane's
-            ``observe`` is appended automatically.
         trace: Optional trace recorder (duck-typed like ``control``; see
             :class:`repro.obs.record.SimTraceRecorder`).  The legacy
             loop drives its per-event hooks; a columnar drain hands it
@@ -356,7 +352,6 @@ class ServingSimulator:
         retry: Optional[RetryPolicy] = None,
         check_invariants: bool = False,
         control=None,
-        record_hooks: Sequence[Any] = (),
         trace=None,
         seed: int = 0,
         engine: Optional[str] = None,
@@ -428,15 +423,9 @@ class ServingSimulator:
         self._check = InvariantChecker() if check_invariants else None
         #: The live control plane driving this run (``None`` open-loop).
         self.control = control
-        hooks = tuple(record_hooks)
-        if control is not None:
-            hooks = hooks + (control.observe,)
-        self._record_hooks = hooks
-        # Trace recording is deliberately NOT a record hook: hooks force
-        # the columnar engine onto its slow path, while a trace recorder
-        # is reconstructed post-hoc from RecordColumns (see drain()).
-        # Every call site guards on None, so the disabled cost is one
-        # attribute test.
+        # A trace recorder never forces the scalar loop: a columnar run's
+        # spans are reconstructed post-hoc from RecordColumns (see drain()).
+        # Every call site guards on None: disabled costs one attribute test.
         if trace is not None and not hasattr(trace, "on_finalized"):
             from repro.obs.record import SimTraceRecorder
 
@@ -788,6 +777,11 @@ class ServingSimulator:
                 kind="control",
             )
         self._loop.run(max_events=_MAX_EVENTS)
+        stuck = sorted({event.kind for event in self._loop.pending()})
+        if stuck:
+            raise RuntimeError(
+                f"event loop hit its {_MAX_EVENTS}-event valve with {stuck} pending"
+            )
         self._drained = True
         if self._remaining and self._inflight and self._faults:
             # At loop-empty every queued job has executed and every retry
@@ -910,15 +904,15 @@ class ServingSimulator:
         self._emit_record(record)
 
     def _emit_record(self, record: RequestRecord) -> None:
-        """Publish one emitted record to the registered event hooks."""
+        """Publish one emitted record to the trace recorder and the plane."""
         now = self._loop.now
         if self._trace is not None:
             # Every terminal outcome funnels through here (completed,
             # failed, shed, parked resolution), so this is the single
             # point where a request's trace is built and collected.
             self._trace.on_finalized(record, now)
-        for hook in self._record_hooks:
-            hook(record, now)
+        if self.control is not None:
+            self.control.observe(record, now)
 
     def _enqueue_attempt(
         self, state: _InFlight, version: str
@@ -1987,7 +1981,10 @@ class ServingSimulator:
             self._apply_configuration(swap)
             if self._trace is not None:
                 self._trace.on_epoch(self._loop.now, swap.config_id)
-        if self._remaining > 0:
+        # Tick on only while something else can still happen: requests
+        # parked behind a pool that never comes back hold no event, and
+        # ticks alone would spin the clock to the valve.
+        if self._remaining > 0 and next(self._loop.pending(), None) is not None:
             self._loop.schedule(
                 self.control.tick_interval_s,
                 self._on_control_tick,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 __all__ = ["Event", "EventLoop"]
 
@@ -52,8 +52,9 @@ class EventLoop:
         """Current virtual time."""
         return self._now
 
-    def __len__(self) -> int:
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+    def pending(self) -> Iterator[Event]:
+        """The scheduled, non-cancelled events, in no particular order."""
+        return (event for _, _, event in self._heap if not event.cancelled)
 
     def schedule_at(
         self, time: float, action: Callable[[], None], *, kind: str = ""
@@ -90,14 +91,12 @@ class EventLoop:
             return True
         return False
 
-    def run(
-        self, *, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Run events until the heap empties (or a bound is hit).
+    def run(self, *, max_events: Optional[int] = None) -> int:
+        """Run events until the heap empties (or the valve is hit).
 
         Args:
-            until: Stop before firing any event scheduled after this time.
-            max_events: Safety valve on the number of events fired.
+            max_events: Safety valve on the number of events fired
+                (:meth:`pending` is non-empty after a valve stop).
 
         Returns:
             The number of events fired.
@@ -105,8 +104,6 @@ class EventLoop:
         fired = 0
         while self._heap:
             if max_events is not None and fired >= max_events:
-                break
-            if until is not None and self._heap[0][0] > until:
                 break
             if self.step():
                 fired += 1

@@ -4,7 +4,9 @@ Covers the ISSUE acceptance list: empty history, single entry, mixed
 smoke/full, an injected changepoint detected by the
 ``ConfidenceTest``-conditioned scan (and an all-noise history NOT
 flagged), machine-metadata mismatch warnings — plus the gateway-export
-seam that lets live sessions share the benchmark-history schema.
+seam that lets live sessions share the benchmark-history schema, the
+end-to-end ``results.json`` reader behind ``history.py append``, and the
+one writer (``write_section``) every non-serving bench goes through.
 """
 
 import json
@@ -12,7 +14,9 @@ import json
 import numpy as np
 import pytest
 
+import compare_perf
 import history
+from repro.core.errors import HistoryFileError, TierError
 from repro.stats.confidence import ConfidenceTest
 
 
@@ -88,15 +92,24 @@ class TestLoadTolerance:
         (entry,) = history.load_history(path)
         assert entry.metrics["policy_evaluation.rows_per_s"] == 42.0
 
-    def test_malformed_line_is_skipped_with_warning(self, tmp_path, capsys):
+    def test_malformed_line_raises_a_structured_error(self, tmp_path):
         path = tmp_path / "h.jsonl"
         history.append_entry(make_entry(1.0, timestamp=1.0), path)
         with path.open("a") as handle:
             handle.write('{"truncated": \n')  # crashed mid-write
         history.append_entry(make_entry(2.0, timestamp=2.0), path)
-        loaded = history.load_history(path)
-        assert [e.timestamp for e in loaded] == [1.0, 2.0]
-        assert "malformed line" in capsys.readouterr().err
+        with pytest.raises(HistoryFileError) as caught:
+            history.load_history(path)
+        error = caught.value
+        assert (error.path, error.line) == (str(path), 2)
+        assert "not a history entry" in error.reason
+        assert isinstance(error, TierError) and isinstance(error, ValueError)
+
+    def test_valid_json_that_is_not_an_entry_raises_too(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_text('{"timestamp": 1.0, "source": "x"}\n')  # no metrics
+        with pytest.raises(HistoryFileError, match="line 1"):
+            history.load_history(path)
 
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -263,7 +276,7 @@ class TestMachineMismatch:
 
 
 class TestDetectChangepoints:
-    LABEL = "serving_simulator.requests_per_s"
+    LABEL = "rule_generator.trials_per_s"
 
     def entries_from(self, values):
         return [
@@ -376,3 +389,140 @@ class TestGatewayExportSeam:
             "machine", "engine", "smoke", "metrics",
         }
         assert raw["schema"] == history.SCHEMA_VERSION
+
+
+RESULTS = {
+    "seed": 11,
+    "seconds": 12,
+    "scaled": False,
+    "machine": {
+        "nproc": 2,
+        "python": "3.11.7",
+        "numpy": "2.4.6",
+        "platform": "Linux-test",
+    },
+    "workloads": {
+        "steady_fixed": {
+            "end_to_end": {
+                "wall_s": {"value": 0.074, "unit": "s"},
+                "peak_rss_mb": {"value": 121.0, "unit": "MiB"},
+                "setup_s": {"value": 1.16, "unit": "s"},
+            },
+            "samples": {"wall_s": [0.073, 0.074, 0.075]},
+            "per_layer": {
+                "simulation.engine_s": {"value": 0.048, "unit": "s"},
+                "simulation.columnar_share": {"value": 1, "unit": "ratio"},
+            },
+            "attempted": 40,
+            "failed_checks": [],
+        }
+    },
+}
+
+
+class TestE2ERows:
+    """``benchmarks/e2e/run.py``'s results.json is a history input."""
+
+    def write(self, tmp_path, results=RESULTS):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(results))
+        return path
+
+    def test_append_roundtrip(self, tmp_path, capsys):
+        hist = tmp_path / "h.jsonl"
+        assert history.main(["append", str(self.write(tmp_path))], path=hist) == 0
+        assert "5 e2e metrics" in capsys.readouterr().out
+        (entry,) = history.load_history(hist, source="e2e", smoke=False)
+        assert history.metric_series([entry], "e2e.steady_fixed.wall_s") == [0.074]
+        assert entry.metrics["e2e.steady_fixed.simulation.engine_s"] == 0.048
+        assert entry.metrics["e2e.steady_fixed.simulation.columnar_share"] == 1.0
+        # The machine the file ran on, NumPy included, under this host.
+        assert entry.machine["numpy"] == "2.4.6"
+        assert entry.machine["cpu_count"] == 2
+        assert entry.machine["platform"] == "Linux-test"
+        assert entry.machine["hostname"] == history.machine_fingerprint()["hostname"]
+
+    def test_scaled_file_is_refused(self, tmp_path, capsys):
+        hist = tmp_path / "h.jsonl"
+        scaled = self.write(tmp_path, dict(RESULTS, scaled=True))
+        assert history.main(["append", str(scaled)], path=hist) == 2
+        assert "scaled" in capsys.readouterr().err
+        assert not hist.exists()
+
+    def test_missing_file_and_bad_usage_exit_2(self, tmp_path, capsys):
+        hist = tmp_path / "h.jsonl"
+        assert history.main(["append", str(tmp_path / "nope.json")], path=hist) == 2
+        assert history.main(["prepend", "x"], path=hist) == 2
+        assert "usage" in capsys.readouterr().err
+        assert not hist.exists()
+
+
+class TestWriteSection:
+    """One writer; a smoke run leaves every file as it found it."""
+
+    BODY = {"rows_per_s": 123.0, "wall_s": 0.5}
+
+    def paths(self, tmp_path):
+        return dict(
+            bench_perf=tmp_path / "BENCH_PERF.json",
+            results_dir=tmp_path / "results",
+            history_path=tmp_path / "results" / "bench_history.jsonl",
+        )
+
+    def test_smoke_creates_and_modifies_nothing(self, tmp_path):
+        paths = self.paths(tmp_path)
+        paths["bench_perf"].write_text('{"resilience": {"x": 1}}\n')
+        before = paths["bench_perf"].read_bytes()
+        history.write_section(
+            "control_plane", self.BODY, smoke=True, artifact={"results": {}}, **paths
+        )
+        assert paths["bench_perf"].read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_PERF.json"]
+
+    def test_full_run_writes_artifact_section_and_history_row(self, tmp_path):
+        paths = self.paths(tmp_path)
+        paths["bench_perf"].write_text('{"resilience": {"x": 1}}\n')
+        history.write_section(
+            "control_plane",
+            self.BODY,
+            smoke=False,
+            artifact={"results": {"spike/static": {"digest": "d"}}},
+            **paths,
+        )
+        merged = json.loads(paths["bench_perf"].read_text())
+        assert merged == {"resilience": {"x": 1}, "control_plane": self.BODY}
+        artifact = json.loads(
+            (paths["results_dir"] / "bench_control_plane.json").read_text()
+        )
+        assert artifact["results"]["spike/static"]["digest"] == "d"
+        (entry,) = history.load_history(paths["history_path"])
+        assert entry.source == "bench_control_plane" and entry.smoke is False
+        assert entry.metrics == {
+            "control_plane.rows_per_s": 123.0,
+            "control_plane.wall_s": 0.5,
+        }
+
+    def test_full_run_without_detail_rows_writes_no_artifact(self, tmp_path):
+        paths = self.paths(tmp_path)
+        history.write_section("policy_evaluation", self.BODY, smoke=False, **paths)
+        assert json.loads(paths["bench_perf"].read_text()) == {
+            "policy_evaluation": self.BODY
+        }
+        assert [p.name for p in paths["results_dir"].iterdir()] == [
+            "bench_history.jsonl"
+        ]
+
+    def test_unknown_section_is_refused(self, tmp_path):
+        with pytest.raises(KeyError):
+            history.write_section(
+                "serving", self.BODY, smoke=False, **self.paths(tmp_path)
+            )
+
+
+def test_bench_perf_sections_are_one_set():
+    """BENCH_PERF.json, compare_perf.METRICS and the writer's source table
+    name the same sections: nothing is written ungated or gated unwritten."""
+    committed = set(json.loads(history.BENCH_PERF_PATH.read_text()))
+    gated = {section for section, _, _ in compare_perf.METRICS}
+    written = set(history.SECTION_SOURCES)
+    assert committed == gated == written

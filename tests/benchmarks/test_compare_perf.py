@@ -1,4 +1,4 @@
-"""Regression tests for compare_perf's three fixed bugs + the history modes.
+"""Regression tests for compare_perf's two fixed bugs + the history mode.
 
 Each test class pins one of the historical failure modes:
 
@@ -8,10 +8,11 @@ Each test class pins one of the historical failure modes:
 * ``TestZeroBaseline`` — ``compare`` used to silently skip any metric
   whose baseline was falsy (``or not old`` / ``if not old[key]``), so
   zero baselines like ``resilience.time_to_recover_s`` could regress
-  without ever being compared;
-* ``TestSmokeVsFull`` — smoke artefacts were compared line-by-line
-  against the full-repetition baseline, producing false ADVISORY flags
-  in every fast-tier CI log.
+  without ever being compared.
+
+Smoke runs write no artefact and no history row any more, so the
+smoke-vs-full suppression those produced is gone; the history mode reads
+full-run rows only.
 """
 
 import json
@@ -31,12 +32,12 @@ class TestShapeMismatch:
     """Dict-vs-scalar metric shapes: explicit schema row, never a crash."""
 
     def test_scalar_to_dict_does_not_crash(self):
-        baseline = {"serving_simulator": {"requests_per_s": 100.0}}
-        fresh = {"serving_simulator": {"requests_per_s": {"columnar": 120.0}}}
+        baseline = {"policy_evaluation": {"rows_per_s": 100.0}}
+        fresh = {"policy_evaluation": {"rows_per_s": {"columnar": 120.0}}}
         rows = list(compare(baseline, fresh, 0.05))  # used to raise TypeError
         assert len(rows) == 1
         row = rows[0]
-        assert row.label == "serving_simulator.requests_per_s"
+        assert row.label == "policy_evaluation.rows_per_s"
         assert "schema changed" in row.note
         assert not row.flagged
         assert row.old is None and row.new is None and row.delta is None
@@ -108,62 +109,18 @@ class TestZeroBaseline:
         assert row.flagged and "zero baseline" in row.note
 
     def test_nonzero_metrics_unaffected(self):
-        baseline = {"serving_simulator": {"requests_per_s": 100.0}}
-        fresh = {"serving_simulator": {"requests_per_s": 90.0}}
-        row = rows_by_label(baseline, fresh)["serving_simulator.requests_per_s"]
+        baseline = {"policy_evaluation": {"rows_per_s": 100.0}}
+        fresh = {"policy_evaluation": {"rows_per_s": 90.0}}
+        row = rows_by_label(baseline, fresh)["policy_evaluation.rows_per_s"]
         assert row.delta == pytest.approx(-0.1)
         assert row.flagged
 
-
-class TestSmokeVsFull:
-    """Smoke artefacts are not flagged against full-repetition baselines."""
-
-    def test_smoke_section_flags_are_suppressed(self):
-        baseline = {
-            "serving_simulator": {"requests_per_s": 100.0, "smoke": False}
-        }
-        fresh = {"serving_simulator": {"requests_per_s": 50.0, "smoke": True}}
-        row = rows_by_label(baseline, fresh)["serving_simulator.requests_per_s"]
-        assert not row.flagged  # used to be a false ADVISORY in CI logs
-        assert "smoke" in row.note and "suppressed" in row.note
-        assert row.delta == pytest.approx(-0.5)  # the delta is still shown
-
-    def test_matching_smoke_tags_keep_the_gate(self):
-        baseline = {
-            "serving_simulator": {"requests_per_s": 100.0, "smoke": True}
-        }
-        fresh = {"serving_simulator": {"requests_per_s": 50.0, "smoke": True}}
-        row = rows_by_label(baseline, fresh)["serving_simulator.requests_per_s"]
-        assert row.flagged
-
-    def test_full_vs_full_keeps_the_gate(self):
-        baseline = {"serving_simulator": {"requests_per_s": 100.0, "smoke": False}}
-        fresh = {"serving_simulator": {"requests_per_s": 50.0, "smoke": False}}
+    def test_regions_rows_are_gated(self):
+        baseline = {"regions": {"goodput_rps": {"tri-steady": 10.0}}}
+        fresh = {"regions": {"goodput_rps": {"tri-steady": 5.0}}}
         assert rows_by_label(baseline, fresh)[
-            "serving_simulator.requests_per_s"
+            "regions.goodput_rps.tri-steady"
         ].flagged
-
-    def test_suppression_is_per_section(self):
-        baseline = {
-            "serving_simulator": {"requests_per_s": 100.0, "smoke": False},
-            "resilience": {"goodput_retention": 1.0, "smoke": False},
-        }
-        fresh = {
-            # Timing section ran in smoke mode...
-            "serving_simulator": {"requests_per_s": 50.0, "smoke": True},
-            # ...but the deterministic section is still full-fidelity.
-            "resilience": {"goodput_retention": 0.5, "smoke": False},
-        }
-        rows = rows_by_label(baseline, fresh)
-        assert not rows["serving_simulator.requests_per_s"].flagged
-        assert rows["resilience.goodput_retention"].flagged
-
-    def test_zero_baseline_suppressed_under_smoke_mismatch(self):
-        baseline = {"resilience": {"time_to_recover_s": 0.0, "smoke": False}}
-        fresh = {"resilience": {"time_to_recover_s": 2.0, "smoke": True}}
-        row = rows_by_label(baseline, fresh)["resilience.time_to_recover_s"]
-        assert not row.flagged
-        assert "suppressed" in row.note
 
 
 class TestMainTwoArtifacts:
@@ -182,21 +139,6 @@ class TestMainTwoArtifacts:
         assert main([str(baseline), str(fresh)]) == 0  # advisory by default
         assert main([str(baseline), str(fresh), "--strict"]) == 1
 
-    def test_strict_passes_when_smoke_suppressed(self, tmp_path, capsys):
-        baseline = self.write(
-            tmp_path,
-            "base.json",
-            {"policy_evaluation": {"rows_per_s": 100.0, "smoke": False}},
-        )
-        fresh = self.write(
-            tmp_path,
-            "fresh.json",
-            {"policy_evaluation": {"rows_per_s": 50.0, "smoke": True}},
-        )
-        assert main([str(baseline), str(fresh), "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert "suppressed" in out
-
     def test_missing_artifact_is_a_noop(self, tmp_path):
         missing = tmp_path / "nope.json"
         fresh = self.write(tmp_path, "fresh.json", {})
@@ -206,18 +148,18 @@ class TestMainTwoArtifacts:
         baseline = self.write(
             tmp_path,
             "base.json",
-            {"serving_simulator": {"requests_per_s": 100.0}},
+            {"policy_evaluation": {"rows_per_s": 100.0}},
         )
         fresh = self.write(
             tmp_path,
             "fresh.json",
-            {"serving_simulator": {"requests_per_s": {"columnar": 1.0}}},
+            {"policy_evaluation": {"rows_per_s": {"columnar": 1.0}}},
         )
         assert main([str(baseline), str(fresh), "--strict"]) == 0
         assert "schema changed" in capsys.readouterr().out
 
 
-def seeded_history(tmp_path, values, *, label="policy_evaluation.rows_per_s", smoke=False, branch="main"):
+def seeded_history(tmp_path, values, *, label="policy_evaluation.rows_per_s", smoke=False):
     """Write a history file with one entry per value, fixed metadata."""
     path = tmp_path / "bench_history.jsonl"
     for i, value in enumerate(values):
@@ -228,18 +170,16 @@ def seeded_history(tmp_path, values, *, label="policy_evaluation.rows_per_s", sm
             engine="columnar",
             timestamp=1_000.0 + i,
             machine={"hostname": "quiet-box", "platform": "linux", "python": "3", "cpu_count": 8},
-            git={"commit": f"c{i}", "branch": branch},
+            git={"commit": f"c{i}", "branch": "main"},
         )
         history_mod.append_entry(entry, path)
     return path
 
 
 class TestAgainstHistory:
-    def fresh_artifact(self, tmp_path, value, *, smoke=False):
+    def fresh_artifact(self, tmp_path, value):
         path = tmp_path / "fresh.json"
-        path.write_text(
-            json.dumps({"policy_evaluation": {"rows_per_s": value, "smoke": smoke}})
-        )
+        path.write_text(json.dumps({"policy_evaluation": {"rows_per_s": value}}))
         return path
 
     def test_regression_past_history_noise_is_flagged(self, tmp_path, capsys):
@@ -271,23 +211,48 @@ class TestAgainstHistory:
             == 0
         )
 
-    def test_smoke_artifact_judged_against_smoke_entries_only(self, tmp_path, capsys):
-        # Full history says ~100; smoke history says ~40.  A smoke run
-        # at 42 is healthy FOR A SMOKE RUN and must not be flagged
-        # against the full numbers.
+    def test_smoke_tagged_rows_are_not_a_baseline(self, tmp_path, capsys):
+        # Benches before PR 23 appended smoke rows (~40 here); they must
+        # neither judge a full run (~100) nor count towards MIN_HISTORY.
         seeded_history(tmp_path, [100.0, 101.0, 99.0, 100.5, 99.5], smoke=False)
         hist = seeded_history(
             tmp_path, [40.0, 41.0, 39.0, 40.5, 39.5], smoke=True
         )
-        fresh = self.fresh_artifact(tmp_path, 42.0, smoke=True)
+        fresh = self.fresh_artifact(tmp_path, 100.2)
         assert (
             main(
                 ["--against-history", str(fresh), "--history", str(hist), "--strict"]
             )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "smoke" not in out or "insufficient" not in out
+        assert "5-run history" in capsys.readouterr().out
+
+    def test_e2e_results_file_is_scored_by_the_manifest_direction(
+        self, tmp_path, capsys
+    ):
+        label = "e2e.steady_fixed.wall_s"  # BENCHMARK.json: lower is better
+        hist = seeded_history(
+            tmp_path, [0.074, 0.075, 0.073, 0.0745, 0.0735, 0.074], label=label
+        )
+        fresh = tmp_path / "results.json"
+
+        def results(wall_s):
+            return {
+                "scaled": False,
+                "workloads": {
+                    "steady_fixed": {
+                        "end_to_end": {"wall_s": {"value": wall_s, "unit": "s"}},
+                        "per_layer": {},
+                    }
+                },
+            }
+
+        args = ["--against-history", str(fresh), "--history", str(hist), "--strict"]
+        fresh.write_text(json.dumps(results(0.150)))
+        assert main(args) == 1
+        assert label in capsys.readouterr().out
+        fresh.write_text(json.dumps(results(0.040)))  # faster: not flagged
+        assert main(args) == 0
 
     def test_insufficient_history_records_without_judging(self, tmp_path, capsys):
         hist = seeded_history(tmp_path, [100.0, 99.0])  # below MIN_HISTORY
@@ -330,70 +295,10 @@ class TestAgainstHistory:
         assert "WARN" in out and "no entries in this history" in out
 
 
-class TestBranchVsMain:
-    def test_branch_regression_is_flagged(self, tmp_path, capsys):
-        hist = seeded_history(
-            tmp_path, [100.0, 101.0, 99.0, 100.5, 99.5, 100.2], branch="main"
-        )
-        seeded_history(tmp_path, [60.0, 61.0], branch="feature")
-        code = main(
-            [
-                "--branch-vs-main",
-                "--history",
-                str(hist),
-                "--branch",
-                "feature",
-                "--strict",
-            ]
-        )
-        assert code == 1
-        assert "ADVISORY regression" in capsys.readouterr().out
-
-    def test_matching_branch_passes(self, tmp_path):
-        hist = seeded_history(
-            tmp_path, [100.0, 101.0, 99.0, 100.5, 99.5, 100.2], branch="main"
-        )
-        seeded_history(tmp_path, [100.1, 99.9], branch="feature")
-        assert (
-            main(
-                [
-                    "--branch-vs-main",
-                    "--history",
-                    str(hist),
-                    "--branch",
-                    "feature",
-                    "--strict",
-                ]
-            )
-            == 0
-        )
-
-    def test_no_branch_entries_is_graceful(self, tmp_path, capsys):
-        hist = seeded_history(tmp_path, [100.0] * 6, branch="main")
-        assert (
-            main(
-                [
-                    "--branch-vs-main",
-                    "--history",
-                    str(hist),
-                    "--branch",
-                    "ghost",
-                    "--strict",
-                ]
-            )
-            == 0
-        )
-        assert "no history entries" in capsys.readouterr().out
-
-
 class TestCLIGuards:
-    def test_history_modes_are_exclusive(self, tmp_path):
+    def test_history_mode_rejects_positionals(self):
         with pytest.raises(SystemExit):
-            main(["--against-history", "x.json", "--branch-vs-main"])
-
-    def test_history_modes_reject_positionals(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["a.json", "b.json", "--branch-vs-main"])
+            main(["a.json", "b.json", "--against-history", "x.json"])
 
     def test_two_artifact_mode_needs_both_paths(self):
         with pytest.raises(SystemExit):
@@ -406,6 +311,11 @@ class TestCLIGuards:
             == -1
         )
         assert compare_perf._metric_direction("unknown.metric") is None
+        assert (
+            compare_perf._metric_direction("e2e.traced_export.obs.spans_per_s")
+            == 1
+        )
+        assert compare_perf._metric_direction("e2e.steady_fixed.nope") is None
 
     def test_row_is_exported(self):
         assert Row("x", 1.0, 2.0, 1.0, False).label == "x"

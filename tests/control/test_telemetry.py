@@ -151,8 +151,9 @@ class TestTelemetryHub:
         assert seen == [("a", 1.5)]
 
     def test_publish_is_a_plain_event_hook(self):
-        # The engine-facing contract: hub.publish has the record_hooks
-        # callable shape, so producers need no import of this package.
+        # The producer-facing contract: hub.publish is a plain
+        # callable(record, now), so producers need no import of this
+        # package.
         hub = TelemetryHub(window_s=5.0)
         hook = hub.publish
         hook(record("a", 1.0), 1.0)

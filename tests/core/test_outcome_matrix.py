@@ -1,9 +1,10 @@
 """Equivalence tests: the vectorized outcome-matrix path vs the scalar oracle.
 
-The outcome-matrix engine exists purely for speed; these tests pin its
-contract — for the same seed it must reproduce the legacy scalar path's
+The outcome matrix exists purely for speed; these tests pin its
+contract — for the same seed it must reproduce the scalar path's
 results exactly (trial metrics, worst-case estimates, rng consumption and
 emitted rule tables), across all four policy kinds and the threshold grid.
+The generator-level scalar side is ``tests/oracle/rulegen_reference.py``.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.core.rule_generator import RoutingRuleGenerator
 from repro.core.simulator import simulate
 from repro.stats.confidence import ConfidenceTest
 from repro.stats.resampling import subsample_indices
+
+from oracle.rulegen_reference import reference_results
 
 TOLERANCE = 1e-12
 
@@ -210,14 +213,12 @@ class TestGeneratorEquivalence:
     def generators(self, space):
         measurements, configurations = space
         kw = dict(confidence=0.999, seed=5, min_trials=8, max_trials=30)
-        return (
-            RoutingRuleGenerator(
-                measurements, configurations, engine="legacy", **kw
-            ),
-            RoutingRuleGenerator(
-                measurements, configurations, engine="vectorized", **kw
-            ),
-        )
+        fast = RoutingRuleGenerator(measurements, configurations, **kw)
+        # generate() is a function of (configurations, results) alone, so
+        # the scalar side is a generator carrying the oracle's results.
+        legacy = RoutingRuleGenerator(measurements, configurations, **kw)
+        legacy.results = reference_results(measurements, configurations, **kw)
+        return legacy, fast
 
     def test_worst_case_estimates_match(self, generators):
         legacy, fast = generators
@@ -251,19 +252,12 @@ class TestGeneratorEquivalence:
         kw = dict(confidence=0.999, seed=5, min_trials=8, max_trials=30)
         tables = []
         for _ in range(2):
-            generator = RoutingRuleGenerator(
-                measurements, configurations, engine="vectorized", **kw
-            )
+            generator = RoutingRuleGenerator(measurements, configurations, **kw)
             table = generator.generate([0.01, 0.05, 0.10], "response-time")
             tables.append(
                 {t: c.config_id for t, c in table.rules.items()}
             )
         assert tables[0] == tables[1]
-
-    def test_rejects_unknown_engine(self, space):
-        measurements, configurations = space
-        with pytest.raises(ValueError):
-            RoutingRuleGenerator(measurements, configurations, engine="warp")
 
 
 class TestZeroVarianceMetrics:
@@ -300,13 +294,10 @@ class TestZeroVarianceMetrics:
     def test_engines_agree_on_constant_metrics(self, constant_space):
         measurements, configurations = constant_space
         kwargs = dict(confidence=0.999, seed=3, min_trials=10, max_trials=60)
-        vectorized = RoutingRuleGenerator(
-            measurements, configurations, engine="vectorized", **kwargs
-        )
-        legacy = RoutingRuleGenerator(
-            measurements, configurations, engine="legacy", **kwargs
-        )
-        for a, b in zip(vectorized.results, legacy.results):
+        vectorized = RoutingRuleGenerator(measurements, configurations, **kwargs)
+        legacy = reference_results(measurements, configurations, **kwargs)
+        assert len(vectorized.results) == len(legacy)
+        for a, b in zip(vectorized.results, legacy):
             assert a.config_id == b.config_id
             assert a.n_trials == b.n_trials
             assert a.error_degradation == b.error_degradation

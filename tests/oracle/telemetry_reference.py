@@ -162,9 +162,9 @@ class ReferenceTelemetryHub:
     def publish(self, record, now: Optional[float] = None) -> None:
         """Fold one request record into the window.
 
-        This is the hub's producer hook: the engine's ``record_hooks``
-        and the gateway's synchronous completion path both call exactly
-        this signature.  Publish times must be non-decreasing (both
+        This is the hub's producer hook: the engine (via the plane's
+        ``observe``) and the gateway's synchronous completion path both
+        call exactly this signature.  Publish times must be non-decreasing (both
         producers emit in clock order).
 
         Args:

@@ -243,17 +243,9 @@ def test_fault_free_specs_match_plain_engine_bit_for_bit(seed, toy):
 # ----------------------------------------------------------------------
 def _reconfiguring(spec):
     """``spec`` under a control plane that degrades arrivals and lets
-    the online adaptor swap (and roll back) the configuration mid-run.
-    Crashes recover: a closed loop keeps ticking while requests wait on
-    capacity that never comes back."""
+    the online adaptor swap (and roll back) the configuration mid-run."""
     return replace(
         spec,
-        faults=tuple(
-            replace(fault, recover_at_s=fault.at_s + 2.0)
-            if isinstance(fault, NodeCrash) and fault.recover_at_s is None
-            else fault
-            for fault in spec.faults
-        ),
         control=ControlSpec(
             window_s=8.0,
             tick_interval_s=0.25,
@@ -307,3 +299,56 @@ def test_the_reconfiguring_control_plane_does_reconfigure(toy):
     kinds = {entry.kind for entry in report.control_log}
     assert {"swap", "rollback"} <= kinds
     assert len({record.versions_used for record in report.records}) >= 3
+
+
+# ----------------------------------------------------------------------
+# a closed loop whose pool never comes back still drains
+# ----------------------------------------------------------------------
+def test_closed_loop_drains_when_a_pool_never_comes_back(toy, monkeypatch):
+    """Seed 33 crashes ``slow`` for good: once only parked requests are
+    left, control ticks stop with the last other event and ``drain()``
+    fails the parked requests there — not 10M ticks later at the valve
+    (lowered here so the old behaviour fails in seconds, not minutes)."""
+    from repro.service.simulation import engine as engine_module
+    from repro.service.simulation.events import EventLoop
+
+    spec = _reconfiguring(_random_spec(33, with_faults=True))
+    assert any(
+        isinstance(fault, NodeCrash) and fault.recover_at_s is None
+        for fault in spec.faults
+    )
+    monkeypatch.setattr(engine_module, "_MAX_EVENTS", 50_000)
+    fired = {}
+    last_other = [0.0]
+    schedule_at = EventLoop.schedule_at
+
+    def spying_schedule_at(self, time, action, *, kind=""):
+        def spied():
+            fired[kind] = fired.get(kind, 0) + 1
+            if kind != "control":
+                last_other[0] = self.now
+            action()
+
+        return schedule_at(self, time, spied, kind=kind)
+
+    monkeypatch.setattr(EventLoop, "schedule_at", spying_schedule_at)
+    report = run_scenario(spec, toy, engine="legacy", check_invariants=True)
+
+    tick = spec.control.tick_interval_s
+    assert fired["control"] <= last_other[0] / tick + 1
+    assert sum(fired.values()) < 5_000
+    failed = [record for record in report.records if record.failed]
+    assert failed and len(report.records) == spec.n_requests
+    for record in failed:
+        assert record.finished_s <= last_other[0] + tick, record
+
+
+def test_a_drain_stopped_by_the_valve_raises_naming_what_is_pending(
+    toy, monkeypatch
+):
+    from repro.service.simulation import engine as engine_module
+
+    monkeypatch.setattr(engine_module, "_MAX_EVENTS", 10)
+    spec = _random_spec(33, with_faults=True)  # 36 arrivals
+    with pytest.raises(RuntimeError, match=r"10-event valve.*'arrival'.*pending"):
+        run_scenario(spec, toy, engine="legacy")
