@@ -14,7 +14,7 @@ Two online consumers share this router:
 * :class:`~repro.service.simulation.engine.ServingSimulator` executes it
   under offered load inside a discrete-event loop, where the same routing
   decision additionally determines which pools' queues the request joins
-  (via :meth:`TierRouter.route_request`).
+  (its drain calls :meth:`TierRouter.route` once per distinct annotation).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class TierRouter:
         """Pick the configuration serving an annotated request.
 
         Convenience wrapper over :meth:`route` reading the request's
-        ``Tolerance`` / ``Objective`` annotation directly; this is the
-        entry point the serving simulator calls once per arrival.
+        ``Tolerance`` / ``Objective`` annotation directly (the serving
+        simulator's drain routes once per distinct annotation instead).
         """
         return self.route(request.tolerance, request.objective)

@@ -14,8 +14,7 @@ serves it or a tier router picks one per request.
 semantics but none of the object machinery:
 
 * request state lives in parallel lists indexed by submission order
-  (``ServingSimulator.run`` feeds them as bulk columns without ever
-  constructing a ``ServiceRequest``),
+  (the simulator's submission store, read as it stands),
 * the routing decision is request state too: the drain's pre-pass
   routes each distinct ``(tolerance, objective)`` once and groups the
   submissions by the configuration they got; the per-leg compute /
@@ -48,16 +47,16 @@ verbatim.  The differential test harness
 digest-for-digest equality over the canonical scenarios and a fuzzed
 scenario space.
 
-``columnar_ineligibility`` is the gate: anything the fast path does not
-model — faults, autoscaling, a control plane, non-replay versions,
-custom selection policies, a routed configuration that is itself
-unservable — returns a human-readable reason and the engine falls back
-to the legacy path, which remains the scalar correctness oracle (the
-same playbook as ``core/outcome_matrix.py`` for the rule generator).
-Data-dependent conditions (duplicate ids, payloads outside the
-measurement table) surface as :class:`ColumnarFallback` during
-precomputation, before any real state is touched, and fall back the
-same way.
+``columnar_ineligibility`` is the gate, and a fallback means one thing:
+the fast path lacks a capability — faults, autoscaling, a control plane,
+a dead node or non-replay version in a pool, a custom selection policy —
+and the legacy path, which remains the scalar correctness oracle (the
+same playbook as ``core/outcome_matrix.py`` for the rule generator),
+finishes this run.  What *neither* loop can serve (a repeated id, an
+unmeasured payload, a bad threshold, fast == accurate, an undeployed or
+unrefillable empty pool) never reaches this module: ``drain()`` refuses
+it with a typed error in front of both loops, and hands ``run_columnar``
+the payload-to-row gather that refusal already performed.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.errors import PolicyConfigurationError
 from repro.core.executor import require_confidence_threshold
 from repro.service.load_balancer import (
     JoinShortestQueuePolicy,
@@ -78,7 +76,7 @@ from repro.service.load_balancer import (
 from repro.service.simulation.replay import MeasurementReplayVersion
 from repro.service.simulation.report import LoadTestReport, RecordColumns
 
-__all__ = ["ColumnarFallback", "columnar_ineligibility", "run_columnar"]
+__all__ = ["columnar_ineligibility", "run_columnar"]
 
 #: Heap events are ``(time, tag, node, info)`` with
 #: ``tag = (seq << 2) | code``: packing the event code into the
@@ -99,12 +97,6 @@ _SUPPORTED_POLICIES = (
     JoinShortestQueuePolicy,
     LeastBusyPolicy,
 )
-
-
-class ColumnarFallback(Exception):
-    """The columnar precomputation hit a case only the legacy engine
-    models faithfully (duplicate ids, unmeasured payloads); the engine
-    catches this and re-drains through the legacy path."""
 
 
 class _ShadowNode:
@@ -141,57 +133,15 @@ class _ShadowNode:
         self.flush_seq = -1
 
 
-def _configuration_legs(configuration):
-    """``(fast_version, accurate_version)`` of one configuration
-    (``accurate_version`` is ``None`` for a single-version policy)."""
-    policy = configuration.policy
-    if configuration.kind == "single":
-        return policy.versions[0], None
-    return policy.fast_version, policy.accurate_version
+def columnar_ineligibility(sim, configurations) -> Optional[str]:
+    """The capability this run needs that the columnar path lacks
+    (``None`` = it has them all), surfaced as
+    ``ServingSimulator.fallback_reason``.
 
-
-def _configuration_ineligibility(configuration, balancer) -> Optional[str]:
-    """Why one configuration cannot be served from columnar state."""
-    fast_version, accurate_version = _configuration_legs(configuration)
-    legs = [fast_version]
-    if accurate_version is not None:
-        try:
-            require_confidence_threshold(configuration.policy)
-        except PolicyConfigurationError:
-            return "invalid confidence threshold"
-        if fast_version == accurate_version:
-            return "degenerate policy (fast == accurate version)"
-        legs.append(accurate_version)
-    deployed = balancer.versions
-    for version in legs:
-        if version not in deployed:
-            return f"policy version {version!r} not deployed"
-        pool = balancer.nodes_of(version)
-        if not pool:
-            return f"empty pool for version {version!r}"
-        for node in pool:
-            if not node.alive:
-                return "dead node in pool"
-            if not isinstance(node.version, MeasurementReplayVersion):
-                return "non-replay service version"
-    return None
-
-
-def columnar_ineligibility(sim) -> Optional[str]:
-    """Why this simulator cannot take the columnar path (``None`` = it can).
-
-    The reasons are deliberately conservative: everything outside the
-    modelled state space falls back to the legacy engine, which *is* the
-    semantics.  The returned string is surfaced as
-    ``ServingSimulator.fallback_reason`` for tests and debugging.
-
-    A tier router is not a reason: the drain's routing pre-pass
-    (``ServingSimulator._route_submissions``) turns the router into the
-    handful of configurations this run's requests actually get, and the
-    per-configuration checks below (threshold, fast != accurate,
-    deployed, live replay pool) apply to each of them — the first
-    offending one names the reason.  A request the router cannot route
-    at all raises from the pre-pass, as its arrival would have.
+    Called after ``drain()`` refused what no loop can serve: every
+    reason here is one after which the legacy engine — which *is* the
+    semantics — completes the run.  A tier router is not a reason: the
+    pool checks apply to each of the pre-pass's ``configurations``.
     """
     if sim._faults:
         # Name the fault classes so a chaos scenario's fallback is
@@ -202,13 +152,14 @@ def columnar_ineligibility(sim) -> Optional[str]:
         return "autoscaler attached"
     if sim.control is not None:
         return "control plane attached"
-    if not sim._submissions and sim._bulk is None:
-        return "no requests submitted"
     balancer = sim.cluster.load_balancer
-    for configuration in sim._route_submissions()[0]:
-        reason = _configuration_ineligibility(configuration, balancer)
-        if reason is not None:
-            return reason
+    for configuration in configurations:
+        for version in configuration.versions:
+            for node in balancer.nodes_of(version):
+                if not node.alive:
+                    return "dead node in pool"
+                if not isinstance(node.version, MeasurementReplayVersion):
+                    return "non-replay service version"
     if type(balancer._policy) not in _SUPPORTED_POLICIES:
         return (
             "unsupported selection policy "
@@ -217,36 +168,26 @@ def columnar_ineligibility(sim) -> Optional[str]:
     return None
 
 
-def run_columnar(sim, columns) -> LoadTestReport:
+def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     """Drain a columnar-eligible simulator and build its report.
 
-    ``columns`` is the engine's ``(request_ids, payloads, tolerances,
-    at_times)`` submission columns, in submission order.  Call only after
-    :func:`columnar_ineligibility` returned ``None``; data-level
-    ineligibility (duplicate ids, unmeasured payloads) raises
-    :class:`ColumnarFallback` before any simulator or cluster state is
-    touched.  With invariant checking attached the loop calls the
-    checker at the exact points the legacy engine would (it sees an
-    identical stream); either way the report is built from the loop's
-    columns and materializes records only when asked.
-
-    Which configuration serves a request is request state like its
-    payload: the routing pre-pass groups the submissions by the
-    configuration they got, the per-leg columns below are composed one
-    group at a time, and the event flow reads each request's kind code
-    and leg pools from them.  A fixed-configuration run is the one-group
-    case of the same loop.
+    Call only after :func:`columnar_ineligibility` returned ``None``,
+    with the routing pre-pass's ``(configurations, codes)`` and the
+    ``replay_rows`` gather of ``ServingSimulator._refuse_unservable``;
+    the submission columns are read from the simulator's store.  With
+    invariant checking attached the loop calls the checker at the exact
+    points the legacy engine would (it sees an identical stream); either
+    way the report is built from the loop's columns and materializes
+    records only when asked.
     """
     cluster = sim.cluster
     balancer = cluster.load_balancer
     checker = sim._check
     slow = checker is not None
 
-    request_ids, payloads, tolerances, times = columns
+    store = sim._store
+    request_ids, payloads, times = store.ids, store.payloads, store.times
     n = len(request_ids)
-    if len(set(request_ids)) != n:
-        raise ColumnarFallback("duplicate request ids")
-    configurations, codes = sim._route_submissions()
 
     # ------------------------------------------------------------------
     # per-leg replay precomputation, one routed group at a time
@@ -257,24 +198,11 @@ def run_columnar(sim, columns) -> LoadTestReport:
     # element-wise multiply is bit-identical to the scalar product, so the
     # whole column is composed up front; the per-node division happens at
     # batch execution (node speed factors may differ within a pool).
-    def _leg_columns(version: str, members):
+    def _leg_columns(version: str, group: int):
         replay = balancer.nodes_of(version)[0].version
         ms = replay._measurements
         col = replay._column
-        rows_of = replay._rows
-        picked = (
-            payloads
-            if codes is None
-            else [payloads[i] for i in members.tolist()]
-        )
-        try:
-            rows = np.fromiter(
-                (rows_of[p] for p in picked), dtype=np.int64, count=len(picked)
-            )
-        except (KeyError, TypeError):
-            raise ColumnarFallback(
-                "payload outside the measurement table"
-            ) from None
+        rows = replay_rows[group, id(replay._rows)]
         return (
             ms.latency_s[rows, col] * replay._baseline_scale,
             ms.confidence[rows, col],
@@ -299,17 +227,20 @@ def run_columnar(sim, columns) -> LoadTestReport:
     compute_acc_np = np.zeros(n)
     conf_acc_np = np.zeros(n)
     escalates_np = np.zeros(n, dtype=bool)
-    for configuration, members in zip(configurations, groups):
-        pair = _configuration_legs(configuration)
+    for group, configuration in enumerate(configurations):
+        members = groups[group]
+        # (fast, accurate); a single-version policy has no accurate leg.
+        versions = configuration.versions
+        pair = versions if len(versions) == 2 else (versions[0], None)
         if pair not in pairs:
             pairs.append(pair)
         pair_np[members] = pairs.index(pair)
         kind_np[members] = _KIND_CODES[configuration.kind]
-        compute_fast_np[members], confidence = _leg_columns(pair[0], members)
+        compute_fast_np[members], confidence = _leg_columns(pair[0], group)
         conf_fast_np[members] = confidence
         if pair[1] is not None:
             compute_acc_np[members], conf_acc_np[members] = _leg_columns(
-                pair[1], members
+                pair[1], group
             )
             # should_escalate is a strict `confidence < threshold`.
             escalates_np[members] = confidence < require_confidence_threshold(
@@ -819,7 +750,7 @@ def run_columnar(sim, columns) -> LoadTestReport:
     acc_seconds = np.fromiter(o_acc, dtype=np.float64, count=n_out)
     fast_starts = np.fromiter(o_fstart, dtype=np.float64, count=n_out)
     arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
-    tiers = np.asarray(tolerances, dtype=np.float64)[sub_idx]
+    tiers = np.asarray(store.tolerances, dtype=np.float64)[sub_idx]
     pair_codes = pair_np[sub_idx]
     # PricingModel.request_cost, vectorized with the same operation
     # order, each row priced by its own pair: cost_v = seconds_v *
@@ -856,8 +787,8 @@ def run_columnar(sim, columns) -> LoadTestReport:
             escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx]
         ),
     )
-    report = LoadTestReport.from_columns(
-        report_columns, final_pool_sizes=cluster.pool_sizes()
+    report = LoadTestReport(
+        columns=report_columns, final_pool_sizes=cluster.pool_sizes()
     )
 
     if checker is not None:

@@ -56,6 +56,14 @@ may be *shed* — resolved unserved, first-class in the report — or
 evaluates SLOs and may hot-swap the active configuration the adaptor
 re-fit.
 
+Submissions wait in one store (parallel columns in submission order) and
+:meth:`ServingSimulator.drain` validates once, in front of both loops:
+what the deployment cannot serve at all — a repeated id, an unmeasured
+payload, a bad threshold, fast == accurate, an undeployed or unrefillable
+pool — is refused with a :class:`~repro.core.errors.TierError` before any
+node is written.  Only then does the requested loop run; a *fallback*
+means the columnar loop lacks a capability and this loop finishes the run.
+
 The event loop is single-threaded and deterministic: same seed, same
 arrival process, same fault schedule, same report — fault-free runs
 consume exactly the random draws and fire exactly the events the PR 1
@@ -77,6 +85,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.configuration import EnsembleConfiguration
+from repro.core.errors import (
+    MissingVersionError,
+    PolicyConfigurationError,
+    RequestValidationError,
+)
 from repro.core.executor import (
     early_termination_cap,
     require_confidence_threshold,
@@ -93,7 +106,6 @@ from repro.service.simulation.arrivals import (
 from repro.service.simulation.autoscaler import Autoscaler
 from repro.service.simulation.batching import BatchingConfig
 from repro.service.simulation.columnar import (
-    ColumnarFallback,
     columnar_ineligibility,
     run_columnar,
 )
@@ -114,6 +126,7 @@ from repro.service.simulation.faults import (
 )
 from repro.obs.log import get_rate_limited
 from repro.service.simulation.invariants import InvariantChecker
+from repro.service.simulation.replay import MeasurementReplayVersion
 from repro.service.simulation.report import LoadTestReport, RequestRecord
 
 __all__ = ["ServingSimulator", "resolve_engine"]
@@ -163,6 +176,27 @@ def _load_ids(base: int, count: int) -> List[str]:
     if end > len(cache):
         cache.extend("load_%06d" % i for i in range(len(cache), end))
     return cache[base:end]
+
+
+class _Submissions:
+    """What the caller submitted: parallel columns in submission order.
+
+    ``requests`` holds the caller's own :class:`ServiceRequest` where one
+    was given (admission reads its ``metadata``) and ``None`` for a row
+    :meth:`ServingSimulator.run` generated.
+    """
+
+    __slots__ = (
+        "ids", "payloads", "tolerances", "objectives", "times", "requests"
+    )
+
+    def __init__(self) -> None:
+        for column in self.__slots__:
+            setattr(self, column, [])
+
+    def extend(self, *columns) -> None:
+        for name, values in zip(self.__slots__, columns):
+            getattr(self, name).extend(values)
 
 
 class _InFlight:
@@ -363,19 +397,8 @@ class ServingSimulator:
         self.engine_used: Optional[str] = None
         #: Why a columnar-requested run fell back to the legacy path.
         self.fallback_reason: Optional[str] = None
-        #: Deferred (request, at_time) submissions, consumed by drain().
-        self._submissions: List[Tuple[ServiceRequest, float]] = []
-        #: Bulk workload from :meth:`run`:
-        #: ``(request_ids, payloads, tolerance, objective, at_times)``.
-        #: Kept as columns — ServiceRequest objects are only materialized
-        #: if the run drains through the event loop.
-        self._bulk: Optional[
-            Tuple[List[str], List[Any], float, Objective, List[float]]
-        ] = None
-        #: What :meth:`_route_submissions` found, kept for the drain.
-        self._routed: Optional[
-            Tuple[List[EnsembleConfiguration], Optional[List[int]]]
-        ] = None
+        #: Everything submitted, read by drain().
+        self._store = _Submissions()
         if (router is None) == (configuration is None):
             raise ValueError("supply exactly one of router / configuration")
         self.cluster = cluster
@@ -415,7 +438,6 @@ class ServingSimulator:
         self._parked: Dict[str, List[QueuedRequest]] = {}
         self._remaining = 0
         self._counter = 0
-        self._tick_scheduled = False
         self._drained = False
         self._retry = retry or RetryPolicy()
         self._faults = tuple(faults)
@@ -431,7 +453,6 @@ class ServingSimulator:
 
             trace = SimTraceRecorder(trace)
         self._trace = trace
-        self._control_tick_scheduled = False
         known = set(cluster.load_balancer.versions)
         for fault in self._faults:
             unknown = set(affected_versions(fault)) - known
@@ -518,6 +539,19 @@ class ServingSimulator:
                 belong to one load test); build a fresh one per test — or
                 a time is past or not finite (nothing is scheduled then).
         """
+        self._enqueue(
+            [request.request_id for request in requests],
+            [request.payload for request in requests],
+            [request.tolerance for request in requests],
+            [request.objective for request in requests],
+            at_times,
+            requests,
+        )
+
+    def _enqueue(
+        self, ids, payloads, tolerances, objectives, at_times, requests
+    ) -> None:
+        """Append rows to the submission store: all of them, or none."""
         self._require_undrained()
         # Every submission is deferred: drain() picks the loop, and a
         # replay into the event loop schedules arrivals in this same
@@ -533,8 +567,10 @@ class ServingSimulator:
                     if at_time < now
                     else f"cannot schedule at t={at_time}: not a finite time"
                 )
-        self._remaining += len(requests)
-        self._submissions.extend(zip(requests, at_times))
+        self._store.extend(
+            ids, payloads, tolerances, objectives, at_times, requests
+        )
+        self._remaining += len(ids)
 
     def run(
         self,
@@ -593,184 +629,209 @@ class ServingSimulator:
             if isinstance(times, np.ndarray)
             else [float(t) for t in times]
         )
-        # The workload stays as columns (ids, payloads, times) and never
-        # materializes a ServiceRequest — object construction dominated
-        # the submit phase.  Ids are formatted exactly as per-request
-        # submission would, and an event-loop drain builds
-        # field-identical requests from the rows.
-        if min(at_times) < self._loop.now:
-            raise ValueError(
-                f"cannot schedule at t={min(at_times):.6f} "
-                f"before now={self._loop.now:.6f}"
-            )
-        base = self._counter
+        # The workload joins the store as rows with one annotation and no
+        # ServiceRequest — object construction dominated the submit
+        # phase.  Ids are formatted exactly as per-request submission
+        # would, and an event-loop drain builds field-identical requests
+        # from the rows.
         count = len(at_times)
-        request_ids = _load_ids(base, count)
-        self._counter = base + count
-        if payload_ids is not None:
-            payloads: List[Any] = [ids[p] for p in picks[:count].tolist()]
-        else:
-            payloads = request_ids
-        self._remaining += count
-        self._bulk = (request_ids, payloads, tolerance, objective, at_times)
+        request_ids = _load_ids(self._counter, count)
+        self._enqueue(
+            request_ids,
+            [ids[p] for p in picks[:count].tolist()]
+            if payload_ids is not None
+            else request_ids,
+            [tolerance] * count,
+            [objective] * count,
+            at_times,
+            [None] * count,
+        )
+        self._counter += count
         report = self.drain()
         span = float(times[-1] - times[0])
         report.offered_rate = n_requests / span if span > 0.0 else None
         return report
 
-    def _submission_columns(
-        self,
-    ) -> Tuple[List[str], List[Any], List[float], List[float]]:
-        """Deferred submissions as ``(ids, payloads, tolerances, times)``
-        columns in submission order — explicit :meth:`submit` calls first,
-        then the bulk workload from :meth:`run`, exactly the order the
-        legacy engine would have scheduled their arrival events in."""
-        ids = [r.request_id for r, _ in self._submissions]
-        payloads: List[Any] = [r.payload for r, _ in self._submissions]
-        tolerances = [r.tolerance for r, _ in self._submissions]
-        times = [t for _, t in self._submissions]
-        if self._bulk is not None:
-            bulk_ids, bulk_payloads, tolerance, _objective, bulk_times = (
-                self._bulk
-            )
-            if ids:
-                ids = ids + bulk_ids
-                payloads = payloads + bulk_payloads
-                tolerances = tolerances + [tolerance] * len(bulk_ids)
-                times = times + bulk_times
-            else:
-                ids, payloads, times = bulk_ids, bulk_payloads, bulk_times
-                tolerances = [tolerance] * len(bulk_ids)
-        return ids, payloads, tolerances, times
-
     def _route_submissions(
         self,
     ) -> Tuple[List[EnsembleConfiguration], Optional[List[int]]]:
-        """The routing pre-pass of a columnar drain.
+        """The routing pre-pass of a drain, on either engine.
 
         Returns ``(configurations, codes)``: the distinct configurations
-        serving the deferred submissions and, per submission (in
-        :meth:`_submission_columns` order), the index of its own —
-        ``codes`` is ``None`` when one configuration serves them all.
-        Each distinct ``(tolerance, objective)`` annotation is routed
-        once, in order of its earliest arrival, so a request the router
-        cannot serve raises what the event loop's first failing arrival
-        would raise — here, before any node or cursor state is written.
+        serving the submission store's rows and, per row, the index of
+        its own — ``codes`` is ``None`` when one configuration serves
+        them all.  Each distinct ``(tolerance, objective)`` annotation is
+        routed once, in order of its earliest arrival, so a request the
+        router cannot serve raises what the event loop's first failing
+        arrival would have raised — here, before any node or cursor
+        state is written.
         """
-        if self._routed is not None:
-            return self._routed
         if self._configuration is not None:
-            self._routed = [self._configuration], None
-            return self._routed
-        # annotation -> [earliest arrival, its submission index, seen-order]
-        seen: Dict[Tuple[float, Any], List[Any]] = {}
-
-        def note(annotation, at_time: float, index: int) -> int:
-            entry = seen.setdefault(annotation, [at_time, index, len(seen)])
-            if at_time < entry[0]:
-                entry[:2] = at_time, index
-            return entry[2]
-
-        annotation_of = [
-            note((request.tolerance, request.objective), at_time, index)
-            for index, (request, at_time) in enumerate(self._submissions)
-        ]
-        if self._bulk is not None:
-            # One annotation for the whole workload.
-            _ids, _payloads, tolerance, objective, times = self._bulk
-            first = min(range(len(times)), key=times.__getitem__)
-            annotation_of += [
-                note(
-                    (tolerance, objective),
-                    times[first],
-                    len(annotation_of) + first,
-                )
-            ] * len(times)
-        configurations: List[EnsembleConfiguration] = []
-        group_of = [0] * len(seen)
-        for (tolerance, objective), entry in sorted(
-            seen.items(), key=lambda item: item[1]
+            return [self._configuration], None
+        store = self._store
+        annotations = list(zip(store.tolerances, store.objectives))
+        #: annotation -> (its earliest arrival, that row's index)
+        first: Dict[Tuple[float, Any], Tuple[float, int]] = {}
+        for index, (annotation, at_time) in enumerate(
+            zip(annotations, store.times)
         ):
-            configuration = self._router.route(tolerance, objective)
+            if annotation not in first or at_time < first[annotation][0]:
+                first[annotation] = at_time, index
+        configurations: List[EnsembleConfiguration] = []
+        group_of: Dict[Tuple[float, Any], int] = {}
+        for annotation in sorted(first, key=first.__getitem__):
+            configuration = self._router.route(*annotation)
             if configuration not in configurations:
                 configurations.append(configuration)
-            group_of[entry[2]] = configurations.index(configuration)
-        codes = (
-            None
-            if len(configurations) == 1
-            else [group_of[annotation] for annotation in annotation_of]
-        )
-        self._routed = configurations, codes
-        return self._routed
+            group_of[annotation] = configurations.index(configuration)
+        if len(configurations) == 1:
+            return configurations, None
+        return configurations, [group_of[a] for a in annotations]
+
+    def _refuse_unservable(
+        self,
+        configurations: List[EnsembleConfiguration],
+        codes: Optional[List[int]],
+    ) -> Dict[Tuple[int, int], np.ndarray]:
+        """The door: refuse what neither loop can serve, before either runs.
+
+        One pass over the submission store and the routed configurations,
+        whichever engine was asked for.  Every refusal is a
+        :class:`~repro.core.errors.TierError` — a repeated id or an
+        unmeasured payload (``RequestValidationError``), a threshold
+        missing or outside ``[0, 1]`` or fast == accurate
+        (``PolicyConfigurationError``), a version that is not deployed or
+        whose pool has no live node while no fault schedule or autoscaler
+        can add one (``MissingVersionError``) — raised before any node,
+        cursor, clock or RNG is touched.  Returns the payload-to-row
+        gather the pass performed, ``{(group, id(table)): rows}`` per
+        replay table a leg of routed group ``group`` reads: what
+        :func:`run_columnar` composes its leg columns from.
+        """
+        store = self._store
+        if len(set(store.ids)) != len(store.ids):
+            seen: set = set()
+            repeated = next(i for i in store.ids if i in seen or seen.add(i))
+            raise RequestValidationError(f"duplicate request id {repeated!r}")
+        if codes is None:
+            payloads = [store.payloads]
+        else:
+            payloads = [[] for _ in configurations]
+            for payload, code in zip(store.payloads, codes):
+                payloads[code].append(payload)
+        balancer = self.cluster.load_balancer
+        static_capacity = not self._faults and self._autoscaler is None
+        rows_of: Dict[Tuple[int, int], np.ndarray] = {}
+        for group, configuration in enumerate(configurations):
+            versions = configuration.versions
+            needs = f"configuration {configuration.name!r} needs version"
+            if configuration.kind != "single":
+                require_confidence_threshold(configuration.policy)
+                if versions[0] == versions[1]:
+                    raise PolicyConfigurationError(
+                        f"{needs} {versions[0]!r} as both fast and accurate"
+                    )
+            for version in versions:
+                if version not in balancer.versions:
+                    raise MissingVersionError(
+                        f"{needs} {version!r}, which the cluster does not "
+                        f"deploy (available: {sorted(balancer.versions)})"
+                    )
+                if static_capacity and not balancer.live_pool_size(version):
+                    raise MissingVersionError(
+                        f"{needs} {version!r}, whose pool has no live node "
+                        "and no fault schedule or autoscaler to add one"
+                    )
+                for node in balancer.nodes_of(version):
+                    replay = node.version
+                    if (
+                        not isinstance(replay, MeasurementReplayVersion)
+                        or (group, id(replay._rows)) in rows_of
+                    ):
+                        continue
+                    try:
+                        rows_of[group, id(replay._rows)] = np.fromiter(
+                            map(replay._rows.__getitem__, payloads[group]),
+                            dtype=np.int64,
+                            count=len(payloads[group]),
+                        )
+                    except (KeyError, TypeError) as exc:
+                        # KeyError carries the key, TypeError "unhashable".
+                        raise RequestValidationError(
+                            f"payload {exc.args[0]!r} does not name a "
+                            "measured request id"
+                        ) from None
+        return rows_of
 
     # ------------------------------------------------------------------
     # draining
     # ------------------------------------------------------------------
     def drain(self) -> LoadTestReport:
-        """Run the event loop until every submitted request has resolved.
+        """Run the requested loop until every submitted request has resolved.
 
         A request resolves by completing or by failing terminally; jobs
         still parked behind dead pools when the loop empties resolve as
-        failed requests (capacity never came back for them).
+        failed requests (capacity never came back for them).  A drained
+        simulator, an empty store (``ValueError``) and what the
+        deployment cannot serve at all (a ``TierError``, see
+        :meth:`_refuse_unservable`) are refused first, on either engine,
+        with nothing run; ``fallback_reason`` names only a capability the
+        columnar loop lacks, and the event loop then finishes the run.
         """
+        self._require_undrained()
+        store = self._store
+        if not store.ids:
+            raise ValueError("a load test report needs at least one record")
+        configurations, codes = self._route_submissions()
+        replay_rows = self._refuse_unservable(configurations, codes)
+        # Let through: the simulator's one load test starts here, and a
+        # loop that dies halfway leaves it spent, not re-drainable.
+        self._drained = True
         if self.engine == "columnar":
-            reason = columnar_ineligibility(self)
+            reason = columnar_ineligibility(self, configurations)
             if reason is None:
-                try:
-                    report = run_columnar(self, self._submission_columns())
-                except ColumnarFallback as exc:
-                    # Data-level ineligibility (duplicate ids, payloads
-                    # outside the measurement table) surfaces during the
-                    # columnar precomputation, before any state changes.
-                    reason = str(exc)
-                else:
-                    self.engine_used = "columnar"
-                    report.engine_used = "columnar"
-                    self._drained = True
-                    self._remaining = 0
-                    self._submissions = []
-                    self._bulk = None
-                    if self._trace is not None:
-                        self._trace.on_columnar_report(report)
-                        self._trace.on_run_complete(
-                            report.fault_log, report.control_log
-                        )
-                    return report
+                report = run_columnar(self, configurations, codes, replay_rows)
+                self.engine_used = report.engine_used = "columnar"
+                self._remaining = 0
+                if self._trace is not None:
+                    self._trace.on_columnar_report(report)
+                    self._trace.on_run_complete(
+                        report.fault_log, report.control_log
+                    )
+                return report
             self.fallback_reason = reason
             _log.info("columnar drain fell back to legacy loop: %s", reason)
-        # The event loop: replay the deferred submissions in submission
-        # order (see submit()).  Bulk workload rows materialize the
-        # ServiceRequest objects run() skipped.
+        # The event loop: replay the store in submission order (see
+        # _enqueue()), building a ServiceRequest only for a row that has
+        # none.  A router-driven run reads each arrival's configuration
+        # from the pre-pass; a fixed one is read at arrival, because a
+        # control plane may have hot-swapped it by then.
         self.engine_used = "legacy"
-        if self._bulk is not None:
-            ids, payloads, tolerance, objective, times = self._bulk
-            self._bulk = None
-            self._submissions += [
-                (
-                    ServiceRequest(
-                        request_id=request_id,
-                        payload=payload,
-                        tolerance=tolerance,
-                        objective=objective,
-                    ),
-                    at_time,
+        for index, request in enumerate(store.requests):
+            if request is None:
+                request = ServiceRequest(
+                    request_id=store.ids[index],
+                    payload=store.payloads[index],
+                    tolerance=store.tolerances[index],
+                    objective=store.objectives[index],
                 )
-                for request_id, payload, at_time in zip(ids, payloads, times)
-            ]
-        for request, at_time in self._submissions:
-            self._loop.schedule_at(
-                at_time, lambda r=request: self._on_arrival(r), kind="arrival"
+            routed = (
+                None
+                if self._configuration is not None
+                else configurations[codes[index] if codes else 0]
             )
-        self._submissions = []
-        if self._autoscaler is not None and not self._tick_scheduled:
-            self._tick_scheduled = True
+            self._loop.schedule_at(
+                store.times[index],
+                lambda r=request, c=routed: self._on_arrival(r, c),
+                kind="arrival",
+            )
+        if self._autoscaler is not None:
             self._loop.schedule(
                 self._autoscaler.config.evaluation_interval_s,
                 self._on_autoscale_tick,
                 kind="autoscale",
             )
-        if self.control is not None and not self._control_tick_scheduled:
-            self._control_tick_scheduled = True
+        if self.control is not None:
             self._loop.schedule(
                 self.control.tick_interval_s,
                 self._on_control_tick,
@@ -782,7 +843,6 @@ class ServingSimulator:
             raise RuntimeError(
                 f"event loop hit its {_MAX_EVENTS}-event valve with {stuck} pending"
             )
-        self._drained = True
         if self._remaining and self._inflight and self._faults:
             # At loop-empty every queued job has executed and every retry
             # has fired, so what remains is parked behind pools whose
@@ -838,15 +898,14 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _plan(self, request: ServiceRequest) -> EnsembleConfiguration:
-        if self._configuration is not None:
-            return self._configuration
-        return self._router.route_request(request)
-
-    def _on_arrival(self, request: ServiceRequest) -> None:
+    def _on_arrival(
+        self,
+        request: ServiceRequest,
+        routed: Optional[EnsembleConfiguration],
+    ) -> None:
         if self._trace is not None:
             self._trace.on_arrival(request.request_id, self._loop.now)
-        configuration = self._plan(request)
+        configuration = routed if routed is not None else self._configuration
         degraded = False
         if self.control is not None:
             decision = self.control.admit(
@@ -854,10 +913,6 @@ class ServingSimulator:
             )
             action = decision.action.value
             if action == "shed":
-                if request.request_id in self._inflight:
-                    raise ValueError(
-                        f"duplicate request id {request.request_id!r}"
-                    )
                 if self._trace is not None:
                     self._trace.on_admission(
                         request.request_id,
@@ -880,8 +935,6 @@ class ServingSimulator:
         state = _InFlight(request, configuration)
         state.degraded = degraded
         state.arrival = self._loop.now
-        if request.request_id in self._inflight:
-            raise ValueError(f"duplicate request id {request.request_id!r}")
         self._inflight[request.request_id] = state
         if self._check is not None:
             self._check.on_arrival(request.request_id, self._loop.now)
@@ -1990,8 +2043,6 @@ class ServingSimulator:
                 self._on_control_tick,
                 kind="control",
             )
-        else:
-            self._control_tick_scheduled = False
 
     def _apply_configuration(self, configuration: EnsembleConfiguration) -> None:
         """Hot-swap the active fixed configuration (adaptor-driven).
@@ -2077,5 +2128,3 @@ class ServingSimulator:
                 self._on_autoscale_tick,
                 kind="autoscale",
             )
-        else:
-            self._tick_scheduled = False

@@ -232,27 +232,6 @@ class LoadTestReport:
             raise ValueError("a load test report needs at least one record")
         self.records = _ColumnarRecords(self.columns, records)
 
-    @classmethod
-    def from_columns(
-        cls,
-        columns: "RecordColumns",
-        *,
-        scaling_events: Optional[List[ScalingEvent]] = None,
-        final_pool_sizes: Optional[Dict[str, int]] = None,
-        offered_rate: Optional[float] = None,
-        fault_log: Optional[List[FaultLogEntry]] = None,
-        control_log: Optional[List[object]] = None,
-    ) -> "LoadTestReport":
-        """Build a report directly from dense per-request columns."""
-        return cls(
-            columns=columns,
-            scaling_events=list(scaling_events or ()),
-            final_pool_sizes=dict(final_pool_sizes or ()),
-            offered_rate=offered_rate,
-            fault_log=list(fault_log or ()),
-            control_log=list(control_log or ()),
-        )
-
     @cached_property
     def _answered(self) -> np.ndarray:
         """Mask of requests that got an answer (neither failed nor shed)."""

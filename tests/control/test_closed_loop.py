@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.errors import RequestValidationError
 from repro.service.control import (
     AdaptorConfig,
     AdmissionSpec,
@@ -189,8 +190,8 @@ class TestConservation:
                 assert r.versions_used == ("fast",)
 
     def test_duplicate_id_rejected_even_when_shed(self, toy):
-        # The admitted path raises on duplicate in-flight ids; a shed
-        # must not silently double-record the same id instead.
+        # A repeated id is refused at the door, before admission is ever
+        # consulted — even when admission would shed both arrivals.
         from repro.service.control.admission import (
             AdmissionAction,
             AdmissionDecision,
@@ -225,14 +226,16 @@ class TestConservation:
             ServiceRequest(request_id="dup", payload="r000"), at_time=0.5
         )
         # Sheds resolve instantly, so by the second arrival the first is
-        # no longer in flight — parity with the admitted path, which
-        # also only rejects duplicates while the first is unresolved.
-        report = simulator.drain()
-        assert report.n_shed == 2
+        # no longer in flight; uniqueness is per run, not per moment.
+        with pytest.raises(
+            RequestValidationError, match="duplicate request id 'dup'"
+        ):
+            simulator.drain()
+        assert simulator.engine_used is None and simulator.now == 0.0
 
     def test_duplicate_inflight_id_rejected_before_shed(self, toy):
-        # A duplicate of a request still in flight must raise exactly as
-        # it does on the admitted path — even if admission would shed it.
+        # The same refusal when the first is still in flight at the
+        # second's arrival and only the second would be shed.
         from repro.service.control.admission import (
             AdmissionAction,
             AdmissionDecision,

@@ -46,6 +46,7 @@ import numpy as np
 import pytest
 
 from repro.core.configuration import EnsembleConfiguration
+from repro.core.errors import MissingVersionError, PolicyConfigurationError
 from repro.core.policies import (
     ConcurrentPolicy,
     EarlyTerminationPolicy,
@@ -667,7 +668,7 @@ def test_routed_family_catches_a_wrong_pre_pass(monkeypatch, toy):
 
 def _broken_router(broken):
     """Healthy tiers plus one cell (the 10 % response-time tier) that
-    the columnar loop cannot serve."""
+    neither loop can serve."""
     if broken == "degenerate":
         policy = SequentialPolicy("fast", "slow", 0.6)
         policy.accurate_version = "fast"  # past the constructor's guard
@@ -694,22 +695,29 @@ def _broken_router(broken):
 
 
 @pytest.mark.parametrize(
-    "broken, reason",
+    "broken, error",
     [
-        ("degenerate", "degenerate policy (fast == accurate version)"),
-        ("undeployed", "policy version 'ghost' not deployed"),
+        ("degenerate", PolicyConfigurationError),
+        ("undeployed", MissingVersionError),
     ],
+    ids=["degenerate", "undeployed"],
 )
-def test_one_ineligible_routed_configuration_falls_back(broken, reason, toy):
-    """Eligibility is per routed group: a session that reaches the one
-    broken cell falls back naming that cell's reason (the oracle cannot
-    serve it either, and says so its own way); the same router with
-    traffic that never reaches the cell runs columnar."""
-    sim, _ = _routed_session(3, toy, "columnar", router=_broken_router(broken))
-    with pytest.raises((KeyError, RuntimeError)):
-        sim.drain()
-    assert sim.engine_used == "legacy"
-    assert sim.fallback_reason == reason
+def test_one_ineligible_routed_configuration_falls_back(broken, error, toy):
+    """Servability is per routed group: a session that reaches the one
+    broken cell is refused with the same typed error on both engines,
+    before either loop starts (a refusal, not a fallback); the same
+    router with traffic that never reaches the cell runs columnar."""
+    messages = set()
+    for engine in ("columnar", "legacy"):
+        sim, _ = _routed_session(
+            3, toy, engine, router=_broken_router(broken)
+        )
+        with pytest.raises(error) as excinfo:
+            sim.drain()
+        messages.add(str(excinfo.value))
+        assert sim.engine_used is None
+        assert sim.fallback_reason is None
+    assert len(messages) == 1
 
     sim, _ = _routed_session(
         3, toy, "columnar", router=_broken_router(broken),
@@ -770,24 +778,19 @@ class _CountingRouter(TierRouter):
 
 
 def test_pre_pass_routes_each_annotation_once(toy):
-    """The legacy loop routes per arrival; the columnar drain routes
-    each distinct (tolerance, objective) once."""
-    counts = {}
+    """Either engine's drain routes each distinct (tolerance,
+    objective) once; the legacy loop reads the pre-pass per arrival."""
     for engine in ("legacy", "columnar"):
         base = _random_router(np.random.default_rng(7))
         router = _CountingRouter(
             {o: base.table_for(o) for o in base.objectives}
         )
         sim, n = _routed_session(7, toy, engine, router=router)
-        annotations = {
-            (request.tolerance, request.objective)
-            for request, _ in sim._submissions
-        }
+        store = sim._store
+        annotations = set(zip(store.tolerances, store.objectives))
         sim.drain()
-        counts[engine] = router.routed
         assert sim.engine_used == engine
-    assert counts["legacy"] == n
-    assert counts["columnar"] == len(annotations) < n
+        assert router.routed == len(annotations) < n
 
 
 def _response_time_only_router():

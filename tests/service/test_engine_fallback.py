@@ -55,8 +55,8 @@ def test_engine_fields_stay_out_of_the_digest(toy):
 def test_from_columns_defaults_engine_fields(toy):
     spec = canonical_scenarios()["baseline"]
     report = run_scenario(spec, toy, engine="columnar")
-    rebuilt = LoadTestReport.from_columns(
-        report.columns,
+    rebuilt = LoadTestReport(
+        columns=report.columns,
         final_pool_sizes=dict(report.final_pool_sizes),
     )
     assert rebuilt.engine_used is None

@@ -449,7 +449,7 @@ def test_columnar_shard_builds_no_request_record(toy, records_built):
 def test_both_constructions_share_every_field_default(toy):
     """No hand-copied defaults: a column-built report has every field."""
     report = _columnar_run_load(toy, n=20)
-    rebuilt = LoadTestReport.from_columns(report.columns)
+    rebuilt = LoadTestReport(columns=report.columns)
     listed = LoadTestReport(records=list(report.records))
     for f in dataclasses.fields(LoadTestReport):
         if f.name not in ("records", "columns"):
