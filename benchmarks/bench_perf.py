@@ -67,8 +67,8 @@ def test_perf_rule_generator(ic_cpu_measurements):
     measurements = ic_cpu_measurements
     configurations = _fig7_space(measurements)
 
-    # Warm one-time costs (scipy quantile evaluation, numpy ufunc setup)
-    # out of the timed region.
+    # Warm one-time costs (the lazy scipy.special import, numpy ufunc
+    # setup) out of the timed region.
     RoutingRuleGenerator(measurements, configurations[:2], **GENERATOR_KW)
 
     wall, generator = _best_time(

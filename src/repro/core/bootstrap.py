@@ -17,9 +17,10 @@ One contract, two loops, picked per configuration:
   precomputed outcome columns, and the sequential confidence test is fed
   in blocks via :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.
   Because the blocked loop may draw a few trials past the stopping point,
-  it rewinds the generator and replays exactly the consumed draws, so the
-  rng state after each configuration — and therefore every downstream
-  configuration's trials — matches the scalar loop bit for bit.
+  it rewinds the generator to the start of the last block and replays the
+  draws consumed from it, so the rng state after each configuration — and
+  therefore every downstream configuration's trials — matches the scalar
+  loop bit for bit.
 * the **scalar loop** — one :func:`~repro.core.simulator.simulate` call
   per trial — for policies the matrix cannot expand (a custom
   ``evaluate``, :mod:`repro.core.learned_router`) or when none is given;
@@ -235,8 +236,6 @@ def _bootstrap_blocked(
     n = matrix.n_requests
     sample_size = int(min(max(sample_size, 1), n))  # subsample_indices' clip
     max_trials = confidence_test.max_trials
-    # The state property builds a fresh dict on access, so no copy needed.
-    start_state = rng.bit_generator.state
 
     degradation = np.empty(max_trials)
     response = np.empty(max_trials)
@@ -259,6 +258,8 @@ def _bootstrap_blocked(
             block = min(confidence_test.min_trials, max_trials)
         else:
             block = min(trial_block, max_trials - drawn)
+        # The state property builds a fresh dict on access, so no copy needed.
+        block_state = rng.bit_generator.state
         indices = index_buffer[:block]
         for row in range(block):
             indices[row] = draw(n, size=sample_size, replace=False)
@@ -276,10 +277,12 @@ def _bootstrap_blocked(
             stop = max_trials  # unconditional safety valve
 
     if drawn > stop:
-        # Replay exactly the draws the scalar loop would have consumed so
-        # the generator state seen by the next configuration is identical.
-        rng.bit_generator.state = start_state
-        for _ in range(stop):
+        # The stop lies in the last block (the scan starts at its first
+        # trial): rewind to that block and replay only the draws the scalar
+        # loop would have consumed, so the next configuration sees the same
+        # generator state.
+        rng.bit_generator.state = block_state
+        for _ in range(stop - checked):
             draw(n, size=sample_size, replace=False)
 
     return WorstCaseEstimate(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 __all__ = ["DifficultyModel", "DifficultyProfile"]
 
@@ -104,7 +104,7 @@ class DifficultyModel:
         total_std = float(
             np.hypot(self.profile.difficulty_std, self.profile.idiosyncratic_std)
         )
-        return float(norm.ppf(1.0 - error_rate) * total_std)
+        return float(ndtri(1.0 - error_rate) * total_std)
 
     def correctness_for_skill(self, skill: float) -> np.ndarray:
         """Sample a boolean correctness vector for a version of given skill.
@@ -150,7 +150,7 @@ class DifficultyModel:
         total_std = float(
             np.hypot(self.profile.difficulty_std, self.profile.idiosyncratic_std)
         )
-        return float(1.0 - norm.cdf(skill / total_std))
+        return float(1.0 - ndtr(skill / total_std))
 
     @staticmethod
     def empirical_error_rate(correctness: Sequence[bool]) -> float:

@@ -15,11 +15,9 @@ so it can be unit- and property-tested independent of the generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "ConfidenceTest",
@@ -61,17 +59,21 @@ def normal_quantile(confidence: float) -> float:
     Raises:
         ValueError: If ``confidence`` is not strictly between 0 and 1.
     """
+    # Imported here: every ``import repro`` reaches this module, but only
+    # rule generation and control-plane refits ever compute a quantile.
+    from scipy.special import ndtri
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(norm.ppf(confidence))
+    return float(ndtri(confidence))
 
 
 def zscores(values: Sequence[float]) -> np.ndarray:
     """Return the z-scores of a sample (zeros when the spread is zero).
 
-    ``scipy.stats.zscore`` returns NaN for constant samples; the generator
-    must instead treat a constant sample as "no spread observed yet", so this
-    wrapper maps that case to an all-zeros array.
+    A plain z-score divides by zero on a constant sample; the generator
+    must instead treat one as "no spread observed yet", so that case maps
+    to an all-zeros array.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -121,17 +123,6 @@ def spread_is_confident(values: Sequence[float], confidence: float) -> bool:
     straddles = bool(z.min() < -quantile and z.max() > quantile)
     wide = bool(z.max() - z.min() > 2.0 * quantile)
     return straddles or wide
-
-
-@lru_cache(maxsize=64)
-def _cached_quantile(confidence: float) -> float:
-    """Memoised :func:`normal_quantile` for the vectorized prefix scan.
-
-    ``scipy.stats.norm.ppf`` costs tens of microseconds per call, which the
-    scalar :func:`spread_is_confident` pays on every check; the blocked
-    bootstrap path calls the quantile once per scan instead.
-    """
-    return normal_quantile(confidence)
 
 
 def _prefix_spread_flags(
@@ -273,7 +264,7 @@ class ConfidenceTest:
             return lo
         hi = min(n, self.max_trials)
 
-        quantile = _cached_quantile(self.confidence)
+        quantile = normal_quantile(self.confidence)
         if lo == hi:
             # A single candidate prefix (e.g. the bootstrap's min_trials
             # block): the exact scalar check is cheaper than a prefix scan.
@@ -312,8 +303,7 @@ class ConfidenceTest:
         self, column: np.ndarray, t: int, quantile: float
     ) -> bool:
         """Scalar :meth:`is_satisfied` on ``column[:t]`` with the quantile
-        precomputed (``scipy``'s ``ppf`` is the expensive part of the
-        scalar test; the verdict is unchanged)."""
+        computed once per scan by the caller (the verdict is unchanged)."""
         if t < self.min_trials:
             return False
         if t >= self.max_trials:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.datasets.difficulty import DifficultyModel, DifficultyProfile
 
@@ -192,7 +192,7 @@ def simulate_ic_measurements(
         margin = skill - (model.difficulties + eps)
         correct = margin >= 0.0
 
-        confidence = norm.cdf(margin / confidence_sharpness)
+        confidence = ndtr(margin / confidence_sharpness)
         confidence = confidence + rng.normal(0.0, confidence_noise, size=n_requests)
         confidence = np.clip(confidence, 0.01, 0.999)
 

@@ -10,7 +10,7 @@ The generator-level scalar side is ``tests/oracle/rulegen_reference.py``.
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import bootstrap_configuration
+from repro.core.bootstrap import DEFAULT_TRIAL_BLOCK, bootstrap_configuration
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
@@ -23,6 +23,18 @@ from repro.stats.resampling import subsample_indices
 from oracle.rulegen_reference import reference_results
 
 TOLERANCE = 1e-12
+
+
+class _CountingGenerator(np.random.Generator):
+    """A PCG64 generator that counts ``choice`` calls (one per trial draw)."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(np.random.PCG64(seed))
+        self.draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.draws += 1
+        return super().choice(*args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +257,36 @@ class TestGeneratorEquivalence:
             assert {
                 t: c.config_id for t, c in table_a.rules.items()
             } == {t: c.config_id for t, c in table_b.rules.items()}
+
+    def test_rewind_replays_only_the_last_block(self, space):
+        """A stop inside a block rewinds to that block's start, not to the
+        configuration's first draw, and the whole-space rng state still
+        ends where the scalar oracle's does."""
+        measurements, configurations = space
+        kw = dict(confidence=0.99, min_trials=8, max_trials=150)
+        fast_rng, oracle_rng = _CountingGenerator(5), _CountingGenerator(5)
+        # default_rng hands a Generator back unaltered, so both sides draw
+        # from the counting generators.
+        fast = RoutingRuleGenerator(measurements, configurations, seed=fast_rng, **kw)
+        oracle = reference_results(measurements, configurations, seed=oracle_rng, **kw)
+        assert [(e.config_id, e.n_trials) for e in fast.results] == [
+            (e.config_id, e.n_trials) for e in oracle
+        ]
+        assert oracle_rng.draws == sum(e.n_trials for e in oracle)
+
+        expected, mid_block_stops = 0, 0
+        for estimate in fast.results:
+            stop = estimate.n_trials
+            start, drawn = 0, kw["min_trials"]
+            while drawn < stop:
+                start, drawn = drawn, min(drawn + DEFAULT_TRIAL_BLOCK, kw["max_trials"])
+            expected += drawn
+            if drawn > stop:
+                expected += stop - start
+                mid_block_stops += start > 0
+        assert mid_block_stops > 0  # the case a first-draw rewind overpays
+        assert fast_rng.draws == expected
+        assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_same_seed_same_rule_table(self, space):
         """Determinism: constructing twice with one seed gives one table."""
