@@ -242,7 +242,7 @@ def _load_json(path: Path) -> Optional[dict]:
 def _history_modules():
     try:
         import history
-        from repro.stats.changepoint import detect_step, shift_zscore
+        from changepoint import detect_step, shift_zscore
         from repro.stats.confidence import ConfidenceTest, normal_quantile
     except ImportError as exc:  # pragma: no cover - environment guard
         raise SystemExit(

@@ -21,7 +21,7 @@ instead of a fixed tolerance band.  Three producers:
   :func:`entry_from_metrics`.
 
 Consumers: :func:`detect_changepoints` (per-metric step detection via
-:func:`repro.stats.changepoint.detect_step`) and ``compare_perf.py
+:func:`changepoint.detect_step`) and ``compare_perf.py
 --against-history`` (a fresh ``BENCH_PERF.json`` or e2e ``results.json``
 against the history's noise).
 
@@ -60,8 +60,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.errors import HistoryFileError
-from repro.stats.changepoint import Changepoint, detect_step
 from repro.stats.confidence import ConfidenceTest
+
+from changepoint import Changepoint, detect_step
 
 __all__ = [
     "BENCH_PERF_PATH",

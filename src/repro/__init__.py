@@ -7,7 +7,7 @@ APIs via Tolerance Tiers" (Halpern et al., ISPASS 2019).
 Package layout
 --------------
 
-* :mod:`repro.core` -- the Tolerance Tiers contribution: tiers, ensembling
+* :mod:`repro.core` -- the Tolerance Tiers contribution: ensembling
   policies, the bootstrapping routing-rule generator, the tier router, the
   guarantee audit, and the annotated-request API endpoint.
 * :mod:`repro.asr` -- a beam-search speech-recognition engine whose pruning
@@ -21,7 +21,7 @@ Package layout
 * :mod:`repro.datasets` -- synthetic stand-ins for VoxForge and ILSVRC-2012.
 * :mod:`repro.analysis` -- the Section III "one size fits all" limitation
   analysis (Pareto frontier, request categories, headline summaries).
-* :mod:`repro.stats` -- bootstrap/confidence/summary statistics helpers.
+* :mod:`repro.stats` -- confidence, percentile and resampling helpers.
 
 See ``examples/quickstart.py`` for a complete end-to-end walk-through.
 """
@@ -29,7 +29,6 @@ See ``examples/quickstart.py`` for a complete end-to-end walk-through.
 from repro.core import (
     RoutingRuleGenerator,
     TierRouter,
-    ToleranceTier,
     audit_guarantees,
     enumerate_configurations,
     evaluate_policy,
@@ -53,7 +52,6 @@ __all__ = [
     "ServiceRequest",
     "ServiceResponse",
     "TierRouter",
-    "ToleranceTier",
     "__version__",
     "audit_guarantees",
     "default_tolerance_grid",

@@ -62,13 +62,6 @@ class CategoryBreakdown:
             for name in CATEGORY_NAMES
         }
 
-    def counts(self) -> Dict[str, int]:
-        """Number of requests in each category."""
-        return {
-            name: sum(1 for a in self.assignments if a == name)
-            for name in CATEGORY_NAMES
-        }
-
     def indices_of(self, category: str) -> List[int]:
         """Row indices of the requests assigned to ``category``."""
         if category not in CATEGORY_NAMES:

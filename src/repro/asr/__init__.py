@@ -30,7 +30,7 @@ from repro.asr.engine import ASREngine, TranscriptionResult
 from repro.asr.hmm import DecodingGraph
 from repro.asr.language_model import BigramLanguageModel
 from repro.asr.lexicon import Lexicon, PHONEME_INVENTORY
-from repro.asr.versions import ASR_VERSIONS, asr_version_names, get_asr_version
+from repro.asr.versions import ASR_VERSIONS
 from repro.asr.wer import WerBreakdown, word_error_rate
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "PHONEME_INVENTORY",
     "TranscriptionResult",
     "WerBreakdown",
-    "asr_version_names",
-    "get_asr_version",
     "hypothesis_confidence",
     "word_error_rate",
 ]

@@ -48,23 +48,6 @@ class AcousticObservation:
         """Number of acoustic frames."""
         return int(self.log_likelihoods.shape[0])
 
-    @property
-    def n_phones(self) -> int:
-        """Size of the phoneme inventory the evidence is expressed over."""
-        return int(self.log_likelihoods.shape[1])
-
-    def oracle_accuracy(self) -> float:
-        """Fraction of frames whose arg-max phone equals the true phone.
-
-        A pure diagnostic for how clean the synthetic acoustics are; the
-        decoder never sees :attr:`frame_phones`.
-        """
-        if self.n_frames == 0:
-            return 0.0
-        argmax = np.argmax(self.log_likelihoods, axis=1)
-        truth = np.asarray(self.frame_phones)
-        return float((argmax == truth).mean())
-
 
 class AcousticFrontEnd:
     """Synthesises per-frame phone log-likelihoods for utterances.
@@ -144,10 +127,6 @@ class AcousticFrontEnd:
             log_likelihoods=log_likelihoods,
             frame_phones=tuple(frame_phones),
         )
-
-    def observe_many(self, utterances: List[Utterance]) -> List[AcousticObservation]:
-        """Synthesise observations for a list of utterances."""
-        return [self.observe(u) for u in utterances]
 
 
 def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:

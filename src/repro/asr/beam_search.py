@@ -85,15 +85,6 @@ class BeamSearchConfig:
                 f"scope must be one of {_VALID_SCOPES}, got {self.scope!r}"
             )
 
-    def search_width_score(self) -> float:
-        """A scalar proxy for how wide this configuration searches.
-
-        Used only for ordering configurations in reports; the actual work is
-        measured per decode.
-        """
-        breadth = self.lm_breadth if self.lm_breadth is not None else 1000
-        return float(self.max_active) * float(breadth)
-
 
 @dataclass
 class _Token:

@@ -11,7 +11,7 @@ latency so experiments are deterministic and hardware-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.asr.acoustic import AcousticFrontEnd, AcousticObservation
 from repro.asr.beam_search import BeamSearchConfig, BeamSearchDecoder, DecodeResult
@@ -50,11 +50,6 @@ class TranscriptionResult:
     n_expansions: int
     n_frames: int
     latency_s: float
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether the hypothesis matches the reference word-for-word."""
-        return self.hypothesis == self.reference
 
 
 class ASREngine:
@@ -170,34 +165,3 @@ class ASREngine:
             n_frames=decode.n_frames,
             latency_s=self.latency_of(decode),
         )
-
-    def transcribe_corpus(
-        self,
-        utterances: Iterable[Utterance],
-        config: BeamSearchConfig,
-    ) -> List[TranscriptionResult]:
-        """Transcribe a collection of utterances under one configuration."""
-        return [self.transcribe(u, config) for u in utterances]
-
-    # ------------------------------------------------------------------
-    # aggregate metrics
-    # ------------------------------------------------------------------
-    @staticmethod
-    def corpus_wer(results: Sequence[TranscriptionResult]) -> float:
-        """Corpus-level WER: total errors over total reference words."""
-        results = list(results)
-        if not results:
-            raise ValueError("no transcription results to aggregate")
-        total_ref_words = sum(len(r.reference) for r in results)
-        total_errors = sum(r.wer * len(r.reference) for r in results)
-        if total_ref_words == 0:
-            return 0.0
-        return float(total_errors / total_ref_words)
-
-    @staticmethod
-    def mean_latency(results: Sequence[TranscriptionResult]) -> float:
-        """Mean modelled latency across transcription results."""
-        results = list(results)
-        if not results:
-            raise ValueError("no transcription results to aggregate")
-        return float(sum(r.latency_s for r in results) / len(results))

@@ -9,29 +9,20 @@ For decoding purposes the graph is fully described by:
 * within-word topology (left-to-right phones with self-loops).
 
 :class:`DecodingGraph` packages those pieces behind the queries the beam
-search needs, including the LM-successor short-lists that implement the
-"scope" pruning heuristic (local / global / network breadth).
+search needs: word topology and the weighted LM entry scores its
+word-exit expansion reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.asr.language_model import START_CONTEXT, BigramLanguageModel
+from repro.asr.language_model import BigramLanguageModel
 from repro.asr.lexicon import Lexicon
 
 __all__ = ["DecodingGraph"]
-
-
-@dataclass(frozen=True)
-class _WordArc:
-    """A candidate word exit: the next word and its LM score."""
-
-    word_id: int
-    lm_log_prob: float
 
 
 class DecodingGraph:
@@ -79,17 +70,11 @@ class DecodingGraph:
         self._first_phone_ids = np.array(
             [phones[0] for phones in self._pronunciations], dtype=int
         )
-        self._successor_cache: dict[tuple[int, Optional[int]], Tuple[_WordArc, ...]] = {}
         self._entry_score_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # topology queries
     # ------------------------------------------------------------------
-    @property
-    def n_words(self) -> int:
-        """Vocabulary size of the graph."""
-        return self.lexicon.n_words
-
     def phones_of(self, word_id: int) -> Tuple[int, ...]:
         """Phone-id sequence of a word."""
         return self._pronunciations[word_id]
@@ -105,11 +90,6 @@ class DecodingGraph:
     # ------------------------------------------------------------------
     # language-model queries
     # ------------------------------------------------------------------
-    def word_exit_score(self, context: int, word_id: int) -> float:
-        """Weighted LM score (plus insertion penalty) of entering ``word_id``."""
-        lm = self.language_model.log_prob(word_id, context)
-        return self.lm_weight * lm - self.word_insertion_penalty
-
     def entry_score_vector(self, context: int) -> np.ndarray:
         """Vector of weighted LM entry scores for every word given ``context``.
 
@@ -128,39 +108,3 @@ class DecodingGraph:
     def first_phone_ids(self) -> np.ndarray:
         """Phone id of the first phone of every word (word-id order)."""
         return self._first_phone_ids
-
-    def successors(
-        self, context: int = START_CONTEXT, *, breadth: Optional[int] = None
-    ) -> Tuple[_WordArc, ...]:
-        """Candidate next words from ``context``, best LM score first.
-
-        Args:
-            context: Previous word id or ``START_CONTEXT``.
-            breadth: Maximum number of candidates; ``None`` means the entire
-                vocabulary ("network" scope in the paper's terminology).
-        """
-        key = (context, breadth)
-        cached = self._successor_cache.get(key)
-        if cached is not None:
-            return cached
-        pairs = self.language_model.top_successors(context, k=breadth)
-        arcs = tuple(
-            _WordArc(word_id=w, lm_log_prob=lp) for w, lp in pairs
-        )
-        self._successor_cache[key] = arcs
-        return arcs
-
-    def sentence_lm_score(self, word_ids: List[int]) -> float:
-        """Weighted LM score of a full hypothesis (without penalties)."""
-        return self.lm_weight * self.language_model.sentence_log_prob(word_ids)
-
-    # ------------------------------------------------------------------
-    # reference scoring (for diagnostics)
-    # ------------------------------------------------------------------
-    def transcript_word_ids(self, words: List[str]) -> List[int]:
-        """Map a word-string transcript to word ids."""
-        return [self.lexicon.word_id(w) for w in words]
-
-    def estimated_states(self) -> int:
-        """Rough size of the static search space (word-position states)."""
-        return int(sum(len(p) for p in self._pronunciations))

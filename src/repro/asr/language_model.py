@@ -10,7 +10,7 @@ word error rate rises.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -101,71 +101,12 @@ class BigramLanguageModel:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def log_prob(self, word: int, context: int = START_CONTEXT) -> float:
-        """Log probability of ``word`` following ``context``.
-
-        Args:
-            word: Word id being scored.
-            context: Previous word id, or :data:`START_CONTEXT` for the
-                beginning of the utterance.
-        """
-        self._require_fitted()
-        if context == START_CONTEXT:
-            return float(self._log_start[word])
-        return float(self._log_bigram[context, word])
-
     def successor_log_probs(self, context: int = START_CONTEXT) -> np.ndarray:
         """Vector of log probabilities for every possible next word."""
         self._require_fitted()
         if context == START_CONTEXT:
             return self._log_start.copy()
         return self._log_bigram[context].copy()
-
-    def top_successors(
-        self, context: int = START_CONTEXT, *, k: int | None = None
-    ) -> List[Tuple[int, float]]:
-        """Return the ``k`` most probable next words, best first.
-
-        Args:
-            context: Previous word id or :data:`START_CONTEXT`.
-            k: Number of successors; ``None`` returns all words.
-        """
-        log_probs = self.successor_log_probs(context)
-        if k is None or k >= self.n_words:
-            order = np.argsort(-log_probs)
-        else:
-            if k <= 0:
-                raise ValueError("k must be positive")
-            top = np.argpartition(-log_probs, k - 1)[:k]
-            order = top[np.argsort(-log_probs[top])]
-        return [(int(w), float(log_probs[w])) for w in order]
-
-    def sentence_log_prob(self, sentence: Sequence[int]) -> float:
-        """Joint log probability of a whole sentence of word ids."""
-        self._require_fitted()
-        ids = [int(w) for w in sentence]
-        if not ids:
-            return 0.0
-        self._validate_ids(ids)
-        total = self.log_prob(ids[0], START_CONTEXT)
-        for prev, nxt in zip(ids, ids[1:]):
-            total += self.log_prob(nxt, prev)
-        return float(total)
-
-    def perplexity(self, sentences: Iterable[Sequence[int]]) -> float:
-        """Corpus perplexity under the model (lower is better)."""
-        self._require_fitted()
-        total_log_prob = 0.0
-        total_words = 0
-        for sentence in sentences:
-            ids = list(sentence)
-            if not ids:
-                continue
-            total_log_prob += self.sentence_log_prob(ids)
-            total_words += len(ids)
-        if total_words == 0:
-            raise ValueError("cannot compute perplexity of an empty corpus")
-        return float(np.exp(-total_log_prob / total_words))
 
     # ------------------------------------------------------------------
     # convenience constructors

@@ -145,10 +145,6 @@ class Lexicon:
             self._phone_to_id[p] for p in self._entries[word_id].phones
         )
 
-    def phone_id(self, phone: str) -> int:
-        """Return the integer id of a phoneme symbol."""
-        return self._phone_to_id[phone]
-
     def transcript_phone_ids(self, words: Iterable[str]) -> List[int]:
         """Flatten a word sequence into its phoneme-id sequence."""
         phone_ids: List[int] = []
@@ -156,6 +152,3 @@ class Lexicon:
             phone_ids.extend(self.pronunciation_ids(word))
         return phone_ids
 
-    def average_pronunciation_length(self) -> float:
-        """Mean number of phones per vocabulary word."""
-        return sum(len(e.phones) for e in self._entries) / self.n_words

@@ -15,11 +15,11 @@ limited only by the hypothesis count.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.asr.beam_search import BeamSearchConfig
 
-__all__ = ["ASR_VERSIONS", "asr_version_names", "get_asr_version"]
+__all__ = ["ASR_VERSIONS"]
 
 #: The seven Pareto-frontier configurations, fastest first.  Keys are the
 #: service-version names used throughout measurements and benchmarks.
@@ -53,22 +53,3 @@ ASR_VERSIONS: Dict[str, BeamSearchConfig] = {
         lm_breadth=30, scope="network",
     ),
 }
-
-
-def asr_version_names() -> List[str]:
-    """Return the version names ordered fastest to most accurate."""
-    return list(ASR_VERSIONS.keys())
-
-
-def get_asr_version(name: str) -> BeamSearchConfig:
-    """Look up a version configuration by name.
-
-    Raises:
-        KeyError: If the name is not one of the seven versions.
-    """
-    try:
-        return ASR_VERSIONS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown ASR version {name!r}; expected one of {asr_version_names()}"
-        ) from None

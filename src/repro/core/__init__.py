@@ -2,8 +2,8 @@
 
 The package follows the paper's architecture (Section IV):
 
-* :mod:`repro.core.tiers` -- the tier abstraction an API consumer selects:
-  an error *tolerance* plus an optimisation *objective*.
+* :mod:`repro.core.tiers` -- the paper's tolerance grid (0 to 10 % in
+  0.1 % steps).
 * :mod:`repro.core.policies` -- service-version ensembling policies
   (single version, sequential escalation, concurrent, concurrent with
   early termination) evaluated over measurement sets.
@@ -29,8 +29,8 @@ The package follows the paper's architecture (Section IV):
 * :mod:`repro.core.errors` -- the structured :class:`TierError` hierarchy
   of the serving surface.
 * the serving surface itself is
-  :class:`~repro.service.gateway.gateway.TierGateway` (re-exported here
-  lazily, together with the execution backends).
+  :class:`~repro.service.gateway.gateway.TierGateway`, with its execution
+  backends, in :mod:`repro.service.gateway`.
 * :mod:`repro.core.learned_router` -- the learned-escalation baseline the
   paper compared against (and found no better than the simple policies).
 
@@ -92,13 +92,11 @@ from repro.core.policies import (
 from repro.core.router import RoutingRuleTable, TierRouter
 from repro.core.rule_generator import RoutingRuleGenerator
 from repro.core.simulator import TierSimulation, simulate
-from repro.core.tiers import ToleranceTier
 
 __all__ = [
     "BackendCapabilityError",
     "ConcurrentPolicy",
     "ConfigurationColumns",
-    "DirectBackend",
     "EarlyTerminationPolicy",
     "EnsembleConfiguration",
     "EnsembleOutcomes",
@@ -115,23 +113,18 @@ __all__ = [
     "PolicyConfigurationError",
     "PolicyExecutor",
     "PolicyMetrics",
-    "ReplayBackend",
     "RequestFailedError",
     "RequestValidationError",
     "ResultPendingError",
     "RoutingRuleGenerator",
-    "SimulatedBackend",
     "TrialMetricBlock",
     "RoutingRuleTable",
     "SequentialPolicy",
     "SingleVersionPolicy",
     "TierError",
-    "TierGateway",
     "TierRouter",
     "TierSimulation",
-    "TierTicket",
     "ToleranceAuditRow",
-    "ToleranceTier",
     "UnknownObjectiveError",
     "UnroutableToleranceError",
     "WorstCaseEstimate",
@@ -148,22 +141,3 @@ __all__ = [
     "should_escalate",
     "simulate",
 ]
-
-#: Gateway names re-exported lazily (PEP 562): the gateway package imports
-#: ``repro.core`` submodules, so an eager import here would be circular
-#: when the gateway is the import entry point.
-_GATEWAY_EXPORTS = (
-    "DirectBackend",
-    "ReplayBackend",
-    "SimulatedBackend",
-    "TierGateway",
-    "TierTicket",
-)
-
-
-def __getattr__(name):
-    if name in _GATEWAY_EXPORTS:
-        from repro.service import gateway as _gateway
-
-        return getattr(_gateway, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -68,10 +68,6 @@ class EnsembleConfiguration:
         """Policy kind (``single`` / ``seq`` / ``conc`` / ``et``)."""
         return self.policy.kind
 
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return f"{self.config_id}: {self.policy.describe()}"
-
 
 def enumerate_configurations(
     measurements: MeasurementSet,

@@ -79,13 +79,6 @@ class GuaranteeAudit:
         """Total guarantee violations across all tolerances and folds."""
         return int(sum(row.violations for row in self.rows))
 
-    def row_for(self, tolerance: float) -> ToleranceAuditRow:
-        """The audit row of a specific tolerance."""
-        for row in self.rows:
-            if abs(row.tolerance - tolerance) < 1e-12:
-                return row
-        raise KeyError(f"tolerance {tolerance} was not audited")
-
 
 def audit_guarantees(
     measurements: MeasurementSet,

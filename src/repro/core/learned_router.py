@@ -83,14 +83,6 @@ class LogisticEscalationPolicy(EnsemblePolicy):
     def versions(self):
         return (self.fast_version, self.accurate_version)
 
-    def describe(self) -> str:
-        return (
-            f"learned escalation: logistic error predictor on "
-            f"{self.fast_version} confidence, escalate to "
-            f"{self.accurate_version} when P(error) > "
-            f"{self.escalation_probability:.2f}"
-        )
-
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ metrics; the legacy path is kept as the correctness oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -82,28 +82,6 @@ class ConfigurationColumns:
     config_id: str
     stacked: np.ndarray
     node_rows: Tuple[Tuple[str, int], ...]
-
-    @property
-    def error(self) -> np.ndarray:
-        """Error of the result served to the consumer, per request."""
-        return self.stacked[0]
-
-    @property
-    def baseline_error(self) -> np.ndarray:
-        """Error of the OSFA baseline version, per request."""
-        return self.stacked[1]
-
-    @property
-    def response_time_s(self) -> np.ndarray:
-        """End-to-end response time, per request."""
-        return self.stacked[2]
-
-    @property
-    def node_seconds(self) -> Tuple[Tuple[str, np.ndarray], ...]:
-        """``(version, seconds-column)`` pairs in policy version order."""
-        return tuple(
-            (version, self.stacked[row]) for version, row in self.node_rows
-        )
 
 
 @dataclass(frozen=True)
@@ -277,16 +255,8 @@ class OutcomeMatrix:
         """Number of requests (rows) every column covers."""
         return self.measurements.n_requests
 
-    @property
-    def config_ids(self) -> Tuple[str, ...]:
-        """Identifiers of the configurations with precomputed columns."""
-        return tuple(self._columns)
-
     def __contains__(self, config_id: str) -> bool:
         return config_id in self._columns
-
-    def __len__(self) -> int:
-        return len(self._columns)
 
     def columns_for(self, config_id: str) -> ConfigurationColumns:
         """The precomputed columns of one configuration.
@@ -300,11 +270,6 @@ class OutcomeMatrix:
             raise KeyError(
                 f"no outcome columns for configuration {config_id!r}"
             ) from None
-
-    @property
-    def baseline_error(self) -> np.ndarray:
-        """The cached baseline (OSFA) error column."""
-        return self._baseline_error
 
     # ------------------------------------------------------------------
     # evaluation
@@ -366,20 +331,6 @@ class OutcomeMatrix:
             mean_response_time_s=response,
             mean_invocation_cost=cost,
         )
-
-    def evaluate(
-        self, config_id: str, indices: Optional[Sequence[int]] = None
-    ) -> TrialMetricBlock:
-        """Metrics of one configuration over (a subset of) all requests.
-
-        Convenience wrapper around :meth:`trial_metrics` treating the whole
-        row set (or the given subset) as a single trial.
-        """
-        if indices is None:
-            idx = np.arange(self.n_requests)
-        else:
-            idx = np.asarray(indices, dtype=int)
-        return self.trial_metrics(config_id, idx[np.newaxis, :])
 
 
 def _vector_degradation(

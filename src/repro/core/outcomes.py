@@ -134,17 +134,9 @@ class EnsembleOutcomes:
         """Mean end-to-end response time in seconds."""
         return float(self.response_time_s.mean())
 
-    def p99_response_time(self) -> float:
-        """99th-percentile response time in seconds."""
-        return float(np.percentile(self.response_time_s, 99))
-
     def escalation_rate(self) -> float:
         """Fraction of requests that involved more than one version."""
         return float(self.escalated.mean())
-
-    def total_node_seconds(self) -> Dict[str, float]:
-        """Total node-seconds consumed per version."""
-        return {v: float(s.sum()) for v, s in self.node_seconds.items()}
 
     def cost(self, pricing: PricingModel) -> CostBreakdown:
         """Price the outcomes under a pricing model.

@@ -79,10 +79,6 @@ class EnsemblePolicy:
         """
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """One-line description used in reports."""
-        return self.name
-
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
@@ -165,13 +161,6 @@ class _TwoVersionPolicy(EnsemblePolicy):
     @property
     def versions(self) -> Tuple[str, ...]:
         return (self.fast_version, self.accurate_version)
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}: try {self.fast_version}, escalate to "
-            f"{self.accurate_version} when confidence < "
-            f"{self.confidence_threshold:.2f}"
-        )
 
     def _columns(
         self, measurements: MeasurementSet, rows: np.ndarray

@@ -48,11 +48,6 @@ class RoutingRuleTable:
     estimates: Dict[float, WorstCaseEstimate] = field(default_factory=dict)
     confidence: float = 0.999
 
-    @property
-    def tolerances(self) -> Sequence[float]:
-        """The tier tolerances covered, ascending."""
-        return sorted(self.rules)
-
     def config_for(self, tolerance: float) -> EnsembleConfiguration:
         """The configuration serving a requested tolerance.
 

@@ -1,48 +1,19 @@
-"""The Tolerance Tier abstraction.
+"""The tolerance grid the paper evaluates.
 
 A tier is what the API consumer programs against: "I can tolerate at most
 X relative error degradation compared to the most accurate tier; subject to
-that, optimise Y" where Y is response time or invocation cost.  The paper
-evaluates tolerances from 0 to 10 % in 0.1 % steps with a 99.9 % confidence
+that, optimise Y" where Y is response time or invocation cost — on the
+wire, a request's ``tolerance`` and ``objective``
+(:class:`~repro.service.request.ServiceRequest`).  The paper evaluates
+tolerances from 0 to 10 % in 0.1 % steps with a 99.9 % confidence
 requirement on the guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from repro.service.request import Objective
-
-__all__ = ["ToleranceTier", "default_tolerance_grid"]
-
-
-@dataclass(frozen=True)
-class ToleranceTier:
-    """One tier an API consumer can select.
-
-    Attributes:
-        tolerance: Maximum acceptable relative error degradation versus the
-            most accurate tier (e.g. ``0.01`` for the 1 % tier).  ``0.0``
-            denotes the most accurate tier itself.
-        objective: What the tier optimises once the tolerance is satisfied.
-    """
-
-    tolerance: float
-    objective: Objective = Objective.RESPONSE_TIME
-
-    def __post_init__(self) -> None:
-        if self.tolerance < 0.0:
-            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
-
-    @property
-    def label(self) -> str:
-        """Human-readable tier label, e.g. ``"1.0% / response-time"``."""
-        return f"{self.tolerance * 100:.1f}% / {self.objective.value}"
-
-    def admits(self, error_degradation: float) -> bool:
-        """Whether a measured degradation satisfies this tier's bound."""
-        return error_degradation <= self.tolerance + 1e-12
+__all__ = ["default_tolerance_grid"]
 
 
 def default_tolerance_grid(

@@ -20,11 +20,6 @@ from repro.datasets.imagenet import (
     SyntheticImageNetConfig,
     make_imagenet_surrogate,
 )
-from repro.datasets.splits import (
-    DatasetSplit,
-    cross_validation_splits,
-    train_test_split,
-)
 from repro.datasets.voxforge import (
     SpeakerProfile,
     SyntheticSpeechCorpus,
@@ -34,7 +29,6 @@ from repro.datasets.voxforge import (
 )
 
 __all__ = [
-    "DatasetSplit",
     "DifficultyModel",
     "DifficultyProfile",
     "SpeakerProfile",
@@ -43,8 +37,6 @@ __all__ = [
     "SyntheticSpeechCorpus",
     "SyntheticVoxForgeConfig",
     "Utterance",
-    "cross_validation_splits",
     "make_imagenet_surrogate",
     "make_voxforge_surrogate",
-    "train_test_split",
 ]

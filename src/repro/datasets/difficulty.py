@@ -25,10 +25,8 @@ so a version can be calibrated to any target error rate in closed form via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 __all__ = ["DifficultyModel", "DifficultyProfile"]
 
@@ -56,7 +54,7 @@ class DifficultyProfile:
 
 
 class DifficultyModel:
-    """Samples per-request difficulties and per-version correctness.
+    """Samples per-request difficulties and calibrates version skills.
 
     Args:
         n_requests: Number of requests in the synthetic workload.
@@ -75,15 +73,9 @@ class DifficultyModel:
         if n_requests <= 0:
             raise ValueError(f"n_requests must be positive, got {n_requests}")
         self.profile = profile or DifficultyProfile()
-        self._rng = rng
         self._difficulty = rng.normal(
             0.0, self.profile.difficulty_std, size=n_requests
         )
-
-    @property
-    def n_requests(self) -> int:
-        """Number of requests covered by this model."""
-        return int(self._difficulty.size)
 
     @property
     def difficulties(self) -> np.ndarray:
@@ -105,57 +97,3 @@ class DifficultyModel:
             np.hypot(self.profile.difficulty_std, self.profile.idiosyncratic_std)
         )
         return float(ndtri(1.0 - error_rate) * total_std)
-
-    def correctness_for_skill(self, skill: float) -> np.ndarray:
-        """Sample a boolean correctness vector for a version of given skill.
-
-        Each call draws fresh idiosyncratic noise (one disturbance per
-        request) from the model's generator, but reuses the shared latent
-        difficulties, preserving cross-version correlation.
-        """
-        eps = self._rng.normal(
-            0.0, self.profile.idiosyncratic_std, size=self.n_requests
-        )
-        return skill >= self._difficulty + eps
-
-    def correctness_table(
-        self, skills: Dict[str, float]
-    ) -> Dict[str, np.ndarray]:
-        """Sample correctness vectors for a named set of versions.
-
-        Args:
-            skills: Mapping from version name to skill value.
-
-        Returns:
-            Mapping from version name to a boolean correctness array of
-            length :attr:`n_requests`.
-        """
-        return {
-            name: self.correctness_for_skill(skill)
-            for name, skill in skills.items()
-        }
-
-    def calibrated_correctness_table(
-        self, error_rates: Dict[str, float]
-    ) -> Dict[str, np.ndarray]:
-        """Sample correctness vectors calibrated to target error rates."""
-        skills = {
-            name: self.skill_for_error_rate(rate)
-            for name, rate in error_rates.items()
-        }
-        return self.correctness_table(skills)
-
-    def expected_error_rate(self, skill: float) -> float:
-        """Closed-form marginal error rate for a version of given skill."""
-        total_std = float(
-            np.hypot(self.profile.difficulty_std, self.profile.idiosyncratic_std)
-        )
-        return float(1.0 - ndtr(skill / total_std))
-
-    @staticmethod
-    def empirical_error_rate(correctness: Sequence[bool]) -> float:
-        """Fraction of incorrect answers in a correctness vector."""
-        arr = np.asarray(correctness, dtype=bool)
-        if arr.size == 0:
-            raise ValueError("correctness vector is empty")
-        return float(1.0 - arr.mean())

@@ -19,7 +19,7 @@ for every model, high-signal images are easy for every model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -132,42 +132,6 @@ class SyntheticImageDataset:
 
     def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
         return self.images[index], int(self.labels[index])
-
-    @property
-    def image_ids(self) -> Tuple[str, ...]:
-        """Stable per-image identifiers, e.g. ``"img_000042"``."""
-        return tuple(f"img_{i:06d}" for i in range(len(self)))
-
-    def batches(
-        self, batch_size: int
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(images, labels)`` batches in dataset order."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        for start in range(0, len(self), batch_size):
-            stop = start + batch_size
-            yield self.images[start:stop], self.labels[start:stop]
-
-    def subset(self, indices: Sequence[int]) -> "SyntheticImageDataset":
-        """Return a shallow view of the dataset restricted to ``indices``."""
-        view = object.__new__(SyntheticImageDataset)
-        view.config = self.config
-        view.prototypes = self.prototypes
-        idx = np.asarray(indices, dtype=int)
-        view.images = self.images[idx]
-        view.labels = self.labels[idx]
-        view.signal = self.signal[idx]
-        return view
-
-    def difficulty_proxy(self) -> np.ndarray:
-        """Return a per-image difficulty proxy (higher is harder).
-
-        Defined as the negated, standardised signal strength; useful when a
-        consumer wants difficulty aligned with the actual pixel content
-        rather than an independent latent draw.
-        """
-        signal = self.signal
-        return (signal.mean() - signal) / (signal.std() + 1e-12)
 
 
 def make_imagenet_surrogate(

@@ -17,7 +17,7 @@ dataset layer free of any decoder details.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -68,16 +68,6 @@ class Utterance:
     utterance_id: str
     speaker: SpeakerProfile
     words: Tuple[str, ...]
-
-    @property
-    def n_words(self) -> int:
-        """Number of words in the reference transcript."""
-        return len(self.words)
-
-    @property
-    def text(self) -> str:
-        """The reference transcript as a single space-joined string."""
-        return " ".join(self.words)
 
 
 @dataclass(frozen=True)
@@ -248,18 +238,6 @@ class SyntheticSpeechCorpus:
 
     def __getitem__(self, index: int) -> Utterance:
         return self.utterances[index]
-
-    def total_words(self) -> int:
-        """Total number of reference words across all utterances."""
-        return sum(u.n_words for u in self.utterances)
-
-    def speakers_by_id(self) -> Dict[str, SpeakerProfile]:
-        """Mapping from speaker id to profile."""
-        return {s.speaker_id: s for s in self.speakers}
-
-    def subset(self, indices: Sequence[int]) -> List[Utterance]:
-        """Return the utterances at the given indices (order preserved)."""
-        return [self.utterances[i] for i in indices]
 
 
 def make_voxforge_surrogate(

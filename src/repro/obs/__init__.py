@@ -22,8 +22,6 @@ Modules:
   reconstruction from the columnar engine's ``RecordColumns``.
 - :mod:`repro.obs.critical_path` — per-request stage breakdown and
   aggregate "where did p95 go" attribution tables.
-- :mod:`repro.obs.log` — rate-limited, seed-safe structured logging
-  (silent by default).
 - :mod:`repro.obs.summarize` — ``python -m repro.obs.summarize`` CLI.
 """
 

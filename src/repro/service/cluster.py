@@ -6,15 +6,15 @@ the pricing model that bills work done on them.  The conventional
 the provider's chosen version; a Tolerance Tiers deployment keeps pools for
 several versions so the routing policies have somewhere to send requests.
 
-Deployments serve through two interfaces that share one execution path:
+Deployments serve through two interfaces that share the nodes' FIFO
+queues:
 
-* the synchronous replay calls (:meth:`ClusterDeployment.serve_with_version`
-  / :meth:`ClusterDeployment.raw_dispatch`) kept for the measurement-replay
-  benchmarks, and
-* the async-style :meth:`ClusterDeployment.submit` /
-  :meth:`ClusterDeployment.drain` pair, which enqueues onto per-node FIFO
-  queues and is what the discrete-event engine in
-  :mod:`repro.service.simulation` paces under a virtual clock.
+* the synchronous :meth:`ClusterDeployment.raw_dispatch`, which the
+  gateway's ``DirectBackend`` calls (the node queues and runs the request
+  at once), and
+* :meth:`ClusterDeployment.submit`, which enqueues onto a selected node's
+  queue; the discrete-event engine in :mod:`repro.service.simulation`
+  paces it under a virtual clock and runs the queued work itself.
 
 Pools can also grow and shrink at runtime
 (:meth:`ClusterDeployment.add_nodes` / :meth:`ClusterDeployment.remove_node`)
@@ -24,13 +24,13 @@ so the simulation autoscaler has something to actuate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.service.instances import InstanceType
 from repro.service.load_balancer import LoadBalancer
 from repro.service.node import ServiceNode, ServiceVersion, VersionResult
 from repro.service.pricing import CostBreakdown, PricingModel
-from repro.service.request import ServiceRequest, ServiceResponse
+from repro.service.request import ServiceRequest
 
 __all__ = ["ClusterDeployment", "NodePool"]
 
@@ -109,64 +109,12 @@ class ClusterDeployment:
         )
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def one_size_fits_all(
-        cls,
-        version: ServiceVersion,
-        instance_type: InstanceType,
-        *,
-        n_nodes: int = 1,
-        **pricing_kwargs,
-    ) -> "ClusterDeployment":
-        """The conventional deployment: one version scaled out everywhere."""
-        pool = NodePool(version=version, instance_type=instance_type, n_nodes=n_nodes)
-        return cls({version.name: pool}, **pricing_kwargs)
-
-    # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
     @property
     def versions(self) -> Tuple[str, ...]:
         """Versions the deployment can serve."""
         return self.load_balancer.versions
-
-    def serve_with_version(
-        self, version: str, request: ServiceRequest
-    ) -> ServiceResponse:
-        """Serve one request with one specific version (no ensembling).
-
-        Delegates to the :meth:`submit` / :meth:`drain` queueing path, so a
-        replayed request and a simulated one execute identically — the only
-        difference is who advances the clock.
-
-        Billing note: the invocation cost is computed from the *wall*
-        node-seconds the request consumed (compute divided by the node's
-        speed factor), matching the live gateway path
-        (:class:`~repro.service.gateway.backends.DirectBackend`).
-        Earlier revisions billed baseline compute-seconds, which overstated
-        cost on faster-than-baseline instances.
-
-        Raises:
-            RuntimeError: If requests are already queued anywhere on the
-                deployment — draining them here would execute and discard
-                their responses; call :meth:`drain` first.
-        """
-        pending = {v: d for v, d in self.queue_depths().items() if d}
-        if pending:
-            raise RuntimeError(
-                f"deployment has queued work {pending}; drain() it before "
-                "calling serve_with_version()"
-            )
-        self.submit(version, request)
-        responses = self.drain()
-        for response in responses:
-            if response.request_id == request.request_id:
-                return response
-        raise RuntimeError(
-            f"request {request.request_id!r} was submitted but never drained"
-        )
 
     # ------------------------------------------------------------------
     # async-style queueing interface
@@ -177,47 +125,11 @@ class ClusterDeployment:
         """Enqueue a request on a node of ``version``'s pool.
 
         Returns the node the load balancer chose.  Nothing executes until
-        :meth:`drain` (replay path) or the simulation engine's event loop
-        (load-test path) runs the queues.
+        the simulation engine's event loop runs the queues.
         """
         return self.load_balancer.submit(
             version, request.request_id, request.payload, now=now
         )
-
-    def drain(self, *, now: float = 0.0, batching=None) -> List[ServiceResponse]:
-        """Execute all queued work and bill each completion.
-
-        Args:
-            now: Virtual time draining starts.
-            batching: Optional
-                :class:`~repro.service.simulation.batching.BatchingConfig`;
-                batched requests are billed their amortized share of the
-                batch's node-seconds.
-
-        Returns:
-            One :class:`ServiceResponse` per completed request, in
-            execution order across pools.
-        """
-        responses: List[ServiceResponse] = []
-        for version, completions in self.load_balancer.drain(
-            now=now, batching=batching
-        ).items():
-            for completion in completions:
-                cost = self.pricing.request_cost(
-                    {version: completion.amortized_seconds}
-                )
-                responses.append(
-                    ServiceResponse(
-                        request_id=completion.result.request_id,
-                        result=completion.result.output,
-                        versions_used=(version,),
-                        response_time_s=completion.service_time_s,
-                        invocation_cost=cost.invocation_cost,
-                        tier=None,
-                        confidence=completion.result.confidence,
-                    )
-                )
-        return responses
 
     def queue_depths(self) -> Dict[str, int]:
         """Requests queued (not yet started) per version."""
@@ -335,11 +247,3 @@ class ClusterDeployment:
             )
             for name in self.load_balancer.versions
         }
-
-    def reset_accounting(self) -> None:
-        """Zero all per-node accounting counters and retired-node spend."""
-        for name in self.load_balancer.versions:
-            self._retired_iaas[name] = 0.0
-            self._retired_busy[name] = 0.0
-            for node in self.load_balancer.nodes_of(name):
-                node.reset_accounting()

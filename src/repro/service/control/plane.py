@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.configuration import EnsembleConfiguration
-from repro.obs.log import get_rate_limited
 from repro.service.control.admission import (
     ADMIT,
     AdmissionController,
@@ -57,9 +56,6 @@ __all__ = [
     "ControlSpec",
     "default_control_spec",
 ]
-
-#: State-transition log: silent by default (see :mod:`repro.obs.log`).
-_log = get_rate_limited("service.control.plane")
 
 
 @dataclass(frozen=True)
@@ -307,12 +303,6 @@ class ControlPlane:
                         + (" [small-N guard]" if status.guarded else ""),
                     )
                 )
-                _log.info(
-                    "slo %s transitioned to %s at t=%.3f",
-                    status.name,
-                    status.state.value,
-                    now,
-                )
         states = [m.state for m in self.monitors]
         if self.gray_detector is not None:
             for kind, detail in self.gray_detector.evaluate():
@@ -321,7 +311,6 @@ class ControlPlane:
                     self.gray_detected_total += 1
                 elif kind == "gray-cleared":
                     self.gray_cleared_total += 1
-                _log.info("%s at t=%.3f: %s", kind, now, detail)
             states.append(self.gray_detector.state)
         self.state = worst_state(states)
         if self.adaptor is None:
@@ -329,9 +318,6 @@ class ControlPlane:
         swap = self.adaptor.on_tick(snapshot, self.state, now)
         for event in self.adaptor.drain_events():
             self.log.append(ControlLogEntry(now, event.kind, event.detail))
-            _log.info(
-                "adaptor %s at t=%.3f: %s", event.kind, now, event.detail
-            )
         return swap
 
     # Synchronous gateways have no scheduled ticks; they pump the loop

@@ -342,11 +342,6 @@ class GrayFailureDetector:
         self._count[key] = self._count.get(key, 0) + 1
 
     @property
-    def n_flagged(self) -> int:
-        """Nodes currently flagged gray."""
-        return len(self._flagged)
-
-    @property
     def state(self) -> SLOState:
         """The detector's contribution to the plane aggregate."""
         return self.spec.state_on_detect if self._flagged else SLOState.OK

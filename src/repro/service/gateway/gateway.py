@@ -39,16 +39,11 @@ from repro.core.errors import (
     UnroutableToleranceError,
 )
 from repro.core.executor import PolicyExecutor
-from repro.obs.log import get_rate_limited
 from repro.obs.reconstruct import trace_from_record
 from repro.service.request import ServiceRequest, ServiceResponse
 from repro.service.simulation.report import RequestRecord
 
 __all__ = ["TierGateway", "TierTicket"]
-
-#: Gateway error-path log: silent by default, rate-limited per template
-#: so a mass-shed scenario cannot flood (see :mod:`repro.obs.log`).
-_log = get_rate_limited("service.gateway")
 
 
 class TierTicket:
@@ -443,9 +438,6 @@ class TierGateway:
                 record=record,
             )
         )
-        _log.info(
-            "shed request %s at admission: %s", request.request_id, reason
-        )
         if self.trace is not None:
             self.trace.add_trace(trace_from_record(record))
         self.control.observe(record, at_time)
@@ -586,35 +578,14 @@ class TierGateway:
                 )
                 ticket._resolve(response)
                 responses.append(response)
-        # Tickets the report never mentioned fail here, and every error
-        # is logged in submission order, as a ticket-by-ticket sweep
-        # would have (the log is count-limited per template, so the
-        # order decides which lines pass).
+        # Tickets the report never mentioned fail here.
         for ticket in self._tickets:
-            error = ticket._error
-            if error is None:
-                if ticket._response is None:
-                    _log.error(
-                        "no record for submitted request %s at drain",
-                        ticket.request.request_id,
+            if ticket._error is None and ticket._response is None:
+                ticket._fail(
+                    RequestFailedError(
+                        f"request {ticket.request.request_id!r} was "
+                        "submitted but the backend produced no record for it"
                     )
-                    ticket._fail(
-                        RequestFailedError(
-                            f"request {ticket.request.request_id!r} was "
-                            "submitted but the backend produced no record "
-                            "for it"
-                        )
-                    )
-            elif isinstance(error, RequestShedError):
-                _log.info(
-                    "request %s was shed by engine admission control",
-                    ticket.request.request_id,
-                )
-            else:
-                _log.info(
-                    "request %s failed terminally after %d retries",
-                    ticket.request.request_id,
-                    error.record.retries,
                 )
         return responses
 

@@ -10,7 +10,7 @@ cost experiments only depend on the *ratios* between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 __all__ = ["INSTANCE_CATALOG", "InstanceType", "get_instance_type"]
 
@@ -72,8 +72,3 @@ def get_instance_type(name: str) -> InstanceType:
             f"unknown instance type {name!r}; catalogue has "
             f"{sorted(INSTANCE_CATALOG)}"
         ) from None
-
-
-def catalog_names() -> List[str]:
-    """Names of all instance types in the catalogue."""
-    return list(INSTANCE_CATALOG.keys())

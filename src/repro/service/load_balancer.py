@@ -8,11 +8,11 @@ mechanics of picking a node inside a version's pool stay the same and live
 here.
 
 Beyond the synchronous :meth:`LoadBalancer.dispatch` replay call, the
-balancer exposes the queueing interface the discrete-event engine in
+balancer exposes what the discrete-event engine in
 :mod:`repro.service.simulation` consumes — :meth:`LoadBalancer.submit`
-enqueues onto a selected node's FIFO queue and :meth:`LoadBalancer.drain`
-executes all queued work — plus pool mutation (:meth:`LoadBalancer.add_node`
-/ :meth:`LoadBalancer.remove_node`) so an autoscaler can grow and shrink
+enqueues onto a selected node's FIFO queue, which the engine then runs —
+plus pool mutation (:meth:`LoadBalancer.add_node` /
+:meth:`LoadBalancer.remove_node`) so an autoscaler can grow and shrink
 pools while requests are in flight.  Fault injection adds the crash path:
 :meth:`LoadBalancer.evict_node` forcibly removes a specific (dead) node and
 hands its queued work back to the caller, and node selection skips nodes
@@ -22,18 +22,9 @@ traffic never routes onto a corpse.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.service.node import NodeCompletion, ServiceNode, VersionResult
+from repro.service.node import ServiceNode, VersionResult
 
 __all__ = [
     "JoinShortestQueuePolicy",
@@ -306,24 +297,6 @@ class LoadBalancer:
         node.submit(request_id, payload, now=now)
         return node
 
-    def drain(
-        self, *, now: float = 0.0, batching=None
-    ) -> Dict[str, List[NodeCompletion]]:
-        """Execute all queued work on every pool, per-version.
-
-        Returns:
-            Mapping from version name to the completions its nodes
-            produced, in execution order.
-        """
-        completions: Dict[str, List[NodeCompletion]] = {}
-        for version, nodes in self._pools.items():
-            done: List[NodeCompletion] = []
-            for node in nodes:
-                done.extend(node.drain(now=now, batching=batching))
-            if done:
-                completions[version] = done
-        return completions
-
     def queue_depths(self) -> Dict[str, int]:
         """Total queued (not yet started) requests per version."""
         return {
@@ -340,20 +313,6 @@ class LoadBalancer:
         """Send one request to one version; returns ``(result, latency_s)``."""
         node = self.select_node(version)
         return node.process(request_id, payload)
-
-    def dispatch_many(
-        self, versions: Iterable[str], request_id: str, payload: Any
-    ) -> Dict[str, Tuple[VersionResult, float]]:
-        """Send the same request to several versions (concurrent ensembles).
-
-        Returns a mapping from version name to ``(result, latency_s)``; the
-        caller decides how to combine them (e.g. take the fast result if it
-        is confident, otherwise wait for the accurate one).
-        """
-        return {
-            version: self.dispatch(version, request_id, payload)
-            for version in versions
-        }
 
     def total_busy_seconds(self) -> Dict[str, float]:
         """Busy node-seconds accumulated per version across its pool."""

@@ -114,11 +114,6 @@ class MeasurementSet:
         """Number of requests (rows)."""
         return len(self.request_ids)
 
-    @property
-    def n_versions(self) -> int:
-        """Number of service versions (columns)."""
-        return len(self.versions)
-
     def version_index(self, version: str) -> int:
         """Column index of a version.
 
@@ -186,12 +181,6 @@ class MeasurementSet:
             version_instances=dict(self.version_instances),
             metadata=dict(self.metadata),
         )
-
-    def split(
-        self, train_indices: Sequence[int], test_indices: Sequence[int]
-    ) -> Tuple["MeasurementSet", "MeasurementSet"]:
-        """Return ``(train, test)`` measurement subsets."""
-        return self.subset(train_indices), self.subset(test_indices)
 
     def restrict_versions(self, versions: Sequence[str]) -> "MeasurementSet":
         """Return a new measurement set covering only the given versions.

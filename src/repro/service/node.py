@@ -180,10 +180,6 @@ class ServiceNode:
     # ------------------------------------------------------------------
     # health and degradation (fault injection)
     # ------------------------------------------------------------------
-    @property
-    def speed_scale(self) -> float:
-        """Current fault-injection multiplier on the node's speed."""
-        return self._speed_scale
 
     def set_speed_scale(self, scale: float) -> None:
         """Degrade (or restore) the node's speed by a multiplier.
@@ -391,9 +387,3 @@ class ServiceNode:
     def accumulated_cost(self) -> float:
         """IaaS cost of the node time consumed so far."""
         return self._busy_seconds * self.instance_type.price_per_second
-
-    def reset_accounting(self) -> None:
-        """Zero the busy-time and request counters and the virtual clock."""
-        self._busy_seconds = 0.0
-        self._requests_served = 0
-        self.busy_until = 0.0

@@ -39,25 +39,6 @@ class CostBreakdown:
     per_version_iaas: Dict[str, float] = field(default_factory=dict)
     n_requests: int = 0
 
-    def add(self, other: "CostBreakdown") -> "CostBreakdown":
-        """Return the element-wise sum of two breakdowns."""
-        merged = dict(self.per_version_iaas)
-        for version, cost in other.per_version_iaas.items():
-            merged[version] = merged.get(version, 0.0) + cost
-        return CostBreakdown(
-            invocation_cost=self.invocation_cost + other.invocation_cost,
-            iaas_cost=self.iaas_cost + other.iaas_cost,
-            per_version_iaas=merged,
-            n_requests=self.n_requests + other.n_requests,
-        )
-
-    @property
-    def mean_invocation_cost(self) -> float:
-        """Average invocation cost per request (0.0 for an empty breakdown)."""
-        if self.n_requests == 0:
-            return 0.0
-        return self.invocation_cost / self.n_requests
-
 
 class PricingModel:
     """Converts node-seconds into invocation and IaaS costs.
@@ -132,17 +113,3 @@ class PricingModel:
             per_version_iaas=per_version,
             n_requests=1,
         )
-
-    def batch_cost(
-        self, requests: Mapping[str, Mapping[str, float]]
-    ) -> CostBreakdown:
-        """Aggregate cost over many requests.
-
-        Args:
-            requests: Mapping from request id to its per-version
-                node-seconds.
-        """
-        total = CostBreakdown()
-        for node_seconds in requests.values():
-            total = total.add(self.request_cost(node_seconds))
-        return total

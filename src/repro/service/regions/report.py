@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -147,23 +147,6 @@ class MultiRegionReport:
             "n_region_slo_events": float(
                 sum(len(s.slo_log) for s in self.shards)
             ),
-        }
-
-    def per_region_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-region routing/outcome counters (spec order)."""
-        return {
-            s.region: {
-                "n_assigned": float(s.n_assigned),
-                "n_kept": float(s.n_local),
-                "n_incoming": float(s.n_incoming),
-                "n_outgoing": float(s.n_outgoing),
-                "n_denied": float(s.n_denied),
-                "n_completed": float(s.n_completed),
-                "n_failed": float(s.n_failed),
-                "n_shed": float(s.n_shed),
-                "total_cost": s.total_cost,
-            }
-            for s in self.shards
         }
 
     # ------------------------------------------------------------------

@@ -77,11 +77,9 @@ from repro.service.simulation.replay import (
     replay_pools,
 )
 from repro.service.simulation.report import (
-    Divergence,
     LoadTestReport,
     RecordColumns,
     RequestRecord,
-    first_divergence,
 )
 from repro.service.simulation.scenarios import (
     ScenarioSpec,
@@ -106,7 +104,6 @@ __all__ = [
     "BurstyArrivals",
     "CascadePolicy",
     "ColdStartWave",
-    "Divergence",
     "DiurnalArrivals",
     "Event",
     "EventLoop",
@@ -138,7 +135,6 @@ __all__ = [
     "build_replay_cluster",
     "canonical_scenarios",
     "chaos_scenarios",
-    "first_divergence",
     "osfa_configuration",
     "replay_pools",
     "run_scenario",

@@ -56,11 +56,6 @@ class BatchingConfig:
         if not 0.0 <= self.latency_exponent <= 1.0:
             raise ValueError("latency_exponent must be in [0, 1]")
 
-    @property
-    def enabled(self) -> bool:
-        """Whether this config can ever form a batch larger than one."""
-        return self.max_batch_size > 1
-
     def batch_service_time(self, solo_times_s: Sequence[float]) -> float:
         """Wall time to execute one batch of requests together.
 

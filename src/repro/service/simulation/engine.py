@@ -124,16 +124,11 @@ from repro.service.simulation.faults import (
     TransientFaults,
     affected_versions,
 )
-from repro.obs.log import get_rate_limited
 from repro.service.simulation.invariants import InvariantChecker
 from repro.service.simulation.replay import MeasurementReplayVersion
 from repro.service.simulation.report import LoadTestReport, RequestRecord
 
 __all__ = ["ServingSimulator", "resolve_engine"]
-
-#: Silent by default (see :mod:`repro.obs.log`); rate-limited so a
-#: per-run fallback note can never flood a batch of simulations.
-_log = get_rate_limited("service.simulation.engine")
 
 #: Safety valve: no sane load test needs more events than this.
 _MAX_EVENTS = 10_000_000
@@ -701,12 +696,13 @@ class ServingSimulator:
         unmeasured payload (``RequestValidationError``), a threshold
         missing or outside ``[0, 1]`` or fast == accurate
         (``PolicyConfigurationError``), a version that is not deployed or
-        whose pool has no live node while no fault schedule or autoscaler
-        can add one (``MissingVersionError``) — raised before any node,
-        cursor, clock or RNG is touched.  Returns the payload-to-row
-        gather the pass performed, ``{(group, id(table)): rows}`` per
-        replay table a leg of routed group ``group`` reads: what
-        :func:`run_columnar` composes its leg columns from.
+        whose pool has no live node while no autoscaler can add one
+        (``MissingVersionError``; no fault refills an empty pool: a crash
+        there is a logged no-op, so its replacement never joins) — raised
+        before any node, cursor, clock or RNG is touched.  Returns the
+        payload-to-row gather the pass performed, ``{(group, id(table)):
+        rows}`` per replay table a leg of routed group ``group`` reads:
+        what :func:`run_columnar` composes its leg columns from.
         """
         store = self._store
         if len(set(store.ids)) != len(store.ids):
@@ -720,7 +716,7 @@ class ServingSimulator:
             for payload, code in zip(store.payloads, codes):
                 payloads[code].append(payload)
         balancer = self.cluster.load_balancer
-        static_capacity = not self._faults and self._autoscaler is None
+        static_capacity = self._autoscaler is None
         rows_of: Dict[Tuple[int, int], np.ndarray] = {}
         for group, configuration in enumerate(configurations):
             versions = configuration.versions
@@ -740,7 +736,7 @@ class ServingSimulator:
                 if static_capacity and not balancer.live_pool_size(version):
                     raise MissingVersionError(
                         f"{needs} {version!r}, whose pool has no live node "
-                        "and no fault schedule or autoscaler to add one"
+                        "and no autoscaler to add one"
                     )
                 for node in balancer.nodes_of(version):
                     replay = node.version
@@ -800,7 +796,6 @@ class ServingSimulator:
                     )
                 return report
             self.fallback_reason = reason
-            _log.info("columnar drain fell back to legacy loop: %s", reason)
         # The event loop: replay the store in submission order (see
         # _enqueue()), building a ServiceRequest only for a row that has
         # none.  A router-driven run reads each arrival's configuration

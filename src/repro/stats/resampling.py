@@ -1,4 +1,4 @@
-"""Seeded resampling utilities: bootstrap, subsampling and k-fold splits.
+"""Seeded resampling utilities: subsampling and k-fold splits.
 
 The routing-rule generator (paper Fig. 7) repeatedly *subsamples* the
 training data, simulates a candidate configuration on the subsample, and
@@ -10,42 +10,16 @@ machinery for that lives here so that it can be tested in isolation.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = [
-    "bootstrap_indices",
-    "bootstrap_statistic",
-    "kfold_indices",
-    "subsample_indices",
-]
+__all__ = ["kfold_indices", "subsample_indices"]
 
 
 def _validate_population(n: int) -> None:
     if n <= 0:
         raise ValueError(f"population size must be positive, got {n}")
-
-
-def bootstrap_indices(
-    n: int, size: int | None = None, *, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw a bootstrap sample of indices (with replacement).
-
-    Args:
-        n: Population size.
-        size: Sample size; defaults to ``n``.
-        rng: Seeded NumPy generator.
-
-    Returns:
-        An integer array of indices in ``[0, n)``.
-    """
-    _validate_population(n)
-    if size is None:
-        size = n
-    if size <= 0:
-        raise ValueError(f"sample size must be positive, got {size}")
-    return rng.integers(0, n, size=size)
 
 
 def subsample_indices(
@@ -64,36 +38,6 @@ def subsample_indices(
     _validate_population(n)
     size = int(min(max(size, 1), n))
     return rng.choice(n, size=size, replace=False)
-
-
-def bootstrap_statistic(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float],
-    *,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Compute a statistic over ``trials`` bootstrap resamples of ``values``.
-
-    Args:
-        values: The observed sample.
-        statistic: Reduction applied to each resample (e.g. ``np.mean``).
-        trials: Number of bootstrap resamples.
-        rng: Seeded NumPy generator.
-
-    Returns:
-        Array of ``trials`` statistic values.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    out = np.empty(trials, dtype=float)
-    for i in range(trials):
-        idx = bootstrap_indices(arr.size, rng=rng)
-        out[i] = float(statistic(arr[idx]))
-    return out
 
 
 def kfold_indices(

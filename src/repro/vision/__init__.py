@@ -31,14 +31,12 @@ from repro.vision.layers import (
     Residual,
     Softmax,
 )
-from repro.vision.metrics import top1_error, top_k_error
 from repro.vision.model_zoo import MINI_MODEL_BUILDERS, build_mini_model
 from repro.vision.network import NeuralNetwork
 from repro.vision.profiles import (
     IC_CPU_VERSIONS,
     IC_GPU_VERSIONS,
     NetworkProfile,
-    ic_version_names,
     simulate_ic_measurements,
 )
 from repro.vision.training import SGDTrainer, TrainingConfig
@@ -62,8 +60,5 @@ __all__ = [
     "Softmax",
     "TrainingConfig",
     "build_mini_model",
-    "ic_version_names",
     "simulate_ic_measurements",
-    "top1_error",
-    "top_k_error",
 ]

@@ -42,11 +42,6 @@ class ClassificationResult:
     top1_error: float
     latency_s: float
 
-    @property
-    def is_correct(self) -> bool:
-        """Whether the arg-max class matches the label."""
-        return self.top1_error == 0.0
-
 
 class ImageClassifier:
     """Wraps a NumPy network as an image-classification service version.

@@ -64,11 +64,6 @@ class Layer:
         """Analytical FLOP count for one input of ``input_shape``."""
         raise NotImplementedError
 
-    @property
-    def n_parameters(self) -> int:
-        """Total number of trainable parameters."""
-        return int(sum(p.size for p in self.params.values()))
-
 
 class ReLU(Layer):
     """Element-wise rectified linear unit."""
@@ -461,7 +456,3 @@ class Residual(Layer):
             total += layer.flops(shape)
             shape = layer.output_shape(shape)
         return total + int(np.prod(input_shape))
-
-    @property
-    def n_parameters(self) -> int:
-        return int(sum(layer.n_parameters for layer in self.inner_layers))

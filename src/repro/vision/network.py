@@ -74,11 +74,6 @@ class NeuralNetwork:
             return out
         return Softmax().forward(out)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Arg-max class prediction for a batch (or scalar for one sample)."""
-        proba = self.predict_proba(x)
-        return np.argmax(proba, axis=-1)
-
     # ------------------------------------------------------------------
     # training support
     # ------------------------------------------------------------------
@@ -88,41 +83,12 @@ class NeuralNetwork:
             grad = layer.backward(grad)
         return grad
 
-    def parameters(self) -> List[Tuple[Layer, str, np.ndarray]]:
-        """Flat list of ``(layer, parameter_name, array)`` triples."""
-        out = []
-        for layer in self.layers:
-            for name, value in layer.params.items():
-                out.append((layer, name, value))
-        return out
-
     # ------------------------------------------------------------------
     # model statistics
     # ------------------------------------------------------------------
-    @property
-    def n_parameters(self) -> int:
-        """Total number of trainable parameters."""
-        return int(sum(layer.n_parameters for layer in self.layers))
-
     def flops(self) -> int:
         """Analytical FLOPs for classifying one input sample."""
         total = 0
         for layer, shape in zip(self.layers, self._layer_input_shapes):
             total += layer.flops(shape)
         return int(total)
-
-    def describe(self) -> str:
-        """Human-readable one-line-per-layer description."""
-        lines = [f"{self.name}: input {self.input_shape}"]
-        shape = self.input_shape
-        for layer in self.layers:
-            out_shape = layer.output_shape(shape)
-            lines.append(
-                f"  {type(layer).__name__:<18} {shape} -> {out_shape}"
-                f"  params={layer.n_parameters}"
-            )
-            shape = out_shape
-        lines.append(
-            f"  total params={self.n_parameters}, flops/sample={self.flops():,}"
-        )
-        return "\n".join(lines)

@@ -19,7 +19,7 @@ accuracy/latency *shape* at evaluation scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -31,7 +31,6 @@ __all__ = [
     "IC_GPU_VERSIONS",
     "NetworkProfile",
     "PerRequestOutcomes",
-    "ic_version_names",
     "simulate_ic_measurements",
 ]
 
@@ -114,18 +113,6 @@ IC_GPU_VERSIONS: Dict[str, NetworkProfile] = _profiles(
         "vgg16": 0.0210,
     },
 )
-
-
-def ic_version_names(device: str = "cpu") -> List[str]:
-    """Service-version names for a device, fastest first.
-
-    Args:
-        device: ``"cpu"`` or ``"gpu"``.
-    """
-    table = IC_CPU_VERSIONS if device == "cpu" else IC_GPU_VERSIONS
-    if device not in ("cpu", "gpu"):
-        raise ValueError("device must be 'cpu' or 'gpu'")
-    return list(table.keys())
 
 
 @dataclass(frozen=True)

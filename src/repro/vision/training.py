@@ -145,8 +145,3 @@ class SGDTrainer:
                 {"loss": float(np.mean(losses)), "accuracy": correct / n}
             )
         return history
-
-    def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Top-1 accuracy of the network on a held-out set."""
-        predictions = self.network.predict(images)
-        return float((predictions == labels).mean())

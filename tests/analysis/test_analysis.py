@@ -78,9 +78,9 @@ class TestCategories:
         assert sum(shares.values()) == pytest.approx(1.0)
         assert set(shares) == set(CATEGORY_NAMES)
 
-    def test_counts_match_assignments(self):
+    def test_assignments_and_indices(self):
         breakdown = categorize_requests(_synthetic_set())
-        assert breakdown.counts()["unchanged"] == 1
+        assert breakdown.assignments.count("unchanged") == 1
         assert breakdown.indices_of("varies") == [3]
 
     def test_indices_of_unknown_category(self):

@@ -50,11 +50,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BeamSearchConfig(lm_breadth=0)
 
-    def test_search_width_score_orders_configs(self):
-        narrow = BeamSearchConfig(max_active=8, lm_breadth=4)
-        wide = BeamSearchConfig(max_active=64, lm_breadth=None)
-        assert wide.search_width_score() > narrow.search_width_score()
-
 
 class TestDecoding:
     def test_clean_utterance_decoded_exactly(self, small_world):
@@ -98,7 +93,7 @@ class TestDecoding:
         narrow_wer, wide_wer = [], []
         rng = np.random.default_rng(3)
         for i in range(12):
-            words = [graph.lexicon.words[w] for w in rng.integers(0, graph.n_words, 4)]
+            words = [graph.lexicon.words[w] for w in rng.integers(0, graph.lexicon.n_words, 4)]
             utterance = _utterance(words, f"avg_{i}", snr_db=7.0)
             observation = front_end.observe(utterance)
             narrow_wer.append(

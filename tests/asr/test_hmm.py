@@ -47,44 +47,26 @@ class TestTopology:
         assert not graph.is_final_position(0, 0)
 
     def test_first_phone_ids_align(self, graph):
-        for word_id in range(graph.n_words):
+        for word_id in range(graph.lexicon.n_words):
             assert graph.first_phone_ids[word_id] == graph.phones_of(word_id)[0]
-
-    def test_estimated_states_positive(self, graph):
-        assert graph.estimated_states() >= graph.n_words
 
 
 class TestLanguageModelQueries:
-    def test_word_exit_score_includes_penalty(self, graph):
-        raw_lm = graph.language_model.log_prob(1, 0)
-        assert graph.word_exit_score(0, 1) == pytest.approx(raw_lm - 0.5)
+    def test_entry_scores_are_weighted_lm_minus_penalty(self, graph):
+        raw_lm = graph.language_model.successor_log_probs(0)
+        assert np.allclose(graph.entry_score_vector(0), raw_lm - 0.5)
 
-    def test_successors_sorted_and_limited(self, graph):
-        arcs = graph.successors(0, breadth=2)
-        assert len(arcs) == 2
-        assert arcs[0].lm_log_prob >= arcs[1].lm_log_prob
-
-    def test_successors_cached(self, graph):
-        assert graph.successors(0, breadth=2) is graph.successors(0, breadth=2)
-
-    def test_entry_score_vector_matches_scalar(self, graph):
-        vector = graph.entry_score_vector(0)
-        for word_id in range(graph.n_words):
-            assert vector[word_id] == pytest.approx(graph.word_exit_score(0, word_id))
+    def test_entry_score_vector_cached(self, graph):
+        assert graph.entry_score_vector(0) is graph.entry_score_vector(0)
 
     def test_entry_score_vector_start_context(self, graph):
         vector = graph.entry_score_vector(START_CONTEXT)
-        assert vector.shape == (graph.n_words,)
+        assert vector.shape == (graph.lexicon.n_words,)
 
-    def test_sentence_lm_score_scales_with_weight(self):
+    def test_entry_scores_scale_with_weight(self):
         lexicon = Lexicon(["bado", "kine"])
         model = BigramLanguageModel(n_words=2)
         model.fit([[0, 1], [0, 1]])
-        light = DecodingGraph(lexicon, model, lm_weight=0.5)
-        heavy = DecodingGraph(lexicon, model, lm_weight=2.0)
-        assert heavy.sentence_lm_score([0, 1]) == pytest.approx(
-            4 * light.sentence_lm_score([0, 1])
-        )
-
-    def test_transcript_word_ids(self, graph):
-        assert graph.transcript_word_ids(["bado", "losu"]) == [0, 2]
+        light = DecodingGraph(lexicon, model, lm_weight=0.5, word_insertion_penalty=0.0)
+        heavy = DecodingGraph(lexicon, model, lm_weight=2.0, word_insertion_penalty=0.0)
+        assert np.allclose(heavy.entry_score_vector(0), 4 * light.entry_score_vector(0))

@@ -25,7 +25,7 @@ class TestConstruction:
         model = BigramLanguageModel(3)
         assert not model.is_fitted
         with pytest.raises(RuntimeError):
-            model.log_prob(0)
+            model.successor_log_probs(0)
 
 
 class TestFit:
@@ -35,12 +35,16 @@ class TestFit:
             assert probs.sum() == pytest.approx(1.0)
 
     def test_observed_bigram_more_likely(self, fitted_model):
-        assert fitted_model.log_prob(1, 0) > fitted_model.log_prob(2, 0)
+        after_0 = fitted_model.successor_log_probs(0)
+        assert after_0[1] > after_0[2]
 
     def test_start_distribution_reflects_data(self, fitted_model):
-        assert fitted_model.log_prob(2, START_CONTEXT) > fitted_model.log_prob(
-            3, START_CONTEXT
-        )
+        at_start = fitted_model.successor_log_probs(START_CONTEXT)
+        assert at_start[2] > at_start[3]
+
+    def test_successor_log_probs_are_copies(self, fitted_model):
+        fitted_model.successor_log_probs(0)[:] = 0.0
+        assert np.exp(fitted_model.successor_log_probs(0)).sum() == pytest.approx(1.0)
 
     def test_rejects_out_of_vocabulary(self):
         model = BigramLanguageModel(3)
@@ -50,36 +54,6 @@ class TestFit:
     def test_empty_sentences_ignored(self):
         model = BigramLanguageModel(3).fit([[], [0, 1]])
         assert model.is_fitted
-
-
-class TestQueries:
-    def test_top_successors_sorted(self, fitted_model):
-        successors = fitted_model.top_successors(0, k=2)
-        assert len(successors) == 2
-        assert successors[0][1] >= successors[1][1]
-
-    def test_top_successors_all_when_k_none(self, fitted_model):
-        assert len(fitted_model.top_successors(0)) == 4
-
-    def test_top_successors_rejects_bad_k(self, fitted_model):
-        with pytest.raises(ValueError):
-            fitted_model.top_successors(0, k=0)
-
-    def test_sentence_log_prob_additive(self, fitted_model):
-        expected = fitted_model.log_prob(2, START_CONTEXT) + fitted_model.log_prob(0, 2)
-        assert fitted_model.sentence_log_prob([2, 0]) == pytest.approx(expected)
-
-    def test_sentence_log_prob_empty(self, fitted_model):
-        assert fitted_model.sentence_log_prob([]) == 0.0
-
-    def test_perplexity_lower_for_likely_corpus(self, fitted_model):
-        likely = [[2, 0, 1]] * 5
-        unlikely = [[3, 3, 3]] * 5
-        assert fitted_model.perplexity(likely) < fitted_model.perplexity(unlikely)
-
-    def test_perplexity_rejects_empty(self, fitted_model):
-        with pytest.raises(ValueError):
-            fitted_model.perplexity([[]])
 
 
 class TestFromWordSentences:

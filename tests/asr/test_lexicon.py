@@ -60,10 +60,6 @@ class TestPronunciations:
             lex.pronunciation_ids("do")
         )
 
-    def test_average_pronunciation_length(self):
-        lex = Lexicon(["ba", "bado"])
-        assert lex.average_pronunciation_length() == pytest.approx(3.0)
-
     def test_distinct_words_distinct_pronunciations_mostly(self):
         lex = Lexicon(["ba", "bo", "bi", "da", "do"])
         prons = {lex.pronunciation(w) for w in lex.words}

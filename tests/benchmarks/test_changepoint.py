@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.stats import ConfidenceTest, detect_step, shift_zscore
-from repro.stats.changepoint import Changepoint
+from changepoint import Changepoint, detect_step, shift_zscore
+from repro.stats import ConfidenceTest
 
 
 def noise(n, rng, scale=1.0, loc=100.0):

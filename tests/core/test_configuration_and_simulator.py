@@ -4,24 +4,7 @@ import pytest
 
 from repro.core.configuration import DEFAULT_THRESHOLDS, enumerate_configurations
 from repro.core.simulator import simulate
-from repro.core.tiers import ToleranceTier, default_tolerance_grid
-from repro.service.request import Objective
-
-
-class TestToleranceTier:
-    def test_label(self):
-        tier = ToleranceTier(0.01, Objective.COST)
-        assert tier.label == "1.0% / cost"
-
-    def test_admits(self):
-        tier = ToleranceTier(0.05)
-        assert tier.admits(0.049)
-        assert tier.admits(0.05)
-        assert not tier.admits(0.051)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ToleranceTier(-0.01)
+from repro.core.tiers import default_tolerance_grid
 
 
 class TestToleranceGrid:
@@ -84,12 +67,6 @@ class TestEnumerateConfigurations:
             enumerate_configurations(ic_measurements, accurate_version="nope")
         with pytest.raises(ValueError):
             enumerate_configurations(ic_measurements, fast_versions=["nope"])
-
-    def test_describe_mentions_policy(self, ic_measurements):
-        configurations = enumerate_configurations(
-            ic_measurements, thresholds=(0.5,), policy_kinds=("seq",)
-        )
-        assert "escalate" in configurations[0].describe()
 
 
 class TestSimulate:

@@ -53,11 +53,6 @@ class TestGuaranteeAudit:
         reductions = [row.mean_response_time_reduction for row in audit.rows]
         assert reductions[0] <= reductions[-1] + 1e-9
 
-    def test_row_lookup(self, audit):
-        assert audit.row_for(0.05).tolerance == 0.05
-        with pytest.raises(KeyError):
-            audit.row_for(0.33)
-
     def test_configurations_recorded(self, audit):
         for row in audit.rows:
             assert len(row.configurations_used) >= 1

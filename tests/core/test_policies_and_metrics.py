@@ -41,7 +41,8 @@ class TestSingleVersionPolicy:
         assert outcomes.mean_error() == 0.0
         assert outcomes.mean_response_time() == pytest.approx(0.5)
         assert outcomes.escalation_rate() == 0.0
-        assert outcomes.total_node_seconds() == {"slow": pytest.approx(0.5 * 40)}
+        assert list(outcomes.node_seconds) == ["slow"]
+        assert outcomes.node_seconds["slow"].sum() == pytest.approx(0.5 * 40)
 
     def test_subset_indices(self):
         ms = _two_version_set()
@@ -90,13 +91,13 @@ class TestTwoVersionPolicies:
     def test_concurrent_always_spends_accurate_compute(self):
         ms = _two_version_set()
         outcomes = ConcurrentPolicy("fast", "slow", 0.5).evaluate(ms)
-        assert outcomes.total_node_seconds()["slow"] == pytest.approx(0.5 * 40)
+        assert outcomes.node_seconds["slow"].sum() == pytest.approx(0.5 * 40)
 
     def test_early_termination_bounds_wasted_compute(self):
         ms = _two_version_set()
         conc = ConcurrentPolicy("fast", "slow", 0.5).evaluate(ms)
         et = EarlyTerminationPolicy("fast", "slow", 0.5).evaluate(ms)
-        assert et.total_node_seconds()["slow"] < conc.total_node_seconds()["slow"]
+        assert et.node_seconds["slow"].sum() < conc.node_seconds["slow"].sum()
         # response times are identical between conc and et
         assert np.allclose(et.response_time_s, conc.response_time_s)
 
@@ -106,12 +107,11 @@ class TestTwoVersionPolicies:
             outcomes = policy_cls("fast", "slow", 0.5).evaluate(ms)
             assert 0.0 <= outcomes.mean_error() <= ms.mean_error("fast")
 
-    def test_names_and_descriptions_unique(self):
+    def test_names_unique(self):
         a = SequentialPolicy("fast", "slow", 0.5)
         b = SequentialPolicy("fast", "slow", 0.7)
         c = ConcurrentPolicy("fast", "slow", 0.5)
         assert len({a.name, b.name, c.name}) == 3
-        assert "escalate" in a.describe()
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))

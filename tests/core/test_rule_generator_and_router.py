@@ -150,10 +150,6 @@ class TestRoutingRuleTable:
         with pytest.raises(ValueError):
             table.config_for(-1.0)
 
-    def test_tolerances_property_sorted(self, generator):
-        table = generator.generate([0.05, 0.01, 0.03], "cost")
-        assert list(table.tolerances) == sorted(table.tolerances)
-
 
 class TestTierRouter:
     def test_routes_by_objective(self, generator):

@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import ndtr
+
 from repro.datasets.difficulty import DifficultyModel, DifficultyProfile
+
+
+def _correctness(model, skill, rng):
+    """One version's correctness under the probit model: ``s >= d + eps``."""
+    eps = rng.normal(0.0, model.profile.idiosyncratic_std, model.difficulties.size)
+    return skill >= model.difficulties + eps
+
+
+def _total_std(model):
+    return float(np.hypot(model.profile.difficulty_std, model.profile.idiosyncratic_std))
 
 
 class TestProfileValidation:
@@ -36,14 +48,13 @@ class TestDifficultyModel:
         model = DifficultyModel(20000, rng=rng)
         for target in (0.1, 0.25, 0.4):
             skill = model.skill_for_error_rate(target)
-            correctness = model.correctness_for_skill(skill)
-            empirical = DifficultyModel.empirical_error_rate(correctness)
+            empirical = 1.0 - _correctness(model, skill, rng).mean()
             assert empirical == pytest.approx(target, abs=0.02)
 
     def test_expected_error_rate_closed_form(self, rng):
         model = DifficultyModel(10, rng=rng)
         skill = model.skill_for_error_rate(0.3)
-        assert model.expected_error_rate(skill) == pytest.approx(0.3, abs=1e-9)
+        assert 1.0 - ndtr(skill / _total_std(model)) == pytest.approx(0.3, abs=1e-9)
 
     def test_skill_rejects_degenerate_rates(self, rng):
         model = DifficultyModel(10, rng=rng)
@@ -54,36 +65,25 @@ class TestDifficultyModel:
 
     def test_higher_skill_is_weakly_better(self, rng):
         model = DifficultyModel(5000, rng=rng)
-        weak = model.correctness_for_skill(model.skill_for_error_rate(0.4))
-        strong = model.correctness_for_skill(model.skill_for_error_rate(0.1))
+        weak = _correctness(model, model.skill_for_error_rate(0.4), rng)
+        strong = _correctness(model, model.skill_for_error_rate(0.1), rng)
         assert strong.mean() > weak.mean()
 
     def test_correctness_correlated_across_versions(self, rng):
         # A request that is easy (low difficulty) should tend to be answered
         # correctly by both a weak and a strong version.
         model = DifficultyModel(5000, rng=rng)
-        table = model.calibrated_correctness_table({"weak": 0.4, "strong": 0.2})
-        weak, strong = table["weak"], table["strong"]
+        weak = _correctness(model, model.skill_for_error_rate(0.4), rng)
+        strong = _correctness(model, model.skill_for_error_rate(0.2), rng)
         both_correct = float((weak & strong).mean())
         independent = float(weak.mean() * strong.mean())
         assert both_correct > independent
 
-    def test_empirical_error_rate_rejects_empty(self):
-        with pytest.raises(ValueError):
-            DifficultyModel.empirical_error_rate([])
-
-    def test_correctness_table_names(self, rng):
-        model = DifficultyModel(50, rng=rng)
-        table = model.correctness_table({"a": 0.5, "b": 1.5})
-        assert set(table) == {"a", "b"}
-        assert table["a"].shape == (50,)
-
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.05, max_value=0.9))
     def test_calibration_property(self, target):
-        model = DifficultyModel(8000, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        model = DifficultyModel(8000, rng=rng)
         skill = model.skill_for_error_rate(target)
-        empirical = DifficultyModel.empirical_error_rate(
-            model.correctness_for_skill(skill)
-        )
+        empirical = 1.0 - _correctness(model, skill, rng).mean()
         assert abs(empirical - target) < 0.05

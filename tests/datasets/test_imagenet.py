@@ -23,6 +23,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticImageNetConfig(signal_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"n_images": 0}, "n_images"),
+            ({"image_size": 3}, "image_size"),
+            ({"channels": 0}, "channels"),
+        ],
+    )
+    def test_rejects_degenerate_geometry(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticImageNetConfig(**kwargs)
+
 
 class TestDatasetStructure:
     @pytest.fixture(scope="class")
@@ -43,27 +55,6 @@ class TestDatasetStructure:
         assert image.shape == (1, 8, 8)
         assert isinstance(label, int)
         assert len(list(dataset)) == len(dataset)
-
-    def test_image_ids_unique(self, dataset):
-        assert len(set(dataset.image_ids)) == len(dataset)
-
-    def test_batches_cover_dataset(self, dataset):
-        total = sum(len(labels) for _, labels in dataset.batches(32))
-        assert total == len(dataset)
-
-    def test_batches_reject_bad_size(self, dataset):
-        with pytest.raises(ValueError):
-            next(dataset.batches(0))
-
-    def test_subset_view(self, dataset):
-        view = dataset.subset([0, 5, 9])
-        assert view.images.shape[0] == 3
-        assert np.array_equal(view.labels, dataset.labels[[0, 5, 9]])
-
-    def test_difficulty_proxy_standardised(self, dataset):
-        proxy = dataset.difficulty_proxy()
-        assert proxy.shape == (len(dataset),)
-        assert abs(proxy.mean()) < 1e-9
 
     def test_high_signal_images_closer_to_prototype(self, dataset):
         # The highest-signal images should correlate better with their class

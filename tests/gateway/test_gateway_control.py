@@ -11,23 +11,33 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import (
     BackendCapabilityError,
     RequestFailedError,
     RequestShedError,
     TierError,
 )
+from repro.core.policies import SingleVersionPolicy
+from repro.core.router import RoutingRuleTable, TierRouter
 from repro.service.control import (
+    AdaptorConfig,
     AdmissionSpec,
     ControlPlane,
     ControlSpec,
     SLOSpec,
     SLOState,
 )
-from repro.service.gateway import ReplayBackend, SimulatedBackend, TierGateway
-from repro.service.request import ServiceRequest
+from repro.service.gateway import (
+    DirectBackend,
+    ReplayBackend,
+    SimulatedBackend,
+    TierGateway,
+)
+from repro.service.request import Objective, ServiceRequest
 from repro.service.simulation import (
     SpikeArrivals,
+    build_replay_cluster,
     canonical_scenarios,
     scenario_measurements,
 )
@@ -246,3 +256,59 @@ class TestGatewaySideControl:
         )
         assert response.request_id == "y"
         assert gateway.tickets == ()
+
+
+@pytest.mark.parametrize("session", ["router", "undeployed-version"])
+def test_a_swap_the_session_cannot_serve_is_declined(session, toy):
+    """A synchronous session that cannot deploy the adaptor's swap — it
+    routes per request, or the swap needs a version its backend lacks —
+    declines it, and the adaptor's active policy stays the one serving."""
+    anchor = EnsembleConfiguration("osfa_slow", SingleVersionPolicy("slow"))
+    plane = ControlPlane.from_spec(
+        ControlSpec(
+            window_s=100.0,
+            tick_interval_s=0.5,
+            # Breach from the first reliable window: every re-fit widens.
+            slos=(
+                SLOSpec(
+                    name="latency",
+                    max_p95_latency_s=0.001,
+                    breach_after=1,
+                    clear_after=100,
+                ),
+            ),
+            adaptor=AdaptorConfig(
+                refit_interval_s=1.0, tolerance_step=10.0, max_tolerance=100.0
+            ),
+        ),
+        measurements=toy,
+        configuration=anchor,
+    )
+    if session == "router":
+        table = RoutingRuleTable(
+            objective=Objective.RESPONSE_TIME, baseline=anchor, rules={0.0: anchor}
+        )
+        gateway = TierGateway(
+            ReplayBackend(toy),
+            router=TierRouter({Objective.RESPONSE_TIME: table}),
+            control=plane,
+        )
+    else:
+        gateway = TierGateway(
+            DirectBackend(build_replay_cluster(toy, {"slow": 1})),
+            configuration=anchor,
+            control=plane,
+        )
+    for i in range(60):
+        gateway.handle(
+            ServiceRequest(request_id=f"q{i}", payload=toy.request_ids[i % 50])
+        )
+
+    kinds = [entry.kind for entry in plane.log]
+    swapped = kinds.index("swap")
+    assert kinds[swapped + 1] == "swap-declined"
+    # Blacklisted: later re-fits that pick it again are refused.
+    assert "refit-rejected" in kinds[swapped + 2 :]
+    assert "swap" not in kinds[swapped + 1 :]
+    assert plane.adaptor.active is anchor
+    assert gateway.configuration is (None if session == "router" else anchor)

@@ -177,6 +177,45 @@ class TestMultiRegionSpec:
         assert scenario.seed == spec.shard_seed(1)
         assert scenario.pools == spec.regions[1].scenario.pools
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"name": ""}, "needs a name"),
+            ({"regions": ()}, "at least one region"),
+            (
+                {
+                    "partitions": (
+                        RegionPartition(
+                            region="us", peer="mars", start_s=0.0, end_s=1.0
+                        ),
+                    )
+                },
+                "unknown peer 'mars'",
+            ),
+            ({"link_latency_s": -0.01}, "link_latency_s"),
+        ],
+        ids=["no-name", "no-regions", "unknown-peer", "negative-link"],
+    )
+    def test_spec_level_fields_validated(self, kwargs, match):
+        arguments = dict(name="m", regions=(_region("us"), _region("eu")))
+        arguments.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            MultiRegionSpec(**arguments)
+
+    def test_lookups_refuse_unknown_regions_and_indices(self):
+        spec = MultiRegionSpec(name="m", regions=(_region("us"), _region("eu")))
+        assert spec.region("eu") is spec.regions[1]
+        with pytest.raises(KeyError, match="mars"):
+            spec.region("mars")
+        with pytest.raises(IndexError, match="no region at index 2"):
+            spec.shard_seed(2)
+        with pytest.raises(IndexError, match="no region at index -1"):
+            spec.shard_seed(-1)
+
+    def test_region_saturation_factor_must_be_positive(self):
+        with pytest.raises(ValueError, match="saturation_factor"):
+            _region(saturation_factor=0.0)
+
 
 def test_derive_capacity_rps(toy):
     region = _region("us", scenario=_scenario(pools={"fast": 2, "slow": 1}))

@@ -31,6 +31,7 @@ from repro.service.request import ServiceRequest
 from repro.service.simulation import (
     AutoscalerConfig,
     NodeCrash,
+    NodeSlowdown,
     PoissonArrivals,
     ServingSimulator,
     build_replay_cluster,
@@ -122,10 +123,24 @@ REFUSALS = {
         "payload 'nope' does not name a measured request id",
     ),
     "emptied-pool": (MissingVersionError, "pool has no live node"),
+    # No fault refills an empty pool: a crash there is a logged no-op, so
+    # even one with a replacement scheduled leaves the pool empty.
+    "emptied-pool-slowdown": (MissingVersionError, "pool has no live node"),
+    "emptied-pool-crash": (MissingVersionError, "pool has no live node"),
+    "emptied-pool-recovering": (MissingVersionError, "pool has no live node"),
     "threshold": (PolicyConfigurationError, r"must be in \[0, 1\], got 1.5"),
     "nothing-submitted": (ValueError, "at least one record"),
     "duplicate-id": (
         RequestValidationError, "duplicate request id 'req_0000'"
+    ),
+}
+
+
+FAULTS = {
+    "emptied-pool-slowdown": (NodeSlowdown(at_s=1.0, version="fast"),),
+    "emptied-pool-crash": (NodeCrash(at_s=1.0, version="fast"),),
+    "emptied-pool-recovering": (
+        NodeCrash(at_s=1.0, version="slow", recover_at_s=2.0),
     ),
 }
 
@@ -138,7 +153,11 @@ def _refused_simulator(case, engine, toy):
     }.get(case, _seq())
     cluster = build_replay_cluster(toy, {"fast": 2, "slow": 2})
     sim = ServingSimulator(
-        cluster, configuration=configuration, seed=3, engine=engine
+        cluster,
+        configuration=configuration,
+        seed=3,
+        engine=engine,
+        faults=FAULTS.get(case, ()),
     )
     times = np.cumsum(np.full(40, 0.1)).tolist()
     requests = _requests(toy, times)
@@ -147,7 +166,7 @@ def _refused_simulator(case, engine, toy):
     elif case == "duplicate-id":
         # The first has long resolved when the second arrives.
         requests[39] = ServiceRequest("req_0000", toy.request_ids[0])
-    elif case == "emptied-pool":
+    elif case.startswith("emptied-pool"):
         _empty_pool(cluster, "slow")
     if case != "nothing-submitted":
         sim.submit_batch(requests, times)
@@ -337,8 +356,7 @@ def _assert_refused_or_drained(seed, defect, engine, with_faults, toy):
         assert sim.engine_used is None and sim.fallback_reason is None
         assert _state(sim) == before
         return
-    # Only an emptied pool can be survivable: a fault schedule resolves
-    # what stays parked as failed, an autoscaler may add a node.
+    # Only an emptied pool can be survivable: an autoscaler may add a node.
     assert defect in (None, "emptied-pool")
     assert outcome.n_requests == before["submitted"]
     assert outcome.fallback_reason == sim.fallback_reason

@@ -27,7 +27,7 @@ two.  This file is that argument, run continuously:
    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
-helper asks :func:`~repro.service.simulation.first_divergence`, which
+helper asks ``tests/oracle/divergence.py``'s ``first_divergence``, which
 diffs the two reports' ``RecordColumns`` column by column and names the
 first diverging row, field and both values (then lengths, pool sizes,
 the fault and control streams).
@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle.divergence import first_divergence
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import MissingVersionError, PolicyConfigurationError
 from repro.core.policies import (
@@ -77,7 +78,6 @@ from repro.service.simulation import (
     build_replay_cluster,
     canonical_scenarios,
     chaos_scenarios,
-    first_divergence,
     run_scenario,
     scenario_measurements,
 )

@@ -126,6 +126,11 @@ INVALID = [
         "finite",
     ),
     (lambda: ColdStartWave(warmup_s=math.inf), "finite"),
+    # appended: the remaining structural and retry-schedule rules
+    (lambda: NodeSlowdown(at_s=1.0, version="fast", node_index=-1), "node_index"),
+    (lambda: RetryPolicy(max_attempts=2, backoff_s=-0.5), "backoff_s"),
+    (lambda: RetryPolicy(max_attempts=2, backoff_factor=0.5), "backoff_factor"),
+    (lambda: RetryPolicy(max_attempts=2).delay_before_retry(0), "1-based"),
 ]
 
 
@@ -174,6 +179,13 @@ def test_retry_policy_valid_budgets(kwargs):
 def test_retry_policy_negative_budgets_rejected(kwargs, match):
     with pytest.raises(ValueError, match=match):
         RetryPolicy(max_attempts=3, **kwargs)
+
+
+def test_retry_backoff_grows_geometrically_from_the_first_failure():
+    policy = RetryPolicy(max_attempts=4, backoff_s=0.1, backoff_factor=3.0)
+    delays = [policy.delay_before_retry(n) for n in (1, 2, 3)]
+    assert delays == pytest.approx([0.1, 0.3, 0.9])
+    assert RetryPolicy(max_attempts=4).delay_before_retry(3) == 0.0
 
 
 # ----------------------------------------------------------------------

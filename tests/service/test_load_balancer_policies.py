@@ -169,8 +169,7 @@ class TestPoolMutation:
         assert removed is not None
         assert removed.queue_depth == 0  # its work moved, not dropped
         assert balancer.queue_depths() == {"v": 2}
-        completions = balancer.drain()
-        assert len(completions["v"]) == 2
+        assert sum(len(node.drain()) for node in balancer.nodes_of("v")) == 2
 
     def test_forced_remove_requeues_in_fifo_order(self):
         pool = _nodes("v", 2)
@@ -203,8 +202,8 @@ class TestPoolMutation:
         balancer, pool = self._balancer()
         balancer.submit("v", "r1", "x")
         balancer.submit("v", "r2", "y")
-        completions = balancer.drain()
-        assert len(completions["v"]) == 2
+        completions = [c for node in balancer.nodes_of("v") for c in node.drain()]
+        assert len(completions) == 2
         assert balancer.queue_depths() == {"v": 0}
-        outputs = {c.result.output for c in completions["v"]}
+        outputs = {c.result.output for c in completions}
         assert outputs == {"v:x", "v:y"}

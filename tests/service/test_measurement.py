@@ -44,7 +44,7 @@ class TestMeasurementSet:
     def test_shapes_and_accessors(self):
         ms = _tiny_set()
         assert ms.n_requests == 6
-        assert ms.n_versions == 2
+        assert len(ms.versions) == 2
         assert ms.version_index("slow") == 1
         assert ms.mean_error("slow") == 0.0
         assert ms.mean_latency("fast") == pytest.approx(0.1)
@@ -65,10 +65,9 @@ class TestMeasurementSet:
         ms = _tiny_set()
         assert ms.instance_for("slow").name == "cpu.large"
 
-    def test_subset_and_split(self):
+    def test_subset(self):
         ms = _tiny_set()
-        train, test = ms.split([0, 1, 2, 3], [4, 5])
-        assert train.n_requests == 4
+        test = ms.subset([4, 5])
         assert test.n_requests == 2
         assert test.request_ids == ("r4", "r5")
 
@@ -114,7 +113,7 @@ class TestBuilders:
     def test_asr_builder_shape(self, asr_measurements, speech_corpus):
         assert asr_measurements.service == "asr"
         assert asr_measurements.n_requests == len(speech_corpus)
-        assert asr_measurements.n_versions == 7
+        assert len(asr_measurements.versions) == 7
         assert (asr_measurements.error >= 0).all()
         assert (asr_measurements.latency_s > 0).all()
 
@@ -141,7 +140,7 @@ class TestBuilders:
 
     def test_ic_builder(self, ic_measurements):
         assert ic_measurements.service == "ic_cpu"
-        assert ic_measurements.n_versions == 5
+        assert len(ic_measurements.versions) == 5
         assert set(np.unique(ic_measurements.error)) <= {0.0, 1.0}
 
     def test_ic_gpu_builder_uses_gpu_instances(self, ic_gpu_measurements):
@@ -158,5 +157,5 @@ class TestBuilders:
             n_images=160, n_classes=4, image_size=8, epochs=1, seed=3
         )
         assert ms.service == "ic_mini"
-        assert ms.n_versions == 5
+        assert len(ms.versions) == 5
         assert ms.n_requests == 64  # 40 % of 160

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.service.instances import INSTANCE_CATALOG, InstanceType, get_instance_type
-from repro.service.pricing import CostBreakdown, PricingModel
+from repro.service.pricing import PricingModel
 from repro.service.request import Objective, ServiceRequest, ServiceResponse
 
 
@@ -156,28 +156,11 @@ class TestPricingModel:
         assert breakdown.invocation_cost == pytest.approx(0.001 + 2.0 * iaas)
         assert breakdown.n_requests == 1
 
-    def test_batch_cost_aggregates(self, pricing):
-        batch = pricing.batch_cost({"r1": {"fast": 1.0}, "r2": {"slow": 1.0}})
-        assert batch.n_requests == 2
-        assert set(batch.per_version_iaas) == {"fast", "slow"}
-        assert batch.mean_invocation_cost > 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PricingModel({}, per_request_fee=0.0)
         with pytest.raises(ValueError):
             PricingModel({"v": get_instance_type("cpu.medium")}, markup=0.0)
-
-    def test_cost_breakdown_add(self):
-        a = CostBreakdown(1.0, 0.5, {"v": 0.5}, 1)
-        b = CostBreakdown(2.0, 1.0, {"v": 0.5, "w": 0.5}, 2)
-        merged = a.add(b)
-        assert merged.invocation_cost == pytest.approx(3.0)
-        assert merged.per_version_iaas["v"] == pytest.approx(1.0)
-        assert merged.n_requests == 3
-
-    def test_empty_breakdown_mean(self):
-        assert CostBreakdown().mean_invocation_cost == 0.0
 
 
 class TestServiceResponse:

@@ -25,9 +25,12 @@ from repro.service.simulation import (
     AutoscalerConfig,
     BatchingConfig,
     BurstyArrivals,
+    DiurnalArrivals,
     EventLoop,
     PoissonArrivals,
     ServingSimulator,
+    SpikeArrivals,
+    ThunderingHerdArrivals,
     TraceArrivals,
     build_replay_cluster,
 )
@@ -119,6 +122,11 @@ class TestEventLoop:
         loop.run()
         assert fired == [1.5]
 
+    def test_relative_delay_must_be_non_negative(self):
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            loop.schedule(-0.1, lambda: None)
+
 
 # ----------------------------------------------------------------------
 # arrival processes
@@ -159,6 +167,101 @@ class TestArrivals:
         with pytest.raises(ValueError):
             TraceArrivals([1.0, 0.5])  # not sorted
 
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: BurstyArrivals(0.0, 5.0), "rates must be positive"),
+            (
+                lambda: BurstyArrivals(1.0, 5.0, mean_burst_s=0.0),
+                "phase durations",
+            ),
+            (
+                lambda: SpikeArrivals(0.0, spike_start_s=1.0, spike_duration_s=1.0),
+                "base_rate",
+            ),
+            (
+                lambda: SpikeArrivals(1.0, spike_start_s=1.0, spike_duration_s=0.0),
+                "spike_duration_s",
+            ),
+            (
+                lambda: ThunderingHerdArrivals(
+                    PoissonArrivals(1.0), start_s=-1.0, end_s=1.0
+                ),
+                "start_s",
+            ),
+            (
+                lambda: ThunderingHerdArrivals(
+                    PoissonArrivals(1.0), start_s=2.0, end_s=2.0
+                ),
+                "end_s must lie after",
+            ),
+            (
+                lambda: ThunderingHerdArrivals(
+                    PoissonArrivals(1.0), start_s=0.0, end_s=1.0, spread_s=-0.1
+                ),
+                "spread_s",
+            ),
+            (lambda: TraceArrivals([]), "at least one arrival"),
+            (lambda: TraceArrivals([-0.5, 1.0]), "non-negative"),
+        ],
+        ids=[
+            "bursty-rate",
+            "bursty-phase",
+            "spike-rate",
+            "spike-duration",
+            "herd-start",
+            "herd-window",
+            "herd-spread",
+            "trace-empty",
+            "trace-negative",
+        ],
+    )
+    def test_invalid_processes_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "process,expected",
+        [
+            (PoissonArrivals(2.5), "PoissonArrivals(rate=2.5/s)"),
+            (BurstyArrivals(2.0, 50.0), "BurstyArrivals(base=2/s, burst=50/s)"),
+            (
+                DiurnalArrivals(4.0, amplitude=0.25, period_s=30.0),
+                "DiurnalArrivals(base=4/s, amplitude=0.25, period=30s)",
+            ),
+            (
+                SpikeArrivals(3.0, spike_start_s=2.0, spike_duration_s=1.5),
+                "SpikeArrivals(base=3/s, x5 at [2, 3.5]s)",
+            ),
+            (
+                ThunderingHerdArrivals(PoissonArrivals(1.0), start_s=1.0, end_s=2.0),
+                "ThunderingHerdArrivals(PoissonArrivals(rate=1/s), "
+                "hold=[1, 2)s, spread=0.05s)",
+            ),
+            (TraceArrivals([0.0, 0.5, 1.5]), "TraceArrivals(n=3)"),
+        ],
+        ids=["poisson", "bursty", "diurnal", "spike", "herd", "trace"],
+    )
+    def test_repr_names_the_parameters(self, process, expected):
+        assert repr(process) == expected
+
+    def test_trace_length_is_its_arrival_count(self):
+        trace = TraceArrivals([0.0, 0.5, 0.5, 1.5])
+        assert len(trace) == 4
+        assert len(trace.times(len(trace), np.random.default_rng(0))) == 4
+
+    def test_herd_moves_held_arrivals_without_extra_draws(self):
+        base = PoissonArrivals(20.0)
+        herd = ThunderingHerdArrivals(base, start_s=0.5, end_s=1.0, spread_s=0.0)
+        plain = base.times(60, np.random.default_rng(9))
+        held = herd.times(60, np.random.default_rng(9))
+        assert np.all(np.diff(held) >= 0.0)
+        n_held = herd.held_count(plain)
+        assert n_held > 0
+        assert np.count_nonzero(held == 1.0) == n_held
+        untouched = plain[(plain < 0.5) | (plain >= 1.0)]
+        assert np.array_equal(held[held != 1.0], untouched)
+
 
 # ----------------------------------------------------------------------
 # batching model + node queueing primitives
@@ -184,6 +287,8 @@ class TestBatching:
             BatchingConfig(latency_exponent=1.5)
         with pytest.raises(ValueError):
             BatchingConfig(max_batch_size=2).batch_service_time([1.0] * 3)
+        with pytest.raises(ValueError, match="at least one request"):
+            BatchingConfig(max_batch_size=2).batch_service_time([])
 
 
 def _echo_node(compute_seconds=1.0):
@@ -231,6 +336,33 @@ class TestNodeQueueing:
         assert node.cancel("r1") is True
         assert node.cancel("r1") is False
         assert node.queue_depth == 0
+
+    def test_pop_batch_needs_a_positive_size(self):
+        node = _echo_node()
+        node.submit("r1", None)
+        with pytest.raises(ValueError, match="max_size"):
+            node.pop_batch(0)
+        assert node.queue_depth == 1
+
+    def test_execute_batch_refuses_an_empty_batch(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            _echo_node().execute_batch([])
+
+    def test_a_dead_node_executes_nothing(self):
+        node = _echo_node()
+        node.submit("r1", None)
+        batch = node.pop_batch()
+        node.kill(now=0.0)
+        with pytest.raises(RuntimeError, match="is dead"):
+            node.execute_batch(batch)
+        assert node.requests_served == 0
+
+    def test_process_refuses_to_run_over_queued_work(self):
+        node = _echo_node()
+        node.submit("queued", None)
+        with pytest.raises(RuntimeError, match=r"1 queued request\(s\)"):
+            node.process("r2", None)
+        assert [c.result.request_id for c in node.drain()] == ["queued"]
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +425,19 @@ class TestAutoscaler:
             AutoscalerConfig(
                 scale_down_utilization=0.9, scale_up_utilization=0.8
             )
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"scale_up_queue_depth": 0.0}, "scale_up_queue_depth"),
+            ({"scale_up_utilization": 1.2}, "scale_up_utilization"),
+            ({"evaluation_interval_s": 0.0}, "evaluation_interval_s"),
+            ({"cooldown_s": -1.0}, "cooldown_s"),
+        ],
+    )
+    def test_config_validation_names_the_field(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            AutoscalerConfig(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +595,7 @@ class TestServingSimulator:
         cluster = build_replay_cluster(toy_measurements, {"fast": 2})
         # Accumulate pre-simulation busy time via the replay path.
         for rid in toy_measurements.request_ids[:20]:
-            cluster.serve_with_version(
+            cluster.raw_dispatch(
                 "fast", ServiceRequest(request_id=f"w_{rid}", payload=rid)
             )
         scaler = Autoscaler(
@@ -565,7 +710,7 @@ class TestServingSimulator:
         # Synchronous replay traffic advances node.busy_until on its own
         # clock; a fresh simulator must still run (it owns the timeline).
         for rid in toy_measurements.request_ids[:3]:
-            cluster.serve_with_version(
+            cluster.raw_dispatch(
                 "fast", ServiceRequest(request_id=f"warm_{rid}", payload=rid)
             )
         sim = ServingSimulator(

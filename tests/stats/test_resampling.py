@@ -5,30 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.resampling import (
-    bootstrap_indices,
-    bootstrap_statistic,
-    kfold_indices,
-    subsample_indices,
-)
-
-
-class TestBootstrapIndices:
-    def test_range_and_size(self, rng):
-        idx = bootstrap_indices(10, rng=rng)
-        assert idx.shape == (10,)
-        assert idx.min() >= 0 and idx.max() < 10
-
-    def test_custom_size(self, rng):
-        assert bootstrap_indices(10, size=3, rng=rng).shape == (3,)
-
-    def test_rejects_bad_population(self, rng):
-        with pytest.raises(ValueError):
-            bootstrap_indices(0, rng=rng)
-
-    def test_rejects_bad_size(self, rng):
-        with pytest.raises(ValueError):
-            bootstrap_indices(5, size=0, rng=rng)
+from repro.stats.resampling import kfold_indices, subsample_indices
 
 
 class TestSubsampleIndices:
@@ -43,26 +20,15 @@ class TestSubsampleIndices:
     def test_size_floor_of_one(self, rng):
         assert subsample_indices(5, 0, rng=rng).shape == (1,)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_an_empty_population(self, rng, n):
+        with pytest.raises(ValueError, match=f"must be positive, got {n}"):
+            subsample_indices(n, 1, rng=rng)
+
     @given(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=100))
     def test_always_within_population(self, n, size):
         idx = subsample_indices(n, size, rng=np.random.default_rng(0))
         assert idx.min() >= 0 and idx.max() < n
-
-
-class TestBootstrapStatistic:
-    def test_mean_statistic_centred(self, rng):
-        values = np.arange(100, dtype=float)
-        stats = bootstrap_statistic(values, np.mean, trials=200, rng=rng)
-        assert stats.shape == (200,)
-        assert abs(stats.mean() - values.mean()) < 2.0
-
-    def test_rejects_empty(self, rng):
-        with pytest.raises(ValueError):
-            bootstrap_statistic([], np.mean, trials=10, rng=rng)
-
-    def test_rejects_bad_trials(self, rng):
-        with pytest.raises(ValueError):
-            bootstrap_statistic([1.0], np.mean, trials=0, rng=rng)
 
 
 class TestKfoldIndices:
@@ -89,6 +55,10 @@ class TestKfoldIndices:
     def test_rejects_single_fold(self):
         with pytest.raises(ValueError):
             kfold_indices(10, 1)
+
+    def test_rejects_an_empty_population(self):
+        with pytest.raises(ValueError, match="population size must be positive"):
+            kfold_indices(0, 2)
 
     @given(st.integers(min_value=4, max_value=60), st.integers(min_value=2, max_value=4))
     def test_fold_sizes_balanced(self, n, folds):

@@ -8,6 +8,7 @@ from repro.vision.layers import (
     Dense,
     Flatten,
     GlobalAveragePool,
+    Layer,
     MaxPool2D,
     ReLU,
     Residual,
@@ -61,6 +62,21 @@ class TestSoftmax:
     def test_flops_positive(self):
         assert Softmax().flops((10,)) > 0
 
+    def test_output_shape_is_input_shape(self):
+        assert Softmax().output_shape((7,)) == (7,)
+
+    def test_gradient_check_input(self, rng):
+        layer = Softmax()
+        x = rng.normal(size=(3, 4))
+        grad_out = rng.normal(size=(3, 4))
+        layer.forward(x)
+        grad_in = layer.backward(grad_out)
+        numeric = _numeric_gradient(layer, x, grad_out)
+        assert np.allclose(grad_in, numeric, atol=1e-6)
+        # Shifting every logit of a row changes nothing, so no gradient
+        # flows along the all-ones direction.
+        assert np.allclose(grad_in.sum(axis=1), 0.0)
+
 
 class TestDense:
     def test_forward_shape(self, rng):
@@ -93,8 +109,10 @@ class TestDense:
     def test_flops(self, rng):
         assert Dense(10, 5, rng=rng).flops((10,)) == 2 * 10 * 5
 
-    def test_parameter_count(self, rng):
-        assert Dense(10, 5, rng=rng).n_parameters == 10 * 5 + 5
+    @pytest.mark.parametrize("features", [(0, 3), (4, 0), (-1, 2)])
+    def test_rejects_non_positive_dimensions(self, rng, features):
+        with pytest.raises(ValueError, match="feature dimensions"):
+            Dense(*features, rng=rng)
 
 
 class TestConv2D:
@@ -116,6 +134,15 @@ class TestConv2D:
             Conv2D(1, 1, 3, stride=3, rng=rng)
         with pytest.raises(ValueError):
             Conv2D(1, 1, 3, padding="reflect", rng=rng)
+
+    @pytest.mark.parametrize("shape", [(0, 1, 3), (1, 0, 3), (1, 1, 0)])
+    def test_rejects_non_positive_geometry(self, rng, shape):
+        with pytest.raises(ValueError, match="must be positive"):
+            Conv2D(*shape, rng=rng)
+
+    def test_output_shape_rejects_wrong_channels(self, rng):
+        with pytest.raises(ValueError, match="expects 2 input channels, got 3"):
+            Conv2D(2, 4, 3, rng=rng).output_shape((3, 8, 8))
 
     def test_rejects_wrong_channels(self, rng):
         layer = Conv2D(2, 4, 3, rng=rng)
@@ -226,7 +253,34 @@ class TestFlattenAndResidual:
         with pytest.raises(ValueError):
             Residual([])
 
-    def test_residual_parameter_count(self, rng):
-        inner = Conv2D(2, 2, 3, rng=rng)
-        block = Residual([inner])
-        assert block.n_parameters == inner.n_parameters
+
+@pytest.mark.parametrize(
+    "make,grad_shape",
+    [
+        (lambda rng: Softmax(), (1, 3)),
+        (lambda rng: Flatten(), (1, 4)),
+        (lambda rng: Dense(4, 2, rng=rng), (1, 2)),
+        (lambda rng: Conv2D(1, 1, 3, rng=rng), (1, 1, 4, 4)),
+        (lambda rng: MaxPool2D(2), (1, 1, 2, 2)),
+        (lambda rng: GlobalAveragePool(), (1, 2)),
+    ],
+    ids=["softmax", "flatten", "dense", "conv2d", "maxpool", "gap"],
+)
+def test_backward_before_forward_raises(rng, make, grad_shape):
+    """Every layer caches its forward input; without one there is nothing
+    to differentiate through, and guessing would corrupt the update."""
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        make(rng).backward(np.ones(grad_shape))
+
+
+def test_base_layer_declares_the_interface_only():
+    layer = Layer()
+    assert layer.params == {} and layer.grads == {}
+    for call in (
+        lambda: layer.forward(np.ones((1, 2))),
+        lambda: layer.backward(np.ones((1, 2))),
+        lambda: layer.output_shape((2,)),
+        lambda: layer.flops((2,)),
+    ):
+        with pytest.raises(NotImplementedError):
+            call()

@@ -7,7 +7,6 @@ from repro.vision.profiles import (
     IC_CPU_VERSIONS,
     IC_GPU_VERSIONS,
     NetworkProfile,
-    ic_version_names,
     simulate_ic_measurements,
 )
 
@@ -31,11 +30,6 @@ class TestProfileTables:
         best = min(IC_CPU_VERSIONS.values(), key=lambda p: p.top1_error)
         assert best.architecture == "resnet50"
 
-    def test_version_names_helper(self):
-        assert ic_version_names("cpu")[0] == "ic_cpu_squeezenet"
-        with pytest.raises(ValueError):
-            ic_version_names("tpu")
-
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             NetworkProfile("x", "alexnet", "tpu", 0.4, 0.01)
@@ -43,6 +37,8 @@ class TestProfileTables:
             NetworkProfile("x", "alexnet", "cpu", 1.4, 0.01)
         with pytest.raises(ValueError):
             NetworkProfile("x", "alexnet", "cpu", 0.4, -0.01)
+        with pytest.raises(ValueError, match="latency_cv"):
+            NetworkProfile("x", "alexnet", "cpu", 0.4, 0.01, latency_cv=-0.1)
 
 
 class TestSimulatedMeasurements:
