@@ -3,10 +3,11 @@
 ``BENCH_PERF.json`` is a single point: the last full run of each
 non-serving bench.  ``results/bench_history.jsonl`` is the trajectory: one
 JSON line per run, with its flattened metrics plus the metadata needed to
-interpret them later (commit, branch, machine fingerprint, simulator
-engine).  Entries are facts about runs that happened, never rewritten,
-so trend analysis can condition on the noise that was actually observed
-instead of a fixed tolerance band.  Three producers:
+interpret them later (commit, branch, machine fingerprint).  Entries are
+facts about runs that happened, never rewritten, so trend analysis can
+condition on the noise that was actually observed instead of a fixed
+tolerance band.  Older rows may carry an ``"engine"`` key; the loader
+ignores it.  Three producers:
 
 * :func:`write_section` — the only writer of ``BENCH_PERF.json``, the
   ``results/bench_*.json`` detail artefacts and the benches' history
@@ -35,7 +36,6 @@ Schema (one JSON object per line)::
       "branch": "main",
       "machine": {"hostname": ..., "platform": ..., "python": ...,
                   "numpy": ..., "cpu_count": ...},
-      "engine": "columnar",             # simulator engine in effect
       "smoke": false,                   # true only on rows older than PR 23
       "metrics": {"e2e.steady_fixed.wall_s": 0.074, ...}
     }
@@ -124,8 +124,6 @@ class HistoryEntry:
         branch: Git branch at record time (``"unknown"`` outside a repo).
         machine: Machine fingerprint (hostname / platform / python /
             cpu count) — trend checks warn when a series mixes machines.
-        engine: Simulator engine in effect (``REPRO_SIM_ENGINE`` or the
-            columnar default).
         smoke: Whether the run was a single-repetition smoke run.
         metrics: Flattened ``section.metric[.key]`` -> float values.
         schema: History schema version.
@@ -136,7 +134,6 @@ class HistoryEntry:
     commit: str
     branch: str
     machine: Dict[str, object]
-    engine: str
     smoke: bool
     metrics: Dict[str, float]
     schema: int = SCHEMA_VERSION
@@ -211,7 +208,6 @@ def entry_from_metrics(
     *,
     source: str,
     smoke: bool,
-    engine: Optional[str] = None,
     timestamp: Optional[float] = None,
     machine: Optional[Dict[str, object]] = None,
     git: Optional[Dict[str, str]] = None,
@@ -227,8 +223,6 @@ def entry_from_metrics(
         metrics: Flattened ``label -> value`` metrics.
         source: Producing harness name.
         smoke: Smoke-run tag.
-        engine: Simulator engine (defaults to ``REPRO_SIM_ENGINE`` or
-            ``"columnar"``).
         timestamp: Record time (defaults to now).
         machine: Machine fingerprint override (defaults to this
             machine's).
@@ -242,9 +236,6 @@ def entry_from_metrics(
         commit=git_meta.get("commit", "unknown"),
         branch=git_meta.get("branch", "unknown"),
         machine=machine if machine is not None else machine_fingerprint(),
-        engine=engine
-        if engine is not None
-        else os.environ.get("REPRO_SIM_ENGINE", "columnar"),
         smoke=bool(smoke),
         metrics=dict(metrics),
     )
@@ -405,7 +396,6 @@ def load_history(
                 commit=str(raw.get("commit", "unknown")),
                 branch=str(raw.get("branch", "unknown")),
                 machine=dict(raw.get("machine", {})),
-                engine=str(raw.get("engine", "unknown")),
                 smoke=bool(raw.get("smoke", False)),
                 metrics={
                     str(k): float(v) for k, v in dict(raw["metrics"]).items()

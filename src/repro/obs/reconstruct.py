@@ -28,9 +28,9 @@ request arrived, how long it queued, when it finished, whether it
 escalated and what each leg billed — not per-batch start/finish times.
 The rebuilt tree is therefore ``request → queue-wait → leg(fast) →
 escalate`` with leg ends *estimated* from billed node-seconds (clamped
-to the finish time).  :func:`trace_from_record` builds the exact same
-tree from one live :class:`RequestRecord` (the synchronous gateway has
-no report), so the two are testable against each other.
+to the finish time).  :func:`trace_from_record` builds the same tree
+for one live :class:`RequestRecord` (the synchronous gateway has no
+report) by transposing it to one-row columns first.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.obs.trace import (
     trace_id_for,
     trace_text,
 )
+from repro.service.simulation.report import RecordColumns
 
 __all__ = [
     "ColumnSegment",
@@ -392,32 +393,7 @@ def _slots(columns, numeric, rows, n_spans: int, as_json: bool) -> List[list]:
 def trace_from_record(record) -> Trace:
     """Coarse span tree for one finished :class:`RequestRecord` (the
     synchronous gateway's sessions have no report to rebuild from)."""
-    fast_version = record.versions_used[0] if record.versions_used else None
-    accurate_version = (
-        record.versions_used[1] if len(record.versions_used) > 1 else None
-    )
-    fast_seconds = (
-        record.node_seconds.get(fast_version) if fast_version else None
-    )
-    accurate_seconds = (
-        record.node_seconds.get(accurate_version) if accurate_version else None
-    )
-    qw_end = record.arrival_s + record.queue_wait_s
-    if record.escalated and fast_seconds is not None:
-        fast_end = min(qw_end + fast_seconds, record.finished_s)
-    else:
-        fast_end = record.finished_s
-    return _coarse_trace(
-        record.request_id,
-        record_skeleton(record),
-        escalated=record.escalated,
-        failed=record.failed,
-        fast_version=fast_version,
-        fast_seconds=fast_seconds,
-        fast_end=fast_end,
-        accurate_version=accurate_version,
-        accurate_seconds=accurate_seconds,
-    )
+    return _from_columns(RecordColumns.from_records([record]))[0]
 
 
 def traces_from_report(report) -> List[Trace]:

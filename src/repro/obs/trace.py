@@ -413,9 +413,9 @@ class TraceCollector:
     def load_jsonl(cls, path) -> "TraceCollector":
         """Load a collector back from :meth:`export_jsonl` output.
 
-        The header's trace count and digest are both re-verified, so a
-        truncated or edited file cannot masquerade as the recorded run;
-        whatever is wrong raises one
+        The header must carry the digest, and it and the trace count are
+        both re-verified, so a truncated or edited file cannot masquerade
+        as the recorded run; whatever is wrong raises one
         :class:`~repro.core.errors.TraceFileError` naming the file and
         the 1-based line.  No line is skipped.
         """
@@ -430,6 +430,8 @@ class TraceCollector:
                         collector.add_trace(Trace.from_dict(payload))
                     elif payload.get("kind") == "trace-run":
                         header = payload
+                        if not isinstance(header["digest"], str):
+                            raise TypeError("the header's digest is not a string")
                         for event in header.get("run_events", ()):
                             collector.add_run_event(
                                 event["time_s"],
@@ -449,8 +451,7 @@ class TraceCollector:
             raise TraceFileError(
                 path, 1, "not a trace-run JSONL file (bad header)"
             )
-        expected = header.get("digest")
-        if expected is not None and collector.digest() != expected:
+        if collector.digest() != header["digest"]:
             raise TraceFileError(
                 path,
                 1,

@@ -197,8 +197,10 @@ class TierGateway:
             the same structured error.
         trace: Optional :class:`~repro.obs.trace.TraceCollector` — the
             session's ``TraceSink``.  On a simulated backend it is
-            forwarded to the engine (rich virtual-clock spans, one tree
-            per request, available after :meth:`drain`); on synchronous
+            forwarded to the engine (virtual-clock spans, one tree per
+            request, available after :meth:`drain`; per-attempt detail
+            only when faults, control or an autoscaler make the run take
+            the scalar loop); on synchronous
             backends the gateway records coarse trees at submit time.
             Ticket-level access via :meth:`trace_for`.  Strictly
             opt-in: responses, reports and digests are identical with
@@ -237,8 +239,8 @@ class TierGateway:
         if trace is not None:
             attach = getattr(backend, "attach_trace", None)
             if attach is not None:
-                # Simulated backend: the engine records rich spans on
-                # the virtual clock.  Must happen before bind() below.
+                # Simulated backend: the engine records spans on the
+                # virtual clock.  Must happen before bind() below.
                 attach(trace)
         self._executor = PolicyExecutor(backend)
         self._tickets: List[TierTicket] = []

@@ -84,7 +84,6 @@ class SimulatedBackend:
         control=None,
         control_measurements=None,
         seed: int = 0,
-        engine: Optional[str] = None,
         trace=None,
     ) -> None:
         self.cluster = cluster
@@ -100,7 +99,6 @@ class SimulatedBackend:
             control=control,
             measurements=control_measurements,
             seed=seed,
-            engine=engine,
             trace=trace,
         )
         self._simulator: Optional[ServingSimulator] = None
@@ -116,7 +114,6 @@ class SimulatedBackend:
         *,
         check_invariants: bool = False,
         selection_policy=None,
-        engine: Optional[str] = None,
         trace=None,
     ) -> "SimulatedBackend":
         """Build a backend from a scenario spec's engine-facing fields.
@@ -136,8 +133,6 @@ class SimulatedBackend:
             check_invariants: Verify conservation laws at drain time.
             selection_policy: Within-pool node selection override
                 (join-shortest-queue by default).
-            engine: Execution engine override, forwarded to the
-                simulator (``None`` keeps its default resolution).
         """
         cluster = build_replay_cluster(
             measurements, dict(spec.pools), selection_policy=selection_policy
@@ -146,7 +141,6 @@ class SimulatedBackend:
             cluster,
             check_invariants=check_invariants,
             control_measurements=measurements,
-            engine=engine,
             trace=trace,
             **spec.engine_fields(),
         )
@@ -160,7 +154,6 @@ class SimulatedBackend:
         *,
         check_invariants: bool = False,
         selection_policy=None,
-        engine: Optional[str] = None,
         trace=None,
     ) -> "SimulatedBackend":
         """Build a backend for one region of a multi-region spec.
@@ -183,7 +176,6 @@ class SimulatedBackend:
                 faults reference.
             check_invariants: Verify conservation laws at drain time.
             selection_policy: Within-pool node selection override.
-            engine: Execution engine override.
             trace: Optional trace sink, as for :meth:`from_scenario`.
         """
         if isinstance(region, str):
@@ -199,7 +191,6 @@ class SimulatedBackend:
             measurements,
             check_invariants=check_invariants,
             selection_policy=selection_policy,
-            engine=engine,
             trace=trace,
         )
 

@@ -8,9 +8,8 @@ phases make parallel determinism structural rather than lucky:
    every failover decision and boundary event up front.
 2. **Shard** (serial or ``parallel=N`` worker processes): each region
    executes :func:`~repro.service.regions.shard.run_shard` on a fully
-   self-contained task.  Workers share no state and the engine choice
-   is resolved *before* fan-out, so a worker's environment cannot
-   change behaviour.
+   self-contained task.  Workers share no state; each shard picks its
+   loop from its own run, so where it runs cannot change behaviour.
 3. **Merge** (serial): results key back to declaration order and fold
    with the planned boundary stream into a
    :class:`~repro.service.regions.report.MultiRegionReport`, whose
@@ -34,7 +33,6 @@ from repro.service.regions.report import MultiRegionReport, merge_shards
 from repro.service.regions.router import RegionRouter, RouterPlan, ShardPlan
 from repro.service.regions.shard import ShardResult, ShardTask, run_shard
 from repro.service.regions.spec import MultiRegionSpec
-from repro.service.simulation.engine import resolve_engine
 from repro.service.simulation.seeds import (
     audit_seed_streams,
     streams_for_spec,
@@ -68,18 +66,11 @@ def build_shard_tasks(
     plan: RouterPlan,
     measurements: MeasurementSet,
     *,
-    engine: Optional[str] = None,
     check_invariants: bool = False,
     keep_reports: bool = False,
     trace: bool = False,
 ) -> List[ShardTask]:
-    """Self-contained worker tasks for every shard of a plan.
-
-    The engine is resolved here, in the *parent*
-    (:func:`~repro.service.simulation.engine.resolve_engine`), and
-    pinned into each task.
-    """
-    resolved = resolve_engine(engine)
+    """Self-contained worker tasks for every shard of a plan."""
     tasks: List[ShardTask] = []
     for shard in plan.shards:
         tasks.append(
@@ -96,7 +87,6 @@ def build_shard_tasks(
                 n_kept=shard.n_kept,
                 n_outgoing=shard.n_outgoing,
                 n_denied=shard.n_denied,
-                engine=resolved,
                 check_invariants=check_invariants,
                 keep_report=keep_reports,
                 trace=trace,
@@ -146,7 +136,6 @@ def run_multi_region(
     measurements: MeasurementSet,
     *,
     parallel: Optional[int] = None,
-    engine: Optional[str] = None,
     check_invariants: bool = False,
     keep_reports: bool = False,
     trace=None,
@@ -160,8 +149,6 @@ def run_multi_region(
         parallel: Worker-process count for the shard phase; ``None`` or
             ``1`` runs shards serially in-process.  The merged report
             (and its digest) is identical either way.
-        engine: Per-shard engine override, forwarded to every
-            :class:`~repro.service.simulation.engine.ServingSimulator`.
         check_invariants: Enable each shard engine's conservation
             checker (the multi-region conservation identities are
             always verified at merge time).
@@ -181,7 +168,6 @@ def run_multi_region(
     tasks = build_shard_tasks(
         plan,
         measurements,
-        engine=engine,
         check_invariants=check_invariants,
         keep_reports=keep_reports,
         trace=trace is not None,

@@ -52,8 +52,7 @@ class ShardTask:
     """Everything one worker needs — picklable, fully self-contained.
 
     ``scenario`` already carries the spawned shard seed (the plan phase
-    substituted it), and ``engine`` is resolved by the parent before
-    fan-out so a worker's environment cannot change engine selection.
+    substituted it).
     """
 
     region: RegionSpec
@@ -66,7 +65,6 @@ class ShardTask:
     n_kept: int
     n_outgoing: int
     n_denied: int
-    engine: Optional[str] = None
     check_invariants: bool = False
     keep_report: bool = False
     #: Record one span tree per request (see :mod:`repro.obs`).  The
@@ -88,7 +86,7 @@ class ShardResult:
             digest when every arrival failed over and none arrived).
         summary: The shard report's flat summary dict (zeros when empty).
         engine_used: Execution engine that actually ran the shard.
-        fallback_reason: Why a columnar-requested shard fell back.
+        fallback_reason: Why the shard fell back to the legacy loop.
         n_submitted / n_local / n_incoming: Workload accounting.
         n_assigned / n_outgoing / n_denied: Routing accounting (from
             the plan; conservation checks tie the two together).
@@ -198,7 +196,6 @@ def run_shard(task: ShardTask) -> ShardResult:
         configuration=scenario.configuration,
         measurements=task.measurements,
         check_invariants=task.check_invariants,
-        engine=task.engine,
         trace=recorder,
         **scenario.engine_fields(),
     )

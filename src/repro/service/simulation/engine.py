@@ -61,8 +61,9 @@ Submissions wait in one store (parallel columns in submission order) and
 what the deployment cannot serve at all — a repeated id, an unmeasured
 payload, a bad threshold, fast == accurate, an undeployed or unrefillable
 pool — is refused with a :class:`~repro.core.errors.TierError` before any
-node is written.  Only then does the requested loop run; a *fallback*
-means the columnar loop lacks a capability and this loop finishes the run.
+node is written.  Only then is a loop picked, from the run alone: the
+columnar loop unless it lacks a capability the run needs (a *fallback*),
+in which case this loop finishes the run.
 
 The event loop is single-threaded and deterministic: same seed, same
 arrival process, same fault schedule, same report — fault-free runs
@@ -78,7 +79,6 @@ reconcile it at drain time.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -128,35 +128,10 @@ from repro.service.simulation.invariants import InvariantChecker
 from repro.service.simulation.replay import MeasurementReplayVersion
 from repro.service.simulation.report import LoadTestReport, RequestRecord
 
-__all__ = ["ServingSimulator", "resolve_engine"]
+__all__ = ["ServingSimulator"]
 
 #: Safety valve: no sane load test needs more events than this.
 _MAX_EVENTS = 10_000_000
-
-#: Environment override for the default execution engine (see the
-#: ``engine`` constructor argument).  The test matrix uses it to run the
-#: whole suite under either engine without threading a parameter through
-#: every call site.
-_ENGINE_ENV = "REPRO_SIM_ENGINE"
-
-_ENGINES = ("columnar", "legacy")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """The execution engine a simulator built with ``engine`` requests.
-
-    An explicit name wins; ``None`` reads ``REPRO_SIM_ENGINE`` and
-    defaults to ``"columnar"``.  The only reader of that variable — the
-    region runner resolves through here before fan-out, so a worker's
-    environment cannot change engine selection.
-    """
-    if engine is None:
-        engine = os.environ.get(_ENGINE_ENV) or "columnar"
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose one of {_ENGINES}"
-        )
-    return engine
 
 #: Generated request ids are deterministic ("load_%06d" over the
 #: submission counter), so a process-wide cache amortizes string
@@ -311,6 +286,12 @@ class ServingSimulator:
     models a conventional deployment (e.g. OSFA as a single-version
     configuration of the most accurate model).
 
+    Submissions are always deferred and :meth:`drain` picks the loop from
+    the run: the vectorized one in :mod:`repro.service.simulation.columnar`
+    whenever the run is fault-free and open-loop over a replay cluster
+    (router or fixed configuration alike), the scalar event loop
+    (bit-identically, see ``fallback_reason``) otherwise.
+
     Args:
         cluster: The deployment whose queues and pools the simulation
             drives.  Its load-balancer policy decides per-job node choice;
@@ -356,17 +337,6 @@ class ServingSimulator:
         seed: Seed for arrival sampling and payload choice (transient
             fault draws use a generator derived from it, so healthy and
             faulty runs see identical arrivals).
-        engine: Execution engine.  Submissions are always deferred and
-            :meth:`drain` picks the loop: ``"columnar"`` (default) takes
-            the vectorized hot path in
-            :mod:`repro.service.simulation.columnar` whenever the run
-            is fault-free and open-loop over a replay cluster (router
-            or fixed configuration alike) — falling back to the legacy
-            event loop (bit-identically, see ``fallback_reason``)
-            otherwise;
-            ``"legacy"`` pins the original scalar event loop, the
-            correctness oracle of the differential test harness.
-            ``None`` resolves through :func:`resolve_engine`.
     """
 
     def __init__(
@@ -383,14 +353,11 @@ class ServingSimulator:
         control=None,
         trace=None,
         seed: int = 0,
-        engine: Optional[str] = None,
     ) -> None:
-        #: The requested engine ("columnar" may still fall back per run).
-        self.engine = resolve_engine(engine)
-        #: Engine that actually drained the run ("columnar"/"legacy"),
-        #: set by :meth:`drain`.
+        #: Engine that drained the run ("columnar"/"legacy"), set by
+        #: :meth:`drain`.
         self.engine_used: Optional[str] = None
-        #: Why a columnar-requested run fell back to the legacy path.
+        #: Why the run fell back to the legacy path.
         self.fallback_reason: Optional[str] = None
         #: Everything submitted, read by drain().
         self._store = _Submissions()
@@ -691,7 +658,7 @@ class ServingSimulator:
         """The door: refuse what neither loop can serve, before either runs.
 
         One pass over the submission store and the routed configurations,
-        whichever engine was asked for.  Every refusal is a
+        whichever loop then runs.  Every refusal is a
         :class:`~repro.core.errors.TierError` — a repeated id or an
         unmeasured payload (``RequestValidationError``), a threshold
         missing or outside ``[0, 1]`` or fast == accurate
@@ -763,16 +730,17 @@ class ServingSimulator:
     # draining
     # ------------------------------------------------------------------
     def drain(self) -> LoadTestReport:
-        """Run the requested loop until every submitted request has resolved.
+        """Run the submitted load test until every request has resolved.
 
         A request resolves by completing or by failing terminally; jobs
         still parked behind dead pools when the loop empties resolve as
         failed requests (capacity never came back for them).  A drained
         simulator, an empty store (``ValueError``) and what the
         deployment cannot serve at all (a ``TierError``, see
-        :meth:`_refuse_unservable`) are refused first, on either engine,
-        with nothing run; ``fallback_reason`` names only a capability the
-        columnar loop lacks, and the event loop then finishes the run.
+        :meth:`_refuse_unservable`) are refused first, with nothing run.
+        The columnar loop runs unless ``columnar_ineligibility`` names a
+        capability it lacks; that reason becomes ``fallback_reason`` and
+        the event loop finishes the run.
         """
         self._require_undrained()
         store = self._store
@@ -783,19 +751,16 @@ class ServingSimulator:
         # Let through: the simulator's one load test starts here, and a
         # loop that dies halfway leaves it spent, not re-drainable.
         self._drained = True
-        if self.engine == "columnar":
-            reason = columnar_ineligibility(self, configurations)
-            if reason is None:
-                report = run_columnar(self, configurations, codes, replay_rows)
-                self.engine_used = report.engine_used = "columnar"
-                self._remaining = 0
-                if self._trace is not None:
-                    self._trace.on_columnar_report(report)
-                    self._trace.on_run_complete(
-                        report.fault_log, report.control_log
-                    )
-                return report
-            self.fallback_reason = reason
+        reason = columnar_ineligibility(self, configurations)
+        if reason is None:
+            report = run_columnar(self, configurations, codes, replay_rows)
+            self.engine_used = report.engine_used = "columnar"
+            self._remaining = 0
+            if self._trace is not None:
+                self._trace.on_columnar_report(report)
+                self._trace.on_run_complete(report.fault_log, report.control_log)
+            return report
+        self.fallback_reason = reason
         # The event loop: replay the store in submission order (see
         # _enqueue()), building a ServiceRequest only for a row that has
         # none.  A router-driven run reads each arrival's configuration

@@ -156,7 +156,6 @@ def build_simulator(
     measurements: Optional[MeasurementSet] = None,
     seed: int = 0,
     check_invariants: bool = False,
-    engine: Optional[str] = None,
     trace=None,
 ) -> ServingSimulator:
     """Inflate engine-facing scenario fields into a ready simulator.
@@ -195,7 +194,6 @@ def build_simulator(
         control=control,
         trace=trace,
         seed=seed,
-        engine=engine,
     )
 
 
@@ -205,7 +203,6 @@ def run_scenario(
     *,
     check_invariants: bool = False,
     selection_policy=None,
-    engine=None,
     trace=None,
 ) -> LoadTestReport:
     """Inflate a scenario against a measurement table and run it.
@@ -223,9 +220,6 @@ def run_scenario(
         selection_policy: Within-pool node selection override, forwarded
             to :func:`~repro.service.simulation.replay.build_replay_cluster`
             (join-shortest-queue by default).
-        engine: Execution engine override, forwarded to
-            :class:`~repro.service.simulation.engine.ServingSimulator`
-            (``None`` keeps the simulator's own default resolution).
         trace: Optional trace sink: a
             :class:`~repro.obs.trace.TraceCollector` (the simulator wraps
             it in a :class:`~repro.obs.record.SimTraceRecorder`)
@@ -240,7 +234,6 @@ def run_scenario(
         configuration=spec.configuration,
         measurements=measurements,
         check_invariants=check_invariants,
-        engine=engine,
         trace=trace,
         **spec.engine_fields(),
     )

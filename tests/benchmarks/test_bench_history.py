@@ -9,6 +9,7 @@ end-to-end ``results.json`` reader behind ``history.py append``, and the
 one writer (``write_section``) every non-serving bench goes through.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,6 @@ def make_entry(value, *, timestamp, smoke=False, source="bench_perf",
         {label: float(value)},
         source=source,
         smoke=smoke,
-        engine="columnar",
         timestamp=timestamp,
         machine=machine,
         git={"commit": "abc123", "branch": branch},
@@ -213,21 +213,12 @@ class TestFlattenMetrics:
 
 
 class TestEntryMetadata:
-    def test_engine_defaults_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        entry = history.entry_from_metrics(
-            {"a.b": 1.0}, source="bench_perf", smoke=False,
-            timestamp=1.0, machine=MACHINE_A, git={"commit": "c", "branch": "m"},
-        )
-        assert entry.engine == "event"
-
-    def test_engine_defaults_to_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        entry = history.entry_from_metrics(
-            {"a.b": 1.0}, source="bench_perf", smoke=False,
-            timestamp=1.0, machine=MACHINE_A, git={"commit": "c", "branch": "m"},
-        )
-        assert entry.engine == "columnar"
+    def test_a_row_with_the_retired_engine_label_still_loads(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        entry = make_entry(1.0, timestamp=1.0)
+        raw = {**dataclasses.asdict(entry), "engine": "columnar"}
+        path.write_text(json.dumps(raw) + "\n")
+        assert history.load_history(path) == [entry]
 
     def test_defaults_fill_machine_git_and_timestamp(self):
         entry = history.entry_from_metrics(
@@ -386,7 +377,7 @@ class TestGatewayExportSeam:
         raw = json.loads(path.read_text().strip())
         assert set(raw) == {
             "schema", "timestamp", "source", "commit", "branch",
-            "machine", "engine", "smoke", "metrics",
+            "machine", "smoke", "metrics",
         }
         assert raw["schema"] == history.SCHEMA_VERSION
 

@@ -167,7 +167,6 @@ def seeded_history(tmp_path, values, *, label="policy_evaluation.rows_per_s", sm
             {label: float(value)},
             source="bench_perf",
             smoke=smoke,
-            engine="columnar",
             timestamp=1_000.0 + i,
             machine={"hostname": "quiet-box", "platform": "linux", "python": "3", "cpu_count": 8},
             git={"commit": f"c{i}", "branch": "main"},

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle.scalar import loop
 from repro.datasets import make_imagenet_surrogate, make_voxforge_surrogate
 from repro.service import measure_asr_service, measure_ic_service
 
@@ -72,27 +73,19 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.fixture(
-    params=[
-        "legacy",
-        pytest.param(
-            "columnar",
-            marks=[pytest.mark.slow, pytest.mark.sim_engine_matrix],
-        ),
-    ]
-)
-def sim_engine(request, monkeypatch):
-    """Which simulator execution engine the test runs under.
+@pytest.fixture(params=[pytest.param("legacy", marks=pytest.mark.slow), "columnar"])
+def sim_loop(request):
+    """Which loop the test's drains run on.
 
     The simulator suites (``tests/service``, ``tests/gateway``,
-    ``tests/control``) activate this fixture autouse via their local
-    conftests, so every test there runs once per engine — the columnar
-    leg is the differential half of the dual-engine harness (see
-    ``docs/PERFORMANCE.md``).  The columnar parameter carries the
-    ``slow`` marker: the fast CI tier (``-m "not slow"``) pins the
-    legacy oracle to keep push latency flat, the full tier runs both.
-    Tests that drive both engines explicitly (the differential suite)
-    shadow this fixture to opt out of the doubling.
+    ``tests/control``, ``tests/regions``) activate this fixture autouse
+    via their local conftests, so every test there runs twice:
+    ``"columnar"`` on the default path (the loop ``drain()`` picks from
+    the run), ``"legacy"`` inside ``tests/oracle/scalar.py``'s
+    ``scalar_loop()``, so the scalar oracle must reach the same verdicts.
+    The oracle leg is marked ``slow``: the fast CI tier tests the path
+    users run, the full tier both.  Modules that pick their loops
+    themselves shadow this fixture to run once.
     """
-    monkeypatch.setenv("REPRO_SIM_ENGINE", request.param)
-    return request.param
+    with loop(request.param):
+        yield request.param

@@ -1,14 +1,14 @@
-"""Engine-matrix activation for the control-plane suite.
+"""Loop-matrix activation for the control-plane suite.
 
-Every test in this directory runs under both execution engines via the
-root ``sim_engine`` fixture (legacy in the fast tier, legacy + columnar
-in the full tier); the engine arrives through the ``REPRO_SIM_ENGINE``
-environment override, so no call site needs an explicit parameter.
+Every test in this directory runs on both loops via the root
+``sim_loop`` fixture (the default path in the fast tier, the default
+path + the scalar oracle in the full tier); no call site needs a
+parameter.
 """
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
-def _sim_engine_matrix(sim_engine):
-    return sim_engine
+def _sim_loop_matrix(sim_loop):
+    return sim_loop

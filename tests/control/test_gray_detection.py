@@ -206,7 +206,7 @@ def test_detects_injected_gray_failure_end_to_end():
             ),
         ),
     )
-    report = run_scenario(spec, toy, check_invariants=True, engine="legacy")
+    report = run_scenario(spec, toy, check_invariants=True)
     kinds = [e.kind for e in report.control_log]
     assert "gray-detected" in kinds
     assert "gray-cleared" in kinds
@@ -216,5 +216,5 @@ def test_detects_injected_gray_failure_end_to_end():
     gray = spec.faults[0]
     assert gray.at_s <= detected_at <= gray.until_s  # caught while active
 
-    again = run_scenario(spec, toy, check_invariants=True, engine="legacy")
+    again = run_scenario(spec, toy, check_invariants=True)
     assert report.digest() == again.digest()

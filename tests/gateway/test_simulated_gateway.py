@@ -19,6 +19,7 @@ Two contracts are pinned here:
 import numpy as np
 import pytest
 
+from oracle.scalar import default_loop, outcome
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import (
     BackendCapabilityError,
@@ -453,7 +454,6 @@ def _routed_family(seed, measurements):
         if seed % 2
         else None,
         seed=seed,
-        engine="columnar",  # whatever engine the suite's matrix pins
     )
     gateway = TierGateway(backend, router=_CountingRouter(tables))
     return gateway, requests, times.tolist()
@@ -461,12 +461,15 @@ def _routed_family(seed, measurements):
 
 class TestRoutedSessionResolvesFromColumns:
     @pytest.mark.parametrize("seed", range(8))
-    def test_column_resolve_is_the_record_resolve(self, seed, measurements):
+    def test_column_resolve_is_the_record_resolve(
+        self, seed, measurements, sim_loop
+    ):
         gateway, requests, times = _routed_family(seed, measurements)
         tickets = gateway.submit_batch(requests, at_times=times)
         responses = gateway.drain()
         report = gateway.backend.last_report
-        assert report.engine_used == "columnar" and report.columns is not None
+        assert (report.engine_used, report.fallback_reason) == outcome(sim_loop)
+        assert report.columns is not None
 
         walked = TierGateway(
             _CannedBackend(list(report.records)), router=gateway.router
@@ -495,7 +498,8 @@ class TestRoutedSessionResolvesFromColumns:
         monkeypatch.setattr(RecordColumns, "record", counted)
         gateway, requests, times = _routed_family(3, measurements)
         tickets = gateway.submit_batch(requests, at_times=times)
-        responses = gateway.drain()
+        with default_loop():  # the columnar loop's property, on both legs
+            responses = gateway.drain()
         assert built == []
         assert [t.result() for t in tickets] and built == []
         assert len(responses) == len(tickets) and all(t.ok for t in tickets)
@@ -547,7 +551,7 @@ class TestDeferredSubmissionIsValidatedBeforeItIsIssued:
         tickets = gateway.submit_batch(requests, at_times=times)
         assert len(gateway.drain()) == len(tickets) == 6
 
-    def test_duplicate_request_ids_are_rejected(self, measurements):
+    def test_duplicate_request_ids_are_rejected(self, measurements, sim_loop):
         gateway, requests, times = self._gateway(measurements)
         first = gateway.submit(requests[0], at_time=times[0])
         with pytest.raises(RequestValidationError, match="routed_0000"):
@@ -562,7 +566,8 @@ class TestDeferredSubmissionIsValidatedBeforeItIsIssued:
         tickets = gateway.submit_batch(requests[1:], at_times=times[1:])
         responses = gateway.drain()
         assert len(responses) == 6 and all(t.ok for t in (first, *tickets))
-        assert gateway.backend.last_report.fallback_reason is None
+        report = gateway.backend.last_report
+        assert (report.engine_used, report.fallback_reason) == outcome(sim_loop)
 
     @pytest.mark.parametrize("at_time", [float("nan"), float("inf")])
     def test_non_finite_arrival_times_are_rejected(self, at_time, measurements):

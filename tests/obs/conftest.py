@@ -1,10 +1,10 @@
 """Fixtures for the observability suite.
 
-Deliberately **no** autouse engine matrix here: trace *shapes* differ
-by engine (the legacy loop records rich per-attempt spans live, the
-columnar engine reconstructs coarse trees post hoc), so every test in
-this directory pins its engine explicitly instead of inheriting the
-``sim_engine`` doubling.
+Trace *shapes* differ by loop: the scalar loop records per-attempt spans
+live, the columnar loop reconstructs coarse trees post hoc.  A run takes
+the scalar loop when it needs faults, control or an autoscaler; a test
+that wants per-attempt trees for a fault-free run drains it inside
+``tests/oracle/scalar.py``'s ``scalar_loop()``.
 """
 
 import pytest

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from oracle.scalar import loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SequentialPolicy
 from repro.obs import Span, Trace, TraceCollector
@@ -293,15 +294,16 @@ def built(monkeypatch):
 
 def _traced_run_load(toy, collector, *, engine="columnar", n=120):
     gateway = TierGateway(
-        SimulatedBackend(
-            build_replay_cluster(toy, {"fast": 2, "slow": 2}), seed=5, engine=engine
-        ),
+        SimulatedBackend(build_replay_cluster(toy, {"fast": 2, "slow": 2}), seed=5),
         configuration=EnsembleConfiguration(
             "seq", SequentialPolicy("fast", "slow", 0.6)
         ),
         trace=collector,
     )
-    report = gateway.run_load(PoissonArrivals(3.0), n, payload_ids=toy.request_ids)
+    with loop(engine):
+        report = gateway.run_load(
+            PoissonArrivals(3.0), n, payload_ids=toy.request_ids
+        )
     assert report.engine_used == engine
     return report
 

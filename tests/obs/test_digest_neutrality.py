@@ -12,6 +12,7 @@ the multi-region runner.
 
 import pytest
 
+from oracle.scalar import loop
 from repro.obs import TraceCollector
 from repro.service.simulation import (
     canonical_scenarios,
@@ -31,9 +32,10 @@ def _spec(name):
 
 def _assert_neutral(name, toy, engine):
     spec = _spec(name)
-    off = run_scenario(spec, toy, engine=engine)
     collector = TraceCollector()
-    on = run_scenario(spec, toy, engine=engine, trace=collector)
+    with loop(engine):
+        off = run_scenario(spec, toy)
+        on = run_scenario(spec, toy, trace=collector)
     assert on.digest() == off.digest(), (
         f"attaching a trace collector changed the report digest for "
         f"{name!r} under the {engine} engine"
@@ -70,8 +72,8 @@ def test_full_scenario_sweep_is_trace_neutral(toy, engine):
 
 
 def test_fault_scenario_traces_are_engine_invariant(toy):
-    """Fault schedules force the columnar engine's legacy fallback, so
-    both engine settings record the identical rich trace stream."""
+    """Fault schedules force the scalar loop on the default path, so it
+    records the same per-attempt trace stream as the oracle."""
     legacy = _assert_neutral("gray-failure", toy, "legacy")
     columnar = _assert_neutral("gray-failure", toy, "columnar")
     assert legacy.digest() == columnar.digest()

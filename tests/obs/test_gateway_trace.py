@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle.scalar import loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -126,7 +127,7 @@ class TestSimulatedGateway:
     def test_drained_session_fills_the_collector(self, toy, engine):
         spec = canonical_scenarios()["baseline"]
         collector = TraceCollector()
-        backend = SimulatedBackend.from_scenario(spec, toy, engine=engine)
+        backend = SimulatedBackend.from_scenario(spec, toy)
         gateway = TierGateway(
             backend, configuration=spec.configuration, trace=collector
         )
@@ -141,7 +142,9 @@ class TestSimulatedGateway:
             )
             for i in range(10)
         ]
-        gateway.drain()
+        with loop(engine):
+            gateway.drain()
+        assert backend.last_report.engine_used == engine
         assert len(collector) == 10
         for ticket in tickets:
             trace = gateway.trace_for(ticket)
@@ -152,9 +155,7 @@ class TestSimulatedGateway:
         spec = canonical_scenarios()["baseline"]
 
         def _run(trace):
-            backend = SimulatedBackend.from_scenario(
-                spec, toy, engine="columnar", trace=trace
-            )
+            backend = SimulatedBackend.from_scenario(spec, toy, trace=trace)
             gateway = TierGateway(backend, configuration=spec.configuration)
             for i in range(10):
                 gateway.submit(
@@ -198,7 +199,6 @@ class TestSimulatedGateway:
             backend = SimulatedBackend(
                 build_replay_cluster(toy, {"fast": 2, "slow": 2}),
                 batching=BatchingConfig(max_batch_size=4, max_wait_s=0.02),
-                engine="columnar",
             )
             gateway = TierGateway(
                 backend,

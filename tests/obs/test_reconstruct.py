@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracle.report_reference import confuses_none_with_nan, drops_the_sentinel
+from oracle.scalar import loop
 from repro.obs import TraceCollector, trace_from_record, traces_from_report
 from repro.service.control import AdmissionSpec, ControlSpec, SLOSpec
 from repro.service.simulation import (
@@ -63,7 +64,7 @@ def _assert_report_traces_are_its_records_traces(report):
 @pytest.fixture(scope="module")
 def columnar_report(toy):
     spec = canonical_scenarios()["baseline"]
-    report = run_scenario(spec, toy, engine="columnar")
+    report = run_scenario(spec, toy)
     assert report.engine_used == "columnar"
     return report
 
@@ -83,7 +84,8 @@ class TestPathEquivalence:
         this is the column renderer against an independent walk: failed
         rows (``flaky``, ``cascade``, ``retry-storm``) billed nothing
         and must not grow a ``leg`` span."""
-        report = run_scenario(_specs()[name], toy, engine=engine)
+        with loop(engine):
+            report = run_scenario(_specs()[name], toy)
         _assert_report_traces_are_its_records_traces(report)
         digests = [
             _digest_of(traces)
@@ -112,7 +114,7 @@ class TestPathEquivalence:
             "from_records",
             drops_the_sentinel(RecordColumns.from_records),
         )
-        report = run_scenario(_specs()["retry-storm"], toy, engine="legacy")
+        report = run_scenario(_specs()["retry-storm"], toy)
         assert report.n_failed > 0
         with pytest.raises(AssertionError):
             _assert_report_traces_are_its_records_traces(report)
@@ -128,7 +130,7 @@ class TestPathEquivalence:
             "from_records",
             confuses_none_with_nan(RecordColumns.from_records),
         )
-        report = run_scenario(_specs()["flaky"], toy, engine="legacy")
+        report = run_scenario(_specs()["flaky"], toy)
         assert report.n_failed > 0
         with pytest.raises(AssertionError):
             _assert_report_traces_are_its_records_traces(report)

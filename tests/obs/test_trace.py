@@ -1,8 +1,11 @@
 """The span model: deterministic ids, digests, and the JSONL round-trip."""
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import TierError, TraceFileError
 from repro.obs import Span, SpanEvent, Trace, TraceCollector
@@ -132,14 +135,22 @@ class TestCorruptFiles:
         assert f"line {error.line}" in str(error)
         return error
 
-    def test_truncation_is_caught_without_a_digest(self, tmp_path):
+    @pytest.mark.parametrize("digest", ["missing", None, 5])
+    def test_an_edited_file_without_a_digest_is_refused(self, tmp_path, digest):
+        """Nothing else vouches for the spans: without a string digest an
+        edited span would load as if it were the recorded run."""
         path, lines = self._exported(tmp_path)
         header = json.loads(lines[0])
-        del header["digest"]
-        path.write_text("\n".join([json.dumps(header), lines[1]]) + "\n")
+        if digest == "missing":
+            del header["digest"]
+        else:
+            header["digest"] = digest
+        trace = json.loads(lines[2])
+        trace["spans"][0]["end_s"] = 99.0
+        lines[0], lines[2] = json.dumps(header), json.dumps(trace)
+        path.write_text("\n".join(lines) + "\n")
         error = self._load_error(path)
-        assert error.line == 2, "the last line the file still has"
-        assert "1 traces" in error.reason and "promises 3" in error.reason
+        assert error.line == 1 and "digest" in error.reason
 
     def test_a_line_cut_mid_object_names_its_own_line(self, tmp_path):
         path, lines = self._exported(tmp_path)
@@ -175,7 +186,80 @@ class TestCorruptFiles:
         header = json.loads(lines[0])
         header["n_traces"] = 4
         path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-        assert "promises 4" in self._load_error(path).reason
+        error = self._load_error(path)
+        assert error.line == 4, "the last line the file has"
+        assert "3 traces" in error.reason and "promises 4" in error.reason
+
+
+#: Header keys the property deletes, one at a time.
+_HEADER_KEYS = ("kind", "n_traces", "digest", "run_events")
+_ANYWHERE = st.integers(min_value=0, max_value=2**32)
+_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(("truncate", "drop", "duplicate", "edit")), _ANYWHERE),
+    st.tuples(st.just("unkey"), st.sampled_from(_HEADER_KEYS)),
+)
+#: A numeric token; group 1 is its leading digit.
+_NUMBER = re.compile(rb"-?(\d)\d*(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    """``data`` with one mutation: cut at a byte offset, drop a line,
+    duplicate a line, bump the leading digit of one numeric token, or
+    delete one header key."""
+    kind, where = mutation
+    lines = data.splitlines(keepends=True)
+    if kind == "truncate":
+        return data[: where % len(data)]
+    if kind == "drop":
+        del lines[where % len(lines)]
+    elif kind == "duplicate":
+        lines.insert(where % len(lines), lines[where % len(lines)])
+    elif kind == "edit":
+        tokens = list(_NUMBER.finditer(data))
+        i = tokens[where % len(tokens)].start(1)
+        return data[:i] + b"%d" % ((data[i] - ord("0") + 1) % 10) + data[i + 1:]
+    else:
+        header = json.loads(lines[0])
+        del header[where]
+        lines[0] = (json.dumps(header, sort_keys=True) + "\n").encode()
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def exported_run(tmp_path_factory):
+    """An exported multi-trace file with run events: path, bytes, digest."""
+    collector = TraceCollector()
+    for i in range(4):
+        trace = _trace(f"r{i}")
+        for span in trace.spans:
+            span.start_s += 0.25 * i
+            span.end_s += 0.5 * i
+        collector.add_trace(trace)
+    collector.add_run_event(0.75, "fault:crash", "fast#0", None)
+    collector.add_run_event(2.0, "control:shed", "over budget", "us")
+    path = tmp_path_factory.mktemp("trace") / "run.jsonl"
+    collector.export_jsonl(path)
+    return path, path.read_bytes(), collector.digest()
+
+
+@settings(max_examples=200, deadline=None)
+@example(mutation=("unkey", "digest"))
+@given(mutation=_MUTATIONS)
+def test_a_mutated_file_loads_as_the_recorded_run_or_not_at_all(
+    mutation, exported_run
+):
+    """The loader's whole contract over single mutations: a
+    ``TraceFileError``, or the recorded run (same digest, and a header
+    that vouches for it) — never another exception, never another run."""
+    path, data, digest = exported_run
+    mutated = path.with_name("mutated.jsonl")
+    mutated.write_bytes(_mutate(data, mutation))
+    try:
+        loaded = TraceCollector.load_jsonl(mutated)
+    except TraceFileError:
+        return
+    assert loaded.digest() == digest
+    assert json.loads(mutated.read_bytes().splitlines()[0])["digest"] == digest
 
 
 class TestMetricsAndReplay:

@@ -2,11 +2,11 @@
 
 Report digests are pinned in ``tests/service/golden``; these goldens
 pin the *trace* stream for three canonical runs.  Trace shape depends
-on the engine (rich live recording vs coarse columnar reconstruction),
-so each golden pins its engine explicitly — fault scenarios fall back
-to the legacy loop under either setting and are engine-invariant,
-while the healthy baseline is pinned under the default columnar
-engine's coarse reconstruction.
+on the loop that ran (per-attempt live recording vs coarse columnar
+reconstruction), and each run picks its loop itself: the fault
+scenarios fall back to the scalar loop, the healthy baseline takes the
+columnar one.  The golden's name and ``"engine"`` field record which,
+and the test checks the run still picks that loop.
 
 Regenerate after an intentional trace-shape change::
 
@@ -28,7 +28,7 @@ from repro.service.simulation import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: ``(scenario, engine)`` pairs pinned to trace digests.
+#: ``(scenario, loop it picks)`` pairs pinned to trace digests.
 GOLDEN_TRACES = (
     ("baseline", "columnar"),
     ("node-crash", "legacy"),
@@ -66,7 +66,8 @@ def _payload(name, engine, collector):
 @pytest.mark.parametrize("name,engine", GOLDEN_TRACES)
 def test_golden_trace_digest(name, engine, toy, update_golden):
     collector = TraceCollector()
-    run_scenario(_spec(name), toy, engine=engine, trace=collector)
+    report = run_scenario(_spec(name), toy, trace=collector)
+    assert report.engine_used == engine
     payload = _payload(name, engine, collector)
     path = GOLDEN_DIR / f"{name}-{engine}.json"
 

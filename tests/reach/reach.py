@@ -236,7 +236,6 @@ def _run(label, kind, target, args, tmp: Path, bench: Path) -> Optional[Hits]:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(HERE)])
-    env.pop("REPRO_SIM_ENGINE", None)
     env.pop("REPRO_BENCH_SMOKE", None)
     command = [
         sys.executable,

@@ -1,9 +1,8 @@
-"""Engine-matrix activation + shared fixtures for the regions suite.
+"""Loop-matrix activation + shared fixtures for the regions suite.
 
-Multi-region runs resolve their per-shard engine from the same
-``REPRO_SIM_ENGINE`` override the root ``sim_engine`` fixture sets, so
-every test here executes under legacy in the fast tier and both
-engines in the full tier — shards included.
+Every test here runs on both loops via the root ``sim_loop`` fixture,
+shards included (serial shards run in the test's process; forked
+workers inherit the patched capability check).
 """
 
 import pytest
@@ -12,8 +11,8 @@ from repro.service.simulation.scenarios import scenario_measurements
 
 
 @pytest.fixture(autouse=True)
-def _sim_engine_matrix(sim_engine):
-    return sim_engine
+def _sim_loop_matrix(sim_loop):
+    return sim_loop
 
 
 @pytest.fixture(scope="module")

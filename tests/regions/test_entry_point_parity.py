@@ -3,13 +3,14 @@
 ``run_scenario``, a ``TierGateway`` session over
 ``SimulatedBackend.from_scenario`` and a region shard all build their
 engine through ``build_simulator``; with a trace sink attached they must
-agree on the report digest *and* on what was traced.  The engine comes
-from the suite's ``sim_engine`` matrix (legacy in the fast tier, both
-in the full tier).
+agree on the report digest *and* on what was traced.  Each run picks
+its loop from the run itself, so the canonical and chaos specs between
+them cover both.
 """
 
 import pytest
 
+from oracle.scalar import loop
 from repro.obs import TraceCollector
 from repro.service.gateway import SimulatedBackend, TierGateway
 from repro.service.regions import (
@@ -116,11 +117,11 @@ def test_run_after_drain_is_refused_up_front(toy, engine):
         build_replay_cluster(toy, dict(spec.pools)),
         configuration=spec.configuration,
         seed=spec.seed,
-        engine=engine,
     )
-    report = simulator.run(
-        PoissonArrivals(5.0), 10, payload_ids=toy.request_ids
-    )
+    with loop(engine):
+        report = simulator.run(
+            PoissonArrivals(5.0), 10, payload_ids=toy.request_ids
+        )
     assert report.engine_used == engine
 
     class _NeverSampled(PoissonArrivals):

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from oracle.scalar import default_loop
 from repro.service.gateway import SimulatedBackend, TierGateway
 from repro.service.regions import (
     MultiRegionSpec,
@@ -82,10 +83,11 @@ class TestRegionSLOReplay:
 
 
 class TestEngineFallbackSurface:
+    """What the default path picks per shard, on both legs of the matrix."""
+
     def test_faulted_region_reports_its_fallback(self, toy):
-        report = run_multi_region(
-            region_scenarios()["regional-outage"], toy, engine="columnar"
-        )
+        with default_loop():
+            report = run_multi_region(region_scenarios()["regional-outage"], toy)
         fallbacks = report.engine_fallbacks()
         assert set(fallbacks) == {"eu-west"}
         assert "NodeCrash" in fallbacks["eu-west"]
@@ -93,12 +95,11 @@ class TestEngineFallbackSurface:
         assert report.shard("eu-west").engine_used == "legacy"
         assert report.summary()["n_engine_fallbacks"] == 1.0
 
-    def test_legacy_runs_report_no_fallback(self, toy):
-        report = run_multi_region(
-            region_scenarios()["tri-steady"], toy, engine="legacy"
-        )
+    def test_healthy_regions_report_no_fallback(self, toy):
+        with default_loop():
+            report = run_multi_region(region_scenarios()["tri-steady"], toy)
         assert report.engine_fallbacks() == {}
-        assert all(s.engine_used == "legacy" for s in report.shards)
+        assert all(s.engine_used == "columnar" for s in report.shards)
 
 
 class TestEmptyShard:

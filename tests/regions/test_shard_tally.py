@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracle.scalar import default_loop
 from repro.service.control import TelemetryHub
 from repro.service.regions import (
     RegionRouter,
@@ -104,12 +105,11 @@ def test_columnar_slo_replay_builds_no_record(toy, monkeypatch):
     spec = region_scenarios()["partitioned-brownout"]
 
     def ap_south():
-        tasks = build_shard_tasks(
-            RegionRouter(spec, toy).plan(), toy, engine="columnar"
-        )
+        tasks = build_shard_tasks(RegionRouter(spec, toy).plan(), toy)
         (task,) = [t for t in tasks if t.region.name == "ap-south"]
         assert task.region.slos, "the scenario lost its region SLOs"
-        return run_shard(task)
+        with default_loop():  # the columnar loop's property, on both legs
+            return run_shard(task)
 
     built = []
     materialize = RecordColumns.record
@@ -122,11 +122,11 @@ def test_columnar_slo_replay_builds_no_record(toy, monkeypatch):
     assert by_slice.engine_used == "columnar" and built == []
     kinds = {entry.kind for entry in by_slice.slo_log}
     assert kinds == {"region-slo", "region-decision"}, "the replay lost its teeth"
-    merged = run_multi_region(spec, toy, engine="columnar").digest()
+    merged = run_multi_region(spec, toy).digest()
 
     monkeypatch.setattr(TelemetryHub, "publish_columns", _publish_rows_as_records)
     by_record = ap_south()
     assert len(built) == by_record.n_submitted
     assert by_record.slo_log == by_slice.slo_log
     assert by_record.digest == by_slice.digest
-    assert run_multi_region(spec, toy, engine="columnar").digest() == merged
+    assert run_multi_region(spec, toy).digest() == merged

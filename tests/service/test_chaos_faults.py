@@ -4,12 +4,12 @@ Each chaos event must do what it says on the virtual clock — latency
 inflation and silent confidence loss for gray failures, load-conditional
 peer failures for cascades, correlated bursts and budget-bounded
 amplification for retry storms, paired warmup windows for cold starts,
-and held-then-released surges for thundering herds — all under the
-legacy oracle with the invariant checker on.
+and held-then-released surges for thundering herds — all with the
+invariant checker on.
 
-Chaos runs always execute on the legacy engine (faults make the columnar
-fast path ineligible; the differential suite verifies the fallback), so
-this module shadows the suite-wide engine matrix to run once.
+Chaos runs execute on the scalar loop by themselves (faults make the
+columnar loop ineligible; the differential suite verifies the fallback);
+their fault-free twins run wherever the default path puts them.
 """
 
 from dataclasses import replace
@@ -31,8 +31,8 @@ from repro.service.simulation import (
 
 
 @pytest.fixture
-def sim_engine():
-    """Shadow the engine matrix: chaos always runs the legacy oracle."""
+def sim_loop():
+    """Shadow the loop matrix: chaos runs pick the scalar loop themselves."""
     return None
 
 
@@ -46,8 +46,8 @@ def chaos():
     return chaos_scenarios()
 
 
-def run_legacy(spec, toy):
-    return run_scenario(spec, toy, check_invariants=True, engine="legacy")
+def run_checked(spec, toy):
+    return run_scenario(spec, toy, check_invariants=True)
 
 
 def fault_kinds(report):
@@ -55,13 +55,13 @@ def fault_kinds(report):
 
 
 # ----------------------------------------------------------------------
-# all five, generically: legacy + invariants + determinism
+# all five, generically: invariants + determinism
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(chaos_scenarios()))
 def test_chaos_scenario_runs_deterministically_under_invariants(name, chaos, toy):
     spec = chaos[name]
-    first = run_legacy(spec, toy)
-    second = run_legacy(spec, toy)
+    first = run_checked(spec, toy)
+    second = run_checked(spec, toy)
     assert first.digest() == second.digest()
     assert first.n_requests == spec.n_requests
 
@@ -72,7 +72,7 @@ def test_chaos_changes_behaviour_vs_fault_free_run(name, chaos, toy):
     otherwise the scenario exercises nothing."""
     spec = chaos[name]
     healthy = replace(spec, name=f"{spec.name}-healthy", faults=())
-    assert run_legacy(spec, toy).digest() != run_legacy(healthy, toy).digest()
+    assert run_checked(spec, toy).digest() != run_checked(healthy, toy).digest()
 
 
 # ----------------------------------------------------------------------
@@ -80,8 +80,8 @@ def test_chaos_changes_behaviour_vs_fault_free_run(name, chaos, toy):
 # ----------------------------------------------------------------------
 def test_gray_failure_inflates_latency_and_escalations(chaos, toy):
     spec = chaos["gray-failure"]
-    gray = run_legacy(spec, toy)
-    healthy = run_legacy(replace(spec, name="gray-healthy", faults=()), toy)
+    gray = run_checked(spec, toy)
+    healthy = run_checked(replace(spec, name="gray-healthy", faults=()), toy)
 
     kinds = fault_kinds(gray)
     assert "gray" in kinds and "gray-restore" in kinds
@@ -101,7 +101,7 @@ def test_gray_failure_out_of_range_node_is_skipped(chaos, toy):
         replace(f, node_index=99) if isinstance(f, GrayFailure) else f
         for f in spec.faults
     )
-    report = run_legacy(replace(spec, name="gray-oob", faults=oob), toy)
+    report = run_checked(replace(spec, name="gray-oob", faults=oob), toy)
     assert "skipped" in fault_kinds(report)
     assert "gray" not in fault_kinds(report)
 
@@ -111,7 +111,7 @@ def test_gray_failure_out_of_range_node_is_skipped(chaos, toy):
 # ----------------------------------------------------------------------
 def test_cascade_opens_window_and_propagates_failures(chaos, toy):
     spec = chaos["cascade"]
-    cascaded = run_legacy(spec, toy)
+    cascaded = run_checked(spec, toy)
     kinds = fault_kinds(cascaded)
     assert "crash" in kinds
     assert "cascade" in kinds  # the crash opened a cascade window
@@ -119,7 +119,7 @@ def test_cascade_opens_window_and_propagates_failures(chaos, toy):
     # Against the same crash without the cascade policy, the cascade
     # must add failed completions — visible as extra retries.
     crash_only = tuple(f for f in spec.faults if not hasattr(f, "window_s"))
-    baseline = run_legacy(
+    baseline = run_checked(
         replace(spec, name="cascade-crash-only", faults=crash_only), toy
     )
     assert "cascade" not in fault_kinds(baseline)
@@ -133,7 +133,7 @@ def test_cascade_opens_window_and_propagates_failures(chaos, toy):
 # ----------------------------------------------------------------------
 def test_retry_storm_budgets_bound_amplification(chaos, toy):
     spec = chaos["retry-storm"]
-    bounded = run_legacy(spec, toy)
+    bounded = run_checked(spec, toy)
     assert "storm-window" in fault_kinds(bounded)
     assert bounded.n_retry_denied > 0  # the budgets actually bind
     denied = [r for r in bounded.records if r.retry_denied]
@@ -142,7 +142,7 @@ def test_retry_storm_budgets_bound_amplification(chaos, toy):
     for record in bounded.records:
         assert record.retries <= budget * len(record.versions_used) + budget
 
-    unbounded = run_legacy(
+    unbounded = run_checked(
         replace(
             spec,
             name="storm-unbounded",
@@ -168,8 +168,8 @@ def test_retry_denial_is_digest_visible(chaos, toy):
     """A denied retry changes the pinned behaviour — the |retry-denied
     digest flag means budgets can never regress silently."""
     spec = chaos["retry-storm"]
-    a = run_legacy(spec, toy)
-    b = run_legacy(
+    a = run_checked(spec, toy)
+    b = run_checked(
         replace(
             spec,
             retry=replace(spec.retry, retry_budget=None, max_inflight_retries=None),
@@ -180,7 +180,7 @@ def test_retry_denial_is_digest_visible(chaos, toy):
 
 
 def test_retry_storm_summary_reports_denials(chaos, toy):
-    report = run_legacy(chaos["retry-storm"], toy)
+    report = run_checked(chaos["retry-storm"], toy)
     summary = report.summary()
     assert summary["n_retry_denied"] == report.n_retry_denied
     assert summary["retry_amplification"] == report.retry_amplification
@@ -191,14 +191,14 @@ def test_retry_storm_summary_reports_denials(chaos, toy):
 # ----------------------------------------------------------------------
 def test_cold_start_wave_pairs_warmups(chaos, toy):
     spec = chaos["cold-start"]
-    report = run_legacy(spec, toy)
+    report = run_checked(spec, toy)
     kinds = fault_kinds(report)
     assert kinds.count("cold-start") > 0  # the autoscaler added nodes
     assert kinds.count("warmed") <= kinds.count("cold-start")
 
     # The wave only slows nodes added mid-run, so against the same
     # scenario without it, tail latency during the spike is worse.
-    healthy = run_legacy(replace(spec, name="cold-healthy", faults=()), toy)
+    healthy = run_checked(replace(spec, name="cold-healthy", faults=()), toy)
     assert report.summary()["p95_latency_s"] >= healthy.summary()["p95_latency_s"]
 
 
@@ -211,8 +211,8 @@ def test_cold_start_without_scaleup_is_inert(chaos, toy):
         name="wave-inert",
         faults=(ColdStartWave(warmup_s=5.0, speed_factor=0.5),),
     )
-    base = run_legacy(replace(spec, name="wave-base", faults=()), toy)
-    waved = run_legacy(with_wave, toy)
+    base = run_checked(replace(spec, name="wave-base", faults=()), toy)
+    waved = run_checked(with_wave, toy)
     assert "cold-start" not in fault_kinds(waved)
     assert waved.digest() == base.digest()
 
@@ -223,7 +223,7 @@ def test_cold_start_without_scaleup_is_inert(chaos, toy):
 def test_thundering_herd_holds_and_releases_arrivals(chaos, toy):
     spec = chaos["thundering-herd"]
     herd = next(f for f in spec.faults if isinstance(f, ThunderingHerd))
-    report = run_legacy(spec, toy)
+    report = run_checked(spec, toy)
     assert "herd" in fault_kinds(report)
 
     arrivals = np.array([r.arrival_s for r in report.records])
@@ -233,7 +233,7 @@ def test_thundering_herd_holds_and_releases_arrivals(chaos, toy):
     assert released.sum() >= 3  # ...and released it as a surge
 
     # The surge must hurt: worse tail latency than the same load spread out.
-    healthy = run_legacy(replace(spec, name="herd-healthy", faults=()), toy)
+    healthy = run_checked(replace(spec, name="herd-healthy", faults=()), toy)
     assert report.summary()["p95_latency_s"] > healthy.summary()["p95_latency_s"]
 
 
@@ -270,7 +270,7 @@ def test_thundering_herd_spread_zero_releases_at_end(toy):
 # ----------------------------------------------------------------------
 def test_zero_retry_budget_disables_retries_entirely(chaos, toy):
     spec = chaos["cascade"]
-    no_retries = run_legacy(
+    no_retries = run_checked(
         replace(
             spec,
             name="cascade-no-budget",

@@ -1,13 +1,13 @@
 """The door in front of both loops: refused, or finished — never in between.
 
-``ServingSimulator.drain()`` validates once, whichever engine was asked
-for: what the deployment cannot serve at all (a repeated id, an
-unmeasured payload, a bad threshold, fast == accurate, an undeployed or
-unrefillable pool, nothing submitted) raises a typed error before any
-node, pool, clock or RNG state is written, and ``fallback_reason`` names
-only a capability the columnar loop lacks — after which the event loop
-finishes the run.  This module drives both engines explicitly, so it
-shadows the suite-wide ``sim_engine`` matrix fixture to run once.
+``ServingSimulator.drain()`` validates once, whichever loop then runs:
+what the deployment cannot serve at all (a repeated id, an unmeasured
+payload, a bad threshold, fast == accurate, an undeployed or unrefillable
+pool, nothing submitted) raises a typed error before any node, pool,
+clock or RNG state is written, and ``fallback_reason`` names only a
+capability the columnar loop lacks — after which the event loop finishes
+the run.  The ``"legacy"`` legs drain inside ``tests/oracle/scalar.py``'s
+``scalar_loop()``.
 """
 
 import ast
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle.scalar import REASON, loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import (
     MissingVersionError,
@@ -56,8 +57,8 @@ CAPABILITY_PREFIXES = (
 
 
 @pytest.fixture
-def sim_engine():
-    """Shadow the engine matrix: this module runs both engines itself."""
+def sim_loop():
+    """Shadow the loop matrix: this module picks both loops itself."""
     return None
 
 
@@ -145,7 +146,7 @@ FAULTS = {
 }
 
 
-def _refused_simulator(case, engine, toy):
+def _refused_simulator(case, toy):
     configuration = {
         "degenerate": _seq(accurate="fast"),
         "undeployed": _seq(accurate="ghost"),
@@ -156,7 +157,6 @@ def _refused_simulator(case, engine, toy):
         cluster,
         configuration=configuration,
         seed=3,
-        engine=engine,
         faults=FAULTS.get(case, ()),
     )
     times = np.cumsum(np.full(40, 0.1)).tolist()
@@ -177,16 +177,16 @@ def _refused_simulator(case, engine, toy):
 @pytest.mark.parametrize("case", REFUSALS)
 def test_refused_at_the_door(case, engine, toy):
     error, message = REFUSALS[case]
-    sim = _refused_simulator(case, engine, toy)
+    sim = _refused_simulator(case, toy)
     before = _state(sim)
-    with pytest.raises(error, match=message) as excinfo:
+    with loop(engine), pytest.raises(error, match=message) as excinfo:
         sim.drain()
     assert isinstance(excinfo.value, ValueError)
     assert case == "nothing-submitted" or isinstance(excinfo.value, TierError)
     assert sim.engine_used is None and sim.fallback_reason is None
     assert _state(sim) == before
     # Refused, not consumed: the same call is refused the same way.
-    with pytest.raises(error, match=message):
+    with loop(engine), pytest.raises(error, match=message):
         sim.drain()
 
 
@@ -194,8 +194,8 @@ def test_refused_at_the_door(case, engine, toy):
 def test_a_refusal_reads_the_same_on_both_engines(case, toy):
     messages = set()
     for engine in ENGINES:
-        with pytest.raises(ValueError) as excinfo:
-            _refused_simulator(case, engine, toy).drain()
+        with loop(engine), pytest.raises(ValueError) as excinfo:
+            _refused_simulator(case, toy).drain()
         messages.add((type(excinfo.value), str(excinfo.value)))
     assert len(messages) == 1
 
@@ -206,9 +206,9 @@ def test_a_second_drain_is_refused_whichever_engine_ran_the_first(engine, toy):
         build_replay_cluster(toy, {"fast": 2, "slow": 2}),
         configuration=_seq(),
         check_invariants=True,
-        engine=engine,
     )
-    report = sim.run(PoissonArrivals(8.0), 50, payload_ids=toy.request_ids)
+    with loop(engine):
+        report = sim.run(PoissonArrivals(8.0), 50, payload_ids=toy.request_ids)
     assert report.n_requests == 50 and sim.engine_used == engine
     with pytest.raises(ValueError, match="single-use"):
         sim.drain()
@@ -260,7 +260,6 @@ def _capability_simulator(prefix, toy):
         configuration=_seq(),
         measurements=toy,
         check_invariants=True,
-        engine="columnar",
         **fields,
     )
 
@@ -327,7 +326,6 @@ def _defective_run(seed, defect, engine, with_faults, toy):
         configuration=configuration,
         measurements=toy,
         check_invariants=True,
-        engine=engine,
         **spec.engine_fields(),
     )
     rng = np.random.default_rng([seed, 24])
@@ -343,7 +341,8 @@ def _defective_run(seed, defect, engine, with_faults, toy):
     sim.submit_batch(requests, times)
     before = _state(sim)
     try:
-        outcome = sim.drain()
+        with loop(engine):
+            outcome = sim.drain()
     except TierError as error:
         outcome = error
     return sim, before, outcome
@@ -360,8 +359,10 @@ def _assert_refused_or_drained(seed, defect, engine, with_faults, toy):
     assert defect in (None, "emptied-pool")
     assert outcome.n_requests == before["submitted"]
     assert outcome.fallback_reason == sim.fallback_reason
-    if sim.fallback_reason is not None:
-        assert engine == "columnar" and sim.engine_used == "legacy"
+    if engine == "legacy":
+        assert sim.engine_used == "legacy" and sim.fallback_reason == REASON
+    elif sim.fallback_reason is not None:
+        assert sim.engine_used == "legacy"
         assert sim.fallback_reason.startswith(CAPABILITY_PREFIXES)
 
 

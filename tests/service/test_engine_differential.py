@@ -33,8 +33,9 @@ first diverging row, field and both values (then lengths, pool sizes,
 the fault and control streams).
 
 Seeds below :data:`FAST_SPECS` run in the fast tier; the rest carry the
-``slow`` marker.  This module drives both engines explicitly, so it
-shadows the suite-wide ``sim_engine`` matrix fixture to run once.
+``slow`` marker.  The oracle half of each comparison drains inside
+``tests/oracle/scalar.py``'s ``scalar_loop()``; the other half takes the
+default path, which picks its loop from the run.
 """
 
 import dataclasses
@@ -46,6 +47,7 @@ import numpy as np
 import pytest
 
 from oracle.divergence import first_divergence
+from oracle.scalar import loop, scalar_loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import MissingVersionError, PolicyConfigurationError
 from repro.core.policies import (
@@ -94,8 +96,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
-def sim_engine():
-    """Shadow the engine matrix: this module runs both engines itself."""
+def sim_loop():
+    """Shadow the loop matrix: this module picks both loops itself."""
     return None
 
 
@@ -132,21 +134,17 @@ def control_log_digest(report):
 
 
 def run_both(spec, toy, *, check_invariants=True, selection_policy=None):
-    legacy = run_scenario(
-        spec,
-        toy,
-        check_invariants=check_invariants,
-        selection_policy=selection_policy() if selection_policy else None,
-        engine="legacy",
-    )
-    columnar = run_scenario(
-        spec,
-        toy,
-        check_invariants=check_invariants,
-        selection_policy=selection_policy() if selection_policy else None,
-        engine="columnar",
-    )
-    return legacy, columnar
+    def run():
+        return run_scenario(
+            spec,
+            toy,
+            check_invariants=check_invariants,
+            selection_policy=selection_policy() if selection_policy else None,
+        )
+
+    with scalar_loop():
+        legacy = run()
+    return legacy, run()
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +164,7 @@ def test_columnar_reproduces_golden_traces(name, toy):
     """The columnar engine matches the PR 3 pinned digests directly."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     spec = canonical_scenarios()[name]
-    report = run_scenario(spec, toy, check_invariants=True, engine="columnar")
+    report = run_scenario(spec, toy, check_invariants=True)
     assert report.digest() == golden["digest"], (
         f"columnar run of {name!r} no longer matches its golden trace"
     )
@@ -353,7 +351,6 @@ def _direct_sim(toy, policy, *, selection_policy=None, batching=True):
         if batching
         else None,
         seed=3,
-        engine="columnar",
     )
 
 
@@ -397,12 +394,12 @@ def test_unsupported_shapes_fall_back_with_reason(toy):
         configuration=spec.configuration,
         autoscaler=Autoscaler(spec.autoscaler_config),
         seed=spec.seed,
-        engine="columnar",
     )
     report = sim.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
     assert sim.engine_used == "legacy"
     assert sim.fallback_reason is not None
-    legacy = run_scenario(spec, toy, engine="legacy")
+    with scalar_loop():
+        legacy = run_scenario(spec, toy)
     assert_reports_identical(legacy, report)
 
 
@@ -435,7 +432,6 @@ def test_chaos_specs_fall_back_with_named_reason(name, toy):
         retry=spec.retry,
         check_invariants=True,
         seed=spec.seed,
-        engine="columnar",
     )
     report = sim.run(
         spec.arrivals,
@@ -447,13 +443,14 @@ def test_chaos_specs_fall_back_with_named_reason(name, toy):
     assert sim.engine_used == "legacy"
     assert "fault schedule present" in sim.fallback_reason
     assert _CHAOS_FALLBACK[name] in sim.fallback_reason
-    legacy = run_scenario(spec, toy, check_invariants=True, engine="legacy")
+    with scalar_loop():
+        legacy = run_scenario(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, report)
 
 
 @pytest.mark.parametrize("name", sorted(_CHAOS_FALLBACK))
 def test_chaos_scenarios_digest_identical_across_engines(name, toy):
-    """engine="columnar" on a chaos spec means 'fall back and replay' —
+    """The default path on a chaos spec means 'fall back and replay' —
     the report must match the legacy oracle digest-for-digest."""
     spec = chaos_scenarios()[name]
     legacy, columnar = run_both(spec, toy, check_invariants=True)
@@ -483,7 +480,6 @@ def test_fuzzed_space_exercises_the_columnar_path(toy):
             retry=spec.retry,
             faults=spec.faults,
             seed=spec.seed,
-            engine="columnar",
         )
         sim.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
         if sim.engine_used == "columnar":
@@ -523,7 +519,7 @@ def _routed_rng(seed):
     return np.random.default_rng([seed, 20260929])
 
 
-def _routed_session(seed, toy, engine, *, router=None, tolerances=None):
+def _routed_session(seed, toy, *, router=None, tolerances=None):
     """One router-driven session: requests submitted one by one with
     random annotations, payloads and arrival times.  The seed cycles the
     four selection policies and batching on/off, so any eight
@@ -547,7 +543,6 @@ def _routed_session(seed, toy, engine, *, router=None, tolerances=None):
         else None,
         check_invariants=True,
         seed=seed,
-        engine=engine,
     )
     n = int(rng.integers(40, 90))
     times = np.cumsum(rng.exponential(1.0 / rng.uniform(2.0, 8.0), n))
@@ -577,9 +572,10 @@ def _routed_seeds():
 
 @pytest.mark.parametrize("seed", _routed_seeds())
 def test_routed_sessions_digest_identical(seed, toy):
-    legacy_sim, n = _routed_session(seed, toy, "legacy")
-    legacy = legacy_sim.drain()
-    sim, _ = _routed_session(seed, toy, "columnar")
+    legacy_sim, n = _routed_session(seed, toy)
+    with scalar_loop():
+        legacy = legacy_sim.drain()
+    sim, _ = _routed_session(seed, toy)
     columnar = sim.drain()
     assert sim.engine_used == "columnar"
     assert sim.fallback_reason is None
@@ -650,14 +646,15 @@ def test_routed_family_catches_a_wrong_pre_pass(monkeypatch, toy):
         configurations, codes = real(self)
         return _swap_two_thresholds(configurations), codes
 
-    legacy = [
-        _routed_session(seed, toy, "legacy")[0].drain().digest()
-        for seed in range(FAST_ROUTED)
-    ]
+    with scalar_loop():
+        legacy = [
+            _routed_session(seed, toy)[0].drain().digest()
+            for seed in range(FAST_ROUTED)
+        ]
     monkeypatch.setattr(ServingSimulator, "_route_submissions", swapped)
     caught = 0
     for seed in range(FAST_ROUTED):
-        sim, _ = _routed_session(seed, toy, "columnar")
+        sim, _ = _routed_session(seed, toy)
         report = sim.drain()
         assert sim.engine_used == "columnar"
         caught += report.digest() != legacy[seed]
@@ -709,10 +706,8 @@ def test_one_ineligible_routed_configuration_falls_back(broken, error, toy):
     router with traffic that never reaches the cell runs columnar."""
     messages = set()
     for engine in ("columnar", "legacy"):
-        sim, _ = _routed_session(
-            3, toy, engine, router=_broken_router(broken)
-        )
-        with pytest.raises(error) as excinfo:
+        sim, _ = _routed_session(3, toy, router=_broken_router(broken))
+        with loop(engine), pytest.raises(error) as excinfo:
             sim.drain()
         messages.add(str(excinfo.value))
         assert sim.engine_used is None
@@ -720,16 +715,16 @@ def test_one_ineligible_routed_configuration_falls_back(broken, error, toy):
     assert len(messages) == 1
 
     sim, _ = _routed_session(
-        3, toy, "columnar", router=_broken_router(broken),
-        tolerances=(0.0, 0.01, 0.05),
+        3, toy, router=_broken_router(broken), tolerances=(0.0, 0.01, 0.05)
     )
     report = sim.drain()
     assert sim.engine_used == "columnar" and sim.fallback_reason is None
     legacy_sim, _ = _routed_session(
-        3, toy, "legacy", router=_broken_router(broken),
-        tolerances=(0.0, 0.01, 0.05),
+        3, toy, router=_broken_router(broken), tolerances=(0.0, 0.01, 0.05)
     )
-    assert_reports_identical(legacy_sim.drain(), report)
+    with scalar_loop():
+        legacy = legacy_sim.drain()
+    assert_reports_identical(legacy, report)
 
 
 def test_routed_bulk_workload_digest_identical(toy):
@@ -744,7 +739,6 @@ def test_routed_bulk_workload_digest_identical(toy):
             batching=BatchingConfig(max_batch_size=3, max_wait_s=0.02),
             check_invariants=True,
             seed=4,
-            engine=engine,
         )
         for i, tolerance in enumerate((0.0, 0.01, 0.10, 0.05)):
             sim.submit(
@@ -753,13 +747,14 @@ def test_routed_bulk_workload_digest_identical(toy):
                 ),
                 at_time=0.3 * i,
             )
-        reports[engine] = sim.run(
-            PoissonArrivals(5.0),
-            60,
-            tolerance=0.05,
-            objective=Objective.COST,
-            payload_ids=toy.request_ids,
-        )
+        with loop(engine):
+            reports[engine] = sim.run(
+                PoissonArrivals(5.0),
+                60,
+                tolerance=0.05,
+                objective=Objective.COST,
+                payload_ids=toy.request_ids,
+            )
         assert sim.engine_used == engine
     assert_reports_identical(reports["legacy"], reports["columnar"])
     assert reports["columnar"].n_requests == 64
@@ -785,10 +780,11 @@ def test_pre_pass_routes_each_annotation_once(toy):
         router = _CountingRouter(
             {o: base.table_for(o) for o in base.objectives}
         )
-        sim, n = _routed_session(7, toy, engine, router=router)
+        sim, n = _routed_session(7, toy, router=router)
         store = sim._store
         annotations = set(zip(store.tolerances, store.objectives))
-        sim.drain()
+        with loop(engine):
+            sim.drain()
         assert sim.engine_used == engine
         assert router.routed == len(annotations) < n
 
@@ -836,9 +832,7 @@ def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
         cluster = build_replay_cluster(
             toy, {"fast": 2, "slow": 2}, selection_policy=RoundRobinPolicy()
         )
-        sim = ServingSimulator(
-            cluster, router=_response_time_only_router(), engine=engine
-        )
+        sim = ServingSimulator(cluster, router=_response_time_only_router())
         payloads = toy.request_ids
         for i in range(6):
             sim.submit(
@@ -852,7 +846,7 @@ def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
                 _unroutable(kind, f"bad_{k}", payloads[10 + k]),
                 at_time=0.35 - 0.1 * k,
             )
-        with pytest.raises((KeyError, ValueError)) as excinfo:
+        with loop(engine), pytest.raises((KeyError, ValueError)) as excinfo:
             sim.drain()
         raised[engine] = type(excinfo.value)
         if engine == "columnar":
@@ -879,9 +873,8 @@ def test_zero_request_drain_raises_identically(engine, toy):
     sim = ServingSimulator(
         build_replay_cluster(toy, {"fast": 1}),
         configuration=EnsembleConfiguration("z", SingleVersionPolicy("fast")),
-        engine=engine,
     )
-    with pytest.raises(ValueError, match="at least one record"):
+    with loop(engine), pytest.raises(ValueError, match="at least one record"):
         sim.drain()
 
 
@@ -917,9 +910,8 @@ def test_negative_arrival_time_raises_identically(toy):
             configuration=EnsembleConfiguration(
                 "bad", SingleVersionPolicy("fast")
             ),
-            engine=engine,
         )
-        with pytest.raises(ValueError) as excinfo:
+        with loop(engine), pytest.raises(ValueError) as excinfo:
             sim.run(BadArrivals(), 3, payload_ids=toy.request_ids)
         errors[engine] = (str(excinfo.value), sim._counter, sim._remaining)
     assert errors["legacy"] == errors["columnar"]
@@ -933,7 +925,6 @@ def test_non_finite_arrival_time_is_refused_at_submit(engine, at_time, toy):
     sim = ServingSimulator(
         build_replay_cluster(toy, {"fast": 1}),
         configuration=EnsembleConfiguration("f", SingleVersionPolicy("fast")),
-        engine=engine,
     )
     requests = [ServiceRequest(f"r{i}", toy.request_ids[i]) for i in range(3)]
     sim.submit(requests[0], at_time=0.1)
@@ -941,7 +932,8 @@ def test_non_finite_arrival_time_is_refused_at_submit(engine, at_time, toy):
         sim.submit(requests[1], at_time=at_time)
     with pytest.raises(ValueError, match="cannot schedule at t="):
         sim.submit_batch(requests[1:], [0.2, at_time])
-    report = sim.drain()
+    with loop(engine):
+        report = sim.drain()
     assert sim.engine_used == engine
     assert [r.request_id for r in report.records] == ["r0"]
 
@@ -978,7 +970,7 @@ def test_a_log_mismatch_names_its_stream_and_entry(toy):
     """The fault and control streams are compared as the digest renders
     them: line by line, then by length."""
     spec = dataclasses.replace(canonical_scenarios()["node-crash"], control=None)
-    report = run_scenario(spec, toy, engine="legacy")
+    report = run_scenario(spec, toy)
     assert len(report.fault_log) >= 2 and first_divergence(report, report) is None
     moved = dataclasses.replace(report.fault_log[1], detail="tampered")
     for log, where in (

@@ -9,6 +9,7 @@ bit-irrelevant to *what* it produced.
 
 import pytest
 
+from oracle.scalar import REASON, default_loop, scalar_loop
 from repro.service.simulation import (
     canonical_scenarios,
     run_scenario,
@@ -24,37 +25,42 @@ def toy():
 
 def test_columnar_run_reports_engine(toy):
     spec = canonical_scenarios()["baseline"]
-    report = run_scenario(spec, toy, engine="columnar")
+    with default_loop():
+        report = run_scenario(spec, toy)
     assert report.engine_used == "columnar"
     assert report.fallback_reason is None
 
 
 def test_fallback_reports_reason(toy):
     spec = canonical_scenarios()["node-crash"]
-    report = run_scenario(spec, toy, engine="columnar")
+    with default_loop():
+        report = run_scenario(spec, toy)
     assert report.engine_used == "legacy"
     assert report.fallback_reason is not None
     assert "NodeCrash" in report.fallback_reason
 
 
-def test_explicit_legacy_reports_no_fallback(toy):
+def test_scalar_oracle_reports_its_reason(toy):
     spec = canonical_scenarios()["baseline"]
-    report = run_scenario(spec, toy, engine="legacy")
+    with scalar_loop():
+        report = run_scenario(spec, toy)
     assert report.engine_used == "legacy"
-    assert report.fallback_reason is None
+    assert report.fallback_reason == REASON
 
 
 def test_engine_fields_stay_out_of_the_digest(toy):
     spec = canonical_scenarios()["baseline"]
-    columnar = run_scenario(spec, toy, engine="columnar")
-    legacy = run_scenario(spec, toy, engine="legacy")
+    with default_loop():
+        columnar = run_scenario(spec, toy)
+    with scalar_loop():
+        legacy = run_scenario(spec, toy)
     assert columnar.engine_used != legacy.engine_used
     assert columnar.digest() == legacy.digest()
 
 
 def test_from_columns_defaults_engine_fields(toy):
     spec = canonical_scenarios()["baseline"]
-    report = run_scenario(spec, toy, engine="columnar")
+    report = run_scenario(spec, toy)
     rebuilt = LoadTestReport(
         columns=report.columns,
         final_pool_sizes=dict(report.final_pool_sizes),

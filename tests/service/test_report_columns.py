@@ -6,8 +6,7 @@ aggregates must be indistinguishable from the per-record reference in
 ``tests/oracle/report_reference.py``, a record list must survive
 ``RecordColumns.from_records`` field for field, and the bulk path
 (``run_load -> digest() -> summary()``) must never build a
-:class:`RequestRecord`.  This module drives the columnar engine
-explicitly, so it shadows the suite-wide ``sim_engine`` matrix fixture.
+:class:`RequestRecord`.
 """
 
 import dataclasses
@@ -41,8 +40,8 @@ from repro.service.simulation.scenarios import scenario_measurements
 
 
 @pytest.fixture
-def sim_engine():
-    """Shadow the engine matrix: every run here names its engine."""
+def sim_loop():
+    """Shadow the loop matrix: the bulk path under test is the default one."""
     return None
 
 
@@ -387,7 +386,6 @@ def _columnar_run_load(toy, n: int = 200) -> LoadTestReport:
         SimulatedBackend(
             build_replay_cluster(toy, {"fast": 2, "slow": 2}),
             seed=5,
-            engine="columnar",
         ),
         configuration=EnsembleConfiguration(
             "seq", SequentialPolicy("fast", "slow", 0.6)
@@ -434,9 +432,7 @@ def test_columnar_shard_builds_no_request_record(toy, records_built):
 
     spec = region_scenarios()["tri-steady"]
     assert not any(region.slos for region in spec.regions)
-    tasks = build_shard_tasks(
-        RegionRouter(spec, toy).plan(), toy, engine="columnar"
-    )
+    tasks = build_shard_tasks(RegionRouter(spec, toy).plan(), toy)
     results = [run_shard(task) for task in tasks]
     assert [r.engine_used for r in results] == ["columnar"] * 3
     assert all(r.n_completed == r.n_submitted > 0 for r in results)

@@ -283,7 +283,7 @@ def test_every_scalar_loop_record_names_exactly_what_it_billed(
     spec = _random_spec(seed, with_faults=True)
     if closed_loop:
         spec = _reconfiguring(spec)
-    report = run_scenario(spec, toy, engine="legacy")
+    report = run_scenario(spec, toy)
     assert report.engine_used == "legacy"
     for record in report.records:  # the engine's own objects
         assert record.versions_used == tuple(record.node_seconds), record
@@ -295,7 +295,7 @@ def test_every_scalar_loop_record_names_exactly_what_it_billed(
 
 def test_the_reconfiguring_control_plane_does_reconfigure(toy):
     spec = _reconfiguring(_random_spec(11, with_faults=True))
-    report = run_scenario(spec, toy, engine="legacy")
+    report = run_scenario(spec, toy)
     kinds = {entry.kind for entry in report.control_log}
     assert {"swap", "rollback"} <= kinds
     assert len({record.versions_used for record in report.records}) >= 3
@@ -332,7 +332,7 @@ def test_closed_loop_drains_when_a_pool_never_comes_back(toy, monkeypatch):
         return schedule_at(self, time, spied, kind=kind)
 
     monkeypatch.setattr(EventLoop, "schedule_at", spying_schedule_at)
-    report = run_scenario(spec, toy, engine="legacy", check_invariants=True)
+    report = run_scenario(spec, toy, check_invariants=True)
 
     tick = spec.control.tick_interval_s
     assert fired["control"] <= last_other[0] / tick + 1
@@ -351,4 +351,4 @@ def test_a_drain_stopped_by_the_valve_raises_naming_what_is_pending(
     monkeypatch.setattr(engine_module, "_MAX_EVENTS", 10)
     spec = _random_spec(33, with_faults=True)  # 36 arrivals
     with pytest.raises(RuntimeError, match=r"10-event valve.*'arrival'.*pending"):
-        run_scenario(spec, toy, engine="legacy")
+        run_scenario(spec, toy)
