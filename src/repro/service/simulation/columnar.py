@@ -1,17 +1,14 @@
-"""The columnar hot path of the serving simulator.
+"""The columnar loop: the serving simulator's default event loop.
 
 The legacy engine is a general discrete-event machine: every request is a
 heap-allocated ``_InFlight`` object, every event a closure over an
 ``Event`` record, every completion a frozen ``NodeCompletion`` dataclass,
 and every finalized request a ``RequestRecord`` priced through the full
-``PricingModel`` call chain.  That generality is exactly right for the
-fault/retry/control state space — and needless for the overwhelmingly
-common case that dominates wall time: a fault-free, open-loop load test
-over a measurement-replay cluster, whether one fixed configuration
-serves it or a tier router picks one per request.
-
-``run_columnar`` re-executes that common case with the *same* event
-semantics but none of the object machinery:
+``PricingModel`` call chain.  ``run_columnar`` re-executes an open-loop
+load test over a measurement-replay cluster — one fixed configuration or
+a tier router picking one per request, healthy or under a schedule of
+window faults — with the *same* event semantics but none of the object
+machinery:
 
 * request state lives in parallel lists indexed by submission order
   (the simulator's submission store, read as it stands),
@@ -23,10 +20,9 @@ semantics but none of the object machinery:
   pools.  A fixed-configuration run is the one-group case of the same
   loop (its inlined ``seq`` / ``single`` deliveries stay selected
   whenever every request shares one kind),
-* the event heap holds plain tuples (three event kinds — flush,
-  single-job completion, batch completion — cover the whole fault-free
-  state space; arrivals are a pre-sorted stream merged in without ever
-  touching the heap),
+* the event heap holds plain tuples — flush, single-job completion,
+  batch completion, and *source* events; arrivals are a pre-sorted
+  stream merged in without ever touching the heap,
 * node state is a handful of slots on a shadow struct, written back to
   the real :class:`~repro.service.node.ServiceNode` objects at the end,
 * per-request latency/billing/confidence columns are composed with
@@ -34,35 +30,55 @@ semantics but none of the object machinery:
   from :class:`~repro.service.simulation.report.RecordColumns` without
   materializing a single ``RequestRecord`` up front.
 
+**Window faults are event sources.**  A ``NodeCrash``, ``NodeSlowdown``,
+``GrayFailure`` or ``ColdStartWave`` in the fault schedule fires between
+the vectorised stretches and changes node or pool state: a crash kills a
+node (refunding its unelapsed busy time), aborts its running batch and
+migrates its queue; a recovery adds a real replacement node to the pool
+and flushes the work parked behind a dead pool onto it; a slowdown, a
+gray onset or a cold-start warmup rescales a node's speed — and deflates
+the confidence it reports, which re-decides escalation — until its
+restore fires.  A crash makes attempts fail, so a faulted run follows the
+scalar loop's whole per-request state machine instead of the inlined
+deliveries: retries with backoff under the ``RetryPolicy`` budgets, the
+degraded fallbacks, parking, orphan completions and the end-of-run
+"unserved" resolution.  Pool membership changes on the real cluster as
+it happens, so node ids, the retired books and ``final_pool_sizes`` end
+as the scalar loop leaves them.  A fault-free run is the case with zero
+sources and keeps the inlined deliveries.
+
 **Bit-exactness is the contract, not an aspiration.**  Every arithmetic
 expression here mirrors the legacy engine's scalar float operations in
 the same order (IEEE-754 makes ``a*b``/``a+b`` on float64 identical
 whether issued from Python scalars or numpy element-wise kernels), event
 ties break exactly as the legacy loop's monotonic sequence numbers break
-them (arrivals hold the smallest sequence numbers because the legacy
-engine schedules them before any runtime event exists), and quirks such
-as the ``oldest_enqueued_at or now`` head-wait guard are reproduced
-verbatim.  The differential test harness
-(``tests/service/test_engine_differential.py``) holds the two engines to
-digest-for-digest equality over the canonical scenarios and a fuzzed
-scenario space.
+them, and quirks such as the ``oldest_enqueued_at or now`` head-wait
+guard are reproduced verbatim.  The legacy engine schedules fault onsets
+in its constructor, then the arrivals, then every runtime event, so the
+stream holds onsets, then arrivals (a stable sort by time keeps that
+order within a tie) and wins every tie against the heap.  The
+differential test harness (``tests/service/test_engine_differential.py``)
+holds the two engines to digest-for-digest equality over the canonical
+scenarios and fuzzed scenario families.
 
 ``columnar_ineligibility`` is the gate, and a fallback means one thing:
-the fast path lacks a capability — faults, autoscaling, a control plane,
-a dead node or non-replay version in a pool, a custom selection policy —
-and the legacy path, which remains the scalar correctness oracle (the
-same playbook as ``core/outcome_matrix.py`` for the rule generator),
-finishes this run.  What *neither* loop can serve (a repeated id, an
-unmeasured payload, a bad threshold, fast == accurate, an undeployed or
-unrefillable empty pool) never reaches this module: ``drain()`` refuses
-it with a typed error in front of both loops, and hands ``run_columnar``
-the payload-to-row gather that refusal already performed.
+the columnar loop lacks a capability — a fault type that fails
+completions or moves arrivals, a per-attempt trace of a fault schedule,
+autoscaling, a control plane, a dead node or non-replay version in a
+pool, a custom selection policy — and the legacy path, which remains the
+scalar correctness oracle (the same playbook as ``core/outcome_matrix.py``
+for the rule generator), finishes this run.  What *neither* loop can
+serve (a repeated id, an unmeasured payload, a bad threshold, fast ==
+accurate, an undeployed or unrefillable empty pool) never reaches this
+module: ``drain()`` refuses it with a typed error in front of both loops,
+and hands ``run_columnar`` the payload-to-row gather that refusal already
+performed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 import numpy as np
@@ -73,6 +89,16 @@ from repro.service.load_balancer import (
     LeastBusyPolicy,
     RoundRobinPolicy,
 )
+from repro.service.simulation.faults import (
+    CascadePolicy,
+    ColdStartWave,
+    GrayFailure,
+    NodeCrash,
+    NodeSlowdown,
+    RetryStorm,
+    ThunderingHerd,
+    TransientFaults,
+)
 from repro.service.simulation.replay import MeasurementReplayVersion
 from repro.service.simulation.report import LoadTestReport, RecordColumns
 
@@ -82,10 +108,17 @@ __all__ = ["columnar_ineligibility", "run_columnar"]
 #: ``tag = (seq << 2) | code``: packing the event code into the
 #: monotonic sequence number keeps heap ordering identical to the legacy
 #: ``(time, seq)`` tuples (tags are unique and increase with ``seq``)
-#: while saving one tuple slot per event in the hot loop.
+#: while saving one tuple slot per event in the hot loop.  A source
+#: event carries its handler in the node slot and the handler's argument
+#: in the info slot.
 _FLUSH = 0
 _ONE_DONE = 1
 _BATCH_DONE = 2
+_SOURCE = 3
+
+#: Fault types only the scalar loop applies: they fail completions or
+#: move arrivals.
+_SCALAR_FAULTS = (TransientFaults, RetryStorm, CascadePolicy, ThunderingHerd)
 
 #: Per-request kind codes of the event flow; the two kinds that enqueue
 #: both legs at arrival sort last (``kind >= _CONC``).
@@ -103,10 +136,11 @@ class _ShadowNode:
     """Mutable per-node state of the columnar loop.
 
     Mirrors exactly the fields of :class:`~repro.service.node.ServiceNode`
-    the fault-free event flow reads or writes; the accumulated values are
-    written back to the real node when the run drains, so post-run
-    introspection (utilization, billing reconciliation, reuse of the
-    cluster) sees what the legacy engine would have left behind.
+    the event flow reads or writes; the accumulated values are written
+    back to the real node when the run drains (or the node dies), so
+    post-run introspection (utilization, billing reconciliation, the
+    retired books, reuse of the cluster) sees what the legacy engine
+    would have left behind.
     """
 
     __slots__ = (
@@ -117,6 +151,8 @@ class _ShadowNode:
         "served",
         "factor",
         "flush_seq",
+        "alive",
+        "deflate",
     )
 
     def __init__(self, real) -> None:
@@ -131,6 +167,44 @@ class _ShadowNode:
         #: Cancellation is lazy, as in the legacy loop: a popped flush
         #: whose sequence number no longer matches is a stale timer.
         self.flush_seq = -1
+        self.alive = True
+        #: Multiplier on every confidence the node reports while gray or
+        #: warming up (``None``: reported as measured).
+        self.deflate = None
+
+    def write_back(self) -> None:
+        real = self.real
+        real.busy_until = self.busy_until
+        real._busy_seconds = self.busy_seconds
+        real._requests_served = self.served
+
+    def set_speed_scale(self, scale: float) -> None:
+        """:meth:`ServiceNode.set_speed_scale`, on both nodes."""
+        self.real.set_speed_scale(scale)
+        self.factor = self.real.effective_speed_factor
+
+    def requeue(self, item: tuple) -> None:
+        """:meth:`ServiceNode.requeue`: insert by enqueue time, so the
+        head stays the oldest job and flush deadlines stay right."""
+        queue = self.queue
+        position = len(queue)
+        for index, existing in enumerate(queue):
+            if existing[2] > item[2]:
+                position = index
+                break
+        queue.insert(position, item)
+
+    def kill(self, now: float, aborted: int) -> None:
+        """:meth:`ServiceNode.kill`, written through to the real node: the
+        busy time not yet elapsed is refunded and the ``aborted``
+        requests leave the served count."""
+        if self.busy_until > now:
+            self.busy_seconds -= self.busy_until - now
+            self.busy_until = now
+        self.served -= aborted
+        self.alive = False
+        self.write_back()
+        self.real.alive = False
 
 
 def columnar_ineligibility(sim, configurations) -> Optional[str]:
@@ -141,25 +215,44 @@ def columnar_ineligibility(sim, configurations) -> Optional[str]:
     Called after ``drain()`` refused what no loop can serve: every
     reason here is one after which the legacy engine — which *is* the
     semantics — completes the run.  A tier router is not a reason: the
-    pool checks apply to each of the pre-pass's ``configurations``.
+    pool checks apply to each of the pre-pass's ``configurations`` (and,
+    under a fault schedule, to every pool a fault may strike).  Window
+    faults — ``NodeCrash``, ``NodeSlowdown``, ``GrayFailure``,
+    ``ColdStartWave`` — are not reasons either, unless a trace recorder
+    wants their per-attempt spans: post-hoc span reconstruction cannot
+    emit retry, migration or deflation spans.
     """
-    if sim._faults:
+    faults = sim._faults
+    if faults:
         # Name the fault classes so a chaos scenario's fallback is
-        # attributable: "fault schedule present (GrayFailure, RetryStorm)".
-        kinds = sorted({type(fault).__name__ for fault in sim._faults})
-        return f"fault schedule present ({', '.join(kinds)})"
+        # attributable: "fault schedule present (RetryStorm)".
+        kinds = sorted(
+            {
+                type(fault).__name__
+                for fault in faults
+                if isinstance(fault, _SCALAR_FAULTS)
+            }
+        )
+        if kinds:
+            return f"fault schedule present ({', '.join(kinds)})"
+        if sim._trace is not None:
+            return "per-attempt trace of a fault schedule"
     if sim._autoscaler is not None:
         return "autoscaler attached"
     if sim.control is not None:
         return "control plane attached"
     balancer = sim.cluster.load_balancer
-    for configuration in configurations:
-        for version in configuration.versions:
-            for node in balancer.nodes_of(version):
-                if not node.alive:
-                    return "dead node in pool"
-                if not isinstance(node.version, MeasurementReplayVersion):
-                    return "non-replay service version"
+    versions = (
+        balancer.versions
+        if faults
+        else [v for configuration in configurations for v in configuration.versions]
+    )
+    for version in versions:
+        for node in balancer.nodes_of(version):
+            if not node.alive:
+                return "dead node in pool"
+            if not isinstance(node.version, MeasurementReplayVersion):
+                return "non-replay service version"
     if type(balancer._policy) not in _SUPPORTED_POLICIES:
         return (
             "unsupported selection policy "
@@ -183,7 +276,10 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     cluster = sim.cluster
     balancer = cluster.load_balancer
     checker = sim._check
-    slow = checker is not None
+    faults = sim._faults
+    # `slow` turns the inlined deliveries off: a checker needs its hooks,
+    # a fault schedule the stepwise state machine (see below).
+    slow = checker is not None or bool(faults)
 
     store = sim._store
     request_ids, payloads, times = store.ids, store.payloads, store.times
@@ -226,6 +322,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # stay zero / never-escalates and are never read.
     compute_acc_np = np.zeros(n)
     conf_acc_np = np.zeros(n)
+    threshold_np = np.zeros(n)
     escalates_np = np.zeros(n, dtype=bool)
     for group, configuration in enumerate(configurations):
         members = groups[group]
@@ -243,9 +340,9 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                 pair[1], group
             )
             # should_escalate is a strict `confidence < threshold`.
-            escalates_np[members] = confidence < require_confidence_threshold(
-                configuration.policy
-            )
+            threshold = require_confidence_threshold(configuration.policy)
+            threshold_np[members] = threshold
+            escalates_np[members] = confidence < threshold
     compute_fast: List[float] = compute_fast_np.tolist()
     compute_acc: List[float] = compute_acc_np.tolist()
     escalates: List[bool] = escalates_np.tolist()
@@ -265,12 +362,17 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         acc_name = per_request([pair[1] for pair in pairs])
 
     # ------------------------------------------------------------------
-    # shadow cluster: one pool per version any pair names
+    # shadow cluster: one pool per version any pair names (per deployed
+    # version under a fault schedule: a fault may strike any pool)
     # ------------------------------------------------------------------
     pools = {
         version: [_ShadowNode(node) for node in balancer.nodes_of(version)]
-        for version in dict.fromkeys(
-            version for pair in pairs for version in pair if version is not None
+        for version in (
+            balancer.versions
+            if faults
+            else dict.fromkeys(
+                v for pair in pairs for v in pair if v is not None
+            )
         )
     }
     shadows = [node for pool in pools.values() for node in pool]
@@ -365,9 +467,9 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # additionally gets its scan inlined at the two hottest call sites in
     # the event loop (arrival fast-leg, sequential escalation), saving a
     # closure call per selection.  That needs every request to share the
-    # leg's pool; pool membership is static here: eligibility already
-    # excluded autoscalers and fault schedules.
-    _jsq = isinstance(selection, JoinShortestQueuePolicy)
+    # leg's pool, and a pool whose membership is static: no fault schedule
+    # (eligibility already excluded autoscalers).
+    _jsq = isinstance(selection, JoinShortestQueuePolicy) and not faults
     fast_a = fast_b = acc_a = acc_b = None
     fast_versions = {pair[0] for pair in pairs}
     acc_versions = {pair[1] for pair in pairs} - {None}
@@ -391,11 +493,23 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     batch_time = batching.batch_service_time
 
     # Arrivals never enter the heap: the legacy engine schedules them all
-    # before any runtime event exists, so they hold sequence numbers
-    # 0..n-1 and win every time tie.  A stable sort by arrival time gives
-    # exactly that order; runtime events count from n.
-    order = sorted(range(n), key=times.__getitem__)
-    sorted_times = [times[i] for i in order]
+    # before any runtime event exists — after the fault onsets its
+    # constructor scheduled — so onsets, then arrivals, win every time tie
+    # against a runtime event.  The stream holds both: entry ``i < n`` is
+    # submission ``i``, entry ``n + j`` is onset ``j``, and a stable sort
+    # of onsets-then-submissions by time gives exactly the legacy order.
+    onsets = [
+        fault
+        for fault in faults
+        if isinstance(fault, (NodeCrash, NodeSlowdown, GrayFailure))
+    ]
+    n_stream = n + len(onsets)
+    stream_times = [*times, *(fault.at_s for fault in onsets)] if onsets else times
+    order = sorted(
+        [*range(n, n_stream), *range(n)] if onsets else range(n),
+        key=stream_times.__getitem__,
+    )
+    sorted_times = [stream_times[i] for i in order]
 
     heap: list = []
     seq = n - 1
@@ -496,11 +610,12 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             maybe_start(node, now)
 
     def cancel_queued(node, sub, now):
-        # _cancel_queued_job: remove the queued accurate job, drop the
-        # (possibly stale) flush timer, re-arm from the new queue state.
+        # _cancel_queued_job: remove the request's queued job (a node
+        # serves one version, so one leg), drop the (possibly stale) flush
+        # timer, re-arm from the new queue state.
         queue = node.queue
         for item in queue:
-            if item[0] == sub and item[1] == 1:
+            if item[0] == sub:
                 queue.remove(item)
                 break
         else:
@@ -603,6 +718,404 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             if slow:
                 emit(sub, now)
 
+    # ------------------------------------------------------------------
+    # the stepwise state machine: fault sources and the failed-attempt
+    # path (each helper mirrors one legacy engine method, per request
+    # ``sub`` and leg ``key = sub << 1 | leg``)
+    # ------------------------------------------------------------------
+    fault_log: list = []
+    if faults:
+        leg_version = [None] * (2 * n)
+        leg_version[0::2] = fast_name
+        leg_version[1::2] = acc_name
+        attempt = [0] * (2 * n)
+        leg_open = bytearray(2 * n)
+        retry_pending = bytearray(2 * n)
+        leg_node: List[Optional[_ShadowNode]] = [None] * (2 * n)
+        #: The escalation decision, taken when the fast leg lands.
+        esc: List[Optional[bool]] = [None] * n
+        fast_failed = bytearray(n)
+        acc_failed = bytearray(n)
+        resolved = bytearray(n)
+        failed = bytearray(n)
+        acc_only = bytearray(n)
+        retries = [0] * n
+        planned = [0] * n
+        denied = bytearray(n)
+        conf_fast = conf_fast_np.tolist()
+        conf_acc = conf_acc_np.tolist()
+        thresholds = threshold_np.tolist()
+        #: version -> {sub: job} waiting, in arrival order, for a pool
+        #: with no live node.
+        parked: dict = {}
+        waves = [fault for fault in faults if isinstance(fault, ColdStartWave)]
+        retry = sim._retry
+        max_attempts = retry.max_attempts
+        retry_budget = retry.retry_budget
+        max_total = retry.max_total_retries
+        max_inflight = retry.max_inflight_retries
+        planned_total = 0
+        inflight = 0
+
+    def schedule(time, handler, arg):
+        nonlocal seq
+        seq += 1
+        heappush(heap, (time, (seq << 2) | _SOURCE, handler, arg))
+
+    def enqueue_attempt(key, now):
+        # _enqueue_attempt: the leg's next attempt joins a live node's
+        # queue, or parks while its pool has none.
+        sub = key >> 1
+        version = leg_version[key]
+        attempt[key] += 1
+        leg_open[key] = True
+        if checker is not None:
+            checker.on_attempt_started(
+                request_ids[sub], version, attempt[key], now
+            )
+        item = (sub, key & 1, now)
+        if not pools[version]:
+            parked.setdefault(version, {})[sub] = item
+            leg_node[key] = None
+            return
+        node = selects[version]()
+        node.queue.append(item)
+        leg_node[key] = node
+        if node.busy_until <= now:
+            maybe_start(node, now)
+
+    def arrive(sub, now):
+        # _on_arrival, and the fault onsets that share its stream.
+        if sub >= n:
+            onset(onsets[sub - n], now)
+            return
+        if checker is not None:
+            checker.on_arrival(request_ids[sub], now)
+        enqueue_attempt(sub << 1, now)
+        if kind_of[sub] >= _CONC:
+            enqueue_attempt(sub << 1 | 1, now)
+
+    def resolve(sub, end, fast_s, acc_s, start, now, outcome=None, exclude=-1):
+        # _finalize / _finalize_failed: one row, in completion order.  A
+        # failure (fast_s == -1.0) bills nothing; given an ``outcome``, the
+        # legs still in flight (but leg ``exclude``) are abandoned first:
+        # queued or parked jobs cancelled, a running one detached.
+        if outcome is not None:
+            for leg in (0, 1):
+                key = sub << 1 | leg
+                if leg == exclude or not leg_open[key]:
+                    continue
+                leg_open[key] = False
+                node = leg_node[key]
+                version = leg_version[key]
+                if (
+                    node is not None
+                    and node.alive
+                    and cancel_queued(node, sub, now)
+                ) or parked.get(version, {}).pop(sub, None):
+                    if checker is not None:
+                        checker.on_attempt_finished(
+                            request_ids[sub], version, attempt[key], now, outcome
+                        )
+                elif checker is not None:
+                    checker.on_attempt_detached(request_ids[sub], version)
+        if fast_s < 0.0:
+            failed[sub] = 1
+            fast = fast_done[sub]
+            start = fast[0] if fast is not None else times[sub]
+        out_append((sub, end, bool(esc[sub]), fast_s, acc_s, start))
+        resolved[sub] = 1
+        if checker is not None:
+            checker.on_finalized(request_ids[sub], now, failed=fast_s < 0.0)
+
+    def on_job_done(sub, leg, start, finish, amortized, solo, now):
+        # _on_job_done + _advance, with the confidence the node reports
+        # deflated while it is gray or warming up.
+        key = sub << 1 | leg
+        if resolved[sub]:
+            # A detached attempt ran on; its result is discarded.
+            if checker is not None:
+                checker.on_orphan_finished(
+                    request_ids[sub], leg_version[key], finish
+                )
+            return
+        leg_open[key] = False
+        if checker is not None:
+            checker.on_attempt_finished(
+                request_ids[sub],
+                leg_version[key],
+                attempt[key],
+                finish,
+                "ok",
+                seconds=amortized,
+            )
+        factor = leg_node[key].deflate
+        if leg:
+            if factor is not None:
+                conf_acc[sub] *= factor
+            acc_done[sub] = (start, finish, amortized, solo)
+        else:
+            if factor is not None:
+                conf_fast[sub] *= factor
+                escalates[sub] = conf_fast[sub] < thresholds[sub]
+            fast_done[sub] = (start, finish, amortized, solo)
+        fast = fast_done[sub]
+        accurate = acc_done[sub]
+        kind = kind_of[sub]
+        if fast_failed[sub]:
+            # Degraded conc/et fallback: the accurate result answers alone.
+            if accurate is not None:
+                acc_only[sub] = 1
+                resolve(
+                    sub, max(now, accurate[1]), accurate[2], -1.0,
+                    accurate[0], now,
+                )
+            return
+        if kind == _SINGLE:
+            resolve(sub, finish, amortized, -1.0, start, now)
+            return
+        if fast is not None and esc[sub] is None:
+            esc[sub] = escalates[sub]
+        acc_key = sub << 1 | 1
+        if kind == _SEQ:
+            if fast is None:
+                return
+            if esc[sub] is False:
+                resolve(sub, fast[1], fast[2], -1.0, fast[0], now)
+            elif not attempt[acc_key]:
+                enqueue_attempt(acc_key, now)
+            elif accurate is not None:
+                resolve(sub, accurate[1], fast[2], accurate[2], fast[0], now)
+            return
+        if acc_failed[sub] and fast is not None:
+            # The accurate leg is gone: the fast result alone decides.
+            if esc[sub]:
+                resolve(sub, now, -1.0, -1.0, None, now, "cancelled")
+            else:
+                resolve(sub, fast[1], fast[2], -1.0, fast[0], now)
+            return
+        if fast is None:
+            return
+        if esc[sub]:
+            if accurate is not None:
+                resolve(
+                    sub, max(fast[1], accurate[1]), fast[2], accurate[2],
+                    fast[0], now,
+                )
+            return
+        if kind == _ET and accurate is None and not acc_cancelled[sub]:
+            # Not started yet — queued, parked or in backoff: cancelled
+            # at no cost.  Already running: it finishes, capped below.
+            node = leg_node[acc_key]
+            cancelled = (
+                node is not None and cancel_queued(node, sub, now)
+            ) or parked.get(leg_version[acc_key], {}).pop(sub, None)
+            if cancelled or retry_pending[acc_key]:
+                acc_cancelled[sub] = True
+                if cancelled:
+                    leg_open[acc_key] = False
+                    if checker is not None:
+                        checker.on_attempt_finished(
+                            request_ids[sub],
+                            leg_version[acc_key],
+                            attempt[acc_key],
+                            now,
+                            "cancelled",
+                        )
+                else:
+                    retry_pending[acc_key] = False
+                resolve(sub, fast[1], fast[2], -1.0, fast[0], now)
+                return
+        if accurate is None:
+            return
+        acc_seconds = accurate[2]
+        if kind == _ET and fast[3] < acc_seconds:
+            acc_seconds = fast[3]  # early_termination_cap
+        resolve(sub, fast[1], fast[2], acc_seconds, fast[0], now)
+
+    def attempt_failed(key, now, reason):
+        # _attempt_failed: retry under the policy and its budgets, else
+        # the degraded fallbacks, else a terminal failure.
+        nonlocal planned_total, inflight
+        sub = key >> 1
+        version = leg_version[key]
+        tries = attempt[key]
+        leg_open[key] = False
+        if checker is not None:
+            checker.on_attempt_finished(
+                request_ids[sub], version, tries, now, reason
+            )
+        if tries < max_attempts:
+            if (
+                (retry_budget is None or planned[sub] < retry_budget)
+                and (max_total is None or planned_total < max_total)
+                and (max_inflight is None or inflight < max_inflight)
+            ):
+                retry_pending[key] = True
+                planned[sub] += 1
+                planned_total += 1
+                inflight += 1
+                schedule(now + retry.delay_before_retry(tries), on_retry, key)
+                return
+            denied[sub] = 1
+            if checker is not None:
+                checker.on_retry_denied(request_ids[sub], version, now)
+        fast = fast_done[sub]
+        if key & 1:
+            if fast is not None and esc[sub] is False:
+                # A confident fast answer makes the accurate loss harmless.
+                resolve(sub, fast[1], fast[2], -1.0, fast[0], now)
+                return
+            if (
+                kind_of[sub] >= _CONC
+                and fast is None
+                and (leg_open[key ^ 1] or retry_pending[key ^ 1])
+            ):
+                acc_failed[sub] = 1  # the fast gate decides when it lands
+                return
+        elif (
+            kind_of[sub] >= _CONC
+            and not acc_cancelled[sub]
+            and (
+                acc_done[sub] is not None
+                or leg_open[key | 1]
+                or retry_pending[key | 1]
+            )
+        ):
+            fast_failed[sub] = 1
+            accurate = acc_done[sub]
+            if accurate is not None:
+                acc_only[sub] = 1
+                resolve(
+                    sub, max(now, accurate[1]), accurate[2], -1.0,
+                    accurate[0], now,
+                )
+            return
+        resolve(sub, now, -1.0, -1.0, None, now, "cancelled", key & 1)
+
+    def on_retry(key, now):
+        # _on_retry: the backoff is over.
+        nonlocal inflight
+        inflight -= 1
+        sub = key >> 1
+        if resolved[sub] or not retry_pending[key]:
+            return  # resolved meanwhile, or cancelled by early termination
+        retry_pending[key] = False
+        retries[sub] += 1
+        enqueue_attempt(key, now)
+
+    def reselect(version):
+        # Pool membership changed on the real balancer, which reset its
+        # selection state: recompile the pool's selection from it.
+        selects[version] = _compile_select(pools[version], version)
+
+    def onset(fault, now):
+        # _on_node_crash / _on_degrade.
+        version = fault.version
+        pool = pools[version]
+        node, skipped = fault.victim(pool, now)
+        if node is None:
+            fault_log.append(skipped)
+            return
+        if not isinstance(fault, NodeCrash):
+            node.set_speed_scale(fault.speed_factor)
+            if isinstance(fault, GrayFailure):
+                factor = fault.confidence_factor
+                node.deflate = factor if factor < 1.0 else None
+            fault_log.append(fault.onset_entry(now, version, node.real.node_id))
+            if fault.until_s is not None:
+                schedule(fault.until_s, restore, (fault, version, node))
+            return
+        node.flush_seq = -1
+        aborted = []
+        for index, event in enumerate(heap):
+            if event[2] is node and event[1] & 3:
+                # The node's running batch died mid-execution.
+                info = event[3]
+                aborted = (
+                    [info[:2]]
+                    if event[1] & 3 == _ONE_DONE
+                    else [item[:2] for item in info[0]]
+                )
+                heap[index] = heap[-1]
+                heap.pop()
+                heapify(heap)
+                break
+        node.kill(now, len(aborted))
+        queued = list(node.queue)
+        node.queue.clear()
+        pool.remove(node)
+        cluster.kill_node(version, node.real, now=now)
+        reselect(version)
+        fault_log.append(
+            fault.crash_entry(now, node.real.node_id, len(aborted), len(queued))
+        )
+        # Queued work never started: it migrates, same attempt.
+        for item in queued:
+            sub = item[0]
+            if resolved[sub]:
+                continue
+            key = sub << 1 | item[1]
+            if not pool:
+                parked.setdefault(version, {})[sub] = item
+                leg_node[key] = None
+                continue
+            target = selects[version]()
+            target.requeue(item)
+            leg_node[key] = target
+            target.flush_seq = -1
+            if target.busy_until <= now:
+                maybe_start(target, now)
+        # Running work died mid-execution: those attempts failed.
+        for sub, leg in aborted:
+            if not resolved[sub]:
+                attempt_failed(sub << 1 | leg, now, "crash")
+        if fault.recover_at_s is not None:
+            schedule(fault.recover_at_s, recover, fault)
+
+    def recover(fault, now):
+        # _on_node_recover: a replacement joins the pool — warming first
+        # under a cold-start wave — and the work parked behind the dead
+        # pool lands on it (_on_capacity_added).
+        version = fault.version
+        real = cluster.add_nodes(version, 1)[0]
+        node = _ShadowNode(real)
+        pools[version].append(node)
+        shadows.append(node)
+        reselect(version)
+        fault_log.append(fault.recover_entry(now, real.node_id))
+        wave = next((w for w in waves if w.covers(version)), None)
+        if wave is not None:
+            node.set_speed_scale(wave.speed_factor)
+            if wave.confidence_factor < 1.0:
+                node.deflate = wave.confidence_factor
+            fault_log.append(wave.onset_entry(now, version, real.node_id))
+            schedule(now + wave.warmup_s, restore, (wave, version, node))
+        touched = {}
+        for item in parked.pop(version, {}).values():
+            sub = item[0]
+            if resolved[sub]:
+                continue
+            target = selects[version]()
+            target.requeue(item)
+            leg_node[sub << 1 | item[1]] = target
+            touched[target] = None
+        for target in touched:
+            target.flush_seq = -1
+            if target.busy_until <= now:
+                maybe_start(target, now)
+
+    def restore(args, now):
+        # _on_restore.
+        fault, version, node = args
+        if not isinstance(fault, NodeSlowdown):
+            node.deflate = None
+        if node.alive:
+            node.set_speed_scale(1.0)
+            fault_log.append(
+                fault.restore_entry(now, version, node.real.node_id)
+            )
+
     both_legs_at_arrival = max(kinds) >= _CONC
     # Specialized single-job delivery for the two sequential-flow kinds
     # in fast mode (no checker), when every request shares the kind: the
@@ -615,13 +1128,20 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # ------------------------------------------------------------------
     # the loop (arrival handling inlined — it is the hottest edge)
     # ------------------------------------------------------------------
+    if faults:
+        deliver = on_job_done
     pointer = 0
-    while pointer < n or heap:
-        if pointer < n and (not heap or sorted_times[pointer] <= heap[0][0]):
+    while pointer < n_stream or heap:
+        if pointer < n_stream and (
+            not heap or sorted_times[pointer] <= heap[0][0]
+        ):
             now = sorted_times[pointer]
             sub = order[pointer]
             pointer += 1
-            if checker is not None:
+            if slow:
+                if faults:
+                    arrive(sub, now)
+                    continue
                 checker.on_arrival(request_ids[sub], now)
                 checker.on_attempt_started(request_ids[sub], fast_name[sub], 1, now)
             if fast_a is not None:
@@ -642,12 +1162,14 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             if both_legs_at_arrival and kind_of[sub] >= _CONC:
                 enqueue_accurate(sub, now)
             continue
+        # `now` moves only on an event that fires: the end-of-run
+        # resolution reads the time of the last one.
         event = heappop(heap)
-        now = event[0]
         tag = event[1]
         node = event[2]
         code = tag & 3
         if code == _ONE_DONE:
+            now = event[0]
             sub, leg, solo, start = event[3]
             # amortized == wall / 1 == solo (x / 1 is exact)
             if inline_seq:
@@ -683,6 +1205,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         elif code == _FLUSH:
             if tag != node.flush_seq:
                 continue  # stale timer, lazily cancelled
+            now = event[0]
             node.flush_seq = -1
             queue = node.queue
             if queue and node.busy_until <= now:
@@ -709,7 +1232,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                     )
                 else:
                     start_batch(node, now)
-        else:
+        elif code == _BATCH_DONE:
+            now = event[0]
             items, solos, start, wall = event[3]
             k = len(items)
             amortized = wall / k
@@ -721,6 +1245,24 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                 )
             if node.queue:
                 maybe_start(node, now)
+        else:
+            now = event[0]
+            node(event[3], now)  # a fault or retry source
+
+    if faults and len(out) < n:
+        # drain()'s end-of-run resolution: every queued job has run and
+        # every retry fired, so what is left is parked behind a pool whose
+        # capacity never came back.  A request holding a confident fast
+        # answer responds with it; the rest fail — in arrival order.
+        for sub in order:
+            if sub < n and not resolved[sub]:
+                fast = fast_done[sub]
+                if esc[sub] is False and fast is not None:
+                    resolve(
+                        sub, fast[1], fast[2], -1.0, fast[0], now, "unserved"
+                    )
+                else:
+                    resolve(sub, now, -1.0, -1.0, None, now, "unserved")
 
     if len(out) != n:
         raise RuntimeError(
@@ -731,10 +1273,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # write-back: the real cluster must end exactly as legacy leaves it
     # ------------------------------------------------------------------
     for shadow in shadows:
-        real = shadow.real
-        real.busy_until = shadow.busy_until
-        real._busy_seconds = shadow.busy_seconds
-        real._requests_served = shadow.served
+        shadow.write_back()
     for version, state in rr_states:
         selection._cursor[version] = state[0]
 
@@ -752,6 +1291,45 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
     tiers = np.asarray(store.tolerances, dtype=np.float64)[sub_idx]
     pair_codes = pair_np[sub_idx]
+    row_payloads = [payloads[i] for i in o_sub]
+    # conf_acc_np is only ever read where the request escalated.
+    confidence = np.where(escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx])
+    faulted_columns = {}
+    if faults:
+        # The stepwise rows: a failure bills nothing and has no answer; an
+        # accurate-only answer bills (and is answered by) its accurate leg
+        # alone, as the pair (accurate, None) the scalar loop's record
+        # names; confidences carry any deflation.
+        failed_rows = np.frombuffer(failed, dtype=bool)[sub_idx]
+        only_rows = np.frombuffer(acc_only, dtype=bool)[sub_idx]
+        confidence = np.where(
+            escalated | only_rows,
+            np.asarray(conf_acc)[sub_idx],
+            np.asarray(conf_fast)[sub_idx],
+        )
+        confidence[failed_rows] = 0.0
+        if only_rows.any():
+            solo_code = []
+            for fast_version, acc_version in list(pairs):
+                pair = (acc_version or fast_version, None)
+                if pair not in pairs:
+                    pairs.append(pair)
+                solo_code.append(pairs.index(pair))
+            pair_codes = np.where(
+                only_rows, np.array(solo_code)[pair_codes], pair_codes
+            )
+        faulted_columns = dict(
+            failed=failed_rows,
+            retries=np.array(retries, dtype=np.int64)[sub_idx],
+            retry_denied=np.frombuffer(denied, dtype=bool)[sub_idx],
+            no_confidence=failed_rows,
+            results=[
+                None if lost else payload
+                for payload, lost in zip(row_payloads, failed_rows.tolist())
+            ]
+            if failed_rows.any()
+            else None,
+        )
     # PricingModel.request_cost, vectorized with the same operation
     # order, each row priced by its own pair: cost_v = seconds_v *
     # price_v; iaas = fast + accurate (the legacy left fold starts
@@ -768,9 +1346,11 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         acc_seconds >= 0.0, acc_seconds * price_acc[pair_codes], 0.0
     )
     invocation = pricing.per_request_fee + pricing.markup * iaas
+    if faults:
+        invocation[faulted_columns["failed"]] = 0.0  # failures are not billed
     report_columns = RecordColumns(
         request_ids=[request_ids[i] for i in o_sub],
-        payloads=[payloads[i] for i in o_sub],
+        payloads=row_payloads,
         tier=tiers,
         arrival_s=arrivals,
         finished_s=finished,
@@ -782,13 +1362,13 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         pair_code=pair_codes,
         node_seconds_fast=fast_seconds,
         node_seconds_accurate=acc_seconds,
-        # conf_acc_np is only ever read where the request escalated.
-        confidence=np.where(
-            escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx]
-        ),
+        confidence=confidence,
+        **faulted_columns,
     )
     report = LoadTestReport(
-        columns=report_columns, final_pool_sizes=cluster.pool_sizes()
+        columns=report_columns,
+        final_pool_sizes=cluster.pool_sizes(),
+        fault_log=fault_log,
     )
 
     if checker is not None:

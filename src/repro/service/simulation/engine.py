@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -288,9 +288,9 @@ class ServingSimulator:
 
     Submissions are always deferred and :meth:`drain` picks the loop from
     the run: the vectorized one in :mod:`repro.service.simulation.columnar`
-    whenever the run is fault-free and open-loop over a replay cluster
-    (router or fixed configuration alike), the scalar event loop
-    (bit-identically, see ``fallback_reason``) otherwise.
+    whenever the run is open-loop over a replay cluster (router or fixed
+    configuration alike, healthy or under window faults), the scalar event
+    loop (bit-identically, see ``fallback_reason``) otherwise.
 
     Args:
         cluster: The deployment whose queues and pools the simulation
@@ -332,8 +332,8 @@ class ServingSimulator:
             :class:`repro.obs.record.SimTraceRecorder`).  The legacy
             loop drives its per-event hooks; a columnar drain hands it
             the finished report for post-hoc span reconstruction
-            instead, so attaching one never forces the slow path and
-            never changes a report digest.
+            instead.  Only a fault schedule's per-attempt spans need the
+            legacy loop; attaching one never changes a report digest.
         seed: Seed for arrival sampling and payload choice (transient
             fault draws use a generator derived from it, so healthy and
             faulty runs see identical arrivals).
@@ -407,8 +407,9 @@ class ServingSimulator:
         self._check = InvariantChecker() if check_invariants else None
         #: The live control plane driving this run (``None`` open-loop).
         self.control = control
-        # A trace recorder never forces the scalar loop: a columnar run's
-        # spans are reconstructed post-hoc from RecordColumns (see drain()).
+        # A columnar run's spans are reconstructed post-hoc from
+        # RecordColumns (see drain()); only a fault schedule's retry,
+        # migration and deflation spans keep a traced run on this loop.
         # Every call site guards on None: disabled costs one attribute test.
         if trace is not None and not hasattr(trace, "on_finalized"):
             from repro.obs.record import SimTraceRecorder
@@ -1111,17 +1112,11 @@ class ServingSimulator:
                     lambda f=fault: self._on_node_crash(f),
                     kind="fault-crash",
                 )
-            elif isinstance(fault, NodeSlowdown):
+            elif isinstance(fault, (NodeSlowdown, GrayFailure)):
                 self._loop.schedule_at(
                     fault.at_s,
-                    lambda f=fault: self._on_slowdown(f),
-                    kind="fault-slowdown",
-                )
-            elif isinstance(fault, GrayFailure):
-                self._loop.schedule_at(
-                    fault.at_s,
-                    lambda f=fault: self._on_gray(f),
-                    kind="fault-gray",
+                    lambda f=fault: self._on_degrade(f),
+                    kind="fault-degrade",
                 )
             elif isinstance(fault, TransientFaults):
                 self._loop.schedule_at(
@@ -1229,20 +1224,10 @@ class ServingSimulator:
     def _on_node_crash(self, fault: NodeCrash) -> None:
         now = self._loop.now
         balancer = self.cluster.load_balancer
-        pool = balancer.nodes_of(fault.version)
-        if fault.node_index >= len(pool):
-            self._fault_log.append(
-                FaultLogEntry(
-                    now,
-                    "skipped",
-                    fault.version,
-                    None,
-                    f"crash index {fault.node_index} out of range "
-                    f"(pool size {len(pool)})",
-                )
-            )
+        node, skipped = fault.victim(balancer.nodes_of(fault.version), now)
+        if node is None:
+            self._fault_log.append(skipped)
             return
-        node = pool[fault.node_index]
         pending = self._flush_events.pop(node.node_id, None)
         if pending is not None:
             pending.cancel()
@@ -1266,14 +1251,7 @@ class ServingSimulator:
             for survivor in balancer.nodes_of(fault.version)
         )
         self._fault_log.append(
-            FaultLogEntry(
-                now,
-                "crash",
-                fault.version,
-                node.node_id,
-                f"pool index {fault.node_index}: {len(aborted)} running "
-                f"attempt(s) aborted, {len(queued)} queued migrated",
-            )
+            fault.crash_entry(now, node.node_id, len(aborted), len(queued))
         )
         policy = self._cascade_policy_for(fault.version)
         if policy is not None:
@@ -1297,9 +1275,33 @@ class ServingSimulator:
                     f"cap {policy.max_probability:g})",
                 )
             )
-        # Queued work never started: it migrates, same attempt.
+        # Queued work never started: it migrates, same attempt (parked
+        # when the crash emptied the pool).
         for item in queued:
-            self._migrate_item(fault.version, item)
+            state = self._inflight.get(item.request_id)
+            if state is None:
+                continue  # the request resolved; drop the stale job
+            if balancer.live_pool_size(fault.version) == 0:
+                self._parked.setdefault(fault.version, []).append(item)
+                self._note_leg_node(state, fault.version, None)
+                if self._trace is not None:
+                    self._trace.on_migrated(
+                        item.request_id, fault.version, now, parked=True
+                    )
+                continue
+            target = balancer.select_node(fault.version)
+            target.requeue(item)
+            self._note_leg_node(state, fault.version, target)
+            if self._trace is not None:
+                self._trace.on_migrated(
+                    item.request_id, fault.version, now, parked=False
+                )
+            # The migrated item may be older than the head that armed the
+            # node's flush deadline; re-arm from the current queue state.
+            pending = self._flush_events.pop(target.node_id, None)
+            if pending is not None:
+                pending.cancel()
+            self._maybe_start(target)
         # Running work died mid-execution: those attempts failed.
         for item in aborted:
             state = self._inflight.get(item.request_id)
@@ -1318,115 +1320,50 @@ class ServingSimulator:
     def _on_node_recover(self, fault: NodeCrash) -> None:
         added = self.cluster.add_nodes(fault.version, 1)
         self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "recover",
-                fault.version,
-                added[0].node_id,
-                "replacement node joined the pool",
-            )
+            fault.recover_entry(self._loop.now, added[0].node_id)
         )
         # Cold-start degradation applies before parked work lands on the
         # replacement, so its first batches run at warmup speed.
         self._maybe_cold_start(fault.version, added)
         self._on_capacity_added(fault.version)
 
-    def _on_slowdown(self, fault: NodeSlowdown) -> None:
+    def _on_degrade(self, fault: Union[NodeSlowdown, GrayFailure]) -> None:
+        """A straggler or gray onset: the node slows down — and a gray
+        node's answers lose confidence — until its restore fires."""
         now = self._loop.now
         pool = self.cluster.load_balancer.nodes_of(fault.version)
-        if fault.node_index >= len(pool):
-            self._fault_log.append(
-                FaultLogEntry(
-                    now,
-                    "skipped",
-                    fault.version,
-                    None,
-                    f"slowdown index {fault.node_index} out of range "
-                    f"(pool size {len(pool)})",
-                )
-            )
+        node, skipped = fault.victim(pool, now)
+        if node is None:
+            self._fault_log.append(skipped)
             return
-        node = pool[fault.node_index]
         node.set_speed_scale(fault.speed_factor)
+        if isinstance(fault, GrayFailure):
+            self._deflate[node.node_id] = fault.confidence_factor
         self._fault_log.append(
-            FaultLogEntry(
-                now,
-                "slowdown",
-                fault.version,
-                node.node_id,
-                f"pool index {fault.node_index}: speed x{fault.speed_factor:g}",
-            )
+            fault.onset_entry(now, fault.version, node.node_id)
         )
         if fault.until_s is not None:
             self._loop.schedule_at(
                 fault.until_s,
-                lambda f=fault, n=node: self._on_speed_restore(f, n),
+                lambda f=fault, n=node: self._on_restore(f, f.version, n),
                 kind="fault-restore",
             )
 
-    def _on_speed_restore(self, fault: NodeSlowdown, node: ServiceNode) -> None:
+    def _on_restore(
+        self,
+        fault: Union[NodeSlowdown, GrayFailure, ColdStartWave],
+        version: str,
+        node: ServiceNode,
+    ) -> None:
+        """A degradation ends: full speed again, and — unless it was a
+        straggler's — confidences reported as measured."""
+        if not isinstance(fault, NodeSlowdown):
+            self._deflate.pop(node.node_id, None)
         if not node.alive:
-            return  # the straggler crashed before its recovery
+            return  # the node crashed before it recovered
         node.set_speed_scale(1.0)
         self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "restore",
-                fault.version,
-                node.node_id,
-                "speed restored to x1",
-            )
-        )
-
-    def _on_gray(self, fault: GrayFailure) -> None:
-        now = self._loop.now
-        pool = self.cluster.load_balancer.nodes_of(fault.version)
-        if fault.node_index >= len(pool):
-            self._fault_log.append(
-                FaultLogEntry(
-                    now,
-                    "skipped",
-                    fault.version,
-                    None,
-                    f"gray index {fault.node_index} out of range "
-                    f"(pool size {len(pool)})",
-                )
-            )
-            return
-        node = pool[fault.node_index]
-        node.set_speed_scale(fault.speed_factor)
-        self._deflate[node.node_id] = fault.confidence_factor
-        self._fault_log.append(
-            FaultLogEntry(
-                now,
-                "gray",
-                fault.version,
-                node.node_id,
-                f"pool index {fault.node_index}: speed "
-                f"x{fault.speed_factor:g}, confidence "
-                f"x{fault.confidence_factor:g}, still passing health checks",
-            )
-        )
-        if fault.until_s is not None:
-            self._loop.schedule_at(
-                fault.until_s,
-                lambda f=fault, n=node: self._on_gray_restore(f, n),
-                kind="fault-restore",
-            )
-
-    def _on_gray_restore(self, fault: GrayFailure, node: ServiceNode) -> None:
-        self._deflate.pop(node.node_id, None)
-        if not node.alive:
-            return  # the gray node crashed before recovering
-        node.set_speed_scale(1.0)
-        self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "gray-restore",
-                fault.version,
-                node.node_id,
-                "speed and confidence restored to x1",
-            )
+            fault.restore_entry(self._loop.now, version, node.node_id)
         )
 
     def _maybe_cold_start(
@@ -1441,65 +1378,12 @@ class ServingSimulator:
             node.set_speed_scale(wave.speed_factor)
             if wave.confidence_factor < 1.0:
                 self._deflate[node.node_id] = wave.confidence_factor
-            self._fault_log.append(
-                FaultLogEntry(
-                    now,
-                    "cold-start",
-                    version,
-                    node.node_id,
-                    f"warming for {wave.warmup_s:g}s: speed "
-                    f"x{wave.speed_factor:g}, confidence "
-                    f"x{wave.confidence_factor:g}",
-                )
-            )
+            self._fault_log.append(wave.onset_entry(now, version, node.node_id))
             self._loop.schedule_at(
                 now + wave.warmup_s,
-                lambda v=version, n=node: self._on_warmed(v, n),
+                lambda v=version, n=node, w=wave: self._on_restore(w, v, n),
                 kind="fault-warmup",
             )
-
-    def _on_warmed(self, version: str, node: ServiceNode) -> None:
-        self._deflate.pop(node.node_id, None)
-        if not node.alive:
-            return  # the cold node died before finishing warmup
-        node.set_speed_scale(1.0)
-        self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "warmed",
-                version,
-                node.node_id,
-                "warmup complete: speed and confidence restored to x1",
-            )
-        )
-
-    def _migrate_item(self, version: str, item: QueuedRequest) -> None:
-        """Re-place a crashed node's queued item, preserving its attempt."""
-        state = self._inflight.get(item.request_id)
-        if state is None:
-            return  # the request resolved; drop the stale job
-        balancer = self.cluster.load_balancer
-        if balancer.live_pool_size(version) == 0:
-            self._parked.setdefault(version, []).append(item)
-            self._note_leg_node(state, version, None)
-            if self._trace is not None:
-                self._trace.on_migrated(
-                    item.request_id, version, self._loop.now, parked=True
-                )
-            return
-        node = balancer.select_node(version)
-        node.requeue(item)
-        self._note_leg_node(state, version, node)
-        if self._trace is not None:
-            self._trace.on_migrated(
-                item.request_id, version, self._loop.now, parked=False
-            )
-        # The migrated item may be older than the head that armed the
-        # node's flush deadline; re-arm from the current queue state.
-        pending = self._flush_events.pop(node.node_id, None)
-        if pending is not None:
-            pending.cancel()
-        self._maybe_start(node)
 
     def _note_leg_node(
         self, state: _InFlight, version: str, node: Optional[ServiceNode]

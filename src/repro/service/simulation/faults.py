@@ -59,6 +59,7 @@ the same seeded simulation always reproduces the same
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -85,6 +86,18 @@ def _require_finite(label: str, value: float) -> None:
         raise ValueError(f"{label} must be finite, got {value!r}")
 
 
+def _require_integer(label: str, value) -> None:
+    """Reject a count or an index that is not an integer (numpy ints pass)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
+def _require_node_index(value) -> None:
+    _require_integer("node_index", value)
+    if value < 0:
+        raise ValueError("node_index must be non-negative")
+
+
 def _require_timestamp(label: str, value: float) -> None:
     _require_finite(label, value)
     if value < 0.0:
@@ -104,8 +117,30 @@ def _require_rate(label: str, value: float) -> None:
         raise ValueError(f"{label} must be in [0, 1]")
 
 
+class _NodeFault:
+    """What the faults that strike one node by pool index share."""
+
+    #: The fault's name in a "skipped" log entry.
+    _WHAT = ""
+
+    def victim(self, pool, now: float):
+        """``(node, None)`` for the node at ``node_index`` of ``pool``
+        (the pool as it is at onset), or ``(None, entry)`` with the
+        "skipped" log entry when the index is past the pool's end."""
+        if self.node_index < len(pool):
+            return pool[self.node_index], None
+        return None, FaultLogEntry(
+            now,
+            "skipped",
+            self.version,
+            None,
+            f"{self._WHAT} index {self.node_index} out of range "
+            f"(pool size {len(pool)})",
+        )
+
+
 @dataclass(frozen=True)
-class NodeCrash:
+class NodeCrash(_NodeFault):
     """One node of a version's pool dies at a virtual timestamp.
 
     Attributes:
@@ -123,18 +158,42 @@ class NodeCrash:
     node_index: int = 0
     recover_at_s: Optional[float] = None
 
+    _WHAT = "crash"
+
     def __post_init__(self) -> None:
         _require_timestamp("at_s", self.at_s)
-        if self.node_index < 0:
-            raise ValueError("node_index must be non-negative")
+        _require_node_index(self.node_index)
         if self.recover_at_s is not None:
             _require_finite("recover_at_s", self.recover_at_s)
             if self.recover_at_s <= self.at_s:
                 raise ValueError("recover_at_s must lie after at_s")
 
+    def crash_entry(
+        self, now: float, node_id: str, n_aborted: int, n_queued: int
+    ) -> "FaultLogEntry":
+        """The log entry of the crash itself."""
+        return FaultLogEntry(
+            now,
+            "crash",
+            self.version,
+            node_id,
+            f"pool index {self.node_index}: {n_aborted} running "
+            f"attempt(s) aborted, {n_queued} queued migrated",
+        )
+
+    def recover_entry(self, now: float, node_id: str) -> "FaultLogEntry":
+        """The log entry of the replacement node joining the pool."""
+        return FaultLogEntry(
+            now,
+            "recover",
+            self.version,
+            node_id,
+            "replacement node joined the pool",
+        )
+
 
 @dataclass(frozen=True)
-class NodeSlowdown:
+class NodeSlowdown(_NodeFault):
     """A straggler: one node's speed is degraded for a window.
 
     Attributes:
@@ -154,10 +213,11 @@ class NodeSlowdown:
     speed_factor: float = 0.25
     until_s: Optional[float] = None
 
+    _WHAT = "slowdown"
+
     def __post_init__(self) -> None:
         _require_timestamp("at_s", self.at_s)
-        if self.node_index < 0:
-            raise ValueError("node_index must be non-negative")
+        _require_node_index(self.node_index)
         _require_finite("speed_factor", self.speed_factor)
         if self.speed_factor <= 0.0:
             raise ValueError("speed_factor must be positive")
@@ -165,6 +225,20 @@ class NodeSlowdown:
             _require_finite("until_s", self.until_s)
             if self.until_s <= self.at_s:
                 raise ValueError("until_s must lie after at_s")
+
+    def onset_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
+        """The log entry of the node turning slow."""
+        return FaultLogEntry(
+            now,
+            "slowdown",
+            version,
+            node_id,
+            f"pool index {self.node_index}: speed x{self.speed_factor:g}",
+        )
+
+    def restore_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
+        """The log entry of the node's speed coming back."""
+        return FaultLogEntry(now, "restore", version, node_id, "speed restored to x1")
 
 
 @dataclass(frozen=True)
@@ -198,7 +272,7 @@ class TransientFaults:
 
 
 @dataclass(frozen=True)
-class GrayFailure:
+class GrayFailure(_NodeFault):
     """A slow-but-alive node: passes health checks, serves garbage slowly.
 
     The node is never evicted and never refuses work — the load balancer
@@ -229,10 +303,11 @@ class GrayFailure:
     confidence_factor: float = 0.8
     until_s: Optional[float] = None
 
+    _WHAT = "gray"
+
     def __post_init__(self) -> None:
         _require_timestamp("at_s", self.at_s)
-        if self.node_index < 0:
-            raise ValueError("node_index must be non-negative")
+        _require_node_index(self.node_index)
         _require_finite("speed_factor", self.speed_factor)
         if not 0.0 < self.speed_factor <= 1.0:
             raise ValueError("speed_factor must be in (0, 1]")
@@ -241,6 +316,28 @@ class GrayFailure:
             _require_finite("until_s", self.until_s)
             if self.until_s <= self.at_s:
                 raise ValueError("until_s must lie after at_s")
+
+    def onset_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
+        """The log entry of the node turning gray."""
+        return FaultLogEntry(
+            now,
+            "gray",
+            version,
+            node_id,
+            f"pool index {self.node_index}: speed "
+            f"x{self.speed_factor:g}, confidence "
+            f"x{self.confidence_factor:g}, still passing health checks",
+        )
+
+    def restore_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
+        """The log entry of the node's speed and quality coming back."""
+        return FaultLogEntry(
+            now,
+            "gray-restore",
+            version,
+            node_id,
+            "speed and confidence restored to x1",
+        )
 
 
 @dataclass(frozen=True)
@@ -388,6 +485,28 @@ class ColdStartWave:
     def covers(self, version: str) -> bool:
         """Whether nodes joining ``version``'s pool warm up under this wave."""
         return self.version is None or self.version == version
+
+    def onset_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
+        """The log entry of a joining node starting its warmup."""
+        return FaultLogEntry(
+            now,
+            "cold-start",
+            version,
+            node_id,
+            f"warming for {self.warmup_s:g}s: speed "
+            f"x{self.speed_factor:g}, confidence "
+            f"x{self.confidence_factor:g}",
+        )
+
+    def restore_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
+        """The log entry of a joining node finishing its warmup."""
+        return FaultLogEntry(
+            now,
+            "warmed",
+            version,
+            node_id,
+            "warmup complete: speed and confidence restored to x1",
+        )
 
 
 @dataclass(frozen=True)
@@ -554,10 +673,13 @@ class RetryPolicy:
     max_total_retries: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_integer("max_attempts", self.max_attempts)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        _require_finite("backoff_s", self.backoff_s)
         if self.backoff_s < 0.0:
             raise ValueError("backoff_s must be non-negative")
+        _require_finite("backoff_factor", self.backoff_factor)
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be at least 1")
         for label, value in (
@@ -565,8 +687,10 @@ class RetryPolicy:
             ("max_inflight_retries", self.max_inflight_retries),
             ("max_total_retries", self.max_total_retries),
         ):
-            if value is not None and value < 0:
-                raise ValueError(f"{label} must be non-negative")
+            if value is not None:
+                _require_integer(label, value)
+                if value < 0:
+                    raise ValueError(f"{label} must be non-negative")
 
     def delay_before_retry(self, failed_attempt: int) -> float:
         """Backoff before re-driving after ``failed_attempt`` (1-based)."""
@@ -595,3 +719,4 @@ class FaultLogEntry:
     version: str
     node_id: Optional[str] = None
     detail: str = ""
+

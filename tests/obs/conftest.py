@@ -1,10 +1,10 @@
 """Fixtures for the observability suite.
 
 Trace *shapes* differ by loop: the scalar loop records per-attempt spans
-live, the columnar loop reconstructs coarse trees post hoc.  A run takes
-the scalar loop when it needs faults, control or an autoscaler; a test
-that wants per-attempt trees for a fault-free run drains it inside
-``tests/oracle/scalar.py``'s ``scalar_loop()``.
+live, the columnar loop reconstructs coarse trees post hoc.  A traced run
+takes the scalar loop when it has a fault schedule, control or an
+autoscaler; a test that wants per-attempt trees for a fault-free run
+drains it inside ``tests/oracle/scalar.py``'s ``scalar_loop()``.
 """
 
 import pytest

@@ -71,9 +71,25 @@ def test_full_scenario_sweep_is_trace_neutral(toy, engine):
         _assert_neutral(name, toy, engine)
 
 
+@pytest.mark.parametrize("name", ("node-crash", "straggler", "gray-failure"))
+def test_traced_window_fault_runs_keep_the_scalar_loop(name, toy):
+    """Window faults run columnar, but a trace of one keeps the scalar
+    loop (post-hoc reconstruction has no retry, migration or deflation
+    spans) — and either way the report is the same."""
+    spec = _spec(name)
+    traced = run_scenario(spec, toy, trace=TraceCollector())
+    untraced = run_scenario(spec, toy)
+    assert (traced.engine_used, traced.fallback_reason) == (
+        "legacy",
+        "per-attempt trace of a fault schedule",
+    )
+    assert (untraced.engine_used, untraced.fallback_reason) == ("columnar", None)
+    assert traced.digest() == untraced.digest()
+
+
 def test_fault_scenario_traces_are_engine_invariant(toy):
-    """Fault schedules force the scalar loop on the default path, so it
-    records the same per-attempt trace stream as the oracle."""
+    """A traced fault schedule keeps the scalar loop on the default path,
+    so it records the same per-attempt trace stream as the oracle."""
     legacy = _assert_neutral("gray-failure", toy, "legacy")
     columnar = _assert_neutral("gray-failure", toy, "columnar")
     assert legacy.digest() == columnar.digest()

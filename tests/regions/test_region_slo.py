@@ -18,6 +18,7 @@ from repro.service.simulation import (
     NodeCrash,
     PoissonArrivals,
     ScenarioSpec,
+    TransientFaults,
 )
 from repro.service.simulation.scenarios import _tiered_configuration
 
@@ -86,14 +87,36 @@ class TestEngineFallbackSurface:
     """What the default path picks per shard, on both legs of the matrix."""
 
     def test_faulted_region_reports_its_fallback(self, toy):
+        spec = region_scenarios()["regional-outage"]
+        outage = spec.regions[1]
+        flaky = TransientFaults(start_s=2.0, end_s=8.0, failure_probability=0.3)
+        spec = dataclasses.replace(
+            spec,
+            regions=(
+                spec.regions[0],
+                dataclasses.replace(
+                    outage,
+                    scenario=dataclasses.replace(
+                        outage.scenario, faults=(*outage.scenario.faults, flaky)
+                    ),
+                ),
+            ),
+        )
         with default_loop():
-            report = run_multi_region(region_scenarios()["regional-outage"], toy)
+            report = run_multi_region(spec, toy)
         fallbacks = report.engine_fallbacks()
-        assert set(fallbacks) == {"eu-west"}
-        assert "NodeCrash" in fallbacks["eu-west"]
+        assert fallbacks == {"eu-west": "fault schedule present (TransientFaults)"}
         assert report.shard("us-east").engine_used == "columnar"
         assert report.shard("eu-west").engine_used == "legacy"
         assert report.summary()["n_engine_fallbacks"] == 1.0
+
+    def test_crashing_region_runs_columnar(self, toy):
+        """A node crash is a window fault the columnar loop serves."""
+        with default_loop():
+            report = run_multi_region(region_scenarios()["regional-outage"], toy)
+        assert report.engine_fallbacks() == {}
+        assert all(s.engine_used == "columnar" for s in report.shards)
+        assert report.summary()["n_engine_fallbacks"] == 0.0
 
     def test_healthy_regions_report_no_fallback(self, toy):
         with default_loop():

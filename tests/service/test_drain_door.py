@@ -27,6 +27,7 @@ from repro.core.errors import (
     TierError,
 )
 from repro.core.policies import SequentialPolicy
+from repro.obs import TraceCollector
 from repro.service.control import ControlSpec, SLOSpec
 from repro.service.request import ServiceRequest
 from repro.service.simulation import (
@@ -35,6 +36,7 @@ from repro.service.simulation import (
     NodeSlowdown,
     PoissonArrivals,
     ServingSimulator,
+    TransientFaults,
     build_replay_cluster,
     columnar,
     scenario_measurements,
@@ -48,6 +50,7 @@ ENGINES = ("columnar", "legacy")
 #: event loop.  A reason outside this set is a refusal in disguise.
 CAPABILITY_PREFIXES = (
     "fault schedule present (",
+    "per-attempt trace of a fault schedule",
     "autoscaler attached",
     "control plane attached",
     "dead node in pool",
@@ -243,7 +246,12 @@ def _capability_simulator(prefix, toy):
     )
     fields = {}
     if prefix.startswith("fault"):
+        fields["faults"] = (
+            TransientFaults(start_s=1.0, end_s=3.0, failure_probability=0.2),
+        )
+    elif prefix.startswith("per-attempt"):
         fields["faults"] = (NodeCrash(at_s=1.0, version="slow", node_index=0),)
+        fields["trace"] = TraceCollector()
     elif prefix.startswith("autoscaler"):
         fields["autoscaler_config"] = AutoscalerConfig(min_nodes=1, max_nodes=3)
     elif prefix.startswith("control"):
@@ -276,8 +284,8 @@ def test_each_capability_reason_ends_in_a_report(prefix, toy):
 
 def test_the_fallback_reason_set_is_closed():
     """Every string ``columnar_ineligibility`` can return opens with one
-    of the six capability prefixes — a seventh is a refusal that belongs
-    at the door."""
+    of the seven capability prefixes — an eighth is a refusal that
+    belongs at the door."""
     tree = ast.parse(inspect.getsource(columnar.columnar_ineligibility))
     leading = []
     for node in ast.walk(tree):

@@ -23,7 +23,13 @@ two.  This file is that argument, run continuously:
    columnar and digest-identical to the oracle; one ineligible routed
    configuration falls back naming its reason; a pre-pass that swaps
    two groups' thresholds is caught.
-6. **Edge cases** — zero-request drains and single-request runs behave
+6. **Window faults** — :data:`N_WINDOW` seeded specs drawing crashes
+   (whole pools emptied, with and without recovery), stragglers, gray
+   nodes and cold-start waves under retry policies and budgets run
+   columnar and match the oracle's digest, fault stream, every record
+   field and the cluster's books; pinned specs cover the failed-attempt
+   branches a draw rarely reaches, and two crash-path mutants are caught.
+7. **Edge cases** — zero-request drains and single-request runs behave
    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
@@ -68,7 +74,9 @@ from repro.service.simulation import (
     AutoscalerConfig,
     BatchingConfig,
     BurstyArrivals,
+    ColdStartWave,
     DiurnalArrivals,
+    GrayFailure,
     NodeCrash,
     NodeSlowdown,
     PoissonArrivals,
@@ -83,6 +91,7 @@ from repro.service.simulation import (
     run_scenario,
     scenario_measurements,
 )
+from repro.service.simulation.scenarios import build_simulator
 
 N_SPECS = 50
 FAST_SPECS = 20
@@ -159,12 +168,15 @@ def test_canonical_scenarios_digest_identical(name, check_invariants, toy):
     assert control_log_digest(legacy) == control_log_digest(columnar)
 
 
-@pytest.mark.parametrize("name", ("baseline", "node-crash", "flaky"))
+@pytest.mark.parametrize("name", ("baseline", "node-crash", "gray-failure", "flaky"))
 def test_columnar_reproduces_golden_traces(name, toy):
-    """The columnar engine matches the PR 3 pinned digests directly."""
+    """The default path matches the pinned digests directly: the columnar
+    loop itself for the healthy and window-fault goldens, the fallback
+    for ``flaky``'s transient window."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    spec = canonical_scenarios()[name]
+    spec = {**canonical_scenarios(), **chaos_scenarios()}[name]
     report = run_scenario(spec, toy, check_invariants=True)
+    assert report.engine_used == ("legacy" if name == "flaky" else "columnar")
     assert report.digest() == golden["digest"], (
         f"columnar run of {name!r} no longer matches its golden trace"
     )
@@ -403,21 +415,22 @@ def test_unsupported_shapes_fall_back_with_reason(toy):
     assert_reports_identical(legacy, report)
 
 
-#: Each chaos scenario and the fault class its fallback reason must name.
+#: Each chaos scenario that still falls back, and the reason it gives:
+#: the fault types that fail completions or move arrivals keep the scalar
+#: loop, and cold-start's wave rides on an autoscaler.
 _CHAOS_FALLBACK = {
-    "gray-failure": "GrayFailure",
-    "cascade": "CascadePolicy",
-    "retry-storm": "RetryStorm",
-    "cold-start": "ColdStartWave",
-    "thundering-herd": "ThunderingHerd",
+    "cascade": "fault schedule present (CascadePolicy)",
+    "retry-storm": "fault schedule present (RetryStorm)",
+    "cold-start": "autoscaler attached",
+    "thundering-herd": "fault schedule present (ThunderingHerd)",
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CHAOS_FALLBACK))
-def test_chaos_specs_fall_back_with_named_reason(name, toy):
-    """Every chaos fault type makes the columnar path ineligible, the
-    fallback reason names the fault class, and the replayed legacy run is
-    bit-identical to a pure legacy run."""
+@pytest.mark.parametrize("name", sorted(chaos_scenarios()))
+def test_chaos_specs_pick_their_loop_with_named_reason(name, toy):
+    """Every chaos scenario either runs columnar (gray-failure: a window
+    fault) or falls back naming what the columnar loop lacks, and the
+    default run is bit-identical to a pure legacy run."""
     spec = chaos_scenarios()[name]
     from repro.service.simulation import Autoscaler
 
@@ -440,18 +453,21 @@ def test_chaos_specs_fall_back_with_named_reason(name, toy):
         objective=spec.objective,
         payload_ids=toy.request_ids,
     )
-    assert sim.engine_used == "legacy"
-    assert "fault schedule present" in sim.fallback_reason
-    assert _CHAOS_FALLBACK[name] in sim.fallback_reason
+    if name in _CHAOS_FALLBACK:
+        assert sim.engine_used == "legacy"
+        assert sim.fallback_reason == _CHAOS_FALLBACK[name]
+    else:
+        assert sim.engine_used == "columnar" and sim.fallback_reason is None
     with scalar_loop():
         legacy = run_scenario(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, report)
 
 
-@pytest.mark.parametrize("name", sorted(_CHAOS_FALLBACK))
+@pytest.mark.parametrize("name", sorted(chaos_scenarios()))
 def test_chaos_scenarios_digest_identical_across_engines(name, toy):
-    """The default path on a chaos spec means 'fall back and replay' —
-    the report must match the legacy oracle digest-for-digest."""
+    """The default path on a chaos spec — the columnar loop, or a
+    fallback that replays on the scalar one — matches the legacy oracle
+    digest-for-digest."""
     spec = chaos_scenarios()[name]
     legacy, columnar = run_both(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, columnar)
@@ -863,6 +879,363 @@ def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
     assert raised["legacy"] is (
         KeyError if bad == ("objective",) else ValueError
     )
+
+
+# ----------------------------------------------------------------------
+# window faults: crash / slowdown / gray / cold-start sources on the
+# columnar loop, with the whole failed-attempt path behind a crash
+# ----------------------------------------------------------------------
+#: The window-fault family; seeds below :data:`FAST_WINDOW` run in the
+#: fast tier.
+N_WINDOW = 60
+FAST_WINDOW = 20
+
+
+def _random_window_faults(rng, pools, span):
+    """1-4 window faults inside the arrival ``span``; one seed in three
+    crashes a whole pool (every node at one instant, the replacements
+    coming back or not)."""
+    faults = []
+    if rng.uniform() < 1 / 3:
+        version = str(rng.choice(sorted(pools)))
+        at = float(rng.uniform(0.1, 0.8)) * span
+        back = at + float(rng.uniform(1.0, 6.0)) if rng.uniform() < 0.6 else None
+        faults += [
+            NodeCrash(at_s=at, version=version, node_index=0, recover_at_s=back)
+            for _ in range(pools[version])
+        ]
+    for _ in range(int(rng.integers(1, 5)) - min(len(faults), 3)):
+        version = str(rng.choice(sorted(pools)))
+        at = float(rng.uniform(0.05, 1.0)) * span
+        until = at + float(rng.uniform(1.0, 8.0)) if rng.uniform() < 0.7 else None
+        index = int(rng.integers(0, 3))
+        kind = int(rng.integers(-1, 4))  # crashes twice as likely
+        if kind <= 0:
+            faults.append(
+                NodeCrash(
+                    at_s=at, version=version, node_index=index, recover_at_s=until
+                )
+            )
+        elif kind == 1:
+            faults.append(
+                NodeSlowdown(
+                    at_s=at,
+                    version=version,
+                    node_index=index,
+                    speed_factor=float(rng.uniform(0.1, 0.8)),
+                    until_s=until,
+                )
+            )
+        elif kind == 2:
+            faults.append(
+                GrayFailure(
+                    at_s=at,
+                    version=version,
+                    node_index=index,
+                    speed_factor=float(rng.uniform(0.2, 1.0)),
+                    confidence_factor=float(rng.uniform(0.3, 1.0)),
+                    until_s=until,
+                )
+            )
+        else:
+            faults.append(
+                ColdStartWave(
+                    warmup_s=float(rng.uniform(0.5, 5.0)),
+                    speed_factor=float(rng.uniform(0.2, 1.0)),
+                    confidence_factor=float(rng.choice([1.0, 0.6, 0.85])),
+                    version=version if rng.uniform() < 0.5 else None,
+                )
+            )
+    return tuple(faults)
+
+
+def _random_retry(rng):
+    """Up to three attempts with backoff; budgets on half the seeds."""
+    budgets = {}
+    if rng.uniform() < 0.5:
+        budgets = {
+            "retry_budget": int(rng.integers(0, 3)),
+            "max_inflight_retries": int(rng.integers(0, 4)),
+            "max_total_retries": int(rng.integers(0, 12)),
+        }
+    return RetryPolicy(
+        max_attempts=int(rng.integers(1, 4)),
+        backoff_s=float(rng.uniform(0.0, 0.2)),
+        backoff_factor=float(rng.uniform(1.0, 3.0)),
+        **budgets,
+    )
+
+
+def _window_simulator(seed, toy):
+    """One spec of the family, built twice over (the oracle needs its own
+    cluster): a fixed configuration over ``run()``'s arrivals, or — one
+    seed in four — a routed session of one-by-one submissions."""
+    rng = np.random.default_rng([seed, 20261015])
+    routed = seed % 4 == 3
+    router = _random_router(rng) if routed else None
+    policy = None if routed else _random_policy(rng)
+    pools = {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))}
+    selection = _SELECTION[int(rng.integers(0, len(_SELECTION)))]
+    batching = (
+        BatchingConfig(
+            max_batch_size=int(rng.integers(2, 6)),
+            max_wait_s=float(rng.uniform(0.0, 0.1)),
+        )
+        if rng.uniform() < 0.5
+        else None
+    )
+    rate = float(rng.uniform(3.0, 14.0))
+    n = int(rng.integers(40, 90))
+    faults = _random_window_faults(rng, pools, n / rate)
+    retry = _random_retry(rng)
+    times = np.cumsum(rng.exponential(1.0 / rate, n))
+    requests = [
+        ServiceRequest(
+            request_id=f"w_{i:04d}",
+            payload=str(rng.choice(toy.request_ids)),
+            tolerance=float(rng.choice((0.0, 0.01, 0.05, 0.10))),
+            objective=tuple(Objective)[int(rng.integers(0, 2))],
+        )
+        for i in range(n)
+    ]
+
+    def build():
+        sim = ServingSimulator(
+            build_replay_cluster(
+                toy, pools, selection_policy=selection() if selection else None
+            ),
+            router=router,
+            configuration=None
+            if routed
+            else EnsembleConfiguration(f"w_{seed}", policy),
+            batching=batching,
+            faults=faults,
+            retry=retry,
+            check_invariants=True,
+            seed=seed,
+        )
+        if routed:
+            for request, at_time in zip(requests, times.tolist()):
+                sim.submit(request, at_time=at_time)
+            return sim, sim.drain
+        return sim, lambda: sim.run(
+            PoissonArrivals(rate), n, payload_ids=toy.request_ids
+        )
+
+    return build
+
+
+def fault_log_digest(report):
+    """Standalone digest of the fault stream (node ids are process-local)."""
+    h = hashlib.sha256()
+    for entry in report.fault_log:
+        h.update(f"{entry.time_s!r}|{entry.kind}|{entry.version}|{entry.detail}\n".encode())
+    return h.hexdigest()
+
+
+def _cluster_books(cluster):
+    """How the run left the cluster: per-version books, then every live
+    node's counters, speed and queue, and each pool's rotation cursor."""
+    balancer = cluster.load_balancer
+    cursor = getattr(balancer._policy, "_cursor", {})
+    return (
+        cluster.total_busy_seconds(),
+        cluster.iaas_spend(),
+        cluster.pool_sizes(),
+        [
+            (
+                version,
+                node.busy_seconds,
+                node.requests_served,
+                node.busy_until,
+                node.effective_speed_factor,
+                node.alive,
+                node.queue_depth,
+            )
+            for version in balancer.versions
+            for node in balancer.nodes_of(version)
+        ],
+        {version: cursor.get(version, 0) for version in balancer.versions},
+    )
+
+
+def _run_window_pair(seed, toy, build=None):
+    """``(oracle report, oracle books, columnar report, columnar books)``
+    of family member ``seed``, or of the simulator ``build`` makes."""
+    build = build or _window_simulator(seed, toy)
+    legacy_sim, legacy_drain = build()
+    with scalar_loop():
+        legacy = legacy_drain()
+    sim, drain = build()
+    columnar = drain()
+    assert sim.engine_used == "columnar" and sim.fallback_reason is None
+    return (
+        legacy,
+        _cluster_books(legacy_sim.cluster),
+        columnar,
+        _cluster_books(sim.cluster),
+    )
+
+
+def _window_seeds():
+    return [
+        pytest.param(seed, marks=pytest.mark.slow) if seed >= FAST_WINDOW else seed
+        for seed in range(N_WINDOW)
+    ]
+
+
+@pytest.mark.parametrize("seed", _window_seeds())
+def test_window_fault_family_digest_identical(seed, toy):
+    """Crashes (a pool emptied, with and without recovery), stragglers,
+    gray nodes and cold-start waves under retries and their budgets run
+    columnar and match the scalar oracle: digests, the fault and control
+    streams, every record field (deflated confidences included), and the
+    cluster the run leaves behind."""
+    legacy, legacy_books, columnar, columnar_books = _run_window_pair(seed, toy)
+    assert_reports_identical(legacy, columnar)
+    assert fault_log_digest(legacy) == fault_log_digest(columnar)
+    assert control_log_digest(legacy) == control_log_digest(columnar)
+    assert list(legacy.records) == list(columnar.records)
+    assert legacy_books == columnar_books
+
+
+def test_window_fault_family_reaches_the_failed_attempt_path(toy):
+    """The fast tier exercises what a crash pulls in, not just crashes:
+    every onset and restore, retries driven and denied, and requests
+    that fail terminally or stay unserved."""
+    seen = set()
+    for seed in range(FAST_WINDOW):
+        report = _window_simulator(seed, toy)()[1]()
+        seen |= {entry.kind for entry in report.fault_log}
+        seen |= {"retried"} if report.total_retries else set()
+        seen |= {"denied"} if report.n_retry_denied else set()
+        seen |= {"failed"} if report.n_failed else set()
+    assert {
+        "crash", "recover", "slowdown", "restore", "gray", "gray-restore",
+        "cold-start", "warmed", "retried", "denied", "failed",
+    } <= seen, sorted(seen)
+
+
+def _pinned_spec(name, policy, faults, retry=RetryPolicy(), rate=2.0):
+    return ScenarioSpec(
+        name=name,
+        arrivals=PoissonArrivals(rate),
+        n_requests=30,
+        pools={"fast": 1, "slow": 1},
+        configuration=EnsembleConfiguration(name, policy),
+        faults=faults,
+        retry=retry,
+        seed=3,
+    )
+
+
+#: Branches of the failed-attempt path a random draw rarely reaches,
+#: pinned: a slowed fast leg lets the accurate one land (or die) first.
+_PINNED_BRANCHES = {
+    # The accurate attempt dies while the fast one is in flight: the fast
+    # confidence gate decides (answer or fail) when it lands.
+    "accurate-failed": _pinned_spec(
+        "accurate-failed",
+        ConcurrentPolicy("fast", "slow", 0.6),
+        (
+            NodeSlowdown(at_s=0.0, version="fast", speed_factor=0.02),
+            NodeCrash(at_s=3.0, version="slow", recover_at_s=4.0),
+        ),
+    ),
+    # The fast attempt dies after the accurate one answered: the accurate
+    # result answers alone, billed alone.
+    "accurate-only": _pinned_spec(
+        "accurate-only",
+        ConcurrentPolicy("fast", "slow", 0.6),
+        (
+            NodeSlowdown(at_s=0.0, version="fast", speed_factor=0.05),
+            NodeCrash(at_s=3.0, version="fast", recover_at_s=4.0),
+        ),
+    ),
+    # Early termination cancels accurate jobs parked behind a dead pool.
+    "cancel-parked": _pinned_spec(
+        "cancel-parked",
+        EarlyTerminationPolicy("fast", "slow", 0.6),
+        (NodeCrash(at_s=0.0, version="slow", recover_at_s=6.0),),
+    ),
+    # ... and an accurate retry still waiting out its backoff.
+    "cancel-backoff": _pinned_spec(
+        "cancel-backoff",
+        EarlyTerminationPolicy("fast", "slow", 0.21),
+        (
+            NodeSlowdown(at_s=0.0, version="fast", speed_factor=0.05),
+            NodeCrash(at_s=2.0, version="slow", recover_at_s=2.5),
+        ),
+        retry=RetryPolicy(max_attempts=3, backoff_s=20.0),
+        rate=1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_BRANCHES))
+def test_pinned_failed_attempt_branches_match_the_oracle(name, toy):
+    spec = _PINNED_BRANCHES[name]
+
+    def build():
+        sim = build_simulator(
+            build_replay_cluster(toy, dict(spec.pools)),
+            configuration=spec.configuration,
+            measurements=toy,
+            check_invariants=True,
+            **spec.engine_fields(),
+        )
+        return sim, lambda: sim.run(
+            spec.arrivals, spec.n_requests, payload_ids=toy.request_ids
+        )
+
+    legacy, legacy_books, columnar, books = _run_window_pair(None, toy, build)
+    assert_reports_identical(legacy, columnar)
+    assert list(legacy.records) == list(columnar.records)
+    assert legacy_books == books
+
+
+def _skip_refund(self, now, aborted):
+    """Mutant: the crashed node keeps its unelapsed busy time."""
+    self.served -= aborted
+    self.alive = False
+    self.write_back()
+    self.real.alive = False
+
+
+def _append_requeue(self, item):
+    """Mutant: migrated work joins the queue's tail, not its FIFO slot."""
+    self.queue.append(item)
+
+
+@pytest.mark.parametrize(
+    "method, mutant",
+    [("kill", _skip_refund), ("requeue", _append_requeue)],
+    ids=["skip-refund", "append-requeue"],
+)
+def test_window_fault_family_catches_crash_path_mutants(
+    method, mutant, monkeypatch, toy
+):
+    """Teeth: each mutant of the columnar crash path is caught by the
+    fast-tier family (a digest, record, book or invariant difference)."""
+    from repro.service.simulation import columnar
+
+    expected = []
+    for seed in range(FAST_WINDOW):
+        legacy, books, _, _ = _run_window_pair(seed, toy)
+        expected.append((legacy.digest(), list(legacy.records), books))
+    monkeypatch.setattr(columnar._ShadowNode, method, mutant)
+    caught = 0
+    for seed in range(FAST_WINDOW):
+        build = _window_simulator(seed, toy)
+        sim, drain = build()
+        try:
+            report = drain()
+        except AssertionError:  # an invariant the mutant broke
+            caught += 1
+            continue
+        got = (report.digest(), list(report.records), _cluster_books(sim.cluster))
+        caught += got != expected[seed]
+    assert caught >= 1, f"the {method} mutant survived all {FAST_WINDOW} seeds"
 
 
 # ----------------------------------------------------------------------

@@ -32,12 +32,19 @@ def test_columnar_run_reports_engine(toy):
 
 
 def test_fallback_reports_reason(toy):
-    spec = canonical_scenarios()["node-crash"]
+    spec = canonical_scenarios()["flaky"]
     with default_loop():
         report = run_scenario(spec, toy)
     assert report.engine_used == "legacy"
-    assert report.fallback_reason is not None
-    assert "NodeCrash" in report.fallback_reason
+    assert report.fallback_reason == "fault schedule present (TransientFaults)"
+
+
+def test_window_fault_run_reports_columnar(toy):
+    spec = canonical_scenarios()["node-crash"]
+    with default_loop():
+        report = run_scenario(spec, toy)
+    assert report.engine_used == "columnar"
+    assert report.fallback_reason is None
 
 
 def test_scalar_oracle_reports_its_reason(toy):

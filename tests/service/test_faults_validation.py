@@ -9,6 +9,7 @@ the same treatment.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.service.simulation import (
@@ -53,6 +54,9 @@ VALID = [
     ColdStartWave(warmup_s=0.5, speed_factor=1.0, confidence_factor=0.0),
     ThunderingHerd(start_s=1.0, end_s=2.0),
     ThunderingHerd(start_s=0.0, end_s=1.0, spread_s=0.0),
+    # numpy integers are integers
+    NodeCrash(at_s=1.0, version="fast", node_index=np.int64(1)),
+    GrayFailure(at_s=1.0, version="fast", node_index=np.int32(2)),
 ]
 
 
@@ -131,6 +135,22 @@ INVALID = [
     (lambda: RetryPolicy(max_attempts=2, backoff_s=-0.5), "backoff_s"),
     (lambda: RetryPolicy(max_attempts=2, backoff_factor=0.5), "backoff_factor"),
     (lambda: RetryPolicy(max_attempts=2).delay_before_retry(0), "1-based"),
+    # appended: non-finite retry schedules and non-integer counts, which
+    # used to construct and then misbehave inside the event loop
+    (lambda: RetryPolicy(max_attempts=3, backoff_s=math.nan), "backoff_s"),
+    (lambda: RetryPolicy(max_attempts=3, backoff_s=math.inf), "backoff_s"),
+    (lambda: RetryPolicy(max_attempts=3, backoff_factor=math.nan), "backoff_factor"),
+    (lambda: RetryPolicy(max_attempts=3, backoff_factor=math.inf), "backoff_factor"),
+    (lambda: RetryPolicy(max_attempts=2.5), "max_attempts"),
+    (lambda: RetryPolicy(max_attempts=3, retry_budget=1.5), "retry_budget"),
+    (
+        lambda: RetryPolicy(max_attempts=3, max_inflight_retries=2.0),
+        "max_inflight_retries",
+    ),
+    (lambda: RetryPolicy(max_attempts=3, max_total_retries=0.5), "max_total_retries"),
+    (lambda: NodeCrash(at_s=1.0, version="fast", node_index=0.5), "node_index"),
+    (lambda: NodeSlowdown(at_s=1.0, version="fast", node_index=1.0), "node_index"),
+    (lambda: GrayFailure(at_s=1.0, version="fast", node_index=0.5), "node_index"),
 ]
 
 
@@ -162,6 +182,7 @@ def test_retry_policy_budgets_default_unbounded():
         {"max_inflight_retries": 0},
         {"max_total_retries": 100},
         {"retry_budget": 2, "max_inflight_retries": 8, "max_total_retries": 40},
+        {"retry_budget": np.int64(1), "max_total_retries": np.int32(9)},
     ],
 )
 def test_retry_policy_valid_budgets(kwargs):

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle.scalar import scalar_loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -283,7 +284,8 @@ def test_every_scalar_loop_record_names_exactly_what_it_billed(
     spec = _random_spec(seed, with_faults=True)
     if closed_loop:
         spec = _reconfiguring(spec)
-    report = run_scenario(spec, toy)
+    with scalar_loop():
+        report = run_scenario(spec, toy)
     assert report.engine_used == "legacy"
     for record in report.records:  # the engine's own objects
         assert record.versions_used == tuple(record.node_seconds), record
