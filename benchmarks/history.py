@@ -357,6 +357,37 @@ def append_e2e(results_path: Path, path: Path = HISTORY_PATH) -> HistoryEntry:
     return entry
 
 
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _field(raw: dict, key: str, kinds: tuple, default=_REQUIRED):
+    """``raw[key]`` (or ``default``, where given, for an absent key),
+    refused unless it is one of ``kinds`` — a bool is not a number."""
+    value = raw[key] if default is _REQUIRED else raw.get(key, default)
+    if isinstance(value, bool) is not (bool in kinds) or not isinstance(value, kinds):
+        raise TypeError(f"{key!r} is a {type(value).__name__}")
+    return value
+
+
+def _entry(raw) -> HistoryEntry:
+    """A parsed line as the :class:`HistoryEntry` :func:`append_entry`
+    wrote, every field's type checked; keys it does not know are ignored."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"a line holds one JSON object, not a {type(raw).__name__}")
+    metrics = _field(raw, "metrics", (dict,))
+    return HistoryEntry(
+        timestamp=float(_field(raw, "timestamp", _NUMBER)),
+        source=_field(raw, "source", (str,)),
+        commit=_field(raw, "commit", (str,), "unknown"),
+        branch=_field(raw, "branch", (str,), "unknown"),
+        machine=_field(raw, "machine", (dict,), {}),
+        smoke=_field(raw, "smoke", (bool,), False),
+        metrics={label: float(_field(metrics, label, _NUMBER)) for label in metrics},
+        schema=_field(raw, "schema", (int,), SCHEMA_VERSION),
+    )
+
+
 def load_history(
     path: Path = HISTORY_PATH,
     *,
@@ -383,26 +414,15 @@ def load_history(
     if not path.exists():
         return []
     entries: List[HistoryEntry] = []
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
+    # Bytes, so that a line is what a text editor calls one (no splitting
+    # on form feeds or U+2028) and an undecodable one names its number.
+    for lineno, data in enumerate(path.read_bytes().splitlines(), start=1):
         try:
-            raw = json.loads(line)
-            entry = HistoryEntry(
-                timestamp=float(raw["timestamp"]),
-                source=str(raw["source"]),
-                commit=str(raw.get("commit", "unknown")),
-                branch=str(raw.get("branch", "unknown")),
-                machine=dict(raw.get("machine", {})),
-                smoke=bool(raw.get("smoke", False)),
-                metrics={
-                    str(k): float(v) for k, v in dict(raw["metrics"]).items()
-                },
-                schema=int(raw.get("schema", SCHEMA_VERSION)),
-            )
-        except (ValueError, TypeError, KeyError) as exc:
+            line = data.decode("utf-8")
+            if not line.strip():
+                continue
+            entry = _entry(json.loads(line))
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise HistoryFileError(
                 path, lineno, f"not a history entry ({type(exc).__name__}: {exc})"
             ) from None

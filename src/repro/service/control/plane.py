@@ -140,7 +140,10 @@ class ControlPlane:
     * :meth:`admit` per arrival,
     * :meth:`observe` per finalized record (an event hook:
       the same ``callable(record, now)`` shape as
-      :meth:`~repro.service.control.telemetry.TelemetryHub.publish`),
+      :meth:`~repro.service.control.telemetry.TelemetryHub.publish`), or
+      :meth:`observe_rows` with the rows finalized since the last tick
+      (optional — the columnar engine duck-types for it, and falls back
+      to :meth:`observe` per record),
     * :meth:`observe_node` per node completion (optional — the engine
       duck-types for it; a no-op unless gray detection is configured),
     * :meth:`on_tick` per control tick, returning an optional
@@ -267,6 +270,13 @@ class ControlPlane:
     def observe(self, record, now: Optional[float] = None) -> None:
         """Fold one finalized request record into the telemetry window."""
         self.hub.publish(record, now)
+
+    def observe_rows(self, rows, record) -> None:
+        """Fold many finalized requests into the telemetry window at once
+        (see :meth:`TelemetryHub.publish_rows`): the columnar engine's
+        form of :meth:`observe`, called at each control tick with the
+        rows finalized since the previous one."""
+        self.hub.publish_rows(rows, record)
 
     def observe_node(
         self,

@@ -350,18 +350,35 @@ class TelemetryHub:
             rows: The rows to publish, in completion order.
             times: Their publish times (non-decreasing).
         """
-        times = times.tolist()
-        self._append(
-            zip(
-                times,
-                *(column[rows].tolist() for column in _ROW_FIELDS(columns)),
-                columns.payloads[rows],
-                columns.row_node_seconds(rows),
-            )
+        indices = range(*rows.indices(len(columns)))
+        self.publish_rows(
+            list(
+                zip(
+                    times.tolist(),
+                    *(column[rows].tolist() for column in _ROW_FIELDS(columns)),
+                    columns.payloads[rows],
+                    columns.row_node_seconds(rows),
+                )
+            ),
+            lambda k: columns.record(indices[k]),
         )
+
+    def publish_rows(self, rows: List[tuple], record: Callable[[int], object]) -> None:
+        """Fold rows a producer holds no records for: the many-row
+        :meth:`publish` behind :meth:`publish_columns` and the columnar
+        event loop's control ticks.
+
+        Args:
+            rows: ``(now, tier, shed, failed, degraded, response_time_s,
+                invocation_cost, payload, node_seconds)`` per row, in
+                completion order (``now`` non-decreasing).
+            record: ``record(k)`` materializes row ``k`` as a record;
+                called only when a hook subscribed.
+        """
+        self._append(rows)
         for hook in self._hooks:
-            for index, t in zip(range(*rows.indices(len(columns))), times):
-                hook(columns.record(index), t)
+            for k, row in enumerate(rows):
+                hook(record(k), row[0])
 
     def _append(self, rows) -> None:
         """The one append: the rows' columns and the tallies (an

@@ -4,11 +4,11 @@ The legacy engine is a general discrete-event machine: every request is a
 heap-allocated ``_InFlight`` object, every event a closure over an
 ``Event`` record, every completion a frozen ``NodeCompletion`` dataclass,
 and every finalized request a ``RequestRecord`` priced through the full
-``PricingModel`` call chain.  ``run_columnar`` re-executes an open-loop
-load test over a measurement-replay cluster — one fixed configuration or
-a tier router picking one per request, healthy or under a schedule of
-window faults — with the *same* event semantics but none of the object
-machinery:
+``PricingModel`` call chain.  ``run_columnar`` re-executes a load test
+over a measurement-replay cluster — one fixed configuration or a tier
+router picking one per request, healthy or under a schedule of window
+faults, open-loop or under a control plane — with the *same* event
+semantics but none of the object machinery:
 
 * request state lives in parallel lists indexed by submission order
   (the simulator's submission store, read as it stands),
@@ -61,10 +61,22 @@ differential test harness (``tests/service/test_engine_differential.py``)
 holds the two engines to digest-for-digest equality over the canonical
 scenarios and fuzzed scenario families.
 
+**A control plane is an event source too.**  Its tick fires every
+``tick_interval_s`` (with the scalar loop's tie order and stop rule):
+the rows finalized since the last tick are folded into the plane's
+telemetry in one call, then ``on_tick`` evaluates SLOs and may return a
+hot swap, which changes the configuration of *later* arrivals only.  So
+a closed-loop request resolves its configuration at its arrival event —
+the active (or routed) configuration, then admission, which may shed it
+(resolved unserved on the spot) or degrade it — and its kind and leg
+columns are filled then; an open-loop run keeps the up-front gather.
+Node service times feed the plane's gray-failure detection as batches
+complete.
+
 ``columnar_ineligibility`` is the gate, and a fallback means one thing:
 the columnar loop lacks a capability — a fault type that fails
-completions or moves arrivals, a per-attempt trace of a fault schedule,
-autoscaling, a control plane, a dead node or non-replay version in a
+completions or moves arrivals, a per-attempt trace of a fault schedule or
+control plane, autoscaling, a dead node or non-replay version in a
 pool, a custom selection policy — and the legacy path, which remains the
 scalar correctness oracle (the same playbook as ``core/outcome_matrix.py``
 for the rule generator), finishes this run.  What *neither* loop can
@@ -89,6 +101,7 @@ from repro.service.load_balancer import (
     LeastBusyPolicy,
     RoundRobinPolicy,
 )
+from repro.service.request import ServiceRequest
 from repro.service.simulation.faults import (
     CascadePolicy,
     ColdStartWave,
@@ -214,13 +227,18 @@ def columnar_ineligibility(sim, configurations) -> Optional[str]:
 
     Called after ``drain()`` refused what no loop can serve: every
     reason here is one after which the legacy engine — which *is* the
-    semantics — completes the run.  A tier router is not a reason: the
-    pool checks apply to each of the pre-pass's ``configurations`` (and,
-    under a fault schedule, to every pool a fault may strike).  Window
-    faults — ``NodeCrash``, ``NodeSlowdown``, ``GrayFailure``,
-    ``ColdStartWave`` — are not reasons either, unless a trace recorder
-    wants their per-attempt spans: post-hoc span reconstruction cannot
-    emit retry, migration or deflation spans.
+    semantics — completes the run.  Six remain: a fault that fails
+    completions or moves arrivals, a per-attempt trace of a fault
+    schedule or control plane, an autoscaler, a dead node or a non-replay
+    version in a pool, and a custom selection policy.  A tier router is
+    not a reason: the pool checks apply to each
+    of the pre-pass's ``configurations`` (and, under a fault schedule or
+    a control plane, to every pool a fault may strike or a swap or
+    degrade may pick).  Window faults — ``NodeCrash``, ``NodeSlowdown``,
+    ``GrayFailure``, ``ColdStartWave`` — and a control plane are not
+    reasons either, unless a trace recorder wants their per-attempt
+    spans: post-hoc span reconstruction cannot emit retry, migration,
+    deflation, admission or epoch spans.
     """
     faults = sim._faults
     if faults:
@@ -235,16 +253,18 @@ def columnar_ineligibility(sim, configurations) -> Optional[str]:
         )
         if kinds:
             return f"fault schedule present ({', '.join(kinds)})"
-        if sim._trace is not None:
-            return "per-attempt trace of a fault schedule"
+    sources = bool(faults) or sim.control is not None
+    if sources and sim._trace is not None:
+        return (
+            "per-attempt trace of a "
+            f"{'fault schedule' if faults else 'control plane'}"
+        )
     if sim._autoscaler is not None:
         return "autoscaler attached"
-    if sim.control is not None:
-        return "control plane attached"
     balancer = sim.cluster.load_balancer
     versions = (
         balancer.versions
-        if faults
+        if sources
         else [v for configuration in configurations for v in configuration.versions]
     )
     for version in versions:
@@ -277,9 +297,13 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     balancer = cluster.load_balancer
     checker = sim._check
     faults = sim._faults
+    control = sim.control
+    # A fault schedule or a control plane brings event sources, and the
+    # stepwise per-request state machine they act on (see below).
+    stepwise = bool(faults) or control is not None
     # `slow` turns the inlined deliveries off: a checker needs its hooks,
-    # a fault schedule the stepwise state machine (see below).
-    slow = checker is not None or bool(faults)
+    # event sources the stepwise state machine.
+    slow = checker is not None or stepwise
 
     store = sim._store
     request_ids, payloads, times = store.ids, store.payloads, store.times
@@ -294,11 +318,18 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # element-wise multiply is bit-identical to the scalar product, so the
     # whole column is composed up front; the per-node division happens at
     # batch execution (node speed factors may differ within a pool).
-    def _leg_columns(version: str, group: int):
-        replay = balancer.nodes_of(version)[0].version
+    def _leg_columns(version: str, group: int = -1):
+        # Group -1 is every request, gathered here: a closed loop's
+        # configurations are known only at arrival.
+        replay = cluster._pool_specs[version].version
         ms = replay._measurements
         col = replay._column
-        rows = replay_rows[group, id(replay._rows)]
+        table = replay._rows
+        rows = (
+            replay_rows[group, id(table)]
+            if group >= 0
+            else np.fromiter(map(table.__getitem__, payloads), np.int64, n)
+        )
         return (
             ms.latency_s[rows, col] * replay._baseline_scale,
             ms.confidence[rows, col],
@@ -316,8 +347,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     pairs: List[tuple] = []
     pair_np = np.zeros(n, dtype=np.min_scalar_type(len(configurations)))
     kind_np = np.zeros(n, dtype=np.intp)
-    compute_fast_np = np.empty(n)
-    conf_fast_np = np.empty(n)
+    compute_fast_np = np.zeros(n)
+    conf_fast_np = np.zeros(n)
     # A single-version request has no accurate leg: its accurate columns
     # stay zero / never-escalates and are never read.
     compute_acc_np = np.zeros(n)
@@ -331,6 +362,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         pair = versions if len(versions) == 2 else (versions[0], None)
         if pair not in pairs:
             pairs.append(pair)
+        if control is not None:
+            continue  # a closed loop fills the columns at arrival: assign()
         pair_np[members] = pairs.index(pair)
         kind_np[members] = _KIND_CODES[configuration.kind]
         compute_fast_np[members], confidence = _leg_columns(pair[0], group)
@@ -363,13 +396,14 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
     # ------------------------------------------------------------------
     # shadow cluster: one pool per version any pair names (per deployed
-    # version under a fault schedule: a fault may strike any pool)
+    # version under event sources: a fault may strike any pool, a swap or
+    # a degrade pick any)
     # ------------------------------------------------------------------
     pools = {
         version: [_ShadowNode(node) for node in balancer.nodes_of(version)]
         for version in (
             balancer.versions
-            if faults
+            if stepwise
             else dict.fromkeys(
                 v for pair in pairs for v in pair if v is not None
             )
@@ -467,9 +501,9 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # additionally gets its scan inlined at the two hottest call sites in
     # the event loop (arrival fast-leg, sequential escalation), saving a
     # closure call per selection.  That needs every request to share the
-    # leg's pool, and a pool whose membership is static: no fault schedule
+    # leg's pool, and a pool whose membership is static: no event sources
     # (eligibility already excluded autoscalers).
-    _jsq = isinstance(selection, JoinShortestQueuePolicy) and not faults
+    _jsq = isinstance(selection, JoinShortestQueuePolicy) and not stepwise
     fast_a = fast_b = acc_a = acc_b = None
     fast_versions = {pair[0] for pair in pairs}
     acc_versions = {pair[1] for pair in pairs} - {None}
@@ -719,12 +753,14 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                 emit(sub, now)
 
     # ------------------------------------------------------------------
-    # the stepwise state machine: fault sources and the failed-attempt
+    # the stepwise state machine: event sources and the failed-attempt
     # path (each helper mirrors one legacy engine method, per request
     # ``sub`` and leg ``key = sub << 1 | leg``)
     # ------------------------------------------------------------------
     fault_log: list = []
-    if faults:
+    #: Stream entries (onsets and arrivals) handled so far.
+    streamed = 0
+    if stepwise:
         leg_version = [None] * (2 * n)
         leg_version[0::2] = fast_name
         leg_version[1::2] = acc_name
@@ -739,6 +775,10 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         resolved = bytearray(n)
         failed = bytearray(n)
         acc_only = bytearray(n)
+        shed = bytearray(n)
+        degraded = bytearray(n)
+        #: Per row of ``out``, the clock when it was finalized.
+        finalized_at: List[float] = []
         retries = [0] * n
         planned = [0] * n
         denied = bytearray(n)
@@ -786,8 +826,12 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
     def arrive(sub, now):
         # _on_arrival, and the fault onsets that share its stream.
+        nonlocal streamed
+        streamed += 1
         if sub >= n:
             onset(onsets[sub - n], now)
+            return
+        if control is not None and not admit(sub, now):
             return
         if checker is not None:
             checker.on_arrival(request_ids[sub], now)
@@ -824,6 +868,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             fast = fast_done[sub]
             start = fast[0] if fast is not None else times[sub]
         out_append((sub, end, bool(esc[sub]), fast_s, acc_s, start))
+        finalized_at.append(now)
         resolved[sub] = 1
         if checker is not None:
             checker.on_finalized(request_ids[sub], now, failed=fast_s < 0.0)
@@ -1116,6 +1161,264 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                 fault.restore_entry(now, version, node.real.node_id)
             )
 
+    # ------------------------------------------------------------------
+    # the control plane: admission at each arrival, and a tick source that
+    # hands the plane the rows finalized since the last tick
+    # ------------------------------------------------------------------
+    pricing = cluster.pricing
+    price_of = {
+        version: pricing.instance_for(version).price_per_second
+        for version in pools
+    }
+    observe_node = None
+    if control is not None:
+        fixed = sim._configuration is not None
+        requests, tolerances = store.requests, store.tolerances
+        fee, markup = pricing.per_request_fee, pricing.markup
+        # Node service times feed gray-failure detection (skipped for a
+        # plane that says it has no detector: it would ignore them).
+        if getattr(control, "gray_detector", True) is not None:
+            observe_node = sim._observe_node
+        observe_rows = getattr(control, "observe_rows", None)
+        interval = control.tick_interval_s
+        #: Rows of ``out`` the plane has been handed.
+        flushed = 0
+        #: id(configuration) -> (configuration, kind, pair code, pair,
+        #: fast leg columns, accurate leg columns, threshold).
+        plans: dict = {}
+        #: version -> every request's (compute, confidence) on it.
+        version_columns: dict = {}
+
+        def assign(sub, configuration):
+            # A closed-loop request's kind, legs and leg columns, from the
+            # configuration serving it at its arrival event.
+            plan = plans.get(id(configuration))
+            if plan is None:
+                versions = configuration.versions
+                pair = versions if len(versions) == 2 else (versions[0], None)
+                if pair not in pairs:
+                    pairs.append(pair)
+                legs = []
+                for version in pair:
+                    if version is not None and version not in version_columns:
+                        version_columns[version] = [
+                            column.tolist() for column in _leg_columns(version)
+                        ]
+                    legs.append(version_columns.get(version))
+                plan = plans[id(configuration)] = (
+                    configuration,  # keeps the id unique while planned
+                    _KIND_CODES[configuration.kind],
+                    pairs.index(pair),
+                    pair,
+                    *legs,
+                    require_confidence_threshold(configuration.policy)
+                    if pair[1] is not None
+                    else 0.0,
+                )
+            _, kind, code, pair, fast, accurate, threshold = plan
+            kind_of[sub] = kind
+            pair_of[sub] = code
+            leg_version[sub << 1], leg_version[sub << 1 | 1] = pair
+            compute_fast[sub] = fast[0][sub]
+            conf_fast[sub] = confidence = fast[1][sub]
+            if accurate is not None:
+                compute_acc[sub] = accurate[0][sub]
+                conf_acc[sub] = accurate[1][sub]
+                thresholds[sub] = threshold
+                escalates[sub] = confidence < threshold
+
+        def admit(sub, now):
+            # _on_arrival's admission: False when the request was shed
+            # (resolved unserved on the spot), else its columns are set.
+            configuration = (
+                sim._configuration
+                if fixed
+                else configurations[codes[sub] if codes else 0]
+            )
+            request = requests[sub]
+            if request is None:
+                request = ServiceRequest(
+                    request_id=request_ids[sub],
+                    payload=payloads[sub],
+                    tolerance=tolerances[sub],
+                    objective=store.objectives[sub],
+                )
+            decision = control.admit(request, now, planned=configuration)
+            action = decision.action.value
+            if action == "shed":
+                if checker is not None:
+                    checker.on_arrival(request_ids[sub], now)
+                    checker.on_shed(request_ids[sub], now)
+                shed[sub] = resolved[sub] = 1
+                out_append((sub, now, False, -1.0, -1.0, now))
+                finalized_at.append(now)
+                return False
+            if action == "degrade" and decision.configuration is not None:
+                configuration = decision.configuration
+                degraded[sub] = 1
+            assign(sub, configuration)
+            return True
+
+        def flush():
+            # The rows finalized since the last flush, into the plane's
+            # telemetry in one call.  Records are built only for a plane
+            # that wants them (no observe_rows, or a hook subscribed).
+            nonlocal flushed
+            start, flushed = flushed, len(out)
+            if start == flushed:
+                return
+            batch = out[start:flushed]
+            at = finalized_at[start:flushed]
+            built = []
+
+            def record(k):
+                if not built:
+                    built.append(compose(batch))
+                return built[0].record(k)
+
+            if observe_rows is None:
+                for k, t in enumerate(at):
+                    control.observe(record(k), t)
+                return
+            rows = []
+            for (sub, end, _, fast_s, acc_s, _), t in zip(batch, at):
+                # The record's invocation_cost and node_seconds, priced as
+                # compose() prices the report (failures and sheds: none).
+                cost, billed = 0.0, {}
+                if fast_s >= 0.0:
+                    fast_version, acc_version = (
+                        (leg_version[sub << 1 | 1], None)
+                        if acc_only[sub]
+                        else pairs[pair_of[sub]]
+                    )
+                    billed[fast_version] = fast_s
+                    iaas = fast_s * price_of[fast_version]
+                    if acc_s >= 0.0:
+                        billed[acc_version] = acc_s
+                        iaas = iaas + acc_s * price_of[acc_version]
+                    cost = fee + markup * iaas
+                rows.append(
+                    (
+                        t, tolerances[sub], shed[sub], failed[sub],
+                        degraded[sub], end - times[sub], cost, payloads[sub],
+                        billed,
+                    )
+                )
+            observe_rows(rows, record)
+
+        def live(event):
+            # Anything but a lazily cancelled flush timer.
+            return event[1] & 3 != _FLUSH or event[1] == event[2].flush_seq
+
+        def tick(_, now):
+            # _on_control_tick: the plane first sees every row finalized
+            # before this tick; a swap serves later arrivals only.
+            flush()
+            swap = control.on_tick(now)
+            if swap is not None:
+                sim._apply_configuration(swap)
+            # Tick on only while something else can still happen: parked
+            # requests behind a pool that never comes back hold no event.
+            if len(out) < n and (streamed < n_stream or any(map(live, heap))):
+                schedule(now + interval, tick, None)
+
+        # drain() schedules the first tick after every arrival and before
+        # any runtime event: the smallest sequence number on the heap.
+        schedule(interval, tick, None)
+
+    # ------------------------------------------------------------------
+    # report columns
+    # ------------------------------------------------------------------
+    def compose(rows) -> RecordColumns:
+        # The columns of finalized rows of ``out`` (every row at drain
+        # end; a flush's rows when the plane wants records).
+        n_out = len(rows)
+        o_sub, o_end, o_esc, o_fast, o_acc, o_fstart = zip(*rows)
+        sub_idx = np.fromiter(o_sub, dtype=np.int64, count=n_out)
+        finished = np.fromiter(o_end, dtype=np.float64, count=n_out)
+        escalated = np.fromiter(o_esc, dtype=bool, count=n_out)
+        fast_seconds = np.fromiter(o_fast, dtype=np.float64, count=n_out)
+        acc_seconds = np.fromiter(o_acc, dtype=np.float64, count=n_out)
+        fast_starts = np.fromiter(o_fstart, dtype=np.float64, count=n_out)
+        arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
+        tiers = np.asarray(store.tolerances, dtype=np.float64)[sub_idx]
+        pair_codes = (pair_np if control is None else np.array(pair_of))[sub_idx]
+        row_payloads = [payloads[i] for i in o_sub]
+        # conf_acc_np is only ever read where the request escalated.
+        confidence = np.where(
+            escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx]
+        )
+        stepwise_columns = {}
+        if stepwise:
+            # The stepwise rows: a failure or a shed bills nothing and has
+            # no answer; an accurate-only answer bills (and is answered
+            # by) its accurate leg alone, as the pair (accurate, None) the
+            # scalar loop's record names; confidences carry any deflation.
+            failed_rows = np.frombuffer(failed, dtype=bool)[sub_idx]
+            shed_rows = np.frombuffer(shed, dtype=bool)[sub_idx]
+            lost = failed_rows | shed_rows
+            only_rows = np.frombuffer(acc_only, dtype=bool)[sub_idx]
+            confidence = np.where(
+                escalated | only_rows,
+                np.asarray(conf_acc)[sub_idx],
+                np.asarray(conf_fast)[sub_idx],
+            )
+            confidence[lost] = 0.0
+            if only_rows.any():
+                solo_code = []
+                for fast_version, acc_version in list(pairs):
+                    pair = (acc_version or fast_version, None)
+                    if pair not in pairs:
+                        pairs.append(pair)
+                    solo_code.append(pairs.index(pair))
+                pair_codes = np.where(
+                    only_rows, np.array(solo_code)[pair_codes], pair_codes
+                )
+            stepwise_columns = dict(
+                failed=failed_rows,
+                shed=shed_rows,
+                degraded=np.frombuffer(degraded, dtype=bool)[sub_idx],
+                retries=np.array(retries, dtype=np.int64)[sub_idx],
+                retry_denied=np.frombuffer(denied, dtype=bool)[sub_idx],
+                no_confidence=lost,
+                results=[
+                    None if gone else payload
+                    for payload, gone in zip(row_payloads, lost.tolist())
+                ]
+                if lost.any()
+                else None,
+            )
+        # PricingModel.request_cost, vectorized with the same operation
+        # order, each row priced by its own pair: cost_v = seconds_v *
+        # price_v; iaas = fast + accurate (the legacy left fold starts
+        # at integer 0, and 0 + x == x, x + 0.0 == x exactly for the
+        # non-negative costs here); invocation = fee + markup * iaas.
+        price_fast = np.array([price_of[pair[0]] for pair in pairs])
+        price_acc = np.array([price_of.get(pair[1], 0.0) for pair in pairs])
+        iaas = fast_seconds * price_fast[pair_codes] + np.where(
+            acc_seconds >= 0.0, acc_seconds * price_acc[pair_codes], 0.0
+        )
+        invocation = pricing.per_request_fee + pricing.markup * iaas
+        if stepwise:
+            invocation[lost] = 0.0  # failures and sheds are not billed
+        return RecordColumns(
+            request_ids=[request_ids[i] for i in o_sub],
+            payloads=row_payloads,
+            tier=tiers,
+            arrival_s=arrivals,
+            finished_s=finished,
+            response_time_s=finished - arrivals,
+            queue_wait_s=fast_starts - arrivals,
+            escalated=escalated,
+            invocation_cost=invocation,
+            pairs=pairs,
+            pair_code=pair_codes,
+            node_seconds_fast=fast_seconds,
+            node_seconds_accurate=acc_seconds,
+            confidence=confidence,
+            **stepwise_columns,
+        )
+
     both_legs_at_arrival = max(kinds) >= _CONC
     # Specialized single-job delivery for the two sequential-flow kinds
     # in fast mode (no checker), when every request shares the kind: the
@@ -1128,7 +1431,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # ------------------------------------------------------------------
     # the loop (arrival handling inlined — it is the hottest edge)
     # ------------------------------------------------------------------
-    if faults:
+    if stepwise:
         deliver = on_job_done
     pointer = 0
     while pointer < n_stream or heap:
@@ -1139,7 +1442,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             sub = order[pointer]
             pointer += 1
             if slow:
-                if faults:
+                if stepwise:
                     arrive(sub, now)
                     continue
                 checker.on_arrival(request_ids[sub], now)
@@ -1199,6 +1502,10 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             elif inline_single:
                 out_append((sub, now, False, solo, -1.0, start))
             else:
+                if observe_node is not None:
+                    observe_node(
+                        node.real.node_id, node.real.version.name, solo, now
+                    )
                 deliver(sub, leg, start, now, solo, solo, now)
             if node.queue:
                 maybe_start(node, now)
@@ -1237,6 +1544,11 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             items, solos, start, wall = event[3]
             k = len(items)
             amortized = wall / k
+            if observe_node is not None:
+                for _ in range(k):
+                    observe_node(
+                        node.real.node_id, node.real.version.name, wall, now
+                    )
             for index in range(k):
                 item = items[index]
                 deliver(
@@ -1264,6 +1576,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                 else:
                     resolve(sub, now, -1.0, -1.0, None, now, "unserved")
 
+    if control is not None:
+        flush()
     if len(out) != n:
         raise RuntimeError(
             f"event loop drained with {n - len(out)} requests unresolved"
@@ -1277,100 +1591,12 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     for version, state in rr_states:
         selection._cursor[version] = state[0]
 
-    # ------------------------------------------------------------------
-    # report
-    # ------------------------------------------------------------------
-    n_out = len(out)
-    o_sub, o_end, o_esc, o_fast, o_acc, o_fstart = zip(*out)
-    sub_idx = np.fromiter(o_sub, dtype=np.int64, count=n_out)
-    finished = np.fromiter(o_end, dtype=np.float64, count=n_out)
-    escalated = np.fromiter(o_esc, dtype=bool, count=n_out)
-    fast_seconds = np.fromiter(o_fast, dtype=np.float64, count=n_out)
-    acc_seconds = np.fromiter(o_acc, dtype=np.float64, count=n_out)
-    fast_starts = np.fromiter(o_fstart, dtype=np.float64, count=n_out)
-    arrivals = np.asarray(times, dtype=np.float64)[sub_idx]
-    tiers = np.asarray(store.tolerances, dtype=np.float64)[sub_idx]
-    pair_codes = pair_np[sub_idx]
-    row_payloads = [payloads[i] for i in o_sub]
-    # conf_acc_np is only ever read where the request escalated.
-    confidence = np.where(escalated, conf_acc_np[sub_idx], conf_fast_np[sub_idx])
-    faulted_columns = {}
-    if faults:
-        # The stepwise rows: a failure bills nothing and has no answer; an
-        # accurate-only answer bills (and is answered by) its accurate leg
-        # alone, as the pair (accurate, None) the scalar loop's record
-        # names; confidences carry any deflation.
-        failed_rows = np.frombuffer(failed, dtype=bool)[sub_idx]
-        only_rows = np.frombuffer(acc_only, dtype=bool)[sub_idx]
-        confidence = np.where(
-            escalated | only_rows,
-            np.asarray(conf_acc)[sub_idx],
-            np.asarray(conf_fast)[sub_idx],
-        )
-        confidence[failed_rows] = 0.0
-        if only_rows.any():
-            solo_code = []
-            for fast_version, acc_version in list(pairs):
-                pair = (acc_version or fast_version, None)
-                if pair not in pairs:
-                    pairs.append(pair)
-                solo_code.append(pairs.index(pair))
-            pair_codes = np.where(
-                only_rows, np.array(solo_code)[pair_codes], pair_codes
-            )
-        faulted_columns = dict(
-            failed=failed_rows,
-            retries=np.array(retries, dtype=np.int64)[sub_idx],
-            retry_denied=np.frombuffer(denied, dtype=bool)[sub_idx],
-            no_confidence=failed_rows,
-            results=[
-                None if lost else payload
-                for payload, lost in zip(row_payloads, failed_rows.tolist())
-            ]
-            if failed_rows.any()
-            else None,
-        )
-    # PricingModel.request_cost, vectorized with the same operation
-    # order, each row priced by its own pair: cost_v = seconds_v *
-    # price_v; iaas = fast + accurate (the legacy left fold starts
-    # at integer 0, and 0 + x == x, x + 0.0 == x exactly for the
-    # non-negative costs here); invocation = fee + markup * iaas.
-    pricing = cluster.pricing
-    price_of = {
-        version: pricing.instance_for(version).price_per_second
-        for version in pools
-    }
-    price_fast = np.array([price_of[pair[0]] for pair in pairs])
-    price_acc = np.array([price_of.get(pair[1], 0.0) for pair in pairs])
-    iaas = fast_seconds * price_fast[pair_codes] + np.where(
-        acc_seconds >= 0.0, acc_seconds * price_acc[pair_codes], 0.0
-    )
-    invocation = pricing.per_request_fee + pricing.markup * iaas
-    if faults:
-        invocation[faulted_columns["failed"]] = 0.0  # failures are not billed
-    report_columns = RecordColumns(
-        request_ids=[request_ids[i] for i in o_sub],
-        payloads=row_payloads,
-        tier=tiers,
-        arrival_s=arrivals,
-        finished_s=finished,
-        response_time_s=finished - arrivals,
-        queue_wait_s=fast_starts - arrivals,
-        escalated=escalated,
-        invocation_cost=invocation,
-        pairs=pairs,
-        pair_code=pair_codes,
-        node_seconds_fast=fast_seconds,
-        node_seconds_accurate=acc_seconds,
-        confidence=confidence,
-        **faulted_columns,
-    )
     report = LoadTestReport(
-        columns=report_columns,
+        columns=compose(out),
         final_pool_sizes=cluster.pool_sizes(),
         fault_log=fault_log,
+        control_log=list(control.log) if control is not None else [],
     )
-
     if checker is not None:
         checker.verify(report, cluster, sim._retry)
     return report

@@ -288,9 +288,10 @@ class ServingSimulator:
 
     Submissions are always deferred and :meth:`drain` picks the loop from
     the run: the vectorized one in :mod:`repro.service.simulation.columnar`
-    whenever the run is open-loop over a replay cluster (router or fixed
-    configuration alike, healthy or under window faults), the scalar event
-    loop (bit-identically, see ``fallback_reason``) otherwise.
+    whenever the run is over a replay cluster (router or fixed
+    configuration alike, healthy or under window faults, open-loop or
+    closed), the scalar event loop (bit-identically, see
+    ``fallback_reason``) otherwise.
 
     Args:
         cluster: The deployment whose queues and pools the simulation
@@ -324,16 +325,19 @@ class ServingSimulator:
             simulated behaviour (and report digest) is unchanged.
         control: Optional control plane (duck-typed against
             :class:`~repro.service.control.plane.ControlPlane`):
-            consulted per arrival (``admit``), fed per finalized record
-            (``observe``), and ticked every ``tick_interval_s`` on the
-            virtual clock (``on_tick`` — a returned configuration is
-            hot-swapped in as the active fixed configuration).
+            consulted per arrival (``admit``), fed finalized records
+            (``observe`` per record here; the columnar loop hands it the
+            rows finalized since the last tick through ``observe_rows``
+            when the plane has it), and ticked every ``tick_interval_s``
+            on the virtual clock (``on_tick`` — a returned configuration
+            is hot-swapped in as the active fixed configuration).
         trace: Optional trace recorder (duck-typed like ``control``; see
             :class:`repro.obs.record.SimTraceRecorder`).  The legacy
             loop drives its per-event hooks; a columnar drain hands it
             the finished report for post-hoc span reconstruction
-            instead.  Only a fault schedule's per-attempt spans need the
-            legacy loop; attaching one never changes a report digest.
+            instead.  Only the per-attempt spans of a fault schedule or a
+            control plane need the legacy loop; attaching one never
+            changes a report digest.
         seed: Seed for arrival sampling and payload choice (transient
             fault draws use a generator derived from it, so healthy and
             faulty runs see identical arrivals).
@@ -409,7 +413,8 @@ class ServingSimulator:
         self.control = control
         # A columnar run's spans are reconstructed post-hoc from
         # RecordColumns (see drain()); only a fault schedule's retry,
-        # migration and deflation spans keep a traced run on this loop.
+        # migration and deflation spans, and a control plane's admission
+        # and epoch spans, keep a traced run on this loop.
         # Every call site guards on None: disabled costs one attribute test.
         if trace is not None and not hasattr(trace, "on_finalized"):
             from repro.obs.record import SimTraceRecorder

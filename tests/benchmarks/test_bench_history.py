@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compare_perf
 import history
@@ -118,6 +120,105 @@ class TestLoadTolerance:
             handle.write("\n\n")
         history.append_entry(make_entry(2.0, timestamp=2.0), path)
         assert len(history.load_history(path)) == 2
+
+
+# ----------------------------------------------------------------------
+# property: a line loads back as the entry written, or names itself
+# ----------------------------------------------------------------------
+_TEXT = st.text(max_size=12)
+_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_ENTRIES = st.builds(
+    history.HistoryEntry,
+    timestamp=st.floats(allow_nan=False),
+    source=_TEXT,
+    commit=_TEXT,
+    branch=_TEXT,
+    machine=st.dictionaries(_TEXT, _LEAF.filter(lambda v: v == v), max_size=4),
+    smoke=st.booleans(),
+    metrics=st.dictionaries(_TEXT, st.floats(allow_nan=False), max_size=4),
+    schema=st.integers(),
+)
+#: A field of a valid entry with a value of the wrong type (a bool is no
+#: number, a number no bool).
+_WRONG = {
+    "timestamp": st.booleans() | _TEXT | st.none() | st.lists(_LEAF, max_size=2),
+    "source": st.integers() | st.floats() | st.booleans() | st.none(),
+    "commit": st.integers() | st.booleans() | st.none(),
+    "machine": st.lists(_LEAF, max_size=2) | _TEXT | st.integers(),
+    "smoke": st.integers() | _TEXT | st.none(),
+    "metrics": st.lists(_LEAF, max_size=2) | _TEXT | st.floats(),
+    "schema": st.floats() | _TEXT | st.booleans(),
+}
+
+
+@st.composite
+def _not_an_entry(draw):
+    """A non-blank line that is no history entry: not UTF-8, not JSON,
+    JSON but no object, an object missing a required field, a field of
+    the wrong type, or a metric that is no (finite-width) number."""
+    valid = json.loads(json.dumps(dataclasses.asdict(draw(_ENTRIES))))
+    kind = draw(st.sampled_from(
+        ["bytes", "text", "json", "missing", "wrong", "metric"]
+    ))
+    if kind == "bytes":
+        return b"\xff" + draw(st.binary(max_size=8)).replace(b"\n", b"")
+    if kind == "text":
+        text = draw(st.text(min_size=1).filter(lambda t: t.strip()))
+        try:
+            json.loads(text)
+        except ValueError:
+            pass
+        else:
+            text = "{" + text  # now it is not JSON
+        return text.replace("\n", " ").replace("\r", " ").encode("utf-8", "surrogatepass")
+    if kind == "json":
+        value = draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "missing":
+        value = valid
+        del value[draw(st.sampled_from(["timestamp", "source", "metrics"]))]
+    elif kind == "wrong":
+        key = draw(st.sampled_from(sorted(_WRONG)))
+        value = {**valid, key: draw(_WRONG[key])}
+    else:
+        bad = draw(_TEXT | st.booleans() | st.none() | st.just(10**400))
+        value = {**valid, "metrics": {**valid["metrics"], "x": bad}}
+    return json.dumps(value).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(before=st.lists(_ENTRIES, max_size=3), line=_not_an_entry(), after=_ENTRIES)
+def test_a_line_that_is_not_an_entry_names_its_file_and_line(
+    tmp_path_factory, before, line, after
+):
+    """Whatever is wrong with a non-blank line, loading raises
+    ``HistoryFileError`` with the file and the line's 1-based number —
+    never a bare traceback — however many good lines surround it."""
+    path = tmp_path_factory.mktemp("history") / "h.jsonl"
+    for entry in before:
+        history.append_entry(entry, path)
+    with path.open("ab") as handle:
+        handle.write(line + b"\n")
+    history.append_entry(after, path)
+    with pytest.raises(HistoryFileError) as caught:
+        history.load_history(path)
+    assert (caught.value.path, caught.value.line) == (str(path), len(before) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(_ENTRIES, max_size=5))
+def test_appended_entries_load_back_unchanged(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("history") / "h.jsonl"
+    for entry in entries:
+        history.append_entry(entry, path)
+    loaded = history.load_history(path)
+    key = lambda e: e.timestamp  # noqa: E731 - load_history's own order
+    assert loaded == sorted(entries, key=key)
 
 
 class TestFilters:

@@ -19,6 +19,7 @@ from repro.core.errors import RequestValidationError
 from repro.service.control import (
     AdaptorConfig,
     AdmissionSpec,
+    ControlPlane,
     ControlSpec,
     SLOSpec,
     default_control_spec,
@@ -31,6 +32,8 @@ from repro.service.simulation import (
     run_scenario,
     scenario_measurements,
 )
+from repro.service.simulation.replay import build_replay_cluster
+from repro.service.simulation.scenarios import build_simulator
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +296,72 @@ class TestConservation:
         )
         report = run_scenario(spec, toy, check_invariants=True)
         assert report.n_requests == spec.n_requests
+
+
+def _live_plane(spec, toy):
+    return ControlPlane.from_spec(
+        spec.control,
+        measurements=toy,
+        configuration=spec.configuration,
+        seed=spec.seed,
+        deployed_versions=tuple(spec.pools),
+    )
+
+
+def _drain(spec, toy, plane):
+    simulator = build_simulator(
+        build_replay_cluster(toy, dict(spec.pools)),
+        configuration=spec.configuration,
+        measurements=toy,
+        check_invariants=True,
+        **{**spec.engine_fields(), "control": plane},
+    )
+    return simulator.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
+
+
+class _RecordPlane:
+    """A plane that takes finalized records one at a time: it has
+    ``observe`` and no ``observe_rows``."""
+
+    def __init__(self, plane):
+        self._plane = plane
+        self.tick_interval_s = plane.tick_interval_s
+        self.log = plane.log
+        self.admit = plane.admit
+        self.on_tick = plane.on_tick
+        self.observe_node = plane.observe_node
+        self.seen = []
+
+    def observe(self, record, now=None):
+        self.seen.append((record, now))
+        self._plane.observe(record, now)
+
+
+class TestTelemetryFeed:
+    """Whichever loop drains a closed-loop run, the plane's telemetry
+    sees every finalized request once, in finalization order, stamped
+    with its finalization time — as records where anyone asks for them."""
+
+    def test_hub_hooks_see_every_record(self, toy, specs):
+        spec = spike_spec(specs, control=adaptive_control())
+        plane = _live_plane(spec, toy)
+        seen = []
+        plane.hub.subscribe(lambda record, t: seen.append((record, t)))
+        report = _drain(spec, toy, plane)
+        assert report.n_degraded > 0
+        assert [record for record, _ in seen] == list(report.records)
+        times = [t for _, t in seen]
+        assert times == sorted(times)
+        assert all(t >= r.finished_s - 1e-9 for r, t in seen if not r.failed)
+
+    def test_a_plane_without_observe_rows_gets_records(self, toy, specs):
+        spec = spike_spec(specs, control=shed_control())
+        reference = _drain(spec, toy, _live_plane(spec, toy))
+        plane = _RecordPlane(_live_plane(spec, toy))
+        report = _drain(spec, toy, plane)
+        assert report.n_shed > 0
+        assert report.digest() == reference.digest()
+        assert [record for record, _ in plane.seen] == list(report.records)
 
 
 class TestClosedLoopWins:

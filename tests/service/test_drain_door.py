@@ -50,9 +50,8 @@ ENGINES = ("columnar", "legacy")
 #: event loop.  A reason outside this set is a refusal in disguise.
 CAPABILITY_PREFIXES = (
     "fault schedule present (",
-    "per-attempt trace of a fault schedule",
+    "per-attempt trace of a ",
     "autoscaler attached",
-    "control plane attached",
     "dead node in pool",
     "non-replay service version",
     "unsupported selection policy ",
@@ -254,10 +253,6 @@ def _capability_simulator(prefix, toy):
         fields["trace"] = TraceCollector()
     elif prefix.startswith("autoscaler"):
         fields["autoscaler_config"] = AutoscalerConfig(min_nodes=1, max_nodes=3)
-    elif prefix.startswith("control"):
-        fields["control"] = ControlSpec(
-            slos=(SLOSpec(name="latency", max_p95_latency_s=5.0),)
-        )
     elif prefix.startswith("dead"):
         cluster.load_balancer.nodes_of("slow")[0].kill(now=0.0)
     elif prefix.startswith("non-replay"):
@@ -282,9 +277,31 @@ def test_each_capability_reason_ends_in_a_report(prefix, toy):
     assert sim.fallback_reason.startswith(prefix)
 
 
+def test_a_control_plane_drains_columnar_unless_traced(toy):
+    """A control plane is an event source of the columnar loop; only a
+    trace recorder, which wants its admission and epoch spans live,
+    keeps it on the scalar loop — under the per-attempt trace reason."""
+    control = ControlSpec(slos=(SLOSpec(name="latency", max_p95_latency_s=5.0),))
+    for trace, outcome in (
+        (None, ("columnar", None)),
+        (TraceCollector(), ("legacy", "per-attempt trace of a control plane")),
+    ):
+        sim = build_simulator(
+            build_replay_cluster(toy, {"fast": 2, "slow": 2}),
+            configuration=_seq(),
+            measurements=toy,
+            check_invariants=True,
+            control=control,
+            trace=trace,
+        )
+        report = sim.run(PoissonArrivals(6.0), 60, payload_ids=toy.request_ids)
+        assert report.n_requests == 60
+        assert (report.engine_used, report.fallback_reason) == outcome
+
+
 def test_the_fallback_reason_set_is_closed():
     """Every string ``columnar_ineligibility`` can return opens with one
-    of the seven capability prefixes — an eighth is a refusal that
+    of the six capability prefixes — a seventh is a refusal that
     belongs at the door."""
     tree = ast.parse(inspect.getsource(columnar.columnar_ineligibility))
     leading = []

@@ -29,7 +29,13 @@ two.  This file is that argument, run continuously:
    columnar and match the oracle's digest, fault stream, every record
    field and the cluster's books; pinned specs cover the failed-attempt
    branches a draw rarely reaches, and two crash-path mutants are caught.
-7. **Edge cases** — zero-request drains and single-request runs behave
+7. **Control ticks** — :data:`N_CONTROL` seeded random control planes
+   (SLOs, every admission policy, the adaptor, gray detection, any tick
+   cadence) on healthy and crashing specs run columnar and match the
+   oracle's digest, control and fault streams, records and books, with
+   conservation; two source-level mutants of the control source are
+   caught.
+8. **Edge cases** — zero-request drains and single-request runs behave
    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
@@ -64,7 +70,15 @@ from repro.core.policies import (
 )
 from repro.core.router import RoutingRuleTable, TierRouter
 from repro.service.request import Objective, ServiceRequest
-from repro.service.control import AdmissionSpec, ControlSpec, SLOSpec
+from repro.service.control import (
+    AdaptorConfig,
+    AdmissionSpec,
+    ControlSpec,
+    GrayDetectionSpec,
+    SLOSpec,
+    SLOState,
+    default_control_spec,
+)
 from repro.service.load_balancer import (
     JoinShortestQueuePolicy,
     LeastBusyPolicy,
@@ -417,7 +431,8 @@ def test_unsupported_shapes_fall_back_with_reason(toy):
 
 #: Each chaos scenario that still falls back, and the reason it gives:
 #: the fault types that fail completions or move arrivals keep the scalar
-#: loop, and cold-start's wave rides on an autoscaler.
+#: loop, and cold-start's wave rides on an autoscaler.  A control plane
+#: changes none of it: it is an event source of the columnar loop.
 _CHAOS_FALLBACK = {
     "cascade": "fault schedule present (CascadePolicy)",
     "retry-storm": "fault schedule present (RetryStorm)",
@@ -426,25 +441,22 @@ _CHAOS_FALLBACK = {
 }
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 @pytest.mark.parametrize("name", sorted(chaos_scenarios()))
-def test_chaos_specs_pick_their_loop_with_named_reason(name, toy):
-    """Every chaos scenario either runs columnar (gray-failure: a window
-    fault) or falls back naming what the columnar loop lacks, and the
-    default run is bit-identical to a pure legacy run."""
+def test_chaos_specs_pick_their_loop_with_named_reason(name, closed, toy):
+    """Every chaos scenario, open- or closed-loop, either runs columnar
+    (gray-failure: a window fault) or falls back naming what the columnar
+    loop lacks, and the default run is bit-identical to a pure legacy
+    run."""
     spec = chaos_scenarios()[name]
-    from repro.service.simulation import Autoscaler
-
-    sim = ServingSimulator(
+    if closed:
+        spec = dataclasses.replace(spec, control=default_control_spec())
+    sim = build_simulator(
         build_replay_cluster(toy, dict(spec.pools)),
         configuration=spec.configuration,
-        batching=spec.batching,
-        autoscaler=Autoscaler(spec.autoscaler_config)
-        if spec.autoscaler_config is not None
-        else None,
-        faults=spec.faults,
-        retry=spec.retry,
+        measurements=toy,
         check_invariants=True,
-        seed=spec.seed,
+        **spec.engine_fields(),
     )
     report = sim.run(
         spec.arrivals,
@@ -461,6 +473,7 @@ def test_chaos_specs_pick_their_loop_with_named_reason(name, toy):
     with scalar_loop():
         legacy = run_scenario(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, report)
+    assert control_log_digest(legacy) == control_log_digest(report)
 
 
 @pytest.mark.parametrize("name", sorted(chaos_scenarios()))
@@ -1236,6 +1249,275 @@ def test_window_fault_family_catches_crash_path_mutants(
         got = (report.digest(), list(report.records), _cluster_books(sim.cluster))
         caught += got != expected[seed]
     assert caught >= 1, f"the {method} mutant survived all {FAST_WINDOW} seeds"
+
+
+# ----------------------------------------------------------------------
+# control ticks: admission, telemetry, SLO ticks and hot swaps as event
+# sources of the columnar loop
+# ----------------------------------------------------------------------
+#: The control family; seeds below :data:`FAST_CONTROL` run in the fast
+#: tier.
+N_CONTROL = 40
+FAST_CONTROL = 16
+
+_ADMISSION = (None, "probabilistic", "priority", "degrade")
+
+
+def _random_control_spec(rng, *, adaptive):
+    """SLOs tight enough to breach, one of the admission policies (or
+    none), the adaptor on half the fixed-configuration seeds, gray
+    detection on half, and a random tick cadence."""
+    slos = [
+        SLOSpec(
+            name="latency",
+            max_p95_latency_s=float(rng.uniform(0.2, 1.2)),
+            breach_after=int(rng.integers(1, 3)),
+            clear_after=int(rng.integers(2, 6)),
+        )
+    ]
+    if rng.uniform() < 0.5:
+        slos.append(
+            SLOSpec(
+                name="availability",
+                min_availability=float(rng.uniform(0.8, 0.99)),
+                breach_after=1,
+                clear_after=int(rng.integers(2, 5)),
+            )
+        )
+    admission = _ADMISSION[int(rng.integers(0, len(_ADMISSION)))]
+    return ControlSpec(
+        window_s=float(rng.uniform(2.0, 8.0)),
+        tick_interval_s=float(rng.uniform(0.1, 0.75)),
+        slos=tuple(slos),
+        admission=AdmissionSpec(
+            policy=admission, shed_probability=float(rng.uniform(0.2, 0.9))
+        )
+        if admission
+        else None,
+        adaptor=AdaptorConfig(
+            refit_interval_s=float(rng.uniform(0.5, 2.0)),
+            min_window_samples=int(rng.integers(8, 20)),
+            degradation_mode="absolute",
+            tolerance_step=0.06,
+            max_tolerance=0.30,
+            thresholds=(0.3, 0.4, 0.5, 0.6, 0.7),
+        )
+        if adaptive and rng.uniform() < 0.5
+        else None,
+        gray_detection=GrayDetectionSpec(
+            ratio_threshold=float(rng.uniform(1.2, 2.5)),
+            min_samples=int(rng.integers(2, 8)),
+            detect_after=int(rng.integers(1, 3)),
+            clear_after=int(rng.integers(1, 3)),
+            state_on_detect=SLOState.BREACH if rng.uniform() < 0.5 else SLOState.WARN,
+        )
+        if rng.uniform() < 0.5
+        else None,
+    )
+
+
+def _control_simulator(seed, toy):
+    """One member of the family, built twice over: a random
+    ``ControlSpec`` on a fault-free spec or — every other seed — on a
+    ``NodeCrash`` cycle (plus a straggler or a gray node) under a
+    ``RetryPolicy``.  One seed in four is a routed session of one-by-one
+    submissions carrying a priority; the rest use ``run()`` on a fixed
+    configuration, the only shape the adaptor anchors on."""
+    rng = np.random.default_rng([seed, 20261016])
+    routed = seed % 4 == 3
+    router = _random_router(rng) if routed else None
+    policy = None if routed else _random_policy(rng)
+    pools = {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))}
+    selection = _SELECTION[int(rng.integers(0, len(_SELECTION)))]
+    batching = (
+        BatchingConfig(
+            max_batch_size=int(rng.integers(2, 6)),
+            max_wait_s=float(rng.uniform(0.0, 0.1)),
+        )
+        if rng.uniform() < 0.5
+        else None
+    )
+    rate = float(rng.uniform(4.0, 16.0))
+    n = int(rng.integers(60, 140))
+    span = n / rate
+    faults, retry = (), RetryPolicy()
+    if seed % 2:
+        version = str(rng.choice(sorted(pools)))
+        cycle = float(rng.uniform(0.2, 0.4)) * span
+        faults = tuple(
+            NodeCrash(
+                at_s=cycle * k + 0.1 * span,
+                version=version,
+                node_index=0,
+                recover_at_s=cycle * k + 0.1 * span + cycle / 2
+                if rng.uniform() < 0.8
+                else None,
+            )
+            for k in range(3)
+        )
+        slow = str(rng.choice(sorted(pools)))
+        faults += (
+            GrayFailure(
+                at_s=float(rng.uniform(0.0, 0.5)) * span,
+                version=slow,
+                node_index=int(rng.integers(0, 3)),
+                speed_factor=float(rng.uniform(0.1, 0.5)),
+                confidence_factor=float(rng.uniform(0.5, 1.0)),
+            )
+            if rng.uniform() < 0.5
+            else NodeSlowdown(
+                at_s=float(rng.uniform(0.0, 0.5)) * span,
+                version=slow,
+                node_index=int(rng.integers(0, 3)),
+                speed_factor=float(rng.uniform(0.1, 0.5)),
+                until_s=span,
+            ),
+        )
+        retry = _random_retry(rng)
+    control = _random_control_spec(rng, adaptive=not routed)
+    times = np.cumsum(rng.exponential(1.0 / rate, n))
+    requests = [
+        ServiceRequest(
+            request_id=f"c_{i:04d}",
+            payload=str(rng.choice(toy.request_ids)),
+            tolerance=float(rng.choice((0.0, 0.01, 0.05, 0.10))),
+            objective=tuple(Objective)[int(rng.integers(0, 2))],
+            metadata={"priority": float(rng.choice((0.0, 1.0, 2.0)))},
+        )
+        for i in range(n)
+    ]
+
+    def build():
+        sim = build_simulator(
+            build_replay_cluster(
+                toy, pools, selection_policy=selection() if selection else None
+            ),
+            router=router,
+            configuration=None
+            if routed
+            else EnsembleConfiguration(f"c_{seed}", policy),
+            batching=batching,
+            faults=faults,
+            retry=retry,
+            control=control,
+            measurements=toy,
+            check_invariants=True,
+            seed=seed,
+        )
+        if routed:
+            for request, at_time in zip(requests, times.tolist()):
+                sim.submit(request, at_time=at_time)
+            return sim, sim.drain
+        return sim, lambda: sim.run(
+            PoissonArrivals(rate), n, payload_ids=toy.request_ids
+        )
+
+    return build
+
+
+def _control_seeds():
+    return [
+        pytest.param(seed, marks=pytest.mark.slow) if seed >= FAST_CONTROL else seed
+        for seed in range(N_CONTROL)
+    ]
+
+
+def _observed(report):
+    """What the family compares: the report digest, both log streams and
+    every record field."""
+    return (
+        report.digest(),
+        control_log_digest(report),
+        fault_log_digest(report),
+        list(report.records),
+    )
+
+
+@pytest.mark.parametrize("seed", _control_seeds())
+def test_control_family_digest_identical(seed, toy):
+    """Random control planes — SLOs, every admission policy, the adaptor,
+    gray detection, any tick cadence — on healthy and crashing specs run
+    columnar and match the scalar oracle: digests, the control and fault
+    streams, every record field and the cluster's books; conservation
+    holds (submitted = answered + failed + shed)."""
+    build = _control_simulator(seed, toy)
+    legacy, legacy_books, columnar, books = _run_window_pair(None, toy, build)
+    assert_reports_identical(legacy, columnar)
+    assert _observed(legacy) == _observed(columnar)
+    assert legacy_books == books
+    answered = sum(not (r.failed or r.shed) for r in columnar.records)
+    assert answered + columnar.n_failed + columnar.n_shed == columnar.n_requests
+
+
+def test_control_family_reaches_every_control_path(toy):
+    """The fast seeds shed, degrade, swap, detect gray nodes and
+    transition SLOs, on healthy and crashing runs alike."""
+    seen = set()
+    for seed in range(FAST_CONTROL):
+        report = _control_simulator(seed, toy)()[1]()
+        seen |= {entry.kind for entry in report.control_log}
+        seen |= {"shed"} if report.n_shed else set()
+        seen |= {"degraded"} if report.n_degraded else set()
+        seen |= {"crash"} if report.fault_log else set()
+    assert {"slo", "swap", "gray-detected", "shed", "degraded", "crash"} <= seen, (
+        sorted(seen)
+    )
+
+
+def _mutant_loop(old, new):
+    """``run_columnar`` compiled from ``columnar.py`` with one edit."""
+    import inspect
+    import types
+
+    from repro.service.simulation import columnar
+
+    source = inspect.getsource(columnar)
+    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
+    module = types.ModuleType("columnar_mutant")
+    exec(compile(source.replace(old, new), columnar.__file__, "exec"), module.__dict__)
+    return module.run_columnar
+
+
+#: Control-path mutants of the columnar loop: ``(site, mutated site)``.
+_CONTROL_MUTANTS = {
+    # The tick snapshots telemetry before it sees the rows finalized
+    # since the last tick.
+    "flush-after-tick": (
+        "            flush()\n            swap = control.on_tick(now)\n",
+        "            swap = control.on_tick(now)\n            flush()\n",
+    ),
+    # A hot swap re-plans the requests already in flight.
+    "swap-in-flight": (
+        "                sim._apply_configuration(swap)\n",
+        "                sim._apply_configuration(swap)\n"
+        "                for sub in range(n):\n"
+        "                    if attempt[sub << 1] and not resolved[sub]:\n"
+        "                        assign(sub, swap)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_CONTROL_MUTANTS))
+def test_control_family_catches_control_path_mutants(mutant, monkeypatch, toy):
+    """Teeth: each mutant of the columnar control source is caught by the
+    fast-tier family (a digest, log, record or invariant difference, or a
+    run that breaks)."""
+    import repro.service.simulation.engine as engine
+
+    expected = []
+    for seed in range(FAST_CONTROL):
+        legacy_sim, drain = _control_simulator(seed, toy)()
+        with scalar_loop():
+            expected.append(_observed(drain()))
+    monkeypatch.setattr(engine, "run_columnar", _mutant_loop(*_CONTROL_MUTANTS[mutant]))
+    caught = 0
+    for seed in range(FAST_CONTROL):
+        _, drain = _control_simulator(seed, toy)()
+        try:
+            caught += _observed(drain()) != expected[seed]
+        except Exception:  # an invariant the mutant broke, or a crash
+            caught += 1
+    assert caught >= 1, f"the {mutant} mutant survived all {FAST_CONTROL} seeds"
 
 
 # ----------------------------------------------------------------------

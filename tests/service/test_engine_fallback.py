@@ -7,10 +7,16 @@ the simulator.  Neither field enters the digest: *how* a run executed is
 bit-irrelevant to *what* it produced.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from oracle.scalar import REASON, default_loop, scalar_loop
+from repro.obs import TraceCollector
+from repro.service.control import default_control_spec
 from repro.service.simulation import (
+    AutoscalerConfig,
+    TransientFaults,
     canonical_scenarios,
     run_scenario,
     scenario_measurements,
@@ -45,6 +51,38 @@ def test_window_fault_run_reports_columnar(toy):
         report = run_scenario(spec, toy)
     assert report.engine_used == "columnar"
     assert report.fallback_reason is None
+
+
+#: A closed-loop spec drains columnar unless it also carries what the
+#: columnar loop lacks: a scalar-only fault, an autoscaler, a trace.
+_CLOSED_LOOP_EXTRAS = {
+    "plain": ({}, None),
+    "transient": (
+        {"faults": (TransientFaults(start_s=1.0, end_s=4.0, failure_probability=0.2),)},
+        "fault schedule present (TransientFaults)",
+    ),
+    "autoscaler": (
+        {"autoscaler_config": AutoscalerConfig(min_nodes=1, max_nodes=3)},
+        "autoscaler attached",
+    ),
+    "trace": ({}, "per-attempt trace of a control plane"),
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_CLOSED_LOOP_EXTRAS))
+def test_control_plane_run_reports_its_loop(extra, toy):
+    fields, reason = _CLOSED_LOOP_EXTRAS[extra]
+    spec = replace(
+        canonical_scenarios()["baseline"], control=default_control_spec(), **fields
+    )
+    with default_loop():
+        report = run_scenario(
+            spec, toy, trace=TraceCollector() if extra == "trace" else None
+        )
+    assert report.engine_used == ("columnar" if reason is None else "legacy")
+    assert report.fallback_reason == reason
+    with scalar_loop():
+        assert report.digest() == run_scenario(spec, toy).digest()
 
 
 def test_scalar_oracle_reports_its_reason(toy):
