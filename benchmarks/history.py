@@ -7,7 +7,7 @@ interpret them later (commit, branch, machine fingerprint).  Entries are
 facts about runs that happened, never rewritten, so trend analysis can
 condition on the noise that was actually observed instead of a fixed
 tolerance band.  Older rows may carry an ``"engine"`` key; the loader
-ignores it.  Three producers:
+ignores it.  Two producers:
 
 * :func:`write_section` — the only writer of ``BENCH_PERF.json``, the
   ``results/bench_*.json`` detail artefacts and the benches' history
@@ -17,9 +17,6 @@ ignores it.  Three producers:
   ``benchmarks/e2e/run.py`` result as a ``source="e2e"`` row labelled
   ``e2e.<workload>.<metric>`` (one per merged PR is what lets the trend
   checks ever reach ``compare_perf.MIN_HISTORY``).
-* live gateway sessions, through the control plane's
-  :class:`~repro.service.control.MetricsExporter` and
-  :func:`entry_from_metrics`.
 
 Consumers: :func:`detect_changepoints` (per-metric step detection via
 :func:`changepoint.detect_step`) and ``compare_perf.py
@@ -214,10 +211,8 @@ def entry_from_metrics(
 ) -> HistoryEntry:
     """Build a :class:`HistoryEntry` around already-flat metrics.
 
-    This is the seam the gateway export uses: the control plane's
-    ``MetricsExporter.history_record`` produces the flat metrics dict
-    and this function stamps the run metadata, so live sessions and
-    benchmark runs share one schema.
+    Both producers (a bench's flattened section, an e2e result) come
+    through here, so every history row carries the same run metadata.
 
     Args:
         metrics: Flattened ``label -> value`` metrics.

@@ -8,7 +8,7 @@ someone asks for a tree:
 
 - ``digest()`` / ``export_jsonl()`` render a segment at column rate, one
   ``%`` application per request (:meth:`ColumnSegment.render`);
-- ``.traces`` / ``trace_for`` / ``add_trace`` / ``metrics()`` materialize
+- ``.traces`` / ``trace_for`` / ``add_trace`` materialize
   it through :func:`_from_columns` + ``seal``, after which the trees are
   the only storage (the segment is dropped, nothing is memoized);
 - so does rendering what columns cannot promise byte for byte: failover

@@ -116,7 +116,6 @@ class SimTraceRecorder:
     # ------------------------------------------------------------------
     def on_arrival(self, request_id: str, now: float) -> None:
         self._staging[request_id] = _Staging(now, self._epoch)
-        self.collector.spans_open += 1
 
     def on_admission(
         self, request_id: str, action: str, detail: str, now: float
@@ -250,8 +249,6 @@ class SimTraceRecorder:
     def on_finalized(self, record, now: float) -> None:
         """Build and emit the request's trace from its final record."""
         staging = self._staging.pop(record.request_id, None)
-        if staging is not None:
-            self.collector.spans_open -= 1
         trace = self._build(record, staging)
         self.collector.add_trace(trace)
 

@@ -270,8 +270,7 @@ class TraceCollector:
     run's fault and control events as run-level markers.
 
     The collector is deliberately dumb — ordered storage, a stable
-    digest, JSONL round-trip, counters for the metrics exporter, and
-    the trace→:class:`~repro.service.simulation.arrivals.TraceArrivals`
+    digest, JSONL round-trip, and the trace→:class:`~repro.service.simulation.arrivals.TraceArrivals`
     replay bridge.
     """
 
@@ -284,9 +283,6 @@ class TraceCollector:
         #: covering the fault log and control log of the recorded run.
         self.run_events: List[Tuple[float, str, str, Optional[str]]] = []
         self._by_id: Dict[str, Trace] = {}
-        #: Spans currently open in an attached live recorder; zero for
-        #: post-hoc reconstructed or loaded collectors.
-        self.spans_open: int = 0
 
     # ------------------------------------------------------------------
     # sink protocol
@@ -366,25 +362,6 @@ class TraceCollector:
             yield trace_text(trace, as_json, templates)
         for chunks in rendered:
             yield from chunks
-
-    # ------------------------------------------------------------------
-    # counters (metrics-exporter source)
-    # ------------------------------------------------------------------
-    def metrics(self) -> Dict[str, float]:
-        """Trace-derived counters in ``MetricsExporter`` source shape."""
-        outcomes: Dict[str, int] = {}
-        n_spans = 0
-        for trace in self.traces:
-            n_spans += len(trace.spans)
-            outcomes[trace.outcome] = outcomes.get(trace.outcome, 0) + 1
-        counters = {
-            "trace.spans_open": float(self.spans_open),
-            "trace.spans_completed": float(n_spans),
-            "trace.requests_total": float(len(self.traces)),
-        }
-        for outcome, count in sorted(outcomes.items()):
-            counters[f"trace.outcome.{outcome}"] = float(count)
-        return counters
 
     # ------------------------------------------------------------------
     # JSONL round-trip

@@ -6,11 +6,9 @@ watches the serving and steers it.  Four cooperating parts:
 * :mod:`repro.service.control.telemetry` — a streaming, incremental
   sliding window over per-request records (windowed p50/p95/p99 with a
   small-N confidence guard, goodput, availability, node-seconds burn,
-  per-tier breakdowns), fed through a plain event-hook interface by
-  both the discrete-event engine and the gateway's synchronous path,
-  plus the scrape-able :class:`MetricsExporter` that serializes window
-  snapshots into the longitudinal benchmark-history schema
-  (``results/bench_history.jsonl``).
+  per-tier breakdowns), fed by the discrete-event engine: a record at a
+  time on the scalar loop, the rows finalized since the last control
+  tick on the columnar one.
 * :mod:`repro.service.control.slo` — declarative :class:`SLOSpec`
   targets evaluated continuously into debounced OK / WARN / BREACH
   states with hysteresis, plus :class:`GrayFailureDetector`, which
@@ -28,7 +26,7 @@ watches the serving and steers it.  Four cooperating parts:
 
 :mod:`repro.service.control.plane` ties them together:
 :class:`ControlSpec` (declarative, embeddable in a ``ScenarioSpec``) and
-:class:`ControlPlane` (the live loop the engine and gateway consult).
+:class:`ControlPlane` (the live loop the engine consults).
 See ``docs/CONTROL_PLANE.md``.
 """
 
@@ -60,13 +58,11 @@ from repro.service.control.slo import (
 )
 from repro.service.control.telemetry import (
     MIN_PERCENTILE_SAMPLES,
-    MetricsExporter,
     PercentileEstimate,
     TelemetryHub,
     TierWindow,
     WindowSnapshot,
     guarded_percentile,
-    snapshot_metrics,
 )
 
 __all__ = [
@@ -82,7 +78,6 @@ __all__ = [
     "GrayDetectionSpec",
     "GrayFailureDetector",
     "MIN_PERCENTILE_SAMPLES",
-    "MetricsExporter",
     "PercentileEstimate",
     "PolicyAdaptor",
     "SLOMonitor",
@@ -95,5 +90,4 @@ __all__ = [
     "default_control_spec",
     "degraded_configuration",
     "guarded_percentile",
-    "snapshot_metrics",
 ]

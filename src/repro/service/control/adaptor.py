@@ -121,20 +121,25 @@ class AdaptorConfig:
     sample_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.refit_interval_s <= 0.0:
+        # Every bound is written so NaN fails it.
+        if not self.refit_interval_s > 0.0:
             raise ValueError("refit_interval_s must be positive")
         if self.min_window_samples < 2:
             raise ValueError("min_window_samples must be at least 2")
-        if self.tolerance_step <= 0.0:
+        if not self.tolerance_step > 0.0:
             raise ValueError("tolerance_step must be positive")
-        if self.max_tolerance < self.base_tolerance:
+        if not self.max_tolerance >= self.base_tolerance:
             raise ValueError("max_tolerance must be >= base_tolerance")
         if self.recover_after < 1:
             raise ValueError("recover_after must be at least 1")
-        if self.rollback_margin < 1.0:
+        if not self.rollback_margin >= 1.0:
             raise ValueError("rollback_margin must be at least 1")
         if self.degradation_mode not in ("relative", "absolute"):
             raise ValueError("degradation_mode must be relative or absolute")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError("confidence must be in (0, 1)")
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ValueError("sample_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ class AdaptorEvent:
     """One adaptor action, for the control log.
 
     Attributes:
-        kind: ``"swap"``, ``"swap-declined"``, ``"anchor-restore"``,
+        kind: ``"swap"``, ``"anchor-restore"``,
             ``"rollback"``, ``"refit-nochange"``, ``"refit-noimprove"``,
             ``"refit-rejected"`` or ``"refit-skipped"``.
         detail: Human-readable context.
@@ -398,32 +403,6 @@ class PolicyAdaptor:
         )
         self.active = chosen
         return chosen
-
-    def decline(self, configuration: EnsembleConfiguration) -> None:
-        """The executor refused a swap; re-anchor the bookkeeping on it.
-
-        A caller that cannot deploy the returned configuration (e.g. a
-        gateway whose backend lacks a version) must decline it, or the
-        adaptor's notion of the active policy — and every later rollback
-        judgement and cost comparison — drifts off the policy actually
-        serving.  The declined configuration is blacklisted until
-        recovery.
-        """
-        if self.active.config_id != configuration.config_id:
-            return
-        previous = (
-            self._pending.previous if self._pending is not None else self.anchor
-        )
-        self._pending = None
-        self._rejected.add(configuration.config_id)
-        self.active = previous
-        self.events.append(
-            AdaptorEvent(
-                "swap-declined",
-                f"{configuration.config_id} refused by the executor; "
-                f"keeping {previous.config_id}",
-            )
-        )
 
     def drain_events(self) -> List[AdaptorEvent]:
         """Return and clear the accumulated adaptor events."""

@@ -25,6 +25,7 @@ and a gateway ticket for a shed request resolves with a structured
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,6 +102,13 @@ class AdmissionSpec:
             )
         if not 0.0 <= self.shed_probability <= 1.0:
             raise ValueError("shed_probability must be in [0, 1]")
+        # A NaN floor compares false against every priority: nothing sheds.
+        for label, value in (
+            ("priority_floor", self.priority_floor),
+            ("default_priority", self.default_priority),
+        ):
+            if math.isnan(value):
+                raise ValueError(f"{label} must not be NaN")
 
 
 def degraded_configuration(

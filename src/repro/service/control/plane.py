@@ -3,8 +3,8 @@
 :class:`ControlSpec` is the declarative half — a frozen value a
 :class:`~repro.service.simulation.scenarios.ScenarioSpec` can embed, so a
 closed-loop load test is as reproducible and comparable as an open-loop
-one.  :class:`ControlPlane` is the live half: the engine (or a
-synchronous gateway) feeds it per-request records and consults it
+one.  :class:`ControlPlane` is the live half: the engine feeds it
+finalized requests and consults it
 
 * once per arrival (:meth:`ControlPlane.admit` — shed / degrade /
   admit, by the configured admission policy, only while the SLO
@@ -22,6 +22,7 @@ identically run after run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -69,7 +70,7 @@ class ControlLogEntry:
         time_s: Virtual time of the action.
         kind: ``"slo"`` (state transition), ``"gray-detected"`` /
             ``"gray-cleared"`` (per-node divergence), ``"swap"``,
-            ``"swap-declined"``, ``"anchor-restore"``, ``"rollback"``,
+            ``"anchor-restore"``, ``"rollback"``,
             one of the ``"refit-*"`` non-swap outcomes (``nochange``
             / ``noimprove`` / ``rejected`` / ``skipped``), or the
             region-scoped kinds (``"region-slo"`` / ``"region-decision"``)
@@ -117,10 +118,12 @@ class ControlSpec:
     gray_detection: Optional[GrayDetectionSpec] = None
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0.0:
+        # Written so NaN fails too.  An infinite window is a run-long
+        # one; an infinite tick interval would never tick.
+        if not self.window_s > 0.0:
             raise ValueError("window_s must be positive")
-        if self.tick_interval_s <= 0.0:
-            raise ValueError("tick_interval_s must be positive")
+        if not 0.0 < self.tick_interval_s < math.inf:
+            raise ValueError("tick_interval_s must be positive and finite")
         if (self.admission is not None or self.adaptor is not None) and not self.slos:
             raise ValueError(
                 "admission control and adaptation react to SLO state; "
@@ -132,18 +135,15 @@ class ControlPlane:
     """Live control loop for one serving session.
 
     Build one per run (its monitors, window and RNG are stateful), most
-    conveniently via :meth:`from_spec`.  The engine integration is
-    intentionally narrow — three methods and one attribute — so the
+    conveniently via :meth:`from_spec`.  The serving simulator is its
+    only driver, and the integration is intentionally narrow so the
     engine never imports this package:
 
     * :attr:`tick_interval_s`
     * :meth:`admit` per arrival,
-    * :meth:`observe` per finalized record (an event hook:
-      the same ``callable(record, now)`` shape as
-      :meth:`~repro.service.control.telemetry.TelemetryHub.publish`), or
+    * :meth:`observe` per finalized record (the scalar loop), or
       :meth:`observe_rows` with the rows finalized since the last tick
-      (optional — the columnar engine duck-types for it, and falls back
-      to :meth:`observe` per record),
+      (the columnar loop; a plane that loop drives must define it),
     * :meth:`observe_node` per node completion (optional — the engine
       duck-types for it; a no-op unless gray detection is configured),
     * :meth:`on_tick` per control tick, returning an optional
@@ -174,10 +174,6 @@ class ControlPlane:
         self.state = SLOState.OK
         self.log: List[ControlLogEntry] = []
         self.last_snapshot: Optional[WindowSnapshot] = None
-        #: Gray-failure detections/clears over the plane's lifetime
-        #: (exported as ``gray_detected_total`` / ``gray_cleared_total``).
-        self.gray_detected_total = 0
-        self.gray_cleared_total = 0
 
     @classmethod
     def from_spec(
@@ -271,12 +267,12 @@ class ControlPlane:
         """Fold one finalized request record into the telemetry window."""
         self.hub.publish(record, now)
 
-    def observe_rows(self, rows, record) -> None:
+    def observe_rows(self, rows) -> None:
         """Fold many finalized requests into the telemetry window at once
         (see :meth:`TelemetryHub.publish_rows`): the columnar engine's
         form of :meth:`observe`, called at each control tick with the
         rows finalized since the previous one."""
-        self.hub.publish_rows(rows, record)
+        self.hub.publish_rows(rows)
 
     def observe_node(
         self,
@@ -317,10 +313,6 @@ class ControlPlane:
         if self.gray_detector is not None:
             for kind, detail in self.gray_detector.evaluate():
                 self.log.append(ControlLogEntry(now, kind, detail))
-                if kind == "gray-detected":
-                    self.gray_detected_total += 1
-                elif kind == "gray-cleared":
-                    self.gray_cleared_total += 1
             states.append(self.gray_detector.state)
         self.state = worst_state(states)
         if self.adaptor is None:
@@ -329,50 +321,6 @@ class ControlPlane:
         for event in self.adaptor.drain_events():
             self.log.append(ControlLogEntry(now, event.kind, event.detail))
         return swap
-
-    # Synchronous gateways have no scheduled ticks; they pump the loop
-    # opportunistically after each completion.
-    pump = on_tick
-
-    def decline_swap(self, configuration, now: float) -> None:
-        """The executor refused a swap returned by :meth:`on_tick`.
-
-        Restores the adaptor's active-policy bookkeeping (and blacklists
-        the configuration) so later rollback judgements and cost
-        comparisons track the policy actually serving.
-        """
-        if self.adaptor is None:
-            return
-        self.adaptor.decline(configuration)
-        for event in self.adaptor.drain_events():
-            self.log.append(ControlLogEntry(now, event.kind, event.detail))
-
-    # ------------------------------------------------------------------
-    # counters
-    # ------------------------------------------------------------------
-    @property
-    def n_shed(self) -> int:
-        """Requests shed by admission control so far."""
-        return self.controller.n_shed if self.controller is not None else 0
-
-    @property
-    def n_degraded(self) -> int:
-        """Requests force-degraded by admission control so far."""
-        return self.controller.n_degraded if self.controller is not None else 0
-
-    def metrics(self) -> dict:
-        """Control-plane counters in ``MetricsExporter`` source shape.
-
-        Register with
-        :meth:`~repro.service.control.telemetry.MetricsExporter.add_source`
-        to fold gray-detection and admission counters into scrapes.
-        """
-        return {
-            "control.gray_detected_total": float(self.gray_detected_total),
-            "control.gray_cleared_total": float(self.gray_cleared_total),
-            "control.shed_total": float(self.n_shed),
-            "control.degraded_total": float(self.n_degraded),
-        }
 
 
 def default_control_spec(

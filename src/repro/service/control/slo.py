@@ -107,11 +107,14 @@ class SLOSpec:
         )
         if all(t is None for t in targets):
             raise ValueError(f"SLO {self.name!r} declares no target")
+        if self.tier is not None and math.isnan(self.tier):
+            # A NaN tier matches no request's tier: the SLO never sees one.
+            raise ValueError("tier must not be NaN")
         for label, value in (
             ("max_p95_latency_s", self.max_p95_latency_s),
             ("max_cost_per_request", self.max_cost_per_request),
         ):
-            if value is not None and value <= 0.0:
+            if value is not None and not value > 0.0:  # NaN fails too
                 raise ValueError(f"{label} must be positive")
         if self.min_availability is not None and not (
             0.0 < self.min_availability <= 1.0

@@ -7,11 +7,12 @@ started five virtual seconds ago must dominate a healthy first hour.
 :class:`TelemetryHub` is that window, and it is incremental: a control
 tick costs what it decides, not a walk over every windowed record.
 
-Producers publish through a plain event-hook interface —
-:meth:`TelemetryHub.publish` is just a ``callable(record, now)``, so the
-engine (through the duck-typed plane's ``observe``) and the synchronous
-gateway backends feed it without importing this package; :meth:`TelemetryHub.publish_columns` is
-the many-row form over a columnar report's arrays.  Either way every
+The serving simulator is its one producer, through the duck-typed
+plane: the scalar loop's ``observe`` calls :meth:`TelemetryHub.publish`
+per record, the columnar loop's ``observe_rows`` hands
+:meth:`TelemetryHub.publish_rows` the rows finalized since the last
+tick (:meth:`TelemetryHub.publish_columns` is the same over a finished
+report's arrays).  Either way every
 field is read **once, at publish**, into parallel columns (time, tier,
 outcome code, latency and cost in a dense :class:`_FloatWindow`; payload
 and billed ``node_seconds`` items beside it) and the record is not kept.
@@ -42,11 +43,10 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +54,11 @@ from repro.stats.descriptive import percentiles
 
 __all__ = [
     "MIN_PERCENTILE_SAMPLES",
-    "MetricsExporter",
     "PercentileEstimate",
     "TelemetryHub",
     "TierWindow",
     "WindowSnapshot",
     "guarded_percentile",
-    "snapshot_metrics",
 ]
 
 #: Below this many samples a windowed percentile is flagged low-confidence.
@@ -295,7 +293,7 @@ class TelemetryHub:
         min_percentile_samples: int = MIN_PERCENTILE_SAMPLES,
         max_records: int = 100_000,
     ) -> None:
-        if window_s <= 0.0:
+        if not window_s > 0.0:  # NaN fails too
             raise ValueError("window_s must be positive")
         if min_percentile_samples < 1:
             raise ValueError("min_percentile_samples must be at least 1")
@@ -311,24 +309,17 @@ class TelemetryHub:
         #: tier -> live rows ``[answered, degraded, failed, shed]``; a
         #: tier leaves with its last row.
         self._counts: Dict[float, List[int]] = {}
-        self._hooks: List[Callable[[object, float], None]] = []
         self._published = 0
         self._last_time = 0.0
 
     # ------------------------------------------------------------------
-    # event-hook surface
+    # producer surface
     # ------------------------------------------------------------------
-    def subscribe(self, hook: Callable[[object, float], None]) -> None:
-        """Register a callback invoked per published ``(record, now)``."""
-        self._hooks.append(hook)
-
     def publish(self, record, now: Optional[float] = None) -> None:
         """Fold one request record into the window.
 
-        This is the hub's producer hook: the engine (via the plane's
-        ``observe``) and the gateway's synchronous completion path both
-        call exactly this signature.  Publish times must be non-decreasing (both
-        producers emit in clock order).
+        Publish times must be non-decreasing (the engine emits in clock
+        order).
 
         Args:
             record: A :class:`~repro.service.simulation.report.RequestRecord`
@@ -337,12 +328,10 @@ class TelemetryHub:
         """
         t = float(record.finished_s if now is None else now)
         self._append([(t, *_ROW_FIELDS(record), record.payload, record.node_seconds)])
-        for hook in self._hooks:
-            hook(record, t)
 
     def publish_columns(self, columns, rows: slice, times: np.ndarray) -> None:
         """Fold a slice of report columns into the window: the many-row
-        :meth:`publish`, with no record built unless a hook subscribed.
+        :meth:`publish`, with no record built.
 
         Args:
             columns: A :class:`~repro.service.simulation.report.RecordColumns`
@@ -350,7 +339,6 @@ class TelemetryHub:
             rows: The rows to publish, in completion order.
             times: Their publish times (non-decreasing).
         """
-        indices = range(*rows.indices(len(columns)))
         self.publish_rows(
             list(
                 zip(
@@ -359,11 +347,10 @@ class TelemetryHub:
                     columns.payloads[rows],
                     columns.row_node_seconds(rows),
                 )
-            ),
-            lambda k: columns.record(indices[k]),
+            )
         )
 
-    def publish_rows(self, rows: List[tuple], record: Callable[[int], object]) -> None:
+    def publish_rows(self, rows: List[tuple]) -> None:
         """Fold rows a producer holds no records for: the many-row
         :meth:`publish` behind :meth:`publish_columns` and the columnar
         event loop's control ticks.
@@ -372,13 +359,8 @@ class TelemetryHub:
             rows: ``(now, tier, shed, failed, degraded, response_time_s,
                 invocation_cost, payload, node_seconds)`` per row, in
                 completion order (``now`` non-decreasing).
-            record: ``record(k)`` materializes row ``k`` as a record;
-                called only when a hook subscribed.
         """
         self._append(rows)
-        for hook in self._hooks:
-            for k, row in enumerate(rows):
-                hook(record(k), row[0])
 
     def _append(self, rows) -> None:
         """The one append: the rows' columns and the tallies (an
@@ -494,192 +476,3 @@ class TelemetryHub:
             tiers=tiers,
             payloads=tuple(compress(self._payloads, answered.tolist())),
         )
-
-
-# ----------------------------------------------------------------------
-# scrape-able metrics export
-# ----------------------------------------------------------------------
-def _tier_label(tier: float) -> str:
-    """A stable, dot-free label for a tolerance tier (0.05 -> ``0_05``)."""
-    return format(tier, "g").replace("-", "m").replace(".", "_")
-
-
-def snapshot_metrics(snapshot: WindowSnapshot, *, prefix: str = "gateway") -> Dict[str, float]:
-    """Flatten a :class:`WindowSnapshot` into history-schema metric rows.
-
-    The labels use the same dotted ``section.metric[.key]`` convention as
-    the flattened ``BENCH_PERF.json`` sections in
-    ``results/bench_history.jsonl``, so a live serving session exports
-    rows the longitudinal tooling (``benchmarks/history.py``,
-    ``compare_perf.py --against-history``) ingests unchanged.
-
-    ``nan`` aggregates (an empty window's availability, an unanswered
-    tier's mean cost) are omitted rather than exported: a scrape target
-    reports what it measured, not placeholders.  Percentiles carry their
-    sample counts (``.n``) so a consumer can apply the same small-N
-    judgement the SLO monitors do.
-
-    Args:
-        snapshot: The window aggregate to flatten.
-        prefix: Leading label segment (the history "section").
-    """
-    metrics: Dict[str, float] = {
-        f"{prefix}.window_s": snapshot.window_s,
-        f"{prefix}.span_s": snapshot.span_s,
-        f"{prefix}.n": float(snapshot.n),
-        f"{prefix}.n_failed": float(snapshot.n_failed),
-        f"{prefix}.n_shed": float(snapshot.n_shed),
-        f"{prefix}.n_degraded": float(snapshot.n_degraded),
-        f"{prefix}.n_answered": float(snapshot.n_answered),
-        f"{prefix}.goodput_rps": snapshot.goodput_rps,
-        f"{prefix}.node_seconds_per_s": snapshot.node_seconds_per_s,
-    }
-    for name, estimate in (
-        ("p50_latency_s", snapshot.p50_latency),
-        ("p95_latency_s", snapshot.p95_latency),
-        ("p99_latency_s", snapshot.p99_latency),
-    ):
-        if not np.isnan(estimate.value):
-            metrics[f"{prefix}.{name}"] = float(estimate.value)
-        metrics[f"{prefix}.{name}.n"] = float(estimate.n)
-    if not np.isnan(snapshot.availability):
-        metrics[f"{prefix}.availability"] = float(snapshot.availability)
-    if not np.isnan(snapshot.mean_cost):
-        metrics[f"{prefix}.mean_cost"] = float(snapshot.mean_cost)
-    for version, seconds in sorted(snapshot.node_seconds.items()):
-        metrics[f"{prefix}.node_seconds.{version}"] = float(seconds)
-    for tier, window in sorted(snapshot.tiers.items()):
-        base = f"{prefix}.tier.{_tier_label(tier)}"
-        metrics[f"{base}.n"] = float(window.n)
-        metrics[f"{base}.n_failed"] = float(window.n_failed)
-        metrics[f"{base}.n_shed"] = float(window.n_shed)
-        metrics[f"{base}.n_degraded"] = float(window.n_degraded)
-        if not np.isnan(window.p95_latency.value):
-            metrics[f"{base}.p95_latency_s"] = float(window.p95_latency.value)
-        metrics[f"{base}.p95_latency_s.n"] = float(window.p95_latency.n)
-        if not np.isnan(window.mean_cost):
-            metrics[f"{base}.mean_cost"] = float(window.mean_cost)
-    return metrics
-
-
-#: Characters outside the Prometheus metric-name charset
-#: ``[a-zA-Z0-9_:]`` (each becomes an underscore).
-_METRIC_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _metric_name(label: str) -> str:
-    """Sanitise a dotted history label to a valid exposition name."""
-    name = _METRIC_NAME_BAD.sub("_", label)
-    if not name or name[0].isdigit():
-        name = "_" + name
-    return name
-
-
-def _sample_value(value: float) -> str:
-    """Exposition-format sample value (``+Inf``/``-Inf``, not ``inf``)."""
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return format(value, "g")
-
-
-class MetricsExporter:
-    """Scrape-able view over a :class:`TelemetryHub`.
-
-    The control plane's windowed telemetry already holds everything a
-    metrics endpoint needs; this class is the thin serialization layer
-    on top: :meth:`scrape` returns the flat history-schema dict,
-    :meth:`render` a Prometheus-style text exposition, and
-    :meth:`history_record` the body of a longitudinal history entry —
-    the same shape ``benchmarks/history.py`` appends for benchmark
-    runs, so live gateway sessions and benches feed one trajectory.
-
-    The exporter is a passive consumer: it never subscribes hooks and
-    never mutates the hub beyond the (destructive, monotone-``now``)
-    window eviction every ``snapshot`` performs anyway.
-
-    Args:
-        hub: The telemetry hub to export from.
-        prefix: History "section" the exported labels live under.
-    """
-
-    def __init__(self, hub: TelemetryHub, *, prefix: str = "gateway") -> None:
-        self.hub = hub
-        self.prefix = prefix
-        self._scrapes = 0
-        self._sources: List[Callable[[], Dict[str, float]]] = []
-
-    @property
-    def total_scrapes(self) -> int:
-        """Scrapes served over the exporter's lifetime."""
-        return self._scrapes
-
-    def add_source(self, source: Callable[[], Dict[str, float]]) -> None:
-        """Register an extra metrics source merged into every scrape.
-
-        A source is any zero-argument callable returning a flat
-        ``{label: value}`` dict — e.g.
-        :meth:`repro.obs.trace.TraceCollector.metrics` (span counters)
-        or :meth:`repro.service.control.plane.ControlPlane.metrics`
-        (gray-detection and admission counters).  Later sources win on
-        label collisions.
-        """
-        self._sources.append(source)
-
-    def scrape(self, now: float) -> Dict[str, float]:
-        """Snapshot the hub and return flat history-schema metrics.
-
-        Args:
-            now: Scrape time on the producer's clock (must be
-                non-decreasing across scrapes, like ``snapshot``).
-        """
-        self._scrapes += 1
-        metrics = snapshot_metrics(self.hub.snapshot(now), prefix=self.prefix)
-        for source in self._sources:
-            for label, value in source().items():
-                metrics[label] = float(value)
-        return metrics
-
-    def render(self, now: float) -> str:
-        """The scrape as a Prometheus-style text exposition.
-
-        Labels are sanitised to the metric-name charset
-        (``[a-zA-Z_:][a-zA-Z0-9_:]*`` — every other character becomes
-        an underscore, a leading digit gains one); one
-        ``# TYPE ... gauge`` header per metric name keeps the output
-        self-describing.  Exposition edge cases follow the format spec:
-        ``NaN`` samples are omitted (a gauge with no measurement is not
-        a sample), infinities render as ``+Inf`` / ``-Inf`` (Python's
-        ``inf`` spelling is not valid exposition), and two labels that
-        sanitise to the same name keep one header.
-        """
-        lines = []
-        seen_headers = set()
-        for label, value in sorted(self.scrape(now).items()):
-            if math.isnan(value):
-                continue
-            name = _metric_name(label)
-            if name not in seen_headers:
-                seen_headers.add(name)
-                lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_sample_value(value)}")
-        return "\n".join(lines) + "\n"
-
-    def history_record(self, now: float, *, smoke: bool = False) -> Dict[str, object]:
-        """The scrape shaped as a longitudinal-history entry body.
-
-        Returns a dict with ``source``/``smoke``/``metrics`` keys;
-        ``benchmarks/history.py``'s ``entry_from_metrics`` stamps the
-        commit/machine/engine metadata and appends it, so a serving
-        session lands in ``results/bench_history.jsonl`` with exactly
-        the schema benchmark runs use.
-
-        Args:
-            now: Scrape time on the producer's clock.
-            smoke: Tag for reduced-fidelity sessions (mirrors the
-                benches' smoke tag so trend checks stay like-for-like).
-        """
-        return {
-            "source": self.prefix,
-            "smoke": bool(smoke),
-            "metrics": self.scrape(now),
-        }

@@ -180,21 +180,6 @@ class TierGateway:
         router: Tier router produced by the routing-rule generator.
         configuration: Fixed ensemble configuration (mutually exclusive
             with ``router``).
-        control: Optional control plane
-            (:class:`~repro.service.control.plane.ControlPlane`) for a
-            *synchronous* backend: every completion feeds its telemetry
-            window, every submit consults its admission controller (a
-            shed request's ticket resolves immediately with a
-            :class:`~repro.core.errors.RequestShedError`), and adaptor
-            swaps retarget the session's fixed configuration.
-            Synchronous sessions have no clock, so the plane's time
-            advances **one unit per submission**: ``window_s`` and the
-            tick/re-fit intervals are measured in requests, not
-            seconds.  For a simulated backend pass the control spec to
-            the backend instead (``SimulatedBackend(control=...)``) —
-            admission belongs on the virtual clock there, and this
-            gateway's :meth:`drain` resolves engine-shed tickets with
-            the same structured error.
         trace: Optional :class:`~repro.obs.trace.TraceCollector` — the
             session's ``TraceSink``.  On a simulated backend it is
             forwarded to the engine (virtual-clock spans, one tree per
@@ -209,8 +194,6 @@ class TierGateway:
     Raises:
         MissingVersionError: If a routable configuration needs a version
             the backend cannot execute.
-        BackendCapabilityError: If ``control`` is combined with a
-            deferred backend.
     """
 
     def __init__(
@@ -219,21 +202,13 @@ class TierGateway:
         *,
         router=None,
         configuration=None,
-        control=None,
         trace=None,
     ) -> None:
         if (router is None) == (configuration is None):
             raise ValueError("supply exactly one of router / configuration")
-        if control is not None and not backend.synchronous:
-            raise BackendCapabilityError(
-                "gateway-side control needs a synchronous backend; under a "
-                "virtual clock admission must happen at arrival time — pass "
-                "the control spec to the SimulatedBackend instead"
-            )
         self.backend = backend
         self.router = router
         self.configuration = configuration
-        self.control = control
         #: The session's trace sink (a ``TraceCollector``), or ``None``.
         self.trace = trace
         if trace is not None:
@@ -248,11 +223,10 @@ class TierGateway:
         self._ticket_of: Dict[str, TierTicket] = {}
         self._unclaimed: List[ServiceResponse] = []
         self._closed = False
-        #: Requests routed so far — the synchronous session clock, one
-        #: unit per submission (there is no wall/virtual clock on a
-        #: synchronous session, and a constant "now" would freeze window
-        #: eviction, re-fit intervals and rollback judgements).  Never
-        #: reset: handle() and drain() claim tickets, not time.
+        #: Requests served so far — the clock of the coarse traces a
+        #: synchronous session records (it has no wall or virtual clock):
+        #: request *k* starts at ``k``.  Never reset: handle() and drain()
+        #: claim tickets, not time.
         self._submitted = 0
         self._validate_versions()
         bind = getattr(backend, "bind", None)
@@ -343,20 +317,8 @@ class TierGateway:
             deadline_s=_request_deadline(request, deadline_s),
         )
         self._tickets.append(ticket)
+        started = float(self._submitted)
         self._submitted += 1
-        clock = float(self._submitted)
-        degraded = False
-        if self.control is not None:
-            decision = self.control.admit(
-                request, clock, planned=configuration
-            )
-            action = decision.action.value
-            if action == "shed":
-                self._resolve_shed(ticket, clock, reason=decision.reason)
-                return ticket
-            if action == "degrade" and decision.configuration is not None:
-                configuration = decision.configuration
-                degraded = True
         outcome = self._executor.execute(configuration, request)
         response = ServiceResponse(
             request_id=outcome.request_id,
@@ -371,17 +333,11 @@ class TierGateway:
         self._unclaimed.append(response)
         if self.trace is not None:
             # A coarse tree on the session clock (no virtual clock
-            # here): one unit per submission, the first at 0.0 — the
-            # control clock less one — lasting the response time.
+            # here): one unit per submission, the first at 0.0, lasting
+            # the response time.
             self.trace.add_trace(
-                trace_from_record(
-                    RequestRecord.for_outcome(
-                        request, outcome, clock - 1.0, degraded=degraded
-                    )
-                )
+                trace_from_record(RequestRecord.for_outcome(request, outcome, started))
             )
-        if self.control is not None:
-            self._publish_outcome(request, outcome, clock, degraded=degraded)
         return ticket
 
     def _submit_deferred(
@@ -424,37 +380,6 @@ class TierGateway:
         self._tickets += tickets
         return tickets
 
-    # ------------------------------------------------------------------
-    # control-plane integration (synchronous backends)
-    # ------------------------------------------------------------------
-    def _resolve_shed(
-        self, ticket: TierTicket, at_time: float, *, reason: str
-    ) -> None:
-        """Fail a ticket the admission controller shed, and record it."""
-        request = ticket.request
-        record = RequestRecord.for_shed(request, at_time)
-        ticket._fail(
-            RequestShedError(
-                f"request {request.request_id!r} was shed by admission "
-                f"control: {reason}",
-                record=record,
-            )
-        )
-        if self.trace is not None:
-            self.trace.add_trace(trace_from_record(record))
-        self.control.observe(record, at_time)
-        self._pump_control(at_time)
-
-    def _publish_outcome(
-        self, request: ServiceRequest, outcome, at_time: float, *, degraded: bool
-    ) -> None:
-        """Feed one synchronous completion into the control plane."""
-        record = RequestRecord.for_outcome(
-            request, outcome, at_time, degraded=degraded
-        )
-        self.control.observe(record, at_time)
-        self._pump_control(at_time)
-
     def trace_for(self, ticket: TierTicket):
         """The span tree recorded for a ticket's request, or ``None``.
 
@@ -464,27 +389,6 @@ class TierGateway:
         if self.trace is None:
             return None
         return self.trace.trace_for(ticket.request.request_id)
-
-    def _pump_control(self, at_time: float) -> None:
-        """Evaluate SLOs / adaptation; apply a hot-swap when possible.
-
-        Synchronous sessions have no scheduled control ticks, so the
-        loop is pumped after every observation.  An adaptor swap only
-        applies to a fixed-configuration session whose backend deploys
-        the new configuration's versions; a swap this session cannot
-        serve is *declined* back to the plane, so the adaptor's
-        bookkeeping keeps tracking the policy actually running.
-        """
-        swap = self.control.pump(at_time)
-        if swap is None:
-            return
-        deployed = self.backend.versions
-        if self.configuration is None or (
-            deployed is not None and set(swap.versions) - set(deployed)
-        ):
-            self.control.decline_swap(swap, at_time)
-            return
-        self.configuration = swap
 
     def submit_batch(
         self,
@@ -615,10 +519,8 @@ class TierGateway:
             )
         ticket = self.submit(request)
         # One-shot: claimed here, not by the next drain(), and not
-        # retained in the session bookkeeping.  A shed request produced
-        # no response to claim — its ticket already failed.
-        if ticket.ok:
-            self._unclaimed.pop()
+        # retained in the session bookkeeping.
+        self._unclaimed.pop()
         self._tickets.pop()
         return ticket.result()
 

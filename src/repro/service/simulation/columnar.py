@@ -1179,7 +1179,6 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         # plane that says it has no detector: it would ignore them).
         if getattr(control, "gray_detector", True) is not None:
             observe_node = sim._observe_node
-        observe_rows = getattr(control, "observe_rows", None)
         interval = control.tick_interval_s
         #: Rows of ``out`` the plane has been handed.
         flushed = 0
@@ -1261,27 +1260,15 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
         def flush():
             # The rows finalized since the last flush, into the plane's
-            # telemetry in one call.  Records are built only for a plane
-            # that wants them (no observe_rows, or a hook subscribed).
+            # telemetry in one call: no record is built.
             nonlocal flushed
             start, flushed = flushed, len(out)
             if start == flushed:
                 return
-            batch = out[start:flushed]
-            at = finalized_at[start:flushed]
-            built = []
-
-            def record(k):
-                if not built:
-                    built.append(compose(batch))
-                return built[0].record(k)
-
-            if observe_rows is None:
-                for k, t in enumerate(at):
-                    control.observe(record(k), t)
-                return
             rows = []
-            for (sub, end, _, fast_s, acc_s, _), t in zip(batch, at):
+            for (sub, end, _, fast_s, acc_s, _), t in zip(
+                out[start:flushed], finalized_at[start:flushed]
+            ):
                 # The record's invocation_cost and node_seconds, priced as
                 # compose() prices the report (failures and sheds: none).
                 cost, billed = 0.0, {}
@@ -1304,7 +1291,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                         billed,
                     )
                 )
-            observe_rows(rows, record)
+            control.observe_rows(rows)
 
         def live(event):
             # Anything but a lazily cancelled flush timer.

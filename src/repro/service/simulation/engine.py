@@ -327,8 +327,8 @@ class ServingSimulator:
             :class:`~repro.service.control.plane.ControlPlane`):
             consulted per arrival (``admit``), fed finalized records
             (``observe`` per record here; the columnar loop hands it the
-            rows finalized since the last tick through ``observe_rows``
-            when the plane has it), and ticked every ``tick_interval_s``
+            rows finalized since the last tick through ``observe_rows``,
+            which a plane that loop drives must define), and ticked every ``tick_interval_s``
             on the virtual clock (``on_tick`` — a returned configuration
             is hot-swapped in as the active fixed configuration).
         trace: Optional trace recorder (duck-typed like ``control``; see

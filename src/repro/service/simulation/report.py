@@ -150,9 +150,7 @@ class RequestRecord:
         )
 
     @classmethod
-    def for_outcome(
-        cls, request, outcome, arrival_s: float, *, degraded: bool = False
-    ) -> "RequestRecord":
+    def for_outcome(cls, request, outcome, arrival_s: float) -> "RequestRecord":
         """The record of a synchronously executed request: no queue, so
         the :class:`~repro.core.executor.ExecutionOutcome` is the whole
         story and only the session clock's ``arrival_s`` is the caller's."""
@@ -170,7 +168,6 @@ class RequestRecord:
             node_seconds=dict(outcome.node_seconds),
             result=outcome.result,
             confidence=outcome.confidence,
-            degraded=degraded,
         )
 
 

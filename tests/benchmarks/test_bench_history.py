@@ -3,10 +3,9 @@
 Covers the ISSUE acceptance list: empty history, single entry, mixed
 smoke/full, an injected changepoint detected by the
 ``ConfidenceTest``-conditioned scan (and an all-noise history NOT
-flagged), machine-metadata mismatch warnings — plus the gateway-export
-seam that lets live sessions share the benchmark-history schema, the
-end-to-end ``results.json`` reader behind ``history.py append``, and the
-one writer (``write_section``) every non-serving bench goes through.
+flagged), machine-metadata mismatch warnings — plus the end-to-end
+``results.json`` reader behind ``history.py append`` and the one writer
+(``write_section``) every non-serving bench goes through.
 """
 
 import dataclasses
@@ -77,6 +76,18 @@ class TestAppendLoadRoundtrip:
             history.append_entry(make_entry(ts, timestamp=ts), path)
         loaded = history.load_history(path)
         assert [e.timestamp for e in loaded] == [1.0, 2.0, 3.0]
+
+    def test_schema_matches_the_committed_artifact_shape(self, tmp_path):
+        # A history line is plain JSON with the documented keys, so the
+        # file stays greppable and diff-able.
+        path = tmp_path / "h.jsonl"
+        history.append_entry(make_entry(1.0, timestamp=1.0), path)
+        raw = json.loads(path.read_text().strip())
+        assert set(raw) == {
+            "schema", "timestamp", "source", "commit", "branch",
+            "machine", "smoke", "metrics",
+        }
+        assert raw["schema"] == history.SCHEMA_VERSION
 
 
 class TestLoadTolerance:
@@ -424,63 +435,6 @@ class TestDetectChangepoints:
         )
         assert self.LABEL in loose
         assert self.LABEL not in strict
-
-
-class TestGatewayExportSeam:
-    """MetricsExporter.history_record output feeds entry_from_metrics."""
-
-    def test_gateway_record_roundtrips_through_the_history(self, tmp_path):
-        from repro.service.control import MetricsExporter, TelemetryHub
-        from repro.service.simulation import RequestRecord
-
-        hub = TelemetryHub(window_s=10.0)
-        for i in range(12):
-            hub.publish(
-                RequestRecord(
-                    request_id=f"r{i}",
-                    payload=f"r{i}",
-                    tier=0.05,
-                    arrival_s=0.1 * i,
-                    finished_s=0.1 * i + 0.1,
-                    response_time_s=0.1,
-                    queue_wait_s=0.0,
-                    versions_used=("fast",),
-                    escalated=False,
-                    invocation_cost=1e-5,
-                    node_seconds={"fast": 0.1},
-                    failed=False,
-                    shed=False,
-                    degraded=False,
-                )
-            )
-        body = MetricsExporter(hub).history_record(2.0, smoke=False)
-
-        path = tmp_path / "h.jsonl"
-        entry = history.entry_from_metrics(
-            body["metrics"],
-            source=body["source"],
-            smoke=body["smoke"],
-            timestamp=2.0,
-            machine=MACHINE_A,
-            git={"commit": "c", "branch": "main"},
-        )
-        history.append_entry(entry, path)
-
-        (loaded,) = history.load_history(path, source="gateway")
-        series = history.metric_series([loaded], "gateway.goodput_rps")
-        assert len(series) == 1 and series[0] > 0.0
-
-    def test_schema_matches_the_committed_artifact_shape(self, tmp_path):
-        # A history line is plain JSON with the documented keys, so the
-        # file stays greppable and diff-able.
-        path = tmp_path / "h.jsonl"
-        history.append_entry(make_entry(1.0, timestamp=1.0), path)
-        raw = json.loads(path.read_text().strip())
-        assert set(raw) == {
-            "schema", "timestamp", "source", "commit", "branch",
-            "machine", "smoke", "metrics",
-        }
-        assert raw["schema"] == history.SCHEMA_VERSION
 
 
 RESULTS = {

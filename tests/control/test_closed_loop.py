@@ -14,6 +14,7 @@ The three contracts this file pins:
 from dataclasses import replace
 
 import pytest
+from oracle.scalar import scalar_loop
 
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import RequestValidationError
@@ -220,6 +221,9 @@ class TestConservation:
             def observe(self, record, now=None):
                 pass
 
+            def observe_rows(self, rows):
+                pass
+
             def on_tick(self, now):
                 return None
 
@@ -268,6 +272,9 @@ class TestConservation:
                 return AdmissionDecision(AdmissionAction.SHED, reason="test")
 
             def observe(self, record, now=None):
+                pass
+
+            def observe_rows(self, rows):
                 pass
 
             def on_tick(self, now):
@@ -326,24 +333,6 @@ def _drain(spec, toy, plane):
     return simulator.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
 
 
-class _RecordPlane:
-    """A plane that takes finalized records one at a time: it has
-    ``observe`` and no ``observe_rows``."""
-
-    def __init__(self, plane):
-        self._plane = plane
-        self.tick_interval_s = plane.tick_interval_s
-        self.log = plane.log
-        self.admit = plane.admit
-        self.on_tick = plane.on_tick
-        self.observe_node = plane.observe_node
-        self.seen = []
-
-    def observe(self, record, now=None):
-        self.seen.append((record, now))
-        self._plane.observe(record, now)
-
-
 def _crash_spec(specs):
     return replace(
         specs["node-crash"],
@@ -356,28 +345,37 @@ def _crash_spec(specs):
     )
 
 
+def _row(r, now):
+    """Record ``r`` as the ``publish_rows`` row the columnar loop feeds."""
+    return (
+        now, r.tier, r.shed, r.failed, r.degraded, r.response_time_s,
+        r.invocation_cost, r.payload, r.node_seconds,
+    )
+
+
 def _tap(plane):
     """Fold everything the plane's hub is fed into a hub spanning the
-    whole run, and keep the size of each feed call: the scalar loop
-    publishes one record at a time, the columnar loop hands over the
-    rows finalized since the last tick."""
+    whole run, and keep each feed call as ``(record, row)`` pairs: the
+    scalar loop publishes one record at a time, the columnar loop hands
+    over the rows finalized since the last tick (record ``None``)."""
     tap = TelemetryHub(window_s=1e9, min_percentile_samples=1, max_records=None)
-    calls = []
+    feeds = []
     hub = plane.hub
     publish, publish_rows = hub.publish, hub.publish_rows
 
     def one(record, now=None):
-        calls.append(1)
+        t = record.finished_s if now is None else now
+        feeds.append([(record, _row(record, t))])
         publish(record, now)
         tap.publish(record, now)
 
-    def many(rows, record):
-        calls.append(len(rows))
-        publish_rows(rows, record)
-        tap.publish_rows(rows, record)
+    def many(rows):
+        feeds.append([(None, row) for row in rows])
+        publish_rows(rows)
+        tap.publish_rows(rows)
 
     hub.publish, hub.publish_rows = one, many
-    return tap, calls
+    return tap, feeds
 
 
 #: Closed-loop runs whose telemetry feed the tests below follow.
@@ -392,38 +390,25 @@ FEEDS = {
 class TestTelemetryFeed:
     """Whichever loop drains a closed-loop run, the plane's telemetry
     sees every finalized request once, in finalization order, stamped
-    with its finalization time — as records where anyone asks for them."""
-
-    def test_hub_hooks_see_every_record(self, toy, specs):
-        spec = spike_spec(specs, control=adaptive_control())
-        plane = _live_plane(spec, toy)
-        seen = []
-        plane.hub.subscribe(lambda record, t: seen.append((record, t)))
-        report = _drain(spec, toy, plane)
-        assert report.n_degraded > 0
-        assert [record for record, _ in seen] == list(report.records)
-        times = [t for _, t in seen]
-        assert times == sorted(times)
-        assert all(t >= r.finished_s - 1e-9 for r, t in seen if not r.failed)
-
-    def test_a_plane_without_observe_rows_gets_records(self, toy, specs):
-        spec = spike_spec(specs, control=shed_control())
-        reference = _drain(spec, toy, _live_plane(spec, toy))
-        plane = _RecordPlane(_live_plane(spec, toy))
-        report = _drain(spec, toy, plane)
-        assert report.n_shed > 0
-        assert report.digest() == reference.digest()
-        assert [record for record, _ in plane.seen] == list(report.records)
+    with its finalization time."""
 
     @pytest.mark.parametrize("feed", list(FEEDS))
     def test_a_run_long_window_holds_every_record(self, toy, specs, feed):
-        """A hub spanning the whole run, fed what the plane's hub is fed,
-        folds the report's records: counts, payloads, cost mean,
-        node-seconds and tiers all equal what the report says."""
+        """What the plane's hub is fed is the report's records, in order,
+        each stamped no earlier than it finished; a hub spanning the
+        whole run folds them: counts, payloads, cost mean, node-seconds
+        and tiers all equal what the report says."""
         spec = FEEDS[feed](specs)
         plane = _live_plane(spec, toy)
-        tap, _ = _tap(plane)
+        tap, feeds = _tap(plane)
         records = _drain(spec, toy, plane).records
+        fed = [row for feed in feeds for _, row in feed]
+        assert [row[1:] for row in fed] == [_row(r, None)[1:] for r in records]
+        times = [row[0] for row in fed]
+        assert times == sorted(times)
+        assert all(
+            t >= r.finished_s - 1e-9 for r, t in zip(records, times) if not r.failed
+        )
         snap = tap.snapshot(max(r.finished_s for r in records))
         shed = [r for r in records if r.shed]
         failed = [r for r in records if r.failed and not r.shed]
@@ -450,10 +435,11 @@ class TestTelemetryFeed:
     ):
         spec = spike_spec(specs, control=shed_control())
         plane = _live_plane(spec, toy)
-        _, calls = _tap(plane)
+        _, feeds = _tap(plane)
         ticks, on_tick = [], plane.on_tick
         plane.on_tick = lambda now: ticks.append(now) or on_tick(now)
         report = _drain(spec, toy, plane)
+        calls = [len(feed) for feed in feeds]
         assert sum(calls) == report.n_requests
         if sim_loop == "columnar":
             # One flush per tick, plus the one at drain end.
@@ -467,9 +453,11 @@ class TestTelemetryFeed:
         ``observe_rows`` per tick (columnar loop) — fed one run's
         finalized requests reach the same SLO states, log and swaps."""
         spec = FEEDS[feed](specs)
-        source, seen = _live_plane(spec, toy), []
-        source.hub.subscribe(lambda record, t: seen.append((record, t)))
-        _drain(spec, toy, source)
+        source = _live_plane(spec, toy)
+        _, feeds = _tap(source)
+        with scalar_loop():  # the loop that publishes records
+            _drain(spec, toy, source)
+        seen = [(record, row[0]) for feed in feeds for record, row in feed]
         assert len(seen) == spec.n_requests
         by_record, by_rows = _live_plane(spec, toy), _live_plane(spec, toy)
         interval, cursor, swaps = spec.control.tick_interval_s, 0, []
@@ -481,14 +469,7 @@ class TestTelemetryFeed:
                 cursor += 1
             for record, t in batch:
                 by_record.observe(record, t)
-            by_rows.observe_rows(
-                [
-                    (t, r.tier, r.shed, r.failed, r.degraded, r.response_time_s,
-                     r.invocation_cost, r.payload, r.node_seconds)
-                    for r, t in batch
-                ],
-                lambda k: batch[k][0],
-            )
+            by_rows.observe_rows([_row(r, t) for r, t in batch])
             a, b = by_record.on_tick(now), by_rows.on_tick(now)
             assert (a and a.config_id) == (b and b.config_id), now
             swaps.append(a)
@@ -518,7 +499,7 @@ class _SwapOnce:
     def observe(self, record, now=None):
         pass
 
-    def observe_rows(self, rows, record):
+    def observe_rows(self, rows):
         pass
 
     def on_tick(self, now):

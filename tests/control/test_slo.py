@@ -34,6 +34,11 @@ class TestSpecValidation:
             SLOSpec(name="x", min_availability=1.5)
         with pytest.raises(ValueError):
             SLOSpec(name="x", max_p95_latency_s=1.0, breach_after=0)
+        # NaN compares false both ways: a NaN target would never breach.
+        with pytest.raises(ValueError, match="max_p95_latency_s"):
+            SLOSpec(name="x", max_p95_latency_s=float("nan"))
+        with pytest.raises(ValueError, match="max_cost_per_request"):
+            SLOSpec(name="x", max_cost_per_request=float("nan"))
 
 
 class TestHysteresis:

@@ -3,10 +3,12 @@
 Every declarative knob of the control plane — the adaptor's re-fit
 cadence and tolerance ladder, the plane's window and tick, the SLO warn
 ratio, the admission shed rate, the hub's small-N guard — rejects a
-value that would silently mis-drive the loop with a ``ValueError`` that
-names the field.  ``ControlPlane.from_spec`` likewise refuses an adaptor
+value that would silently mis-drive the loop (NaN in any float knob
+included) with a ``ValueError`` that names the field.  ``ControlPlane.from_spec`` likewise refuses an adaptor
 it cannot anchor.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.service.control import (
     AdmissionSpec,
     ControlPlane,
     ControlSpec,
+    GrayDetectionSpec,
     SLOSpec,
     TelemetryHub,
 )
@@ -27,6 +30,7 @@ from repro.service.request import Objective
 from repro.service.simulation import scenario_measurements
 
 SLO = SLOSpec(name="p95", max_p95_latency_s=1.0)
+NAN = float("nan")
 TIERED = EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6))
 
 
@@ -40,11 +44,20 @@ TIERED = EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6))
         ({"recover_after": 0}, "recover_after"),
         ({"rollback_margin": 0.9}, "rollback_margin"),
         ({"degradation_mode": "percent"}, "degradation_mode"),
+        # NaN compares false both ways, so a ``<=`` check lets it through.
+        ({"refit_interval_s": NAN}, "refit_interval_s"),
+        ({"tolerance_step": NAN}, "tolerance_step"),
+        ({"max_tolerance": NAN}, "max_tolerance"),
+        ({"rollback_margin": NAN}, "rollback_margin"),
     ],
 )
 def test_invalid_adaptor_configs_rejected(kwargs, match):
     with pytest.raises(ValueError, match=match):
         AdaptorConfig(**kwargs)
+
+
+def test_a_control_spec_window_may_span_the_whole_run():
+    assert ControlSpec(window_s=float("inf")).window_s == float("inf")
 
 
 def test_adaptor_config_tolerance_ladder_may_be_a_single_rung():
@@ -59,6 +72,10 @@ def test_adaptor_config_tolerance_ladder_may_be_a_single_rung():
         ({"tick_interval_s": -0.5}, "tick_interval_s"),
         ({"admission": AdmissionSpec()}, "declare at least one SLOSpec"),
         ({"adaptor": AdaptorConfig()}, "declare at least one SLOSpec"),
+        ({"window_s": NAN}, "window_s"),
+        ({"tick_interval_s": NAN}, "tick_interval_s"),
+        # An infinite tick interval never ticks.
+        ({"tick_interval_s": float("inf")}, "tick_interval_s"),
     ],
 )
 def test_invalid_control_specs_rejected(kwargs, match):
@@ -81,6 +98,39 @@ def test_admission_shed_probability_outside_unit_interval_rejected(probability):
 def test_hub_needs_at_least_one_sample_per_percentile():
     with pytest.raises(ValueError, match="min_percentile_samples"):
         TelemetryHub(window_s=5.0, min_percentile_samples=0)
+
+
+#: One valid instance of every declarative spec, each float knob set.
+VALID_SPECS = (
+    ControlSpec(),
+    SLOSpec(
+        name="p95",
+        tier=0.05,
+        max_p95_latency_s=1.0,
+        min_availability=0.9,
+        max_cost_per_request=1e-3,
+    ),
+    GrayDetectionSpec(),
+    AdaptorConfig(),
+    AdmissionSpec(),
+)
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    [
+        pytest.param(spec, field.name, id=f"{type(spec).__name__}.{field.name}")
+        for spec in VALID_SPECS
+        for field in dataclasses.fields(spec)
+        if isinstance(getattr(spec, field.name), float)
+    ],
+)
+def test_no_float_knob_accepts_nan(spec, name):
+    """NaN compares false both ways, so a bound written ``x <= 0`` lets it
+    through and the knob then silently never fires (a NaN tick spins
+    ``drain()``; a NaN target never breaches; a NaN floor never sheds)."""
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(spec, **{name: NAN})
 
 
 # ----------------------------------------------------------------------

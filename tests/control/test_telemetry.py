@@ -143,13 +143,6 @@ class TestTelemetryHub:
         empty = snap.for_tier(0.5)
         assert empty.n == 0 and math.isnan(empty.p95_latency.value)
 
-    def test_subscribe_hooks_fire_per_publish(self):
-        hub = TelemetryHub(window_s=5.0)
-        seen = []
-        hub.subscribe(lambda r, t: seen.append((r.request_id, t)))
-        hub.publish(record("a", 1.0), 1.5)
-        assert seen == [("a", 1.5)]
-
     def test_publish_is_a_plain_event_hook(self):
         # The producer-facing contract: hub.publish is a plain
         # callable(record, now), so producers need no import of this
@@ -159,6 +152,16 @@ class TestTelemetryHub:
         hook(record("a", 1.0), 1.0)
         assert len(hub) == 1
 
+    def test_publish_stamps_a_record_with_now(self):
+        # The stamp, not finished_s, is what the window evicts by.
+        hub = TelemetryHub(window_s=5.0)
+        hub.publish(record("b", 1.0))
+        hub.publish(record("a", 1.0), 1.5)
+        assert hub.snapshot(6.2).payloads == ("a",)
+        assert hub.snapshot(6.6).n == 0
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             TelemetryHub(window_s=0.0)
+        with pytest.raises(ValueError):
+            TelemetryHub(window_s=float("nan"))

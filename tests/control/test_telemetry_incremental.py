@@ -290,19 +290,19 @@ def test_out_of_order_slice_is_rejected_whole():
     assert snap.tiers[0.0].n == 1 and snap.payloads == (0,)
 
 
-def test_subscribed_hooks_see_every_row_of_a_slice():
-    """A subscriber gets ``(record, now)`` per row whichever way it came in."""
+def test_every_row_of_a_slice_lands_at_its_own_stamp():
+    """A slice's rows join the window one by one, each evicted by its stamp."""
     rows = [dict(tier=0.0, outcome=ANSWERED, latency=0.1, cost=1e-5, pair=1,
                  fast_s=0.1, accurate_s=0.2, payload=i) for i in range(4)]
-    columns, seen = _columns(rows), []
+    columns = _columns(rows)
     hub = TelemetryHub(window_s=5.0)
-    hub.subscribe(lambda r, t: seen.append((r.request_id, r.node_seconds, t)))
     hub.publish(columns.record(0), now=0.5)
     hub.publish_columns(columns, slice(1, 4), np.array([1.0, 1.0, 2.5]))
-    assert seen == [
-        (f"r{i}", {"fast": 0.1, "slow": 0.2}, t)
-        for i, t in enumerate([0.5, 1.0, 1.0, 2.5])
-    ]
+    whole = hub.snapshot(3.0)
+    assert whole.payloads == (0, 1, 2, 3) and hub.total_published == 4
+    assert whole.node_seconds == pytest.approx({"fast": 0.4, "slow": 0.8})
+    assert hub.snapshot(5.75).payloads == (1, 2, 3)
+    assert hub.snapshot(6.25).payloads == (3,)
 
 
 class _CountingRecord:

@@ -1,4 +1,4 @@
-"""Gateway x control plane: shed tickets, drain under shedding, sync loop.
+"""Gateway x control plane: shed tickets, drain under shedding, engine-clock control.
 
 The satellite contract this file pins: a gateway ticket for a request
 the admission controller shed resolves with a structured
@@ -11,33 +11,22 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import (
-    BackendCapabilityError,
     RequestFailedError,
     RequestShedError,
     TierError,
 )
-from repro.core.policies import SingleVersionPolicy
-from repro.core.router import RoutingRuleTable, TierRouter
 from repro.service.control import (
     AdaptorConfig,
     AdmissionSpec,
     ControlPlane,
     ControlSpec,
     SLOSpec,
-    SLOState,
 )
-from repro.service.gateway import (
-    DirectBackend,
-    ReplayBackend,
-    SimulatedBackend,
-    TierGateway,
-)
-from repro.service.request import Objective, ServiceRequest
+from repro.service.gateway import ReplayBackend, SimulatedBackend, TierGateway
+from repro.service.request import ServiceRequest
 from repro.service.simulation import (
     SpikeArrivals,
-    build_replay_cluster,
     canonical_scenarios,
     scenario_measurements,
 )
@@ -191,17 +180,43 @@ class TestEngineClockControl:
         gateway.drain()
         return backend, tickets
 
+    def test_a_plane_reaches_a_session_only_through_its_backend(
+        self, spike_spec, toy
+    ):
+        plane = ControlPlane.from_spec(shed_control_spec())
+        with pytest.raises(TypeError, match="control"):
+            TierGateway(
+                ReplayBackend(toy),
+                configuration=spike_spec.configuration,
+                control=plane,
+            )
+
+    @pytest.mark.parametrize("policy", ["shed", "adaptive"])
+    def test_the_controllers_tallies_are_the_reports(
+        self, spike_spec, toy, policy
+    ):
+        control = (
+            shed_control_spec() if policy == "shed" else adaptive_control_spec()
+        )
+        backend, tickets = self.drain(spike_spec, toy, control)
+        report, controller = backend.last_report, backend.control.controller
+        assert (controller.n_shed, controller.n_degraded) == (
+            report.n_shed,
+            report.n_degraded,
+        )
+        assert controller.n_shed + controller.n_degraded > 0
+
     def test_shed_tickets_match_the_planes_tally(self, spike_spec, toy):
         backend, tickets = self.drain(spike_spec, toy, shed_control_spec())
         n_shed = sum(isinstance(t.exception(), RequestShedError) for t in tickets)
-        assert n_shed == backend.control.n_shed > 0
+        assert n_shed == backend.control.controller.n_shed > 0
         assert backend.control.hub.total_published == len(tickets)
 
     def test_degraded_requests_answer_on_the_fast_leg(self, spike_spec, toy):
         backend, tickets = self.drain(spike_spec, toy, adaptive_control_spec())
         report = backend.last_report
         assert not any(isinstance(t.exception(), RequestShedError) for t in tickets)
-        assert report.n_degraded == backend.control.n_degraded > 0
+        assert report.n_degraded == backend.control.controller.n_degraded > 0
         for r in report.records:
             if r.degraded and not r.failed:
                 assert r.versions_used == ("fast",)
@@ -214,161 +229,3 @@ class TestEngineClockControl:
         deployed = set(spike_spec.pools)
         for r in report.records:
             assert set(r.versions_used) <= deployed
-
-
-class TestGatewaySideControl:
-    def test_control_rejected_on_deferred_backend(self, spike_spec, toy):
-        backend = SimulatedBackend.from_scenario(spike_spec, toy)
-        plane = ControlPlane.from_spec(shed_control_spec())
-        with pytest.raises(BackendCapabilityError, match="SimulatedBackend"):
-            TierGateway(
-                backend,
-                configuration=spike_spec.configuration,
-                control=plane,
-            )
-
-    def test_sync_gateway_sheds_under_forced_breach(self, spike_spec, toy):
-        plane = ControlPlane.from_spec(
-            ControlSpec(
-                # The sync control clock advances one unit per
-                # submission, so this window spans the last 100 requests.
-                window_s=100.0,
-                tick_interval_s=0.5,
-                slos=(
-                    SLOSpec(
-                        name="latency",
-                        max_p95_latency_s=0.001,
-                        breach_after=1,
-                        clear_after=100,
-                    ),
-                ),
-                admission=AdmissionSpec(
-                    policy="probabilistic", shed_probability=1.0
-                ),
-            )
-        )
-        gateway = TierGateway(
-            ReplayBackend(toy),
-            configuration=spike_spec.configuration,
-            control=plane,
-        )
-        # Warm the window past the percentile guard so the 1 ms SLO
-        # breaches for real (sheds begin mid-warmup, once the twentieth
-        # sample unlocks the percentile), then watch admission drop
-        # everything.
-        for i in range(25):
-            try:
-                gateway.handle(
-                    ServiceRequest(request_id=f"warm{i}", payload="r000")
-                )
-            except RequestShedError:
-                pass
-        assert plane.state is SLOState.BREACH
-        ticket = gateway.submit(
-            ServiceRequest(request_id="doomed", payload="r001")
-        )
-        assert isinstance(ticket.exception(), RequestShedError)
-        with pytest.raises(RequestShedError):
-            ticket.result()
-        # Shed tickets produced no response: drain returns only real ones.
-        assert gateway.drain() == []
-
-    def test_sync_handle_raises_shed_without_desync(self, toy, spike_spec):
-        plane = ControlPlane.from_spec(
-            ControlSpec(
-                # The sync control clock advances one unit per
-                # submission, so this window spans the last 100 requests.
-                window_s=100.0,
-                tick_interval_s=0.5,
-                slos=(
-                    SLOSpec(
-                        name="latency",
-                        max_p95_latency_s=0.001,
-                        breach_after=1,
-                        clear_after=100,
-                    ),
-                ),
-                admission=AdmissionSpec(
-                    policy="probabilistic", shed_probability=1.0
-                ),
-            )
-        )
-        gateway = TierGateway(
-            ReplayBackend(toy),
-            configuration=spike_spec.configuration,
-            control=plane,
-        )
-        for i in range(25):
-            try:
-                gateway.handle(
-                    ServiceRequest(request_id=f"warm{i}", payload="r000")
-                )
-            except RequestShedError:
-                pass
-        with pytest.raises(RequestShedError):
-            gateway.handle(ServiceRequest(request_id="x", payload="r002"))
-        # The one-shot bookkeeping stayed consistent: a fresh healthy
-        # request (post-shed the plane stays breached, so exempt it by
-        # disabling the controller) still round-trips.
-        plane.controller = None
-        response = gateway.handle(
-            ServiceRequest(request_id="y", payload="r003")
-        )
-        assert response.request_id == "y"
-        assert gateway.tickets == ()
-
-
-@pytest.mark.parametrize("session", ["router", "undeployed-version"])
-def test_a_swap_the_session_cannot_serve_is_declined(session, toy):
-    """A synchronous session that cannot deploy the adaptor's swap — it
-    routes per request, or the swap needs a version its backend lacks —
-    declines it, and the adaptor's active policy stays the one serving."""
-    anchor = EnsembleConfiguration("osfa_slow", SingleVersionPolicy("slow"))
-    plane = ControlPlane.from_spec(
-        ControlSpec(
-            window_s=100.0,
-            tick_interval_s=0.5,
-            # Breach from the first reliable window: every re-fit widens.
-            slos=(
-                SLOSpec(
-                    name="latency",
-                    max_p95_latency_s=0.001,
-                    breach_after=1,
-                    clear_after=100,
-                ),
-            ),
-            adaptor=AdaptorConfig(
-                refit_interval_s=1.0, tolerance_step=10.0, max_tolerance=100.0
-            ),
-        ),
-        measurements=toy,
-        configuration=anchor,
-    )
-    if session == "router":
-        table = RoutingRuleTable(
-            objective=Objective.RESPONSE_TIME, baseline=anchor, rules={0.0: anchor}
-        )
-        gateway = TierGateway(
-            ReplayBackend(toy),
-            router=TierRouter({Objective.RESPONSE_TIME: table}),
-            control=plane,
-        )
-    else:
-        gateway = TierGateway(
-            DirectBackend(build_replay_cluster(toy, {"slow": 1})),
-            configuration=anchor,
-            control=plane,
-        )
-    for i in range(60):
-        gateway.handle(
-            ServiceRequest(request_id=f"q{i}", payload=toy.request_ids[i % 50])
-        )
-
-    kinds = [entry.kind for entry in plane.log]
-    swapped = kinds.index("swap")
-    assert kinds[swapped + 1] == "swap-declined"
-    # Blacklisted: later re-fits that pick it again are refused.
-    assert "refit-rejected" in kinds[swapped + 2 :]
-    assert "swap" not in kinds[swapped + 1 :]
-    assert plane.adaptor.active is anchor
-    assert gateway.configuration is (None if session == "router" else anchor)

@@ -369,7 +369,7 @@ def test_lookups_and_counters_see_a_pending_segment(toy):
     )
     fresh = TraceCollector()
     _traced_run_load(toy, fresh, n=20)
-    assert fresh.metrics()["trace.requests_total"] == 20.0
+    assert len(fresh.traces) == 20
     assert fresh._pending == []
 
 

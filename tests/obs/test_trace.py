@@ -263,21 +263,6 @@ def test_a_mutated_file_loads_as_the_recorded_run_or_not_at_all(
 
 
 class TestMetricsAndReplay:
-    def test_counters(self):
-        collector = TraceCollector()
-        collector.add_trace(_trace("r1"))
-        shed = Trace(
-            request_id="r2",
-            spans=[Span(name="request", start_s=0.5, end_s=0.5, status="shed")],
-        )
-        collector.add_trace(shed)
-        metrics = collector.metrics()
-        assert metrics["trace.requests_total"] == 2.0
-        assert metrics["trace.spans_completed"] == 3.0
-        assert metrics["trace.outcome.ok"] == 1.0
-        assert metrics["trace.outcome.shed"] == 1.0
-        assert metrics["trace.spans_open"] == 0.0
-
     def test_arrival_times_are_sorted_root_starts(self):
         collector = TraceCollector()
         late = _trace("r-late")

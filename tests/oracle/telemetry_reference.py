@@ -21,7 +21,7 @@ the loop is what it computed on 3.10 / 3.11.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,24 +148,13 @@ class ReferenceTelemetryHub:
             maxlen=max_records
         )
         self._latencies = _FloatWindow()
-        self._hooks: List[Callable[[object, float], None]] = []
         self._published = 0
         self._last_time = 0.0
-
-    # ------------------------------------------------------------------
-    # event-hook surface
-    # ------------------------------------------------------------------
-    def subscribe(self, hook: Callable[[object, float], None]) -> None:
-        """Register a callback invoked per published ``(record, now)``."""
-        self._hooks.append(hook)
 
     def publish(self, record, now: Optional[float] = None) -> None:
         """Fold one request record into the window.
 
-        This is the hub's producer hook: the engine (via the plane's
-        ``observe``) and the gateway's synchronous completion path both
-        call exactly this signature.  Publish times must be non-decreasing (both
-        producers emit in clock order).
+        Publish times must be non-decreasing.
 
         Args:
             record: A :class:`~repro.service.simulation.report.RequestRecord`
@@ -190,8 +179,6 @@ class ReferenceTelemetryHub:
         if answered:
             self._latencies.append(record.response_time_s)
         self._published += 1
-        for hook in self._hooks:
-            hook(record, t)
 
     @property
     def total_published(self) -> int:
