@@ -250,11 +250,6 @@ class OutcomeMatrix:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    @property
-    def n_requests(self) -> int:
-        """Number of requests (rows) every column covers."""
-        return self.measurements.n_requests
-
     def __contains__(self, config_id: str) -> bool:
         return config_id in self._columns
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configuration
+from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configurations
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
@@ -95,18 +95,10 @@ class RoutingRuleGenerator:
 
         #: Worst-case estimate per configuration, aligned with
         #: :attr:`configurations` (mirrors ``self.results`` in Fig. 7).
-        self.results: List[WorstCaseEstimate] = [
-            self.bootstrap(configuration) for configuration in self.configurations
-        ]
-
-    # ------------------------------------------------------------------
-    # bootstrapping
-    # ------------------------------------------------------------------
-    def bootstrap(self, configuration: EnsembleConfiguration) -> WorstCaseEstimate:
-        """Bootstrap one configuration to its confident worst case."""
-        return bootstrap_configuration(
+        #: One trial stream serves them all, in order.
+        self.results: List[WorstCaseEstimate] = bootstrap_configurations(
             self.measurements,
-            configuration,
+            self.configurations,
             confidence_test=self._confidence_test,
             rng=self._rng,
             sample_fraction=self.sample_fraction,

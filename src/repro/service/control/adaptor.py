@@ -140,6 +140,14 @@ class AdaptorConfig:
             raise ValueError("confidence must be in (0, 1)")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
+        # The refit's ConfidenceTest and design space would refuse these
+        # mid-run; refuse them here.
+        if not self.min_trials >= 2:
+            raise ValueError("min_trials must be at least 2")
+        if not self.max_trials >= self.min_trials:
+            raise ValueError("max_trials must be >= min_trials")
+        if not all(0.0 <= threshold <= 1.0 for threshold in self.thresholds):
+            raise ValueError(f"thresholds must be in [0, 1], got {self.thresholds}")
 
 
 @dataclass(frozen=True)

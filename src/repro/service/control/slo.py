@@ -166,9 +166,12 @@ class SLOMonitor:
         pressures: Dict[str, float] = {}
         guarded = False
 
-        p95 = view.p95_latency
-        if spec.max_p95_latency_s is not None and not math.isnan(p95.value):
-            pressures["p95_latency_s"] = p95.value / spec.max_p95_latency_s
+        # Snapshot fields are computed on first read: read only what
+        # this spec judges.
+        if spec.max_p95_latency_s is not None:
+            p95 = view.p95_latency
+            if not math.isnan(p95.value):
+                pressures["p95_latency_s"] = p95.value / spec.max_p95_latency_s
 
         if spec.min_availability is not None:
             # Availability is judged over *admitted* requests only.  The
@@ -191,9 +194,10 @@ class SLOMonitor:
                     else float("inf")
                 )
 
-        mean_cost = view.mean_cost
-        if spec.max_cost_per_request is not None and not math.isnan(mean_cost):
-            pressures["cost_per_request"] = mean_cost / spec.max_cost_per_request
+        if spec.max_cost_per_request is not None:
+            mean_cost = view.mean_cost
+            if not math.isnan(mean_cost):
+                pressures["cost_per_request"] = mean_cost / spec.max_cost_per_request
 
         worst = max(pressures.values(), default=0.0)
         if worst > 1.0:

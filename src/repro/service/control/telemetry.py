@@ -17,16 +17,22 @@ field is read **once, at publish**, into parallel columns (time, tier,
 outcome code, latency and cost in a dense :class:`_FloatWindow`; payload
 and billed ``node_seconds`` items beside it) and the record is not kept.
 
-:meth:`TelemetryHub.snapshot` then *counts* or *recomputes*.  Counts are
-exact integers: a per-tier tally that publish adds to and both eviction
-sites (window horizon, ``max_records`` valve) subtract from — O(tiers).
-Float aggregates (cost means, per-version node-seconds, percentiles)
-reach SLO pressures and control-log text, so they are recomputed per
-snapshot from the live columns, summed strictly left to right: running
-float subtraction, ``ndarray.sum`` (pairwise) and builtin ``sum``
-(compensated from Python 3.12) all round differently from the per-record
-``+=`` walk this replaced, which ``tests/oracle/telemetry_reference.py``
-keeps as the oracle.  Percentiles sort each live latency slice once
+:meth:`TelemetryHub.snapshot` *counts* and *defers*.  Counts are exact
+integers: a per-tier tally that publish adds to and both eviction sites
+(window horizon, ``max_records`` valve) subtract from — O(tiers), taken
+with the snapshot.  Everything else (percentiles, per-tier windows,
+per-version node-seconds, the cost mean, the payloads) is computed when a
+consumer first reads it, from the snapshot's own copy of the live float
+columns and its slice of the append-only payload and billing lists, so a
+late read sees exactly the window of the snapshot's instant.  A control
+tick therefore pays for what its SLOs read — usually the whole-stream
+p95 — and a refit for the payloads.  Float aggregates reach SLO
+pressures and control-log text, so they are summed strictly left to
+right: running float subtraction, ``ndarray.sum`` (pairwise) and builtin
+``sum`` (compensated from Python 3.12) all round differently from the
+per-record ``+=`` walk this replaced, which
+``tests/oracle/telemetry_reference.py`` keeps as the oracle.  Each
+percentile sorts its latency slice on first read
 (:func:`repro.stats.descriptive.percentiles`).
 
 Windowed percentiles carry a small-N guard: a p95 ranked over a handful
@@ -41,12 +47,11 @@ not treat a flagged value as breach evidence.
 
 from __future__ import annotations
 
-import math
 import operator
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,18 +94,6 @@ class PercentileEstimate:
         return not self.low_confidence
 
 
-def _estimates(
-    values: np.ndarray, qs: Sequence[float], min_samples: int
-) -> List[PercentileEstimate]:
-    """Guarded estimates of several percentiles of one sample, sorted once."""
-    n = len(values)
-    low_confidence = n < max(min_samples, 1)
-    return [
-        PercentileEstimate(q, value, n, low_confidence)
-        for q, value in zip(qs, percentiles(values, qs))
-    ]
-
-
 def guarded_percentile(
     values: Sequence[float],
     q: float,
@@ -117,7 +110,9 @@ def guarded_percentile(
     Raises:
         ValueError: If ``q`` is outside ``[0, 100]``.
     """
-    return _estimates(np.asarray(values, dtype=float), (q,), min_samples)[0]
+    n = len(values)
+    value = percentiles(values, (q,))[0]
+    return PercentileEstimate(q, value, n, low_confidence=n < max(min_samples, 1))
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,13 @@ class TierWindow:
     mean_cost: float
 
 
-@dataclass(frozen=True)
 class WindowSnapshot:
     """Aggregate view of the trailing telemetry window at one instant.
+
+    Built by :meth:`TelemetryHub.snapshot`.  The counts are taken with
+    the snapshot; every other field is computed on first read (and
+    kept), from the window as it stood at :attr:`now` — a late read sees
+    no row published after it.
 
     Attributes:
         now: Virtual time the snapshot was taken.
@@ -170,28 +169,116 @@ class WindowSnapshot:
             adaptor re-fits the rule generator on these rows).
     """
 
-    now: float
-    window_s: float
-    span_s: float
-    n: int
-    n_failed: int
-    n_shed: int
-    n_degraded: int
-    p50_latency: PercentileEstimate
-    p95_latency: PercentileEstimate
-    p99_latency: PercentileEstimate
-    goodput_rps: float
-    availability: float
-    node_seconds: Dict[str, float]
-    node_seconds_per_s: float
-    mean_cost: float
-    tiers: Dict[float, TierWindow]
-    payloads: Tuple[object, ...]
+    def __init__(
+        self,
+        now: float,
+        window_s: float,
+        span_s: float,
+        counts: Dict[float, List[int]],
+        rows: np.ndarray,
+        objects: Tuple[list, list, int, int],
+        min_samples: int,
+    ) -> None:
+        self.now = now
+        self.window_s = window_s
+        self.span_s = span_s
+        totals = [sum(column) for column in zip(*counts.values())] or [0, 0, 0, 0]
+        self.n = sum(totals)
+        self.n_failed = totals[_FAILED]
+        self.n_shed = totals[_SHED]
+        self.n_degraded = totals[_DEGRADED]
+        n_answered = totals[_ANSWERED] + totals[_DEGRADED]
+        self.goodput_rps = n_answered / span_s
+        self.availability = (n_answered / self.n) if self.n else float("nan")
+        self._counts = {tier: tuple(tally) for tier, tally in counts.items()}
+        #: Own copy of the live (time, tier, code, latency, cost) columns,
+        self._rows = rows
+        #: and ``(payloads, billed, start, stop)``: the live slice of the
+        #: hub's lists, which only ever grow past ``stop``.
+        self._objects = objects
+        self._min_samples = min_samples
 
     @property
     def n_answered(self) -> int:
         """Windowed requests that resolved with a response."""
         return self.n - self.n_failed - self.n_shed
+
+    @cached_property
+    def _answered(self) -> np.ndarray:
+        return self._rows[2] <= _DEGRADED
+
+    @cached_property
+    def _latency_ok(self) -> np.ndarray:
+        return self._rows[3][self._answered]
+
+    # Each percentile sorts on its own first read: a tick's SLOs read p95.
+    @cached_property
+    def p50_latency(self) -> PercentileEstimate:
+        return guarded_percentile(
+            self._latency_ok, 50.0, min_samples=self._min_samples
+        )
+
+    @cached_property
+    def p95_latency(self) -> PercentileEstimate:
+        return guarded_percentile(
+            self._latency_ok, 95.0, min_samples=self._min_samples
+        )
+
+    @cached_property
+    def p99_latency(self) -> PercentileEstimate:
+        return guarded_percentile(
+            self._latency_ok, 99.0, min_samples=self._min_samples
+        )
+
+    @cached_property
+    def mean_cost(self) -> float:
+        return _ordered_mean(self._rows[4][self._answered])
+
+    @cached_property
+    def node_seconds(self) -> Dict[str, float]:
+        # Versions appear in the order a walk over the live rows first
+        # meets them.
+        _, billed, start, stop = self._objects
+        node_seconds: Dict[str, float] = {}
+        for version, seconds in chain.from_iterable(billed[start:stop]):
+            node_seconds[version] = node_seconds.get(version, 0.0) + seconds
+        return node_seconds
+
+    @cached_property
+    def node_seconds_per_s(self) -> float:
+        burn = 0.0
+        for seconds in self.node_seconds.values():
+            burn += seconds
+        return burn / self.span_s
+
+    @cached_property
+    def tiers(self) -> Dict[float, TierWindow]:
+        _, tier_of, _, _, cost = self._rows
+        answered, latency_ok = self._answered, self._latency_ok
+        tier_ok, cost_ok = tier_of[answered], cost[answered]
+        counts, min_samples = self._counts, self._min_samples
+        # Tiers appear in the order a walk over the live rows first meets
+        # them.
+        tiers: Dict[float, TierWindow] = {}
+        for tier in sorted(counts, key=lambda tier: (tier_of == tier).argmax()):
+            tally, served = counts[tier], tier_ok == tier
+            tiers[tier] = TierWindow(
+                tier=tier,
+                n=sum(tally),
+                n_failed=tally[_FAILED],
+                n_shed=tally[_SHED],
+                n_degraded=tally[_DEGRADED],
+                p95_latency=guarded_percentile(
+                    latency_ok[served], 95.0, min_samples=min_samples
+                ),
+                mean_cost=_ordered_mean(cost_ok[served]),
+            )
+        return tiers
+
+    @cached_property
+    def payloads(self) -> Tuple[object, ...]:
+        payloads, _, start, stop = self._objects
+        return tuple(compress(payloads[start:stop], self._answered.tolist()))
 
     def for_tier(self, tier: Optional[float]) -> "WindowSnapshot | TierWindow":
         """The whole-stream snapshot, or one tier's slice.
@@ -303,9 +390,13 @@ class TelemetryHub:
         #: Per live row: publish time, tier, outcome code, latency, cost —
         self._rows = _FloatWindow(5)
         #: — its payload, and its billed ``node_seconds`` items (in the
-        #: record's own key order; none unless the row was answered).
-        self._payloads: Deque[object] = deque()
-        self._billed: Deque[Tuple[Tuple[str, float], ...]] = deque()
+        #: record's own key order; none unless the row was answered), in
+        #: lists that are only appended to: the live rows are those from
+        #: ``_head`` on, and compaction starts new lists, so a snapshot's
+        #: slice of the old ones stays as it was.
+        self._payloads: List[object] = []
+        self._billed: List[Tuple[Tuple[str, float], ...]] = []
+        self._head = 0
         #: tier -> live rows ``[answered, degraded, failed, shed]``; a
         #: tier leaves with its last row.
         self._counts: Dict[float, List[int]] = {}
@@ -383,6 +474,11 @@ class TelemetryHub:
         for _, tier, code, _, _ in fields:
             self._counts.setdefault(tier, [0, 0, 0, 0])[code] += 1
         self._rows.append(list(zip(*fields)))
+        head = self._head
+        if head > len(self._payloads) // 2:
+            self._payloads = self._payloads[head:]
+            self._billed = self._billed[head:]
+            self._head = 0
         self._payloads.extend(payloads)
         self._billed.extend(legs)
         self._published += len(fields)
@@ -411,68 +507,30 @@ class TelemetryHub:
             counts[tier][int(code)] -= 1
             if not any(counts[tier]):
                 del counts[tier]
-            self._payloads.popleft()
-            self._billed.popleft()
+        self._head += k
         self._rows.pop_oldest(k)
 
     def snapshot(self, now: float) -> WindowSnapshot:
         """Aggregate the trailing window as of ``now``.
 
-        Eviction is destructive (rows older than one window are gone),
-        so snapshots must be taken with non-decreasing ``now`` — which
-        both producers guarantee.
+        Evicts and counts now; the rest of the snapshot is computed when
+        first read (see :class:`WindowSnapshot`).  Eviction is
+        destructive (rows older than one window are gone), so snapshots
+        must be taken with non-decreasing ``now`` — which both producers
+        guarantee.
         """
         times, horizon, k = self._rows.view()[0], now - self.window_s, 0
         while k < len(times) and times[k] < horizon:
             k += 1  # head rows only: stop at the first one still inside
         self._drop(k)
-        _, tier_of, code, latency, cost = self._rows.view()
         span = self.window_s if now >= self.window_s else max(now, 1e-9)
-        counts, min_samples = self._counts, self.min_percentile_samples
-        totals = [sum(column) for column in zip(*counts.values())] or [0, 0, 0, 0]
-        n, n_answered = sum(totals), totals[_ANSWERED] + totals[_DEGRADED]
-        answered = code <= _DEGRADED
-        tier_ok, latency_ok = tier_of[answered], latency[answered]
-        cost_ok = cost[answered]
-
-        # Keys appear in the order a walk over the live rows would first
-        # meet them: tiers by their first live row, versions by first leg.
-        tiers: Dict[float, TierWindow] = {}
-        for tier in sorted(counts, key=lambda tier: (tier_of == tier).argmax()):
-            tally, served = counts[tier], tier_ok == tier
-            tiers[tier] = TierWindow(
-                tier=tier,
-                n=sum(tally),
-                n_failed=tally[_FAILED],
-                n_shed=tally[_SHED],
-                n_degraded=tally[_DEGRADED],
-                p95_latency=_estimates(latency_ok[served], (95.0,), min_samples)[0],
-                mean_cost=_ordered_mean(cost_ok[served]),
-            )
-        node_seconds: Dict[str, float] = {}
-        for version, seconds in chain.from_iterable(self._billed):
-            node_seconds[version] = node_seconds.get(version, 0.0) + seconds
-        burn = 0.0
-        for seconds in node_seconds.values():
-            burn += seconds
-        p50, p95, p99 = _estimates(latency_ok, (50.0, 95.0, 99.0), min_samples)
-
         return WindowSnapshot(
-            now=now,
-            window_s=self.window_s,
-            span_s=span,
-            n=n,
-            n_failed=totals[_FAILED],
-            n_shed=totals[_SHED],
-            n_degraded=totals[_DEGRADED],
-            p50_latency=p50,
-            p95_latency=p95,
-            p99_latency=p99,
-            goodput_rps=n_answered / span,
-            availability=(n_answered / n) if n else float("nan"),
-            node_seconds=node_seconds,
-            node_seconds_per_s=burn / span,
-            mean_cost=_ordered_mean(cost_ok),
-            tiers=tiers,
-            payloads=tuple(compress(self._payloads, answered.tolist())),
+            now,
+            self.window_s,
+            span,
+            self._counts,
+            # A copy: appends compact the live region in place.
+            self._rows.view().copy(),
+            (self._payloads, self._billed, self._head, len(self._payloads)),
+            self.min_percentile_samples,
         )

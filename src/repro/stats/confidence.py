@@ -36,12 +36,40 @@ __all__ = [
 _REL_SPREAD_FLOOR = 1e-12
 
 
+#: A constant prefix of ``t <= _SETTLED_MAX_RUN`` copies of one finite
+#: value ``x`` (zero, or ``_SETTLED_MIN_ABS <= |x| <= _SETTLED_MAX_ABS``) is
+#: one the scalar test provably routes to its constant-sample rule: the
+#: mean's rounding is at most about ``t * eps / 2 * |x| < 5e-13 * |x|``,
+#: so the std sits below the relative noise floor, and neither its
+#: square overflows nor its subnormal rounding reaches the floor.
+_SETTLED_MAX_RUN = 4096
+_SETTLED_MIN_ABS = 1e-140
+_SETTLED_MAX_ABS = 1e140
+
+
 def _is_effectively_constant(arr: np.ndarray, std: float) -> bool:
     """Whether a sample's spread is indistinguishable from rounding noise."""
     if std == 0.0:
         return True
     scale = float(np.abs(arr).max())
     return std <= _REL_SPREAD_FLOOR * scale
+
+
+def _constant_rule_trials(confidence: float) -> int:
+    """Trials a constant sample needs before the test accepts it."""
+    needed = int(np.ceil(1.0 / max(1.0 - confidence, 1e-12)))
+    # Cap the requirement so that degenerate (constant) metrics cannot
+    # force an unbounded number of trials at very high confidence.
+    return min(needed, 30)
+
+
+def _settles(value):
+    """Whether a constant sample of ``value`` is one the constant-sample
+    rule settles (elementwise on arrays; ``False`` for ``nan`` / ``inf``)."""
+    magnitude = np.abs(value)
+    return (magnitude == 0.0) | (
+        (magnitude >= _SETTLED_MIN_ABS) & (magnitude <= _SETTLED_MAX_ABS)
+    )
 
 
 def normal_quantile(confidence: float) -> float:
@@ -112,21 +140,23 @@ def spread_is_confident(values: Sequence[float], confidence: float) -> bool:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         return False
-    quantile = normal_quantile(confidence)
+    return _spread_verdict(arr, normal_quantile(confidence), confidence)
+
+
+def _spread_verdict(arr: np.ndarray, quantile: float, confidence: float) -> bool:
+    """:func:`spread_is_confident` on at least two values, given the
+    quantile of ``confidence``."""
     if _is_effectively_constant(arr, float(arr.std())):
-        needed = int(np.ceil(1.0 / max(1.0 - confidence, 1e-12)))
-        # Cap the requirement so that degenerate (constant) metrics cannot
-        # force an unbounded number of trials at very high confidence.
-        needed = min(needed, 1000)
-        return arr.size >= min(needed, 30)
+        return arr.size >= _constant_rule_trials(confidence)
     z = zscores(arr)
-    straddles = bool(z.min() < -quantile and z.max() > quantile)
-    wide = bool(z.max() - z.min() > 2.0 * quantile)
+    low, high = z.min(), z.max()
+    straddles = bool(low < -quantile and high > quantile)
+    wide = bool(high - low > 2.0 * quantile)
     return straddles or wide
 
 
 def _prefix_spread_flags(
-    stacked: np.ndarray, quantile: float
+    stacked: np.ndarray, quantile: float, confidence: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Classify every prefix of every row of ``stacked`` (shape ``(C, T)``).
 
@@ -137,7 +167,9 @@ def _prefix_spread_flags(
     sits within the numerical error bound of the running statistics (or
     whose spread is ~zero, where the scalar test switches to its
     constant-sample rule) and must be re-checked with the exact scalar
-    test before being trusted.
+    test before being trusted.  An exactly constant prefix of a value
+    the constant-sample rule settles is decided by that rule here, with
+    no re-check.
 
     The running mean/variance use cumulative sums of mean-shifted values;
     the error bounds below are conservative for that scheme, so a prefix is
@@ -174,8 +206,16 @@ def _prefix_spread_flags(
         | (np.abs(wide_margin) <= tol)
         | (std <= std_err)
         | (std <= noise_floor)
+        # an inf or nan trial, or statistics that overflowed where the
+        # scalar test's need not
+        | ~np.isfinite(tol + var)
     )
-    return satisfied, uncertain
+    first = x[:, :1]
+    constant = np.logical_and.accumulate(x == first, axis=1) & (
+        _settles(first) & (t <= _SETTLED_MAX_RUN)
+    )
+    satisfied = np.where(constant, t >= _constant_rule_trials(confidence), satisfied)
+    return satisfied, uncertain & ~constant
 
 
 @dataclass(frozen=True)
@@ -265,17 +305,8 @@ class ConfidenceTest:
         hi = min(n, self.max_trials)
 
         quantile = normal_quantile(self.confidence)
-        if lo == hi:
-            # A single candidate prefix (e.g. the bootstrap's min_trials
-            # block): the exact scalar check is cheaper than a prefix scan.
-            if all(
-                self._is_satisfied_exact(column, lo, quantile)
-                for column in columns
-            ):
-                return lo
-            return None
         satisfied, uncertain = _prefix_spread_flags(
-            np.stack([column[:hi] for column in columns]), quantile
+            np.stack([column[:hi] for column in columns]), quantile, self.confidence
         )
         certain_false = (~satisfied & ~uncertain).any(axis=0)
         any_uncertain = uncertain.any(axis=0)
@@ -308,12 +339,4 @@ class ConfidenceTest:
             return False
         if t >= self.max_trials:
             return True
-        arr = column[:t]
-        if _is_effectively_constant(arr, float(arr.std())):
-            needed = int(np.ceil(1.0 / max(1.0 - self.confidence, 1e-12)))
-            needed = min(needed, 1000)
-            return arr.size >= min(needed, 30)
-        z = zscores(arr)
-        straddles = bool(z.min() < -quantile and z.max() > quantile)
-        wide = bool(z.max() - z.min() > 2.0 * quantile)
-        return straddles or wide
+        return _spread_verdict(column[:t], quantile, self.confidence)

@@ -36,7 +36,6 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
     ranked = np.array(values, dtype=float)
     ranked.sort()
-    ranked = ranked.tolist()
     n = len(ranked)
     if n == 0 or ranked[-1] != ranked[-1]:  # a nan sorts last
         return [float("nan")] * len(qs)
@@ -46,8 +45,8 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
         # At the top of the sample both neighbours are the last element
         # (index -1, which also enters the weight), as in NumPy.
         lower = -1 if virtual >= n - 1 else int(virtual)
-        a = ranked[lower]
-        b = ranked[lower + 1] if lower >= 0 else a
+        a = float(ranked[lower])
+        b = float(ranked[lower + 1]) if lower >= 0 else a
         gamma = virtual - lower
         spread = b - a
         results.append(

@@ -12,9 +12,12 @@ The three contracts this file pins:
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from oracle.scalar import scalar_loop
+from oracle.telemetry_reference import ReferenceTelemetryHub
+from test_telemetry_incremental import assert_same_snapshot
 
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import RequestValidationError
@@ -353,6 +356,15 @@ def _row(r, now):
     )
 
 
+def _record_of(row):
+    """A ``publish_rows`` row as the record the scalar loop would publish."""
+    fields = (
+        "finished_s", "tier", "shed", "failed", "degraded", "response_time_s",
+        "invocation_cost", "payload", "node_seconds",
+    )
+    return SimpleNamespace(**dict(zip(fields, row)))
+
+
 def _tap(plane):
     """Fold everything the plane's hub is fed into a hub spanning the
     whole run, and keep each feed call as ``(record, row)`` pairs: the
@@ -429,6 +441,42 @@ class TestTelemetryFeed:
         assert snap.node_seconds == pytest.approx(billed, rel=1e-12)
         for tier, window in snap.tiers.items():
             assert window.n == sum(1 for r in records if r.tier == tier)
+
+    @pytest.mark.parametrize("feed", list(FEEDS))
+    def test_the_last_snapshot_read_after_the_drain_is_the_last_ticks(
+        self, toy, specs, feed
+    ):
+        """Snapshot fields are computed on first read: the plane's last
+        snapshot, read only after the drain has published past its tick,
+        equals the reference walk taken at that tick."""
+        spec = FEEDS[feed](specs)
+        plane = _live_plane(spec, toy)
+        hub = plane.hub
+        reference = ReferenceTelemetryHub(
+            hub.window_s, min_percentile_samples=hub.min_percentile_samples
+        )
+        publish, publish_rows = hub.publish, hub.publish_rows
+
+        def one(record, now=None):
+            publish(record, now)
+            reference.publish(record, now)
+
+        def many(rows):
+            publish_rows(rows)
+            for row in rows:
+                reference.publish(_record_of(row), row[0])
+
+        hub.publish, hub.publish_rows = one, many
+        at_ticks, on_tick = [], plane.on_tick
+
+        def tick(now):
+            at_ticks.append(reference.snapshot(now))
+            return on_tick(now)
+
+        plane.on_tick = tick
+        _drain(spec, toy, plane)
+        assert plane.last_snapshot.now == at_ticks[-1].now
+        assert_same_snapshot(plane.last_snapshot, at_ticks[-1])
 
     def test_the_columnar_loop_hands_over_rows_once_per_tick(
         self, toy, specs, sim_loop

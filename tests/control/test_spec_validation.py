@@ -49,6 +49,13 @@ TIERED = EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6))
         ({"tolerance_step": NAN}, "tolerance_step"),
         ({"max_tolerance": NAN}, "max_tolerance"),
         ({"rollback_margin": NAN}, "rollback_margin"),
+        # The refit's ConfidenceTest and design space refuse these; the
+        # config must refuse them before the run starts.
+        ({"min_trials": 1}, "min_trials"),
+        ({"min_trials": 12, "max_trials": 11}, "max_trials"),
+        ({"thresholds": (0.3, 1.5)}, "thresholds"),
+        ({"thresholds": (-0.1, 0.5)}, "thresholds"),
+        ({"thresholds": (0.4, NAN)}, "thresholds"),
     ],
 )
 def test_invalid_adaptor_configs_rejected(kwargs, match):

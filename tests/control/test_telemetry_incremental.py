@@ -13,6 +13,7 @@ an attribute-counting proxy pins *when* the fields are read.
 
 import inspect
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -91,7 +92,9 @@ def assert_same_snapshot(got, want):
         _assert_same_estimate(mine.p95_latency, window.p95_latency, tier)
 
 
-def check_interleaving(rows, ops, *, max_records, hub_cls=TelemetryHub, chunk=None):
+def check_interleaving(
+    rows, ops, *, max_records, hub_cls=TelemetryHub, chunk=None, defer=0
+):
     """Replay ``ops`` through the reference and two production hubs.
 
     ``ops`` is a sequence of ``(kind, dt)``: ``"publish"`` takes the next
@@ -100,14 +103,16 @@ def check_interleaving(rows, ops, *, max_records, hub_cls=TelemetryHub, chunk=No
     plus ``dt``.  One production hub gets records, the other gets each
     run of consecutive publishes as one column slice — cut every
     ``chunk`` rows when given, as the columnar loop's control ticks cut
-    its finalized rows.
+    its finalized rows.  A production snapshot's fields are first read
+    ``defer`` ops after it was taken (later publishes and snapshots in
+    between), and must still equal the reference taken at its instant.
     """
     columns = _columns(rows)
     settings_ = dict(min_percentile_samples=3, max_records=max_records)
     reference = ReferenceTelemetryHub(WINDOW_S, **settings_)
     by_record = hub_cls(WINDOW_S, **settings_)
     by_slice = hub_cls(WINDOW_S, **settings_)
-    clock, cursor, pending = 0.0, 0, []
+    clock, cursor, pending, unread = 0.0, 0, [], deque()
 
     def flush():
         if pending:
@@ -115,7 +120,13 @@ def check_interleaving(rows, ops, *, max_records, hub_cls=TelemetryHub, chunk=No
             by_slice.publish_columns(columns, rows_, np.array(pending))
             pending.clear()
 
-    for kind, dt in ops:
+    def read(due):
+        while unread and unread[0][0] <= due:
+            _, mine, sliced, want = unread.popleft()
+            assert_same_snapshot(mine, want)
+            assert_same_snapshot(sliced, want)
+
+    for index, (kind, dt) in enumerate(ops):
         if kind == "publish" and cursor < len(rows):
             t = clock + dt
             clock = max(clock, t)
@@ -130,10 +141,13 @@ def check_interleaving(rows, ops, *, max_records, hub_cls=TelemetryHub, chunk=No
             flush()
             clock += dt
             want = reference.snapshot(clock)
-            assert_same_snapshot(by_record.snapshot(clock), want)
-            assert_same_snapshot(by_slice.snapshot(clock), want)
+            unread.append(
+                (index + defer, by_record.snapshot(clock), by_slice.snapshot(clock), want)
+            )
             assert len(by_record) == len(by_slice) == len(reference)
+        read(index)
     flush()
+    read(math.inf)
     assert by_record.total_published == by_slice.total_published == cursor
 
 
@@ -227,6 +241,74 @@ def test_one_tier_and_all_answered_windows_equal_the_reference_walk(tiers, outco
     check_interleaving(rows, ops, max_records=100_000)
 
 
+class _SmallBufferHub(TelemetryHub):
+    """Float columns start in a 4-row buffer, so every few appends
+    compact the live region in place (or move it to a larger buffer)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rows = telemetry._FloatWindow(5, capacity=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(row_specs, min_size=1, max_size=40),
+    ops=op_lists,
+    max_records=st.sampled_from([4, 7, 100_000]),
+    defer=st.integers(1, 12),
+)
+def test_a_snapshot_read_late_equals_the_reference_at_its_instant(
+    rows, ops, max_records, defer
+):
+    ops = [(kind, max(dt, 0.0) if kind == "snapshot" else dt) for kind, dt in ops]
+    check_interleaving(
+        rows, ops + [("snapshot", 0.0)], max_records=max_records,
+        hub_cls=_SmallBufferHub, defer=defer,
+    )
+
+
+@pytest.mark.parametrize("defer", [1, 5, 40])
+@pytest.mark.parametrize("max_records", [4, 100_000])
+def test_seeded_late_reads_equal_the_reference(max_records, defer):
+    rows, ops = _seeded_interleaving(2)
+    check_interleaving(
+        rows, ops, max_records=max_records, hub_cls=_SmallBufferHub, defer=defer
+    )
+
+
+class _LiveColumns(np.ndarray):
+    """A column view whose ``copy`` is the view itself."""
+
+    def copy(self, *args, **kwargs):
+        return self
+
+
+class _LiveWindow(telemetry._FloatWindow):
+    __slots__ = ()
+
+    def view(self):
+        return super().view().view(_LiveColumns)
+
+
+class _SnapshotKeepsAView(TelemetryHub):
+    """Mutant: the snapshot reads the live columns, not a copy of them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rows = _LiveWindow(5, capacity=4)
+
+
+class _CompactsListsInPlace(TelemetryHub):
+    """Mutant: the payload and billing lists drop their dead head in
+    place, under the slices earlier snapshots hold."""
+
+    def _append(self, *args):
+        super()._append(*args)
+        if self._head:
+            del self._payloads[: self._head], self._billed[: self._head]
+            self._head = 0
+
+
 class _ValveForgetsTallies(TelemetryHub):
     """Mutant: the ``max_records`` valve drops rows but not their counts."""
 
@@ -239,9 +321,7 @@ class _ValveForgetsTallies(TelemetryHub):
         over = len(self._rows) - bound
         if over > 0:
             self._rows.pop_oldest(over)
-            for _ in range(over):
-                self._payloads.popleft()
-                self._billed.popleft()
+            self._head += over
 
 
 class TestTeeth:
@@ -253,6 +333,13 @@ class TestTeeth:
             check_interleaving(
                 rows, ops, max_records=4, hub_cls=_ValveForgetsTallies
             )
+
+    @pytest.mark.parametrize("mutant", [_SnapshotKeepsAView, _CompactsListsInPlace])
+    def test_a_snapshot_that_reads_the_live_window_late_is_caught(self, mutant):
+        rows, ops = _seeded_interleaving(2)
+        check_interleaving(rows, ops, max_records=7, hub_cls=mutant, defer=0)
+        with pytest.raises(AssertionError):
+            check_interleaving(rows, ops, max_records=7, hub_cls=mutant, defer=10)
 
     def test_pairwise_cost_sum_is_caught(self, monkeypatch):
         rows, ops = _seeded_interleaving(1)

@@ -10,7 +10,12 @@ The generator-level scalar side is ``tests/oracle/rulegen_reference.py``.
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import DEFAULT_TRIAL_BLOCK, bootstrap_configuration
+from repro.core import bootstrap
+from repro.core.bootstrap import (
+    DEFAULT_TRIAL_BLOCK,
+    bootstrap_configuration,
+    bootstrap_configurations,
+)
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
@@ -258,35 +263,57 @@ class TestGeneratorEquivalence:
                 t: c.config_id for t, c in table_a.rules.items()
             } == {t: c.config_id for t, c in table_b.rules.items()}
 
-    def test_rewind_replays_only_the_last_block(self, space):
-        """A stop inside a block rewinds to that block's start, not to the
-        configuration's first draw, and the whole-space rng state still
-        ends where the scalar oracle's does."""
+    @pytest.mark.parametrize("trial_block", [1, 3, DEFAULT_TRIAL_BLOCK])
+    def test_the_stream_draws_each_trial_once(self, space, monkeypatch, trial_block):
+        """One trial stream serves the whole design space: the trials past
+        a configuration's stop are the next configuration's first, also
+        when that one is scalar-only, and the rng is rewound once, at the
+        end.  Estimates and the final rng state equal the scalar oracle's."""
         measurements, configurations = space
-        kw = dict(confidence=0.99, min_trials=8, max_trials=150)
-        fast_rng, oracle_rng = _CountingGenerator(5), _CountingGenerator(5)
-        # default_rng hands a Generator back unaltered, so both sides draw
-        # from the counting generators.
-        fast = RoutingRuleGenerator(measurements, configurations, seed=fast_rng, **kw)
-        oracle = reference_results(measurements, configurations, seed=oracle_rng, **kw)
-        assert [(e.config_id, e.n_trials) for e in fast.results] == [
-            (e.config_id, e.n_trials) for e in oracle
+        opaque = [
+            EnsembleConfiguration(f"cfg_opq{i}", _OpaquePolicy(version))
+            for i, version in enumerate(("ic_cpu_vgg16", "ic_cpu_squeezenet"))
         ]
-        assert oracle_rng.draws == sum(e.n_trials for e in oracle)
+        mixed = [*configurations[:4], opaque[0], *configurations[4:9], opaque[1],
+                 *configurations[9:]]
+        kw = dict(confidence=0.99, min_trials=8, max_trials=150)
+        carried = []
+        scalar_loop = bootstrap._bootstrap_scalar
 
-        expected, mid_block_stops = 0, 0
-        for estimate in fast.results:
-            stop = estimate.n_trials
-            start, drawn = 0, kw["min_trials"]
-            while drawn < stop:
-                start, drawn = drawn, min(drawn + DEFAULT_TRIAL_BLOCK, kw["max_trials"])
-            expected += drawn
-            if drawn > stop:
-                expected += stop - start
-                mid_block_stops += start > 0
-        assert mid_block_stops > 0  # the case a first-draw rewind overpays
-        assert fast_rng.draws == expected
-        assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
+        def spy(measurements, configuration, *, stream, **kwargs):
+            carried.append(stream.carries)
+            return scalar_loop(measurements, configuration, stream=stream, **kwargs)
+
+        monkeypatch.setattr(bootstrap, "_bootstrap_scalar", spy)
+        stream_rng, oracle_rng = _CountingGenerator(5), _CountingGenerator(5)
+        estimates = bootstrap_configurations(
+            measurements,
+            mixed,
+            confidence_test=ConfidenceTest(**kw),
+            rng=stream_rng,
+            pricing=build_pricing(measurements),
+            outcome_matrix=OutcomeMatrix.build(measurements, mixed),
+            trial_block=trial_block,
+        )
+        monkeypatch.undo()
+        oracle = reference_results(measurements, mixed, seed=oracle_rng, **kw)
+        assert estimates == oracle
+        assert stream_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+        trials = sum(e.n_trials for e in oracle)
+        assert oracle_rng.draws == trials
+        # Every trial is drawn once; the last batch's unused trials and the
+        # replay of its used ones add at most one batch, once.
+        assert 0 <= stream_rng.draws - trials <= max(kw["min_trials"], trial_block)
+        assert len(carried) == len(opaque)
+        if trial_block == 1:
+            assert stream_rng.draws == trials  # a block of one is never cut
+        else:
+            # some scalar-only configuration started on given-back trials
+            assert any(carried)
+        if trial_block == DEFAULT_TRIAL_BLOCK:
+            generator = RoutingRuleGenerator(measurements, mixed, seed=5, **kw)
+            assert generator.results == estimates
 
     def test_same_seed_same_rule_table(self, space):
         """Determinism: constructing twice with one seed gives one table."""

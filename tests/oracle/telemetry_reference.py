@@ -21,6 +21,7 @@ the loop is what it computed on 3.10 / 3.11.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +30,30 @@ from repro.service.control.telemetry import (
     MIN_PERCENTILE_SAMPLES,
     PercentileEstimate,
     TierWindow,
-    WindowSnapshot,
 )
+
+
+@dataclass(frozen=True)
+class WindowSnapshot:
+    """The fields of the production ``WindowSnapshot``, all computed."""
+
+    now: float
+    window_s: float
+    span_s: float
+    n: int
+    n_failed: int
+    n_shed: int
+    n_degraded: int
+    p50_latency: PercentileEstimate
+    p95_latency: PercentileEstimate
+    p99_latency: PercentileEstimate
+    goodput_rps: float
+    availability: float
+    node_seconds: Dict[str, float]
+    node_seconds_per_s: float
+    mean_cost: float
+    tiers: Dict[float, TierWindow]
+    payloads: Tuple[object, ...]
 
 
 def _loop_sum(values) -> float:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stats.confidence import (
@@ -220,3 +220,107 @@ class TestFirstSatisfied:
         assert test.first_satisfied((np.zeros(3),)) is None  # < min_trials
         with pytest.raises(ValueError):
             test.first_satisfied((np.zeros(3), np.zeros(4)))
+
+
+_CONSTANTS = st.sampled_from(
+    [0.0, -0.0, -1.0, -3.5e7, 0.1, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+     1e-140, 1e140, 1e300, -1e300]
+)
+_ANY = st.floats(allow_nan=True, allow_infinity=True)
+_NON_FINITE = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _constant_prefix_columns(draw, length):
+    """An exactly constant, finite prefix, then arbitrary values."""
+    run = draw(st.integers(0, length))
+    tail = draw(st.lists(_ANY, min_size=length - run, max_size=length - run))
+    return np.array([draw(_CONSTANTS)] * run + tail, dtype=float)
+
+
+@st.composite
+def _non_finite_columns(draw, length):
+    """Finite values with ``inf`` / ``nan`` mixed in anywhere."""
+    values = draw(
+        st.lists(
+            st.one_of(_NON_FINITE, st.floats(-1e3, 1e3), _CONSTANTS),
+            min_size=length,
+            max_size=length,
+        )
+    )
+    return np.array(values, dtype=float)
+
+
+@st.composite
+def _cases(draw):
+    length = draw(st.integers(1, 45))
+    min_trials = draw(st.integers(2, 12))
+    test = ConfidenceTest(
+        confidence=draw(st.sampled_from([0.9, 0.95, 0.99, 0.999])),
+        min_trials=min_trials,
+        max_trials=draw(st.integers(min_trials, 60)),
+    )
+    column = st.one_of(_constant_prefix_columns(length), _non_finite_columns(length))
+    columns = draw(st.lists(column, min_size=1, max_size=3))
+    return test, columns
+
+
+class TestConstantPrefixRule:
+    """An exactly constant, finite prefix is settled by the constant-sample
+    rule; every verdict still equals the sequential loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cases())
+    # np.std of 20-31 copies of 1e300 overflows to inf: not "constant".
+    @example((ConfidenceTest(0.9, 2, 60), [np.full(40, 1e300)]))
+    @example((ConfidenceTest(0.9, 2, 60), [np.full(40, 5e-324)]))
+    # A huge trial after the prefixes that already pass must not poison
+    # their running statistics.
+    @example((ConfidenceTest(0.9, 2, 7), [np.array([0.0] * 5 + [1.0, 9.4e154])]))
+    @example((ConfidenceTest(0.9, 2, 7), [np.array([0.0] * 5 + [1.0, np.inf])]))
+    def test_every_start_matches_the_sequential_loop(self, case):
+        test, columns = case
+        with np.errstate(all="ignore"):
+            for start in range(1, len(columns[0]) + 2):
+                assert test.first_satisfied(columns, start=start) == (
+                    TestFirstSatisfied._naive(test, columns, start)
+                ), start
+
+    @pytest.mark.parametrize("value", [0.0, -2.0, 0.1, 7.5e-9, 3.3e12])
+    @pytest.mark.parametrize("length", [8, 9, 20, 40])
+    def test_a_whole_constant_column_costs_no_exact_check(
+        self, monkeypatch, value, length
+    ):
+        calls = []
+        exact = ConfidenceTest._is_satisfied_exact
+
+        def counted(self, column, t, quantile):
+            calls.append(t)
+            return exact(self, column, t, quantile)
+
+        monkeypatch.setattr(ConfidenceTest, "_is_satisfied_exact", counted)
+        test = ConfidenceTest(confidence=0.95, min_trials=8, max_trials=60)
+        columns = (np.full(length, value), np.full(length, value / 3.0))
+        for start in range(1, length + 2):
+            got = test.first_satisfied(columns, start=start)
+            assert got == TestFirstSatisfied._naive(test, columns, start)
+        assert calls == []
+
+    def test_a_non_constant_column_still_pays_exact_checks(self, monkeypatch):
+        """The counter above has teeth: a column whose spread sits on the
+        noise floor is re-checked exactly."""
+        calls = []
+        exact = ConfidenceTest._is_satisfied_exact
+
+        def counted(self, column, t, quantile):
+            calls.append(t)
+            return exact(self, column, t, quantile)
+
+        monkeypatch.setattr(ConfidenceTest, "_is_satisfied_exact", counted)
+        test = ConfidenceTest(confidence=0.95, min_trials=8, max_trials=60)
+        column = np.full(40, 1e9)
+        column[1::2] += 1e-7
+        assert test.first_satisfied((column,)) == TestFirstSatisfied._naive(
+            test, (column,), 1
+        )
+        assert calls
