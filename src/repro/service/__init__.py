@@ -43,12 +43,7 @@ from repro.service.instances import (
     InstanceType,
     get_instance_type,
 )
-from repro.service.load_balancer import (
-    JoinShortestQueuePolicy,
-    LeastBusyPolicy,
-    LoadBalancer,
-    RoundRobinPolicy,
-)
+from repro.service.load_balancer import LoadBalancer
 from repro.service.measurement import (
     MeasurementSet,
     VersionMeasurement,
@@ -71,8 +66,6 @@ __all__ = [
     "CostBreakdown",
     "INSTANCE_CATALOG",
     "InstanceType",
-    "JoinShortestQueuePolicy",
-    "LeastBusyPolicy",
     "LoadBalancer",
     "MeasurementSet",
     "NodeCompletion",
@@ -80,7 +73,6 @@ __all__ = [
     "Objective",
     "PricingModel",
     "QueuedRequest",
-    "RoundRobinPolicy",
     "ServiceNode",
     "ServiceRequest",
     "ServiceResponse",

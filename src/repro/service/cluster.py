@@ -69,9 +69,9 @@ class ClusterDeployment:
         pools: Pool specification per service-version name.
         per_request_fee: Platform fee billed per invocation.
         markup: Consumer-billing markup over raw IaaS cost.
-        selection_policy: Within-pool node selection policy, forwarded to
-            the :class:`~repro.service.load_balancer.LoadBalancer`
-            (round-robin when omitted).
+
+    Within a pool, jobs go to the node with the shortest queue
+    (:meth:`~repro.service.load_balancer.LoadBalancer.select_node`).
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class ClusterDeployment:
         *,
         per_request_fee: float = 0.0,
         markup: float = 3.0,
-        selection_policy=None,
     ) -> None:
         if not pools:
             raise ValueError("a deployment needs at least one pool")
@@ -88,8 +87,7 @@ class ClusterDeployment:
         # The load balancer is the single source of truth for pool
         # membership; the deployment never keeps its own node lists.
         self.load_balancer = LoadBalancer(
-            {name: spec.build_nodes() for name, spec in self._pool_specs.items()},
-            selection_policy=selection_policy,
+            {name: spec.build_nodes() for name, spec in self._pool_specs.items()}
         )
         # IaaS cost of nodes evicted by scale-down, so iaas_spend() keeps
         # counting money already spent on machines no longer in the pool.

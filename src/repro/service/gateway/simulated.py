@@ -113,7 +113,6 @@ class SimulatedBackend:
         measurements,
         *,
         check_invariants: bool = False,
-        selection_policy=None,
         trace=None,
     ) -> "SimulatedBackend":
         """Build a backend from a scenario spec's engine-facing fields.
@@ -131,12 +130,8 @@ class SimulatedBackend:
             measurements: Measurement table the spec's pools and faults
                 reference.
             check_invariants: Verify conservation laws at drain time.
-            selection_policy: Within-pool node selection override
-                (join-shortest-queue by default).
         """
-        cluster = build_replay_cluster(
-            measurements, dict(spec.pools), selection_policy=selection_policy
-        )
+        cluster = build_replay_cluster(measurements, dict(spec.pools))
         return cls(
             cluster,
             check_invariants=check_invariants,
@@ -153,7 +148,6 @@ class SimulatedBackend:
         measurements,
         *,
         check_invariants: bool = False,
-        selection_policy=None,
         trace=None,
     ) -> "SimulatedBackend":
         """Build a backend for one region of a multi-region spec.
@@ -175,7 +169,6 @@ class SimulatedBackend:
             measurements: Measurement table the region's pools and
                 faults reference.
             check_invariants: Verify conservation laws at drain time.
-            selection_policy: Within-pool node selection override.
             trace: Optional trace sink, as for :meth:`from_scenario`.
         """
         if isinstance(region, str):
@@ -190,7 +183,6 @@ class SimulatedBackend:
             scenario,
             measurements,
             check_invariants=check_invariants,
-            selection_policy=selection_policy,
             trace=trace,
         )
 

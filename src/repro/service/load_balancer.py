@@ -22,108 +22,31 @@ traffic never routes onto a corpse.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.service.node import ServiceNode, VersionResult
 
-__all__ = [
-    "JoinShortestQueuePolicy",
-    "LeastBusyPolicy",
-    "LoadBalancer",
-    "RoundRobinPolicy",
-]
-
-
-class RoundRobinPolicy:
-    """Select nodes in cyclic order, independent of load.
-
-    The per-version cursor is kept bounded (always in ``[0, len(pool))``)
-    and snaps back to the head of the pool whenever the pool shrank below
-    the cursor since the last call, so autoscaling a pool down never skews
-    the rotation.
-    """
-
-    def __init__(self) -> None:
-        self._cursor: Dict[str, int] = {}
-
-    def select(self, version: str, nodes: Sequence[ServiceNode]) -> ServiceNode:
-        """Pick the next node of ``version``'s pool."""
-        if not nodes:
-            raise ValueError(f"no nodes available for version {version!r}")
-        index = self._cursor.get(version, 0)
-        if index >= len(nodes):
-            index = 0
-        self._cursor[version] = (index + 1) % len(nodes)
-        return nodes[index]
-
-    def reset(self, version: Optional[str] = None) -> None:
-        """Forget the rotation state for one version (or all of them).
-
-        Called by the load balancer whenever a pool's membership changes,
-        so a stale cursor never outlives the pool it indexed.
-        """
-        if version is None:
-            self._cursor.clear()
-        else:
-            self._cursor.pop(version, None)
-
-
-class LeastBusyPolicy:
-    """Select the node that has accumulated the least busy time.
-
-    Ties (e.g. a freshly built pool where every node has zero busy time)
-    resolve to the earliest node in pool order, so selection stays
-    deterministic.
-    """
-
-    def select(self, version: str, nodes: Sequence[ServiceNode]) -> ServiceNode:
-        """Pick the least-busy node of ``version``'s pool."""
-        if not nodes:
-            raise ValueError(f"no nodes available for version {version!r}")
-        return min(nodes, key=lambda node: node.busy_seconds)
-
-
-class JoinShortestQueuePolicy:
-    """Select the node with the least backlog (queue depth, then busy-until).
-
-    This is the natural policy for the queueing simulator: it looks at what
-    is *waiting* on each node rather than at historical busy time, so a
-    node that just went idle wins over one with a deep queue even if the
-    idle node has served more traffic overall.
-    """
-
-    def select(self, version: str, nodes: Sequence[ServiceNode]) -> ServiceNode:
-        """Pick the node with the shortest queue of ``version``'s pool."""
-        if not nodes:
-            raise ValueError(f"no nodes available for version {version!r}")
-        return min(nodes, key=lambda node: (node.queue_depth, node.busy_until))
+__all__ = ["LoadBalancer"]
 
 
 class LoadBalancer:
     """Dispatches requests to the node pools of the registered versions.
 
+    Within a pool the rule is join-shortest-queue (see
+    :meth:`select_node`): which node runs a job is not part of a tier's
+    accuracy/latency trade-off, so there is one rule, not an option.
+
     Args:
         pools: Mapping from version name to its list of nodes.
-        selection_policy: How to pick a node within a pool; defaults to
-            round-robin.
     """
 
-    def __init__(
-        self,
-        pools: Dict[str, List[ServiceNode]],
-        *,
-        selection_policy: RoundRobinPolicy
-        | LeastBusyPolicy
-        | JoinShortestQueuePolicy
-        | None = None,
-    ) -> None:
+    def __init__(self, pools: Dict[str, List[ServiceNode]]) -> None:
         if not pools:
             raise ValueError("load balancer needs at least one version pool")
         for version, nodes in pools.items():
             if not nodes:
                 raise ValueError(f"version {version!r} has an empty node pool")
         self._pools = {version: list(nodes) for version, nodes in pools.items()}
-        self._policy = selection_policy or RoundRobinPolicy()
 
     @property
     def versions(self) -> Tuple[str, ...]:
@@ -147,22 +70,12 @@ class LoadBalancer:
                 f"{sorted(self._pools)}"
             ) from None
 
-    def _reset_policy(self, version: str) -> None:
-        reset = getattr(self._policy, "reset", None)
-        if reset is not None:
-            reset(version)
-
     # ------------------------------------------------------------------
     # pool mutation (autoscaling)
     # ------------------------------------------------------------------
     def add_node(self, version: str, node: ServiceNode) -> None:
-        """Grow a version's pool by one node.
-
-        Selection-policy state for the version is reset so rotation starts
-        cleanly over the new membership.
-        """
+        """Grow a version's pool by one node."""
         self._require_pool(version).append(node)
-        self._reset_policy(version)
 
     def remove_node(
         self,
@@ -211,10 +124,9 @@ class LoadBalancer:
             return None
         node = idle[-1] if idle else pool[-1]
         pool.remove(node)
-        self._reset_policy(version)
         if node.queue_depth:
             for item in node.pop_batch(node.queue_depth):
-                self._policy.select(version, pool).requeue(item)
+                self.select_node(version).requeue(item)
         return node
 
     def evict_node(self, version: str, node: ServiceNode) -> List["QueuedRequest"]:
@@ -236,29 +148,28 @@ class LoadBalancer:
             raise ValueError(
                 f"node {node.node_id} is not in version {version!r}'s pool"
             ) from None
-        self._reset_policy(version)
         return node.pop_batch(node.queue_depth) if node.queue_depth else []
 
     # ------------------------------------------------------------------
     # queueing interface
     # ------------------------------------------------------------------
     def select_node(self, version: str) -> ServiceNode:
-        """Pick the node the selection policy would route to next.
+        """The live node of ``version``'s pool with the shortest queue.
 
+        Join-shortest-queue: least ``queue_depth``, then least
+        ``busy_until``; on an exact tie the first node in pool order wins.
         Dead nodes never receive traffic: crashed nodes normally leave the
-        pool via :meth:`evict_node`, but the selection also filters on
+        pool via :meth:`evict_node`, but the scan also filters on
         :attr:`~repro.service.node.ServiceNode.alive` as a second line of
         defence, so a stale pool reference cannot route onto a corpse.
 
         Raises:
-            ValueError: If the pool has no live node (the policies raise
-                on an empty candidate list).
+            ValueError: If the pool has no live node.
         """
-        pool = self._require_pool(version)
-        live = [node for node in pool if node.alive]
-        if len(live) != len(pool):
-            return self._policy.select(version, live)
-        return self._policy.select(version, pool)
+        live = [node for node in self._require_pool(version) if node.alive]
+        if not live:
+            raise ValueError(f"no nodes available for version {version!r}")
+        return min(live, key=lambda node: (node.queue_depth, node.busy_until))
 
     def live_pool_size(self, version: str) -> int:
         """Number of live (routable) nodes serving ``version``."""
@@ -287,7 +198,7 @@ class LoadBalancer:
     def submit(
         self, version: str, request_id: str, payload: Any, *, now: float = 0.0
     ) -> ServiceNode:
-        """Enqueue a request on a policy-selected node of ``version``.
+        """Enqueue a request on the :meth:`select_node` node of ``version``.
 
         Returns the node chosen, so callers (the simulation engine, or an
         early-termination policy that may later cancel the work) can track

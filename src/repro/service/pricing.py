@@ -66,9 +66,10 @@ class PricingModel:
         per_request_fee: float = 0.0,
         markup: float = 3.0,
     ) -> None:
-        if per_request_fee < 0.0:
+        # Written so NaN fails each bound (it compares false both ways).
+        if not per_request_fee >= 0.0:
             raise ValueError("per_request_fee must be non-negative")
-        if markup <= 0.0:
+        if not markup > 0.0:
             raise ValueError("markup must be positive")
         if not version_instances:
             raise ValueError("version_instances must not be empty")

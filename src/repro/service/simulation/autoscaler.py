@@ -49,7 +49,8 @@ class AutoscalerConfig:
             raise ValueError("min_nodes must be at least 1")
         if self.max_nodes < self.min_nodes:
             raise ValueError("max_nodes must be >= min_nodes")
-        if self.scale_up_queue_depth <= 0.0:
+        # Written so NaN fails each bound (it compares false both ways).
+        if not self.scale_up_queue_depth > 0.0:
             raise ValueError("scale_up_queue_depth must be positive")
         if not 0.0 < self.scale_up_utilization <= 1.0:
             raise ValueError("scale_up_utilization must be in (0, 1]")
@@ -57,9 +58,9 @@ class AutoscalerConfig:
             raise ValueError(
                 "scale_down_utilization must be in [0, scale_up_utilization)"
             )
-        if self.evaluation_interval_s <= 0.0:
+        if not self.evaluation_interval_s > 0.0:
             raise ValueError("evaluation_interval_s must be positive")
-        if self.cooldown_s < 0.0:
+        if not self.cooldown_s >= 0.0:
             raise ValueError("cooldown_s must be non-negative")
 
 

@@ -51,7 +51,7 @@ class BatchingConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if self.max_wait_s < 0.0:
+        if not self.max_wait_s >= 0.0:  # NaN fails it too
             raise ValueError("max_wait_s must be non-negative")
         if not 0.0 <= self.latency_exponent <= 1.0:
             raise ValueError("latency_exponent must be in [0, 1]")

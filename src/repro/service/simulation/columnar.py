@@ -76,14 +76,14 @@ complete.
 ``columnar_ineligibility`` is the gate, and a fallback means one thing:
 the columnar loop lacks a capability — a fault type that fails
 completions or moves arrivals, a per-attempt trace of a fault schedule or
-control plane, autoscaling, a dead node or non-replay version in a
-pool, a custom selection policy — and the legacy path, which remains the
+control plane, autoscaling — and the legacy path, which remains the
 scalar correctness oracle (the same playbook as ``core/outcome_matrix.py``
 for the rule generator), finishes this run.  What *neither* loop can
 serve (a repeated id, an unmeasured payload, a bad threshold, fast ==
-accurate, an undeployed or unrefillable empty pool) never reaches this
-module: ``drain()`` refuses it with a typed error in front of both loops,
-and hands ``run_columnar`` the payload-to-row gather that refusal already
+accurate, an undeployed or unrefillable empty pool, a pool holding a dead
+node or a non-replay version) never reaches this module: ``drain()``
+refuses it with a typed error in front of both loops, and hands
+``run_columnar`` the payload-to-row gather that refusal already
 performed.
 """
 
@@ -96,11 +96,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.executor import require_confidence_threshold
-from repro.service.load_balancer import (
-    JoinShortestQueuePolicy,
-    LeastBusyPolicy,
-    RoundRobinPolicy,
-)
 from repro.service.request import ServiceRequest
 from repro.service.simulation.faults import (
     CascadePolicy,
@@ -112,7 +107,6 @@ from repro.service.simulation.faults import (
     ThunderingHerd,
     TransientFaults,
 )
-from repro.service.simulation.replay import MeasurementReplayVersion
 from repro.service.simulation.report import LoadTestReport, RecordColumns
 
 __all__ = ["columnar_ineligibility", "run_columnar"]
@@ -137,12 +131,6 @@ _SCALAR_FAULTS = (TransientFaults, RetryStorm, CascadePolicy, ThunderingHerd)
 #: both legs at arrival sort last (``kind >= _CONC``).
 _SINGLE, _SEQ, _CONC, _ET = range(4)
 _KIND_CODES = {"single": _SINGLE, "seq": _SEQ, "conc": _CONC, "et": _ET}
-
-_SUPPORTED_POLICIES = (
-    RoundRobinPolicy,
-    JoinShortestQueuePolicy,
-    LeastBusyPolicy,
-)
 
 
 class _ShadowNode:
@@ -220,25 +208,21 @@ class _ShadowNode:
         self.real.alive = False
 
 
-def columnar_ineligibility(sim, configurations) -> Optional[str]:
+def columnar_ineligibility(sim) -> Optional[str]:
     """The capability this run needs that the columnar path lacks
     (``None`` = it has them all), surfaced as
     ``ServingSimulator.fallback_reason``.
 
-    Called after ``drain()`` refused what no loop can serve: every
-    reason here is one after which the legacy engine — which *is* the
-    semantics — completes the run.  Six remain: a fault that fails
-    completions or moves arrivals, a per-attempt trace of a fault
-    schedule or control plane, an autoscaler, a dead node or a non-replay
-    version in a pool, and a custom selection policy.  A tier router is
-    not a reason: the pool checks apply to each
-    of the pre-pass's ``configurations`` (and, under a fault schedule or
-    a control plane, to every pool a fault may strike or a swap or
-    degrade may pick).  Window faults — ``NodeCrash``, ``NodeSlowdown``,
-    ``GrayFailure``, ``ColdStartWave`` — and a control plane are not
-    reasons either, unless a trace recorder wants their per-attempt
-    spans: post-hoc span reconstruction cannot emit retry, migration,
-    deflation, admission or epoch spans.
+    Called after ``drain()`` refused what no loop can serve, pool shapes
+    included: every reason here is one after which the legacy engine —
+    which *is* the semantics — completes the run.  Three remain, and
+    none reads a pool: a fault that fails completions or moves arrivals,
+    a per-attempt trace of a fault schedule or control plane, and an
+    autoscaler.  A tier router is not a reason.  Window faults —
+    ``NodeCrash``, ``NodeSlowdown``, ``GrayFailure``, ``ColdStartWave``
+    — and a control plane are not reasons either, unless a trace
+    recorder wants their per-attempt spans: post-hoc span reconstruction
+    cannot emit retry, migration, deflation, admission or epoch spans.
     """
     faults = sim._faults
     if faults:
@@ -253,31 +237,13 @@ def columnar_ineligibility(sim, configurations) -> Optional[str]:
         )
         if kinds:
             return f"fault schedule present ({', '.join(kinds)})"
-    sources = bool(faults) or sim.control is not None
-    if sources and sim._trace is not None:
+    if (faults or sim.control is not None) and sim._trace is not None:
         return (
             "per-attempt trace of a "
             f"{'fault schedule' if faults else 'control plane'}"
         )
     if sim._autoscaler is not None:
         return "autoscaler attached"
-    balancer = sim.cluster.load_balancer
-    versions = (
-        balancer.versions
-        if sources
-        else [v for configuration in configurations for v in configuration.versions]
-    )
-    for version in versions:
-        for node in balancer.nodes_of(version):
-            if not node.alive:
-                return "dead node in pool"
-            if not isinstance(node.version, MeasurementReplayVersion):
-                return "non-replay service version"
-    if type(balancer._policy) not in _SUPPORTED_POLICIES:
-        return (
-            "unsupported selection policy "
-            f"{type(balancer._policy).__name__}"
-        )
     return None
 
 
@@ -413,105 +379,64 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
     # Node selection compiles to one zero-argument closure per pool, with
     # the pool (and, for the dominant two-node pools, the nodes
-    # themselves) bound at build time.  Each closure reproduces the
-    # corresponding legacy policy's scan exactly: first-best wins, later
-    # nodes only on a strict improvement.
-    selection = balancer._policy
-    rr_states: List[tuple] = []
-
-    def _compile_select(pool, version):
-        if isinstance(selection, RoundRobinPolicy):
-            n_pool = len(pool)
-            state = [selection._cursor.get(version, 0)]
-            rr_states.append((version, state))
-
-            def sel_rr():
-                index = state[0]
-                if index >= n_pool:
-                    index = 0
-                state[0] = (index + 1) % n_pool
-                return pool[index]
-
-            return sel_rr
+    # themselves) bound at build time.  Each closure is
+    # LoadBalancer.select_node's join-shortest-queue scan: first-best
+    # wins, later nodes only on a strict improvement.
+    def _compile_select(pool):
         if len(pool) == 1:
             only = pool[0]
             return lambda: only
-        jsq = isinstance(selection, JoinShortestQueuePolicy)
         if len(pool) == 2:
             first, second = pool
-            if jsq:
 
-                def sel_jsq2():
-                    depth_first = len(first.queue)
-                    depth_second = len(second.queue)
-                    if depth_second < depth_first or (
-                        depth_second == depth_first
-                        and second.busy_until < first.busy_until
-                    ):
-                        return second
-                    return first
-
-                return sel_jsq2
-
-            def sel_lb2():
-                if second.busy_seconds < first.busy_seconds:
+            def sel_jsq2():
+                depth_first = len(first.queue)
+                depth_second = len(second.queue)
+                if depth_second < depth_first or (
+                    depth_second == depth_first
+                    and second.busy_until < first.busy_until
+                ):
                     return second
                 return first
 
-            return sel_lb2
-        if jsq:
+            return sel_jsq2
 
-            def sel_jsq():
-                best = pool[0]
-                best_depth = len(best.queue)
-                best_busy = best.busy_until
-                for node in pool:
-                    depth = len(node.queue)
-                    if depth < best_depth or (
-                        depth == best_depth and node.busy_until < best_busy
-                    ):
-                        best = node
-                        best_depth = depth
-                        best_busy = node.busy_until
-                return best
-
-            return sel_jsq
-
-        def sel_lb():
+        def sel_jsq():
             best = pool[0]
-            best_busy = best.busy_seconds
+            best_depth = len(best.queue)
+            best_busy = best.busy_until
             for node in pool:
-                if node.busy_seconds < best_busy:
+                depth = len(node.queue)
+                if depth < best_depth or (
+                    depth == best_depth and node.busy_until < best_busy
+                ):
                     best = node
-                    best_busy = node.busy_seconds
+                    best_depth = depth
+                    best_busy = node.busy_until
             return best
 
-        return sel_lb
+        return sel_jsq
 
-    selects = {
-        version: _compile_select(pool, version)
-        for version, pool in pools.items()
-    }
+    selects = {version: _compile_select(pool) for version, pool in pools.items()}
     # Per request, the closure choosing its leg's node (``None`` where a
     # single-version request has no accurate leg).
     fast_select = per_request([selects[pair[0]] for pair in pairs])
     acc_select = per_request([selects.get(pair[1]) for pair in pairs])
 
-    # The dominant shape — two-node pools under join-shortest-queue —
-    # additionally gets its scan inlined at the two hottest call sites in
-    # the event loop (arrival fast-leg, sequential escalation), saving a
-    # closure call per selection.  That needs every request to share the
+    # The dominant shape — two-node pools — additionally gets its scan
+    # inlined at the two hottest call sites in the event loop (arrival
+    # fast-leg, sequential escalation), saving a closure call per
+    # selection.  That needs every request to share the
     # leg's pool, and a pool whose membership is static: no event sources
     # (eligibility already excluded autoscalers).
-    _jsq = isinstance(selection, JoinShortestQueuePolicy) and not stepwise
     fast_a = fast_b = acc_a = acc_b = None
     fast_versions = {pair[0] for pair in pairs}
     acc_versions = {pair[1] for pair in pairs} - {None}
-    if _jsq and len(fast_versions) == 1:
+    if not stepwise and len(fast_versions) == 1:
         pool_fast = pools[fast_versions.pop()]
         if len(pool_fast) == 2:
             fast_a, fast_b = pool_fast
-    if _jsq and len(acc_versions) == 1:
+    if not stepwise and len(acc_versions) == 1:
         pool_acc = pools[acc_versions.pop()]
         if len(pool_acc) == 2:
             acc_a, acc_b = pool_acc
@@ -1050,9 +975,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         enqueue_attempt(key, now)
 
     def reselect(version):
-        # Pool membership changed on the real balancer, which reset its
-        # selection state: recompile the pool's selection from it.
-        selects[version] = _compile_select(pools[version], version)
+        # Pool membership changed: recompile the pool's selection over it.
+        selects[version] = _compile_select(pools[version])
 
     def onset(fault, now):
         # _on_node_crash / _on_degrade.
@@ -1575,8 +1499,6 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # ------------------------------------------------------------------
     for shadow in shadows:
         shadow.write_back()
-    for version, state in rr_states:
-        selection._cursor[version] = state[0]
 
     report = LoadTestReport(
         columns=compose(out),

@@ -288,16 +288,17 @@ class ServingSimulator:
 
     Submissions are always deferred and :meth:`drain` picks the loop from
     the run: the vectorized one in :mod:`repro.service.simulation.columnar`
-    whenever the run is over a replay cluster (router or fixed
-    configuration alike, healthy or under window faults, open-loop or
-    closed), the scalar event loop (bit-identically, see
-    ``fallback_reason``) otherwise.
+    (router or fixed configuration alike, healthy or under window faults,
+    open-loop or closed), the scalar event loop (bit-identically, see
+    ``fallback_reason``) when the run needs a capability only that loop
+    has.  Both loops replay measurements: :meth:`drain` refuses a pool
+    that holds a dead node or a non-replay version.
 
     Args:
-        cluster: The deployment whose queues and pools the simulation
-            drives.  Its load-balancer policy decides per-job node choice;
-            :class:`~repro.service.load_balancer.JoinShortestQueuePolicy`
-            is the natural fit under load.
+        cluster: The measurement-replay deployment whose queues and pools
+            the simulation drives; within a pool each job joins the
+            shortest queue
+            (:meth:`~repro.service.load_balancer.LoadBalancer.select_node`).
         router: Tier router from the offline rule generator.
         configuration: Fixed ensemble configuration (mutually exclusive
             with ``router``).
@@ -671,8 +672,11 @@ class ServingSimulator:
         (``PolicyConfigurationError``), a version that is not deployed or
         whose pool has no live node while no autoscaler can add one
         (``MissingVersionError``; no fault refills an empty pool: a crash
-        there is a logged no-op, so its replacement never joins) — raised
-        before any node, cursor, clock or RNG is touched.  Returns the
+        there is a logged no-op, so its replacement never joins), a
+        deployed pool holding a dead node (one killed without
+        ``ClusterDeployment.kill_node``) or a node whose version is not a
+        measurement replay (``MissingVersionError``) — raised before any
+        node, clock or RNG is touched.  Returns the
         payload-to-row gather the pass performed, ``{(group, id(table)):
         rows}`` per replay table a leg of routed group ``group`` reads:
         what :func:`run_columnar` composes its leg columns from.
@@ -689,6 +693,21 @@ class ServingSimulator:
             for payload, code in zip(store.payloads, codes):
                 payloads[code].append(payload)
         balancer = self.cluster.load_balancer
+        for version in balancer.versions:
+            for index, node in enumerate(balancer.nodes_of(version)):
+                if not node.alive:
+                    raise MissingVersionError(
+                        f"node {index} of version {version!r}'s pool is dead "
+                        "but was never evicted (crash nodes through "
+                        "ClusterDeployment.kill_node)"
+                    )
+                if not isinstance(node.version, MeasurementReplayVersion):
+                    raise MissingVersionError(
+                        f"node {index} of version {version!r}'s pool runs "
+                        f"{type(node.version).__name__}, not a "
+                        "MeasurementReplayVersion: the simulator replays "
+                        "measurements"
+                    )
         static_capacity = self._autoscaler is None
         rows_of: Dict[Tuple[int, int], np.ndarray] = {}
         for group, configuration in enumerate(configurations):
@@ -713,10 +732,7 @@ class ServingSimulator:
                     )
                 for node in balancer.nodes_of(version):
                     replay = node.version
-                    if (
-                        not isinstance(replay, MeasurementReplayVersion)
-                        or (group, id(replay._rows)) in rows_of
-                    ):
+                    if (group, id(replay._rows)) in rows_of:
                         continue
                     try:
                         rows_of[group, id(replay._rows)] = np.fromiter(
@@ -757,7 +773,7 @@ class ServingSimulator:
         # Let through: the simulator's one load test starts here, and a
         # loop that dies halfway leaves it spent, not re-drainable.
         self._drained = True
-        reason = columnar_ineligibility(self, configurations)
+        reason = columnar_ineligibility(self)
         if reason is None:
             report = run_columnar(self, configurations, codes, replay_rows)
             self.engine_used = report.engine_used = "columnar"

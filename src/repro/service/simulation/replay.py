@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.service.cluster import ClusterDeployment, NodePool
-from repro.service.load_balancer import JoinShortestQueuePolicy
 from repro.service.measurement import MeasurementSet
 from repro.service.node import VersionResult
 
@@ -106,7 +105,6 @@ def build_replay_cluster(
     *,
     per_request_fee: float = 0.0,
     markup: float = 3.0,
-    selection_policy=None,
 ) -> ClusterDeployment:
     """Deploy a measurement-replay cluster ready for load simulation.
 
@@ -115,12 +113,12 @@ def build_replay_cluster(
         pool_sizes: Node count per version to deploy.
         per_request_fee: Platform fee billed per invocation.
         markup: Consumer-billing markup over raw IaaS cost.
-        selection_policy: Within-pool node selection; defaults to
-            join-shortest-queue, the sensible choice under load.
+
+    Jobs go to the node of their version's pool with the shortest queue
+    (:meth:`~repro.service.load_balancer.LoadBalancer.select_node`).
     """
     return ClusterDeployment(
         replay_pools(measurements, pool_sizes),
         per_request_fee=per_request_fee,
         markup=markup,
-        selection_policy=selection_policy or JoinShortestQueuePolicy(),
     )

@@ -202,7 +202,6 @@ def run_scenario(
     measurements: MeasurementSet,
     *,
     check_invariants: bool = False,
-    selection_policy=None,
     trace=None,
 ) -> LoadTestReport:
     """Inflate a scenario against a measurement table and run it.
@@ -217,9 +216,6 @@ def run_scenario(
             and faults reference.
         check_invariants: Verify the engine's conservation laws at drain
             time (see :mod:`repro.service.simulation.invariants`).
-        selection_policy: Within-pool node selection override, forwarded
-            to :func:`~repro.service.simulation.replay.build_replay_cluster`
-            (join-shortest-queue by default).
         trace: Optional trace sink: a
             :class:`~repro.obs.trace.TraceCollector` (the simulator wraps
             it in a :class:`~repro.obs.record.SimTraceRecorder`)
@@ -227,9 +223,7 @@ def run_scenario(
             and its digest are bit-identical with or without one.
     """
     simulator = build_simulator(
-        build_replay_cluster(
-            measurements, dict(spec.pools), selection_policy=selection_policy
-        ),
+        build_replay_cluster(measurements, dict(spec.pools)),
         router=spec.router,
         configuration=spec.configuration,
         measurements=measurements,

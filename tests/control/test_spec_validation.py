@@ -27,7 +27,11 @@ from repro.service.control import (
 )
 from repro.service.measurement import MeasurementSet
 from repro.service.request import Objective
-from repro.service.simulation import scenario_measurements
+from repro.service.simulation import (
+    AutoscalerConfig,
+    BatchingConfig,
+    scenario_measurements,
+)
 
 SLO = SLOSpec(name="p95", max_p95_latency_s=1.0)
 NAN = float("nan")
@@ -120,6 +124,8 @@ VALID_SPECS = (
     GrayDetectionSpec(),
     AdaptorConfig(),
     AdmissionSpec(),
+    AutoscalerConfig(),
+    BatchingConfig(max_batch_size=4),
 )
 
 

@@ -3,7 +3,8 @@
 ``ServingSimulator.drain()`` validates once, whichever loop then runs:
 what the deployment cannot serve at all (a repeated id, an unmeasured
 payload, a bad threshold, fast == accurate, an undeployed or unrefillable
-pool, nothing submitted) raises a typed error before any node, pool,
+pool, a pool holding a dead node or a non-replay version, nothing
+submitted) raises a typed error before any node, pool,
 clock or RNG state is written, and ``fallback_reason`` names only a
 capability the columnar loop lacks — after which the event loop finishes
 the run.  The ``"legacy"`` legs drain inside ``tests/oracle/scalar.py``'s
@@ -52,9 +53,6 @@ CAPABILITY_PREFIXES = (
     "fault schedule present (",
     "per-attempt trace of a ",
     "autoscaler attached",
-    "dead node in pool",
-    "non-replay service version",
-    "unsupported selection policy ",
 )
 
 
@@ -105,7 +103,6 @@ def _state(sim):
             for node in balancer.nodes_of(version)
         ],
         "pools": sim.cluster.pool_sizes(),
-        "cursor": dict(getattr(balancer._policy, "_cursor", {})),
         "now": sim.now,
         "rng": sim._rng.bit_generator.state,
         "remaining": sim._remaining,
@@ -136,7 +133,27 @@ REFUSALS = {
     "duplicate-id": (
         RequestValidationError, "duplicate request id 'req_0000'"
     ),
+    # Either loop replays measurements over pools whose nodes all live.
+    "dead-node": (
+        MissingVersionError, "node 0 of version 'slow'.s pool is dead"
+    ),
+    "non-replay": (
+        MissingVersionError,
+        "node 1 of version 'fast'.s pool runs _Echo, not a "
+        "MeasurementReplayVersion",
+    ),
 }
+
+
+class _Echo:
+    """A live (non-replay) service version."""
+
+    name = "fast"
+
+    def handle(self, request_id, payload):
+        from repro.service.node import VersionResult
+
+        return VersionResult(request_id, "fast", payload, 0.0, 0.9, 0.05)
 
 
 FAULTS = {
@@ -170,6 +187,11 @@ def _refused_simulator(case, toy):
         requests[39] = ServiceRequest("req_0000", toy.request_ids[0])
     elif case.startswith("emptied-pool"):
         _empty_pool(cluster, "slow")
+    elif case == "dead-node":
+        # Killed without ClusterDeployment.kill_node: still in the pool.
+        cluster.load_balancer.nodes_of("slow")[0].kill(now=0.0)
+    elif case == "non-replay":
+        cluster.load_balancer.nodes_of("fast")[1].version = _Echo()
     if case != "nothing-submitted":
         sim.submit_batch(requests, times)
     return sim
@@ -221,28 +243,8 @@ def test_a_second_drain_is_refused_whichever_engine_ran_the_first(engine, toy):
 # ----------------------------------------------------------------------
 # a fallback means one thing: the other loop finishes this run
 # ----------------------------------------------------------------------
-class _Echo:
-    """A live (non-replay) service version."""
-
-    name = "fast"
-
-    def handle(self, request_id, payload):
-        from repro.service.node import VersionResult
-
-        return VersionResult(request_id, "fast", payload, 0.0, 0.9, 0.05)
-
-
-class _FirstNode:
-    def select(self, version, nodes):
-        return nodes[0]
-
-
 def _capability_simulator(prefix, toy):
-    cluster = build_replay_cluster(
-        toy,
-        {"fast": 2, "slow": 2},
-        selection_policy=_FirstNode() if prefix.startswith("unsupp") else None,
-    )
+    cluster = build_replay_cluster(toy, {"fast": 2, "slow": 2})
     fields = {}
     if prefix.startswith("fault"):
         fields["faults"] = (
@@ -253,11 +255,6 @@ def _capability_simulator(prefix, toy):
         fields["trace"] = TraceCollector()
     elif prefix.startswith("autoscaler"):
         fields["autoscaler_config"] = AutoscalerConfig(min_nodes=1, max_nodes=3)
-    elif prefix.startswith("dead"):
-        cluster.load_balancer.nodes_of("slow")[0].kill(now=0.0)
-    elif prefix.startswith("non-replay"):
-        for node in cluster.load_balancer.nodes_of("fast"):
-            node.version = _Echo()
     return build_simulator(
         cluster,
         configuration=_seq(),
@@ -301,7 +298,7 @@ def test_a_control_plane_drains_columnar_unless_traced(toy):
 
 def test_the_fallback_reason_set_is_closed():
     """Every string ``columnar_ineligibility`` can return opens with one
-    of the six capability prefixes — a seventh is a refusal that
+    of the three capability prefixes — a fourth is a refusal that
     belongs at the door."""
     tree = ast.parse(inspect.getsource(columnar.columnar_ineligibility))
     leading = []

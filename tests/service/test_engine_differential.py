@@ -79,11 +79,6 @@ from repro.service.control import (
     SLOState,
     default_control_spec,
 )
-from repro.service.load_balancer import (
-    JoinShortestQueuePolicy,
-    LeastBusyPolicy,
-    RoundRobinPolicy,
-)
 from repro.service.simulation import (
     AutoscalerConfig,
     BatchingConfig,
@@ -156,14 +151,9 @@ def control_log_digest(report):
     return h.hexdigest()
 
 
-def run_both(spec, toy, *, check_invariants=True, selection_policy=None):
+def run_both(spec, toy, *, check_invariants=True):
     def run():
-        return run_scenario(
-            spec,
-            toy,
-            check_invariants=check_invariants,
-            selection_policy=selection_policy() if selection_policy else None,
-        )
+        return run_scenario(spec, toy, check_invariants=check_invariants)
 
     with scalar_loop():
         legacy = run()
@@ -295,11 +285,6 @@ def _random_control(rng):
     )
 
 
-#: Within-pool selection policies the fuzz sweeps over (fresh instance
-#: per run: round-robin carries a cursor).
-_SELECTION = (None, JoinShortestQueuePolicy, LeastBusyPolicy, RoundRobinPolicy)
-
-
 def _random_spec(seed):
     rng = np.random.default_rng([seed, 20260808])
     policy = _random_policy(rng)
@@ -338,8 +323,7 @@ def _random_spec(seed):
         control=_random_control(rng) if with_control else None,
         seed=seed,
     )
-    selection = _SELECTION[int(rng.integers(0, len(_SELECTION)))]
-    return spec, selection
+    return spec
 
 
 def _marked_seeds():
@@ -353,10 +337,8 @@ def _marked_seeds():
 def test_fuzzed_specs_digest_identical(seed, toy):
     """Both engines agree — digests, conservation laws, control logs —
     across the randomized scenario space."""
-    spec, selection = _random_spec(seed)
-    legacy, columnar = run_both(
-        spec, toy, check_invariants=True, selection_policy=selection
-    )
+    spec = _random_spec(seed)
+    legacy, columnar = run_both(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, columnar)
     assert control_log_digest(legacy) == control_log_digest(columnar)
     assert legacy.n_requests == spec.n_requests
@@ -366,10 +348,8 @@ def test_fuzzed_specs_digest_identical(seed, toy):
 # ----------------------------------------------------------------------
 # eligibility: the fast path really runs, the fallback really falls back
 # ----------------------------------------------------------------------
-def _direct_sim(toy, policy, *, selection_policy=None, batching=True):
-    cluster = build_replay_cluster(
-        toy, {v: 2 for v in {*policy.versions}}, selection_policy=selection_policy
-    )
+def _direct_sim(toy, policy, *, batching=True, nodes=2):
+    cluster = build_replay_cluster(toy, {v: nodes for v in {*policy.versions}})
     return ServingSimulator(
         cluster,
         configuration=EnsembleConfiguration("elig", policy),
@@ -388,24 +368,49 @@ def _direct_sim(toy, policy, *, selection_policy=None, batching=True):
         ConcurrentPolicy("fast", "slow", 0.6),
         EarlyTerminationPolicy("fast", "slow", 0.6),
     ],
-    ids=["single", "seq", "conc", "et"],
+    # "default": the within-pool rule every shape runs under.
+    ids=["default-single", "default-seq", "default-conc", "default-et"],
 )
-@pytest.mark.parametrize(
-    "selection",
-    [None, JoinShortestQueuePolicy, LeastBusyPolicy, RoundRobinPolicy],
-    ids=["default", "jsq", "lb", "rr"],
-)
-def test_supported_shapes_run_columnar(policy, selection, toy):
-    """Every policy x selection shape the fast path claims is exercised
-    end to end without falling back — the differential suite is really
-    testing columnar code, not a silent legacy fallback."""
-    sim = _direct_sim(
-        toy, policy, selection_policy=selection() if selection else None
-    )
+def test_supported_shapes_run_columnar(policy, toy):
+    """Every policy shape the fast path claims is exercised end to end
+    without falling back — the differential suite is really testing
+    columnar code, not a silent legacy fallback."""
+    sim = _direct_sim(toy, policy)
     report = sim.run(PoissonArrivals(4.0), 60, payload_ids=toy.request_ids)
     assert sim.engine_used == "columnar"
     assert sim.fallback_reason is None
     assert report.n_requests == 60
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        SingleVersionPolicy("fast"),
+        SequentialPolicy("fast", "slow", 0.6),
+        ConcurrentPolicy("fast", "slow", 0.6),
+        EarlyTerminationPolicy("fast", "slow", 0.6),
+    ],
+    ids=["single", "seq", "conc", "et"],
+)
+@pytest.mark.parametrize("nodes", [1, 3], ids=["one-node", "three-node"])
+def test_every_pool_size_scans_like_the_scalar_loop(policy, nodes, toy):
+    """Two-node pools take the inlined scan; a one-node and an n-node
+    pool take the columnar loop's other two node-selection closures.
+    Under load (queues form, so the scan's order and tie-break decide)
+    each drains columnar and leaves the scalar loop's report and books."""
+
+    def drain():
+        sim = _direct_sim(toy, policy, nodes=nodes)
+        report = sim.run(PoissonArrivals(20.0), 80, payload_ids=toy.request_ids)
+        return sim, report
+
+    with scalar_loop():
+        legacy_sim, legacy = drain()
+    sim, columnar = drain()
+    assert sim.engine_used == "columnar"
+    assert sim.fallback_reason is None
+    assert_reports_identical(legacy, columnar)
+    assert _cluster_books(legacy_sim.cluster) == _cluster_books(sim.cluster)
 
 
 def test_unsupported_shapes_fall_back_with_reason(toy):
@@ -492,11 +497,8 @@ def test_fuzzed_space_exercises_the_columnar_path(toy):
     columnar-eligible, or the differential sweep proves nothing."""
     columnar_runs = 0
     for seed in range(N_SPECS):
-        spec, selection = _random_spec(seed)
-        cluster = build_replay_cluster(
-            toy, dict(spec.pools),
-            selection_policy=selection() if selection else None,
-        )
+        spec = _random_spec(seed)
+        cluster = build_replay_cluster(toy, dict(spec.pools))
         from repro.service.simulation import Autoscaler
 
         sim = ServingSimulator(
@@ -550,25 +552,22 @@ def _routed_rng(seed):
 
 def _routed_session(seed, toy, *, router=None, tolerances=None):
     """One router-driven session: requests submitted one by one with
-    random annotations, payloads and arrival times.  The seed cycles the
-    four selection policies and batching on/off, so any eight
-    consecutive seeds cover every combination."""
+    random annotations, payloads and arrival times.  The seed turns
+    batching on and off in runs of four."""
     rng = _routed_rng(seed)
     if router is None:
         router = _random_router(rng)
-    selection = _SELECTION[seed % len(_SELECTION)]
     sim = ServingSimulator(
         build_replay_cluster(
             toy,
             {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))},
-            selection_policy=selection() if selection else None,
         ),
         router=router,
         batching=BatchingConfig(
             max_batch_size=int(rng.integers(2, 6)),
             max_wait_s=float(rng.uniform(0.0, 0.1)),
         )
-        if (seed // len(_SELECTION)) % 2
+        if (seed // 4) % 2
         else None,
         check_invariants=True,
         seed=seed,
@@ -855,12 +854,10 @@ def _unroutable(kind, request_id, payload):
 def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
     """A request the router cannot serve raises, from drain(), what the
     legacy loop's first failing arrival raises — under the columnar
-    engine before any node, cursor or simulator state is written."""
+    engine before any node or simulator state is written."""
     raised = {}
     for engine in ("legacy", "columnar"):
-        cluster = build_replay_cluster(
-            toy, {"fast": 2, "slow": 2}, selection_policy=RoundRobinPolicy()
-        )
+        cluster = build_replay_cluster(toy, {"fast": 2, "slow": 2})
         sim = ServingSimulator(cluster, router=_response_time_only_router())
         payloads = toy.request_ids
         for i in range(6):
@@ -881,7 +878,6 @@ def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
         if engine == "columnar":
             assert sim.engine_used is None and not sim._drained
             assert sim._remaining == 6 + len(bad)
-            assert cluster.load_balancer._policy._cursor == {}
             for version in cluster.versions:
                 for node in cluster.load_balancer.nodes_of(version):
                     assert node.busy_seconds == 0.0
@@ -988,7 +984,7 @@ def _window_simulator(seed, toy):
     router = _random_router(rng) if routed else None
     policy = None if routed else _random_policy(rng)
     pools = {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))}
-    selection = _SELECTION[int(rng.integers(0, len(_SELECTION)))]
+    rng.integers(0, 4)  # a retired draw, kept so later draws stay put
     batching = (
         BatchingConfig(
             max_batch_size=int(rng.integers(2, 6)),
@@ -1014,9 +1010,7 @@ def _window_simulator(seed, toy):
 
     def build():
         sim = ServingSimulator(
-            build_replay_cluster(
-                toy, pools, selection_policy=selection() if selection else None
-            ),
+            build_replay_cluster(toy, pools),
             router=router,
             configuration=None
             if routed
@@ -1048,9 +1042,8 @@ def fault_log_digest(report):
 
 def _cluster_books(cluster):
     """How the run left the cluster: per-version books, then every live
-    node's counters, speed and queue, and each pool's rotation cursor."""
+    node's counters, speed and queue."""
     balancer = cluster.load_balancer
-    cursor = getattr(balancer._policy, "_cursor", {})
     return (
         cluster.total_busy_seconds(),
         cluster.iaas_spend(),
@@ -1068,7 +1061,6 @@ def _cluster_books(cluster):
             for version in balancer.versions
             for node in balancer.nodes_of(version)
         ],
-        {version: cursor.get(version, 0) for version in balancer.versions},
     )
 
 
@@ -1328,7 +1320,7 @@ def _control_simulator(seed, toy):
     router = _random_router(rng) if routed else None
     policy = None if routed else _random_policy(rng)
     pools = {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))}
-    selection = _SELECTION[int(rng.integers(0, len(_SELECTION)))]
+    rng.integers(0, 4)  # a retired draw, kept so later draws stay put
     batching = (
         BatchingConfig(
             max_batch_size=int(rng.integers(2, 6)),
@@ -1389,9 +1381,7 @@ def _control_simulator(seed, toy):
 
     def build():
         sim = build_simulator(
-            build_replay_cluster(
-                toy, pools, selection_policy=selection() if selection else None
-            ),
+            build_replay_cluster(toy, pools),
             router=router,
             configuration=None
             if routed

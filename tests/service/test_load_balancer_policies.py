@@ -1,14 +1,9 @@
-"""Tests for node-selection policies and load-balancer pool mutation."""
+"""Tests for within-pool node selection and load-balancer pool mutation."""
 
 import pytest
 
 from repro.service.instances import get_instance_type
-from repro.service.load_balancer import (
-    JoinShortestQueuePolicy,
-    LeastBusyPolicy,
-    LoadBalancer,
-    RoundRobinPolicy,
-)
+from repro.service.load_balancer import LoadBalancer
 from repro.service.node import CallableVersion, ServiceNode, VersionResult
 
 
@@ -33,102 +28,105 @@ def _nodes(name: str, n: int, compute_seconds: float = 1.0):
     ]
 
 
-class TestRoundRobinPolicy:
-    def test_cycles_evenly(self):
-        policy = RoundRobinPolicy()
-        pool = _nodes("v", 3)
-        picks = [policy.select("v", pool) for _ in range(6)]
-        assert picks == pool + pool
-
-    def test_cursor_stays_bounded(self):
-        policy = RoundRobinPolicy()
-        pool = _nodes("v", 3)
-        for _ in range(100):
-            policy.select("v", pool)
-        assert 0 <= policy._cursor["v"] < len(pool)
-
-    def test_pool_shrink_restarts_rotation(self):
-        policy = RoundRobinPolicy()
-        pool = _nodes("v", 5)
-        for _ in range(3):
-            policy.select("v", pool)  # cursor now 3
-        shrunk = pool[:2]
-        picks = [policy.select("v", shrunk) for _ in range(4)]
-        # The stale cursor (3) exceeds the new pool; rotation restarts at the
-        # head instead of landing on an arbitrary survivor.
-        assert picks == [shrunk[0], shrunk[1], shrunk[0], shrunk[1]]
-
-    def test_pool_grow_visits_new_node(self):
-        policy = RoundRobinPolicy()
-        pool = _nodes("v", 2)
-        for _ in range(2):
-            policy.select("v", pool)
-        grown = pool + _nodes("v", 1)
-        picks = [policy.select("v", grown) for _ in range(3)]
-        assert grown[2] in picks
-
-    def test_reset_one_version_and_all(self):
-        policy = RoundRobinPolicy()
-        pool_a, pool_b = _nodes("a", 2), _nodes("b", 2)
-        policy.select("a", pool_a)
-        policy.select("b", pool_b)
-        policy.reset("a")
-        assert policy.select("a", pool_a) is pool_a[0]
-        policy.reset()
-        assert policy.select("b", pool_b) is pool_b[0]
-
-    def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            RoundRobinPolicy().select("v", [])
-
-    def test_independent_cursors_per_version(self):
-        policy = RoundRobinPolicy()
-        pool_a, pool_b = _nodes("a", 2), _nodes("b", 2)
-        assert policy.select("a", pool_a) is pool_a[0]
-        assert policy.select("b", pool_b) is pool_b[0]
-        assert policy.select("a", pool_a) is pool_a[1]
-
-
-class TestLeastBusyPolicy:
-    def test_ties_break_to_first_node(self):
-        policy = LeastBusyPolicy()
-        pool = _nodes("v", 3)
-        assert policy.select("v", pool) is pool[0]
-
-    def test_prefers_idle_node(self):
-        policy = LeastBusyPolicy()
-        pool = _nodes("v", 2)
-        pool[0].process("r1", None)
-        assert policy.select("v", pool) is pool[1]
-
-    def test_balances_over_time(self):
-        pool = _nodes("v", 2)
-        balancer = LoadBalancer({"v": pool}, selection_policy=LeastBusyPolicy())
-        for i in range(4):
-            balancer.dispatch("v", f"r{i}", None)
-        assert [node.requests_served for node in pool] == [2, 2]
-
-    def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            LeastBusyPolicy().select("v", [])
-
-
 class TestJoinShortestQueuePolicy:
+    """``LoadBalancer.select_node`` is the one within-pool rule."""
+
     def test_prefers_empty_queue(self):
-        policy = JoinShortestQueuePolicy()
         pool = _nodes("v", 2)
         pool[0].submit("r1", None)
-        assert policy.select("v", pool) is pool[1]
+        assert LoadBalancer({"v": pool}).select_node("v") is pool[1]
 
     def test_ties_break_on_busy_until(self):
-        policy = JoinShortestQueuePolicy()
         pool = _nodes("v", 2)
         pool[0].busy_until = 5.0
-        assert policy.select("v", pool) is pool[1]
+        assert LoadBalancer({"v": pool}).select_node("v") is pool[1]
 
     def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            JoinShortestQueuePolicy().select("v", [])
+        pool = _nodes("v", 1)
+        balancer = LoadBalancer({"v": pool})
+        balancer.evict_node("v", pool[0])
+        with pytest.raises(ValueError, match="no nodes available"):
+            balancer.select_node("v")
+
+    def test_exact_tie_goes_to_the_first_node_in_pool_order(self):
+        pool = _nodes("v", 4)
+        for node in pool:
+            node.busy_until = 2.0
+        pool[0].submit("r1", None)
+        balancer = LoadBalancer({"v": pool})
+        assert balancer.select_node("v") is pool[1]
+        pool[1].busy_until = 3.0
+        assert balancer.select_node("v") is pool[2]
+
+    def test_skips_dead_nodes_and_refuses_an_all_dead_pool(self):
+        pool = _nodes("v", 3)
+        balancer = LoadBalancer({"v": pool})
+        pool[0].kill(now=0.0)
+        pool[2].submit("r1", None)
+        assert balancer.select_node("v") is pool[1]
+        pool[1].kill(now=0.0)
+        assert balancer.select_node("v") is pool[2]
+        pool[2].kill(now=0.0)
+        with pytest.raises(ValueError, match="no nodes available for version 'v'"):
+            balancer.select_node("v")
+
+
+class TestJoinShortestQueueDispatch:
+    """What join-shortest-queue does over a run of ``dispatch`` calls:
+    each call finishes its job synchronously, so the scan falls through
+    to ``busy_until`` and the work spreads over the pool."""
+
+    def test_cycles_evenly_over_equal_nodes(self):
+        pool = _nodes("v", 3)
+        balancer = LoadBalancer({"v": pool})
+        picks = []
+        for i in range(6):
+            picks.append(balancer.select_node("v"))
+            balancer.dispatch("v", f"r{i}", None)
+        assert picks == pool + pool
+        assert [node.requests_served for node in pool] == [2, 2, 2]
+
+    def test_prefers_the_idle_node(self):
+        pool = _nodes("v", 2)
+        pool[0].process("r1", None)
+        assert LoadBalancer({"v": pool}).select_node("v") is pool[1]
+
+    def test_balances_unequal_jobs_over_time(self):
+        # A slow head node takes one job while the fast one takes three.
+        pool = [*_nodes("v", 1, compute_seconds=3.0), *_nodes("v", 1)]
+        balancer = LoadBalancer({"v": pool})
+        for i in range(4):
+            balancer.dispatch("v", f"r{i}", None)
+        assert [node.requests_served for node in pool] == [1, 3]
+
+    def test_a_shrunk_pool_selects_only_survivors(self):
+        pool = _nodes("v", 5)
+        balancer = LoadBalancer({"v": pool})
+        for i in range(3):
+            balancer.dispatch("v", f"r{i}", None)
+        for node in pool[:3]:
+            balancer.evict_node("v", node)
+        picks = []
+        for i in range(4):
+            picks.append(balancer.select_node("v"))
+            balancer.dispatch("v", f"s{i}", None)
+        assert picks == [pool[3], pool[4], pool[3], pool[4]]
+
+    def test_a_grown_pool_sends_the_next_job_to_the_new_node(self):
+        pool = _nodes("v", 2)
+        balancer = LoadBalancer({"v": pool})
+        for i in range(2):
+            balancer.dispatch("v", f"r{i}", None)
+        extra = _nodes("v", 1)[0]
+        balancer.add_node("v", extra)
+        assert balancer.select_node("v") is extra
+
+    def test_pools_of_different_versions_are_independent(self):
+        pool_a, pool_b = _nodes("a", 2), _nodes("b", 2)
+        balancer = LoadBalancer({"a": pool_a, "b": pool_b})
+        balancer.dispatch("a", "r1", None)
+        assert balancer.select_node("b") is pool_b[0]
+        assert balancer.select_node("a") is pool_a[1]
 
 
 class TestPoolMutation:
@@ -137,14 +135,12 @@ class TestPoolMutation:
         return LoadBalancer({"v": pool}), pool
 
     def test_add_node_grows_pool_and_resets_rotation(self):
+        # Growth only: join-shortest-queue keeps no rotation state.
         balancer, pool = self._balancer()
-        balancer.dispatch("v", "r1", None)  # cursor advanced to 1
         extra = _nodes("v", 1)[0]
         balancer.add_node("v", extra)
         assert balancer.pool_size("v") == 3
-        # rotation restarted: next dispatch hits the head node again
-        balancer.dispatch("v", "r2", None)
-        assert pool[0].requests_served == 2
+        assert balancer.nodes_of("v") == (*pool, extra)
 
     def test_remove_node_prefers_idle(self):
         balancer, pool = self._balancer()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.service.cluster import ClusterDeployment, NodePool
 from repro.service.instances import get_instance_type
-from repro.service.load_balancer import LeastBusyPolicy, LoadBalancer, RoundRobinPolicy
+from repro.service.load_balancer import LoadBalancer
 from repro.service.node import CallableVersion, ServiceNode, VersionResult
 from repro.service.request import ServiceRequest
 
@@ -66,21 +66,23 @@ class TestLoadBalancer:
             "slow": [ServiceNode(_echo_version("slow", 2.0), inst)],
         }
 
-    def test_round_robin_cycles(self):
+    def test_dispatch_spreads_over_idle_nodes(self):
         pools = self._pools()
-        balancer = LoadBalancer(pools, selection_policy=RoundRobinPolicy())
+        balancer = LoadBalancer(pools)
         balancer.dispatch("fast", "r1", None)
         balancer.dispatch("fast", "r2", None)
         served = [node.requests_served for node in pools["fast"]]
         assert served == [1, 1]
 
-    def test_least_busy_balances(self):
+    def test_dispatch_balances_each_pool_on_its_own(self):
         pools = self._pools()
-        balancer = LoadBalancer(pools, selection_policy=LeastBusyPolicy())
+        balancer = LoadBalancer(pools)
         for i in range(4):
             balancer.dispatch("fast", f"r{i}", None)
+            balancer.dispatch("slow", f"s{i}", None)
         served = [node.requests_served for node in pools["fast"]]
         assert served == [2, 2]
+        assert pools["slow"][0].requests_served == 4
 
     def test_unknown_version(self):
         balancer = LoadBalancer(self._pools())

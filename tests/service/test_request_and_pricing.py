@@ -161,6 +161,11 @@ class TestPricingModel:
             PricingModel({}, per_request_fee=0.0)
         with pytest.raises(ValueError):
             PricingModel({"v": get_instance_type("cpu.medium")}, markup=0.0)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="per_request_fee"):
+            PricingModel({"v": get_instance_type("cpu.medium")}, per_request_fee=nan)
+        with pytest.raises(ValueError, match="markup"):
+            PricingModel({"v": get_instance_type("cpu.medium")}, markup=nan)
 
 
 class TestServiceResponse:
