@@ -34,7 +34,8 @@ Schema (one JSON object per line)::
       "machine": {"hostname": ..., "platform": ..., "python": ...,
                   "numpy": ..., "cpu_count": ...},
       "smoke": false,                   # true only on rows older than PR 23
-      "metrics": {"e2e.steady_fixed.wall_s": 0.074, ...}
+      "metrics": {"e2e.steady_fixed.wall_s": 0.074, ...},
+      "contract_version": 2             # repro.contract; absent on older rows
     }
 
 Loading is strict: a malformed or truncated line raises
@@ -56,6 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.contract import CONTRACT_VERSION
 from repro.core.errors import HistoryFileError
 from repro.stats.confidence import ConfidenceTest
 
@@ -124,6 +126,9 @@ class HistoryEntry:
         smoke: Whether the run was a single-repetition smoke run.
         metrics: Flattened ``section.metric[.key]`` -> float values.
         schema: History schema version.
+        contract_version: The :data:`repro.contract.CONTRACT_VERSION`
+            the run's digests were computed under (``None`` on a row
+            written before rows carried it).
     """
 
     timestamp: float
@@ -134,6 +139,7 @@ class HistoryEntry:
     smoke: bool
     metrics: Dict[str, float]
     schema: int = SCHEMA_VERSION
+    contract_version: Optional[int] = None
 
 
 def machine_fingerprint() -> Dict[str, object]:
@@ -233,6 +239,7 @@ def entry_from_metrics(
         machine=machine if machine is not None else machine_fingerprint(),
         smoke=bool(smoke),
         metrics=dict(metrics),
+        contract_version=CONTRACT_VERSION,
     )
 
 
@@ -380,6 +387,7 @@ def _entry(raw) -> HistoryEntry:
         smoke=_field(raw, "smoke", (bool,), False),
         metrics={label: float(_field(metrics, label, _NUMBER)) for label in metrics},
         schema=_field(raw, "schema", (int,), SCHEMA_VERSION),
+        contract_version=_field(raw, "contract_version", (int, type(None)), None),
     )
 
 

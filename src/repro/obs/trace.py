@@ -137,7 +137,7 @@ class Span:
                 for e in payload.get("events", ())
             ],
             span_id=payload.get("span_id", ""),
-            parent_id=payload.get("parent_id"),
+            parent_id=payload.get("parent_id") or None,  # empty: derived at seal
         )
 
 
@@ -249,6 +249,23 @@ class Trace:
             trace_id=payload.get("trace_id", ""),
             spans=[Span.from_dict(s) for s in payload["spans"]],
         )
+
+
+def _add_checked(collector: "TraceCollector", payload: dict) -> None:
+    """Add a loaded trace, sealed; ``ValueError`` if an id it carries is
+    not the one sealing derives or a non-root parent no earlier span."""
+    trace = Trace.from_dict(payload)
+    given = [span.span_id for span in trace.spans]
+    collector.add_trace(trace)  # seals: derives every span id
+    derived = trace_id_for(trace.request_id)
+    if trace.trace_id != derived:
+        raise ValueError(f"trace_id {trace.trace_id!r} != {derived!r}")
+    ids = [span.span_id for span in trace.spans]
+    for index, span in enumerate(trace.spans):
+        if given[index] not in ("", ids[index]):
+            raise ValueError(f"span {index}: span_id {given[index]!r} != {ids[index]!r}")
+        if index and span.parent_id not in ids[:index]:
+            raise ValueError(f"span {index}: parent_id {span.parent_id!r} is not earlier")
 
 
 def trace_text(trace: Trace, as_json: bool, templates=None) -> str:
@@ -395,6 +412,13 @@ class TraceCollector:
         as the recorded run; whatever is wrong raises one
         :class:`~repro.core.errors.TraceFileError` naming the file and
         the 1-based line.  No line is skipped.
+
+        Ids are derived, not trusted: a non-empty ``trace_id`` /
+        ``span_id`` must be :func:`trace_id_for` / :func:`span_id_for`'s
+        (missing or empty ones are derived), and a non-root parent an
+        earlier span of the trace.  The digest covers no parent link,
+        so a span moved under another earlier span still loads until
+        the trace digest covers parent links.
         """
         collector = cls()
         header = None
@@ -404,7 +428,7 @@ class TraceCollector:
                 try:
                     payload = json.loads(line.rstrip("\n"))
                     if header is not None:
-                        collector.add_trace(Trace.from_dict(payload))
+                        _add_checked(collector, payload)
                     elif payload.get("kind") == "trace-run":
                         header = payload
                         if not isinstance(header["digest"], str):

@@ -26,42 +26,43 @@ list (the scalar loop's, a test's, ``dataclasses.replace(report,
 records=...)``) is transposed once, at the constructor, by
 :meth:`RecordColumns.from_records`.  Every aggregate is an array
 expression over :attr:`LoadTestReport.columns` and
-:meth:`~LoadTestReport.digest` formats its rows straight from them: no
+:meth:`~LoadTestReport.digest` hashes them as they are: no
 :class:`RequestRecord` is built on ``run → digest() → summary()``, and
 ``report.records`` is a lazy, cached sequence for callers that index it.
 
-Digest row contract (one line per request, completion order)::
-
-    {request_id}|{payload}|{tier}|{arrival_s}|{finished_s}|{v1,v2}|
-    {escalated:0/1}|{failed:0/1}|{retries}|{invocation_cost}|
-    {v=node_seconds,... sorted by version}[|shed][|degraded][|retry-denied]\n
-
-``v1,v2`` and the names beside the node-seconds come from the row's entry
-in :attr:`RecordColumns.pairs`, picked by its
-:attr:`RecordColumns.pair_code`: the pair table and the code column are
-part of this byte contract.  A row that billed nothing (a failed or shed
-request: ``node_seconds_fast`` is the ``-1.0`` sentinel) names no
-version whatever its pair: both fields render empty.
-
-Every float is a **Python** ``float`` rendered with ``.12e``.  The
-column renderer therefore converts each array with ``.tolist()`` before
-formatting rather than formatting NumPy scalars or using
-``np.char``/``np.array2string``: CPython's float formatting is fixed by
-the language, NumPy's has changed between releases, and the golden
-digests must hold across the CI Python/NumPy matrix.
+Digest column layout (contract version 2, :mod:`repro.contract`): a
+``report-digest:v2`` line, then each column in ``DIGEST_COLUMNS`` order
+under a ``{name}:{rows}`` line — floats as ``<u8`` bits rounded to
+``DIGEST_MANTISSA_BITS`` by exact ``uint64`` arithmetic (every NaN one
+pattern; :func:`rounded_bits`), flags and counts as ``<i8``, and the
+string tables (request ids, ``format``-ed payloads, billed version pairs)
+as ``<i8`` lengths then the joined UTF-8 — then the pool, fault and
+control lines as text.  Only what a row billed is hashed: ``pair``
+indexes the sorted billed pairs (``-1``: nothing billed, the ``-1.0``
+sentinel in ``node_seconds_fast``) and an unbilled leg hashes as
+``-1.0``, so neither the order a loop met its pairs in nor an unbilled
+leg's column value reaches the digest.  No float is formatted, so the
+goldens hold across the CI Python/NumPy matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import json
 import operator
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.contract import (
+    CONTRACT_VERSION,
+    DIGEST_COLUMNS,
+    DIGEST_MANTISSA_BITS,
+    DIGEST_NAN_BITS,
+)
 from repro.service.simulation.autoscaler import ScalingEvent
 from repro.service.simulation.faults import FaultLogEntry
 
@@ -412,16 +413,23 @@ class LoadTestReport:
 
         Covers, per request in completion order: identity, payload, tier,
         arrival and finish times, routing (versions billed), escalation,
-        failure, retry count, billed cost and per-version node-seconds
-        (with shed/degraded markers on closed-loop records) — plus the
-        final pool sizes, the fault log and the control log.  Floats are
-        rendered at 12 significant digits, which is far below the engine's
+        failure, retry count, billed cost, per-version node-seconds and
+        the shed / degraded / retry-denied flags — plus the final pool
+        sizes, the fault log and the control log.  Floats keep about 12
+        significant digits, which is far below the engine's
         bit-determinism and far above any legitimate behavioural change.
-        The module docstring gives the row format.
+        The module docstring gives the layout.
         """
-        h = hashlib.sha256()
-        for chunk in _column_digest_rows(self.columns):
-            h.update(chunk.encode())
+        h = hashlib.sha256(f"report-digest:v{CONTRACT_VERSION}\n".encode())
+        columns = digest_columns(self.columns)
+        for name in DIGEST_COLUMNS:
+            column = columns[name]
+            h.update(f"{name}:{len(column)}\n".encode())
+            if isinstance(column, list):  # a string table
+                h.update(struct.pack(f"<{len(column)}q", *map(len, column)))
+                h.update("".join(column).encode())
+            else:
+                h.update(column)
         for version in sorted(self.final_pool_sizes):
             h.update(f"pool:{version}={self.final_pool_sizes[version]}\n".encode())
         for entry in self.fault_log:
@@ -443,108 +451,42 @@ def _control_line(entry) -> str:
     return f"control:{entry.time_s:.12e}|{entry.kind}|{entry.detail}\n"
 
 
-def _digest_flags(shed: bool, degraded: bool, retry_denied: bool) -> str:
-    """A digest row's suffix.  Markers append only when set, so an
-    open-loop, budget-free run's digest is byte-identical to the
-    pre-control-plane format (the golden traces stand)."""
-    return (
-        ("|shed" if shed else "")
-        + ("|degraded" if degraded else "")
-        + ("|retry-denied" if retry_denied else "")
-    )
+_DROPPED = 52 - DIGEST_MANTISSA_BITS
+_HALF, _KEPT = np.uint64(1 << (_DROPPED - 1)), np.uint64((1 << 64) - (1 << _DROPPED))
 
 
-#: Rows formatted and hashed per step of the column renderer: bounds the
-#: transient Python floats and row text to well under a MiB however long
-#: the run was.
-_DIGEST_CHUNK_ROWS = 1024
+def rounded_bits(values: np.ndarray) -> np.ndarray:
+    """Each float's bits as ``<u8``, rounded half away from zero to the
+    kept mantissa bits (a carry moves into the exponent, as it must),
+    every NaN as ``DIGEST_NAN_BITS``."""
+    floats = np.asarray(values, dtype="<f8")
+    bits = (floats.view("<u8") + _HALF) & _KEPT
+    bits[np.isnan(floats)] = DIGEST_NAN_BITS
+    return bits
 
 
-def _column_digest_rows(columns: "RecordColumns") -> Iterator[str]:
-    """Digest rows straight from columns, a chunk of rows per string.
-
-    Emits the module docstring's row for every request without building
-    a record (``tests/oracle/report_reference.py`` renders the same rows
-    from ``columns.record(i)``): each column goes through ``.tolist()``
-    (Python floats, so ``%.12e`` means CPython's formatting) and every
-    row is one ``%`` application of a template precomputed from its pair
-    of version names.  The pair table and the code column are part of
-    the byte contract: a row's :attr:`RecordColumns.billed_shape` picks
-    its template, nothing else about the row does.
-    """
-    head = "%s|%s|%.12e|%.12e|%.12e|"
-    body = "|%d|%d|%s|%.12e|"
-    # templates[billed_shape]: every template takes the same arguments,
-    # the two seconds in sorted(node_seconds) order; a row swallows the
-    # seconds it does not print with ``%.0s`` (the value cut to zero
-    # characters).
-    templates: List[str] = []
-    accurate_first: List[bool] = []
-    for fast_version, accurate_version in columns.pairs:
-        fast = fast_version.replace("%", "%%")
-        fast_seconds = f"{fast}=%.12e"
-        if accurate_version is None:
-            one_leg = two_leg = f"{head}{fast}{body}{fast_seconds}%.0s%s\n"
-            accurate_first.append(False)
-        else:
-            accurate = accurate_version.replace("%", "%%")
-            accurate_first.append(accurate_version < fast_version)
-            if accurate_first[-1]:
-                one_seconds = f"%.0s{fast_seconds}"
-                two_seconds = f"{accurate}=%.12e,{fast_seconds}"
-            else:
-                one_seconds = f"{fast_seconds}%.0s"
-                two_seconds = f"{fast_seconds},{accurate}=%.12e"
-            one_leg = f"{head}{fast}{body}{one_seconds}%s\n"
-            two_leg = f"{head}{fast},{accurate}{body}{two_seconds}%s\n"
-        templates += [one_leg, two_leg]
-    templates.append(f"{head}{body}%.0s%.0s%s\n")  # nothing billed
-    template_of = columns.billed_shape
-    first, second = columns.node_seconds_fast, columns.node_seconds_accurate
-    if any(accurate_first):
-        swapped = np.array(accurate_first)[columns.pair_code]
-        first, second = (
-            np.where(swapped, second, first),
-            np.where(swapped, first, second),
-        )
-    flagged = bool(
-        (columns.shed | columns.degraded | columns.retry_denied).any()
-    )
-    for start in range(0, len(columns), _DIGEST_CHUNK_ROWS):
-        rows = slice(start, start + _DIGEST_CHUNK_ROWS)
-        flags = (
-            map(
-                _digest_flags,
-                columns.shed[rows].tolist(),
-                columns.degraded[rows].tolist(),
-                columns.retry_denied[rows].tolist(),
-            )
-            if flagged
-            else itertools.repeat("")
-        )
-        yield "".join(
-            [
-                templates[template] % row
-                for template, row in zip(
-                    template_of[rows].tolist(),
-                    zip(
-                        columns.request_ids[rows],
-                        # what an f-string's ``{payload}`` renders
-                        map(format, columns.payloads[rows]),
-                        columns.tier[rows].tolist(),
-                        columns.arrival_s[rows].tolist(),
-                        columns.finished_s[rows].tolist(),
-                        columns.escalated[rows].tolist(),
-                        columns.failed[rows].tolist(),
-                        columns.retries[rows].tolist(),
-                        columns.invocation_cost[rows].tolist(),
-                        first[rows].tolist(),
-                        second[rows].tolist(),
-                        flags,
-                    ),
-                )
-            ]
-        )
+def digest_columns(columns: "RecordColumns") -> Dict[str, object]:
+    """What :meth:`LoadTestReport.digest` hashes, by column name: a list
+    of strings for a string table, else one ``<u8`` / ``<i8`` array."""
+    shape = columns.billed_shape  # 2 * pair_code, + 1 with the accurate leg
+    named = [p for fast, slow in columns.pairs for p in ((fast,), (fast, slow))]
+    billed = np.bincount(shape, minlength=len(named) + 1)[: len(named)]
+    pairs = sorted({named[s] for s in np.flatnonzero(billed).tolist()})
+    code = [pairs.index(p) if p in pairs else -1 for p in named] + [-1]
+    fast = np.where(shape == len(named), -1.0, columns.node_seconds_fast)
+    accurate = np.where(shape & 1, columns.node_seconds_accurate, -1.0)
+    floats = ("tier", "arrival_s", "finished_s", "invocation_cost")
+    counts = ("escalated", "failed", "retries", "shed", "degraded", "retry_denied")
+    return {
+        "request_ids": columns.request_ids,
+        "payloads": list(map(format, columns.payloads)),
+        "pairs": list(map(json.dumps, pairs)),
+        "pair": np.array(code, "<i8")[shape],
+        "node_seconds_fast": rounded_bits(fast),
+        "node_seconds_accurate": rounded_bits(accurate),
+        **{name: rounded_bits(getattr(columns, name)) for name in floats},
+        **{name: np.asarray(getattr(columns, name), "<i8") for name in counts},
+    }
 
 
 #: Record fields that are one numeric column each, with its dtype.
@@ -624,7 +566,7 @@ class RecordColumns:
         for name, dtype in {**_NUMERIC_FIELDS, "no_confidence": bool}.items():
             if getattr(self, name) is None:  # optional: set on no row
                 setattr(self, name, np.zeros(n, dtype))
-        # A ragged column would be truncated by the renderers' zips and
+        # A ragged column would misalign the digest's columns and
         # mis-divide the aggregates; a stray code would index another
         # request's versions.
         for name in self.__slots__:

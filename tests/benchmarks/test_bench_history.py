@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import compare_perf
 import history
+from repro.contract import CONTRACT_VERSION
 from repro.core.errors import HistoryFileError, TierError
 from repro.stats.confidence import ConfidenceTest
 
@@ -85,7 +86,7 @@ class TestAppendLoadRoundtrip:
         raw = json.loads(path.read_text().strip())
         assert set(raw) == {
             "schema", "timestamp", "source", "commit", "branch",
-            "machine", "smoke", "metrics",
+            "machine", "smoke", "metrics", "contract_version",
         }
         assert raw["schema"] == history.SCHEMA_VERSION
 
@@ -154,6 +155,7 @@ _ENTRIES = st.builds(
     smoke=st.booleans(),
     metrics=st.dictionaries(_TEXT, st.floats(allow_nan=False), max_size=4),
     schema=st.integers(),
+    contract_version=st.none() | st.integers(),
 )
 #: A field of a valid entry with a value of the wrong type (a bool is no
 #: number, a number no bool).
@@ -165,6 +167,7 @@ _WRONG = {
     "smoke": st.integers() | _TEXT | st.none(),
     "metrics": st.lists(_LEAF, max_size=2) | _TEXT | st.floats(),
     "schema": st.floats() | _TEXT | st.booleans(),
+    "contract_version": st.floats() | _TEXT | st.booleans(),
 }
 
 
@@ -325,6 +328,18 @@ class TestFlattenMetrics:
 
 
 class TestEntryMetadata:
+    def test_a_row_from_before_the_contract_version_still_loads(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        entry = history.entry_from_metrics(
+            {"a.b": 1.0}, source="e2e", smoke=False, timestamp=1.0
+        )
+        raw = dataclasses.asdict(entry)
+        del raw["contract_version"]
+        path.write_text(json.dumps(raw) + "\n")
+        assert history.load_history(path) == [
+            dataclasses.replace(entry, contract_version=None)
+        ]
+
     def test_a_row_with_the_retired_engine_label_still_loads(self, tmp_path):
         path = tmp_path / "h.jsonl"
         entry = make_entry(1.0, timestamp=1.0)
@@ -340,6 +355,7 @@ class TestEntryMetadata:
         assert entry.commit and entry.branch  # real repo: non-empty
         assert entry.timestamp > 0
         assert entry.schema == history.SCHEMA_VERSION
+        assert entry.contract_version == CONTRACT_VERSION
 
     def test_git_metadata_in_this_repo(self):
         meta = history.git_metadata()

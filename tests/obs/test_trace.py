@@ -191,6 +191,84 @@ class TestCorruptFiles:
         assert "3 traces" in error.reason and "promises 4" in error.reason
 
 
+    @staticmethod
+    def _edit_trace(path, lines, index, edit):
+        """Rewrite line ``index`` (0-based) through ``edit(trace_dict)``."""
+        trace = json.loads(lines[index])
+        edit(trace)
+        lines[index] = json.dumps(trace, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_an_untouched_export_round_trips_its_ids(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        loaded = TraceCollector.load_jsonl(path)
+        for line, trace in zip(lines[1:], loaded.traces):
+            assert trace.to_dict() == json.loads(line)
+
+    def test_a_forged_trace_id_is_refused(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        self._edit_trace(
+            path, lines, 2, lambda t: t.update(trace_id=trace_id_for("r9"))
+        )
+        error = self._load_error(path)
+        assert error.line == 3 and "trace_id" in error.reason
+
+    def test_a_forged_span_id_is_refused_not_resealed(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        self._edit_trace(
+            path, lines, 1, lambda t: t["spans"][1].update(span_id="0" * 16)
+        )
+        error = self._load_error(path)
+        assert error.line == 2 and "span 1: span_id" in error.reason
+
+    @pytest.mark.parametrize(
+        "parent",
+        [span_id_for("r1", 1), span_id_for("r0", 0), "f" * 16],
+        ids=["itself", "another-trace", "forged"],
+    )
+    def test_a_parent_that_is_no_earlier_span_is_refused(self, tmp_path, parent):
+        path, lines = self._exported(tmp_path)
+        self._edit_trace(
+            path, lines, 2, lambda t: t["spans"][1].update(parent_id=parent)
+        )
+        error = self._load_error(path)
+        assert error.line == 3 and "span 1: parent_id" in error.reason
+
+    def test_missing_ids_are_derived(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+
+        def strip(trace):
+            del trace["trace_id"]
+            for span in trace["spans"]:
+                span["span_id"] = ""
+            trace["spans"][1]["parent_id"] = ""
+
+        self._edit_trace(path, lines, 3, strip)
+        loaded = TraceCollector.load_jsonl(path)
+        trace = loaded.trace_for("r2")
+        assert trace.trace_id == trace_id_for("r2")
+        assert trace.spans[1].span_id == span_id_for("r2", 1)
+        assert trace.spans[1].parent_id == trace.root.span_id
+
+    def test_a_move_onto_another_earlier_span_still_loads(self, tmp_path):
+        """The documented gap: parent links are not digested, so a span
+        re-parented onto another earlier span of its trace is not caught."""
+        collector = TraceCollector()
+        trace = _trace("r0")
+        trace.spans.insert(1, Span(name="queue-wait", start_s=0.0, end_s=0.1))
+        collector.add_trace(trace)
+        path = tmp_path / "run.jsonl"
+        collector.export_jsonl(path)
+        lines = path.read_text().splitlines()
+        self._edit_trace(
+            path,
+            lines,
+            1,
+            lambda t: t["spans"][2].update(parent_id=span_id_for("r0", 1)),
+        )
+        assert TraceCollector.load_jsonl(path).digest() == collector.digest()
+
+
 #: Header keys the property deletes, one at a time.
 _HEADER_KEYS = ("kind", "n_traces", "digest", "run_events")
 _ANYWHERE = st.integers(min_value=0, max_value=2**32)

@@ -3,8 +3,9 @@
 :meth:`LoadTestReport.digest` says *whether* two reports differ; when a
 differential test fails it needs *where*: the first diverging row, field
 and both values instead of two opaque hashes.  :func:`first_divergence`
-renders each digest field the way the digest does, so it flags exactly
-what the digest flags.
+compares each digest field the way the digest sees it — floats through
+the digest's own rounding, :func:`repro.service.simulation.report.rounded_bits`,
+only billed legs — so it flags exactly what the digest flags.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
+import numpy as np
+
 from repro.service.simulation.report import (
     LoadTestReport,
     RecordColumns,
     _control_line,
     _fault_line,
+    rounded_bits,
 )
 
 
@@ -47,26 +51,27 @@ class Divergence:
 
 
 def _digest_fields(columns: RecordColumns) -> Iterator[Tuple[str, list]]:
-    """``(record field, each row's value as the digest renders it)`` per
+    """``(record field, each row's value as the digest sees it)`` per
     digest field, in digest order — so ``first_divergence`` flags
     precisely what :meth:`LoadTestReport.digest` flags."""
 
-    def rendered(*names: str, spec: Optional[str] = None):
+    def rounded(*names: str):
         for name in names:
-            values = getattr(columns, name).tolist()
-            yield name, values if spec is None else [spec % v for v in values]
+            yield name, rounded_bits(getattr(columns, name)).tolist()
 
     yield "request_id", columns.request_ids
     yield "payload", list(map(format, columns.payloads))
-    yield from rendered("tier", "arrival_s", "finished_s", spec="%.12e")
-    yield "versions_used", list(map(",".join, columns.versions_used()))
-    yield from rendered("escalated", "failed", "retries")
-    yield from rendered("invocation_cost", spec="%.12e")
+    yield from rounded("tier", "arrival_s", "finished_s")
+    yield "versions_used", columns.versions_used()
+    for name in ("escalated", "failed", "retries"):
+        yield name, getattr(columns, name).tolist()
+    yield from rounded("invocation_cost")
     yield "node_seconds", [
-        ",".join(f"{v}={row[v]:.12e}" for v in sorted(row))
+        (tuple(row), rounded_bits(np.array(list(row.values()), float)).tolist())
         for row in columns.row_node_seconds(slice(None))
     ]
-    yield from rendered("shed", "degraded", "retry_denied")
+    for name in ("shed", "degraded", "retry_denied"):
+        yield name, getattr(columns, name).tolist()
 
 
 def first_divergence(
@@ -74,9 +79,9 @@ def first_divergence(
 ) -> Optional[Divergence]:
     """Locate the first digest-visible difference between two reports.
 
-    Diffs the two reports' columns field by field (in digest rendering,
-    so a sub-last-significant-digit float wiggle that the digest would
-    not see is not reported) and names the first differing row's first
+    Diffs the two reports' columns field by field (floats as the digest
+    rounds them, so a wiggle below the kept mantissa bits that the digest
+    would not see is not reported) and names the first differing row's first
     differing field, then the pool sizes, the fault log and the control
     log.  Returns ``None`` when the two reports digest identically.
     """

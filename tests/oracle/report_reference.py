@@ -1,12 +1,15 @@
 """The per-record report the column-backed ``LoadTestReport`` replaced.
 
 Reference implementation for ``tests/service`` and ``tests/gateway``:
-the per-record digest renderer (``_record_digest_rows``, moved here
-verbatim from ``src/repro/service/simulation/report.py`` when every
-report became ``RecordColumns``) and the headline aggregates computed
+the report digest computed one record at a time — contract version 2
+(:func:`reference_digest`, floats rounded through ``struct``) and the
+version 1 text rows it replaced (:func:`record_digest_rows`, byte for
+byte what ``src/repro/service/simulation/report.py`` hashed until the
+contract bump, kept to explain divergences and to prove that the bump
+changed the hash, not behaviour) — and the headline aggregates computed
 by walking ``RequestRecord`` objects.  It reads nothing but the records
 it is handed — no columns, no pair table, no sentinel — so it is what
-the column renderer, ``RecordColumns.from_records`` and the array
+the column digest, ``RecordColumns.from_records`` and the array
 aggregates are differential-tested against.  Slow, and obviously right.
 Do not optimise this file.  (Span trees have their reference in ``src``:
 ``repro.obs.trace_from_record``, which the synchronous gateway uses.)
@@ -22,13 +25,23 @@ record.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import struct
 from typing import Dict, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.contract import (
+    CONTRACT_VERSION,
+    DIGEST_COLUMNS,
+    DIGEST_MANTISSA_BITS,
+    DIGEST_NAN_BITS,
+)
+
 
 def record_digest_rows(records) -> Iterator[str]:
-    """Digest rows of a record list, one record at a time."""
+    """Version 1 digest rows of a record list, one record at a time."""
     for r in records:
         seconds = ",".join(
             f"{version}={r.node_seconds[version]:.12e}"
@@ -48,6 +61,42 @@ def record_digest_rows(records) -> Iterator[str]:
         )
 
 
+def _log_lines(final_pool_sizes, fault_log, control_log) -> Iterator[str]:
+    """The text lines both contract versions end with."""
+    for version in sorted(final_pool_sizes):
+        yield f"pool:{version}={final_pool_sizes[version]}\n"
+    for entry in fault_log:
+        yield (
+            f"fault:{entry.time_s:.12e}|{entry.kind}|{entry.version}|"
+            f"{entry.detail}\n"
+        )
+    for entry in control_log:
+        yield f"control:{entry.time_s:.12e}|{entry.kind}|{entry.detail}\n"
+
+
+def report_digest_v1(report) -> str:
+    """What ``report.digest()`` returned under contract version 1."""
+    h = hashlib.sha256()
+    for row in record_digest_rows(report.records):
+        h.update(row.encode())
+    logs = report.final_pool_sizes, report.fault_log, report.control_log
+    for line in _log_lines(*logs):
+        h.update(line.encode())
+    return h.hexdigest()
+
+
+def rounded(value: float) -> int:
+    """``value``'s binary64 bits rounded half away from zero to the
+    contract's mantissa bits, through ``struct``; NaN is one pattern."""
+    if math.isnan(value):
+        return DIGEST_NAN_BITS
+    (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+    dropped = 52 - DIGEST_MANTISSA_BITS
+    bits = (bits + (1 << (dropped - 1))) >> dropped << dropped
+    assert bits < 1 << 64  # only a NaN's bits could carry out
+    return bits
+
+
 def reference_digest(
     records,
     final_pool_sizes: Mapping[str, int] = (),
@@ -55,22 +104,53 @@ def reference_digest(
     control_log: Sequence = (),
 ) -> str:
     """``LoadTestReport.digest()`` of a report holding ``records``."""
-    h = hashlib.sha256()
-    for row in record_digest_rows(records):
-        h.update(row.encode())
-    for version in sorted(final_pool_sizes):
-        h.update(f"pool:{version}={final_pool_sizes[version]}\n".encode())
-    for entry in fault_log:
-        h.update(
-            (
-                f"fault:{entry.time_s:.12e}|{entry.kind}|{entry.version}|"
-                f"{entry.detail}\n"
-            ).encode()
-        )
-    for entry in control_log:
-        h.update(
-            f"control:{entry.time_s:.12e}|{entry.kind}|{entry.detail}\n".encode()
-        )
+    records = list(records)
+    pairs = sorted({r.versions_used for r in records if r.versions_used})
+
+    def leg(r, index):
+        if len(r.versions_used) <= index:
+            return -1.0  # did not bill this leg
+        return r.node_seconds[r.versions_used[index]]
+
+    floats = {
+        "tier": [r.tier for r in records],
+        "arrival_s": [r.arrival_s for r in records],
+        "finished_s": [r.finished_s for r in records],
+        "invocation_cost": [r.invocation_cost for r in records],
+        "node_seconds_fast": [leg(r, 0) for r in records],
+        "node_seconds_accurate": [leg(r, 1) for r in records],
+    }
+    integers = {
+        "pair": [
+            pairs.index(r.versions_used) if r.versions_used else -1 for r in records
+        ],
+        **{
+            name: [int(getattr(r, name)) for r in records]
+            for name in (
+                "escalated", "failed", "retries", "shed", "degraded", "retry_denied"
+            )
+        },
+    }
+    strings = {
+        "request_ids": [r.request_id for r in records],
+        "payloads": [f"{r.payload}" for r in records],
+        "pairs": [json.dumps(pair) for pair in pairs],
+    }
+    h = hashlib.sha256(f"report-digest:v{CONTRACT_VERSION}\n".encode())
+    for name in DIGEST_COLUMNS:
+        if name in floats:
+            values = [rounded(v) for v in floats[name]]
+            data = struct.pack(f"<{len(values)}Q", *values)
+        elif name in integers:
+            values = integers[name]
+            data = struct.pack(f"<{len(values)}q", *values)
+        else:
+            values = strings[name]
+            data = struct.pack(f"<{len(values)}q", *map(len, values))
+            data += "".join(values).encode()
+        h.update(f"{name}:{len(values)}\n".encode() + data)
+    for line in _log_lines(final_pool_sizes, fault_log, control_log):
+        h.update(line.encode())
     return h.hexdigest()
 
 

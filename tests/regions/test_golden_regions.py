@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from oracle.golden import read_golden
+from repro.contract import CONTRACT_VERSION
 from repro.service.regions import region_scenarios, run_multi_region
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -31,6 +33,7 @@ def _golden_payload(name, report):
     summary = report.summary()
     return {
         "scenario": name,
+        "contract_version": CONTRACT_VERSION,
         "digest": report.digest(),
         "headline": {
             "n_regions": summary["n_regions"],
@@ -64,7 +67,7 @@ def test_golden_region_scenario(name, toy, update_golden):
         f"golden file {path} is missing; generate it with "
         "`pytest tests/regions/test_golden_regions.py --update-golden`"
     )
-    golden = json.loads(path.read_text())
+    golden = read_golden(path)
     assert payload["digest"] == golden["digest"], (
         f"multi-region scenario {name!r} no longer reproduces its golden "
         "trace.\n"

@@ -52,13 +52,14 @@ default path, which picks its loop from the run.
 
 import dataclasses
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle.divergence import first_divergence
+from oracle.golden import read_golden
+from oracle.report_reference import report_digest_v1
 from oracle.scalar import loop, scalar_loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.errors import MissingVersionError, PolicyConfigurationError
@@ -177,7 +178,7 @@ def test_columnar_reproduces_golden_traces(name, toy):
     """The default path matches the pinned digests directly: the columnar
     loop itself for the healthy and window-fault goldens, the fallback
     for ``flaky``'s transient window."""
-    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    golden = read_golden(GOLDEN_DIR / f"{name}.json")
     spec = {**canonical_scenarios(), **chaos_scenarios()}[name]
     report = run_scenario(spec, toy, check_invariants=True)
     assert report.engine_used == ("legacy" if name == "flaky" else "columnar")
@@ -1581,6 +1582,51 @@ def test_non_finite_arrival_time_is_refused_at_submit(engine, at_time, toy):
         report = sim.drain()
     assert sim.engine_used == engine
     assert [r.request_id for r in report.records] == ["r0"]
+
+
+# ----------------------------------------------------------------------
+# the digest contract over the families
+# ----------------------------------------------------------------------
+def _family_pair(family, seed, toy):
+    """``(oracle report, columnar report)`` of one family member."""
+    if family == "fuzzed":
+        return run_both(_random_spec(seed), toy)
+    if family == "routed":
+        legacy_sim, _ = _routed_session(seed, toy)
+        with scalar_loop():
+            legacy = legacy_sim.drain()
+        return legacy, _routed_session(seed, toy)[0].drain()
+    build = _window_simulator(seed, toy) if family == "window" else None
+    if family == "control":
+        build = _control_simulator(seed, toy)
+    legacy, _, columnar, _ = _run_window_pair(None, toy, build)
+    return legacy, columnar
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", ["fuzzed", "routed", "window", "control"])
+def test_v1_equal_runs_are_v2_equal(family, seed, toy):
+    """The contract bump changed the hash, not what it sees: family
+    members the version 1 text digest calls equal, the column digest
+    calls equal, and a seeded one-field perturbation (a float past the
+    rounding, a request id, a flag) changes both."""
+    legacy, columnar = _family_pair(family, seed, toy)
+    assert report_digest_v1(legacy) == report_digest_v1(columnar)
+    assert legacy.digest() == columnar.digest()
+    rng = np.random.default_rng(seed)
+    records = list(columnar.records)
+    row = int(rng.integers(len(records)))
+    record = records[row]
+    late = record.finished_s + max(abs(record.finished_s), 1.0) * 2.0**-30
+    for change in (
+        {"finished_s": late},
+        {"request_id": record.request_id + "'"},
+        {"degraded": not record.degraded},
+    ):
+        records[row] = dataclasses.replace(record, **change)
+        perturbed = dataclasses.replace(columnar, records=list(records))
+        assert report_digest_v1(perturbed) != report_digest_v1(columnar), change
+        assert perturbed.digest() != columnar.digest(), change
 
 
 # ----------------------------------------------------------------------

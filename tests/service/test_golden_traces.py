@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from oracle.golden import read_golden
+from repro.contract import CONTRACT_VERSION
 from repro.service.simulation import (
     canonical_scenarios,
     chaos_scenarios,
@@ -64,6 +66,7 @@ def _golden_payload(name, report):
     summary = report.summary()
     return {
         "scenario": name,
+        "contract_version": CONTRACT_VERSION,
         "digest": report.digest(),
         "headline": {
             "n_requests": summary["n_requests"],
@@ -96,7 +99,7 @@ def test_golden_trace(name, toy, update_golden):
         f"golden file {path} is missing; generate it with "
         "`pytest tests/service/test_golden_traces.py --update-golden`"
     )
-    golden = json.loads(path.read_text())
+    golden = read_golden(path)
     assert payload["digest"] == golden["digest"], (
         f"scenario {name!r} no longer reproduces its golden trace.\n"
         f"  golden : {golden['headline']}\n"

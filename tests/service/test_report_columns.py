@@ -1,7 +1,7 @@
-"""Column-backed reports: renderer equivalence, the record round trip
+"""Column-backed reports: digest equivalence, the record round trip
 and no materialisation.
 
-Every report is ``RecordColumns``.  The column renderer and the array
+Every report is ``RecordColumns``.  The column digest and the array
 aggregates must be indistinguishable from the per-record reference in
 ``tests/oracle/report_reference.py``, a record list must survive
 ``RecordColumns.from_records`` field for field, and the bulk path
@@ -222,47 +222,20 @@ def test_column_renderer_matches_record_renderer(columns):
     _assert_column_report_matches_record_report(columns)
 
 
-def test_renderer_spans_chunk_boundaries(monkeypatch):
-    """Chunking is invisible in the hash stream."""
-    monkeypatch.setattr(report_module, "_DIGEST_CHUNK_ROWS", 3)
-    n = 10
-    ramp = np.arange(n, dtype=float)
-    columns = RecordColumns(
-        request_ids=[f"r{i}" for i in range(n)],
-        payloads=list(range(n)),
-        tier=ramp / 100.0,
-        arrival_s=ramp,
-        finished_s=ramp + 0.5,
-        response_time_s=np.full(n, 0.5),
-        queue_wait_s=np.zeros(n),
-        escalated=ramp % 2 == 0,
-        invocation_cost=ramp * 1e-6,
-        pairs=_ROUTED_TABLE,
-        pair_code=np.arange(n) % len(_ROUTED_TABLE),
-        node_seconds_fast=np.full(n, 0.1),
-        node_seconds_accurate=np.where(ramp % 2 == 0, 0.4, -1.0),
-        confidence=np.full(n, 0.9),
-    )
-    _assert_column_report_matches_record_report(columns)
-
-
 def test_a_renderer_that_swaps_two_fields_is_caught(monkeypatch):
-    """The property above has teeth: a mutant renderer fails it."""
-    real = report_module._column_digest_rows
+    """The property above has teeth: a hasher fed two columns swapped
+    fails it."""
+    real = report_module.digest_columns
 
     def swapped(columns):
-        mutant = RecordColumns(
-            **{
-                name: getattr(columns, name)
-                for name in RecordColumns.__slots__
-                if name not in ("arrival_s", "finished_s")
-            },
-            arrival_s=columns.finished_s,
-            finished_s=columns.arrival_s,
+        hashed = real(columns)
+        hashed["arrival_s"], hashed["finished_s"] = (
+            hashed["finished_s"],
+            hashed["arrival_s"],
         )
-        return real(mutant)
+        return hashed
 
-    monkeypatch.setattr(report_module, "_column_digest_rows", swapped)
+    monkeypatch.setattr(report_module, "digest_columns", swapped)
     # Generate only: finding the failure is the point, shrinking it is not.
     prop = settings(
         max_examples=50, deadline=None, database=None, phases=[Phase.generate]
