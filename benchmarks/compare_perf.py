@@ -7,12 +7,13 @@ reporting format:
 **Two-artefact mode**::
 
     git show HEAD:BENCH_PERF.json > /tmp/base.json
-    python benchmarks/compare_perf.py /tmp/base.json BENCH_PERF.json
+    PYTHONPATH=src python benchmarks/compare_perf.py /tmp/base.json BENCH_PERF.json
 
 compares the working-tree file (after a full bench run) against the
 committed one and prints relative deltas; values beyond the threshold
-(default ±5 %, the advisory noise band the delta-rs benchmarking ADR
-recommends for shared runners) are flagged ``ADVISORY``.  Two historical
+(default ``repro.contract.COMPARE_THRESHOLD``, ±5 %: the advisory noise
+band the delta-rs benchmarking ADR recommends for shared runners) are
+flagged ``ADVISORY``.  Two historical
 bugs are fixed and pinned by ``tests/benchmarks/test_compare_perf.py``:
 
 * a metric that is a dict in one artefact and a scalar in the other
@@ -49,6 +50,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional
+
+from repro.contract import COMPARE_THRESHOLD, RULEGEN_CONFIDENCE
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -400,16 +403,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--confidence",
         type=float,
-        default=0.999,
+        default=RULEGEN_CONFIDENCE,
         help="confidence level for the history-noise z test and the "
-        "changepoint scan (default 0.999, the rule generator's setting)",
+        f"changepoint scan (default {RULEGEN_CONFIDENCE:g}, the rule "
+        "generator's setting)",
     )
     parser.add_argument(
         "--threshold",
         type=float,
-        default=0.05,
+        default=COMPARE_THRESHOLD,
         help="two-artefact advisory regression threshold as a fraction "
-        "(default 0.05)",
+        f"(default {COMPARE_THRESHOLD:g})",
     )
     parser.add_argument(
         "--strict",

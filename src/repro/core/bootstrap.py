@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.contract import RULEGEN_SAMPLE_FRACTION
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SingleVersionPolicy
 from repro.core.simulator import TierSimulation, simulate
@@ -101,7 +102,7 @@ def bootstrap_configuration(
     *,
     confidence_test: ConfidenceTest,
     rng: np.random.Generator,
-    sample_fraction: float = 0.1,
+    sample_fraction: float = RULEGEN_SAMPLE_FRACTION,
     pricing: Optional[PricingModel] = None,
     baseline_version: Optional[str] = None,
     degradation_mode: str = "relative",
@@ -155,7 +156,7 @@ def bootstrap_configurations(
     *,
     confidence_test: ConfidenceTest,
     rng: np.random.Generator,
-    sample_fraction: float = 0.1,
+    sample_fraction: float = RULEGEN_SAMPLE_FRACTION,
     pricing: Optional[PricingModel] = None,
     baseline_version: Optional[str] = None,
     degradation_mode: str = "relative",

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.contract import RULEGEN_CONFIDENCE
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing, evaluate_policy
 from repro.core.rule_generator import RoutingRuleGenerator
@@ -86,7 +87,7 @@ def audit_guarantees(
     objective: Objective | str,
     *,
     folds: int = 10,
-    confidence: float = 0.999,
+    confidence: float = RULEGEN_CONFIDENCE,
     seed: int = 0,
     configurations: Optional[Sequence[EnsembleConfiguration]] = None,
     degradation_mode: str = "relative",

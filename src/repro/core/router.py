@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+from repro.contract import RULEGEN_CONFIDENCE
 from repro.core.bootstrap import WorstCaseEstimate
 from repro.core.configuration import EnsembleConfiguration
 from repro.service.request import Objective, ServiceRequest
@@ -46,7 +47,7 @@ class RoutingRuleTable:
     baseline: EnsembleConfiguration
     rules: Dict[float, EnsembleConfiguration]
     estimates: Dict[float, WorstCaseEstimate] = field(default_factory=dict)
-    confidence: float = 0.999
+    confidence: float = RULEGEN_CONFIDENCE
 
     def config_for(self, tolerance: float) -> EnsembleConfiguration:
         """The configuration serving a requested tolerance.

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import contract
 from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configurations
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
@@ -57,12 +58,12 @@ class RoutingRuleGenerator:
         train_measurements: MeasurementSet,
         configurations: Optional[Sequence[EnsembleConfiguration]] = None,
         *,
-        confidence: float = 0.999,
-        sample_fraction: float = 0.1,
+        confidence: float = contract.RULEGEN_CONFIDENCE,
+        sample_fraction: float = contract.RULEGEN_SAMPLE_FRACTION,
         seed: int = 0,
         degradation_mode: str = "relative",
-        min_trials: int = 10,
-        max_trials: int = 120,
+        min_trials: int = contract.RULEGEN_MIN_TRIALS,
+        max_trials: int = contract.RULEGEN_MAX_TRIALS,
     ) -> None:
         self.measurements = train_measurements
         self.configurations: List[EnsembleConfiguration] = list(

@@ -16,9 +16,9 @@ watches the serving and steers it.  Four cooperating parts:
   against the pool median.
 * :mod:`repro.service.control.admission` — the admission controller
   consulted once per arriving request; under BREACH it sheds
-  (probabilistically or by priority) or force-degrades traffic to the
-  fast tier.  Shed and degraded requests are first-class in reports
-  and conservation laws.
+  (probabilistically) or force-degrades traffic to the fast tier.  Shed
+  and degraded requests are first-class in reports and conservation
+  laws.
 * :mod:`repro.service.control.adaptor` — online tier-policy
   adaptation: re-run the PR 2 rule generator on the trailing telemetry
   window, hot-swap the winner, tighten back to the anchor when healthy,
@@ -30,6 +30,7 @@ watches the serving and steers it.  Four cooperating parts:
 See ``docs/CONTROL_PLANE.md``.
 """
 
+from repro.contract import MIN_PERCENTILE_SAMPLES
 from repro.service.control.admission import (
     AdmissionAction,
     AdmissionController,
@@ -57,7 +58,6 @@ from repro.service.control.slo import (
     SLOStatus,
 )
 from repro.service.control.telemetry import (
-    MIN_PERCENTILE_SAMPLES,
     PercentileEstimate,
     TelemetryHub,
     TierWindow,

@@ -52,6 +52,7 @@ from typing import List, Optional, Tuple
 
 import math
 
+from repro import contract
 from repro.core.configuration import (
     EnsembleConfiguration,
     enumerate_configurations,
@@ -64,61 +65,44 @@ from repro.service.request import Objective
 
 __all__ = ["AdaptorConfig", "AdaptorEvent", "PolicyAdaptor"]
 
+#: The objective every refit optimises: COST, deliberately *not* the
+#: latency objective even for latency breaches.  Measured response times
+#: are contention-free, so under saturation the latency objective
+#: favours concurrent ensembles that overlap legs, and double the
+#: node-seconds per request: exactly the wrong direction when the breach
+#: is capacity.  Worst-case cost is node-seconds per request, i.e.
+#: inverse capacity; minimising it is what drains the queues.
+_REFIT_OBJECTIVE = Objective.COST
+
 
 @dataclass(frozen=True)
 class AdaptorConfig:
-    """How the online adaptor widens, re-fits and rolls back.
+    """How the online adaptor widens and re-fits.
+
+    The refit's bootstrap settings, the recovery debounce, the rollback
+    margin and the base tolerance are :mod:`repro.contract` constants.
 
     Attributes:
         refit_interval_s: Minimum virtual time between re-fits (also the
             grace period before a swap is judged for rollback).
         min_window_samples: Re-fit guardrail — the trailing window must
             hold at least this many answered requests.
-        objective: Objective the re-fit optimises.  The default is COST,
-            deliberately *not* the latency objective even for latency
-            breaches: measured response times are contention-free, so
-            under saturation the latency objective favours concurrent
-            ensembles that overlap legs — and double the node-seconds
-            per request, which is exactly the wrong direction when the
-            breach is capacity.  Worst-case cost is node-seconds per
-            request, i.e. inverse capacity; minimising it is what drains
-            the queues.
         tolerance_step: Widening step, in the tier-tolerance units of
             ``degradation_mode`` (relative degradation is a *fraction of
             the baseline error*, so useful steps depend on the service's
             error scale; absolute mode steps in error units).
         max_tolerance: Ceiling on the widened effective tolerance.
-        base_tolerance: The anchor's tolerance; tightening stops here
-            and restores the anchor configuration.
-        recover_after: Consecutive OK evaluations before one tightening
-            step.
-        rollback_margin: A swap is rolled back when, still in BREACH one
-            interval later, the confident windowed p95 exceeds the
-            pre-swap p95 by this factor.
         degradation_mode: ``"relative"`` or ``"absolute"`` — forwarded
             to the rule generator.
         thresholds: Confidence-threshold grid of the candidate space.
-        confidence: Bootstrap confidence of the re-fit (lower than the
-            offline 99.9 % — an online re-fit trades certainty for
-            reaction time).
-        min_trials / max_trials: Bootstrap trial bounds per candidate.
-        sample_fraction: Bootstrap subsample fraction per trial.
     """
 
     refit_interval_s: float = 2.0
     min_window_samples: int = 20
-    objective: Objective = Objective.COST
     tolerance_step: float = 0.05
     max_tolerance: float = 0.25
-    base_tolerance: float = 0.0
-    recover_after: int = 4
-    rollback_margin: float = 1.05
     degradation_mode: str = "relative"
     thresholds: Tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
-    confidence: float = 0.95
-    min_trials: int = 8
-    max_trials: int = 24
-    sample_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         # Every bound is written so NaN fails it.
@@ -128,24 +112,12 @@ class AdaptorConfig:
             raise ValueError("min_window_samples must be at least 2")
         if not self.tolerance_step > 0.0:
             raise ValueError("tolerance_step must be positive")
-        if not self.max_tolerance >= self.base_tolerance:
-            raise ValueError("max_tolerance must be >= base_tolerance")
-        if self.recover_after < 1:
-            raise ValueError("recover_after must be at least 1")
-        if not self.rollback_margin >= 1.0:
-            raise ValueError("rollback_margin must be at least 1")
+        if not self.max_tolerance >= contract.REFIT_BASE_TOLERANCE:
+            raise ValueError("max_tolerance must be >= the base tolerance")
         if self.degradation_mode not in ("relative", "absolute"):
             raise ValueError("degradation_mode must be relative or absolute")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ValueError("sample_fraction must be in (0, 1]")
-        # The refit's ConfidenceTest and design space would refuse these
-        # mid-run; refuse them here.
-        if not self.min_trials >= 2:
-            raise ValueError("min_trials must be at least 2")
-        if not self.max_trials >= self.min_trials:
-            raise ValueError("max_trials must be >= min_trials")
+        # The refit's design space would refuse these mid-run; refuse
+        # them here.
         if not all(0.0 <= threshold <= 1.0 for threshold in self.thresholds):
             raise ValueError(f"thresholds must be in [0, 1], got {self.thresholds}")
 
@@ -201,7 +173,7 @@ class PolicyAdaptor:
         self.measurements = measurements
         self.anchor = anchor
         self.active = anchor
-        self.effective_tolerance = config.base_tolerance
+        self.effective_tolerance = contract.REFIT_BASE_TOLERANCE
         self._seed = int(seed)
         self._row_of = {rid: i for i, rid in enumerate(measurements.request_ids)}
         # The anchor competes in (and is estimated by) every re-fit, so
@@ -245,21 +217,20 @@ class PolicyAdaptor:
         if state is SLOState.OK:
             self._ok_streak += 1
             if (
-                self.effective_tolerance
-                <= self.config.base_tolerance + 1e-12
-                or self._ok_streak < self.config.recover_after
+                self.effective_tolerance <= contract.REFIT_BASE_TOLERANCE + 1e-12
+                or self._ok_streak < contract.REFIT_RECOVER_AFTER
                 or now - self._last_refit < self.config.refit_interval_s
             ):
                 return None
             self._ok_streak = 0
             tightened = max(
-                self.config.base_tolerance,
+                contract.REFIT_BASE_TOLERANCE,
                 self.effective_tolerance - self.config.tolerance_step,
             )
-            if tightened <= self.config.base_tolerance + 1e-12:
+            if tightened <= contract.REFIT_BASE_TOLERANCE + 1e-12:
                 # Fully recovered: restore the anchor verbatim.
                 self._last_refit = now
-                self.effective_tolerance = self.config.base_tolerance
+                self.effective_tolerance = contract.REFIT_BASE_TOLERANCE
                 self._pending = None
                 self._rejected.clear()
                 if self.active.config_id != self.anchor.config_id:
@@ -291,7 +262,7 @@ class PolicyAdaptor:
             state is SLOState.BREACH
             and p95.reliable
             and math.isfinite(pending.p95_before)
-            and p95.value > pending.p95_before * self.config.rollback_margin
+            and p95.value > pending.p95_before * contract.REFIT_ROLLBACK_MARGIN
         ):
             previous = pending.previous
             self.events.append(
@@ -341,14 +312,14 @@ class PolicyAdaptor:
         generator = RoutingRuleGenerator(
             window,
             configurations=self._candidates,
-            confidence=self.config.confidence,
-            sample_fraction=self.config.sample_fraction,
+            confidence=contract.REFIT_CONFIDENCE,
+            sample_fraction=contract.REFIT_SAMPLE_FRACTION,
             seed=(self._seed * 1_000_003 + self._refit_count) % (2**32),
             degradation_mode=self.config.degradation_mode,
-            min_trials=self.config.min_trials,
-            max_trials=self.config.max_trials,
+            min_trials=contract.REFIT_MIN_TRIALS,
+            max_trials=contract.REFIT_MAX_TRIALS,
         )
-        table = generator.generate([tolerance], self.config.objective)
+        table = generator.generate([tolerance], _REFIT_OBJECTIVE)
         chosen = table.rules[float(tolerance)]
         self.effective_tolerance = tolerance
         if chosen.config_id == self.active.config_id:

@@ -3,14 +3,11 @@
 When an SLO is in BREACH the cheapest request to serve is the one you
 never enqueue.  :class:`AdmissionController` is the decision point the
 gateway (and the closed-loop engine) consults once per arriving request;
-under pressure it answers with one of three policies:
+under pressure it answers with one of two policies:
 
 * ``probabilistic`` — shed an incoming request with a fixed probability,
   drawn from a dedicated seeded RNG (so closed-loop runs stay
   bit-deterministic and healthy runs consume no draws at all);
-* ``priority`` — shed exactly the requests whose declared priority
-  (``metadata["priority"]``) falls below a floor, protecting important
-  traffic deterministically;
 * ``degrade`` — shed nothing: force-degrade incoming requests to the
   fast tier (a single-version configuration on the planned ensemble's
   fast version), trading accuracy for capacity instead of dropping work.
@@ -25,7 +22,6 @@ and a gateway ticket for a shed request resolves with a structured
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,7 +40,7 @@ __all__ = [
 ]
 
 #: Policies the controller knows.
-_POLICIES = ("probabilistic", "priority", "degrade")
+_POLICIES = ("probabilistic", "degrade")
 
 
 class AdmissionAction(enum.Enum):
@@ -80,19 +76,13 @@ class AdmissionSpec:
     """Declarative admission policy for a :class:`ControlSpec`.
 
     Attributes:
-        policy: ``"probabilistic"``, ``"priority"`` or ``"degrade"``.
+        policy: ``"probabilistic"`` or ``"degrade"``.
         shed_probability: Shed probability under BREACH
             (``probabilistic`` policy).
-        priority_floor: Requests with priority strictly below this are
-            shed under BREACH (``priority`` policy).
-        default_priority: Priority assumed for requests that carry no
-            ``priority`` metadata.
     """
 
     policy: str = "probabilistic"
     shed_probability: float = 0.5
-    priority_floor: float = 1.0
-    default_priority: float = 0.0
 
     def __post_init__(self) -> None:
         if self.policy not in _POLICIES:
@@ -102,13 +92,6 @@ class AdmissionSpec:
             )
         if not 0.0 <= self.shed_probability <= 1.0:
             raise ValueError("shed_probability must be in [0, 1]")
-        # A NaN floor compares false against every priority: nothing sheds.
-        for label, value in (
-            ("priority_floor", self.priority_floor),
-            ("default_priority", self.default_priority),
-        ):
-            if math.isnan(value):
-                raise ValueError(f"{label} must not be NaN")
 
 
 def degraded_configuration(
@@ -171,22 +154,6 @@ class AdmissionController:
                 return AdmissionDecision(
                     AdmissionAction.SHED,
                     reason=f"probabilistic shed (p={spec.shed_probability:g})",
-                )
-            return ADMIT
-        if spec.policy == "priority":
-            raw = request.metadata.get("priority", spec.default_priority)
-            try:
-                priority = float(raw)
-            except (TypeError, ValueError):
-                priority = spec.default_priority
-            if priority < spec.priority_floor:
-                self.n_shed += 1
-                return AdmissionDecision(
-                    AdmissionAction.SHED,
-                    reason=(
-                        f"priority {priority:g} below floor "
-                        f"{spec.priority_floor:g}"
-                    ),
                 )
             return ADMIT
         # degrade

@@ -44,11 +44,7 @@ from repro.service.control.slo import (
     SLOState,
     worst_state,
 )
-from repro.service.control.telemetry import (
-    MIN_PERCENTILE_SAMPLES,
-    TelemetryHub,
-    WindowSnapshot,
-)
+from repro.service.control.telemetry import TelemetryHub, WindowSnapshot
 from repro.service.request import ServiceRequest
 
 __all__ = [
@@ -103,8 +99,6 @@ class ControlSpec:
             everything.
         adaptor: Online tier-policy adaptation; ``None`` keeps the
             deployed policy static.
-        min_percentile_samples: Small-N guard threshold for windowed
-            percentiles.
         gray_detection: Per-node gray-failure detection (service-time
             divergence against pool peers); ``None`` disables it.
     """
@@ -114,7 +108,6 @@ class ControlSpec:
     slos: Tuple[SLOSpec, ...] = ()
     admission: Optional[AdmissionSpec] = None
     adaptor: Optional[AdaptorConfig] = None
-    min_percentile_samples: int = MIN_PERCENTILE_SAMPLES
     gray_detection: Optional[GrayDetectionSpec] = None
 
     def __post_init__(self) -> None:
@@ -159,10 +152,7 @@ class ControlPlane:
         adaptor: Optional[PolicyAdaptor] = None,
     ) -> None:
         self.spec = spec
-        self.hub = hub if hub is not None else TelemetryHub(
-            spec.window_s,
-            min_percentile_samples=spec.min_percentile_samples,
-        )
+        self.hub = hub if hub is not None else TelemetryHub(spec.window_s)
         self.monitors = [SLOMonitor(s) for s in spec.slos]
         self.gray_detector = (
             GrayFailureDetector(spec.gray_detection)

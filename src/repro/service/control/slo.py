@@ -7,8 +7,8 @@ snapshot into a debounced :class:`SLOState`:
 
 * raw evaluation: each declared target becomes a *pressure ratio*
   (observed / target for ceilings, target / observed for floors), so
-  ``> 1`` means the target is violated and ``warn_ratio <= r <= 1``
-  means it is close;
+  ``> 1`` means the target is violated and
+  :data:`~repro.contract.SLO_WARN_RATIO` ``< r <= 1`` means it is close;
 * **small-N guard**: a violated percentile target whose windowed
   estimate is flagged low-confidence (fewer than the guard threshold of
   samples) is capped at WARN — a p95 ranked over a handful of requests
@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import contract
 from repro.service.control.telemetry import WindowSnapshot
 
 __all__ = [
@@ -81,8 +82,6 @@ class SLOSpec:
             controller whose remedy counts against its own trigger
             latches into shedding healthy traffic forever.
         max_cost_per_request: Ceiling on windowed mean billed cost.
-        warn_ratio: Pressure ratio at which WARN begins (``0.9`` warns
-            once a metric is within 10 % of its target).
         breach_after: Consecutive violating evaluations needed to enter
             BREACH.
         clear_after: Consecutive clean evaluations needed to leave it.
@@ -93,9 +92,8 @@ class SLOSpec:
     max_p95_latency_s: Optional[float] = None
     min_availability: Optional[float] = None
     max_cost_per_request: Optional[float] = None
-    warn_ratio: float = 0.9
-    breach_after: int = 2
-    clear_after: int = 2
+    breach_after: int = contract.SLO_BREACH_AFTER
+    clear_after: int = contract.SLO_CLEAR_AFTER
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -120,8 +118,6 @@ class SLOSpec:
             0.0 < self.min_availability <= 1.0
         ):
             raise ValueError("min_availability must be in (0, 1]")
-        if not 0.0 < self.warn_ratio <= 1.0:
-            raise ValueError("warn_ratio must be in (0, 1]")
         if self.breach_after < 1 or self.clear_after < 1:
             raise ValueError("breach_after / clear_after must be at least 1")
 
@@ -217,9 +213,9 @@ class SLOMonitor:
                 return SLOState.WARN, pressures, True
             return SLOState.BREACH, pressures, False
         # Strictly above the warn ratio: a metric sitting exactly on it
-        # (e.g. perfect availability against a floor of warn_ratio's
+        # (e.g. perfect availability against a floor of the ratio's
         # reciprocal) is compliant, not "close to violating".
-        if worst > spec.warn_ratio:
+        if worst > contract.SLO_WARN_RATIO:
             return SLOState.WARN, pressures, False
         return SLOState.OK, pressures, guarded
 
@@ -265,7 +261,9 @@ class GrayDetectionSpec:
     passes, yet its service times have silently diverged from its pool
     peers.  Whole-stream SLOs dilute the signal — one slow node out of
     four moves the pool p95 late or not at all — so detection compares
-    *per-node* service-time EWMAs against the pool median instead.
+    *per-node* service-time EWMAs (smoothing factor
+    :data:`~repro.contract.GRAY_EWMA_ALPHA`) against the pool median
+    instead.
 
     Attributes:
         ratio_threshold: A node is raw-gray when its service-time EWMA
@@ -273,8 +271,6 @@ class GrayDetectionSpec:
             exceed 1 (a node cannot be gray relative to itself).
         min_samples: Completions a node must have served before its
             EWMA participates — one slow batch is noise, not divergence.
-        ewma_alpha: Exponential smoothing factor in ``(0, 1]``; higher
-            weights recent completions more.
         detect_after: Consecutive gray evaluations (control ticks)
             before a node is flagged.
         clear_after: Consecutive clean evaluations before a flagged
@@ -285,11 +281,10 @@ class GrayDetectionSpec:
             control.  OK is rejected (detection would be inert).
     """
 
-    ratio_threshold: float = 2.0
-    min_samples: int = 8
-    ewma_alpha: float = 0.3
-    detect_after: int = 2
-    clear_after: int = 2
+    ratio_threshold: float = contract.GRAY_RATIO_THRESHOLD
+    min_samples: int = contract.GRAY_MIN_SAMPLES
+    detect_after: int = contract.GRAY_DETECT_AFTER
+    clear_after: int = contract.GRAY_CLEAR_AFTER
     state_on_detect: SLOState = SLOState.WARN
 
     def __post_init__(self) -> None:
@@ -297,8 +292,6 @@ class GrayDetectionSpec:
             raise ValueError("ratio_threshold must exceed 1")
         if self.min_samples < 1:
             raise ValueError("min_samples must be at least 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.detect_after < 1 or self.clear_after < 1:
             raise ValueError("detect_after / clear_after must be at least 1")
         if self.state_on_detect is SLOState.OK:
@@ -344,7 +337,7 @@ class GrayFailureDetector:
         if previous is None:
             self._ewma[key] = service_time_s
         else:
-            alpha = self.spec.ewma_alpha
+            alpha = contract.GRAY_EWMA_ALPHA
             self._ewma[key] = alpha * service_time_s + (1.0 - alpha) * previous
         self._count[key] = self._count.get(key, 0) + 1
 

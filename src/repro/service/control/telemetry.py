@@ -41,8 +41,8 @@ there is always exactly one "p95 outlier" by definition — the same
 failure mode as rank-based tier classification over tiny component
 counts).  :func:`guarded_percentile` therefore returns a
 :class:`PercentileEstimate` whose ``low_confidence`` flag is set below
-:data:`MIN_PERCENTILE_SAMPLES` samples; consumers (the SLO monitors) must
-not treat a flagged value as breach evidence.
+:data:`~repro.contract.MIN_PERCENTILE_SAMPLES` samples; consumers (the
+SLO monitors) must not treat a flagged value as breach evidence.
 """
 
 from __future__ import annotations
@@ -55,19 +55,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.contract import MIN_PERCENTILE_SAMPLES
 from repro.stats.descriptive import percentiles
 
 __all__ = [
-    "MIN_PERCENTILE_SAMPLES",
     "PercentileEstimate",
     "TelemetryHub",
     "TierWindow",
     "WindowSnapshot",
     "guarded_percentile",
 ]
-
-#: Below this many samples a windowed percentile is flagged low-confidence.
-MIN_PERCENTILE_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,6 @@ class WindowSnapshot:
         counts: Dict[float, List[int]],
         rows: np.ndarray,
         objects: Tuple[list, list, int, int],
-        min_samples: int,
     ) -> None:
         self.now = now
         self.window_s = window_s
@@ -196,7 +192,6 @@ class WindowSnapshot:
         #: and ``(payloads, billed, start, stop)``: the live slice of the
         #: hub's lists, which only ever grow past ``stop``.
         self._objects = objects
-        self._min_samples = min_samples
 
     @property
     def n_answered(self) -> int:
@@ -214,21 +209,15 @@ class WindowSnapshot:
     # Each percentile sorts on its own first read: a tick's SLOs read p95.
     @cached_property
     def p50_latency(self) -> PercentileEstimate:
-        return guarded_percentile(
-            self._latency_ok, 50.0, min_samples=self._min_samples
-        )
+        return guarded_percentile(self._latency_ok, 50.0)
 
     @cached_property
     def p95_latency(self) -> PercentileEstimate:
-        return guarded_percentile(
-            self._latency_ok, 95.0, min_samples=self._min_samples
-        )
+        return guarded_percentile(self._latency_ok, 95.0)
 
     @cached_property
     def p99_latency(self) -> PercentileEstimate:
-        return guarded_percentile(
-            self._latency_ok, 99.0, min_samples=self._min_samples
-        )
+        return guarded_percentile(self._latency_ok, 99.0)
 
     @cached_property
     def mean_cost(self) -> float:
@@ -256,7 +245,7 @@ class WindowSnapshot:
         _, tier_of, _, _, cost = self._rows
         answered, latency_ok = self._answered, self._latency_ok
         tier_ok, cost_ok = tier_of[answered], cost[answered]
-        counts, min_samples = self._counts, self._min_samples
+        counts = self._counts
         # Tiers appear in the order a walk over the live rows first meets
         # them.
         tiers: Dict[float, TierWindow] = {}
@@ -268,9 +257,7 @@ class WindowSnapshot:
                 n_failed=tally[_FAILED],
                 n_shed=tally[_SHED],
                 n_degraded=tally[_DEGRADED],
-                p95_latency=guarded_percentile(
-                    latency_ok[served], 95.0, min_samples=min_samples
-                ),
+                p95_latency=guarded_percentile(latency_ok[served], 95.0),
                 mean_cost=_ordered_mean(cost_ok[served]),
             )
         return tiers
@@ -366,8 +353,6 @@ class TelemetryHub:
 
     Args:
         window_s: Trailing window length on the publisher's clock.
-        min_percentile_samples: Small-N guard threshold for windowed
-            percentiles.
         max_records: Hard bound on buffered rows; the oldest are dropped
             first.  Sized so any sane window fits; this is a memory
             valve, not a semantic knob.
@@ -377,15 +362,11 @@ class TelemetryHub:
         self,
         window_s: float = 10.0,
         *,
-        min_percentile_samples: int = MIN_PERCENTILE_SAMPLES,
         max_records: int = 100_000,
     ) -> None:
         if not window_s > 0.0:  # NaN fails too
             raise ValueError("window_s must be positive")
-        if min_percentile_samples < 1:
-            raise ValueError("min_percentile_samples must be at least 1")
         self.window_s = float(window_s)
-        self.min_percentile_samples = int(min_percentile_samples)
         self._max_records = max_records
         #: Per live row: publish time, tier, outcome code, latency, cost —
         self._rows = _FloatWindow(5)
@@ -532,5 +513,4 @@ class TelemetryHub:
             # A copy: appends compact the live region in place.
             self._rows.view().copy(),
             (self._payloads, self._billed, self._head, len(self._payloads)),
-            self.min_percentile_samples,
         )

@@ -189,11 +189,7 @@ class _SaturationWindow:
         self._window_s = region.saturation_window_s
         self._limit: Optional[float] = None
         if region.capacity_rps is not None:
-            self._limit = (
-                region.capacity_rps
-                * region.saturation_factor
-                * region.saturation_window_s
-            )
+            self._limit = region.capacity_rps * region.saturation_window_s
         self._kept: deque = deque()
 
     def saturated(self, at_s: float) -> bool:

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.contract import REGION_SLO_TICK_S, REGION_SLO_WINDOW_S
 from repro.service.control.plane import ControlLogEntry
 from repro.service.control.slo import SLOMonitor, SLOState
 from repro.service.control.telemetry import TelemetryHub
@@ -285,10 +286,9 @@ class _RegionSLOReplay:
 
     def __init__(self, region: RegionSpec) -> None:
         self._region = region.name
-        self._tick_s = region.slo_tick_s
-        self._hub = TelemetryHub(region.slo_window_s)
+        self._hub = TelemetryHub(REGION_SLO_WINDOW_S)
         self._monitors = [SLOMonitor(slo) for slo in region.slos]
-        self._next_tick = region.slo_tick_s
+        self._next_tick = REGION_SLO_TICK_S
         self.entries: List[ControlLogEntry] = []
 
     def replay(self, report: LoadTestReport) -> None:
@@ -304,7 +304,7 @@ class _RegionSLOReplay:
         while cursor < len(clocks):
             while self._next_tick <= clocks[cursor]:
                 self._evaluate(self._next_tick)
-                self._next_tick += self._tick_s
+                self._next_tick += REGION_SLO_TICK_S
             # Everything that lands before the next tick goes in together.
             stop = int(np.searchsorted(clocks, self._next_tick))
             self._hub.publish_columns(

@@ -51,9 +51,11 @@ class RegionSpec:
             transform acts on ``run()``-generated workloads, and region
             shards receive their workload by explicit submission.
         slos: Region-level SLOs, evaluated over the region's own
-            telemetry window after the shard drains (advisory — they
-            name the region in the merged control log; put an SLO in
-            ``scenario.control`` to make it *actuate* admission).
+            telemetry window (:data:`~repro.contract.REGION_SLO_WINDOW_S`,
+            every :data:`~repro.contract.REGION_SLO_TICK_S`) after the
+            shard drains (advisory — they name the region in the merged
+            control log; put an SLO in ``scenario.control`` to make it
+            *actuate* admission).
         failover: Peer preference order for spillover.  ``None`` tries
             peers in the multi-region spec's declaration order.
         capacity_rps: Advertised request-rate capacity for
@@ -61,11 +63,8 @@ class RegionSpec:
             trigger (dead pools and partitions still apply).  See
             :func:`derive_capacity_rps` for a measurement-derived value.
         saturation_window_s: Trailing window over which kept arrivals
-            are counted against ``capacity_rps``.
-        saturation_factor: Multiplier on ``capacity_rps`` before an
-            arrival spills (``1.25`` tolerates 25 % over-rate bursts).
-        slo_window_s: Telemetry window for the region SLO monitors.
-        slo_tick_s: Evaluation cadence for the region SLO monitors.
+            are counted against ``capacity_rps``; an arrival spills once
+            the window holds ``capacity_rps × saturation_window_s``.
     """
 
     name: str
@@ -74,9 +73,6 @@ class RegionSpec:
     failover: Optional[Tuple[str, ...]] = None
     capacity_rps: Optional[float] = None
     saturation_window_s: float = 1.0
-    saturation_factor: float = 1.0
-    slo_window_s: float = 10.0
-    slo_tick_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -94,14 +90,11 @@ class RegionSpec:
                     "MultiRegionSpec.partitions, not a region's fault "
                     "schedule"
                 )
-        if self.capacity_rps is not None and self.capacity_rps <= 0.0:
+        # Written so NaN fails too.
+        if self.capacity_rps is not None and not self.capacity_rps > 0.0:
             raise ValueError("capacity_rps must be positive")
-        if self.saturation_window_s <= 0.0:
+        if not self.saturation_window_s > 0.0:
             raise ValueError("saturation_window_s must be positive")
-        if self.saturation_factor <= 0.0:
-            raise ValueError("saturation_factor must be positive")
-        if self.slo_window_s <= 0.0 or self.slo_tick_s <= 0.0:
-            raise ValueError("slo_window_s / slo_tick_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -162,15 +155,16 @@ class MultiRegionSpec:
                 raise ValueError(
                     f"partition names unknown peer {partition.peer!r}"
                 )
-        if self.link_latency_s < 0.0:
+        # Written so NaN fails too.
+        if not self.link_latency_s >= 0.0:
             raise ValueError("link_latency_s must be non-negative")
         for (src, dst), latency in self.link_latencies.items():
             if src not in known or dst not in known:
                 raise ValueError(
                     f"link latency names unknown pair ({src!r}, {dst!r})"
                 )
-            if latency < 0.0:
-                raise ValueError("link latencies must be non-negative")
+            if not latency >= 0.0:
+                raise ValueError("link_latencies must be non-negative")
 
     # ------------------------------------------------------------------
     # topology

@@ -580,7 +580,7 @@ class RegionPartition:
         if self.peer == self.region:
             raise ValueError("a region cannot be partitioned from itself")
         _require_timestamp("start_s", self.start_s)
-        if self.end_s <= self.start_s:
+        if not self.end_s > self.start_s:  # NaN fails too
             raise ValueError("end_s must lie after start_s")
 
     def severs(self, src: str, dst: str, at_s: float) -> bool:

@@ -19,6 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import contract
+
 __all__ = [
     "ConfidenceTest",
     "normal_quantile",
@@ -77,7 +79,8 @@ def normal_quantile(confidence: float) -> float:
 
     Args:
         confidence: Confidence level in the open interval ``(0, 1)``,
-            e.g. ``0.999`` for the paper's 99.9 % setting.
+            e.g. :data:`~repro.contract.RULEGEN_CONFIDENCE`, the paper's
+            99.9 % setting.
 
     Returns:
         ``Phi^{-1}(confidence)`` — the number of standard deviations a
@@ -225,17 +228,17 @@ class ConfidenceTest:
     Attributes:
         confidence: Confidence level in ``(0, 1)``.
         min_trials: Lower bound on the number of trials before the test can
-            pass, regardless of spread.  The paper leaves this implicit; we
-            default to 10 so worst-case estimates are never based on one or
-            two lucky subsamples.
+            pass, regardless of spread.  The paper leaves this implicit; the
+            default keeps worst-case estimates off one or two lucky
+            subsamples.
         max_trials: Upper bound after which the test passes unconditionally,
             protecting the generator from non-terminating loops on
             pathological metrics.
     """
 
-    confidence: float = 0.999
-    min_trials: int = 10
-    max_trials: int = 500
+    confidence: float = contract.RULEGEN_CONFIDENCE
+    min_trials: int = contract.RULEGEN_MIN_TRIALS
+    max_trials: int = contract.CONFIDENCE_TEST_MAX_TRIALS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.confidence < 1.0:

@@ -1,8 +1,15 @@
 """Admission policies and the online policy adaptor's state machine."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.contract import (
+    REFIT_BASE_TOLERANCE,
+    REFIT_RECOVER_AFTER,
+    REFIT_ROLLBACK_MARGIN,
+)
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SequentialPolicy, SingleVersionPolicy
 from repro.service.control import (
@@ -21,8 +28,8 @@ from repro.service.simulation import scenario_measurements
 from test_telemetry import record
 
 
-def request(request_id="q", **metadata):
-    return ServiceRequest(request_id=request_id, payload="r000", metadata=metadata)
+def request(request_id="q"):
+    return ServiceRequest(request_id=request_id, payload="r000")
 
 
 TIERED = EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6))
@@ -56,25 +63,6 @@ class TestAdmission:
         assert AdmissionAction.SHED in run(7)
         assert AdmissionAction.ADMIT in run(7)
 
-    def test_priority_floor(self):
-        controller = AdmissionController(
-            AdmissionSpec(policy="priority", priority_floor=1.0, default_priority=0.0)
-        )
-        shed = controller.decide(
-            request("low"), state=SLOState.BREACH, planned=TIERED
-        )
-        kept = controller.decide(
-            request("vip", priority=5), state=SLOState.BREACH, planned=TIERED
-        )
-        assert shed.action is AdmissionAction.SHED
-        assert kept.action is AdmissionAction.ADMIT
-        # Unparseable priorities fall back to the default (shed here).
-        junk = controller.decide(
-            request("junk", priority="???"), state=SLOState.BREACH, planned=TIERED
-        )
-        assert junk.action is AdmissionAction.SHED
-        assert controller.n_shed == 2
-
     def test_degrade_downgrades_to_fast_single(self):
         controller = AdmissionController(AdmissionSpec(policy="degrade"))
         decision = controller.decide(
@@ -94,8 +82,10 @@ class TestAdmission:
         assert degraded_configuration(single) is None
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown admission policy"):
-            AdmissionSpec(policy="coinflip")
+        # The policies are probabilistic and degrade; "priority" is not one.
+        for policy in ("coinflip", "priority"):
+            with pytest.raises(ValueError, match="unknown admission policy"):
+                AdmissionSpec(policy=policy)
 
 
 def breach_snapshot(hub_window=30.0, now=100.0, n=30, latency=3.0):
@@ -133,9 +123,6 @@ class TestAdaptor:
             degradation_mode="absolute",
             tolerance_step=0.06,
             max_tolerance=0.30,
-            recover_after=2,
-            min_trials=6,
-            max_trials=12,
         )
         defaults.update(kw)
         return AdaptorConfig(**defaults)
@@ -210,13 +197,13 @@ class TestAdaptor:
             now += 1.0
             assert now < 160.0, "never tightened back to the anchor"
         assert adaptor.active.config_id == adaptor.anchor.config_id
-        assert adaptor.effective_tolerance == adaptor.config.base_tolerance
+        assert adaptor.effective_tolerance == REFIT_BASE_TOLERANCE
         assert any(e.kind == "anchor-restore" for e in adaptor.events) or (
             restored.config_id == adaptor.anchor.config_id
         )
 
     def test_rollback_on_regression_blacklists_swap(self, toy):
-        adaptor = self.adaptor(toy, rollback_margin=1.05)
+        adaptor = self.adaptor(toy)
         now = 100.0
         swap = None
         while swap is None:
@@ -235,7 +222,7 @@ class TestAdaptor:
         # The widened tolerance is kept: pressure ratchets, the bad rung
         # is skipped (refit-rejected or a different, wider choice).
         tolerance_after = adaptor.effective_tolerance
-        assert tolerance_after > adaptor.config.base_tolerance
+        assert tolerance_after > REFIT_BASE_TOLERANCE
 
     def test_refits_are_deterministic(self, toy):
         def trajectory():
@@ -255,3 +242,43 @@ class TestAdaptor:
         snap = window_snapshot_over(toy)
         assert adaptor.on_tick(snap, SLOState.WARN, 100.0) is None
         assert adaptor.active.config_id == adaptor.anchor.config_id
+
+    def test_tightens_after_exactly_the_contract_recovery_streak(self, toy):
+        """One tightening step needs ``REFIT_RECOVER_AFTER`` consecutive
+        OK ticks, and takes it on the last of them."""
+        adaptor = self.adaptor(toy)
+        now = 100.0
+        while adaptor.effective_tolerance <= REFIT_BASE_TOLERANCE:
+            snap = window_snapshot_over(toy, now=now)
+            adaptor.on_tick(snap, SLOState.BREACH, now)
+            now += 1.0
+            assert now < 130.0, "never widened under persistent breach"
+        widened = adaptor.effective_tolerance
+        now += 10.0  # past the refit interval and the rollback judgement
+        healthy = window_snapshot_over(toy, now=now, latency=0.1)
+        for _ in range(REFIT_RECOVER_AFTER - 1):
+            assert adaptor.on_tick(healthy, SLOState.OK, now) is None
+            assert adaptor.effective_tolerance == widened
+            now += 1.0
+        adaptor.on_tick(healthy, SLOState.OK, now)
+        assert adaptor.effective_tolerance < widened
+
+    def _judged(self, toy, latency):
+        """An adaptor that swapped at a 3 s p95 and was judged, still in
+        BREACH one refit interval later, at a p95 of ``latency``."""
+        adaptor = self.adaptor(toy)
+        now, swap = 100.0, None
+        while swap is None:
+            snap = window_snapshot_over(toy, now=now, latency=3.0)
+            swap = adaptor.on_tick(snap, SLOState.BREACH, now)
+            now += 1.0
+        judged_at = now + 1.0
+        later = window_snapshot_over(toy, now=judged_at, latency=latency)
+        assert later.p95_latency.value == latency
+        adaptor.on_tick(later, SLOState.BREACH, judged_at)
+        return [event.kind for event in adaptor.events]
+
+    def test_rolls_back_only_above_the_contract_margin(self, toy):
+        at_margin = 3.0 * REFIT_ROLLBACK_MARGIN
+        assert "rollback" not in self._judged(toy, at_margin)
+        assert "rollback" in self._judged(toy, math.nextafter(at_margin, math.inf))

@@ -370,7 +370,7 @@ def _tap(plane):
     whole run, and keep each feed call as ``(record, row)`` pairs: the
     scalar loop publishes one record at a time, the columnar loop hands
     over the rows finalized since the last tick (record ``None``)."""
-    tap = TelemetryHub(window_s=1e9, min_percentile_samples=1, max_records=None)
+    tap = TelemetryHub(window_s=1e9, max_records=None)
     feeds = []
     hub = plane.hub
     publish, publish_rows = hub.publish, hub.publish_rows
@@ -452,9 +452,7 @@ class TestTelemetryFeed:
         spec = FEEDS[feed](specs)
         plane = _live_plane(spec, toy)
         hub = plane.hub
-        reference = ReferenceTelemetryHub(
-            hub.window_s, min_percentile_samples=hub.min_percentile_samples
-        )
+        reference = ReferenceTelemetryHub(hub.window_s)
         publish, publish_rows = hub.publish, hub.publish_rows
 
         def one(record, now=None):

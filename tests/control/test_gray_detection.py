@@ -10,6 +10,13 @@ import dataclasses
 
 import pytest
 
+from repro.contract import (
+    GRAY_CLEAR_AFTER,
+    GRAY_DETECT_AFTER,
+    GRAY_EWMA_ALPHA,
+    GRAY_MIN_SAMPLES,
+    GRAY_RATIO_THRESHOLD,
+)
 from repro.service.control import (
     ControlPlane,
     ControlSpec,
@@ -37,8 +44,6 @@ def make_spec(**kwargs):
         ({"ratio_threshold": 1.0}, "ratio_threshold"),
         ({"ratio_threshold": 0.5}, "ratio_threshold"),
         ({"min_samples": 0}, "min_samples"),
-        ({"ewma_alpha": 0.0}, "ewma_alpha"),
-        ({"ewma_alpha": 1.5}, "ewma_alpha"),
         ({"detect_after": 0}, "detect_after"),
         ({"clear_after": 0}, "detect_after / clear_after"),
         ({"state_on_detect": SLOState.OK}, "WARN or BREACH"),
@@ -72,8 +77,43 @@ def test_divergent_node_is_flagged_after_debounce():
     assert "fast" in detail and "n3" not in detail  # no node ids in the log
 
 
+def test_ewma_folds_at_the_contract_alpha():
+    detector = GrayFailureDetector(make_spec())
+    detector.observe("n1", "fast", 1.0)  # the first completion seeds it
+    detector.observe("n1", "fast", 2.0)
+    assert detector._ewma[("fast", "n1")] == (
+        GRAY_EWMA_ALPHA * 2.0 + (1.0 - GRAY_EWMA_ALPHA) * 1.0
+    )
+
+
+def test_default_spec_judges_at_the_contract_thresholds():
+    """A default spec reads its ratio, sample floor and debounce from the
+    contract: peers at 1.0 fix the pool median at 1.0."""
+
+    def pool(gray_time, gray_samples):
+        detector = GrayFailureDetector(GrayDetectionSpec())
+        feed(detector, "n1", 1.0, GRAY_MIN_SAMPLES)
+        feed(detector, "n2", 1.0, GRAY_MIN_SAMPLES)
+        feed(detector, "n3", gray_time, gray_samples)
+        return detector
+
+    def ticks_until(detector, kind, limit=2 * GRAY_DETECT_AFTER + 2):
+        for tick in range(1, limit + 1):
+            if [k for k, _ in detector.evaluate()] == [kind]:
+                return tick
+        return None
+
+    above, below = 1.1 * GRAY_RATIO_THRESHOLD, 0.9 * GRAY_RATIO_THRESHOLD
+    gray = pool(above, GRAY_MIN_SAMPLES)
+    assert ticks_until(gray, "gray-detected") == GRAY_DETECT_AFTER
+    feed(gray, "n3", 1.0, 40)  # the node recovers
+    assert ticks_until(gray, "gray-cleared") == GRAY_CLEAR_AFTER
+    assert ticks_until(pool(below, GRAY_MIN_SAMPLES), "gray-detected") is None
+    assert ticks_until(pool(above, GRAY_MIN_SAMPLES - 1), "gray-detected") is None
+
+
 def test_flag_clears_after_recovery():
-    detector = GrayFailureDetector(make_spec(ewma_alpha=0.5))
+    detector = GrayFailureDetector(make_spec())
     feed(detector, "n1", 0.05, 5)
     feed(detector, "n2", 0.05, 5)
     feed(detector, "n3", 0.30, 5)

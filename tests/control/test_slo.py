@@ -1,7 +1,10 @@
 """SLO monitors: raw evaluation, hysteresis, and the small-N guard."""
 
+import math
+
 import pytest
 
+from repro.contract import SLO_BREACH_AFTER, SLO_CLEAR_AFTER, SLO_WARN_RATIO
 from repro.service.control import SLOMonitor, SLOSpec, SLOState, TelemetryHub
 from repro.service.control.slo import worst_state
 
@@ -90,11 +93,37 @@ class TestHysteresis:
         assert monitor.state is SLOState.BREACH
 
     def test_warn_band(self):
-        monitor = SLOMonitor(self.spec(warn_ratio=0.9))
+        monitor = SLOMonitor(self.spec())
         warm = snapshot_with([0.95] * 30)
         status = monitor.evaluate(warm)
         assert status.state is SLOState.WARN
         assert status.raw_state is SLOState.WARN
+
+    def test_warn_starts_just_above_the_contract_ratio(self):
+        """A p95 at exactly ``SLO_WARN_RATIO`` of its target is OK; the
+        next float up warns."""
+        at_ratio = snapshot_with([SLO_WARN_RATIO] * 30)
+        assert at_ratio.p95_latency.value == SLO_WARN_RATIO
+        status = SLOMonitor(self.spec()).evaluate(at_ratio)
+        assert status.pressures["p95_latency_s"] == SLO_WARN_RATIO
+        assert status.raw_state is SLOState.OK
+        above = snapshot_with([math.nextafter(SLO_WARN_RATIO, 1.0)] * 30)
+        assert SLOMonitor(self.spec()).evaluate(above).raw_state is SLOState.WARN
+
+    def test_default_debounce_is_the_contract_streaks(self):
+        """A spec that sets no debounce enters BREACH on exactly the
+        ``SLO_BREACH_AFTER``-th violating evaluation and leaves it on
+        exactly the ``SLO_CLEAR_AFTER``-th clean one."""
+        monitor = SLOMonitor(SLOSpec(name="latency", max_p95_latency_s=1.0))
+        bad = snapshot_with([2.0] * 30)
+        good = snapshot_with([0.1] * 30)
+        for _ in range(SLO_BREACH_AFTER - 1):
+            assert monitor.evaluate(bad).state is not SLOState.BREACH
+        assert monitor.evaluate(bad).state is SLOState.BREACH
+        for _ in range(SLO_CLEAR_AFTER - 1):
+            assert monitor.evaluate(good).state is SLOState.BREACH
+        status = monitor.evaluate(good)
+        assert status.state is SLOState.OK and status.transitioned
 
     def test_availability_floor(self):
         spec = SLOSpec(

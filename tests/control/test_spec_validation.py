@@ -1,18 +1,27 @@
-"""Construction-time validation of the control-plane specs.
+"""Construction-time validation of the control-plane and region specs.
 
 Every declarative knob of the control plane — the adaptor's re-fit
-cadence and tolerance ladder, the plane's window and tick, the SLO warn
-ratio, the admission shed rate, the hub's small-N guard — rejects a
-value that would silently mis-drive the loop (NaN in any float knob
-included) with a ``ValueError`` that names the field.  ``ControlPlane.from_spec`` likewise refuses an adaptor
-it cannot anchor.
+cadence and tolerance ladder, the plane's window and tick, the SLO
+targets, the admission shed rate — rejects a value that would silently
+mis-drive the loop with a ``ValueError`` that names the field, and so
+does every float of the region specs: NaN in any float field (or in any
+float of a float tuple or mapping) is refused at construction, a
+Hypothesis property over every NaN bit pattern.
+``ControlPlane.from_spec`` likewise refuses an adaptor it cannot anchor.
+The thresholds no caller varies are :mod:`repro.contract` constants,
+not fields, so there is nothing to validate for them.
 """
 
 import dataclasses
+import struct
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.contract import REFIT_BASE_TOLERANCE
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SequentialPolicy
 from repro.core.router import RoutingRuleTable, TierRouter
@@ -23,13 +32,16 @@ from repro.service.control import (
     ControlSpec,
     GrayDetectionSpec,
     SLOSpec,
-    TelemetryHub,
 )
 from repro.service.measurement import MeasurementSet
+from repro.service.regions import MultiRegionSpec, RegionSpec
 from repro.service.request import Objective
 from repro.service.simulation import (
     AutoscalerConfig,
     BatchingConfig,
+    PoissonArrivals,
+    RegionPartition,
+    ScenarioSpec,
     scenario_measurements,
 )
 
@@ -44,19 +56,14 @@ TIERED = EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6))
         ({"refit_interval_s": 0.0}, "refit_interval_s"),
         ({"min_window_samples": 1}, "min_window_samples"),
         ({"tolerance_step": 0.0}, "tolerance_step"),
-        ({"base_tolerance": 0.1, "max_tolerance": 0.05}, "max_tolerance"),
-        ({"recover_after": 0}, "recover_after"),
-        ({"rollback_margin": 0.9}, "rollback_margin"),
+        ({"max_tolerance": REFIT_BASE_TOLERANCE - 0.05}, "max_tolerance"),
         ({"degradation_mode": "percent"}, "degradation_mode"),
         # NaN compares false both ways, so a ``<=`` check lets it through.
         ({"refit_interval_s": NAN}, "refit_interval_s"),
         ({"tolerance_step": NAN}, "tolerance_step"),
         ({"max_tolerance": NAN}, "max_tolerance"),
-        ({"rollback_margin": NAN}, "rollback_margin"),
-        # The refit's ConfidenceTest and design space refuse these; the
-        # config must refuse them before the run starts.
-        ({"min_trials": 1}, "min_trials"),
-        ({"min_trials": 12, "max_trials": 11}, "max_trials"),
+        # The refit's design space refuses these; the config must refuse
+        # them before the run starts.
         ({"thresholds": (0.3, 1.5)}, "thresholds"),
         ({"thresholds": (-0.1, 0.5)}, "thresholds"),
         ({"thresholds": (0.4, NAN)}, "thresholds"),
@@ -72,8 +79,8 @@ def test_a_control_spec_window_may_span_the_whole_run():
 
 
 def test_adaptor_config_tolerance_ladder_may_be_a_single_rung():
-    config = AdaptorConfig(base_tolerance=0.1, max_tolerance=0.1)
-    assert config.max_tolerance == config.base_tolerance
+    config = AdaptorConfig(max_tolerance=REFIT_BASE_TOLERANCE)
+    assert config.max_tolerance == REFIT_BASE_TOLERANCE
 
 
 @pytest.mark.parametrize(
@@ -94,22 +101,23 @@ def test_invalid_control_specs_rejected(kwargs, match):
         ControlSpec(**kwargs)
 
 
-@pytest.mark.parametrize("warn_ratio", [0.0, 1.5])
-def test_slo_warn_ratio_outside_unit_interval_rejected(warn_ratio):
-    with pytest.raises(ValueError, match="warn_ratio"):
-        SLOSpec(name="p95", max_p95_latency_s=1.0, warn_ratio=warn_ratio)
-
-
 @pytest.mark.parametrize("probability", [-0.1, 1.01])
 def test_admission_shed_probability_outside_unit_interval_rejected(probability):
     with pytest.raises(ValueError, match="shed_probability"):
         AdmissionSpec(policy="probabilistic", shed_probability=probability)
 
 
-def test_hub_needs_at_least_one_sample_per_percentile():
-    with pytest.raises(ValueError, match="min_percentile_samples"):
-        TelemetryHub(window_s=5.0, min_percentile_samples=0)
-
+_REGION = RegionSpec(
+    name="us",
+    scenario=ScenarioSpec(
+        name="s-us",
+        arrivals=PoissonArrivals(3.0),
+        n_requests=20,
+        pools={"fast": 1, "slow": 1},
+        configuration=TIERED,
+    ),
+    capacity_rps=10.0,
+)
 
 #: One valid instance of every declarative spec, each float knob set.
 VALID_SPECS = (
@@ -126,6 +134,45 @@ VALID_SPECS = (
     AdmissionSpec(),
     AutoscalerConfig(),
     BatchingConfig(max_batch_size=4),
+    _REGION,
+    MultiRegionSpec(
+        name="m",
+        regions=(_REGION, dataclasses.replace(_REGION, name="eu")),
+        link_latencies={("us", "eu"): 0.1},
+    ),
+    RegionPartition(region="us", start_s=1.0, end_s=2.0),
+)
+
+
+def _n_floats(value):
+    """Floats a field holds: one for a float, one per item of a non-empty
+    tuple or mapping of floats, none otherwise."""
+    if isinstance(value, float):
+        return 1
+    items = list(value.values()) if isinstance(value, Mapping) else value
+    if isinstance(items, (tuple, list)) and items and all(
+        isinstance(item, float) for item in items
+    ):
+        return len(items)
+    return 0
+
+
+def _with_nan(value, nan, at):
+    """``value`` with its ``at``-th float replaced by ``nan``."""
+    if isinstance(value, float):
+        return nan
+    if isinstance(value, Mapping):
+        return {k: nan if i == at else v for i, (k, v) in enumerate(value.items())}
+    return value[:at] + (nan,) + value[at + 1 :]
+
+
+#: Any NaN: either sign, quiet or signalling, any payload.
+NANS = st.builds(
+    lambda sign, payload: struct.unpack(
+        "<d", struct.pack("<Q", sign << 63 | 0x7FF << 52 | payload)
+    )[0],
+    st.integers(0, 1),
+    st.integers(1, 2**52 - 1),
 )
 
 
@@ -135,15 +182,21 @@ VALID_SPECS = (
         pytest.param(spec, field.name, id=f"{type(spec).__name__}.{field.name}")
         for spec in VALID_SPECS
         for field in dataclasses.fields(spec)
-        if isinstance(getattr(spec, field.name), float)
+        if _n_floats(getattr(spec, field.name))
     ],
 )
-def test_no_float_knob_accepts_nan(spec, name):
+@settings(max_examples=10, deadline=None)
+@given(nan=NANS, data=st.data())
+def test_no_float_knob_accepts_nan(spec, name, nan, data):
     """NaN compares false both ways, so a bound written ``x <= 0`` lets it
     through and the knob then silently never fires (a NaN tick spins
-    ``drain()``; a NaN target never breaches; a NaN floor never sheds)."""
+    ``drain()``; a NaN target never breaches; a NaN capacity never
+    saturates) or fails mid-run (a NaN link latency schedules at
+    ``t=nan``)."""
+    value = getattr(spec, name)
+    at = data.draw(st.integers(0, _n_floats(value) - 1), label="at")
     with pytest.raises(ValueError, match=name):
-        dataclasses.replace(spec, **{name: NAN})
+        dataclasses.replace(spec, **{name: _with_nan(value, nan, at)})
 
 
 # ----------------------------------------------------------------------

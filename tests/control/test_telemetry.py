@@ -90,6 +90,18 @@ class TestTelemetryHub:
         assert snap.n == 6
         assert hub.total_published == 10
 
+    def test_snapshot_trusts_percentiles_from_the_contract_minimum(self):
+        """The hub has no sample-floor option: its windowed p95 is flagged
+        below ``MIN_PERCENTILE_SAMPLES`` completions and trusted at it."""
+        hub = TelemetryHub(window_s=50.0)
+        for i in range(MIN_PERCENTILE_SAMPLES - 1):
+            hub.publish(record(f"r{i:03d}", 60.0 + i * 0.1))
+        thin = hub.snapshot(100.0).p95_latency
+        assert thin.n == MIN_PERCENTILE_SAMPLES - 1 and thin.low_confidence
+        hub.publish(record("last", 62.0))
+        full = hub.snapshot(100.0).p95_latency
+        assert full.n == MIN_PERCENTILE_SAMPLES and not full.low_confidence
+
     def test_publish_time_defaults_to_finished_s(self):
         hub = TelemetryHub(window_s=2.0)
         hub.publish(record("a", 1.0))

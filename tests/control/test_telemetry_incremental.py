@@ -108,10 +108,9 @@ def check_interleaving(
     between), and must still equal the reference taken at its instant.
     """
     columns = _columns(rows)
-    settings_ = dict(min_percentile_samples=3, max_records=max_records)
-    reference = ReferenceTelemetryHub(WINDOW_S, **settings_)
-    by_record = hub_cls(WINDOW_S, **settings_)
-    by_slice = hub_cls(WINDOW_S, **settings_)
+    reference = ReferenceTelemetryHub(WINDOW_S, max_records=max_records)
+    by_record = hub_cls(WINDOW_S, max_records=max_records)
+    by_slice = hub_cls(WINDOW_S, max_records=max_records)
     clock, cursor, pending, unread = 0.0, 0, [], deque()
 
     def flush():

@@ -26,11 +26,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.service.control.telemetry import (
-    MIN_PERCENTILE_SAMPLES,
-    PercentileEstimate,
-    TierWindow,
-)
+from repro.contract import MIN_PERCENTILE_SAMPLES
+from repro.service.control.telemetry import PercentileEstimate, TierWindow
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,6 @@ class ReferenceTelemetryHub:
 
     Args:
         window_s: Trailing window length on the publisher's clock.
-        min_percentile_samples: Small-N guard threshold for windowed
-            percentiles.
         max_records: Hard bound on buffered records (the ring); the
             oldest entries are dropped first.  Sized so any sane window
             fits; this is a memory valve, not a semantic knob.
@@ -155,15 +150,11 @@ class ReferenceTelemetryHub:
         self,
         window_s: float = 10.0,
         *,
-        min_percentile_samples: int = MIN_PERCENTILE_SAMPLES,
         max_records: int = 100_000,
     ) -> None:
         if window_s <= 0.0:
             raise ValueError("window_s must be positive")
-        if min_percentile_samples < 1:
-            raise ValueError("min_percentile_samples must be at least 1")
         self.window_s = float(window_s)
-        self.min_percentile_samples = int(min_percentile_samples)
         #: Ring entries are ``(publish_time, record, answered)``; the
         #: third field marks records that contributed a sample to the
         #: parallel latency window, so eviction keeps the two in step.
@@ -257,7 +248,7 @@ class ReferenceTelemetryHub:
 
         n = len(records)
         n_answered = n - n_failed - n_shed
-        min_samples = self.min_percentile_samples
+        min_samples = MIN_PERCENTILE_SAMPLES
         tiers: Dict[float, TierWindow] = {}
         for tier, tier_records in by_tier.items():
             t_shed = sum(1 for r in tier_records if getattr(r, "shed", False))

@@ -7,12 +7,14 @@ import hashlib
 import pytest
 
 from oracle.scalar import default_loop
+from repro.contract import REGION_SLO_TICK_S, REGION_SLO_WINDOW_S
 from repro.service.gateway import SimulatedBackend, TierGateway
 from repro.service.regions import (
     MultiRegionSpec,
     RegionSpec,
     region_scenarios,
     run_multi_region,
+    shard,
 )
 from repro.service.simulation import (
     NodeCrash,
@@ -64,6 +66,24 @@ class TestRegionSLOReplay:
             assert " shed ap-south: " in decision.detail or (
                 " adapt ap-south: " in decision.detail
             )
+
+    def test_monitors_tick_every_contract_tick(self, toy, monkeypatch):
+        """A shard evaluates its region SLOs over a ``REGION_SLO_WINDOW_S``
+        window at every multiple of ``REGION_SLO_TICK_S`` up to its last
+        row, then once more at the next one."""
+        ticks = []
+        evaluate = shard._RegionSLOReplay._evaluate
+
+        def spy(replay, now):
+            assert replay._hub.window_s == REGION_SLO_WINDOW_S
+            ticks.append(now)
+            evaluate(replay, now)
+
+        monkeypatch.setattr(shard._RegionSLOReplay, "_evaluate", spy)
+        run_multi_region(region_scenarios()["partitioned-brownout"], toy)
+        assert len(ticks) > 10
+        expected = [REGION_SLO_TICK_S * k for k in range(1, len(ticks) + 1)]
+        assert ticks == pytest.approx(expected)
 
     def test_slo_entries_enter_the_digest(self, toy):
         spec = region_scenarios()["partitioned-brownout"]

@@ -56,8 +56,15 @@ class TestRegionSpec:
             _region(capacity_rps=0.0)
         with pytest.raises(ValueError, match="saturation_window_s"):
             _region(saturation_window_s=-1.0)
-        with pytest.raises(ValueError, match="slo_window_s"):
-            _region(slo_tick_s=0.0)
+
+    # NaN compares false both ways: ``x <= 0`` let each of these through.
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity_rps"):
+            _region(capacity_rps=float("nan"))
+
+    def test_nan_saturation_window_rejected(self):
+        with pytest.raises(ValueError, match="saturation_window_s"):
+            _region(saturation_window_s=float("nan"))
 
 
 class TestRegionPartition:
@@ -68,6 +75,10 @@ class TestRegionPartition:
             RegionPartition(region="us", peer="us", start_s=0.0, end_s=1.0)
         with pytest.raises(ValueError, match="end_s"):
             RegionPartition(region="us", start_s=2.0, end_s=2.0)
+
+    def test_nan_end_rejected(self):
+        with pytest.raises(ValueError, match="end_s"):
+            RegionPartition(region="us", start_s=2.0, end_s=float("nan"))
 
     def test_severs_directed_pair_and_window(self):
         p = RegionPartition(
@@ -193,8 +204,14 @@ class TestMultiRegionSpec:
                 "unknown peer 'mars'",
             ),
             ({"link_latency_s": -0.01}, "link_latency_s"),
+            # NaN compares false both ways: ``x < 0`` let these through.
+            ({"link_latency_s": float("nan")}, "link_latency_s"),
+            ({"link_latencies": {("us", "eu"): float("nan")}}, "link_latencies"),
         ],
-        ids=["no-name", "no-regions", "unknown-peer", "negative-link"],
+        ids=[
+            "no-name", "no-regions", "unknown-peer", "negative-link",
+            "nan-link", "nan-link-override",
+        ],
     )
     def test_spec_level_fields_validated(self, kwargs, match):
         arguments = dict(name="m", regions=(_region("us"), _region("eu")))
@@ -212,9 +229,6 @@ class TestMultiRegionSpec:
         with pytest.raises(IndexError, match="no region at index -1"):
             spec.shard_seed(-1)
 
-    def test_region_saturation_factor_must_be_positive(self):
-        with pytest.raises(ValueError, match="saturation_factor"):
-            _region(saturation_factor=0.0)
 
 
 def test_derive_capacity_rps(toy):

@@ -1253,7 +1253,7 @@ def test_window_fault_family_catches_crash_path_mutants(
 N_CONTROL = 40
 FAST_CONTROL = 16
 
-_ADMISSION = (None, "probabilistic", "priority", "degrade")
+_ADMISSION = (None, "probabilistic", "degrade")
 
 
 def _random_control_spec(rng, *, adaptive):
@@ -1314,7 +1314,7 @@ def _control_simulator(seed, toy):
     ``ControlSpec`` on a fault-free spec or — every other seed — on a
     ``NodeCrash`` cycle (plus a straggler or a gray node) under a
     ``RetryPolicy``.  One seed in four is a routed session of one-by-one
-    submissions carrying a priority; the rest use ``run()`` on a fixed
+    submissions; the rest use ``run()`` on a fixed
     configuration, the only shape the adaptor anchors on."""
     rng = np.random.default_rng([seed, 20261016])
     routed = seed % 4 == 3
@@ -1375,7 +1375,6 @@ def _control_simulator(seed, toy):
             payload=str(rng.choice(toy.request_ids)),
             tolerance=float(rng.choice((0.0, 0.01, 0.05, 0.10))),
             objective=tuple(Objective)[int(rng.integers(0, 2))],
-            metadata={"priority": float(rng.choice((0.0, 1.0, 2.0)))},
         )
         for i in range(n)
     ]

@@ -5,6 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.contract import (
+    CONFIDENCE_TEST_MAX_TRIALS,
+    RULEGEN_CONFIDENCE,
+    RULEGEN_MIN_TRIALS,
+)
 from repro.stats.confidence import (
     ConfidenceTest,
     normal_quantile,
@@ -78,6 +83,21 @@ class TestConfidenceTest:
     def test_all_satisfied_empty_columns_is_false(self):
         test = ConfidenceTest()
         assert not test.all_satisfied([])
+
+    def test_default_trial_bounds_are_the_contract(self):
+        """A bare test refuses fewer than ``RULEGEN_MIN_TRIALS`` trials and
+        passes unconditionally at ``CONFIDENCE_TEST_MAX_TRIALS``."""
+        test = ConfidenceTest()
+        assert test.confidence == RULEGEN_CONFIDENCE
+        spread = np.random.default_rng(3).normal(size=CONFIDENCE_TEST_MAX_TRIALS)
+        assert not test.is_satisfied(spread[: RULEGEN_MIN_TRIALS - 1])
+        # Two values that never settle: one short of the cap still fails.
+        never = np.tile([0.0, 1e9], CONFIDENCE_TEST_MAX_TRIALS)
+        assert not spread_is_confident(
+            never[: CONFIDENCE_TEST_MAX_TRIALS - 1], RULEGEN_CONFIDENCE
+        )
+        assert not test.is_satisfied(never[: CONFIDENCE_TEST_MAX_TRIALS - 1])
+        assert test.is_satisfied(never[:CONFIDENCE_TEST_MAX_TRIALS])
 
     def test_validation(self):
         with pytest.raises(ValueError):
