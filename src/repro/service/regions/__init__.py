@@ -29,6 +29,7 @@ serial and parallel execution.
 from repro.service.regions.report import MultiRegionReport, merge_shards
 from repro.service.regions.router import (
     BoundaryEvent,
+    PlannedRows,
     PlannedSubmission,
     RegionRouter,
     RouterPlan,
@@ -51,6 +52,7 @@ __all__ = [
     "BoundaryEvent",
     "MultiRegionReport",
     "MultiRegionSpec",
+    "PlannedRows",
     "PlannedSubmission",
     "RegionRouter",
     "RegionSpec",

@@ -21,6 +21,13 @@ replacements or the queue depth a spillover wave creates at its
 target), exactly like a production global load balancer routing on
 advertised health rather than ground truth.
 
+The plan is array work.  A region's down check is one ``searchsorted``
+over its health timeline; only arrivals that need a decision (every
+arrival of a region with a ``capacity_rps``, the down ones elsewhere)
+take a trip through a Python loop; incoming failover traffic is ordered
+by one ``lexsort``; and each shard's workload travels as
+:class:`PlannedRows` columns, which the shard submits as rows.
+
 Cross-shard interactions surface as :class:`BoundaryEvent` records —
 failovers, denials, partition opens/heals — each stamped with its home
 region and a per-region sequence number assigned in time order, so the
@@ -30,10 +37,9 @@ the multi-region digest pins.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from repro.service.regions.spec import MultiRegionSpec, RegionSpec
 
 __all__ = [
     "BoundaryEvent",
+    "PlannedRows",
     "PlannedSubmission",
     "RegionRouter",
     "RouterPlan",
@@ -77,7 +84,7 @@ class BoundaryEvent:
 
 @dataclass(frozen=True)
 class PlannedSubmission:
-    """One request as a shard will submit it.
+    """One row of :class:`PlannedRows`: a request as a shard submits it.
 
     ``extra_latency_s`` is the inter-region round trip a failed-over
     request pays on top of its in-region response time (forward leg +
@@ -93,6 +100,40 @@ class PlannedSubmission:
     extra_latency_s: float = 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class PlannedRows:
+    """One shard's workload as parallel columns, in submission order.
+
+    The shard hands the columns to
+    :meth:`~repro.service.simulation.engine.ServingSimulator.submit_rows`
+    as they are; iterating yields each row as a
+    :class:`PlannedSubmission`.
+    """
+
+    request_ids: List[str]
+    payloads: List[object]
+    at_times: np.ndarray
+    tolerances: List[float]
+    objectives: List[object]
+    origins: List[str]
+    extra_latency_s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.request_ids)
+
+    def __iter__(self) -> Iterator[PlannedSubmission]:
+        for row in zip(
+            self.request_ids,
+            self.payloads,
+            self.at_times.tolist(),
+            self.tolerances,
+            self.objectives,
+            self.origins,
+            self.extra_latency_s.tolist(),
+        ):
+            yield PlannedSubmission(*row)
+
+
 @dataclass
 class ShardPlan:
     """Everything one region shard needs to execute independently.
@@ -102,9 +143,10 @@ class ShardPlan:
         index: Declaration index (fixes the spawned seed and merge
             tie-breaks).
         shard_seed: Spawned root seed for the shard's RNG streams.
-        submissions: The shard's workload in submission order — kept
-            local arrivals first (draw order), then incoming failover
-            traffic ordered by ``(arrival time, home index, home draw)``.
+        submissions: The shard's workload as columns in submission
+            order — kept local arrivals first (draw order), then
+            incoming failover traffic ordered by ``(arrival time, home
+            index, home draw)``.
         offered_rate: Mean rate of the region's *assigned* arrival
             stream (pre-failover), mirroring ``ServingSimulator.run``.
         n_assigned: Arrivals the region's own stream generated.
@@ -117,7 +159,7 @@ class ShardPlan:
     region: RegionSpec
     index: int
     shard_seed: int
-    submissions: List[PlannedSubmission]
+    submissions: PlannedRows
     offered_rate: Optional[float]
     n_assigned: int
     n_kept: int
@@ -167,43 +209,20 @@ class _HealthTimeline:
                     down_since = None
             if down_since is not None:
                 intervals.append((down_since, float("inf")))
-        merged: List[List[float]] = []
+        # A leading empty interval keeps every lookup in range.
+        merged: List[List[float]] = [[-np.inf, -np.inf]]
         for start, end in sorted(intervals):
-            if merged and start <= merged[-1][1]:
+            if start <= merged[-1][1]:
                 merged[-1][1] = max(merged[-1][1], end)
             else:
                 merged.append([start, end])
-        self._starts = [start for start, _ in merged]
-        self._ends = [end for _, end in merged]
+        self._starts = np.array([start for start, _ in merged])
+        self._ends = np.array([end for _, end in merged])
 
-    def down_at(self, at_s: float) -> bool:
-        """Whether any pool advertises zero live nodes at ``at_s``."""
-        i = bisect.bisect_right(self._starts, at_s) - 1
-        return i >= 0 and at_s < self._ends[i]
-
-
-class _SaturationWindow:
-    """Trailing-window arrival counter against an advertised capacity."""
-
-    def __init__(self, region: RegionSpec) -> None:
-        self._window_s = region.saturation_window_s
-        self._limit: Optional[float] = None
-        if region.capacity_rps is not None:
-            self._limit = region.capacity_rps * region.saturation_window_s
-        self._kept: deque = deque()
-
-    def saturated(self, at_s: float) -> bool:
-        if self._limit is None:
-            return False
-        horizon = at_s - self._window_s
-        kept = self._kept
-        while kept and kept[0] <= horizon:
-            kept.popleft()
-        return len(kept) >= self._limit
-
-    def keep(self, at_s: float) -> None:
-        if self._limit is not None:
-            self._kept.append(at_s)
+    def down(self, times: np.ndarray) -> np.ndarray:
+        """Per time: whether any pool advertises zero live nodes then."""
+        i = np.searchsorted(self._starts, times, side="right") - 1
+        return times < self._ends[i]
 
 
 class RegionRouter:
@@ -222,62 +241,53 @@ class RegionRouter:
         payload_pool: Sequence[object] = list(self.measurements.request_ids)
         if not payload_pool:
             raise ValueError("measurements provide no payload ids")
-        index_of = {name: i for i, name in enumerate(spec.region_names)}
-        health = {r.name: _HealthTimeline(r) for r in spec.regions}
+        names = spec.region_names
+        health = [_HealthTimeline(r) for r in spec.regions]
+        #: Failover rows of every region: (arrival at the target, home
+        #: index, home draw, payload pick, target index, link latency).
+        moved: List[Tuple[float, int, int, int, int, float]] = []
+        events: List[Tuple[Tuple[float, int, int], BoundaryEvent]] = []
+        routed = [
+            self._route_region(i, len(payload_pool), health, moved, events)
+            for i in range(len(names))
+        ]
 
-        drawn: List[Tuple[np.ndarray, np.ndarray]] = []
-        for i, region in enumerate(spec.regions):
-            # Exactly run()'s draw order under the spawned seed: arrival
-            # times first, then payload picks — so a shard with no
-            # failover in or out digests identically to the plain
-            # scenario run under the same seed.
-            rng = np.random.default_rng(spec.shard_seed(i))
-            times = np.asarray(
-                region.scenario.arrivals.times(
-                    region.scenario.n_requests, rng
-                ),
-                dtype=float,
-            )
-            picks = rng.integers(
-                0, len(payload_pool), size=region.scenario.n_requests
-            )
-            drawn.append((times, picks))
-
-        events: List[BoundaryEvent] = []
-        locals_of: Dict[str, List[PlannedSubmission]] = {
-            name: [] for name in spec.region_names
-        }
-        incoming_of: Dict[
-            str, List[Tuple[float, int, int, PlannedSubmission]]
-        ] = {name: [] for name in spec.region_names}
-        counters: Dict[str, Dict[str, int]] = {}
-
-        for i, region in enumerate(spec.regions):
-            times, picks = drawn[i]
-            counters[region.name] = self._route_region(
-                region,
-                i,
-                times,
-                picks,
-                payload_pool,
-                health,
-                index_of,
-                events,
-                locals_of[region.name],
-                incoming_of,
-            )
+        # Incoming traffic of every target in one sort: by target, then
+        # (arrival time, home index, home draw).
+        columns = np.array(moved, dtype=float).reshape(-1, 6).T
+        arrive, link = columns[0], columns[5]
+        home, draw, pick, target = columns[1:5].astype(np.int64)
+        order = np.lexsort((draw, home, arrive, target))
+        bounds = np.searchsorted(target[order], np.arange(len(names) + 1))
 
         shards: List[ShardPlan] = []
         for i, region in enumerate(spec.regions):
-            times, _ = drawn[i]
-            incoming = sorted(
-                incoming_of[region.name], key=lambda item: item[:3]
+            times, picks, local, denied = routed[i]
+            inc = order[bounds[i] : bounds[i + 1]]
+            homes = [spec.regions[h] for h in home[inc].tolist()]
+            n_local = len(local)
+            scenario = region.scenario
+            submissions = PlannedRows(
+                request_ids=[f"load_{j:06d}" for j in local.tolist()]
+                + [
+                    f"{h.name}:load_{j:06d}"
+                    for h, j in zip(homes, draw[inc].tolist())
+                ],
+                payloads=[
+                    payload_pool[p]
+                    for p in picks[local].tolist() + pick[inc].tolist()
+                ],
+                at_times=np.concatenate([times[local], arrive[inc]]),
+                tolerances=[scenario.tolerance] * n_local
+                + [h.scenario.tolerance for h in homes],
+                objectives=[scenario.objective] * n_local
+                + [h.scenario.objective for h in homes],
+                origins=[region.name] * n_local + [h.name for h in homes],
+                extra_latency_s=np.concatenate(
+                    [np.zeros(n_local), 2.0 * link[inc]]
+                ),
             )
-            submissions = locals_of[region.name] + [
-                item[3] for item in incoming
-            ]
             span = float(times[-1] - times[0]) if len(times) > 1 else 0.0
-            stats = counters[region.name]
             shards.append(
                 ShardPlan(
                     region=region,
@@ -285,167 +295,120 @@ class RegionRouter:
                     shard_seed=spec.shard_seed(i),
                     submissions=submissions,
                     offered_rate=(
-                        region.scenario.n_requests / span
-                        if span > 0.0
-                        else None
+                        scenario.n_requests / span if span > 0.0 else None
                     ),
-                    n_assigned=region.scenario.n_requests,
-                    n_kept=stats["kept"],
-                    n_outgoing=stats["out"],
-                    n_denied=stats["denied"],
-                    n_incoming=len(incoming),
+                    n_assigned=scenario.n_requests,
+                    n_kept=n_local,
+                    n_outgoing=scenario.n_requests - n_local,
+                    n_denied=denied,
+                    n_incoming=len(inc),
                 )
             )
 
-        merged = tuple(
-            sorted(events, key=lambda e: (e.time_s, index_of[e.region], e.seq))
+        events.sort(key=lambda item: item[0])
+        return RouterPlan(
+            spec=spec,
+            shards=shards,
+            boundary_events=tuple(event for _, event in events),
         )
-        return RouterPlan(spec=spec, shards=shards, boundary_events=merged)
 
     # ------------------------------------------------------------------
     def _route_region(
         self,
-        region: RegionSpec,
         index: int,
-        times: np.ndarray,
-        picks: np.ndarray,
-        payload_pool: Sequence[object],
-        health: Dict[str, _HealthTimeline],
-        index_of: Dict[str, int],
-        events: List[BoundaryEvent],
-        local_out: List[PlannedSubmission],
-        incoming_of: Dict[
-            str, List[Tuple[float, int, int, PlannedSubmission]]
-        ],
-    ) -> Dict[str, int]:
-        """Route one region's arrival stream; returns its counters."""
+        n_payloads: int,
+        health: Sequence[_HealthTimeline],
+        moved: List[Tuple[float, int, int, int, int, float]],
+        events: List[Tuple[Tuple[float, int, int], BoundaryEvent]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Draw and route one region's arrival stream.
+
+        Appends the region's failover rows to ``moved`` and its boundary
+        events, keyed ``(time, region index, seq)``, to ``events``;
+        returns the drawn times and payload picks, the kept rows' draw
+        indices in arrival order, and the denial count.
+        """
         spec = self.spec
-        scenario = region.scenario
-        saturation = _SaturationWindow(region)
-        preferences = spec.failover_order(region.name)
-        home_health = health[region.name]
+        region = spec.regions[index]
+        names = spec.region_names
+        # Exactly run()'s draw order under the spawned seed: arrival
+        # times first, then payload picks — so a shard with no failover
+        # in or out digests identically to the plain scenario run under
+        # the same seed.
+        rng = np.random.default_rng(spec.shard_seed(index))
+        n = region.scenario.n_requests
+        times = np.asarray(region.scenario.arrivals.times(n, rng), dtype=float)
+        picks = rng.integers(0, n_payloads, size=n)
+        order = np.argsort(times, kind="stable")  # arrival order, ties by draw
+        down = health[index].down(times)
+        limit = None
+        if region.capacity_rps is not None:
+            limit = region.capacity_rps * region.saturation_window_s
+        # Only these rows can leave home: every row of a region that can
+        # saturate, else the ones arriving while it is down.
+        visit = order if limit is not None else order[down[order]]
+        at_visit = times[visit]
+        candidates = [
+            (names.index(peer), ~health[names.index(peer)].down(at_visit))
+            for peer in spec.failover_order(region.name)
+        ]
 
         # The region's moment stream: partition edges it owns interleave
-        # with its arrivals in time order, partition edges first on ties
+        # with its decisions in time order, partition edges first on ties
         # (a link is down from exactly start_s, healed from exactly
         # end_s), so per-region seq numbers are a pure function of time.
-        moments: List[Tuple[float, int, int, object]] = []
-        for j in range(len(times)):
-            moments.append((float(times[j]), 1, j, None))
+        moments: List[Tuple[float, int, int, str, str, Optional[str]]] = []
         for p, partition in enumerate(spec.partitions):
             if partition.region != region.name:
                 continue
             detail = f"{partition.region}-x-{partition.peer or '*'}"
-            moments.append((partition.start_s, 0, p, ("partition", detail)))
+            moments.append((partition.start_s, 0, p, "partition", detail, None))
             if np.isfinite(partition.end_s):
                 moments.append(
-                    (partition.end_s, 0, p, ("partition-heal", detail))
+                    (partition.end_s, 0, p, "partition-heal", detail, None)
                 )
-        moments.sort(key=lambda m: m[:3])
 
-        seq = 0
-        kept = out = denied = 0
-        for at_s, _, j, edge in moments:
-            if edge is not None:
-                kind, detail = edge
-                events.append(
-                    BoundaryEvent(
-                        time_s=at_s,
-                        region=region.name,
-                        seq=seq,
-                        kind=kind,
-                        detail=detail,
-                    )
-                )
-                seq += 1
-                continue
-
-            request_id = f"load_{j:06d}"
-            payload = payload_pool[int(picks[j])]
-            reason = None
-            if home_health.down_at(at_s):
+        keep = np.ones(n, dtype=bool)
+        #: Kept arrivals (denials included) in the trailing window.
+        recent: deque = deque()
+        window_s = region.saturation_window_s
+        denied = 0
+        for k, (j, at_s) in enumerate(zip(visit.tolist(), at_visit.tolist())):
+            if down[j]:
                 reason = "down"
-            elif saturation.saturated(at_s):
+            else:
+                while recent and recent[0] <= at_s - window_s:
+                    recent.popleft()
+                if len(recent) < limit:
+                    recent.append(at_s)
+                    continue
                 reason = "saturated"
-            if reason is None:
-                saturation.keep(at_s)
-                kept += 1
-                local_out.append(
-                    PlannedSubmission(
-                        request_id=request_id,
-                        payload=payload,
-                        at_time=at_s,
-                        tolerance=scenario.tolerance,
-                        objective=scenario.objective,
-                        origin=region.name,
-                    )
-                )
-                continue
-
-            target = None
-            for candidate in preferences:
-                if spec.link_severed(region.name, candidate, at_s):
-                    continue
-                if health[candidate].down_at(at_s):
-                    continue
-                target = candidate
-                break
-
+            detail = f"load_{j:06d}|{reason}"
+            target = next(
+                (
+                    peer
+                    for peer, live in candidates
+                    if live[k]
+                    and not spec.link_severed(region.name, names[peer], at_s)
+                ),
+                None,
+            )
             if target is None:
                 # No open link to a live peer: the request stays home
                 # and takes whatever its degraded pools offer.
-                events.append(
-                    BoundaryEvent(
-                        time_s=at_s,
-                        region=region.name,
-                        seq=seq,
-                        kind="failover-denied",
-                        detail=f"{request_id}|{reason}|no-target",
-                    )
-                )
-                seq += 1
-                saturation.keep(at_s)
-                kept += 1
+                recent.append(at_s)
                 denied += 1
-                local_out.append(
-                    PlannedSubmission(
-                        request_id=request_id,
-                        payload=payload,
-                        at_time=at_s,
-                        tolerance=scenario.tolerance,
-                        objective=scenario.objective,
-                        origin=region.name,
-                    )
+                moments.append(
+                    (at_s, 1, j, "failover-denied", f"{detail}|no-target", None)
                 )
                 continue
+            keep[j] = False
+            link_s = spec.link_latency(region.name, names[target])
+            moments.append((at_s, 1, j, "failover", detail, names[target]))
+            moved.append((at_s + link_s, index, j, int(picks[j]), target, link_s))
 
-            link_s = spec.link_latency(region.name, target)
-            events.append(
-                BoundaryEvent(
-                    time_s=at_s,
-                    region=region.name,
-                    seq=seq,
-                    kind="failover",
-                    detail=f"{request_id}|{reason}",
-                    target=target,
-                )
-            )
-            seq += 1
-            out += 1
-            incoming_of[target].append(
-                (
-                    at_s + link_s,
-                    index,
-                    j,
-                    PlannedSubmission(
-                        request_id=f"{region.name}:{request_id}",
-                        payload=payload,
-                        at_time=at_s + link_s,
-                        tolerance=scenario.tolerance,
-                        objective=scenario.objective,
-                        origin=region.name,
-                        extra_latency_s=2.0 * link_s,
-                    ),
-                )
-            )
-        return {"kept": kept, "out": out, "denied": denied}
+        moments.sort(key=lambda m: m[:3])
+        for seq, (time_s, _, _, kind, detail, target) in enumerate(moments):
+            event = BoundaryEvent(time_s, region.name, seq, kind, detail, target)
+            events.append(((time_s, index, seq), event))
+        return times, picks, order[keep[order]], denied

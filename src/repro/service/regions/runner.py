@@ -81,7 +81,7 @@ def build_shard_tasks(
                     shard.region.scenario, seed=shard.shard_seed
                 ),
                 measurements=measurements,
-                submissions=tuple(shard.submissions),
+                submissions=shard.submissions,
                 offered_rate=shard.offered_rate,
                 n_assigned=shard.n_assigned,
                 n_kept=shard.n_kept,

@@ -38,9 +38,8 @@ from repro.service.control.plane import ControlLogEntry
 from repro.service.control.slo import SLOMonitor, SLOState
 from repro.service.control.telemetry import TelemetryHub
 from repro.service.measurement import MeasurementSet
-from repro.service.regions.router import PlannedSubmission
+from repro.service.regions.router import PlannedRows
 from repro.service.regions.spec import RegionSpec
-from repro.service.request import ServiceRequest
 from repro.service.simulation.replay import build_replay_cluster
 from repro.service.simulation.report import LoadTestReport
 from repro.service.simulation.scenarios import ScenarioSpec, build_simulator
@@ -60,7 +59,7 @@ class ShardTask:
     index: int
     scenario: ScenarioSpec
     measurements: MeasurementSet
-    submissions: Tuple[PlannedSubmission, ...]
+    submissions: PlannedRows
     offered_rate: Optional[float]
     n_assigned: int
     n_kept: int
@@ -170,9 +169,11 @@ def _empty_result(task: ShardTask) -> ShardResult:
 
 def run_shard(task: ShardTask) -> ShardResult:
     """Execute one region shard end to end (simulate + analyse)."""
-    if not task.submissions:
+    rows = task.submissions
+    if not rows:
         return _empty_result(task)
     scenario = task.scenario
+    n_local = rows.origins.count(task.region.name)
     recorder = None
     collector = None
     if task.trace:
@@ -183,7 +184,7 @@ def run_shard(task: ShardTask) -> ShardResult:
 
         collector = TraceCollector()
         recorder = SimTraceRecorder(collector)
-        for submission in task.submissions:
+        for submission in rows:
             if submission.origin != task.region.name:
                 recorder.annotate_failover(
                     submission.request_id,
@@ -200,22 +201,17 @@ def run_shard(task: ShardTask) -> ShardResult:
         trace=recorder,
         **scenario.engine_fields(),
     )
-    simulator.submit_batch(
-        [
-            ServiceRequest(s.request_id, s.payload, s.tolerance, s.objective)
-            for s in task.submissions
-        ],
-        [s.at_time for s in task.submissions],
+    simulator.submit_rows(
+        rows.request_ids,
+        rows.payloads,
+        rows.at_times.tolist(),
+        rows.tolerances,
+        rows.objectives,
     )
     report = simulator.drain()
     report.offered_rate = task.offered_rate
 
-    extra = {
-        s.request_id: s.extra_latency_s
-        for s in task.submissions
-        if s.extra_latency_s
-    }
-    n_incoming = sum(1 for s in task.submissions if s.origin != task.region.name)
+    extra = dict(zip(rows.request_ids, rows.extra_latency_s.tolist()))
 
     # The tally and the SLO replay read the report's arrays, so a
     # shard builds no RequestRecord.
@@ -244,9 +240,9 @@ def run_shard(task: ShardTask) -> ShardResult:
         summary=report.summary(),
         engine_used=report.engine_used,
         fallback_reason=report.fallback_reason,
-        n_submitted=len(task.submissions),
-        n_local=len(task.submissions) - n_incoming,
-        n_incoming=n_incoming,
+        n_submitted=len(rows),
+        n_local=n_local,
+        n_incoming=len(rows) - n_local,
         n_assigned=task.n_assigned,
         n_outgoing=task.n_outgoing,
         n_denied=task.n_denied,

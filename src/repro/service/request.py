@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-__all__ = ["Objective", "ServiceRequest", "ServiceResponse"]
+__all__ = [
+    "Objective",
+    "ServiceRequest",
+    "ServiceResponse",
+    "require_valid_tolerance",
+]
 
 
 class Objective(enum.Enum):
@@ -48,6 +53,21 @@ class Objective(enum.Enum):
         )
 
 
+def require_valid_tolerance(tolerance: float) -> None:
+    """Refuse a ``Tolerance`` annotation that names no tier.
+
+    Raises:
+        ValueError: If ``tolerance`` is NaN, infinite or negative.
+    """
+    if not math.isfinite(tolerance):
+        raise ValueError(
+            f"tolerance must be finite, got {tolerance}; NaN and "
+            "infinite tolerances name no tier"
+        )
+    if tolerance < 0.0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+
+
 @dataclass(frozen=True)
 class ServiceRequest:
     """One annotated request to the MLaaS endpoint.
@@ -71,13 +91,7 @@ class ServiceRequest:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tolerance):
-            raise ValueError(
-                f"tolerance must be finite, got {self.tolerance}; NaN and "
-                "infinite tolerances name no tier"
-            )
-        if self.tolerance < 0.0:
-            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
+        require_valid_tolerance(self.tolerance)
 
     @classmethod
     def from_headers(

@@ -98,7 +98,11 @@ from repro.core.executor import (
 from repro.core.router import TierRouter
 from repro.service.cluster import ClusterDeployment
 from repro.service.node import NodeCompletion, QueuedRequest, ServiceNode
-from repro.service.request import Objective, ServiceRequest
+from repro.service.request import (
+    Objective,
+    ServiceRequest,
+    require_valid_tolerance,
+)
 from repro.service.simulation.arrivals import (
     ArrivalProcess,
     ThunderingHerdArrivals,
@@ -517,6 +521,42 @@ class ServingSimulator:
             requests,
         )
 
+    def submit_rows(
+        self,
+        request_ids: Sequence[str],
+        payloads: Sequence[Any],
+        at_times: Sequence[float],
+        tolerances: Sequence[float],
+        objectives: Sequence[Objective],
+    ) -> None:
+        """Schedule requests given as parallel columns, one row each.
+
+        The row form of :meth:`submit_batch`: no :class:`ServiceRequest`
+        is built, so each distinct tolerance gets the check its
+        constructor would have made.  :meth:`run` and a region shard
+        submit through here.
+
+        Raises:
+            ValueError: As :meth:`submit_batch`, or if a tolerance is
+                NaN, infinite or negative (nothing is scheduled then).
+        """
+        # Rows mostly share one annotation: count() settles that in one
+        # C-level scan, where collecting distinct values hashes every row.
+        if tolerances and tolerances.count(tolerances[0]) == len(tolerances):
+            distinct = tolerances[:1]
+        else:
+            distinct = dict.fromkeys(tolerances)
+        for tolerance in distinct:
+            require_valid_tolerance(tolerance)
+        self._enqueue(
+            request_ids,
+            payloads,
+            tolerances,
+            objectives,
+            at_times,
+            [None] * len(request_ids),
+        )
+
     def _enqueue(
         self, ids, payloads, tolerances, objectives, at_times, requests
     ) -> None:
@@ -563,7 +603,8 @@ class ServingSimulator:
 
         Raises:
             ValueError: If the simulator has already been drained (see
-                :meth:`submit`).
+                :meth:`submit`) or ``tolerance`` names no tier (see
+                :meth:`submit_rows`).
         """
         self._require_undrained()
         times = arrivals.times(n_requests, self._rng)
@@ -605,15 +646,14 @@ class ServingSimulator:
         # from the rows.
         count = len(at_times)
         request_ids = _load_ids(self._counter, count)
-        self._enqueue(
+        self.submit_rows(
             request_ids,
             [ids[p] for p in picks[:count].tolist()]
             if payload_ids is not None
             else request_ids,
+            at_times,
             [tolerance] * count,
             [objective] * count,
-            at_times,
-            [None] * count,
         )
         self._counter += count
         report = self.drain()

@@ -32,7 +32,7 @@ from repro.core.router import TierRouter
 from repro.service.cluster import ClusterDeployment
 from repro.service.control.plane import ControlPlane, ControlSpec
 from repro.service.measurement import MeasurementSet
-from repro.service.request import Objective
+from repro.service.request import Objective, require_valid_tolerance
 from repro.service.simulation.arrivals import (
     ArrivalProcess,
     DiurnalArrivals,
@@ -122,6 +122,7 @@ class ScenarioSpec:
             )
         if self.n_requests < 1:
             raise ValueError("n_requests must be at least 1")
+        require_valid_tolerance(self.tolerance)
         if not self.pools:
             raise ValueError("pools must name at least one version")
         for version, n_nodes in self.pools.items():
