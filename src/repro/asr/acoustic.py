@@ -20,6 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.asr.lexicon import Lexicon
 from repro.datasets.voxforge import Utterance
 
@@ -71,13 +72,11 @@ class AcousticFrontEnd:
         emission_scale: float = 1.0,
         base_seed: int = 7,
     ) -> None:
-        if frames_per_phone < 1:
-            raise ValueError("frames_per_phone must be at least 1")
-        if emission_scale <= 0.0:
-            raise ValueError("emission_scale must be positive")
         self.lexicon = lexicon
-        self.frames_per_phone = frames_per_phone
-        self.emission_scale = emission_scale
+        self.frames_per_phone = checks.integer(
+            "frames_per_phone", frames_per_phone, minimum=1
+        )
+        self.emission_scale = checks.positive("emission_scale", emission_scale)
         self.base_seed = base_seed
 
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.asr.acoustic import AcousticObservation
 from repro.asr.hmm import DecodingGraph
 from repro.asr.language_model import START_CONTEXT
@@ -72,14 +73,11 @@ class BeamSearchConfig:
     scope: str = "global"
 
     def __post_init__(self) -> None:
-        if self.max_active < 1:
-            raise ValueError("max_active must be at least 1")
-        if self.beam <= 0.0:
-            raise ValueError("beam must be positive")
-        if self.word_end_beam <= 0.0:
-            raise ValueError("word_end_beam must be positive")
-        if self.lm_breadth is not None and self.lm_breadth < 1:
-            raise ValueError("lm_breadth must be positive or None")
+        checks.integer("max_active", self.max_active, minimum=1)
+        checks.positive("beam", self.beam)
+        checks.positive("word_end_beam", self.word_end_beam)
+        if self.lm_breadth is not None:
+            checks.integer("lm_breadth", self.lm_breadth, minimum=1)
         if self.scope not in _VALID_SCOPES:
             raise ValueError(
                 f"scope must be one of {_VALID_SCOPES}, got {self.scope!r}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from repro import checks
 from repro.asr.beam_search import DecodeResult
 
 __all__ = ["hypothesis_confidence"]
@@ -50,8 +51,8 @@ def hypothesis_confidence(
     Raises:
         ValueError: If either weight is negative.
     """
-    if score_weight < 0.0 or margin_weight < 0.0:
-        raise ValueError("feature weights must be non-negative")
+    checks.non_negative("score_weight", score_weight)
+    checks.non_negative("margin_weight", margin_weight)
     if not result.words:
         return 0.0
     frames = max(result.n_frames, 1)

@@ -18,6 +18,7 @@ from repro.asr.beam_search import BeamSearchConfig, BeamSearchDecoder, DecodeRes
 from repro.asr.confidence import hypothesis_confidence
 from repro.asr.hmm import DecodingGraph
 from repro.asr.language_model import BigramLanguageModel
+from repro import checks
 from repro.asr.lexicon import Lexicon
 from repro.asr.wer import word_error_rate
 from repro.datasets.voxforge import SyntheticSpeechCorpus, Utterance
@@ -81,8 +82,8 @@ class ASREngine:
         seconds_per_expansion: float = 40e-6,
         seconds_per_frame: float = 1.2e-3,
     ) -> None:
-        if seconds_per_expansion <= 0.0 or seconds_per_frame <= 0.0:
-            raise ValueError("latency model constants must be positive")
+        checks.positive("seconds_per_expansion", seconds_per_expansion)
+        checks.positive("seconds_per_frame", seconds_per_frame)
         self.lexicon = lexicon
         self.language_model = language_model
         self.front_end = front_end

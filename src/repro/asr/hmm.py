@@ -19,6 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.asr.language_model import BigramLanguageModel
 from repro.asr.lexicon import Lexicon
 
@@ -58,12 +59,12 @@ class DecodingGraph:
                 "lexicon and language model cover different vocabularies: "
                 f"{lexicon.n_words} vs {language_model.n_words} words"
             )
-        if lm_weight < 0.0:
-            raise ValueError("lm_weight must be non-negative")
         self.lexicon = lexicon
         self.language_model = language_model
-        self.lm_weight = lm_weight
-        self.word_insertion_penalty = word_insertion_penalty
+        self.lm_weight = checks.non_negative("lm_weight", lm_weight)
+        self.word_insertion_penalty = checks.finite(
+            "word_insertion_penalty", word_insertion_penalty
+        )
         self._pronunciations: List[Tuple[int, ...]] = [
             lexicon.phones_of_word_id(w) for w in range(lexicon.n_words)
         ]

@@ -14,6 +14,8 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
+from repro import checks
+
 __all__ = ["BigramLanguageModel"]
 
 #: Sentinel word id used for the sentence-start context.
@@ -34,12 +36,8 @@ class BigramLanguageModel:
     """
 
     def __init__(self, n_words: int, *, smoothing: float = 0.1) -> None:
-        if n_words <= 0:
-            raise ValueError("n_words must be positive")
-        if smoothing <= 0.0:
-            raise ValueError("smoothing must be positive")
-        self.n_words = n_words
-        self.smoothing = smoothing
+        self.n_words = checks.integer("n_words", n_words, minimum=1)
+        self.smoothing = checks.positive("smoothing", smoothing)
         self._bigram_counts = np.zeros((n_words, n_words), dtype=float)
         self._start_counts = np.zeros(n_words, dtype=float)
         self._unigram_counts = np.zeros(n_words, dtype=float)

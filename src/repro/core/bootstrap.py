@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro import checks
 from repro.contract import RULEGEN_SAMPLE_FRACTION
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SingleVersionPolicy
@@ -169,10 +170,9 @@ def bootstrap_configurations(
     the same ``rng`` (the estimates, and where ``rng`` is left), with the
     same arguments.
     """
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError("sample_fraction must be in (0, 1]")
-    if trial_block < 1:
-        raise ValueError("trial_block must be positive")
+    checks.positive("sample_fraction", sample_fraction)
+    checks.probability("sample_fraction", sample_fraction)
+    checks.integer("trial_block", trial_block, minimum=1)
     if baseline_version is None:
         baseline_version = measurements.most_accurate_version()
     blocked = [

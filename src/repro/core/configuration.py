@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro import checks
 from repro.core.policies import (
     ConcurrentPolicy,
     EarlyTerminationPolicy,
@@ -96,8 +97,7 @@ def enumerate_configurations(
     if unknown:
         raise ValueError(f"unknown policy kinds: {sorted(unknown)}")
     for threshold in thresholds:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold {threshold} outside [0, 1]")
+        checks.probability("thresholds", threshold)
 
     if accurate_version is None:
         accurate_version = measurements.most_accurate_version()

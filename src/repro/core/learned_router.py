@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import checks
 from repro.core.outcomes import EnsembleOutcomes, LazyRequestIds
 from repro.core.policies import EnsemblePolicy
 from repro.service.measurement import MeasurementSet
@@ -55,16 +56,14 @@ class LogisticEscalationPolicy(EnsemblePolicy):
     ) -> None:
         if fast_version == accurate_version:
             raise ValueError("fast and accurate versions must differ")
-        if not 0.0 < escalation_probability < 1.0:
-            raise ValueError("escalation_probability must be in (0, 1)")
-        if iterations <= 0 or learning_rate <= 0.0:
-            raise ValueError("iterations and learning_rate must be positive")
         self.fast_version = fast_version
         self.accurate_version = accurate_version
-        self.escalation_probability = escalation_probability
-        self.error_threshold = error_threshold
-        self.learning_rate = learning_rate
-        self.iterations = iterations
+        self.escalation_probability = checks.unit_open(
+            "escalation_probability", escalation_probability
+        )
+        self.error_threshold = checks.non_negative("error_threshold", error_threshold)
+        self.learning_rate = checks.positive("learning_rate", learning_rate)
+        self.iterations = checks.integer("iterations", iterations, minimum=1)
         self._weight = 0.0
         self._bias = 0.0
         self._fitted = False

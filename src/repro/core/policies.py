@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.core.outcomes import EnsembleOutcomes, LazyRequestIds
 from repro.service.measurement import MeasurementSet
 
@@ -145,8 +146,7 @@ class _TwoVersionPolicy(EnsemblePolicy):
     ) -> None:
         if fast_version == accurate_version:
             raise ValueError("fast and accurate versions must differ")
-        if not 0.0 <= confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be in [0, 1]")
+        checks.probability("confidence_threshold", confidence_threshold)
         self.fast_version = fast_version
         self.accurate_version = accurate_version
         self.confidence_threshold = confidence_threshold

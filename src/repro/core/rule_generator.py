@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import contract
+from repro import checks, contract
 from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configurations
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
@@ -75,7 +75,8 @@ class RoutingRuleGenerator:
             raise ValueError("the configuration space is empty")
         self.confidence = confidence
         self.degradation_mode = degradation_mode
-        self.sample_fraction = sample_fraction
+        checks.positive("sample_fraction", sample_fraction)
+        self.sample_fraction = checks.probability("sample_fraction", sample_fraction)
         self._confidence_test = ConfidenceTest(
             confidence=confidence, min_trials=min_trials, max_trials=max_trials
         )
@@ -161,8 +162,7 @@ class RoutingRuleGenerator:
         rules: Dict[float, EnsembleConfiguration] = {}
         estimates: Dict[float, WorstCaseEstimate] = {}
         for tolerance in tolerances:
-            if tolerance < 0.0:
-                raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+            checks.non_negative("tolerance", tolerance)
             best_configuration: Optional[EnsembleConfiguration] = None
             best_estimate: Optional[WorstCaseEstimate] = None
             best_value = float("inf")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import List
 
+from repro import checks
+
 __all__ = ["default_tolerance_grid"]
 
 
@@ -30,9 +32,7 @@ def default_tolerance_grid(
         tier is the most accurate configuration by definition and needs no
         rule).
     """
-    if maximum <= 0.0 or step <= 0.0:
-        raise ValueError("maximum and step must be positive")
-    if step > maximum:
-        raise ValueError("step must not exceed maximum")
+    checks.positive("step", step)
+    checks.ordered("step", step, "maximum", maximum, strict=False)
     n_steps = int(round(maximum / step))
     return [round(step * (i + 1), 10) for i in range(n_steps)]

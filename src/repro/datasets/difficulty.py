@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from repro import checks
+
 __all__ = ["DifficultyModel", "DifficultyProfile"]
 
 
@@ -47,10 +49,8 @@ class DifficultyProfile:
     difficulty_std: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.idiosyncratic_std < 0.0:
-            raise ValueError("idiosyncratic_std must be non-negative")
-        if self.difficulty_std <= 0.0:
-            raise ValueError("difficulty_std must be positive")
+        checks.non_negative("idiosyncratic_std", self.idiosyncratic_std)
+        checks.positive("difficulty_std", self.difficulty_std)
 
 
 class DifficultyModel:
@@ -70,8 +70,7 @@ class DifficultyModel:
         profile: DifficultyProfile | None = None,
         rng: np.random.Generator,
     ) -> None:
-        if n_requests <= 0:
-            raise ValueError(f"n_requests must be positive, got {n_requests}")
+        checks.integer("n_requests", n_requests, minimum=1)
         self.profile = profile or DifficultyProfile()
         self._difficulty = rng.normal(
             0.0, self.profile.difficulty_std, size=n_requests
@@ -89,10 +88,7 @@ class DifficultyModel:
             error_rate: Desired fraction of requests answered incorrectly,
                 strictly inside ``(0, 1)``.
         """
-        if not 0.0 < error_rate < 1.0:
-            raise ValueError(
-                f"error_rate must be in (0, 1), got {error_rate}"
-            )
+        checks.unit_open("error_rate", error_rate)
         total_std = float(
             np.hypot(self.profile.difficulty_std, self.profile.idiosyncratic_std)
         )

@@ -23,6 +23,8 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro import checks
+
 __all__ = [
     "SyntheticImageDataset",
     "SyntheticImageNetConfig",
@@ -55,18 +57,13 @@ class SyntheticImageNetConfig:
     seed: int = 20120914
 
     def __post_init__(self) -> None:
-        if self.n_images <= 0:
-            raise ValueError("n_images must be positive")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.image_size < 4:
-            raise ValueError("image_size must be at least 4")
-        if self.channels <= 0:
-            raise ValueError("channels must be positive")
-        if self.signal_range[0] > self.signal_range[1]:
-            raise ValueError("signal_range must be (low, high)")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
+        checks.integer("n_images", self.n_images, minimum=1)
+        checks.integer("n_classes", self.n_classes, minimum=2)
+        checks.integer("image_size", self.image_size, minimum=4)
+        checks.integer("channels", self.channels, minimum=1)
+        low, high = self.signal_range
+        checks.ordered("signal_range[0]", low, "signal_range[1]", high, strict=False)
+        checks.non_negative("noise_std", self.noise_std)
 
 
 def _smooth_random_pattern(

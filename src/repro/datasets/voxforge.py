@@ -21,6 +21,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro import checks
+
 __all__ = [
     "SpeakerProfile",
     "SyntheticSpeechCorpus",
@@ -105,18 +107,14 @@ class SyntheticVoxForgeConfig:
     seed: int = 20190324
 
     def __post_init__(self) -> None:
-        if self.n_utterances <= 0:
-            raise ValueError("n_utterances must be positive")
-        if self.n_speakers <= 0:
-            raise ValueError("n_speakers must be positive")
-        if self.vocabulary_size < 10:
-            raise ValueError("vocabulary_size must be at least 10")
-        if not 1 <= self.min_words <= self.max_words:
-            raise ValueError("need 1 <= min_words <= max_words")
-        if self.n_topics <= 0:
-            raise ValueError("n_topics must be positive")
-        if self.snr_db_range[0] > self.snr_db_range[1]:
-            raise ValueError("snr_db_range must be (low, high)")
+        checks.integer("n_utterances", self.n_utterances, minimum=1)
+        checks.integer("n_speakers", self.n_speakers, minimum=1)
+        checks.integer("vocabulary_size", self.vocabulary_size, minimum=10)
+        checks.integer("min_words", self.min_words, minimum=1)
+        checks.integer("max_words", self.max_words, minimum=self.min_words)
+        checks.integer("n_topics", self.n_topics, minimum=1)
+        low, high = self.snr_db_range
+        checks.ordered("snr_db_range[0]", low, "snr_db_range[1]", high, strict=False)
 
 
 class SyntheticSpeechCorpus:

@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.service.instances import InstanceType
 from repro.service.load_balancer import LoadBalancer
+from repro import checks
 from repro.service.node import ServiceNode, ServiceVersion, VersionResult
 from repro.service.pricing import CostBreakdown, PricingModel
 from repro.service.request import ServiceRequest
@@ -50,8 +51,7 @@ class NodePool:
     n_nodes: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
+        checks.integer("n_nodes", self.n_nodes, minimum=1)
 
     def build_node(self) -> ServiceNode:
         """Instantiate one node to the pool's specification."""
@@ -145,8 +145,7 @@ class ClusterDeployment:
 
     def add_nodes(self, version: str, n: int = 1) -> List[ServiceNode]:
         """Grow a version's pool by ``n`` freshly built nodes."""
-        if n < 1:
-            raise ValueError("must add at least one node")
+        checks.integer("n", n, minimum=1)
         try:
             spec = self._pool_specs[version]
         except KeyError:

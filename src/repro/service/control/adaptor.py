@@ -52,7 +52,7 @@ from typing import List, Optional, Tuple
 
 import math
 
-from repro import contract
+from repro import checks, contract
 from repro.core.configuration import (
     EnsembleConfiguration,
     enumerate_configurations,
@@ -105,21 +105,19 @@ class AdaptorConfig:
     thresholds: Tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
 
     def __post_init__(self) -> None:
-        # Every bound is written so NaN fails it.
-        if not self.refit_interval_s > 0.0:
-            raise ValueError("refit_interval_s must be positive")
-        if self.min_window_samples < 2:
-            raise ValueError("min_window_samples must be at least 2")
-        if not self.tolerance_step > 0.0:
-            raise ValueError("tolerance_step must be positive")
-        if not self.max_tolerance >= contract.REFIT_BASE_TOLERANCE:
-            raise ValueError("max_tolerance must be >= the base tolerance")
+        checks.positive("refit_interval_s", self.refit_interval_s)
+        checks.integer("min_window_samples", self.min_window_samples, minimum=2)
+        checks.positive("tolerance_step", self.tolerance_step)
+        checks.ordered(
+            "the base tolerance", contract.REFIT_BASE_TOLERANCE,
+            "max_tolerance", self.max_tolerance, strict=False,
+        )
         if self.degradation_mode not in ("relative", "absolute"):
             raise ValueError("degradation_mode must be relative or absolute")
         # The refit's design space would refuse these mid-run; refuse
         # them here.
-        if not all(0.0 <= threshold <= 1.0 for threshold in self.thresholds):
-            raise ValueError(f"thresholds must be in [0, 1], got {self.thresholds}")
+        for threshold in self.thresholds:
+            checks.probability("thresholds", threshold)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import checks
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SingleVersionPolicy
 from repro.service.control.slo import SLOState
@@ -90,8 +91,7 @@ class AdmissionSpec:
                 f"unknown admission policy {self.policy!r}; "
                 f"expected one of {_POLICIES}"
             )
-        if not 0.0 <= self.shed_probability <= 1.0:
-            raise ValueError("shed_probability must be in [0, 1]")
+        checks.probability("shed_probability", self.shed_probability)
 
 
 def degraded_configuration(

@@ -22,12 +22,12 @@ identically run after run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.core.configuration import EnsembleConfiguration
 from repro.service.control.admission import (
     ADMIT,
@@ -111,12 +111,10 @@ class ControlSpec:
     gray_detection: Optional[GrayDetectionSpec] = None
 
     def __post_init__(self) -> None:
-        # Written so NaN fails too.  An infinite window is a run-long
-        # one; an infinite tick interval would never tick.
-        if not self.window_s > 0.0:
-            raise ValueError("window_s must be positive")
-        if not 0.0 < self.tick_interval_s < math.inf:
-            raise ValueError("tick_interval_s must be positive and finite")
+        # An infinite window is a run-long one; an infinite tick
+        # interval would never tick.
+        checks.positive("window_s", self.window_s)
+        checks.positive("tick_interval_s", self.tick_interval_s, finite=True)
         if (self.admission is not None or self.adaptor is not None) and not self.slos:
             raise ValueError(
                 "admission control and adaptation react to SLO state; "

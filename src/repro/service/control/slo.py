@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import contract
+from repro import checks, contract
 from repro.service.control.telemetry import WindowSnapshot
 
 __all__ = [
@@ -105,21 +105,21 @@ class SLOSpec:
         )
         if all(t is None for t in targets):
             raise ValueError(f"SLO {self.name!r} declares no target")
-        if self.tier is not None and math.isnan(self.tier):
-            # A NaN tier matches no request's tier: the SLO never sees one.
-            raise ValueError("tier must not be NaN")
+        if self.tier is not None:
+            # A tier no tolerance has would match no request: the SLO
+            # would never see one.
+            checks.non_negative("tier", self.tier)
         for label, value in (
             ("max_p95_latency_s", self.max_p95_latency_s),
             ("max_cost_per_request", self.max_cost_per_request),
         ):
-            if value is not None and not value > 0.0:  # NaN fails too
-                raise ValueError(f"{label} must be positive")
-        if self.min_availability is not None and not (
-            0.0 < self.min_availability <= 1.0
-        ):
-            raise ValueError("min_availability must be in (0, 1]")
-        if self.breach_after < 1 or self.clear_after < 1:
-            raise ValueError("breach_after / clear_after must be at least 1")
+            if value is not None:
+                checks.positive(label, value)
+        if self.min_availability is not None:
+            checks.positive("min_availability", self.min_availability)
+            checks.probability("min_availability", self.min_availability)
+        checks.integer("breach_after", self.breach_after, minimum=1)
+        checks.integer("clear_after", self.clear_after, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,10 @@ class GrayDetectionSpec:
     state_on_detect: SLOState = SLOState.WARN
 
     def __post_init__(self) -> None:
-        if not self.ratio_threshold > 1.0:
-            raise ValueError("ratio_threshold must exceed 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be at least 1")
-        if self.detect_after < 1 or self.clear_after < 1:
-            raise ValueError("detect_after / clear_after must be at least 1")
+        checks.ordered("1", 1.0, "ratio_threshold", self.ratio_threshold)
+        checks.integer("min_samples", self.min_samples, minimum=1)
+        checks.integer("detect_after", self.detect_after, minimum=1)
+        checks.integer("clear_after", self.clear_after, minimum=1)
         if self.state_on_detect is SLOState.OK:
             raise ValueError("state_on_detect must be WARN or BREACH")
 

@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.contract import MIN_PERCENTILE_SAMPLES
 from repro.stats.descriptive import percentiles
 
@@ -364,9 +365,7 @@ class TelemetryHub:
         *,
         max_records: int = 100_000,
     ) -> None:
-        if not window_s > 0.0:  # NaN fails too
-            raise ValueError("window_s must be positive")
-        self.window_s = float(window_s)
+        self.window_s = float(checks.positive("window_s", window_s))
         self._max_records = max_records
         #: Per live row: publish time, tier, outcome code, latency, cost —
         self._rows = _FloatWindow(5)

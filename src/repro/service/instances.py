@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro import checks
+
 __all__ = ["INSTANCE_CATALOG", "InstanceType", "get_instance_type"]
 
 
@@ -34,10 +36,8 @@ class InstanceType:
     is_gpu: bool = False
 
     def __post_init__(self) -> None:
-        if self.hourly_price <= 0.0:
-            raise ValueError("hourly_price must be positive")
-        if self.speed_factor <= 0.0:
-            raise ValueError("speed_factor must be positive")
+        checks.positive("hourly_price", self.hourly_price)
+        checks.positive("speed_factor", self.speed_factor)
 
     @property
     def price_per_second(self) -> float:

@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.service.instances import InstanceType, get_instance_type
 
 __all__ = [
@@ -59,12 +60,9 @@ class VersionMeasurement:
     confidence: float
 
     def __post_init__(self) -> None:
-        if self.error < 0.0:
-            raise ValueError("error must be non-negative")
-        if self.latency_s < 0.0:
-            raise ValueError("latency_s must be non-negative")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
+        checks.non_negative("error", self.error, finite=True)
+        checks.non_negative("latency_s", self.latency_s, finite=True)
+        checks.probability("confidence", self.confidence)
 
 
 @dataclass
@@ -105,6 +103,10 @@ class MeasurementSet:
         missing = set(self.versions) - set(self.version_instances)
         if missing:
             raise ValueError(f"versions without an instance type: {sorted(missing)}")
+        cells = (("request", self.request_ids), ("version", self.versions))
+        checks.non_negative("error", self.error, finite=True, labels=cells)
+        checks.non_negative("latency_s", self.latency_s, finite=True, labels=cells)
+        checks.probability("confidence", self.confidence, labels=cells)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -242,6 +244,7 @@ class MeasurementSet:
             error[i, j] = record.error
             latency[i, j] = record.latency_s
             confidence[i, j] = record.confidence
+        # A record's values are finite, so NaN marks a cell no record filled.
         if np.isnan(error).any():
             raise ValueError("measurement table is incomplete (missing cells)")
         return cls(
@@ -433,8 +436,7 @@ def measure_mini_ic_service(
     from repro.vision.model_zoo import MINI_MODEL_BUILDERS, build_mini_model
     from repro.vision.training import SGDTrainer, TrainingConfig
 
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    checks.unit_open("train_fraction", train_fraction)
     dataset = SyntheticImageDataset(
         SyntheticImageNetConfig(
             n_images=n_images,

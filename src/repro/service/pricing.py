@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
+from repro import checks
 from repro.service.instances import InstanceType
 
 __all__ = ["CostBreakdown", "PricingModel"]
@@ -66,16 +67,13 @@ class PricingModel:
         per_request_fee: float = 0.0,
         markup: float = 3.0,
     ) -> None:
-        # Written so NaN fails each bound (it compares false both ways).
-        if not per_request_fee >= 0.0:
-            raise ValueError("per_request_fee must be non-negative")
-        if not markup > 0.0:
-            raise ValueError("markup must be positive")
         if not version_instances:
             raise ValueError("version_instances must not be empty")
         self.version_instances: Dict[str, InstanceType] = dict(version_instances)
-        self.per_request_fee = per_request_fee
-        self.markup = markup
+        self.per_request_fee = checks.non_negative(
+            "per_request_fee", per_request_fee
+        )
+        self.markup = checks.positive("markup", markup)
 
     def instance_for(self, version: str) -> InstanceType:
         """Instance type a version runs on.

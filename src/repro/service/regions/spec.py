@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro import checks
 from repro.service.control.slo import SLOSpec
 from repro.service.measurement import MeasurementSet
 from repro.service.simulation.faults import RegionPartition, ThunderingHerd
@@ -90,11 +91,9 @@ class RegionSpec:
                     "MultiRegionSpec.partitions, not a region's fault "
                     "schedule"
                 )
-        # Written so NaN fails too.
-        if self.capacity_rps is not None and not self.capacity_rps > 0.0:
-            raise ValueError("capacity_rps must be positive")
-        if not self.saturation_window_s > 0.0:
-            raise ValueError("saturation_window_s must be positive")
+        if self.capacity_rps is not None:
+            checks.positive("capacity_rps", self.capacity_rps)
+        checks.positive("saturation_window_s", self.saturation_window_s)
 
 
 @dataclass(frozen=True)
@@ -155,16 +154,13 @@ class MultiRegionSpec:
                 raise ValueError(
                     f"partition names unknown peer {partition.peer!r}"
                 )
-        # Written so NaN fails too.
-        if not self.link_latency_s >= 0.0:
-            raise ValueError("link_latency_s must be non-negative")
+        checks.non_negative("link_latency_s", self.link_latency_s)
         for (src, dst), latency in self.link_latencies.items():
             if src not in known or dst not in known:
                 raise ValueError(
                     f"link latency names unknown pair ({src!r}, {dst!r})"
                 )
-            if not latency >= 0.0:
-                raise ValueError("link_latencies must be non-negative")
+            checks.non_negative(f"link_latencies[{(src, dst)!r}]", latency)
 
     # ------------------------------------------------------------------
     # topology

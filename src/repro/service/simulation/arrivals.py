@@ -17,6 +17,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro import checks
+
 __all__ = [
     "ArrivalProcess",
     "BurstyArrivals",
@@ -36,11 +38,6 @@ class ArrivalProcess(Protocol):
         ...
 
 
-def _require_positive_count(n_requests: int) -> None:
-    if n_requests < 1:
-        raise ValueError("n_requests must be at least 1")
-
-
 class PoissonArrivals:
     """Open-loop Poisson arrivals at a fixed mean rate.
 
@@ -49,12 +46,10 @@ class PoissonArrivals:
     """
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
+        self.rate = checks.positive("rate", rate)
 
     def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        _require_positive_count(n_requests)
+        checks.integer("n_requests", n_requests, minimum=1)
         gaps = rng.exponential(1.0 / self.rate, size=n_requests)
         return np.cumsum(gaps)
 
@@ -87,16 +82,12 @@ class BurstyArrivals:
         mean_calm_s: float = 10.0,
         mean_burst_s: float = 2.0,
     ) -> None:
-        if base_rate <= 0.0 or burst_rate <= 0.0:
-            raise ValueError("rates must be positive")
-        if burst_rate <= base_rate:
-            raise ValueError("burst_rate must exceed base_rate")
-        if mean_calm_s <= 0.0 or mean_burst_s <= 0.0:
-            raise ValueError("phase durations must be positive")
-        self.base_rate = base_rate
-        self.burst_rate = burst_rate
-        self.mean_calm_s = mean_calm_s
-        self.mean_burst_s = mean_burst_s
+        self.base_rate = checks.positive("base_rate", base_rate)
+        self.burst_rate = checks.ordered(
+            "base_rate", base_rate, "burst_rate", burst_rate
+        )
+        self.mean_calm_s = checks.positive("mean_calm_s", mean_calm_s)
+        self.mean_burst_s = checks.positive("mean_burst_s", mean_burst_s)
 
     @property
     def mean_rate(self) -> float:
@@ -108,7 +99,7 @@ class BurstyArrivals:
         ) / total
 
     def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        _require_positive_count(n_requests)
+        checks.integer("n_requests", n_requests, minimum=1)
         arrivals: list = []
         clock = 0.0
         in_burst = False
@@ -186,16 +177,12 @@ class DiurnalArrivals:
         period_s: float = 60.0,
         phase: float = 0.0,
     ) -> None:
-        if base_rate <= 0.0:
-            raise ValueError("base_rate must be positive")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
-        if period_s <= 0.0:
-            raise ValueError("period_s must be positive")
-        self.base_rate = base_rate
-        self.amplitude = amplitude
-        self.period_s = period_s
-        self.phase = phase
+        self.base_rate = checks.positive("base_rate", base_rate)
+        self.amplitude = checks.non_negative("amplitude", amplitude)
+        if amplitude >= 1.0:
+            raise ValueError(f"amplitude must be below 1, got {amplitude!r}")
+        self.period_s = checks.positive("period_s", period_s)
+        self.phase = checks.finite("phase", phase)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at virtual time ``t``."""
@@ -203,7 +190,7 @@ class DiurnalArrivals:
         return self.base_rate * (1.0 + self.amplitude * float(np.sin(angle)))
 
     def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        _require_positive_count(n_requests)
+        checks.integer("n_requests", n_requests, minimum=1)
         max_rate = self.base_rate * (1.0 + self.amplitude)
         return _thinned_poisson_times(n_requests, rng, max_rate, self.rate_at)
 
@@ -239,18 +226,12 @@ class SpikeArrivals:
         spike_duration_s: float,
         spike_multiplier: float = 5.0,
     ) -> None:
-        if base_rate <= 0.0:
-            raise ValueError("base_rate must be positive")
-        if spike_start_s < 0.0:
-            raise ValueError("spike_start_s must be non-negative")
-        if spike_duration_s <= 0.0:
-            raise ValueError("spike_duration_s must be positive")
-        if spike_multiplier <= 1.0:
-            raise ValueError("spike_multiplier must exceed 1")
-        self.base_rate = base_rate
-        self.spike_start_s = spike_start_s
-        self.spike_duration_s = spike_duration_s
-        self.spike_multiplier = spike_multiplier
+        self.base_rate = checks.positive("base_rate", base_rate)
+        self.spike_start_s = checks.non_negative("spike_start_s", spike_start_s)
+        self.spike_duration_s = checks.positive("spike_duration_s", spike_duration_s)
+        self.spike_multiplier = checks.ordered(
+            "1", 1.0, "spike_multiplier", spike_multiplier
+        )
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at virtual time ``t``."""
@@ -262,7 +243,7 @@ class SpikeArrivals:
         return self.base_rate * (self.spike_multiplier if in_spike else 1.0)
 
     def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        _require_positive_count(n_requests)
+        checks.integer("n_requests", n_requests, minimum=1)
         max_rate = self.base_rate * self.spike_multiplier
         return _thinned_poisson_times(n_requests, rng, max_rate, self.rate_at)
 
@@ -306,16 +287,10 @@ class ThunderingHerdArrivals:
         end_s: float,
         spread_s: float = 0.05,
     ) -> None:
-        if start_s < 0.0:
-            raise ValueError("start_s must be non-negative")
-        if end_s <= start_s:
-            raise ValueError("end_s must lie after start_s")
-        if spread_s < 0.0:
-            raise ValueError("spread_s must be non-negative")
         self.base = base
-        self.start_s = start_s
-        self.end_s = end_s
-        self.spread_s = spread_s
+        self.start_s = checks.non_negative("start_s", start_s)
+        self.end_s = checks.ordered("start_s", start_s, "end_s", end_s)
+        self.spread_s = checks.non_negative("spread_s", spread_s)
 
     def held_count(self, times_s: np.ndarray) -> int:
         """How many of ``times_s`` fall inside the hold window."""
@@ -338,7 +313,6 @@ class ThunderingHerdArrivals:
         return np.sort(out)
 
     def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        _require_positive_count(n_requests)
         return self.apply(self.base.times(n_requests, rng))
 
     def __repr__(self) -> str:
@@ -361,17 +335,16 @@ class TraceArrivals:
         trace = np.asarray(times_s, dtype=float)
         if trace.size == 0:
             raise ValueError("trace must contain at least one arrival")
-        if (trace < 0.0).any():
-            raise ValueError("trace timestamps must be non-negative")
+        checks.non_negative("times_s", trace)
         if (np.diff(trace) < 0.0).any():
-            raise ValueError("trace timestamps must be non-decreasing")
+            raise ValueError("times_s must be non-decreasing")
         self._trace = trace
 
     def __len__(self) -> int:
         return int(self._trace.size)
 
     def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        _require_positive_count(n_requests)
+        checks.integer("n_requests", n_requests, minimum=1)
         if n_requests > self._trace.size:
             raise ValueError(
                 f"trace holds {self._trace.size} arrivals but "

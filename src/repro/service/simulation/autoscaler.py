@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro import checks
+
 __all__ = ["Autoscaler", "AutoscalerConfig", "ScalingEvent"]
 
 
@@ -45,23 +47,16 @@ class AutoscalerConfig:
     cooldown_s: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.min_nodes < 1:
-            raise ValueError("min_nodes must be at least 1")
-        if self.max_nodes < self.min_nodes:
-            raise ValueError("max_nodes must be >= min_nodes")
-        # Written so NaN fails each bound (it compares false both ways).
-        if not self.scale_up_queue_depth > 0.0:
-            raise ValueError("scale_up_queue_depth must be positive")
-        if not 0.0 < self.scale_up_utilization <= 1.0:
-            raise ValueError("scale_up_utilization must be in (0, 1]")
-        if not 0.0 <= self.scale_down_utilization < self.scale_up_utilization:
-            raise ValueError(
-                "scale_down_utilization must be in [0, scale_up_utilization)"
-            )
-        if not self.evaluation_interval_s > 0.0:
-            raise ValueError("evaluation_interval_s must be positive")
-        if not self.cooldown_s >= 0.0:
-            raise ValueError("cooldown_s must be non-negative")
+        checks.integer("min_nodes", self.min_nodes, minimum=1)
+        checks.integer("max_nodes", self.max_nodes, minimum=self.min_nodes)
+        checks.positive("scale_up_queue_depth", self.scale_up_queue_depth)
+        down, up = self.scale_down_utilization, self.scale_up_utilization
+        checks.positive("scale_up_utilization", up)
+        checks.probability("scale_up_utilization", up)
+        checks.non_negative("scale_down_utilization", down)
+        checks.ordered("scale_down_utilization", down, "scale_up_utilization", up)
+        checks.positive("evaluation_interval_s", self.evaluation_interval_s)
+        checks.non_negative("cooldown_s", self.cooldown_s)
 
 
 @dataclass(frozen=True)

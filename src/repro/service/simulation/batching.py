@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import checks
+
 __all__ = ["BatchingConfig"]
 
 
@@ -49,12 +51,9 @@ class BatchingConfig:
     latency_exponent: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        if not self.max_wait_s >= 0.0:  # NaN fails it too
-            raise ValueError("max_wait_s must be non-negative")
-        if not 0.0 <= self.latency_exponent <= 1.0:
-            raise ValueError("latency_exponent must be in [0, 1]")
+        checks.integer("max_batch_size", self.max_batch_size, minimum=1)
+        checks.non_negative("max_wait_s", self.max_wait_s)
+        checks.probability("latency_exponent", self.latency_exponent)
 
     def batch_service_time(self, solo_times_s: Sequence[float]) -> float:
         """Wall time to execute one batch of requests together.

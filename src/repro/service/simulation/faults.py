@@ -59,9 +59,10 @@ the same seeded simulation always reproduces the same
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
+
+from repro import checks
 
 __all__ = [
     "CascadePolicy",
@@ -80,41 +81,14 @@ __all__ = [
 ]
 
 
-def _require_finite(label: str, value: float) -> None:
-    """Reject NaN/inf timestamps and rates with a clear error."""
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
+class _Window:
+    """What the faults open over a ``[start_s, end_s)`` window share: the
+    window is finite and not empty."""
 
-
-def _require_integer(label: str, value) -> None:
-    """Reject a count or an index that is not an integer (numpy ints pass)."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-
-
-def _require_node_index(value) -> None:
-    _require_integer("node_index", value)
-    if value < 0:
-        raise ValueError("node_index must be non-negative")
-
-
-def _require_timestamp(label: str, value: float) -> None:
-    _require_finite(label, value)
-    if value < 0.0:
-        raise ValueError(f"{label} must be non-negative")
-
-
-def _require_window(start_label: str, start: float, end_label: str, end: float) -> None:
-    _require_timestamp(start_label, start)
-    _require_finite(end_label, end)
-    if end <= start:
-        raise ValueError(f"{end_label} must lie after {start_label}")
-
-
-def _require_rate(label: str, value: float) -> None:
-    _require_finite(label, value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{label} must be in [0, 1]")
+    def __post_init__(self) -> None:
+        checks.non_negative("start_s", self.start_s, finite=True)
+        checks.finite("end_s", self.end_s)
+        checks.ordered("start_s", self.start_s, "end_s", self.end_s)
 
 
 class _NodeFault:
@@ -122,6 +96,16 @@ class _NodeFault:
 
     #: The fault's name in a "skipped" log entry.
     _WHAT = ""
+    #: The optional field that ends the fault.
+    _END = "until_s"
+
+    def __post_init__(self) -> None:
+        checks.non_negative("at_s", self.at_s, finite=True)
+        checks.integer("node_index", self.node_index, minimum=0)
+        end = getattr(self, self._END)
+        if end is not None:
+            checks.finite(self._END, end)
+            checks.ordered("at_s", self.at_s, self._END, end)
 
     def victim(self, pool, now: float):
         """``(node, None)`` for the node at ``node_index`` of ``pool``
@@ -159,14 +143,7 @@ class NodeCrash(_NodeFault):
     recover_at_s: Optional[float] = None
 
     _WHAT = "crash"
-
-    def __post_init__(self) -> None:
-        _require_timestamp("at_s", self.at_s)
-        _require_node_index(self.node_index)
-        if self.recover_at_s is not None:
-            _require_finite("recover_at_s", self.recover_at_s)
-            if self.recover_at_s <= self.at_s:
-                raise ValueError("recover_at_s must lie after at_s")
+    _END = "recover_at_s"
 
     def crash_entry(
         self, now: float, node_id: str, n_aborted: int, n_queued: int
@@ -216,15 +193,8 @@ class NodeSlowdown(_NodeFault):
     _WHAT = "slowdown"
 
     def __post_init__(self) -> None:
-        _require_timestamp("at_s", self.at_s)
-        _require_node_index(self.node_index)
-        _require_finite("speed_factor", self.speed_factor)
-        if self.speed_factor <= 0.0:
-            raise ValueError("speed_factor must be positive")
-        if self.until_s is not None:
-            _require_finite("until_s", self.until_s)
-            if self.until_s <= self.at_s:
-                raise ValueError("until_s must lie after at_s")
+        super().__post_init__()
+        checks.positive("speed_factor", self.speed_factor, finite=True)
 
     def onset_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
         """The log entry of the node turning slow."""
@@ -242,7 +212,7 @@ class NodeSlowdown(_NodeFault):
 
 
 @dataclass(frozen=True)
-class TransientFaults:
+class TransientFaults(_Window):
     """A flaky window: completions fail with a fixed probability.
 
     Attributes:
@@ -261,8 +231,8 @@ class TransientFaults:
     versions: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        _require_window("start_s", self.start_s, "end_s", self.end_s)
-        _require_rate("failure_probability", self.failure_probability)
+        super().__post_init__()
+        checks.probability("failure_probability", self.failure_probability)
 
     def affects(self, version: str, time_s: float) -> bool:
         """Whether a completion of ``version`` at ``time_s`` is in scope."""
@@ -306,16 +276,10 @@ class GrayFailure(_NodeFault):
     _WHAT = "gray"
 
     def __post_init__(self) -> None:
-        _require_timestamp("at_s", self.at_s)
-        _require_node_index(self.node_index)
-        _require_finite("speed_factor", self.speed_factor)
-        if not 0.0 < self.speed_factor <= 1.0:
-            raise ValueError("speed_factor must be in (0, 1]")
-        _require_rate("confidence_factor", self.confidence_factor)
-        if self.until_s is not None:
-            _require_finite("until_s", self.until_s)
-            if self.until_s <= self.at_s:
-                raise ValueError("until_s must lie after at_s")
+        super().__post_init__()
+        checks.positive("speed_factor", self.speed_factor)
+        checks.probability("speed_factor", self.speed_factor)
+        checks.probability("confidence_factor", self.confidence_factor)
 
     def onset_entry(self, now: float, version: str, node_id: str) -> "FaultLogEntry":
         """The log entry of the node turning gray."""
@@ -369,18 +333,12 @@ class CascadePolicy:
     max_probability: float = 0.9
 
     def __post_init__(self) -> None:
-        _require_finite("window_s", self.window_s)
-        if self.window_s <= 0.0:
-            raise ValueError("window_s must be positive")
-        _require_rate("base_probability", self.base_probability)
-        _require_rate("max_probability", self.max_probability)
-        if self.base_probability > self.max_probability:
-            raise ValueError(
-                "base_probability must not exceed max_probability"
-            )
-        _require_finite("load_factor", self.load_factor)
-        if self.load_factor < 0.0:
-            raise ValueError("load_factor must be non-negative")
+        checks.positive("window_s", self.window_s, finite=True)
+        low, high = self.base_probability, self.max_probability
+        checks.probability("base_probability", low)
+        checks.probability("max_probability", high)
+        checks.ordered("base_probability", low, "max_probability", high, strict=False)
+        checks.non_negative("load_factor", self.load_factor, finite=True)
 
     def probability(self, load: float) -> float:
         """Failure probability at ``load`` mean queued jobs per survivor."""
@@ -391,7 +349,7 @@ class CascadePolicy:
 
 
 @dataclass(frozen=True)
-class RetryStorm:
+class RetryStorm(_Window):
     """A correlated transient window: failures arrive in bursts.
 
     Where :class:`TransientFaults` fails completions independently,
@@ -421,12 +379,10 @@ class RetryStorm:
     versions: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        _require_window("start_s", self.start_s, "end_s", self.end_s)
-        _require_rate("failure_probability", self.failure_probability)
-        _require_rate("bad_fraction", self.bad_fraction)
-        _require_finite("bucket_s", self.bucket_s)
-        if self.bucket_s <= 0.0:
-            raise ValueError("bucket_s must be positive")
+        super().__post_init__()
+        checks.probability("failure_probability", self.failure_probability)
+        checks.probability("bad_fraction", self.bad_fraction)
+        checks.positive("bucket_s", self.bucket_s, finite=True)
 
     @property
     def n_buckets(self) -> int:
@@ -474,13 +430,10 @@ class ColdStartWave:
     version: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _require_finite("warmup_s", self.warmup_s)
-        if self.warmup_s <= 0.0:
-            raise ValueError("warmup_s must be positive")
-        _require_finite("speed_factor", self.speed_factor)
-        if not 0.0 < self.speed_factor <= 1.0:
-            raise ValueError("speed_factor must be in (0, 1]")
-        _require_rate("confidence_factor", self.confidence_factor)
+        checks.positive("warmup_s", self.warmup_s, finite=True)
+        checks.positive("speed_factor", self.speed_factor)
+        checks.probability("speed_factor", self.speed_factor)
+        checks.probability("confidence_factor", self.confidence_factor)
 
     def covers(self, version: str) -> bool:
         """Whether nodes joining ``version``'s pool warm up under this wave."""
@@ -510,7 +463,7 @@ class ColdStartWave:
 
 
 @dataclass(frozen=True)
-class ThunderingHerd:
+class ThunderingHerd(_Window):
     """An arrival-side outage: held traffic returns as one synchronized surge.
 
     Requests that would have arrived inside ``[start_s, end_s)`` (clients
@@ -534,10 +487,8 @@ class ThunderingHerd:
     spread_s: float = 0.05
 
     def __post_init__(self) -> None:
-        _require_window("start_s", self.start_s, "end_s", self.end_s)
-        _require_finite("spread_s", self.spread_s)
-        if self.spread_s < 0.0:
-            raise ValueError("spread_s must be non-negative")
+        super().__post_init__()
+        checks.non_negative("spread_s", self.spread_s, finite=True)
 
 
 @dataclass(frozen=True)
@@ -579,9 +530,8 @@ class RegionPartition:
             raise ValueError("a region partition needs a region name")
         if self.peer == self.region:
             raise ValueError("a region cannot be partitioned from itself")
-        _require_timestamp("start_s", self.start_s)
-        if not self.end_s > self.start_s:  # NaN fails too
-            raise ValueError("end_s must lie after start_s")
+        checks.non_negative("start_s", self.start_s, finite=True)
+        checks.ordered("start_s", self.start_s, "end_s", self.end_s)
 
     def severs(self, src: str, dst: str, at_s: float) -> bool:
         """Whether the ``src -> dst`` link is down at virtual time ``at_s``."""
@@ -673,24 +623,17 @@ class RetryPolicy:
     max_total_retries: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require_integer("max_attempts", self.max_attempts)
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        _require_finite("backoff_s", self.backoff_s)
-        if self.backoff_s < 0.0:
-            raise ValueError("backoff_s must be non-negative")
-        _require_finite("backoff_factor", self.backoff_factor)
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be at least 1")
+        checks.integer("max_attempts", self.max_attempts, minimum=1)
+        checks.non_negative("backoff_s", self.backoff_s, finite=True)
+        checks.finite("backoff_factor", self.backoff_factor)
+        checks.ordered("1", 1.0, "backoff_factor", self.backoff_factor, strict=False)
         for label, value in (
             ("retry_budget", self.retry_budget),
             ("max_inflight_retries", self.max_inflight_retries),
             ("max_total_retries", self.max_total_retries),
         ):
             if value is not None:
-                _require_integer(label, value)
-                if value < 0:
-                    raise ValueError(f"{label} must be non-negative")
+                checks.integer(label, value, minimum=0)
 
     def delay_before_retry(self, failed_attempt: int) -> float:
         """Backoff before re-driving after ``failed_attempt`` (1-based)."""

@@ -26,6 +26,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SequentialPolicy, SingleVersionPolicy
 from repro.core.router import TierRouter
@@ -120,16 +121,12 @@ class ScenarioSpec:
             raise ValueError(
                 "supply exactly one of configuration / router"
             )
-        if self.n_requests < 1:
-            raise ValueError("n_requests must be at least 1")
+        checks.integer("n_requests", self.n_requests, minimum=1)
         require_valid_tolerance(self.tolerance)
         if not self.pools:
             raise ValueError("pools must name at least one version")
         for version, n_nodes in self.pools.items():
-            if n_nodes < 1:
-                raise ValueError(
-                    f"pool {version!r} needs at least one node"
-                )
+            checks.integer(f"pools[{version!r}]", n_nodes, minimum=1)
 
     def engine_fields(self) -> Dict[str, object]:
         """The engine-facing half of the spec — everything but arrivals,

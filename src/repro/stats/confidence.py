@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import contract
+from repro import checks, contract
 
 __all__ = [
     "ConfidenceTest",
@@ -94,9 +94,7 @@ def normal_quantile(confidence: float) -> float:
     # rule generation and control-plane refits ever compute a quantile.
     from scipy.special import ndtri
 
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(ndtri(confidence))
+    return float(ndtri(checks.unit_open("confidence", confidence)))
 
 
 def zscores(values: Sequence[float]) -> np.ndarray:
@@ -241,14 +239,9 @@ class ConfidenceTest:
     max_trials: int = contract.CONFIDENCE_TEST_MAX_TRIALS
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.min_trials < 2:
-            raise ValueError("min_trials must be at least 2")
-        if self.max_trials < self.min_trials:
-            raise ValueError("max_trials must be >= min_trials")
+        checks.unit_open("confidence", self.confidence)
+        checks.integer("min_trials", self.min_trials, minimum=2)
+        checks.integer("max_trials", self.max_trials, minimum=self.min_trials)
 
     def is_satisfied(self, values: Sequence[float]) -> bool:
         """Return True when the trial sample for one metric is sufficient."""

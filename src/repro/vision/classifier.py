@@ -14,6 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.vision.network import NeuralNetwork
 
 __all__ = ["ClassificationResult", "ImageClassifier"]
@@ -60,13 +61,11 @@ class ImageClassifier:
         device_gflops: float = 2.0,
         fixed_overhead_s: float = 2e-3,
     ) -> None:
-        if device_gflops <= 0.0:
-            raise ValueError("device_gflops must be positive")
-        if fixed_overhead_s < 0.0:
-            raise ValueError("fixed_overhead_s must be non-negative")
         self.network = network
-        self.device_gflops = device_gflops
-        self.fixed_overhead_s = fixed_overhead_s
+        self.device_gflops = checks.positive("device_gflops", device_gflops)
+        self.fixed_overhead_s = checks.non_negative(
+            "fixed_overhead_s", fixed_overhead_s
+        )
 
     @property
     def latency_per_request(self) -> float:

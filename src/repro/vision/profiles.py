@@ -24,6 +24,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 from scipy.special import ndtr
 
+from repro import checks
 from repro.datasets.difficulty import DifficultyModel, DifficultyProfile
 
 __all__ = [
@@ -60,12 +61,9 @@ class NetworkProfile:
     def __post_init__(self) -> None:
         if self.device not in ("cpu", "gpu"):
             raise ValueError("device must be 'cpu' or 'gpu'")
-        if not 0.0 < self.top1_error < 1.0:
-            raise ValueError("top1_error must be in (0, 1)")
-        if self.latency_mean_s <= 0.0:
-            raise ValueError("latency_mean_s must be positive")
-        if self.latency_cv < 0.0:
-            raise ValueError("latency_cv must be non-negative")
+        checks.unit_open("top1_error", self.top1_error)
+        checks.positive("latency_mean_s", self.latency_mean_s)
+        checks.non_negative("latency_cv", self.latency_cv)
 
 
 def _profiles(device: str, latencies: Mapping[str, float]) -> Dict[str, NetworkProfile]:

@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.vision.network import NeuralNetwork
 
 __all__ = ["SGDTrainer", "TrainingConfig", "softmax_cross_entropy"]
@@ -68,14 +69,13 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+        checks.integer("epochs", self.epochs, minimum=1)
+        checks.integer("batch_size", self.batch_size, minimum=1)
+        checks.positive("learning_rate", self.learning_rate)
+        checks.non_negative("momentum", self.momentum)
+        if self.momentum >= 1.0:
+            raise ValueError(f"momentum must be below 1, got {self.momentum!r}")
+        checks.non_negative("weight_decay", self.weight_decay)
 
 
 class SGDTrainer:

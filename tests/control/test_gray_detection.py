@@ -45,7 +45,7 @@ def make_spec(**kwargs):
         ({"ratio_threshold": 0.5}, "ratio_threshold"),
         ({"min_samples": 0}, "min_samples"),
         ({"detect_after": 0}, "detect_after"),
-        ({"clear_after": 0}, "detect_after / clear_after"),
+        ({"clear_after": 0}, "clear_after"),
         ({"state_on_detect": SLOState.OK}, "WARN or BREACH"),
     ],
 )

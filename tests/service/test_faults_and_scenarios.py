@@ -710,31 +710,30 @@ class TestRateVaryingArrivals:
 # scenario specs
 # ----------------------------------------------------------------------
 class TestScenarioSpec:
-    def test_validation(self):
-        config = _config(SingleVersionPolicy("fast"))
-        with pytest.raises(ValueError, match="exactly one"):
-            ScenarioSpec(
-                name="s",
-                arrivals=PoissonArrivals(1.0),
-                n_requests=10,
-                pools={"fast": 1},
-            )
-        with pytest.raises(ValueError, match="n_requests"):
-            ScenarioSpec(
-                name="s",
-                arrivals=PoissonArrivals(1.0),
-                n_requests=0,
-                pools={"fast": 1},
-                configuration=config,
-            )
-        with pytest.raises(ValueError, match="at least one node"):
-            ScenarioSpec(
-                name="s",
-                arrivals=PoissonArrivals(1.0),
-                n_requests=1,
-                pools={"fast": 0},
-                configuration=config,
-            )
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"configuration": None}, "exactly one"),
+            ({"n_requests": 0}, "n_requests"),
+            ({"pools": {"fast": 0}}, "pools"),
+            # Counts are integers: these used to build and then fail
+            # mid-run with a raw TypeError.
+            ({"n_requests": 2.5}, "n_requests"),
+            ({"pools": {"fast": 1.5}}, r"pools\['fast'\]"),
+        ],
+        ids=["no-routing", "no-requests", "empty-pool", "float-requests", "float-pool"],
+    )
+    def test_validation(self, kwargs, match):
+        arguments = dict(
+            name="s",
+            arrivals=PoissonArrivals(1.0),
+            n_requests=10,
+            pools={"fast": 1},
+            configuration=_config(SingleVersionPolicy("fast")),
+        )
+        arguments.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec(**arguments)
 
     def test_canonical_scenarios_cover_the_fault_vocabulary(self):
         specs = canonical_scenarios()

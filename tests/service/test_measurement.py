@@ -1,5 +1,8 @@
 """Tests for measurement records, tables and builders."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,44 @@ class TestMeasurementSet:
                 confidence=np.zeros((1, 1)),
                 version_instances={},
             )
+
+    @pytest.mark.parametrize(
+        "column,row,value,message",
+        [
+            (
+                "error",
+                2,
+                float("inf"),
+                "error must be finite and non-negative, got inf "
+                "at request 'r2', version 'slow'",
+            ),
+            (
+                "latency_s",
+                3,
+                float("nan"),
+                "latency_s must be finite and non-negative, got nan "
+                "at request 'r3', version 'slow'",
+            ),
+            (
+                "confidence",
+                4,
+                7.0,
+                "confidence must be in [0, 1], got 7.0 "
+                "at request 'r4', version 'slow'",
+            ),
+        ],
+        ids=["error", "latency_s", "confidence"],
+    )
+    def test_a_bad_cell_in_a_file_is_refused_by_name(
+        self, tmp_path, column, row, value, message
+    ):
+        path = tmp_path / "measurements.json"
+        _tiny_set().to_json(path)
+        payload = json.loads(path.read_text())
+        payload[column][row][1] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeasurementSet.from_json(path)
 
     def test_json_round_trip(self, tmp_path):
         ms = _tiny_set()

@@ -170,10 +170,10 @@ class TestArrivals:
     @pytest.mark.parametrize(
         "build,match",
         [
-            (lambda: BurstyArrivals(0.0, 5.0), "rates must be positive"),
+            (lambda: BurstyArrivals(0.0, 5.0), "base_rate"),
             (
                 lambda: BurstyArrivals(1.0, 5.0, mean_burst_s=0.0),
-                "phase durations",
+                "mean_burst_s",
             ),
             (
                 lambda: SpikeArrivals(0.0, spike_start_s=1.0, spike_duration_s=1.0),
@@ -193,7 +193,7 @@ class TestArrivals:
                 lambda: ThunderingHerdArrivals(
                     PoissonArrivals(1.0), start_s=2.0, end_s=2.0
                 ),
-                "end_s must lie after",
+                "end_s must be greater than start_s",
             ),
             (
                 lambda: ThunderingHerdArrivals(
