@@ -13,11 +13,14 @@ seen for each metric.
 contract, two loops, picked per configuration:
 
 * the **blocked vectorized loop**, whenever an
-  :class:`~repro.core.outcome_matrix.OutcomeMatrix` that expanded the
+  :class:`~repro.core.outcome_matrix.OutcomeMatrix` that holds the
   configuration is supplied (the rule generator always supplies one).
-  It takes trials from the stream in blocks, evaluates each block as a
-  ``(block, sample_size)`` gather against the matrix's precomputed
-  outcome columns, and feeds the sequential confidence test in blocks via
+  It expands the configuration's outcome columns when its bootstrap
+  starts and drops them when its estimate is done, so at most one
+  configuration's columns are alive at a time.  It takes trials from the
+  stream in blocks, evaluates each block as a ``(block, sample_size)``
+  gather against those columns, and feeds the sequential confidence
+  test in blocks via
   :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.  The
   trials of its last block past the stopping point go back to the
   stream, where the next configuration takes them first — they are the
@@ -129,9 +132,9 @@ def bootstrap_configuration(
         baseline_version: Degradation reference version; defaults to the
             most accurate version of the full training set.
         degradation_mode: ``"relative"`` or ``"absolute"``.
-        outcome_matrix: Precomputed outcome columns enabling the blocked
-            vectorized fast path; the configuration must have been
-            expanded into it (fall back to the scalar loop otherwise).
+        outcome_matrix: Outcome columns enabling the blocked vectorized
+            fast path; the matrix must hold the configuration (fall back
+            to the scalar loop otherwise).
         trial_block: Trials per vectorized gather on the fast path.
 
     Returns:
@@ -369,7 +372,9 @@ def _bootstrap_blocked(
     stream: _TrialStream,
     trial_block: int,
 ) -> WorstCaseEstimate:
-    """The blocked vectorized loop over precomputed outcome columns."""
+    """The blocked vectorized loop over the configuration's outcome
+    columns, expanded here and dropped on return."""
+    columns = matrix.columns_for(configuration.config_id)
     max_trials = confidence_test.max_trials
     degradation = np.empty(max_trials)
     response = np.empty(max_trials)
@@ -386,7 +391,7 @@ def _bootstrap_blocked(
         block = max(trial_block, confidence_test.min_trials - drawn)
         indices = stream.take(min(block, max_trials - drawn))
         block = len(indices)
-        metrics = matrix.trial_metrics(configuration.config_id, indices)
+        metrics = matrix.evaluate(columns, indices)
         degradation[drawn : drawn + block] = metrics.error_degradation
         response[drawn : drawn + block] = metrics.mean_response_time_s
         cost[drawn : drawn + block] = metrics.mean_invocation_cost

@@ -16,7 +16,7 @@ policies, so they are kept as ablations rather than defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import checks
 from repro.core.policies import (
@@ -28,7 +28,11 @@ from repro.core.policies import (
 )
 from repro.service.measurement import MeasurementSet
 
-__all__ = ["EnsembleConfiguration", "enumerate_configurations"]
+__all__ = [
+    "EnsembleConfiguration",
+    "check_unique_ids",
+    "enumerate_configurations",
+]
 
 _POLICY_CLASSES = {
     "seq": SequentialPolicy,
@@ -68,6 +72,30 @@ class EnsembleConfiguration:
     def kind(self) -> str:
         """Policy kind (``single`` / ``seq`` / ``conc`` / ``et``)."""
         return self.policy.kind
+
+
+def check_unique_ids(
+    configurations: Iterable[EnsembleConfiguration],
+) -> List[EnsembleConfiguration]:
+    """The configurations as a list, refusing two that share an id.
+
+    A design space is keyed by ``config_id`` (outcome columns, bootstrap
+    estimates), so a repeated id would silently let one configuration
+    stand in for the other.
+
+    Raises:
+        ValueError: Naming the first repeated id.
+    """
+    configurations = list(configurations)
+    seen = set()
+    for configuration in configurations:
+        if configuration.config_id in seen:
+            raise ValueError(
+                f"duplicate configuration id {configuration.config_id!r} "
+                "in the design space"
+            )
+        seen.add(configuration.config_id)
+    return configurations
 
 
 def enumerate_configurations(

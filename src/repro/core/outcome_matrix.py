@@ -1,4 +1,4 @@
-"""Precomputed outcome columns: the rule generator's vectorized fast path.
+"""Outcome columns on demand: the rule generator's vectorized fast path.
 
 The bootstrap loop of the routing-rule generator (paper Fig. 7) evaluates
 the *same* configuration on hundreds of random subsamples.  The legacy path
@@ -9,21 +9,26 @@ per-row request-id tuples, only to reduce everything to three scalars.
 :class:`OutcomeMatrix` removes that overhead by observing that for the
 policies the design space enumerates (``single`` / ``seq`` / ``conc`` /
 ``et``), every per-request outcome is a *fixed function of the measurement
-table* — independent of which subsample a trial draws.  So the matrix
-computes, once per configuration, dense ``(n_requests,)`` outcome columns:
+table* — independent of which subsample a trial draws.  So a
+configuration's trials all read dense ``(n_requests,)`` outcome columns:
 
 * the error of the result the consumer receives,
 * the end-to-end response time, and
 * the node-seconds each version consumes (including wasted concurrent
   work).
 
-For the threshold grid, the fast/accurate measurement columns are fetched
-once per version pair and every threshold's columns are derived from
-comparisons on the shared confidence column, instead of re-evaluating each
+The matrix keeps only what configurations share: each version's error,
+latency and confidence column (fetched once from the measurement table),
+the baseline error column and the prices.  A configuration's outcome
+columns are expanded from them by :meth:`OutcomeMatrix.columns_for` when
+its bootstrap starts, and dropped when its estimate is done, so memory
+follows versions × rows, not configurations × rows.  Every threshold of
+a version pair derives its columns from comparisons on the pair's shared
+confidence column instead of re-evaluating each
 :class:`~repro.core.configuration.EnsembleConfiguration` independently.
 
 A bootstrap trial then becomes a ``(block, sample_size)`` integer gather
-plus a ``mean(axis=1)`` — see :meth:`OutcomeMatrix.trial_metrics` — and the
+plus a ``mean(axis=1)`` — see :meth:`OutcomeMatrix.evaluate` — and the
 arithmetic is ordered exactly like the legacy scalar path
 (:func:`repro.core.simulator.simulate`) so both produce bit-identical
 metrics; the legacy path is kept as the correctness oracle
@@ -37,7 +42,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.configuration import EnsembleConfiguration
+from repro.core.configuration import EnsembleConfiguration, check_unique_ids
 from repro.core.metrics import build_pricing
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -66,7 +71,8 @@ _SUPPORTED_POLICY_TYPES = (
 class ConfigurationColumns:
     """Dense per-request outcome columns of one configuration.
 
-    All columns live in one ``stacked`` matrix — rows: consumer error,
+    Built by :meth:`OutcomeMatrix.columns_for`, owned by its caller.  All
+    columns live in one ``stacked`` matrix — rows: consumer error,
     baseline error, response time, then the node-seconds rows named by
     ``node_rows`` — so a trial block needs a single contiguous gather.  For
     a single-version policy the response-time row doubles as its
@@ -99,13 +105,16 @@ class TrialMetricBlock:
 
 
 class OutcomeMatrix:
-    """Per-configuration outcome columns over one measurement set.
+    """Outcome columns of a design space over one measurement set.
 
-    Build with :meth:`build`; evaluate bootstrap trials with
-    :meth:`trial_metrics`.  The matrix also owns the shared pieces every
-    configuration's evaluation needs — one pricing model, one baseline
-    error column (the cached OSFA evaluation), one degradation mode — so
-    nothing is re-derived per configuration or per trial.
+    Build with :meth:`build`; expand one configuration's columns with
+    :meth:`columns_for` and evaluate bootstrap trials against them with
+    :meth:`evaluate` (or both at once with :meth:`trial_metrics`).  The
+    matrix owns the pieces every configuration's evaluation shares — the
+    versions' measurement columns, one pricing model, one baseline error
+    column (the cached OSFA evaluation), one degradation mode — so nothing
+    is re-derived per trial, and no configuration's columns outlive its
+    caller.
     """
 
     def __init__(
@@ -114,7 +123,7 @@ class OutcomeMatrix:
         pricing: PricingModel,
         baseline_version: str,
         degradation_mode: str,
-        columns: Dict[str, ConfigurationColumns],
+        policies: Dict[str, EnsemblePolicy],
     ) -> None:
         if degradation_mode not in ("relative", "absolute"):
             raise ValueError(
@@ -124,10 +133,18 @@ class OutcomeMatrix:
         self.pricing = pricing
         self.baseline_version = baseline_version
         self.degradation_mode = degradation_mode
-        self._columns = columns
-        self._baseline_error = np.ascontiguousarray(
-            measurements.error[:, measurements.version_index(baseline_version)]
-        )
+        self._policies = policies
+        used = {baseline_version}
+        for policy in policies.values():
+            used.update(policy.versions)
+        self._version_columns: Dict[str, Dict[str, np.ndarray]] = {}
+        for j in sorted(map(measurements.version_index, used)):
+            self._version_columns[measurements.versions[j]] = {
+                "error": np.ascontiguousarray(measurements.error[:, j]),
+                "latency": np.ascontiguousarray(measurements.latency_s[:, j]),
+                "confidence": np.ascontiguousarray(measurements.confidence[:, j]),
+            }
+        self._baseline_error = self._version_columns[baseline_version]["error"]
         self._price = {
             version: pricing.instance_for(version).price_per_second
             for version in measurements.versions
@@ -138,7 +155,7 @@ class OutcomeMatrix:
     # ------------------------------------------------------------------
     @staticmethod
     def supports(policy: EnsemblePolicy) -> bool:
-        """Whether the matrix can precompute columns for a policy."""
+        """Whether the matrix can expand a policy into outcome columns."""
         return type(policy) in _SUPPORTED_POLICY_TYPES
 
     @classmethod
@@ -151,120 +168,104 @@ class OutcomeMatrix:
         baseline_version: Optional[str] = None,
         degradation_mode: str = "relative",
     ) -> "OutcomeMatrix":
-        """Precompute outcome columns for every supported configuration.
+        """A matrix for every supported configuration of a design space.
 
+        Only the versions' measurement columns are fetched here; each
+        configuration's outcome columns are expanded when asked for.
         Unsupported policies (custom ``evaluate`` overrides) are skipped;
         callers detect them via ``config_id in matrix`` and keep the legacy
         scalar path for those.
 
         Args:
             measurements: The training measurement table.
-            configurations: Candidate configurations to expand.
+            configurations: Candidate configurations, with distinct ids.
             pricing: Shared pricing model; derived from the measurements
                 when omitted.
             baseline_version: Degradation reference; defaults to the most
                 accurate version.
             degradation_mode: ``"relative"`` or ``"absolute"``.
+
+        Raises:
+            ValueError: If two configurations share an id.
         """
+        configurations = check_unique_ids(configurations)
         if pricing is None:
             pricing = build_pricing(measurements)
         if baseline_version is None:
             baseline_version = measurements.most_accurate_version()
-        baseline_error = np.ascontiguousarray(
-            measurements.error[:, measurements.version_index(baseline_version)]
-        )
-
-        version_cols: Dict[str, Dict[str, np.ndarray]] = {}
-
-        def cols_for(version: str) -> Dict[str, np.ndarray]:
-            cached = version_cols.get(version)
-            if cached is None:
-                j = measurements.version_index(version)
-                cached = {
-                    "error": np.ascontiguousarray(measurements.error[:, j]),
-                    "latency": np.ascontiguousarray(measurements.latency_s[:, j]),
-                    "confidence": np.ascontiguousarray(
-                        measurements.confidence[:, j]
-                    ),
-                }
-                version_cols[version] = cached
-            return cached
-
-        n = measurements.n_requests
-        columns: Dict[str, ConfigurationColumns] = {}
-        for configuration in configurations:
-            policy = configuration.policy
-            if not cls.supports(policy):
-                continue
-            if isinstance(policy, SingleVersionPolicy):
-                version = policy.version
-                # 3 rows: the latency row is both the response time and
-                # the version's node seconds.
-                stacked = np.empty((3, n))
-                stacked[0] = cols_for(version)["error"]
-                stacked[1] = baseline_error
-                stacked[2] = cols_for(version)["latency"]
-                columns[configuration.config_id] = ConfigurationColumns(
-                    config_id=configuration.config_id,
-                    stacked=stacked,
-                    node_rows=((version, 2),),
-                )
-                continue
-
-            fast = cols_for(policy.fast_version)
-            accurate = cols_for(policy.accurate_version)
-            fast_lat, acc_lat = fast["latency"], accurate["latency"]
-            escalate = fast["confidence"] < policy.confidence_threshold
-            stacked = np.empty((5, n))
-            # np.copyto(..., where=) is a pure selection, so the rows are
-            # elementwise identical to the policies' np.where expressions.
-            np.copyto(stacked[0], fast["error"])
-            np.copyto(stacked[0], accurate["error"], where=escalate)
-            stacked[1] = baseline_error
-            stacked[3] = fast_lat
-            if isinstance(policy, SequentialPolicy):
-                np.add(fast_lat, acc_lat, out=stacked[2])
-                np.copyto(stacked[2], fast_lat, where=~escalate)
-                stacked[4] = 0.0
-                np.copyto(stacked[4], acc_lat, where=escalate)
-            else:  # conc / et share the concurrent response time
-                np.maximum(fast_lat, acc_lat, out=stacked[2])
-                np.copyto(stacked[2], fast_lat, where=~escalate)
-                if isinstance(policy, EarlyTerminationPolicy):
-                    np.minimum(acc_lat, fast_lat, out=stacked[4])
-                    np.copyto(stacked[4], acc_lat, where=escalate)
-                else:
-                    stacked[4] = acc_lat
-            columns[configuration.config_id] = ConfigurationColumns(
-                config_id=configuration.config_id,
-                stacked=stacked,
-                node_rows=(
-                    (policy.fast_version, 3),
-                    (policy.accurate_version, 4),
-                ),
-            )
+        policies = {
+            configuration.config_id: configuration.policy
+            for configuration in configurations
+            if cls.supports(configuration.policy)
+        }
         return cls(
-            measurements, pricing, baseline_version, degradation_mode, columns
+            measurements, pricing, baseline_version, degradation_mode, policies
         )
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     def __contains__(self, config_id: str) -> bool:
-        return config_id in self._columns
+        return config_id in self._policies
 
     def columns_for(self, config_id: str) -> ConfigurationColumns:
-        """The precomputed columns of one configuration.
+        """Expand one configuration's outcome columns.
+
+        Each call builds fresh columns from the shared version columns;
+        the matrix keeps no reference to them.
 
         Raises:
-            KeyError: If the configuration was not expanded.
+            KeyError: If the matrix does not hold the configuration.
         """
         try:
-            return self._columns[config_id]
+            policy = self._policies[config_id]
         except KeyError:
             raise KeyError(
                 f"no outcome columns for configuration {config_id!r}"
             ) from None
+        by_version = self._version_columns
+        n = self.measurements.n_requests
+        if isinstance(policy, SingleVersionPolicy):
+            version = policy.version
+            # 3 rows: the latency row is both the response time and the
+            # version's node seconds.
+            stacked = np.empty((3, n))
+            stacked[0] = by_version[version]["error"]
+            stacked[1] = self._baseline_error
+            stacked[2] = by_version[version]["latency"]
+            return ConfigurationColumns(
+                config_id=config_id, stacked=stacked, node_rows=((version, 2),)
+            )
+
+        fast = by_version[policy.fast_version]
+        accurate = by_version[policy.accurate_version]
+        fast_lat, acc_lat = fast["latency"], accurate["latency"]
+        escalate = fast["confidence"] < policy.confidence_threshold
+        stacked = np.empty((5, n))
+        # np.copyto(..., where=) is a pure selection, so the rows are
+        # elementwise identical to the policies' np.where expressions.
+        np.copyto(stacked[0], fast["error"])
+        np.copyto(stacked[0], accurate["error"], where=escalate)
+        stacked[1] = self._baseline_error
+        stacked[3] = fast_lat
+        if isinstance(policy, SequentialPolicy):
+            np.add(fast_lat, acc_lat, out=stacked[2])
+            np.copyto(stacked[2], fast_lat, where=~escalate)
+            stacked[4] = 0.0
+            np.copyto(stacked[4], acc_lat, where=escalate)
+        else:  # conc / et share the concurrent response time
+            np.maximum(fast_lat, acc_lat, out=stacked[2])
+            np.copyto(stacked[2], fast_lat, where=~escalate)
+            if isinstance(policy, EarlyTerminationPolicy):
+                np.minimum(acc_lat, fast_lat, out=stacked[4])
+                np.copyto(stacked[4], acc_lat, where=escalate)
+            else:
+                stacked[4] = acc_lat
+        return ConfigurationColumns(
+            config_id=config_id,
+            stacked=stacked,
+            node_rows=((policy.fast_version, 3), (policy.accurate_version, 4)),
+        )
 
     # ------------------------------------------------------------------
     # evaluation
@@ -272,10 +273,21 @@ class OutcomeMatrix:
     def trial_metrics(
         self, config_id: str, indices: np.ndarray
     ) -> TrialMetricBlock:
+        """Evaluate a block of one configuration's bootstrap trials.
+
+        Expands the configuration's columns for this call alone; a caller
+        evaluating many blocks expands once with :meth:`columns_for` and
+        calls :meth:`evaluate`.
+        """
+        return self.evaluate(self.columns_for(config_id), indices)
+
+    def evaluate(
+        self, cols: ConfigurationColumns, indices: np.ndarray
+    ) -> TrialMetricBlock:
         """Evaluate a block of bootstrap trials in one vectorized pass.
 
         Args:
-            config_id: Configuration to evaluate.
+            cols: The configuration's columns, from :meth:`columns_for`.
             indices: Integer row-index array of shape ``(block,
                 sample_size)`` — one trial per row — or ``(sample_size,)``
                 for a single trial.
@@ -285,7 +297,6 @@ class OutcomeMatrix:
             arithmetically ordered like the legacy scalar path, so it is
             bit-identical to ``simulate(measurements, cfg, indices=row)``.
         """
-        cols = self.columns_for(config_id)
         idx = np.asarray(indices)
         if idx.ndim == 1:
             idx = idx[np.newaxis, :]

@@ -19,7 +19,11 @@ import numpy as np
 
 from repro import checks, contract
 from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configurations
-from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
+from repro.core.configuration import (
+    EnsembleConfiguration,
+    check_unique_ids,
+    enumerate_configurations,
+)
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
 from repro.core.policies import SingleVersionPolicy
@@ -37,7 +41,8 @@ class RoutingRuleGenerator:
     Args:
         train_measurements: Measurements of representative client traffic
             (the paper assumes the provider curates such a dataset).
-        configurations: Candidate design space; defaults to
+        configurations: Candidate design space, with distinct ids;
+            defaults to
             :func:`~repro.core.configuration.enumerate_configurations` over
             the training measurements.
         confidence: Confidence level of the worst-case estimates (the paper
@@ -66,7 +71,7 @@ class RoutingRuleGenerator:
         max_trials: int = contract.RULEGEN_MAX_TRIALS,
     ) -> None:
         self.measurements = train_measurements
-        self.configurations: List[EnsembleConfiguration] = list(
+        self.configurations: List[EnsembleConfiguration] = check_unique_ids(
             configurations
             if configurations is not None
             else enumerate_configurations(train_measurements)
@@ -84,7 +89,8 @@ class RoutingRuleGenerator:
         self._pricing = build_pricing(train_measurements)
         self.baseline_version = train_measurements.most_accurate_version()
 
-        #: Shared precomputed outcome columns.  Configurations whose
+        #: Shared version columns; each configuration's outcome columns
+        #: are expanded when its bootstrap runs.  Configurations whose
         #: policies the matrix cannot expand (custom ``evaluate``
         #: overrides) transparently use the scalar loop.
         self.outcome_matrix = OutcomeMatrix.build(

@@ -55,6 +55,7 @@ import math
 from repro import checks, contract
 from repro.core.configuration import (
     EnsembleConfiguration,
+    check_unique_ids,
     enumerate_configurations,
 )
 from repro.core.rule_generator import RoutingRuleGenerator
@@ -176,9 +177,12 @@ class PolicyAdaptor:
         self._row_of = {rid: i for i, rid in enumerate(measurements.request_ids)}
         # The anchor competes in (and is estimated by) every re-fit, so
         # swaps can be judged against the deployed policy's worst case.
-        self._candidates = enumerate_configurations(
-            measurements, thresholds=config.thresholds
-        ) + [anchor]
+        # Candidates are keyed by id, so an anchor named like an
+        # enumerated one is refused here rather than at the first re-fit.
+        self._candidates = check_unique_ids(
+            enumerate_configurations(measurements, thresholds=config.thresholds)
+            + [anchor]
+        )
         self._rejected: set = set()
         self._last_refit = -math.inf
         self._ok_streak = 0

@@ -141,6 +141,19 @@ class TestAdaptor:
     def toy(self):
         return scenario_measurements()
 
+    def test_anchor_colliding_with_a_candidate_id_refused(self, toy):
+        """Re-fit candidates are keyed by id: an anchor named like an
+        enumerated configuration is refused when the adaptor is built,
+        not at its first re-fit."""
+        with pytest.raises(ValueError, match="'cfg_001'"):
+            PolicyAdaptor(
+                self.config(),
+                measurements=toy,
+                anchor=EnsembleConfiguration(
+                    "cfg_001", SequentialPolicy("fast", "slow", 0.6)
+                ),
+            )
+
     def test_min_window_guardrail(self, toy):
         adaptor = self.adaptor(toy, min_window_samples=50)
         snap = window_snapshot_over(toy, n=10)

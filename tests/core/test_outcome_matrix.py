@@ -7,9 +7,13 @@ emitted rule tables), across all four policy kinds and the threshold grid.
 The generator-level scalar side is ``tests/oracle/rulegen_reference.py``.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.contract import RULEGEN_SAMPLE_FRACTION
 from repro.core import bootstrap
 from repro.core.bootstrap import (
     DEFAULT_TRIAL_BLOCK,
@@ -22,6 +26,7 @@ from repro.core.outcome_matrix import OutcomeMatrix
 from repro.core.policies import EnsemblePolicy, SingleVersionPolicy
 from repro.core.rule_generator import RoutingRuleGenerator
 from repro.core.simulator import simulate
+from repro.service import measure_ic_service
 from repro.stats.confidence import ConfidenceTest
 from repro.stats.resampling import subsample_indices
 
@@ -375,6 +380,70 @@ class TestZeroVarianceMetrics:
         # the constant-sample rule demands min(ceil(1/(1-0.999)), 30)
         # trials, which dominates min_trials here
         assert all(e.n_trials == 30 for e in vectorized.results)
+
+
+class TestMemoryFollowsVersions:
+    """The matrix holds version columns; a configuration's outcome columns
+    live only while its bootstrap runs.  On this 77-configuration space an
+    eager matrix would hold 375 rows of 4 000 floats (about 11 MiB)."""
+
+    N_REQUESTS = 4000
+    MAX_TRIALS = 30
+
+    @pytest.fixture(scope="class")
+    def wide_space(self):
+        measurements = measure_ic_service(self.N_REQUESTS, device="cpu", seed=17)
+        configurations = enumerate_configurations(
+            measurements,
+            thresholds=(0.3, 0.4, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8),
+            fast_versions=["ic_cpu_squeezenet", "ic_cpu_googlenet", "ic_cpu_alexnet"],
+        )
+        assert len(configurations) == 77
+        return measurements, configurations
+
+    def generator(self, space):
+        measurements, configurations = space
+        return RoutingRuleGenerator(
+            measurements, configurations, seed=3, min_trials=8,
+            max_trials=self.MAX_TRIALS,
+        )
+
+    def test_peak_is_versions_plus_one_configuration(self, wide_space):
+        measurements, _ = wide_space
+        n = measurements.n_requests
+        sample_size = round(n * RULEGEN_SAMPLE_FRACTION)
+        block = min(DEFAULT_TRIAL_BLOCK, self.MAX_TRIALS)
+        floats = (
+            len(measurements.versions) * 3 * n  # error, latency, confidence
+            + 5 * n  # one configuration's stacked rows
+            + (5 + 1) * block * sample_size  # one block's gather + indices
+        )
+        tracemalloc.start()
+        try:
+            self.generator(wide_space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Twice the formula leaves room for masks, sums and the draws'
+        # scratch; the eager matrix alone was about five times this bound.
+        assert peak < 2 * 8 * floats
+
+    def test_columns_die_when_the_bootstrap_moves_on(self, wide_space, monkeypatch):
+        expand = OutcomeMatrix.columns_for
+        expanded = []
+
+        def spy(matrix, config_id):
+            assert all(ref() is None for ref in expanded), (
+                "an earlier configuration's columns are still alive"
+            )
+            columns = expand(matrix, config_id)
+            expanded.append(weakref.ref(columns.stacked))
+            return columns
+
+        monkeypatch.setattr(OutcomeMatrix, "columns_for", spy)
+        generator = self.generator(wide_space)
+        assert len(expanded) == len(generator.configurations)
+        assert all(ref() is None for ref in expanded)
 
 
 class _OpaquePolicy(EnsemblePolicy):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.bootstrap import bootstrap_configuration
-from repro.core.configuration import enumerate_configurations
+from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing, evaluate_policy
+from repro.core.outcome_matrix import OutcomeMatrix
 from repro.core.policies import SingleVersionPolicy
 from repro.core.router import RoutingRuleTable, TierRouter
 from repro.core.rule_generator import RoutingRuleGenerator
 from repro.core.tiers import default_tolerance_grid
+from repro.service import measure_ic_service
 from repro.service.request import Objective
 from repro.stats.confidence import ConfidenceTest
 
@@ -89,6 +91,25 @@ class TestRoutingRuleGenerator:
         measurements, _ = small_space
         with pytest.raises(ValueError):
             RoutingRuleGenerator(measurements, [])
+
+    def test_duplicate_ids_refused(self):
+        """Two configurations sharing an id used to share one set of
+        outcome columns: on this table the squeezenet configuration was
+        estimated at the accurate version's 0.0 degradation instead of its
+        own 2.0, which a tier could then certify."""
+        measurements = measure_ic_service(1000, device="cpu", seed=1)
+        squeezenet = EnsembleConfiguration(
+            "dup", SingleVersionPolicy("ic_cpu_squeezenet")
+        )
+        accurate = EnsembleConfiguration(
+            "dup", SingleVersionPolicy(measurements.most_accurate_version())
+        )
+        alone = RoutingRuleGenerator(measurements, [squeezenet])
+        assert alone.estimate_for("dup").error_degradation == 2.0
+        with pytest.raises(ValueError, match="duplicate configuration id 'dup'"):
+            RoutingRuleGenerator(measurements, [squeezenet, accurate])
+        with pytest.raises(ValueError, match="duplicate configuration id 'dup'"):
+            OutcomeMatrix.build(measurements, [squeezenet, accurate])
 
     def test_generate_respects_tolerances(self, generator):
         table = generator.generate([0.0, 0.02, 0.05, 0.10], Objective.RESPONSE_TIME)
