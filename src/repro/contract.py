@@ -35,18 +35,20 @@ RULEGEN_MAX_TRIALS = 120
 #: metric whose spread never settles).
 CONFIDENCE_TEST_MAX_TRIALS = 500
 
-# Online refit (the control plane's policy adaptor).
-#: Bootstrap confidence of a refit: lower than the offline 99.9 %, since
-#: an online refit trades certainty for reaction time.
+# The control plane's policy adaptor: its tolerance ladder, generated
+# once per plane on the whole table, and the walk along it (a refit).
+#: Bootstrap confidence of the ladder: lower than the offline 99.9 %; at
+#: 99.9 % (5-row subsamples) the toy table's 0.15 rung certifies only the
+#: accurate single version.
 REFIT_CONFIDENCE = 0.95
 
 #: Bootstrap trial bounds per candidate, and subsample fraction per
-#: trial, of a refit.
+#: trial, of the ladder.
 REFIT_MIN_TRIALS = 8
 REFIT_MAX_TRIALS = 24
 REFIT_SAMPLE_FRACTION = 0.5
 
-#: The anchor's tolerance: tightening stops here and restores the anchor.
+#: The base rung's tolerance: tightening stops here and restores the anchor.
 REFIT_BASE_TOLERANCE = 0.0
 
 #: Consecutive OK evaluations before one tightening step.

@@ -1,48 +1,52 @@
-"""Online tier-policy adaptation: re-fit the rule generator on live telemetry.
+"""Online tier-policy adaptation: walk a tolerance ladder on SLO state.
 
 The offline rule generator fits tier policies once, against curated
 training traffic; a serving system under a flash crowd or a half-dead
 accurate pool is not the system that traffic was measured on.
-:class:`PolicyAdaptor` closes the loop the way adaptive-anchoring
-iterations do — feedback on the observed iterate instead of a fixed
-schedule:
+:class:`PolicyAdaptor` closes the loop the way the paper splits its
+router: rule generation is offline, serving is a lookup.
 
-* the deployed configuration is the **anchor**;
-* while the SLOs are in BREACH the adaptor *widens* its effective
-  tolerance one step at a time and re-runs the
-  :class:`~repro.core.rule_generator.RoutingRuleGenerator` (the PR 2
-  vectorized outcome-matrix engine) over the measurement rows observed
-  in the trailing telemetry window, hot-swapping the executor onto the
-  re-fit winner — under load that winner is a cheaper, faster ensemble
-  (a lower escalation threshold, or the fast version alone), which is
-  exactly what frees the saturated pool;
-* once the SLOs have been OK long enough it tightens back step by step,
-  and at the base tolerance it restores the anchor verbatim — a healthy
+* at construction one
+  :class:`~repro.core.rule_generator.RoutingRuleGenerator` bootstraps
+  the candidate space (the enumerated configurations plus the anchor)
+  over the whole measurement table and emits one rule per **rung** of a
+  tolerance ladder, from the base tolerance to ``max_tolerance`` in
+  ``tolerance_step`` steps; the ladder and the candidates' worst-case
+  estimates are kept, the generator is not;
+* the deployed configuration is the **anchor**, at the base rung;
+* while the SLOs are in BREACH the adaptor *widens*, one rung per refit
+  interval, hot-swapping the executor onto the rung's rule — under load
+  that rule is a cheaper, faster ensemble (a lower escalation
+  threshold, or the fast version alone), which is exactly what frees
+  the saturated pool;
+* once the SLOs have been OK long enough it tightens back rung by rung,
+  and at the base rung it restores the anchor verbatim — a healthy
   system converges to exactly its offline policy.
+
+A "refit" is that rung move: a lookup, with no bootstrap on the serving
+path.
 
 Guardrails:
 
-* **minimum window size** — no re-fit on fewer than
-  ``min_window_samples`` observed requests (a rule table fit on a
-  handful of rows is noise);
-* **no cost-increasing swaps under breach** — the anchor is
-  bootstrapped alongside the candidates every re-fit, and while
-  breaching a swap must strictly lower the worst-case cost
-  (node-seconds per request) of the active policy; without this, a
-  narrow first widening step can "re-fit" onto the most accurate single
-  version — the one configuration guaranteed to deepen a capacity
-  breach;
+* **minimum window size** — no refit while the trailing window holds
+  fewer than ``min_window_samples`` answered requests (the SLO evidence
+  behind the move would be noise);
+* **no cost-increasing swaps under breach** — while breaching a swap
+  must strictly lower the worst-case cost (node-seconds per request) of
+  the active policy, as the ladder's bootstrap estimated both; without
+  this, a narrow first widening step can swap onto the most accurate
+  single version — the one configuration guaranteed to deepen a
+  capacity breach;
 * **rollback on SLO regression** — every swap records the pre-swap p95;
-  if, one re-fit interval later, the system is still in BREACH and the
+  if, one refit interval later, the system is still in BREACH and the
   (confidently estimated) p95 got materially worse, the swap is
   reverted and the configuration blacklisted until recovery.  The
-  widened tolerance is *kept*: under a persisting breach the adaptation
+  widened rung is *kept*: under a persisting breach the adaptation
   pressure only ratchets up (the adaptive-anchoring move), so the next
-  re-fit tries a wider tolerance instead of re-trying the bad swap.
+  refit tries a wider rung instead of re-trying the bad swap.
 
-The adaptor draws no randomness of its own: re-fit seeds derive
-deterministically from the plane seed and the re-fit ordinal, so
-closed-loop runs are bit-reproducible.
+The adaptor draws no randomness of its own: the ladder's bootstrap is
+seeded by the plane seed, so closed-loop runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ import math
 from repro import checks, contract
 from repro.core.configuration import (
     EnsembleConfiguration,
-    check_unique_ids,
     enumerate_configurations,
 )
 from repro.core.rule_generator import RoutingRuleGenerator
@@ -66,7 +69,7 @@ from repro.service.request import Objective
 
 __all__ = ["AdaptorConfig", "AdaptorEvent", "PolicyAdaptor"]
 
-#: The objective every refit optimises: COST, deliberately *not* the
+#: The objective every rung optimises: COST, deliberately *not* the
 #: latency objective even for latency breaches.  Measured response times
 #: are contention-free, so under saturation the latency objective
 #: favours concurrent ensembles that overlap legs, and double the
@@ -78,21 +81,21 @@ _REFIT_OBJECTIVE = Objective.COST
 
 @dataclass(frozen=True)
 class AdaptorConfig:
-    """How the online adaptor widens and re-fits.
+    """How the online adaptor builds and walks its tolerance ladder.
 
-    The refit's bootstrap settings, the recovery debounce, the rollback
+    The ladder's bootstrap settings, the recovery debounce, the rollback
     margin and the base tolerance are :mod:`repro.contract` constants.
 
     Attributes:
-        refit_interval_s: Minimum virtual time between re-fits (also the
+        refit_interval_s: Minimum virtual time between refits (also the
             grace period before a swap is judged for rollback).
-        min_window_samples: Re-fit guardrail — the trailing window must
+        min_window_samples: Refit guardrail — the trailing window must
             hold at least this many answered requests.
-        tolerance_step: Widening step, in the tier-tolerance units of
+        tolerance_step: Rung spacing, in the tier-tolerance units of
             ``degradation_mode`` (relative degradation is a *fraction of
             the baseline error*, so useful steps depend on the service's
             error scale; absolute mode steps in error units).
-        max_tolerance: Ceiling on the widened effective tolerance.
+        max_tolerance: The top rung's tolerance.
         degradation_mode: ``"relative"`` or ``"absolute"`` — forwarded
             to the rule generator.
         thresholds: Confidence-threshold grid of the candidate space.
@@ -115,8 +118,7 @@ class AdaptorConfig:
         )
         if self.degradation_mode not in ("relative", "absolute"):
             raise ValueError("degradation_mode must be relative or absolute")
-        # The refit's design space would refuse these mid-run; refuse
-        # them here.
+        # The ladder's design space would refuse these; refuse them here.
         for threshold in self.thresholds:
             checks.probability("thresholds", threshold)
 
@@ -148,16 +150,15 @@ class _PendingJudgement:
 
 
 class PolicyAdaptor:
-    """Widen-refit-tighten state machine over telemetry snapshots.
+    """Widen-tighten state machine over a tolerance ladder.
 
     Args:
         config: The adaptation schedule and guardrails.
-        measurements: The full measurement table; re-fits run on the
-            row subset named by the trailing window's payloads.
+        measurements: The measurement table the ladder is generated on,
+            every row of it.
         anchor: The offline-fit configuration the system deploys with
             (and converges back to).
-        seed: Base seed; each re-fit derives its own deterministic
-            generator seed from it.
+        seed: Seed of the ladder's bootstrap.
     """
 
     def __init__(
@@ -172,17 +173,34 @@ class PolicyAdaptor:
         self.measurements = measurements
         self.anchor = anchor
         self.active = anchor
-        self.effective_tolerance = contract.REFIT_BASE_TOLERANCE
-        self._seed = int(seed)
-        self._row_of = {rid: i for i, rid in enumerate(measurements.request_ids)}
-        # The anchor competes in (and is estimated by) every re-fit, so
+        # The anchor competes on (and is estimated for) every rung, so
         # swaps can be judged against the deployed policy's worst case.
-        # Candidates are keyed by id, so an anchor named like an
-        # enumerated one is refused here rather than at the first re-fit.
-        self._candidates = check_unique_ids(
-            enumerate_configurations(measurements, thresholds=config.thresholds)
-            + [anchor]
+        # Candidates are keyed by id: the generator refuses an anchor
+        # named like an enumerated one.
+        generator = RoutingRuleGenerator(
+            measurements,
+            configurations=enumerate_configurations(
+                measurements, thresholds=config.thresholds
+            )
+            + [anchor],
+            confidence=contract.REFIT_CONFIDENCE,
+            sample_fraction=contract.REFIT_SAMPLE_FRACTION,
+            seed=seed,
+            degradation_mode=config.degradation_mode,
+            min_trials=contract.REFIT_MIN_TRIALS,
+            max_trials=contract.REFIT_MAX_TRIALS,
         )
+        tolerances = [contract.REFIT_BASE_TOLERANCE]
+        while True:
+            widened = min(config.max_tolerance, tolerances[-1] + config.tolerance_step)
+            if widened <= tolerances[-1] + 1e-12:
+                break
+            tolerances.append(widened)
+        rules = generator.generate(tolerances, _REFIT_OBJECTIVE).rules
+        #: ``(tolerance, configuration)`` per rung, base rung first.
+        self._ladder = tuple((t, rules[float(t)]) for t in tolerances)
+        self._estimates = {e.config_id: e for e in generator.results}
+        self._rung = 0
         self._rejected: set = set()
         self._last_refit = -math.inf
         self._ok_streak = 0
@@ -190,6 +208,11 @@ class PolicyAdaptor:
         self._pending: Optional[_PendingJudgement] = None
         #: Adaptor actions in order, drained into the control log.
         self.events: List[AdaptorEvent] = []
+
+    @property
+    def effective_tolerance(self) -> float:
+        """The current rung's tolerance (the base rung runs the anchor)."""
+        return self._ladder[self._rung][0]
 
     # ------------------------------------------------------------------
     def on_tick(
@@ -206,33 +229,26 @@ class PolicyAdaptor:
 
         if state is SLOState.BREACH:
             self._ok_streak = 0
-            if now - self._last_refit < self.config.refit_interval_s:
+            if (
+                now - self._last_refit < self.config.refit_interval_s
+                or self._rung == len(self._ladder) - 1  # at the ceiling
+            ):
                 return None
-            widened = min(
-                self.config.max_tolerance,
-                self.effective_tolerance + self.config.tolerance_step,
-            )
-            if widened <= self.effective_tolerance + 1e-12:
-                return None  # already at the ceiling
-            return self._refit(snapshot, now, widened, widening=True)
+            return self._refit(snapshot, now, self._rung + 1, widening=True)
 
         if state is SLOState.OK:
             self._ok_streak += 1
             if (
-                self.effective_tolerance <= contract.REFIT_BASE_TOLERANCE + 1e-12
+                self._rung == 0
                 or self._ok_streak < contract.REFIT_RECOVER_AFTER
                 or now - self._last_refit < self.config.refit_interval_s
             ):
                 return None
             self._ok_streak = 0
-            tightened = max(
-                contract.REFIT_BASE_TOLERANCE,
-                self.effective_tolerance - self.config.tolerance_step,
-            )
-            if tightened <= contract.REFIT_BASE_TOLERANCE + 1e-12:
+            if self._rung == 1:
                 # Fully recovered: restore the anchor verbatim.
                 self._last_refit = now
-                self.effective_tolerance = contract.REFIT_BASE_TOLERANCE
+                self._rung = 0
                 self._pending = None
                 self._rejected.clear()
                 if self.active.config_id != self.anchor.config_id:
@@ -245,7 +261,7 @@ class PolicyAdaptor:
                     )
                     return self.anchor
                 return None
-            return self._refit(snapshot, now, tightened, widening=False)
+            return self._refit(snapshot, now, self._rung - 1, widening=False)
 
         # WARN: hold position, reset the recovery streak.
         self._ok_streak = 0
@@ -276,8 +292,8 @@ class PolicyAdaptor:
                 )
             )
             # Blacklist the regressing swap until recovery, but keep the
-            # widened tolerance: the breach persists, so the next re-fit
-            # must explore further out, not re-try this rung.
+            # widened rung: the breach persists, so the next refit must
+            # step further out, not re-try this rung.
             self._rejected.add(self.active.config_id)
             self.active = previous
             return previous
@@ -287,43 +303,23 @@ class PolicyAdaptor:
         self,
         snapshot: WindowSnapshot,
         now: float,
-        tolerance: float,
+        rung: int,
         *,
         widening: bool,
     ) -> Optional[EnsembleConfiguration]:
         self._last_refit = now
-        rows = sorted(
-            {
-                self._row_of[payload]
-                for payload in snapshot.payloads
-                if payload in self._row_of
-            }
-        )
-        if len(snapshot.payloads) < self.config.min_window_samples or len(rows) < 2:
+        if snapshot.n_answered < self.config.min_window_samples:
             self.events.append(
                 AdaptorEvent(
                     "refit-skipped",
-                    f"window holds {len(snapshot.payloads)} answered "
-                    f"request(s) over {len(rows)} measured row(s); need "
-                    f">= {self.config.min_window_samples}",
+                    f"window holds {snapshot.n_answered} answered "
+                    f"request(s); need >= {self.config.min_window_samples}",
                 )
             )
             return None
         self._refit_count += 1
-        window = self.measurements.subset(rows)
-        generator = RoutingRuleGenerator(
-            window,
-            configurations=self._candidates,
-            confidence=contract.REFIT_CONFIDENCE,
-            sample_fraction=contract.REFIT_SAMPLE_FRACTION,
-            seed=(self._seed * 1_000_003 + self._refit_count) % (2**32),
-            degradation_mode=self.config.degradation_mode,
-            min_trials=contract.REFIT_MIN_TRIALS,
-            max_trials=contract.REFIT_MAX_TRIALS,
-        )
-        table = generator.generate([tolerance], _REFIT_OBJECTIVE)
-        chosen = table.rules[float(tolerance)]
-        self.effective_tolerance = tolerance
+        self._rung = rung
+        tolerance, chosen = self._ladder[rung]
         if chosen.config_id == self.active.config_id:
             self.events.append(
                 AdaptorEvent(
@@ -344,15 +340,11 @@ class PolicyAdaptor:
             return None
         if widening:
             # Under a capacity breach a swap must strictly lower the
-            # worst-case node-seconds per request; the re-fit estimated
-            # the active configuration on the same window, so the
-            # comparison is apples to apples.
-            chosen_cost = generator.estimate_for(
-                chosen.config_id
-            ).mean_invocation_cost
-            active_cost = generator.estimate_for(
-                self.active.config_id
-            ).mean_invocation_cost
+            # worst-case node-seconds per request; every candidate was
+            # estimated on the same table, so the comparison is apples
+            # to apples.
+            chosen_cost = self._estimates[chosen.config_id].mean_invocation_cost
+            active_cost = self._estimates[self.active.config_id].mean_invocation_cost
             if chosen_cost >= active_cost:
                 self.events.append(
                     AdaptorEvent(
@@ -377,9 +369,8 @@ class PolicyAdaptor:
         self.events.append(
             AdaptorEvent(
                 "swap",
-                f"refit #{self._refit_count} on {len(rows)} rows at "
-                f"tolerance {tolerance:g}: {self.active.config_id} -> "
-                f"{chosen.config_id}",
+                f"refit #{self._refit_count} at tolerance {tolerance:g}: "
+                f"{self.active.config_id} -> {chosen.config_id}",
             )
         )
         self.active = chosen

@@ -11,13 +11,14 @@ finalized requests and consults it
   aggregate is in BREACH), and
 * once per control tick (:meth:`ControlPlane.on_tick` — snapshot the
   telemetry window, fold every SLO monitor, and ask the policy adaptor
-  whether the executor should hot-swap onto a re-fit configuration).
+  whether the executor should hot-swap onto another rung of its
+  tolerance ladder).
 
 The plane is deterministic by construction: its only randomness is the
 admission controller's dedicated seeded stream (consumed only under
-BREACH), every monitor is a pure state machine, and adaptor re-fit
-seeds derive from the plane seed — so a closed-loop scenario digests
-identically run after run.
+BREACH) and the adaptor's ladder bootstrap, seeded by the plane seed
+when the plane is built; every monitor is a pure state machine — so a
+closed-loop scenario digests identically run after run.
 """
 
 from __future__ import annotations
@@ -178,19 +179,20 @@ class ControlPlane:
 
         Args:
             spec: The declarative control configuration.
-            measurements: Measurement table the adaptor re-fits on
-                (required when ``spec.adaptor`` is set).
+            measurements: Measurement table the adaptor's tolerance
+                ladder is generated on (required when ``spec.adaptor``
+                is set).
             configuration: The deployed configuration — the adaptor's
                 anchor (required when ``spec.adaptor`` is set).
             router: The deployed router, for router-based scenarios.
                 Adaptation over routers is not supported yet; admission
                 and telemetry are.
-            seed: Seed for the admission RNG and re-fit seeds.
+            seed: Seed for the admission RNG and the ladder's bootstrap.
             deployed_versions: Versions the deployment actually hosts.
                 The adaptor's candidate space (and its degradation
                 baseline) is restricted to them — a measurement table
                 usually covers more versions than any one deployment,
-                and a re-fit must never pick an ensemble the cluster
+                and a rung must never name an ensemble the cluster
                 cannot serve.
         """
         controller = None

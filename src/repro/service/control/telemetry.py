@@ -1,11 +1,12 @@
 """Streaming, windowed serving telemetry.
 
 Everything the control plane decides — SLO states, admission pressure,
-when the policy adaptor may re-fit — is decided from a *trailing window*
-of per-request records, not from whole-run aggregates: a breach that
-started five virtual seconds ago must dominate a healthy first hour.
-:class:`TelemetryHub` is that window, and it is incremental: a control
-tick costs what it decides, not a walk over every windowed record.
+when the policy adaptor may move a rung — is decided from a *trailing
+window* of per-request records, not from whole-run aggregates: a breach
+that started five virtual seconds ago must dominate a healthy first
+hour.  :class:`TelemetryHub` is that window, and it is incremental: a
+control tick costs what it decides, not a walk over every windowed
+record.
 
 The serving simulator is its one producer, through the duck-typed
 plane: the scalar loop's ``observe`` calls :meth:`TelemetryHub.publish`
@@ -14,23 +15,22 @@ per record, the columnar loop's ``observe_rows`` hands
 tick (:meth:`TelemetryHub.publish_columns` is the same over a finished
 report's arrays).  Either way every
 field is read **once, at publish**, into parallel columns (time, tier,
-outcome code, latency and cost in a dense :class:`_FloatWindow`; payload
-and billed ``node_seconds`` items beside it) and the record is not kept.
+outcome code, latency and cost in a dense :class:`_FloatWindow`; billed
+``node_seconds`` items beside it) and the record is not kept.
 
 :meth:`TelemetryHub.snapshot` *counts* and *defers*.  Counts are exact
 integers: a per-tier tally that publish adds to and both eviction sites
 (window horizon, ``max_records`` valve) subtract from — O(tiers), taken
 with the snapshot.  Everything else (percentiles, per-tier windows,
-per-version node-seconds, the cost mean, the payloads) is computed when a
-consumer first reads it, from the snapshot's own copy of the live float
-columns and its slice of the append-only payload and billing lists, so a
-late read sees exactly the window of the snapshot's instant.  A control
-tick therefore pays for what its SLOs read — usually the whole-stream
-p95 — and a refit for the payloads.  Float aggregates reach SLO
-pressures and control-log text, so they are summed strictly left to
-right: running float subtraction, ``ndarray.sum`` (pairwise) and builtin
-``sum`` (compensated from Python 3.12) all round differently from the
-per-record ``+=`` walk this replaced, which
+per-version node-seconds, the cost mean) is computed when a consumer
+first reads it, from the snapshot's own copy of the live float columns
+and its slice of the append-only billing list, so a late read sees
+exactly the window of the snapshot's instant.  A control tick therefore
+pays for what its SLOs read — usually the whole-stream p95.  Float
+aggregates reach SLO pressures and control-log text, so they are summed
+strictly left to right: running float subtraction, ``ndarray.sum``
+(pairwise) and builtin ``sum`` (compensated from Python 3.12) all round
+differently from the per-record ``+=`` walk this replaced, which
 ``tests/oracle/telemetry_reference.py`` keeps as the oracle.  Each
 percentile sorts its latency slice on first read
 (:func:`repro.stats.descriptive.percentiles`).
@@ -50,7 +50,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,8 +163,6 @@ class WindowSnapshot:
         node_seconds_per_s: Total node-seconds burn rate over ``span_s``.
         mean_cost: Mean billed cost per answered request.
         tiers: Per-tier breakdowns, keyed by tolerance.
-        payloads: Payloads of windowed records in publish order (the
-            adaptor re-fits the rule generator on these rows).
     """
 
     def __init__(
@@ -174,7 +172,7 @@ class WindowSnapshot:
         span_s: float,
         counts: Dict[float, List[int]],
         rows: np.ndarray,
-        objects: Tuple[list, list, int, int],
+        objects: Tuple[list, int, int],
     ) -> None:
         self.now = now
         self.window_s = window_s
@@ -190,8 +188,8 @@ class WindowSnapshot:
         self._counts = {tier: tuple(tally) for tier, tally in counts.items()}
         #: Own copy of the live (time, tier, code, latency, cost) columns,
         self._rows = rows
-        #: and ``(payloads, billed, start, stop)``: the live slice of the
-        #: hub's lists, which only ever grow past ``stop``.
+        #: and ``(billed, start, stop)``: the live slice of the hub's
+        #: billing list, which only ever grows past ``stop``.
         self._objects = objects
 
     @property
@@ -228,7 +226,7 @@ class WindowSnapshot:
     def node_seconds(self) -> Dict[str, float]:
         # Versions appear in the order a walk over the live rows first
         # meets them.
-        _, billed, start, stop = self._objects
+        billed, start, stop = self._objects
         node_seconds: Dict[str, float] = {}
         for version, seconds in chain.from_iterable(billed[start:stop]):
             node_seconds[version] = node_seconds.get(version, 0.0) + seconds
@@ -262,11 +260,6 @@ class WindowSnapshot:
                 mean_cost=_ordered_mean(cost_ok[served]),
             )
         return tiers
-
-    @cached_property
-    def payloads(self) -> Tuple[object, ...]:
-        payloads, _, start, stop = self._objects
-        return tuple(compress(payloads[start:stop], self._answered.tolist()))
 
     def for_tier(self, tier: Optional[float]) -> "WindowSnapshot | TierWindow":
         """The whole-stream snapshot, or one tier's slice.
@@ -336,7 +329,7 @@ class _FloatWindow:
 
 #: Row outcome codes; a per-tier tally is indexed by them.
 _ANSWERED, _DEGRADED, _FAILED, _SHED = range(4)
-#: What publish reads per row, beside time, payload and ``node_seconds``.
+#: What publish reads per row, beside time and ``node_seconds``.
 _ROW_FIELDS = operator.attrgetter(
     "tier", "shed", "failed", "degraded", "response_time_s", "invocation_cost"
 )
@@ -369,12 +362,11 @@ class TelemetryHub:
         self._max_records = max_records
         #: Per live row: publish time, tier, outcome code, latency, cost —
         self._rows = _FloatWindow(5)
-        #: — its payload, and its billed ``node_seconds`` items (in the
-        #: record's own key order; none unless the row was answered), in
-        #: lists that are only appended to: the live rows are those from
-        #: ``_head`` on, and compaction starts new lists, so a snapshot's
-        #: slice of the old ones stays as it was.
-        self._payloads: List[object] = []
+        #: — and its billed ``node_seconds`` items (in the record's own key
+        #: order; none unless the row was answered), in a list that is
+        #: only appended to: the live rows are those from ``_head`` on,
+        #: and compaction starts a new list, so a snapshot's slice of the
+        #: old one stays as it was.
         self._billed: List[Tuple[Tuple[str, float], ...]] = []
         self._head = 0
         #: tier -> live rows ``[answered, degraded, failed, shed]``; a
@@ -398,7 +390,7 @@ class TelemetryHub:
             now: Publish time; defaults to the record's ``finished_s``.
         """
         t = float(record.finished_s if now is None else now)
-        self._append([(t, *_ROW_FIELDS(record), record.payload, record.node_seconds)])
+        self._append([(t, *_ROW_FIELDS(record), record.node_seconds)])
 
     def publish_columns(self, columns, rows: slice, times: np.ndarray) -> None:
         """Fold a slice of report columns into the window: the many-row
@@ -415,7 +407,6 @@ class TelemetryHub:
                 zip(
                     times.tolist(),
                     *(column[rows].tolist() for column in _ROW_FIELDS(columns)),
-                    columns.payloads[rows],
                     columns.row_node_seconds(rows),
                 )
             )
@@ -428,7 +419,7 @@ class TelemetryHub:
 
         Args:
             rows: ``(now, tier, shed, failed, degraded, response_time_s,
-                invocation_cost, payload, node_seconds)`` per row, in
+                invocation_cost, node_seconds)`` per row, in
                 completion order (``now`` non-decreasing).
         """
         self._append(rows)
@@ -436,8 +427,8 @@ class TelemetryHub:
     def _append(self, rows) -> None:
         """The one append: the rows' columns and the tallies (an
         out-of-order row rejects the whole call before any of them)."""
-        fields, payloads, legs, last = [], [], [], self._last_time
-        for t, tier, shed, failed, degraded, latency, cost, payload, billed in rows:
+        fields, legs, last = [], [], self._last_time
+        for t, tier, shed, failed, degraded, latency, cost, billed in rows:
             if t < last - 1e-12:
                 raise ValueError(
                     f"telemetry published out of order: {t:.6f} after {last:.6f}"
@@ -448,18 +439,15 @@ class TelemetryHub:
                 else _DEGRADED if degraded else _ANSWERED
             )
             fields.append((t, float(tier), code, latency, cost))
-            payloads.append(payload)
             legs.append(tuple(billed.items()) if code <= _DEGRADED else ())
         self._last_time = last
         for _, tier, code, _, _ in fields:
             self._counts.setdefault(tier, [0, 0, 0, 0])[code] += 1
         self._rows.append(list(zip(*fields)))
         head = self._head
-        if head > len(self._payloads) // 2:
-            self._payloads = self._payloads[head:]
+        if head > len(self._billed) // 2:
             self._billed = self._billed[head:]
             self._head = 0
-        self._payloads.extend(payloads)
         self._billed.extend(legs)
         self._published += len(fields)
         if self._max_records is not None:
@@ -511,5 +499,5 @@ class TelemetryHub:
             self._counts,
             # A copy: appends compact the live region in place.
             self._rows.view().copy(),
-            (self._payloads, self._billed, self._head, len(self._payloads)),
+            (self._billed, self._head, len(self._billed)),
         )

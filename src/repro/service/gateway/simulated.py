@@ -61,7 +61,7 @@ class SimulatedBackend:
             plane sheds resolve their gateway tickets with a
             :class:`~repro.core.errors.RequestShedError`.
         control_measurements: Measurement table a spec-built plane's
-            adaptor re-fits on.
+            adaptor generates its tolerance ladder on.
         seed: Seed for arrival sampling, fault and admission draws.
         trace: Optional trace sink — a
             :class:`~repro.obs.trace.TraceCollector` (or a pre-built

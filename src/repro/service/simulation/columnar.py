@@ -1211,8 +1211,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                 rows.append(
                     (
                         t, tolerances[sub], shed[sub], failed[sub],
-                        degraded[sub], end - times[sub], cost, payloads[sub],
-                        billed,
+                        degraded[sub], end - times[sub], cost, billed,
                     )
                 )
             control.observe_rows(rows)

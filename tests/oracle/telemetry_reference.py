@@ -50,7 +50,6 @@ class WindowSnapshot:
     node_seconds_per_s: float
     mean_cost: float
     tiers: Dict[float, TierWindow]
-    payloads: Tuple[object, ...]
 
 
 def _loop_sum(values) -> float:
@@ -304,9 +303,4 @@ class ReferenceTelemetryHub:
             node_seconds_per_s=_loop_sum(node_seconds.values()) / span,
             mean_cost=(cost_sum / n_answered) if n_answered else float("nan"),
             tiers=tiers,
-            payloads=tuple(
-                r.payload
-                for r in records
-                if not r.failed and not getattr(r, "shed", False)
-            ),
         )
