@@ -67,8 +67,8 @@ def test_perf_rule_generator(ic_cpu_measurements):
     measurements = ic_cpu_measurements
     configurations = _fig7_space(measurements)
 
-    # Warm one-time costs (the lazy scipy.special import, numpy ufunc
-    # setup) out of the timed region.
+    # Warm one-time costs (NumPy ufunc setup, first-touch allocations)
+    # out of the timed region; nothing here imports SciPy.
     RoutingRuleGenerator(measurements, configurations[:2], **GENERATOR_KW)
 
     wall, generator = _best_time(

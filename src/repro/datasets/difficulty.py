@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import ndtri
 
 from repro import checks
+from repro.stats.normal import ndtri
 
 __all__ = ["DifficultyModel", "DifficultyProfile"]
 

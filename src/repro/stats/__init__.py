@@ -6,6 +6,9 @@ The sub-modules are intentionally small and dependency-light:
 * :mod:`repro.stats.resampling` -- seeded subsampling and k-fold splits.
 * :mod:`repro.stats.confidence` -- z-score / normal-quantile confidence tests
   used by the routing-rule generator (paper Fig. 7).
+* :mod:`repro.stats.normal` -- the standard normal CDF (``ndtr``) and
+  quantile (``ndtri``), ported from Cephes bit for bit with SciPy's, so
+  the package needs only NumPy at run time (SciPy is a test oracle).
 """
 
 from repro.stats.confidence import (

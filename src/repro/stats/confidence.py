@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro import checks, contract
+from repro.stats.normal import ndtri
 
 __all__ = [
     "ConfidenceTest",
@@ -90,10 +91,6 @@ def normal_quantile(confidence: float) -> float:
     Raises:
         ValueError: If ``confidence`` is not strictly between 0 and 1.
     """
-    # Imported here: every ``import repro`` reaches this module, but only
-    # rule generation and control-plane refits ever compute a quantile.
-    from scipy.special import ndtri
-
     return float(ndtri(checks.unit_open("confidence", confidence)))
 
 

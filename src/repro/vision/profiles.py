@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro import checks
 from repro.datasets.difficulty import DifficultyModel, DifficultyProfile
+from repro.stats.normal import ndtr
 
 __all__ = [
     "IC_CPU_VERSIONS",
@@ -154,17 +154,25 @@ def simulate_ic_measurements(
         seed: Seed for all sampling.
         difficulty_profile: Optional override of the latent difficulty
             distribution.
-        confidence_sharpness: Scale of the margin → confidence squash.
+        confidence_sharpness: Scale of the margin → confidence squash;
+            finite and positive (a negative one would invert confidence
+            against correctness).
         confidence_noise: Standard deviation of the additive confidence
-            noise (before clipping to ``[0.01, 0.999]``).
+            noise (before clipping to ``[0.01, 0.999]``); finite and
+            non-negative.
 
     Returns:
         ``(difficulties, outcomes)`` where ``difficulties`` has length
         ``n_requests`` and ``outcomes`` maps version name to
         :class:`PerRequestOutcomes`.
+
+    Raises:
+        ValueError: If ``n_requests`` is not an integer >= 1, or a
+            confidence knob is out of range or not finite.
     """
-    if n_requests <= 0:
-        raise ValueError("n_requests must be positive")
+    checks.integer("n_requests", n_requests, minimum=1)
+    checks.positive("confidence_sharpness", confidence_sharpness, finite=True)
+    checks.non_negative("confidence_noise", confidence_noise, finite=True)
     if versions is None:
         versions = IC_CPU_VERSIONS
     rng = np.random.default_rng(seed)

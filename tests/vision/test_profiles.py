@@ -78,9 +78,33 @@ class TestSimulatedMeasurements:
             o1["ic_cpu_vgg16"].latency_s, o2["ic_cpu_vgg16"].latency_s
         )
 
-    def test_rejects_bad_request_count(self):
-        with pytest.raises(ValueError):
-            simulate_ic_measurements(0)
+    @pytest.mark.parametrize("n_requests", [0, -3, 2.5, 10.0])
+    def test_rejects_bad_request_count(self, n_requests):
+        with pytest.raises(ValueError, match="n_requests must be an integer >= 1"):
+            simulate_ic_measurements(n_requests)
+
+    @pytest.mark.parametrize("sharpness", [-1.4, 0.0, -0.0, np.nan, np.inf])
+    def test_rejects_a_sharpness_that_is_not_finite_and_positive(self, sharpness):
+        # -1.4 inverted confidence against correctness, 0.0 divided by
+        # zero into saturated confidences, NaN made every confidence NaN.
+        with pytest.raises(ValueError, match="confidence_sharpness must be"):
+            simulate_ic_measurements(100, confidence_sharpness=sharpness)
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, -np.inf])
+    def test_rejects_a_noise_that_is_not_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="confidence_noise must be"):
+            simulate_ic_measurements(100, confidence_noise=noise)
+
+    def test_zero_noise_and_any_positive_sharpness_are_accepted(self):
+        _, outcomes = simulate_ic_measurements(
+            200, seed=5, confidence_sharpness=0.3, confidence_noise=0.0
+        )
+        for sample in outcomes.values():
+            assert np.all(np.isfinite(sample.confidence))
+            # A positive sharpness keeps confidence rising with the margin.
+            correct = sample.error == 0.0
+            right, wrong = sample.confidence[correct], sample.confidence[~correct]
+            assert right.mean() > wrong.mean()
 
     def test_gpu_profiles_selectable(self):
         _, outcomes = simulate_ic_measurements(
