@@ -1,7 +1,7 @@
 """ABL2 — bootstrap confidence level vs savings and guarantee safety.
 
-DESIGN.md calls out the rule generator's confidence level (the paper fixes
-it at 99.9 %) as a key design choice: lower confidence lets the generator
+The rule generator's confidence level (the paper fixes it at 99.9 %) is a
+key design choice: lower confidence lets the generator
 pick more aggressive configurations (larger savings) at a higher risk of
 held-out violations.  This ablation sweeps the confidence level and audits
 each setting on held-out folds.

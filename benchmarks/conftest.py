@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md section 4).  The measurement tables and bootstrapped rule
+Every benchmark regenerates one of the paper's tables or figures (see the
+Benchmarks section of ``README.md``).  The measurement tables and bootstrapped rule
 generators they share are built once per session here; the ASR table (which
 needs real beam-search decodes for 150 utterances x 7 versions) is cached on
 disk under ``results/cache/`` so repeated benchmark runs start instantly.

@@ -1,15 +1,18 @@
-"""Live serving scenario: the tier gateway over real CNNs.
+"""Live serving scenario: the tier gateway over a deployed cluster.
 
-Everything here runs "for real": miniature CNNs are trained with the NumPy
-trainer, wrapped as service versions, deployed as node pools behind a load
-balancer, and fronted by a :class:`~repro.service.gateway.TierGateway`
-over the live :class:`~repro.service.gateway.DirectBackend`.  Consumers
-then submit requests with the paper's ``Tolerance`` / ``Objective``
-headers — a photo organiser that just wants quick labels uses the 10 %
-tier, a medical-imaging triage app insists on the 0 % tier — and the
-gateway escalates between the small and large CNN based on the small
-model's confidence.  A final batch shows the session surface: tickets
-from ``submit_batch`` with a per-request deadline.
+Offline, the image-classification service is measured (the calibrated CPU
+profiles of SqueezeNet and ResNet-50) and routing rules are generated from
+the first measured requests.  Online, exactly those two versions are
+deployed as node pools behind a load balancer — each node answers with
+the measured error, latency and confidence of the request it is handed —
+and fronted by a :class:`~repro.service.gateway.TierGateway` over the live
+:class:`~repro.service.gateway.DirectBackend`.  Consumers then submit
+held-out requests with the paper's ``Tolerance`` / ``Objective`` headers —
+a photo organiser that just wants quick labels uses the 10 % tier, a
+medical-imaging triage app insists on the 0 % tier — and the gateway
+escalates from SqueezeNet to ResNet-50 on SqueezeNet's confidence.  A
+final batch shows the session surface: tickets from ``submit_batch`` with
+a per-request deadline.
 
 Run with::
 
@@ -25,132 +28,82 @@ from repro.core import (
     TierRouter,
     enumerate_configurations,
 )
+from repro.service import Objective, ServiceRequest, measure_ic_service
 from repro.service.gateway import DirectBackend, TierGateway
-from repro.datasets import make_imagenet_surrogate
-from repro.service import (
-    ClusterDeployment,
-    NodePool,
-    Objective,
-    ServiceRequest,
-    get_instance_type,
-    measure_mini_ic_service,
-)
-from repro.service.node import CallableVersion, VersionResult
-from repro.vision import ImageClassifier, SGDTrainer, TrainingConfig, build_mini_model
+from repro.service.simulation import build_replay_cluster
 
-
-def train_classifiers(dataset, n_classes):
-    """Train a small and a large miniature CNN on the synthetic images."""
-    classifiers = {}
-    n_train = int(len(dataset) * 0.7)
-    for name, epochs in (("mini_googlenet", 6), ("mini_resnet", 6)):
-        network = build_mini_model(name, dataset.images.shape[1:], n_classes, seed=0)
-        trainer = SGDTrainer(
-            network, TrainingConfig(epochs=epochs, learning_rate=0.08, seed=0)
-        )
-        history = trainer.train(dataset.images[:n_train], dataset.labels[:n_train])
-        print(f"trained {name}: final train accuracy {history[-1]['accuracy']:.2f}")
-        classifiers[name] = ImageClassifier(network, device_gflops=1.0)
-    return classifiers
-
-
-def as_service_version(name, classifier, dataset):
-    """Adapt an ImageClassifier into the cluster's ServiceVersion protocol."""
-
-    def handler(request_id, payload):
-        index = int(payload)
-        image, label = dataset[index]
-        result = classifier.classify(image, label, request_id=request_id)
-        return VersionResult(
-            request_id=request_id,
-            version=name,
-            output=result.predicted_class,
-            error=result.top1_error,
-            confidence=result.confidence,
-            compute_seconds=result.latency_s,
-        )
-
-    return CallableVersion(name, handler)
+FAST, ACCURATE = "ic_cpu_squeezenet", "ic_cpu_resnet50"
+N_RULE_ROWS, N_SERVED_ROWS = 2000, 1000
 
 
 def main() -> None:
-    dataset = make_imagenet_surrogate(n_images=900, n_classes=6, image_size=8, seed=4)
-    classifiers = train_classifiers(dataset, n_classes=6)
-
-    # Offline: measure the miniature service and generate routing rules.
-    # Only the two deployed versions are kept; whichever trained better is
-    # the "accurate" version the other escalates to.
-    measurements = measure_mini_ic_service(
-        n_images=900, n_classes=6, image_size=8, epochs=6, seed=4
-    ).restrict_versions(["mini_googlenet", "mini_resnet"])
-    accurate = measurements.most_accurate_version()
-    fast = next(v for v in measurements.versions if v != accurate)
-    print(f"\ndeployed versions: fast={fast}, accurate={accurate}")
+    # Offline: measure the two deployed versions and generate routing
+    # rules on the first rows; the rest are held out for serving.
+    kept = measure_ic_service(
+        N_RULE_ROWS + N_SERVED_ROWS, device="cpu", seed=4
+    ).restrict_versions([FAST, ACCURATE])
+    rule_rows = kept.subset(range(N_RULE_ROWS))
+    served_ids = kept.request_ids[N_RULE_ROWS:]
     configurations = enumerate_configurations(
-        measurements,
+        rule_rows,
         thresholds=(0.4, 0.5, 0.6, 0.7),
-        fast_versions=[fast],
-        accurate_version=accurate,
+        fast_versions=[FAST],
+        accurate_version=ACCURATE,
     )
     generator = RoutingRuleGenerator(
-        measurements, configurations, confidence=0.99, seed=0,
+        rule_rows, configurations, confidence=0.99, seed=0,
         min_trials=8, max_trials=40,
     )
-    router = TierRouter(
-        {
-            Objective.RESPONSE_TIME: generator.generate(
-                [0.01, 0.05, 0.10], Objective.RESPONSE_TIME
-            ),
-            Objective.COST: generator.generate([0.01, 0.05, 0.10], Objective.COST),
-        }
-    )
+    tolerances = [0.01, 0.05, 0.10]
+    tables = {
+        objective: generator.generate(tolerances, objective)
+        for objective in (Objective.RESPONSE_TIME, Objective.COST)
+    }
+    router = TierRouter(tables)
+    print(f"Rules generated on the first {N_RULE_ROWS} measured requests:")
+    for objective, table in tables.items():
+        for tolerance in tolerances:
+            rule = table.config_for(tolerance).name
+            print(f"  {objective.value:13s} {tolerance:4.0%} tier: {rule}")
 
-    # Online: deploy node pools and the annotated-request endpoint.
-    instance = get_instance_type("cpu.medium")
-    cluster = ClusterDeployment(
-        {
-            "mini_googlenet": NodePool(
-                as_service_version("mini_googlenet", classifiers["mini_googlenet"], dataset),
-                instance,
-                n_nodes=2,
-            ),
-            "mini_resnet": NodePool(
-                as_service_version("mini_resnet", classifiers["mini_resnet"], dataset),
-                instance,
-            ),
-        }
-    )
+    # Online: deploy node pools for exactly those versions and the
+    # annotated-request endpoint.
+    cluster = build_replay_cluster(kept, {FAST: 2, ACCURATE: 1})
     gateway = TierGateway(DirectBackend(cluster), router=router)
 
+    def top1(response) -> str:
+        row = kept.request_ids.index(response.result)
+        wrong = kept.error[row, kept.version_index(response.versions_used[-1])]
+        return "wrong" if wrong else "right"
+
     rng = np.random.default_rng(0)
-    print("\nServing annotated requests (paper Section IV-A):")
+    print(f"\nServing {N_SERVED_ROWS} held-out requests (paper Section IV-A):")
     for consumer, headers in (
         ("photo-organiser", {"Tolerance": "0.10", "Objective": "response-time"}),
         ("shopping-app", {"Tolerance": "0.05", "Objective": "cost"}),
         ("medical-triage", {"Tolerance": "0.0", "Objective": "response-time"}),
     ):
-        image_index = int(rng.integers(600, 900))
+        image = served_ids[int(rng.integers(N_SERVED_ROWS))]
         response = gateway.handle_http(
-            request_id=f"{consumer}_{image_index}",
-            payload=image_index,
-            headers=headers,
+            request_id=f"{consumer}_{image}", payload=image, headers=headers
         )
-        true_label = int(dataset.labels[image_index])
         print(
             f"  {consumer:16s} tier={headers['Tolerance']:>4s}/{headers['Objective']:<13s} "
-            f"versions={'+'.join(response.versions_used):28s} "
-            f"predicted={response.result} (true {true_label})  "
+            f"versions={'+'.join(response.versions_used):36s} "
+            f"top-1 {top1(response)}  "
             f"latency={response.response_time_s * 1000:6.1f} ms  "
             f"cost=${response.invocation_cost * 1e6:.2f}e-6"
         )
 
-    # The session surface: a burst of 10 %-tier requests as tickets, each
-    # against a 150 ms response-time deadline.
+    # The session surface: a burst of 10 %-tier cost-objective requests as
+    # tickets, each against a 150 ms response-time deadline.  Its sequential
+    # rule escalates only the requests SqueezeNet is unsure of.
     batch = [
         ServiceRequest(
             request_id=f"burst_{i:02d}",
-            payload=int(rng.integers(600, 900)),
+            payload=served_ids[int(rng.integers(N_SERVED_ROWS))],
             tolerance=0.10,
+            objective=Objective.COST,
         )
         for i in range(8)
     ]

@@ -13,12 +13,13 @@ Package layout
 * :mod:`repro.asr` -- a beam-search speech-recognition engine whose pruning
   heuristics create the accuracy-latency trade-off (the paper's ASR
   service).
-* :mod:`repro.vision` -- a NumPy CNN engine plus calibrated profiles of the
-  paper's five ImageNet networks (the paper's IC service).
+* :mod:`repro.vision` -- calibrated CPU/GPU profiles of the paper's five
+  ImageNet networks (the paper's IC service).
 * :mod:`repro.service` -- the MLaaS substrate: requests, nodes, instance
   catalogue, pricing, load balancing, cluster deployments and the
   measurement tables every experiment runs on.
-* :mod:`repro.datasets` -- synthetic stand-ins for VoxForge and ILSVRC-2012.
+* :mod:`repro.datasets` -- a synthetic stand-in for VoxForge and the latent
+  difficulty model the image profiles sample from.
 * :mod:`repro.analysis` -- the Section III "one size fits all" limitation
   analysis (Pareto frontier, request categories, headline summaries).
 * :mod:`repro.stats` -- confidence, percentile and resampling helpers.

@@ -11,15 +11,14 @@ the properties the evaluation actually depends on:
   paper's request categories (unchanged / improves / degrades / varies)
   emerge naturally.
 
-See DESIGN.md section 2 for the substitution rationale.
+Speech gets a synthetic corpus (:mod:`repro.datasets.voxforge`) that the
+real decoder transcribes; images get only the latent difficulty model
+(:mod:`repro.datasets.difficulty`) the calibrated profiles of
+:mod:`repro.vision.profiles` sample from.  ``README.md`` describes each
+substrate.
 """
 
 from repro.datasets.difficulty import DifficultyModel, DifficultyProfile
-from repro.datasets.imagenet import (
-    SyntheticImageDataset,
-    SyntheticImageNetConfig,
-    make_imagenet_surrogate,
-)
 from repro.datasets.voxforge import (
     SpeakerProfile,
     SyntheticSpeechCorpus,
@@ -32,11 +31,8 @@ __all__ = [
     "DifficultyModel",
     "DifficultyProfile",
     "SpeakerProfile",
-    "SyntheticImageDataset",
-    "SyntheticImageNetConfig",
     "SyntheticSpeechCorpus",
     "SyntheticVoxForgeConfig",
     "Utterance",
-    "make_imagenet_surrogate",
     "make_voxforge_surrogate",
 ]

@@ -49,7 +49,6 @@ from repro.service.measurement import (
     VersionMeasurement,
     measure_asr_service,
     measure_ic_service,
-    measure_mini_ic_service,
 )
 from repro.service.node import (
     NodeCompletion,
@@ -82,5 +81,4 @@ __all__ = [
     "get_instance_type",
     "measure_asr_service",
     "measure_ic_service",
-    "measure_mini_ic_service",
 ]

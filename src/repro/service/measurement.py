@@ -6,14 +6,12 @@ is decided from *measurements*: for every training request and every
 service version, what error did the version make, how long did it take, and
 how confident was it.  The limitation analysis of Section III consumes the
 same data.  :class:`MeasurementSet` is that table, and the ``measure_*``
-builders produce it from the three substrates in this repository:
+builders produce it from the two substrates in this repository:
 
 * :func:`measure_asr_service` — decode a synthetic speech corpus with every
   ASR beam-search version (real decoder, real WER).
 * :func:`measure_ic_service` — sample the calibrated CPU/GPU profiles of the
   five ImageNet networks.
-* :func:`measure_mini_ic_service` — train the miniature NumPy CNNs on the
-  synthetic image dataset and classify a held-out split (real inference).
 
 Measurement sets serialise to JSON so the expensive ASR decode can be
 cached across benchmark runs.
@@ -36,7 +34,6 @@ __all__ = [
     "VersionMeasurement",
     "measure_asr_service",
     "measure_ic_service",
-    "measure_mini_ic_service",
 ]
 
 
@@ -189,7 +186,7 @@ class MeasurementSet:
 
         Useful when a deployment only hosts a subset of the measured
         versions (e.g. the live-serving example deploys two of the five
-        miniature CNNs).
+        ImageNet networks).
 
         Raises:
             KeyError: If any requested version is not in the set.
@@ -274,18 +271,32 @@ class MeasurementSet:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MeasurementSet":
-        """Load a measurement set previously written by :meth:`to_json`."""
-        payload = json.loads(Path(path).read_text())
-        return cls(
-            service=payload["service"],
-            request_ids=tuple(payload["request_ids"]),
-            versions=tuple(payload["versions"]),
-            error=np.asarray(payload["error"], dtype=float),
-            latency_s=np.asarray(payload["latency_s"], dtype=float),
-            confidence=np.asarray(payload["confidence"], dtype=float),
-            version_instances=dict(payload["version_instances"]),
-            metadata=dict(payload.get("metadata", {})),
-        )
+        """Load a measurement set previously written by :meth:`to_json`.
+
+        Raises:
+            ValueError: Naming the file, if it is not JSON (a write that was
+                interrupted leaves it truncated), lacks a field, or holds a
+                table the constructor refuses.
+        """
+        try:
+            payload = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: undecodable JSON: {exc}") from None
+        try:
+            return cls(
+                service=payload["service"],
+                request_ids=tuple(payload["request_ids"]),
+                versions=tuple(payload["versions"]),
+                error=np.asarray(payload["error"], dtype=float),
+                latency_s=np.asarray(payload["latency_s"], dtype=float),
+                confidence=np.asarray(payload["confidence"], dtype=float),
+                version_instances=dict(payload["version_instances"]),
+                metadata=dict(payload.get("metadata", {})),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -383,10 +394,10 @@ def measure_ic_service(
         simulate_ic_measurements,
     )
 
-    if cache_path is not None and Path(cache_path).exists():
-        return MeasurementSet.from_json(cache_path)
     if device not in ("cpu", "gpu"):
         raise ValueError("device must be 'cpu' or 'gpu'")
+    if cache_path is not None and Path(cache_path).exists():
+        return MeasurementSet.from_json(cache_path)
 
     versions = IC_CPU_VERSIONS if device == "cpu" else IC_GPU_VERSIONS
     instance = "cpu.medium" if device == "cpu" else "gpu.k80"
@@ -412,71 +423,3 @@ def measure_ic_service(
         Path(cache_path).parent.mkdir(parents=True, exist_ok=True)
         measurement_set.to_json(cache_path)
     return measurement_set
-
-
-def measure_mini_ic_service(
-    *,
-    n_images: int = 600,
-    n_classes: int = 6,
-    image_size: int = 8,
-    train_fraction: float = 0.6,
-    epochs: int = 4,
-    seed: int = 2012,
-    instance_type: str = "cpu.medium",
-) -> MeasurementSet:
-    """Train the miniature NumPy CNNs and measure them on held-out images.
-
-    This builder exercises the *real* inference path (the NumPy layers) end
-    to end: each miniature network is trained briefly on the synthetic image
-    dataset and then measured on a held-out split.  It is slower and noisier
-    than the calibrated profiles, so tests and examples use small sizes.
-    """
-    from repro.datasets.imagenet import SyntheticImageNetConfig, SyntheticImageDataset
-    from repro.vision.classifier import ImageClassifier
-    from repro.vision.model_zoo import MINI_MODEL_BUILDERS, build_mini_model
-    from repro.vision.training import SGDTrainer, TrainingConfig
-
-    checks.unit_open("train_fraction", train_fraction)
-    dataset = SyntheticImageDataset(
-        SyntheticImageNetConfig(
-            n_images=n_images,
-            n_classes=n_classes,
-            image_size=image_size,
-            seed=seed,
-        )
-    )
-    n_train = int(n_images * train_fraction)
-    train_x, train_y = dataset.images[:n_train], dataset.labels[:n_train]
-    test_x, test_y = dataset.images[n_train:], dataset.labels[n_train:]
-    request_ids = tuple(f"img_{i:06d}" for i in range(n_train, n_images))
-
-    records: List[VersionMeasurement] = []
-    names = list(MINI_MODEL_BUILDERS.keys())
-    for name in names:
-        network = build_mini_model(
-            name, dataset.images.shape[1:], n_classes, seed=seed
-        )
-        trainer = SGDTrainer(
-            network, TrainingConfig(epochs=epochs, seed=seed, learning_rate=0.08)
-        )
-        trainer.train(train_x, train_y)
-        classifier = ImageClassifier(network)
-        for result in classifier.classify_batch(
-            test_x, test_y, request_ids=request_ids
-        ):
-            records.append(
-                VersionMeasurement(
-                    request_id=result.request_id,
-                    version=name,
-                    error=result.top1_error,
-                    latency_s=result.latency_s,
-                    confidence=result.confidence,
-                )
-            )
-    return MeasurementSet.from_records(
-        "ic_mini",
-        records,
-        {name: instance_type for name in names},
-        versions_order=names,
-        metadata={"seed": seed, "n_test_images": len(request_ids)},
-    )

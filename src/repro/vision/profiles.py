@@ -11,9 +11,9 @@ shared latent-difficulty model of :mod:`repro.datasets.difficulty` so that
 correctness is realistically correlated across versions (which is what the
 paper's request-category analysis measures).
 
-The miniature NumPy networks in :mod:`repro.vision.model_zoo` exercise the
-actual inference code path; the profiles reproduce the published
-accuracy/latency *shape* at evaluation scale.
+The profiles reproduce the published accuracy/latency *shape* at
+evaluation scale; every image-classification figure, benchmark and example
+measures them through :func:`repro.service.measure_ic_service`.
 """
 
 from __future__ import annotations

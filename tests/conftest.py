@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracle.scalar import loop
-from repro.datasets import make_imagenet_surrogate, make_voxforge_surrogate
+from repro.datasets import make_voxforge_surrogate
 from repro.service import measure_asr_service, measure_ic_service
 
 
@@ -41,12 +41,6 @@ def update_golden(request):
 def speech_corpus():
     """A small synthetic speech corpus (shared, read-only)."""
     return make_voxforge_surrogate(n_utterances=24, seed=11, n_speakers=8)
-
-
-@pytest.fixture(scope="session")
-def image_dataset():
-    """A small synthetic image dataset (shared, read-only)."""
-    return make_imagenet_surrogate(n_images=240, n_classes=5, image_size=8, seed=11)
 
 
 @pytest.fixture(scope="session")

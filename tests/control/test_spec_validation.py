@@ -45,7 +45,6 @@ from repro.core.policies import (
 from repro.core.router import RoutingRuleTable, TierRouter
 from repro.datasets import (
     DifficultyProfile,
-    SyntheticImageNetConfig,
     SyntheticVoxForgeConfig,
 )
 from repro.service import (
@@ -92,7 +91,7 @@ from repro.service.simulation import (
     scenario_measurements,
 )
 from repro.stats import ConfidenceTest
-from repro.vision import ImageClassifier, NetworkProfile, TrainingConfig, build_mini_model
+from repro.vision import NetworkProfile
 
 SLO = SLOSpec(name="p95", max_p95_latency_s=1.0)
 NAN = float("nan")
@@ -330,13 +329,7 @@ CHECKED_INPUTS = {
         lexicon=_LEXICON, language_model=_LM, lm_weight=1.0, word_insertion_penalty=0.5
     ),
     DifficultyProfile: dict(idiosyncratic_std=0.35, difficulty_std=1.0),
-    SyntheticImageNetConfig: dict(signal_range=(0.5, 1.5), noise_std=0.5),
     SyntheticVoxForgeConfig: dict(snr_db_range=(5.0, 17.0)),
-    ImageClassifier: dict(
-        network=build_mini_model("mini_squeezenet", (1, 8, 8), 5),
-        device_gflops=2.0,
-        fixed_overhead_s=2e-3,
-    ),
     NetworkProfile: dict(
         name="ic_cpu_test",
         architecture="test",
@@ -345,7 +338,6 @@ CHECKED_INPUTS = {
         latency_mean_s=0.1,
         latency_cv=0.12,
     ),
-    TrainingConfig: dict(learning_rate=0.05, momentum=0.9, weight_decay=1e-4),
 }
 
 #: Classes whose float parameters are outputs, not knobs: the program
@@ -389,7 +381,6 @@ OUTPUT_RECORDS = {
     "ScalingEvent": "an autoscaler log line",
     "LoadTestReport": "a run's report",
     "RequestRecord": "a run's per-request record",
-    "ClassificationResult": "a classification's scores",
 }
 
 FLOAT_CONSTRUCTORS = _public_float_constructors()

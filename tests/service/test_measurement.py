@@ -10,7 +10,6 @@ from repro.service.measurement import (
     MeasurementSet,
     VersionMeasurement,
     measure_ic_service,
-    measure_mini_ic_service,
 )
 
 
@@ -139,6 +138,25 @@ class TestMeasurementSet:
         with pytest.raises(ValueError, match=re.escape(message)):
             MeasurementSet.from_json(path)
 
+    def test_a_truncated_file_is_refused_by_path(self, tmp_path):
+        path = tmp_path / "measurements.json"
+        _tiny_set().to_json(path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: undecodable JSON")):
+            MeasurementSet.from_json(path)
+
+    def test_a_missing_field_is_refused_by_path_and_name(self, tmp_path):
+        path = tmp_path / "measurements.json"
+        _tiny_set().to_json(path)
+        payload = json.loads(path.read_text())
+        del payload["latency_s"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: missing field 'latency_s'")
+        ):
+            MeasurementSet.from_json(path)
+
     def test_json_round_trip(self, tmp_path):
         ms = _tiny_set()
         path = tmp_path / "measurements.json"
@@ -189,14 +207,11 @@ class TestBuilders:
             ic_gpu_measurements.versions[0]
         ).is_gpu
 
-    def test_ic_builder_validation(self):
+    def test_ic_builder_validation(self, tmp_path):
         with pytest.raises(ValueError):
             measure_ic_service(10, device="tpu")
-
-    def test_mini_ic_builder(self):
-        ms = measure_mini_ic_service(
-            n_images=160, n_classes=4, image_size=8, epochs=1, seed=3
-        )
-        assert ms.service == "ic_mini"
-        assert len(ms.versions) == 5
-        assert ms.n_requests == 64  # 40 % of 160
+        # An existing cache does not excuse an unknown device.
+        cache = tmp_path / "ic.json"
+        measure_ic_service(10, cache_path=cache)
+        with pytest.raises(ValueError, match="device"):
+            measure_ic_service(10, device="tpu", cache_path=cache)
