@@ -20,11 +20,13 @@ wall-clock measurement:
    region, 100k total) runs serially and with ``parallel=4`` worker
    processes; both must produce bit-identical digests, and the wall
    ratio is the recorded speedup.  Every region carries a crash cycle
-   with a ``TransientFaults`` window over its outage; transient faults
-   keep each shard on the legacy event loop — the regime where
-   shard-level parallelism matters (the columnar engine finishes 100k
-   requests too fast for process fan-out to pay for itself).  A crash
-   alone no longer does: it is a window fault the columnar loop serves.
+   with a ``TransientFaults`` window over its outage, and an autoscaler
+   that never acts; the attached autoscaler keeps each shard on the
+   legacy event loop — the regime where shard-level parallelism matters
+   (the columnar engine finishes 100k requests too fast for process
+   fan-out to pay for itself).  Every fault type drains columnar, so a
+   fault schedule alone no longer pins that regime; the serial digest is
+   pinned to the one the trace had when its faults still did.
    The >= 2x acceptance floor is asserted only where it is
    physically possible (>= 4 usable cores); the artefact always records
    ``cpu_count`` next to the ratio so a 1-vCPU container's numbers are
@@ -59,6 +61,7 @@ from repro.service.regions import (
     run_multi_region,
 )
 from repro.service.simulation import (
+    AutoscalerConfig,
     NodeCrash,
     PoissonArrivals,
     RegionPartition,
@@ -79,14 +82,34 @@ SPEEDUP_FLOOR = 2.0
 CPU_COUNT = os.cpu_count() or 1
 
 
+#: An autoscaler that provably never acts on the speedup trace: no pool
+#: may grow past one node, and its one evaluation comes after the run,
+#: when every pool is live and has done work since its baseline, so none
+#: reads as idle enough (utilization <= 0) to shrink.  Attaching it
+#: keeps each shard on the legacy event loop.
+_IDLE_AUTOSCALER = AutoscalerConfig(
+    min_nodes=1,
+    max_nodes=1,
+    scale_down_utilization=0.0,
+    evaluation_interval_s=1e6,
+)
+
+#: The serial digest of the speedup trace per trace size, as its
+#: ``TransientFaults`` windows alone pinned it to the legacy loop:
+#: pinning it by the autoscaler instead must not move a bit.
+SERIAL_DIGESTS = {
+    600: "52941eb54c6b8ecfbc36c134eafaf55585e9e6084f42d62dfec7af4df2a0e06b",
+    25_000: "00a999adf120eaeacbf3bc97556b40b12f9405702db9728fc66aafae705511bd",
+}
+
+
 def _speedup_spec():
     """Four symmetric regions, each pinned to the legacy engine.
 
     Each region keeps a two-node fast pool with one mid-run crash and
     recovery, never zeroing a pool, so no failover traffic skews the
     per-shard workload balance.  The fast pool is flaky while the node
-    is down: the ``TransientFaults`` window forces the legacy event loop
-    (the columnar engine declines faults that fail completions).
+    is down, and the idle autoscaler keeps the legacy event loop.
     """
     regions = []
     for i, name in enumerate(("us-east", "eu-west", "ap-south", "sa-east")):
@@ -96,6 +119,7 @@ def _speedup_spec():
             n_requests=TRACE_N,
             pools={"fast": 2, "slow": 2},
             configuration=_tiered_configuration(),
+            autoscaler_config=_IDLE_AUTOSCALER,
             faults=(
                 NodeCrash(
                     at_s=5.0 + i,
@@ -162,8 +186,14 @@ def _run_speedup(measurements):
     assert serial.digest() == parallel.digest(), (
         "parallel execution changed behaviour"
     )
-    assert {shard.engine_used for shard in serial.shards} == {"legacy"}, (
-        "the speedup trace left the legacy-engine regime it measures"
+    assert {shard.fallback_reason for shard in serial.shards} == {
+        "autoscaler attached"
+    }, "the speedup trace left the legacy-engine regime it measures"
+    assert [shard.summary["n_scaling_events"] for shard in serial.shards] == [
+        0
+    ] * len(serial.shards), "the idle autoscaler acted"
+    assert serial.digest() == SERIAL_DIGESTS[TRACE_N], (
+        "pinning the legacy loop changed the trace's behaviour"
     )
     n = serial.n_requests
     return {

@@ -20,6 +20,7 @@ cached across benchmark runs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -256,7 +257,9 @@ class MeasurementSet:
         )
 
     def to_json(self, path: str | Path) -> None:
-        """Serialise the measurement set to a JSON file."""
+        """Serialise the measurement set to a JSON file, all or nothing:
+        an interrupted write leaves the previous file, never a truncated
+        one, and no partial file beside it."""
         payload = {
             "service": self.service,
             "request_ids": list(self.request_ids),
@@ -267,7 +270,14 @@ class MeasurementSet:
             "version_instances": self.version_instances,
             "metadata": self.metadata,
         }
-        Path(path).write_text(json.dumps(payload))
+        path = Path(path)
+        partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+        try:
+            partial.write_text(json.dumps(payload))
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MeasurementSet":

@@ -42,7 +42,6 @@ from repro.service.simulation.arrivals import (
     DiurnalArrivals,
     PoissonArrivals,
     SpikeArrivals,
-    ThunderingHerdArrivals,
     TraceArrivals,
 )
 from repro.service.simulation.autoscaler import (
@@ -127,7 +126,6 @@ __all__ = [
     "ServingSimulator",
     "SpikeArrivals",
     "ThunderingHerd",
-    "ThunderingHerdArrivals",
     "TraceArrivals",
     "TransientFaults",
     "affected_versions",

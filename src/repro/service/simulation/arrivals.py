@@ -25,7 +25,6 @@ __all__ = [
     "DiurnalArrivals",
     "PoissonArrivals",
     "SpikeArrivals",
-    "ThunderingHerdArrivals",
     "TraceArrivals",
 ]
 
@@ -253,73 +252,6 @@ class SpikeArrivals:
             f"x{self.spike_multiplier:g} at "
             f"[{self.spike_start_s:g}, "
             f"{self.spike_start_s + self.spike_duration_s:g}]s)"
-        )
-
-
-class ThunderingHerdArrivals:
-    """Hold arrivals through an outage window, release them as one surge.
-
-    Wraps any base :class:`ArrivalProcess` and applies the
-    :class:`~repro.service.simulation.faults.ThunderingHerd` transform:
-    arrivals the base process generates inside ``[start_s, end_s)`` are
-    *held* — clients stuck behind an outage, a dead cache, a paused
-    mobile fleet — and released together when the window ends,
-    compressed into ``[end_s, end_s + spread_s]`` in their original
-    order.  Arrivals outside the window are untouched.
-
-    The transform is purely positional: it draws nothing from the RNG,
-    so the base process consumes exactly the same draws with and without
-    the herd, and the wrapped workload stays seed-deterministic.
-
-    Args:
-        base: Arrival process generating the underlying workload.
-        start_s: Virtual time the hold window opens.
-        end_s: Virtual time held traffic is released.
-        spread_s: Width of the release burst (``0`` stacks every held
-            arrival at exactly ``end_s``).
-    """
-
-    def __init__(
-        self,
-        base: ArrivalProcess,
-        *,
-        start_s: float,
-        end_s: float,
-        spread_s: float = 0.05,
-    ) -> None:
-        self.base = base
-        self.start_s = checks.non_negative("start_s", start_s)
-        self.end_s = checks.ordered("start_s", start_s, "end_s", end_s)
-        self.spread_s = checks.non_negative("spread_s", spread_s)
-
-    def held_count(self, times_s: np.ndarray) -> int:
-        """How many of ``times_s`` fall inside the hold window."""
-        held = (times_s >= self.start_s) & (times_s < self.end_s)
-        return int(np.count_nonzero(held))
-
-    def apply(self, times_s: np.ndarray) -> np.ndarray:
-        """Transform already-sampled arrival times (no RNG involved)."""
-        base_times = np.asarray(times_s, dtype=float)
-        held = (base_times >= self.start_s) & (base_times < self.end_s)
-        if not held.any():
-            return base_times
-        out = base_times.copy()
-        window = self.end_s - self.start_s
-        # Map each held arrival's position inside the window onto the
-        # release burst, preserving order: t -> end + (t-start)/window*spread.
-        out[held] = self.end_s + (base_times[held] - self.start_s) * (
-            self.spread_s / window
-        )
-        return np.sort(out)
-
-    def times(self, n_requests: int, rng: np.random.Generator) -> np.ndarray:
-        return self.apply(self.base.times(n_requests, rng))
-
-    def __repr__(self) -> str:
-        return (
-            f"ThunderingHerdArrivals({self.base!r}, "
-            f"hold=[{self.start_s:g}, {self.end_s:g})s, "
-            f"spread={self.spread_s:g}s)"
         )
 
 

@@ -6,9 +6,9 @@ heap-allocated ``_InFlight`` object, every event a closure over an
 and every finalized request a ``RequestRecord`` priced through the full
 ``PricingModel`` call chain.  ``run_columnar`` re-executes a load test
 over a measurement-replay cluster — one fixed configuration or a tier
-router picking one per request, healthy or under a schedule of window
-faults, open-loop or under a control plane — with the *same* event
-semantics but none of the object machinery:
+router picking one per request, healthy or under any fault schedule,
+open-loop or under a control plane — with the *same* event semantics
+but none of the object machinery:
 
 * request state lives in parallel lists indexed by submission order
   (the simulator's submission store, read as it stands),
@@ -30,22 +30,26 @@ semantics but none of the object machinery:
   from :class:`~repro.service.simulation.report.RecordColumns` without
   materializing a single ``RequestRecord`` up front.
 
-**Window faults are event sources.**  A ``NodeCrash``, ``NodeSlowdown``,
-``GrayFailure`` or ``ColdStartWave`` in the fault schedule fires between
-the vectorised stretches and changes node or pool state: a crash kills a
-node (refunding its unelapsed busy time), aborts its running batch and
-migrates its queue; a recovery adds a real replacement node to the pool
-and flushes the work parked behind a dead pool onto it; a slowdown, a
-gray onset or a cold-start warmup rescales a node's speed — and deflates
-the confidence it reports, which re-decides escalation — until its
-restore fires.  A crash makes attempts fail, so a faulted run follows the
-scalar loop's whole per-request state machine instead of the inlined
-deliveries: retries with backoff under the ``RetryPolicy`` budgets, the
-degraded fallbacks, parking, orphan completions and the end-of-run
-"unserved" resolution.  Pool membership changes on the real cluster as
-it happens, so node ids, the retired books and ``final_pool_sizes`` end
-as the scalar loop leaves them.  A fault-free run is the case with zero
-sources and keeps the inlined deliveries.
+**Faults are event sources.**  A ``NodeCrash``, ``NodeSlowdown``,
+``GrayFailure`` or ``ColdStartWave`` fires between the vectorised
+stretches and changes node or pool state: a crash kills a node
+(refunding its unelapsed busy time), aborts its running batch, migrates
+its queue and may open a cascade window; a recovery adds a real
+replacement node to the pool and flushes the work parked behind a dead
+pool onto it; a slowdown, a gray onset or a cold-start warmup rescales a
+node's speed — and deflates the confidence it reports, which re-decides
+escalation — until its restore fires.  Transient and storm windows
+opening, and herds releasing, are log entries in the same stream.  Which
+completions fail is asked of the simulator's ``CompletionFaults``, the
+owner the scalar loop asks at the same point (after the orphan check).
+A failed attempt makes a faulted run follow the scalar loop's whole
+per-request state machine instead of the inlined deliveries: retries
+with backoff under the ``RetryPolicy`` budgets, the degraded fallbacks,
+parking, orphan completions and the end-of-run "unserved" resolution.
+Pool membership changes on the real cluster as it happens, so node ids,
+the retired books and ``final_pool_sizes`` end as the scalar loop leaves
+them.  A fault-free run is the case with zero sources and keeps the
+inlined deliveries.
 
 **Bit-exactness is the contract, not an aspiration.**  Every arithmetic
 expression here mirrors the legacy engine's scalar float operations in
@@ -54,9 +58,10 @@ whether issued from Python scalars or numpy element-wise kernels), event
 ties break exactly as the legacy loop's monotonic sequence numbers break
 them, and quirks such as the ``oldest_enqueued_at or now`` head-wait
 guard are reproduced verbatim.  The legacy engine schedules fault onsets
-in its constructor, then the arrivals, then every runtime event, so the
-stream holds onsets, then arrivals (a stable sort by time keeps that
-order within a tie) and wins every tie against the heap.  The
+in its constructor, then herd releases, then the arrivals, then every
+runtime event, so the stream holds onsets, then releases, then arrivals
+(a stable sort by time keeps that order within a tie) and wins every
+tie against the heap.  The
 differential test harness (``tests/service/test_engine_differential.py``)
 holds the two engines to digest-for-digest equality over the canonical
 scenarios and fuzzed scenario families.
@@ -74,14 +79,14 @@ Node service times feed the plane's gray-failure detection as batches
 complete.
 
 ``columnar_ineligibility`` is the gate, and a fallback means one thing:
-the columnar loop lacks a capability — a fault type that fails
-completions or moves arrivals, a per-attempt trace of a fault schedule or
-control plane, autoscaling — and the legacy path, which remains the
-scalar correctness oracle (the same playbook as ``core/outcome_matrix.py``
-for the rule generator), finishes this run.  What *neither* loop can
-serve (a repeated id, an unmeasured payload, a bad threshold, fast ==
-accurate, an undeployed or unrefillable empty pool, a pool holding a dead
-node or a non-replay version) never reaches this module: ``drain()``
+the columnar loop lacks a capability — a per-attempt trace of a fault
+schedule or control plane, autoscaling — and the legacy path, which
+remains the scalar correctness oracle (the same playbook as
+``core/outcome_matrix.py`` for the rule generator), finishes this run.
+What *neither* loop can serve (a repeated id, an unmeasured payload, a
+bad threshold, fast == accurate, an undeployed or unrefillable empty
+pool, a pool holding a dead node or a non-replay version) never reaches
+this module: ``drain()``
 refuses it with a typed error in front of both loops, and hands
 ``run_columnar`` the payload-to-row gather that refusal already
 performed.
@@ -98,14 +103,11 @@ import numpy as np
 from repro.core.executor import require_confidence_threshold
 from repro.service.request import ServiceRequest
 from repro.service.simulation.faults import (
-    CascadePolicy,
     ColdStartWave,
+    FaultLogEntry,
     GrayFailure,
     NodeCrash,
     NodeSlowdown,
-    RetryStorm,
-    ThunderingHerd,
-    TransientFaults,
 )
 from repro.service.simulation.report import LoadTestReport, RecordColumns
 
@@ -122,10 +124,6 @@ _FLUSH = 0
 _ONE_DONE = 1
 _BATCH_DONE = 2
 _SOURCE = 3
-
-#: Fault types only the scalar loop applies: they fail completions or
-#: move arrivals.
-_SCALAR_FAULTS = (TransientFaults, RetryStorm, CascadePolicy, ThunderingHerd)
 
 #: Per-request kind codes of the event flow; the two kinds that enqueue
 #: both legs at arrival sort last (``kind >= _CONC``).
@@ -215,28 +213,14 @@ def columnar_ineligibility(sim) -> Optional[str]:
 
     Called after ``drain()`` refused what no loop can serve, pool shapes
     included: every reason here is one after which the legacy engine —
-    which *is* the semantics — completes the run.  Three remain, and
-    none reads a pool: a fault that fails completions or moves arrivals,
-    a per-attempt trace of a fault schedule or control plane, and an
-    autoscaler.  A tier router is not a reason.  Window faults —
-    ``NodeCrash``, ``NodeSlowdown``, ``GrayFailure``, ``ColdStartWave``
-    — and a control plane are not reasons either, unless a trace
+    which *is* the semantics — completes the run.  Two remain, and
+    neither reads a pool: a per-attempt trace of a fault schedule or
+    control plane, and an autoscaler.  A tier router is not a reason.
+    No fault type and no control plane is one either, unless a trace
     recorder wants their per-attempt spans: post-hoc span reconstruction
     cannot emit retry, migration, deflation, admission or epoch spans.
     """
     faults = sim._faults
-    if faults:
-        # Name the fault classes so a chaos scenario's fallback is
-        # attributable: "fault schedule present (RetryStorm)".
-        kinds = sorted(
-            {
-                type(fault).__name__
-                for fault in faults
-                if isinstance(fault, _SCALAR_FAULTS)
-            }
-        )
-        if kinds:
-            return f"fault schedule present ({', '.join(kinds)})"
     if (faults or sim.control is not None) and sim._trace is not None:
         return (
             "per-attempt trace of a "
@@ -453,17 +437,26 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
     # Arrivals never enter the heap: the legacy engine schedules them all
     # before any runtime event exists — after the fault onsets its
-    # constructor scheduled — so onsets, then arrivals, win every time tie
-    # against a runtime event.  The stream holds both: entry ``i < n`` is
-    # submission ``i``, entry ``n + j`` is onset ``j``, and a stable sort
-    # of onsets-then-submissions by time gives exactly the legacy order.
+    # constructor scheduled and the herd releases — so onsets, then
+    # arrivals, win every time tie against a runtime event.  The stream
+    # holds both: entry ``i < n`` is submission ``i``, entry ``n + j`` is
+    # onset ``j`` (a node fault, or the log entry of a window opening or
+    # a herd's release), and a stable sort of onsets-then-submissions by
+    # time gives exactly the legacy order.
+    failures = sim._failures
     onsets = [
-        fault
-        for fault in faults
-        if isinstance(fault, (NodeCrash, NodeSlowdown, GrayFailure))
+        entry or fault
+        for fault, entry in zip(faults, failures.onset_entries)
+        if entry or isinstance(fault, (NodeCrash, NodeSlowdown, GrayFailure))
     ]
+    onsets += sim._releases
     n_stream = n + len(onsets)
-    stream_times = [*times, *(fault.at_s for fault in onsets)] if onsets else times
+    stream_times = times
+    if onsets:
+        stream_times = [
+            *times,
+            *(o.time_s if type(o) is FaultLogEntry else o.at_s for o in onsets),
+        ]
     order = sorted(
         [*range(n, n_stream), *range(n)] if onsets else range(n),
         key=stream_times.__getitem__,
@@ -714,6 +707,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         #: with no live node.
         parked: dict = {}
         waves = [fault for fault in faults if isinstance(fault, ColdStartWave)]
+        #: Which completions the schedule fails (None: none can fail).
+        fails = failures.failure if failures.active else None
         retry = sim._retry
         max_attempts = retry.max_attempts
         retry_budget = retry.retry_budget
@@ -754,7 +749,11 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         nonlocal streamed
         streamed += 1
         if sub >= n:
-            onset(onsets[sub - n], now)
+            item = onsets[sub - n]
+            if type(item) is FaultLogEntry:
+                fault_log.append(item)
+            else:
+                onset(item, now)
             return
         if control is not None and not admit(sub, now):
             return
@@ -798,6 +797,12 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         if checker is not None:
             checker.on_finalized(request_ids[sub], now, failed=fast_s < 0.0)
 
+    def pool_load(version):
+        # _pool_load: mean queued jobs per live node, parked jobs counted.
+        pool = pools[version]
+        depth = sum(len(node.queue) for node in pool)
+        return (depth + len(parked.get(version, ()))) / max(1, len(pool))
+
     def on_job_done(sub, leg, start, finish, amortized, solo, now):
         # _on_job_done + _advance, with the confidence the node reports
         # deflated while it is gray or warming up.
@@ -809,6 +814,11 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
                     request_ids[sub], leg_version[key], finish
                 )
             return
+        if fails is not None:
+            reason = fails(leg_version[key], finish, pool_load)
+            if reason is not None:
+                attempt_failed(key, now, reason)
+                return
         leg_open[key] = False
         if checker is not None:
             checker.on_attempt_finished(
@@ -1019,6 +1029,9 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         fault_log.append(
             fault.crash_entry(now, node.real.node_id, len(aborted), len(queued))
         )
+        cascade = failures.on_crash(version, now)
+        if cascade is not None:
+            fault_log.append(cascade)
         # Queued work never started: it migrates, same attempt.
         for item in queued:
             sub = item[0]

@@ -103,10 +103,7 @@ from repro.service.request import (
     ServiceRequest,
     require_valid_tolerance,
 )
-from repro.service.simulation.arrivals import (
-    ArrivalProcess,
-    ThunderingHerdArrivals,
-)
+from repro.service.simulation.arrivals import ArrivalProcess
 from repro.service.simulation.autoscaler import Autoscaler
 from repro.service.simulation.batching import BatchingConfig
 from repro.service.simulation.columnar import (
@@ -115,17 +112,15 @@ from repro.service.simulation.columnar import (
 )
 from repro.service.simulation.events import Event, EventLoop
 from repro.service.simulation.faults import (
-    CascadePolicy,
     ColdStartWave,
+    CompletionFaults,
     FaultEvent,
     FaultLogEntry,
     GrayFailure,
     NodeCrash,
     NodeSlowdown,
     RetryPolicy,
-    RetryStorm,
     ThunderingHerd,
-    TransientFaults,
     affected_versions,
 )
 from repro.service.simulation.invariants import InvariantChecker
@@ -292,8 +287,8 @@ class ServingSimulator:
 
     Submissions are always deferred and :meth:`drain` picks the loop from
     the run: the vectorized one in :mod:`repro.service.simulation.columnar`
-    (router or fixed configuration alike, healthy or under window faults,
-    open-loop or closed), the scalar event loop (bit-identically, see
+    (router or fixed configuration alike, healthy or under any fault
+    schedule, open-loop or closed), the scalar event loop (bit-identically, see
     ``fallback_reason``) when the run needs a capability only that loop
     has.  Both loops replay measurements: :meth:`drain` refuses a pool
     that holds a dead node or a non-replay version.
@@ -434,44 +429,17 @@ class ServingSimulator:
                     f"fault {fault!r} targets unknown version(s) "
                     f"{sorted(unknown)}; deployed versions are {sorted(known)}"
                 )
-        self._transient_windows = [
-            fault for fault in self._faults
-            if isinstance(fault, TransientFaults)
-        ]
-        self._retry_storms = [
-            fault for fault in self._faults if isinstance(fault, RetryStorm)
-        ]
-        self._cascades = [
-            fault for fault in self._faults if isinstance(fault, CascadePolicy)
-        ]
         self._cold_waves = [
             fault for fault in self._faults if isinstance(fault, ColdStartWave)
         ]
-        self._herd_faults = [
-            fault for fault in self._faults
-            if isinstance(fault, ThunderingHerd)
+        self._herds = [
+            fault for fault in self._faults if isinstance(fault, ThunderingHerd)
         ]
-        # A dedicated generator keeps fault draws out of the arrival
-        # stream: a fault-free run consumes exactly the PR 1 draws, and a
-        # run without probabilistic faults creates no fault generator.
-        self._fault_rng = (
-            np.random.default_rng([seed, 0xFA117])
-            if self._transient_windows or self._retry_storms or self._cascades
-            else None
-        )
-        # Storm bad-bucket flags are precomputed from per-storm derived
-        # generators, so completion interleaving can never change which
-        # buckets are bad (and the shared fault RNG's draw sequence stays
-        # a pure function of the completion order, as before).
-        self._storm_buckets = [
-            np.random.default_rng([seed, 0xB1A57, k]).uniform(
-                size=storm.n_buckets
-            )
-            < storm.bad_fraction
-            for k, storm in enumerate(self._retry_storms)
-        ]
-        #: Per-version virtual time until which a cascade window is open.
-        self._cascade_until: Dict[str, float] = {}
+        #: Which completions fail, decided for whichever loop drains.
+        self._failures = CompletionFaults(self._faults, seed)
+        #: The herds' release entries, logged at each herd's end once
+        #: run() has moved the arrivals it generated.
+        self._releases: List[FaultLogEntry] = []
         #: node_id -> confidence multiplier while gray or warming up.
         self._deflate: Dict[str, float] = {}
         self._retries_denied = 0
@@ -608,27 +576,14 @@ class ServingSimulator:
         """
         self._require_undrained()
         times = arrivals.times(n_requests, self._rng)
-        if self._herd_faults:
-            # Thundering herds transform the generated workload *after*
-            # sampling: the base process consumes exactly its usual draws,
-            # then arrivals inside each hold window slide to the window's
-            # end (see ThunderingHerdArrivals).  Requests submitted via
-            # submit() bypass run() and are never held.
-            times = np.asarray(times, dtype=float)
-            for herd in self._herd_faults:
-                modulator = ThunderingHerdArrivals(
-                    arrivals,
-                    start_s=herd.start_s,
-                    end_s=herd.end_s,
-                    spread_s=herd.spread_s,
-                )
-                held = modulator.held_count(times)
-                times = modulator.apply(times)
-                self._loop.schedule_at(
-                    herd.end_s,
-                    lambda h=herd, c=held: self._on_herd_release(h, c),
-                    kind="fault-herd",
-                )
+        # Thundering herds transform the generated workload *after*
+        # sampling: the base process consumes exactly its usual draws,
+        # then arrivals inside each hold window slide to the window's
+        # end.  Requests submitted via submit() bypass run() and are
+        # never held.
+        for herd in self._herds:
+            self._releases.append(herd.release_entry(herd.held(times)))
+            times = herd.apply(times)
         if payload_ids is not None:
             ids = list(payload_ids)
             if not ids:
@@ -829,6 +784,11 @@ class ServingSimulator:
         # from the pre-pass; a fixed one is read at arrival, because a
         # control plane may have hot-swapped it by then.
         self.engine_used = "legacy"
+        # Herd releases come after the fault onsets __init__ armed and
+        # before the arrivals, as the columnar loop's onset stream orders
+        # them.
+        for entry in self._releases:
+            self._log_at(entry, "fault-herd")
         for index, request in enumerate(store.requests):
             if request is None:
                 request = ServiceRequest(
@@ -1124,10 +1084,12 @@ class ServingSimulator:
                     request_id, version, completion.finished_at
                 )
             return
-        eaten = self._fault_eating_completion(version, completion.finished_at)
-        if eaten is not None:
+        failure = self._failures.failure(
+            version, completion.finished_at, self._pool_load
+        )
+        if failure is not None:
             self._attempt_failed(
-                state, version, now=self._loop.now, reason=eaten
+                state, version, now=self._loop.now, reason=failure
             )
             return
         state.leg_open[version] = False
@@ -1165,8 +1127,7 @@ class ServingSimulator:
     # fault schedule
     # ------------------------------------------------------------------
     def _schedule_faults(self) -> None:
-        storm_index = 0
-        for fault in self._faults:
+        for fault, entry in zip(self._faults, self._failures.onset_entries):
             if isinstance(fault, NodeCrash):
                 self._loop.schedule_at(
                     fault.at_s,
@@ -1179,64 +1140,19 @@ class ServingSimulator:
                     lambda f=fault: self._on_degrade(f),
                     kind="fault-degrade",
                 )
-            elif isinstance(fault, TransientFaults):
-                self._loop.schedule_at(
-                    fault.start_s,
-                    lambda f=fault: self._on_transient_window(f),
-                    kind="fault-window",
-                )
-            elif isinstance(fault, RetryStorm):
-                self._loop.schedule_at(
-                    fault.start_s,
-                    lambda f=fault, k=storm_index: self._on_storm_window(f, k),
-                    kind="fault-window",
-                )
-                storm_index += 1
+            elif entry is not None:
+                # A transient or storm window opens.
+                self._log_at(entry, "fault-window")
             # CascadePolicy and ColdStartWave are run-long policies (they
             # react to crashes / capacity joins, not to a timestamp) and
             # ThunderingHerd acts on the arrival side in run(); none of
             # them schedules an onset event.
 
-    def _on_transient_window(self, fault: TransientFaults) -> None:
-        self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "transient-window",
-                ",".join(fault.versions) if fault.versions else "*",
-                None,
-                f"p={fault.failure_probability:g} until t={fault.end_s:g}",
-            )
+    def _log_at(self, entry: FaultLogEntry, kind: str) -> None:
+        """Log ``entry`` when the clock reaches its time."""
+        self._loop.schedule_at(
+            entry.time_s, lambda: self._fault_log.append(entry), kind=kind
         )
-
-    def _on_storm_window(self, fault: RetryStorm, index: int) -> None:
-        n_bad = int(np.count_nonzero(self._storm_buckets[index]))
-        self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "storm-window",
-                ",".join(fault.versions) if fault.versions else "*",
-                None,
-                f"p={fault.failure_probability:g} in {n_bad}/"
-                f"{fault.n_buckets} bad bucket(s) until t={fault.end_s:g}",
-            )
-        )
-
-    def _on_herd_release(self, fault: ThunderingHerd, held: int) -> None:
-        self._fault_log.append(
-            FaultLogEntry(
-                self._loop.now,
-                "herd",
-                "*",
-                None,
-                f"released {held} held arrival(s) over {fault.spread_s:g}s",
-            )
-        )
-
-    def _cascade_policy_for(self, version: str) -> Optional[CascadePolicy]:
-        for policy in self._cascades:
-            if policy.version is None or policy.version == version:
-                return policy
-        return None
 
     def _cold_wave_for(self, version: str) -> Optional[ColdStartWave]:
         for wave in self._cold_waves:
@@ -1251,36 +1167,6 @@ class ServingSimulator:
             self._parked.get(version, ())
         )
         return depth / max(1, len(pool))
-
-    def _fault_eating_completion(
-        self, version: str, t: float
-    ) -> Optional[str]:
-        """Failure outcome an active fault assigns this completion, if any.
-
-        Mechanisms are consulted in a fixed order — transient windows,
-        retry storms, cascade windows — and within each class the first
-        matching fault draws and decides, so the shared fault RNG's draw
-        sequence is a pure function of the completion order.
-        """
-        for window in self._transient_windows:
-            if window.affects(version, t):
-                if self._fault_rng.uniform() < window.failure_probability:
-                    return "transient"
-                break
-        for index, storm in enumerate(self._retry_storms):
-            if storm.affects(version, t):
-                if self._storm_buckets[index][storm.bucket_of(t)] and (
-                    self._fault_rng.uniform() < storm.failure_probability
-                ):
-                    return "transient"
-                break
-        until = self._cascade_until.get(version)
-        if until is not None and t < until:
-            policy = self._cascade_policy_for(version)
-            probability = policy.probability(self._pool_load(version))
-            if self._fault_rng.uniform() < probability:
-                return "cascade"
-        return None
 
     def _on_node_crash(self, fault: NodeCrash) -> None:
         now = self._loop.now
@@ -1314,28 +1200,11 @@ class ServingSimulator:
         self._fault_log.append(
             fault.crash_entry(now, node.node_id, len(aborted), len(queued))
         )
-        policy = self._cascade_policy_for(fault.version)
-        if policy is not None:
-            # The death stresses the survivors: open (or extend) the
-            # pool's cascade window.  Completions inside it fail with a
-            # load-conditional probability (_fault_eating_completion).
-            until = max(
-                self._cascade_until.get(fault.version, 0.0),
-                now + policy.window_s,
-            )
-            self._cascade_until[fault.version] = until
-            self._fault_log.append(
-                FaultLogEntry(
-                    now,
-                    "cascade",
-                    fault.version,
-                    None,
-                    f"crash opened cascade window until t={until:g} "
-                    f"(base p={policy.base_probability:g}, "
-                    f"+{policy.load_factor:g}/queued-per-node, "
-                    f"cap {policy.max_probability:g})",
-                )
-            )
+        # The death stresses the survivors: a cascade policy opens (or
+        # extends) the pool's cascade window.
+        cascade = self._failures.on_crash(fault.version, now)
+        if cascade is not None:
+            self._fault_log.append(cascade)
         # Queued work never started: it migrates, same attempt (parked
         # when the crash emptied the pool).
         for item in queued:

@@ -39,8 +39,7 @@ must degrade through *gracefully* rather than merely survive:
   speed and confidence for a warmup window before reaching steady state.
 * :class:`ThunderingHerd` — an outage window on the *arrival* side:
   requests that would have arrived inside it are held and released as one
-  synchronized surge when the window ends (see
-  :class:`~repro.service.simulation.arrivals.ThunderingHerdArrivals`).
+  synchronized surge when the window ends.
 * :class:`RegionPartition` — a severed inter-region failover link: for a
   window, traffic in one region cannot spill over to a peer (or to any
   peer).  Unlike the rest of the vocabulary this is a *topology* fault:
@@ -48,6 +47,11 @@ must degrade through *gracefully* rather than merely survive:
   (:mod:`repro.service.regions`), never by a single engine shard, so it
   belongs in ``MultiRegionSpec.partitions`` rather than a scenario's
   fault schedule.
+
+Which completions fail is decided in one place for both event loops:
+:class:`CompletionFaults`, built once per simulator from the schedule
+and the run seed, owns the fault RNG, the storms' bad buckets and the
+open cascade windows.
 
 All fault types are frozen dataclasses so a
 :class:`~repro.service.simulation.scenarios.ScenarioSpec` composed of them
@@ -60,13 +64,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import checks
 
 __all__ = [
     "CascadePolicy",
     "ColdStartWave",
+    "CompletionFaults",
     "FaultEvent",
     "FaultLogEntry",
     "GrayFailure",
@@ -89,6 +96,21 @@ class _Window:
         checks.non_negative("start_s", self.start_s, finite=True)
         checks.finite("end_s", self.end_s)
         checks.ordered("start_s", self.start_s, "end_s", self.end_s)
+
+
+class _FlakyWindow(_Window):
+    """What the windows that fail completions share: a version scope."""
+
+    def affects(self, version: str, time_s: float) -> bool:
+        """Whether a completion of ``version`` at ``time_s`` is in scope."""
+        if not self.start_s <= time_s < self.end_s:
+            return False
+        return self.versions is None or version in self.versions
+
+    def _onset(self, kind: str, detail: str) -> "FaultLogEntry":
+        """The log entry of the window opening, at ``start_s``."""
+        scope = ",".join(self.versions) if self.versions else "*"
+        return FaultLogEntry(self.start_s, kind, scope, None, detail)
 
 
 class _NodeFault:
@@ -212,7 +234,7 @@ class NodeSlowdown(_NodeFault):
 
 
 @dataclass(frozen=True)
-class TransientFaults(_Window):
+class TransientFaults(_FlakyWindow):
     """A flaky window: completions fail with a fixed probability.
 
     Attributes:
@@ -234,11 +256,12 @@ class TransientFaults(_Window):
         super().__post_init__()
         checks.probability("failure_probability", self.failure_probability)
 
-    def affects(self, version: str, time_s: float) -> bool:
-        """Whether a completion of ``version`` at ``time_s`` is in scope."""
-        if not self.start_s <= time_s < self.end_s:
-            return False
-        return self.versions is None or version in self.versions
+    def onset_entry(self) -> "FaultLogEntry":
+        """The log entry of the window opening."""
+        return self._onset(
+            "transient-window",
+            f"p={self.failure_probability:g} until t={self.end_s:g}",
+        )
 
 
 @dataclass(frozen=True)
@@ -347,9 +370,22 @@ class CascadePolicy:
             self.base_probability + self.load_factor * max(0.0, load),
         )
 
+    def open_entry(self, now: float, version: str, until: float) -> "FaultLogEntry":
+        """The log entry of a crash opening (or extending) the window."""
+        return FaultLogEntry(
+            now,
+            "cascade",
+            version,
+            None,
+            f"crash opened cascade window until t={until:g} "
+            f"(base p={self.base_probability:g}, "
+            f"+{self.load_factor:g}/queued-per-node, "
+            f"cap {self.max_probability:g})",
+        )
+
 
 @dataclass(frozen=True)
-class RetryStorm(_Window):
+class RetryStorm(_FlakyWindow):
     """A correlated transient window: failures arrive in bursts.
 
     Where :class:`TransientFaults` fails completions independently,
@@ -398,11 +434,13 @@ class RetryStorm(_Window):
             int((time_s - self.start_s) / self.bucket_s),
         )
 
-    def affects(self, version: str, time_s: float) -> bool:
-        """Whether a completion of ``version`` at ``time_s`` is in scope."""
-        if not self.start_s <= time_s < self.end_s:
-            return False
-        return self.versions is None or version in self.versions
+    def onset_entry(self, n_bad: int) -> "FaultLogEntry":
+        """The log entry of the storm opening with ``n_bad`` bad buckets."""
+        return self._onset(
+            "storm-window",
+            f"p={self.failure_probability:g} in {n_bad}/{self.n_buckets} "
+            f"bad bucket(s) until t={self.end_s:g}",
+        )
 
 
 @dataclass(frozen=True)
@@ -470,10 +508,9 @@ class ThunderingHerd(_Window):
     blocked behind an outage, a cache flush, a mobile push) are *held* and
     released together at ``end_s``, compressed into a burst of width
     ``spread_s`` that preserves their original order.  The engine applies
-    the transform to generated workloads via
-    :class:`~repro.service.simulation.arrivals.ThunderingHerdArrivals`;
-    no RNG draws are added, so the same seed yields the same base
-    arrivals with and without the herd.
+    the transform (:meth:`apply`) to workloads generated via
+    ``ServingSimulator.run``; it draws nothing, so the same seed yields
+    the same base arrivals with and without the herd.
 
     Attributes:
         start_s: Virtual time the hold window opens.
@@ -489,6 +526,36 @@ class ThunderingHerd(_Window):
     def __post_init__(self) -> None:
         super().__post_init__()
         checks.non_negative("spread_s", self.spread_s, finite=True)
+
+    def _holds(self, times_s: np.ndarray) -> np.ndarray:
+        return (times_s >= self.start_s) & (times_s < self.end_s)
+
+    def held(self, times_s) -> int:
+        """How many of the arrival times fall inside the hold window."""
+        return int(np.count_nonzero(self._holds(np.asarray(times_s, dtype=float))))
+
+    def apply(self, times_s) -> np.ndarray:
+        """The arrival times with the held ones moved into the release
+        burst, order preserved: ``t -> end + (t - start) / window * spread``."""
+        times_s = np.asarray(times_s, dtype=float)
+        held = self._holds(times_s)
+        if not held.any():
+            return times_s
+        out = times_s.copy()
+        out[held] = self.end_s + (times_s[held] - self.start_s) * (
+            self.spread_s / (self.end_s - self.start_s)
+        )
+        return np.sort(out)
+
+    def release_entry(self, held: int) -> "FaultLogEntry":
+        """The log entry of the ``held`` arrivals' release, at ``end_s``."""
+        return FaultLogEntry(
+            self.end_s,
+            "herd",
+            "*",
+            None,
+            f"released {held} held arrival(s) over {self.spread_s:g}s",
+        )
 
 
 @dataclass(frozen=True)
@@ -663,3 +730,98 @@ class FaultLogEntry:
     node_id: Optional[str] = None
     detail: str = ""
 
+
+
+class CompletionFaults:
+    """Which completions the fault schedule fails, and why.
+
+    The one owner of that decision for both event loops, built once per
+    simulator from the fault schedule and the run seed.  Its draws come
+    from a dedicated generator (``[seed, 0xFA117]``), created only when a
+    :class:`TransientFaults`, :class:`RetryStorm` or
+    :class:`CascadePolicy` is scheduled, so a run without them consumes
+    exactly the arrival stream's draws.  Each storm's bad buckets are
+    precomputed from its own derived generator (``[seed, 0xB1A57, k]``
+    for the ``k``-th storm), so completion interleaving can never change
+    which buckets are bad, and the shared generator's draw sequence is a
+    pure function of the completion order.
+
+    Args:
+        faults: The simulator's fault schedule.
+        seed: The simulator's seed.
+    """
+
+    def __init__(self, faults: Sequence[FaultEvent], seed: int) -> None:
+        self._windows = [f for f in faults if isinstance(f, TransientFaults)]
+        self._storms = [f for f in faults if isinstance(f, RetryStorm)]
+        self._cascades = [f for f in faults if isinstance(f, CascadePolicy)]
+        #: Whether any completion can fail.
+        self.active = bool(self._windows or self._storms or self._cascades)
+        self._rng = np.random.default_rng([seed, 0xFA117]) if self.active else None
+        self._bad = [
+            np.random.default_rng([seed, 0xB1A57, k]).uniform(size=storm.n_buckets)
+            < storm.bad_fraction
+            for k, storm in enumerate(self._storms)
+        ]
+        #: Per version, the virtual time until which a cascade window is open.
+        self._until: Dict[str, float] = {}
+        bad = iter(self._bad)
+        #: Per fault of the schedule, the log entry of its window opening
+        #: (``None`` for a fault that opens no window of failures).
+        self.onset_entries: List[Optional[FaultLogEntry]] = [
+            fault.onset_entry(int(np.count_nonzero(next(bad))))
+            if isinstance(fault, RetryStorm)
+            else fault.onset_entry() if isinstance(fault, TransientFaults) else None
+            for fault in faults
+        ]
+
+    def _cascade_for(self, version: str) -> Optional[CascadePolicy]:
+        for policy in self._cascades:
+            if policy.version is None or policy.version == version:
+                return policy
+        return None
+
+    def on_crash(self, version: str, now: float) -> Optional[FaultLogEntry]:
+        """A node of ``version`` died at ``now``: open (or extend) the
+        pool's cascade window and return its log entry, or ``None`` when
+        no cascade policy watches the pool."""
+        policy = self._cascade_for(version)
+        if policy is None:
+            return None
+        until = max(self._until.get(version, 0.0), now + policy.window_s)
+        self._until[version] = until
+        return policy.open_entry(now, version, until)
+
+    def failure(
+        self, version: str, time_s: float, pool_load: Callable[[str], float]
+    ) -> Optional[str]:
+        """Why a completion of ``version`` at ``time_s`` fails
+        (``"transient"`` or ``"cascade"``), or ``None`` when it stands.
+
+        Mechanisms are consulted in a fixed order — transient windows,
+        retry storms, the cascade window — and within each class the
+        first fault in scope draws and decides.  ``pool_load(version)``,
+        the mean queued jobs per live node, is read only inside an open
+        cascade window.
+        """
+        rng = self._rng
+        if rng is None:
+            return None
+        for window in self._windows:
+            if window.affects(version, time_s):
+                if rng.uniform() < window.failure_probability:
+                    return "transient"
+                break
+        for storm, bad in zip(self._storms, self._bad):
+            if storm.affects(version, time_s):
+                if bad[storm.bucket_of(time_s)] and (
+                    rng.uniform() < storm.failure_probability
+                ):
+                    return "transient"
+                break
+        until = self._until.get(version)
+        if until is not None and time_s < until:
+            probability = self._cascade_for(version).probability(pool_load(version))
+            if rng.uniform() < probability:
+                return "cascade"
+        return None

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Spawn-key constants.  These mirror the literals at the RNG
-#: construction sites (engine/plane); the audit tests pin that they stay
+#: construction sites (faults/plane); the audit tests pin that they stay
 #: in sync, so a new stream must be registered here to land.
 FAULT_STREAM = 0xFA117  #: engine fault generator ``[seed, FAULT_STREAM]``
 STORM_STREAM = 0xB1A57  #: per-storm buckets ``[seed, STORM_STREAM, k]``

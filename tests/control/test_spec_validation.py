@@ -84,7 +84,6 @@ from repro.service.simulation import (
     ScenarioSpec,
     SpikeArrivals,
     ThunderingHerd,
-    ThunderingHerdArrivals,
     TraceArrivals,
     TransientFaults,
     replay_pools,
@@ -283,9 +282,6 @@ CHECKED_INPUTS = {
     DiurnalArrivals: dict(base_rate=1.0, amplitude=0.5, period_s=60.0, phase=0.0),
     SpikeArrivals: dict(
         base_rate=1.0, spike_start_s=1.0, spike_duration_s=1.0, spike_multiplier=5.0
-    ),
-    ThunderingHerdArrivals: dict(
-        base=PoissonArrivals(1.0), start_s=1.0, end_s=2.0, spread_s=0.05
     ),
     TraceArrivals: dict(times_s=[0.0, 0.5, 1.0]),
     NodeCrash: dict(at_s=1.0, version="fast", recover_at_s=5.0),

@@ -114,7 +114,8 @@ class TestPathEquivalence:
             "from_records",
             drops_the_sentinel(RecordColumns.from_records),
         )
-        report = run_scenario(_specs()["retry-storm"], toy)
+        with loop("legacy"):  # the loop that transposes records
+            report = run_scenario(_specs()["retry-storm"], toy)
         assert report.n_failed > 0
         with pytest.raises(AssertionError):
             _assert_report_traces_are_its_records_traces(report)
@@ -130,7 +131,8 @@ class TestPathEquivalence:
             "from_records",
             confuses_none_with_nan(RecordColumns.from_records),
         )
-        report = run_scenario(_specs()["flaky"], toy)
+        with loop("legacy"):  # the loop that transposes records
+            report = run_scenario(_specs()["flaky"], toy)
         assert report.n_failed > 0
         with pytest.raises(AssertionError):
             _assert_report_traces_are_its_records_traces(report)

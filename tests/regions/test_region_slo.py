@@ -17,6 +17,7 @@ from repro.service.regions import (
     shard,
 )
 from repro.service.simulation import (
+    AutoscalerConfig,
     NodeCrash,
     PoissonArrivals,
     ScenarioSpec,
@@ -103,6 +104,21 @@ class TestRegionSLOReplay:
         assert quiet.summary()["n_region_slo_events"] == 0.0
 
 
+#: An autoscaler that never acts on the flaky outage region: its one-node
+#: pools may neither grow past one node nor shrink below it, and its one
+#: evaluation comes after the run, when no pool is dead with work waiting.
+_IDLE_AUTOSCALER = AutoscalerConfig(
+    min_nodes=1, max_nodes=1, evaluation_interval_s=1e6
+)
+
+#: The flaky outage's digest as its ``TransientFaults`` window alone kept
+#: eu-west on the legacy loop: pinning that loop by the autoscaler
+#: instead must not move a bit.
+_FLAKY_OUTAGE_DIGEST = (
+    "371ca6200cc383cbea8dd74f36dff29e80b0dd3ff2ef6363ff199af947e1db32"
+)
+
+
 class TestEngineFallbackSurface:
     """What the default path picks per shard, on both legs of the matrix."""
 
@@ -117,7 +133,9 @@ class TestEngineFallbackSurface:
                 dataclasses.replace(
                     outage,
                     scenario=dataclasses.replace(
-                        outage.scenario, faults=(*outage.scenario.faults, flaky)
+                        outage.scenario,
+                        faults=(*outage.scenario.faults, flaky),
+                        autoscaler_config=_IDLE_AUTOSCALER,
                     ),
                 ),
             ),
@@ -125,10 +143,12 @@ class TestEngineFallbackSurface:
         with default_loop():
             report = run_multi_region(spec, toy)
         fallbacks = report.engine_fallbacks()
-        assert fallbacks == {"eu-west": "fault schedule present (TransientFaults)"}
+        assert fallbacks == {"eu-west": "autoscaler attached"}
         assert report.shard("us-east").engine_used == "columnar"
         assert report.shard("eu-west").engine_used == "legacy"
         assert report.summary()["n_engine_fallbacks"] == 1.0
+        assert [s.summary["n_scaling_events"] for s in report.shards] == [0, 0]
+        assert report.digest() == _FLAKY_OUTAGE_DIGEST
 
     def test_crashing_region_runs_columnar(self, toy):
         """A node crash is a window fault the columnar loop serves."""

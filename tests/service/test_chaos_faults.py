@@ -23,7 +23,6 @@ from repro.service.simulation import (
     PoissonArrivals,
     RetryPolicy,
     ThunderingHerd,
-    ThunderingHerdArrivals,
     chaos_scenarios,
     run_scenario,
     scenario_measurements,
@@ -235,19 +234,23 @@ def test_thundering_herd_holds_and_releases_arrivals(chaos, toy):
     # The surge must hurt: worse tail latency than the same load spread out.
     healthy = run_checked(replace(spec, name="herd-healthy", faults=()), toy)
     assert report.summary()["p95_latency_s"] > healthy.summary()["p95_latency_s"]
+    # The herd draws nothing: the payload picks that follow the arrival
+    # draws are the healthy run's.
+    def payloads(run):
+        return {r.request_id: r.payload for r in run.records}
+
+    assert payloads(report) == payloads(healthy)
 
 
 def test_thundering_herd_arrival_transform_is_order_preserving():
-    base = PoissonArrivals(5.0)
-    modulator = ThunderingHerdArrivals(base, start_s=2.0, end_s=4.0, spread_s=0.1)
-    rng = np.random.default_rng(7)
-    raw = base.times(60, np.random.default_rng(7))
-    out = modulator.times(60, rng)
+    herd = ThunderingHerd(start_s=2.0, end_s=4.0, spread_s=0.1)
+    raw = PoissonArrivals(5.0).times(60, np.random.default_rng(7))
+    out = herd.apply(raw)
     assert out.shape == raw.shape
     assert np.all(np.diff(out) >= 0.0)  # sorted
     assert not ((out >= 2.0) & (out < 4.0)).any()
     held = (raw >= 2.0) & (raw < 4.0)
-    assert modulator.held_count(raw) == int(held.sum())
+    assert herd.held(raw) == int(held.sum())
     # Held arrivals land inside the release burst, original order kept.
     released = out[(out >= 4.0) & (out < 4.1)]
     assert len(released) == int(held.sum())
@@ -256,10 +259,9 @@ def test_thundering_herd_arrival_transform_is_order_preserving():
 
 
 def test_thundering_herd_spread_zero_releases_at_end(toy):
-    base = PoissonArrivals(5.0)
-    modulator = ThunderingHerdArrivals(base, start_s=1.0, end_s=3.0, spread_s=0.0)
-    out = modulator.times(40, np.random.default_rng(3))
-    raw = base.times(40, np.random.default_rng(3))
+    herd = ThunderingHerd(start_s=1.0, end_s=3.0, spread_s=0.0)
+    raw = PoissonArrivals(5.0).times(40, np.random.default_rng(3))
+    out = herd.apply(raw)
     held = int(((raw >= 1.0) & (raw < 3.0)).sum())
     assert held > 0
     assert int((out == 3.0).sum()) == held

@@ -37,7 +37,6 @@ from repro.service.simulation import (
     NodeSlowdown,
     PoissonArrivals,
     ServingSimulator,
-    TransientFaults,
     build_replay_cluster,
     columnar,
     scenario_measurements,
@@ -50,7 +49,6 @@ ENGINES = ("columnar", "legacy")
 #: Everything a columnar-requested drain may say on its way to the
 #: event loop.  A reason outside this set is a refusal in disguise.
 CAPABILITY_PREFIXES = (
-    "fault schedule present (",
     "per-attempt trace of a ",
     "autoscaler attached",
 )
@@ -246,11 +244,7 @@ def test_a_second_drain_is_refused_whichever_engine_ran_the_first(engine, toy):
 def _capability_simulator(prefix, toy):
     cluster = build_replay_cluster(toy, {"fast": 2, "slow": 2})
     fields = {}
-    if prefix.startswith("fault"):
-        fields["faults"] = (
-            TransientFaults(start_s=1.0, end_s=3.0, failure_probability=0.2),
-        )
-    elif prefix.startswith("per-attempt"):
+    if prefix.startswith("per-attempt"):
         fields["faults"] = (NodeCrash(at_s=1.0, version="slow", node_index=0),)
         fields["trace"] = TraceCollector()
     elif prefix.startswith("autoscaler"):
@@ -298,7 +292,7 @@ def test_a_control_plane_drains_columnar_unless_traced(toy):
 
 def test_the_fallback_reason_set_is_closed():
     """Every string ``columnar_ineligibility`` can return opens with one
-    of the three capability prefixes — a fourth is a refusal that
+    of the two capability prefixes — a third is a refusal that
     belongs at the door."""
     tree = ast.parse(inspect.getsource(columnar.columnar_ineligibility))
     leading = []

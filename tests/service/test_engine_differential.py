@@ -35,7 +35,14 @@ two.  This file is that argument, run continuously:
    oracle's digest, control and fault streams, records and books, with
    conservation; two source-level mutants of the control source are
    caught.
-8. **Edge cases** — zero-request drains and single-request runs behave
+8. **Completion faults** — :data:`N_COMPLETION` seeded specs mixing
+   transient windows, retry storms, cascade policies and thundering
+   herds with window faults, retry budgets, batching, routed sessions
+   and control planes run columnar and match the oracle's digest, fault
+   and control streams, records and books; a pinned spec ties a herd's
+   release to a recovery and a window's opening, and two source-level
+   mutants of the completion-fault path are caught.
+9. **Edge cases** — zero-request drains and single-request runs behave
    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
@@ -84,6 +91,7 @@ from repro.service.simulation import (
     AutoscalerConfig,
     BatchingConfig,
     BurstyArrivals,
+    CascadePolicy,
     ColdStartWave,
     DiurnalArrivals,
     GrayFailure,
@@ -91,9 +99,11 @@ from repro.service.simulation import (
     NodeSlowdown,
     PoissonArrivals,
     RetryPolicy,
+    RetryStorm,
     ScenarioSpec,
     ServingSimulator,
     SpikeArrivals,
+    ThunderingHerd,
     TransientFaults,
     build_replay_cluster,
     canonical_scenarios,
@@ -175,13 +185,12 @@ def test_canonical_scenarios_digest_identical(name, check_invariants, toy):
 
 @pytest.mark.parametrize("name", ("baseline", "node-crash", "gray-failure", "flaky"))
 def test_columnar_reproduces_golden_traces(name, toy):
-    """The default path matches the pinned digests directly: the columnar
-    loop itself for the healthy and window-fault goldens, the fallback
-    for ``flaky``'s transient window."""
+    """The columnar loop matches the pinned digests directly: the
+    healthy, window-fault and transient-window (``flaky``) goldens."""
     golden = read_golden(GOLDEN_DIR / f"{name}.json")
     spec = {**canonical_scenarios(), **chaos_scenarios()}[name]
     report = run_scenario(spec, toy, check_invariants=True)
-    assert report.engine_used == ("legacy" if name == "flaky" else "columnar")
+    assert report.engine_used == "columnar"
     assert report.digest() == golden["digest"], (
         f"columnar run of {name!r} no longer matches its golden trace"
     )
@@ -436,24 +445,18 @@ def test_unsupported_shapes_fall_back_with_reason(toy):
 
 
 #: Each chaos scenario that still falls back, and the reason it gives:
-#: the fault types that fail completions or move arrivals keep the scalar
-#: loop, and cold-start's wave rides on an autoscaler.  A control plane
-#: changes none of it: it is an event source of the columnar loop.
-_CHAOS_FALLBACK = {
-    "cascade": "fault schedule present (CascadePolicy)",
-    "retry-storm": "fault schedule present (RetryStorm)",
-    "cold-start": "autoscaler attached",
-    "thundering-herd": "fault schedule present (ThunderingHerd)",
-}
+#: cold-start's wave rides on an autoscaler.  Every fault type drains
+#: columnar, and a control plane changes none of it: it is an event
+#: source of the columnar loop.
+_CHAOS_FALLBACK = {"cold-start": "autoscaler attached"}
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 @pytest.mark.parametrize("name", sorted(chaos_scenarios()))
 def test_chaos_specs_pick_their_loop_with_named_reason(name, closed, toy):
     """Every chaos scenario, open- or closed-loop, either runs columnar
-    (gray-failure: a window fault) or falls back naming what the columnar
-    loop lacks, and the default run is bit-identical to a pure legacy
-    run."""
+    or falls back naming what the columnar loop lacks, and the default
+    run is bit-identical to a pure legacy run."""
     spec = chaos_scenarios()[name]
     if closed:
         spec = dataclasses.replace(spec, control=default_control_spec())
@@ -1508,6 +1511,296 @@ def test_control_family_catches_control_path_mutants(mutant, monkeypatch, toy):
         except Exception:  # an invariant the mutant broke, or a crash
             caught += 1
     assert caught >= 1, f"the {mutant} mutant survived all {FAST_CONTROL} seeds"
+
+
+# ----------------------------------------------------------------------
+# completion faults: transient windows, retry storms, cascades and herds
+# on the columnar loop, decided by the one owner both loops consult
+# ----------------------------------------------------------------------
+#: The completion-fault family; seeds below :data:`FAST_COMPLETION` run
+#: in the fast tier.
+N_COMPLETION = 40
+FAST_COMPLETION = 16
+
+
+def _random_completion_faults(rng, pools, span, first):
+    """1-4 faults that fail completions or hold arrivals, the first of
+    kind ``first``, plus a crash on most seeds (cascades need crashes).
+    Times sit on a 0.25 s grid, so window openings, herd releases and
+    recoveries often tie."""
+
+    def on_grid(low, high):
+        return round(float(rng.uniform(low, high)) * span * 4.0) / 4.0
+
+    def scope():
+        return (str(rng.choice(sorted(pools))),) if rng.uniform() < 0.5 else None
+
+    faults = []
+    if rng.uniform() < 0.75:
+        version = str(rng.choice(sorted(pools)))
+        at = on_grid(0.05, 0.5)
+        faults.append(
+            NodeCrash(
+                at_s=at,
+                version=version,
+                node_index=int(rng.integers(0, 2)),
+                recover_at_s=at + on_grid(0.1, 0.5) + 0.25
+                if rng.uniform() < 0.8
+                else None,
+            )
+        )
+    for draw in range(int(rng.integers(1, 5))):
+        start = on_grid(0.0, 0.7)
+        end = start + on_grid(0.1, 0.6) + 0.25
+        kind = int(rng.integers(0, 4)) if draw else first
+        if kind == 0:
+            faults.append(
+                TransientFaults(
+                    start_s=start,
+                    end_s=end,
+                    failure_probability=float(rng.uniform(0.1, 0.9)),
+                    versions=scope(),
+                )
+            )
+        elif kind == 1:
+            faults.append(
+                RetryStorm(
+                    start_s=start,
+                    end_s=end,
+                    failure_probability=float(rng.uniform(0.3, 1.0)),
+                    bucket_s=float(rng.choice([0.1, 0.25, 0.5])),
+                    bad_fraction=float(rng.uniform(0.2, 0.8)),
+                    versions=scope(),
+                )
+            )
+        elif kind == 2:
+            faults.append(
+                CascadePolicy(
+                    version=str(rng.choice(sorted(pools)))
+                    if rng.uniform() < 0.3
+                    else None,
+                    window_s=float(rng.uniform(0.5, 4.0)),
+                    base_probability=float(rng.uniform(0.0, 0.4)),
+                    load_factor=float(rng.uniform(0.0, 0.3)),
+                    max_probability=float(rng.uniform(0.5, 1.0)),
+                )
+            )
+        else:
+            faults.append(
+                ThunderingHerd(
+                    start_s=start,
+                    end_s=end,
+                    spread_s=0.0 if rng.uniform() < 0.5 else 0.1,
+                )
+            )
+    # A herd released the instant a window opens: the tie whose order the
+    # onset stream must keep (window openings, then herd releases).
+    opening = [
+        f.start_s for f in faults if isinstance(f, (TransientFaults, RetryStorm))
+    ]
+    faults = [
+        dataclasses.replace(f, end_s=max(opening))
+        if isinstance(f, ThunderingHerd) and max(opening, default=0.0) > f.start_s
+        else f
+        for f in faults
+    ]
+    return [faults[i] for i in rng.permutation(len(faults))]
+
+
+def _completion_simulator(seed, toy):
+    """One member of the family, built twice over: completion faults (the
+    seed picks the first one's type) mixed into the window-fault draws
+    under a retry policy (budgets on
+    half), batching on half, a control plane on one seed in three, and
+    one seed in four a routed session of one-by-one submissions (no
+    herd moves those: only ``run()``'s workload is held)."""
+    rng = np.random.default_rng([seed, 20261018])
+    routed = seed % 4 == 3
+    router = _random_router(rng) if routed else None
+    policy = None if routed else _random_policy(rng)
+    pools = {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))}
+    batching = (
+        BatchingConfig(
+            max_batch_size=int(rng.integers(2, 6)),
+            max_wait_s=float(rng.uniform(0.0, 0.1)),
+        )
+        if rng.uniform() < 0.5
+        else None
+    )
+    rate = float(rng.uniform(4.0, 14.0))
+    n = int(rng.integers(40, 100))
+    span = n / rate
+    faults = tuple(
+        _random_completion_faults(rng, pools, span, seed % 4)
+        + list(_random_window_faults(rng, pools, span) if rng.uniform() < 0.5 else ())
+    )
+    retry = _random_retry(rng)
+    control = (
+        _random_control_spec(rng, adaptive=not routed) if seed % 3 == 1 else None
+    )
+    times = np.cumsum(rng.exponential(1.0 / rate, n))
+    requests = [
+        ServiceRequest(
+            request_id=f"f_{i:04d}",
+            payload=str(rng.choice(toy.request_ids)),
+            tolerance=float(rng.choice((0.0, 0.01, 0.05, 0.10))),
+            objective=tuple(Objective)[int(rng.integers(0, 2))],
+        )
+        for i in range(n)
+    ]
+
+    def build():
+        sim = build_simulator(
+            build_replay_cluster(toy, pools),
+            router=router,
+            configuration=None
+            if routed
+            else EnsembleConfiguration(f"f_{seed}", policy),
+            batching=batching,
+            faults=faults,
+            retry=retry,
+            control=control,
+            measurements=toy,
+            check_invariants=True,
+            seed=seed,
+        )
+        if routed:
+            for request, at_time in zip(requests, times.tolist()):
+                sim.submit(request, at_time=at_time)
+            return sim, sim.drain
+        return sim, lambda: sim.run(
+            PoissonArrivals(rate), n, payload_ids=toy.request_ids
+        )
+
+    return build
+
+
+def _completion_seeds():
+    return [
+        pytest.param(seed, marks=pytest.mark.slow)
+        if seed >= FAST_COMPLETION
+        else seed
+        for seed in range(N_COMPLETION)
+    ]
+
+
+@pytest.mark.parametrize("seed", _completion_seeds())
+def test_completion_fault_family_digest_identical(seed, toy):
+    """Transient windows, retry storms, cascades and herds — with crashes,
+    stragglers, gray nodes, retry budgets, batching, routed sessions and
+    control planes — run columnar and match the scalar oracle: digests,
+    the fault and control streams, every record field and the books."""
+    build = _completion_simulator(seed, toy)
+    legacy, legacy_books, columnar, books = _run_window_pair(None, toy, build)
+    assert_reports_identical(legacy, columnar)
+    assert _observed(legacy) == _observed(columnar)
+    assert legacy_books == books
+
+
+def test_completion_fault_family_reaches_every_fault_path(toy):
+    """The fast seeds open transient and storm windows, open cascade
+    windows on crashes, release herds, retry, deny retries, fail requests
+    and run under a control plane."""
+    seen = set()
+    for seed in range(FAST_COMPLETION):
+        report = _completion_simulator(seed, toy)()[1]()
+        seen |= {entry.kind for entry in report.fault_log}
+        seen |= {"retried"} if report.total_retries else set()
+        seen |= {"denied"} if report.n_retry_denied else set()
+        seen |= {"failed"} if report.n_failed else set()
+        seen |= {"control"} if report.control_log else set()
+    assert {
+        "transient-window", "storm-window", "cascade", "herd", "crash",
+        "recover", "retried", "denied", "failed", "control",
+    } <= seen, sorted(seen)
+
+
+def _tied_release():
+    """A herd releasing every held arrival at t=4, the instant a crashed
+    node's replacement joins and a transient window opens: the window
+    opening, then the release, then the arrivals, then the recovery."""
+
+    def build(toy):
+        sim = ServingSimulator(
+            build_replay_cluster(toy, {"fast": 2, "slow": 1}),
+            configuration=EnsembleConfiguration(
+                "tied", EarlyTerminationPolicy("fast", "slow", 0.6)
+            ),
+            batching=BatchingConfig(max_batch_size=3, max_wait_s=0.05),
+            faults=(
+                ThunderingHerd(start_s=2.0, end_s=4.0, spread_s=0.0),
+                NodeCrash(at_s=1.0, version="fast", recover_at_s=4.0),
+                TransientFaults(start_s=4.0, end_s=6.0, failure_probability=0.5),
+                CascadePolicy(version="fast", window_s=2.0),
+            ),
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.05),
+            check_invariants=True,
+            seed=7,
+        )
+        return sim, lambda: sim.run(
+            PoissonArrivals(6.0), 50, payload_ids=toy.request_ids
+        )
+
+    return build
+
+
+def test_a_herd_release_tied_to_a_recovery_and_a_window_matches_the_oracle(toy):
+    build = _tied_release()
+    legacy, legacy_books, columnar, books = _run_window_pair(
+        None, toy, lambda: build(toy)
+    )
+    assert_reports_identical(legacy, columnar)
+    assert _observed(legacy) == _observed(columnar)
+    assert legacy_books == books
+    at_four = [entry.kind for entry in columnar.fault_log if entry.time_s == 4.0]
+    assert at_four == ["transient-window", "herd", "recover"], at_four
+    assert int(np.count_nonzero(columnar.columns.arrival_s == 4.0)) > 1
+
+
+#: Completion-fault mutants of the columnar loop: ``(site, mutated site)``.
+_COMPLETION_MUTANTS = {
+    # The owner draws for an orphan completion too, before the orphan
+    # check discards it.
+    "consult-before-orphan-check": (
+        "        key = sub << 1 | leg\n        if resolved[sub]:\n",
+        "        key = sub << 1 | leg\n"
+        "        early = fails(leg_version[key], finish, pool_load) if fails else None\n"
+        "        if resolved[sub]:\n",
+    ),
+    # Herd releases join the onset stream ahead of the window openings.
+    "herd-before-windows": (
+        "    onsets += sim._releases\n",
+        "    onsets[:0] = sim._releases\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_COMPLETION_MUTANTS))
+def test_completion_fault_family_catches_mutants(mutant, monkeypatch, toy):
+    """Teeth: each mutant of the columnar completion-fault path is caught
+    by the fast-tier family or the tie pin (a digest, log, record or
+    invariant difference, or a run that breaks)."""
+    import repro.service.simulation.engine as engine
+
+    builds = [_completion_simulator(seed, toy) for seed in range(FAST_COMPLETION)]
+    tied = _tied_release()
+    builds.append(lambda: tied(toy))
+    expected = []
+    for build in builds:
+        _, drain = build()
+        with scalar_loop():
+            expected.append(_observed(drain()))
+    monkeypatch.setattr(
+        engine, "run_columnar", _mutant_loop(*_COMPLETION_MUTANTS[mutant])
+    )
+    caught = 0
+    for build, want in zip(builds, expected):
+        _, drain = build()
+        try:
+            caught += _observed(drain()) != want
+        except Exception:  # an invariant the mutant broke, or a crash
+            caught += 1
+    assert caught >= 1, f"the {mutant} mutant survived all {len(builds)} specs"
 
 
 # ----------------------------------------------------------------------

@@ -38,11 +38,11 @@ def test_columnar_run_reports_engine(toy):
 
 
 def test_fallback_reports_reason(toy):
-    spec = canonical_scenarios()["flaky"]
+    spec = canonical_scenarios()["diurnal"]  # autoscaled
     with default_loop():
         report = run_scenario(spec, toy)
     assert report.engine_used == "legacy"
-    assert report.fallback_reason == "fault schedule present (TransientFaults)"
+    assert report.fallback_reason == "autoscaler attached"
 
 
 def test_window_fault_run_reports_columnar(toy):
@@ -53,13 +53,22 @@ def test_window_fault_run_reports_columnar(toy):
     assert report.fallback_reason is None
 
 
+def test_completion_fault_run_reports_columnar(toy):
+    spec = canonical_scenarios()["flaky"]
+    with default_loop():
+        report = run_scenario(spec, toy)
+    assert report.engine_used == "columnar"
+    assert report.fallback_reason is None
+
+
 #: A closed-loop spec drains columnar unless it also carries what the
-#: columnar loop lacks: a scalar-only fault, an autoscaler, a trace.
+#: columnar loop lacks: an autoscaler or a trace.  A fault that fails
+#: completions is not one.
 _CLOSED_LOOP_EXTRAS = {
     "plain": ({}, None),
     "transient": (
         {"faults": (TransientFaults(start_s=1.0, end_s=4.0, failure_probability=0.2),)},
-        "fault schedule present (TransientFaults)",
+        None,
     ),
     "autoscaler": (
         {"autoscaler_config": AutoscalerConfig(min_nodes=1, max_nodes=3)},

@@ -1,7 +1,9 @@
 """Tests for measurement records, tables and builders."""
 
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,36 @@ class TestMeasurementSet:
             ValueError, match=re.escape(f"{path}: missing field 'latency_s'")
         ):
             MeasurementSet.from_json(path)
+
+    @pytest.mark.parametrize("interrupted", ["write", "replace"])
+    def test_an_interrupted_write_keeps_the_previous_cache(
+        self, tmp_path, monkeypatch, interrupted
+    ):
+        path = tmp_path / "measurements.json"
+        _tiny_set().to_json(path)
+        before = path.read_bytes()
+        if interrupted == "write":
+            write_text = Path.write_text
+
+            def half_then_fail(self, text, *args, **kwargs):
+                write_text(self, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+
+            monkeypatch.setattr(Path, "write_text", half_then_fail)
+        else:
+
+            def fail(src, dst):
+                raise OSError("interrupted")
+
+            monkeypatch.setattr(os, "replace", fail)
+        newer = _tiny_set()
+        newer.metadata = {"run": 2}
+        with pytest.raises(OSError):
+            newer.to_json(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert MeasurementSet.from_json(path).request_ids == _tiny_set().request_ids
 
     def test_json_round_trip(self, tmp_path):
         ms = _tiny_set()

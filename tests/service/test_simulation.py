@@ -30,7 +30,7 @@ from repro.service.simulation import (
     PoissonArrivals,
     ServingSimulator,
     SpikeArrivals,
-    ThunderingHerdArrivals,
+    ThunderingHerd,
     TraceArrivals,
     build_replay_cluster,
 )
@@ -184,21 +184,15 @@ class TestArrivals:
                 "spike_duration_s",
             ),
             (
-                lambda: ThunderingHerdArrivals(
-                    PoissonArrivals(1.0), start_s=-1.0, end_s=1.0
-                ),
+                lambda: ThunderingHerd(start_s=-1.0, end_s=1.0),
                 "start_s",
             ),
             (
-                lambda: ThunderingHerdArrivals(
-                    PoissonArrivals(1.0), start_s=2.0, end_s=2.0
-                ),
+                lambda: ThunderingHerd(start_s=2.0, end_s=2.0),
                 "end_s must be greater than start_s",
             ),
             (
-                lambda: ThunderingHerdArrivals(
-                    PoissonArrivals(1.0), start_s=0.0, end_s=1.0, spread_s=-0.1
-                ),
+                lambda: ThunderingHerd(start_s=0.0, end_s=1.0, spread_s=-0.1),
                 "spread_s",
             ),
             (lambda: TraceArrivals([]), "at least one arrival"),
@@ -233,14 +227,9 @@ class TestArrivals:
                 SpikeArrivals(3.0, spike_start_s=2.0, spike_duration_s=1.5),
                 "SpikeArrivals(base=3/s, x5 at [2, 3.5]s)",
             ),
-            (
-                ThunderingHerdArrivals(PoissonArrivals(1.0), start_s=1.0, end_s=2.0),
-                "ThunderingHerdArrivals(PoissonArrivals(rate=1/s), "
-                "hold=[1, 2)s, spread=0.05s)",
-            ),
             (TraceArrivals([0.0, 0.5, 1.5]), "TraceArrivals(n=3)"),
         ],
-        ids=["poisson", "bursty", "diurnal", "spike", "herd", "trace"],
+        ids=["poisson", "bursty", "diurnal", "spike", "trace"],
     )
     def test_repr_names_the_parameters(self, process, expected):
         assert repr(process) == expected
@@ -251,12 +240,15 @@ class TestArrivals:
         assert len(trace.times(len(trace), np.random.default_rng(0))) == 4
 
     def test_herd_moves_held_arrivals_without_extra_draws(self):
-        base = PoissonArrivals(20.0)
-        herd = ThunderingHerdArrivals(base, start_s=0.5, end_s=1.0, spread_s=0.0)
-        plain = base.times(60, np.random.default_rng(9))
-        held = herd.times(60, np.random.default_rng(9))
+        # A herd transforms sampled times and takes no generator, so the
+        # base process draws the same arrivals with and without it.
+        herd = ThunderingHerd(start_s=0.5, end_s=1.0, spread_s=0.0)
+        plain = PoissonArrivals(20.0).times(60, np.random.default_rng(9))
+        before = plain.copy()
+        held = herd.apply(plain)
+        assert np.array_equal(plain, before)
         assert np.all(np.diff(held) >= 0.0)
-        n_held = herd.held_count(plain)
+        n_held = herd.held(plain)
         assert n_held > 0
         assert np.count_nonzero(held == 1.0) == n_held
         untouched = plain[(plain < 0.5) | (plain >= 1.0)]

@@ -5,7 +5,9 @@ Import rules read the parsed modules, not their text, so a comment cannot
 trip one and an aliased or relative import cannot slip past one; they run
 once per module under ``src/``, so a failure names the module.  The rules
 about retired names search the same files for the same patterns as the
-matching fences of the CI workflow, so they are exactly as strict.
+``! grep`` steps of the CI workflow they replaced, so they are exactly as
+strict; each was shown to fail on the tree just before the change that
+set up its rule.
 """
 
 from __future__ import annotations
@@ -206,4 +208,13 @@ def test_one_validation_vocabulary():
         r"def _require_(finite|integer|timestamp|window|rate|node_index)\b"
         r"|NaN fails",
         ["src"],
+    )
+
+
+def test_one_owner_fails_completions():
+    # Which completions fail is decided by faults.CompletionFaults for both
+    # loops, and a herd is its own arrival transform: no scalar-only fault
+    # list, no loop-private failure rule, no arrival wrapper.
+    assert not _matches(
+        r"ThunderingHerdArrivals|_SCALAR_FAULTS|_fault_eating_completion", ["src"]
     )
