@@ -1,43 +1,21 @@
-"""REGIONS — multi-region sharding: what failover buys, what workers buy.
+"""REGIONS — multi-region sharding: what failover buys.
 
-Two questions, answered with deterministic simulation outputs plus one
-wall-clock measurement:
-
-1. **Locality vs failover goodput.**  The ``regional-outage`` canonical
-   scenario runs twice: once as shipped (the dead region's traffic
-   spills across the link) and once with its failover link severed for
-   the whole run (every spill is denied and takes its chances on the
-   degraded home pools).  In this closed workload both twins eventually
-   complete everything — the outage's cost is *tail containment*:
-   severed traffic queues behind the dead pool and the p95 user latency
-   inflates several-fold, while failover traffic pays only the link
-   round trip.  The matrix records goodput/availability/tail per cell
-   and pins that containment ratio — a behavioural claim over identical
-   workloads, so any drift is a change, not noise.  The ``tri-steady``
-   locality baseline rides along as the control.
-
-2. **Parallel shard speedup.**  A four-region trace (25k requests per
-   region, 100k total) runs serially and with ``parallel=4`` worker
-   processes; both must produce bit-identical digests, and the wall
-   ratio is the recorded speedup.  Every region carries a crash cycle
-   with a ``TransientFaults`` window over its outage, and an autoscaler
-   that never acts; the attached autoscaler keeps each shard on the
-   legacy event loop — the regime where shard-level parallelism matters
-   (the columnar engine finishes 100k requests too fast for process
-   fan-out to pay for itself).  Every fault type drains columnar, so a
-   fault schedule alone no longer pins that regime; the serial digest is
-   pinned to the one the trace had when its faults still did.
-   The >= 2x acceptance floor is asserted only where it is
-   physically possible (>= 4 usable cores); the artefact always records
-   ``cpu_count`` next to the ratio so a 1-vCPU container's numbers are
-   interpretable.
+The ``regional-outage`` canonical scenario runs twice: once as shipped
+(the dead region's traffic spills across the link) and once with its
+failover link severed for the whole run (every spill is denied and takes
+its chances on the degraded home pools).  In this closed workload both
+twins eventually complete everything — the outage's cost is *tail
+containment*: severed traffic queues behind the dead pool and the p95
+user latency inflates several-fold, while failover traffic pays only
+the link round trip.  The matrix records goodput/availability/tail per
+cell and pins that containment ratio — a behavioural claim over
+identical workloads, so any drift is a change, not noise.  The
+``tri-steady`` locality baseline rides along as the control.
 
 Headline metrics land in ``BENCH_PERF.json`` (section ``regions``) and
-the longitudinal history via ``history.write_section``.
-
-Smoke mode (fast CI tier): ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``)
-shrinks the speedup trace to 600 requests per region, skips the floor,
-and writes nothing.  The full trace carries the ``slow`` marker.
+the longitudinal history via ``history.write_section``.  Smoke mode
+(fast CI tier): ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``) runs the same
+matrix and writes nothing.
 
 Run with::
 
@@ -46,7 +24,6 @@ Run with::
 """
 
 import os
-import time
 from dataclasses import replace
 
 import pytest
@@ -54,89 +31,10 @@ import pytest
 from history import write_section
 
 from repro.analysis import format_table
-from repro.service.regions import (
-    MultiRegionSpec,
-    RegionSpec,
-    region_scenarios,
-    run_multi_region,
-)
-from repro.service.simulation import (
-    AutoscalerConfig,
-    NodeCrash,
-    PoissonArrivals,
-    RegionPartition,
-    ScenarioSpec,
-    TransientFaults,
-    scenario_measurements,
-)
-from repro.service.simulation.scenarios import _tiered_configuration
+from repro.service.regions import region_scenarios, run_multi_region
+from repro.service.simulation import RegionPartition, scenario_measurements
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-WORKERS = 4
-#: Per-region request count for the speedup trace (x 4 regions).
-TRACE_N = 600 if SMOKE else 25_000
-#: Acceptance floor for the parallel speedup, asserted only when the
-#: machine can physically deliver it (shards are CPU-bound; on fewer
-#: cores than workers the fan-out cannot beat the serial loop).
-SPEEDUP_FLOOR = 2.0
-CPU_COUNT = os.cpu_count() or 1
-
-
-#: An autoscaler that provably never acts on the speedup trace: no pool
-#: may grow past one node, and its one evaluation comes after the run,
-#: when every pool is live and has done work since its baseline, so none
-#: reads as idle enough (utilization <= 0) to shrink.  Attaching it
-#: keeps each shard on the legacy event loop.
-_IDLE_AUTOSCALER = AutoscalerConfig(
-    min_nodes=1,
-    max_nodes=1,
-    scale_down_utilization=0.0,
-    evaluation_interval_s=1e6,
-)
-
-#: The serial digest of the speedup trace per trace size, as its
-#: ``TransientFaults`` windows alone pinned it to the legacy loop:
-#: pinning it by the autoscaler instead must not move a bit.
-SERIAL_DIGESTS = {
-    600: "52941eb54c6b8ecfbc36c134eafaf55585e9e6084f42d62dfec7af4df2a0e06b",
-    25_000: "00a999adf120eaeacbf3bc97556b40b12f9405702db9728fc66aafae705511bd",
-}
-
-
-def _speedup_spec():
-    """Four symmetric regions, each pinned to the legacy engine.
-
-    Each region keeps a two-node fast pool with one mid-run crash and
-    recovery, never zeroing a pool, so no failover traffic skews the
-    per-shard workload balance.  The fast pool is flaky while the node
-    is down, and the idle autoscaler keeps the legacy event loop.
-    """
-    regions = []
-    for i, name in enumerate(("us-east", "eu-west", "ap-south", "sa-east")):
-        scenario = ScenarioSpec(
-            name=f"speedup-{name}",
-            arrivals=PoissonArrivals(50.0),
-            n_requests=TRACE_N,
-            pools={"fast": 2, "slow": 2},
-            configuration=_tiered_configuration(),
-            autoscaler_config=_IDLE_AUTOSCALER,
-            faults=(
-                NodeCrash(
-                    at_s=5.0 + i,
-                    version="fast",
-                    node_index=0,
-                    recover_at_s=15.0 + i,
-                ),
-                TransientFaults(
-                    start_s=5.0 + i,
-                    end_s=15.0 + i,
-                    failure_probability=0.05,
-                    versions=("fast",),
-                ),
-            ),
-        )
-        regions.append(RegionSpec(name=name, scenario=scenario))
-    return MultiRegionSpec(name="speedup-trace", regions=tuple(regions), seed=97)
 
 
 def _severed(spec):
@@ -175,41 +73,7 @@ def _run_goodput_matrix(measurements):
     return {name: _goodput_row(name, report) for name, report in cells.items()}, cells
 
 
-def _run_speedup(measurements):
-    spec = _speedup_spec()
-    start = time.perf_counter()
-    serial = run_multi_region(spec, measurements)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_multi_region(spec, measurements, parallel=WORKERS)
-    parallel_s = time.perf_counter() - start
-    assert serial.digest() == parallel.digest(), (
-        "parallel execution changed behaviour"
-    )
-    assert {shard.fallback_reason for shard in serial.shards} == {
-        "autoscaler attached"
-    }, "the speedup trace left the legacy-engine regime it measures"
-    assert [shard.summary["n_scaling_events"] for shard in serial.shards] == [
-        0
-    ] * len(serial.shards), "the idle autoscaler acted"
-    assert serial.digest() == SERIAL_DIGESTS[TRACE_N], (
-        "pinning the legacy loop changed the trace's behaviour"
-    )
-    n = serial.n_requests
-    return {
-        "n_requests": n,
-        "workers": WORKERS,
-        "cpu_count": CPU_COUNT,
-        "serial_wall_s": round(serial_s, 4),
-        "parallel_wall_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 4),
-        "serial_sim_rps": round(n / serial_s, 1),
-        "parallel_sim_rps": round(n / parallel_s, 1),
-        "digest": serial.digest(),
-    }
-
-
-def _emit(goodput, reports, speedup):
+def _emit(goodput, reports):
     print()
     print(
         format_table(
@@ -238,12 +102,6 @@ def _emit(goodput, reports, speedup):
     }
     if fallbacks:
         print(f"engine fallbacks by region: {fallbacks}")
-    print(
-        f"parallel shard speedup: {speedup['speedup']:.2f}x at "
-        f"{speedup['workers']} workers on {speedup['n_requests']} requests "
-        f"({speedup['serial_wall_s']:.2f}s -> {speedup['parallel_wall_s']:.2f}s, "
-        f"{speedup['cpu_count']} cores)"
-    )
     artifact = {
         "goodput": {
             name: {
@@ -252,7 +110,6 @@ def _emit(goodput, reports, speedup):
             }
             for name, row in goodput.items()
         },
-        "parallel": speedup,
     }
     write_section(
         "regions",
@@ -270,7 +127,6 @@ def _emit(goodput, reports, speedup):
                 / goodput["outage-failover"]["p95_user_latency_s"],
                 4,
             ),
-            "parallel": speedup,
         },
         smoke=SMOKE,
         artifact=artifact,
@@ -295,37 +151,17 @@ def _assert_failover_pays(goodput):
     )
 
 
-@pytest.mark.skipif(
-    not SMOKE, reason="smoke slice of the regions bench; the full tier runs it all"
-)
-def test_regions_smoke():
-    """Fast-tier slice: full goodput matrix, shrunk speedup trace."""
+def test_regions_goodput_matrix():
+    """The goodput matrix, failover's tail containment and the engine
+    each shard drained on; a full run writes the section."""
     measurements = scenario_measurements()
     goodput, reports = _run_goodput_matrix(measurements)
-    speedup = _run_speedup(measurements)
-    _emit(goodput, reports, speedup)
+    _emit(goodput, reports)
     _assert_failover_pays(goodput)
     # The shipped outage is a node crash, a window fault the columnar
     # loop serves: no shard falls back (the fallback accounting itself
     # is pinned by tests/regions/test_region_slo.py).
     assert goodput["outage-failover"]["n_engine_fallbacks"] == 0
-
-
-@pytest.mark.slow
-def test_regions_full():
-    measurements = scenario_measurements()
-    goodput, reports = _run_goodput_matrix(measurements)
-    speedup = _run_speedup(measurements)
-    _emit(goodput, reports, speedup)
-    _assert_failover_pays(goodput)
-    assert speedup["n_requests"] >= 100_000
-    if CPU_COUNT >= WORKERS:
-        assert speedup["speedup"] >= SPEEDUP_FLOOR, speedup
-    else:
-        print(
-            f"speedup floor skipped: {CPU_COUNT} cores cannot feed "
-            f"{WORKERS} workers"
-        )
 
 
 if __name__ == "__main__":
@@ -334,9 +170,4 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv:
         # pytest imports this file afresh, so its SMOKE sees the flag.
         os.environ["REPRO_BENCH_SMOKE"] = "1"
-    raise SystemExit(
-        pytest.main(
-            [__file__, "-q", "-s"]
-            + (["-m", "not slow"] if "--smoke" in sys.argv else [])
-        )
-    )
+    raise SystemExit(pytest.main([__file__, "-q", "-s"]))

@@ -161,11 +161,7 @@ class ClusterDeployment:
         return added
 
     def remove_node(
-        self,
-        version: str,
-        *,
-        now: Optional[float] = None,
-        only_idle: bool = True,
+        self, version: str, *, now: Optional[float] = None
     ) -> Optional[ServiceNode]:
         """Shrink a version's pool by one idle node (see
         :meth:`~repro.service.load_balancer.LoadBalancer.remove_node`).
@@ -174,12 +170,9 @@ class ClusterDeployment:
         books — :meth:`iaas_spend` reports money spent, and eviction does
         not refund it.
         """
-        node = self.load_balancer.remove_node(
-            version, now=now, only_idle=only_idle
-        )
+        node = self.load_balancer.remove_node(version, now=now)
         if node is not None:
-            self._retired_iaas[version] += node.accumulated_cost
-            self._retired_busy[version] += node.busy_seconds
+            self._retire(version, node)
         return node
 
     def kill_node(self, version: str, node: ServiceNode, *, now: float):
@@ -198,9 +191,14 @@ class ClusterDeployment:
         items = self.load_balancer.evict_node(version, node)
         if node.alive:
             node.kill(now=now)
+        self._retire(version, node)
+        return items
+
+    def _retire(self, version: str, node: ServiceNode) -> None:
+        """Book a node that left ``version``'s pool: its spend and busy
+        time stay counted."""
         self._retired_iaas[version] += node.accumulated_cost
         self._retired_busy[version] += node.busy_seconds
-        return items
 
     def raw_dispatch(
         self, version: str, request: ServiceRequest

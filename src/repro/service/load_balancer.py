@@ -78,13 +78,9 @@ class LoadBalancer:
         self._require_pool(version).append(node)
 
     def remove_node(
-        self,
-        version: str,
-        *,
-        now: Optional[float] = None,
-        only_idle: bool = True,
+        self, version: str, *, now: Optional[float] = None
     ) -> Optional[ServiceNode]:
-        """Shrink a version's pool by one node.
+        """Shrink a version's pool by one idle node.
 
         Args:
             version: Pool to shrink.
@@ -93,18 +89,11 @@ class LoadBalancer:
                 synchronous replay path, where execution is eager and a
                 node with an empty queue is idle no matter what virtual
                 timestamp its past work reached.
-            only_idle: When true (the default), only an idle node — empty
-                queue, and no batch still running at ``now`` when a clock
-                is given — may be removed; ``None`` is returned when every
-                node is busy.  When false, an idle node is still
-                preferred, but a busy one may be evicted — its queued
-                (not yet started) requests are requeued onto the surviving
-                nodes, preserving their original enqueue times, so no work
-                is silently dropped.
 
         Returns:
-            The removed node, or ``None`` when ``only_idle`` found no
-            removable node.
+            The last idle node in pool order — an empty queue, and no
+            batch still running at ``now`` when a clock is given — now
+            removed, or ``None`` when every node is busy.
 
         Raises:
             ValueError: If removal would empty the pool.
@@ -114,20 +103,11 @@ class LoadBalancer:
             raise ValueError(
                 f"cannot remove the last node of version {version!r}"
             )
-        idle = [
-            node
-            for node in pool
-            if node.queue_depth == 0
-            and (now is None or node.busy_until <= now)
-        ]
-        if not idle and only_idle:
-            return None
-        node = idle[-1] if idle else pool[-1]
-        pool.remove(node)
-        if node.queue_depth:
-            for item in node.pop_batch(node.queue_depth):
-                self.select_node(version).requeue(item)
-        return node
+        for node in reversed(pool):
+            if node.queue_depth == 0 and (now is None or node.busy_until <= now):
+                pool.remove(node)
+                return node
+        return None
 
     def evict_node(self, version: str, node: ServiceNode) -> List["QueuedRequest"]:
         """Forcibly remove a *specific* node (the crash path).

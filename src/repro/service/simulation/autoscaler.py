@@ -4,20 +4,21 @@ The simulator evaluates each pool on a fixed cadence.  A pool scales *up*
 when its backlog per node crosses ``scale_up_queue_depth`` or its busy
 fraction over the last window crosses ``scale_up_utilization``; it scales
 *down* when it is simultaneously drained (no backlog) and under-utilized.
-Scale-downs only ever remove idle nodes (the load balancer refuses to
-evict a node with queued or running work) and never shrink a pool below
-``min_nodes``.  A per-pool cooldown stops the controller from flapping on
-one transient spike.
+Scale-downs only ever remove idle nodes (the load balancer's rule: the
+last node in pool order with an empty queue and no running work) and
+never shrink a pool below ``min_nodes``.  A per-pool cooldown stops the
+controller from flapping on one transient spike.  :class:`PoolScaling`
+is the one owner of that tick for both event loops: they only actuate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Sized
 
 from repro import checks
 
-__all__ = ["Autoscaler", "AutoscalerConfig", "ScalingEvent"]
+__all__ = ["Autoscaler", "AutoscalerConfig", "PoolScaling", "ScalingEvent"]
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class Autoscaler:
         queue_depth: int,
         utilization: float,
         now: float,
-    ) -> int:
-        """Decide the node-count delta for one pool at one instant.
+    ) -> Optional[str]:
+        """The trigger that fires for one pool at one instant.
 
         Args:
             version: Pool being evaluated.
@@ -111,8 +112,10 @@ class Autoscaler:
             now: Current virtual time.
 
         Returns:
-            ``+1`` to grow, ``-1`` to shrink, ``0`` to hold.  The caller
-        actuates the change and must call :meth:`record` if it did.
+            ``"dead-pool"``, ``"queue-depth"`` or ``"utilization"`` to grow
+            by one node, ``"idle"`` to shrink by one, ``None`` to hold.
+            The caller actuates the change and must call :meth:`record`
+            if it did.
         """
         cfg = self.config
         if n_nodes == 0:
@@ -121,36 +124,22 @@ class Autoscaler:
             # threshold nor the cooldown should keep a service at zero
             # capacity (the cooldown exists to damp flapping, and a pool
             # at zero with queued work is not flapping, it is down).
-            return 1 if queue_depth > 0 else 0
+            return "dead-pool" if queue_depth > 0 else None
         last = self._last_action_at.get(version)
         if last is not None and now - last < cfg.cooldown_s:
-            return 0
-        backlog_per_node = queue_depth / max(n_nodes, 1)
-        if n_nodes < cfg.max_nodes and (
-            backlog_per_node >= cfg.scale_up_queue_depth
-            or utilization >= cfg.scale_up_utilization
-        ):
-            return 1
+            return None
+        if n_nodes < cfg.max_nodes:
+            if queue_depth / n_nodes >= cfg.scale_up_queue_depth:
+                return "queue-depth"
+            if utilization >= cfg.scale_up_utilization:
+                return "utilization"
         if (
             n_nodes > cfg.min_nodes
             and queue_depth == 0
             and utilization <= cfg.scale_down_utilization
         ):
-            return -1
-        return 0
-
-    def reason_for(
-        self, delta: int, *, queue_depth: int, n_nodes: int
-    ) -> str:
-        """Human-readable trigger name for a non-zero decision."""
-        if delta > 0:
-            if n_nodes == 0:
-                return "dead-pool"
-            backlog = queue_depth / max(n_nodes, 1)
-            if backlog >= self.config.scale_up_queue_depth:
-                return "queue-depth"
-            return "utilization"
-        return "idle"
+            return "idle"
+        return None
 
     def record(
         self,
@@ -163,12 +152,84 @@ class Autoscaler:
     ) -> None:
         """Log an actuated scaling action and start the pool's cooldown."""
         self._last_action_at[version] = now
-        self.events.append(
-            ScalingEvent(
-                time_s=now,
-                version=version,
-                old_size=old_size,
-                new_size=new_size,
-                reason=reason,
+        self.events.append(ScalingEvent(now, version, old_size, new_size, reason))
+
+
+def _busy(nodes: Sequence) -> float:
+    return sum(node.busy_seconds for node in nodes)
+
+
+class PoolScaling:
+    """Every scaling action of one run, for whichever loop drains.
+
+    The one owner of the autoscaler's tick, built once per simulator that
+    has an :class:`Autoscaler`: it reads each pool (size, backlog with
+    parked jobs, busy seconds), keeps the utilization baseline — started
+    at the busy seconds the ``balancer``'s nodes already hold, so the
+    first tick measures only this run — asks the autoscaler for a trigger
+    and books each action taken.  The loops only actuate.
+    """
+
+    def __init__(self, autoscaler: Autoscaler, balancer) -> None:
+        self.autoscaler = autoscaler
+        #: Virtual seconds between two ticks.
+        self.interval = autoscaler.config.evaluation_interval_s
+        self._last_busy: Dict[str, float] = {
+            version: _busy(balancer.nodes_of(version))
+            for version in balancer.versions
+        }
+
+    def rebase(self, version: str, survivors: Sequence) -> None:
+        """A node of ``version`` crashed: the baseline becomes the
+        survivors' busy sum.  (Subtracting the victim's busy seconds would
+        not do: the kill refunded the unelapsed share of a batch an
+        earlier tick counted whole, so the next tick would read a degraded
+        pool as idle.)"""
+        self._last_busy[version] = _busy(survivors)
+
+    def tick(
+        self,
+        now: float,
+        pools: Mapping[str, Sequence],
+        parked: Mapping[str, Sized],
+        grow: Callable[[str], None],
+        shrink: Callable[[str], Optional[object]],
+    ) -> None:
+        """Evaluate every pool at ``now``, in ``pools`` order: ``pools``
+        maps each version to its live nodes (anything with
+        ``queue_depth`` and ``busy_seconds``), ``parked`` to the jobs
+        waiting for one.  ``grow(version)`` adds a node;
+        ``shrink(version)`` retires the pool's last idle node and returns
+        it, or ``None`` when no node is idle (nothing is booked then)."""
+        for version, nodes in pools.items():
+            n_nodes = len(nodes)
+            backlog = sum(node.queue_depth for node in nodes) + len(
+                parked.get(version, ())
             )
-        )
+            busy = _busy(nodes)
+            utilization = (
+                (busy - self._last_busy[version]) / (n_nodes * self.interval)
+                if n_nodes
+                else 0.0
+            )
+            self._last_busy[version] = busy
+            reason = self.autoscaler.decide(
+                version, n_nodes=n_nodes, queue_depth=backlog,
+                utilization=utilization, now=now,
+            )
+            if reason is None:
+                continue
+            if reason != "idle":
+                grow(version)
+            else:
+                removed = shrink(version)
+                if removed is None:
+                    continue
+                # Keep the baseline to the surviving membership, else the
+                # next tick's busy delta goes negative by the removed
+                # node's lifetime total.
+                self._last_busy[version] -= removed.busy_seconds
+            self.autoscaler.record(
+                version, old_size=n_nodes, now=now, reason=reason,
+                new_size=n_nodes + (-1 if reason == "idle" else 1),
+            )

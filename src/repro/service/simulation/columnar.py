@@ -7,8 +7,8 @@ and every finalized request a ``RequestRecord`` priced through the full
 ``PricingModel`` call chain.  ``run_columnar`` re-executes a load test
 over a measurement-replay cluster — one fixed configuration or a tier
 router picking one per request, healthy or under any fault schedule,
-open-loop or under a control plane — with the *same* event semantics
-but none of the object machinery:
+open-loop or under a control plane, on static or autoscaled pools —
+with the *same* event semantics but none of the object machinery:
 
 * request state lives in parallel lists indexed by submission order
   (the simulator's submission store, read as it stands),
@@ -48,8 +48,13 @@ with backoff under the ``RetryPolicy`` budgets, the degraded fallbacks,
 parking, orphan completions and the end-of-run "unserved" resolution.
 Pool membership changes on the real cluster as it happens, so node ids,
 the retired books and ``final_pool_sizes`` end as the scalar loop leaves
-them.  A fault-free run is the case with zero sources and keeps the
-inlined deliveries.
+them.  A run with no fault, control plane or autoscaler is the case
+with zero sources and keeps the inlined deliveries.
+
+**The autoscaler is a tick source too**, armed before the control tick
+and decided by the simulator's ``PoolScaling``, the owner the scalar
+loop calls; this loop actuates: a recovery's ``grow`` scales up, and
+retiring the last idle shadow node (the balancer's pick) scales down.
 
 **Bit-exactness is the contract, not an aspiration.**  Every arithmetic
 expression here mirrors the legacy engine's scalar float operations in
@@ -80,8 +85,8 @@ complete.
 
 ``columnar_ineligibility`` is the gate, and a fallback means one thing:
 the columnar loop lacks a capability — a per-attempt trace of a fault
-schedule or control plane, autoscaling — and the legacy path, which
-remains the scalar correctness oracle (the same playbook as
+schedule or control plane — and the legacy path, which remains the
+scalar correctness oracle (the same playbook as
 ``core/outcome_matrix.py`` for the rule generator), finishes this run.
 What *neither* loop can serve (a repeated id, an unmeasured payload, a
 bad threshold, fast == accurate, an undeployed or unrefillable empty
@@ -171,6 +176,11 @@ class _ShadowNode:
         #: warming up (``None``: reported as measured).
         self.deflate = None
 
+    @property
+    def queue_depth(self) -> int:
+        """:attr:`ServiceNode.queue_depth`, as the autoscaler reads it."""
+        return len(self.queue)
+
     def write_back(self) -> None:
         real = self.real
         real.busy_until = self.busy_until
@@ -212,13 +222,13 @@ def columnar_ineligibility(sim) -> Optional[str]:
     ``ServingSimulator.fallback_reason``.
 
     Called after ``drain()`` refused what no loop can serve, pool shapes
-    included: every reason here is one after which the legacy engine —
-    which *is* the semantics — completes the run.  Two remain, and
-    neither reads a pool: a per-attempt trace of a fault schedule or
-    control plane, and an autoscaler.  A tier router is not a reason.
-    No fault type and no control plane is one either, unless a trace
-    recorder wants their per-attempt spans: post-hoc span reconstruction
-    cannot emit retry, migration, deflation, admission or epoch spans.
+    included: the reason is one after which the legacy engine — which
+    *is* the semantics — completes the run.  One remains: a per-attempt
+    trace of a fault schedule or control plane, whose retry, migration,
+    deflation, admission or epoch spans post-hoc span reconstruction
+    cannot emit.  A tier router, a fault type, a control plane and pool
+    scaling are event sources or request state of the columnar loop,
+    not reasons.
     """
     faults = sim._faults
     if (faults or sim.control is not None) and sim._trace is not None:
@@ -226,8 +236,6 @@ def columnar_ineligibility(sim) -> Optional[str]:
             "per-attempt trace of a "
             f"{'fault schedule' if faults else 'control plane'}"
         )
-    if sim._autoscaler is not None:
-        return "autoscaler attached"
     return None
 
 
@@ -248,9 +256,11 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     checker = sim._check
     faults = sim._faults
     control = sim.control
-    # A fault schedule or a control plane brings event sources, and the
-    # stepwise per-request state machine they act on (see below).
-    stepwise = bool(faults) or control is not None
+    scaling = sim._scaling
+    # A fault schedule, a control plane or an autoscaler brings event
+    # sources, and the stepwise per-request state machine they act on
+    # (see below).
+    stepwise = bool(faults) or control is not None or scaling is not None
     # `slow` turns the inlined deliveries off: a checker needs its hooks,
     # event sources the stepwise state machine.
     slow = checker is not None or stepwise
@@ -347,7 +357,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # ------------------------------------------------------------------
     # shadow cluster: one pool per version any pair names (per deployed
     # version under event sources: a fault may strike any pool, a swap or
-    # a degrade pick any)
+    # a degrade pick any, an autoscaler read all)
     # ------------------------------------------------------------------
     pools = {
         version: [_ShadowNode(node) for node in balancer.nodes_of(version)]
@@ -411,8 +421,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
     # inlined at the two hottest call sites in the event loop (arrival
     # fast-leg, sequential escalation), saving a closure call per
     # selection.  That needs every request to share the
-    # leg's pool, and a pool whose membership is static: no event sources
-    # (eligibility already excluded autoscalers).
+    # leg's pool, and a pool whose membership is static: no event sources.
     fast_a = fast_b = acc_a = acc_b = None
     fast_versions = {pair[0] for pair in pairs}
     acc_versions = {pair[1] for pair in pairs} - {None}
@@ -1026,6 +1035,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         pool.remove(node)
         cluster.kill_node(version, node.real, now=now)
         reselect(version)
+        if scaling is not None:
+            scaling.rebase(version, pool)
         fault_log.append(
             fault.crash_entry(now, node.real.node_id, len(aborted), len(queued))
         )
@@ -1056,16 +1067,19 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             schedule(fault.recover_at_s, recover, fault)
 
     def recover(fault, now):
-        # _on_node_recover: a replacement joins the pool — warming first
-        # under a cold-start wave — and the work parked behind the dead
-        # pool lands on it (_on_capacity_added).
-        version = fault.version
+        grow(fault.version, now, fault)
+
+    def grow(version, now, fault=None):
+        # _grow: a node joins the pool — a crash's replacement (logged) or
+        # an autoscaler's — warming first under a cold-start wave, then
+        # the work parked behind the pool lands on it (_on_capacity_added).
         real = cluster.add_nodes(version, 1)[0]
         node = _ShadowNode(real)
         pools[version].append(node)
         shadows.append(node)
         reselect(version)
-        fault_log.append(fault.recover_entry(now, real.node_id))
+        if fault is not None:
+            fault_log.append(fault.recover_entry(now, real.node_id))
         wave = next((w for w in waves if w.covers(version)), None)
         if wave is not None:
             node.set_speed_scale(wave.speed_factor)
@@ -1097,6 +1111,37 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             fault_log.append(
                 fault.restore_entry(now, version, node.real.node_id)
             )
+
+    def shrink(version, now):
+        # LoadBalancer.remove_node's rule over shadow state: the last node
+        # in pool order with an empty queue and no batch running.
+        pool = pools[version]
+        for node in reversed(pool):
+            if not node.queue and node.busy_until <= now:
+                node.write_back()
+                pool.remove(node)
+                reselect(version)
+                balancer.evict_node(version, node.real)
+                cluster._retire(version, node.real)
+                return node
+        return None
+
+    if scaling is not None:
+        # Defined only here: the tick re-arms itself, a reference cycle
+        # that would keep a run's rows alive until the cyclic collector.
+        def autoscale(_, now):
+            # _on_autoscale_tick: ticks on while any row is unresolved,
+            # the scalar loop's ``_remaining > 0``.
+            scaling.tick(
+                now, pools, parked,
+                lambda version: grow(version, now),
+                lambda version: shrink(version, now),
+            )
+            if len(out) < n:
+                schedule(now + scaling.interval, autoscale, None)
+
+        # drain() arms it after every arrival and before the control tick.
+        schedule(scaling.interval, autoscale, None)
 
     # ------------------------------------------------------------------
     # the control plane: admission at each arrival, and a tick source that
@@ -1245,8 +1290,8 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
             if len(out) < n and (streamed < n_stream or any(map(live, heap))):
                 schedule(now + interval, tick, None)
 
-        # drain() schedules the first tick after every arrival and before
-        # any runtime event: the smallest sequence number on the heap.
+        # drain() schedules the first tick after every arrival and the
+        # first autoscale tick, and before any runtime event.
         schedule(interval, tick, None)
 
     # ------------------------------------------------------------------
@@ -1514,6 +1559,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
     report = LoadTestReport(
         columns=compose(out),
+        scaling_events=[] if scaling is None else list(scaling.autoscaler.events),
         final_pool_sizes=cluster.pool_sizes(),
         fault_log=fault_log,
         control_log=list(control.log) if control is not None else [],

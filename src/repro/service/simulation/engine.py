@@ -104,7 +104,7 @@ from repro.service.request import (
     require_valid_tolerance,
 )
 from repro.service.simulation.arrivals import ArrivalProcess
-from repro.service.simulation.autoscaler import Autoscaler
+from repro.service.simulation.autoscaler import Autoscaler, PoolScaling
 from repro.service.simulation.batching import BatchingConfig
 from repro.service.simulation.columnar import (
     columnar_ineligibility,
@@ -288,10 +288,11 @@ class ServingSimulator:
     Submissions are always deferred and :meth:`drain` picks the loop from
     the run: the vectorized one in :mod:`repro.service.simulation.columnar`
     (router or fixed configuration alike, healthy or under any fault
-    schedule, open-loop or closed), the scalar event loop (bit-identically, see
-    ``fallback_reason``) when the run needs a capability only that loop
-    has.  Both loops replay measurements: :meth:`drain` refuses a pool
-    that holds a dead node or a non-replay version.
+    schedule, open-loop or closed, static or autoscaled pools), the
+    scalar event loop (bit-identically, see ``fallback_reason``) when a
+    trace recorder wants the per-attempt spans only that loop records.
+    Both loops replay measurements: :meth:`drain` refuses a pool that
+    holds a dead node or a non-replay version.
 
     Args:
         cluster: The measurement-replay deployment whose queues and pools
@@ -381,20 +382,16 @@ class ServingSimulator:
         for version in cluster.load_balancer.versions:
             for node in cluster.load_balancer.nodes_of(version):
                 node.busy_until = 0.0
-        # Seed the utilization baseline with whatever busy time the nodes
-        # already accumulated, so the first autoscaler tick measures only
-        # work done inside this simulation, not the cluster's history.
-        self._last_busy = {
-            version: sum(
-                node.busy_seconds
-                for node in cluster.load_balancer.nodes_of(version)
-            )
-            for version in cluster.load_balancer.versions
-        }
         self._router = router
         self._configuration = configuration
         self._batching = batching or BatchingConfig()
-        self._autoscaler = autoscaler
+        #: Every scaling action, decided for whichever loop drains
+        #: (``None``: the pools are static).
+        self._scaling = (
+            PoolScaling(autoscaler, cluster.load_balancer)
+            if autoscaler is not None
+            else None
+        )
         self._rng = np.random.default_rng(seed)
         self._loop = EventLoop()
         self._inflight: Dict[str, _InFlight] = {}
@@ -669,9 +666,10 @@ class ServingSimulator:
         (``MissingVersionError``; no fault refills an empty pool: a crash
         there is a logged no-op, so its replacement never joins), a
         deployed pool holding a dead node (one killed without
-        ``ClusterDeployment.kill_node``) or a node whose version is not a
-        measurement replay (``MissingVersionError``) — raised before any
-        node, clock or RNG is touched.  Returns the
+        ``ClusterDeployment.kill_node``) or a node (an emptied pool's
+        refill) whose version is not a measurement replay
+        (``MissingVersionError``) — raised before any node, clock or RNG
+        is touched.  Returns the
         payload-to-row gather the pass performed, ``{(group, id(table)):
         rows}`` per replay table a leg of routed group ``group`` reads:
         what :func:`run_columnar` composes its leg columns from.
@@ -703,7 +701,7 @@ class ServingSimulator:
                         "MeasurementReplayVersion: the simulator replays "
                         "measurements"
                     )
-        static_capacity = self._autoscaler is None
+        static_capacity = self._scaling is None
         rows_of: Dict[Tuple[int, int], np.ndarray] = {}
         for group, configuration in enumerate(configurations):
             versions = configuration.versions
@@ -725,8 +723,14 @@ class ServingSimulator:
                         f"{needs} {version!r}, whose pool has no live node "
                         "and no autoscaler to add one"
                     )
-                for node in balancer.nodes_of(version):
-                    replay = node.version
+                # An emptied pool's legs read the replay its refills serve.
+                refill = [self.cluster._pool_specs[version].version]
+                for replay in [n.version for n in balancer.nodes_of(version)] or refill:
+                    if not isinstance(replay, MeasurementReplayVersion):
+                        raise MissingVersionError(
+                            f"{needs} {version!r}, whose emptied pool refills "
+                            f"with {type(replay).__name__}, not a replay"
+                        )
                     if (group, id(replay._rows)) in rows_of:
                         continue
                     try:
@@ -755,9 +759,12 @@ class ServingSimulator:
         simulator, an empty store (``ValueError``) and what the
         deployment cannot serve at all (a ``TierError``, see
         :meth:`_refuse_unservable`) are refused first, with nothing run.
-        The columnar loop runs unless ``columnar_ineligibility`` names a
-        capability it lacks; that reason becomes ``fallback_reason`` and
-        the event loop finishes the run.
+        The columnar loop runs — fault schedules, control planes and
+        autoscalers are its event sources — unless
+        ``columnar_ineligibility`` names the one capability it lacks, a
+        per-attempt trace of a fault schedule or control plane; that
+        reason becomes ``fallback_reason`` and the event loop finishes
+        the run.
         """
         self._require_undrained()
         store = self._store
@@ -807,11 +814,9 @@ class ServingSimulator:
                 lambda r=request, c=routed: self._on_arrival(r, c),
                 kind="arrival",
             )
-        if self._autoscaler is not None:
+        if self._scaling is not None:
             self._loop.schedule(
-                self._autoscaler.config.evaluation_interval_s,
-                self._on_autoscale_tick,
-                kind="autoscale",
+                self._scaling.interval, self._on_autoscale_tick, kind="autoscale"
             )
         if self.control is not None:
             self._loop.schedule(
@@ -855,8 +860,8 @@ class ServingSimulator:
             )
         report = LoadTestReport(
             records=self._records,
-            scaling_events=list(self._autoscaler.events)
-            if self._autoscaler is not None
+            scaling_events=list(self._scaling.autoscaler.events)
+            if self._scaling is not None
             else [],
             final_pool_sizes=self.cluster.pool_sizes(),
             fault_log=list(self._fault_log),
@@ -1185,18 +1190,8 @@ class ServingSimulator:
             aborted = running.items
             node.kill(now=now, aborted_requests=len(aborted))
         queued = self.cluster.kill_node(fault.version, node, now=now)
-        # Reset the utilization baseline to the surviving membership's
-        # current busy sum.  Subtracting the victim's busy_seconds (the
-        # scale-down bookkeeping) would be wrong here: kill() refunded the
-        # unelapsed share of a pre-charged batch, but a tick between batch
-        # start and crash already counted the full wall, so the
-        # subtraction would leave phantom seconds in the baseline and the
-        # next tick would read a degraded pool as idle.  The reset means
-        # the next tick measures exactly the work charged since the crash.
-        self._last_busy[fault.version] = sum(
-            survivor.busy_seconds
-            for survivor in balancer.nodes_of(fault.version)
-        )
+        if self._scaling is not None:
+            self._scaling.rebase(fault.version, balancer.nodes_of(fault.version))
         self._fault_log.append(
             fault.crash_entry(now, node.node_id, len(aborted), len(queued))
         )
@@ -1243,19 +1238,22 @@ class ServingSimulator:
         if fault.recover_at_s is not None:
             self._loop.schedule_at(
                 fault.recover_at_s,
-                lambda f=fault: self._on_node_recover(f),
+                lambda f=fault: self._grow(f.version, f),
                 kind="fault-recover",
             )
 
-    def _on_node_recover(self, fault: NodeCrash) -> None:
-        added = self.cluster.add_nodes(fault.version, 1)
-        self._fault_log.append(
-            fault.recover_entry(self._loop.now, added[0].node_id)
-        )
-        # Cold-start degradation applies before parked work lands on the
-        # replacement, so its first batches run at warmup speed.
-        self._maybe_cold_start(fault.version, added)
-        self._on_capacity_added(fault.version)
+    def _grow(self, version: str, fault: Optional[NodeCrash] = None) -> None:
+        """One node joins ``version``'s pool: ``fault``'s replacement
+        (logged) or an autoscaler's.  Cold-start degradation applies
+        before the work parked behind the pool lands on it, so its first
+        batches run at warmup speed."""
+        added = self.cluster.add_nodes(version, 1)
+        if fault is not None:
+            self._fault_log.append(
+                fault.recover_entry(self._loop.now, added[0].node_id)
+            )
+        self._maybe_cold_start(version, added)
+        self._on_capacity_added(version)
 
     def _on_degrade(self, fault: Union[NodeSlowdown, GrayFailure]) -> None:
         """A straggler or gray onset: the node slows down — and a gray
@@ -1844,61 +1842,17 @@ class ServingSimulator:
     # autoscaling
     # ------------------------------------------------------------------
     def _on_autoscale_tick(self) -> None:
-        scaler = self._autoscaler
+        """Actuate what :class:`PoolScaling` decides; tick on while unresolved."""
         now = self._loop.now
         balancer = self.cluster.load_balancer
-        for version in balancer.versions:
-            nodes = balancer.nodes_of(version)
-            n_nodes = len(nodes)
-            queue_depth = sum(node.queue_depth for node in nodes) + len(
-                self._parked.get(version, ())
-            )
-            busy_now = sum(node.busy_seconds for node in nodes)
-            window = scaler.config.evaluation_interval_s
-            denominator = n_nodes * window
-            utilization = (
-                (busy_now - self._last_busy.get(version, 0.0)) / denominator
-                if denominator > 0.0
-                else 0.0
-            )
-            self._last_busy[version] = busy_now
-            delta = scaler.decide(
-                version,
-                n_nodes=n_nodes,
-                queue_depth=queue_depth,
-                utilization=utilization,
-                now=now,
-            )
-            if delta > 0:
-                added = self.cluster.add_nodes(version, delta)
-                scaler.record(
-                    version,
-                    old_size=n_nodes,
-                    new_size=n_nodes + delta,
-                    now=now,
-                    reason=scaler.reason_for(
-                        delta, queue_depth=queue_depth, n_nodes=n_nodes
-                    ),
-                )
-                self._maybe_cold_start(version, added)
-                self._on_capacity_added(version)
-            elif delta < 0:
-                removed = self.cluster.remove_node(version, now=now)
-                if removed is not None:
-                    # Keep the utilization baseline consistent with the
-                    # surviving membership, else the next tick's busy delta
-                    # goes negative by the removed node's lifetime total.
-                    self._last_busy[version] -= removed.busy_seconds
-                    scaler.record(
-                        version,
-                        old_size=n_nodes,
-                        new_size=n_nodes - 1,
-                        now=now,
-                        reason="idle",
-                    )
+        self._scaling.tick(
+            now,
+            {version: balancer.nodes_of(version) for version in balancer.versions},
+            self._parked,
+            self._grow,
+            lambda version: self.cluster.remove_node(version, now=now),
+        )
         if self._remaining > 0:
             self._loop.schedule(
-                scaler.config.evaluation_interval_s,
-                self._on_autoscale_tick,
-                kind="autoscale",
+                self._scaling.interval, self._on_autoscale_tick, kind="autoscale"
             )

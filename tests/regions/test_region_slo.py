@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from oracle.scalar import default_loop
+from repro.obs import TraceCollector
 from repro.contract import REGION_SLO_TICK_S, REGION_SLO_WINDOW_S
 from repro.service.gateway import SimulatedBackend, TierGateway
 from repro.service.regions import (
@@ -17,7 +18,6 @@ from repro.service.regions import (
     shard,
 )
 from repro.service.simulation import (
-    AutoscalerConfig,
     NodeCrash,
     PoissonArrivals,
     ScenarioSpec,
@@ -104,15 +104,8 @@ class TestRegionSLOReplay:
         assert quiet.summary()["n_region_slo_events"] == 0.0
 
 
-#: An autoscaler that never acts on the flaky outage region: its one-node
-#: pools may neither grow past one node nor shrink below it, and its one
-#: evaluation comes after the run, when no pool is dead with work waiting.
-_IDLE_AUTOSCALER = AutoscalerConfig(
-    min_nodes=1, max_nodes=1, evaluation_interval_s=1e6
-)
-
 #: The flaky outage's digest as its ``TransientFaults`` window alone kept
-#: eu-west on the legacy loop: pinning that loop by the autoscaler
+#: eu-west on the legacy loop: pinning that loop by a trace recorder
 #: instead must not move a bit.
 _FLAKY_OUTAGE_DIGEST = (
     "371ca6200cc383cbea8dd74f36dff29e80b0dd3ff2ef6363ff199af947e1db32"
@@ -135,15 +128,14 @@ class TestEngineFallbackSurface:
                     scenario=dataclasses.replace(
                         outage.scenario,
                         faults=(*outage.scenario.faults, flaky),
-                        autoscaler_config=_IDLE_AUTOSCALER,
                     ),
                 ),
             ),
         )
         with default_loop():
-            report = run_multi_region(spec, toy)
+            report = run_multi_region(spec, toy, trace=TraceCollector())
         fallbacks = report.engine_fallbacks()
-        assert fallbacks == {"eu-west": "autoscaler attached"}
+        assert fallbacks == {"eu-west": "per-attempt trace of a fault schedule"}
         assert report.shard("us-east").engine_used == "columnar"
         assert report.shard("eu-west").engine_used == "legacy"
         assert report.summary()["n_engine_fallbacks"] == 1.0

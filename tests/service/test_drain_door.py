@@ -32,7 +32,6 @@ from repro.obs import TraceCollector
 from repro.service.control import ControlSpec, SLOSpec
 from repro.service.request import ServiceRequest
 from repro.service.simulation import (
-    AutoscalerConfig,
     NodeCrash,
     NodeSlowdown,
     PoissonArrivals,
@@ -48,10 +47,7 @@ ENGINES = ("columnar", "legacy")
 
 #: Everything a columnar-requested drain may say on its way to the
 #: event loop.  A reason outside this set is a refusal in disguise.
-CAPABILITY_PREFIXES = (
-    "per-attempt trace of a ",
-    "autoscaler attached",
-)
+CAPABILITY_PREFIXES = ("per-attempt trace of a ",)
 
 
 @pytest.fixture
@@ -241,26 +237,21 @@ def test_a_second_drain_is_refused_whichever_engine_ran_the_first(engine, toy):
 # ----------------------------------------------------------------------
 # a fallback means one thing: the other loop finishes this run
 # ----------------------------------------------------------------------
-def _capability_simulator(prefix, toy):
-    cluster = build_replay_cluster(toy, {"fast": 2, "slow": 2})
-    fields = {}
-    if prefix.startswith("per-attempt"):
-        fields["faults"] = (NodeCrash(at_s=1.0, version="slow", node_index=0),)
-        fields["trace"] = TraceCollector()
-    elif prefix.startswith("autoscaler"):
-        fields["autoscaler_config"] = AutoscalerConfig(min_nodes=1, max_nodes=3)
+def _capability_simulator(toy):
+    """A traced fault schedule: the one capability the columnar loop lacks."""
     return build_simulator(
-        cluster,
+        build_replay_cluster(toy, {"fast": 2, "slow": 2}),
         configuration=_seq(),
         measurements=toy,
         check_invariants=True,
-        **fields,
+        faults=(NodeCrash(at_s=1.0, version="slow", node_index=0),),
+        trace=TraceCollector(),
     )
 
 
 @pytest.mark.parametrize("prefix", CAPABILITY_PREFIXES)
 def test_each_capability_reason_ends_in_a_report(prefix, toy):
-    sim = _capability_simulator(prefix, toy)
+    sim = _capability_simulator(toy)
     report = sim.run(PoissonArrivals(6.0), 60, payload_ids=toy.request_ids)
     assert report.n_requests == 60
     assert report.engine_used == sim.engine_used == "legacy"
@@ -385,6 +376,9 @@ def _assert_refused_or_drained(seed, defect, engine, with_faults, toy):
 @settings(max_examples=60, deadline=None)
 @example(seed=3, defect="degenerate", engine="legacy", with_faults=False)
 @example(seed=5, defect="emptied-pool", engine="columnar", with_faults=True)
+# An autoscaled run whose pool starts empty drains columnar: the door
+# gathers the rows its refills replay.
+@example(seed=0, defect="emptied-pool", engine="columnar", with_faults=False)
 @given(
     seed=st.integers(min_value=0, max_value=2**20),
     defect=st.sampled_from(DEFECTS),

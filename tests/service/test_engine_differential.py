@@ -42,8 +42,17 @@ two.  This file is that argument, run continuously:
    and control streams, records and books; a pinned spec ties a herd's
    release to a recovery and a window's opening, and two source-level
    mutants of the completion-fault path are caught.
-9. **Edge cases** — zero-request drains and single-request runs behave
-   identically at the engine boundary.
+9. **Autoscaling** — :data:`N_AUTOSCALE` seeded specs grow pools on
+   queue depth, utilization and dead pools and shrink idle ones, mixed
+   with crashes that empty a pool, cold-start waves, retries, batching,
+   routed sessions and control planes; they run columnar and match the
+   oracle's digest, fault and control streams, records, scaling events,
+   final pool sizes and live and retired books.  A pinned spec ties a
+   scale-up's completions to both ticks, and four mutants of the
+   autoscaling path (one of them in the owner both loops call) are
+   caught.
+10. **Edge cases** — zero-request drains and single-request runs behave
+    identically at the engine boundary.
 
 Digest mismatches do not fail as two opaque hashes: the assertion
 helper asks ``tests/oracle/divergence.py``'s ``first_divergence``, which
@@ -59,6 +68,7 @@ default path, which picks its loop from the run.
 
 import dataclasses
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +87,7 @@ from repro.core.policies import (
     SingleVersionPolicy,
 )
 from repro.core.router import RoutingRuleTable, TierRouter
+from repro.obs import TraceCollector
 from repro.service.request import Objective, ServiceRequest
 from repro.service.control import (
     AdaptorConfig,
@@ -88,6 +99,7 @@ from repro.service.control import (
     default_control_spec,
 )
 from repro.service.simulation import (
+    Autoscaler,
     AutoscalerConfig,
     BatchingConfig,
     BurstyArrivals,
@@ -104,6 +116,7 @@ from repro.service.simulation import (
     ServingSimulator,
     SpikeArrivals,
     ThunderingHerd,
+    TraceArrivals,
     TransientFaults,
     build_replay_cluster,
     canonical_scenarios,
@@ -426,37 +439,31 @@ def test_every_pool_size_scans_like_the_scalar_loop(policy, nodes, toy):
 def test_unsupported_shapes_fall_back_with_reason(toy):
     """Structurally ineligible runs execute on the legacy oracle and say
     why; behaviour still matches a pure legacy run exactly."""
-    spec = canonical_scenarios()["diurnal"]  # autoscaled -> ineligible
+    spec = canonical_scenarios()["node-crash"]  # traced faults -> ineligible
     cluster = build_replay_cluster(toy, dict(spec.pools))
-    from repro.service.simulation import Autoscaler
-
     sim = ServingSimulator(
         cluster,
         configuration=spec.configuration,
-        autoscaler=Autoscaler(spec.autoscaler_config),
+        faults=spec.faults,
+        retry=spec.retry,
+        trace=TraceCollector(),
         seed=spec.seed,
     )
     report = sim.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
     assert sim.engine_used == "legacy"
-    assert sim.fallback_reason is not None
+    assert sim.fallback_reason == "per-attempt trace of a fault schedule"
     with scalar_loop():
         legacy = run_scenario(spec, toy)
     assert_reports_identical(legacy, report)
 
 
-#: Each chaos scenario that still falls back, and the reason it gives:
-#: cold-start's wave rides on an autoscaler.  Every fault type drains
-#: columnar, and a control plane changes none of it: it is an event
-#: source of the columnar loop.
-_CHAOS_FALLBACK = {"cold-start": "autoscaler attached"}
-
-
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 @pytest.mark.parametrize("name", sorted(chaos_scenarios()))
 def test_chaos_specs_pick_their_loop_with_named_reason(name, closed, toy):
-    """Every chaos scenario, open- or closed-loop, either runs columnar
-    or falls back naming what the columnar loop lacks, and the default
-    run is bit-identical to a pure legacy run."""
+    """Every chaos scenario, open- or closed-loop, runs columnar — every
+    fault type, the autoscaler cold-start's wave rides on, and a control
+    plane are event sources of the columnar loop — and the default run
+    is bit-identical to a pure legacy run."""
     spec = chaos_scenarios()[name]
     if closed:
         spec = dataclasses.replace(spec, control=default_control_spec())
@@ -474,11 +481,7 @@ def test_chaos_specs_pick_their_loop_with_named_reason(name, closed, toy):
         objective=spec.objective,
         payload_ids=toy.request_ids,
     )
-    if name in _CHAOS_FALLBACK:
-        assert sim.engine_used == "legacy"
-        assert sim.fallback_reason == _CHAOS_FALLBACK[name]
-    else:
-        assert sim.engine_used == "columnar" and sim.fallback_reason is None
+    assert sim.engine_used == "columnar" and sim.fallback_reason is None
     with scalar_loop():
         legacy = run_scenario(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, report)
@@ -503,7 +506,6 @@ def test_fuzzed_space_exercises_the_columnar_path(toy):
     for seed in range(N_SPECS):
         spec = _random_spec(seed)
         cluster = build_replay_cluster(toy, dict(spec.pools))
-        from repro.service.simulation import Autoscaler
 
         sim = ServingSimulator(
             cluster,
@@ -1045,12 +1047,15 @@ def fault_log_digest(report):
 
 
 def _cluster_books(cluster):
-    """How the run left the cluster: per-version books, then every live
-    node's counters, speed and queue."""
+    """How the run left the cluster: per-version books (the retired
+    nodes' on their own), then every live node's counters, speed and
+    queue."""
     balancer = cluster.load_balancer
     return (
         cluster.total_busy_seconds(),
         cluster.iaas_spend(),
+        dict(cluster._retired_busy),
+        dict(cluster._retired_iaas),
         cluster.pool_sizes(),
         [
             (
@@ -1457,18 +1462,28 @@ def test_control_family_reaches_every_control_path(toy):
     )
 
 
-def _mutant_loop(old, new):
-    """``run_columnar`` compiled from ``columnar.py`` with one edit."""
+def _mutant(module, name, edits):
+    """``module.name`` compiled from the module's source with ``edits``,
+    each ``(site, mutated site)`` applied at its one site."""
     import inspect
     import types
 
+    source = inspect.getsource(module)
+    for old, new in edits:
+        assert source.count(old) == 1, f"mutation site not found once: {old!r}"
+        source = source.replace(old, new)
+    # Named as the module it mutates, so a dataclass in it resolves its
+    # annotations against the real module.
+    mutant = types.ModuleType(module.__name__)
+    exec(compile(source, module.__file__, "exec"), mutant.__dict__)
+    return getattr(mutant, name)
+
+
+def _mutant_loop(old, new):
+    """``run_columnar`` compiled from ``columnar.py`` with one edit."""
     from repro.service.simulation import columnar
 
-    source = inspect.getsource(columnar)
-    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
-    module = types.ModuleType("columnar_mutant")
-    exec(compile(source.replace(old, new), columnar.__file__, "exec"), module.__dict__)
-    return module.run_columnar
+    return _mutant(columnar, "run_columnar", [(old, new)])
 
 
 #: Control-path mutants of the columnar loop: ``(site, mutated site)``.
@@ -1800,6 +1815,335 @@ def test_completion_fault_family_catches_mutants(mutant, monkeypatch, toy):
             caught += _observed(drain()) != want
         except Exception:  # an invariant the mutant broke, or a crash
             caught += 1
+    assert caught >= 1, f"the {mutant} mutant survived all {len(builds)} specs"
+
+
+# ----------------------------------------------------------------------
+# autoscaling: a tick source of the columnar loop whose every decision
+# the one owner both loops call takes
+# ----------------------------------------------------------------------
+#: The autoscale family; seeds below :data:`FAST_AUTOSCALE` run in the
+#: fast tier.
+N_AUTOSCALE = 40
+FAST_AUTOSCALE = 16
+
+#: Tick cadences on a grid the toy's service times (0.05 s, 0.4 s) land
+#: on: a job a tick starts often ends on a later tick.
+_SCALE_TICKS = (0.1, 0.2, 0.4, 0.5)
+
+
+def _autoscale_simulator(seed, toy):
+    """One member of the family, built twice over: an autoscaler over a
+    burst, a lull and a second burst — so pools grow on queue depth and
+    utilization and shrink when idle — mixed with the window-fault draws
+    (a whole pool crashed on one seed in three), a cold-start wave on
+    half the seeds, a retry policy, batching on half, a control plane
+    on one seed in three (on half of those ticking on the autoscaler's
+    grid), and one seed in four a routed session of one-by-one
+    submissions."""
+    rng = np.random.default_rng([seed, 20261019])
+    routed = seed % 4 == 3
+    router = _random_router(rng) if routed else None
+    policy = None if routed else _random_policy(rng)
+    pools = {"fast": int(rng.integers(1, 4)), "slow": int(rng.integers(1, 4))}
+    batching = (
+        BatchingConfig(
+            max_batch_size=int(rng.integers(2, 6)),
+            max_wait_s=float(rng.choice([0.0, 0.05, 0.1])),
+        )
+        if rng.uniform() < 0.5
+        else None
+    )
+    interval = float(rng.choice(_SCALE_TICKS))
+    scaler = AutoscalerConfig(
+        min_nodes=int(rng.integers(1, 3)),
+        max_nodes=int(rng.integers(3, 6)),
+        scale_up_queue_depth=float(rng.uniform(1.0, 4.0)),
+        scale_up_utilization=float(rng.uniform(0.5, 0.9)),
+        scale_down_utilization=float(rng.uniform(0.1, 0.45)),
+        evaluation_interval_s=interval,
+        cooldown_s=float(rng.choice([0.0, interval, 2.0 * interval, 1.5])),
+    )
+    high, low = float(rng.uniform(10.0, 25.0)), float(rng.uniform(0.5, 2.0))
+    counts = [
+        int(rng.integers(20, 50)), int(rng.integers(5, 12)), int(rng.integers(15, 40))
+    ]
+    times = np.cumsum(
+        np.concatenate(
+            [
+                rng.exponential(1.0 / rate, count)
+                for rate, count in zip((high, low, high), counts)
+            ]
+        )
+    )
+    n, span = len(times), float(times[-1])
+    faults = _random_window_faults(rng, pools, span)
+    if rng.uniform() < 0.5:
+        faults += (
+            ColdStartWave(
+                warmup_s=float(rng.choice([interval, 1.0, 2.5])),
+                speed_factor=float(rng.uniform(0.2, 0.8)),
+                confidence_factor=float(rng.choice([1.0, 0.7])),
+                version=str(rng.choice(sorted(pools)))
+                if rng.uniform() < 0.5
+                else None,
+            ),
+        )
+    retry = _random_retry(rng)
+    control = None
+    if seed % 3 == 1:
+        control = _random_control_spec(rng, adaptive=not routed)
+        if rng.uniform() < 0.5:
+            control = dataclasses.replace(control, tick_interval_s=interval)
+    requests = [
+        ServiceRequest(
+            request_id=f"a_{i:04d}",
+            payload=str(rng.choice(toy.request_ids)),
+            tolerance=float(rng.choice((0.0, 0.01, 0.05, 0.10))),
+            objective=tuple(Objective)[int(rng.integers(0, 2))],
+        )
+        for i in range(n)
+    ]
+
+    def build():
+        sim = build_simulator(
+            build_replay_cluster(toy, pools),
+            router=router,
+            configuration=None
+            if routed
+            else EnsembleConfiguration(f"a_{seed}", policy),
+            batching=batching,
+            autoscaler_config=scaler,
+            faults=faults,
+            retry=retry,
+            control=control,
+            measurements=toy,
+            check_invariants=True,
+            seed=seed,
+        )
+        if routed:
+            for request, at_time in zip(requests, times.tolist()):
+                sim.submit(request, at_time=at_time)
+            return sim, sim.drain
+        return sim, lambda: sim.run(
+            TraceArrivals(times), n, payload_ids=toy.request_ids
+        )
+
+    return build
+
+
+def _autoscale_seeds():
+    return [
+        pytest.param(seed, marks=pytest.mark.slow)
+        if seed >= FAST_AUTOSCALE
+        else seed
+        for seed in range(N_AUTOSCALE)
+    ]
+
+
+def _scaled(report):
+    """What an autoscaled run adds to :func:`_observed`: its scaling
+    events and the pool sizes it ends with."""
+    return (*_observed(report), report.scaling_events, report.final_pool_sizes)
+
+
+@pytest.mark.parametrize("seed", _autoscale_seeds())
+def test_autoscale_family_digest_identical(seed, toy):
+    """Autoscaled runs — pools grown on queue depth, utilization and dead
+    pools, shrunk when idle, under crashes, cold-start waves, retries,
+    batching, routed sessions and control planes — run columnar and
+    match the scalar oracle: digests, the fault and control streams,
+    every record field, the scaling events, the final pool sizes and
+    the cluster's live and retired books."""
+    build = _autoscale_simulator(seed, toy)
+    legacy, legacy_books, columnar, books = _run_window_pair(None, toy, build)
+    assert_reports_identical(legacy, columnar)
+    assert _scaled(legacy) == _scaled(columnar)
+    assert legacy_books == books
+
+
+def test_autoscale_family_reaches_every_scaling_path(toy, monkeypatch):
+    """The fast seeds fire every trigger, hold in a cooldown, and meet a
+    scale-down refused because no node is idle — on the columnar loop,
+    where the family's crashes empty pools and waves warm new nodes."""
+    decisions = []
+    decide = Autoscaler.decide
+
+    def spy(self, version, **reading):
+        reason = decide(self, version, **reading)
+        unheld = decide(Autoscaler(self.config), version, **reading)
+        decisions.append((reason, unheld))
+        return reason
+
+    monkeypatch.setattr(Autoscaler, "decide", spy)
+    seen = set()
+    for seed in range(FAST_AUTOSCALE):
+        sim, drain = _autoscale_simulator(seed, toy)()
+        del decisions[:]
+        report = drain()
+        assert sim.engine_used == "columnar"
+        seen |= {event.reason for event in report.scaling_events}
+        seen |= {entry.kind for entry in report.fault_log}
+        seen |= {"control"} if report.control_log else set()
+        if any(reason is None and unheld for reason, unheld in decisions):
+            seen.add("cooldown-hold")
+        idle = sum(reason == "idle" for reason, _ in decisions)
+        if idle > sum(e.reason == "idle" for e in report.scaling_events):
+            seen.add("no-idle-node")
+    assert {
+        "queue-depth", "utilization", "dead-pool", "idle", "cooldown-hold",
+        "no-idle-node", "crash", "cold-start", "control",
+    } <= seen, sorted(seen)
+
+
+def _tied_scale_up():
+    """A dead pool refilled by the autoscaler whose parked jobs end on
+    the ticks: every 0.4 s tick of the autoscaler and of the control
+    plane, the slow version's 0.4 s service time, so each completion
+    ties with both ticks and the plane sees the row at that tick only if
+    the autoscaler armed first (as drain() arms them)."""
+
+    def build(toy):
+        sim = build_simulator(
+            build_replay_cluster(toy, {"slow": 1}),
+            configuration=EnsembleConfiguration(
+                "tied-scale", SingleVersionPolicy("slow")
+            ),
+            autoscaler_config=AutoscalerConfig(
+                max_nodes=2, evaluation_interval_s=0.4, cooldown_s=0.0
+            ),
+            faults=(NodeCrash(at_s=0.1, version="slow"),),
+            control=ControlSpec(
+                window_s=30.0,
+                tick_interval_s=0.4,
+                slos=(SLOSpec(name="latency", max_p95_latency_s=1.0),),
+            ),
+            measurements=toy,
+            check_invariants=True,
+            seed=5,
+        )
+        return sim, lambda: sim.run(
+            TraceArrivals(np.linspace(0.0, 0.3, 40)), 40, payload_ids=toy.request_ids
+        )
+
+    return build
+
+
+def test_a_scale_up_tied_to_both_ticks_matches_the_oracle(toy):
+    build = _tied_scale_up()
+    legacy, legacy_books, columnar, books = _run_window_pair(
+        None, toy, lambda: build(toy)
+    )
+    assert_reports_identical(legacy, columnar)
+    assert _scaled(legacy) == _scaled(columnar)
+    assert legacy_books == books
+    assert columnar.scaling_events[0].reason == "dead-pool"
+    ticks = set(itertools.accumulate([0.4] * 60))
+    ends = set(columnar.columns.finished_s.tolist())
+    assert len(ends & ticks) >= 30, sorted(ends - ticks)
+
+
+#: Autoscaling mutants: ``(module, edits)``.  A columnar edit compiles a
+#: mutant ``run_columnar``; the owner's compiles a mutant
+#: ``PoolScaling``, which serves both loops, so it is held against the
+#: oracle's unmutated runs.
+_AUTOSCALE_MUTANTS = {
+    # Scale-down retires the first idle node, not the last.
+    "first-idle-node": (
+        "columnar",
+        [
+            (
+                "        for node in reversed(pool):\n"
+                "            if not node.queue and node.busy_until <= now:\n",
+                "        for node in pool:\n"
+                "            if not node.queue and node.busy_until <= now:\n",
+            )
+        ],
+    ),
+    # The utilization baseline keeps a removed node's busy seconds.
+    "baseline-uncorrected": (
+        "autoscaler",
+        [("                self._last_busy[version] -= removed.busy_seconds\n", "")],
+    ),
+    # The autoscale tick is armed after the control tick.
+    "armed-after-control": (
+        "columnar",
+        [
+            (
+                "        schedule(scaling.interval, autoscale, None)\n",
+                "        if control is None:\n"
+                "            schedule(scaling.interval, autoscale, None)\n",
+            ),
+            (
+                "        schedule(interval, tick, None)\n",
+                "        schedule(interval, tick, None)\n"
+                "        if scaling is not None:\n"
+                "            schedule(scaling.interval, autoscale, None)\n",
+            ),
+        ],
+    ),
+    # A scale-up leaves the work parked behind the pool where it is.
+    "parked-unflushed": (
+        "columnar",
+        [
+            (
+                "        for item in parked.pop(version, {}).values():\n",
+                "        for item in (parked.pop(version, {}) if fault else {}).values():\n",
+            )
+        ],
+    ),
+}
+
+
+class _Stuck(Exception):
+    """A mutant run that did not finish in time."""
+
+
+@pytest.mark.parametrize("mutant", sorted(_AUTOSCALE_MUTANTS))
+def test_autoscale_family_catches_mutants(mutant, monkeypatch, toy):
+    """Teeth: each mutant of the autoscaling path is caught by the fast
+    tier family or the tie pin (a digest, log, event, book or invariant
+    difference, a run that breaks, or one that never ends)."""
+    import signal
+
+    import repro.service.simulation.engine as engine
+    from repro.service.simulation import autoscaler, columnar
+
+    builds = [_autoscale_simulator(seed, toy) for seed in range(FAST_AUTOSCALE)]
+    tied = _tied_scale_up()
+    builds.append(lambda: tied(toy))
+    expected = []
+    for build in builds:
+        sim, drain = build()
+        with scalar_loop():
+            expected.append((_scaled(drain()), _cluster_books(sim.cluster)))
+    where, edits = _AUTOSCALE_MUTANTS[mutant]
+    if where == "columnar":
+        monkeypatch.setattr(
+            engine, "run_columnar", _mutant(columnar, "run_columnar", edits)
+        )
+    else:
+        monkeypatch.setattr(
+            engine, "PoolScaling", _mutant(autoscaler, "PoolScaling", edits)
+        )
+
+    def give_up(*_):
+        raise _Stuck
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    caught = 0
+    try:
+        for build, want in zip(builds, expected):
+            sim, drain = build()
+            signal.setitimer(signal.ITIMER_REAL, 10.0)
+            try:
+                caught += (_scaled(drain()), _cluster_books(sim.cluster)) != want
+            except Exception:  # an invariant the mutant broke, a crash, a hang
+                caught += 1
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     assert caught >= 1, f"the {mutant} mutant survived all {len(builds)} specs"
 
 

@@ -38,11 +38,20 @@ def test_columnar_run_reports_engine(toy):
 
 
 def test_fallback_reports_reason(toy):
-    spec = canonical_scenarios()["diurnal"]  # autoscaled
+    spec = canonical_scenarios()["node-crash"]
+    with default_loop():
+        report = run_scenario(spec, toy, trace=TraceCollector())
+    assert report.engine_used == "legacy"
+    assert report.fallback_reason == "per-attempt trace of a fault schedule"
+
+
+def test_autoscaled_run_reports_columnar(toy):
+    spec = canonical_scenarios()["diurnal"]
     with default_loop():
         report = run_scenario(spec, toy)
-    assert report.engine_used == "legacy"
-    assert report.fallback_reason == "autoscaler attached"
+    assert report.engine_used == "columnar"
+    assert report.fallback_reason is None
+    assert report.scaling_events
 
 
 def test_window_fault_run_reports_columnar(toy):
@@ -62,8 +71,8 @@ def test_completion_fault_run_reports_columnar(toy):
 
 
 #: A closed-loop spec drains columnar unless it also carries what the
-#: columnar loop lacks: an autoscaler or a trace.  A fault that fails
-#: completions is not one.
+#: columnar loop lacks: a trace.  Neither a fault that fails completions
+#: nor an autoscaler is one.
 _CLOSED_LOOP_EXTRAS = {
     "plain": ({}, None),
     "transient": (
@@ -72,7 +81,7 @@ _CLOSED_LOOP_EXTRAS = {
     ),
     "autoscaler": (
         {"autoscaler_config": AutoscalerConfig(min_nodes=1, max_nodes=3)},
-        "autoscaler attached",
+        None,
     ),
     "trace": ({}, "per-attempt trace of a control plane"),
 }

@@ -316,14 +316,14 @@ class TestCrashSemantics:
             scaler.decide(
                 "v", n_nodes=0, queue_depth=3, utilization=0.0, now=1.0
             )
-            == 1
+            == "dead-pool"
         )
         # an empty dead pool with no waiting work stays down
         assert (
             scaler.decide(
                 "v", n_nodes=0, queue_depth=0, utilization=0.0, now=1.0
             )
-            == 0
+            is None
         )
 
     def test_crash_resets_utilization_baseline_to_survivors(self, toy):
@@ -353,7 +353,7 @@ class TestCrashSemantics:
         # the baseline equals the final pool's true busy sum — no phantom
         # seconds survive the crash bookkeeping
         survivors = cluster.load_balancer.nodes_of("slow")
-        assert sim._last_busy["slow"] <= sum(
+        assert sim._scaling._last_busy["slow"] <= sum(
             node.busy_seconds for node in survivors
         ) + 1e-9
 

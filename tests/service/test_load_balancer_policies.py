@@ -156,32 +156,6 @@ class TestPoolMutation:
         assert balancer.remove_node("v", now=0.0) is None
         assert balancer.pool_size("v") == 2
 
-    def test_forced_remove_requeues_pending_work(self):
-        balancer, pool = self._balancer()
-        # load both nodes so no idle candidate exists
-        for node in pool:
-            node.submit("stuck", "p")
-        removed = balancer.remove_node("v", now=0.0, only_idle=False)
-        assert removed is not None
-        assert removed.queue_depth == 0  # its work moved, not dropped
-        assert balancer.queue_depths() == {"v": 2}
-        assert sum(len(node.drain()) for node in balancer.nodes_of("v")) == 2
-
-    def test_forced_remove_requeues_in_fifo_order(self):
-        pool = _nodes("v", 2)
-        balancer = LoadBalancer({"v": pool})
-        nodes = balancer.nodes_of("v")
-        # survivor holds newer work; the evicted tail node holds older work
-        nodes[0].submit("newer", "p", now=5.0)
-        nodes[1].submit("old", "p", now=1.0)
-        removed = balancer.remove_node("v", now=0.0, only_idle=False)
-        assert removed is nodes[1]  # forced eviction takes the tail node
-        survivor = balancer.nodes_of("v")[0]
-        assert survivor is nodes[0]
-        # the migrated older request merges AHEAD of the newer one
-        assert survivor.oldest_enqueued_at == 1.0
-        assert [q.request_id for q in survivor.pop_batch(2)] == ["old", "newer"]
-
     def test_remove_last_node_raises(self):
         pool = _nodes("v", 1)
         balancer = LoadBalancer({"v": pool})

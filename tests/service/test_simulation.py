@@ -363,33 +363,33 @@ class TestNodeQueueing:
 class TestAutoscaler:
     def test_scales_up_on_queue_depth(self):
         scaler = Autoscaler(AutoscalerConfig(scale_up_queue_depth=4.0))
-        delta = scaler.decide(
+        reason = scaler.decide(
             "v", n_nodes=2, queue_depth=10, utilization=0.5, now=10.0
         )
-        assert delta == 1
+        assert reason == "queue-depth"
 
     def test_scales_up_on_utilization(self):
         scaler = Autoscaler(AutoscalerConfig(scale_up_utilization=0.85))
-        delta = scaler.decide(
+        reason = scaler.decide(
             "v", n_nodes=2, queue_depth=0, utilization=0.9, now=10.0
         )
-        assert delta == 1
+        assert reason == "utilization"
 
     def test_respects_max_nodes(self):
         scaler = Autoscaler(AutoscalerConfig(max_nodes=2))
-        delta = scaler.decide(
+        reason = scaler.decide(
             "v", n_nodes=2, queue_depth=100, utilization=1.0, now=10.0
         )
-        assert delta == 0
+        assert reason is None
 
     def test_scale_down_floors_at_min_nodes(self):
         scaler = Autoscaler(AutoscalerConfig(min_nodes=2, cooldown_s=0.0))
         for tick in range(5):
             n = 4 - len(scaler.events)
-            delta = scaler.decide(
+            reason = scaler.decide(
                 "v", n_nodes=n, queue_depth=0, utilization=0.0, now=float(tick)
             )
-            if delta == -1:
+            if reason == "idle":
                 scaler.record(
                     "v", old_size=n, new_size=n - 1, now=float(tick), reason="idle"
                 )
@@ -401,11 +401,11 @@ class TestAutoscaler:
         scaler.record("v", old_size=1, new_size=2, now=0.0, reason="queue-depth")
         assert (
             scaler.decide("v", n_nodes=2, queue_depth=50, utilization=1.0, now=2.0)
-            == 0
+            is None
         )
         assert (
             scaler.decide("v", n_nodes=2, queue_depth=50, utilization=1.0, now=6.0)
-            == 1
+            == "queue-depth"
         )
 
     def test_config_validation(self):

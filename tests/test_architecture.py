@@ -7,7 +7,8 @@ once per module under ``src/``, so a failure names the module.  The rules
 about retired names search the same files for the same patterns as the
 ``! grep`` steps of the CI workflow they replaced, so they are exactly as
 strict; each was shown to fail on the tree just before the change that
-set up its rule.
+set up its rule, and the leaf-module rule on a copy with an import of
+``repro`` planted in each leaf.
 """
 
 from __future__ import annotations
@@ -218,3 +219,31 @@ def test_one_owner_fails_completions():
     assert not _matches(
         r"ThunderingHerdArrivals|_SCALAR_FAULTS|_fault_eating_completion", ["src"]
     )
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(), str(path))
+    return next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_one_owner_scales_pools():
+    # Every scaling decision is autoscaler.PoolScaling's, for both loops:
+    # an autoscaler is no reason to leave the columnar loop, the scalar
+    # loop only actuates, and no other module computes a utilization.
+    simulation = SRC / "repro" / "service" / "simulation"
+    gate = _function(simulation / "columnar.py", "columnar_ineligibility")
+    code = ast.unparse(ast.Module(body=gate.body[1:], type_ignores=[]))
+    assert not re.search("autoscal", code, re.IGNORECASE), code
+    assert not _matches(
+        r"_last_busy|reason_for|\.decide\(",
+        ["src/repro/service/simulation/engine.py"],
+    )
+    computed = _matches(r"\butilization\s*=", ["src"])
+    assert computed and all(
+        line.startswith("src/repro/service/simulation/autoscaler.py:")
+        for line in computed
+    ), computed
