@@ -13,27 +13,40 @@ plane: the scalar loop's ``observe`` calls :meth:`TelemetryHub.publish`
 per record, the columnar loop's ``observe_rows`` hands
 :meth:`TelemetryHub.publish_rows` the rows finalized since the last
 tick (:meth:`TelemetryHub.publish_columns` is the same over a finished
-report's arrays).  Either way every
-field is read **once, at publish**, into parallel columns (time, tier,
-outcome code, latency and cost in a dense :class:`_FloatWindow`; billed
-``node_seconds`` items beside it) and the record is not kept.
+report's arrays).  Either way every field is read **once, at publish**,
+into one ``(time, tier, outcome code, latency, cost, billed
+node_seconds items)`` tuple per row, and the record is not kept.
 
-:meth:`TelemetryHub.snapshot` *counts* and *defers*.  Counts are exact
-integers: a per-tier tally that publish adds to and both eviction sites
-(window horizon, ``max_records`` valve) subtract from — O(tiers), taken
-with the snapshot.  Everything else (percentiles, per-tier windows,
-per-version node-seconds, the cost mean) is computed when a consumer
-first reads it, from the snapshot's own copy of the live float columns
-and its slice of the append-only billing list, so a late read sees
-exactly the window of the snapshot's instant.  A control tick therefore
-pays for what its SLOs read — usually the whole-stream p95.  Float
-aggregates reach SLO pressures and control-log text, so they are summed
-strictly left to right: running float subtraction, ``ndarray.sum``
-(pairwise) and builtin ``sum`` (compensated from Python 3.12) all round
-differently from the per-record ``+=`` walk this replaced, which
-``tests/oracle/telemetry_reference.py`` keeps as the oracle.  Each
-percentile sorts its latency slice on first read
-(:func:`repro.stats.descriptive.percentiles`).
+The window keeps, beside its rows, exactly what a tick reads:
+
+* **counts** — whole-stream totals and a per-tier tally per outcome,
+  exact integers that publish adds to and both eviction sites (window
+  horizon, ``max_records`` valve) subtract from;
+* **ranks** — every answered latency in one sorted list: publish inserts
+  (a binary search plus a list insert), eviction deletes the same value
+  the same way.  A ``nan`` cannot be ordered, so the window counts its
+  ``nan`` latencies beside the list instead; any of them ranks every
+  percentile to ``nan``.
+
+The rows sit in a list that is only appended to: the live rows are
+those from a head index on, eviction advances the head, and compaction
+starts a new list, so the slice a snapshot holds never changes.
+
+:meth:`TelemetryHub.snapshot` evicts, copies the tallies (O(tiers)),
+takes its slice of the row list (O(1)) and reads p50 / p95 / p99 off the
+ranked list — two order statistics each
+(:func:`repro.stats.descriptive.ranked_percentile`, the interpolation
+:func:`~repro.stats.descriptive.percentiles` uses too): no sort, no
+mask, no sum, so a tick's p95 is O(1).  Everything else (per-tier
+windows, per-version node-seconds, the cost mean) is computed on first
+read from the snapshot's slice, so a late read sees exactly the window
+of the snapshot's instant.  Float aggregates reach SLO pressures and
+control-log text, so they are summed strictly left to right with
+``+=``: running float subtraction, ``ndarray.sum`` (pairwise) and
+builtin ``sum`` (compensated from Python 3.12) all round differently
+from the per-record walk this replaced, which
+``tests/oracle/telemetry_reference.py`` keeps as the oracle.  A tier's
+p95 ranks its own latencies on first read; only a tier SLO reads one.
 
 Windowed percentiles carry a small-N guard: a p95 ranked over a handful
 of samples is an artefact of quantile math, not a tail (with 4 samples
@@ -48,16 +61,14 @@ SLO monitors) must not treat a flagged value as breach evidence.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro import checks
 from repro.contract import MIN_PERCENTILE_SAMPLES
-from repro.stats.descriptive import percentiles
+from repro.stats.descriptive import percentiles, ranked_percentile
 
 __all__ = [
     "PercentileEstimate",
@@ -137,13 +148,34 @@ class TierWindow:
     mean_cost: float
 
 
+#: Row outcome codes; a tally is indexed by them.
+_ANSWERED, _DEGRADED, _FAILED, _SHED = range(4)
+#: What publish reads per row, beside time and ``node_seconds``.
+_ROW_FIELDS = operator.attrgetter(
+    "tier", "shed", "failed", "degraded", "response_time_s", "invocation_cost"
+)
+#: One live row: time, tier, outcome code, latency, cost and the billed
+#: ``node_seconds`` items (in the record's own key order; none unless
+#: the row was answered).
+_Row = Tuple[float, float, int, float, float, Tuple[Tuple[str, float], ...]]
+
+
+def _ordered_mean(values: List[float]) -> float:
+    """Mean whose sum is taken strictly left to right, rounding as a
+    ``+=`` loop does (``nan`` over no values)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else float("nan")
+
+
 class WindowSnapshot:
     """Aggregate view of the trailing telemetry window at one instant.
 
-    Built by :meth:`TelemetryHub.snapshot`.  The counts are taken with
-    the snapshot; every other field is computed on first read (and
-    kept), from the window as it stood at :attr:`now` — a late read sees
-    no row published after it.
+    Built by :meth:`TelemetryHub.snapshot`.  The counts and the
+    whole-stream percentiles are taken with the snapshot; every other
+    field is computed on first read (and kept), from the window as it
+    stood at :attr:`now` — a late read sees no row published after it.
 
     Attributes:
         now: Virtual time the snapshot was taken.
@@ -170,14 +202,14 @@ class WindowSnapshot:
         now: float,
         window_s: float,
         span_s: float,
-        counts: Dict[float, List[int]],
-        rows: np.ndarray,
-        objects: Tuple[list, int, int],
+        counts: Tuple[List[int], Dict[float, Tuple[int, ...]]],
+        rows: Tuple[List[_Row], int, int],
+        latency: Tuple[int, Tuple[float, float, float]],
     ) -> None:
         self.now = now
         self.window_s = window_s
         self.span_s = span_s
-        totals = [sum(column) for column in zip(*counts.values())] or [0, 0, 0, 0]
+        totals, tallies = counts
         self.n = sum(totals)
         self.n_failed = totals[_FAILED]
         self.n_shed = totals[_SHED]
@@ -185,51 +217,55 @@ class WindowSnapshot:
         n_answered = totals[_ANSWERED] + totals[_DEGRADED]
         self.goodput_rps = n_answered / span_s
         self.availability = (n_answered / self.n) if self.n else float("nan")
-        self._counts = {tier: tuple(tally) for tier, tally in counts.items()}
-        #: Own copy of the live (time, tier, code, latency, cost) columns,
-        self._rows = rows
-        #: and ``(billed, start, stop)``: the live slice of the hub's
-        #: billing list, which only ever grows past ``stop``.
-        self._objects = objects
+        #: Own copy of the live tallies;
+        self._counts = tallies
+        #: ``(rows, start, stop)``: the live slice of the hub's row list,
+        #: which only ever grows past ``stop``;
+        self._rows, self._start, self._stop = rows
+        #: the answered latencies' count and p50 / p95 / p99.
+        self._latency = latency
 
     @property
     def n_answered(self) -> int:
         """Windowed requests that resolved with a response."""
         return self.n - self.n_failed - self.n_shed
 
-    @cached_property
-    def _answered(self) -> np.ndarray:
-        return self._rows[2] <= _DEGRADED
+    def _estimate(self, q: float, value: float) -> PercentileEstimate:
+        n = self._latency[0]
+        return PercentileEstimate(
+            q, value, n, low_confidence=n < max(MIN_PERCENTILE_SAMPLES, 1)
+        )
 
-    @cached_property
-    def _latency_ok(self) -> np.ndarray:
-        return self._rows[3][self._answered]
-
-    # Each percentile sorts on its own first read: a tick's SLOs read p95.
     @cached_property
     def p50_latency(self) -> PercentileEstimate:
-        return guarded_percentile(self._latency_ok, 50.0)
+        return self._estimate(50.0, self._latency[1][0])
 
     @cached_property
     def p95_latency(self) -> PercentileEstimate:
-        return guarded_percentile(self._latency_ok, 95.0)
+        return self._estimate(95.0, self._latency[1][1])
 
     @cached_property
     def p99_latency(self) -> PercentileEstimate:
-        return guarded_percentile(self._latency_ok, 99.0)
+        return self._estimate(99.0, self._latency[1][2])
+
+    @cached_property
+    def _window(self) -> List[_Row]:
+        return self._rows[self._start : self._stop]
 
     @cached_property
     def mean_cost(self) -> float:
-        return _ordered_mean(self._rows[4][self._answered])
+        return _ordered_mean(
+            [row[4] for row in self._window if row[2] <= _DEGRADED]
+        )
 
     @cached_property
     def node_seconds(self) -> Dict[str, float]:
-        # Versions appear in the order a walk over the live rows first
-        # meets them.
-        billed, start, stop = self._objects
+        # Versions appear in the order a walk over the rows first meets
+        # them.
         node_seconds: Dict[str, float] = {}
-        for version, seconds in chain.from_iterable(billed[start:stop]):
-            node_seconds[version] = node_seconds.get(version, 0.0) + seconds
+        for row in self._window:
+            for version, seconds in row[5]:
+                node_seconds[version] = node_seconds.get(version, 0.0) + seconds
         return node_seconds
 
     @cached_property
@@ -241,23 +277,27 @@ class WindowSnapshot:
 
     @cached_property
     def tiers(self) -> Dict[float, TierWindow]:
-        _, tier_of, _, _, cost = self._rows
-        answered, latency_ok = self._answered, self._latency_ok
-        tier_ok, cost_ok = tier_of[answered], cost[answered]
-        counts = self._counts
-        # Tiers appear in the order a walk over the live rows first meets
-        # them.
+        # Tiers appear in the order a walk over the rows first meets them;
+        # each gathers its answered latencies and costs in that order.
+        answered: Dict[float, Tuple[List[float], List[float]]] = {}
+        for _, tier, code, latency, cost, _ in self._window:
+            served = answered.get(tier)
+            if served is None:
+                served = answered[tier] = ([], [])
+            if code <= _DEGRADED:
+                served[0].append(latency)
+                served[1].append(cost)
         tiers: Dict[float, TierWindow] = {}
-        for tier in sorted(counts, key=lambda tier: (tier_of == tier).argmax()):
-            tally, served = counts[tier], tier_ok == tier
+        for tier, (latencies, costs) in answered.items():
+            tally = self._counts[tier]
             tiers[tier] = TierWindow(
                 tier=tier,
                 n=sum(tally),
                 n_failed=tally[_FAILED],
                 n_shed=tally[_SHED],
                 n_degraded=tally[_DEGRADED],
-                p95_latency=guarded_percentile(latency_ok[served], 95.0),
-                mean_cost=_ordered_mean(cost_ok[served]),
+                p95_latency=guarded_percentile(latencies, 95.0),
+                mean_cost=_ordered_mean(costs),
             )
         return tiers
 
@@ -284,64 +324,6 @@ class WindowSnapshot:
         return window
 
 
-class _FloatWindow:
-    """A dense sliding window of parallel ``float64`` columns.
-
-    Append-only at the tail, evict-only at the head — exactly the access
-    pattern of a trailing telemetry window.  The columns are the rows of
-    one numpy buffer, so each stays contiguous, and :meth:`view` exposes
-    their shared live region as a zero-copy slice.  When the buffer fills
-    and more than half is dead space (evicted head) the live region is
-    compacted in place; otherwise it moves to a buffer twice what it needs.
-    """
-
-    __slots__ = ("_buf", "_start", "_end")
-
-    def __init__(self, fields: int = 1, capacity: int = 1024) -> None:
-        self._buf = np.empty((fields, capacity))
-        self._start = self._end = 0
-
-    def __len__(self) -> int:
-        return self._end - self._start
-
-    def append(self, values) -> None:
-        """Push rows at the tail: ``values`` holds one sequence per column."""
-        buf = self._buf
-        values = np.asarray(values, dtype=float).reshape(len(buf), -1)
-        start, end, m = self._start, self._end, values.shape[1]
-        if end + m > buf.shape[1]:
-            live = end - start
-            if not (start > live and live + m <= buf.shape[1]):
-                self._buf = np.empty((len(buf), max(2 * (live + m), 16)))
-            self._buf[:, :live] = buf[:, start:end]
-            self._start, end, buf = 0, live, self._buf
-        buf[:, end : end + m] = values
-        self._end = end + m
-
-    def pop_oldest(self, k: int = 1) -> None:
-        """Evict the ``k`` head rows (O(1): the live region just advances)."""
-        self._start += k
-
-    def view(self) -> np.ndarray:
-        """The live rows, one array row per column, as a zero-copy slice."""
-        return self._buf[:, self._start : self._end]
-
-
-#: Row outcome codes; a per-tier tally is indexed by them.
-_ANSWERED, _DEGRADED, _FAILED, _SHED = range(4)
-#: What publish reads per row, beside time and ``node_seconds``.
-_ROW_FIELDS = operator.attrgetter(
-    "tier", "shed", "failed", "degraded", "response_time_s", "invocation_cost"
-)
-
-
-def _ordered_mean(values: np.ndarray) -> float:
-    """Mean whose sum is taken strictly left to right, rounding as a
-    ``+=`` loop does (``nan`` over no values)."""
-    n = len(values)
-    return float(values.cumsum()[-1]) / n if n else float("nan")
-
-
 class TelemetryHub:
     """Incremental sliding window over the per-request record stream.
 
@@ -360,18 +342,19 @@ class TelemetryHub:
     ) -> None:
         self.window_s = float(checks.positive("window_s", window_s))
         self._max_records = max_records
-        #: Per live row: publish time, tier, outcome code, latency, cost —
-        self._rows = _FloatWindow(5)
-        #: — and its billed ``node_seconds`` items (in the record's own key
-        #: order; none unless the row was answered), in a list that is
-        #: only appended to: the live rows are those from ``_head`` on,
-        #: and compaction starts a new list, so a snapshot's slice of the
-        #: old one stays as it was.
-        self._billed: List[Tuple[Tuple[str, float], ...]] = []
+        #: The rows, oldest first, in a list that is only appended to: the
+        #: live rows are those from ``_head`` on, and compaction starts a
+        #: new list, so a snapshot's slice of the old one stays as it was.
+        self._rows: List[_Row] = []
         self._head = 0
-        #: tier -> live rows ``[answered, degraded, failed, shed]``; a
-        #: tier leaves with its last row.
+        #: Live rows per outcome ``[answered, degraded, failed, shed]``,
+        self._totals = [0, 0, 0, 0]
+        #: and per tier; a tier leaves with its last row.
         self._counts: Dict[float, List[int]] = {}
+        #: The live answered latencies, sorted ascending — but for the
+        #: ``nan`` ones, which are only counted.
+        self._ranked: List[float] = []
+        self._n_nan = 0
         self._published = 0
         self._last_time = 0.0
 
@@ -392,7 +375,7 @@ class TelemetryHub:
         t = float(record.finished_s if now is None else now)
         self._append([(t, *_ROW_FIELDS(record), record.node_seconds)])
 
-    def publish_columns(self, columns, rows: slice, times: np.ndarray) -> None:
+    def publish_columns(self, columns, rows: slice, times) -> None:
         """Fold a slice of report columns into the window: the many-row
         :meth:`publish`, with no record built.
 
@@ -400,7 +383,7 @@ class TelemetryHub:
             columns: A :class:`~repro.service.simulation.report.RecordColumns`
                 (it names its arrays as a record names its fields).
             rows: The rows to publish, in completion order.
-            times: Their publish times (non-decreasing).
+            times: Their publish times (a non-decreasing ``ndarray``).
         """
         self.publish_rows(
             list(
@@ -425,9 +408,10 @@ class TelemetryHub:
         self._append(rows)
 
     def _append(self, rows) -> None:
-        """The one append: the rows' columns and the tallies (an
-        out-of-order row rejects the whole call before any of them)."""
-        fields, legs, last = [], [], self._last_time
+        """The one append: rows, counts and ranks (an out-of-order row
+        rejects the whole call before any of them)."""
+        new: List[_Row] = []
+        last = self._last_time
         for t, tier, shed, failed, degraded, latency, cost, billed in rows:
             if t < last - 1e-12:
                 raise ValueError(
@@ -438,21 +422,34 @@ class TelemetryHub:
                 _SHED if shed else _FAILED if failed
                 else _DEGRADED if degraded else _ANSWERED
             )
-            fields.append((t, float(tier), code, latency, cost))
-            legs.append(tuple(billed.items()) if code <= _DEGRADED else ())
+            new.append(
+                (
+                    t, float(tier), code, float(latency), float(cost),
+                    tuple(billed.items()) if code <= _DEGRADED else (),
+                )
+            )
         self._last_time = last
-        for _, tier, code, _, _ in fields:
-            self._counts.setdefault(tier, [0, 0, 0, 0])[code] += 1
-        self._rows.append(list(zip(*fields)))
         head = self._head
-        if head > len(self._billed) // 2:
-            self._billed = self._billed[head:]
+        if head > len(self._rows) // 2:
+            self._rows = self._rows[head:]
             self._head = 0
-        self._billed.extend(legs)
-        self._published += len(fields)
+        self._rows.extend(new)
+        totals, counts, ranked = self._totals, self._counts, self._ranked
+        for _, tier, code, latency, _, _ in new:
+            totals[code] += 1
+            tally = counts.get(tier)
+            if tally is None:
+                tally = counts[tier] = [0, 0, 0, 0]
+            tally[code] += 1
+            if code <= _DEGRADED:
+                if latency == latency:
+                    insort(ranked, latency)
+                else:
+                    self._n_nan += 1
+        self._published += len(new)
         if self._max_records is not None:
             # The memory valve drops the oldest rows.
-            self._drop(len(self._rows) - self._max_records)
+            self._drop(len(self) - self._max_records)
 
     @property
     def total_published(self) -> int:
@@ -460,44 +457,65 @@ class TelemetryHub:
         return self._published
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rows) - self._head
 
     # ------------------------------------------------------------------
     # windowed aggregation
     # ------------------------------------------------------------------
     def _drop(self, k: int) -> None:
-        """Evict the ``k`` oldest rows and take them out of the tallies."""
+        """Evict the ``k`` oldest rows and take them out of the counts
+        and ranks."""
         if k <= 0:
             return
-        counts = self._counts
-        _, tiers, codes, _, _ = self._rows.view()[:, :k].tolist()
-        for tier, code in zip(tiers, codes):
-            counts[tier][int(code)] -= 1
-            if not any(counts[tier]):
+        totals, counts, ranked = self._totals, self._counts, self._ranked
+        head = self._head
+        for _, tier, code, latency, _, _ in self._rows[head : head + k]:
+            totals[code] -= 1
+            tally = counts[tier]
+            tally[code] -= 1
+            if not any(tally):
                 del counts[tier]
-        self._head += k
-        self._rows.pop_oldest(k)
+            if code <= _DEGRADED:
+                if latency == latency:
+                    del ranked[bisect_left(ranked, latency)]
+                else:
+                    self._n_nan -= 1
+        self._head = head + k
 
     def snapshot(self, now: float) -> WindowSnapshot:
         """Aggregate the trailing window as of ``now``.
 
-        Evicts and counts now; the rest of the snapshot is computed when
-        first read (see :class:`WindowSnapshot`).  Eviction is
-        destructive (rows older than one window are gone), so snapshots
-        must be taken with non-decreasing ``now`` — which both producers
-        guarantee.
+        Evicts, counts and ranks now; the rest of the snapshot is
+        computed when first read (see :class:`WindowSnapshot`).
+        Eviction is destructive (rows older than one window are gone),
+        so snapshots must be taken with non-decreasing ``now`` — which
+        both producers guarantee.
         """
-        times, horizon, k = self._rows.view()[0], now - self.window_s, 0
-        while k < len(times) and times[k] < horizon:
+        rows, horizon, head = self._rows, now - self.window_s, self._head
+        stop = len(rows)
+        k = head
+        while k < stop and rows[k][0] < horizon:
             k += 1  # head rows only: stop at the first one still inside
-        self._drop(k)
+        self._drop(k - head)
+        ranked = self._ranked
+        n_latency = len(ranked) + self._n_nan
+        if self._n_nan:
+            values = (float("nan"),) * 3
+        else:
+            values = (
+                ranked_percentile(ranked, 50.0),
+                ranked_percentile(ranked, 95.0),
+                ranked_percentile(ranked, 99.0),
+            )
         span = self.window_s if now >= self.window_s else max(now, 1e-9)
         return WindowSnapshot(
             now,
             self.window_s,
             span,
-            self._counts,
-            # A copy: appends compact the live region in place.
-            self._rows.view().copy(),
-            (self._billed, self._head, len(self._billed)),
+            (
+                self._totals,
+                {tier: tuple(tally) for tier, tally in self._counts.items()},
+            ),
+            (rows, k, stop),
+            (n_latency, values),
         )

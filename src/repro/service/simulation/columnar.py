@@ -239,13 +239,19 @@ def columnar_ineligibility(sim) -> Optional[str]:
     return None
 
 
-def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
+def run_columnar(
+    sim, configurations, codes, replay_rows, *, max_events: int
+) -> LoadTestReport:
     """Drain a columnar-eligible simulator and build its report.
 
     Call only after :func:`columnar_ineligibility` returned ``None``,
     with the routing pre-pass's ``(configurations, codes)`` and the
     ``replay_rows`` gather of ``ServingSimulator._refuse_unservable``;
-    the submission columns are read from the simulator's store.  With
+    the submission columns are read from the simulator's store.  The
+    scalar loop's event valve, ``max_events``, bounds the events
+    ``schedule`` pushes (ticks, retries, fault restores): a tick that
+    re-arms forever over rows that never resolve raises ``RuntimeError``
+    instead of spinning.  With
     invariant checking attached the loop calls the checker at the exact
     points the legacy engine would (it sees an identical stream); either
     way the report is built from the loop's columns and materializes
@@ -474,6 +480,7 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
 
     heap: list = []
     seq = n - 1
+    scheduled = 0
 
     fast_done: List[Optional[tuple]] = [None] * n
     acc_done: List[Optional[tuple]] = [None] * n
@@ -727,7 +734,18 @@ def run_columnar(sim, configurations, codes, replay_rows) -> LoadTestReport:
         inflight = 0
 
     def schedule(time, handler, arg):
-        nonlocal seq
+        # The serving events of the loop below never come through here,
+        # so only runs with event sources count toward the valve.
+        nonlocal seq, scheduled
+        scheduled += 1
+        if scheduled > max_events:
+            stuck = sorted(
+                {handler.__name__}
+                | {e[2].__name__ for e in heap if e[1] & 3 == _SOURCE}
+            )
+            raise RuntimeError(
+                f"event loop hit its {max_events}-event valve with {stuck} pending"
+            )
         seq += 1
         heappush(heap, (time, (seq << 2) | _SOURCE, handler, arg))
 

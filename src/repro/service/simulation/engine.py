@@ -777,7 +777,9 @@ class ServingSimulator:
         self._drained = True
         reason = columnar_ineligibility(self)
         if reason is None:
-            report = run_columnar(self, configurations, codes, replay_rows)
+            report = run_columnar(
+                self, configurations, codes, replay_rows, max_events=_MAX_EVENTS
+            )
             self.engine_used = report.engine_used = "columnar"
             self._remaining = 0
             if self._trace is not None:

@@ -1,18 +1,22 @@
 """The incremental telemetry window against the walk it replaced.
 
 ``TelemetryHub`` reads every record field once, at ``publish``, into
-parallel columns and answers ``snapshot`` from tallies and column
-slices.  ``tests/oracle/telemetry_reference.py`` keeps the parent's
-ring-of-records hub, whose ``snapshot`` re-walks every windowed record.
-These tests drive both through the same interleavings of ``publish`` and
+one tuple per row, keeps counts and a ranked latency list beside the
+rows, and answers ``snapshot`` from a copy of the counts, a slice of the
+rows and reads of the ranks.  ``tests/oracle/telemetry_reference.py``
+keeps the older ring-of-records hub, whose ``snapshot`` re-walks every
+windowed record.  These tests drive both through the same interleavings of ``publish`` and
 ``snapshot`` — once publishing records, once publishing column slices
-(cut at each snapshot, or every few rows as well) — and require every ``WindowSnapshot`` / ``TierWindow`` field equal, key
-orders included.  Two seeded mutants show the comparison has teeth, and
-an attribute-counting proxy pins *when* the fields are read.
+(cut at each snapshot, or every few rows as well) — and require every
+``WindowSnapshot`` / ``TierWindow`` field equal, key orders included.
+Rows carry ``nan`` and tied latencies.  Seeded mutants show the
+comparison has teeth, and an attribute-counting proxy pins *when* the
+fields are read.
 """
 
 import inspect
 import math
+from bisect import insort
 from collections import deque
 
 import numpy as np
@@ -155,7 +159,8 @@ row_specs = st.fixed_dictionaries(
         outcome=st.sampled_from(
             [ANSWERED] * 4 + [DEGRADED, FAILED, SHED, FAILED_AND_SHED]
         ),
-        latency=st.floats(0.001, 5.0),
+        # ties: a few repeated values
+        latency=st.one_of(st.floats(0.001, 5.0), st.sampled_from([0.5, 1.0])),
         cost=st.floats(1e-7, 1e-3),
         pair=st.sampled_from([0, 0, 1, 2]),
         fast_s=st.floats(0.0, 2.0),
@@ -188,6 +193,8 @@ def test_every_snapshot_equals_the_reference_walk(rows, ops, max_records):
 
 
 MIXED = [ANSWERED] * 6 + [DEGRADED, FAILED, SHED, FAILED_AND_SHED]
+#: Latencies many rows share, so the ranked list holds runs of ties.
+TIED = [0.25, 0.5, 1.0]
 
 
 def _seeded_interleaving(seed, n_rows=400, tiers=(0.0, 0.05, 0.1), outcomes=MIXED):
@@ -197,7 +204,12 @@ def _seeded_interleaving(seed, n_rows=400, tiers=(0.0, 0.05, 0.1), outcomes=MIXE
         dict(
             tier=float(rng.choice(tiers)),
             outcome=int(rng.choice(outcomes)),
-            latency=float(rng.uniform(0.01, 3.0)),
+            latency=float(
+                rng.choice(
+                    [rng.uniform(0.01, 3.0), rng.choice(TIED), math.nan],
+                    p=[0.82, 0.17, 0.01],
+                )
+            ),
             cost=float(rng.uniform(1e-6, 1e-3)),
             pair=int(rng.integers(0, 3)),
             fast_s=float(rng.uniform(0.0, 2.0)),
@@ -239,13 +251,14 @@ def test_one_tier_and_all_answered_windows_equal_the_reference_walk(tiers, outco
     check_interleaving(rows, ops, max_records=100_000)
 
 
-class _SmallBufferHub(TelemetryHub):
-    """Float columns start in a 4-row buffer, so every few appends
-    compact the live region in place (or move it to a larger buffer)."""
+class _EagerCompactionHub(TelemetryHub):
+    """The row list starts a new list whenever it has a dead head, so a
+    late read almost always holds a list the hub has left."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._rows = telemetry._FloatWindow(5, capacity=4)
+    def _append(self, *args):
+        super()._append(*args)
+        if self._head:
+            self._rows, self._head = self._rows[self._head :], 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,7 +274,7 @@ def test_a_snapshot_read_late_equals_the_reference_at_its_instant(
     ops = [(kind, max(dt, 0.0) if kind == "snapshot" else dt) for kind, dt in ops]
     check_interleaving(
         rows, ops + [("snapshot", 0.0)], max_records=max_records,
-        hub_cls=_SmallBufferHub, defer=defer,
+        hub_cls=_EagerCompactionHub, defer=defer,
     )
 
 
@@ -270,45 +283,43 @@ def test_a_snapshot_read_late_equals_the_reference_at_its_instant(
 def test_seeded_late_reads_equal_the_reference(max_records, defer):
     rows, ops = _seeded_interleaving(2)
     check_interleaving(
-        rows, ops, max_records=max_records, hub_cls=_SmallBufferHub, defer=defer
+        rows, ops, max_records=max_records, hub_cls=_EagerCompactionHub, defer=defer
     )
 
 
-class _LiveColumns(np.ndarray):
-    """A column view whose ``copy`` is the view itself."""
-
-    def copy(self, *args, **kwargs):
-        return self
-
-
-class _LiveWindow(telemetry._FloatWindow):
-    __slots__ = ()
-
-    def view(self):
-        return super().view().view(_LiveColumns)
-
-
 class _SnapshotKeepsAView(TelemetryHub):
-    """Mutant: the snapshot reads the live columns, not a copy of them."""
+    """Mutant: the snapshot's slice of the row list ends wherever the
+    live list ends when it is read."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._rows = _LiveWindow(5, capacity=4)
+    def snapshot(self, now):
+        snap = super().snapshot(now)
+        snap._stop = None
+        return snap
 
 
 class _CompactsListsInPlace(TelemetryHub):
-    """Mutant: the billing list drops its dead head in place, under the
+    """Mutant: the row list drops its dead head in place, under the
     slices earlier snapshots hold."""
 
     def _append(self, *args):
         super()._append(*args)
         if self._head:
-            del self._billed[: self._head]
+            del self._rows[: self._head]
             self._head = 0
 
 
+class _SnapshotKeepsLiveTallies(TelemetryHub):
+    """Mutant: the snapshot's tiers count from the live tallies."""
+
+    def snapshot(self, now):
+        snap = super().snapshot(now)
+        snap._counts = self._counts
+        return snap
+
+
 class _ValveForgetsTallies(TelemetryHub):
-    """Mutant: the ``max_records`` valve drops rows but not their counts."""
+    """Mutant: the ``max_records`` valve drops rows but not their counts
+    (nor their ranks)."""
 
     def _append(self, *args):
         bound, self._max_records = self._max_records, None
@@ -316,10 +327,20 @@ class _ValveForgetsTallies(TelemetryHub):
             super()._append(*args)
         finally:
             self._max_records = bound
-        over = len(self._rows) - bound
-        if over > 0:
-            self._rows.pop_oldest(over)
-            self._head += over
+        self._head += max(len(self) - bound, 0)
+
+
+class _EvictionKeepsItsRank(TelemetryHub):
+    """Mutant: an evicted row's latency stays in the ranked list."""
+
+    def _drop(self, k):
+        kept = [
+            row[3] for row in self._rows[self._head : self._head + max(k, 0)]
+            if row[2] <= telemetry._DEGRADED and row[3] == row[3]
+        ]
+        super()._drop(k)
+        for latency in kept:
+            insort(self._ranked, latency)
 
 
 class TestTeeth:
@@ -332,12 +353,24 @@ class TestTeeth:
                 rows, ops, max_records=4, hub_cls=_ValveForgetsTallies
             )
 
-    @pytest.mark.parametrize("mutant", [_SnapshotKeepsAView, _CompactsListsInPlace])
+    @pytest.mark.parametrize(
+        "mutant",
+        [_SnapshotKeepsAView, _CompactsListsInPlace, _SnapshotKeepsLiveTallies],
+    )
     def test_a_snapshot_that_reads_the_live_window_late_is_caught(self, mutant):
         rows, ops = _seeded_interleaving(2)
         check_interleaving(rows, ops, max_records=7, hub_cls=mutant, defer=0)
         with pytest.raises(AssertionError):
             check_interleaving(rows, ops, max_records=7, hub_cls=mutant, defer=10)
+
+    @pytest.mark.parametrize("max_records", [4, 100_000])
+    def test_an_eviction_that_keeps_its_rank_is_caught(self, max_records):
+        """Both eviction sites: the window horizon and the valve."""
+        rows, ops = _seeded_interleaving(1)
+        with pytest.raises(AssertionError, match="latency"):
+            check_interleaving(
+                rows, ops, max_records=max_records, hub_cls=_EvictionKeepsItsRank
+            )
 
     def test_pairwise_cost_sum_is_caught(self, monkeypatch):
         rows, ops = _seeded_interleaving(1)

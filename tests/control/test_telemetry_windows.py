@@ -1,12 +1,11 @@
-"""Zero-copy telemetry windows: the dense column buffer and its edges.
+"""Telemetry windows at their edges.
 
-The hub keeps its numeric window in ``telemetry._FloatWindow``: parallel
-``float64`` columns (the rows of one buffer) sharing a live region that
-advances on eviction, each read as a zero-copy array slice.  These tests
-pin the buffer mechanics (growth, in-place compaction, eviction, many-row
-appends) and the boundary windows that must not change: empty windows,
-one-element windows, and all-shed windows where every percentile ranks
-over an empty slice.
+The hub keeps its window as one tuple per row, with the answered
+latencies in one sorted list beside them (``nan`` ones only counted).
+These tests pin the ranking against a fresh sort of the survivors, the
+``max_records`` valve, and the boundary windows that must not change:
+empty windows, one-row windows, windows holding a ``nan`` latency, and
+all-shed windows where every percentile ranks over nothing.
 """
 
 import math
@@ -15,67 +14,8 @@ import numpy as np
 import pytest
 
 from repro.service.control import TelemetryHub, guarded_percentile
-from repro.service.control.telemetry import _FloatWindow
 
 from test_telemetry import record
-
-
-class TestFloatWindow:
-    """The dense sliding-window buffer itself."""
-
-    def test_append_evict_view(self):
-        window = _FloatWindow(capacity=4)
-        for value in (1.0, 2.0, 3.0):
-            window.append(value)
-        assert list(window.view()[0]) == [1.0, 2.0, 3.0]
-        window.pop_oldest()
-        assert list(window.view()[0]) == [2.0, 3.0]
-        assert len(window) == 2
-
-    def test_view_is_zero_copy(self):
-        window = _FloatWindow(capacity=8)
-        window.append(1.0)
-        window.append(2.0)
-        view = window.view()
-        assert view.base is window._buf  # a slice, not a copy
-
-    def test_geometric_growth_preserves_live_region(self):
-        window = _FloatWindow(capacity=2)
-        for value in range(100):
-            window.append(float(value))
-        assert len(window) == 100
-        assert list(window.view()[0]) == [float(v) for v in range(100)]
-
-    def test_compaction_reclaims_evicted_head(self):
-        window = _FloatWindow(capacity=8)
-        for value in range(8):
-            window.append(float(value))
-        for _ in range(6):  # leave 2 live, 6 dead
-            window.pop_oldest()
-        window.append(8.0)  # full buffer, >half dead: compacts in place
-        assert window._buf.shape == (1, 8)  # no growth happened
-        assert list(window.view()[0]) == [6.0, 7.0, 8.0]
-
-    def test_many_row_append_fills_parallel_columns(self):
-        window = _FloatWindow(2, capacity=2)
-        window.append([[-1.0], [-2.0]])
-        window.pop_oldest()
-        window.append([np.arange(50.0), 2 * np.arange(50.0)])  # past double
-        assert window._buf.shape == (2, 100)
-        assert window.view().tolist() == [
-            [float(v) for v in range(50)],
-            [2.0 * v for v in range(50)],
-        ]
-
-    def test_empty_and_single_element_views_rank_correctly(self):
-        window = _FloatWindow()
-        empty = guarded_percentile(window.view()[0], 95.0)
-        assert math.isnan(empty.value) and empty.n == 0
-        assert empty.low_confidence
-        window.append(0.25)
-        single = guarded_percentile(window.view()[0], 95.0)
-        assert single.value == 0.25 and single.n == 1
-        assert single.low_confidence
 
 
 class TestHubWindowParity:
@@ -117,8 +57,34 @@ class TestHubWindowParity:
         snap = hub.snapshot(0.1 * 19)
         assert snap.n == 8
         assert snap.p95_latency.n == 8
-        # the window holds exactly the 8 newest samples
-        assert list(hub._rows.view()[3]) == [float(i) for i in range(12, 20)]
+        # the window holds exactly the 8 newest samples, ranked
+        live = hub._rows[hub._head :]
+        assert [row[3] for row in live] == [float(i) for i in range(12, 20)]
+        assert hub._ranked == [float(i) for i in range(12, 20)]
+
+    def test_empty_and_single_row_windows_rank_correctly(self):
+        hub = TelemetryHub(window_s=5.0)
+        empty = hub.snapshot(1.0).p95_latency
+        assert math.isnan(empty.value) and empty.n == 0
+        assert empty.low_confidence
+        hub.publish(record("r0", 1.5, response_time_s=0.25))
+        single = hub.snapshot(2.0).p95_latency
+        assert single.value == 0.25 and single.n == 1
+        assert single.low_confidence
+
+    def test_a_nan_latency_ranks_to_nan_until_it_leaves(self):
+        hub = TelemetryHub(window_s=5.0)
+        hub.publish(record("r0", 0.5, response_time_s=math.nan))
+        for i in range(1, 30):
+            hub.publish(record(f"r{i}", 1.0 + 0.1 * i, response_time_s=0.1 * i))
+        snap = hub.snapshot(4.0)
+        assert math.isnan(snap.p50_latency.value) and snap.p50_latency.n == 30
+        assert math.isnan(snap.tiers[0.0].p95_latency.value)
+        later = hub.snapshot(6.0)  # the nan row (t = 0.5) has left
+        assert later.p95_latency.n == 29
+        assert later.p95_latency.value == guarded_percentile(
+            [0.1 * i for i in range(1, 30)], 95.0
+        ).value
 
 
 class TestAllShedWindows:

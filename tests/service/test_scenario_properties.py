@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle.scalar import scalar_loop
+from oracle.scalar import default_loop, scalar_loop
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -359,3 +359,31 @@ def test_a_drain_stopped_by_the_valve_raises_naming_what_is_pending(
         RuntimeError, match=r"10-event valve.*'arrival'.*pending"
     ):
         run_scenario(spec, toy)
+
+
+def test_a_columnar_drain_stopped_by_the_valve_raises_naming_its_sources(
+    toy, monkeypatch
+):
+    """The columnar loop counts what its event sources schedule (control
+    and autoscale ticks, retries, fault restores) against the same
+    valve, so a tick that re-arms forever raises instead of spinning."""
+    from repro.service.simulation import engine as engine_module
+
+    monkeypatch.setattr(engine_module, "_MAX_EVENTS", 10)
+    spec = _reconfiguring(_random_spec(33, with_faults=True))
+    with default_loop(), pytest.raises(
+        RuntimeError, match=r"10-event valve with \[.*'tick'.*\] pending"
+    ):
+        run_scenario(spec, toy)
+
+
+def test_serving_events_do_not_count_toward_the_columnar_valve(toy, monkeypatch):
+    from repro.service.simulation import engine as engine_module
+
+    spec = replace(_random_spec(34, with_faults=False), autoscaler_config=None)
+    want = run_scenario(spec, toy).digest()
+    monkeypatch.setattr(engine_module, "_MAX_EVENTS", 0)
+    with default_loop():
+        report = run_scenario(spec, toy)
+    assert report.engine_used == "columnar"
+    assert report.digest() == want

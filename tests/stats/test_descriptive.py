@@ -1,4 +1,4 @@
-"""Tests for repro.stats.descriptive.percentiles."""
+"""Tests for repro.stats.descriptive: the percentile kernel and its rule."""
 
 import math
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.descriptive import percentiles
+from repro.stats import descriptive
+from repro.stats.descriptive import percentiles, ranked_percentile
 
 
 def _same_float(left, right):
@@ -53,3 +54,38 @@ class TestPercentilesKernel:
     def test_out_of_range_q_raises(self, q):
         with pytest.raises(ValueError, match="percentile must be in"):
             percentiles([1.0, 2.0], (50.0, q))
+
+
+class TestRankedPercentile:
+    """The interpolation over a sorted sample, which both the kernel and
+    the telemetry window's ranked reads call."""
+
+    @pytest.mark.parametrize(
+        "ranked",
+        [[0.25], [0.25, 1.5], [0.1, 0.1, 0.7], [-2.0, 0.0, 3.0, 3.0, 8.5]],
+        ids=["n=1", "n=2", "ties", "n=5"],
+    )
+    @pytest.mark.parametrize("q", [0.0, 50.0, 95.0, 99.0, 99.999, 100.0])
+    def test_matches_numpy_linear(self, ranked, q):
+        want = float(np.percentile(np.array(ranked), q, method="linear"))
+        assert ranked_percentile(ranked, q) == want
+
+    def test_the_top_of_the_sample_reads_the_last_element_twice(self):
+        # At q = 100 the virtual index is n - 1: NumPy (and the rule) take
+        # index -1 as the lower neighbour, so gamma is n, not 0.
+        ranked = [0.1, 0.2, 0.30000000000000004]
+        assert ranked_percentile(ranked, 100.0) == ranked[-1]
+        assert ranked_percentile(ranked, 100.0) == float(np.percentile(ranked, 100.0))
+
+    def test_empty_and_nan_tails_rank_to_nan(self):
+        assert math.isnan(ranked_percentile([], 50.0))
+        assert math.isnan(ranked_percentile([1.0, math.nan], 50.0))
+
+    def test_the_kernel_ranks_through_it(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            descriptive, "ranked_percentile",
+            lambda ranked, q: seen.append((list(ranked), q)) or -1.0,
+        )
+        assert percentiles([3.0, 1.0, 2.0], (50.0, 95.0)) == [-1.0, -1.0]
+        assert seen == [([1.0, 2.0, 3.0], 50.0), ([1.0, 2.0, 3.0], 95.0)]
