@@ -6,6 +6,10 @@ change to any value here is a behaviour change: bump
 old → new table (``tests/service/golden/README.md``).  Version 1 (never
 stamped) hashed one ``%.12e`` text row per request; version 2 hashes
 rounded columns (layout: :mod:`repro.service.simulation.report`).
+Version 3 gives the trace digest the same treatment: typed span streams
+in :data:`TRACE_DIGEST_STREAMS` order instead of ``%.12e`` text lines
+(layout: :mod:`repro.obs.trace`); the report layout is version 2's, under
+a ``report-digest:v3`` header.
 
 Constants, not options: no environment variable reads them.  Where
 callers do vary a value (the rule generator's confidence and trial
@@ -14,7 +18,7 @@ stays and its default reads the constant here.  This module imports
 nothing from :mod:`repro`, so every layer may import it.
 """
 
-CONTRACT_VERSION = 2
+CONTRACT_VERSION = 3
 
 # Rule generation (paper Fig. 7).
 #: Bootstrap confidence of a worst-case estimate: the paper's 99.9 %.
@@ -96,7 +100,7 @@ REGION_SLO_TICK_S = 1.0
 #: Advisory no-change band of a two-artefact perf comparison (±5 %).
 COMPARE_THRESHOLD = 0.05
 
-# Report digest layout.
+# Digest layouts.
 #: Explicit mantissa bits a digested float keeps, of binary64's 52:
 #: about the 12 significant digits ``%.12e`` kept.
 DIGEST_MANTISSA_BITS = 40
@@ -104,10 +108,19 @@ DIGEST_MANTISSA_BITS = 40
 #: The one bit pattern every NaN hashes as (version 1 printed ``nan``).
 DIGEST_NAN_BITS = 0x7FF8_0000_0000_0000
 
-#: Hash order of the per-request columns.
+#: Hash order of the report's per-request columns.
 DIGEST_COLUMNS = (
     "request_ids", "payloads", "tier", "arrival_s", "finished_s", "pairs",
     "pair", "escalated", "failed", "retries", "invocation_cost",
     "node_seconds_fast", "node_seconds_accurate", "shed", "degraded",
     "retry_denied",
+)
+
+#: Hash order of the trace digest's streams: per trace, per span, per
+#: digested attribute (sorted keys, ``node`` excluded), per event.
+TRACE_DIGEST_STREAMS = (
+    "request_id", "n_spans",
+    "name", "status", "start_s", "end_s", "n_attrs", "n_events",
+    "attr_key", "attr_kind", "attr_float", "attr_text",
+    "event_time_s", "event_name", "event_detail",
 )

@@ -6,22 +6,26 @@ collector as one :class:`ColumnSegment` — the report's ``RecordColumns``
 (every report has them, whichever engine ran) — and stays columns until
 someone asks for a tree:
 
-- ``digest()`` / ``export_jsonl()`` render a segment at column rate, one
-  ``%`` application per request (:meth:`ColumnSegment.render`);
+- ``digest()`` fills the digest streams from the columns by array
+  operations (:meth:`ColumnSegment.streams`) and ``export_jsonl()``
+  writes a segment at column rate, one ``%`` application per request
+  (:meth:`ColumnSegment.render`);
 - ``.traces`` / ``trace_for`` / ``add_trace`` materialize
   it through :func:`_from_columns` + ``seal``, after which the trees are
   the only storage (the segment is dropped, nothing is memoized);
-- so does rendering what columns cannot promise byte for byte: failover
-  annotations (per-request strings; shards read ``.traces`` anyway) and
-  non-finite floats (``json`` writes ``NaN`` where ``repr`` writes
-  ``nan``).
+- so does either path on what columns cannot promise: failover
+  annotations (per-request strings; shards read ``.traces`` anyway) and,
+  for the JSON text, non-finite floats (``json`` writes ``NaN`` where
+  ``repr`` writes ``nan``).
 
-The templates are *learned*, not written: a one-row probe of each tree
-shape present, on sentinel values, goes through the object renderers and
-every sentinel found in the text becomes a slot.  The digest-line and
-JSON layouts therefore keep their single definition in
-:mod:`repro.obs.trace`; a second probe checks each template and a
-mismatch (a sentinel inside a version name, say) falls back to trees.
+Both layouts are *learned*, not written: the first row of each tree
+shape present, on sentinel values, goes through the object path and
+every sentinel found becomes a slot — in the JSON text
+(:func:`~repro.obs.trace.trace_json`), and among the digest stream items
+(:func:`~repro.obs.trace.tree_streams`).  Tree shape therefore keeps its
+single definition, :func:`_from_columns`; the same row on other
+sentinels checks each layout, and a mismatch (a sentinel inside a
+version name, say) falls back to trees.
 
 Reconstruction is **coarse** by design: the columns record when a
 request arrived, how long it queued, when it finished, whether it
@@ -38,18 +42,19 @@ from __future__ import annotations
 import inspect
 import json
 import re
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro.contract import TRACE_DIGEST_STREAMS
 from repro.obs.trace import (
+    NUMERIC_STREAMS,
     Span,
     Trace,
-    _fmt,
-    _spec,
     span_id_for,
     trace_id_for,
-    trace_text,
+    trace_json,
+    tree_streams,
 )
 from repro.service.simulation.report import RecordColumns
 
@@ -240,9 +245,11 @@ def _from_columns(columns) -> List[Trace]:
     return traces
 
 
-#: Requests rendered per step of :meth:`ColumnSegment.render`: bounds the
-#: transient text and Python scalars however long the run was.
+#: Requests rendered per step of :meth:`ColumnSegment.render`, and
+#: gathered per step of :meth:`ColumnSegment.streams`: bound the
+#: transient text, arrays and Python scalars however long the run was.
 _RENDER_CHUNK_ROWS = 1024
+_STREAM_CHUNK_ROWS = 4096
 
 #: The probe row's float columns: odd multiples of 2**-8, so every value
 #: and both derived stage ends (kept below ``finished_s``) are exact,
@@ -279,14 +286,9 @@ class ColumnSegment:
             trace.seal()
         return traces
 
-    def render(self, as_json: bool) -> Optional[Iterator[str]]:
-        """:func:`~repro.obs.trace.trace_text` of every tree, in chunks,
-        without the trees — or ``None`` when the columns cannot promise
-        those bytes and the caller must materialize."""
+    def _shapes(self):
+        """Each row's tree-shape code, and the first row of each shape."""
         columns = self.columns
-        numeric = _numeric_slots(columns)
-        if self.failover or not all(np.isfinite(x).all() for x in numeric):
-            return None
         # A tree's layout depends on nothing but what it billed (its
         # pair's legs, or nothing) and these flags.
         shape = columns.billed_shape
@@ -296,70 +298,154 @@ class ColumnSegment:
         ):
             shape = 2 * shape + flag
         _, first, shape = np.unique(shape, return_index=True, return_inverse=True)
-        templates = [self._learn(row, as_json) for row in first.tolist()]
+        return shape, first.tolist()
+
+    def streams(self) -> Optional[Iterator[Dict[str, object]]]:
+        """:func:`~repro.obs.trace.tree_streams` of every tree, gathered
+        from the columns a chunk of requests at a time without the trees
+        (a string stream as ``(lengths, joined)``) — or ``None`` when the
+        segment must materialize."""
+        if self.failover:
+            return None
+        shape, first = self._shapes()
+        layouts = self._layouts(first)
+        if None in layouts:
+            return None
+        return self._stream_chunks(shape, layouts)
+
+    def _stream_chunks(self, shape, layouts) -> Iterator[Dict[str, object]]:
+        sources = _digest_sources(self.columns)
+        # One row per source: a float column's values, a text column's
+        # lengths (what a string table hashes of it before its text).
+        table = np.array(
+            [
+                source
+                if source.dtype.kind == "f"
+                else np.fromiter(map(len, source), float, len(source))
+                for source in sources
+            ]
+        )
+        # Streams of one level (per span, per attribute ...) put the same
+        # number of items on each row of a shape: gathered together.
+        levels: Dict[tuple, List[str]] = {}
+        for name in TRACE_DIGEST_STREAMS:
+            counts = tuple(len(layout[name]) for layout in layouts)
+            levels.setdefault(counts, []).append(name)
+        for start in range(0, len(self), _STREAM_CHUNK_ROWS):
+            rows = slice(start, start + _STREAM_CHUNK_ROWS)
+            codes = shape[rows]
+            rows_of = [np.flatnonzero(codes == code) for code in range(len(layouts))]
+            texts = [source[rows] for source in sources]
+            streams = {}
+            for counts, names in levels.items():
+                items = [[layout[name] for layout in layouts] for name in names]
+                gathered = _gathered(items, counts, codes, table[:, rows])
+                for name, per_shape, values in zip(names, items, gathered):
+                    if name in NUMERIC_STREAMS:
+                        streams[name] = values
+                    else:
+                        streams[name] = values, _joined(per_shape, codes, rows_of, texts)
+            yield streams
+
+    def _layouts(self, first: List[int]) -> List[Optional[Dict[str, list]]]:
+        """Per shape, per digest stream, each item of the shape's tree as
+        the index of the source it is drawn from, or a literal
+        ``(value,)`` — ``None`` for a shape whose two probes disagree."""
+        probe, traces = self._probes(first)
+        sources = _digest_sources(probe)
+        learned = []
+        for row, trace in enumerate(traces):
+            index_of = {}
+            for index, source in enumerate(sources):
+                value = source.item(row)
+                index_of.setdefault((type(value), value), index)
+            learned.append(
+                {
+                    name: [index_of.get((type(item), item), (item,)) for item in items]
+                    for name, items in tree_streams([trace]).items()
+                }
+            )
+        return [a if a == b else None for a, b in zip(learned[::2], learned[1::2])]
+
+    def render(self) -> Optional[Iterator[str]]:
+        """:func:`~repro.obs.trace.trace_json` of every tree, in chunks,
+        without the trees — or ``None`` when the columns cannot promise
+        those bytes and the caller must materialize."""
+        columns = self.columns
+        numeric = _numeric_slots(columns)
+        if self.failover or not all(np.isfinite(x).all() for x in numeric):
+            return None
+        shape, first = self._shapes()
+        templates = self._templates(first)
         if None in templates:
             return None
-        return self._chunks(shape, templates, numeric, as_json)
+        return self._chunks(shape, templates, numeric)
 
-    def _chunks(self, shape, templates, numeric, as_json) -> Iterator[str]:
+    def _chunks(self, shape, templates, numeric) -> Iterator[str]:
         for start in range(0, len(self), _RENDER_CHUNK_ROWS):
             codes = shape[start : start + _RENDER_CHUNK_ROWS]
             texts = [""] * len(codes)
             for code in np.unique(codes):
                 rows = np.flatnonzero(codes == code)
                 template, order, n_spans = templates[code]
-                slots = _slots(self.columns, numeric, rows + start, n_spans, as_json)
+                slots = _slots(self.columns, numeric, rows + start, n_spans)
                 for at, args in zip(rows.tolist(), zip(*map(slots.__getitem__, order))):
                     texts[at] = template % args
             yield "".join(texts)
 
-    def _learn(self, row: int, as_json: bool):
-        """``(template, slot order, spans per tree)`` for the shape of
-        row ``row``, or ``None`` if the template fails its self-check."""
-        columns = self.columns
-        slots = {name: getattr(columns, name) for name in columns.__slots__}
-        learned = None
-        for scale in (1, 3):
-            # The row itself (pair, flags, billed or not) on sentinels.
-            # (``results`` is ``None`` on most runs; spans never read it.)
-            probe = type(columns)(
-                **{
-                    name: column
-                    if name == "pairs" or column is None
-                    else column[row : row + 1]
-                    for name, column in slots.items()
-                }
+    def _templates(self, first: List[int]) -> list:
+        """Per shape, ``(template, slot order, spans per tree)`` of its
+        JSON line — ``None`` for a shape whose template fails its check
+        on the second probe."""
+        probe, traces = self._probes(first)
+        n_spans = max((len(trace.spans) for trace in traces), default=0)
+        slots = _slots(probe, _numeric_slots(probe), np.arange(len(traces)), n_spans)
+        templates = []
+        for row in range(0, len(traces), 2):
+            values = [slot[row] for slot in slots]
+            slot_of = {value: i for i, value in enumerate(values)}
+            sentinel = re.compile("|".join(map(re.escape, slot_of)))
+            text = trace_json(traces[row])
+            order = [slot_of[hit] for hit in sentinel.findall(text)]
+            template = sentinel.sub("%s", text.replace("%", "%%"))
+            check = tuple(slot[row + 1] for slot in slots)
+            templates.append(
+                (template, order, len(traces[row].spans))
+                if template % tuple(check[i] for i in order) == trace_json(traces[row + 1])
+                else None
             )
-            probe.request_ids = [f"\x00request{scale}"]
-            probe.payloads = [f"\x00payload{scale}"]
-            probe.retries = np.array([7770001 * scale])
-            nothing_billed = probe.nothing_billed
-            probe.node_seconds_accurate = np.where(
-                probe.billed_accurate, 0.66796875 * scale, -1.0
-            )
-            for name, value in _PROBE_FLOATS.items():
-                setattr(probe, name, np.array([value * scale]))
-            probe.node_seconds_fast[nothing_billed] = -1.0
-            (trace,) = ColumnSegment(probe, {}).traces()
-            text = trace_text(trace, as_json)
-            values = [
-                slot[0]
-                for slot in _slots(
-                    probe, _numeric_slots(probe), np.arange(1), len(trace.spans), as_json
-                )
-            ]
-            if learned is None:
-                slot_of = {_fmt(v): i for i, v in enumerate(values)}
-                sentinel = re.compile("|".join(map(re.escape, slot_of)))
-                order = [slot_of[hit] for hit in sentinel.findall(text)]
-                template = sentinel.sub(
-                    lambda hit: _spec(values[slot_of[hit[0]]]),
-                    text.replace("%", "%%"),
-                )
-                learned = template, order, len(trace.spans)
-            elif template % tuple(values[i] for i in order) != text:
-                return None
-        return learned
+        return templates
+
+    def _probes(self, first: List[int]):
+        """The first row of each shape (pair, flags, billed or not) on
+        sentinel values, twice — scaled by 1, then by 3 — and their
+        trees: ``(columns, traces)``, row ``2 * shape + k`` at scale
+        ``(1, 3)[k]``."""
+        rows = np.repeat(np.array(first, dtype=np.intp), 2)
+        scale = np.tile([1, 3], len(first))
+        columns = {name: getattr(self.columns, name) for name in self.columns.__slots__}
+        # ``results`` is ``None`` on most runs; spans never read it.
+        probe = type(self.columns)(
+            **{
+                name: column
+                if name == "pairs" or column is None
+                else column[rows]
+                if isinstance(column, np.ndarray)
+                else [column[i] for i in rows.tolist()]
+                for name, column in columns.items()
+            }
+        )
+        probe.request_ids = [f"\x00request{k}" for k in scale.tolist()]
+        probe.payloads = [f"\x00payload{k}" for k in scale.tolist()]
+        probe.retries = 7770001 * scale
+        nothing_billed = probe.nothing_billed
+        probe.node_seconds_accurate = np.where(
+            probe.billed_accurate, 0.66796875 * scale, -1.0
+        )
+        for name, value in _PROBE_FLOATS.items():
+            setattr(probe, name, value * scale)
+        probe.node_seconds_fast[nothing_billed] = -1.0
+        return probe, ColumnSegment(probe, {}).traces()
 
 
 def _numeric_slots(columns) -> tuple:
@@ -372,22 +458,110 @@ def _numeric_slots(columns) -> tuple:
     )
 
 
-def _slots(columns, numeric, rows, n_spans: int, as_json: bool) -> List[list]:
-    """Every value a template can ask for, one list per slot, each
-    column through a single ``.tolist()``.  For JSON everything arrives
-    as ``json.dumps`` would write it (``repr`` of a finite number, an
-    escaped string) and the ``sha256``-derived ids ride along."""
+def _digest_sources(columns) -> list:
+    """What a digest stream item can be drawn from, row for row, each an
+    array: the request ids and the payloads as text, each float column,
+    and each integer column as text (the digest hashes an int
+    attribute's text)."""
+    sources = [
+        np.array(columns.request_ids, dtype=object),
+        np.array(list(map(str, columns.payloads)), dtype=object),
+    ]
+    for column in _numeric_slots(columns):
+        if column.dtype.kind == "f":
+            sources.append(column)
+        else:  # one ``str`` per distinct value
+            values, at = np.unique(column, return_inverse=True)
+            sources.append(np.array(list(map(str, values.tolist())), dtype=object)[at])
+    return sources
+
+
+def _gathered(items, counts, shape, table) -> np.ndarray:
+    """Per stream of one level, one value per item of every row, in
+    completion order: item ``j`` of stream ``k`` on a row of shape ``s``
+    is ``items[k][s][j]``, the index of the ``table`` row it is read from
+    or a literal ``(value,)`` (a string as its length).  A row of shape
+    ``s`` has ``counts[s]`` items in each stream."""
+    width = max(counts, default=0)
+    drawn = np.full((len(items), len(counts), width), -1)
+    literal = np.zeros((len(items), len(counts), width))
+    for k, per_shape in enumerate(items):
+        for code, row_items in enumerate(per_shape):
+            for j, item in enumerate(row_items):
+                if isinstance(item, int):
+                    drawn[k, code, j] = item
+                else:
+                    value = item[0]
+                    literal[k, code, j] = len(value) if isinstance(value, str) else value
+    # Item ``j`` of row ``r`` reads cell ``shape[r] * width + j`` of a
+    # stream's (shapes, width) item table.
+    per_row = np.array(counts, dtype=np.intp)[shape]
+    first_item = np.cumsum(per_row) - per_row
+    at = np.repeat(shape * width - first_item, per_row) + np.arange(per_row.sum())
+    out = literal.reshape(len(items), -1).take(at, axis=1)
+    drawing = np.flatnonzero((drawn >= 0).any(axis=(1, 2))).tolist()
+    if drawing:
+        rows = np.repeat(np.arange(len(shape)), per_row)
+    for k in drawing:
+        source = drawn[k].take(at)
+        hit = np.flatnonzero(source >= 0)
+        out[k, hit] = table.take(source[hit] * table.shape[1] + rows[hit])
+    return out
+
+
+def _joined(items, codes, rows_of, texts) -> str:
+    """The text items of every row (as :func:`_gathered` reads them,
+    from ``texts``), joined in completion order (``codes``: each row's
+    shape, ``rows_of[s]``: the rows of shape ``s``).  A shape's items
+    become pieces — a run of literals one string, a drawn item its
+    column — laid out as a rows × pieces matrix and joined row by row."""
+    pieces = []
+    for row_items in items:
+        joined: list = []
+        for item in row_items:
+            if isinstance(item, int):
+                joined.append(item)
+            elif joined and isinstance(joined[-1], str):
+                joined[-1] += item[0]
+            else:
+                joined.append(item[0])
+        pieces.append(joined)
+    width = max(map(len, pieces), default=0)
+    matrix = np.empty((len(codes), width), dtype=object)
+    for j in range(width):
+        at = [shape_pieces[j] if j < len(shape_pieces) else "" for shape_pieces in pieces]
+        literal = np.array([piece if isinstance(piece, str) else "" for piece in at], dtype=object)
+        column = literal.take(codes)
+        for piece, rows in zip(at, rows_of):
+            if isinstance(piece, int):
+                column[rows] = texts[piece][rows]
+        matrix[:, j] = column
+    return "".join(matrix.ravel().tolist())
+
+
+def _slots(columns, numeric, rows, n_spans: int) -> List[list]:
+    """Every value a JSON template can ask for, one list per slot, each
+    column through a single ``.tolist()`` and as ``json.dumps`` would
+    write it (``repr`` of a finite number, an escaped string), with the
+    ``sha256``-derived ids alongside."""
     ids = [columns.request_ids[i] for i in rows.tolist()]
     payloads = [str(columns.payloads[i]) for i in rows.tolist()]
-    values = [column[rows].tolist() for column in numeric]
-    if as_json:
-        values = [list(map(repr, column)) for column in values]
-        values.append([trace_id_for(rid) for rid in ids])
-        for index in range(n_spans):
-            values.append([span_id_for(rid, index) for rid in ids])
-        ids = [json.dumps(rid)[1:-1] for rid in ids]
-        payloads = [json.dumps(payload)[1:-1] for payload in payloads]
-    return [ids, payloads, *values]
+    values = [list(map(repr, column[rows].tolist())) for column in numeric]
+    values.append([trace_id_for(rid) for rid in ids])
+    for index in range(n_spans):
+        values.append([span_id_for(rid, index) for rid in ids])
+    return [json_escaped(ids), json_escaped(payloads), *values]
+
+
+#: What ``json.dumps`` escapes in a string (its own ``ESCAPE_ASCII``).
+_NEEDS_ESCAPE = re.compile(r'[\\"]|[^\ -~]').search
+
+
+def json_escaped(strings: List[str]) -> List[str]:
+    """Each string as ``json.dumps`` writes it between its quotes; only
+    one holding a quote, a backslash, a control or a non-ASCII
+    character pays for the call."""
+    return [json.dumps(s)[1:-1] if _NEEDS_ESCAPE(s) else s for s in strings]
 
 
 def trace_from_record(record) -> Trace:

@@ -19,12 +19,29 @@ node identity (``ServiceNode`` ids come from a process-global counter),
 so span attributes named ``node`` are excluded from the digest — the
 same exclusion the report digest applies to the fault log.
 
+Digest layout (contract version 3, :mod:`repro.contract`): no span is
+formatted as text.  The digest hashes a ``trace-digest:v3`` line, then
+one typed stream per span field in ``TRACE_DIGEST_STREAMS`` order, each
+in completion order — per trace its request id and span count; per span
+its name, status, ``start_s`` / ``end_s`` and its attribute and event
+counts; per attribute, in sorted key order without ``node``, its key,
+its kind (the ASCII code of ``b`` bool, ``i`` int, ``f`` float, ``s``
+str, ``o`` anything else) and its value — a float in ``attr_float``,
+anything else as ``str(value)`` in ``attr_text``; per event its time,
+name and detail.  A stream enters as a ``{name}:{items}`` line and the
+SHA-256 of its bytes: every float (a time given as an int included) its
+``<u8`` bits rounded to ``DIGEST_MANTISSA_BITS`` (every NaN one pattern),
+counts ``<u4``, kinds one byte each; a string stream two SHA-256s, of its
+``<u4`` lengths and of its joined UTF-8 (:data:`NUMERIC_STREAMS`).  Each
+stream hashes by itself, so trees and segments feed it a chunk at a
+time.  Then one ``event:`` text line per run event.
+
 Storage
 -------
 A collector holds trees, then — behind them — the columnar runs nobody
 has asked a tree of yet (:class:`~repro.obs.reconstruct.ColumnSegment`;
 its docstring has the life-cycle).  Never both for one run, and no
-cache: every ``digest()`` re-renders, so editing a span changes it.
+cache: every ``digest()`` re-reads the spans, so editing one changes it.
 """
 
 from __future__ import annotations
@@ -32,10 +49,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.contract import CONTRACT_VERSION, TRACE_DIGEST_STREAMS
 from repro.core.errors import TraceFileError
+from repro.service.simulation.report import rounded_bits
 
 __all__ = [
     "Span",
@@ -51,6 +73,19 @@ __all__ = [
 #: ``LoadTestReport.digest``).
 _DIGEST_EXCLUDED_ATTRS = frozenset({"node"})
 
+#: How each numeric digest stream hashes an item: ``f8`` as its bits
+#: rounded to ``DIGEST_MANTISSA_BITS``, else as this dtype.  Every other
+#: stream is a string table: its ``<u4`` lengths, and its joined UTF-8.
+NUMERIC_STREAMS = {
+    "n_spans": "<u4", "start_s": "f8", "end_s": "f8", "n_attrs": "<u4",
+    "n_events": "<u4", "attr_kind": "u1", "attr_float": "f8", "event_time_s": "f8",
+}
+
+#: An attribute value's digest kind by type, as an ASCII code (``bool``
+#: before ``int``: subclasses, a NumPy float say, resolve in this order;
+#: anything else is ``o``).
+_KINDS = {bool: ord("b"), int: ord("i"), float: ord("f"), str: ord("s")}
+
 
 def trace_id_for(request_id: str) -> str:
     """Deterministic 16-hex trace id for a request id (no RNG)."""
@@ -64,7 +99,7 @@ def span_id_for(request_id: str, index: int) -> str:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanEvent:
     """A point-in-time marker on a span (fault hit, control action)."""
 
@@ -73,7 +108,7 @@ class SpanEvent:
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One stage of a request's lifecycle on the virtual clock.
 
@@ -120,42 +155,8 @@ class Span:
             ]
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        return cls(
-            name=payload["name"],
-            start_s=float(payload["start_s"]),
-            end_s=float(payload["end_s"]),
-            status=payload.get("status", "ok"),
-            attrs=dict(payload.get("attrs", {})),
-            events=[
-                SpanEvent(
-                    time_s=float(e["time_s"]),
-                    name=e["name"],
-                    detail=e.get("detail", ""),
-                )
-                for e in payload.get("events", ())
-            ],
-            span_id=payload.get("span_id", ""),
-            parent_id=payload.get("parent_id") or None,  # empty: derived at seal
-        )
 
-
-def _spec(value: object) -> str:
-    """The ``%`` spec of a value's digest-stable rendering: floats at 12
-    significant digits, booleans as ``0`` / ``1``, anything else ``str``."""
-    if isinstance(value, bool):
-        return "%d"
-    if isinstance(value, float):
-        return "%.12e"
-    return "%s"
-
-
-def _fmt(value: object) -> str:
-    return _spec(value) % (value,)
-
-
-@dataclass
+@dataclass(slots=True)
 class Trace:
     """One request's span tree: the root ``request`` span plus children.
 
@@ -200,41 +201,6 @@ class Trace:
         self.spans[0].parent_id = None
         return self
 
-    def digest_lines(
-        self, templates: Optional[Dict[tuple, tuple]] = None
-    ) -> Iterable[str]:
-        """The digest-participating rendering of this trace: a line is
-        one ``%`` application of a template laid out once per span
-        *shape* (attribute keys, value and timestamp types) — per
-        ``templates`` dict, which a caller rendering many traces shares."""
-        if templates is None:
-            templates = {}
-        for span in self.spans:
-            attrs = span.attrs
-            events = span.events and ";".join(
-                f"{_fmt(e.time_s)}:{e.name}:{e.detail}" for e in span.events
-            )
-            values = (
-                self.request_id, span.name, span.start_s, span.end_s,
-                span.status, events or "", *attrs.values(),
-            )
-            shape = (*attrs, *map(type, values))
-            if shape not in templates:
-                # Laid out in sorted key order, fed in insertion order.
-                keys = sorted(attrs.keys() - _DIGEST_EXCLUDED_ATTRS)
-                layout = ";".join(
-                    key.replace("%", "%%") + "=" + _spec(attrs[key])
-                    for key in keys
-                )
-                at = list(attrs).index
-                templates[shape] = (
-                    f"%s|%s|{_spec(span.start_s)}|{_spec(span.end_s)}|%s|"
-                    f"{layout}|%s\n",
-                    itemgetter(0, 1, 2, 3, 4, *(6 + at(key) for key in keys), 5),
-                )
-            template, pick = templates[shape]
-            yield template % pick(values)
-
     def to_dict(self) -> dict:
         return {
             "request_id": self.request_id,
@@ -244,36 +210,145 @@ class Trace:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Trace":
-        return cls(
-            request_id=payload["request_id"],
-            trace_id=payload.get("trace_id", ""),
-            spans=[Span.from_dict(s) for s in payload["spans"]],
-        )
+        """The sealed trace :meth:`to_dict` wrote, every span built once.
+
+        Ids are derived, not trusted, in the same pass: ``ValueError`` if
+        a non-empty ``trace_id`` / ``span_id`` is not the derived one or
+        a non-root ``parent_id`` names no earlier span (missing or empty
+        ids are derived, as :meth:`seal` would)."""
+        request_id = payload["request_id"]
+        trace_id = trace_id_for(request_id)
+        given = payload.get("trace_id")
+        if given and given != trace_id:
+            raise ValueError(f"trace_id {given!r} != {trace_id!r}")
+        spans: List[Span] = []
+        ids: List[str] = []
+        for index, span in enumerate(payload["spans"]):
+            span_id = span_id_for(request_id, index)
+            given = span.get("span_id")
+            if given and given != span_id:
+                raise ValueError(f"span {index}: span_id {given!r} != {span_id!r}")
+            parent = span.get("parent_id") or None
+            if not index:
+                parent = None
+            elif parent is None:
+                parent = ids[0]
+            elif parent not in ids:
+                raise ValueError(f"span {index}: parent_id {parent!r} is not earlier")
+            ids.append(span_id)
+            events = [
+                SpanEvent(float(e["time_s"]), e["name"], e.get("detail", ""))
+                for e in span.get("events", ())
+            ]
+            attrs = span.get("attrs", {})
+            spans.append(
+                Span(
+                    span["name"],
+                    float(span["start_s"]),
+                    float(span["end_s"]),
+                    span.get("status", "ok"),
+                    attrs if type(attrs) is dict else dict(attrs),
+                    events,
+                    span_id,
+                    parent,
+                )
+            )
+        if not spans:
+            raise ValueError("a trace needs its root span")
+        return cls(request_id, spans, trace_id)
 
 
-def _add_checked(collector: "TraceCollector", payload: dict) -> None:
-    """Add a loaded trace, sealed; ``ValueError`` if an id it carries is
-    not the one sealing derives or a non-root parent no earlier span."""
-    trace = Trace.from_dict(payload)
-    given = [span.span_id for span in trace.spans]
-    collector.add_trace(trace)  # seals: derives every span id
-    derived = trace_id_for(trace.request_id)
-    if trace.trace_id != derived:
-        raise ValueError(f"trace_id {trace.trace_id!r} != {derived!r}")
-    ids = [span.span_id for span in trace.spans]
-    for index, span in enumerate(trace.spans):
-        if given[index] not in ("", ids[index]):
-            raise ValueError(f"span {index}: span_id {given[index]!r} != {ids[index]!r}")
-        if index and span.parent_id not in ids[:index]:
-            raise ValueError(f"span {index}: parent_id {span.parent_id!r} is not earlier")
+def trace_json(trace: Trace) -> str:
+    """One trace as the collector writes it: its JSONL line."""
+    return json.dumps(trace.to_dict(), sort_keys=True) + "\n"
 
 
-def trace_text(trace: Trace, as_json: bool, templates=None) -> str:
-    """One trace as the collector hashes it (its digest lines) or writes
-    it (its JSONL line)."""
-    if as_json:
-        return json.dumps(trace.to_dict(), sort_keys=True) + "\n"
-    return "".join(trace.digest_lines(templates))
+def tree_streams(traces: Sequence[Trace]) -> Dict[str, list]:
+    """The digest streams of span trees, as Python values per stream name
+    of ``TRACE_DIGEST_STREAMS``: each a field read off every trace, span,
+    attribute or event in turn."""
+    spans = [span for trace in traces for span in trace.spans]
+    events = [event for span in spans for event in span.events]
+    attrs = list(map(attrgetter("attrs"), spans))
+    # Sorted digested keys, once per key order (a span's kind, mostly).
+    orders = list(map(tuple, attrs))
+    digested = {
+        order: sorted(set(order) - _DIGEST_EXCLUDED_ATTRS) for order in set(orders)
+    }
+    keyed = [(span_attrs, digested[order]) for span_attrs, order in zip(attrs, orders)]
+    values = [span_attrs[key] for span_attrs, keys in keyed for key in keys]
+    kinds = list(map(_KINDS.get, map(type, values)))
+    if None in kinds:  # a subclass (a NumPy float, say) or another type
+        kinds = [
+            kind or next((k for t, k in _KINDS.items() if isinstance(v, t)), ord("o"))
+            for kind, v in zip(kinds, values)
+        ]
+    floats = _KINDS[float]
+    return {
+        "request_id": list(map(attrgetter("request_id"), traces)),
+        "n_spans": [len(trace.spans) for trace in traces],
+        "name": list(map(attrgetter("name"), spans)),
+        "status": list(map(attrgetter("status"), spans)),
+        "start_s": list(map(attrgetter("start_s"), spans)),
+        "end_s": list(map(attrgetter("end_s"), spans)),
+        "n_attrs": [len(keys) for _, keys in keyed],
+        "n_events": [len(span.events) for span in spans],
+        "attr_key": [key for _, keys in keyed for key in keys],
+        "attr_kind": kinds,
+        "attr_float": [v for v, kind in zip(values, kinds) if kind == floats],
+        "attr_text": [str(v) for v, kind in zip(values, kinds) if kind != floats],
+        "event_time_s": list(map(attrgetter("time_s"), events)),
+        "event_name": list(map(attrgetter("name"), events)),
+        "event_detail": list(map(attrgetter("detail"), events)),
+    }
+
+
+#: Trees per step of :meth:`TraceCollector.digest`: bounds the transient
+#: stream values however many traces the collector holds.
+_DIGEST_CHUNK_TRACES = 256
+
+
+class _StreamHashes:
+    """The digest streams' running hashes, fed a chunk at a time: per
+    stream its item count and the SHA-256 of its bytes — for a string
+    stream, of its lengths, then another of its joined UTF-8."""
+
+    def __init__(self) -> None:
+        self.items = dict.fromkeys(TRACE_DIGEST_STREAMS, 0)
+        self.hashes = {
+            name: [hashlib.sha256() for _ in range(1 if name in NUMERIC_STREAMS else 2)]
+            for name in TRACE_DIGEST_STREAMS
+        }
+
+    def add(self, streams: Dict[str, object]) -> None:
+        """One chunk: per stream name its items as Python values (see
+        :func:`tree_streams`), a numeric stream as an array and a string
+        stream as ``(lengths, joined)`` too."""
+        for name in TRACE_DIGEST_STREAMS:
+            items = streams[name]
+            dtype = NUMERIC_STREAMS.get(name)
+            if dtype == "f8":
+                blocks = (rounded_bits(np.asarray(items, dtype=float)),)
+            elif dtype:
+                blocks = (np.asarray(items, dtype=dtype),)
+            else:
+                lengths, joined = (
+                    items
+                    if isinstance(items, tuple)
+                    else (np.fromiter(map(len, items), "<u4", len(items)), "".join(items))
+                )
+                blocks = (np.asarray(lengths, dtype="<u4"), joined.encode())
+            self.items[name] += len(blocks[0])
+            for h, block in zip(self.hashes[name], blocks):
+                h.update(block)
+
+    def finish(self, h) -> None:
+        """Feed ``h`` every stream: a ``{name}:{items}`` line, then its
+        hashes, in ``TRACE_DIGEST_STREAMS`` order."""
+        for name in TRACE_DIGEST_STREAMS:
+            h.update(f"{name}:{self.items[name]}\n".encode())
+            for stream_hash in self.hashes[name]:
+                h.update(stream_hash.digest())
 
 
 class TraceCollector:
@@ -351,32 +426,42 @@ class TraceCollector:
     def digest(self) -> str:
         """Stable SHA-256 over every span and run-level event.
 
-        Covers span names, timestamps (12 significant digits), statuses,
-        attributes (minus the process-local ``node``) and events, in
-        completion order — the trace-layer analogue of
-        ``LoadTestReport.digest``.
+        Covers span names, timestamps (rounded to
+        ``DIGEST_MANTISSA_BITS``), statuses, attributes (minus the
+        process-local ``node``) and events, in completion order, as
+        typed streams (layout in the module docstring) — the trace-layer
+        analogue of ``LoadTestReport.digest``.  Trees fill the streams
+        field by field, pending segments by array operations — unless
+        one declines, and all become trees first — a chunk at a time.
         """
-        h = hashlib.sha256()
-        for text in self._texts(as_json=False):
-            h.update(text.encode())
+        chunks = [segment.streams() for segment in self._pending]
+        if None in chunks:
+            chunks = []
+            self._materialise()
+        traces = self._traces
+        trees = (
+            tree_streams(traces[start : start + _DIGEST_CHUNK_TRACES])
+            for start in range(0, len(traces), _DIGEST_CHUNK_TRACES)
+        )
+        streams = _StreamHashes()
+        for chunk in chain(trees, *chunks):
+            streams.add(chunk)
+        h = hashlib.sha256(f"trace-digest:v{CONTRACT_VERSION}\n".encode())
+        streams.finish(h)
         for time_s, kind, detail, region in self.run_events:
-            region_part = region or ""
-            h.update(
-                f"event:{_fmt(time_s)}|{kind}|{detail}|{region_part}\n".encode()
-            )
+            h.update(f"event:{time_s:.12e}|{kind}|{detail}|{region or ''}\n".encode())
         return h.hexdigest()
 
-    def _texts(self, as_json: bool) -> Iterable[str]:
-        """:func:`trace_text` of every trace, in completion order: trees
+    def _json_lines(self) -> Iterable[str]:
+        """:func:`trace_json` of every trace, in completion order: trees
         one at a time, pending segments a chunk of requests at a time —
         unless one declines to render, and all become trees first."""
-        rendered = [segment.render(as_json) for segment in self._pending]
+        rendered = [segment.render() for segment in self._pending]
         if None in rendered:
             rendered = []
             self._materialise()
-        templates: Dict[tuple, tuple] = {}
         for trace in self._traces:
-            yield trace_text(trace, as_json, templates)
+            yield trace_json(trace)
         for chunks in rendered:
             yield from chunks
 
@@ -388,6 +473,7 @@ class TraceCollector:
         with open(path, "w", encoding="utf-8") as handle:
             meta = {
                 "kind": "trace-run",
+                "contract_version": CONTRACT_VERSION,
                 "n_traces": len(self),
                 "digest": self.digest(),
                 "run_events": [
@@ -401,19 +487,22 @@ class TraceCollector:
                 ],
             }
             handle.write(json.dumps(meta, sort_keys=True) + "\n")
-            handle.writelines(self._texts(as_json=True))
+            handle.writelines(self._json_lines())
 
     @classmethod
     def load_jsonl(cls, path) -> "TraceCollector":
         """Load a collector back from :meth:`export_jsonl` output.
 
-        The header must carry the digest, and it and the trace count are
-        both re-verified, so a truncated or edited file cannot masquerade
-        as the recorded run; whatever is wrong raises one
+        The header must carry this tree's ``contract_version`` (a file
+        digested under another contract is refused on line 1, naming
+        both) and the digest; the digest and the trace count are both
+        re-verified, so a truncated or edited file cannot masquerade as
+        the recorded run; whatever is wrong raises one
         :class:`~repro.core.errors.TraceFileError` naming the file and
         the 1-based line.  No line is skipped.
 
-        Ids are derived, not trusted: a non-empty ``trace_id`` /
+        Each tree is built once, by :meth:`Trace.from_dict`, which derives
+        and checks its ids in the same pass: a non-empty ``trace_id`` /
         ``span_id`` must be :func:`trace_id_for` / :func:`span_id_for`'s
         (missing or empty ones are derived), and a non-root parent an
         earlier span of the trace.  The digest covers no parent link,
@@ -421,6 +510,7 @@ class TraceCollector:
         the trace digest covers parent links.
         """
         collector = cls()
+        traces, by_id = collector._traces, collector._by_id
         header = None
         number = 0
         with open(path, "r", encoding="utf-8") as handle:
@@ -428,9 +518,20 @@ class TraceCollector:
                 try:
                     payload = json.loads(line.rstrip("\n"))
                     if header is not None:
-                        _add_checked(collector, payload)
+                        trace = Trace.from_dict(payload)
+                        traces.append(trace)
+                        by_id[trace.request_id] = trace
                     elif payload.get("kind") == "trace-run":
                         header = payload
+                        written = header.get("contract_version", "none")
+                        if written != CONTRACT_VERSION:
+                            raise TraceFileError(
+                                path,
+                                number,
+                                f"written under trace contract version {written}, "
+                                f"this reader digests under version "
+                                f"{CONTRACT_VERSION}: export the run again",
+                            )
                         if not isinstance(header["digest"], str):
                             raise TypeError("the header's digest is not a string")
                         for event in header.get("run_events", ()):
@@ -442,6 +543,8 @@ class TraceCollector:
                             )
                     else:
                         break
+                except TraceFileError:
+                    raise
                 except json.JSONDecodeError as exc:  # its text says "line 1"
                     reason = f"invalid JSON at column {exc.colno}: {exc.msg}"
                     raise TraceFileError(path, number, reason) from exc

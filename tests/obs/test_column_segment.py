@@ -9,6 +9,7 @@ per-request :class:`Span`.  Counts, not clocks.
 
 import contextlib
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,9 @@ from repro.service.simulation import (
     PoissonArrivals,
     RecordColumns,
     build_replay_cluster,
+    canonical_scenarios,
+    chaos_scenarios,
+    run_scenario,
 )
 
 # ----------------------------------------------------------------------
@@ -242,6 +246,24 @@ def test_unclamped_fast_end_is_caught(tmp_path, monkeypatch):
         _mutant_property(tmp_path, column_path)()
 
 
+def test_a_gather_that_reads_the_wrong_row_is_caught(tmp_path, monkeypatch):
+    """Teeth: the digest streams of a segment read each drawn item one
+    row late (the last row wraps to the first)."""
+    real = reconstruct._gathered
+
+    def mutant(items, counts, shape, table):
+        return real(items, counts, shape, np.roll(table, 1, axis=1))
+
+    @contextlib.contextmanager
+    def column_path():
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstruct, "_gathered", mutant)
+            yield
+
+    with pytest.raises(AssertionError):
+        _mutant_property(tmp_path, column_path)()
+
+
 def test_a_version_name_holding_a_sentinel_falls_back_to_the_trees(tmp_path):
     """The learned template checks itself on a second probe: when the
     literal text happens to contain a probe value, the segment declines
@@ -264,8 +286,10 @@ def test_a_version_name_holding_a_sentinel_falls_back_to_the_trees(tmp_path):
         node_seconds_accurate=np.where(ramp % 2 == 0, 0.4, -1.0),
         confidence=np.full(n, 0.9),
     )
-    assert ColumnSegment(columns, {}).render(as_json=True) is None
-    assert ColumnSegment(columns, {}).render(as_json=False) is not None
+    assert ColumnSegment(columns, {}).render() is None
+    # The digest layout matches values, not text: a literal version name
+    # never equals a float source.
+    assert ColumnSegment(columns, {}).streams() is not None
     _assert_columns_render_as_their_trees([(columns, {})], tmp_path)
 
 
@@ -316,10 +340,10 @@ def test_bulk_path_builds_no_request_tree(toy, built, tmp_path):
 
     digest = collector.digest()
     collector.export_jsonl(tmp_path / "run.jsonl")
-    # Only the one-row probes the templates are learned from were ever
-    # materialized: a handful per tree shape, however long the run.
-    assert built["rows"] and set(built["rows"]) == {1}
-    assert built["spans"] <= 4 * len(built["rows"]) < 120
+    # Only the probes the layouts are learned from were ever
+    # materialized: two rows per tree shape, however long the run.
+    assert built["rows"] and all(rows % 2 == 0 for rows in built["rows"])
+    assert built["spans"] <= 4 * sum(built["rows"]) < 120
     assert len(collector._pending) == 1 and collector._traces == []
 
     # The first read materializes, exactly once ...
@@ -404,8 +428,107 @@ def test_bytes_are_what_the_object_path_wrote_before_segments(toy, tmp_path):
     collector.export_jsonl(tmp_path / "run.jsonl")
     written = hashlib.sha256((tmp_path / "run.jsonl").read_bytes()).hexdigest()
     assert collector.digest() == (
-        "91a18cfbaeed45a44a23d8299dd7fe5677c7f3d71c30b9d470a69ee6a214df03"
+        "265027f67f4e10279ff8f01e605f893abd6ea1a1cb5e8eed4e4915950f63216b"
     )
     assert written == (
-        "23c0b2e960400df13b116fa53d6a82e837af9aeb96681d6bc9036630be96eebb"
+        "62d4ab1d36a6471dac4226e6beabbad28dfab9163d28d7e71c7b4a157a228ee5"
     )
+
+
+# ----------------------------------------------------------------------
+# storage invariance: one digest whatever holds the spans
+# ----------------------------------------------------------------------
+def _canonical_run(name):
+    def record(toy):
+        collector = TraceCollector()
+        spec = {**canonical_scenarios(), **chaos_scenarios()}[name]
+        report = run_scenario(spec, toy, trace=collector)
+        return collector, report.engine_used
+    return record
+
+
+def _annotated_segment(toy):
+    """A columnar run handed over with failover annotations, as a region
+    shard's recorder hands it: the segment must materialize."""
+    collector = TraceCollector()
+    _traced_run_load(toy, collector, n=40)
+    (segment,) = collector._pending
+    ids = segment.columns.request_ids
+    failover = {rid: ("us-east", "eu-west", 0.125) for rid in ids[::3]}
+    annotated = TraceCollector()
+    annotated.add_segment(ColumnSegment(segment.columns, failover))
+    return annotated, "columnar"
+
+
+def _declining_segment(toy):
+    """A columnar run whose JSON the columns cannot promise (a NaN
+    confidence): the export renders trees, the digest stays columns."""
+    collector = TraceCollector()
+    _traced_run_load(toy, collector, n=40)
+    (segment,) = collector._pending
+    segment.columns.confidence[5] = math.nan
+    assert segment.render() is None and segment.streams() is not None
+    return collector, "columnar"
+
+
+@pytest.mark.parametrize(
+    "record, engine",
+    [
+        (_canonical_run("baseline"), "columnar"),
+        (_canonical_run("node-crash"), "legacy"),
+        (_annotated_segment, "columnar"),
+        (_declining_segment, "columnar"),
+    ],
+    ids=["columnar-baseline", "scalar-fault-run", "failover-annotated", "declines-to-render"],
+)
+def test_one_digest_whatever_holds_the_spans(record, engine, toy, tmp_path):
+    """The segment's digest, its materialized trees' and the digest of
+    ``load_jsonl(export_jsonl(...))`` are one digest."""
+    held, engine_used = record(toy)
+    assert engine_used == engine
+    as_held = held.digest()
+    held.export_jsonl(tmp_path / "run.jsonl")
+    loaded = TraceCollector.load_jsonl(tmp_path / "run.jsonl")
+    materialized, _ = record(toy)
+    traces = materialized.traces
+    assert materialized._pending == []
+    assert as_held == materialized.digest() == loaded.digest()
+    if engine == "legacy":  # per-attempt trees, with their fault events
+        assert any(span.events for trace in traces for span in trace.spans)
+    if record is _annotated_segment:
+        assert any(span.name == "failover-hop" for trace in traces for span in trace.spans)
+
+
+def test_an_empty_segment_is_no_trace(tmp_path):
+    empty = np.zeros(0)
+    columns = RecordColumns(
+        request_ids=[], payloads=[], tier=empty, arrival_s=empty,
+        finished_s=empty, response_time_s=empty, queue_wait_s=empty,
+        escalated=np.zeros(0, dtype=bool), invocation_cost=empty,
+        pairs=[("fast", "slow")], pair_code=np.zeros(0, dtype=np.intp),
+        node_seconds_fast=empty, node_seconds_accurate=empty, confidence=empty,
+    )
+    _assert_columns_render_as_their_trees([(columns, {})], tmp_path)
+    assert _fed([(columns, {})], as_segments=True).digest() == TraceCollector().digest()
+
+
+# ----------------------------------------------------------------------
+# JSON string escaping
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "text",
+    ["", "plain ids_01", 'a "quoted" id', "back\\slash", "tab\there", "nul\x00",
+     "\x1f", "del\x7f", "é", "日本", "emoji \U0001F600", "%s %%"],
+)
+def test_escaping_only_what_needs_it_writes_what_json_writes(text):
+    assert reconstruct.json_escaped([text]) == [json.dumps(text)[1:-1]]
+
+
+def test_a_plain_string_skips_the_json_call(monkeypatch):
+    escaped = []
+    real = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda s: escaped.append(s) or real(s))
+    assert reconstruct.json_escaped(["load_000001", 'q"', "img_7"]) == [
+        "load_000001", 'q\\"', "img_7",
+    ]
+    assert escaped == ['q"']

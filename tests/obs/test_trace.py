@@ -3,12 +3,15 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.contract import CONTRACT_VERSION, TRACE_DIGEST_STREAMS
 from repro.core.errors import TierError, TraceFileError
 from repro.obs import Span, SpanEvent, Trace, TraceCollector
+from repro.obs import trace as trace_module
 from repro.obs.trace import span_id_for, trace_id_for
 
 
@@ -49,6 +52,28 @@ class TestIds:
         assert trace.spans[1].parent_id == trace.spans[0].span_id
 
 
+def _digest_of(*traces):
+    collector = TraceCollector()
+    for trace in traces:
+        collector.add_trace(trace)
+    return collector.digest()
+
+
+def _assert_node_is_digest_excluded():
+    assert _digest_of(_trace(node="fast#0")) == _digest_of(_trace(node="fast#7"))
+
+
+def _assert_attribute_kinds_are_digested():
+    """A value's kind is part of it: ``1``, ``"1"``, ``True`` and
+    ``"True"`` hash as four different attributes."""
+    digests = set()
+    for value in (1, "1", True, "True"):
+        trace = _trace()
+        trace.spans[1].attrs["attempt"] = value
+        digests.add(_digest_of(trace))
+    assert len(digests) == 4
+
+
 class TestDigest:
     def test_digest_is_stable_across_collectors(self):
         a, b = TraceCollector(), TraceCollector()
@@ -60,10 +85,54 @@ class TestDigest:
         """Node ids come from a process-global counter; two processes
         recording the same run disagree on them, so they cannot
         participate in the digest."""
-        a, b = TraceCollector(), TraceCollector()
-        a.add_trace(_trace(node="fast#0"))
-        b.add_trace(_trace(node="fast#7"))
-        assert a.digest() == b.digest()
+        _assert_node_is_digest_excluded()
+
+    def test_attribute_kinds_are_digested(self):
+        _assert_attribute_kinds_are_digested()
+
+    def test_a_float_subclass_digests_as_a_float(self, tmp_path):
+        """A NumPy float is a float; a value of no digest kind (``None``)
+        is its text, and loads back to the same digest."""
+        numpy_float = _trace()
+        numpy_float.spans[0].attrs["tier"] = np.float64(0.05)
+        assert _digest_of(numpy_float) == _digest_of(_trace())
+        collector = TraceCollector()
+        odd = _trace()
+        odd.spans[0].attrs["note"] = None
+        collector.add_trace(odd)
+        collector.export_jsonl(tmp_path / "run.jsonl")
+        assert TraceCollector.load_jsonl(tmp_path / "run.jsonl").digest() == collector.digest()
+        assert collector.digest() != _digest_of(_trace())
+
+    def test_a_layout_that_keeps_node_is_caught(self, monkeypatch):
+        """Teeth: the exclusion check fails on a stream layout that
+        hashes ``node`` like any other attribute."""
+        monkeypatch.setattr(trace_module, "_DIGEST_EXCLUDED_ATTRS", frozenset())
+        with pytest.raises(AssertionError):
+            _assert_node_is_digest_excluded()
+
+    def test_a_layout_without_the_attribute_kind_is_caught(self, monkeypatch):
+        """Teeth: the kind check fails on a stream layout that drops
+        ``attr_kind`` (an int and its text would then collide)."""
+        streams = tuple(n for n in trace_module.TRACE_DIGEST_STREAMS if n != "attr_kind")
+        monkeypatch.setattr(trace_module, "TRACE_DIGEST_STREAMS", streams)
+        with pytest.raises(AssertionError):
+            _assert_attribute_kinds_are_digested()
+
+    def test_trees_fill_exactly_the_contract_streams(self):
+        assert set(trace_module.tree_streams([])) == set(TRACE_DIGEST_STREAMS)
+
+    def test_an_event_moved_to_another_span_changes_the_digest(self):
+        moved = _trace()
+        moved.spans[0].events, moved.spans[1].events = moved.spans[1].events, []
+        assert _digest_of(moved) != _digest_of(_trace())
+
+    def test_a_wiggle_below_the_kept_bits_is_not_behaviour(self):
+        wiggled = _trace()
+        wiggled.spans[1].start_s = 0.1 * (1 + 2.0**-45)
+        assert _digest_of(wiggled) == _digest_of(_trace())
+        wiggled.spans[1].start_s = 0.1 * (1 + 2.0**-37)
+        assert _digest_of(wiggled) != _digest_of(_trace())
 
     def test_any_other_attribute_changes_the_digest(self):
         a, b = TraceCollector(), TraceCollector()
@@ -104,6 +173,27 @@ class TestJsonlRoundTrip:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="digest mismatch"):
             TraceCollector.load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            Trace("r1", [Span("request", 0, 1)]),
+            Trace("r1", [Span("request", 0.0, 1.0, events=[SpanEvent(1, "fault")])]),
+        ],
+        ids=["int-span-times", "int-event-time"],
+    )
+    def test_integer_times_load_as_the_recorded_run(self, tmp_path, trace):
+        """A timestamp is hashed as the float it loads as, whatever
+        number type it was recorded as."""
+        collector = TraceCollector()
+        collector.add_trace(trace)
+        collector.export_jsonl(tmp_path / "run.jsonl")
+        loaded = TraceCollector.load_jsonl(tmp_path / "run.jsonl")
+        assert loaded.digest() == collector.digest()
+        (recorded,), (read,) = trace.spans, loaded.traces[0].spans
+        times = [read.start_s, read.end_s, *(e.time_s for e in read.events)]
+        assert all(type(t) is float for t in times)
+        assert times == [recorded.start_s, recorded.end_s, *(e.time_s for e in recorded.events)]
 
     def test_bad_header_is_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -152,6 +242,24 @@ class TestCorruptFiles:
         error = self._load_error(path)
         assert error.line == 1 and "digest" in error.reason
 
+    @pytest.mark.parametrize("written", [2, "missing"])
+    def test_a_file_of_another_contract_is_refused_by_version(self, tmp_path, written):
+        """A v2-era header, or one with no version, is refused on line 1
+        naming both versions — not as a truncated or edited file."""
+        path, lines = self._exported(tmp_path)
+        header = json.loads(lines[0])
+        if written == "missing":
+            del header["contract_version"]
+        else:
+            header["contract_version"] = written
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        error = self._load_error(path)
+        assert error.line == 1
+        assert f"version {'none' if written == 'missing' else written}," in error.reason
+        assert f"version {CONTRACT_VERSION}" in error.reason
+        assert "truncated" not in error.reason
+
     def test_a_line_cut_mid_object_names_its_own_line(self, tmp_path):
         path, lines = self._exported(tmp_path)
         lines[2] = lines[2][:40]
@@ -169,6 +277,12 @@ class TestCorruptFiles:
         path.write_text("\n".join(lines) + "\n")
         error = self._load_error(path)
         assert error.line == 4 and "start_s" in error.reason
+
+    def test_a_trace_without_spans_names_its_line(self, tmp_path):
+        path, lines = self._exported(tmp_path)
+        self._edit_trace(path, lines, 2, lambda t: t.update(spans=[]))
+        error = self._load_error(path)
+        assert error.line == 3 and "root span" in error.reason
 
     def test_an_empty_file_has_a_bad_header(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -270,7 +384,7 @@ class TestCorruptFiles:
 
 
 #: Header keys the property deletes, one at a time.
-_HEADER_KEYS = ("kind", "n_traces", "digest", "run_events")
+_HEADER_KEYS = ("kind", "contract_version", "n_traces", "digest", "run_events")
 _ANYWHERE = st.integers(min_value=0, max_value=2**32)
 _MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(("truncate", "drop", "duplicate", "edit")), _ANYWHERE),
@@ -352,8 +466,6 @@ class TestMetricsAndReplay:
         assert collector.arrival_times() == [0.0, 3.0]
 
     def test_to_arrivals_replays_the_stream(self):
-        import numpy as np
-
         collector = TraceCollector()
         collector.add_trace(_trace("r1"))
         arrivals = collector.to_arrivals()

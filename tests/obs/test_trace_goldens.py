@@ -8,7 +8,9 @@ scenarios fall back to the scalar loop, the healthy baseline takes the
 columnar one.  The golden's name and ``"engine"`` field record which,
 and the test checks the run still picks that loop.
 
-Regenerate after an intentional trace-shape change::
+A golden carries the ``contract_version`` it was digested under and is
+read through ``oracle.golden.read_golden``.  Regenerate after an
+intentional trace-shape change or a contract bump::
 
     PYTHONPATH=src python -m pytest tests/obs/test_trace_goldens.py \
         --update-golden
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from oracle.golden import read_golden
+from repro.contract import CONTRACT_VERSION
 from repro.obs import TraceCollector, aggregate_breakdown
 from repro.service.simulation import (
     canonical_scenarios,
@@ -53,6 +57,7 @@ def _payload(name, engine, collector):
     return {
         "scenario": name,
         "engine": engine,
+        "contract_version": CONTRACT_VERSION,
         "digest": collector.digest(),
         "headline": {
             "n_traces": len(collector),
@@ -80,7 +85,7 @@ def test_golden_trace_digest(name, engine, toy, update_golden):
         f"golden trace file {path} is missing; generate it with "
         "`pytest tests/obs/test_trace_goldens.py --update-golden`"
     )
-    golden = json.loads(path.read_text())
+    golden = read_golden(path)
     assert payload["digest"] == golden["digest"], (
         f"trace digest for {name!r} ({engine}) changed: the recorded span "
         "stream differs from the pinned golden.  If the change is "

@@ -1,9 +1,10 @@
 """The per-record report the column-backed ``LoadTestReport`` replaced.
 
 Reference implementation for ``tests/service`` and ``tests/gateway``:
-the report digest computed one record at a time — contract version 2
-(:func:`reference_digest`, floats rounded through ``struct``) and the
-version 1 text rows it replaced (:func:`record_digest_rows`, byte for
+the report digest computed one record at a time — contract versions 2
+and 3 (:func:`reference_digest`, floats rounded through ``struct``; the
+two differ only in their ``report-digest:v{n}`` header) and the
+version 1 text rows they replaced (:func:`record_digest_rows`, byte for
 byte what ``src/repro/service/simulation/report.py`` hashed until the
 contract bump, kept to explain divergences and to prove that the bump
 changed the hash, not behaviour) — and the headline aggregates computed
@@ -97,13 +98,22 @@ def rounded(value: float) -> int:
     return bits
 
 
+def report_digest_v2(report) -> str:
+    """What ``report.digest()`` returned under contract version 2."""
+    logs = report.final_pool_sizes, report.fault_log, report.control_log
+    return reference_digest(report.records, *logs, version=2)
+
+
 def reference_digest(
     records,
     final_pool_sizes: Mapping[str, int] = (),
     fault_log: Sequence = (),
     control_log: Sequence = (),
+    *,
+    version: int = CONTRACT_VERSION,
 ) -> str:
-    """``LoadTestReport.digest()`` of a report holding ``records``."""
+    """``LoadTestReport.digest()`` of a report holding ``records``, under
+    contract ``version`` (2 or later: the column layout)."""
     records = list(records)
     pairs = sorted({r.versions_used for r in records if r.versions_used})
 
@@ -136,7 +146,7 @@ def reference_digest(
         "payloads": [f"{r.payload}" for r in records],
         "pairs": [json.dumps(pair) for pair in pairs],
     }
-    h = hashlib.sha256(f"report-digest:v{CONTRACT_VERSION}\n".encode())
+    h = hashlib.sha256(f"report-digest:v{version}\n".encode())
     for name in DIGEST_COLUMNS:
         if name in floats:
             values = [rounded(v) for v in floats[name]]

