@@ -16,8 +16,8 @@ Modules:
 
 - :mod:`repro.obs.trace` — span model, :class:`TraceCollector`
   (JSONL export/load, stable digest, ``TraceArrivals`` round-trip).
-- :mod:`repro.obs.record` — :class:`SimTraceRecorder`, the live
-  per-event instrumentation the legacy engine drives.
+- :mod:`repro.obs.record` — :class:`SimTraceRecorder`, the per-attempt
+  instrumentation the event loop drives on fault and control runs.
 - :mod:`repro.obs.reconstruct` — vectorized post-hoc span
   reconstruction from the columnar engine's ``RecordColumns``.
 - :mod:`repro.obs.critical_path` — per-request stage breakdown and

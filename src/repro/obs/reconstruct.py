@@ -1,8 +1,9 @@
 """Post-hoc span reconstruction from finished reports.
 
-The columnar engine never pays per-event hooks — that is what keeps its
-hot path >10x over the legacy loop.  A traced columnar run reaches the
-collector as one :class:`ColumnSegment` — the report's ``RecordColumns``
+A run with no fault schedule and no control plane never pays per-event
+hooks — that is what keeps its hot path >10x over the scalar loop.
+Traced, it reaches the collector as one :class:`ColumnSegment` — the
+report's ``RecordColumns``
 (every report has them, whichever engine ran) — and stays columns until
 someone asks for a tree:
 

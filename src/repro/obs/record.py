@@ -1,20 +1,18 @@
-"""Live per-event trace recording for the legacy engine.
+"""Per-attempt trace recording for the serving simulator.
 
-:class:`SimTraceRecorder` is the object the
-:class:`~repro.service.simulation.engine.ServingSimulator` drives when a
-trace collector is attached: the engine calls its narrow hook methods
-(duck-typed, mirroring how the control plane is wired — the engine
-imports nothing from this package) at arrival, enqueue, completion,
-failure, retry, escalation and finalize time, and the recorder
-assembles one :class:`~repro.obs.trace.Trace` per request as it
-finalizes.
+:class:`SimTraceRecorder` is what the
+:class:`~repro.service.simulation.engine.ServingSimulator` feeds when a
+trace collector is attached.  On a run with a fault schedule or a
+control plane the event loop calls its narrow hook methods (duck-typed
+— the engine imports nothing from this package), the recorder stages
+them per request and builds one :class:`~repro.obs.trace.Trace` per
+finalized record (:meth:`on_finalized`).  Any other run reaches it as
+the finished report, whose columns :meth:`on_columnar_report` passes on
+as a :class:`~repro.obs.reconstruct.ColumnSegment`: that loop stays
+hook-free and no tree is built until someone asks for one.
 
 The recorder draws **nothing** from any RNG and never mutates engine
-state — attaching one cannot change a report digest.  When the
-columnar engine drains a run, the engine instead hands the finished
-report to :meth:`on_columnar_report`, which passes its columns on as a
-:class:`~repro.obs.reconstruct.ColumnSegment`: the hot path stays
-hook-free and no tree is built until someone asks for one.
+state — attaching one cannot change a report digest.
 """
 
 from __future__ import annotations
@@ -67,10 +65,9 @@ class _Attempt:
 class _Staging:
     """Everything recorded about one in-flight request."""
 
-    __slots__ = ("arrival", "epoch", "events", "attempts", "retries")
+    __slots__ = ("epoch", "events", "attempts", "retries")
 
-    def __init__(self, arrival: float, epoch: int) -> None:
-        self.arrival = arrival
+    def __init__(self, epoch: int) -> None:
         self.epoch = epoch
         #: Root-span events (admission actions, deflated answers, faults).
         self.events: List[SpanEvent] = []
@@ -80,7 +77,7 @@ class _Staging:
 
 
 class SimTraceRecorder:
-    """Assembles span trees from the legacy engine's event stream.
+    """Assembles span trees from the event loop's per-attempt hooks.
 
     Args:
         collector: The :class:`~repro.obs.trace.TraceCollector` finished
@@ -112,10 +109,10 @@ class SimTraceRecorder:
         self._failover[request_id] = (home, served, float(extra_latency_s))
 
     # ------------------------------------------------------------------
-    # engine hooks (legacy event loop)
+    # event-loop hooks
     # ------------------------------------------------------------------
     def on_arrival(self, request_id: str, now: float) -> None:
-        self._staging[request_id] = _Staging(now, self._epoch)
+        self._staging[request_id] = _Staging(self._epoch)
 
     def on_admission(
         self, request_id: str, action: str, detail: str, now: float
@@ -157,19 +154,16 @@ class SimTraceRecorder:
         return None
 
     def on_attempt_done(
-        self,
-        request_id: str,
-        version: str,
-        completion,
-        node_id: Optional[str],
+        self, request_id: str, version: str, started_at: float, finished_at: float,
+        seconds: float, batch_size: int, node_id: Optional[str],
     ) -> None:
         record = self._open_attempt(request_id, version)
         if record is None:
             return
-        record.started_at = completion.started_at
-        record.finished_at = completion.finished_at
-        record.seconds = completion.amortized_seconds
-        record.batch_size = completion.batch_size
+        record.started_at = started_at
+        record.finished_at = finished_at
+        record.seconds = seconds
+        record.batch_size = batch_size
         record.node = node_id
         record.status = "ok"
 
@@ -246,7 +240,7 @@ class SimTraceRecorder:
     # ------------------------------------------------------------------
     # finalize
     # ------------------------------------------------------------------
-    def on_finalized(self, record, now: float) -> None:
+    def on_finalized(self, record) -> None:
         """Build and emit the request's trace from its final record."""
         staging = self._staging.pop(record.request_id, None)
         trace = self._build(record, staging)
@@ -325,7 +319,7 @@ class SimTraceRecorder:
     # run-level wiring
     # ------------------------------------------------------------------
     def on_columnar_report(self, report) -> None:
-        """A columnar-drained run reaches the collector as one segment:
+        """A run that fed no hook reaches the collector as one segment:
         its columns, reconstructed into trees only if someone asks."""
         self.collector.add_segment(
             ColumnSegment(report.columns, self._failover)

@@ -391,7 +391,11 @@ class TraceCollector:
     traces = property(_materialise)
 
     def add_trace(self, trace: Trace) -> None:
-        trace.seal()
+        self.add_sealed(trace.seal())
+
+    def add_sealed(self, trace: Trace) -> None:
+        """Append a trace whose ids are already derived and checked
+        (:meth:`Trace.from_dict`'s), without deriving them again."""
         self._materialise().append(trace)
         self._by_id[trace.request_id] = trace
 

@@ -117,14 +117,6 @@ class MultiRegionReport:
             return float("nan")
         return float(np.percentile(np.concatenate(arrays), q))
 
-    def engine_fallbacks(self) -> Dict[str, str]:
-        """Region -> fallback reason, for shards that left columnar."""
-        return {
-            s.region: s.fallback_reason
-            for s in self.shards
-            if s.fallback_reason is not None
-        }
-
     def summary(self) -> Dict[str, float]:
         """Headline numbers as a flat dict (for tables/JSON/benches)."""
         return {
@@ -143,7 +135,6 @@ class MultiRegionReport:
             "p50_user_latency_s": self.user_latency_percentile(50.0),
             "p95_user_latency_s": self.user_latency_percentile(95.0),
             "p99_user_latency_s": self.user_latency_percentile(99.0),
-            "n_engine_fallbacks": float(len(self.engine_fallbacks())),
             "n_region_slo_events": float(
                 sum(len(s.slo_log) for s in self.shards)
             ),

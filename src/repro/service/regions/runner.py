@@ -113,8 +113,8 @@ def _merge_traces(results: List[ShardResult], sink) -> None:
             trace.root.attrs.setdefault("region", result.region)
             keyed.append(((trace.root.end_s, result.index, seq), trace))
     keyed.sort(key=lambda item: item[0])
-    for _, trace in keyed:
-        sink.add_trace(trace)
+    for _, trace in keyed:  # from_dict derived and checked every id
+        sink.add_sealed(trace)
     events = []
     for result in results:
         for seq, (time_s, kind, detail, region) in enumerate(

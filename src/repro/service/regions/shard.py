@@ -86,7 +86,7 @@ class ShardResult:
             digest when every arrival failed over and none arrived).
         summary: The shard report's flat summary dict (zeros when empty).
         engine_used: Execution engine that actually ran the shard.
-        fallback_reason: Why the shard fell back to the legacy loop.
+        fallback_reason: The shard report's ``fallback_reason``.
         n_submitted / n_local / n_incoming: Workload accounting.
         n_assigned / n_outgoing / n_denied: Routing accounting (from
             the plan; conservation checks tie the two together).

@@ -63,10 +63,10 @@ whether issued from Python scalars or numpy element-wise kernels), event
 ties break exactly as the legacy loop's monotonic sequence numbers break
 them, and quirks such as the ``oldest_enqueued_at or now`` head-wait
 guard are reproduced verbatim.  The legacy engine schedules fault onsets
-in its constructor, then herd releases, then the arrivals, then every
-runtime event, so the stream holds onsets, then releases, then arrivals
-(a stable sort by time keeps that order within a tie) and wins every
-tie against the heap.  The
+first, then herd releases, then the arrivals, then every runtime event,
+so the stream holds onsets, then releases, then arrivals (a stable sort
+by time keeps that order within a tie) and wins every tie against the
+heap.  The
 differential test harness (``tests/service/test_engine_differential.py``)
 holds the two engines to digest-for-digest equality over the canonical
 scenarios and fuzzed scenario families.
@@ -83,16 +83,14 @@ columns are filled then; an open-loop run keeps the up-front gather.
 Node service times feed the plane's gray-failure detection as batches
 complete.
 
-``columnar_ineligibility`` is the gate, and a fallback means one thing:
-the columnar loop lacks a capability — a per-attempt trace of a fault
-schedule or control plane — and the legacy path, which remains the
-scalar correctness oracle (the same playbook as
-``core/outcome_matrix.py`` for the rule generator), finishes this run.
+**A trace recorder is fed where the scalar loop feeds it.**  On a run
+with a fault schedule or a control plane the stepwise loop calls its
+hooks at the scalar loop's points, and each request's tree is built
+from its record once the run ends; any other run hands it its columns.
 What *neither* loop can serve (a repeated id, an unmeasured payload, a
 bad threshold, fast == accurate, an undeployed or unrefillable empty
 pool, a pool holding a dead node or a non-replay version) never reaches
-this module: ``drain()``
-refuses it with a typed error in front of both loops, and hands
+this module: ``drain()`` refuses it with a typed error, and hands
 ``run_columnar`` the payload-to-row gather that refusal already
 performed.
 """
@@ -116,7 +114,7 @@ from repro.service.simulation.faults import (
 )
 from repro.service.simulation.report import LoadTestReport, RecordColumns
 
-__all__ = ["columnar_ineligibility", "run_columnar"]
+__all__ = ["run_columnar"]
 
 #: Heap events are ``(time, tag, node, info)`` with
 #: ``tag = (seq << 2) | code``: packing the event code into the
@@ -216,36 +214,12 @@ class _ShadowNode:
         self.real.alive = False
 
 
-def columnar_ineligibility(sim) -> Optional[str]:
-    """The capability this run needs that the columnar path lacks
-    (``None`` = it has them all), surfaced as
-    ``ServingSimulator.fallback_reason``.
-
-    Called after ``drain()`` refused what no loop can serve, pool shapes
-    included: the reason is one after which the legacy engine — which
-    *is* the semantics — completes the run.  One remains: a per-attempt
-    trace of a fault schedule or control plane, whose retry, migration,
-    deflation, admission or epoch spans post-hoc span reconstruction
-    cannot emit.  A tier router, a fault type, a control plane and pool
-    scaling are event sources or request state of the columnar loop,
-    not reasons.
-    """
-    faults = sim._faults
-    if (faults or sim.control is not None) and sim._trace is not None:
-        return (
-            "per-attempt trace of a "
-            f"{'fault schedule' if faults else 'control plane'}"
-        )
-    return None
-
-
 def run_columnar(
     sim, configurations, codes, replay_rows, *, max_events: int
 ) -> LoadTestReport:
-    """Drain a columnar-eligible simulator and build its report.
+    """Drain a simulator and build its report.
 
-    Call only after :func:`columnar_ineligibility` returned ``None``,
-    with the routing pre-pass's ``(configurations, codes)`` and the
+    Call with the routing pre-pass's ``(configurations, codes)`` and the
     ``replay_rows`` gather of ``ServingSimulator._refuse_unservable``;
     the submission columns are read from the simulator's store.  The
     scalar loop's event valve, ``max_events``, bounds the events
@@ -253,7 +227,8 @@ def run_columnar(
     re-arms forever over rows that never resolve raises ``RuntimeError``
     instead of spinning.  With
     invariant checking attached the loop calls the checker at the exact
-    points the legacy engine would (it sees an identical stream); either
+    points the legacy engine would (it sees an identical stream), and a
+    trace recorder of a fault schedule or control plane its hooks; either
     way the report is built from the loop's columns and materializes
     records only when asked.
     """
@@ -270,6 +245,8 @@ def run_columnar(
     # `slow` turns the inlined deliveries off: a checker needs its hooks,
     # event sources the stepwise state machine.
     slow = checker is not None or stepwise
+    # Per-attempt trees for a fault schedule or control plane, else columns.
+    trace = sim._trace if faults or control is not None else None
 
     store = sim._store
     request_ids, payloads, times = store.ids, store.payloads, store.times
@@ -451,8 +428,8 @@ def run_columnar(
     batch_time = batching.batch_service_time
 
     # Arrivals never enter the heap: the legacy engine schedules them all
-    # before any runtime event exists — after the fault onsets its
-    # constructor scheduled and the herd releases — so onsets, then
+    # before any runtime event exists — after the fault onsets and the
+    # herd releases it schedules first — so onsets, then
     # arrivals, win every time tie against a runtime event.  The stream
     # holds both: entry ``i < n`` is submission ``i``, entry ``n + j`` is
     # onset ``j`` (a node fault, or the log entry of a window opening or
@@ -597,7 +574,7 @@ def run_columnar(
         # The slow half of _finalize: the invariant checker's ledger.
         checker.on_finalized(request_ids[sub], now, failed=False)
 
-    def deliver(sub, leg, start, finish, amortized, solo, now):
+    def deliver(sub, leg, start, finish, amortized, solo, now, size):
         # _on_job_done + _advance for the fault-free state machine.
         if checker is not None:
             checker.on_attempt_finished(
@@ -760,6 +737,11 @@ def run_columnar(
             checker.on_attempt_started(
                 request_ids[sub], version, attempt[key], now
             )
+        if trace is not None:
+            trace.on_attempt(
+                request_ids[sub], version, "accurate" if key & 1 else "fast",
+                attempt[key], now, parked=not pools[version],
+            )
         item = (sub, key & 1, now)
         if not pools[version]:
             parked.setdefault(version, {})[sub] = item
@@ -782,6 +764,8 @@ def run_columnar(
             else:
                 onset(item, now)
             return
+        if trace is not None:
+            trace.on_arrival(request_ids[sub], now)
         if control is not None and not admit(sub, now):
             return
         if checker is not None:
@@ -830,7 +814,7 @@ def run_columnar(
         depth = sum(len(node.queue) for node in pool)
         return (depth + len(parked.get(version, ()))) / max(1, len(pool))
 
-    def on_job_done(sub, leg, start, finish, amortized, solo, now):
+    def on_job_done(sub, leg, start, finish, amortized, solo, now, size):
         # _on_job_done + _advance, with the confidence the node reports
         # deflated while it is gray or warming up.
         key = sub << 1 | leg
@@ -856,7 +840,13 @@ def run_columnar(
                 "ok",
                 seconds=amortized,
             )
-        factor = leg_node[key].deflate
+        node = leg_node[key]
+        if trace is not None:
+            trace.on_attempt_done(
+                request_ids[sub], leg_version[key], start, finish, amortized, size,
+                node.real.node_id,
+            )
+        factor = node.deflate
         if leg:
             if factor is not None:
                 conf_acc[sub] *= factor
@@ -883,6 +873,8 @@ def run_columnar(
             return
         if fast is not None and esc[sub] is None:
             esc[sub] = escalates[sub]
+            if esc[sub] and trace is not None:
+                trace.on_escalated(request_ids[sub], now)
         acc_key = sub << 1 | 1
         if kind == _SEQ:
             if fast is None:
@@ -952,6 +944,8 @@ def run_columnar(
             checker.on_attempt_finished(
                 request_ids[sub], version, tries, now, reason
             )
+        if trace is not None:
+            trace.on_attempt_failed(request_ids[sub], version, now, reason)
         if tries < max_attempts:
             if (
                 (retry_budget is None or planned[sub] < retry_budget)
@@ -962,11 +956,16 @@ def run_columnar(
                 planned[sub] += 1
                 planned_total += 1
                 inflight += 1
-                schedule(now + retry.delay_before_retry(tries), on_retry, key)
+                delay = retry.delay_before_retry(tries)
+                if trace is not None:
+                    trace.on_retry_wait(request_ids[sub], version, tries, now, delay)
+                schedule(now + delay, on_retry, key)
                 return
             denied[sub] = 1
             if checker is not None:
                 checker.on_retry_denied(request_ids[sub], version, now)
+            if trace is not None:
+                trace.on_retry_denied(request_ids[sub], version, now)
         fast = fast_done[sub]
         if key & 1:
             if fast is not None and esc[sub] is False:
@@ -1010,6 +1009,13 @@ def run_columnar(
         retry_pending[key] = False
         retries[sub] += 1
         enqueue_attempt(key, now)
+
+    def deflated(subs, node, now):
+        # _on_batch_done, before delivery; a resolved request's trace is closed.
+        node_id, factor = node.real.node_id, node.deflate
+        for sub in subs:
+            if not resolved[sub]:
+                trace.on_deflated(request_ids[sub], node_id, factor, now)
 
     def reselect(version):
         # Pool membership changed: recompile the pool's selection over it.
@@ -1067,6 +1073,8 @@ def run_columnar(
             if resolved[sub]:
                 continue
             key = sub << 1 | item[1]
+            if trace is not None:
+                trace.on_migrated(request_ids[sub], version, now, parked=not pool)
             if not pool:
                 parked.setdefault(version, {})[sub] = item
                 leg_node[key] = None
@@ -1245,6 +1253,9 @@ def run_columnar(
             decision = control.admit(request, now, planned=configuration)
             action = decision.action.value
             if action == "shed":
+                if trace is not None:
+                    reason = getattr(decision, "reason", "") or ""
+                    trace.on_admission(request_ids[sub], "shed", reason, now)
                 if checker is not None:
                     checker.on_arrival(request_ids[sub], now)
                     checker.on_shed(request_ids[sub], now)
@@ -1255,6 +1266,10 @@ def run_columnar(
             if action == "degrade" and decision.configuration is not None:
                 configuration = decision.configuration
                 degraded[sub] = 1
+                if trace is not None:
+                    trace.on_admission(
+                        request_ids[sub], "degrade", configuration.config_id, now
+                    )
             assign(sub, configuration)
             return True
 
@@ -1303,6 +1318,8 @@ def run_columnar(
             swap = control.on_tick(now)
             if swap is not None:
                 sim._apply_configuration(swap)
+                if trace is not None:
+                    trace.on_epoch(now, swap.config_id)
             # Tick on only while something else can still happen: parked
             # requests behind a pool that never comes back hold no event.
             if len(out) < n and (streamed < n_stream or any(map(live, heap))):
@@ -1488,11 +1505,13 @@ def run_columnar(
             elif inline_single:
                 out_append((sub, now, False, solo, -1.0, start))
             else:
+                if trace is not None and node.deflate is not None:
+                    deflated((sub,), node, now)
                 if observe_node is not None:
                     observe_node(
                         node.real.node_id, node.real.version.name, solo, now
                     )
-                deliver(sub, leg, start, now, solo, solo, now)
+                deliver(sub, leg, start, now, solo, solo, now, 1)
             if node.queue:
                 maybe_start(node, now)
         elif code == _FLUSH:
@@ -1530,6 +1549,8 @@ def run_columnar(
             items, solos, start, wall = event[3]
             k = len(items)
             amortized = wall / k
+            if trace is not None and node.deflate is not None:
+                deflated([item[0] for item in items], node, now)
             if observe_node is not None:
                 for _ in range(k):
                     observe_node(
@@ -1539,7 +1560,7 @@ def run_columnar(
                 item = items[index]
                 deliver(
                     item[0], item[1], start, now, amortized,
-                    solos[index], now,
+                    solos[index], now, k,
                 )
             if node.queue:
                 maybe_start(node, now)
@@ -1577,6 +1598,7 @@ def run_columnar(
 
     report = LoadTestReport(
         columns=compose(out),
+        engine_used="columnar",
         scaling_events=[] if scaling is None else list(scaling.autoscaler.events),
         final_pool_sizes=cluster.pool_sizes(),
         fault_log=fault_log,
@@ -1584,4 +1606,9 @@ def run_columnar(
     )
     if checker is not None:
         checker.verify(report, cluster, sim._retry)
+    if trace is not None:  # the staged attempts become trees, as at finalize
+        for record in report.records:
+            trace.on_finalized(record)
+    elif sim._trace is not None:
+        sim._trace.on_columnar_report(report)
     return report

@@ -61,9 +61,10 @@ Submissions wait in one store (parallel columns in submission order) and
 what the deployment cannot serve at all — a repeated id, an unmeasured
 payload, a bad threshold, fast == accurate, an undeployed or unrefillable
 pool — is refused with a :class:`~repro.core.errors.TierError` before any
-node is written.  Only then is a loop picked, from the run alone: the
-columnar loop unless it lacks a capability the run needs (a *fallback*),
-in which case this loop finishes the run.
+node is written.  Then the columnar loop
+(:mod:`repro.service.simulation.columnar`) runs the load test; the
+scalar event loop of this module, ``ServingSimulator._run_scalar``, is
+its bit-identical reference, which only the test suite's oracle runs.
 
 The event loop is single-threaded and deterministic: same seed, same
 arrival process, same fault schedule, same report — fault-free runs
@@ -106,10 +107,7 @@ from repro.service.request import (
 from repro.service.simulation.arrivals import ArrivalProcess
 from repro.service.simulation.autoscaler import Autoscaler, PoolScaling
 from repro.service.simulation.batching import BatchingConfig
-from repro.service.simulation.columnar import (
-    columnar_ineligibility,
-    run_columnar,
-)
+from repro.service.simulation.columnar import run_columnar
 from repro.service.simulation.events import Event, EventLoop
 from repro.service.simulation.faults import (
     ColdStartWave,
@@ -285,14 +283,12 @@ class ServingSimulator:
     models a conventional deployment (e.g. OSFA as a single-version
     configuration of the most accurate model).
 
-    Submissions are always deferred and :meth:`drain` picks the loop from
-    the run: the vectorized one in :mod:`repro.service.simulation.columnar`
-    (router or fixed configuration alike, healthy or under any fault
-    schedule, open-loop or closed, static or autoscaled pools), the
-    scalar event loop (bit-identically, see ``fallback_reason``) when a
-    trace recorder wants the per-attempt spans only that loop records.
-    Both loops replay measurements: :meth:`drain` refuses a pool that
-    holds a dead node or a non-replay version.
+    Submissions are always deferred and :meth:`drain` runs them on the
+    vectorized loop in :mod:`repro.service.simulation.columnar` (router or
+    fixed configuration alike, healthy or under any fault schedule,
+    open-loop or closed, static or autoscaled pools, traced or not).  It
+    replays measurements: :meth:`drain` refuses a pool that holds a dead
+    node or a non-replay version.
 
     Args:
         cluster: The measurement-replay deployment whose queues and pools
@@ -333,12 +329,11 @@ class ServingSimulator:
             on the virtual clock (``on_tick`` — a returned configuration
             is hot-swapped in as the active fixed configuration).
         trace: Optional trace recorder (duck-typed like ``control``; see
-            :class:`repro.obs.record.SimTraceRecorder`).  The legacy
-            loop drives its per-event hooks; a columnar drain hands it
-            the finished report for post-hoc span reconstruction
-            instead.  Only the per-attempt spans of a fault schedule or a
-            control plane need the legacy loop; attaching one never
-            changes a report digest.
+            :class:`repro.obs.record.SimTraceRecorder`).  On a run with a
+            fault schedule or a control plane the loop drives its
+            per-attempt hooks; any other run hands it the finished
+            report's columns for post-hoc span reconstruction.  Attaching
+            one never changes a report digest.
         seed: Seed for arrival sampling and payload choice (transient
             fault draws use a generator derived from it, so healthy and
             faulty runs see identical arrivals).
@@ -359,11 +354,8 @@ class ServingSimulator:
         trace=None,
         seed: int = 0,
     ) -> None:
-        #: Engine that drained the run ("columnar"/"legacy"), set by
-        #: :meth:`drain`.
+        #: Engine that drained the run, set by :meth:`drain`.
         self.engine_used: Optional[str] = None
-        #: Why the run fell back to the legacy path.
-        self.fallback_reason: Optional[str] = None
         #: Everything submitted, read by drain().
         self._store = _Submissions()
         if (router is None) == (configuration is None):
@@ -408,10 +400,6 @@ class ServingSimulator:
         self._check = InvariantChecker() if check_invariants else None
         #: The live control plane driving this run (``None`` open-loop).
         self.control = control
-        # A columnar run's spans are reconstructed post-hoc from
-        # RecordColumns (see drain()); only a fault schedule's retry,
-        # migration and deflation spans, and a control plane's admission
-        # and epoch spans, keep a traced run on this loop.
         # Every call site guards on None: disabled costs one attribute test.
         if trace is not None and not hasattr(trace, "on_finalized"):
             from repro.obs.record import SimTraceRecorder
@@ -450,7 +438,6 @@ class ServingSimulator:
             if control is not None
             else None
         )
-        self._schedule_faults()
 
     # ------------------------------------------------------------------
     # submission
@@ -527,11 +514,10 @@ class ServingSimulator:
     ) -> None:
         """Append rows to the submission store: all of them, or none."""
         self._require_undrained()
-        # Every submission is deferred: drain() picks the loop, and a
-        # replay into the event loop schedules arrivals in this same
-        # order, after the fault schedule __init__ armed, so they take the
-        # sequence numbers (hence the tie-breaks) of an immediate
-        # schedule.  The validation the loop would have done at schedule
+        # Every submission is deferred: a replay into the scalar event
+        # loop schedules arrivals in this same order, after the fault
+        # onsets and herd releases, so they take the sequence numbers
+        # (hence the tie-breaks) of an immediate schedule.  The validation the loop would have done at schedule
         # time happens here.
         now = self._loop.now
         for at_time in at_times:
@@ -759,12 +745,9 @@ class ServingSimulator:
         simulator, an empty store (``ValueError``) and what the
         deployment cannot serve at all (a ``TierError``, see
         :meth:`_refuse_unservable`) are refused first, with nothing run.
-        The columnar loop runs — fault schedules, control planes and
-        autoscalers are its event sources — unless
-        ``columnar_ineligibility`` names the one capability it lacks, a
-        per-attempt trace of a fault schedule or control plane; that
-        reason becomes ``fallback_reason`` and the event loop finishes
-        the run.
+        Then the columnar loop runs the load test: fault schedules,
+        control planes and autoscalers are its event sources, and a trace
+        recorder is fed by it.
         """
         self._require_undrained()
         store = self._store
@@ -775,27 +758,27 @@ class ServingSimulator:
         # Let through: the simulator's one load test starts here, and a
         # loop that dies halfway leaves it spent, not re-drainable.
         self._drained = True
-        reason = columnar_ineligibility(self)
-        if reason is None:
-            report = run_columnar(
-                self, configurations, codes, replay_rows, max_events=_MAX_EVENTS
-            )
-            self.engine_used = report.engine_used = "columnar"
-            self._remaining = 0
-            if self._trace is not None:
-                self._trace.on_columnar_report(report)
-                self._trace.on_run_complete(report.fault_log, report.control_log)
-            return report
-        self.fallback_reason = reason
-        # The event loop: replay the store in submission order (see
-        # _enqueue()), building a ServiceRequest only for a row that has
-        # none.  A router-driven run reads each arrival's configuration
-        # from the pre-pass; a fixed one is read at arrival, because a
-        # control plane may have hot-swapped it by then.
-        self.engine_used = "legacy"
-        # Herd releases come after the fault onsets __init__ armed and
-        # before the arrivals, as the columnar loop's onset stream orders
-        # them.
+        report = run_columnar(
+            self, configurations, codes, replay_rows, max_events=_MAX_EVENTS
+        )
+        self.engine_used = report.engine_used
+        self._remaining = 0
+        if self._trace is not None:
+            self._trace.on_run_complete(report.fault_log, report.control_log)
+        return report
+
+    def _run_scalar(
+        self, configurations, codes, replay_rows, *, max_events: int
+    ) -> LoadTestReport:
+        """The scalar event loop, :func:`run_columnar`'s reference: same
+        arguments, same report.  ``drain()`` never calls it; the test
+        suite's oracle puts it in ``run_columnar``'s place."""
+        # The store in submission order, a ServiceRequest built only for a
+        # row without one; a fixed configuration is read at arrival.
+        store = self._store
+        # Fault onsets, then herd releases, then the arrivals, as the
+        # columnar loop's onset stream orders them.
+        self._schedule_faults()
         for entry in self._releases:
             self._log_at(entry, "fault-herd")
         for index, request in enumerate(store.requests):
@@ -826,11 +809,11 @@ class ServingSimulator:
                 self._on_control_tick,
                 kind="control",
             )
-        self._loop.run(max_events=_MAX_EVENTS)
+        self._loop.run(max_events=max_events)
         stuck = sorted({event.kind for event in self._loop.pending()})
         if stuck:
             raise RuntimeError(
-                f"event loop hit its {_MAX_EVENTS}-event valve with {stuck} pending"
+                f"event loop hit its {max_events}-event valve with {stuck} pending"
             )
         if self._remaining and self._inflight and self._faults:
             # At loop-empty every queued job has executed and every retry
@@ -870,11 +853,8 @@ class ServingSimulator:
             control_log=list(self.control.log)
             if self.control is not None
             else [],
+            engine_used="legacy",
         )
-        report.engine_used = self.engine_used
-        report.fallback_reason = self.fallback_reason
-        if self._trace is not None:
-            self._trace.on_run_complete(report.fault_log, report.control_log)
         if self._check is not None:
             self._check.verify(report, self.cluster, self._retry)
         return report
@@ -952,7 +932,7 @@ class ServingSimulator:
             # Every terminal outcome funnels through here (completed,
             # failed, shed, parked resolution), so this is the single
             # point where a request's trace is built and collected.
-            self._trace.on_finalized(record, now)
+            self._trace.on_finalized(record)
         if self.control is not None:
             self.control.observe(record, now)
 
@@ -1116,9 +1096,8 @@ class ServingSimulator:
                 else state.fast_node
             )
             self._trace.on_attempt_done(
-                request_id,
-                version,
-                completion,
+                request_id, version, completion.started_at, completion.finished_at,
+                completion.amortized_seconds, completion.batch_size,
                 node.node_id if node is not None else None,
             )
         if (

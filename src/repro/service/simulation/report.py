@@ -194,8 +194,8 @@ class LoadTestReport:
             swaps, rollbacks (empty for an open-loop run).
         engine_used: Which engine produced the records ("columnar" or
             "legacy"), when the serving simulator stamped it.
-        fallback_reason: Why a columnar-requested run fell back to the
-            legacy loop (``None`` when no fallback happened).  Like
+        fallback_reason: ``None`` for every run ``drain()`` serves; only
+            the test suite's scalar oracle names itself here.  Like
             ``engine_used`` this describes *how* the run executed, not
             *what* it produced, so neither field enters the digest.
         columns: The report's :class:`RecordColumns`: what every

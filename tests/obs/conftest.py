@@ -1,10 +1,11 @@
 """Fixtures for the observability suite.
 
-Trace *shapes* differ by loop: the scalar loop records per-attempt spans
-live, the columnar loop reconstructs coarse trees post hoc.  A traced run
-takes the scalar loop when it has a fault schedule or a control plane; a
-test that wants per-attempt trees for any other run (an autoscaled one
-included) drains it inside ``tests/oracle/scalar.py``'s ``scalar_loop()``.
+Trace *shapes* differ by run: one with a fault schedule or a control
+plane is traced per attempt (the columnar loop feeds the recorder's
+hooks), any other gets coarse trees reconstructed post hoc.  The scalar
+loop records per attempt whatever the run, so a test that wants
+per-attempt trees for any other run (an autoscaled one included) drains
+it inside ``tests/oracle/scalar.py``'s ``scalar_loop()``.
 """
 
 import pytest

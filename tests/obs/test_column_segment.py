@@ -472,20 +472,26 @@ def _declining_segment(toy):
 
 
 @pytest.mark.parametrize(
-    "record, engine",
+    "record, per_attempt",
     [
-        (_canonical_run("baseline"), "columnar"),
-        (_canonical_run("node-crash"), "legacy"),
-        (_annotated_segment, "columnar"),
-        (_declining_segment, "columnar"),
+        (_canonical_run("baseline"), False),
+        (_canonical_run("node-crash"), True),
+        (_annotated_segment, False),
+        (_declining_segment, False),
     ],
-    ids=["columnar-baseline", "scalar-fault-run", "failover-annotated", "declines-to-render"],
+    ids=[
+        "columnar-baseline",
+        "per-attempt-fault-run",
+        "failover-annotated",
+        "declines-to-render",
+    ],
 )
-def test_one_digest_whatever_holds_the_spans(record, engine, toy, tmp_path):
+def test_one_digest_whatever_holds_the_spans(record, per_attempt, toy, tmp_path):
     """The segment's digest, its materialized trees' and the digest of
     ``load_jsonl(export_jsonl(...))`` are one digest."""
     held, engine_used = record(toy)
-    assert engine_used == engine
+    assert engine_used == "columnar"
+    assert bool(held._pending) != per_attempt
     as_held = held.digest()
     held.export_jsonl(tmp_path / "run.jsonl")
     loaded = TraceCollector.load_jsonl(tmp_path / "run.jsonl")
@@ -493,7 +499,7 @@ def test_one_digest_whatever_holds_the_spans(record, engine, toy, tmp_path):
     traces = materialized.traces
     assert materialized._pending == []
     assert as_held == materialized.digest() == loaded.digest()
-    if engine == "legacy":  # per-attempt trees, with their fault events
+    if per_attempt:  # per-attempt trees, with their fault events
         assert any(span.events for trace in traces for span in trace.spans)
     if record is _annotated_segment:
         assert any(span.name == "failover-hop" for trace in traces for span in trace.spans)

@@ -8,16 +8,34 @@ gets its own digest, pinned separately in ``test_trace_goldens.py``.
 The fast tier checks three representative scenarios under both
 engines; the slow tier sweeps every canonical and chaos scenario and
 the multi-region runner.
+
+The *trace* is engine-independent too.  A run with a fault schedule or a
+control plane is traced per attempt, and the default drain (the
+columnar loop feeding the recorder) must record what the scalar oracle
+records: every canonical and chaos scenario, open- and closed-loop, and
+members of the fuzzed, window-fault and control families of
+``tests/service/test_engine_differential.py``.  Any other run is traced
+coarsely, and its trees are the ones reconstructed from either loop's
+report.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from oracle.scalar import loop
+from oracle.scalar import default_loop, loop, scalar_loop
 from repro.obs import TraceCollector
+from repro.obs.reconstruct import traces_from_report
+from repro.service.control import default_control_spec
 from repro.service.simulation import (
     canonical_scenarios,
     chaos_scenarios,
     run_scenario,
+)
+from service.test_engine_differential import (
+    _control_simulator,
+    _random_spec,
+    _window_simulator,
 )
 
 FAST_SCENARIOS = ("baseline", "gray-failure", "node-crash")
@@ -72,35 +90,102 @@ def test_full_scenario_sweep_is_trace_neutral(toy, engine):
 
 
 @pytest.mark.parametrize("name", ("node-crash", "straggler", "gray-failure"))
-def test_traced_window_fault_runs_keep_the_scalar_loop(name, toy):
-    """Window faults run columnar, but a trace of one keeps the scalar
-    loop (post-hoc reconstruction has no retry, migration or deflation
-    spans) — and either way the report is the same."""
+def test_traced_window_fault_runs_drain_columnar(name, toy):
+    """Attaching a trace does not choose the engine: a traced window-fault
+    run drains columnar, with the untraced run's report."""
     spec = _spec(name)
     traced = run_scenario(spec, toy, trace=TraceCollector())
     untraced = run_scenario(spec, toy)
-    assert (traced.engine_used, traced.fallback_reason) == (
-        "legacy",
-        "per-attempt trace of a fault schedule",
-    )
+    assert (traced.engine_used, traced.fallback_reason) == ("columnar", None)
     assert (untraced.engine_used, untraced.fallback_reason) == ("columnar", None)
     assert traced.digest() == untraced.digest()
 
 
-def test_fault_scenario_traces_are_engine_invariant(toy):
-    """A traced fault schedule keeps the scalar loop on the default path,
-    so it records the same per-attempt trace stream as the oracle."""
-    legacy = _assert_neutral("gray-failure", toy, "legacy")
-    columnar = _assert_neutral("gray-failure", toy, "columnar")
-    assert legacy.digest() == columnar.digest()
+def _trees(collector):
+    """Every tree as its dict, node ids renamed in order of first use:
+    ids count process-wide, so two runs name the same node apart."""
+    names = {}
+    trees = [trace.to_dict() for trace in collector.traces]
+    for tree in trees:
+        for span in tree["spans"]:
+            node = span["attrs"].get("node")
+            if node is not None:
+                span["attrs"]["node"] = names.setdefault(node, f"n{len(names)}")
+    return trees
 
 
-def test_multi_region_report_is_trace_neutral(toy):
-    from repro.service.regions import (
-        MultiRegionSpec,
-        RegionSpec,
-        run_multi_region,
+def _assert_traces_engine_invariant(run, per_attempt):
+    """``run(trace)`` drained traced on the default path and under the
+    scalar oracle: the same report digest, trace digest, run events and
+    trees, span by span.  A run traced coarsely (``per_attempt`` false)
+    is held to the trees reconstructed from the oracle's report instead:
+    the scalar loop records per attempt whatever the run."""
+    collector, oracle = TraceCollector(), TraceCollector()
+    with default_loop():
+        report = run(collector)
+    with scalar_loop():
+        reference = run(oracle)
+    assert (report.engine_used, report.fallback_reason) == ("columnar", None)
+    assert report.digest() == reference.digest()
+    if not per_attempt:
+        oracle = TraceCollector()
+        for trace in traces_from_report(reference):
+            oracle.add_trace(trace)
+    assert collector.run_events == oracle.run_events
+    assert len(collector) == len(oracle) == report.n_requests
+    for tree, expected in zip(_trees(collector), _trees(oracle)):
+        assert tree == expected, tree["request_id"]
+    assert collector.digest() == oracle.digest()
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("name", sorted({**canonical_scenarios(), **chaos_scenarios()}))
+def test_fault_scenario_traces_are_engine_invariant(name, closed, toy):
+    """Every canonical and chaos scenario, open-loop and under the default
+    control plane, traces alike on both loops."""
+    spec = _spec(name)
+    if closed:
+        spec = replace(spec, control=default_control_spec())
+    _assert_traces_engine_invariant(
+        lambda trace: run_scenario(spec, toy, trace=trace),
+        bool(spec.faults) or spec.control is not None,
     )
+
+
+#: Seeds of each family: three in the fast tier, more in the slow one.
+FAMILY_SEEDS = [
+    pytest.param(seed, marks=pytest.mark.slow) if seed >= 3 else seed
+    for seed in range(12)
+]
+
+
+@pytest.mark.parametrize("seed", FAMILY_SEEDS)
+@pytest.mark.parametrize("family", ["fuzzed", "window", "control"])
+def test_family_traces_are_engine_invariant(family, seed, toy):
+    """The differential families' members trace alike on both loops:
+    random specs, window faults under retries, random control planes."""
+    if family == "fuzzed":
+        spec = _random_spec(seed)
+        _assert_traces_engine_invariant(
+            lambda trace: run_scenario(
+                spec, toy, check_invariants=True, trace=trace
+            ),
+            bool(spec.faults) or spec.control is not None,
+        )
+        return
+    build = (_window_simulator if family == "window" else _control_simulator)(
+        seed, toy
+    )
+    sim, _ = build()
+    _assert_traces_engine_invariant(
+        lambda trace: build(trace)[1](),
+        bool(sim._faults) or sim.control is not None,
+    )
+
+
+def _failover_spec():
+    """Two regions, one crashing: failover traffic and a traced fault."""
+    from repro.service.regions import MultiRegionSpec, RegionSpec
     from repro.service.simulation import (
         NodeCrash,
         PoissonArrivals,
@@ -120,7 +205,7 @@ def test_multi_region_report_is_trace_neutral(toy):
         return ScenarioSpec(**defaults)
 
     crash = NodeCrash(at_s=2.0, version="fast", node_index=0, recover_at_s=6.0)
-    spec = MultiRegionSpec(
+    return MultiRegionSpec(
         name="failover",
         regions=(
             RegionSpec(name="us", scenario=_scenario("s-us", faults=(crash,))),
@@ -129,6 +214,12 @@ def test_multi_region_report_is_trace_neutral(toy):
         link_latency_s=0.1,
         seed=21,
     )
+
+
+def test_multi_region_report_is_trace_neutral(toy):
+    from repro.service.regions import run_multi_region
+
+    spec = _failover_spec()
     off = run_multi_region(spec, toy)
     sink = TraceCollector()
     on = run_multi_region(spec, toy, trace=sink)
@@ -152,3 +243,33 @@ def test_multi_region_report_is_trace_neutral(toy):
         assert hop.attrs["home"] == trace.root.attrs["home_region"]
         assert hop.attrs["target"] == trace.root.attrs["served_region"]
         assert trace.root.attrs["region"] == hop.attrs["target"]
+
+
+def test_a_merge_derives_each_span_id_once(toy, monkeypatch):
+    """Merging shard traces builds each tree once: ``Trace.from_dict``
+    derives and checks every span id, and the sink takes the trees as
+    built instead of sealing them again."""
+    import repro.obs.trace as trace_module
+    from repro.service.regions import run_multi_region, runner
+
+    derive, merge = trace_module.span_id_for, runner._merge_traces
+    derived = []
+
+    def counted_merge(results, sink):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                trace_module,
+                "span_id_for",
+                lambda *args: derived.append(args) or derive(*args),
+            )
+            merge(results, sink)
+
+    monkeypatch.setattr(runner, "_merge_traces", counted_merge)
+    sink = TraceCollector()
+    run_multi_region(_failover_spec(), toy, trace=sink)
+    spans = [
+        (trace.request_id, index)
+        for trace in sink.traces
+        for index in range(len(trace.spans))
+    ]
+    assert sorted(derived) == sorted(spans)

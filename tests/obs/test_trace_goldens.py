@@ -2,11 +2,11 @@
 
 Report digests are pinned in ``tests/service/golden``; these goldens
 pin the *trace* stream for three canonical runs.  Trace shape depends
-on the loop that ran (per-attempt live recording vs coarse columnar
-reconstruction), and each run picks its loop itself: the fault
-scenarios fall back to the scalar loop, the healthy baseline takes the
-columnar one.  The golden's name and ``"engine"`` field record which,
-and the test checks the run still picks that loop.
+on the run, not the loop: a fault scenario is traced per attempt, the
+healthy baseline coarsely.  Every run drains columnar; the fault
+scenarios' goldens must also come out of the scalar oracle, which
+recorded them when they were pinned.  A file's name and ``"engine"``
+field keep the loop that pinned it.
 
 A golden carries the ``contract_version`` it was digested under and is
 read through ``oracle.golden.read_golden``.  Regenerate after an
@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from oracle.golden import read_golden
+from oracle.scalar import default_loop, scalar_loop
 from repro.contract import CONTRACT_VERSION
 from repro.obs import TraceCollector, aggregate_breakdown
 from repro.service.simulation import (
@@ -32,12 +33,22 @@ from repro.service.simulation import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: ``(scenario, loop it picks)`` pairs pinned to trace digests.
+#: ``(scenario, the loop that pinned its file)`` pairs; a ``"legacy"``
+#: file is a per-attempt trace, which both loops record.
 GOLDEN_TRACES = (
     ("baseline", "columnar"),
     ("node-crash", "legacy"),
     ("gray-failure", "legacy"),
 )
+
+#: Each golden's runs: the default drain, and the scalar oracle for a
+#: per-attempt trace.
+GOLDEN_RUNS = [
+    (name, engine, leg)
+    for name, engine in GOLDEN_TRACES
+    for leg in ("default", "oracle")
+    if leg == "default" or engine == "legacy"
+]
 
 
 def _spec(name):
@@ -68,15 +79,16 @@ def _payload(name, engine, collector):
     }
 
 
-@pytest.mark.parametrize("name,engine", GOLDEN_TRACES)
-def test_golden_trace_digest(name, engine, toy, update_golden):
+@pytest.mark.parametrize("name,engine,leg", GOLDEN_RUNS)
+def test_golden_trace_digest(name, engine, leg, toy, update_golden):
     collector = TraceCollector()
-    report = run_scenario(_spec(name), toy, trace=collector)
-    assert report.engine_used == engine
+    with default_loop() if leg == "default" else scalar_loop():
+        report = run_scenario(_spec(name), toy, trace=collector)
+    assert report.engine_used == ("columnar" if leg == "default" else "legacy")
     payload = _payload(name, engine, collector)
     path = GOLDEN_DIR / f"{name}-{engine}.json"
 
-    if update_golden:
+    if update_golden and leg == "default":
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return

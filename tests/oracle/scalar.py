@@ -1,14 +1,13 @@
 """The scalar event loop as a test oracle, reached without an engine knob.
 
-``ServingSimulator.drain()`` picks its loop from the run alone: the
-columnar loop unless ``columnar_ineligibility`` names a capability it
-lacks.  The differential, door and trace tests — and the ``"legacy"``
-leg of the simulator suites' loop matrix (``tests/conftest.py``) — still
-need the scalar loop on runs the columnar one could serve;
-:func:`scalar_loop` gets it by making every run look ineligible
-(``fallback_reason`` reads ``"scalar oracle"``), and
-:func:`default_loop` restores the real check inside such a block.
-Nothing in ``src/`` knows this seam exists.
+``ServingSimulator.drain()`` always calls ``run_columnar``.  The
+differential, door and trace tests — and the ``"legacy"`` leg of the
+simulator suites' loop matrix (``tests/conftest.py``) — need the scalar
+loop on the same runs; :func:`scalar_loop` gets it by putting
+``ServingSimulator._run_scalar`` in the place of the ``run_columnar``
+name ``drain()`` calls (the report's ``fallback_reason`` reads
+``"scalar oracle"``), and :func:`default_loop` restores the real loop
+inside such a block.  Nothing in ``src/`` knows this seam exists.
 """
 
 from __future__ import annotations
@@ -23,24 +22,30 @@ import repro.service.simulation.engine as engine
 #: The ``fallback_reason`` of every run drained under :func:`scalar_loop`.
 REASON = "scalar oracle"
 
-#: The real capability check, captured before any test patches it.
-_INELIGIBILITY = engine.columnar_ineligibility
+#: The real loop, captured before any test patches it.
+_RUN_COLUMNAR = engine.run_columnar
+
+
+def _run_scalar(sim, *args, **kwargs):
+    report = sim._run_scalar(*args, **kwargs)
+    report.fallback_reason = REASON
+    return report
 
 
 @contextlib.contextmanager
 def scalar_loop() -> Iterator[None]:
     """Every drain inside the block runs the scalar event loop."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "columnar_ineligibility", lambda *_: REASON)
+        patch.setattr(engine, "run_columnar", _run_scalar)
         yield
 
 
 @contextlib.contextmanager
 def default_loop() -> Iterator[None]:
-    """Every drain inside the block picks its loop as a user's run does,
-    even inside a :func:`scalar_loop` block."""
+    """Every drain inside the block runs the loop a user's run does, even
+    inside a :func:`scalar_loop` block."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "columnar_ineligibility", _INELIGIBILITY)
+        patch.setattr(engine, "run_columnar", _RUN_COLUMNAR)
         yield
 
 
@@ -52,6 +57,6 @@ def loop(name: str):
 
 
 def outcome(name: str):
-    """``(engine_used, fallback_reason)`` of a run the columnar loop can
-    serve, drained under ``loop(name)``."""
+    """``(engine_used, fallback_reason)`` of a run drained under
+    ``loop(name)``."""
     return ("legacy", REASON) if name == "legacy" else ("columnar", None)

@@ -3,9 +3,9 @@
 ``run_scenario``, a ``TierGateway`` session over
 ``SimulatedBackend.from_scenario`` and a region shard all build their
 engine through ``build_simulator``; with a trace sink attached they must
-agree on the report digest *and* on what was traced.  Each run picks
-its loop from the run itself, so the canonical and chaos specs between
-them cover both.
+agree on the report digest *and* on what was traced.  The canonical and
+chaos specs between them cover both trace shapes: per attempt (a fault
+schedule or a control plane) and coarse.
 """
 
 import pytest

@@ -105,17 +105,17 @@ class TestRegionSLOReplay:
 
 
 #: The flaky outage's digest as its ``TransientFaults`` window alone kept
-#: eu-west on the legacy loop: pinning that loop by a trace recorder
-#: instead must not move a bit.
+#: eu-west on the legacy loop, and then a trace recorder did: draining
+#: it columnar, traced, must not move a bit.
 _FLAKY_OUTAGE_DIGEST = (
     "c2ecc9a4ee02eba2961fa7c655e7497e20ebc7337095dc1d3e0b11a7fcd8f998"
 )
 
 
-class TestEngineFallbackSurface:
-    """What the default path picks per shard, on both legs of the matrix."""
+class TestEngineSurface:
+    """Every shard drains columnar on the default path, traced or not."""
 
-    def test_faulted_region_reports_its_fallback(self, toy):
+    def test_traced_faulted_region_runs_columnar(self, toy):
         spec = region_scenarios()["regional-outage"]
         outage = spec.regions[1]
         flaky = TransientFaults(start_s=2.0, end_s=8.0, failure_probability=0.3)
@@ -134,11 +134,9 @@ class TestEngineFallbackSurface:
         )
         with default_loop():
             report = run_multi_region(spec, toy, trace=TraceCollector())
-        fallbacks = report.engine_fallbacks()
-        assert fallbacks == {"eu-west": "per-attempt trace of a fault schedule"}
-        assert report.shard("us-east").engine_used == "columnar"
-        assert report.shard("eu-west").engine_used == "legacy"
-        assert report.summary()["n_engine_fallbacks"] == 1.0
+        assert all(s.engine_used == "columnar" for s in report.shards)
+        assert all(s.fallback_reason is None for s in report.shards)
+        assert "n_engine_fallbacks" not in report.summary()
         assert [s.summary["n_scaling_events"] for s in report.shards] == [0, 0]
         assert report.digest() == _FLAKY_OUTAGE_DIGEST
 
@@ -146,15 +144,14 @@ class TestEngineFallbackSurface:
         """A node crash is a window fault the columnar loop serves."""
         with default_loop():
             report = run_multi_region(region_scenarios()["regional-outage"], toy)
-        assert report.engine_fallbacks() == {}
         assert all(s.engine_used == "columnar" for s in report.shards)
-        assert report.summary()["n_engine_fallbacks"] == 0.0
+        assert all(s.fallback_reason is None for s in report.shards)
 
-    def test_healthy_regions_report_no_fallback(self, toy):
+    def test_healthy_regions_run_columnar(self, toy):
         with default_loop():
             report = run_multi_region(region_scenarios()["tri-steady"], toy)
-        assert report.engine_fallbacks() == {}
         assert all(s.engine_used == "columnar" for s in report.shards)
+        assert all(s.fallback_reason is None for s in report.shards)
 
 
 class TestEmptyShard:

@@ -7,9 +7,8 @@ amplification for retry storms, paired warmup windows for cold starts,
 and held-then-released surges for thundering herds — all with the
 invariant checker on.
 
-Chaos runs execute on the scalar loop by themselves (faults make the
-columnar loop ineligible; the differential suite verifies the fallback);
-their fault-free twins run wherever the default path puts them.
+Chaos runs and their fault-free twins drain on the default path, the
+columnar loop; the differential suite holds it to the scalar oracle.
 """
 
 from dataclasses import replace

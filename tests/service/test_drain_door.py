@@ -5,14 +5,10 @@ what the deployment cannot serve at all (a repeated id, an unmeasured
 payload, a bad threshold, fast == accurate, an undeployed or unrefillable
 pool, a pool holding a dead node or a non-replay version, nothing
 submitted) raises a typed error before any node, pool,
-clock or RNG state is written, and ``fallback_reason`` names only a
-capability the columnar loop lacks — after which the event loop finishes
-the run.  The ``"legacy"`` legs drain inside ``tests/oracle/scalar.py``'s
-``scalar_loop()``.
+clock or RNG state is written; anything else drains columnar — traced or
+not — and ends in a report.  The ``"legacy"`` legs drain inside
+``tests/oracle/scalar.py``'s ``scalar_loop()``.
 """
-
-import ast
-import inspect
 
 import numpy as np
 import pytest
@@ -37,17 +33,12 @@ from repro.service.simulation import (
     PoissonArrivals,
     ServingSimulator,
     build_replay_cluster,
-    columnar,
     scenario_measurements,
 )
 from repro.service.simulation.scenarios import build_simulator
 from test_scenario_properties import _random_spec
 
 ENGINES = ("columnar", "legacy")
-
-#: Everything a columnar-requested drain may say on its way to the
-#: event loop.  A reason outside this set is a refusal in disguise.
-CAPABILITY_PREFIXES = ("per-attempt trace of a ",)
 
 
 @pytest.fixture
@@ -201,7 +192,7 @@ def test_refused_at_the_door(case, engine, toy):
         sim.drain()
     assert isinstance(excinfo.value, ValueError)
     assert case == "nothing-submitted" or isinstance(excinfo.value, TierError)
-    assert sim.engine_used is None and sim.fallback_reason is None
+    assert sim.engine_used is None
     assert _state(sim) == before
     # Refused, not consumed: the same call is refused the same way.
     with loop(engine), pytest.raises(error, match=message):
@@ -235,70 +226,35 @@ def test_a_second_drain_is_refused_whichever_engine_ran_the_first(engine, toy):
 
 
 # ----------------------------------------------------------------------
-# a fallback means one thing: the other loop finishes this run
+# a trace recorder does not choose the loop
 # ----------------------------------------------------------------------
-def _capability_simulator(toy):
-    """A traced fault schedule: the one capability the columnar loop lacks."""
-    return build_simulator(
-        build_replay_cluster(toy, {"fast": 2, "slow": 2}),
-        configuration=_seq(),
-        measurements=toy,
-        check_invariants=True,
-        faults=(NodeCrash(at_s=1.0, version="slow", node_index=0),),
-        trace=TraceCollector(),
+@pytest.mark.parametrize("source", ["fault schedule", "control plane"])
+def test_a_traced_run_drains_columnar(source, toy):
+    """A traced fault schedule or control plane — the runs a trace once
+    moved to the scalar loop — drains columnar, with the untraced run's
+    report, and ends in a report."""
+    slo = SLOSpec(name="latency", max_p95_latency_s=5.0)
+    extra = (
+        {"faults": (NodeCrash(at_s=1.0, version="slow", node_index=0),)}
+        if source == "fault schedule"
+        else {"control": ControlSpec(slos=(slo,))}
     )
-
-
-@pytest.mark.parametrize("prefix", CAPABILITY_PREFIXES)
-def test_each_capability_reason_ends_in_a_report(prefix, toy):
-    sim = _capability_simulator(toy)
-    report = sim.run(PoissonArrivals(6.0), 60, payload_ids=toy.request_ids)
-    assert report.n_requests == 60
-    assert report.engine_used == sim.engine_used == "legacy"
-    assert report.fallback_reason == sim.fallback_reason
-    assert sim.fallback_reason.startswith(prefix)
-
-
-def test_a_control_plane_drains_columnar_unless_traced(toy):
-    """A control plane is an event source of the columnar loop; only a
-    trace recorder, which wants its admission and epoch spans live,
-    keeps it on the scalar loop — under the per-attempt trace reason."""
-    control = ControlSpec(slos=(SLOSpec(name="latency", max_p95_latency_s=5.0),))
-    for trace, outcome in (
-        (None, ("columnar", None)),
-        (TraceCollector(), ("legacy", "per-attempt trace of a control plane")),
-    ):
+    digests = set()
+    for trace in (None, TraceCollector()):
         sim = build_simulator(
             build_replay_cluster(toy, {"fast": 2, "slow": 2}),
             configuration=_seq(),
             measurements=toy,
             check_invariants=True,
-            control=control,
             trace=trace,
+            **extra,
         )
         report = sim.run(PoissonArrivals(6.0), 60, payload_ids=toy.request_ids)
         assert report.n_requests == 60
-        assert (report.engine_used, report.fallback_reason) == outcome
-
-
-def test_the_fallback_reason_set_is_closed():
-    """Every string ``columnar_ineligibility`` can return opens with one
-    of the two capability prefixes — a third is a refusal that
-    belongs at the door."""
-    tree = ast.parse(inspect.getsource(columnar.columnar_ineligibility))
-    leading = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Return):
-            continue
-        value = node.value
-        if isinstance(value, ast.JoinedStr):
-            value = value.values[0]
-        assert isinstance(value, ast.Constant), ast.dump(node)
-        if value.value is not None:
-            leading.append(value.value)
-    assert sorted(leading) == sorted(CAPABILITY_PREFIXES)
-    # ... and the return value is the only channel that carries one.
-    assert not hasattr(columnar, "ColumnarFallback")
+        assert report.engine_used == sim.engine_used == "columnar"
+        assert report.fallback_reason is None
+        digests.add(report.digest())
+    assert len(digests) == 1
 
 
 # ----------------------------------------------------------------------
@@ -359,18 +315,15 @@ def _assert_refused_or_drained(seed, defect, engine, with_faults, toy):
     sim, before, outcome = _defective_run(seed, defect, engine, with_faults, toy)
     if isinstance(outcome, TierError):
         assert defect is not None
-        assert sim.engine_used is None and sim.fallback_reason is None
+        assert sim.engine_used is None
         assert _state(sim) == before
         return
     # Only an emptied pool can be survivable: an autoscaler may add a node.
     assert defect in (None, "emptied-pool")
     assert outcome.n_requests == before["submitted"]
-    assert outcome.fallback_reason == sim.fallback_reason
-    if engine == "legacy":
-        assert sim.engine_used == "legacy" and sim.fallback_reason == REASON
-    elif sim.fallback_reason is not None:
-        assert sim.engine_used == "legacy"
-        assert sim.fallback_reason.startswith(CAPABILITY_PREFIXES)
+    assert (sim.engine_used, outcome.fallback_reason) == (
+        ("legacy", REASON) if engine == "legacy" else ("columnar", None)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,8 +343,7 @@ def test_a_run_is_refused_whole_or_drained_whole(
 ):
     """Never a bare ``KeyError`` / ``RuntimeError`` from halfway through:
     a ``TierError`` with nothing written, or a report that passed
-    ``check_invariants`` conservation — and a ``fallback_reason`` only
-    ever beside a report."""
+    ``check_invariants`` conservation, from the loop asked for."""
     _assert_refused_or_drained(seed, defect, engine, with_faults, toy)
 
 
@@ -418,5 +370,6 @@ def test_the_property_catches_a_door_without_its_degenerate_arm(
     with pytest.raises(RuntimeError, match="requests unresolved"):
         _assert_refused_or_drained(3, "degenerate", "legacy", False, toy)
     (sim,) = let_through
-    assert sim.engine_used == "legacy" and sim.now > 0.0
+    # The scalar loop's clock ran; a loop that dies leaves no engine named.
+    assert sim.engine_used is None and sim.now > 0.0
     assert any(busy > 0.0 for _, busy, *_ in _state(sim)["nodes"])

@@ -14,15 +14,14 @@ two.  This file is that argument, run continuously:
    retries x control (enabled and disabled), each run under both
    engines with the invariant checker on (conservation laws) and
    compared digest-for-digest plus control-log-for-control-log.
-4. **Eligibility** — the specs the columnar fast path claims to handle
-   really run columnar (``engine_used`` says so), and the ones it must
-   not handle fall back to legacy with a stated reason.
+4. **Eligibility** — every run drains columnar (``engine_used`` says
+   so), a traced fault schedule included, with the oracle's report.
 5. **Routed traffic** — :data:`N_ROUTED` seeded sessions in which a
    ``TierRouter`` serves every request by its own annotation (a random
    mix of all five configuration shapes, one-by-one submissions) run
-   columnar and digest-identical to the oracle; one ineligible routed
-   configuration falls back naming its reason; a pre-pass that swaps
-   two groups' thresholds is caught.
+   columnar and digest-identical to the oracle; one unservable routed
+   configuration is refused at the door on both loops; a pre-pass that
+   swaps two groups' thresholds is caught.
 6. **Window faults** — :data:`N_WINDOW` seeded specs drawing crashes
    (whole pools emptied, with and without recovery), stragglers, gray
    nodes and cold-start waves under retry policies and budgets run
@@ -63,7 +62,7 @@ the fault and control streams).
 Seeds below :data:`FAST_SPECS` run in the fast tier; the rest carry the
 ``slow`` marker.  The oracle half of each comparison drains inside
 ``tests/oracle/scalar.py``'s ``scalar_loop()``; the other half takes the
-default path, which picks its loop from the run.
+default path, the columnar loop.
 """
 
 import dataclasses
@@ -369,7 +368,7 @@ def test_fuzzed_specs_digest_identical(seed, toy):
 
 
 # ----------------------------------------------------------------------
-# eligibility: the fast path really runs, the fallback really falls back
+# eligibility: the fast path really runs, traced or not
 # ----------------------------------------------------------------------
 def _direct_sim(toy, policy, *, batching=True, nodes=2):
     cluster = build_replay_cluster(toy, {v: nodes for v in {*policy.versions}})
@@ -401,7 +400,7 @@ def test_supported_shapes_run_columnar(policy, toy):
     sim = _direct_sim(toy, policy)
     report = sim.run(PoissonArrivals(4.0), 60, payload_ids=toy.request_ids)
     assert sim.engine_used == "columnar"
-    assert sim.fallback_reason is None
+    assert report.fallback_reason is None
     assert report.n_requests == 60
 
 
@@ -431,15 +430,15 @@ def test_every_pool_size_scans_like_the_scalar_loop(policy, nodes, toy):
         legacy_sim, legacy = drain()
     sim, columnar = drain()
     assert sim.engine_used == "columnar"
-    assert sim.fallback_reason is None
+    assert columnar.fallback_reason is None
     assert_reports_identical(legacy, columnar)
     assert _cluster_books(legacy_sim.cluster) == _cluster_books(sim.cluster)
 
 
-def test_unsupported_shapes_fall_back_with_reason(toy):
-    """Structurally ineligible runs execute on the legacy oracle and say
-    why; behaviour still matches a pure legacy run exactly."""
-    spec = canonical_scenarios()["node-crash"]  # traced faults -> ineligible
+def test_traced_fault_runs_drain_columnar(toy):
+    """A trace recorder does not choose the engine: a traced fault
+    schedule drains columnar, with the report of a pure legacy run."""
+    spec = canonical_scenarios()["node-crash"]
     cluster = build_replay_cluster(toy, dict(spec.pools))
     sim = ServingSimulator(
         cluster,
@@ -450,8 +449,8 @@ def test_unsupported_shapes_fall_back_with_reason(toy):
         seed=spec.seed,
     )
     report = sim.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
-    assert sim.engine_used == "legacy"
-    assert sim.fallback_reason == "per-attempt trace of a fault schedule"
+    assert sim.engine_used == report.engine_used == "columnar"
+    assert report.fallback_reason is None
     with scalar_loop():
         legacy = run_scenario(spec, toy)
     assert_reports_identical(legacy, report)
@@ -481,7 +480,7 @@ def test_chaos_specs_pick_their_loop_with_named_reason(name, closed, toy):
         objective=spec.objective,
         payload_ids=toy.request_ids,
     )
-    assert sim.engine_used == "columnar" and sim.fallback_reason is None
+    assert sim.engine_used == "columnar" and report.fallback_reason is None
     with scalar_loop():
         legacy = run_scenario(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, report)
@@ -490,9 +489,8 @@ def test_chaos_specs_pick_their_loop_with_named_reason(name, closed, toy):
 
 @pytest.mark.parametrize("name", sorted(chaos_scenarios()))
 def test_chaos_scenarios_digest_identical_across_engines(name, toy):
-    """The default path on a chaos spec — the columnar loop, or a
-    fallback that replays on the scalar one — matches the legacy oracle
-    digest-for-digest."""
+    """The default path on a chaos spec — the columnar loop — matches
+    the legacy oracle digest-for-digest."""
     spec = chaos_scenarios()[name]
     legacy, columnar = run_both(spec, toy, check_invariants=True)
     assert_reports_identical(legacy, columnar)
@@ -612,7 +610,7 @@ def test_routed_sessions_digest_identical(seed, toy):
     sim, _ = _routed_session(seed, toy)
     columnar = sim.drain()
     assert sim.engine_used == "columnar"
-    assert sim.fallback_reason is None
+    assert columnar.fallback_reason is None
     assert columnar.engine_used == "columnar"
     assert_reports_identical(legacy, columnar)
     assert legacy.n_requests == columnar.n_requests == n
@@ -745,14 +743,13 @@ def test_one_ineligible_routed_configuration_falls_back(broken, error, toy):
             sim.drain()
         messages.add(str(excinfo.value))
         assert sim.engine_used is None
-        assert sim.fallback_reason is None
     assert len(messages) == 1
 
     sim, _ = _routed_session(
         3, toy, router=_broken_router(broken), tolerances=(0.0, 0.01, 0.05)
     )
     report = sim.drain()
-    assert sim.engine_used == "columnar" and sim.fallback_reason is None
+    assert sim.engine_used == "columnar" and report.fallback_reason is None
     legacy_sim, _ = _routed_session(
         3, toy, router=_broken_router(broken), tolerances=(0.0, 0.01, 0.05)
     )
@@ -1014,7 +1011,7 @@ def _window_simulator(seed, toy):
         for i in range(n)
     ]
 
-    def build():
+    def build(trace=None):
         sim = ServingSimulator(
             build_replay_cluster(toy, pools),
             router=router,
@@ -1025,6 +1022,7 @@ def _window_simulator(seed, toy):
             faults=faults,
             retry=retry,
             check_invariants=True,
+            trace=trace,
             seed=seed,
         )
         if routed:
@@ -1082,7 +1080,7 @@ def _run_window_pair(seed, toy, build=None):
         legacy = legacy_drain()
     sim, drain = build()
     columnar = drain()
-    assert sim.engine_used == "columnar" and sim.fallback_reason is None
+    assert sim.engine_used == "columnar" and columnar.fallback_reason is None
     return (
         legacy,
         _cluster_books(legacy_sim.cluster),
@@ -1387,7 +1385,7 @@ def _control_simulator(seed, toy):
         for i in range(n)
     ]
 
-    def build():
+    def build(trace=None):
         sim = build_simulator(
             build_replay_cluster(toy, pools),
             router=router,
@@ -1400,6 +1398,7 @@ def _control_simulator(seed, toy):
             control=control,
             measurements=toy,
             check_invariants=True,
+            trace=trace,
             seed=seed,
         )
         if routed:

@@ -1,10 +1,10 @@
-"""The report's engine bookkeeping: which engine ran, and why it fell back.
+"""The report's engine bookkeeping: which engine ran it.
 
-``LoadTestReport.engine_used`` / ``fallback_reason`` surface what the
-simulator previously only kept on itself — so multi-region merges, bench
-output and plain callers can aggregate fallback counts without holding
-the simulator.  Neither field enters the digest: *how* a run executed is
-bit-irrelevant to *what* it produced.
+``LoadTestReport.engine_used`` says which loop drained the run: the
+columnar one for every run ``drain()`` serves, traced or not, and the
+scalar loop only under the test suite's oracle, whose report alone sets
+``fallback_reason``.  Neither field enters the digest: *how* a run
+executed is bit-irrelevant to *what* it produced.
 """
 
 from dataclasses import replace
@@ -37,12 +37,14 @@ def test_columnar_run_reports_engine(toy):
     assert report.fallback_reason is None
 
 
-def test_fallback_reports_reason(toy):
+def test_traced_fault_run_reports_columnar(toy):
     spec = canonical_scenarios()["node-crash"]
     with default_loop():
         report = run_scenario(spec, toy, trace=TraceCollector())
-    assert report.engine_used == "legacy"
-    assert report.fallback_reason == "per-attempt trace of a fault schedule"
+    assert report.engine_used == "columnar"
+    assert report.fallback_reason is None
+    with scalar_loop():
+        assert report.digest() == run_scenario(spec, toy).digest()
 
 
 def test_autoscaled_run_reports_columnar(toy):
@@ -70,35 +72,30 @@ def test_completion_fault_run_reports_columnar(toy):
     assert report.fallback_reason is None
 
 
-#: A closed-loop spec drains columnar unless it also carries what the
-#: columnar loop lacks: a trace.  Neither a fault that fails completions
-#: nor an autoscaler is one.
+#: A closed-loop spec drains columnar whatever it also carries: a fault
+#: that fails completions, an autoscaler, a trace.
 _CLOSED_LOOP_EXTRAS = {
-    "plain": ({}, None),
-    "transient": (
-        {"faults": (TransientFaults(start_s=1.0, end_s=4.0, failure_probability=0.2),)},
-        None,
-    ),
-    "autoscaler": (
-        {"autoscaler_config": AutoscalerConfig(min_nodes=1, max_nodes=3)},
-        None,
-    ),
-    "trace": ({}, "per-attempt trace of a control plane"),
+    "plain": {},
+    "transient": {
+        "faults": (TransientFaults(start_s=1.0, end_s=4.0, failure_probability=0.2),)
+    },
+    "autoscaler": {"autoscaler_config": AutoscalerConfig(min_nodes=1, max_nodes=3)},
+    "trace": {},
 }
 
 
 @pytest.mark.parametrize("extra", sorted(_CLOSED_LOOP_EXTRAS))
 def test_control_plane_run_reports_its_loop(extra, toy):
-    fields, reason = _CLOSED_LOOP_EXTRAS[extra]
     spec = replace(
-        canonical_scenarios()["baseline"], control=default_control_spec(), **fields
+        canonical_scenarios()["baseline"],
+        control=default_control_spec(),
+        **_CLOSED_LOOP_EXTRAS[extra],
     )
     with default_loop():
         report = run_scenario(
             spec, toy, trace=TraceCollector() if extra == "trace" else None
         )
-    assert report.engine_used == ("columnar" if reason is None else "legacy")
-    assert report.fallback_reason == reason
+    assert (report.engine_used, report.fallback_reason) == ("columnar", None)
     with scalar_loop():
         assert report.digest() == run_scenario(spec, toy).digest()
 
