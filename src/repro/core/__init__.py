@@ -11,11 +11,9 @@ The package follows the paper's architecture (Section IV):
   routing-rule generator searches.
 * :mod:`repro.core.metrics` -- error degradation, response time and cost
   aggregation for policy outcomes.
-* :mod:`repro.core.simulator` -- ``simulate(sample, cfg)``: replay a
-  configuration over measured requests (paper Fig. 7's inner call).
-* :mod:`repro.core.outcome_matrix` -- precomputed per-request outcome
-  columns turning bootstrap trials into vectorized gathers (the rule
-  generator's fast path; the scalar path remains the oracle).
+* :mod:`repro.core.outcome_matrix` -- per-request outcome columns that
+  turn bootstrap trials into vectorized gathers: ``simulate(sample, cfg)``,
+  paper Fig. 7's inner call, is :meth:`OutcomeMatrix.evaluate`.
 * :mod:`repro.core.bootstrap` / :mod:`repro.core.rule_generator` -- the
   bootstrapping routing-rule generator with statistical confidence
   (paper Fig. 7).
@@ -63,7 +61,7 @@ from repro.core.executor import (
     require_confidence_threshold,
     should_escalate,
 )
-from repro.core.bootstrap import WorstCaseEstimate, bootstrap_configuration
+from repro.core.bootstrap import WorstCaseEstimate
 from repro.core.configuration import (
     EnsembleConfiguration,
     enumerate_configurations,
@@ -91,7 +89,6 @@ from repro.core.policies import (
 )
 from repro.core.router import RoutingRuleTable, TierRouter
 from repro.core.rule_generator import RoutingRuleGenerator
-from repro.core.simulator import TierSimulation, simulate
 
 __all__ = [
     "BackendCapabilityError",
@@ -123,14 +120,12 @@ __all__ = [
     "SingleVersionPolicy",
     "TierError",
     "TierRouter",
-    "TierSimulation",
     "ToleranceAuditRow",
     "UnknownObjectiveError",
     "UnroutableToleranceError",
     "WorstCaseEstimate",
     "audit_guarantees",
     "billed_node_seconds",
-    "bootstrap_configuration",
     "build_pricing",
     "compose_response_time",
     "early_termination_cap",
@@ -139,5 +134,4 @@ __all__ = [
     "evaluate_policy",
     "require_confidence_threshold",
     "should_escalate",
-    "simulate",
 ]

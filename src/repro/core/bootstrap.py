@@ -2,69 +2,49 @@
 
 The routing-rule generator needs, for every candidate configuration, a
 *confident worst-case* estimate of its error degradation, response time and
-invocation cost.  It gets one by repeatedly simulating the configuration on
+invocation cost.  It gets one by repeatedly evaluating the configuration on
 random subsamples of the training requests until the spread of the observed
 trial values satisfies the confidence test, then recording the worst value
 seen for each metric.
 
 :func:`bootstrap_configurations` runs a whole design space, in order, over
-**one trial stream**: the subsamples the scalar loop would draw, one
-``rng.choice`` per trial, configuration after configuration.  One
-contract, two loops, picked per configuration:
+**one trial stream**: one ``rng.choice`` per trial, configuration after
+configuration, every trial scored against an
+:class:`~repro.core.outcome_matrix.OutcomeMatrix`, which also supplies the
+measurements, pricing, baseline and degradation mode.  A configuration's
+outcome columns are expanded when its bootstrap starts and dropped when its
+estimate is done, so at most one configuration's columns are alive at a
+time.  Trials are taken from the stream in blocks, each block evaluated as
+a ``(block, sample_size)`` gather against those columns, and the
+sequential confidence test is fed in blocks via
+:meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.  The
+trials of a configuration's last block past its stopping point go back to
+the stream, where the next configuration takes them first: they are the
+draws a per-trial loop would have made for it.
 
-* the **blocked vectorized loop**, whenever an
-  :class:`~repro.core.outcome_matrix.OutcomeMatrix` that holds the
-  configuration is supplied (the rule generator always supplies one).
-  It expands the configuration's outcome columns when its bootstrap
-  starts and drops them when its estimate is done, so at most one
-  configuration's columns are alive at a time.  It takes trials from the
-  stream in blocks, evaluates each block as a ``(block, sample_size)``
-  gather against those columns, and feeds the sequential confidence
-  test in blocks via
-  :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.  The
-  trials of its last block past the stopping point go back to the
-  stream, where the next configuration takes them first — they are the
-  draws the scalar loop would have made for it.
-* the **scalar loop** — one :func:`~repro.core.simulator.simulate` call
-  per trial — for policies the matrix cannot expand (a custom
-  ``evaluate``, :mod:`repro.core.learned_router`) or when none is given;
-  ``tests/oracle/rulegen_reference.py`` holds the first loop equal to it.
-
-A scalar configuration takes given-back trials first and then draws its
-own with :func:`~repro.stats.resampling.subsample_indices`, as the
-scalar reference does.  The stream keeps one batch: its trials and the
-rng state it was drawn from.  When the design space is done it hands
-the rng back: it rewinds to that batch if some of its trials are unused
-and replays the draws used from it, so the generator ends where the
-scalar loop ends — one replay per design space, not one per
-configuration.
+The stream keeps one batch: its trials and the rng state it was drawn
+from.  When the design space is done it hands the rng back: it rewinds to
+that batch if some of its trials are unused and replays the draws used
+from it, so the rng ends where one draw per trial leaves it — one replay
+per design space, not one per configuration.
+``tests/oracle/rulegen_reference.py`` is the per-trial loop the
+estimates and the rng's end state are held equal to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro import checks
 from repro.contract import RULEGEN_SAMPLE_FRACTION
 from repro.core.configuration import EnsembleConfiguration
-from repro.core.policies import SingleVersionPolicy
-from repro.core.simulator import TierSimulation, simulate
-from repro.service.measurement import MeasurementSet
-from repro.service.pricing import PricingModel
+from repro.core.outcome_matrix import OutcomeMatrix
 from repro.stats.confidence import ConfidenceTest
-from repro.stats.resampling import subsample_indices
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.outcome_matrix import OutcomeMatrix
-
-__all__ = [
-    "WorstCaseEstimate",
-    "bootstrap_configuration",
-    "bootstrap_configurations",
-]
+__all__ = ["WorstCaseEstimate", "bootstrap_configurations"]
 
 #: Trials evaluated per vectorized gather (the first takes at least the
 #: test's ``min_trials``).  Purely a throughput knob: results are identical
@@ -100,156 +80,54 @@ class WorstCaseEstimate:
         raise ValueError(f"unknown objective {objective!r}")
 
 
-def bootstrap_configuration(
-    measurements: MeasurementSet,
-    configuration: EnsembleConfiguration,
-    *,
-    confidence_test: ConfidenceTest,
-    rng: np.random.Generator,
-    sample_fraction: float = RULEGEN_SAMPLE_FRACTION,
-    pricing: Optional[PricingModel] = None,
-    baseline_version: Optional[str] = None,
-    degradation_mode: str = "relative",
-    outcome_matrix: Optional["OutcomeMatrix"] = None,
-    trial_block: int = DEFAULT_TRIAL_BLOCK,
-) -> WorstCaseEstimate:
-    """Bootstrap one configuration until its metrics are confidently spread.
-
-    Each trial simulates the configuration on a random
-    ``sample_fraction``-sized subsample of the measurements (without
-    replacement, mirroring the paper's ``choice(train, k=len/10)``), and the
-    loop stops once every metric column satisfies the confidence test (or
-    the test's ``max_trials`` safety bound is reached).  ``rng`` is left
-    where one ``rng.choice`` per trial leaves it.
-
-    Args:
-        measurements: The training measurements.
-        configuration: The candidate configuration.
-        confidence_test: Spread test bound to the requested confidence level.
-        rng: Seeded generator driving the subsampling.
-        sample_fraction: Fraction of the training requests per trial.
-        pricing: Optional pre-built pricing model.
-        baseline_version: Degradation reference version; defaults to the
-            most accurate version of the full training set.
-        degradation_mode: ``"relative"`` or ``"absolute"``.
-        outcome_matrix: Outcome columns enabling the blocked vectorized
-            fast path; the matrix must hold the configuration (fall back
-            to the scalar loop otherwise).
-        trial_block: Trials per vectorized gather on the fast path.
-
-    Returns:
-        The worst-case estimate across all trials.
-    """
-    return bootstrap_configurations(
-        measurements,
-        [configuration],
-        confidence_test=confidence_test,
-        rng=rng,
-        sample_fraction=sample_fraction,
-        pricing=pricing,
-        baseline_version=baseline_version,
-        degradation_mode=degradation_mode,
-        outcome_matrix=outcome_matrix,
-        trial_block=trial_block,
-    )[0]
-
-
 def bootstrap_configurations(
-    measurements: MeasurementSet,
+    matrix: OutcomeMatrix,
     configurations: Sequence[EnsembleConfiguration],
     *,
     confidence_test: ConfidenceTest,
     rng: np.random.Generator,
     sample_fraction: float = RULEGEN_SAMPLE_FRACTION,
-    pricing: Optional[PricingModel] = None,
-    baseline_version: Optional[str] = None,
-    degradation_mode: str = "relative",
-    outcome_matrix: Optional["OutcomeMatrix"] = None,
     trial_block: int = DEFAULT_TRIAL_BLOCK,
 ) -> List[WorstCaseEstimate]:
     """Bootstrap every configuration, in order, over one trial stream.
 
-    Equal to :func:`bootstrap_configuration` called per configuration on
-    the same ``rng`` (the estimates, and where ``rng`` is left), with the
-    same arguments.
+    Each trial scores a configuration on a random ``sample_fraction``-sized
+    subsample of the matrix's measurements (without replacement, mirroring
+    the paper's ``choice(train, k=len/10)``); a configuration's trials stop
+    once every metric column satisfies the confidence test (or its
+    ``max_trials`` safety bound is reached).  ``rng`` is left where one
+    ``rng.choice`` per trial leaves it.
+
+    Args:
+        matrix: The design space's outcome matrix; it must hold every
+            configuration.
+        configurations: The configurations to bootstrap, in order.
+        confidence_test: Spread test bound to the requested confidence level.
+        rng: Seeded generator driving the subsampling.
+        sample_fraction: Fraction of the training requests per trial.
+        trial_block: Trials per vectorized gather.
+
+    Returns:
+        One worst-case estimate per configuration, in order.
     """
     checks.positive("sample_fraction", sample_fraction)
     checks.probability("sample_fraction", sample_fraction)
     checks.integer("trial_block", trial_block, minimum=1)
-    if baseline_version is None:
-        baseline_version = measurements.most_accurate_version()
-    blocked = [
-        outcome_matrix is not None and configuration.config_id in outcome_matrix
-        for configuration in configurations
-    ]
-    if any(blocked):
-        _check_matrix(
-            outcome_matrix, measurements, pricing, baseline_version, degradation_mode
-        )
-
-    sample_size = max(2, int(round(measurements.n_requests * sample_fraction)))
-    stream = _TrialStream(rng, measurements.n_requests, sample_size)
+    n = matrix.measurements.n_requests
+    sample_size = max(2, int(round(n * sample_fraction)))
+    stream = _TrialStream(rng, n, sample_size)
     results = [
         _bootstrap_blocked(
-            outcome_matrix,
+            matrix,
             configuration,
             confidence_test=confidence_test,
             stream=stream,
             trial_block=trial_block,
         )
-        if fast
-        else _bootstrap_scalar(
-            measurements,
-            configuration,
-            confidence_test=confidence_test,
-            stream=stream,
-            rng=rng,
-            sample_size=sample_size,
-            pricing=pricing,
-            baseline_version=baseline_version,
-            degradation_mode=degradation_mode,
-        )
-        for configuration, fast in zip(configurations, blocked)
+        for configuration in configurations
     ]
     stream.release()
     return results
-
-
-def _check_matrix(
-    matrix: "OutcomeMatrix",
-    measurements: MeasurementSet,
-    pricing: Optional[PricingModel],
-    baseline_version: str,
-    degradation_mode: str,
-) -> None:
-    """Refuse a matrix that would price or score trials differently from
-    the scalar loop."""
-    if matrix.measurements is not measurements:
-        raise ValueError("outcome_matrix was built from a different measurement set")
-    if matrix.degradation_mode != degradation_mode:
-        raise ValueError(
-            f"outcome_matrix was built for degradation_mode="
-            f"{matrix.degradation_mode!r}, not {degradation_mode!r}"
-        )
-    if matrix.baseline_version != baseline_version:
-        raise ValueError(
-            f"outcome_matrix was built against baseline "
-            f"{matrix.baseline_version!r}, not {baseline_version!r}"
-        )
-    matrix_pricing = matrix.pricing
-    if pricing is not None and not (
-        pricing is matrix_pricing
-        or (
-            pricing.per_request_fee == matrix_pricing.per_request_fee
-            and pricing.markup == matrix_pricing.markup
-            and pricing.version_instances == matrix_pricing.version_instances
-        )
-    ):
-        raise ValueError(
-            "outcome_matrix was built with a different pricing model; "
-            "pass an equivalent pricing (or omit it) so both engines "
-            "price trials identically"
-        )
 
 
 class _TrialStream:
@@ -268,7 +146,6 @@ class _TrialStream:
         if n <= 0:
             raise ValueError(f"population size must be positive, got {n}")
         self._rng = rng
-        # After this clip each row is exactly subsample_indices' draw.
         self._draw = rng.choice
         self._n = n
         self._size = int(min(max(sample_size, 1), n))
@@ -311,61 +188,8 @@ class _TrialStream:
         self._state, self._rows, self._used = None, None, 0
 
 
-def _bootstrap_scalar(
-    measurements: MeasurementSet,
-    configuration: EnsembleConfiguration,
-    *,
-    confidence_test: ConfidenceTest,
-    stream: _TrialStream,
-    rng: np.random.Generator,
-    sample_size: int,
-    pricing: Optional[PricingModel],
-    baseline_version: str,
-    degradation_mode: str,
-) -> WorstCaseEstimate:
-    """The per-trial loop, for configurations the matrix cannot expand.
-
-    It takes the trials a blocked configuration gave back first, then
-    draws its own, one :func:`subsample_indices` per trial.
-    """
-    baseline_policy = SingleVersionPolicy(baseline_version)
-    trials: List[TierSimulation] = []
-
-    while True:
-        if stream.carries:
-            indices = stream.take(1)[0]
-        else:
-            indices = subsample_indices(measurements.n_requests, sample_size, rng=rng)
-        trials.append(
-            simulate(
-                measurements,
-                configuration,
-                indices=indices,
-                pricing=pricing,
-                baseline_version=baseline_version,
-                baseline_policy=baseline_policy,
-                degradation_mode=degradation_mode,
-            )
-        )
-        columns = (
-            [t.error_degradation for t in trials],
-            [t.mean_response_time_s for t in trials],
-            [t.mean_invocation_cost for t in trials],
-        )
-        if confidence_test.all_satisfied(columns):
-            break
-
-    return WorstCaseEstimate(
-        config_id=configuration.config_id,
-        error_degradation=max(t.error_degradation for t in trials),
-        mean_response_time_s=max(t.mean_response_time_s for t in trials),
-        mean_invocation_cost=max(t.mean_invocation_cost for t in trials),
-        n_trials=len(trials),
-    )
-
-
 def _bootstrap_blocked(
-    matrix: "OutcomeMatrix",
+    matrix: OutcomeMatrix,
     configuration: EnsembleConfiguration,
     *,
     confidence_test: ConfidenceTest,

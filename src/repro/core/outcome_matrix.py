@@ -1,10 +1,10 @@
-"""Outcome columns on demand: the rule generator's vectorized fast path.
+"""Outcome columns on demand: how the rule generator scores a trial.
 
 The bootstrap loop of the routing-rule generator (paper Fig. 7) evaluates
-the *same* configuration on hundreds of random subsamples.  The legacy path
-pays Python-object overhead on every trial: it rebuilds policy outcome
-objects, re-evaluates the OSFA baseline from scratch and materialises
-per-row request-id tuples, only to reduce everything to three scalars.
+the *same* configuration on hundreds of random subsamples.  Scoring each
+trial through the policies' outcome objects would rebuild them, re-evaluate
+the OSFA baseline from scratch and materialise per-row request-id tuples,
+only to reduce everything to three scalars.
 
 :class:`OutcomeMatrix` removes that overhead by observing that for the
 policies the design space enumerates (``single`` / ``seq`` / ``conc`` /
@@ -29,10 +29,11 @@ confidence column instead of re-evaluating each
 
 A bootstrap trial then becomes a ``(block, sample_size)`` integer gather
 plus a ``mean(axis=1)`` — see :meth:`OutcomeMatrix.evaluate` — and the
-arithmetic is ordered exactly like the legacy scalar path
-(:func:`repro.core.simulator.simulate`) so both produce bit-identical
-metrics; the legacy path is kept as the correctness oracle
-(``tests/core/test_outcome_matrix.py``).
+arithmetic is ordered exactly like
+:func:`repro.core.metrics.evaluate_policy` on the same rows, so both
+produce bit-identical metrics (``tests/core/test_outcome_matrix.py``
+holds them equal).  A policy the matrix cannot expand is refused when
+the matrix is built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = ["ConfigurationColumns", "OutcomeMatrix", "TrialMetricBlock"]
 
 #: Policy types the matrix can expand into dense outcome columns.  Exact
 #: types, not ``isinstance``: a subclass may override ``evaluate`` (the
-#: learned-escalation baseline does) and must fall back to the legacy path.
+#: learned-escalation baseline does), and its columns would be wrong.
 _SUPPORTED_POLICY_TYPES = (
     SingleVersionPolicy,
     SequentialPolicy,
@@ -82,7 +83,7 @@ class ConfigurationColumns:
         config_id: The configuration the columns describe.
         stacked: ``(n_rows, n_requests)`` outcome-column matrix.
         node_rows: ``(version, row-index)`` pairs in the policy's version
-            order (the order the legacy cost breakdown sums in).
+            order (the order ``EnsembleOutcomes.cost`` sums in).
     """
 
     config_id: str
@@ -95,7 +96,7 @@ class TrialMetricBlock:
     """Metrics of a block of bootstrap trials, one entry per trial.
 
     The three arrays mirror the fields of
-    :class:`~repro.core.simulator.TierSimulation` that the bootstrap
+    :class:`~repro.core.metrics.PolicyMetrics` that the bootstrap
     consumes.
     """
 
@@ -109,8 +110,7 @@ class OutcomeMatrix:
 
     Build with :meth:`build`; expand one configuration's columns with
     :meth:`columns_for` and evaluate bootstrap trials against them with
-    :meth:`evaluate` (or both at once with :meth:`trial_metrics`).  The
-    matrix owns the pieces every configuration's evaluation shares — the
+    :meth:`evaluate`.  The matrix owns the pieces every configuration's evaluation shares — the
     versions' measurement columns, one pricing model, one baseline error
     column (the cached OSFA evaluation), one degradation mode — so nothing
     is re-derived per trial, and no configuration's columns outlive its
@@ -153,11 +153,6 @@ class OutcomeMatrix:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def supports(policy: EnsemblePolicy) -> bool:
-        """Whether the matrix can expand a policy into outcome columns."""
-        return type(policy) in _SUPPORTED_POLICY_TYPES
-
     @classmethod
     def build(
         cls,
@@ -168,13 +163,10 @@ class OutcomeMatrix:
         baseline_version: Optional[str] = None,
         degradation_mode: str = "relative",
     ) -> "OutcomeMatrix":
-        """A matrix for every supported configuration of a design space.
+        """A matrix for every configuration of a design space.
 
         Only the versions' measurement columns are fetched here; each
         configuration's outcome columns are expanded when asked for.
-        Unsupported policies (custom ``evaluate`` overrides) are skipped;
-        callers detect them via ``config_id in matrix`` and keep the legacy
-        scalar path for those.
 
         Args:
             measurements: The training measurement table.
@@ -186,9 +178,19 @@ class OutcomeMatrix:
             degradation_mode: ``"relative"`` or ``"absolute"``.
 
         Raises:
-            ValueError: If two configurations share an id.
+            ValueError: If two configurations share an id, or a policy is
+                not one of the four kinds the matrix expands (a custom
+                ``evaluate``, :mod:`repro.core.learned_router`).
         """
         configurations = check_unique_ids(configurations)
+        for configuration in configurations:
+            policy = configuration.policy
+            if type(policy) not in _SUPPORTED_POLICY_TYPES:
+                raise ValueError(
+                    f"configuration {configuration.config_id!r}: the outcome "
+                    f"matrix cannot expand a {type(policy).__name__} policy "
+                    "(only single, seq, conc and et)"
+                )
         if pricing is None:
             pricing = build_pricing(measurements)
         if baseline_version is None:
@@ -196,7 +198,6 @@ class OutcomeMatrix:
         policies = {
             configuration.config_id: configuration.policy
             for configuration in configurations
-            if cls.supports(configuration.policy)
         }
         return cls(
             measurements, pricing, baseline_version, degradation_mode, policies
@@ -205,9 +206,6 @@ class OutcomeMatrix:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def __contains__(self, config_id: str) -> bool:
-        return config_id in self._policies
-
     def columns_for(self, config_id: str) -> ConfigurationColumns:
         """Expand one configuration's outcome columns.
 
@@ -270,17 +268,6 @@ class OutcomeMatrix:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def trial_metrics(
-        self, config_id: str, indices: np.ndarray
-    ) -> TrialMetricBlock:
-        """Evaluate a block of one configuration's bootstrap trials.
-
-        Expands the configuration's columns for this call alone; a caller
-        evaluating many blocks expands once with :meth:`columns_for` and
-        calls :meth:`evaluate`.
-        """
-        return self.evaluate(self.columns_for(config_id), indices)
-
     def evaluate(
         self, cols: ConfigurationColumns, indices: np.ndarray
     ) -> TrialMetricBlock:
@@ -294,8 +281,9 @@ class OutcomeMatrix:
 
         Returns:
             Per-trial metric arrays of shape ``(block,)``.  Every value is
-            arithmetically ordered like the legacy scalar path, so it is
-            bit-identical to ``simulate(measurements, cfg, indices=row)``.
+            arithmetically ordered like
+            ``evaluate_policy(measurements, cfg.policy, indices=row)``, so
+            it is bit-identical to that call's metrics.
         """
         idx = np.asarray(indices)
         if idx.ndim == 1:
@@ -308,8 +296,8 @@ class OutcomeMatrix:
         # One gather for all columns.  ``take`` (unlike ``stacked[:, idx]``,
         # which leaves the gathered axes strided) yields a C-contiguous
         # result, so the per-row sums reduce along the contiguous axis in
-        # the same pairwise order as the scalar path's 1-D means and every
-        # metric is bit-identical to simulate().
+        # the same pairwise order as evaluate_policy's 1-D means and every
+        # metric is bit-identical to evaluate_policy's.
         gathered = cols.stacked.take(idx.reshape(-1), axis=1)
         sums = gathered.reshape(n_rows, block, sample_size).sum(axis=2)
         candidate_error = sums[0] / sample_size

@@ -24,7 +24,6 @@ from repro.core.configuration import (
     check_unique_ids,
     enumerate_configurations,
 )
-from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
 from repro.core.policies import SingleVersionPolicy
 from repro.core.router import RoutingRuleTable
@@ -56,6 +55,10 @@ class RoutingRuleGenerator:
     Every configuration is bootstrapped against one shared
     :class:`~repro.core.outcome_matrix.OutcomeMatrix`: one pricing model
     and one cached baseline evaluation for all configurations and trials.
+
+    Raises:
+        ValueError: If the space is empty, two configurations share an id,
+            or a policy is one the outcome matrix cannot expand.
     """
 
     def __init__(
@@ -86,17 +89,14 @@ class RoutingRuleGenerator:
             confidence=confidence, min_trials=min_trials, max_trials=max_trials
         )
         self._rng = np.random.default_rng(seed)
-        self._pricing = build_pricing(train_measurements)
         self.baseline_version = train_measurements.most_accurate_version()
 
         #: Shared version columns; each configuration's outcome columns
-        #: are expanded when its bootstrap runs.  Configurations whose
-        #: policies the matrix cannot expand (custom ``evaluate``
-        #: overrides) transparently use the scalar loop.
+        #: are expanded when its bootstrap runs.  A policy the matrix
+        #: cannot expand (a custom ``evaluate``) is refused here.
         self.outcome_matrix = OutcomeMatrix.build(
             train_measurements,
             self.configurations,
-            pricing=self._pricing,
             baseline_version=self.baseline_version,
             degradation_mode=degradation_mode,
         )
@@ -105,15 +105,11 @@ class RoutingRuleGenerator:
         #: :attr:`configurations` (mirrors ``self.results`` in Fig. 7).
         #: One trial stream serves them all, in order.
         self.results: List[WorstCaseEstimate] = bootstrap_configurations(
-            self.measurements,
+            self.outcome_matrix,
             self.configurations,
             confidence_test=self._confidence_test,
             rng=self._rng,
             sample_fraction=self.sample_fraction,
-            pricing=self._pricing,
-            baseline_version=self.baseline_version,
-            degradation_mode=self.degradation_mode,
-            outcome_matrix=self.outcome_matrix,
         )
 
     def estimate_for(self, config_id: str) -> WorstCaseEstimate:

@@ -1,7 +1,8 @@
 """Event-driven serving simulation: latency and cost under offered load.
 
-The replay path (:mod:`repro.core.simulator`) answers "what would this
-configuration have served per request"; this package answers the paper's
+The rule generator's contention-free scoring
+(:mod:`repro.core.outcome_matrix`) answers "what would this configuration
+have served per request"; this package answers the paper's
 *service* question — what do the Tolerance Tiers policies do to tail
 latency and cost when requests queue, batch and contend for a finite pool
 of nodes, and what happens when that pool degrades:

@@ -6,9 +6,9 @@ under the virtual clock, versions are *replayed* from a
 :class:`~repro.service.measurement.MeasurementSet`: a request's payload
 names a measured request id, and the version reports exactly the error,
 latency and confidence that were measured for that ``(request, version)``
-cell.  This is the same replay substrate the rule generator simulates over
-(:mod:`repro.core.simulator`), lifted into the live-serving protocol so
-queueing, batching and autoscaling can happen around it.
+cell.  This is the same measurement table the rule generator scores its
+trials on (:mod:`repro.core.outcome_matrix`), lifted into the live-serving
+protocol so queueing, batching and autoscaling can happen around it.
 """
 
 from __future__ import annotations

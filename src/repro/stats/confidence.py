@@ -8,8 +8,13 @@ requested confidence level, or span more than twice that quantile.  Once the
 spread condition holds, the *worst* observed value is recorded as the
 configuration's worst-case estimate.
 
-This module implements that spread test as an explicit, documented function
-so it can be unit- and property-tested independent of the generator.
+This module implements that spread test as
+:meth:`ConfidenceTest.first_satisfied`, which the generator's blocked
+bootstrap feeds: every prefix of the trial columns is classified with
+running statistics, and a prefix within numerical error of a decision is
+re-checked with the exact predicate (:func:`_spread_verdict`).
+``tests/oracle/rulegen_reference.py`` keeps a per-trial copy of the
+predicate that the scan is held equal to.
 """
 
 from __future__ import annotations
@@ -22,12 +27,7 @@ import numpy as np
 from repro import checks, contract
 from repro.stats.normal import ndtri
 
-__all__ = [
-    "ConfidenceTest",
-    "normal_quantile",
-    "spread_is_confident",
-    "zscores",
-]
+__all__ = ["ConfidenceTest", "normal_quantile", "zscores"]
 
 #: Relative noise floor below which a sample's spread is treated as zero.
 #: A constant sample whose mean subtraction leaves float dust has
@@ -110,40 +110,29 @@ def zscores(values: Sequence[float]) -> np.ndarray:
     return (arr - arr.mean()) / std
 
 
-def spread_is_confident(values: Sequence[float], confidence: float) -> bool:
-    """Decide whether a metric's bootstrap trials have spread enough.
-
-    This mirrors the ``confident`` predicate of the paper's
-    ``RoutingRuleGenerator`` (Fig. 7): with ``z`` the z-scores of the trial
-    values and ``q`` the normal quantile of the confidence level, the sample
-    is confident when either
-
-    * ``min(z) < -q`` and ``max(z) > q`` (the trials straddle both tails), or
-    * ``max(z) - min(z) > 2 q`` (the total spread exceeds two quantiles).
-
-    A sample with fewer than two trials is never confident.  A *constant*
-    sample with at least ``ceil(1 / (1 - confidence))`` trials is treated as
-    confident: a metric that does not vary at all across that many random
-    subsamples has, for the purposes of worst-case estimation, been observed
-    directly (this situation arises for deterministic costs).  "Constant"
-    is judged against a relative noise floor, not exact float equality —
-    a sample whose only variation is rounding dust must follow the
-    constant rule, never feed the z-score normalisation (which would
-    divide by a near-zero std and manufacture spread out of noise).
-
-    Args:
-        values: Observed trial values for one metric.
-        confidence: Confidence level in ``(0, 1)``.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return False
-    return _spread_verdict(arr, normal_quantile(confidence), confidence)
-
-
 def _spread_verdict(arr: np.ndarray, quantile: float, confidence: float) -> bool:
-    """:func:`spread_is_confident` on at least two values, given the
-    quantile of ``confidence``."""
+    """Whether at least two trial values of one metric have spread enough.
+
+    This is the ``confident`` predicate of the paper's
+    ``RoutingRuleGenerator`` (Fig. 7): with ``z`` the z-scores of the trial
+    values and ``quantile`` the normal quantile of ``confidence``, the
+    sample is confident when either
+
+    * ``min(z) < -quantile`` and ``max(z) > quantile`` (the trials
+      straddle both tails), or
+    * ``max(z) - min(z) > 2 quantile`` (the total spread exceeds two
+      quantiles).
+
+    A *constant* sample with at least ``ceil(1 / (1 - confidence))``
+    trials (capped at 30) is treated as confident: a metric that does not
+    vary at all across that many random subsamples has, for the purposes
+    of worst-case estimation, been observed directly (this arises for
+    deterministic costs).  "Constant" is judged against a relative noise
+    floor, not exact float equality — a sample whose only variation is
+    rounding dust must follow the constant rule, never feed the z-score
+    normalisation (which would divide by a near-zero std and manufacture
+    spread out of noise).
+    """
     if _is_effectively_constant(arr, float(arr.std())):
         return arr.size >= _constant_rule_trials(confidence)
     z = zscores(arr)
@@ -161,7 +150,7 @@ def _prefix_spread_flags(
     Returns ``(satisfied, uncertain)`` boolean arrays of the same shape,
     where entry ``[c, t - 1]`` describes the prefix ``stacked[c, :t]``.
     ``satisfied`` is the vectorized verdict of
-    :func:`spread_is_confident`; ``uncertain`` marks prefixes whose verdict
+    :func:`_spread_verdict`; ``uncertain`` marks prefixes whose verdict
     sits within the numerical error bound of the running statistics (or
     whose spread is ~zero, where the scalar test switches to its
     constant-sample rule) and must be re-checked with the exact scalar
@@ -240,22 +229,6 @@ class ConfidenceTest:
         checks.integer("min_trials", self.min_trials, minimum=2)
         checks.integer("max_trials", self.max_trials, minimum=self.min_trials)
 
-    def is_satisfied(self, values: Sequence[float]) -> bool:
-        """Return True when the trial sample for one metric is sufficient."""
-        arr = np.asarray(values, dtype=float)
-        if arr.size < self.min_trials:
-            return False
-        if arr.size >= self.max_trials:
-            return True
-        return spread_is_confident(arr, self.confidence)
-
-    def all_satisfied(self, metric_columns: Sequence[Sequence[float]]) -> bool:
-        """Return True when every metric column satisfies the test."""
-        columns = list(metric_columns)
-        if not columns:
-            return False
-        return all(self.is_satisfied(column) for column in columns)
-
     def first_satisfied(
         self,
         metric_columns: Sequence[Sequence[float]],
@@ -264,13 +237,15 @@ class ConfidenceTest:
     ) -> Optional[int]:
         """Earliest prefix length at which every metric column satisfies.
 
-        This is the vectorized equivalent of running ``all_satisfied`` on
-        ``[col[:t] for col in metric_columns]`` for ``t = start, start + 1,
-        ...`` and returning the first ``t`` that passes — the check cadence
-        of the bootstrap loop (one check per trial).  Prefix verdicts are
-        computed with running statistics; any prefix within numerical error
-        of a decision boundary is re-checked with the exact scalar test, so
-        the returned trial count matches the sequential loop.
+        A prefix of length ``t`` passes when ``t >= max_trials``, or when
+        ``t >= min_trials`` and every column's ``col[:t]`` satisfies the
+        spread predicate (:func:`_spread_verdict`).  This is the vectorized
+        equivalent of checking ``t = start, start + 1, ...`` in turn and
+        returning the first ``t`` that passes — the check cadence of a
+        per-trial bootstrap loop.  Prefix verdicts are computed with running
+        statistics; any prefix within numerical error of a decision
+        boundary is re-checked with the exact predicate, so the returned
+        trial count matches the sequential loop.
 
         Args:
             metric_columns: Equal-length trial-value columns (one per
@@ -292,8 +267,8 @@ class ConfidenceTest:
         if lo > n:
             return None
         if lo >= self.max_trials:
-            # is_satisfied passes unconditionally once size reaches
-            # max_trials, so the first prefix considered wins.
+            # a prefix passes unconditionally once it reaches max_trials,
+            # so the first prefix considered wins.
             return lo
         hi = min(n, self.max_trials)
 
@@ -326,8 +301,8 @@ class ConfidenceTest:
     def _is_satisfied_exact(
         self, column: np.ndarray, t: int, quantile: float
     ) -> bool:
-        """Scalar :meth:`is_satisfied` on ``column[:t]`` with the quantile
-        computed once per scan by the caller (the verdict is unchanged)."""
+        """The exact verdict on ``column[:t]``, with the quantile computed
+        once per scan by the caller."""
         if t < self.min_trials:
             return False
         if t >= self.max_trials:

@@ -1,11 +1,10 @@
-"""Seeded resampling utilities: subsampling and k-fold splits.
+"""Seeded k-fold splits.
 
-The routing-rule generator (paper Fig. 7) repeatedly *subsamples* the
-training data, simulates a candidate configuration on the subsample, and
-keeps going until the observed spread of the metrics is statistically
-confident.  The evaluation additionally uses 10-fold cross validation to
-audit the accuracy guarantees on held-out requests.  All of the index-level
-machinery for that lives here so that it can be tested in isolation.
+The evaluation uses 10-fold cross validation to audit the accuracy
+guarantees on held-out requests; the index-level machinery for that lives
+here so that it can be tested in isolation.  (The routing-rule
+generator's bootstrap subsamples are drawn by its trial stream,
+:mod:`repro.core.bootstrap`.)
 """
 
 from __future__ import annotations
@@ -14,30 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["kfold_indices", "subsample_indices"]
-
-
-def _validate_population(n: int) -> None:
-    if n <= 0:
-        raise ValueError(f"population size must be positive, got {n}")
-
-
-def subsample_indices(
-    n: int, size: int, *, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw a subsample of indices *without* replacement.
-
-    This is the sampling mode the routing-rule generator uses for each
-    bootstrap trial: a random ``len(train)/10`` slice of the training data.
-
-    Args:
-        n: Population size.
-        size: Subsample size, clipped to ``[1, n]``.
-        rng: Seeded NumPy generator.
-    """
-    _validate_population(n)
-    size = int(min(max(size, 1), n))
-    return rng.choice(n, size=size, replace=False)
+__all__ = ["kfold_indices"]
 
 
 def kfold_indices(
@@ -57,7 +33,8 @@ def kfold_indices(
     Returns:
         A list of ``folds`` tuples ``(train_idx, test_idx)``.
     """
-    _validate_population(n)
+    if n <= 0:
+        raise ValueError(f"population size must be positive, got {n}")
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if folds > n:

@@ -350,7 +350,6 @@ OUTPUT_RECORDS = {
     "GuaranteeAudit": "an audit of generated rules",
     "ToleranceAuditRow": "an audit of generated rules",
     "PolicyMetrics": "metrics computed from outcomes",
-    "TierSimulation": "metrics computed from outcomes",
     "WorstCaseEstimate": "a bootstrap's estimate",
     "RoutingRuleTable": "the rule generator's product; confidence labels it",
     "SpeakerProfile": "drawn by the corpus from its config's checked ranges",

@@ -1,9 +1,9 @@
-"""Tests for configuration enumeration, tier simulation and tiers."""
+"""Tests for configuration enumeration, policy evaluation and tiers."""
 
 import pytest
 
 from repro.core.configuration import DEFAULT_THRESHOLDS, enumerate_configurations
-from repro.core.simulator import simulate
+from repro.core.metrics import build_pricing, evaluate_policy
 from repro.core.tiers import default_tolerance_grid
 
 
@@ -69,8 +69,8 @@ class TestEnumerateConfigurations:
             enumerate_configurations(ic_measurements, fast_versions=["nope"])
 
 
-class TestSimulate:
-    def test_baseline_simulation_has_no_gain(self, ic_measurements):
+class TestEvaluatePolicy:
+    def test_baseline_evaluation_has_no_gain(self, ic_measurements):
         configurations = enumerate_configurations(
             ic_measurements, policy_kinds=("single",)
         )
@@ -79,12 +79,12 @@ class TestSimulate:
             for c in configurations
             if c.versions == (ic_measurements.most_accurate_version(),)
         )
-        result = simulate(ic_measurements, baseline)
+        result = evaluate_policy(ic_measurements, baseline.policy)
         assert result.error_degradation == 0.0
         assert result.response_time_reduction == pytest.approx(0.0)
-        assert result.config_id == baseline.config_id
+        assert result.policy_name == baseline.policy.name
 
-    def test_fast_single_version_simulation(self, ic_measurements):
+    def test_fast_single_version_evaluation(self, ic_measurements):
         configurations = enumerate_configurations(
             ic_measurements, policy_kinds=("single",)
         )
@@ -93,23 +93,26 @@ class TestSimulate:
             for c in configurations
             if c.versions == (ic_measurements.fastest_version(),)
         )
-        result = simulate(ic_measurements, fastest)
+        result = evaluate_policy(ic_measurements, fastest.policy)
         assert result.error_degradation > 0.0
         assert result.response_time_reduction > 0.0
 
-    def test_objective_value_switch(self, ic_measurements):
+    def test_objective_metrics_are_the_outcomes_means(self, ic_measurements):
         configurations = enumerate_configurations(
             ic_measurements, policy_kinds=("single",)
         )
-        result = simulate(ic_measurements, configurations[0])
-        assert result.objective_value("response-time") == result.mean_response_time_s
-        assert result.objective_value("cost") == result.mean_invocation_cost
-        with pytest.raises(ValueError):
-            result.objective_value("accuracy")
+        policy = configurations[0].policy
+        pricing = build_pricing(ic_measurements)
+        result = evaluate_policy(ic_measurements, policy, pricing=pricing)
+        outcomes = policy.evaluate(ic_measurements)
+        assert result.mean_response_time_s == outcomes.mean_response_time()
+        assert result.mean_invocation_cost == outcomes.mean_invocation_cost(pricing)
 
     def test_indices_subset(self, ic_measurements):
         configurations = enumerate_configurations(
             ic_measurements, policy_kinds=("single",)
         )
-        result = simulate(ic_measurements, configurations[0], indices=range(100))
+        result = evaluate_policy(
+            ic_measurements, configurations[0].policy, indices=range(100)
+        )
         assert result.mean_response_time_s > 0.0

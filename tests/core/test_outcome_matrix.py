@@ -1,12 +1,16 @@
-"""Equivalence tests: the vectorized outcome-matrix path vs the scalar oracle.
+"""Equivalence tests: the outcome matrix's blocked bootstrap vs the
+per-trial reference.
 
 The outcome matrix exists purely for speed; these tests pin its
-contract — for the same seed it must reproduce the scalar path's
+contract — for the same seed it must reproduce the per-trial loop's
 results exactly (trial metrics, worst-case estimates, rng consumption and
 emitted rule tables), across all four policy kinds and the threshold grid.
-The generator-level scalar side is ``tests/oracle/rulegen_reference.py``.
+The per-trial side is ``tests/oracle/rulegen_reference.py``, which shares
+no code with ``repro.core.bootstrap``; the sample-size mutants below show
+that a change to the fast path's trial shape is caught.
 """
 
+import inspect
 import tracemalloc
 import weakref
 
@@ -14,23 +18,17 @@ import numpy as np
 import pytest
 
 from repro.contract import RULEGEN_SAMPLE_FRACTION
-from repro.core import bootstrap
-from repro.core.bootstrap import (
-    DEFAULT_TRIAL_BLOCK,
-    bootstrap_configuration,
-    bootstrap_configurations,
-)
+from repro.core import bootstrap, rule_generator
+from repro.core.bootstrap import DEFAULT_TRIAL_BLOCK, bootstrap_configurations
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
 from repro.core.policies import EnsemblePolicy, SingleVersionPolicy
 from repro.core.rule_generator import RoutingRuleGenerator
-from repro.core.simulator import simulate
 from repro.service import measure_ic_service
 from repro.stats.confidence import ConfidenceTest
-from repro.stats.resampling import subsample_indices
 
-from oracle.rulegen_reference import reference_results
+from oracle.rulegen_reference import reference_results, score_trial
 
 TOLERANCE = 1e-12
 
@@ -65,31 +63,36 @@ def matrix(space):
     return OutcomeMatrix.build(measurements, configurations)
 
 
+def _reference_scores(measurements, configuration, indices):
+    pricing = build_pricing(measurements)
+    baseline = measurements.most_accurate_version()
+    return [
+        score_trial(
+            measurements, configuration, row, pricing=pricing, baseline_version=baseline
+        )
+        for row in indices
+    ]
+
+
 class TestTrialMetricsEquivalence:
-    def test_matches_simulate_for_every_configuration(self, space, matrix):
-        """Vectorized per-trial metrics == scalar simulate(), bit for bit."""
+    def test_matches_the_reference_for_every_configuration(self, space, matrix):
+        """Vectorized per-trial metrics == the reference's per-trial score."""
         measurements, configurations = space
-        pricing = build_pricing(measurements)
-        baseline = measurements.most_accurate_version()
         rng = np.random.default_rng(123)
         kinds_seen = set()
         for configuration in configurations:
             kinds_seen.add(configuration.kind)
             indices = np.stack(
                 [
-                    subsample_indices(measurements.n_requests, 200, rng=rng)
+                    rng.choice(measurements.n_requests, size=200, replace=False)
                     for _ in range(4)
                 ]
             )
-            block = matrix.trial_metrics(configuration.config_id, indices)
-            for row in range(indices.shape[0]):
-                scalar = simulate(
-                    measurements,
-                    configuration,
-                    indices=indices[row],
-                    pricing=pricing,
-                    baseline_version=baseline,
-                )
+            block = matrix.evaluate(
+                matrix.columns_for(configuration.config_id), indices
+            )
+            scores = _reference_scores(measurements, configuration, indices)
+            for row, scalar in enumerate(scores):
                 assert block.error_degradation[row] == pytest.approx(
                     scalar.error_degradation, abs=TOLERANCE
                 )
@@ -105,161 +108,100 @@ class TestTrialMetricsEquivalence:
         """On this platform the fast path is exactly identical, which is
         what keeps the bootstrap's stopping decisions aligned."""
         measurements, configurations = space
-        pricing = build_pricing(measurements)
-        baseline = measurements.most_accurate_version()
         rng = np.random.default_rng(7)
         for configuration in configurations[:8]:
-            indices = subsample_indices(measurements.n_requests, 200, rng=rng)
-            block = matrix.trial_metrics(configuration.config_id, indices)
-            scalar = simulate(
-                measurements,
-                configuration,
-                indices=indices,
-                pricing=pricing,
-                baseline_version=baseline,
+            indices = rng.choice(measurements.n_requests, size=200, replace=False)
+            block = matrix.evaluate(
+                matrix.columns_for(configuration.config_id), indices
             )
+            (scalar,) = _reference_scores(measurements, configuration, [indices])
             assert float(block.error_degradation[0]) == scalar.error_degradation
             assert float(block.mean_response_time_s[0]) == scalar.mean_response_time_s
             assert float(block.mean_invocation_cost[0]) == scalar.mean_invocation_cost
 
     def test_single_trial_vector_accepted(self, space, matrix):
-        measurements, configurations = space
-        metrics = matrix.trial_metrics(
-            configurations[0].config_id, np.arange(50)
-        )
+        _, configurations = space
+        columns = matrix.columns_for(configurations[0].config_id)
+        metrics = matrix.evaluate(columns, np.arange(50))
         assert metrics.error_degradation.shape == (1,)
 
     def test_rejects_empty_and_unknown(self, space, matrix):
         _, configurations = space
+        columns = matrix.columns_for(configurations[0].config_id)
         with pytest.raises(ValueError):
-            matrix.trial_metrics(
-                configurations[0].config_id, np.empty((2, 0), dtype=int)
-            )
+            matrix.evaluate(columns, np.empty((2, 0), dtype=int))
         with pytest.raises(KeyError):
             matrix.columns_for("cfg_nope")
 
 
 class TestBootstrapEquivalence:
     def test_estimates_and_rng_state_match(self, space, matrix):
-        """Fast and scalar bootstraps agree on every estimate field, the
-        trial count, and — critically — the generator state they leave
-        behind (so later configurations see identical draws)."""
+        """The blocked bootstrap and the per-trial reference agree on every
+        estimate field, the trial count, and — critically — the generator
+        state they leave behind (so later configurations see identical
+        draws)."""
         measurements, configurations = space
-        pricing = build_pricing(measurements)
-        baseline = measurements.most_accurate_version()
-        test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
+        kw = dict(confidence=0.95, min_trials=6, max_trials=25)
         for configuration in configurations:
             rng_a = np.random.default_rng(42)
             rng_b = np.random.default_rng(42)
-            scalar = bootstrap_configuration(
-                measurements,
-                configuration,
-                confidence_test=test,
-                rng=rng_a,
-                pricing=pricing,
-                baseline_version=baseline,
+            scalar = reference_results(measurements, [configuration], seed=rng_a, **kw)
+            fast = bootstrap_configurations(
+                matrix, [configuration], confidence_test=ConfidenceTest(**kw), rng=rng_b
             )
-            fast = bootstrap_configuration(
-                measurements,
-                configuration,
-                confidence_test=test,
-                rng=rng_b,
-                pricing=pricing,
-                baseline_version=baseline,
-                outcome_matrix=matrix,
-            )
-            assert fast.n_trials == scalar.n_trials
-            assert fast.error_degradation == pytest.approx(
-                scalar.error_degradation, abs=TOLERANCE
-            )
-            assert fast.mean_response_time_s == pytest.approx(
-                scalar.mean_response_time_s, abs=TOLERANCE
-            )
-            assert fast.mean_invocation_cost == pytest.approx(
-                scalar.mean_invocation_cost, rel=TOLERANCE
-            )
+            assert fast == scalar
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    def test_rejects_mismatched_matrix_inputs(self, space, matrix):
-        """The fast path refuses inputs the matrix was not built for."""
-        measurements, configurations = space
-        test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
-        kw = dict(confidence_test=test, outcome_matrix=matrix)
-        with pytest.raises(ValueError, match="degradation_mode"):
-            bootstrap_configuration(
-                measurements,
-                configurations[0],
-                rng=np.random.default_rng(0),
-                degradation_mode="absolute",
-                **kw,
-            )
-        with pytest.raises(ValueError, match="pricing"):
-            bootstrap_configuration(
-                measurements,
-                configurations[0],
-                rng=np.random.default_rng(0),
-                pricing=build_pricing(measurements, markup=5.0),
-                **kw,
-            )
-        # an equal-valued (not identical) pricing is accepted
-        bootstrap_configuration(
-            measurements,
-            configurations[0],
-            rng=np.random.default_rng(0),
-            pricing=build_pricing(measurements),
-            **kw,
-        )
 
     def test_small_trial_blocks_change_nothing(self, space, matrix):
         """The block size is a throughput knob only."""
-        measurements, configurations = space
+        _, configurations = space
         test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
         results = []
         for trial_block in (1, 3, 64):
-            rng = np.random.default_rng(9)
             results.append(
-                bootstrap_configuration(
-                    measurements,
-                    configurations[5],
+                bootstrap_configurations(
+                    matrix,
+                    [configurations[5]],
                     confidence_test=test,
-                    rng=rng,
-                    outcome_matrix=matrix,
+                    rng=np.random.default_rng(9),
                     trial_block=trial_block,
                 )
             )
         assert all(r == results[0] for r in results[1:])
 
 
+#: Sample fractions of the generator-equivalence family: the default, one
+#: whose sample (2 000 rows x 0.0263 = 52.6) rounds up, and one whose
+#: sample falls under the floor of two rows.
+SAMPLE_FRACTIONS = (RULEGEN_SAMPLE_FRACTION, 0.0263, 0.0006)
+
+
 class TestGeneratorEquivalence:
-    @pytest.fixture(scope="class")
-    def generators(self, space):
+    @pytest.fixture(scope="class", params=SAMPLE_FRACTIONS)
+    def generators(self, request, space):
         measurements, configurations = space
-        kw = dict(confidence=0.999, seed=5, min_trials=8, max_trials=30)
+        kw = dict(
+            confidence=0.999,
+            seed=5,
+            min_trials=8,
+            max_trials=30,
+            sample_fraction=request.param,
+        )
         fast = RoutingRuleGenerator(measurements, configurations, **kw)
         # generate() is a function of (configurations, results) alone, so
-        # the scalar side is a generator carrying the oracle's results.
+        # the reference side is a generator carrying the reference's
+        # results.
         legacy = RoutingRuleGenerator(measurements, configurations, **kw)
         legacy.results = reference_results(measurements, configurations, **kw)
         return legacy, fast
 
     def test_worst_case_estimates_match(self, generators):
         legacy, fast = generators
-        for a, b in zip(legacy.results, fast.results):
-            assert a.config_id == b.config_id
-            assert a.n_trials == b.n_trials
-            assert a.error_degradation == pytest.approx(
-                b.error_degradation, abs=TOLERANCE
-            )
-            assert a.mean_response_time_s == pytest.approx(
-                b.mean_response_time_s, abs=TOLERANCE
-            )
-            assert a.mean_invocation_cost == pytest.approx(
-                b.mean_invocation_cost, rel=TOLERANCE
-            )
+        assert fast.results == legacy.results
 
     def test_rule_tables_identical(self, generators):
         """The emitted rule tables — the generator's actual product — are
-        identical for both engines, for both objectives."""
+        identical for both loops, for both objectives."""
         legacy, fast = generators
         for objective in ("response-time", "cost"):
             table_a = legacy.generate([0.0, 0.01, 0.05, 0.10], objective)
@@ -269,39 +211,22 @@ class TestGeneratorEquivalence:
             } == {t: c.config_id for t, c in table_b.rules.items()}
 
     @pytest.mark.parametrize("trial_block", [1, 3, DEFAULT_TRIAL_BLOCK])
-    def test_the_stream_draws_each_trial_once(self, space, monkeypatch, trial_block):
+    def test_the_stream_draws_each_trial_once(self, space, trial_block):
         """One trial stream serves the whole design space: the trials past
-        a configuration's stop are the next configuration's first, also
-        when that one is scalar-only, and the rng is rewound once, at the
-        end.  Estimates and the final rng state equal the scalar oracle's."""
+        a configuration's stop are the next configuration's first, and the
+        rng is rewound once, at the end.  Estimates and the final rng
+        state equal the reference's."""
         measurements, configurations = space
-        opaque = [
-            EnsembleConfiguration(f"cfg_opq{i}", _OpaquePolicy(version))
-            for i, version in enumerate(("ic_cpu_vgg16", "ic_cpu_squeezenet"))
-        ]
-        mixed = [*configurations[:4], opaque[0], *configurations[4:9], opaque[1],
-                 *configurations[9:]]
         kw = dict(confidence=0.99, min_trials=8, max_trials=150)
-        carried = []
-        scalar_loop = bootstrap._bootstrap_scalar
-
-        def spy(measurements, configuration, *, stream, **kwargs):
-            carried.append(stream.carries)
-            return scalar_loop(measurements, configuration, stream=stream, **kwargs)
-
-        monkeypatch.setattr(bootstrap, "_bootstrap_scalar", spy)
         stream_rng, oracle_rng = _CountingGenerator(5), _CountingGenerator(5)
         estimates = bootstrap_configurations(
-            measurements,
-            mixed,
+            OutcomeMatrix.build(measurements, configurations),
+            configurations,
             confidence_test=ConfidenceTest(**kw),
             rng=stream_rng,
-            pricing=build_pricing(measurements),
-            outcome_matrix=OutcomeMatrix.build(measurements, mixed),
             trial_block=trial_block,
         )
-        monkeypatch.undo()
-        oracle = reference_results(measurements, mixed, seed=oracle_rng, **kw)
+        oracle = reference_results(measurements, configurations, seed=oracle_rng, **kw)
         assert estimates == oracle
         assert stream_rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -310,14 +235,10 @@ class TestGeneratorEquivalence:
         # Every trial is drawn once; the last batch's unused trials and the
         # replay of its used ones add at most one batch, once.
         assert 0 <= stream_rng.draws - trials <= max(kw["min_trials"], trial_block)
-        assert len(carried) == len(opaque)
         if trial_block == 1:
             assert stream_rng.draws == trials  # a block of one is never cut
-        else:
-            # some scalar-only configuration started on given-back trials
-            assert any(carried)
         if trial_block == DEFAULT_TRIAL_BLOCK:
-            generator = RoutingRuleGenerator(measurements, mixed, seed=5, **kw)
+            generator = RoutingRuleGenerator(measurements, configurations, seed=5, **kw)
             assert generator.results == estimates
 
     def test_same_seed_same_rule_table(self, space):
@@ -332,6 +253,57 @@ class TestGeneratorEquivalence:
                 {t: c.config_id for t, c in table.rules.items()}
             )
         assert tables[0] == tables[1]
+
+
+#: Mutants of the blocked bootstrap's sample size: ``(site, mutated site)``.
+_SAMPLE_SIZE_MUTANTS = {
+    "floor-of-three": (
+        "max(2, int(round(n * sample_fraction)))",
+        "max(3, int(round(n * sample_fraction)))",
+    ),
+    "floor-not-round": (
+        "max(2, int(round(n * sample_fraction)))",
+        "max(2, int(np.floor(n * sample_fraction)))",
+    ),
+}
+
+
+def _mutant_bootstrap(old, new):
+    """``bootstrap_configurations`` recompiled with one edit, applied at its
+    one site, over the real module's globals."""
+    source = inspect.getsource(bootstrap.bootstrap_configurations)
+    assert source.count(old) == 1, f"mutation site not found once: {old!r}"
+    namespace = dict(vars(bootstrap))
+    exec(compile(source.replace(old, new), bootstrap.__file__, "exec"), namespace)
+    return namespace["bootstrap_configurations"]
+
+
+@pytest.mark.parametrize("mutant", sorted(_SAMPLE_SIZE_MUTANTS))
+def test_generator_equivalence_catches_sample_size_mutants(
+    mutant, space, monkeypatch
+):
+    """Teeth: the reference computes its own sample size, so a generator
+    whose trials are drawn one row too many or too few no longer matches
+    it at some fraction of the family."""
+    measurements, configurations = space
+    monkeypatch.setattr(
+        rule_generator,
+        "bootstrap_configurations",
+        _mutant_bootstrap(*_SAMPLE_SIZE_MUTANTS[mutant]),
+    )
+    caught = []
+    for sample_fraction in SAMPLE_FRACTIONS:
+        kw = dict(
+            confidence=0.999,
+            seed=5,
+            min_trials=8,
+            max_trials=30,
+            sample_fraction=sample_fraction,
+        )
+        generator = RoutingRuleGenerator(measurements, configurations, **kw)
+        reference = reference_results(measurements, configurations, **kw)
+        caught.append(generator.results != reference)
+    assert any(caught), f"the {mutant} mutant survived every sample fraction"
 
 
 class TestZeroVarianceMetrics:
@@ -466,28 +438,30 @@ class _OpaquePolicy(EnsemblePolicy):
         return self._inner.evaluate(measurements, indices)
 
 
-class TestUnsupportedPolicies:
-    def test_matrix_skips_unsupported(self, space):
-        measurements, _ = space
-        opaque = EnsembleConfiguration("cfg_opq", _OpaquePolicy("ic_cpu_vgg16"))
-        matrix = OutcomeMatrix.build(measurements, [opaque])
-        assert "cfg_opq" not in matrix
-        assert not OutcomeMatrix.supports(opaque.policy)
+class _ReweightedSingle(SingleVersionPolicy):
+    """A subclass of an expandable kind that overrides ``evaluate``."""
 
-    def test_generator_falls_back_to_scalar_path(self, space):
-        """A design space mixing supported and opaque policies still
-        bootstraps — opaque configurations ride the scalar oracle."""
+    def evaluate(self, measurements, indices=None):
+        return super().evaluate(measurements, indices)
+
+
+class TestUnsupportedPolicies:
+    @pytest.mark.parametrize(
+        "policy, type_name",
+        [
+            (_OpaquePolicy("ic_cpu_vgg16"), "_OpaquePolicy"),
+            (_ReweightedSingle("ic_cpu_vgg16"), "_ReweightedSingle"),
+        ],
+        ids=["custom-evaluate", "subclass"],
+    )
+    def test_matrix_and_generator_refuse_unsupported(self, space, policy, type_name):
+        """A policy the matrix cannot expand is refused when the matrix
+        is built, naming the configuration and the policy type, and so
+        the generator refuses it at construction."""
         measurements, configurations = space
-        mixed = list(configurations[:3]) + [
-            EnsembleConfiguration("cfg_opq", _OpaquePolicy("ic_cpu_vgg16"))
-        ]
-        generator = RoutingRuleGenerator(
-            measurements,
-            mixed,
-            confidence=0.9,
-            seed=3,
-            min_trials=5,
-            max_trials=12,
-        )
-        assert len(generator.results) == 4
-        assert generator.estimate_for("cfg_opq").n_trials >= 5
+        mixed = [*configurations[:3], EnsembleConfiguration("cfg_opq", policy)]
+        match = f"'cfg_opq'.*{type_name}"
+        with pytest.raises(ValueError, match=match):
+            OutcomeMatrix.build(measurements, mixed)
+        with pytest.raises(ValueError, match=match):
+            RoutingRuleGenerator(measurements, mixed, min_trials=5, max_trials=12)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.bootstrap import bootstrap_configuration
+from repro.core.bootstrap import _TrialStream, bootstrap_configurations
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing, evaluate_policy
 from repro.core.outcome_matrix import OutcomeMatrix
@@ -44,15 +46,12 @@ def generator(small_space):
 class TestBootstrapConfiguration:
     def test_worst_case_at_least_full_sample_value(self, small_space):
         measurements, configurations = small_space
-        baseline_version = measurements.most_accurate_version()
         config = configurations[0]
-        estimate = bootstrap_configuration(
-            measurements,
-            config,
+        (estimate,) = bootstrap_configurations(
+            OutcomeMatrix.build(measurements, [config]),
+            [config],
             confidence_test=ConfidenceTest(confidence=0.9, min_trials=5, max_trials=30),
             rng=np.random.default_rng(0),
-            pricing=build_pricing(measurements),
-            baseline_version=baseline_version,
         )
         assert estimate.n_trials >= 5
         assert estimate.config_id == config.config_id
@@ -62,9 +61,9 @@ class TestBootstrapConfiguration:
     def test_rejects_bad_fraction(self, small_space):
         measurements, configurations = small_space
         with pytest.raises(ValueError):
-            bootstrap_configuration(
-                measurements,
-                configurations[0],
+            bootstrap_configurations(
+                OutcomeMatrix.build(measurements, configurations[:1]),
+                configurations[:1],
                 confidence_test=ConfidenceTest(),
                 rng=np.random.default_rng(0),
                 sample_fraction=0.0,
@@ -75,6 +74,35 @@ class TestBootstrapConfiguration:
         assert estimate.objective_value("response-time") == estimate.mean_response_time_s
         with pytest.raises(ValueError):
             estimate.objective_value("happiness")
+
+
+def _trial(n, size, rng):
+    """One trial's draw from a fresh trial stream."""
+    (row,) = _TrialStream(rng, n, size).take(1)
+    return row
+
+
+class TestTrialDraws:
+    def test_no_replacement(self, rng):
+        idx = _trial(20, 10, rng)
+        assert len(set(idx.tolist())) == 10
+
+    def test_size_clipped_to_population(self, rng):
+        idx = _trial(5, 50, rng)
+        assert idx.shape == (5,)
+
+    def test_size_floor_of_one(self, rng):
+        assert _trial(5, 0, rng).shape == (1,)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_an_empty_population(self, rng, n):
+        with pytest.raises(ValueError, match=f"must be positive, got {n}"):
+            _TrialStream(rng, n, 1)
+
+    @given(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=100))
+    def test_always_within_population(self, n, size):
+        idx = _trial(n, size, np.random.default_rng(0))
+        assert idx.min() >= 0 and idx.max() < n
 
 
 class TestRoutingRuleGenerator:

@@ -199,7 +199,9 @@ def test_the_tracer_records_src_functions_entered_on_any_thread(tmp_path):
     entered = {name for name, f in found.items() if (f.path, f.first_line) in hits}
     assert "repro.stats.descriptive:percentiles" in entered
     assert "repro.stats.resampling:kfold_indices" in entered  # on the worker
-    assert "repro.stats.resampling:subsample_indices" not in entered
+    # loaded with the package, never called
+    assert "repro.stats.confidence:normal_quantile" in found
+    assert "repro.stats.confidence:normal_quantile" not in entered
 
 
 def test_the_tracer_passes_on_the_entry_points_exit_status(tmp_path):

@@ -15,7 +15,8 @@ two.  This file is that argument, run continuously:
    engines with the invariant checker on (conservation laws) and
    compared digest-for-digest plus control-log-for-control-log.
 4. **Eligibility** — every run drains columnar (``engine_used`` says
-   so), a traced fault schedule included, with the oracle's report.
+   so), a traced fault schedule included, with the oracle's report; the
+   fast tier's fuzzed specs turn on every event source the draw offers.
 5. **Routed traffic** — :data:`N_ROUTED` seeded sessions in which a
    ``TierRouter`` serves every request by its own annotation (a random
    mix of all five configuration shapes, one-by-one submissions) run
@@ -497,32 +498,41 @@ def test_chaos_scenarios_digest_identical_across_engines(name, toy):
     assert control_log_digest(legacy) == control_log_digest(columnar)
 
 
-def test_fuzzed_space_exercises_the_columnar_path(toy):
-    """A substantial fraction of the fuzzed specs must be genuinely
-    columnar-eligible, or the differential sweep proves nothing."""
-    columnar_runs = 0
-    for seed in range(N_SPECS):
-        spec = _random_spec(seed)
-        cluster = build_replay_cluster(toy, dict(spec.pools))
+#: The event sources of the columnar loop the fuzzed specs draw.
+_FUZZED_SOURCES = frozenset(
+    {
+        "NodeCrash",
+        "NodeSlowdown",
+        "TransientFaults",
+        "retry",
+        "autoscaler",
+        "batching",
+        "control",
+    }
+)
 
-        sim = ServingSimulator(
-            cluster,
-            configuration=spec.configuration,
-            batching=spec.batching,
-            autoscaler=Autoscaler(spec.autoscaler_config)
-            if spec.autoscaler_config is not None
-            else None,
-            retry=spec.retry,
-            faults=spec.faults,
-            seed=spec.seed,
-        )
-        sim.run(spec.arrivals, spec.n_requests, payload_ids=toy.request_ids)
-        if sim.engine_used == "columnar":
-            columnar_runs += 1
-    assert columnar_runs >= N_SPECS // 4, (
-        f"only {columnar_runs}/{N_SPECS} fuzzed specs ran columnar — "
-        "the differential sweep is mostly testing the fallback"
-    )
+
+def _event_sources(spec):
+    """The event sources of the columnar loop a spec turns on."""
+    sources = {type(fault).__name__ for fault in spec.faults}
+    if spec.retry.max_attempts > 1:
+        sources.add("retry")
+    if spec.autoscaler_config is not None:
+        sources.add("autoscaler")
+    if spec.batching is not None and spec.batching.max_batch_size > 1:
+        sources.add("batching")
+    if spec.control is not None:
+        sources.add("control")
+    return sources
+
+
+def test_fuzzed_space_exercises_every_event_source():
+    """Between them, the fast tier's fuzzed specs turn on every event
+    source of the columnar loop the draw offers — each fault type,
+    retries, the autoscaler, batching and a control plane — or the
+    differential sweep leaves one of them untested."""
+    seen = set().union(*(_event_sources(_random_spec(s)) for s in range(FAST_SPECS)))
+    assert seen == _FUZZED_SOURCES, sorted(_FUZZED_SOURCES - seen)
 
 
 # ----------------------------------------------------------------------

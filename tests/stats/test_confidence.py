@@ -1,4 +1,10 @@
-"""Tests for repro.stats.confidence."""
+"""Tests for repro.stats.confidence.
+
+The per-trial spread predicate and stopping rule the prefix scan is held
+equal to are the reference's (``tests/oracle/rulegen_reference.py``), not
+the package's: ``first_satisfied`` must agree with a copy it shares no
+code with.
+"""
 
 import numpy as np
 import pytest
@@ -10,12 +16,9 @@ from repro.contract import (
     RULEGEN_CONFIDENCE,
     RULEGEN_MIN_TRIALS,
 )
-from repro.stats.confidence import (
-    ConfidenceTest,
-    normal_quantile,
-    spread_is_confident,
-    zscores,
-)
+from repro.stats.confidence import ConfidenceTest, normal_quantile, zscores
+
+from oracle.rulegen_reference import all_satisfied, is_satisfied, spread_is_confident
 
 
 class TestNormalQuantile:
@@ -68,21 +71,21 @@ class TestSpreadIsConfident:
 class TestConfidenceTest:
     def test_requires_min_trials(self):
         test = ConfidenceTest(confidence=0.9, min_trials=5, max_trials=50)
-        assert not test.is_satisfied([1.0, 2.0, 3.0])
+        assert not is_satisfied(test, [1.0, 2.0, 3.0])
 
     def test_max_trials_forces_satisfaction(self):
         test = ConfidenceTest(confidence=0.999, min_trials=2, max_trials=5)
-        assert test.is_satisfied([1.0, 1.1, 1.2, 1.3, 1.4])
+        assert is_satisfied(test, [1.0, 1.1, 1.2, 1.3, 1.4])
 
     def test_all_satisfied_requires_every_column(self):
         test = ConfidenceTest(confidence=0.9, min_trials=2, max_trials=4)
         enough = [1.0, 2.0, 3.0, 4.0]
-        assert test.all_satisfied([enough, enough])
-        assert not test.all_satisfied([enough, [1.0]])
+        assert all_satisfied(test, [enough, enough])
+        assert not all_satisfied(test, [enough, [1.0]])
 
     def test_all_satisfied_empty_columns_is_false(self):
         test = ConfidenceTest()
-        assert not test.all_satisfied([])
+        assert not all_satisfied(test, [])
 
     def test_default_trial_bounds_are_the_contract(self):
         """A bare test refuses fewer than ``RULEGEN_MIN_TRIALS`` trials and
@@ -90,14 +93,14 @@ class TestConfidenceTest:
         test = ConfidenceTest()
         assert test.confidence == RULEGEN_CONFIDENCE
         spread = np.random.default_rng(3).normal(size=CONFIDENCE_TEST_MAX_TRIALS)
-        assert not test.is_satisfied(spread[: RULEGEN_MIN_TRIALS - 1])
+        assert not is_satisfied(test, spread[: RULEGEN_MIN_TRIALS - 1])
         # Two values that never settle: one short of the cap still fails.
         never = np.tile([0.0, 1e9], CONFIDENCE_TEST_MAX_TRIALS)
         assert not spread_is_confident(
             never[: CONFIDENCE_TEST_MAX_TRIALS - 1], RULEGEN_CONFIDENCE
         )
-        assert not test.is_satisfied(never[: CONFIDENCE_TEST_MAX_TRIALS - 1])
-        assert test.is_satisfied(never[:CONFIDENCE_TEST_MAX_TRIALS])
+        assert not is_satisfied(test, never[: CONFIDENCE_TEST_MAX_TRIALS - 1])
+        assert is_satisfied(test, never[:CONFIDENCE_TEST_MAX_TRIALS])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,7 +123,7 @@ class TestDegenerateSamples:
     def test_single_trial_is_never_confident(self):
         assert not spread_is_confident([3.14], 0.9)
         test = ConfidenceTest(confidence=0.9, min_trials=2, max_trials=50)
-        assert not test.is_satisfied([3.14])
+        assert not is_satisfied(test, [3.14])
         assert test.first_satisfied(([3.14],)) is None
 
     def test_single_trial_zero_value(self):
@@ -181,7 +184,7 @@ class TestFirstSatisfied:
     def _naive(test, columns, start):
         length = len(columns[0])
         for t in range(start, length + 1):
-            if test.all_satisfied([column[:t] for column in columns]):
+            if all_satisfied(test, [column[:t] for column in columns]):
                 return t
         return None
 

@@ -5,30 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.resampling import kfold_indices, subsample_indices
-
-
-class TestSubsampleIndices:
-    def test_no_replacement(self, rng):
-        idx = subsample_indices(20, 10, rng=rng)
-        assert len(set(idx.tolist())) == 10
-
-    def test_size_clipped_to_population(self, rng):
-        idx = subsample_indices(5, 50, rng=rng)
-        assert idx.shape == (5,)
-
-    def test_size_floor_of_one(self, rng):
-        assert subsample_indices(5, 0, rng=rng).shape == (1,)
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_rejects_an_empty_population(self, rng, n):
-        with pytest.raises(ValueError, match=f"must be positive, got {n}"):
-            subsample_indices(n, 1, rng=rng)
-
-    @given(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=100))
-    def test_always_within_population(self, n, size):
-        idx = subsample_indices(n, size, rng=np.random.default_rng(0))
-        assert idx.min() >= 0 and idx.max() < n
+from repro.stats.resampling import kfold_indices
 
 
 class TestKfoldIndices:

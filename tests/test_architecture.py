@@ -271,3 +271,16 @@ def test_one_owner_scales_pools():
         line.startswith("src/repro/service/simulation/autoscaler.py:")
         for line in computed
     ), computed
+
+
+def test_rule_generator_keeps_no_scalar_reference():
+    # The rule generator bootstraps through its outcome matrix alone: the
+    # per-trial reference lives in tests/oracle/, so no function of
+    # repro.core or repro.stats is kept only for tests to compare against.
+    assert not _matches(r"^repro\.(core|stats)\.\S+\s+oracle\b", ["tests/reach/LEDGER"])
+    assert not _matches(
+        r"def (bootstrap_configuration|_bootstrap_scalar|subsample_indices"
+        r"|spread_is_confident|is_satisfied|all_satisfied|trial_metrics)\("
+        r"|repro\.core\.simulator|class TierSimulation",
+        ["src"],
+    )
