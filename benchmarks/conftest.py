@@ -6,15 +6,19 @@ generators they share are built once per session here; the ASR table (which
 needs real beam-search decodes for 150 utterances x 7 versions) is cached on
 disk under ``results/cache/`` so repeated benchmark runs start instantly.
 
-Each benchmark prints the rows/series its paper artefact reports and writes
-a JSON artefact under ``results/``.
+Each benchmark prints the rows/series its paper artefact reports and, on a
+full run, writes a JSON artefact under ``results/``; a smoke run
+(``REPRO_BENCH_SMOKE=1``) writes none, so it leaves the tracked full-run
+artefacts as it found them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -30,8 +34,11 @@ ASR_UTTERANCES = 150
 IC_REQUESTS = 4000
 
 
-def save_artifact(name: str, payload: dict) -> Path:
-    """Write a benchmark's reproduced rows/series to ``results/<name>.json``."""
+def save_artifact(name: str, payload: dict) -> Optional[Path]:
+    """Write a benchmark's reproduced rows/series to ``results/<name>.json``;
+    a smoke run writes nothing and returns ``None``."""
+    if os.environ.get("REPRO_BENCH_SMOKE") == "1":
+        return None
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, default=float))

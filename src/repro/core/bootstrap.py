@@ -22,13 +22,12 @@ trials of a configuration's last block past its stopping point go back to
 the stream, where the next configuration takes them first: they are the
 draws a per-trial loop would have made for it.
 
-The stream keeps one batch: its trials and the rng state it was drawn
-from.  When the design space is done it hands the rng back: it rewinds to
-that batch if some of its trials are unused and replays the draws used
-from it, so the rng ends where one draw per trial leaves it — one replay
-per design space, not one per configuration.
-``tests/oracle/rulegen_reference.py`` is the per-trial loop the
-estimates and the rng's end state are held equal to.
+The stream keeps one batch and how many of its trials were used.  The
+trials of the last batch that no configuration needed are drawn and
+dropped, so the rng ends up to one block past where one draw per trial
+would leave it; the generator owns its rng and reads nothing from it
+afterwards.  ``tests/oracle/rulegen_reference.py`` is the per-trial loop
+the estimates are held equal to.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = ["WorstCaseEstimate", "bootstrap_configurations"]
 #: Trials evaluated per vectorized gather (the first takes at least the
 #: test's ``min_trials``).  Purely a throughput knob: results are identical
 #: for any value because the stopping rule is checked prefix by prefix.
-DEFAULT_TRIAL_BLOCK = 64
+TRIAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ def bootstrap_configurations(
     confidence_test: ConfidenceTest,
     rng: np.random.Generator,
     sample_fraction: float = RULEGEN_SAMPLE_FRACTION,
-    trial_block: int = DEFAULT_TRIAL_BLOCK,
 ) -> List[WorstCaseEstimate]:
     """Bootstrap every configuration, in order, over one trial stream.
 
@@ -95,8 +93,9 @@ def bootstrap_configurations(
     subsample of the matrix's measurements (without replacement, mirroring
     the paper's ``choice(train, k=len/10)``); a configuration's trials stop
     once every metric column satisfies the confidence test (or its
-    ``max_trials`` safety bound is reached).  ``rng`` is left where one
-    ``rng.choice`` per trial leaves it.
+    ``max_trials`` safety bound is reached).  Trials are drawn
+    :data:`TRIAL_BLOCK` at a time, so ``rng`` may end up to one block past
+    the last trial used.
 
     Args:
         matrix: The design space's outcome matrix; it must hold every
@@ -105,29 +104,21 @@ def bootstrap_configurations(
         confidence_test: Spread test bound to the requested confidence level.
         rng: Seeded generator driving the subsampling.
         sample_fraction: Fraction of the training requests per trial.
-        trial_block: Trials per vectorized gather.
 
     Returns:
         One worst-case estimate per configuration, in order.
     """
     checks.positive("sample_fraction", sample_fraction)
     checks.probability("sample_fraction", sample_fraction)
-    checks.integer("trial_block", trial_block, minimum=1)
     n = matrix.measurements.n_requests
     sample_size = max(2, int(round(n * sample_fraction)))
     stream = _TrialStream(rng, n, sample_size)
-    results = [
+    return [
         _bootstrap_blocked(
-            matrix,
-            configuration,
-            confidence_test=confidence_test,
-            stream=stream,
-            trial_block=trial_block,
+            matrix, configuration, confidence_test=confidence_test, stream=stream
         )
         for configuration in configurations
     ]
-    stream.release()
-    return results
 
 
 class _TrialStream:
@@ -136,34 +127,25 @@ class _TrialStream:
     Trials are drawn in batches, one ``rng.choice`` per trial, and handed
     out in order.  A taker may give back the unused tail of its last take;
     the next taker gets those trials first.  Only the current batch is
-    kept, with the rng state it was drawn from and how many of its trials
-    were used, so a take never spans two batches.
+    kept, with how many of its trials were used, so a take never spans two
+    batches.
     """
 
-    __slots__ = ("_rng", "_draw", "_n", "_size", "_state", "_rows", "_used")
+    __slots__ = ("_draw", "_n", "_size", "_rows", "_used")
 
     def __init__(self, rng: np.random.Generator, n: int, sample_size: int) -> None:
         if n <= 0:
             raise ValueError(f"population size must be positive, got {n}")
-        self._rng = rng
         self._draw = rng.choice
         self._n = n
         self._size = int(min(max(sample_size, 1), n))
-        self._state: Optional[dict] = None
         self._rows: Optional[np.ndarray] = None
         self._used = 0
-
-    @property
-    def carries(self) -> bool:
-        """Whether given-back trials are waiting to be taken."""
-        return self._rows is not None and self._used < len(self._rows)
 
     def take(self, k: int) -> np.ndarray:
         """The next trials' indices, one row per trial: the given-back ones
         while any are left (at most ``k``), else ``k`` freshly drawn."""
-        if not self.carries:
-            # The state property builds a fresh dict on access: no copy.
-            self._state = self._rng.bit_generator.state
+        if self._rows is None or self._used == len(self._rows):
             self._rows = np.empty((k, self._size), dtype=np.int64)
             self._used = 0
             draw, n, size = self._draw, self._n, self._size
@@ -177,16 +159,6 @@ class _TrialStream:
         """Return the last ``k`` trials of the last take, unused."""
         self._used -= k
 
-    def release(self) -> None:
-        """Hand the rng back positioned after the last trial used: rewind
-        to the batch of the first unused one and replay what was used of
-        it."""
-        if self.carries:
-            self._rng.bit_generator.state = self._state
-            for _ in range(self._used):
-                self._draw(self._n, size=self._size, replace=False)
-        self._state, self._rows, self._used = None, None, 0
-
 
 def _bootstrap_blocked(
     matrix: OutcomeMatrix,
@@ -194,7 +166,6 @@ def _bootstrap_blocked(
     *,
     confidence_test: ConfidenceTest,
     stream: _TrialStream,
-    trial_block: int,
 ) -> WorstCaseEstimate:
     """The blocked vectorized loop over the configuration's outcome
     columns, expanded here and dropped on return."""
@@ -212,7 +183,7 @@ def _bootstrap_blocked(
         # given-back trials come alone, so it may get fewer.  The block
         # size is a throughput knob, since trials past the stop go to the
         # next configuration.  max_trials caps the total.
-        block = max(trial_block, confidence_test.min_trials - drawn)
+        block = max(TRIAL_BLOCK, confidence_test.min_trials - drawn)
         indices = stream.take(min(block, max_trials - drawn))
         block = len(indices)
         metrics = matrix.evaluate(columns, indices)

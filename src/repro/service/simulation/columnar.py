@@ -41,11 +41,15 @@ node's speed — and deflates the confidence it reports, which re-decides
 escalation — until its restore fires.  Transient and storm windows
 opening, and herds releasing, are log entries in the same stream.  Which
 completions fail is asked of the simulator's ``CompletionFaults``, the
-owner the scalar loop asks at the same point (after the orphan check).
-A failed attempt makes a faulted run follow the scalar loop's whole
-per-request state machine instead of the inlined deliveries: retries
-with backoff under the ``RetryPolicy`` budgets, the degraded fallbacks,
-parking, orphan completions and the end-of-run "unserved" resolution.
+owner the scalar loop asks at the same point (first, as a completion
+lands).  A failed attempt makes a faulted run follow the scalar loop's
+whole per-request state machine instead of the inlined deliveries:
+retries with backoff under the ``RetryPolicy`` budgets, the degraded
+fallbacks, parking and the end-of-run "unserved" resolution.  No
+attempt outlives its request: a request fails terminally only once no
+other leg can answer, early termination cancels an accurate leg only
+before it starts (a running one is waited for), and a leg still parked
+at the end of the run is cancelled with its request.
 Pool membership changes on the real cluster as it happens, so node ids,
 the retired books and ``final_pool_sizes`` end as the scalar loop leaves
 them.  A run with no fault, control plane or autoscaler is the case
@@ -777,8 +781,8 @@ def run_columnar(
     def resolve(sub, end, fast_s, acc_s, start, now, outcome=None, exclude=-1):
         # _finalize / _finalize_failed: one row, in completion order.  A
         # failure (fast_s == -1.0) bills nothing; given an ``outcome``, the
-        # legs still in flight (but leg ``exclude``) are abandoned first:
-        # queued or parked jobs cancelled, a running one detached.
+        # legs still open (but leg ``exclude``) are cancelled first, off
+        # their node's queue or out of the parked jobs.
         if outcome is not None:
             for leg in (0, 1):
                 key = sub << 1 | leg
@@ -788,16 +792,12 @@ def run_columnar(
                 node = leg_node[key]
                 version = leg_version[key]
                 if (
-                    node is not None
-                    and node.alive
-                    and cancel_queued(node, sub, now)
-                ) or parked.get(version, {}).pop(sub, None):
-                    if checker is not None:
-                        checker.on_attempt_finished(
-                            request_ids[sub], version, attempt[key], now, outcome
-                        )
-                elif checker is not None:
-                    checker.on_attempt_detached(request_ids[sub], version)
+                    (node is not None and node.alive and cancel_queued(node, sub, now))
+                    or parked.get(version, {}).pop(sub, None)
+                ) and checker is not None:
+                    checker.on_attempt_finished(
+                        request_ids[sub], version, attempt[key], now, outcome
+                    )
         if fast_s < 0.0:
             failed[sub] = 1
             fast = fast_done[sub]
@@ -818,13 +818,6 @@ def run_columnar(
         # _on_job_done + _advance, with the confidence the node reports
         # deflated while it is gray or warming up.
         key = sub << 1 | leg
-        if resolved[sub]:
-            # A detached attempt ran on; its result is discarded.
-            if checker is not None:
-                checker.on_orphan_finished(
-                    request_ids[sub], leg_version[key], finish
-                )
-            return
         if fails is not None:
             reason = fails(leg_version[key], finish, pool_load)
             if reason is not None:
@@ -1003,19 +996,18 @@ def run_columnar(
         # _on_retry: the backoff is over.
         nonlocal inflight
         inflight -= 1
-        sub = key >> 1
-        if resolved[sub] or not retry_pending[key]:
-            return  # resolved meanwhile, or cancelled by early termination
+        if not retry_pending[key]:
+            return  # cancelled by early termination
         retry_pending[key] = False
+        sub = key >> 1
         retries[sub] += 1
         enqueue_attempt(key, now)
 
     def deflated(subs, node, now):
-        # _on_batch_done, before delivery; a resolved request's trace is closed.
+        # _on_batch_done, before delivery.
         node_id, factor = node.real.node_id, node.deflate
         for sub in subs:
-            if not resolved[sub]:
-                trace.on_deflated(request_ids[sub], node_id, factor, now)
+            trace.on_deflated(request_ids[sub], node_id, factor, now)
 
     def reselect(version):
         # Pool membership changed: recompile the pool's selection over it.
@@ -1070,8 +1062,6 @@ def run_columnar(
         # Queued work never started: it migrates, same attempt.
         for item in queued:
             sub = item[0]
-            if resolved[sub]:
-                continue
             key = sub << 1 | item[1]
             if trace is not None:
                 trace.on_migrated(request_ids[sub], version, now, parked=not pool)
@@ -1087,8 +1077,7 @@ def run_columnar(
                 maybe_start(target, now)
         # Running work died mid-execution: those attempts failed.
         for sub, leg in aborted:
-            if not resolved[sub]:
-                attempt_failed(sub << 1 | leg, now, "crash")
+            attempt_failed(sub << 1 | leg, now, "crash")
         if fault.recover_at_s is not None:
             schedule(fault.recover_at_s, recover, fault)
 
@@ -1115,12 +1104,9 @@ def run_columnar(
             schedule(now + wave.warmup_s, restore, (wave, version, node))
         touched = {}
         for item in parked.pop(version, {}).values():
-            sub = item[0]
-            if resolved[sub]:
-                continue
             target = selects[version]()
             target.requeue(item)
-            leg_node[sub << 1 | item[1]] = target
+            leg_node[item[0] << 1 | item[1]] = target
             touched[target] = None
         for target in touched:
             target.flush_seq = -1

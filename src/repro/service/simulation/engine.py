@@ -1062,15 +1062,7 @@ class ServingSimulator:
     def _on_job_done(self, completion: NodeCompletion) -> None:
         request_id = completion.result.request_id
         version = completion.result.version
-        state = self._inflight.get(request_id)
-        if state is None:
-            # The request already resolved (an early-terminated accurate
-            # job running on, or cleanup after a terminal failure).
-            if self._check is not None:
-                self._check.on_orphan_finished(
-                    request_id, version, completion.finished_at
-                )
-            return
+        state = self._inflight[request_id]
         failure = self._failures.failure(
             version, completion.finished_at, self._pool_load
         )
@@ -1184,9 +1176,7 @@ class ServingSimulator:
         # Queued work never started: it migrates, same attempt (parked
         # when the crash emptied the pool).
         for item in queued:
-            state = self._inflight.get(item.request_id)
-            if state is None:
-                continue  # the request resolved; drop the stale job
+            state = self._inflight[item.request_id]
             if balancer.live_pool_size(fault.version) == 0:
                 self._parked.setdefault(fault.version, []).append(item)
                 self._note_leg_node(state, fault.version, None)
@@ -1210,11 +1200,8 @@ class ServingSimulator:
             self._maybe_start(target)
         # Running work died mid-execution: those attempts failed.
         for item in aborted:
-            state = self._inflight.get(item.request_id)
-            if state is None:
-                continue  # orphan job (already accounted as detached)
             self._attempt_failed(
-                state, fault.version, now=now, reason="crash"
+                self._inflight[item.request_id], fault.version, now=now, reason="crash"
             )
         if fault.recover_at_s is not None:
             self._loop.schedule_at(
@@ -1310,12 +1297,9 @@ class ServingSimulator:
         balancer = self.cluster.load_balancer
         touched: Dict[str, ServiceNode] = {}
         for item in parked:
-            state = self._inflight.get(item.request_id)
-            if state is None:
-                continue
             node = balancer.select_node(version)
             node.requeue(item)
-            self._note_leg_node(state, version, node)
+            self._note_leg_node(self._inflight[item.request_id], version, node)
             touched[node.node_id] = node
         for node in touched.values():
             pending = self._flush_events.pop(node.node_id, None)
@@ -1440,10 +1424,8 @@ class ServingSimulator:
         # here too — their schedule incremented the counter exactly once).
         self._inflight_retries -= 1
         state = self._inflight.get(request_id)
-        if state is None:
-            return  # the request resolved while the backoff ran
-        if not state.retry_pending.get(version, False):
-            return  # the retry was cancelled (early termination)
+        if state is None or not state.retry_pending.get(version, False):
+            return  # early termination cancelled it and answered the request
         state.retry_pending[version] = False
         # Counted when the attempt actually starts, so a backoff that
         # never fires (request resolved first) is not reported as a retry.
@@ -1499,11 +1481,11 @@ class ServingSimulator:
         exclude_version: Optional[str],
         outcome: str,
     ) -> None:
-        """Close every leg of a failing request that is still in flight.
+        """Cancel every leg of a failing request that is still open.
 
-        Queued jobs are cancelled off their node, parked jobs are dropped
-        from the engine's holding pen, and running jobs are detached (the
-        batch finishes; the orphan completion is discarded).
+        Queued jobs are cancelled off their node and parked jobs are
+        dropped from the engine's holding pen.  No leg is running: a
+        request fails only once no other leg can answer.
         """
         request_id = state.request.request_id
         legs = (
@@ -1520,7 +1502,7 @@ class ServingSimulator:
                 node is not None
                 and node.alive
                 and self._cancel_queued_job(node, request_id)
-            ):
+            ) or self._cancel_parked(version, request_id):
                 if self._check is not None:
                     self._check.on_attempt_finished(
                         request_id,
@@ -1529,20 +1511,6 @@ class ServingSimulator:
                         self._loop.now,
                         outcome,
                     )
-                continue
-            if self._cancel_parked(version, request_id):
-                if self._check is not None:
-                    self._check.on_attempt_finished(
-                        request_id,
-                        version,
-                        state.attempts[version],
-                        self._loop.now,
-                        outcome,
-                    )
-            elif self._check is not None:
-                # Running somewhere: let the batch finish, discard the
-                # orphan result.
-                self._check.on_attempt_detached(request_id, version)
 
     # ------------------------------------------------------------------
     # ensemble state machine

@@ -17,10 +17,11 @@ The laws:
    control (submitted = completed + failed + shed).  No request is lost,
    none is answered twice.
 2. **Conservation of attempts** — every started job attempt is closed
-   exactly once (completed, failed, cancelled, or explicitly detached);
-   attempt numbers per ``(request, version)`` are contiguous from 1; a
-   retry only ever follows a failed attempt; no job exceeds the retry
-   policy's ``max_attempts``.
+   exactly once (completed, failed or cancelled), and before its request
+   is finalized: no attempt outlives its request; attempt numbers per
+   ``(request, version)`` are contiguous from 1; a retry only ever
+   follows a failed attempt; no job exceeds the retry policy's
+   ``max_attempts``.
 3. **Monotone clock** — ledger events arrive in non-decreasing virtual
    time.
 4. **Billing reconciliation** — a request is only ever billed node-seconds
@@ -54,9 +55,7 @@ __all__ = ["InvariantChecker", "InvariantViolation"]
 _TOL = 1e-6
 
 #: Attempt outcomes the engine may report.
-_OUTCOMES = frozenset(
-    {"ok", "transient", "crash", "cascade", "cancelled", "unserved", "detached"}
-)
+_OUTCOMES = frozenset({"ok", "transient", "crash", "cascade", "cancelled", "unserved"})
 #: Outcomes after which a retry (a further attempt) is legal.
 _RETRYABLE = frozenset({"transient", "crash", "cascade"})
 
@@ -80,7 +79,6 @@ class InvariantChecker:
         self._closed: Dict[Tuple[str, str], int] = {}
         self._last_outcome: Dict[Tuple[str, str], str] = {}
         self._ok_seconds: Dict[Tuple[str, str], float] = {}
-        self._detached: Set[Tuple[str, str]] = set()
         self._retry_denied: Set[str] = set()
         self._denials = 0
 
@@ -138,11 +136,17 @@ class InvariantChecker:
         *,
         seconds: float = 0.0,
     ) -> None:
-        """A started attempt closed with one of the known outcomes."""
+        """A started attempt closed with one of the known outcomes, while
+        its request is still unresolved."""
         self.tick(t)
         if outcome not in _OUTCOMES:
             raise InvariantViolation(f"unknown attempt outcome {outcome!r}")
         key = (request_id, version)
+        if request_id in self._finalized:
+            raise InvariantViolation(
+                f"{key}: attempt {attempt} closed ({outcome!r}) after its "
+                "request was finalized"
+            )
         if attempt != self._started.get(key, 0):
             raise InvariantViolation(
                 f"{key}: attempt {attempt} closed but "
@@ -157,34 +161,6 @@ class InvariantChecker:
         self._last_outcome[key] = outcome
         if outcome == "ok":
             self._ok_seconds[key] = self._ok_seconds.get(key, 0.0) + seconds
-
-    def on_attempt_detached(self, request_id: str, version: str) -> None:
-        """Close an attempt whose job runs on after its request resolved.
-
-        Early termination and terminal-failure cleanup can leave a job
-        executing whose result nobody will read; the attempt is accounted
-        for here and the eventual orphan completion is informational.
-        """
-        key = (request_id, version)
-        self._detached.add(key)
-        self.on_attempt_finished(
-            request_id,
-            version,
-            self._started.get(key, 0),
-            self._last_time,
-            "detached",
-        )
-
-    def on_orphan_finished(
-        self, request_id: str, version: str, t: float
-    ) -> None:
-        """A job completed for an already-resolved request."""
-        self.tick(t)
-        key = (request_id, version)
-        if key not in self._detached:
-            raise InvariantViolation(
-                f"{key}: orphan completion for an attempt never detached"
-            )
 
     def on_retry_denied(self, request_id: str, version: str, t: float) -> None:
         """A retry budget refused the retry the policy wanted to schedule."""

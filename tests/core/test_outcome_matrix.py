@@ -3,8 +3,9 @@ per-trial reference.
 
 The outcome matrix exists purely for speed; these tests pin its
 contract — for the same seed it must reproduce the per-trial loop's
-results exactly (trial metrics, worst-case estimates, rng consumption and
-emitted rule tables), across all four policy kinds and the threshold grid.
+results exactly (trial metrics, worst-case estimates and emitted rule
+tables), drawing each trial once, across all four policy kinds and the
+threshold grid.
 The per-trial side is ``tests/oracle/rulegen_reference.py``, which shares
 no code with ``repro.core.bootstrap``; the sample-size mutants below show
 that a change to the fast path's trial shape is caught.
@@ -19,7 +20,7 @@ import pytest
 
 from repro.contract import RULEGEN_SAMPLE_FRACTION
 from repro.core import bootstrap, rule_generator
-from repro.core.bootstrap import DEFAULT_TRIAL_BLOCK, bootstrap_configurations
+from repro.core.bootstrap import TRIAL_BLOCK, bootstrap_configurations
 from repro.core.configuration import EnsembleConfiguration, enumerate_configurations
 from repro.core.metrics import build_pricing
 from repro.core.outcome_matrix import OutcomeMatrix
@@ -135,11 +136,9 @@ class TestTrialMetricsEquivalence:
 
 
 class TestBootstrapEquivalence:
-    def test_estimates_and_rng_state_match(self, space, matrix):
+    def test_estimates_match(self, space, matrix):
         """The blocked bootstrap and the per-trial reference agree on every
-        estimate field, the trial count, and — critically — the generator
-        state they leave behind (so later configurations see identical
-        draws)."""
+        estimate field and the trial count."""
         measurements, configurations = space
         kw = dict(confidence=0.95, min_trials=6, max_trials=25)
         for configuration in configurations:
@@ -150,21 +149,20 @@ class TestBootstrapEquivalence:
                 matrix, [configuration], confidence_test=ConfidenceTest(**kw), rng=rng_b
             )
             assert fast == scalar
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_small_trial_blocks_change_nothing(self, space, matrix):
+    def test_small_trial_blocks_change_nothing(self, space, matrix, monkeypatch):
         """The block size is a throughput knob only."""
         _, configurations = space
         test = ConfidenceTest(confidence=0.95, min_trials=6, max_trials=25)
         results = []
         for trial_block in (1, 3, 64):
+            monkeypatch.setattr(bootstrap, "TRIAL_BLOCK", trial_block)
             results.append(
                 bootstrap_configurations(
                     matrix,
                     [configurations[5]],
                     confidence_test=test,
                     rng=np.random.default_rng(9),
-                    trial_block=trial_block,
                 )
             )
         assert all(r == results[0] for r in results[1:])
@@ -210,34 +208,32 @@ class TestGeneratorEquivalence:
                 t: c.config_id for t, c in table_a.rules.items()
             } == {t: c.config_id for t, c in table_b.rules.items()}
 
-    @pytest.mark.parametrize("trial_block", [1, 3, DEFAULT_TRIAL_BLOCK])
-    def test_the_stream_draws_each_trial_once(self, space, trial_block):
+    @pytest.mark.parametrize("trial_block", [1, 3, TRIAL_BLOCK])
+    def test_the_stream_draws_each_trial_once(self, space, trial_block, monkeypatch):
         """One trial stream serves the whole design space: the trials past
-        a configuration's stop are the next configuration's first, and the
-        rng is rewound once, at the end.  Estimates and the final rng
-        state equal the reference's."""
+        a configuration's stop are the next configuration's first.
+        Estimates equal the reference's."""
         measurements, configurations = space
         kw = dict(confidence=0.99, min_trials=8, max_trials=150)
         stream_rng, oracle_rng = _CountingGenerator(5), _CountingGenerator(5)
+        monkeypatch.setattr(bootstrap, "TRIAL_BLOCK", trial_block)
         estimates = bootstrap_configurations(
             OutcomeMatrix.build(measurements, configurations),
             configurations,
             confidence_test=ConfidenceTest(**kw),
             rng=stream_rng,
-            trial_block=trial_block,
         )
         oracle = reference_results(measurements, configurations, seed=oracle_rng, **kw)
         assert estimates == oracle
-        assert stream_rng.bit_generator.state == oracle_rng.bit_generator.state
 
         trials = sum(e.n_trials for e in oracle)
         assert oracle_rng.draws == trials
-        # Every trial is drawn once; the last batch's unused trials and the
-        # replay of its used ones add at most one batch, once.
-        assert 0 <= stream_rng.draws - trials <= max(kw["min_trials"], trial_block)
+        # Every trial is drawn once; only the last batch's unused trials
+        # are drawn on top, less than one batch.
+        assert 0 <= stream_rng.draws - trials < max(kw["min_trials"], trial_block)
         if trial_block == 1:
             assert stream_rng.draws == trials  # a block of one is never cut
-        if trial_block == DEFAULT_TRIAL_BLOCK:
+        if trial_block == TRIAL_BLOCK:
             generator = RoutingRuleGenerator(measurements, configurations, seed=5, **kw)
             assert generator.results == estimates
 
@@ -384,7 +380,7 @@ class TestMemoryFollowsVersions:
         measurements, _ = wide_space
         n = measurements.n_requests
         sample_size = round(n * RULEGEN_SAMPLE_FRACTION)
-        block = min(DEFAULT_TRIAL_BLOCK, self.MAX_TRIALS)
+        block = min(TRIAL_BLOCK, self.MAX_TRIALS)
         floats = (
             len(measurements.versions) * 3 * n  # error, latency, confidence
             + 5 * n  # one configuration's stacked rows

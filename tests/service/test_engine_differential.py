@@ -1783,13 +1783,13 @@ def test_a_herd_release_tied_to_a_recovery_and_a_window_matches_the_oracle(toy):
 
 #: Completion-fault mutants of the columnar loop: ``(site, mutated site)``.
 _COMPLETION_MUTANTS = {
-    # The owner draws for an orphan completion too, before the orphan
-    # check discards it.
-    "consult-before-orphan-check": (
-        "        key = sub << 1 | leg\n        if resolved[sub]:\n",
+    # The owner is consulted twice per completion: one draw too many from
+    # the fault generator, ahead of the consult that decides.
+    "consult-twice": (
+        "        key = sub << 1 | leg\n        if fails is not None:\n",
         "        key = sub << 1 | leg\n"
         "        early = fails(leg_version[key], finish, pool_load) if fails else None\n"
-        "        if resolved[sub]:\n",
+        "        if fails is not None:\n",
     ),
     # Herd releases join the onset stream ahead of the window openings.
     "herd-before-windows": (

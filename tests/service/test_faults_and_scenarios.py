@@ -7,6 +7,8 @@ ScenarioSpec validation, and the determinism contract of the six
 canonical scenarios.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -807,7 +809,18 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="never arrived"):
             checker.on_finalized("ghost", 0.0, failed=False)
 
-    def test_orphan_without_detach_rejected(self):
+    def test_attempt_closing_after_its_request_finalized_rejected(self):
+        """No attempt outlives its request: a leg still running when the
+        request resolves is unclosed at verify, and its late completion
+        is a violation on the spot."""
         checker = InvariantChecker()
-        with pytest.raises(InvariantViolation, match="never detached"):
-            checker.on_orphan_finished("r1", "v", 0.0)
+        checker.on_arrival("r1", 0.0)
+        checker.on_attempt_started("r1", "fast", 1, 0.0)
+        checker.on_attempt_started("r1", "slow", 1, 0.0)
+        checker.on_attempt_finished("r1", "fast", 1, 0.1, "ok")
+        checker.on_finalized("r1", 0.1, failed=False)
+        report = SimpleNamespace(records=[SimpleNamespace(request_id="r1")])
+        with pytest.raises(InvariantViolation, match="1 attempt.* started but 0 closed"):
+            checker.verify(report, cluster=None)
+        with pytest.raises(InvariantViolation, match="after its request was finalized"):
+            checker.on_attempt_finished("r1", "slow", 1, 0.4, "ok")

@@ -284,3 +284,10 @@ def test_rule_generator_keeps_no_scalar_reference():
         r"|repro\.core\.simulator|class TierSimulation",
         ["src"],
     )
+
+
+def test_no_attempt_outlives_its_request():
+    # A request resolves only once no other leg can answer, so every leg
+    # still open is cancelled with it: no detached attempt, no orphan
+    # completion, in either loop or the invariant checker.
+    assert not _matches(r'on_attempt_detached|on_orphan_finished|"detached"', ["src"])
