@@ -389,7 +389,9 @@ class ColumnSegment:
             for code in np.unique(codes):
                 rows = np.flatnonzero(codes == code)
                 template, order, n_spans = templates[code]
-                slots = _slots(self.columns, numeric, rows + start, n_spans)
+                slots = _slots(
+                    self.columns, numeric, rows + start, n_spans, set(order)
+                )
                 for at, args in zip(rows.tolist(), zip(*map(slots.__getitem__, order))):
                     texts[at] = template % args
             yield "".join(texts)
@@ -540,14 +542,20 @@ def _joined(items, codes, rows_of, texts) -> str:
     return "".join(matrix.ravel().tolist())
 
 
-def _slots(columns, numeric, rows, n_spans: int) -> List[list]:
+def _slots(columns, numeric, rows, n_spans: int, read=None) -> List[list]:
     """Every value a JSON template can ask for, one list per slot, each
     column through a single ``.tolist()`` and as ``json.dumps`` would
     write it (``repr`` of a finite number, an escaped string), with the
-    ``sha256``-derived ids alongside."""
+    ``sha256``-derived ids alongside.  Given ``read`` (the slots a
+    template reads), a numeric slot it does not read is ``None``."""
     ids = [columns.request_ids[i] for i in rows.tolist()]
     payloads = [str(columns.payloads[i]) for i in rows.tolist()]
-    values = [list(map(repr, column[rows].tolist())) for column in numeric]
+    values = [
+        list(map(repr, column[rows].tolist()))
+        if read is None or slot in read
+        else None
+        for slot, column in enumerate(numeric, start=2)
+    ]
     values.append([trace_id_for(rid) for rid in ids])
     for index in range(n_spans):
         values.append([span_id_for(rid, index) for rid in ids])

@@ -394,8 +394,8 @@ class TraceCollector:
         self.add_sealed(trace.seal())
 
     def add_sealed(self, trace: Trace) -> None:
-        """Append a trace whose ids are already derived and checked
-        (:meth:`Trace.from_dict`'s), without deriving them again."""
+        """Append a trace whose ids are already derived (a sealed tree,
+        or :meth:`Trace.from_dict`'s), without deriving them again."""
         self._materialise().append(trace)
         self._by_id[trace.request_id] = trace
 

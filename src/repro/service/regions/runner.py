@@ -104,16 +104,13 @@ def _merge_traces(results: List[ShardResult], sink) -> None:
     trace root and run event is stamped with its region so a merged
     collector can still be cut back per region.
     """
-    from repro.obs.trace import Trace
-
     keyed = []
     for result in results:
-        for seq, payload in enumerate(result.trace_dicts or ()):
-            trace = Trace.from_dict(payload)
+        for seq, trace in enumerate(result.traces or ()):
             trace.root.attrs.setdefault("region", result.region)
             keyed.append(((trace.root.end_s, result.index, seq), trace))
     keyed.sort(key=lambda item: item[0])
-    for _, trace in keyed:  # from_dict derived and checked every id
+    for _, trace in keyed:  # the shard sealed every tree
         sink.add_sealed(trace)
     events = []
     for result in results:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from repro.service.regions.spec import RegionSpec
 from repro.service.simulation.replay import build_replay_cluster
 from repro.service.simulation.report import LoadTestReport
 from repro.service.simulation.scenarios import ScenarioSpec, build_simulator
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Trace
 
 __all__ = ["ShardResult", "ShardTask", "run_shard"]
 
@@ -68,9 +71,9 @@ class ShardTask:
     check_invariants: bool = False
     keep_report: bool = False
     #: Record one span tree per request (see :mod:`repro.obs`).  The
-    #: shard builds its own collector inside the worker and ships the
-    #: traces back as plain dicts, so tracing stays picklable and the
-    #: parallel run merges to the same trace stream as the serial one.
+    #: shard builds its own collector inside the worker and ships its
+    #: sealed trees back (they pickle), so the parallel run merges to the
+    #: same trace stream as the serial one.
     trace: bool = False
 
 
@@ -100,9 +103,9 @@ class ShardResult:
         slo_log: Region SLO replay entries (region-named).
         final_pool_sizes: Pool sizes at drain.
         report: The full shard report when ``keep_report`` was set.
-        trace_dicts: One dict per recorded trace (completion order)
-            when the task asked for tracing — picklable form of
-            :class:`~repro.obs.trace.Trace`.
+        traces: One sealed :class:`~repro.obs.trace.Trace` per
+            recorded request (completion order) when the task asked for
+            tracing.
         trace_run_events: Recorded run-level events as
             ``(time_s, kind, detail, region)`` tuples.
     """
@@ -131,7 +134,7 @@ class ShardResult:
     slo_log: List[ControlLogEntry] = field(default_factory=list)
     final_pool_sizes: Dict[str, int] = field(default_factory=dict)
     report: Optional[LoadTestReport] = None
-    trace_dicts: Optional[List[dict]] = None
+    traces: Optional[List[Trace]] = None
     trace_run_events: Optional[List[Tuple[float, str, str, Optional[str]]]] = (
         None
     )
@@ -162,7 +165,7 @@ def _empty_result(task: ShardTask) -> ShardResult:
         user_latencies_ok=np.empty(0, dtype=float),
         last_finished_s=0.0,
         total_cost=0.0,
-        trace_dicts=[] if task.trace else None,
+        traces=[] if task.trace else None,
         trace_run_events=[] if task.trace else None,
     )
 
@@ -257,11 +260,7 @@ def run_shard(task: ShardTask) -> ShardResult:
         slo_log=slo_log.entries,
         final_pool_sizes=dict(report.final_pool_sizes),
         report=report if task.keep_report else None,
-        trace_dicts=(
-            [trace.to_dict() for trace in collector.traces]
-            if collector is not None
-            else None
-        ),
+        traces=collector.traces if collector is not None else None,
         trace_run_events=(
             list(collector.run_events) if collector is not None else None
         ),

@@ -48,8 +48,9 @@ retries with backoff under the ``RetryPolicy`` budgets, the degraded
 fallbacks, parking and the end-of-run "unserved" resolution.  No
 attempt outlives its request: a request fails terminally only once no
 other leg can answer, early termination cancels an accurate leg only
-before it starts (a running one is waited for), and a leg still parked
-at the end of the run is cancelled with its request.
+before it starts (a running one is waited for), and resolving a
+request touches none of its legs: the end-of-run resolution drops a
+leg still parked ("unserved") before it resolves the request.
 Pool membership changes on the real cluster as it happens, so node ids,
 the retired books and ``final_pool_sizes`` end as the scalar loop leaves
 them.  A run with no fault, control plane or autoscaler is the case
@@ -778,26 +779,11 @@ def run_columnar(
         if kind_of[sub] >= _CONC:
             enqueue_attempt(sub << 1 | 1, now)
 
-    def resolve(sub, end, fast_s, acc_s, start, now, outcome=None, exclude=-1):
+    def resolve(sub, end, fast_s, acc_s, start, now):
         # _finalize / _finalize_failed: one row, in completion order.  A
-        # failure (fast_s == -1.0) bills nothing; given an ``outcome``, the
-        # legs still open (but leg ``exclude``) are cancelled first, off
-        # their node's queue or out of the parked jobs.
-        if outcome is not None:
-            for leg in (0, 1):
-                key = sub << 1 | leg
-                if leg == exclude or not leg_open[key]:
-                    continue
-                leg_open[key] = False
-                node = leg_node[key]
-                version = leg_version[key]
-                if (
-                    (node is not None and node.alive and cancel_queued(node, sub, now))
-                    or parked.get(version, {}).pop(sub, None)
-                ) and checker is not None:
-                    checker.on_attempt_finished(
-                        request_ids[sub], version, attempt[key], now, outcome
-                    )
+        # failure (fast_s == -1.0) bills nothing.  The request's legs are
+        # closed already: attempt_failed fails it only when no other leg
+        # is viable, and the end-of-run resolution drops the parked ones.
         if fast_s < 0.0:
             failed[sub] = 1
             fast = fast_done[sub]
@@ -882,7 +868,7 @@ def run_columnar(
         if acc_failed[sub] and fast is not None:
             # The accurate leg is gone: the fast result alone decides.
             if esc[sub]:
-                resolve(sub, now, -1.0, -1.0, None, now, "cancelled")
+                resolve(sub, now, -1.0, -1.0, None, now)
             else:
                 resolve(sub, fast[1], fast[2], -1.0, fast[0], now)
             return
@@ -990,7 +976,7 @@ def run_columnar(
                     accurate[0], now,
                 )
             return
-        resolve(sub, now, -1.0, -1.0, None, now, "cancelled", key & 1)
+        resolve(sub, now, -1.0, -1.0, None, now)
 
     def on_retry(key, now):
         # _on_retry: the backoff is over.
@@ -1498,7 +1484,9 @@ def run_columnar(
                         node.real.node_id, node.real.version.name, solo, now
                     )
                 deliver(sub, leg, start, now, solo, solo, now, 1)
-            if node.queue:
+            # An event tied with this completion (an arrival, a retry
+            # whose backoff ends now) may have started the next job.
+            if node.queue and node.busy_until <= now:
                 maybe_start(node, now)
         elif code == _FLUSH:
             if tag != node.flush_seq:
@@ -1548,7 +1536,7 @@ def run_columnar(
                     item[0], item[1], start, now, amortized,
                     solos[index], now, k,
                 )
-            if node.queue:
+            if node.queue and node.busy_until <= now:
                 maybe_start(node, now)
         else:
             now = event[0]
@@ -1557,17 +1545,25 @@ def run_columnar(
     if faults and len(out) < n:
         # drain()'s end-of-run resolution: every queued job has run and
         # every retry fired, so what is left is parked behind a pool whose
-        # capacity never came back.  A request holding a confident fast
-        # answer responds with it; the rest fail — in arrival order.
+        # capacity never came back: those jobs are dropped, unserved.  A
+        # request holding a confident fast answer responds with it; the
+        # rest fail — in arrival order.
         for sub in order:
             if sub < n and not resolved[sub]:
+                for key in (sub << 1, sub << 1 | 1):
+                    dropped = leg_open[key] and parked.get(
+                        leg_version[key], {}
+                    ).pop(sub, None)
+                    if dropped and checker is not None:
+                        checker.on_attempt_finished(
+                            request_ids[sub], leg_version[key], attempt[key],
+                            now, "unserved",
+                        )
                 fast = fast_done[sub]
                 if esc[sub] is False and fast is not None:
-                    resolve(
-                        sub, fast[1], fast[2], -1.0, fast[0], now, "unserved"
-                    )
+                    resolve(sub, fast[1], fast[2], -1.0, fast[0], now)
                 else:
-                    resolve(sub, now, -1.0, -1.0, None, now, "unserved")
+                    resolve(sub, now, -1.0, -1.0, None, now)
 
     if control is not None:
         flush()

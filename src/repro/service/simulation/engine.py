@@ -818,15 +818,25 @@ class ServingSimulator:
         if self._remaining and self._inflight and self._faults:
             # At loop-empty every queued job has executed and every retry
             # has fired, so what remains is parked behind pools whose
-            # capacity never recovered.  A request that already holds a
-            # confident fast answer responds with it (the parked accurate
-            # leg was only ever a cost commitment); everything else
-            # resolves as failed.
+            # capacity never recovered: those jobs are dropped, unserved.
+            # A request that already holds a confident fast answer
+            # responds with it (the parked accurate leg was only ever a
+            # cost commitment); everything else resolves as failed.
             for state in list(self._inflight.values()):
+                request_id = state.request.request_id
+                for version in (state.fast_version, state.accurate_version):
+                    dropped = state.leg_open.get(
+                        version, False
+                    ) and self._cancel_parked(version, request_id)
+                    if dropped and self._check is not None:
+                        self._check.on_attempt_finished(
+                            request_id,
+                            version,
+                            state.attempts[version],
+                            self._loop.now,
+                            "unserved",
+                        )
                 if state.escalated is False and state.fast_completion is not None:
-                    self._abandon_outstanding(
-                        state, exclude_version=None, outcome="unserved"
-                    )
                     fast = state.fast_completion
                     self._finalize(
                         state,
@@ -836,9 +846,7 @@ class ServingSimulator:
                         },
                     )
                 else:
-                    self._finalize_failed(
-                        state, end=self._loop.now, outcome="unserved"
-                    )
+                    self._finalize_failed(state, end=self._loop.now)
         if self._remaining:
             raise RuntimeError(
                 f"event loop drained with {self._remaining} requests unresolved"
@@ -1021,7 +1029,12 @@ class ServingSimulator:
     def _on_batch_done(
         self, node: ServiceNode, completions: List[NodeCompletion]
     ) -> None:
-        self._running.pop(node.node_id, None)
+        # An event tied with this one (an arrival, a retry whose backoff
+        # ends now) may have started the node's next batch: that batch
+        # keeps the running slot a crash aborts.
+        running = self._running.get(node.node_id)
+        if running is not None and running.completions is completions:
+            del self._running[node.node_id]
         factor = self._deflate.get(node.node_id)
         if factor is not None and factor < 1.0:
             # Gray / warming nodes silently lose answer quality: every
@@ -1396,7 +1409,7 @@ class ServingSimulator:
                 # fast leg is known dead.
                 self._finalize_accurate_only(state, end=now)
             return
-        self._finalize_failed(state, end=now, exclude_version=version)
+        self._finalize_failed(state, end=now)
 
     def _retry_budget_allows(self, state: _InFlight) -> bool:
         """Whether the retry budgets permit scheduling one more retry."""
@@ -1433,18 +1446,13 @@ class ServingSimulator:
         node = self._enqueue_attempt(state, version)
         self._note_leg_node(state, version, node)
 
-    def _finalize_failed(
-        self,
-        state: _InFlight,
-        *,
-        end: float,
-        exclude_version: Optional[str] = None,
-        outcome: str = "cancelled",
-    ) -> None:
-        """Resolve a request as terminally failed, cleaning up its legs."""
-        self._abandon_outstanding(
-            state, exclude_version=exclude_version, outcome=outcome
-        )
+    def _finalize_failed(self, state: _InFlight, *, end: float) -> None:
+        """Resolve a request as terminally failed.
+
+        Its legs are closed already: :meth:`_attempt_failed` closes the
+        failing leg and fails a request only when no other leg is viable,
+        and the end-of-run resolution drops the parked ones first.
+        """
         fast = state.fast_completion
         record = RequestRecord(
             request_id=state.request.request_id,
@@ -1473,44 +1481,6 @@ class ServingSimulator:
         del self._inflight[state.request.request_id]
         self._remaining -= 1
         self._emit_record(record)
-
-    def _abandon_outstanding(
-        self,
-        state: _InFlight,
-        *,
-        exclude_version: Optional[str],
-        outcome: str,
-    ) -> None:
-        """Cancel every leg of a failing request that is still open.
-
-        Queued jobs are cancelled off their node and parked jobs are
-        dropped from the engine's holding pen.  No leg is running: a
-        request fails only once no other leg can answer.
-        """
-        request_id = state.request.request_id
-        legs = (
-            (state.fast_version, state.fast_node),
-            (state.accurate_version, state.accurate_node),
-        )
-        for version, node in legs:
-            if version is None or version == exclude_version:
-                continue
-            if not state.leg_open.get(version, False):
-                continue  # leg never started, or its attempt already closed
-            state.leg_open[version] = False
-            if (
-                node is not None
-                and node.alive
-                and self._cancel_queued_job(node, request_id)
-            ) or self._cancel_parked(version, request_id):
-                if self._check is not None:
-                    self._check.on_attempt_finished(
-                        request_id,
-                        version,
-                        state.attempts[version],
-                        self._loop.now,
-                        outcome,
-                    )
 
     # ------------------------------------------------------------------
     # ensemble state machine

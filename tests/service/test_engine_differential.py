@@ -1138,16 +1138,19 @@ def test_window_fault_family_reaches_the_failed_attempt_path(toy):
     } <= seen, sorted(seen)
 
 
-def _pinned_spec(name, policy, faults, retry=RetryPolicy(), rate=2.0):
+def _pinned_spec(
+    name, policy, faults, retry=RetryPolicy(), rate=2.0, *,
+    pools=(("fast", 1), ("slow", 1)), n_requests=30, seed=3,
+):
     return ScenarioSpec(
         name=name,
         arrivals=PoissonArrivals(rate),
-        n_requests=30,
-        pools={"fast": 1, "slow": 1},
+        n_requests=n_requests,
+        pools=dict(pools),
         configuration=EnsembleConfiguration(name, policy),
         faults=faults,
         retry=retry,
-        seed=3,
+        seed=seed,
     )
 
 
@@ -1190,6 +1193,33 @@ _PINNED_BRANCHES = {
         ),
         retry=RetryPolicy(max_attempts=3, backoff_s=20.0),
         rate=1.0,
+    ),
+    # Backoffs on multiples of the 400 ms service time (2.0 s is the
+    # second step of 1.0 s): a retry fires the instant a busy node's job
+    # completes, ahead of that completion, and starts the node's next
+    # job; the completion must not start another ...
+    "retry-tied-to-a-completion": _pinned_spec(
+        "retry-tied-to-a-completion",
+        SingleVersionPolicy("slow"),
+        (TransientFaults(0.0, 50.0, 0.6),),
+        retry=RetryPolicy(max_attempts=3, backoff_s=1.0),
+        rate=4.0,
+        pools=(("slow", 2),),
+        n_requests=20,
+    ),
+    # ... and a crash aborts the job the retry started.
+    "crash-after-a-tied-retry": _pinned_spec(
+        "crash-after-a-tied-retry",
+        SingleVersionPolicy("slow"),
+        (
+            TransientFaults(0.0, 50.0, 0.5),
+            NodeCrash(at_s=2.0, version="slow", recover_at_s=3.0),
+        ),
+        retry=RetryPolicy(max_attempts=3, backoff_s=0.4),
+        rate=4.0,
+        pools=(("slow", 2),),
+        n_requests=20,
+        seed=9,
     ),
 }
 
@@ -1634,10 +1664,11 @@ def _random_completion_faults(rng, pools, span, first):
 def _completion_simulator(seed, toy):
     """One member of the family, built twice over: completion faults (the
     seed picks the first one's type) mixed into the window-fault draws
-    under a retry policy (budgets on
-    half), batching on half, a control plane on one seed in three, and
-    one seed in four a routed session of one-by-one submissions (no
-    herd moves those: only ``run()``'s workload is held)."""
+    under a retry policy (budgets on half; one seed in five a plain
+    policy whose backoff ties retries to completions), batching on half,
+    a control plane on one seed in three, and one seed in four a routed
+    session of one-by-one submissions (no herd moves those: only
+    ``run()``'s workload is held)."""
     rng = np.random.default_rng([seed, 20261018])
     routed = seed % 4 == 3
     router = _random_router(rng) if routed else None
@@ -1659,6 +1690,12 @@ def _completion_simulator(seed, toy):
         + list(_random_window_faults(rng, pools, span) if rng.uniform() < 0.5 else ())
     )
     retry = _random_retry(rng)
+    if seed % 5 == 4:
+        # Backoffs of 0.8 and 1.6 s are whole multiples of both service
+        # times (50 and 400 ms): a retry fires the instant a busy node's
+        # chain of jobs completes, and starts the node's next job before
+        # that completion is handled.
+        retry = RetryPolicy(max_attempts=3, backoff_s=0.8)
     control = (
         _random_control_spec(rng, adaptive=not routed) if seed % 3 == 1 else None
     )
@@ -2184,6 +2221,33 @@ def test_single_request_run_digest_identical(toy):
     legacy, columnar = run_both(spec, toy)
     assert_reports_identical(legacy, columnar)
     assert legacy.n_requests == 1
+
+
+@pytest.mark.parametrize("max_batch", [1, 3], ids=["single", "batched"])
+def test_an_arrival_tied_to_a_completion_matches_the_oracle(max_batch, toy):
+    """Arrivals on the fast version's 50 ms grid land the instant the one
+    node finishes a job: the arrival starts the node's next job, and the
+    completion handled after it must not start another."""
+    times = [0.0, 0.05, 0.05, 0.1, 0.15, 0.15, 0.15, 0.2, 0.25, 0.25]
+    requests = [
+        ServiceRequest(f"tie_{i}", toy.request_ids[i]) for i in range(len(times))
+    ]
+
+    def run():
+        sim = ServingSimulator(
+            build_replay_cluster(toy, {"fast": 1}),
+            configuration=EnsembleConfiguration(
+                "tie", SingleVersionPolicy("fast")
+            ),
+            batching=BatchingConfig(max_batch_size=max_batch, max_wait_s=0.0),
+            check_invariants=True,
+        )
+        sim.submit_batch(requests, times)
+        return sim.drain()
+
+    with scalar_loop():
+        legacy = run()
+    assert_reports_identical(legacy, run())
 
 
 def test_negative_arrival_time_raises_identically(toy):

@@ -287,7 +287,25 @@ def test_rule_generator_keeps_no_scalar_reference():
 
 
 def test_no_attempt_outlives_its_request():
-    # A request resolves only once no other leg can answer, so every leg
-    # still open is cancelled with it: no detached attempt, no orphan
-    # completion, in either loop or the invariant checker.
+    # A request resolves only once no other leg can answer: no detached
+    # attempt, no orphan completion, in either loop or the invariant
+    # checker.
     assert not _matches(r'on_attempt_detached|on_orphan_finished|"detached"', ["src"])
+
+
+def test_a_request_resolves_one_way():
+    # Resolving a request touches none of its legs: attempt_failed closes
+    # the failing leg and fails a request only when no other leg is
+    # viable, and the end-of-run resolution drops parked jobs first.  So
+    # no resolve spares a leg or names an outcome to cancel the rest with.
+    assert not _matches(r"exclude_version|_abandon_outstanding", ["src"])
+    resolves = [
+        f"{name}:{node.lineno}: {node.name}({ast.unparse(node.args)})"
+        for name, _, tree in MODULES
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("resolve", "_finalize_failed")
+        and {"exclude", "outcome"}
+        & {arg.arg for arg in (*node.args.args, *node.args.kwonlyargs)}
+    ]
+    assert not resolves, resolves
