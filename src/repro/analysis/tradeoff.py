@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
 from repro.service.measurement import MeasurementSet
+from repro.stats import descriptive
 
 __all__ = ["VersionSummary", "latency_percentiles", "version_summaries"]
 
@@ -61,7 +60,7 @@ def version_summaries(measurements: MeasurementSet) -> Tuple[VersionSummary, ...
                 version=version,
                 mean_error=error,
                 mean_latency_s=mean_latencies[version],
-                p99_latency_s=float(np.percentile(latency_column, 99)),
+                p99_latency_s=descriptive.percentiles(latency_column, (99.0,))[0],
                 latency_vs_fastest=mean_latencies[version] / fastest_latency,
                 error_vs_best=(error - best_error) / best_error
                 if best_error > 0
@@ -90,7 +89,6 @@ def latency_percentiles(
     out: Dict[str, Dict[str, float]] = {}
     for version in measurements.versions:
         column = measurements.column(version, "latency_s")
-        out[version] = {
-            f"p{int(q)}": float(np.percentile(column, q)) for q in percentiles
-        }
+        ranked = descriptive.percentiles(column, percentiles)
+        out[version] = {f"p{int(q)}": value for q, value in zip(percentiles, ranked)}
     return out

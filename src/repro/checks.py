@@ -25,6 +25,7 @@ __all__ = [
     "integer",
     "non_negative",
     "ordered",
+    "percentile",
     "positive",
     "probability",
     "unit_open",
@@ -91,6 +92,11 @@ def non_negative(name: str, value, *, finite: bool = False, labels=None):
 def probability(name: str, value, *, labels=None):
     """In the closed unit interval ``[0, 1]``."""
     return _require((value >= 0) & (value <= 1), name, "in [0, 1]", value, labels)
+
+
+def percentile(name: str, value):
+    """A percentile: in ``[0, 100]``."""
+    return _require((value >= 0) & (value <= 100), name, "in [0, 100]", value)
 
 
 def unit_open(name: str, value):

@@ -15,7 +15,7 @@ measurements, pricing, baseline and degradation mode.  A configuration's
 outcome columns are expanded when its bootstrap starts and dropped when its
 estimate is done, so at most one configuration's columns are alive at a
 time.  Trials are taken from the stream in blocks, each block evaluated as
-a ``(block, sample_size)`` gather against those columns, and the
+one ``(block, sample_size)`` gather per outcome column, and the
 sequential confidence test is fed in blocks via
 :meth:`~repro.stats.confidence.ConfidenceTest.first_satisfied`.  The
 trials of a configuration's last block past its stopping point go back to
@@ -46,8 +46,10 @@ from repro.stats.confidence import ConfidenceTest
 __all__ = ["WorstCaseEstimate", "bootstrap_configurations"]
 
 #: Trials evaluated per vectorized gather (the first takes at least the
-#: test's ``min_trials``).  Purely a throughput knob: results are identical
-#: for any value because the stopping rule is checked prefix by prefix.
+#: test's ``min_trials``).  Results are identical for any value because the
+#: stopping rule is checked prefix by prefix; the value trades throughput
+#: against memory, since a block holds its index draws and one outcome
+#: row's ``(TRIAL_BLOCK, sample_size)`` float gather.
 TRIAL_BLOCK = 64
 
 
@@ -181,7 +183,7 @@ def _bootstrap_blocked(
         # A block asks for at least the trials the test cannot pass
         # without (it rejects every prefix shorter than min_trials), but
         # given-back trials come alone, so it may get fewer.  The block
-        # size is a throughput knob, since trials past the stop go to the
+        # size changes no result, since trials past the stop go to the
         # next configuration.  max_trials caps the total.
         block = max(TRIAL_BLOCK, confidence_test.min_trials - drawn)
         indices = stream.take(min(block, max_trials - drawn))

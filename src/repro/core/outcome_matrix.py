@@ -27,9 +27,11 @@ a version pair derives its columns from comparisons on the pair's shared
 confidence column instead of re-evaluating each
 :class:`~repro.core.configuration.EnsembleConfiguration` independently.
 
-A bootstrap trial then becomes a ``(block, sample_size)`` integer gather
-plus a ``mean(axis=1)`` — see :meth:`OutcomeMatrix.evaluate` — and the
-arithmetic is ordered exactly like
+A block of bootstrap trials then becomes, per outcome row, a
+``(block, sample_size)`` gather of that row plus a ``sum(axis=1)`` — see
+:meth:`OutcomeMatrix.evaluate`.  The rows are gathered one at a time, so
+a block holds one row's gather, not all of them.  The arithmetic is
+ordered exactly like
 :func:`repro.core.metrics.evaluate_policy` on the same rows, so both
 produce bit-identical metrics (``tests/core/test_outcome_matrix.py``
 holds them equal).  A policy the matrix cannot expand is refused when
@@ -75,7 +77,7 @@ class ConfigurationColumns:
     Built by :meth:`OutcomeMatrix.columns_for`, owned by its caller.  All
     columns live in one ``stacked`` matrix — rows: consumer error,
     baseline error, response time, then the node-seconds rows named by
-    ``node_rows`` — so a trial block needs a single contiguous gather.  For
+    ``node_rows`` — each a contiguous row a trial block gathers from.  For
     a single-version policy the response-time row doubles as its
     node-seconds row (they are the same column).
 
@@ -271,7 +273,7 @@ class OutcomeMatrix:
     def evaluate(
         self, cols: ConfigurationColumns, indices: np.ndarray
     ) -> TrialMetricBlock:
-        """Evaluate a block of bootstrap trials in one vectorized pass.
+        """Evaluate a block of bootstrap trials, one outcome row at a time.
 
         Args:
             cols: The configuration's columns, from :meth:`columns_for`.
@@ -290,16 +292,14 @@ class OutcomeMatrix:
             idx = idx[np.newaxis, :]
         if idx.ndim != 2 or idx.shape[1] == 0:
             raise ValueError("indices must be a (block, sample_size) array")
-        block, sample_size = idx.shape
-        n_rows = cols.stacked.shape[0]
+        sample_size = idx.shape[1]
 
-        # One gather for all columns.  ``take`` (unlike ``stacked[:, idx]``,
-        # which leaves the gathered axes strided) yields a C-contiguous
-        # result, so the per-row sums reduce along the contiguous axis in
-        # the same pairwise order as evaluate_policy's 1-D means and every
+        # One gather per outcome row, so only one ``(block, sample_size)``
+        # float array is alive at a time.  ``take`` yields it C-contiguous,
+        # so each trial's sum reduces along the contiguous axis in the
+        # same pairwise order as evaluate_policy's 1-D means and every
         # metric is bit-identical to evaluate_policy's.
-        gathered = cols.stacked.take(idx.reshape(-1), axis=1)
-        sums = gathered.reshape(n_rows, block, sample_size).sum(axis=2)
+        sums = [row.take(idx).sum(axis=1) for row in cols.stacked]
         candidate_error = sums[0] / sample_size
         baseline_error = sums[1] / sample_size
         degradation = _vector_degradation(

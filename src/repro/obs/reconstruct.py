@@ -386,7 +386,9 @@ class ColumnSegment:
         for start in range(0, len(self), _RENDER_CHUNK_ROWS):
             codes = shape[start : start + _RENDER_CHUNK_ROWS]
             texts = [""] * len(codes)
-            for code in np.unique(codes):
+            # The shapes present, ascending (``np.unique`` would load
+            # ``numpy.ma``).
+            for code in np.flatnonzero(np.bincount(codes)):
                 rows = np.flatnonzero(codes == code)
                 template, order, n_spans = templates[code]
                 slots = _slots(

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.service.regions.router import BoundaryEvent, RouterPlan
 from repro.service.regions.shard import ShardResult
 from repro.service.regions.spec import MultiRegionSpec
+from repro.stats.descriptive import ranked_percentile
 
 __all__ = ["MultiRegionReport", "merge_shards"]
 
@@ -106,16 +109,22 @@ class MultiRegionReport:
         total = self.n_completed + self.n_failed + self.n_shed
         return self.n_completed / total if total else float("nan")
 
+    @cached_property
+    def _ranked_user_latencies(self) -> np.ndarray:
+        """Every shard's answered user latencies, sorted once."""
+        return np.sort(
+            np.concatenate([np.empty(0)] + [s.user_latencies_ok for s in self.shards])
+        )
+
     def user_latency_percentile(self, q: float) -> float:
-        """Global user-perceived latency percentile (failover pays RTT)."""
-        arrays = [
-            s.user_latencies_ok
-            for s in self.shards
-            if s.user_latencies_ok.size
-        ]
-        if not arrays:
-            return float("nan")
-        return float(np.percentile(np.concatenate(arrays), q))
+        """Global user-perceived latency percentile (failover pays RTT):
+        NumPy's ``linear`` rule, ``nan`` when no request was answered.
+
+        Raises:
+            ValueError: If ``q`` is outside ``[0, 100]``.
+        """
+        checks.percentile("q", q)
+        return ranked_percentile(self._ranked_user_latencies, q)
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers as a flat dict (for tables/JSON/benches)."""

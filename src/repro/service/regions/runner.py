@@ -24,7 +24,6 @@ any two consumers would share a key.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -171,6 +170,9 @@ def run_multi_region(
     )
     results: List[ShardResult]
     if parallel is not None and parallel > 1 and len(tasks) > 1:
+        # Imported here: a serial run never loads the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(parallel, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(run_shard, tasks))

@@ -499,6 +499,8 @@ def run_columnar(
         ]
         wall = batch_time(solos)
         finish = now + wall
+        if checker is not None:
+            checker.on_batch_started(node.real.node_id, now, finish)
         node.busy_until = finish
         node.busy_seconds += wall
         node.served += k
@@ -532,6 +534,8 @@ def run_columnar(
                     compute_fast[sub] if leg == 0 else compute_acc[sub]
                 ) / node.factor
                 finish = now + solo
+                if checker is not None:
+                    checker.on_batch_started(node.real.node_id, now, finish)
                 node.busy_until = finish
                 node.busy_seconds += solo
                 node.served += 1
@@ -1030,6 +1034,8 @@ def run_columnar(
                 heap[index] = heap[-1]
                 heap.pop()
                 heapify(heap)
+                if checker is not None:
+                    checker.on_batch_aborted(node.real.node_id, now)
                 break
         node.kill(now, len(aborted))
         queued = list(node.queue)
@@ -1503,6 +1509,8 @@ def run_columnar(
                         compute_fast[sub] if leg == 0 else compute_acc[sub]
                     ) / node.factor
                     finish = now + solo
+                    if checker is not None:
+                        checker.on_batch_started(node.real.node_id, now, finish)
                     node.busy_until = finish
                     node.busy_seconds += solo
                     node.served += 1

@@ -1017,6 +1017,12 @@ class ServingSimulator:
         completions = node.execute_batch(
             batch, now=self._loop.now, batching=self._batching
         )
+        if self._check is not None:
+            # Started now: execute_batch would queue a start on a busy
+            # node behind its batch, which hides a double start.
+            self._check.on_batch_started(
+                node.node_id, self._loop.now, completions[0].finished_at
+            )
         event = self._loop.schedule_at(
             completions[0].finished_at,
             lambda n=node, c=completions: self._on_batch_done(n, c),
@@ -1175,6 +1181,8 @@ class ServingSimulator:
             running.event.cancel()
             aborted = running.items
             node.kill(now=now, aborted_requests=len(aborted))
+            if self._check is not None:
+                self._check.on_batch_aborted(node.node_id, now)
         queued = self.cluster.kill_node(fault.version, node, now=now)
         if self._scaling is not None:
             self._scaling.rebase(fault.version, balancer.nodes_of(fault.version))

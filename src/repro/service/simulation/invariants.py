@@ -39,6 +39,10 @@ The laws:
    ``gray-restore`` entries never outnumber ``gray`` onsets and ``warmed``
    entries never outnumber ``cold-start`` onsets (a restore without an
    onset would mean the engine un-degraded a healthy node).
+8. **One batch at a time per node** — a node starts a job or batch only
+   once its previous one has ended, at its finish or at the crash that
+   aborted it.  Billing cannot see a double start: the node's worked
+   time counts both batches.
 
 The checker is pure bookkeeping: it draws no randomness and schedules no
 events, so enabling it cannot change simulated behaviour (golden digests
@@ -81,6 +85,7 @@ class InvariantChecker:
         self._ok_seconds: Dict[Tuple[str, str], float] = {}
         self._retry_denied: Set[str] = set()
         self._denials = 0
+        self._busy_until: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # ledger hooks (called by the engine, in event order)
@@ -125,6 +130,22 @@ class InvariantChecker:
                     f"{key}: retry followed outcome {last!r}, not a failure"
                 )
         self._started[key] = attempt
+
+    def on_batch_started(self, node_id: str, start: float, finish: float) -> None:
+        """A node started a job or batch at ``start`` that ends at ``finish``."""
+        self.tick(start)
+        busy_until = self._busy_until.get(node_id, start)
+        if start < busy_until:
+            raise InvariantViolation(
+                f"node {node_id!r} started work at {start:.9f} while its "
+                f"previous batch runs until {busy_until:.9f}"
+            )
+        self._busy_until[node_id] = finish
+
+    def on_batch_aborted(self, node_id: str, t: float) -> None:
+        """A crash ended the node's running batch at ``t``."""
+        self.tick(t)
+        self._busy_until[node_id] = t
 
     def on_attempt_finished(
         self,

@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import checks
 from repro.contract import (
     CONTRACT_VERSION,
     DIGEST_COLUMNS,
@@ -65,6 +66,7 @@ from repro.contract import (
 )
 from repro.service.simulation.autoscaler import ScalingEvent
 from repro.service.simulation.faults import FaultLogEntry
+from repro.stats.descriptive import ranked_percentile
 
 __all__ = ["LoadTestReport", "RecordColumns", "RequestRecord"]
 
@@ -233,18 +235,27 @@ class LoadTestReport:
     def _latencies(self) -> np.ndarray:
         return self.columns.response_time_s[self._answered]
 
+    @cached_property
+    def _ranked_latencies(self) -> np.ndarray:
+        """:attr:`_latencies` sorted once, for every percentile read."""
+        return np.sort(self._latencies)
+
     # ------------------------------------------------------------------
     # latency (over successful requests)
     # ------------------------------------------------------------------
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile of successful response time.
 
-        Returns ``nan`` when every request failed — there is no latency
+        NumPy's ``linear`` rule, read off one cached sort
+        (:func:`~repro.stats.descriptive.ranked_percentile`).  Returns
+        ``nan`` when every request failed — there is no latency
         distribution to rank.
+
+        Raises:
+            ValueError: If ``q`` is outside ``[0, 100]``.
         """
-        if self._latencies.size == 0:
-            return float("nan")
-        return float(np.percentile(self._latencies, q))
+        checks.percentile("q", q)
+        return ranked_percentile(self._ranked_latencies, q)
 
     @property
     def p50_latency_s(self) -> float:

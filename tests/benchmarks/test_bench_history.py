@@ -10,6 +10,10 @@ flagged), machine-metadata mismatch warnings — plus the end-to-end
 
 import dataclasses
 import json
+import os
+import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -357,11 +361,32 @@ class TestEntryMetadata:
         assert entry.schema == history.SCHEMA_VERSION
         assert entry.contract_version == CONTRACT_VERSION
 
-    def test_git_metadata_in_this_repo(self):
-        meta = history.git_metadata()
-        assert set(meta) == {"commit", "branch"}
-        assert meta["commit"] != "unknown"
-        assert len(meta["commit"]) == 40
+    def test_git_metadata_in_a_repo(self, tmp_path):
+        # A throwaway repository, so the test reads the same in a copy of
+        # the tree that is no git checkout.
+        if shutil.which("git") is None:
+            pytest.skip("no git executable")
+        env = {
+            **os.environ,
+            "GIT_CONFIG_GLOBAL": os.devnull,
+            "GIT_CONFIG_NOSYSTEM": "1",
+            "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@example.invalid",
+            "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@example.invalid",
+        }
+
+        def git(*args):
+            return subprocess.run(
+                ("git", *args), cwd=tmp_path, env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("symbolic-ref", "HEAD", "refs/heads/bench-line")
+        git("commit", "-q", "--allow-empty", "-m", "empty")
+        commit = git("log", "-1", "--format=%H")
+        assert re.fullmatch(r"[0-9a-f]{40}", commit)
+        meta = history.git_metadata(cwd=tmp_path)
+        assert meta == {"commit": commit, "branch": "bench-line"}
 
     def test_git_metadata_outside_a_repo(self, tmp_path):
         meta = history.git_metadata(cwd=tmp_path)

@@ -107,6 +107,7 @@ from repro.service.simulation import (
     ColdStartWave,
     DiurnalArrivals,
     GrayFailure,
+    InvariantViolation,
     NodeCrash,
     NodeSlowdown,
     PoissonArrivals,
@@ -2223,31 +2224,64 @@ def test_single_request_run_digest_identical(toy):
     assert legacy.n_requests == 1
 
 
-@pytest.mark.parametrize("max_batch", [1, 3], ids=["single", "batched"])
-def test_an_arrival_tied_to_a_completion_matches_the_oracle(max_batch, toy):
-    """Arrivals on the fast version's 50 ms grid land the instant the one
-    node finishes a job: the arrival starts the node's next job, and the
-    completion handled after it must not start another."""
+def _arrivals_tied_to_completions(max_batch, toy):
+    """A checked drain of arrivals on the fast version's 50 ms grid, which
+    land the instant the one node finishes a job."""
     times = [0.0, 0.05, 0.05, 0.1, 0.15, 0.15, 0.15, 0.2, 0.25, 0.25]
     requests = [
         ServiceRequest(f"tie_{i}", toy.request_ids[i]) for i in range(len(times))
     ]
+    sim = ServingSimulator(
+        build_replay_cluster(toy, {"fast": 1}),
+        configuration=EnsembleConfiguration("tie", SingleVersionPolicy("fast")),
+        batching=BatchingConfig(max_batch_size=max_batch, max_wait_s=0.0),
+        check_invariants=True,
+    )
+    sim.submit_batch(requests, times)
+    return sim.drain
 
-    def run():
-        sim = ServingSimulator(
-            build_replay_cluster(toy, {"fast": 1}),
-            configuration=EnsembleConfiguration(
-                "tie", SingleVersionPolicy("fast")
-            ),
-            batching=BatchingConfig(max_batch_size=max_batch, max_wait_s=0.0),
-            check_invariants=True,
-        )
-        sim.submit_batch(requests, times)
-        return sim.drain()
 
+@pytest.mark.parametrize("max_batch", [1, 3], ids=["single", "batched"])
+def test_an_arrival_tied_to_a_completion_matches_the_oracle(max_batch, toy):
+    """The arrival starts the node's next job, and the completion handled
+    after it must not start another."""
     with scalar_loop():
-        legacy = run()
-    assert_reports_identical(legacy, run())
+        legacy = _arrivals_tied_to_completions(max_batch, toy)()
+    assert_reports_identical(legacy, _arrivals_tied_to_completions(max_batch, toy)())
+
+
+#: The columnar double start: both completion handlers start the node's
+#: next job without asking whether a tied event already started one.
+_DOUBLE_START = [
+    (
+        "            # whose backoff ends now) may have started the next job.\n"
+        "            if node.queue and node.busy_until <= now:\n",
+        "            # whose backoff ends now) may have started the next job.\n"
+        "            if node.queue:\n",
+    ),
+    (
+        "            if node.queue and node.busy_until <= now:\n"
+        "                maybe_start(node, now)\n"
+        "        else:\n",
+        "            if node.queue:\n"
+        "                maybe_start(node, now)\n"
+        "        else:\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("max_batch", [1, 3], ids=["single", "batched"])
+def test_the_checker_catches_a_double_start(max_batch, monkeypatch, toy):
+    """Teeth for law 8: with the double start planted, the checked drain
+    raises before any digest is compared."""
+    import repro.service.simulation.engine as engine
+    from repro.service.simulation import columnar
+
+    monkeypatch.setattr(
+        engine, "run_columnar", _mutant(columnar, "run_columnar", _DOUBLE_START)
+    )
+    with pytest.raises(InvariantViolation, match="started work at"):
+        _arrivals_tied_to_completions(max_batch, toy)()
 
 
 def test_negative_arrival_time_raises_identically(toy):

@@ -89,3 +89,45 @@ class TestRankedPercentile:
         )
         assert percentiles([3.0, 1.0, 2.0], (50.0, 95.0)) == [-1.0, -1.0]
         assert seen == [([1.0, 2.0, 3.0], 50.0), ([1.0, 2.0, 3.0], 95.0)]
+
+
+class TestReportPercentiles:
+    """The load-test and multi-region reports rank with the same rule, off
+    one cached sort, bit for bit with NumPy's ``linear`` percentile."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        from repro.core.configuration import EnsembleConfiguration
+        from repro.core.policies import SequentialPolicy
+        from repro.service.regions import MultiRegionSpec, RegionSpec, run_multi_region
+        from repro.service.simulation import PoissonArrivals, ScenarioSpec, run_scenario
+        from repro.service.simulation.scenarios import scenario_measurements
+
+        toy = scenario_measurements()
+        spec = ScenarioSpec(
+            name="ranked", arrivals=PoissonArrivals(4.0), n_requests=80,
+            pools={"fast": 1, "slow": 1},
+            configuration=EnsembleConfiguration(
+                "seq", SequentialPolicy("fast", "slow", 0.6)
+            ),
+        )
+        regions = (RegionSpec(name="us", scenario=spec), RegionSpec(name="eu", scenario=spec))
+        multi = MultiRegionSpec(name="two", regions=regions, link_latency_s=0.1, seed=3)
+        return run_scenario(spec, toy), run_multi_region(multi, toy)
+
+    @pytest.mark.parametrize("q", [0.0, 12.5, 50.0, 95.0, 99.0, 100.0])
+    def test_matches_numpy_linear(self, reports, q):
+        single, multi = reports
+        columns = single.columns
+        answered = columns.response_time_s[~(columns.failed | columns.shed)]
+        assert single.latency_percentile(q) == float(np.percentile(answered, q))
+        user = np.concatenate([s.user_latencies_ok for s in multi.shards])
+        assert multi.user_latency_percentile(q) == float(np.percentile(user, q))
+
+    @pytest.mark.parametrize("q", [-0.1, 100.5, math.nan])
+    def test_out_of_range_q_raises(self, reports, q):
+        single, multi = reports
+        with pytest.raises(ValueError, match="q must be in"):
+            single.latency_percentile(q)
+        with pytest.raises(ValueError, match="q must be in"):
+            multi.user_latency_percentile(q)

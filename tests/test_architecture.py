@@ -14,7 +14,10 @@ set up its rule, and the leaf-module rule on a copy with an import of
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple
 
@@ -309,3 +312,72 @@ def test_a_request_resolves_one_way():
         & {arg.arg for arg in (*node.args.args, *node.args.kwonlyargs)}
     ]
     assert not resolves, resolves
+
+
+#: What a serial run does end to end: a fixed-configuration load test and
+#: its summary, a trace exported and loaded back, a serial multi-region
+#: run and its summary.
+_SERIAL_RUN = """
+import os, sys, tempfile
+from repro.core.configuration import EnsembleConfiguration
+from repro.core.policies import SequentialPolicy
+from repro.obs import TraceCollector
+from repro.service.regions import MultiRegionSpec, RegionSpec, run_multi_region
+from repro.service.simulation import PoissonArrivals, ScenarioSpec, run_scenario
+from repro.service.simulation.scenarios import scenario_measurements
+
+toy = scenario_measurements()
+spec = ScenarioSpec(
+    name="fixed", arrivals=PoissonArrivals(4.0), n_requests=60,
+    pools={"fast": 1, "slow": 1},
+    configuration=EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6)),
+)
+collector = TraceCollector()
+run_scenario(spec, toy, trace=collector).summary()
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "run.jsonl")
+    collector.export_jsonl(path)
+    TraceCollector.load_jsonl(path)
+regions = (RegionSpec(name="us", scenario=spec), RegionSpec(name="eu", scenario=spec))
+multi = MultiRegionSpec(name="two", regions=regions, link_latency_s=0.1, seed=3)
+run_multi_region(multi, toy).summary()
+print(sorted(m for m in ("numpy.ma", "multiprocessing", "concurrent.futures")
+             if m in sys.modules))
+"""
+
+
+def test_a_serial_run_loads_no_masked_arrays_or_process_pool():
+    # numpy.ma (1.25 MiB, loaded by np.percentile and by a bare
+    # np.unique) and the process pool (1.86 MiB, needed only by
+    # run_multi_region(parallel=)) are memory no serial run uses.
+    done = subprocess.run(
+        [sys.executable, "-c", _SERIAL_RUN],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_one_percentile_rule():
+    # Every percentile is stats.descriptive's rule (NumPy's linear one,
+    # spelled out), so no module calls np.percentile or np.quantile.
+    names = {"percentile", "quantile", "nanpercentile", "nanquantile"}
+    calls = [
+        f"{module}:{node.lineno}"
+        for module, _, tree in MODULES
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and names & {alias.name for alias in node.names}
+        )
+    ]
+    assert not calls, calls
