@@ -6,25 +6,22 @@ the pricing model that bills work done on them.  The conventional
 the provider's chosen version; a Tolerance Tiers deployment keeps pools for
 several versions so the routing policies have somewhere to send requests.
 
-Deployments serve through two interfaces that share the nodes' FIFO
-queues:
+Deployments serve synchronously through
+:meth:`ClusterDeployment.raw_dispatch`, which the gateway's
+``DirectBackend`` calls (the node queues and runs the request at once);
+the discrete-event engine in :mod:`repro.service.simulation` runs its
+load tests over the same nodes under a virtual clock.
 
-* the synchronous :meth:`ClusterDeployment.raw_dispatch`, which the
-  gateway's ``DirectBackend`` calls (the node queues and runs the request
-  at once), and
-* :meth:`ClusterDeployment.submit`, which enqueues onto a selected node's
-  queue; the discrete-event engine in :mod:`repro.service.simulation`
-  paces it under a virtual clock and runs the queued work itself.
-
-Pools can also grow and shrink at runtime
-(:meth:`ClusterDeployment.add_nodes` / :meth:`ClusterDeployment.remove_node`)
-so the simulation autoscaler has something to actuate.
+Pools can also change at runtime — :meth:`ClusterDeployment.add_nodes`
+grows one, :meth:`ClusterDeployment.kill_node` crashes a node out of
+one — so the simulation's autoscaler and fault schedule have something
+to actuate; every node that leaves a pool stays on the retired books.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.service.instances import InstanceType
 from repro.service.load_balancer import LoadBalancer
@@ -114,21 +111,6 @@ class ClusterDeployment:
         """Versions the deployment can serve."""
         return self.load_balancer.versions
 
-    # ------------------------------------------------------------------
-    # async-style queueing interface
-    # ------------------------------------------------------------------
-    def submit(
-        self, version: str, request: ServiceRequest, *, now: float = 0.0
-    ) -> ServiceNode:
-        """Enqueue a request on a node of ``version``'s pool.
-
-        Returns the node the load balancer chose.  Nothing executes until
-        the simulation engine's event loop runs the queues.
-        """
-        return self.load_balancer.submit(
-            version, request.request_id, request.payload, now=now
-        )
-
     def queue_depths(self) -> Dict[str, int]:
         """Requests queued (not yet started) per version."""
         return self.load_balancer.queue_depths()
@@ -159,21 +141,6 @@ class ClusterDeployment:
             self.load_balancer.add_node(version, node)
             added.append(node)
         return added
-
-    def remove_node(
-        self, version: str, *, now: Optional[float] = None
-    ) -> Optional[ServiceNode]:
-        """Shrink a version's pool by one idle node (see
-        :meth:`~repro.service.load_balancer.LoadBalancer.remove_node`).
-
-        The removed node's accumulated IaaS cost stays on the deployment's
-        books — :meth:`iaas_spend` reports money spent, and eviction does
-        not refund it.
-        """
-        node = self.load_balancer.remove_node(version, now=now)
-        if node is not None:
-            self._retire(version, node)
-        return node
 
     def kill_node(self, version: str, node: ServiceNode, *, now: float):
         """Crash a specific node: the fault-injection actuation path.

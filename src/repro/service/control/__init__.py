@@ -6,9 +6,9 @@ watches the serving and steers it.  Four cooperating parts:
 * :mod:`repro.service.control.telemetry` — a streaming, incremental
   sliding window over per-request records (windowed p50/p95/p99 with a
   small-N confidence guard, goodput, availability, node-seconds burn,
-  per-tier breakdowns), fed by the discrete-event engine: a record at a
-  time on the scalar loop, the rows finalized since the last control
-  tick on the columnar one.
+  per-tier breakdowns), fed by the discrete-event engine the rows
+  finalized since the last control tick (a record at a time by the test
+  suite's scalar reference loop).
 * :mod:`repro.service.control.slo` — declarative :class:`SLOSpec`
   targets evaluated continuously into debounced OK / WARN / BREACH
   states with hysteresis, plus :class:`GrayFailureDetector`, which

@@ -133,9 +133,9 @@ class ControlPlane:
 
     * :attr:`tick_interval_s`
     * :meth:`admit` per arrival,
-    * :meth:`observe` per finalized record (the scalar loop), or
-      :meth:`observe_rows` with the rows finalized since the last tick
-      (the columnar loop; a plane that loop drives must define it),
+    * :meth:`observe_rows` with the rows finalized since the last tick
+      (a plane the engine drives must define it), or :meth:`observe`
+      per finalized record (the test suite's scalar reference loop),
     * :meth:`observe_node` per node completion (optional — the engine
       duck-types for it; a no-op unless gray detection is configured),
     * :meth:`on_tick` per control tick, returning an optional

@@ -9,11 +9,11 @@ control tick costs what it decides, not a walk over every windowed
 record.
 
 The serving simulator is its one producer, through the duck-typed
-plane: the scalar loop's ``observe`` calls :meth:`TelemetryHub.publish`
-per record, the columnar loop's ``observe_rows`` hands
+plane: its loop's ``observe_rows`` hands
 :meth:`TelemetryHub.publish_rows` the rows finalized since the last
 tick (:meth:`TelemetryHub.publish_columns` is the same over a finished
-report's arrays).  Either way every field is read **once, at publish**,
+report's arrays), and the test suite's scalar reference loop's
+``observe`` calls :meth:`TelemetryHub.publish` per record.  Either way every field is read **once, at publish**,
 into one ``(time, tier, outcome code, latency, cost, billed
 node_seconds items)`` tuple per row, and the record is not kept.
 

@@ -184,8 +184,8 @@ class TierGateway:
             session's ``TraceSink``.  On a simulated backend it is
             forwarded to the engine (virtual-clock spans, one tree per
             request, available after :meth:`drain`; per-attempt detail
-            only when faults, control or an autoscaler make the run take
-            the scalar loop); on synchronous
+            on a run with a fault schedule or a control plane); on
+            synchronous
             backends the gateway records coarse trees at submit time.
             Ticket-level access via :meth:`trace_for`.  Strictly
             opt-in: responses, reports and digests are identical with

@@ -9,20 +9,19 @@ here.
 
 Beyond the synchronous :meth:`LoadBalancer.dispatch` replay call, the
 balancer exposes what the discrete-event engine in
-:mod:`repro.service.simulation` consumes — :meth:`LoadBalancer.submit`
-enqueues onto a selected node's FIFO queue, which the engine then runs —
-plus pool mutation (:meth:`LoadBalancer.add_node` /
-:meth:`LoadBalancer.remove_node`) so an autoscaler can grow and shrink
-pools while requests are in flight.  Fault injection adds the crash path:
-:meth:`LoadBalancer.evict_node` forcibly removes a specific (dead) node and
-hands its queued work back to the caller, and node selection skips nodes
-whose :attr:`~repro.service.node.ServiceNode.alive` flag has dropped, so
-traffic never routes onto a corpse.
+:mod:`repro.service.simulation` consumes — pool membership
+(:meth:`LoadBalancer.nodes_of`, :meth:`LoadBalancer.add_node`) so an
+autoscaler can grow pools while requests are in flight — and
+:meth:`LoadBalancer.evict_node`, which removes a specific node (a crashed
+one, or the idle node a scale-down picked) and hands its queued work back
+to the caller.  Node selection skips nodes whose
+:attr:`~repro.service.node.ServiceNode.alive` flag has dropped, so traffic
+never routes onto a corpse.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.service.node import ServiceNode, VersionResult
 
@@ -77,46 +76,14 @@ class LoadBalancer:
         """Grow a version's pool by one node."""
         self._require_pool(version).append(node)
 
-    def remove_node(
-        self, version: str, *, now: Optional[float] = None
-    ) -> Optional[ServiceNode]:
-        """Shrink a version's pool by one idle node.
-
-        Args:
-            version: Pool to shrink.
-            now: Current virtual time, for the in-flight-work check.  The
-                event engine passes its clock here; leave ``None`` on the
-                synchronous replay path, where execution is eager and a
-                node with an empty queue is idle no matter what virtual
-                timestamp its past work reached.
-
-        Returns:
-            The last idle node in pool order — an empty queue, and no
-            batch still running at ``now`` when a clock is given — now
-            removed, or ``None`` when every node is busy.
-
-        Raises:
-            ValueError: If removal would empty the pool.
-        """
-        pool = self._require_pool(version)
-        if len(pool) <= 1:
-            raise ValueError(
-                f"cannot remove the last node of version {version!r}"
-            )
-        for node in reversed(pool):
-            if node.queue_depth == 0 and (now is None or node.busy_until <= now):
-                pool.remove(node)
-                return node
-        return None
-
     def evict_node(self, version: str, node: ServiceNode) -> List["QueuedRequest"]:
         """Forcibly remove a *specific* node (the crash path).
 
-        Unlike :meth:`remove_node` this ignores idleness, may leave the
-        pool empty (a whole pool can die; routing to it then raises until
-        capacity recovers), and does *not* redistribute the victim's
-        queued work — the queued items are returned so the caller (the
-        simulation engine) can requeue them with its own bookkeeping.
+        This ignores idleness, may leave the pool empty (a whole pool can
+        die; routing to it then raises until capacity recovers), and does
+        *not* redistribute the victim's queued work — the queued items are
+        returned so the caller (the simulation engine) can requeue them
+        with its own bookkeeping.
 
         Raises:
             ValueError: If ``node`` is not in ``version``'s pool.
@@ -174,19 +141,6 @@ class LoadBalancer:
             if seconds is not None and seconds > 0.0:
                 total += self.live_pool_size(version) / seconds
         return total
-
-    def submit(
-        self, version: str, request_id: str, payload: Any, *, now: float = 0.0
-    ) -> ServiceNode:
-        """Enqueue a request on the :meth:`select_node` node of ``version``.
-
-        Returns the node chosen, so callers (the simulation engine, or an
-        early-termination policy that may later cancel the work) can track
-        where the request went.
-        """
-        node = self.select_node(version)
-        node.submit(request_id, payload, now=now)
-        return node
 
     def queue_depths(self) -> Dict[str, int]:
         """Total queued (not yet started) requests per version."""

@@ -14,8 +14,9 @@ optionally in batches — by :meth:`ServiceNode.drain` or, one batch at a
 time, by :meth:`ServiceNode.pop_batch` / :meth:`ServiceNode.execute_batch`.
 The synchronous :meth:`ServiceNode.process` call is kept for the replay
 path and delegates to the queueing primitives; the discrete-event engine in
-:mod:`repro.service.simulation` drives the same primitives under a virtual
-clock so queueing delay and batching become observable.
+:mod:`repro.service.simulation` applies the same queueing and batching
+rules to shadow copies of the nodes under a virtual clock, so queueing
+delay and batching become observable, and writes their books back.
 """
 
 from __future__ import annotations
@@ -137,11 +138,6 @@ class NodeCompletion:
     finished_at: float
     batch_size: int = 1
 
-    @property
-    def amortized_seconds(self) -> float:
-        """The request's share of the batch's node-seconds."""
-        return self.service_time_s / self.batch_size
-
 
 class ServiceNode:
     """One machine instance hosting one service version.
@@ -228,38 +224,6 @@ class ServiceNode:
     def queue_depth(self) -> int:
         """Number of requests waiting in the queue (excluding running work)."""
         return len(self._queue)
-
-    @property
-    def oldest_enqueued_at(self) -> Optional[float]:
-        """Enqueue time of the request at the head of the queue, if any."""
-        return self._queue[0].enqueued_at if self._queue else None
-
-    def cancel(self, request_id: str) -> bool:
-        """Remove a not-yet-started request from the queue.
-
-        Returns:
-            ``True`` if the request was still queued and has been removed;
-            ``False`` if it already started (or was never submitted here).
-        """
-        for item in self._queue:
-            if item.request_id == request_id:
-                self._queue.remove(item)
-                return True
-        return False
-
-    def requeue(self, item: QueuedRequest) -> None:
-        """Insert a previously dequeued request, preserving FIFO order.
-
-        Used when work migrates between nodes (pool scale-down): the item
-        is placed by its original ``enqueued_at`` so the head of the queue
-        stays the oldest request and flush deadlines remain correct.
-        """
-        position = len(self._queue)
-        for i, existing in enumerate(self._queue):
-            if existing.enqueued_at > item.enqueued_at:
-                position = i
-                break
-        self._queue.insert(position, item)
 
     def pop_batch(self, max_size: int = 1) -> List[QueuedRequest]:
         """Dequeue up to ``max_size`` requests in FIFO order."""

@@ -7,7 +7,6 @@ have served per request"; this package answers the paper's
 latency and cost when requests queue, batch and contend for a finite pool
 of nodes, and what happens when that pool degrades:
 
-* :mod:`repro.service.simulation.events` -- the virtual-clock event loop.
 * :mod:`repro.service.simulation.arrivals` -- Poisson, bursty, diurnal,
   spike and trace-driven arrival processes.
 * :mod:`repro.service.simulation.batching` -- node-level request batching
@@ -26,8 +25,11 @@ of nodes, and what happens when that pool degrades:
   checking (request/attempt conservation, billing reconciliation).
 * :mod:`repro.service.simulation.replay` -- measurement-backed service
   versions, so simulated service times come from measured latencies.
-* :mod:`repro.service.simulation.engine` -- the discrete-event engine
-  tying it together over a :class:`~repro.service.cluster.ClusterDeployment`.
+* :mod:`repro.service.simulation.engine` -- :class:`ServingSimulator`,
+  the discrete-event engine tying it together over a
+  :class:`~repro.service.cluster.ClusterDeployment`.
+* :mod:`repro.service.simulation.columnar` -- the event loop its
+  ``drain()`` runs.
 * :mod:`repro.service.simulation.report` -- per-request records and
   p50/p95/p99 aggregates, availability/goodput/retry counters, and the
   deterministic report digest the golden-trace tests pin.
@@ -52,7 +54,6 @@ from repro.service.simulation.autoscaler import (
 )
 from repro.service.simulation.batching import BatchingConfig
 from repro.service.simulation.engine import ServingSimulator
-from repro.service.simulation.events import Event, EventLoop
 from repro.service.simulation.faults import (
     CascadePolicy,
     ColdStartWave,
@@ -105,8 +106,6 @@ __all__ = [
     "CascadePolicy",
     "ColdStartWave",
     "DiurnalArrivals",
-    "Event",
-    "EventLoop",
     "FaultLogEntry",
     "GrayFailure",
     "InvariantChecker",

@@ -1,10 +1,12 @@
-"""The columnar loop: the serving simulator's default event loop.
+"""The columnar loop: the serving simulator's one event loop.
 
-The legacy engine is a general discrete-event machine: every request is a
-heap-allocated ``_InFlight`` object, every event a closure over an
-``Event`` record, every completion a frozen ``NodeCompletion`` dataclass,
-and every finalized request a ``RequestRecord`` priced through the full
-``PricingModel`` call chain.  ``run_columnar`` re-executes a load test
+Its reference is the *scalar loop*, the simulator's first engine, which
+the test suite keeps as its oracle (``tests/oracle/scalar_loop.py``): a
+general discrete-event machine in which every request is a
+heap-allocated state object, every event a closure over an event
+record, every completion a frozen ``NodeCompletion`` dataclass, and
+every finalized request a ``RequestRecord`` priced through the full
+``PricingModel`` call chain.  ``run_columnar`` executes a load test
 over a measurement-replay cluster — one fixed configuration or a tier
 router picking one per request, healthy or under any fault schedule,
 open-loop or under a control plane, on static or autoscaled pools —
@@ -404,23 +406,6 @@ def run_columnar(
     # single-version request has no accurate leg).
     fast_select = per_request([selects[pair[0]] for pair in pairs])
     acc_select = per_request([selects.get(pair[1]) for pair in pairs])
-
-    # The dominant shape — two-node pools — additionally gets its scan
-    # inlined at the two hottest call sites in the event loop (arrival
-    # fast-leg, sequential escalation), saving a closure call per
-    # selection.  That needs every request to share the
-    # leg's pool, and a pool whose membership is static: no event sources.
-    fast_a = fast_b = acc_a = acc_b = None
-    fast_versions = {pair[0] for pair in pairs}
-    acc_versions = {pair[1] for pair in pairs} - {None}
-    if not stepwise and len(fast_versions) == 1:
-        pool_fast = pools[fast_versions.pop()]
-        if len(pool_fast) == 2:
-            fast_a, fast_b = pool_fast
-    if not stepwise and len(acc_versions) == 1:
-        pool_acc = pools[acc_versions.pop()]
-        if len(pool_acc) == 2:
-            acc_a, acc_b = pool_acc
 
     # ------------------------------------------------------------------
     # loop state
@@ -1428,18 +1413,7 @@ def run_columnar(
                     continue
                 checker.on_arrival(request_ids[sub], now)
                 checker.on_attempt_started(request_ids[sub], fast_name[sub], 1, now)
-            if fast_a is not None:
-                depth_a = len(fast_a.queue)
-                depth_b = len(fast_b.queue)
-                if depth_b < depth_a or (
-                    depth_b == depth_a
-                    and fast_b.busy_until < fast_a.busy_until
-                ):
-                    node = fast_b
-                else:
-                    node = fast_a
-            else:
-                node = fast_select[sub]()
+            node = fast_select[sub]()
             node.queue.append((sub, 0, now))
             if node.busy_until <= now:
                 maybe_start(node, now)
@@ -1460,18 +1434,7 @@ def run_columnar(
                 if leg == 0:
                     if escalates[sub]:
                         fast_done[sub] = (start, now, solo, solo)
-                        if acc_a is not None:
-                            depth_a = len(acc_a.queue)
-                            depth_b = len(acc_b.queue)
-                            if depth_b < depth_a or (
-                                depth_b == depth_a
-                                and acc_b.busy_until < acc_a.busy_until
-                            ):
-                                acc = acc_b
-                            else:
-                                acc = acc_a
-                        else:
-                            acc = acc_select[sub]()
+                        acc = acc_select[sub]()
                         acc.queue.append((sub, 1, now))
                         if acc.busy_until <= now:
                             maybe_start(acc, now)

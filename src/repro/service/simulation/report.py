@@ -22,8 +22,9 @@ harness: two runs of the same scenario must digest identically.
 
 A report has **one backing store**: :class:`RecordColumns`, one array
 per record field.  The columnar engine ends a run holding them; a record
-list (the scalar loop's, a test's, ``dataclasses.replace(report,
-records=...)``) is transposed once, at the constructor, by
+list (the test suite's scalar reference loop's, a test's,
+``dataclasses.replace(report, records=...)``) is transposed once, at the
+constructor, by
 :meth:`RecordColumns.from_records`.  Every aggregate is an array
 expression over :attr:`LoadTestReport.columns` and
 :meth:`~LoadTestReport.digest` hashes them as they are: no
@@ -134,23 +135,6 @@ class RequestRecord:
     shed: bool = False
     degraded: bool = False
     retry_denied: bool = False
-
-    @classmethod
-    def for_shed(cls, request, at_s: float) -> "RequestRecord":
-        """The record of an arrival admission control dropped at ``at_s``."""
-        return cls(
-            request_id=request.request_id,
-            payload=request.payload,
-            tier=request.tolerance,
-            arrival_s=at_s,
-            finished_s=at_s,
-            response_time_s=0.0,
-            queue_wait_s=0.0,
-            versions_used=(),
-            escalated=False,
-            invocation_cost=0.0,
-            shed=True,
-        )
 
     @classmethod
     def for_outcome(cls, request, outcome, arrival_s: float) -> "RequestRecord":
@@ -599,8 +583,8 @@ class RecordColumns:
         """Transpose a record list: ``from_records(rs).record(i) == rs[i]``
         field for field.  A record's ``node_seconds`` is its row of the
         pair table: two keys are a ``(fast, accurate)`` pair, one key is
-        the fast leg of ``(version, None)`` (the scalar loop's
-        accurate-only fallback included), none is the sentinel.
+        the fast leg of ``(version, None)`` (the accurate-only fallback
+        included), none is the sentinel.
 
         Raises:
             ValueError: A record's ``versions_used`` is not its

@@ -1,4 +1,5 @@
-"""Virtual-clock discrete-event machinery.
+"""Virtual-clock discrete-event machinery of the scalar reference loop
+(``oracle/scalar_loop.py``).
 
 A tiny, dependency-free event loop: callers schedule callbacks at virtual
 timestamps and :meth:`EventLoop.run` fires them in time order, advancing

@@ -3,11 +3,12 @@
 ``ServingSimulator.drain()`` always calls ``run_columnar``.  The
 differential, door and trace tests — and the ``"legacy"`` leg of the
 simulator suites' loop matrix (``tests/conftest.py``) — need the scalar
-loop on the same runs; :func:`scalar_loop` gets it by putting
-``ServingSimulator._run_scalar`` in the place of the ``run_columnar``
-name ``drain()`` calls (the report's ``fallback_reason`` reads
-``"scalar oracle"``), and :func:`default_loop` restores the real loop
-inside such a block.  Nothing in ``src/`` knows this seam exists.
+loop of ``oracle/scalar_loop.py`` on the same runs; :func:`scalar_loop`
+gets it by putting :func:`run_scalar` in the place of the
+``run_columnar`` name ``drain()`` calls (the report's
+``fallback_reason`` reads ``"scalar oracle"``), and :func:`default_loop`
+restores the real loop inside such a block.  Nothing in ``src/`` knows
+this seam exists.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterator
 import pytest
 
 import repro.service.simulation.engine as engine
+from oracle.scalar_loop import ScalarLoop
 
 #: The ``fallback_reason`` of every run drained under :func:`scalar_loop`.
 REASON = "scalar oracle"
@@ -26,8 +28,12 @@ REASON = "scalar oracle"
 _RUN_COLUMNAR = engine.run_columnar
 
 
-def _run_scalar(sim, *args, **kwargs):
-    report = sim._run_scalar(*args, **kwargs)
+def run_scalar(sim, *args, **kwargs):
+    """``run_columnar``'s signature, drained on the scalar loop.  The
+    loop's state stays on the simulator as ``sim.oracle_loop`` (its
+    clock is ``sim.oracle_loop._loop.now``), even when the run dies."""
+    sim.oracle_loop = ScalarLoop(sim)
+    report = sim.oracle_loop.run(*args, **kwargs)
     report.fallback_reason = REASON
     return report
 
@@ -36,7 +42,7 @@ def _run_scalar(sim, *args, **kwargs):
 def scalar_loop() -> Iterator[None]:
     """Every drain inside the block runs the scalar event loop."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "run_columnar", _run_scalar)
+        patch.setattr(engine, "run_columnar", run_scalar)
         yield
 
 

@@ -15,7 +15,6 @@ with the reason from a closed set (``REASONS``):
 
 * ``guard``     — refuses or repairs a state the entry points never build
   (a validation error, an empty pool, a malformed input);
-* ``oracle``    — a reference that ``tests/oracle/`` compares against;
 * ``protocol``  — part of an interface other code implements or calls
   through (a dunder, an abstract method, a backend or hook protocol);
 * ``api: docs/<file>.md`` — public API documented in that file.
@@ -54,7 +53,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 SRC = ROOT / "src"
 LEDGER = HERE / "LEDGER"
-REASONS = ("guard", "oracle", "protocol")
+REASONS = ("guard", "protocol")
 API_REASON = re.compile(r"^api: (docs/[A-Za-z0-9_]+\.md)$")
 
 #: (label, kind, target, argv).  ``kind`` is ``path`` (a script, run the way

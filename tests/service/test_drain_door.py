@@ -88,9 +88,7 @@ def _state(sim):
             for node in balancer.nodes_of(version)
         ],
         "pools": sim.cluster.pool_sizes(),
-        "now": sim.now,
         "rng": sim._rng.bit_generator.state,
-        "remaining": sim._remaining,
         "submitted": len(sim._store.ids),
     }
 
@@ -371,5 +369,5 @@ def test_the_property_catches_a_door_without_its_degenerate_arm(
         _assert_refused_or_drained(3, "degenerate", "legacy", False, toy)
     (sim,) = let_through
     # The scalar loop's clock ran; a loop that dies leaves no engine named.
-    assert sim.engine_used is None and sim.now > 0.0
+    assert sim.engine_used is None and sim.oracle_loop._loop.now > 0.0
     assert any(busy > 0.0 for _, busy, *_ in _state(sim)["nodes"])

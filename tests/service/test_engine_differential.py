@@ -891,7 +891,7 @@ def test_unroutable_request_fails_early_like_the_oracle(bad, toy):
         raised[engine] = type(excinfo.value)
         if engine == "columnar":
             assert sim.engine_used is None and not sim._drained
-            assert sim._remaining == 6 + len(bad)
+            assert len(sim._store.ids) == 6 + len(bad)
             for version in cluster.versions:
                 for node in cluster.load_balancer.nodes_of(version):
                     assert node.busy_seconds == 0.0
@@ -2302,7 +2302,7 @@ def test_negative_arrival_time_raises_identically(toy):
         )
         with loop(engine), pytest.raises(ValueError) as excinfo:
             sim.run(BadArrivals(), 3, payload_ids=toy.request_ids)
-        errors[engine] = (str(excinfo.value), sim._counter, sim._remaining)
+        errors[engine] = (str(excinfo.value), sim._counter, len(sim._store.ids))
     assert errors["legacy"] == errors["columnar"]
 
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle.scalar_loop import cluster_submit
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -153,7 +154,7 @@ class TestFaultPrimitives:
         cluster = build_replay_cluster(toy, {"fast": 1})
         balancer = cluster.load_balancer
         node = balancer.nodes_of("fast")[0]
-        cluster.submit("fast", ServiceRequest("r1", toy.request_ids[0]))
+        cluster_submit(cluster, "fast", ServiceRequest("r1", toy.request_ids[0]))
         items = balancer.evict_node("fast", node)
         assert [item.request_id for item in items] == ["r1"]
         assert balancer.pool_size("fast") == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle.scalar_loop import balancer_remove_node, balancer_submit
 from repro.service.instances import get_instance_type
 from repro.service.load_balancer import LoadBalancer
 from repro.service.node import CallableVersion, ServiceNode, VersionResult
@@ -145,7 +146,7 @@ class TestPoolMutation:
     def test_remove_node_prefers_idle(self):
         balancer, pool = self._balancer()
         pool[0].submit("r1", None)
-        removed = balancer.remove_node("v", now=0.0)
+        removed = balancer_remove_node(balancer, "v", now=0.0)
         assert removed is pool[1]
         assert balancer.pool_size("v") == 1
 
@@ -153,25 +154,25 @@ class TestPoolMutation:
         balancer, pool = self._balancer()
         for node in pool:
             node.submit("rq", None)
-        assert balancer.remove_node("v", now=0.0) is None
+        assert balancer_remove_node(balancer, "v", now=0.0) is None
         assert balancer.pool_size("v") == 2
 
     def test_remove_last_node_raises(self):
         pool = _nodes("v", 1)
         balancer = LoadBalancer({"v": pool})
         with pytest.raises(ValueError):
-            balancer.remove_node("v")
+            balancer_remove_node(balancer, "v")
 
     def test_queue_depths_reports_backlog(self):
         balancer, pool = self._balancer()
-        balancer.submit("v", "r1", None)
-        balancer.submit("v", "r2", None)
+        balancer_submit(balancer, "v", "r1", None)
+        balancer_submit(balancer, "v", "r2", None)
         assert balancer.queue_depths() == {"v": 2}
 
     def test_submit_then_drain_executes_everything(self):
         balancer, pool = self._balancer()
-        balancer.submit("v", "r1", "x")
-        balancer.submit("v", "r2", "y")
+        balancer_submit(balancer, "v", "r1", "x")
+        balancer_submit(balancer, "v", "r2", "y")
         completions = [c for node in balancer.nodes_of("v") for c in node.drain()]
         assert len(completions) == 2
         assert balancer.queue_depths() == {"v": 0}

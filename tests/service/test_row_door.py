@@ -54,10 +54,9 @@ def _sim(toy):
 
 
 def _store(sim):
-    """The submission store's columns and the pending count."""
+    """The submission store's columns."""
     store = sim._store
-    columns = {name: list(getattr(store, name)) for name in store.__slots__}
-    return columns, sim._remaining
+    return {name: list(getattr(store, name)) for name in store.__slots__}
 
 
 def _submit_rows(sim, toy, *, at_times=(0.0, 1.0, 2.0), tolerances=None):

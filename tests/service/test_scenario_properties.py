@@ -311,8 +311,8 @@ def test_closed_loop_drains_when_a_pool_never_comes_back(toy, monkeypatch):
     left, control ticks stop with the last other event and ``drain()``
     fails the parked requests there — not 10M ticks later at the valve
     (lowered here so the old behaviour fails in seconds, not minutes)."""
+    from oracle.events import EventLoop
     from repro.service.simulation import engine as engine_module
-    from repro.service.simulation.events import EventLoop
 
     spec = _reconfiguring(_random_spec(33, with_faults=True))
     assert any(

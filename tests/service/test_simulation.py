@@ -1,13 +1,15 @@
 """Tests for the discrete-event serving simulator.
 
-Covers the virtual-clock event loop, arrival processes, node-level
-submit/drain and batching, the autoscaler's triggers and floors, and the
+Covers the scalar oracle's virtual-clock event loop, arrival processes,
+node-level submit/drain and batching, the autoscaler's triggers and floors, and the
 end-to-end engine semantics of each ensemble kind under load.
 """
 
 import numpy as np
 import pytest
 
+from oracle.events import EventLoop
+from oracle.scalar_loop import amortized_seconds, cancel_queued, cluster_submit
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import (
     ConcurrentPolicy,
@@ -26,7 +28,6 @@ from repro.service.simulation import (
     BatchingConfig,
     BurstyArrivals,
     DiurnalArrivals,
-    EventLoop,
     PoissonArrivals,
     ServingSimulator,
     SpikeArrivals,
@@ -318,15 +319,15 @@ class TestNodeQueueing:
         assert [c.batch_size for c in completions] == [4, 4, 4, 4, 1]
         first_batch = completions[0]
         assert first_batch.service_time_s == pytest.approx(4.0 ** 0.7)
-        assert first_batch.amortized_seconds == pytest.approx(4.0 ** 0.7 / 4)
+        assert amortized_seconds(first_batch) == pytest.approx(4.0 ** 0.7 / 4)
         # the trailing single request starts after the batch finishes
         assert completions[4].started_at == pytest.approx(first_batch.finished_at)
 
     def test_cancel_removes_only_queued_work(self):
         node = _echo_node()
         node.submit("r1", None)
-        assert node.cancel("r1") is True
-        assert node.cancel("r1") is False
+        assert cancel_queued(node, "r1") is True
+        assert cancel_queued(node, "r1") is False
         assert node.queue_depth == 0
 
     def test_pop_batch_needs_a_positive_size(self):
@@ -717,7 +718,8 @@ class TestServingSimulator:
         from repro.service.request import ServiceRequest
 
         cluster = build_replay_cluster(toy_measurements, {"fast": 1})
-        cluster.submit(
+        cluster_submit(
+            cluster,
             "fast",
             ServiceRequest(
                 request_id="stray", payload=toy_measurements.request_ids[0]

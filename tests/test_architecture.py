@@ -50,6 +50,10 @@ LEAF_MODULES = frozenset({"repro.contract", "repro.checks"})
 TEST_ONLY_PACKAGES = frozenset({"scipy"})
 
 
+#: The scalar reference loop the differential tests hold ``drain()`` to.
+SCALAR_LOOP = "tests/oracle/scalar_loop.py"
+
+
 def _modules() -> Iterator[Tuple[str, Path, ast.Module]]:
     """Every module under ``src/``: its dotted name, path and tree."""
     for path in sorted(SRC.rglob("*.py")):
@@ -220,7 +224,8 @@ def test_one_owner_fails_completions():
     # loops, and a herd is its own arrival transform: no scalar-only fault
     # list, no loop-private failure rule, no arrival wrapper.
     assert not _matches(
-        r"ThunderingHerdArrivals|_SCALAR_FAULTS|_fault_eating_completion", ["src"]
+        r"ThunderingHerdArrivals|_SCALAR_FAULTS|_fault_eating_completion",
+        ["src", SCALAR_LOOP],
     )
 
 
@@ -267,7 +272,7 @@ def test_one_owner_scales_pools():
     # utilization.
     assert not _matches(
         r"_last_busy|reason_for|\.decide\(",
-        ["src/repro/service/simulation/engine.py"],
+        ["src/repro/service/simulation/engine.py", SCALAR_LOOP],
     )
     computed = _matches(r"\butilization\s*=", ["src"])
     assert computed and all(
@@ -278,9 +283,8 @@ def test_one_owner_scales_pools():
 
 def test_rule_generator_keeps_no_scalar_reference():
     # The rule generator bootstraps through its outcome matrix alone: the
-    # per-trial reference lives in tests/oracle/, so no function of
-    # repro.core or repro.stats is kept only for tests to compare against.
-    assert not _matches(r"^repro\.(core|stats)\.\S+\s+oracle\b", ["tests/reach/LEDGER"])
+    # per-trial reference lives in tests/oracle/ (and no function of src/
+    # is kept only for tests to compare against, see the next rule).
     assert not _matches(
         r"def (bootstrap_configuration|_bootstrap_scalar|subsample_indices"
         r"|spread_is_confident|is_satisfied|all_satisfied|trial_metrics)\("
@@ -289,11 +293,25 @@ def test_rule_generator_keeps_no_scalar_reference():
     )
 
 
+def test_one_event_loop_in_src():
+    # drain() runs the columnar loop and its scalar reference lives in
+    # tests/oracle/scalar_loop.py: the reach ledger keeps no function for
+    # tests to compare against, and no scalar event loop, per-request
+    # state object or loop clock is left under src/.
+    assert not _matches(r"^\S+\s+oracle\b", ["tests/reach/LEDGER"])
+    assert not _matches(
+        r"class EventLoop|def _run_scalar\(|_InFlight|_RunningBatch|self\._loop\b",
+        ["src"],
+    )
+
+
 def test_no_attempt_outlives_its_request():
     # A request resolves only once no other leg can answer: no detached
     # attempt, no orphan completion, in either loop or the invariant
     # checker.
-    assert not _matches(r'on_attempt_detached|on_orphan_finished|"detached"', ["src"])
+    assert not _matches(
+        r'on_attempt_detached|on_orphan_finished|"detached"', ["src", SCALAR_LOOP]
+    )
 
 
 def test_a_request_resolves_one_way():
@@ -301,10 +319,11 @@ def test_a_request_resolves_one_way():
     # the failing leg and fails a request only when no other leg is
     # viable, and the end-of-run resolution drops parked jobs first.  So
     # no resolve spares a leg or names an outcome to cancel the rest with.
-    assert not _matches(r"exclude_version|_abandon_outstanding", ["src"])
+    assert not _matches(r"exclude_version|_abandon_outstanding", ["src", SCALAR_LOOP])
+    scalar = (SCALAR_LOOP, None, ast.parse((ROOT / SCALAR_LOOP).read_text()))
     resolves = [
         f"{name}:{node.lineno}: {node.name}({ast.unparse(node.args)})"
-        for name, _, tree in MODULES
+        for name, _, tree in [*MODULES, scalar]
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         and node.name in ("resolve", "_finalize_failed")
