@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.service.node import ServiceNode, VersionResult
+from repro.service.node import QueuedRequest, ServiceNode, VersionResult
 
 __all__ = ["LoadBalancer"]
 
@@ -76,7 +76,7 @@ class LoadBalancer:
         """Grow a version's pool by one node."""
         self._require_pool(version).append(node)
 
-    def evict_node(self, version: str, node: ServiceNode) -> List["QueuedRequest"]:
+    def evict_node(self, version: str, node: ServiceNode) -> List[QueuedRequest]:
         """Forcibly remove a *specific* node (the crash path).
 
         This ignores idleness, may leave the pool empty (a whole pool can

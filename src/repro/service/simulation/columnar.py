@@ -20,8 +20,7 @@ with the *same* event semantics but none of the object machinery:
   confidence / escalates columns are composed one group at a time, and
   the event flow reads a per-request kind code and per-request leg
   pools.  A fixed-configuration run is the one-group case of the same
-  loop (its inlined ``seq`` / ``single`` deliveries stay selected
-  whenever every request shares one kind),
+  loop,
 * the event heap holds plain tuples — flush, single-job completion,
   batch completion, and *source* events; arrivals are a pre-sorted
   stream merged in without ever touching the heap,
@@ -45,7 +44,7 @@ opening, and herds releasing, are log entries in the same stream.  Which
 completions fail is asked of the simulator's ``CompletionFaults``, the
 owner the scalar loop asks at the same point (first, as a completion
 lands).  A failed attempt makes a faulted run follow the scalar loop's
-whole per-request state machine instead of the inlined deliveries:
+whole per-request state machine instead of the fault-free deliveries:
 retries with backoff under the ``RetryPolicy`` budgets, the degraded
 fallbacks, parking and the end-of-run "unserved" resolution.  No
 attempt outlives its request: a request fails terminally only once no
@@ -55,21 +54,28 @@ request touches none of its legs: the end-of-run resolution drops a
 leg still parked ("unserved") before it resolves the request.
 Pool membership changes on the real cluster as it happens, so node ids,
 the retired books and ``final_pool_sizes`` end as the scalar loop leaves
-them.  A run with no fault, control plane or autoscaler is the case
-with zero sources and keeps the inlined deliveries.
+them.
 
 **The autoscaler is a tick source too**, armed before the control tick
 and decided by the simulator's ``PoolScaling``, the owner the scalar
 loop calls; this loop actuates: a recovery's ``grow`` scales up, and
 retiring the last idle shadow node (the balancer's pick) scales down.
 
+**An invariant checker takes the stepwise machine too.**  Each run
+delivers its completions one way, chosen from what it holds: a run
+whose every request is ``seq``, with no event source and no checker,
+takes the delivery inlined into the loop; any other run with neither
+takes ``deliver``; a run with an event source or a checker takes the
+stepwise ``on_job_done``, which calls every checker hook where the
+scalar loop does.  A checked run's digest is its unchecked run's.
+
 **Bit-exactness is the contract, not an aspiration.**  Every arithmetic
-expression here mirrors the legacy engine's scalar float operations in
+expression here mirrors the scalar loop's float operations in
 the same order (IEEE-754 makes ``a*b``/``a+b`` on float64 identical
 whether issued from Python scalars or numpy element-wise kernels), event
-ties break exactly as the legacy loop's monotonic sequence numbers break
+ties break exactly as the scalar loop's monotonic sequence numbers break
 them, and quirks such as the ``oldest_enqueued_at or now`` head-wait
-guard are reproduced verbatim.  The legacy engine schedules fault onsets
+guard are reproduced verbatim.  The scalar loop schedules fault onsets
 first, then herd releases, then the arrivals, then every runtime event,
 so the stream holds onsets, then releases, then arrivals (a stable sort
 by time keeps that order within a tie) and wins every tie against the
@@ -125,9 +131,9 @@ __all__ = ["run_columnar"]
 
 #: Heap events are ``(time, tag, node, info)`` with
 #: ``tag = (seq << 2) | code``: packing the event code into the
-#: monotonic sequence number keeps heap ordering identical to the legacy
-#: ``(time, seq)`` tuples (tags are unique and increase with ``seq``)
-#: while saving one tuple slot per event in the hot loop.  A source
+#: monotonic sequence number keeps heap ordering identical to the scalar
+#: loop's ``(time, seq)`` tuples (tags are unique and increase with
+#: ``seq``) while saving one tuple slot per event in the hot loop.  A source
 #: event carries its handler in the node slot and the handler's argument
 #: in the info slot.
 _FLUSH = 0
@@ -148,7 +154,7 @@ class _ShadowNode:
     the event flow reads or writes; the accumulated values are written
     back to the real node when the run drains (or the node dies), so
     post-run introspection (utilization, billing reconciliation, the
-    retired books, reuse of the cluster) sees what the legacy engine
+    retired books, reuse of the cluster) sees what the scalar loop
     would have left behind.
     """
 
@@ -173,7 +179,7 @@ class _ShadowNode:
         self.served = real.requests_served
         self.factor = real.effective_speed_factor
         #: Sequence number of the armed flush event, ``-1`` when none.
-        #: Cancellation is lazy, as in the legacy loop: a popped flush
+        #: Cancellation is lazy, as in the scalar loop: a popped flush
         #: whose sequence number no longer matches is a stale timer.
         self.flush_seq = -1
         self.alive = True
@@ -232,12 +238,12 @@ def run_columnar(
     scalar loop's event valve, ``max_events``, bounds the events
     ``schedule`` pushes (ticks, retries, fault restores): a tick that
     re-arms forever over rows that never resolve raises ``RuntimeError``
-    instead of spinning.  With
-    invariant checking attached the loop calls the checker at the exact
-    points the legacy engine would (it sees an identical stream), and a
-    trace recorder of a fault schedule or control plane its hooks; either
-    way the report is built from the loop's columns and materializes
-    records only when asked.
+    instead of spinning.  An attached invariant checker makes the run
+    take the stepwise machine, which calls the checker at the scalar
+    loop's points (it sees an identical stream) and yields the digest the
+    unchecked run yields; a trace recorder of a fault schedule or control
+    plane gets its hooks there too.  Either way the report is built from
+    the loop's columns and materializes records only when asked.
     """
     cluster = sim.cluster
     balancer = cluster.load_balancer
@@ -247,11 +253,13 @@ def run_columnar(
     scaling = sim._scaling
     # A fault schedule, a control plane or an autoscaler brings event
     # sources, and the stepwise per-request state machine they act on
-    # (see below).
-    stepwise = bool(faults) or control is not None or scaling is not None
-    # `slow` turns the inlined deliveries off: a checker needs its hooks,
-    # event sources the stepwise state machine.
-    slow = checker is not None or stepwise
+    # (see below); that machine also calls every checker hook.
+    stepwise = (
+        bool(faults)
+        or control is not None
+        or scaling is not None
+        or checker is not None
+    )
     # Per-attempt trees for a fault schedule or control plane, else columns.
     trace = sim._trace if faults or control is not None else None
 
@@ -340,10 +348,6 @@ def run_columnar(
             return of_pair * n
         return [of_pair[code] for code in pair_of]
 
-    if slow:
-        fast_name = per_request([pair[0] for pair in pairs])
-        acc_name = per_request([pair[1] for pair in pairs])
-
     # ------------------------------------------------------------------
     # shadow cluster: one pool per version any pair names (per deployed
     # version under event sources: a fault may strike any pool, a swap or
@@ -417,14 +421,14 @@ def run_columnar(
     wait_threshold = max_wait - 1e-12
     batch_time = batching.batch_service_time
 
-    # Arrivals never enter the heap: the legacy engine schedules them all
+    # Arrivals never enter the heap: the scalar loop schedules them all
     # before any runtime event exists — after the fault onsets and the
     # herd releases it schedules first — so onsets, then
     # arrivals, win every time tie against a runtime event.  The stream
     # holds both: entry ``i < n`` is submission ``i``, entry ``n + j`` is
     # onset ``j`` (a node fault, or the log entry of a window opening or
     # a herd's release), and a stable sort of onsets-then-submissions by
-    # time gives exactly the legacy order.
+    # time gives exactly the scalar loop's order.
     failures = sim._failures
     onsets = [
         entry or fault
@@ -460,7 +464,7 @@ def run_columnar(
     out: List[tuple] = []
 
     # ------------------------------------------------------------------
-    # event flow (each helper mirrors one legacy engine method)
+    # event flow (each helper mirrors one scalar loop method)
     # ------------------------------------------------------------------
     def start_batch(node, now):
         # _start_batch for a multi-item batch (callers execute the
@@ -468,7 +472,7 @@ def run_columnar(
         # max_batch items, execute, schedule one completion event at the
         # common finish.  Every caller guarantees the node is idle
         # (busy_until <= now), so the batch starts exactly at `now` — as
-        # the legacy node's max(now, busy_until) would resolve.
+        # the scalar loop's max(now, busy_until) would resolve.
         nonlocal seq
         node.flush_seq = -1
         queue = node.queue
@@ -540,8 +544,6 @@ def run_columnar(
     def enqueue_accurate(sub, now):
         # _enqueue_attempt for the accurate leg, on a live pool
         # (parking is unreachable fault-free).
-        if checker is not None:
-            checker.on_attempt_started(request_ids[sub], acc_name[sub], 1, now)
         node = acc_select[sub]()
         node.queue.append((sub, 1, now))
         acc_node[sub] = node
@@ -564,26 +566,11 @@ def run_columnar(
             maybe_start(node, now)
         return True
 
-    def emit(sub, now):
-        # The slow half of _finalize: the invariant checker's ledger.
-        checker.on_finalized(request_ids[sub], now, failed=False)
-
     def deliver(sub, leg, start, finish, amortized, solo, now, size):
-        # _on_job_done + _advance for the fault-free state machine.
-        if checker is not None:
-            checker.on_attempt_finished(
-                request_ids[sub],
-                fast_name[sub] if leg == 0 else acc_name[sub],
-                1,
-                finish,
-                "ok",
-                seconds=amortized,
-            )
+        # _on_job_done + _advance for a fault-free, unchecked run.
         kind = kind_of[sub]
         if kind == _SINGLE:
             out.append((sub, finish, False, amortized, -1.0, start))
-            if slow:
-                emit(sub, now)
             return
         if kind == _SEQ:
             if leg == 0:
@@ -592,13 +579,9 @@ def run_columnar(
                     enqueue_accurate(sub, now)
                 else:
                     out.append((sub, finish, False, amortized, -1.0, start))
-                    if slow:
-                        emit(sub, now)
             else:
                 fast = fast_done[sub]
                 out.append((sub, finish, True, fast[2], amortized, fast[0]))
-                if slow:
-                    emit(sub, now)
             return
         # conc / et
         if leg == 0:
@@ -609,23 +592,11 @@ def run_columnar(
                     acc_finish = accurate[1]
                     end = finish if finish >= acc_finish else acc_finish
                     out.append((sub, end, True, amortized, accurate[2], start))
-                    if slow:
-                        emit(sub, now)
                 return
             if kind == _ET and accurate is None and not acc_cancelled[sub]:
                 if cancel_queued(acc_node[sub], sub, now):
                     acc_cancelled[sub] = True
-                    if checker is not None:
-                        checker.on_attempt_finished(
-                            request_ids[sub],
-                            acc_name[sub],
-                            1,
-                            now,
-                            "cancelled",
-                        )
                     out.append((sub, finish, False, amortized, -1.0, start))
-                    if slow:
-                        emit(sub, now)
                     return
                 # Already running: let it finish, bill the capped share.
             if accurate is None:
@@ -635,8 +606,6 @@ def run_columnar(
                 # early_termination_cap: min(accurate, fast solo time)
                 acc_seconds = solo
             out.append((sub, finish, False, amortized, acc_seconds, start))
-            if slow:
-                emit(sub, now)
             return
         # accurate leg of conc/et
         acc_done[sub] = (start, finish, amortized, solo)
@@ -647,19 +616,15 @@ def run_columnar(
         if escalates[sub]:
             end = fast_finish if fast_finish >= finish else finish
             out.append((sub, end, True, fast[2], amortized, fast[0]))
-            if slow:
-                emit(sub, now)
         else:
             acc_seconds = amortized
             if kind == _ET and fast[3] < acc_seconds:
                 acc_seconds = fast[3]
             out.append((sub, fast_finish, False, fast[2], acc_seconds, fast[0]))
-            if slow:
-                emit(sub, now)
 
     # ------------------------------------------------------------------
     # the stepwise state machine: event sources and the failed-attempt
-    # path (each helper mirrors one legacy engine method, per request
+    # path (each helper mirrors one scalar loop method, per request
     # ``sub`` and leg ``key = sub << 1 | leg``)
     # ------------------------------------------------------------------
     fault_log: list = []
@@ -667,8 +632,8 @@ def run_columnar(
     streamed = 0
     if stepwise:
         leg_version = [None] * (2 * n)
-        leg_version[0::2] = fast_name
-        leg_version[1::2] = acc_name
+        leg_version[0::2] = per_request([pair[0] for pair in pairs])
+        leg_version[1::2] = per_request([pair[1] for pair in pairs])
         attempt = [0] * (2 * n)
         leg_open = bytearray(2 * n)
         retry_pending = bytearray(2 * n)
@@ -1356,9 +1321,9 @@ def run_columnar(
             )
         # PricingModel.request_cost, vectorized with the same operation
         # order, each row priced by its own pair: cost_v = seconds_v *
-        # price_v; iaas = fast + accurate (the legacy left fold starts
-        # at integer 0, and 0 + x == x, x + 0.0 == x exactly for the
-        # non-negative costs here); invocation = fee + markup * iaas.
+        # price_v; iaas = fast + accurate (the scalar loop's left fold
+        # starts at integer 0, and 0 + x == x, x + 0.0 == x exactly for
+        # the non-negative costs here); invocation = fee + markup * iaas.
         price_fast = np.array([price_of[pair[0]] for pair in pairs])
         price_acc = np.array([price_of.get(pair[1], 0.0) for pair in pairs])
         iaas = fast_seconds * price_fast[pair_codes] + np.where(
@@ -1386,12 +1351,10 @@ def run_columnar(
         )
 
     both_legs_at_arrival = max(kinds) >= _CONC
-    # Specialized single-job delivery for the two sequential-flow kinds
-    # in fast mode (no checker), when every request shares the kind: the
-    # same transitions as deliver(), with the call and its branch ladder
-    # inlined into the event loop below.
-    inline_seq = kinds == {_SEQ} and not slow
-    inline_single = kinds == {_SINGLE} and not slow
+    # Specialized single-job delivery when every request is `seq` and
+    # the run has no stepwise machine: the same transitions as deliver(),
+    # with the call and its branch ladder inlined into the loop below.
+    inline_seq = kinds == {_SEQ} and not stepwise
     out_append = out.append
 
     # ------------------------------------------------------------------
@@ -1407,12 +1370,9 @@ def run_columnar(
             now = sorted_times[pointer]
             sub = order[pointer]
             pointer += 1
-            if slow:
-                if stepwise:
-                    arrive(sub, now)
-                    continue
-                checker.on_arrival(request_ids[sub], now)
-                checker.on_attempt_started(request_ids[sub], fast_name[sub], 1, now)
+            if stepwise:
+                arrive(sub, now)
+                continue
             node = fast_select[sub]()
             node.queue.append((sub, 0, now))
             if node.busy_until <= now:
@@ -1443,8 +1403,6 @@ def run_columnar(
                 else:
                     fast = fast_done[sub]
                     out_append((sub, now, True, fast[2], solo, fast[0]))
-            elif inline_single:
-                out_append((sub, now, False, solo, -1.0, start))
             else:
                 if trace is not None and node.deflate is not None:
                     deflated((sub,), node, now)
@@ -1544,7 +1502,7 @@ def run_columnar(
         )
 
     # ------------------------------------------------------------------
-    # write-back: the real cluster must end exactly as legacy leaves it
+    # write-back: the real cluster must end as the scalar loop leaves it
     # ------------------------------------------------------------------
     for shadow in shadows:
         shadow.write_back()

@@ -200,8 +200,10 @@ class ServingSimulator:
             nothing (one attempt per leg).
         check_invariants: When true, feed an
             :class:`~repro.service.simulation.invariants.InvariantChecker`
-            and verify its ledger at drain time.  Pure bookkeeping — the
-            simulated behaviour (and report digest) is unchanged.
+            and verify its ledger at drain time.  A checked run takes the
+            loop's stepwise machine, which calls every checker hook; its
+            simulated behaviour (and report digest) is the unchecked
+            run's.
         control: Optional control plane (duck-typed against
             :class:`~repro.service.control.plane.ControlPlane`):
             consulted per arrival (``admit``), handed the rows finalized

@@ -360,13 +360,17 @@ def _marked_seeds():
 @pytest.mark.parametrize("seed", _marked_seeds())
 def test_fuzzed_specs_digest_identical(seed, toy):
     """Both engines agree — digests, conservation laws, control logs —
-    across the randomized scenario space."""
+    across the randomized scenario space, the columnar loop unchecked
+    (its fault-free deliveries) and checked (its stepwise machine)."""
     spec = _random_spec(seed)
-    legacy, columnar = run_both(spec, toy, check_invariants=True)
-    assert_reports_identical(legacy, columnar)
-    assert control_log_digest(legacy) == control_log_digest(columnar)
+    with scalar_loop():
+        legacy = run_scenario(spec, toy, check_invariants=True)
     assert legacy.n_requests == spec.n_requests
-    assert columnar.n_requests == spec.n_requests
+    for check_invariants in (False, True):
+        columnar = run_scenario(spec, toy, check_invariants=check_invariants)
+        assert_reports_identical(legacy, columnar)
+        assert control_log_digest(legacy) == control_log_digest(columnar)
+        assert columnar.n_requests == spec.n_requests
 
 
 # ----------------------------------------------------------------------
@@ -565,7 +569,9 @@ def _routed_rng(seed):
     return np.random.default_rng([seed, 20260929])
 
 
-def _routed_session(seed, toy, *, router=None, tolerances=None):
+def _routed_session(
+    seed, toy, *, router=None, tolerances=None, check_invariants=True
+):
     """One router-driven session: requests submitted one by one with
     random annotations, payloads and arrival times.  The seed turns
     batching on and off in runs of four."""
@@ -584,7 +590,7 @@ def _routed_session(seed, toy, *, router=None, tolerances=None):
         )
         if (seed // 4) % 2
         else None,
-        check_invariants=True,
+        check_invariants=check_invariants,
         seed=seed,
     )
     n = int(rng.integers(40, 90))
@@ -615,17 +621,20 @@ def _routed_seeds():
 
 @pytest.mark.parametrize("seed", _routed_seeds())
 def test_routed_sessions_digest_identical(seed, toy):
+    # Unchecked, a routed session takes deliver(); checked, the stepwise
+    # machine: both match the oracle.
     legacy_sim, n = _routed_session(seed, toy)
     with scalar_loop():
         legacy = legacy_sim.drain()
-    sim, _ = _routed_session(seed, toy)
-    columnar = sim.drain()
-    assert sim.engine_used == "columnar"
-    assert columnar.fallback_reason is None
-    assert columnar.engine_used == "columnar"
-    assert_reports_identical(legacy, columnar)
-    assert legacy.n_requests == columnar.n_requests == n
-    assert legacy.total_node_seconds == columnar.total_node_seconds
+    for check_invariants in (False, True):
+        sim, _ = _routed_session(seed, toy, check_invariants=check_invariants)
+        columnar = sim.drain()
+        assert sim.engine_used == "columnar"
+        assert columnar.fallback_reason is None
+        assert columnar.engine_used == "columnar"
+        assert_reports_identical(legacy, columnar)
+        assert legacy.n_requests == columnar.n_requests == n
+        assert legacy.total_node_seconds == columnar.total_node_seconds
 
 
 def test_routed_family_mixes_shapes_within_a_session():
@@ -771,15 +780,18 @@ def test_one_ineligible_routed_configuration_falls_back(broken, error, toy):
 
 def test_routed_bulk_workload_digest_identical(toy):
     """``run()`` under a router is one annotation for the whole
-    workload; explicit submissions beside it keep their own."""
+    workload; explicit submissions beside it keep their own.  The
+    columnar loop runs unchecked and checked."""
     reports = {}
-    for engine in ("legacy", "columnar"):
+    for engine, check_invariants in (
+        ("legacy", True), ("columnar", False), ("columnar", True)
+    ):
         router = _random_router(np.random.default_rng(11))
         sim = ServingSimulator(
             build_replay_cluster(toy, {"fast": 2, "slow": 2}),
             router=router,
             batching=BatchingConfig(max_batch_size=3, max_wait_s=0.02),
-            check_invariants=True,
+            check_invariants=check_invariants,
             seed=4,
         )
         for i, tolerance in enumerate((0.0, 0.01, 0.10, 0.05)):
@@ -790,7 +802,7 @@ def test_routed_bulk_workload_digest_identical(toy):
                 at_time=0.3 * i,
             )
         with loop(engine):
-            reports[engine] = sim.run(
+            reports[engine, check_invariants] = sim.run(
                 PoissonArrivals(5.0),
                 60,
                 tolerance=0.05,
@@ -798,8 +810,10 @@ def test_routed_bulk_workload_digest_identical(toy):
                 payload_ids=toy.request_ids,
             )
         assert sim.engine_used == engine
-    assert_reports_identical(reports["legacy"], reports["columnar"])
-    assert reports["columnar"].n_requests == 64
+    legacy = reports.pop(("legacy", True))
+    for columnar in reports.values():
+        assert_reports_identical(legacy, columnar)
+        assert columnar.n_requests == 64
 
 
 class _CountingRouter(TierRouter):
@@ -1245,6 +1259,25 @@ def test_pinned_failed_attempt_branches_match_the_oracle(name, toy):
     assert_reports_identical(legacy, columnar)
     assert list(legacy.records) == list(columnar.records)
     assert legacy_books == books
+
+
+def test_et_cap_with_the_accurate_leg_first_matches_the_oracle(toy):
+    # Early termination bills the accurate leg min(its time, the fast
+    # solo time), also when the accurate leg lands first: one fast node
+    # saturated at 30 requests/s queues its jobs past the 400 ms accurate
+    # service time, which 16 accurate nodes start on arrival.  The fuzzed
+    # draws reach that branch of deliver() only in the slow tier.
+    spec = _pinned_spec(
+        "et-accurate-first",
+        EarlyTerminationPolicy("fast", "slow", 0.6),
+        (),
+        rate=30.0,
+        pools=(("fast", 1), ("slow", 16)),
+        n_requests=40,
+    )
+    for check_invariants in (False, True):
+        legacy, columnar = run_both(spec, toy, check_invariants=check_invariants)
+        assert_reports_identical(legacy, columnar)
 
 
 def _skip_refund(self, now, aborted):

@@ -1,5 +1,7 @@
 """Tests for within-pool node selection and load-balancer pool mutation."""
 
+import typing
+
 import pytest
 
 from oracle.scalar_loop import balancer_remove_node, balancer_submit
@@ -178,3 +180,19 @@ class TestPoolMutation:
         assert balancer.queue_depths() == {"v": 0}
         outputs = {c.result.output for c in completions}
         assert outputs == {"v:x", "v:y"}
+
+
+def test_every_public_method_annotation_resolves():
+    # Each public method's hints name something its module imports:
+    # evict_node returns the queued work, List[QueuedRequest].
+    methods = [
+        getattr(member, "fget", member)
+        for name, member in vars(LoadBalancer).items()
+        if not name.startswith("_")
+    ]
+    assert len(methods) >= 10
+    for method in methods:
+        typing.get_type_hints(method)
+    assert "QueuedRequest" in str(
+        typing.get_type_hints(LoadBalancer.evict_node)["return"]
+    )

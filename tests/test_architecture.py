@@ -305,6 +305,28 @@ def test_one_event_loop_in_src():
     )
 
 
+def test_a_checked_run_takes_the_stepwise_machine():
+    # An invariant checker is one more reason to run the stepwise machine,
+    # whose handlers call every checker hook: no flag turns the fast
+    # deliveries off for a checker, and neither fast delivery feeds one.
+    columnar = SRC / "repro/service/simulation/columnar.py"
+    loop = _function(columnar, "run_columnar")
+    bound = {
+        node.id
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    } | {
+        node.name for node in ast.walk(loop) if isinstance(node, ast.FunctionDef)
+    }
+    assert not bound & {"slow", "emit", "inline_single"}, bound
+    for name in ("deliver", "enqueue_accurate"):
+        helper = _function(columnar, name)
+        named = {
+            node.id for node in ast.walk(helper) if isinstance(node, ast.Name)
+        }
+        assert "checker" not in named, ast.unparse(helper)
+
+
 def test_no_attempt_outlives_its_request():
     # A request resolves only once no other leg can answer: no detached
     # attempt, no orphan completion, in either loop or the invariant
