@@ -148,7 +148,7 @@ class _TrialStream:
         """The next trials' indices, one row per trial: the given-back ones
         while any are left (at most ``k``), else ``k`` freshly drawn."""
         if self._rows is None or self._used == len(self._rows):
-            self._rows = np.empty((k, self._size), dtype=np.int64)
+            self._rows = np.empty((k, self._size), dtype=np.intp)
             self._used = 0
             draw, n, size = self._draw, self._n, self._size
             for row in range(k):

@@ -31,7 +31,6 @@ from repro import checks
 from repro.core.configuration import EnsembleConfiguration
 from repro.core.policies import SingleVersionPolicy
 from repro.service.control.slo import SLOState
-from repro.service.request import ServiceRequest
 
 __all__ = [
     "AdmissionAction",
@@ -129,18 +128,16 @@ class AdmissionController:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.n_shed = 0
         self.n_degraded = 0
+        #: id(planned) -> (planned, its degrade decision): one fallback per
+        #: planned configuration (the tuple keeps the id unique).
+        self._degraded: dict = {}
 
     def decide(
-        self,
-        request: ServiceRequest,
-        *,
-        state: SLOState,
-        planned: EnsembleConfiguration,
+        self, *, state: SLOState, planned: EnsembleConfiguration
     ) -> AdmissionDecision:
         """Decide one arriving request's fate.
 
         Args:
-            request: The arriving request.
             state: The plane's aggregate SLO state at arrival.
             planned: The configuration routing chose for the request
                 (the ``degrade`` policy derives its fallback from it).
@@ -157,12 +154,20 @@ class AdmissionController:
                 )
             return ADMIT
         # degrade
-        fallback = degraded_configuration(planned)
-        if fallback is None:
-            return ADMIT
-        self.n_degraded += 1
-        return AdmissionDecision(
-            AdmissionAction.DEGRADE,
-            configuration=fallback,
-            reason=f"degraded to fast tier ({fallback.config_id})",
-        )
+        entry = self._degraded.get(id(planned))
+        if entry is None:
+            fallback = degraded_configuration(planned)
+            entry = self._degraded[id(planned)] = (
+                planned,
+                ADMIT
+                if fallback is None
+                else AdmissionDecision(
+                    AdmissionAction.DEGRADE,
+                    configuration=fallback,
+                    reason=f"degraded to fast tier ({fallback.config_id})",
+                ),
+            )
+        decision = entry[1]
+        if decision is not ADMIT:
+            self.n_degraded += 1
+        return decision

@@ -46,7 +46,6 @@ from repro.service.control.slo import (
     worst_state,
 )
 from repro.service.control.telemetry import TelemetryHub, WindowSnapshot
-from repro.service.request import ServiceRequest
 
 __all__ = [
     "ControlLogEntry",
@@ -129,7 +128,8 @@ class ControlPlane:
     Build one per run (its monitors, window and RNG are stateful), most
     conveniently via :meth:`from_spec`.  The serving simulator is its
     only driver, and the integration is intentionally narrow so the
-    engine never imports this package:
+    engine imports nothing of this package but :class:`AdmissionAction`
+    (inside a closed-loop run, to read a decision's action by identity):
 
     * :attr:`tick_interval_s`
     * :meth:`admit` per arrival,
@@ -242,16 +242,13 @@ class ControlPlane:
         return self.spec.tick_interval_s
 
     def admit(
-        self,
-        request: ServiceRequest,
-        now: float,
-        *,
-        planned: EnsembleConfiguration,
+        self, now: float, *, planned: EnsembleConfiguration
     ) -> AdmissionDecision:
-        """Decide one arriving request (admit / shed / degrade)."""
+        """Decide one request arriving at ``now`` (admit / shed /
+        degrade) from the SLO state and its planned configuration."""
         if self.controller is None:
             return ADMIT
-        return self.controller.decide(request, state=self.state, planned=planned)
+        return self.controller.decide(state=self.state, planned=planned)
 
     def observe(self, record, now: Optional[float] = None) -> None:
         """Fold one finalized request record into the telemetry window."""

@@ -51,17 +51,13 @@ class SLOState(enum.Enum):
     BREACH = "breach"
 
 
-#: Severity order for aggregating many monitors into one plane state.
-_SEVERITY = {SLOState.OK: 0, SLOState.WARN: 1, SLOState.BREACH: 2}
+_OK, _WARN, _BREACH = SLOState
 
 
 def worst_state(states) -> SLOState:
     """The most severe of a collection of states (OK when empty)."""
-    worst = SLOState.OK
-    for state in states:
-        if _SEVERITY[state] > _SEVERITY[worst]:
-            worst = state
-    return worst
+    # Membership compares by identity; hashing a member is a Python call.
+    return _BREACH if _BREACH in states else _WARN if _WARN in states else _OK
 
 
 @dataclass(frozen=True)

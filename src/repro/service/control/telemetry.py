@@ -63,7 +63,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import checks
@@ -169,13 +168,27 @@ def _ordered_mean(values: List[float]) -> float:
     return total / len(values) if values else float("nan")
 
 
+class _lazy:
+    """``functools.cached_property`` without the lock it takes on 3.11:
+    the field is computed on first read and kept in the instance."""
+
+    def __init__(self, compute) -> None:
+        self._compute = compute
+
+    def __get__(self, snapshot, owner=None):
+        if snapshot is None:
+            return self
+        value = snapshot.__dict__[self._compute.__name__] = self._compute(snapshot)
+        return value
+
+
 class WindowSnapshot:
     """Aggregate view of the trailing telemetry window at one instant.
 
     Built by :meth:`TelemetryHub.snapshot`.  The counts and the
-    whole-stream percentiles are taken with the snapshot; every other
-    field is computed on first read (and kept), from the window as it
-    stood at :attr:`now` — a late read sees no row published after it.
+    whole-stream p95 are taken with the snapshot; every other field is
+    computed on first read (and kept), from the window as it stood at
+    :attr:`now` — a late read sees no row published after it.
 
     Attributes:
         now: Virtual time the snapshot was taken.
@@ -204,7 +217,7 @@ class WindowSnapshot:
         span_s: float,
         counts: Tuple[List[int], Dict[float, Tuple[int, ...]]],
         rows: Tuple[List[_Row], int, int],
-        latency: Tuple[int, Tuple[float, float, float]],
+        latency: Tuple[int, float],
     ) -> None:
         self.now = now
         self.window_s = window_s
@@ -222,7 +235,7 @@ class WindowSnapshot:
         #: ``(rows, start, stop)``: the live slice of the hub's row list,
         #: which only ever grows past ``stop``;
         self._rows, self._start, self._stop = rows
-        #: the answered latencies' count and p50 / p95 / p99.
+        #: the answered latencies' count and p95.
         self._latency = latency
 
     @property
@@ -230,35 +243,41 @@ class WindowSnapshot:
         """Windowed requests that resolved with a response."""
         return self.n - self.n_failed - self.n_shed
 
-    def _estimate(self, q: float, value: float) -> PercentileEstimate:
-        n = self._latency[0]
+    def _estimate(self, q: float) -> PercentileEstimate:
+        n, value = self._latency
+        if q != 95.0 and value == value:
+            # Off the tick's path: ranked from the window's own rows (a
+            # nan latency, or none, ranks every percentile to nan).
+            value = ranked_percentile(
+                sorted(row[3] for row in self._window if row[2] <= _DEGRADED), q
+            )
         return PercentileEstimate(
             q, value, n, low_confidence=n < max(MIN_PERCENTILE_SAMPLES, 1)
         )
 
-    @cached_property
+    @_lazy
     def p50_latency(self) -> PercentileEstimate:
-        return self._estimate(50.0, self._latency[1][0])
+        return self._estimate(50.0)
 
-    @cached_property
+    @_lazy
     def p95_latency(self) -> PercentileEstimate:
-        return self._estimate(95.0, self._latency[1][1])
+        return self._estimate(95.0)
 
-    @cached_property
+    @_lazy
     def p99_latency(self) -> PercentileEstimate:
-        return self._estimate(99.0, self._latency[1][2])
+        return self._estimate(99.0)
 
-    @cached_property
+    @_lazy
     def _window(self) -> List[_Row]:
         return self._rows[self._start : self._stop]
 
-    @cached_property
+    @_lazy
     def mean_cost(self) -> float:
         return _ordered_mean(
             [row[4] for row in self._window if row[2] <= _DEGRADED]
         )
 
-    @cached_property
+    @_lazy
     def node_seconds(self) -> Dict[str, float]:
         # Versions appear in the order a walk over the rows first meets
         # them.
@@ -268,14 +287,14 @@ class WindowSnapshot:
                 node_seconds[version] = node_seconds.get(version, 0.0) + seconds
         return node_seconds
 
-    @cached_property
+    @_lazy
     def node_seconds_per_s(self) -> float:
         burn = 0.0
         for seconds in self.node_seconds.values():
             burn += seconds
         return burn / self.span_s
 
-    @cached_property
+    @_lazy
     def tiers(self) -> Dict[float, TierWindow]:
         # Tiers appear in the order a walk over the rows first meets them;
         # each gathers its answered latencies and costs in that order.
@@ -357,6 +376,7 @@ class TelemetryHub:
         self._n_nan = 0
         self._published = 0
         self._last_time = 0.0
+        self._snapshot_at = float("-inf")
 
     # ------------------------------------------------------------------
     # producer surface
@@ -488,9 +508,17 @@ class TelemetryHub:
         Evicts, counts and ranks now; the rest of the snapshot is
         computed when first read (see :class:`WindowSnapshot`).
         Eviction is destructive (rows older than one window are gone),
-        so snapshots must be taken with non-decreasing ``now`` — which
-        both producers guarantee.
+        so snapshots must be taken with non-decreasing ``now``.
+
+        Raises:
+            ValueError: If ``now`` is earlier than the last snapshot's.
         """
+        if now < self._snapshot_at - 1e-12:
+            raise ValueError(
+                f"telemetry snapshot at {now:.6f} after one at "
+                f"{self._snapshot_at:.6f}"
+            )
+        self._snapshot_at = max(self._snapshot_at, now)
         rows, horizon, head = self._rows, now - self.window_s, self._head
         stop = len(rows)
         k = head
@@ -499,14 +527,7 @@ class TelemetryHub:
         self._drop(k - head)
         ranked = self._ranked
         n_latency = len(ranked) + self._n_nan
-        if self._n_nan:
-            values = (float("nan"),) * 3
-        else:
-            values = (
-                ranked_percentile(ranked, 50.0),
-                ranked_percentile(ranked, 95.0),
-                ranked_percentile(ranked, 99.0),
-            )
+        p95 = float("nan") if self._n_nan else ranked_percentile(ranked, 95.0)
         span = self.window_s if now >= self.window_s else max(now, 1e-9)
         return WindowSnapshot(
             now,
@@ -517,5 +538,5 @@ class TelemetryHub:
                 {tier: tuple(tally) for tier, tally in self._counts.items()},
             ),
             (rows, k, stop),
-            (n_latency, values),
+            (n_latency, p95),
         )

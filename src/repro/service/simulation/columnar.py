@@ -117,7 +117,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.executor import require_confidence_threshold
-from repro.service.request import ServiceRequest
 from repro.service.simulation.faults import (
     ColdStartWave,
     FaultLogEntry,
@@ -1108,8 +1107,12 @@ def run_columnar(
     }
     observe_node = None
     if control is not None:
+        # Only a closed-loop run reads the plane's actions, by identity.
+        from repro.service.control.admission import AdmissionAction
+
+        SHED, DEGRADE = AdmissionAction.SHED, AdmissionAction.DEGRADE
         fixed = sim._configuration is not None
-        requests, tolerances = store.requests, store.tolerances
+        tolerances = store.tolerances
         fee, markup = pricing.per_request_fee, pricing.markup
         # Node service times feed gray-failure detection (skipped for a
         # plane that says it has no detector: it would ignore them).
@@ -1170,17 +1173,8 @@ def run_columnar(
                 if fixed
                 else configurations[codes[sub] if codes else 0]
             )
-            request = requests[sub]
-            if request is None:
-                request = ServiceRequest(
-                    request_id=request_ids[sub],
-                    payload=payloads[sub],
-                    tolerance=tolerances[sub],
-                    objective=store.objectives[sub],
-                )
-            decision = control.admit(request, now, planned=configuration)
-            action = decision.action.value
-            if action == "shed":
+            decision = control.admit(now, planned=configuration)
+            if decision.action is SHED:
                 if trace is not None:
                     reason = getattr(decision, "reason", "") or ""
                     trace.on_admission(request_ids[sub], "shed", reason, now)
@@ -1191,7 +1185,7 @@ def run_columnar(
                 out_append((sub, now, False, -1.0, -1.0, now))
                 finalized_at.append(now)
                 return False
-            if action == "degrade" and decision.configuration is not None:
+            if decision.action is DEGRADE and decision.configuration is not None:
                 configuration = decision.configuration
                 degraded[sub] = 1
                 if trace is not None:

@@ -135,16 +135,9 @@ def _load_ids(base: int, count: int) -> List[str]:
 
 
 class _Submissions:
-    """What the caller submitted: parallel columns in submission order.
+    """What the caller submitted: parallel columns in submission order."""
 
-    ``requests`` holds the caller's own :class:`ServiceRequest` where one
-    was given (admission reads its ``metadata``) and ``None`` for a row
-    :meth:`ServingSimulator.run` generated.
-    """
-
-    __slots__ = (
-        "ids", "payloads", "tolerances", "objectives", "times", "requests"
-    )
+    __slots__ = ("ids", "payloads", "tolerances", "objectives", "times")
 
     def __init__(self) -> None:
         for column in self.__slots__:
@@ -338,7 +331,6 @@ class ServingSimulator:
             [request.tolerance for request in requests],
             [request.objective for request in requests],
             at_times,
-            requests,
         )
 
     def submit_rows(
@@ -374,12 +366,9 @@ class ServingSimulator:
             tolerances,
             objectives,
             at_times,
-            [None] * len(request_ids),
         )
 
-    def _enqueue(
-        self, ids, payloads, tolerances, objectives, at_times, requests
-    ) -> None:
+    def _enqueue(self, ids, payloads, tolerances, objectives, at_times) -> None:
         """Append rows to the submission store: all of them, or none."""
         self._require_undrained()
         # Every submission is deferred: nothing has run, so the virtual
@@ -392,9 +381,7 @@ class ServingSimulator:
                     if at_time < 0.0
                     else f"cannot schedule at t={at_time}: not a finite time"
                 )
-        self._store.extend(
-            ids, payloads, tolerances, objectives, at_times, requests
-        )
+        self._store.extend(ids, payloads, tolerances, objectives, at_times)
 
     def run(
         self,

@@ -22,14 +22,9 @@ from repro.service.control import (
     TelemetryHub,
     degraded_configuration,
 )
-from repro.service.request import ServiceRequest
 from repro.service.simulation import scenario_measurements
 
 from test_telemetry import record
-
-
-def request(request_id="q"):
-    return ServiceRequest(request_id=request_id, payload="r000")
 
 
 TIERED = EnsembleConfiguration("seq", SequentialPolicy("fast", "slow", 0.6))
@@ -42,7 +37,7 @@ class TestAdmission:
             rng=np.random.default_rng(0),
         )
         for state in (SLOState.OK, SLOState.WARN):
-            decision = controller.decide(request(), state=state, planned=TIERED)
+            decision = controller.decide(state=state, planned=TIERED)
             assert decision.action is AdmissionAction.ADMIT
         assert controller.n_shed == 0
 
@@ -53,10 +48,8 @@ class TestAdmission:
                 rng=np.random.default_rng(seed),
             )
             return [
-                controller.decide(
-                    request(f"q{i}"), state=SLOState.BREACH, planned=TIERED
-                ).action
-                for i in range(50)
+                controller.decide(state=SLOState.BREACH, planned=TIERED).action
+                for _ in range(50)
             ]
 
         assert run(7) == run(7)
@@ -65,19 +58,29 @@ class TestAdmission:
 
     def test_degrade_downgrades_to_fast_single(self):
         controller = AdmissionController(AdmissionSpec(policy="degrade"))
-        decision = controller.decide(
-            request(), state=SLOState.BREACH, planned=TIERED
-        )
+        decision = controller.decide(state=SLOState.BREACH, planned=TIERED)
         assert decision.action is AdmissionAction.DEGRADE
         assert decision.configuration.kind == "single"
         assert decision.configuration.versions == ("fast",)
 
+    def test_degraded_arrivals_share_their_plans_fallback(self):
+        # One fallback per planned configuration: the engine plans each
+        # configuration object once, so a fresh one per arrival re-plans.
+        controller = AdmissionController(AdmissionSpec(policy="degrade"))
+        first, second = (
+            controller.decide(state=SLOState.BREACH, planned=TIERED)
+            for _ in range(2)
+        )
+        assert second.configuration is first.configuration
+        assert controller.n_degraded == 2
+        other = EnsembleConfiguration("seq2", SequentialPolicy("fast", "slow", 0.5))
+        third = controller.decide(state=SLOState.BREACH, planned=other)
+        assert third.configuration is not first.configuration
+
     def test_degrade_admits_when_already_single(self):
         controller = AdmissionController(AdmissionSpec(policy="degrade"))
         single = EnsembleConfiguration("osfa", SingleVersionPolicy("slow"))
-        decision = controller.decide(
-            request(), state=SLOState.BREACH, planned=single
-        )
+        decision = controller.decide(state=SLOState.BREACH, planned=single)
         assert decision.action is AdmissionAction.ADMIT
         assert degraded_configuration(single) is None
 

@@ -222,7 +222,7 @@ class TestConservation:
             tick_interval_s = 1.0
             log = ()
 
-            def admit(self, request, now, *, planned):
+            def admit(self, now, *, planned):
                 return AdmissionDecision(AdmissionAction.SHED, reason="test")
 
             def observe(self, record, now=None):
@@ -272,7 +272,7 @@ class TestConservation:
             def __init__(self):
                 self.seen = 0
 
-            def admit(self, request, now, *, planned):
+            def admit(self, now, *, planned):
                 self.seen += 1
                 if self.seen == 1:
                     return AdmissionDecision(AdmissionAction.ADMIT)
@@ -542,7 +542,7 @@ class _SwapOnce:
         self.swap = swap
         self.ticks = []
 
-    def admit(self, request, now, *, planned):
+    def admit(self, now, *, planned):
         return ADMIT
 
     def observe(self, record, now=None):

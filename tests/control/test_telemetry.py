@@ -114,6 +114,17 @@ class TestTelemetryHub:
         with pytest.raises(ValueError, match="out of order"):
             hub.publish(record("b", 1.0))
 
+    def test_snapshot_earlier_than_the_last_rejected(self):
+        # The later snapshot evicted what the earlier window holds: an
+        # earlier read would return the later window, not its own.
+        hub = TelemetryHub(window_s=8.0)
+        for t in range(1, 21):
+            hub.publish(record(f"r{t}", float(t), response_time_s=0.1 * t))
+        assert hub.snapshot(20.0).p95_latency.value == pytest.approx(1.96)
+        with pytest.raises(ValueError, match=r"at 10\.000000 after one at 20\.000000"):
+            hub.snapshot(10.0)
+        assert hub.snapshot(20.0 - 1e-13).n == 9  # within the publish slack
+
     def test_counts_and_availability(self):
         hub = TelemetryHub(window_s=10.0)
         hub.publish(record("ok1", 1.0))

@@ -72,6 +72,7 @@ from repro.core.executor import (
     should_escalate,
 )
 from repro.service.cluster import ClusterDeployment
+from repro.service.control.admission import AdmissionAction
 from repro.service.load_balancer import LoadBalancer
 from repro.service.node import NodeCompletion, QueuedRequest, ServiceNode
 from repro.service.request import ServiceRequest
@@ -391,22 +392,21 @@ class ScalarLoop:
     ) -> LoadTestReport:
         """Drain the simulator: ``run_columnar``'s arguments, after the
         simulator, and the same report."""
-        # The store in submission order, a ServiceRequest built only for a
-        # row without one; a fixed configuration is read at arrival.
+        # The store in submission order, a ServiceRequest built per row; a
+        # fixed configuration is read at arrival.
         store = self._store
         # Fault onsets, then herd releases, then the arrivals, as the
         # columnar loop's onset stream orders them.
         self._schedule_faults()
         for entry in self._releases:
             self._log_at(entry, "fault-herd")
-        for index, request in enumerate(store.requests):
-            if request is None:
-                request = ServiceRequest(
-                    request_id=store.ids[index],
-                    payload=store.payloads[index],
-                    tolerance=store.tolerances[index],
-                    objective=store.objectives[index],
-                )
+        for index, request_id in enumerate(store.ids):
+            request = ServiceRequest(
+                request_id=request_id,
+                payload=store.payloads[index],
+                tolerance=store.tolerances[index],
+                objective=store.objectives[index],
+            )
             routed = (
                 None
                 if self.sim._configuration is not None
@@ -498,11 +498,9 @@ class ScalarLoop:
         configuration = routed if routed is not None else self.sim._configuration
         degraded = False
         if self.control is not None:
-            decision = self.control.admit(
-                request, self._loop.now, planned=configuration
-            )
-            action = decision.action.value
-            if action == "shed":
+            decision = self.control.admit(self._loop.now, planned=configuration)
+            action = decision.action
+            if action is AdmissionAction.SHED:
                 if self._trace is not None:
                     self._trace.on_admission(
                         request.request_id,
@@ -512,7 +510,7 @@ class ScalarLoop:
                     )
                 self._shed_request(request)
                 return
-            if action == "degrade" and decision.configuration is not None:
+            if action is AdmissionAction.DEGRADE and decision.configuration is not None:
                 configuration = decision.configuration
                 degraded = True
                 if self._trace is not None:
